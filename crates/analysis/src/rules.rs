@@ -25,8 +25,8 @@ pub enum Rule {
     /// acquisition helpers (`lockdep.rs`).
     RawLock,
     /// Nested lock acquisitions whose lexical class order contradicts
-    /// the writer → shard → arm-queue → counters → geometry → epoch
-    /// hierarchy.
+    /// the writer → shard → arm-queue → counters → geometry → epoch →
+    /// refine-queue hierarchy.
     LockOrder,
     /// Raw `fetch_add`/`fetch_sub` on an epoch-pin counter outside the
     /// epoch crate — pin accounting must go through the collector's
@@ -474,6 +474,7 @@ const LOCK_CLASSES: &[(&str, u8, &str)] = &[
     ("geom", 4, "Geometry"),
     ("retired", 5, "Epoch"),
     ("epoch", 5, "Epoch"),
+    ("queue", 6, "RefineQueue"),
 ];
 
 /// Classify a lock receiver expression (the text before `.lock()`).
@@ -576,7 +577,7 @@ fn check_lock_order(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
                             message: format!(
                                 "acquires {class} (rank {rank}) after {} (rank {}, line {}) — \
                                  contradicts the DbWriter → Shard → ArmQueue → DiskCounters \
-                                 → Geometry → Epoch hierarchy",
+                                 → Geometry → Epoch → RefineQueue hierarchy",
                                 prior.class, prior.rank, prior.line
                             ),
                         });

@@ -17,37 +17,47 @@
 //!
 //! ## Concurrent writers: shadow paging + epochs
 //!
-//! Since the shadow-paging refactor, **updates take `&self` too**:
-//! [`SpatialDatabase::insert`] and [`SpatialDatabase::remove`] serialize
-//! writers on an internal gate, build a copy-on-write snapshot of the
-//! store (the R\*-tree's node table is `Arc`-shared, so the clone copies
-//! pointers, and only the pages a writer touches are shadow-copied),
-//! apply the update to the shadow, and publish it by atomically swapping
-//! the root pointer. **Readers never take the writer gate**: a query
-//! pins an epoch ([`spatialdb_epoch::Collector`]), loads the root, and
-//! traverses that consistent snapshot for as long as its cursor lives —
-//! a concurrent writer can neither block it nor mutate what it sees.
-//! Superseded snapshots are retired to the database's collector and
-//! freed once no pin can reach them (see the `spatialdb-epoch` docs);
-//! exact geometry lives outside the versioned root in a
+//! **Updates take `&self` too**: [`SpatialDatabase::insert`] and
+//! [`SpatialDatabase::remove`] serialize writers on an internal gate,
+//! take a snapshot of the store, apply the update to that shadow, and
+//! publish it by atomically swapping the root pointer. A snapshot
+//! ([`SpatialStore::snapshot`]) clones **pointer tables only** — the
+//! R\*-tree's node table, the cluster organization's unit slab and the
+//! per-object table's bucket directory — so its cost does not depend on
+//! the number of stored objects, and the commit shadow-copies just the
+//! pieces it dirties: one root-to-leaf node path, one cluster unit, and
+//! one table bucket per touched object. Everything else stays shared
+//! with the snapshots readers still hold. **Readers never take the
+//! writer gate**: a query pins an epoch
+//! ([`spatialdb_epoch::Collector`]), loads the root, and traverses that
+//! consistent snapshot for as long as its cursor lives — a concurrent
+//! writer can neither block it nor mutate what it sees. Superseded
+//! snapshots are retired to the database's collector and freed once no
+//! pin can reach them (see the `spatialdb-epoch` docs); exact geometry
+//! lives outside the versioned root in a
 //! [`StableMap`](spatialdb_epoch::StableMap), whose tombstone-on-remove
 //! discipline keeps candidates from older snapshots refinable.
+//!
+//! A write that panics (a duplicate id, an object larger than `Smax`)
+//! leaves the database usable: nothing is published before the swap,
+//! the shadow is dropped on unwind, and the writer gate ignores the
+//! poison flag a panicking holder leaves behind.
 //!
 //! The exclusive entry points that remain `&mut self`
 //! ([`bulk_load`](SpatialDatabase::bulk_load),
 //! [`finish_loading`](SpatialDatabase::finish_loading),
 //! [`store_mut`](SpatialDatabase::store_mut)) bypass versioning
 //! entirely — `&mut` proves no reader exists, so they mutate the
-//! current root in place, shadow nothing and retire nothing, exactly as
-//! before the refactor. The shared write path charges the **same
-//! simulated I/O** as the exclusive one: the snapshot clone is a pure
-//! memory operation, and the update applied to the shadow touches the
-//! same pages of the same shared buffer pool.
+//! current root in place, shadow nothing and retire nothing. They run
+//! through the same copy-on-write structures; with nothing shared,
+//! nothing is copied. The shared write path charges the **same
+//! simulated I/O** as the exclusive one: the snapshot is a pure memory
+//! operation, and the update applied to the shadow touches the same
+//! pages of the same shared buffer pool.
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::executor::ExecPlan;
 use crate::query::{JoinQuery, Query};
-use spatialdb_disk::Routing;
 use spatialdb_disk::{
     DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, StripePolicy, PAGE_SIZE,
 };
@@ -184,66 +194,6 @@ impl Workspace {
         Ok(ws)
     }
 
-    /// Create a workspace whose buffer pool is split across `shards`
-    /// page-hash shards under the one `buffer_pages` budget.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .buffer_pages(..).shards(..))"
-    )]
-    pub fn with_shards(buffer_pages: usize, shards: usize) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .buffer_pages(buffer_pages)
-                .shards(shards),
-        )
-    }
-
-    /// Create a workspace with explicit disk parameters and shard count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .params(..).buffer_pages(..).shards(..))"
-    )]
-    pub fn with_params_sharded(params: DiskParams, buffer_pages: usize, shards: usize) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .params(params)
-                .buffer_pages(buffer_pages)
-                .shards(shards),
-        )
-    }
-
-    /// Create a sharded workspace with an explicit shard
-    /// [`Routing`] mode.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .buffer_pages(..).shards(..).routing(..))"
-    )]
-    pub fn with_shard_routing(buffer_pages: usize, shards: usize, routing: Routing) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .buffer_pages(buffer_pages)
-                .shards(shards)
-                .routing(routing),
-        )
-    }
-
-    /// Reconfigure the simulated disk as an `arms`-way array whose
-    /// regions are declustered by `stripe` (see [`StripePolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if requests are still pending on the current array.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default().arms(..))"
-    )]
-    pub fn configure_arms(&self, arms: usize, stripe: StripePolicy) {
-        self.apply_arms(arms, stripe);
-    }
-
     /// Shape the disk as an `arms`-way array and keep the buffer
     /// pool's shard routing aligned with the new arm assignment: under
     /// `Routing::ByRegion` with multiple shards, each shard's miss
@@ -252,16 +202,6 @@ impl Workspace {
     fn apply_arms(&self, arms: usize, stripe: StripePolicy) {
         self.disk.configure_arms(arms, stripe);
         self.pool.set_arm_affinity(arms, stripe);
-    }
-
-    /// Enable (or disable) adaptive shard quotas on the buffer pool.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .adaptive_shards(true))"
-    )]
-    pub fn set_adaptive_shards(&self, on: bool) {
-        self.pool.set_adaptive(on);
     }
 
     /// The simulated disk.
@@ -367,36 +307,6 @@ impl Workspace {
     ) -> crate::executor::BatchOutcome {
         self.assert_same_workspace(&queries);
         crate::executor::run_batch(queries, plan)
-    }
-
-    /// Execute a batch with the **filter steps overlapped** across the
-    /// worker pool as well (see
-    /// [`FilterMode::Overlapped`](crate::executor::FilterMode)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_batch(queries, ExecPlan::threads(n).overlapped())"
-    )]
-    pub fn run_batch_overlapped(
-        &self,
-        queries: Vec<Query<'_>>,
-        n_threads: usize,
-    ) -> crate::executor::BatchOutcome {
-        self.run_batch(queries, ExecPlan::threads(n_threads).overlapped())
-    }
-
-    /// Execute a batch under the **overlapped-I/O scheduler**
-    /// ([`FilterMode::OverlappedIo`](crate::executor::FilterMode)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_batch(queries, ExecPlan::threads(n).timed(config))"
-    )]
-    pub fn run_batch_timed(
-        &self,
-        queries: Vec<Query<'_>>,
-        n_threads: usize,
-        config: crate::executor::OverlapConfig,
-    ) -> crate::executor::BatchOutcome {
-        self.run_batch(queries, ExecPlan::threads(n_threads).timed(config))
     }
 
     /// STR-bulk-load `objects` into the empty database `db`, fanning
@@ -627,21 +537,29 @@ impl SpatialDatabase {
     /// the store and published atomically, so concurrent readers keep
     /// traversing the snapshot they pinned and are never blocked.
     /// Writers serialize on the database's writer gate. The charged
-    /// simulated I/O is identical to the pre-versioning exclusive path —
-    /// the shadow clone is a pure memory operation.
+    /// simulated I/O is identical to the exclusive path — the shadow is
+    /// a pointer-table clone, a pure memory operation.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already present.
+    /// Panics if `id` is already present. The database stays fully
+    /// usable afterwards (see the [module docs](crate::db)).
     pub fn insert(&self, id: u64, geometry: impl Into<Geometry>) {
         let geometry = geometry.into();
-        let _gate = self.writer.acquire();
+        // Ask the store, not just the geometry map: ids bulk-loaded
+        // directly into the backend (filter-only records) must also be
+        // rejected, or the index would hold duplicate entries.
+        let assert_absent = |store: &dyn SpatialStore| {
+            assert!(!store.contains(ObjectId(id)), "object {id} already stored");
+        };
+        // A caller's mistake is rejected before it can hold up other
+        // writers; the check is repeated under the gate because a
+        // concurrent writer may have stored `id` in between.
+        assert_absent(&*self.store());
+        let _gate = self.writer.acquire_unpoisoned();
         let mut fresh = {
             let cur = self.root.pin(&self.epochs);
-            // Ask the store, not just the geometry map: ids bulk-loaded
-            // directly into the backend (filter-only records) must also
-            // be rejected, or the index would hold duplicate entries.
-            assert!(!cur.contains(ObjectId(id)), "object {id} already stored");
+            assert_absent(&**cur);
             cur.snapshot()
         };
         let rec = ObjectRecord::new(
@@ -709,7 +627,7 @@ impl SpatialDatabase {
     /// tombstoned, not freed: a reader pinned to an older snapshot can
     /// still refine the deleted candidate.
     pub fn remove(&self, id: u64) -> bool {
-        let _gate = self.writer.acquire();
+        let _gate = self.writer.acquire_unpoisoned();
         let mut fresh = {
             let cur = self.root.pin(&self.epochs);
             if !cur.contains(ObjectId(id)) {
@@ -1013,6 +931,33 @@ mod tests {
             640,
         )]);
         db.insert(5, street(0.1, 0.1));
+    }
+
+    #[test]
+    fn a_panicking_write_does_not_brick_the_database() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let ws = Workspace::new(64);
+        let db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
+        db.insert(1, street(0.1, 0.1));
+        let duplicate = catch_unwind(AssertUnwindSafe(|| db.insert(1, street(0.2, 0.2))));
+        assert!(duplicate.is_err(), "duplicate id must be rejected");
+        // A panic *under* the gate (the store rejects the object after
+        // the gate is taken) poisons it; later writers recover.
+        let huge = Polyline::new(
+            (0..20_000)
+                .map(|i| Point::new(i as f64 * 1e-5, 0.5))
+                .collect(),
+        );
+        let oversized = catch_unwind(AssertUnwindSafe(|| db.insert(9, huge)));
+        assert!(
+            oversized.is_err(),
+            "object larger than Smax must be rejected"
+        );
+        db.insert(2, street(0.3, 0.3));
+        assert!(db.remove(1));
+        assert_eq!(db.len(), 1);
+        let all = Rect::new(-1.0, -1.0, 2.0, 2.0);
+        assert_eq!(db.query().window(all).run().ids(), vec![2]);
     }
 
     #[test]

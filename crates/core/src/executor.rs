@@ -450,21 +450,6 @@ pub fn run_batch(queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> BatchOut
     }
 }
 
-/// Run a batch under an explicit [`FilterMode`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_batch(queries, ExecPlan { threads, mode })"
-)]
-pub fn run_batch_with(queries: Vec<Query<'_>>, n_threads: usize, mode: FilterMode) -> BatchOutcome {
-    run_batch(
-        queries,
-        ExecPlan {
-            threads: n_threads,
-            mode,
-        },
-    )
-}
-
 /// The overlapped-I/O batch runner (see [`FilterMode::OverlappedIo`]):
 /// serialized traced filter phase, then the shared tail with the
 /// arm-timeline simulation.

@@ -29,8 +29,9 @@
 //! **byte-identical at any thread count**: determinism comes from
 //! phase A's fixed order, not from barriers.
 
+use spatialdb_disk::{DepGuard, DepMutex, LockClass};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Condvar;
 
 use crate::db::SpatialDatabase;
 use crate::query::{candidate_ids, execute_filter, refine_pair, refined_geometry, Target};
@@ -205,7 +206,7 @@ enum Refined {
 /// The shared refinement queue: phase A pushes, workers pop; closing
 /// wakes everyone to drain and exit.
 struct RefineQueue<'a> {
-    state: Mutex<QueueState<'a>>,
+    queue: DepMutex<QueueState<'a>>,
     ready: Condvar,
 }
 
@@ -217,20 +218,22 @@ struct QueueState<'a> {
 impl<'a> RefineQueue<'a> {
     fn new() -> Self {
         RefineQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
+            queue: DepMutex::new(
+                LockClass::RefineQueue,
+                QueueState {
+                    jobs: VecDeque::new(),
+                    closed: false,
+                },
+            ),
             ready: Condvar::new(),
         }
     }
 
-    fn locked(&self) -> MutexGuard<'_, QueueState<'a>> {
-        // lint: raw-lock-audited — Condvar::wait needs the std guard, which
-        // DepMutex does not expose. The queue is strictly leaf-level: no
-        // other lock is ever held while pushing, popping, or waiting here
-        // (phase A pushes only after its commit/pin released everything).
-        self.state.lock().expect("refinement queue poisoned")
+    /// The queue is strictly leaf-level (last rank of the hierarchy):
+    /// no other lock is taken while pushing, popping, or waiting here
+    /// (phase A pushes only after its commit/pin released everything).
+    fn locked(&self) -> DepGuard<'_, QueueState<'a>> {
+        self.queue.acquire()
     }
 
     fn push(&self, job: RefineJob<'a>) {
@@ -253,10 +256,7 @@ impl<'a> RefineQueue<'a> {
             if state.closed {
                 return None;
             }
-            state = self
-                .ready
-                .wait(state)
-                .expect("refinement queue poisoned while waiting");
+            state = state.wait(&self.ready);
         }
     }
 }

@@ -17,7 +17,10 @@
 //! 5. [`LockClass::Geometry`] — a database's exact-geometry arena
 //!    (leaf lock: nothing else is acquired while it is held);
 //! 6. [`LockClass::Epoch`] — the epoch collector's retired-garbage
-//!    list (`spatialdb-epoch`; leaf lock).
+//!    list (`spatialdb-epoch`; leaf lock);
+//! 7. [`LockClass::RefineQueue`] — the stream executor's refinement
+//!    work queue (`spatialdb-core`; leaf lock, the one engine lock
+//!    paired with a [`Condvar`] — see [`DepGuard::wait`]).
 //!
 //! A *blocking* acquisition must never take a class that ranks at or
 //! below something already held (equal rank is allowed only for a
@@ -41,7 +44,7 @@
 //! guard.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// The lock classes of the engine, in hierarchy order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +61,8 @@ pub enum LockClass {
     Geometry,
     /// The epoch collector's retired-garbage list (leaf lock).
     Epoch,
+    /// The stream executor's refinement work queue (leaf lock).
+    RefineQueue,
 }
 
 impl LockClass {
@@ -70,6 +75,7 @@ impl LockClass {
             LockClass::DiskCounters => 3,
             LockClass::Geometry => 4,
             LockClass::Epoch => 5,
+            LockClass::RefineQueue => 6,
         }
     }
 
@@ -94,6 +100,7 @@ impl fmt::Display for LockClass {
             LockClass::DiskCounters => f.write_str("DiskCounters"),
             LockClass::Geometry => f.write_str("Geometry"),
             LockClass::Epoch => f.write_str("Epoch"),
+            LockClass::RefineQueue => f.write_str("RefineQueue"),
         }
     }
 }
@@ -106,7 +113,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 6;
+    const KINDS: usize = 7;
 
     /// One lock the current thread holds.
     struct Held {
@@ -141,6 +148,7 @@ mod checker {
             "DiskCounters",
             "Geometry",
             "Epoch",
+            "RefineQueue",
         ][kind]
     }
 
@@ -186,7 +194,10 @@ mod checker {
     /// module is compiled out in release) on the first hierarchy
     /// violation or acquisition-graph cycle, dumping the accumulated
     /// wait graph with the site that created each edge.
-    pub(super) fn acquire_blocking(class: LockClass, site: &'static Location<'static>) -> u64 {
+    pub(super) fn acquire_blocking(
+        class: LockClass,
+        site: &'static Location<'static>,
+    ) -> HeldToken {
         HELD.with(|held| {
             let held = held.borrow();
             for h in held.iter() {
@@ -194,8 +205,8 @@ mod checker {
                     panic!(
                         "lock hierarchy violation: blocking acquisition of {class} at {site} \
                          while holding {held} (declared order: DbWriter -> Shard(asc) -> \
-                         ArmQueue -> DiskCounters -> Geometry -> Epoch; see \
-                         crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
+                         ArmQueue -> DiskCounters -> Geometry -> Epoch -> RefineQueue; \
+                         see crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
                         held = h.class,
                         dump = wait_graph_dump(),
                     );
@@ -226,23 +237,33 @@ mod checker {
     /// hierarchy check (a try-lock never waits, so it cannot close a
     /// deadlock cycle) but pushed onto the held-stack: blocking on a
     /// lower rank while holding this lock is still flagged.
-    pub(super) fn acquire_try(class: LockClass) -> u64 {
+    pub(super) fn acquire_try(class: LockClass) -> HeldToken {
         push(class)
     }
 
-    fn push(class: LockClass) -> u64 {
+    /// One entry of the thread's held-stack, popped when dropped (it
+    /// rides inside the guard of the acquisition it tracks).
+    pub(super) struct HeldToken(u64);
+
+    impl Drop for HeldToken {
+        fn drop(&mut self) {
+            release(self.0);
+        }
+    }
+
+    fn push(class: LockClass) -> HeldToken {
         let token = NEXT_TOKEN.with(|t| {
             let v = t.get();
             t.set(v + 1);
             v
         });
         HELD.with(|held| held.borrow_mut().push(Held { class, token }));
-        token
+        HeldToken(token)
     }
 
     /// Pop the acquisition identified by `token` (guards may drop in
     /// any order, so search from the top).
-    pub(super) fn release(token: u64) {
+    fn release(token: u64) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             let idx = held
@@ -297,14 +318,29 @@ impl<T> DepMutex<T> {
     /// the `expect` calls it replaces.
     #[track_caller]
     pub fn acquire(&self) -> DepGuard<'_, T> {
+        let class = self.class;
+        self.acquire_or(|_| panic!("lock poisoned: {class}"))
+    }
+
+    /// [`acquire`](DepMutex::acquire) that ignores poisoning. Only for
+    /// a lock whose data is valid at every step of every critical
+    /// section — the database's writer gate guards `()`, and a writer
+    /// that panics drops its unpublished shadow copy on unwind — so a
+    /// caught panic in one holder must not fail every later one.
+    #[track_caller]
+    pub fn acquire_unpoisoned(&self) -> DepGuard<'_, T> {
+        self.acquire_or(PoisonError::into_inner)
+    }
+
+    #[track_caller]
+    fn acquire_or<'a>(
+        &'a self,
+        on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
+    ) -> DepGuard<'a, T> {
         #[cfg(debug_assertions)]
         let token = checker::acquire_blocking(self.class, std::panic::Location::caller());
-        let guard = self
-            .inner
-            .lock()
-            .unwrap_or_else(|_| panic!("lock poisoned: {}", self.class));
         DepGuard {
-            guard,
+            guard: self.inner.lock().unwrap_or_else(on_poison),
             #[cfg(debug_assertions)]
             token,
         }
@@ -351,9 +387,26 @@ impl<T: fmt::Debug> fmt::Debug for DepMutex<T> {
 /// Guard returned by [`DepMutex::acquire`]/[`DepMutex::try_acquire`];
 /// releases the hierarchy tracking (debug builds) on drop.
 pub struct DepGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
     #[cfg(debug_assertions)]
-    token: u64,
+    token: checker::HeldToken,
+    guard: MutexGuard<'a, T>,
+}
+
+impl<'a, T> DepGuard<'a, T> {
+    /// Block on `condvar` until notified, releasing the mutex while
+    /// waiting ([`Condvar::wait`]). The lock stays on the thread's
+    /// held-stack throughout: a waiting thread acquires nothing else,
+    /// and it holds the mutex again when this returns. Panics if a
+    /// holder panicked, like [`DepMutex::acquire`].
+    pub fn wait(self, condvar: &Condvar) -> DepGuard<'a, T> {
+        DepGuard {
+            guard: condvar
+                .wait(self.guard)
+                .unwrap_or_else(|_| panic!("lock poisoned while waiting on a condvar")),
+            #[cfg(debug_assertions)]
+            token: self.token,
+        }
+    }
 }
 
 impl<T> std::ops::Deref for DepGuard<'_, T> {
@@ -366,13 +419,6 @@ impl<T> std::ops::Deref for DepGuard<'_, T> {
 impl<T> std::ops::DerefMut for DepGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
-    }
-}
-
-impl<T> Drop for DepGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        checker::release(self.token);
     }
 }
 

@@ -38,6 +38,7 @@
 
 pub mod bulk;
 pub mod config;
+pub mod cow;
 pub mod entry;
 pub mod io;
 pub mod node;
@@ -48,6 +49,7 @@ pub mod validate;
 
 pub use bulk::{BulkBuild, Tile, TilingParams, DEFAULT_STR_FILL};
 pub use config::RTreeConfig;
+pub use cow::CowSlab;
 pub use entry::{DirEntry, LeafEntry, ObjectId};
 pub use io::{NoIo, NodeIo};
 pub use node::{NodeId, NodeKind};

@@ -1,8 +1,10 @@
 //! Tree nodes and the node store.
 
+use crate::cow::CowSlab;
 use crate::entry::{DirEntry, LeafEntry};
 use spatialdb_disk::PageId;
 use spatialdb_geom::Rect;
+use std::sync::Arc;
 
 /// Identifier of a node within one tree's node store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -108,19 +110,19 @@ impl Node {
 
 /// Slab of nodes with stable ids and O(1) reuse of freed slots.
 ///
-/// Each slot holds its [`Node`] behind an [`Arc`], which makes the
-/// store **copy-on-write**: [`Clone`] duplicates only the pointer
-/// table (one refcount bump per live node), and the first
+/// The nodes live in a [`CowSlab`], which makes the store
+/// **copy-on-write**: [`Clone`] duplicates only the slab's chunk table
+/// (one refcount bump per 64 nodes), and the first
 /// [`get_mut`](NodeStore::get_mut) on a shared node shadow-copies
-/// exactly that node ([`Arc::make_mut`]). A cloned tree is therefore a
-/// cheap consistent snapshot, and a writer working on the clone
-/// materializes shadow pages only for the nodes it actually touches —
-/// the mechanism behind the engine's non-blocking concurrent writers.
-/// An unshared store pays one pointer indirection and no copies, so
-/// the exclusive (`&mut`) update path behaves exactly as before.
+/// exactly that node. A cloned tree is therefore a cheap consistent
+/// snapshot, and a writer working on the clone materializes shadow
+/// pages only for the nodes it actually touches — the mechanism behind
+/// the engine's non-blocking concurrent writers. An unshared store pays
+/// pointer indirections and no copies, so the exclusive (`&mut`) update
+/// path behaves exactly as before.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
-    nodes: Vec<Option<std::sync::Arc<Node>>>,
+    nodes: CowSlab<Node>,
     free: Vec<u32>,
 }
 
@@ -132,75 +134,60 @@ impl NodeStore {
 
     /// Insert a node, returning its id.
     pub fn insert(&mut self, node: Node) -> NodeId {
-        let node = std::sync::Arc::new(node);
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Some(node);
-                NodeId(i)
-            }
-            None => {
-                self.nodes.push(Some(node));
-                NodeId((self.nodes.len() - 1) as u32)
-            }
-        }
+        let i = self.free.pop().unwrap_or_else(|| self.nodes.slots() as u32);
+        self.nodes.set(i as usize, node);
+        NodeId(i)
     }
 
     /// Remove a node, returning it (shadow-copied if a snapshot still
     /// shares it).
     pub fn remove(&mut self, id: NodeId) -> Node {
-        let n = self.nodes[id.0 as usize]
-            .take()
+        let n = self
+            .nodes
+            .take(id.0 as usize)
             .expect("node already removed");
         self.free.push(id.0);
-        std::sync::Arc::try_unwrap(n).unwrap_or_else(|shared| (*shared).clone())
+        Arc::try_unwrap(n).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Borrow a node.
+    #[inline]
     pub fn get(&self, id: NodeId) -> &Node {
-        self.nodes[id.0 as usize].as_ref().expect("node removed")
+        self.nodes.get(id.0 as usize).expect("node removed")
     }
 
     /// `true` if `id` refers to a live node.
+    #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.0 as usize)
-            .map(|n| n.is_some())
-            .unwrap_or(false)
+        self.nodes.get(id.0 as usize).is_some()
     }
 
     /// Borrow a node mutably, shadow-copying it first if a snapshot
     /// still shares it (copy-on-write; no copy when unshared).
     pub fn get_mut(&mut self, id: NodeId) -> &mut Node {
-        std::sync::Arc::make_mut(self.nodes[id.0 as usize].as_mut().expect("node removed"))
+        self.nodes.get_mut(id.0 as usize).expect("node removed")
     }
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// `true` if no nodes are live.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.nodes.is_empty()
     }
 
     /// Iterate over `(id, node)` pairs of live nodes.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i as u32), &**n)))
+        self.nodes.iter().map(|(i, n)| (NodeId(i as u32), n))
     }
 
     /// Number of live nodes whose storage is shared with another
     /// (cloned) store — i.e. not yet shadow-copied. Diagnostics for
     /// the copy-on-write tests.
     pub fn shared_nodes(&self) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(|n| std::sync::Arc::strong_count(n) > 1)
-            .count()
+        self.nodes.shared()
     }
 }
 

@@ -50,6 +50,13 @@ pub struct DeleteOutcome {
     pub leaf_reinserts: Vec<(ObjectId, NodeId)>,
     /// Data-page splits caused by re-insertions during condensation.
     pub leaf_splits: Vec<LeafSplit>,
+    /// Data pages condensation removed from the tree (under-full pages
+    /// whose entries were reinserted), in removal order. A later split
+    /// of the same deletion may already have reused such an id for a
+    /// new node — the storage layer checks
+    /// [`contains_node`](RStarTree::contains_node) before treating one
+    /// as gone.
+    pub removed_leaves: Vec<NodeId>,
 }
 
 /// Per-insertion context: which levels already performed a forced
@@ -613,12 +620,13 @@ impl RStarTree {
         io.modify(page);
         self.len -= 1;
         let mut ctx = InsertCtx::default();
-        self.condense_tree(leaf, &mut ctx, io);
+        let removed_leaves = self.condense_tree(leaf, &mut ctx, io);
         DeleteOutcome {
             removed: true,
             leaf: Some(leaf),
             leaf_reinserts: ctx.leaf_reinserts,
             leaf_splits: ctx.leaf_splits,
+            removed_leaves,
         }
     }
 
@@ -645,10 +653,17 @@ impl RStarTree {
         }
     }
 
-    fn condense_tree(&mut self, leaf: NodeId, ctx: &mut InsertCtx, io: &mut impl NodeIo) {
+    /// Returns the data pages it removed.
+    fn condense_tree(
+        &mut self,
+        leaf: NodeId,
+        ctx: &mut InsertCtx,
+        io: &mut impl NodeIo,
+    ) -> Vec<NodeId> {
         let min_fill =
             (self.config.min_fill_ratio * self.config.max_entries as f64).floor() as usize;
         let mut orphans: Vec<(AnyEntry, u32)> = Vec::new();
+        let mut removed_leaves = Vec::new();
         let mut cur = leaf;
         while let Some(parent) = self.store.get(cur).parent {
             if self.store.get(cur).len() < min_fill {
@@ -663,6 +678,7 @@ impl RStarTree {
                 let level = node.level;
                 match node.kind {
                     NodeKind::Leaf(entries) => {
+                        removed_leaves.push(cur);
                         orphans.extend(entries.into_iter().map(|e| (AnyEntry::Leaf(e), level)));
                     }
                     NodeKind::Dir(entries) => {
@@ -694,6 +710,7 @@ impl RStarTree {
             self.store.get_mut(child).parent = None;
             self.root = child;
         }
+        removed_leaves
     }
 
     /// Pages currently allocated for tree nodes.
@@ -888,6 +905,28 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
         assert_eq!(t.num_nodes(), 1);
+    }
+
+    #[test]
+    fn delete_reports_the_data_pages_it_removed() {
+        let mut t = tree(small_config());
+        for i in 0..200 {
+            t.insert(grid_entry(i, 20), &mut NoIo);
+        }
+        let mut reported = 0;
+        for i in 0..200 {
+            let before: Vec<NodeId> = t.leaves().map(|(id, _)| id).collect();
+            let out = t.delete(ObjectId(i), &grid_entry(i, 20).mbr, &mut NoIo);
+            // Exactly the data pages that vanished — or whose id a split
+            // of the same deletion handed to a new node — are reported.
+            for id in &before {
+                let gone = !t.contains_node(*id) || !t.node(*id).is_leaf();
+                assert!(!gone || out.removed_leaves.contains(id), "i={i}: {id}");
+            }
+            assert!(out.removed_leaves.iter().all(|id| before.contains(id)));
+            reported += out.removed_leaves.len();
+        }
+        assert!(reported > 0, "condensation must have removed data pages");
     }
 
     #[test]

@@ -24,15 +24,17 @@ use crate::model::{QueryStats, SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::{BytePacker, Placement};
 use crate::store::{SpatialStore, StrPlan};
+use crate::table::ObjectTable;
 use spatialdb_disk::{
     slm_gap_limit, BuddyAllocator, BuddyConfig, DiskHandle, IoKind, PageId, PageRun, ReadMode,
     RegionId, SeekPolicy, PAGE_SIZE,
 };
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{
-    bulk, LeafEntry, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams, DEFAULT_STR_FILL,
+    bulk, CowSlab, LeafEntry, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
+    DEFAULT_STR_FILL,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Configuration of a [`ClusterOrganization`].
 #[derive(Clone, Debug)]
@@ -81,11 +83,27 @@ struct ClusterUnit {
     /// The buddy currently backing the unit.
     extent: PageRun,
     packer: BytePacker,
-    /// Object → placement (page offsets relative to `extent.start`).
-    members: HashMap<ObjectId, Placement>,
+    /// Object → placement (page offsets relative to `extent.start`),
+    /// sorted by object id: a unit holds at most a few hundred objects,
+    /// so a binary search beats hashing and a unit's shadow copy is one
+    /// `memcpy`.
+    members: Vec<(ObjectId, Placement)>,
 }
 
 impl ClusterUnit {
+    fn placement(&self, oid: ObjectId) -> Placement {
+        let i = self
+            .members
+            .binary_search_by_key(&oid, |m| m.0)
+            .unwrap_or_else(|_| panic!("object {oid} missing from its cluster unit"));
+        self.members[i].1
+    }
+
+    fn add_member(&mut self, oid: ObjectId, placement: Placement) {
+        let at = self.members.partition_point(|m| m.0 < oid);
+        self.members.insert(at, (oid, placement));
+    }
+
     fn used_pages(&self) -> u64 {
         self.packer.pages_used(PAGE_SIZE as u64)
     }
@@ -97,20 +115,45 @@ impl ClusterUnit {
 
     /// Absolute pages of one member.
     fn member_pages(&self, oid: ObjectId) -> Vec<PageId> {
-        let p = self.members[&oid];
-        p.page_offsets()
+        self.placement(oid)
+            .page_offsets()
             .map(|o| PageId::new(self.extent.start.region, self.extent.start.offset + o))
             .collect()
     }
 
+    /// Distinct page offsets of `oid` and of every member the join still
+    /// needs, sorted.
+    fn join_offsets(&self, oid: ObjectId, needed: &HashSet<ObjectId>) -> Vec<u64> {
+        let mut offsets: Vec<u64> = self
+            .members
+            .iter()
+            .filter(|(o, _)| *o == oid || needed.contains(o))
+            .flat_map(|(_, p)| p.page_offsets())
+            .collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        offsets
+    }
+
     /// Sum of pages over all members (for the `nop∅` average).
     fn member_pages_total(&self) -> u64 {
-        // lint: order-insensitive — an integer sum commutes.
-        self.members.values().map(|p| p.num_pages).sum()
+        self.members.iter().map(|(_, p)| p.num_pages).sum()
     }
 }
 
+/// What the organization records per object.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct ObjectSlot {
+    /// Data page (and thereby cluster unit) the object belongs to.
+    leaf: NodeId,
+    size: u32,
+}
+
 /// The cluster organization.
+///
+/// [`Clone`] is the store's snapshot and copies no per-object state:
+/// the tree's node table, the unit slab and the object table are all
+/// pointer tables over shared, copy-on-write pieces.
 #[derive(Clone, Debug)]
 pub struct ClusterOrganization {
     disk: DiskHandle,
@@ -119,10 +162,11 @@ pub struct ClusterOrganization {
     tree: RStarTree,
     tree_region: RegionId,
     buddy: BuddyAllocator,
-    units: HashMap<NodeId, ClusterUnit>,
-    /// Data page each object currently belongs to.
-    location: HashMap<ObjectId, NodeId>,
-    sizes: HashMap<ObjectId, u32>,
+    /// The cluster units, indexed by the [`NodeId`] of their data page
+    /// — the same copy-on-write slab as the R\*-tree's node store, so
+    /// appending to or rebuilding a unit shadow-copies that unit alone.
+    units: CowSlab<ClusterUnit>,
+    objects: ObjectTable<ObjectSlot>,
     /// Σ placement pages over all units (maintained incrementally for the
     /// threshold formula's `nop∅`).
     total_member_pages: u64,
@@ -146,9 +190,8 @@ impl ClusterOrganization {
             tree,
             tree_region,
             buddy,
-            units: HashMap::new(),
-            location: HashMap::new(),
-            sizes: HashMap::new(),
+            units: CowSlab::new(),
+            objects: ObjectTable::new(),
             total_member_pages: 0,
         }
     }
@@ -171,8 +214,15 @@ impl ClusterOrganization {
 
     /// Average number of pages occupied per object (`nop∅` of §5.4.1).
     pub fn avg_pages_per_object(&self) -> f64 {
-        let n = self.sizes.len().max(1);
+        let n = self.objects.len().max(1);
         self.total_member_pages as f64 / n as f64
+    }
+
+    /// The cluster unit of a data page.
+    fn unit(&self, leaf: NodeId) -> &ClusterUnit {
+        self.units
+            .get(leaf.0 as usize)
+            .unwrap_or_else(|| panic!("data page {leaf} has no cluster unit"))
     }
 
     /// Drop an extent's pages from the buffer (the extent is being freed
@@ -183,15 +233,28 @@ impl ClusterOrganization {
         }
     }
 
-    /// Rebuild a unit's packing from an object list, allocating the
-    /// smallest possible buddy. Returns the unit (no I/O charged here).
-    fn pack_unit(&mut self, oids: &[ObjectId]) -> ClusterUnit {
+    /// `true` if `id` is a live data page of the tree.
+    fn is_data_page(&self, id: NodeId) -> bool {
+        self.tree.contains_node(id) && self.tree.node(id).is_leaf()
+    }
+
+    /// The `(object, size)` pairs of a data page, in entry order
+    /// (cluster entries carry the exact object size as their payload).
+    fn page_objects(&self, leaf: NodeId) -> Vec<(ObjectId, u32)> {
+        let entries = self.tree.node(leaf).leaf_entries();
+        entries.iter().map(|e| (e.oid, e.payload)).collect()
+    }
+
+    /// Pack a unit from `(object, size)` pairs in the given order,
+    /// allocating the smallest possible buddy. Returns the unit (no I/O
+    /// charged here).
+    fn pack_unit(&mut self, objects: &[(ObjectId, u32)]) -> ClusterUnit {
         let mut packer = BytePacker::new();
-        let mut members = HashMap::with_capacity(oids.len());
-        for &oid in oids {
-            let size = u64::from(self.sizes[&oid]);
-            members.insert(oid, packer.place(size, PAGE_SIZE as u64));
-        }
+        let mut members: Vec<(ObjectId, Placement)> = objects
+            .iter()
+            .map(|&(oid, size)| (oid, packer.place(u64::from(size), PAGE_SIZE as u64)))
+            .collect();
+        members.sort_unstable_by_key(|m| m.0);
         let pages = packer.pages_used(PAGE_SIZE as u64).max(1);
         let extent = self
             .buddy
@@ -207,17 +270,22 @@ impl ClusterOrganization {
     /// §4.2.2 step 3: append the object to the unit of its data page,
     /// moving the unit to a larger buddy when needed.
     fn append_object(&mut self, leaf: NodeId, rec: &ObjectRecord) {
-        self.sizes.insert(rec.oid, rec.size_bytes);
-        self.location.insert(rec.oid, leaf);
+        self.objects.insert(
+            rec.oid,
+            ObjectSlot {
+                leaf,
+                size: rec.size_bytes,
+            },
+        );
         let size = u64::from(rec.size_bytes);
-        if let Some(unit) = self.units.get_mut(&leaf) {
-            let mut trial = unit.packer.clone();
-            let placement = trial.place(size, PAGE_SIZE as u64);
-            let needed = trial.pages_used(PAGE_SIZE as u64);
+        if let Some(unit) = self.units.get_mut(leaf.0 as usize) {
+            let old_used = unit.used_extent();
+            let placement = unit.packer.place(size, PAGE_SIZE as u64);
+            unit.add_member(rec.oid, placement);
+            self.total_member_pages += placement.num_pages;
+            let needed = unit.used_pages();
             if needed <= unit.extent.len {
                 // Fits: write the object's pages (one request).
-                unit.packer = trial;
-                unit.members.insert(rec.oid, placement);
                 let run = PageRun::new(
                     PageId::new(
                         unit.extent.start.region,
@@ -225,22 +293,15 @@ impl ClusterOrganization {
                     ),
                     placement.num_pages,
                 );
-                self.total_member_pages += placement.num_pages;
                 self.disk.charge(IoKind::Write, run, false);
             } else {
                 // Move the unit into a larger buddy: read the old unit,
                 // write the unit including the new object sequentially.
                 let old_extent = unit.extent;
-                let old_used = unit.used_extent();
-                unit.packer = trial;
-                unit.members.insert(rec.oid, placement);
-                self.total_member_pages += placement.num_pages;
-                let new_extent = self
+                unit.extent = self
                     .buddy
                     .alloc_for(needed)
                     .expect("unit grew beyond Smax without a cluster split");
-                let unit = self.units.get_mut(&leaf).expect("unit vanished");
-                unit.extent = new_extent;
                 let new_used = unit.used_extent();
                 self.disk.charge(IoKind::Read, old_used, false);
                 self.disk.charge(IoKind::Write, new_used, false);
@@ -249,10 +310,10 @@ impl ClusterOrganization {
             }
         } else {
             // First object of a fresh data page: new unit.
-            let unit = self.pack_unit(&[rec.oid]);
+            let unit = self.pack_unit(&[(rec.oid, rec.size_bytes)]);
             self.total_member_pages += unit.member_pages_total();
             self.disk.charge(IoKind::Write, unit.used_extent(), false);
-            self.units.insert(leaf, unit);
+            self.units.set(leaf.0 as usize, unit);
         }
     }
 
@@ -260,39 +321,29 @@ impl ClusterOrganization {
     /// entry list (deletion path): read the old unit if it existed, pack
     /// the current members, write the new unit, free the old buddy.
     fn rebuild_unit(&mut self, leaf: NodeId) {
-        if !self.tree.contains_node(leaf) || !self.tree.node(leaf).is_leaf() {
+        if !self.is_data_page(leaf) {
             return;
         }
-        let oids: Vec<ObjectId> = self
-            .tree
-            .node(leaf)
-            .leaf_entries()
-            .iter()
-            .map(|e| e.oid)
-            .collect();
-        let old = self.units.remove(&leaf);
+        let old = self.units.take(leaf.0 as usize);
         if let Some(u) = &old {
             self.disk.charge(IoKind::Read, u.used_extent(), false);
             self.total_member_pages -= u.member_pages_total();
         }
-        if oids.is_empty() {
-            if let Some(u) = old {
-                self.buddy.free(u.extent);
-                self.drop_from_buffer(u.extent);
+        let objects = self.page_objects(leaf);
+        if !objects.is_empty() {
+            let unit = self.pack_unit(&objects);
+            self.total_member_pages += unit.member_pages_total();
+            self.disk.charge(IoKind::Write, unit.used_extent(), false);
+            for (oid, _) in objects {
+                self.objects
+                    .update(oid, |slot| ObjectSlot { leaf, ..*slot });
             }
-            return;
-        }
-        let unit = self.pack_unit(&oids);
-        self.total_member_pages += unit.member_pages_total();
-        self.disk.charge(IoKind::Write, unit.used_extent(), false);
-        for oid in &oids {
-            self.location.insert(*oid, leaf);
+            self.units.set(leaf.0 as usize, unit);
         }
         if let Some(u) = old {
             self.buddy.free(u.extent);
             self.drop_from_buffer(u.extent);
         }
-        self.units.insert(leaf, unit);
     }
 
     /// Transfer the qualifying objects of one cluster unit according to
@@ -305,7 +356,7 @@ impl ClusterOrganization {
         window: &Rect,
         technique: WindowTechnique,
     ) {
-        let unit = &self.units[&leaf];
+        let unit = self.unit(leaf);
         let used = unit.used_extent();
         match technique {
             WindowTechnique::Complete => {
@@ -357,10 +408,10 @@ impl ClusterOrganization {
 
     /// Distinct page offsets (within the unit) of the hit objects, sorted.
     fn hit_offsets(&self, leaf: NodeId, hits: &[LeafEntry]) -> Vec<u64> {
-        let unit = &self.units[&leaf];
+        let unit = self.unit(leaf);
         let mut offsets: Vec<u64> = hits
             .iter()
-            .flat_map(|e| unit.members[&e.oid].page_offsets())
+            .flat_map(|e| unit.placement(e.oid).page_offsets())
             .collect();
         offsets.sort_unstable();
         offsets.dedup();
@@ -370,7 +421,7 @@ impl ClusterOrganization {
     /// The simplest technique (§5.4): transfer the complete cluster unit
     /// as soon as any qualifying object needs I/O.
     fn read_complete_if_needed(&self, leaf: NodeId, hits: &[LeafEntry]) {
-        let unit = &self.units[&leaf];
+        let unit = self.unit(leaf);
         let needed: Vec<PageId> = hits.iter().flat_map(|e| unit.member_pages(e.oid)).collect();
         let all_buffered = needed.iter().all(|p| self.pool.contains_page(p));
         if all_buffered {
@@ -387,7 +438,7 @@ impl ClusterOrganization {
     fn read_page_by_page(&self, leaf: NodeId, hits: &[LeafEntry]) {
         let mut seek_pending = true;
         for e in hits {
-            let pages = self.units[&leaf].member_pages(e.oid);
+            let pages = self.unit(leaf).member_pages(e.oid);
             let out = self.pool.read_set(
                 &pages,
                 SeekPolicy::WithinCluster {
@@ -409,8 +460,7 @@ impl ClusterOrganization {
         needed: &HashSet<ObjectId>,
         technique: TransferTechnique,
     ) {
-        let leaf = self.location[&oid];
-        let unit = &self.units[&leaf];
+        let unit = self.unit(self.objects[oid].leaf);
         let my_pages = unit.member_pages(oid);
         if my_pages.iter().all(|p| self.pool.contains_page(p)) {
             for p in &my_pages {
@@ -429,26 +479,12 @@ impl ClusterOrganization {
                 } else {
                     ReadMode::Vector
                 };
-                let mut offsets: Vec<u64> = unit
-                    .members
-                    .iter()
-                    .filter(|(o, _)| **o == oid || needed.contains(o))
-                    .flat_map(|(_, p)| p.page_offsets())
-                    .collect();
-                offsets.sort_unstable();
-                offsets.dedup();
+                let offsets = unit.join_offsets(oid, needed);
                 let gap = slm_gap_limit(&self.disk.params());
                 self.pool.read_extent_slm(used, &offsets, gap, mode, true);
             }
             TransferTechnique::Optimum => {
-                let mut offsets: Vec<u64> = unit
-                    .members
-                    .iter()
-                    .filter(|(o, _)| **o == oid || needed.contains(o))
-                    .flat_map(|(_, p)| p.page_offsets())
-                    .collect();
-                offsets.sort_unstable();
-                offsets.dedup();
+                let offsets = unit.join_offsets(oid, needed);
                 let missing: Vec<u64> = offsets
                     .into_iter()
                     .filter(|&o| !self.pool.contains_page(&used.page(o)))
@@ -471,11 +507,12 @@ impl ClusterOrganization {
     /// unit payloads respect `Smax`.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut seen = HashSet::new();
-        // lint: order-insensitive — a pass/fail check over all units;
-        // only the first error's *content* depends on order, and that
-        // is diagnostic text, never stats or placement.
-        for (leaf, unit) in &self.units {
-            let node = self.tree.node(*leaf);
+        for (leaf, unit) in self.units.iter() {
+            let leaf = NodeId(leaf as u32);
+            if !self.tree.contains_node(leaf) {
+                return Err(format!("unit {leaf} outlived its data page"));
+            }
+            let node = self.tree.node(leaf);
             if !node.is_leaf() {
                 return Err(format!("unit attached to non-leaf {leaf}"));
             }
@@ -488,8 +525,17 @@ impl ClusterOrganization {
                 ));
             }
             for e in entries {
-                if !unit.members.contains_key(&e.oid) {
+                if unit.members.binary_search_by_key(&e.oid, |m| m.0).is_err() {
                     return Err(format!("entry {} missing from unit {leaf}", e.oid));
+                }
+                match self.objects.get(e.oid) {
+                    Some(slot) if slot.leaf == leaf && slot.size == e.payload => {}
+                    other => {
+                        return Err(format!(
+                            "object {} in unit {leaf} is recorded as {other:?}",
+                            e.oid
+                        ))
+                    }
                 }
                 if !seen.insert(e.oid) {
                     return Err(format!("object {} in two units", e.oid));
@@ -510,10 +556,10 @@ impl ClusterOrganization {
                 ));
             }
         }
-        if seen.len() != self.sizes.len() {
+        if seen.len() != self.objects.len() {
             return Err(format!(
                 "{} objects stored but {} in units",
-                self.sizes.len(),
+                self.objects.len(),
                 seen.len()
             ));
         }
@@ -551,7 +597,13 @@ impl SpatialStore for ClusterOrganization {
             // half still exceeded Smax). Rebuild every involved unit
             // from the tree's final entry lists: the overflowing unit is
             // read once and the successors are written sequentially.
-            self.sizes.insert(rec.oid, rec.size_bytes);
+            self.objects.insert(
+                rec.oid,
+                ObjectSlot {
+                    leaf: outcome.leaf.expect("insert without target leaf"),
+                    size: rec.size_bytes,
+                },
+            );
             let mut involved: Vec<NodeId> = outcome
                 .leaf_splits
                 .iter()
@@ -577,10 +629,8 @@ impl SpatialStore for ClusterOrganization {
         let mut stats = QueryStats::default();
         for (leaf, hits) in &per_leaf {
             stats.candidates += hits.len();
-            stats.result_bytes += hits
-                .iter()
-                .map(|e| u64::from(self.sizes[&e.oid]))
-                .sum::<u64>();
+            // The entry's payload is the object's exact size.
+            stats.result_bytes += hits.iter().map(|e| u64::from(e.payload)).sum::<u64>();
             self.transfer_for_window(*leaf, hits, window, technique);
         }
         stats.io_ms = self.disk.local_stats().since(&before).io_ms;
@@ -594,23 +644,17 @@ impl SpatialStore for ClusterOrganization {
         // (§5.5 — the cluster organization must not penalize selective
         // queries).
         for e in &candidates {
-            let leaf = self.location[&e.oid];
-            let pages = self.units[&leaf].member_pages(e.oid);
-            self.pool.read_set(&pages, SeekPolicy::PerRequest);
+            self.fetch_object(e.oid);
         }
         QueryStats {
             candidates: candidates.len(),
-            result_bytes: candidates
-                .iter()
-                .map(|e| u64::from(self.sizes[&e.oid]))
-                .sum(),
+            result_bytes: candidates.iter().map(|e| u64::from(e.payload)).sum(),
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
 
     fn fetch_object(&self, oid: ObjectId) {
-        let leaf = self.location[&oid];
-        let pages = self.units[&leaf].member_pages(oid);
+        let pages = self.unit(self.objects[oid].leaf).member_pages(oid);
         self.pool.read_set(&pages, SeekPolicy::PerRequest);
     }
 
@@ -624,16 +668,21 @@ impl SpatialStore for ClusterOrganization {
         ClusterOrganization::fetch_for_join(self, oid, needed, technique);
     }
 
+    fn check_consistency(&self) -> Result<(), String> {
+        // The inherent method of the same name.
+        ClusterOrganization::check_consistency(self)
+    }
+
     fn occupied_pages(&self) -> u64 {
         self.tree.allocated_pages() + self.buddy.occupied_pages()
     }
 
     fn num_objects(&self) -> usize {
-        self.sizes.len()
+        self.objects.len()
     }
 
     fn contains(&self, oid: ObjectId) -> bool {
-        self.sizes.contains_key(&oid)
+        self.objects.contains(oid)
     }
 
     fn disk(&self) -> DiskHandle {
@@ -659,11 +708,11 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn object_size(&self, oid: ObjectId) -> u32 {
-        self.sizes[&oid]
+        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
-        let Some(leaf0) = self.location.get(&oid).copied() else {
+        let Some(leaf0) = self.objects.get(oid).map(|slot| slot.leaf) else {
             return false;
         };
         let mbr = self
@@ -676,8 +725,7 @@ impl SpatialStore for ClusterOrganization {
             .expect("cluster location out of sync");
         let outcome = self.tree.delete(oid, &mbr, &mut self.pool.as_ref());
         debug_assert!(outcome.removed);
-        self.location.remove(&oid);
-        self.sizes.remove(&oid);
+        self.objects.remove(oid);
         // Tree condensation may have removed data pages and relocated
         // their entries; rebuild every affected cluster unit from the
         // tree's (authoritative) current entry lists.
@@ -698,21 +746,21 @@ impl SpatialStore for ClusterOrganization {
         for leaf in affected {
             self.rebuild_unit(leaf);
         }
-        // Sweep units whose data page vanished during condensation —
-        // also in node-id order (`free` order shapes the buddy free
-        // lists and thus future placements).
-        let mut orphans: Vec<NodeId> = self
-            .units
-            .keys()
-            .copied()
-            .filter(|id| !self.tree.contains_node(*id))
-            .collect();
+        // Free the units of the data pages condensation removed — also
+        // in node-id order (`free` order shapes the buddy free lists and
+        // thus future placements). An id a split of this same deletion
+        // reused for a new data page was rebuilt above and is skipped.
+        let mut orphans = outcome.removed_leaves;
         orphans.sort_unstable();
         for id in orphans {
-            let unit = self.units.remove(&id).expect("orphan vanished");
-            self.total_member_pages -= unit.member_pages_total();
-            self.buddy.free(unit.extent);
-            self.drop_from_buffer(unit.extent);
+            if self.is_data_page(id) {
+                continue;
+            }
+            if let Some(unit) = self.units.take(id.0 as usize) {
+                self.total_member_pages -= unit.member_pages_total();
+                self.buddy.free(unit.extent);
+                self.drop_from_buffer(unit.extent);
+            }
         }
         true
     }
@@ -744,33 +792,30 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(self.sizes.is_empty(), "STR install requires an empty store");
+        assert!(
+            self.objects.is_empty(),
+            "STR install requires an empty store"
+        );
+        debug_assert_eq!(records.len(), tiles.iter().map(Vec::len).sum::<usize>());
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in build.level_runs.iter().skip(1) {
             self.disk.charge(IoKind::Write, *run, false);
         }
-        // Sizes first: `pack_unit` reads them.
-        for rec in records {
-            self.sizes.insert(rec.oid, rec.size_bytes);
-        }
+        self.tree = build.tree;
         // Pack one cluster unit per data page, in node-id order — the
         // same deterministic rebuild order the split/delete paths use,
         // so physical placement is a pure function of the tile
         // sequence (see `placement_determinism.rs`).
-        let leaves: Vec<(NodeId, Vec<ObjectId>)> = build
-            .tree
-            .leaves()
-            .map(|(id, node)| (id, node.leaf_entries().iter().map(|e| e.oid).collect()))
-            .collect();
-        self.tree = build.tree;
-        for (leaf, oids) in leaves {
-            let unit = self.pack_unit(&oids);
+        let leaves: Vec<NodeId> = self.tree.leaves().map(|(id, _)| id).collect();
+        for leaf in leaves {
+            let objects = self.page_objects(leaf);
+            let unit = self.pack_unit(&objects);
             self.total_member_pages += unit.member_pages_total();
             self.disk.charge(IoKind::Write, unit.used_extent(), false);
-            for oid in &oids {
-                self.location.insert(*oid, leaf);
+            for (oid, size) in objects {
+                self.objects.insert(oid, ObjectSlot { leaf, size });
             }
-            self.units.insert(leaf, unit);
+            self.units.set(leaf.0 as usize, unit);
         }
         debug_assert_eq!(self.check_consistency(), Ok(()));
     }
@@ -818,7 +863,7 @@ mod tests {
         // objects require many cluster splits.
         let org = org_with(400, ClusterConfig::plain(SMAX));
         assert!(org.num_units() > 10, "only {} units", org.num_units());
-        for unit in org.units.values() {
+        for (_, unit) in org.units.iter() {
             assert!(unit.packer.used_bytes() <= SMAX);
         }
     }
@@ -997,11 +1042,12 @@ mod tests {
         let mut org = org_with(200, ClusterConfig::plain(SMAX));
         org.begin_query();
         let oid = ObjectId(0);
-        let leaf = org.location[&oid];
-        let sibling = *org.units[&leaf]
+        let sibling = org
+            .unit(org.objects[oid].leaf)
             .members
-            .keys()
-            .find(|o| **o != oid)
+            .iter()
+            .map(|m| m.0)
+            .find(|o| *o != oid)
             .expect("unit with 2+ members");
         let needed: HashSet<ObjectId> = [oid, sibling].into_iter().collect();
         org.fetch_for_join(oid, &needed, TransferTechnique::Complete);

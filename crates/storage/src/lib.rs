@@ -38,6 +38,7 @@ pub mod packer;
 pub mod primary;
 pub mod secondary;
 pub mod store;
+pub mod table;
 
 pub use cluster::{ClusterConfig, ClusterOrganization};
 pub use memory::MemoryStore;
@@ -51,6 +52,7 @@ pub use primary::PrimaryOrganization;
 pub use secondary::SecondaryOrganization;
 pub use spatialdb_disk::Routing;
 pub use store::{SpatialStore, StrPlan};
+pub use table::ObjectTable;
 
 /// Legacy name of [`SpatialStore`], kept so pre-redesign imports keep
 /// compiling. Prefer `SpatialStore`.

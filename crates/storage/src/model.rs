@@ -291,6 +291,10 @@ impl SpatialStore for Organization {
         delegate!(self, o => o.delete(oid))
     }
 
+    fn check_consistency(&self) -> Result<(), String> {
+        delegate!(self, o => SpatialStore::check_consistency(o))
+    }
+
     fn str_plan(&self, records: &[ObjectRecord]) -> crate::store::StrPlan {
         delegate!(self, o => o.str_plan(records))
     }

@@ -13,15 +13,31 @@ use crate::model::{QueryStats, SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::{SpatialStore, StrPlan};
+use crate::table::ObjectTable;
 use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::config::ENTRY_BYTES;
 use spatialdb_rtree::{
-    bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams, DEFAULT_STR_FILL,
+    bulk, LeafEntry, LeafSplit, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
+    DEFAULT_STR_FILL,
 };
-use std::collections::HashMap;
+
+/// What the organization records per object.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct ObjectSlot {
+    /// Data page currently holding the object's entry (and, inline, its
+    /// representation).
+    leaf: NodeId,
+    size: u32,
+    /// Pages in the overflow file, for objects too large for a data
+    /// page.
+    overflow: Option<PageRun>,
+}
 
 /// The primary organization.
+///
+/// [`Clone`] is the store's snapshot and copies no per-object state
+/// (see [`ObjectTable`]).
 #[derive(Clone, Debug)]
 pub struct PrimaryOrganization {
     disk: DiskHandle,
@@ -30,11 +46,7 @@ pub struct PrimaryOrganization {
     tree_region: RegionId,
     overflow_region: RegionId,
     overflow_packer: PagePacker,
-    /// Locations of objects too large for a data page.
-    overflow: HashMap<ObjectId, PageRun>,
-    /// Data page currently holding each inline object.
-    leaf_of: HashMap<ObjectId, spatialdb_rtree::NodeId>,
-    sizes: HashMap<ObjectId, u32>,
+    objects: ObjectTable<ObjectSlot>,
     /// Overflow pages freed by deletions (holes in the overflow file).
     freed_overflow_pages: u64,
 }
@@ -59,9 +71,7 @@ impl PrimaryOrganization {
             tree_region,
             overflow_region,
             overflow_packer: PagePacker::new(PAGE_SIZE as u64),
-            overflow: HashMap::new(),
-            leaf_of: HashMap::new(),
-            sizes: HashMap::new(),
+            objects: ObjectTable::new(),
             freed_overflow_pages: 0,
         }
     }
@@ -69,19 +79,64 @@ impl PrimaryOrganization {
     /// `true` if the object's exact representation lives in the overflow
     /// file rather than inline in a data page.
     pub fn is_overflow(&self, oid: ObjectId) -> bool {
-        self.overflow.contains_key(&oid)
+        self.objects
+            .get(oid)
+            .is_some_and(|slot| slot.overflow.is_some())
     }
 
-    fn read_overflow_objects(&self, oids: &[ObjectId]) {
-        // One pointer chase per overflow object (like the secondary
-        // organization's object accesses); the buffer absorbs repeats.
-        for oid in oids {
-            let Some(run) = self.overflow.get(oid) else {
-                continue;
-            };
-            let pages: Vec<PageId> = run.pages().collect();
-            self.pool.read_set(&pages, SeekPolicy::PerRequest);
+    /// Entry payload of an object: what it costs *inside* the data
+    /// page — entry + representation when inline, entry alone when the
+    /// representation overflows (§5.2).
+    fn entry_payload(size_bytes: u32) -> u32 {
+        if size_bytes <= Self::inline_limit() {
+            ENTRY_BYTES as u32 + size_bytes
+        } else {
+            ENTRY_BYTES as u32
         }
+    }
+
+    /// Place an oversized object on exclusive pages of the overflow
+    /// file (one write request).
+    fn place_overflow(&mut self, size_bytes: u32) -> PageRun {
+        let placement = self.overflow_packer.place_exclusive(u64::from(size_bytes));
+        self.overflow_packer.seal();
+        let run = PageRun::new(
+            PageId::new(self.overflow_region, placement.first_page),
+            placement.num_pages,
+        );
+        self.disk.charge(IoKind::Write, run, false);
+        run
+    }
+
+    /// Follow the relocations of a tree update: forced reinserts and
+    /// splits move entries (and with them the inline objects) between
+    /// data pages. Only objects whose page changed dirty their bucket.
+    fn track_relocations(&mut self, reinserts: &[(ObjectId, NodeId)], splits: &[LeafSplit]) {
+        let moves = reinserts.iter().copied().chain(splits.iter().flat_map(|s| {
+            let to_new = s.new_oids.iter().map(|o| (*o, s.new));
+            to_new.chain(s.old_oids.iter().map(|o| (*o, s.old)))
+        }));
+        for (oid, leaf) in moves {
+            self.objects
+                .update(oid, |slot| ObjectSlot { leaf, ..*slot });
+        }
+    }
+
+    /// Transfer what the data pages do not already hold: one pointer
+    /// chase per overflow object (like the secondary organization's
+    /// object accesses); the buffer absorbs repeats. Returns the bytes
+    /// of all candidates.
+    fn read_overflow_objects(&self, candidates: &[LeafEntry]) -> u64 {
+        let mut bytes = 0;
+        for e in candidates {
+            let slot = &self.objects[e.oid];
+            if let Some(run) = slot.overflow {
+                let pages: Vec<PageId> = run.pages().collect();
+                self.pool.read_set(&pages, SeekPolicy::PerRequest);
+            }
+            bytes += u64::from(slot.size);
+        }
+        bytes
     }
 }
 
@@ -95,44 +150,19 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn insert(&mut self, rec: &ObjectRecord) {
-        let inline = rec.size_bytes <= Self::inline_limit();
-        let payload = if inline {
-            ENTRY_BYTES as u32 + rec.size_bytes
-        } else {
-            ENTRY_BYTES as u32
-        };
-        let entry = LeafEntry::new(rec.mbr, rec.oid, payload);
+        let entry = LeafEntry::new(rec.mbr, rec.oid, Self::entry_payload(rec.size_bytes));
         let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
-        // Track which data page each object ends up in, following the
-        // relocations caused by forced reinserts and splits.
-        if let Some(leaf) = outcome.leaf {
-            self.leaf_of.insert(rec.oid, leaf);
-        }
-        for (oid, leaf) in &outcome.leaf_reinserts {
-            self.leaf_of.insert(*oid, *leaf);
-        }
-        for split in &outcome.leaf_splits {
-            for oid in &split.new_oids {
-                self.leaf_of.insert(*oid, split.new);
-            }
-            for oid in &split.old_oids {
-                self.leaf_of.insert(*oid, split.old);
-            }
-        }
-        if !inline {
-            // Exclusive pages in the overflow file, one write request.
-            let placement = self
-                .overflow_packer
-                .place_exclusive(u64::from(rec.size_bytes));
-            self.overflow_packer.seal();
-            let run = PageRun::new(
-                PageId::new(self.overflow_region, placement.first_page),
-                placement.num_pages,
-            );
-            self.disk.charge(IoKind::Write, run, false);
-            self.overflow.insert(rec.oid, run);
-        }
-        self.sizes.insert(rec.oid, rec.size_bytes);
+        let overflow =
+            (rec.size_bytes > Self::inline_limit()).then(|| self.place_overflow(rec.size_bytes));
+        self.objects.insert(
+            rec.oid,
+            ObjectSlot {
+                leaf: outcome.leaf.expect("insert without target leaf"),
+                size: rec.size_bytes,
+                overflow,
+            },
+        );
+        self.track_relocations(&outcome.leaf_reinserts, &outcome.leaf_splits);
     }
 
     fn window_query(&self, window: &Rect, _technique: WindowTechnique) -> QueryStats {
@@ -140,16 +170,10 @@ impl SpatialStore for PrimaryOrganization {
         // Reading the qualifying data pages *is* reading the inline
         // objects; the tree charges those page reads.
         let candidates = self.tree.window_entries(window, &mut self.pool.as_ref());
-        let oids: Vec<ObjectId> = candidates.iter().map(|e| e.oid).collect();
-        let over: Vec<ObjectId> = oids
-            .iter()
-            .copied()
-            .filter(|o| self.overflow.contains_key(o))
-            .collect();
-        self.read_overflow_objects(&over);
+        let result_bytes = self.read_overflow_objects(&candidates);
         QueryStats {
-            candidates: oids.len(),
-            result_bytes: oids.iter().map(|o| u64::from(self.sizes[o])).sum(),
+            candidates: candidates.len(),
+            result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
@@ -157,16 +181,10 @@ impl SpatialStore for PrimaryOrganization {
     fn point_query(&self, point: &Point) -> QueryStats {
         let before = self.disk.local_stats();
         let candidates = self.tree.point_entries(point, &mut self.pool.as_ref());
-        let oids: Vec<ObjectId> = candidates.iter().map(|e| e.oid).collect();
-        let over: Vec<ObjectId> = oids
-            .iter()
-            .copied()
-            .filter(|o| self.overflow.contains_key(o))
-            .collect();
-        self.read_overflow_objects(&over);
+        let result_bytes = self.read_overflow_objects(&candidates);
         QueryStats {
-            candidates: oids.len(),
-            result_bytes: oids.iter().map(|o| u64::from(self.sizes[o])).sum(),
+            candidates: candidates.len(),
+            result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
@@ -174,10 +192,10 @@ impl SpatialStore for PrimaryOrganization {
     fn fetch_object(&self, oid: ObjectId) {
         // The data page holds the entry and (for inline objects) the
         // representation itself.
-        let leaf = self.leaf_of[&oid];
-        let page = self.tree.node_page(leaf);
+        let slot = &self.objects[oid];
+        let page = self.tree.node_page(slot.leaf);
         self.pool.read_page(page);
-        if let Some(run) = self.overflow.get(&oid) {
+        if let Some(run) = slot.overflow {
             let pages: Vec<PageId> = run.pages().collect();
             self.pool.read_set(&pages, SeekPolicy::PerRequest);
         }
@@ -188,11 +206,11 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn num_objects(&self) -> usize {
-        self.sizes.len()
+        self.objects.len()
     }
 
     fn contains(&self, oid: ObjectId) -> bool {
-        self.sizes.contains_key(&oid)
+        self.objects.contains(oid)
     }
 
     fn disk(&self) -> DiskHandle {
@@ -218,16 +236,16 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn object_size(&self, oid: ObjectId) -> u32 {
-        self.sizes[&oid]
+        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
-        let Some(leaf) = self.leaf_of.get(&oid).copied() else {
+        let Some(slot) = self.objects.remove(oid) else {
             return false;
         };
         let mbr = self
             .tree
-            .node(leaf)
+            .node(slot.leaf)
             .leaf_entries()
             .iter()
             .find(|e| e.oid == oid)
@@ -235,41 +253,43 @@ impl SpatialStore for PrimaryOrganization {
             .expect("leaf tracking out of sync");
         let outcome = self.tree.delete(oid, &mbr, &mut self.pool.as_ref());
         debug_assert!(outcome.removed);
-        self.leaf_of.remove(&oid);
-        self.sizes.remove(&oid);
-        if let Some(run) = self.overflow.remove(&oid) {
+        if let Some(run) = slot.overflow {
             self.freed_overflow_pages += run.len;
         }
         // Tree condensation relocates entries (and with them the inline
         // objects); mirror the tracking.
-        for (moved, to) in &outcome.leaf_reinserts {
-            self.leaf_of.insert(*moved, *to);
-        }
-        for split in &outcome.leaf_splits {
-            for o in &split.new_oids {
-                self.leaf_of.insert(*o, split.new);
-            }
-            for o in &split.old_oids {
-                self.leaf_of.insert(*o, split.old);
-            }
-        }
+        self.track_relocations(&outcome.leaf_reinserts, &outcome.leaf_splits);
         true
     }
 
+    fn check_consistency(&self) -> Result<(), String> {
+        if self.objects.len() != self.tree.len() {
+            return Err(format!(
+                "{} objects stored but {} indexed",
+                self.objects.len(),
+                self.tree.len()
+            ));
+        }
+        for (id, leaf) in self.tree.leaves() {
+            for e in leaf.leaf_entries() {
+                match self.objects.get(e.oid) {
+                    Some(slot) if slot.leaf == id => {}
+                    other => {
+                        return Err(format!(
+                            "object {} in data page {id} is recorded as {other:?}",
+                            e.oid
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
-        // The entry payload is what the object costs *inside* the data
-        // page: entry + representation when inline, entry alone when
-        // the representation overflows (§5.2).
         let entries = records
             .iter()
-            .map(|r| {
-                let payload = if r.size_bytes <= Self::inline_limit() {
-                    ENTRY_BYTES as u32 + r.size_bytes
-                } else {
-                    ENTRY_BYTES as u32
-                };
-                LeafEntry::new(r.mbr, r.oid, payload)
-            })
+            .map(|r| LeafEntry::new(r.mbr, r.oid, Self::entry_payload(r.size_bytes)))
             .collect();
         StrPlan {
             entries,
@@ -282,42 +302,43 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(self.sizes.is_empty(), "STR install requires an empty store");
+        assert!(
+            self.objects.is_empty(),
+            "STR install requires an empty store"
+        );
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in build.level_runs.iter().skip(1) {
             self.disk.charge(IoKind::Write, *run, false);
         }
-        for (id, leaf) in build.tree.leaves() {
-            for e in leaf.leaf_entries() {
-                self.leaf_of.insert(e.oid, id);
-            }
-        }
         self.tree = build.tree;
+        // Size first; the data page and the overflow position follow in
+        // tile order.
+        for rec in records {
+            self.objects.insert(
+                rec.oid,
+                ObjectSlot {
+                    leaf: self.tree.root(),
+                    size: rec.size_bytes,
+                    overflow: None,
+                },
+            );
+        }
         // Overflow objects go to their exclusive pages in tile order —
         // same file layout the insertion path would produce for the
         // same object order.
-        for rec in records {
-            self.sizes.insert(rec.oid, rec.size_bytes);
-        }
-        let mut overflow: Vec<ObjectId> = Vec::new();
-        for (_, leaf) in self.tree.leaves() {
-            for e in leaf.leaf_entries() {
-                if self.sizes[&e.oid] > Self::inline_limit() {
-                    overflow.push(e.oid);
-                }
-            }
-        }
-        for oid in overflow {
-            let placement = self
-                .overflow_packer
-                .place_exclusive(u64::from(self.sizes[&oid]));
-            self.overflow_packer.seal();
-            let run = PageRun::new(
-                PageId::new(self.overflow_region, placement.first_page),
-                placement.num_pages,
-            );
-            self.disk.charge(IoKind::Write, run, false);
-            self.overflow.insert(oid, run);
+        let placed: Vec<(ObjectId, NodeId)> = self
+            .tree
+            .leaves()
+            .flat_map(|(id, leaf)| leaf.leaf_entries().iter().map(move |e| (e.oid, id)))
+            .collect();
+        for (oid, leaf) in placed {
+            let size = self.objects[oid].size;
+            let overflow = (size > Self::inline_limit()).then(|| self.place_overflow(size));
+            self.objects.update(oid, |_| ObjectSlot {
+                leaf,
+                size,
+                overflow,
+            });
         }
     }
 }
@@ -350,7 +371,7 @@ mod tests {
     fn small_objects_inline() {
         let org = org_with_sizes(&vec![600; 100]);
         assert_eq!(org.num_objects(), 100);
-        assert!(org.overflow.is_empty());
+        assert!((0..100).all(|i| !org.is_overflow(ObjectId(i))));
         check_invariants(org.tree()).unwrap();
         // Data pages hold few objects: payload-limited to ~6 per page.
         for (_, leaf) in org.tree().leaves() {
@@ -373,7 +394,7 @@ mod tests {
     fn leaf_tracking_survives_splits_and_reinserts() {
         let org = org_with_sizes(&vec![900; 300]);
         for i in 0..300u64 {
-            let leaf = org.leaf_of[&ObjectId(i)];
+            let leaf = org.objects[ObjectId(i)].leaf;
             let found = org
                 .tree()
                 .node(leaf)
@@ -429,7 +450,7 @@ mod tests {
         check_invariants(org.tree()).unwrap();
         // Leaf tracking still correct for the survivors.
         for i in [2u64, 3, 4, 5, 6, 7, 8, 9] {
-            let leaf = org.leaf_of[&ObjectId(i)];
+            let leaf = org.objects[ObjectId(i)].leaf;
             assert!(org
                 .tree()
                 .node(leaf)

@@ -12,12 +12,25 @@ use crate::model::{QueryStats, SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::SpatialStore;
+use crate::table::ObjectTable;
 use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams};
-use std::collections::HashMap;
+
+/// What the organization records per object.
+#[derive(Clone, Copy, Debug)]
+struct ObjectSlot {
+    /// The object's pages in the sequential file.
+    run: PageRun,
+    size: u32,
+    /// The indexed MBR (the key a deletion hands to the R\*-tree).
+    mbr: Rect,
+}
 
 /// The secondary organization.
+///
+/// [`Clone`] is the store's snapshot and copies no per-object state
+/// (see [`ObjectTable`]).
 #[derive(Clone, Debug)]
 pub struct SecondaryOrganization {
     disk: DiskHandle,
@@ -26,9 +39,7 @@ pub struct SecondaryOrganization {
     tree_region: RegionId,
     file_region: RegionId,
     packer: PagePacker,
-    locations: HashMap<ObjectId, PageRun>,
-    sizes: HashMap<ObjectId, u32>,
-    mbrs: HashMap<ObjectId, Rect>,
+    objects: ObjectTable<ObjectSlot>,
     /// Bytes freed by deletions; the sequential file never reclaims them
     /// (holes stay, as an insertion-ordered file implies).
     freed_bytes: u64,
@@ -48,9 +59,7 @@ impl SecondaryOrganization {
             tree_region,
             file_region,
             packer: PagePacker::new(PAGE_SIZE as u64),
-            locations: HashMap::new(),
-            sizes: HashMap::new(),
-            mbrs: HashMap::new(),
+            objects: ObjectTable::new(),
             freed_bytes: 0,
         }
     }
@@ -60,22 +69,21 @@ impl SecondaryOrganization {
         self.freed_bytes
     }
 
-    /// Absolute pages of an object in the sequential file.
-    fn object_pages(&self, oid: ObjectId) -> Vec<PageId> {
-        let run = self.locations[&oid];
-        run.pages().collect()
-    }
-
-    /// Read the exact representations of `oids` one object at a time:
-    /// §3.2.1 — *"each access to an exact object representation needs an
-    /// additional seek operation"*. The buffer absorbs objects sharing a
-    /// page; no cross-object request merging happens (the system chases
-    /// one pointer per candidate).
-    fn read_objects(&self, oids: &[ObjectId]) {
-        for oid in oids {
-            let pages = self.object_pages(*oid);
+    /// Read the exact representations of `candidates` one object at a
+    /// time: §3.2.1 — *"each access to an exact object representation
+    /// needs an additional seek operation"*. The buffer absorbs objects
+    /// sharing a page; no cross-object request merging happens (the
+    /// system chases one pointer per candidate). Returns the bytes
+    /// transferred to the caller.
+    fn read_objects(&self, candidates: &[LeafEntry]) -> u64 {
+        let mut bytes = 0;
+        for e in candidates {
+            let slot = &self.objects[e.oid];
+            let pages: Vec<PageId> = slot.run.pages().collect();
             self.pool.read_set(&pages, SeekPolicy::PerRequest);
+            bytes += u64::from(slot.size);
         }
+        bytes
     }
 }
 
@@ -101,19 +109,23 @@ impl SpatialStore for SecondaryOrganization {
             placement.num_pages,
         );
         self.disk.charge(IoKind::Write, run, false);
-        self.locations.insert(rec.oid, run);
-        self.sizes.insert(rec.oid, rec.size_bytes);
-        self.mbrs.insert(rec.oid, rec.mbr);
+        self.objects.insert(
+            rec.oid,
+            ObjectSlot {
+                run,
+                size: rec.size_bytes,
+                mbr: rec.mbr,
+            },
+        );
     }
 
     fn window_query(&self, window: &Rect, _technique: WindowTechnique) -> QueryStats {
         let before = self.disk.local_stats();
         let candidates = self.tree.window_entries(window, &mut self.pool.as_ref());
-        let oids: Vec<ObjectId> = candidates.iter().map(|e| e.oid).collect();
-        self.read_objects(&oids);
+        let result_bytes = self.read_objects(&candidates);
         QueryStats {
-            candidates: oids.len(),
-            result_bytes: oids.iter().map(|o| u64::from(self.sizes[o])).sum(),
+            candidates: candidates.len(),
+            result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
@@ -121,17 +133,16 @@ impl SpatialStore for SecondaryOrganization {
     fn point_query(&self, point: &Point) -> QueryStats {
         let before = self.disk.local_stats();
         let candidates = self.tree.point_entries(point, &mut self.pool.as_ref());
-        let oids: Vec<ObjectId> = candidates.iter().map(|e| e.oid).collect();
-        self.read_objects(&oids);
+        let result_bytes = self.read_objects(&candidates);
         QueryStats {
-            candidates: oids.len(),
-            result_bytes: oids.iter().map(|o| u64::from(self.sizes[o])).sum(),
+            candidates: candidates.len(),
+            result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
 
     fn fetch_object(&self, oid: ObjectId) {
-        let pages = self.object_pages(oid);
+        let pages: Vec<PageId> = self.objects[oid].run.pages().collect();
         self.pool.read_set(&pages, SeekPolicy::PerRequest);
     }
 
@@ -140,11 +151,11 @@ impl SpatialStore for SecondaryOrganization {
     }
 
     fn num_objects(&self) -> usize {
-        self.sizes.len()
+        self.objects.len()
     }
 
     fn contains(&self, oid: ObjectId) -> bool {
-        self.sizes.contains_key(&oid)
+        self.objects.contains(oid)
     }
 
     fn disk(&self) -> DiskHandle {
@@ -170,19 +181,16 @@ impl SpatialStore for SecondaryOrganization {
     }
 
     fn object_size(&self, oid: ObjectId) -> u32 {
-        self.sizes[&oid]
+        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
-        let Some(mbr) = self.mbrs.remove(&oid) else {
+        let Some(slot) = self.objects.remove(oid) else {
             return false;
         };
-        let outcome = self.tree.delete(oid, &mbr, &mut self.pool.as_ref());
+        let outcome = self.tree.delete(oid, &slot.mbr, &mut self.pool.as_ref());
         debug_assert!(outcome.removed, "index out of sync for {oid}");
-        self.locations.remove(&oid);
-        if let Some(size) = self.sizes.remove(&oid) {
-            self.freed_bytes += u64::from(size);
-        }
+        self.freed_bytes += u64::from(slot.size);
         true
     }
 
@@ -191,14 +199,25 @@ impl SpatialStore for SecondaryOrganization {
     }
 
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(self.sizes.is_empty(), "STR install requires an empty store");
+        assert!(
+            self.objects.is_empty(),
+            "STR install requires an empty store"
+        );
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in build.level_runs.iter().skip(1) {
             self.disk.charge(IoKind::Write, *run, false);
         }
+        // Size and MBR first; the file position follows in tile order.
+        let unplaced = PageRun::new(PageId::new(self.file_region, 0), 0);
         for rec in records {
-            self.sizes.insert(rec.oid, rec.size_bytes);
-            self.mbrs.insert(rec.oid, rec.mbr);
+            self.objects.insert(
+                rec.oid,
+                ObjectSlot {
+                    run: unplaced,
+                    size: rec.size_bytes,
+                    mbr: rec.mbr,
+                },
+            );
         }
         // Lay the sequential file out in tile order: one sealed,
         // contiguous byte range per data page of the tree, written as
@@ -207,13 +226,14 @@ impl SpatialStore for SecondaryOrganization {
         for (_, leaf) in build.tree.leaves() {
             let first = self.packer.pages_used();
             for e in leaf.leaf_entries() {
-                let placement = self.packer.place(u64::from(self.sizes[&e.oid]));
-                self.locations.insert(
-                    e.oid,
-                    PageRun::new(
-                        PageId::new(self.file_region, placement.first_page),
-                        placement.num_pages,
-                    ),
+                let slot = self
+                    .objects
+                    .get_mut(e.oid)
+                    .expect("tile entry without record");
+                let placement = self.packer.place(u64::from(slot.size));
+                slot.run = PageRun::new(
+                    PageId::new(self.file_region, placement.first_page),
+                    placement.num_pages,
                 );
             }
             self.packer.seal();

@@ -222,10 +222,20 @@ pub trait SpatialStore: Send + Sync {
 
     /// A shadow copy of this store for the copy-on-write write path:
     /// an independent `SpatialStore` observing the same simulated disk
-    /// and buffer pool, sharing all unmodified R\*-tree nodes with
-    /// `self` (the tree's node table is copy-on-write, so the copy is
-    /// a pointer-table clone and a writer materializes shadow pages
-    /// only for the nodes it touches).
+    /// and buffer pool, **structurally sharing** everything with
+    /// `self`.
+    ///
+    /// The contract the paper's three organizations keep: a snapshot
+    /// clones chunked pointer tables only — the R\*-tree's node table
+    /// and the cluster organization's unit slab (both a
+    /// [`CowSlab`](spatialdb_rtree::CowSlab)), the bucket directory of
+    /// the per-object [`ObjectTable`](crate::ObjectTable) — so it costs
+    /// one refcount bump per 64 nodes, units and buckets and no
+    /// per-object work, and an update applied to it shadow-copies just
+    /// what it dirties: one root-to-leaf node path, one cluster unit,
+    /// one table bucket per touched object. Snapshot and original stay
+    /// fully independent afterwards; neither observes the other's
+    /// updates.
     ///
     /// The engine's concurrent writers (`SpatialDatabase`'s `&self`
     /// update path) build every commit on a snapshot and publish it
@@ -234,9 +244,14 @@ pub trait SpatialStore: Send + Sync {
     /// no I/O — the commit's page traffic is charged by the update
     /// applied to it, identically to the exclusive (`&mut`) path.
     ///
-    /// The default panics: a foreign backend without an override
-    /// still supports the full exclusive API, just not `&self`
-    /// writers.
+    /// A foreign backend gets the same commit cost by keeping its
+    /// per-object state in an [`ObjectTable`](crate::ObjectTable) (or
+    /// any `Arc`-shared chunks) next to its [`RStarTree`] and returning
+    /// `Box::new(self.clone())`; a backend that clones flat maps here
+    /// is still correct, its commits just cost O(objects) — that is
+    /// what [`crate::MemoryStore`], the one-file oracle, does. The
+    /// default panics: a backend without an override still supports the
+    /// full exclusive API, just not `&self` writers.
     fn snapshot(&self) -> Box<dyn SpatialStore> {
         unimplemented!(
             "SpatialStore backend {:?} has no snapshot() override; \
@@ -274,6 +289,25 @@ pub trait SpatialStore: Send + Sync {
 
     /// Size in bytes of a stored object.
     fn object_size(&self, oid: ObjectId) -> u32;
+
+    /// Structural self-check of the store's bookkeeping against its
+    /// R\*-tree (diagnostics and tests; charges no I/O). The default
+    /// compares the object count with the tree's entry count; backends
+    /// with more state to keep in step — the cluster organization's
+    /// units, the primary organization's data-page tracking — check
+    /// that too. The tree's own invariants are
+    /// [`spatialdb_rtree::validate::check_invariants`]' job.
+    fn check_consistency(&self) -> Result<(), String> {
+        if self.num_objects() == self.tree().len() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} objects stored but {} indexed",
+                self.num_objects(),
+                self.tree().len()
+            ))
+        }
+    }
 
     /// Plan an STR bulk load: one leaf entry per record, with the
     /// payload the store accounts per entry (0 for the secondary and

@@ -33,9 +33,9 @@
 //!
 //! The harness is exact where it matters: the same scenario and seed
 //! produce a byte-identical [`ScenarioReport`] at any thread count,
-//! and the benchmark-shaped scenarios reproduce the checked-in
-//! `BENCH_io_latency.json` / `BENCH_decluster.json` rows byte for byte
-//! ([`ScenarioReport::assert_matches_golden`]).
+//! and the benchmark-shaped scenarios reproduce the `io_latency` /
+//! `decluster` reports checked in under `tests/golden/` row for row,
+//! byte for byte ([`ScenarioReport::assert_matches_golden`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

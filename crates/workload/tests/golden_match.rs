@@ -1,5 +1,10 @@
 //! Golden-file regression: benchmark-shaped scenarios must reproduce
-//! the checked-in `BENCH_*.json` rows **byte for byte**.
+//! the rows of the `io_latency` / `decluster` bench bins **byte for
+//! byte**. The fixtures under `tests/golden/` are copies of those bins'
+//! reports at the CI arguments (`--objects 6000 --queries 160`, and
+//! `--objects 6000 --queries 144` with `SPATIALDB_BENCH_ARMS=1,2,4,8`);
+//! the bins write to the working directory, so re-running a bench can
+//! never rewrite a fixture.
 //!
 //! The fast tests sweep a subset of each benchmark grid (cells are
 //! matched by key, so a subset still verifies exactly); the `#[ignore]`
@@ -9,6 +14,10 @@
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{ArmPolicy, Arrival, EngineConfig, StripePolicy};
 use spatialdb_workload::{Dataset, RowFormat, Scenario, WindowSweep};
+
+const IO_LATENCY_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/io_latency.json");
+const DECLUSTER_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/decluster.json");
 
 fn io_latency_scenario() -> Scenario {
     Scenario::new("io-latency")
@@ -47,7 +56,7 @@ fn io_latency_subset_matches_golden() {
         .sweep_depths(&[16])
         .run()
         .assert_stats_conserved()
-        .assert_matches_golden("../../BENCH_io_latency.json", RowFormat::IoLatency);
+        .assert_matches_golden(IO_LATENCY_GOLDEN, RowFormat::IoLatency);
 }
 
 #[test]
@@ -59,7 +68,7 @@ fn decluster_subset_matches_golden() {
         .sweep_stripes(&[StripePolicy::RoundRobin])
         .run()
         .assert_stats_conserved()
-        .assert_matches_golden("../../BENCH_decluster.json", RowFormat::Decluster);
+        .assert_matches_golden(DECLUSTER_GOLDEN, RowFormat::Decluster);
 }
 
 #[test]
@@ -69,7 +78,7 @@ fn io_latency_full_grid_matches_golden() {
         .sweep_depths(&[1, 2, 4, 8, 16])
         .run()
         .assert_stats_conserved()
-        .assert_matches_golden("../../BENCH_io_latency.json", RowFormat::IoLatency);
+        .assert_matches_golden(IO_LATENCY_GOLDEN, RowFormat::IoLatency);
 }
 
 #[test]
@@ -85,5 +94,5 @@ fn decluster_full_grid_matches_golden() {
         ])
         .run()
         .assert_stats_conserved()
-        .assert_matches_golden("../../BENCH_decluster.json", RowFormat::Decluster);
+        .assert_matches_golden(DECLUSTER_GOLDEN, RowFormat::Decluster);
 }
