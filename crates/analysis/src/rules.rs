@@ -25,7 +25,7 @@ pub enum Rule {
     /// acquisition helpers (`lockdep.rs`).
     RawLock,
     /// Nested lock acquisitions whose lexical class order contradicts
-    /// the writer → shard → arm-queue → counters → geometry → epoch →
+    /// the writer → shard → arm-queue → counters → epoch →
     /// refine-queue hierarchy.
     LockOrder,
     /// Raw `fetch_add`/`fetch_sub` on an epoch-pin counter outside the
@@ -471,10 +471,9 @@ const LOCK_CLASSES: &[(&str, u8, &str)] = &[
     ("arm", 2, "ArmQueue"),
     ("state", 3, "DiskCounters"),
     ("counter", 3, "DiskCounters"),
-    ("geom", 4, "Geometry"),
-    ("retired", 5, "Epoch"),
-    ("epoch", 5, "Epoch"),
-    ("queue", 6, "RefineQueue"),
+    ("retired", 4, "Epoch"),
+    ("epoch", 4, "Epoch"),
+    ("queue", 5, "RefineQueue"),
 ];
 
 /// Classify a lock receiver expression (the text before `.lock()`).
@@ -577,7 +576,7 @@ fn check_lock_order(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
                             message: format!(
                                 "acquires {class} (rank {rank}) after {} (rank {}, line {}) — \
                                  contradicts the DbWriter → Shard → ArmQueue → DiskCounters \
-                                 → Geometry → Epoch → RefineQueue hierarchy",
+                                 → Epoch → RefineQueue hierarchy",
                                 prior.class, prior.rank, prior.line
                             ),
                         });

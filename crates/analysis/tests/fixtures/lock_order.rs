@@ -1,5 +1,5 @@
 //! Fixture: nested acquisition contradicting the DbWriter → Shard →
-//! ArmQueue → DiskCounters → Geometry → Epoch hierarchy. Lines marked
+//! ArmQueue → DiskCounters → Epoch hierarchy. Lines marked
 //! BAD must be flagged; OK lines must not. Not compiled — cargo only
 //! builds `tests/*.rs` files.
 

@@ -6,7 +6,9 @@
 //! [`SpatialStore`] backend with the exact [`Geometry`] of every object,
 //! kept in memory for the *refinement* step — so queries return exact
 //! answers while all I/O is charged to the simulated disk exactly as the
-//! paper's cost model prescribes.
+//! paper's cost model prescribes. Store and geometry form **one
+//! versioned root**: the paper keeps the exact representation inside the
+//! organization, and so does a snapshot of this database.
 //!
 //! Queries go through the streaming builder: see
 //! [`SpatialDatabase::query`] and [`SpatialDatabase::join`]. The store
@@ -19,24 +21,26 @@
 //!
 //! **Updates take `&self` too**: [`SpatialDatabase::insert`] and
 //! [`SpatialDatabase::remove`] serialize writers on an internal gate,
-//! take a snapshot of the store, apply the update to that shadow, and
+//! take a snapshot of the root, apply the update to that shadow, and
 //! publish it by atomically swapping the root pointer. A snapshot
-//! ([`SpatialStore::snapshot`]) clones **pointer tables only** — the
-//! R\*-tree's node table, the cluster organization's unit slab and the
-//! per-object table's bucket directory — so its cost does not depend on
-//! the number of stored objects, and the commit shadow-copies just the
+//! ([`SpatialStore::snapshot`] plus a clone of the geometry table)
+//! clones **pointer tables only** — the R\*-tree's node table, the
+//! cluster organization's unit slab and the bucket directories of the
+//! per-object and geometry tables — so its cost does not depend on the
+//! number of stored objects, and the commit shadow-copies just the
 //! pieces it dirties: one root-to-leaf node path, one cluster unit, and
-//! one table bucket per touched object. Everything else stays shared
-//! with the snapshots readers still hold. **Readers never take the
+//! one bucket of either table per touched object. Everything else stays
+//! shared with the snapshots readers still hold. **Readers never take the
 //! writer gate**: a query pins an epoch
 //! ([`spatialdb_epoch::Collector`]), loads the root, and traverses that
 //! consistent snapshot for as long as its cursor lives — a concurrent
 //! writer can neither block it nor mutate what it sees. Superseded
 //! snapshots are retired to the database's collector and freed once no
-//! pin can reach them (see the `spatialdb-epoch` docs); exact geometry
-//! lives outside the versioned root in a
-//! [`StableMap`](spatialdb_epoch::StableMap), whose tombstone-on-remove
-//! discipline keeps candidates from older snapshots refinable.
+//! pin can reach them (see the `spatialdb-epoch` docs). Exact geometry
+//! rides the root as an [`ObjectTable`] of `Arc<Geometry>`: a pinned
+//! root refines its own candidates with plain lookups — no lock, and no
+//! commit can take a geometry away from it — and a removed object's
+//! geometry is freed with the last snapshot that still references it.
 //!
 //! A write that panics (a duplicate id, an object larger than `Smax`)
 //! leaves the database usable: nothing is published before the swap,
@@ -61,14 +65,27 @@ use crate::query::{JoinQuery, Query};
 use spatialdb_disk::{
     DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, StripePolicy, PAGE_SIZE,
 };
-use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard, StableMap};
+use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
-    new_shared_pool_with_routing, ClusterConfig, ClusterOrganization, ObjectRecord,
+    new_shared_pool_with_routing, ClusterConfig, ClusterOrganization, ObjectRecord, ObjectTable,
     OrganizationKind, PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore,
     WindowTechnique,
 };
+use std::sync::Arc;
+
+/// The exact geometry of every object of one database version, by id.
+pub(crate) type GeometryTable = ObjectTable<Arc<Geometry>>;
+
+/// One version of a database, published and reclaimed as a unit: the
+/// store and the exact geometry of the objects in it. Both halves are
+/// pointer tables over shared pieces, so deriving the next version
+/// copies only what a commit touches.
+pub(crate) struct Root {
+    pub(crate) store: Box<dyn SpatialStore>,
+    pub(crate) geoms: GeometryTable,
+}
 
 /// Options for creating a [`SpatialDatabase`] backed by one of the
 /// paper's organization models.
@@ -337,7 +354,7 @@ impl Workspace {
         );
         let records = db.records_for_bulk(&objects);
         crate::bulkload::bulk_load_records_par(db.store_mut(), &records, threads);
-        db.extend_geometry(objects);
+        db.install_geometry(objects);
     }
 
     /// Create a database on a caller-supplied [`SpatialStore`] backend —
@@ -438,16 +455,16 @@ impl Workspace {
 /// A spatial database: a pluggable storage backend plus the exact
 /// geometry used for query refinement.
 ///
-/// The backend lives behind a versioned root pointer
+/// Both live behind one versioned root pointer
 /// ([`Snapshot`](spatialdb_epoch::Snapshot)): reads pin an epoch and
 /// traverse a consistent copy-on-write snapshot, writes serialize on an
 /// internal gate and publish shadow copies — see the [module
 /// docs](crate::db) for the full concurrency story.
 pub struct SpatialDatabase {
-    /// The published store. Readers pin it through [`store`](Self::store);
-    /// `&self` writers clone-apply-swap it; `&mut` paths mutate it in
-    /// place through [`Snapshot::get_mut`].
-    pub(crate) root: Snapshot<Box<dyn SpatialStore>>,
+    /// The published version. Readers pin it through
+    /// [`store`](Self::store); `&self` writers clone-apply-swap it;
+    /// `&mut` paths mutate it in place through [`Snapshot::get_mut`].
+    pub(crate) root: Snapshot<Root>,
     /// Epoch manager deciding when superseded store snapshots are freed.
     pub(crate) epochs: Collector,
     /// The writer gate: at most one `&self` writer clones and publishes
@@ -455,10 +472,6 @@ pub struct SpatialDatabase {
     /// it.
     pub(crate) writer: DepMutex<()>,
     pub(crate) technique: WindowTechnique,
-    /// Exact geometry, outside the versioned root: stable addresses and
-    /// tombstone-on-remove keep candidates from older snapshots
-    /// refinable (see [`StableMap`]).
-    pub(crate) geoms: StableMap<Geometry>,
 }
 
 impl std::fmt::Debug for SpatialDatabase {
@@ -467,20 +480,20 @@ impl std::fmt::Debug for SpatialDatabase {
         f.debug_struct("SpatialDatabase")
             .field("store", &self.store().name())
             .field("technique", &self.technique)
-            .field("objects", &self.geoms.live_len())
+            .field("objects", &self.store().geoms().len())
             .finish()
     }
 }
 
 /// A pinned, read-only view of a database's store: the loaded root
-/// snapshot plus the epoch pin that keeps it alive. Obtained from
+/// snapshot (store and geometry) plus the epoch pin that keeps it alive. Obtained from
 /// [`SpatialDatabase::store`]; dereferences to
 /// [`dyn SpatialStore`](SpatialStore), so `db.store().window_query(..)`
 /// reads exactly like the pre-versioning accessor. While the guard
 /// lives, concurrent writers publish *around* it — the view never
 /// changes and is never freed under it.
 pub struct StoreRead<'a> {
-    guard: SnapshotGuard<'a, Box<dyn SpatialStore>>,
+    guard: SnapshotGuard<'a, Root>,
 }
 
 impl StoreRead<'_> {
@@ -489,12 +502,26 @@ impl StoreRead<'_> {
     pub fn pinned_epoch(&self) -> u64 {
         self.guard.epoch()
     }
+
+    /// The exact geometry of this version's objects.
+    pub(crate) fn geoms(&self) -> &GeometryTable {
+        &self.guard.geoms
+    }
+
+    /// `true` if every stored object has exact geometry, so a candidate
+    /// need not be looked up to know it *can* be refined. Records
+    /// bulk-loaded through `store_mut()` are filter-only and make the
+    /// two counts differ; the refinement step then looks every
+    /// candidate up (and panics on the first one without geometry).
+    pub(crate) fn fully_refinable(&self) -> bool {
+        self.guard.geoms.len() == self.guard.store.num_objects()
+    }
 }
 
 impl std::ops::Deref for StoreRead<'_> {
     type Target = dyn SpatialStore;
     fn deref(&self) -> &(dyn SpatialStore + 'static) {
-        &**self.guard
+        &*self.guard.store
     }
 }
 
@@ -514,21 +541,24 @@ impl SpatialDatabase {
         store: Box<dyn SpatialStore>,
         technique: WindowTechnique,
     ) -> SpatialDatabase {
+        let geoms = GeometryTable::new();
         SpatialDatabase {
-            root: Snapshot::new(store),
+            root: Snapshot::new(Root { store, geoms }),
             epochs: Collector::new(),
             writer: DepMutex::new(LockClass::DbWriter, ()),
             technique,
-            geoms: StableMap::new(LockClass::Geometry),
         }
     }
 
-    /// Register `objects`' exact geometry (bulk-load tail).
-    pub(crate) fn extend_geometry(&self, objects: Vec<(u64, Geometry)>) {
-        for (id, geometry) in objects {
-            self.geoms.insert(id, geometry);
-        }
+    /// Register the exact geometry of a bulk load into the (empty)
+    /// database: the table is built in one pass, not per object.
+    pub(crate) fn install_geometry(&mut self, objects: Vec<(u64, Geometry)>) {
+        let records = objects
+            .into_iter()
+            .map(|(id, g)| (ObjectId(id), Arc::new(g)));
+        self.root.get_mut().geoms = GeometryTable::from_records(records.collect());
     }
+
     /// Insert an object under `id`. Accepts anything convertible into a
     /// [`Geometry`]: a `Point`, a `Polyline` (stored decomposed), or a
     /// `Polygon`.
@@ -557,22 +587,20 @@ impl SpatialDatabase {
         // concurrent writer may have stored `id` in between.
         assert_absent(&*self.store());
         let _gate = self.writer.acquire_unpoisoned();
-        let mut fresh = {
+        let (mut store, mut geoms) = {
             let cur = self.root.pin(&self.epochs);
-            assert_absent(&**cur);
-            cur.snapshot()
+            assert_absent(&*cur.store);
+            (cur.store.snapshot(), cur.geoms.clone())
         };
         let rec = ObjectRecord::new(
             ObjectId(id),
             geometry.mbr(),
             geometry.serialized_size() as u32,
         );
-        fresh.insert(&rec);
-        // Geometry goes in before the swap: a reader pinning the new
-        // root must be able to refine the new candidate. Readers of the
-        // old root never see `id`, so the early entry is unobservable.
-        self.geoms.insert(id, geometry);
-        self.root.swap(fresh, &self.epochs);
+        store.insert(&rec);
+        geoms.insert(ObjectId(id), Arc::new(geometry));
+        // One swap publishes the index entry and the geometry it needs.
+        self.root.swap(Root { store, geoms }, &self.epochs);
     }
 
     /// Bulk-load `objects` into this (empty) database with the
@@ -593,8 +621,8 @@ impl SpatialDatabase {
         let records = self.records_for_bulk(&objects);
         // Exclusive path: `&mut self` proves no pinned reader exists, so
         // the load mutates the current root in place — no shadow copy.
-        self.root.get_mut().bulk_load_str(&records);
-        self.extend_geometry(objects);
+        self.root.get_mut().store.bulk_load_str(&records);
+        self.install_geometry(objects);
     }
 
     /// Shared precondition checks + record conversion for the bulk-load
@@ -623,22 +651,22 @@ impl SpatialDatabase {
     /// any global reorganization (§4.1 of the paper).
     ///
     /// Takes `&self` and never blocks readers — shadow-paged like
-    /// [`insert`](SpatialDatabase::insert). The exact geometry is
-    /// tombstoned, not freed: a reader pinned to an older snapshot can
-    /// still refine the deleted candidate.
+    /// [`insert`](SpatialDatabase::insert). A reader pinned to an older
+    /// snapshot still finds the object *and* its geometry there; the
+    /// geometry is freed when the last such snapshot is reclaimed.
     pub fn remove(&self, id: u64) -> bool {
         let _gate = self.writer.acquire_unpoisoned();
-        let mut fresh = {
+        let (mut store, mut geoms) = {
             let cur = self.root.pin(&self.epochs);
-            if !cur.contains(ObjectId(id)) {
+            if !cur.store.contains(ObjectId(id)) {
                 return false;
             }
-            cur.snapshot()
+            (cur.store.snapshot(), cur.geoms.clone())
         };
-        let removed = fresh.delete(ObjectId(id));
+        let removed = store.delete(ObjectId(id));
         debug_assert!(removed, "gate held: contains() cannot go stale");
-        self.geoms.remove(id);
-        self.root.swap(fresh, &self.epochs);
+        geoms.remove(ObjectId(id));
+        self.root.swap(Root { store, geoms }, &self.epochs);
         true
     }
 
@@ -703,19 +731,12 @@ impl SpatialDatabase {
     }
 
     /// Write back dirty pages and prepare for cold queries. Also a
-    /// quiescent point: `&mut self` proves no reader is pinned, so
-    /// superseded store snapshots and tombstoned geometry are freed.
+    /// quiescent point: `&mut self` proves no reader is pinned, so every
+    /// superseded snapshot is freed.
     pub fn finish_loading(&mut self) {
-        let store = self.root.get_mut();
+        let store = &mut self.root.get_mut().store;
         store.flush();
         store.begin_query();
-        self.quiesce();
-    }
-
-    /// Free everything deferred for late readers. Safe exactly because
-    /// `&mut self` excludes outstanding pins and geometry borrows.
-    fn quiesce(&mut self) {
-        self.geoms.quiesce();
         // Two epoch distances plus the advance itself drain the whole
         // retired list when no pin is outstanding.
         for _ in 0..3 {
@@ -735,7 +756,7 @@ impl SpatialDatabase {
     /// Mutable access to the storage backend — the exclusive update
     /// path, bypassing versioning (no shadow copy, nothing retired).
     pub fn store_mut(&mut self) -> &mut dyn SpatialStore {
-        self.root.get_mut().as_mut()
+        self.root.get_mut().store.as_mut()
     }
 
     /// Short name of the storage backend ("cluster org.", "memory", …).
@@ -759,7 +780,9 @@ impl SpatialDatabase {
     /// ascending. The id universe mixed-workload drivers draw delete
     /// targets from.
     pub fn object_ids(&self) -> Vec<u64> {
-        self.geoms.live_keys()
+        let mut ids: Vec<u64> = self.store().geoms().keys().map(|oid| oid.0).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The exact geometry of an object, if stored.
@@ -768,9 +791,10 @@ impl SpatialDatabase {
     /// [`store_mut`](SpatialDatabase::store_mut) (bypassing
     /// [`remove`](SpatialDatabase::remove)) does not surface a stale
     /// geometry.
-    pub fn geometry(&self, id: u64) -> Option<&Geometry> {
-        if self.store().contains(ObjectId(id)) {
-            self.geoms.get_any(id)
+    pub fn geometry(&self, id: u64) -> Option<Arc<Geometry>> {
+        let root = self.store();
+        if root.contains(ObjectId(id)) {
+            root.geoms().get(ObjectId(id)).cloned()
         } else {
             None
         }
@@ -1131,8 +1155,9 @@ mod tests {
                         geometry.mbr(),
                         geometry.serialized_size() as u32,
                     );
-                    db.store_mut().insert(&rec);
-                    db.extend_geometry(vec![(i, geometry)]);
+                    let root = db.root.get_mut();
+                    root.store.insert(&rec);
+                    root.geoms.insert(ObjectId(i), Arc::new(geometry));
                 }
             }
             for i in (0..50u64).step_by(3) {

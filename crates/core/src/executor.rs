@@ -36,12 +36,10 @@
 //! a bare thread count (`run_batch(queries, 8)`) is the serialized
 //! deterministic default.
 
-use crate::query::{
-    candidate_ids, execute_filter, execute_filter_traced, refined_geometry, Query, Target,
-};
+use crate::query::{Candidate, Query, Refinement, ResultCursor};
 use spatialdb_disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArmPolicy, ArmStats,
-    ArrayConfig, IoStats, LatencyStats, PageRequest, QueryTrace, RotationModel, StripePolicy,
+    ArrayConfig, IoStats, LatencyStats, QueryTrace, RotationModel, StripePolicy,
 };
 use spatialdb_rtree::LeafEntry;
 use spatialdb_storage::QueryStats;
@@ -161,73 +159,12 @@ impl IntoIterator for BatchOutcome {
     }
 }
 
-/// One query after its filter step: everything refinement needs.
-struct Prepared<'a> {
-    db: &'a crate::db::SpatialDatabase,
-    target: Target,
-    /// Sorted candidate ids from the warm directory (no I/O charged).
-    candidates: Vec<u64>,
-    stats: QueryStats,
-    io: IoStats,
-    /// Captured request trace (only under [`FilterMode::OverlappedIo`]).
-    trace: Vec<PageRequest>,
-}
-
-/// Execute one query's filter step and candidate re-read. Both are the
-/// cursor path's own helpers ([`execute_filter`], [`candidate_ids`]),
-/// and both the serialized and the overlapped scheduling go through
-/// this one function — neither executor path can drift from
-/// `Query::run` or from each other.
-/// With `traced`, the filter step goes through the stores' batched read
-/// path ([`SpatialStore::window_query_traced`](spatialdb_storage::SpatialStore::window_query_traced)):
-/// the same synchronous execution — identical answers, stats and charged
-/// I/O — additionally capturing the disk requests for replay through the
-/// arm scheduler.
-fn prepare_one<'a>(q: Query<'a>, scratch: &mut Vec<LeafEntry>, traced: bool) -> Prepared<'a> {
-    let db = q.db;
-    let target = q
-        .target
-        .expect("Query::run() needs .window(..) or .point(..) first");
-    let technique = q.technique.unwrap_or(db.technique);
-    // One pinned snapshot across the filter step and the candidate
-    // re-read: a writer publishing between the two cannot desynchronize
-    // the candidate set from the charged I/O.
-    let store = db.store();
-    let (stats, io, trace) = if traced {
-        execute_filter_traced(&*store, &target, technique)
-    } else {
-        let (stats, io) = execute_filter(&*store, &target, technique);
-        (stats, io, Vec::new())
-    };
-    let candidates = candidate_ids(&*store, &target, scratch);
-    Prepared {
-        db,
-        target,
-        candidates,
-        stats,
-        io,
-        trace,
-    }
-}
-
 /// Execute the filter steps in submission order on the calling thread,
 /// reusing one candidate scratch buffer across the whole batch.
-fn filter_phase(queries: Vec<Query<'_>>) -> Vec<Prepared<'_>> {
+fn filter_phase(queries: Vec<Query<'_>>, traced: bool) -> Vec<ResultCursor<'_>> {
     let mut scratch: Vec<LeafEntry> = Vec::new();
-    queries
-        .into_iter()
-        .map(|q| prepare_one(q, &mut scratch, false))
-        .collect()
-}
-
-/// Refine a slice of sorted candidate ids with the cursor path's
-/// [`refined_geometry`] predicate.
-fn refine(db: &crate::db::SpatialDatabase, target: &Target, candidates: &[u64]) -> Vec<u64> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&id| refined_geometry(db, target, id).is_some())
-        .collect()
+    let queries = queries.into_iter();
+    queries.map(|q| q.run_with(&mut scratch, traced)).collect()
 }
 
 /// When the queries of a timed batch arrive on the simulated clock
@@ -477,12 +414,7 @@ fn run_batch_overlapped_io(
         );
     }
     let params = disk.params();
-    let mut scratch: Vec<LeafEntry> = Vec::new();
-    let prepared: Vec<Prepared<'_>> = queries
-        .into_iter()
-        .map(|q| prepare_one(q, &mut scratch, true))
-        .collect();
-    finish_batch(prepared, n_threads, Some((params, cfg)))
+    finish_batch(filter_phase(queries, true), n_threads, Some((params, cfg)))
 }
 
 /// The shared tail of the serialized and timed paths: fan refinement
@@ -490,7 +422,7 @@ fn run_batch_overlapped_io(
 /// traces through the disk-arm scheduler on the calling thread
 /// *meanwhile* — then zip the outcomes back in submission order.
 fn finish_batch(
-    mut prepared: Vec<Prepared<'_>>,
+    mut prepared: Vec<ResultCursor<'_>>,
     n_threads: usize,
     timing: Option<(spatialdb_disk::DiskParams, OverlapConfig)>,
 ) -> BatchOutcome {
@@ -525,14 +457,20 @@ fn finish_batch(
     };
     let threads = n_threads.clamp(1, prepared.len());
     let per = prepared.len().div_ceil(threads);
+    // The pins stay on this thread; the workers get the refinements
+    // borrowed from them.
+    let jobs: Vec<(Refinement<'_>, &[Candidate])> = prepared
+        .iter()
+        .map(|p| (p.refinement(), &p.candidates[..]))
+        .collect();
     let (refined, timed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = prepared
+        let handles: Vec<_> = jobs
             .chunks(per)
             .map(|chunk| {
                 scope.spawn(move || {
                     chunk
                         .iter()
-                        .map(|p| refine(p.db, &p.target, &p.candidates))
+                        .map(|(refinement, candidates)| refinement.ids(candidates))
                         .collect::<Vec<Vec<u64>>>()
                 })
             })
@@ -629,8 +567,8 @@ fn run_batch_overlapped(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutco
                     chunk
                         .into_iter()
                         .map(|q| {
-                            let p = prepare_one(q, &mut scratch, false);
-                            let ids = refine(p.db, &p.target, &p.candidates);
+                            let p = q.run_with(&mut scratch, false);
+                            let ids = p.refinement().ids(&p.candidates);
                             QueryOutcome {
                                 ids,
                                 stats: p.stats,
@@ -657,15 +595,14 @@ fn run_batch_overlapped(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutco
 /// Serialized scheduling: deterministic filter phase on the calling
 /// thread, then the shared refinement tail.
 fn run_batch_serialized(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutcome {
-    finish_batch(filter_phase(queries), n_threads, None)
+    finish_batch(filter_phase(queries, false), n_threads, None)
 }
 
 /// Run one query with its refinement partitioned across `n_threads`
 /// (contiguous chunks of the sorted candidate list — concatenation
 /// preserves the ascending id order).
 pub(crate) fn run_one_par(query: Query<'_>, n_threads: usize) -> QueryOutcome {
-    let mut prepared = filter_phase(vec![query]);
-    let p = prepared.pop().expect("one query in, one prepared out");
+    let p = query.run();
     if p.candidates.is_empty() {
         return QueryOutcome {
             ids: Vec::new(),
@@ -676,11 +613,12 @@ pub(crate) fn run_one_par(query: Query<'_>, n_threads: usize) -> QueryOutcome {
     }
     let threads = n_threads.clamp(1, p.candidates.len());
     let per = p.candidates.len().div_ceil(threads);
+    let refinement = p.refinement();
     let ids: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = p
             .candidates
             .chunks(per)
-            .map(|chunk| scope.spawn(|| refine(p.db, &p.target, chunk)))
+            .map(|chunk| scope.spawn(move || refinement.ids(chunk)))
             .collect();
         handles
             .into_iter()

@@ -49,7 +49,7 @@
 //! assert_eq!(results.stats().candidates, 3);
 //! assert!(results.stats().io_ms > 0.0);
 //!
-//! // …and lazily yields (id, &Geometry) pairs in ascending id order.
+//! // …and lazily yields (id, Arc<Geometry>) pairs in ascending id order.
 //! let ids: Vec<u64> = results.by_ref().map(|(id, _)| id).collect();
 //! assert_eq!(ids, vec![1, 2, 3]);
 //! ```

@@ -2,13 +2,25 @@
 //! and the [`JoinQuery`] / [`JoinCursor`] pair for composable joins.
 //!
 //! A query runs in the paper's two steps. [`Query::run`] executes the
-//! **filter step** eagerly — the store walks its R\*-tree and transfers
-//! the exact representations of all candidates, charging the simulated
-//! disk — and snapshots the I/O cost of *exactly this query* (the disk's
-//! counters are deltas around the call, never workspace-cumulative
-//! totals). The **refinement step** is lazy: the returned cursor tests
-//! each candidate against its exact [`Geometry`] only as the caller
-//! iterates, yielding `(id, &Geometry)` pairs in ascending id order.
+//! **filter step** eagerly — the store walks its R\*-tree once,
+//! transfers the exact representations of all candidates, charging the
+//! simulated disk, and hands the candidate entries it collected to the
+//! cursor — and snapshots the I/O cost of *exactly this query* (the
+//! disk's counters are deltas around the call, never
+//! workspace-cumulative totals). The **refinement step** is lazy: the
+//! returned cursor tests each candidate against its exact [`Geometry`]
+//! only as the caller iterates, yielding `(id, Arc<Geometry>)` pairs in
+//! ascending id order.
+//!
+//! Refinement touches exact geometry only when it must. The geometry
+//! rides the pinned root the candidates came from, so a lookup is a
+//! plain table probe — no lock, nothing a commit can take away. And a
+//! window candidate whose MBR lies inside the window is an answer by
+//! the MBR alone: iteration skips its exact test, and the id-only paths
+//! ([`ResultCursor::ids`], `run_batch`, `run_stream`) skip the lookup
+//! too — unless the store holds filter-only records (bulk-loaded
+//! through `store_mut()`, no geometry): then every candidate is looked
+//! up, and the first one without geometry panics.
 //!
 //! ```
 //! use spatialdb::geom::{Point, Polyline, Rect};
@@ -32,14 +44,16 @@
 //! assert!(geometry.as_polyline().is_some());
 //! ```
 
-use crate::db::{SpatialDatabase, StoreRead};
+use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
 use spatialdb_disk::{
     simulate_queries, ArmGeometry, ArmPolicy, IoStats, LatencyStats, PageRequest, QueryTrace,
 };
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
 use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
-use spatialdb_storage::{QueryStats, SpatialStore, TransferTechnique, WindowTechnique};
+use spatialdb_rtree::{LeafEntry, ObjectId};
+use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
+use std::sync::Arc;
 
 /// What a [`Query`] searches for.
 #[derive(Clone, Copy, Debug)]
@@ -50,76 +64,84 @@ pub(crate) enum Target {
     Point(Point),
 }
 
-/// The filter step: run the store query for `target` and capture both
-/// per-query deltas against the calling thread's I/O tally — so the
-/// reported cost is this query's alone even while other threads query
-/// concurrently. One implementation shared by the sequential cursor
-/// ([`Query::run`]) and the parallel executor.
-pub(crate) fn execute_filter(
-    store: &dyn SpatialStore,
-    target: &Target,
-    technique: WindowTechnique,
-) -> (QueryStats, IoStats) {
-    let disk = store.disk();
-    let io_before = disk.local_stats();
-    let stats = match target {
-        Target::Window(w) => store.window_query(w, technique),
-        Target::Point(p) => store.point_query(p),
-    };
-    let io = disk.local_stats().since(&io_before);
-    (stats, io)
+impl Target {
+    /// `true` if an object with this MBR answers the target whatever
+    /// its exact shape: a window containing the MBR contains every point
+    /// of the object. The one place the containment rule is decided —
+    /// every refinement path reads it off [`Candidate::by_mbr`].
+    fn answered_by_mbr(&self, mbr: &Rect) -> bool {
+        matches!(self, Target::Window(w) if w.contains_rect(mbr))
+    }
 }
 
-/// [`execute_filter`] through the stores' batched read path
-/// ([`SpatialStore::window_query_traced`](spatialdb_storage::SpatialStore::window_query_traced)):
-/// same synchronous execution and deltas, plus the captured
-/// [`PageRequest`] trace for the arm scheduler.
-pub(crate) fn execute_filter_traced(
-    store: &dyn SpatialStore,
-    target: &Target,
-    technique: WindowTechnique,
-) -> (QueryStats, IoStats, Vec<PageRequest>) {
-    let disk = store.disk();
-    let io_before = disk.local_stats();
-    let (stats, trace) = match target {
-        Target::Window(w) => store.window_query_traced(w, technique),
-        Target::Point(p) => store.point_query_traced(p),
-    };
-    let io = disk.local_stats().since(&io_before);
-    (stats, io, trace)
+/// One candidate of a filter step, as refinement sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Candidate {
+    pub(crate) id: u64,
+    /// The candidate's MBR alone makes it an answer
+    /// ([`Target::answered_by_mbr`]): no exact test needed.
+    pub(crate) by_mbr: bool,
 }
 
-/// The refinement predicate: the exact geometry of `id` if it really
-/// answers `target`, `None` if the candidate was a false MBR hit.
-/// Shared by the sequential cursor and the parallel executor so the two
-/// paths cannot drift.
-///
-/// # Panics
-///
-/// Objects loaded through `SpatialDatabase::insert` always have exact
-/// geometry. Records bulk-loaded directly into the store are
-/// filter-only: they cannot be refined, so refining such a database is
-/// a usage error in every build profile.
-pub(crate) fn refined_geometry<'g>(
-    db: &'g SpatialDatabase,
-    target: &Target,
-    id: u64,
-) -> Option<&'g Geometry> {
-    // `get_any`: the candidate may come from a pinned snapshot older
-    // than a concurrent delete — the tombstoned geometry must still
-    // refine it.
-    let Some(geometry) = db.geoms.get_any(id) else {
-        panic!(
-            "candidate {id} has no exact geometry; records bulk-loaded \
-             via store_mut() are filter-only — read the query's stats() \
-             instead of refining it, or insert through SpatialDatabase::insert"
-        );
-    };
-    let hit = match target {
-        Target::Window(w) => geometry.intersects_rect(w),
-        Target::Point(p) => geometry.contains_point(p),
-    };
-    hit.then_some(geometry)
+/// The refinement step of one query, detached from whatever keeps
+/// `geoms` alive — a cursor's pinned root, a batch's pins, a stream
+/// job's own clone of the table. Every read path refines through this
+/// one type, so they cannot drift.
+#[derive(Clone, Copy)]
+pub(crate) struct Refinement<'r> {
+    pub(crate) geoms: &'r GeometryTable,
+    /// Every stored object has exact geometry
+    /// ([`StoreRead::fully_refinable`]), so a candidate that answers by
+    /// its MBR needs no lookup either.
+    pub(crate) fully_refinable: bool,
+    pub(crate) target: Target,
+}
+
+impl<'r> Refinement<'r> {
+    pub(crate) fn of(root: &'r StoreRead<'_>, target: Target) -> Self {
+        Refinement {
+            geoms: root.geoms(),
+            fully_refinable: root.fully_refinable(),
+            target,
+        }
+    }
+
+    /// The exact geometry of `candidate` if it really answers the
+    /// target, `None` if it was a false MBR hit.
+    ///
+    /// # Panics
+    ///
+    /// Objects loaded through `SpatialDatabase::insert` always have exact
+    /// geometry. Records bulk-loaded directly into the store are
+    /// filter-only: they cannot be refined, so refining such a database
+    /// is a usage error in every build profile.
+    pub(crate) fn geometry(&self, candidate: Candidate) -> Option<&'r Arc<Geometry>> {
+        let Some(geometry) = self.geoms.get(ObjectId(candidate.id)) else {
+            panic!(
+                "candidate {} has no exact geometry; records bulk-loaded \
+                 via store_mut() are filter-only — read the query's stats() \
+                 instead of refining it, or insert through SpatialDatabase::insert",
+                candidate.id
+            );
+        };
+        let hit = candidate.by_mbr
+            || match &self.target {
+                Target::Window(w) => geometry.intersects_rect(w),
+                Target::Point(p) => geometry.contains_point(p),
+            };
+        hit.then_some(geometry)
+    }
+
+    /// The ids of the answers among `candidates`, in their order.
+    pub(crate) fn ids(&self, candidates: &[Candidate]) -> Vec<u64> {
+        let answers = candidates
+            .iter()
+            .filter(|c| (c.by_mbr && self.fully_refinable) || self.geometry(**c).is_some());
+        // Nearly every candidate is an answer: size for all of them.
+        let mut ids = Vec::with_capacity(candidates.len());
+        ids.extend(answers.map(|c| c.id));
+        ids
+    }
 }
 
 /// The join refinement predicate: whether the candidate pair `(a, b)`
@@ -131,14 +153,12 @@ pub(crate) fn refined_geometry<'g>(
 /// Panics when either side lacks exact geometry (records bulk-loaded
 /// directly into the store are filter-only).
 pub(crate) fn refine_pair(
-    left: &SpatialDatabase,
-    right: &SpatialDatabase,
-    a: spatialdb_rtree::ObjectId,
-    b: spatialdb_rtree::ObjectId,
+    left: &GeometryTable,
+    right: &GeometryTable,
+    a: ObjectId,
+    b: ObjectId,
 ) -> bool {
-    // `get_any`: tombstoned geometry still refines pairs drawn from an
-    // older pinned snapshot (see `refined_geometry`).
-    let (Some(ga), Some(gb)) = (left.geoms.get_any(a.0), right.geoms.get_any(b.0)) else {
+    let (Some(ga), Some(gb)) = (left.get(a), right.get(b)) else {
         panic!(
             "join candidate ({}, {}) lacks exact geometry; read stats() \
              instead of iterating, or insert through SpatialDatabase::insert",
@@ -146,22 +166,6 @@ pub(crate) fn refine_pair(
         );
     };
     ga.intersects(gb)
-}
-
-/// Sorted candidate ids of `target`, re-read from the warm directory
-/// without charging I/O, using `scratch` as the entry buffer.
-pub(crate) fn candidate_ids(
-    store: &dyn SpatialStore,
-    target: &Target,
-    scratch: &mut Vec<spatialdb_rtree::LeafEntry>,
-) -> Vec<u64> {
-    match target {
-        Target::Window(w) => store.window_candidates_into(w, scratch),
-        Target::Point(p) => store.point_candidates_into(p, scratch),
-    }
-    let mut ids: Vec<u64> = scratch.iter().map(|e| e.oid.0).collect();
-    ids.sort_unstable();
-    ids
 }
 
 /// A fluent query under construction. Created by
@@ -211,28 +215,55 @@ impl<'a> Query<'a> {
     /// Panics if neither [`window`](Query::window) nor
     /// [`point`](Query::point) was set.
     pub fn run(self) -> ResultCursor<'a> {
-        let Query {
-            db,
-            target,
-            technique,
-        } = self;
-        let target = target.expect("Query::run() needs .window(..) or .point(..) first");
-        let technique = technique.unwrap_or(db.technique);
+        self.run_with(&mut Vec::new(), false)
+    }
+
+    /// [`run`](Query::run) for the executors, which reuse one candidate
+    /// buffer across queries and, with `traced`, also capture the disk
+    /// requests the filter step charges, for replay through the arm
+    /// scheduler (same synchronous execution, same answers, stats and
+    /// charges). The cursor, the batch executor and the stream executor
+    /// all run their filter step here, so they cannot drift.
+    pub(crate) fn run_with(self, scratch: &mut Vec<LeafEntry>, traced: bool) -> ResultCursor<'a> {
+        let target = self
+            .target
+            .expect("Query::run() needs .window(..) or .point(..) first");
+        let technique = self.technique.unwrap_or(self.db.technique);
         // One pinned snapshot for the whole cursor: the filter step and
-        // the lazy candidate re-read see the same store version even if
-        // writers publish in between.
-        let store = db.store();
-        let (stats, io) = execute_filter(&*store, &target, technique);
+        // the lazy refinement see the same version — store and geometry
+        // — even if writers publish in between.
+        let root = self.db.store();
+        // Deltas against the calling thread's I/O tally: this query's
+        // cost alone, even while other threads query concurrently.
+        let disk = root.disk();
+        let io_before = disk.local_stats();
+        if traced {
+            disk.trace_begin();
+        }
+        let stats = match &target {
+            Target::Window(w) => root.window_query_into(w, technique, scratch),
+            Target::Point(p) => root.point_query_into(p, scratch),
+        };
+        let trace = if traced {
+            disk.trace_take()
+        } else {
+            Vec::new()
+        };
+        let io = disk.local_stats().since(&io_before);
+        let candidate = |e: &LeafEntry| Candidate {
+            id: e.oid.0,
+            by_mbr: target.answered_by_mbr(&e.mbr),
+        };
+        let mut candidates: Vec<Candidate> = scratch.iter().map(candidate).collect();
+        candidates.sort_unstable_by_key(|c| c.id);
         ResultCursor {
-            db,
-            store,
+            root,
             target,
-            // Materialized on first iteration: a stats-only caller never
-            // pays for the candidate re-read.
-            candidates: None,
+            candidates,
             next: 0,
             stats,
             io,
+            trace,
         }
     }
 
@@ -256,7 +287,11 @@ impl<'a> Query<'a> {
 /// Iterating yields `(object id, exact geometry)` for every candidate
 /// that survives exact refinement, in ascending id order. The refinement
 /// is performed per [`next`](Iterator::next) call — consuming only the
-/// first few results does only the first few geometry tests.
+/// first few results does only the first few geometry tests — and a
+/// candidate whose MBR lies inside the query window is an answer
+/// without one. The geometry is handed out as a shared
+/// [`Arc`]: it stays valid after the cursor is gone, whatever is
+/// committed meanwhile.
 ///
 /// The cursor also carries the cost of the query that produced it:
 /// [`stats`](ResultCursor::stats) and
@@ -264,18 +299,19 @@ impl<'a> Query<'a> {
 /// not the workspace's cumulative counters.
 #[derive(Debug)]
 pub struct ResultCursor<'a> {
-    db: &'a SpatialDatabase,
-    /// The pinned store snapshot this cursor reads. Held for the
-    /// cursor's whole lifetime: concurrent writers publish around it,
-    /// and the epoch pin keeps the snapshot from being reclaimed.
-    store: StoreRead<'a>,
+    /// The pinned root this cursor reads — candidates came from its
+    /// store, their geometry comes from its table. Held for the cursor's
+    /// whole lifetime: concurrent writers publish around it, and the
+    /// epoch pin keeps the snapshot from being reclaimed.
+    pub(crate) root: StoreRead<'a>,
     target: Target,
-    /// Sorted candidate ids, re-read lazily from the warm directory (no
-    /// I/O charged) when iteration starts.
-    candidates: Option<Vec<u64>>,
+    /// The filter step's candidates, ascending by id.
+    pub(crate) candidates: Vec<Candidate>,
     next: usize,
-    stats: QueryStats,
-    io: IoStats,
+    pub(crate) stats: QueryStats,
+    pub(crate) io: IoStats,
+    /// The filter step's disk requests, if the executor asked for them.
+    pub(crate) trace: Vec<PageRequest>,
 }
 
 impl<'a> ResultCursor<'a> {
@@ -298,43 +334,41 @@ impl<'a> ResultCursor<'a> {
     }
 
     /// Drain the cursor into the sorted ids of all exact answers.
+    /// Cheaper than iterating: a candidate that answers by its MBR is
+    /// not even looked up.
     pub fn ids(self) -> Vec<u64> {
-        self.map(|(id, _)| id).collect()
+        self.refinement().ids(&self.candidates[self.next..])
+    }
+
+    /// This query's refinement step. Unlike the pin it borrows from, it
+    /// can be handed to a worker thread.
+    pub(crate) fn refinement(&self) -> Refinement<'_> {
+        Refinement::of(&self.root, self.target)
     }
 
     /// The epoch this cursor's snapshot is pinned at (diagnostics and
     /// the snapshot-isolation tests).
     pub fn pinned_epoch(&self) -> u64 {
-        self.store.pinned_epoch()
-    }
-
-    fn candidates(&mut self) -> &[u64] {
-        let (store, target) = (&self.store, &self.target);
-        self.candidates
-            .get_or_insert_with(|| candidate_ids(&**store, target, &mut Vec::new()))
+        self.root.pinned_epoch()
     }
 }
 
 impl<'a> Iterator for ResultCursor<'a> {
-    type Item = (u64, &'a Geometry);
+    type Item = (u64, Arc<Geometry>);
 
     fn next(&mut self) -> Option<Self::Item> {
+        let refinement = Refinement::of(&self.root, self.target);
         loop {
-            let i = self.next;
-            let &id = self.candidates().get(i)?;
+            let &candidate = self.candidates.get(self.next)?;
             self.next += 1;
-            if let Some(geometry) = refined_geometry(self.db, &self.target, id) {
-                return Some((id, geometry));
+            if let Some(geometry) = refinement.geometry(candidate) {
+                return Some((candidate.id, Arc::clone(geometry)));
             }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let upper = match &self.candidates {
-            Some(c) => c.len() - self.next,
-            None => self.stats.candidates,
-        };
-        (0, Some(upper))
+        (0, Some(self.candidates.len() - self.next))
     }
 }
 
@@ -389,10 +423,8 @@ impl<'a> JoinQuery<'a> {
             right,
             config,
         } = self;
-        let (pairs, stats) = {
-            let (ls, rs) = (left.store(), right.store());
-            SpatialJoin::new(&*ls, &*rs).run_with_pairs(config)
-        };
+        let (left, right) = (left.store(), right.store());
+        let (pairs, stats) = SpatialJoin::new(&*left, &*right).run_with_pairs(config);
         JoinCursor {
             left,
             right,
@@ -423,13 +455,10 @@ impl<'a> JoinQuery<'a> {
             right,
             config,
         } = self;
-        let disk = left.store().disk();
-        let (pairs, stats, trace) = {
-            let (ls, rs) = (left.store(), right.store());
-            SpatialJoin::new(&*ls, &*rs).run_with_pairs_traced(config)
-        };
+        let (left, right) = (left.store(), right.store());
+        let (pairs, stats, trace) = SpatialJoin::new(&*left, &*right).run_with_pairs_traced(config);
         let latency = simulate_queries(
-            disk.params(),
+            left.disk().params(),
             ArmGeometry::default(),
             policy,
             depth,
@@ -467,10 +496,9 @@ impl<'a> JoinQuery<'a> {
             right,
             config,
         } = self;
-        let (pairs, stats) = {
-            let (ls, rs) = (left.store(), right.store());
-            SpatialJoin::new(&*ls, &*rs).run_par_with_pairs(config, n_threads)
-        };
+        let (left, right) = (left.store(), right.store());
+        let (pairs, stats) =
+            SpatialJoin::new(&*left, &*right).run_par_with_pairs(config, n_threads);
         JoinCursor {
             left,
             right,
@@ -486,9 +514,11 @@ impl<'a> JoinQuery<'a> {
 /// order, each tested on the exact geometries as the caller iterates.
 #[derive(Debug)]
 pub struct JoinCursor<'a> {
-    left: &'a SpatialDatabase,
-    right: &'a SpatialDatabase,
-    pairs: Vec<(spatialdb_rtree::ObjectId, spatialdb_rtree::ObjectId)>,
+    /// The operands' pinned roots: the pairs came from their stores,
+    /// the exact geometries come from their tables.
+    left: StoreRead<'a>,
+    right: StoreRead<'a>,
+    pairs: Vec<(ObjectId, ObjectId)>,
     next: usize,
     stats: JoinStats,
     latency: Option<LatencyStats>,
@@ -526,7 +556,7 @@ impl<'a> Iterator for JoinCursor<'a> {
         while self.next < self.pairs.len() {
             let (a, b) = self.pairs[self.next];
             self.next += 1;
-            if refine_pair(self.left, self.right, a, b) {
+            if refine_pair(self.left.geoms(), self.right.geoms(), a, b) {
                 return Some((a.0, b.0));
             }
         }

@@ -9,8 +9,8 @@
 //!
 //! * **Phase A (stream order, calling thread):** every operation's
 //!   I/O-charging half runs here, in logical commit order. A query op
-//!   pins a snapshot, runs its filter step and re-reads its candidate
-//!   ids; a join op pins both operands and runs the MBR join; an
+//!   pins a snapshot and runs its filter step, which hands it the
+//!   candidates; a join op pins both operands and runs the MBR join; an
 //!   insert/delete commits through the `&self` shadow-paging write path
 //!   and publishes a new root. Per-op [`IoStats`] deltas are measured
 //!   against the calling thread's local tally, so they are exact and
@@ -20,9 +20,11 @@
 //!   work queue the moment its phase-A half completes, and scoped
 //!   workers drain the queue **while phase A keeps committing** — a
 //!   writer never waits for a reader's refinement, and a reader's
-//!   candidates stay consistent because they were fixed under an epoch
-//!   pin and deletes only tombstone exact geometry
-//!   ([`StableMap`](spatialdb_epoch::StableMap) keeps it addressable).
+//!   candidates stay refinable because the job carries a structurally
+//!   shared clone of the geometry table of the root they were fixed
+//!   under (a refcount bump per 64 buckets, and unlike a pin it cannot
+//!   hold up reclamation of the store snapshot): later deletes edit
+//!   later versions of the table, never this one.
 //!
 //! Results are merged back by stream index, so the full
 //! [`StreamOutcome`] — answers, per-op stats, per-op I/O — is
@@ -33,8 +35,8 @@ use spatialdb_disk::{DepGuard, DepMutex, LockClass};
 use std::collections::VecDeque;
 use std::sync::Condvar;
 
-use crate::db::SpatialDatabase;
-use crate::query::{candidate_ids, execute_filter, refine_pair, refined_geometry, Target};
+use crate::db::{GeometryTable, SpatialDatabase};
+use crate::query::{refine_pair, Candidate, Refinement, Target};
 use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, Point, Rect};
 use spatialdb_join::{JoinConfig, SpatialJoin};
@@ -181,18 +183,21 @@ impl StreamOutcome {
 }
 
 /// A refinement unit: the pure-CPU half of a query or join, detached
-/// from phase A the moment its candidates are fixed.
-enum RefineJob<'a> {
+/// from phase A the moment its candidates are fixed. It owns the
+/// geometry it refines against — the table(s) of the root(s) the
+/// candidates came from.
+enum RefineJob {
     Query {
         index: usize,
-        db: &'a SpatialDatabase,
+        geoms: GeometryTable,
+        fully_refinable: bool,
         target: Target,
-        candidates: Vec<u64>,
+        candidates: Vec<Candidate>,
     },
     Join {
         index: usize,
-        left: &'a SpatialDatabase,
-        right: &'a SpatialDatabase,
+        left: GeometryTable,
+        right: GeometryTable,
         pairs: Vec<(ObjectId, ObjectId)>,
     },
 }
@@ -205,17 +210,17 @@ enum Refined {
 
 /// The shared refinement queue: phase A pushes, workers pop; closing
 /// wakes everyone to drain and exit.
-struct RefineQueue<'a> {
-    queue: DepMutex<QueueState<'a>>,
+struct RefineQueue {
+    queue: DepMutex<QueueState>,
     ready: Condvar,
 }
 
-struct QueueState<'a> {
-    jobs: VecDeque<RefineJob<'a>>,
+struct QueueState {
+    jobs: VecDeque<RefineJob>,
     closed: bool,
 }
 
-impl<'a> RefineQueue<'a> {
+impl RefineQueue {
     fn new() -> Self {
         RefineQueue {
             queue: DepMutex::new(
@@ -232,11 +237,11 @@ impl<'a> RefineQueue<'a> {
     /// The queue is strictly leaf-level (last rank of the hierarchy):
     /// no other lock is taken while pushing, popping, or waiting here
     /// (phase A pushes only after its commit/pin released everything).
-    fn locked(&self) -> DepGuard<'_, QueueState<'a>> {
+    fn locked(&self) -> DepGuard<'_, QueueState> {
         self.queue.acquire()
     }
 
-    fn push(&self, job: RefineJob<'a>) {
+    fn push(&self, job: RefineJob) {
         self.locked().jobs.push_back(job);
         self.ready.notify_one();
     }
@@ -247,7 +252,7 @@ impl<'a> RefineQueue<'a> {
     }
 
     /// Blocking pop; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<RefineJob<'a>> {
+    fn pop(&self) -> Option<RefineJob> {
         let mut state = self.locked();
         loop {
             if let Some(job) = state.jobs.pop_front() {
@@ -285,16 +290,17 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                         match job {
                             RefineJob::Query {
                                 index,
-                                db,
+                                geoms,
+                                fully_refinable,
                                 target,
                                 candidates,
                             } => {
-                                let ids = candidates
-                                    .iter()
-                                    .copied()
-                                    .filter(|&id| refined_geometry(db, &target, id).is_some())
-                                    .collect();
-                                done.push((index, Refined::Ids(ids)));
+                                let refinement = Refinement {
+                                    geoms: &geoms,
+                                    fully_refinable,
+                                    target,
+                                };
+                                done.push((index, Refined::Ids(refinement.ids(&candidates))));
                             }
                             RefineJob::Join {
                                 index,
@@ -304,7 +310,7 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                             } => {
                                 let n = pairs
                                     .iter()
-                                    .filter(|&&(a, b)| refine_pair(left, right, a, b))
+                                    .filter(|&&(a, b)| refine_pair(&left, &right, a, b))
                                     .count();
                                 done.push((index, Refined::Pairs(n as u64)));
                             }
@@ -331,20 +337,18 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                     outcomes.push(o);
                 }
                 StreamOp::Join { left, right } => {
-                    let disk = left.store().disk();
+                    let (left, right) = (left.store(), right.store());
+                    let disk = left.disk();
                     let before = disk.local_stats();
-                    let pairs = {
-                        let (ls, rs) = (left.store(), right.store());
-                        SpatialJoin::new(&*ls, &*rs)
-                            .run_with_pairs(JoinConfig::default())
-                            .0
-                    };
+                    let pairs = SpatialJoin::new(&*left, &*right)
+                        .run_with_pairs(JoinConfig::default())
+                        .0;
                     let io = disk.local_stats().since(&before);
                     outcomes.push(OpOutcome::Join { pairs: 0, io });
                     queue.push(RefineJob::Join {
                         index,
-                        left,
-                        right,
+                        left: left.geoms().clone(),
+                        right: right.geoms().clone(),
                         pairs,
                     });
                 }
@@ -384,33 +388,32 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
     StreamOutcome { outcomes }
 }
 
-/// Phase A of one query op: pin a snapshot, run the filter step, fix
-/// the candidate ids, and detach the refinement. Returns the outcome
-/// placeholder (ids filled in at merge time).
-fn prepare_query<'a>(
-    db: &'a SpatialDatabase,
+/// Phase A of one query op: pin a snapshot, run the filter step, and
+/// detach the refinement. Returns the outcome placeholder (ids filled in
+/// at merge time).
+fn prepare_query(
+    db: &SpatialDatabase,
     target: Target,
     index: usize,
     scratch: &mut Vec<LeafEntry>,
-    queue: &RefineQueue<'a>,
+    queue: &RefineQueue,
 ) -> OpOutcome {
-    // One pinned snapshot for the filter step and the candidate re-read;
-    // dropped before the next commit so reclamation is never held up by
-    // an op that already detached its refinement.
-    let store = db.store();
-    let (stats, io) = execute_filter(&*store, &target, db.technique);
-    let candidates = candidate_ids(&*store, &target, scratch);
-    drop(store);
+    // The pin is dropped before the next commit, so reclamation is never
+    // held up by an op that already detached its refinement.
+    let mut query = db.query();
+    query.target = Some(target);
+    let cursor = query.run_with(scratch, false);
     queue.push(RefineJob::Query {
         index,
-        db,
+        geoms: cursor.root.geoms().clone(),
+        fully_refinable: cursor.root.fully_refinable(),
         target,
-        candidates,
+        candidates: cursor.candidates,
     });
     OpOutcome::Query {
         ids: Vec::new(),
-        stats,
-        io,
+        stats: cursor.stats,
+        io: cursor.io,
     }
 }
 

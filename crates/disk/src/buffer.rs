@@ -176,14 +176,30 @@ impl LruBuffer {
     /// pairs (empty for capacity-0 buffers, where nothing is retained and
     /// nothing evicted).
     pub fn insert(&mut self, page: PageId, dirty: bool) -> Vec<(PageId, bool)> {
+        let mut evicted = Vec::new();
+        self.insert_with(page, dirty, |victim, was_dirty| {
+            evicted.push((victim, was_dirty))
+        });
+        evicted
+    }
+
+    /// [`insert`](LruBuffer::insert) handing each evicted
+    /// `(page, was_dirty)` pair to `evicted` instead of allocating a
+    /// list for them — a full buffer evicts on every miss.
+    pub fn insert_with(
+        &mut self,
+        page: PageId,
+        dirty: bool,
+        mut evicted: impl FnMut(PageId, bool),
+    ) {
         if self.capacity == 0 {
-            return Vec::new();
+            return;
         }
         if let Some(&idx) = self.map.get(&page) {
             self.unlink(idx);
             self.push_front(idx);
             self.nodes[idx].dirty |= dirty;
-            return Vec::new();
+            return;
         }
         let idx = match self.free.pop() {
             Some(i) => {
@@ -209,14 +225,12 @@ impl LruBuffer {
         };
         self.map.insert(page, idx);
         self.push_front(idx);
-        let mut evicted = Vec::new();
         while self.map.len() > self.capacity {
             match self.evict_one() {
-                Some(e) => evicted.push(e),
+                Some((victim, was_dirty)) => evicted(victim, was_dirty),
                 None => break, // everything pinned; allow temporary overflow
             }
         }
-        evicted
     }
 
     fn evict_one(&mut self) -> Option<(PageId, bool)> {

@@ -14,11 +14,10 @@
 //! 3. [`LockClass::ArmQueue`] — the disk's array mutex (arm request
 //!    queues and timelines);
 //! 4. [`LockClass::DiskCounters`] — the disk's statistics/region state;
-//! 5. [`LockClass::Geometry`] — a database's exact-geometry arena
-//!    (leaf lock: nothing else is acquired while it is held);
-//! 6. [`LockClass::Epoch`] — the epoch collector's retired-garbage
-//!    list (`spatialdb-epoch`; leaf lock);
-//! 7. [`LockClass::RefineQueue`] — the stream executor's refinement
+//! 5. [`LockClass::Epoch`] — the epoch collector's retired-garbage
+//!    list (`spatialdb-epoch`; leaf lock: nothing else is acquired
+//!    while it is held);
+//! 6. [`LockClass::RefineQueue`] — the stream executor's refinement
 //!    work queue (`spatialdb-core`; leaf lock, the one engine lock
 //!    paired with a [`Condvar`] — see [`DepGuard::wait`]).
 //!
@@ -57,8 +56,6 @@ pub enum LockClass {
     ArmQueue,
     /// The disk's counter/region state mutex.
     DiskCounters,
-    /// A database's exact-geometry arena (leaf lock).
-    Geometry,
     /// The epoch collector's retired-garbage list (leaf lock).
     Epoch,
     /// The stream executor's refinement work queue (leaf lock).
@@ -73,9 +70,8 @@ impl LockClass {
             LockClass::Shard(_) => 1,
             LockClass::ArmQueue => 2,
             LockClass::DiskCounters => 3,
-            LockClass::Geometry => 4,
-            LockClass::Epoch => 5,
-            LockClass::RefineQueue => 6,
+            LockClass::Epoch => 4,
+            LockClass::RefineQueue => 5,
         }
     }
 
@@ -98,7 +94,6 @@ impl fmt::Display for LockClass {
             LockClass::Shard(i) => write!(f, "Shard({i})"),
             LockClass::ArmQueue => f.write_str("ArmQueue"),
             LockClass::DiskCounters => f.write_str("DiskCounters"),
-            LockClass::Geometry => f.write_str("Geometry"),
             LockClass::Epoch => f.write_str("Epoch"),
             LockClass::RefineQueue => f.write_str("RefineQueue"),
         }
@@ -113,7 +108,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 7;
+    const KINDS: usize = 6;
 
     /// One lock the current thread holds.
     struct Held {
@@ -146,7 +141,6 @@ mod checker {
             "Shard",
             "ArmQueue",
             "DiskCounters",
-            "Geometry",
             "Epoch",
             "RefineQueue",
         ][kind]
@@ -205,7 +199,7 @@ mod checker {
                     panic!(
                         "lock hierarchy violation: blocking acquisition of {class} at {site} \
                          while holding {held} (declared order: DbWriter -> Shard(asc) -> \
-                         ArmQueue -> DiskCounters -> Geometry -> Epoch -> RefineQueue; \
+                         ArmQueue -> DiskCounters -> Epoch -> RefineQueue; \
                          see crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
                         held = h.class,
                         dump = wait_graph_dump(),
@@ -581,24 +575,21 @@ mod tests {
         assert_eq!(LockClass::ArmQueue.to_string(), "ArmQueue");
         assert_eq!(LockClass::DiskCounters.to_string(), "DiskCounters");
         assert_eq!(LockClass::DbWriter.to_string(), "DbWriter");
-        assert_eq!(LockClass::Geometry.to_string(), "Geometry");
         assert_eq!(LockClass::Epoch.to_string(), "Epoch");
         assert!(LockClass::DbWriter.rank() < LockClass::Shard(0).rank());
         assert!(LockClass::Shard(9).rank() < LockClass::ArmQueue.rank());
         assert!(LockClass::ArmQueue.rank() < LockClass::DiskCounters.rank());
-        assert!(LockClass::DiskCounters.rank() < LockClass::Geometry.rank());
-        assert!(LockClass::Geometry.rank() < LockClass::Epoch.rank());
+        assert!(LockClass::DiskCounters.rank() < LockClass::Epoch.rank());
+        assert!(LockClass::Epoch.rank() < LockClass::RefineQueue.rank());
     }
 
     #[test]
     fn engine_order_writer_first_epoch_last() {
         let w = DepMutex::new(LockClass::DbWriter, ());
         let s = DepMutex::new(LockClass::Shard(0), ());
-        let g = DepMutex::new(LockClass::Geometry, ());
         let e = DepMutex::new(LockClass::Epoch, ());
         let _gw = w.acquire();
         let _gs = s.acquire();
-        let _gg = g.acquire();
         let _ge = e.acquire();
     }
 
@@ -607,9 +598,9 @@ mod tests {
     fn epoch_is_a_leaf_class() {
         assert!(panics(|| {
             let e = DepMutex::new(LockClass::Epoch, ());
-            let g = DepMutex::new(LockClass::Geometry, ());
+            let d = DepMutex::new(LockClass::DiskCounters, ());
             let _ge = e.acquire();
-            let _gg = g.acquire(); // epoch -> geometry: inversion
+            let _gd = d.acquire(); // epoch -> counters: inversion
         }));
     }
 

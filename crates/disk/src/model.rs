@@ -95,7 +95,7 @@ impl PageRun {
     }
 
     /// Iterate over the pages of the run.
-    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+    pub fn pages(&self) -> impl Iterator<Item = PageId> {
         let region = self.start.region;
         (self.start.offset..self.end_offset()).map(move |o| PageId::new(region, o))
     }
@@ -212,25 +212,23 @@ impl DiskParams {
 /// This is the basic request-forming operation: the cost of accessing the
 /// set is the sum of the per-run request costs.
 pub fn runs_of(pages: &[PageId]) -> Vec<PageRun> {
-    let mut runs = Vec::new();
-    let mut it = pages.iter();
-    let Some(first) = it.next() else {
-        return runs;
-    };
-    let mut cur = PageRun::new(*first, 1);
-    let mut last = *first;
-    for p in it {
-        debug_assert!(last < *p, "pages must be sorted and deduplicated");
-        if last.is_followed_by(p) {
-            cur.len += 1;
-        } else {
-            runs.push(cur);
-            cur = PageRun::new(*p, 1);
-        }
-        last = *p;
-    }
-    runs.push(cur);
-    runs
+    runs(pages).collect()
+}
+
+/// [`runs_of`] as an iterator: the runs are formed as they are consumed,
+/// so a per-access caller (the pool's read path) allocates nothing.
+pub fn runs(pages: &[PageId]) -> impl Iterator<Item = PageRun> + '_ {
+    let mut rest = pages;
+    std::iter::from_fn(move || {
+        let first = *rest.first()?;
+        let followers = rest.windows(2).take_while(|w| {
+            debug_assert!(w[0] < w[1], "pages must be sorted and deduplicated");
+            w[0].is_followed_by(&w[1])
+        });
+        let len = 1 + followers.count();
+        rest = &rest[len..];
+        Some(PageRun::new(first, len as u64))
+    })
 }
 
 #[cfg(test)]

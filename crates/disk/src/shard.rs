@@ -45,10 +45,39 @@ use crate::array::StripePolicy;
 use crate::buffer::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
 use crate::disk::DiskHandle;
 use crate::lockdep::{DepGuard, DepMutex, LockClass};
-use crate::model::{runs_of, PageId, PageRun, RegionId};
+use crate::model::{runs, runs_of, PageId, PageRun, RegionId};
 use crate::schedule::{slm_schedule, ScheduledRun};
 use crate::stats::IoKind;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+thread_local! {
+    /// The calling thread's miss list, taken for the duration of a
+    /// [`ShardedPool::read_set`] call and put back empty for the next.
+    static MISSING: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What one insert evicted from a shard: how many pages, and which of
+/// them were dirty and await their write-back charge. Clean victims are
+/// only counted, so a read miss on a full pool allocates nothing.
+#[derive(Default)]
+struct Evictions {
+    count: u64,
+    dirty: Vec<PageId>,
+}
+
+impl Evictions {
+    fn of_insert(shard: &mut LruBuffer, page: PageId, dirty: bool) -> Self {
+        let mut evicted = Evictions::default();
+        shard.insert_with(page, dirty, |victim, was_dirty| {
+            evicted.count += 1;
+            if was_dirty {
+                evicted.dirty.push(victim);
+            }
+        });
+        evicted
+    }
+}
 
 /// How pages are routed to shards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -472,16 +501,13 @@ impl ShardedPool {
     /// free), exactly like the single-lock pool. Every evicted page
     /// also ticks the global eviction counter driving the
     /// adaptive-quota decay clock.
-    fn charge_evictions(&self, evicted: Vec<(PageId, bool)>) {
-        if !evicted.is_empty() {
-            self.evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+    fn charge_evictions(&self, evicted: Evictions) {
+        if evicted.count > 0 {
+            self.evictions.fetch_add(evicted.count, Ordering::Relaxed);
         }
-        for (page, dirty) in evicted {
-            if dirty {
-                self.disk
-                    .charge(IoKind::Write, PageRun::new(page, 1), false);
-            }
+        for page in evicted.dirty {
+            self.disk
+                .charge(IoKind::Write, PageRun::new(page, 1), false);
         }
     }
 
@@ -495,7 +521,7 @@ impl ShardedPool {
             if !shard.contains(&page) {
                 self.grow_if_adaptive(index, &mut shard);
             }
-            shard.insert(page, dirty)
+            Evictions::of_insert(&mut shard, page, dirty)
         };
         self.charge_evictions(ev);
         self.decay_idle_quota();
@@ -551,7 +577,7 @@ impl ShardedPool {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
             self.grow_if_adaptive(index, &mut shard);
-            let ev = shard.insert(page, false);
+            let ev = Evictions::of_insert(&mut shard, page, false);
             self.charge_evictions(ev);
         }
         if self.write_through() {
@@ -571,27 +597,23 @@ impl ShardedPool {
     /// paths cannot drift.
     fn read_set_with(
         &self,
-        pages: &[PageId],
+        pages: impl IntoIterator<Item = PageId>,
         seek: SeekPolicy,
         mut issue: impl FnMut(PageRequest),
     ) -> ReadOutcome {
-        debug_assert!(
-            pages.windows(2).all(|w| w[0] < w[1]),
-            "pages must be sorted"
-        );
         let mut out = ReadOutcome::default();
-        let mut missing = Vec::new();
+        let mut missing = MISSING.take();
         for p in pages {
-            if self.shard(p).touch(p) {
+            if self.shard(&p).touch(&p) {
                 out.buffer_hits += 1;
             } else {
-                missing.push(*p);
+                missing.push(p);
             }
         }
         self.hits.fetch_add(out.buffer_hits, Ordering::Relaxed);
         self.misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        for run in runs_of(&missing) {
+        for run in runs(&missing) {
             issue(PageRequest {
                 kind: IoKind::Read,
                 run,
@@ -600,9 +622,10 @@ impl ShardedPool {
             out.requests += 1;
             out.pages_transferred += run.len;
         }
-        for p in missing {
+        for p in missing.drain(..) {
             self.insert_charged(p, false);
         }
+        MISSING.set(missing);
         out
     }
 
@@ -610,7 +633,15 @@ impl ShardedPool {
     /// grouped into maximal consecutive runs (see
     /// [`BufferPool::read_set`](crate::buffer::BufferPool::read_set)).
     pub fn read_set(&self, pages: &[PageId], seek: SeekPolicy) -> ReadOutcome {
-        self.read_set_with(pages, seek, |req| {
+        self.read_set_with(pages.iter().copied(), seek, |req| {
+            self.disk.charge(req.kind, req.run, req.skip_seek);
+        })
+    }
+
+    /// [`read_set`](ShardedPool::read_set) over the pages of one run —
+    /// an object's extent — without materializing them.
+    pub fn read_run(&self, run: PageRun, seek: SeekPolicy) -> ReadOutcome {
+        self.read_set_with(run.pages(), seek, |req| {
             self.disk.charge(req.kind, req.run, req.skip_seek);
         })
     }
@@ -652,7 +683,7 @@ impl ShardedPool {
         seek: SeekPolicy,
     ) -> (ReadOutcome, Vec<u64>) {
         let mut ids = Vec::new();
-        let out = self.read_set_with(pages, seek, |req| {
+        let out = self.read_set_with(pages.iter().copied(), seek, |req| {
             ids.push(self.disk.submit(req).expect("miss runs are never empty"));
         });
         (out, ids)
@@ -672,7 +703,7 @@ impl ShardedPool {
             let ev = {
                 let mut shard = self.shard(&p);
                 let quota = shard.capacity();
-                let ev = shard.insert(p, false);
+                let ev = Evictions::of_insert(&mut shard, p, false);
                 if shard.len() > quota {
                     // Eviction failed (everything pinned): revert the
                     // insert rather than exceed the budget.
@@ -777,7 +808,7 @@ impl ShardedPool {
                 let mut shard = self.shard_at(index);
                 if !shard.contains(&p) {
                     self.grow_if_adaptive(index, &mut shard);
-                    let ev = shard.insert(p, false);
+                    let ev = Evictions::of_insert(&mut shard, p, false);
                     drop(shard);
                     self.charge_evictions(ev);
                 } else {

@@ -43,6 +43,12 @@
 //! self`, for the exclusive update path that needs no shadowing).
 //! All `unsafe` in the workspace's reclamation story is contained in
 //! this file, behind those three operations.
+//!
+//! Everything a snapshot reader borrows must be reachable from the
+//! root value: the engine's root carries the store *and* the exact
+//! geometry of its objects, so whatever a superseded root alone still
+//! references — a deleted object's geometry included — is freed with
+//! it, by the rule above and by nothing else.
 
 use spatialdb_disk::{DepMutex, LockClass};
 use std::any::Any;
@@ -208,9 +214,9 @@ impl Drop for Pin<'_> {
 /// [`pin`](Snapshot::pin) and get a borrow of the current value that
 /// stays valid for the guard's lifetime even while writers
 /// [`swap`](Snapshot::swap) new values in; the old value is retired to
-/// the collector rather than freed in place. `T` is typically a boxed
-/// trait object (`Box<dyn SpatialStore>`), making the cell itself a
-/// thin pointer to a heap slot that holds the fat one.
+/// the collector rather than freed in place. `T` is typically a small
+/// struct of structurally shared parts (a boxed store, a table), so a
+/// new version costs a few pointer-table copies.
 pub struct Snapshot<T: Send + 'static> {
     ptr: AtomicPtr<T>,
     /// `AtomicPtr` is unconditionally `Send + Sync`; this marker makes
@@ -315,179 +321,6 @@ impl<T> std::ops::Deref for SnapshotGuard<'_, T> {
         // holds; the collector frees a retired value only once every
         // pin that could have loaded it is gone (two-epoch rule).
         unsafe { &*self.ptr }
-    }
-}
-
-/// A map from `u64` keys to heap-allocated values with **stable
-/// addresses** and **deferred removal** — the companion structure for
-/// state that lives *outside* the versioned root but is borrowed by
-/// snapshot readers (the engine keeps each database's exact geometry
-/// here).
-///
-/// The reclamation contract mirrors the collector's, expressed through
-/// the borrow checker instead of epochs:
-///
-/// * Every value sits in its own `Box`, so rehashing the map never
-///   moves it, and a `&V` from [`get`](StableMap::get) stays valid for
-///   the `&self` borrow however many inserts and removes race with it.
-/// * [`remove`](StableMap::remove) only *tombstones* the entry — the
-///   box survives, so a reader holding candidates from an older store
-///   snapshot can still resolve them ([`get_any`](StableMap::get_any)).
-/// * Re-inserting a removed key moves the superseded box to a
-///   graveyard rather than dropping it.
-/// * Memory is returned only at [`quiesce`](StableMap::quiesce), which
-///   takes `&mut self`: the exclusive borrow *proves* no `&V` is
-///   outstanding, the same way [`Snapshot::get_mut`] proves no guard
-///   is.
-pub struct StableMap<V: Send + Sync + 'static> {
-    inner: DepMutex<MapInner<V>>,
-}
-
-struct MapInner<V> {
-    slots: std::collections::HashMap<u64, Slot<V>>,
-    /// Boxes superseded by a re-insert, kept alive until `quiesce`.
-    graveyard: Vec<Box<V>>,
-}
-
-struct Slot<V> {
-    value: Box<V>,
-    /// `false` once tombstoned by `remove`.
-    live: bool,
-}
-
-impl<V: Send + Sync + 'static> StableMap<V> {
-    /// An empty map whose internal lock registers with lockdep under
-    /// `class`.
-    pub fn new(class: LockClass) -> Self {
-        StableMap {
-            inner: DepMutex::new(
-                class,
-                MapInner {
-                    slots: std::collections::HashMap::new(),
-                    graveyard: Vec::new(),
-                },
-            ),
-        }
-    }
-
-    /// Insert (or replace) the value under `key` and mark it live. A
-    /// superseded box moves to the graveyard — a reader still borrowing
-    /// it keeps a valid reference.
-    pub fn insert(&self, key: u64, value: V) {
-        let mut inner = self.inner.acquire();
-        match inner.slots.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let slot = e.get_mut();
-                let old = std::mem::replace(&mut slot.value, Box::new(value));
-                slot.live = true;
-                inner.graveyard.push(old);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Slot {
-                    value: Box::new(value),
-                    live: true,
-                });
-            }
-        }
-    }
-
-    /// Tombstone `key`. Returns `false` when it was not live. The value
-    /// stays allocated (and reachable through
-    /// [`get_any`](StableMap::get_any)) until [`quiesce`](StableMap::quiesce).
-    pub fn remove(&self, key: u64) -> bool {
-        let mut inner = self.inner.acquire();
-        match inner.slots.get_mut(&key) {
-            Some(slot) if slot.live => {
-                slot.live = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The live value under `key`. The borrow is tied to `&self`, not
-    /// to the internal lock — valid across concurrent inserts and
-    /// removes because boxes are only dropped under `&mut self`.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        let inner = self.inner.acquire();
-        let ptr = inner
-            .slots
-            .get(&key)
-            .filter(|s| s.live)
-            .map(|s| &*s.value as *const V);
-        drop(inner);
-        // SAFETY: the box behind `ptr` is dropped only in `quiesce` and
-        // `Drop`, both of which take `&mut self` and therefore cannot
-        // run while this `&self`-derived borrow lives. Concurrent
-        // `insert`/`remove` move boxes (pointer-stable) or flip flags,
-        // never free them.
-        ptr.map(|p| unsafe { &*p })
-    }
-
-    /// The value under `key`, live **or tombstoned** — the resolution
-    /// path for candidates read from an older store snapshot, whose
-    /// exact representation must outlive a concurrent delete.
-    pub fn get_any(&self, key: u64) -> Option<&V> {
-        let inner = self.inner.acquire();
-        let ptr = inner.slots.get(&key).map(|s| &*s.value as *const V);
-        drop(inner);
-        // SAFETY: as in `get`.
-        ptr.map(|p| unsafe { &*p })
-    }
-
-    /// Sorted keys of all live entries.
-    pub fn live_keys(&self) -> Vec<u64> {
-        let inner = self.inner.acquire();
-        let mut keys: Vec<u64> = inner
-            .slots
-            .iter()
-            .filter(|(_, s)| s.live)
-            .map(|(k, _)| *k)
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Number of live entries.
-    pub fn live_len(&self) -> usize {
-        self.inner
-            .acquire()
-            .slots
-            .values()
-            .filter(|s| s.live)
-            .count()
-    }
-
-    /// Number of boxes held only for late readers (tombstones +
-    /// graveyard) — what [`quiesce`](StableMap::quiesce) would free.
-    pub fn deferred_len(&self) -> usize {
-        let inner = self.inner.acquire();
-        inner.slots.values().filter(|s| !s.live).count() + inner.graveyard.len()
-    }
-
-    /// Free every tombstoned entry and the graveyard. `&mut self` is
-    /// the proof of quiescence: no reader borrow can be outstanding.
-    /// Returns how many boxes were dropped.
-    pub fn quiesce(&mut self) -> usize {
-        let inner = self.inner.get_mut();
-        let freed = inner.graveyard.len() + inner.slots.values().filter(|s| !s.live).count();
-        inner.graveyard.clear();
-        inner.slots.retain(|_, s| s.live);
-        freed
-    }
-}
-
-impl<V: Send + Sync + 'static> std::fmt::Debug for StableMap<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.acquire();
-        let live = inner.slots.values().filter(|s| s.live).count();
-        f.debug_struct("StableMap")
-            .field("live", &live)
-            .field(
-                "deferred",
-                &(inner.slots.len() - live + inner.graveyard.len()),
-            )
-            .finish()
     }
 }
 
@@ -608,50 +441,6 @@ mod tests {
         *s.get_mut() += 1;
         assert_eq!(*s.pin(&c), 8);
         assert_eq!(c.retired_len(), 0, "exclusive path retires nothing");
-    }
-
-    #[test]
-    fn stable_map_tombstones_and_revives() {
-        let m: StableMap<String> = StableMap::new(LockClass::Geometry);
-        m.insert(1, "a".into());
-        assert_eq!(m.get(1).map(String::as_str), Some("a"));
-        let held = m.get_any(1).unwrap();
-        assert!(m.remove(1));
-        assert!(!m.remove(1), "second remove is a no-op");
-        assert_eq!(m.get(1), None, "tombstoned for live lookups");
-        assert_eq!(
-            m.get_any(1).map(String::as_str),
-            Some("a"),
-            "snapshot readers still resolve the tombstone"
-        );
-        m.insert(1, "b".into());
-        assert_eq!(m.get(1).map(String::as_str), Some("b"));
-        assert_eq!(held, "a", "old borrow survives the re-insert");
-    }
-
-    #[test]
-    fn stable_map_quiesce_frees_exactly_the_dead() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let mut m: StableMap<Counted> = StableMap::new(LockClass::Geometry);
-        for k in 0..10 {
-            m.insert(k, Counted(Arc::clone(&drops)));
-        }
-        for k in 0..5 {
-            assert!(m.remove(k));
-        }
-        // Reviving a tombstone parks the superseded box in the graveyard.
-        m.insert(3, Counted(Arc::clone(&drops)));
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "nothing freed before quiesce"
-        );
-        assert_eq!(m.deferred_len(), 5);
-        let freed = m.quiesce();
-        assert_eq!(freed, 5, "4 tombstones + 1 graveyard box");
-        assert_eq!(drops.load(Ordering::SeqCst), 5);
-        assert_eq!(m.live_len(), 6);
-        assert_eq!(m.live_keys(), vec![3, 5, 6, 7, 8, 9]);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::io::NodeIo;
 use crate::node::{NodeId, NodeKind};
 use crate::tree::RStarTree;
 use spatialdb_geom::{Point, Rect};
+use std::ops::Range;
 
 impl RStarTree {
     /// Window query, filter step: all leaf entries whose MBR intersects
@@ -57,32 +58,34 @@ impl RStarTree {
         }
     }
 
-    /// Window query over data pages: the ids of all leaves that contain at
-    /// least one entry whose MBR intersects `window`, each paired with its
-    /// matching entries.
+    /// Window query over data pages: every leaf that contains at least
+    /// one entry whose MBR intersects `window`, paired with the range of
+    /// `out` its matching entries were appended to (`out` is cleared
+    /// first, and ends up holding exactly what
+    /// [`window_entries_into`](RStarTree::window_entries_into) would
+    /// collect, grouped by leaf).
     ///
     /// This is the access pattern of the cluster organization (§4.2.2):
     /// each qualifying data page maps to one cluster unit that the query
     /// techniques then decide how to transfer.
-    pub fn window_leaves(
+    pub fn window_leaves_into(
         &self,
         window: &Rect,
         io: &mut impl NodeIo,
-    ) -> Vec<(NodeId, Vec<LeafEntry>)> {
-        let mut out = Vec::new();
+        out: &mut Vec<LeafEntry>,
+    ) -> Vec<(NodeId, Range<usize>)> {
+        out.clear();
+        let mut leaves = Vec::new();
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
             let node = self.node(id);
             io.read(node.page);
             match &node.kind {
                 NodeKind::Leaf(entries) => {
-                    let hits: Vec<LeafEntry> = entries
-                        .iter()
-                        .filter(|e| e.mbr.intersects(window))
-                        .copied()
-                        .collect();
-                    if !hits.is_empty() {
-                        out.push((id, hits));
+                    let start = out.len();
+                    out.extend(entries.iter().filter(|e| e.mbr.intersects(window)).copied());
+                    if out.len() > start {
+                        leaves.push((id, start..out.len()));
                     }
                 }
                 NodeKind::Dir(entries) => {
@@ -95,7 +98,7 @@ impl RStarTree {
                 }
             }
         }
-        out
+        leaves
     }
 
     /// Point query, filter step: all leaf entries whose MBR contains `p`.
@@ -214,16 +217,22 @@ mod tests {
     fn window_leaves_cover_window_entries() {
         let t = build_grid(10);
         let w = Rect::new(1.0, 1.0, 6.3, 5.1);
-        let per_leaf = t.window_leaves(&w, &mut NoIo);
-        let total: usize = per_leaf.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, t.window_entries(&w, &mut NoIo).len());
-        // Every reported leaf really holds its reported entries.
-        for (leaf, hits) in &per_leaf {
+        let mut hits = vec![LeafEntry::new(w, ObjectId(0), 0)]; // cleared
+        let per_leaf = t.window_leaves_into(&w, &mut NoIo, &mut hits);
+        assert_eq!(hits, t.window_entries(&w, &mut NoIo));
+        // The ranges tile the buffer, and every reported leaf really
+        // holds its reported entries.
+        let mut covered = 0;
+        for (leaf, range) in &per_leaf {
+            assert_eq!(range.start, covered);
+            assert!(!range.is_empty());
+            covered = range.end;
             let node_entries = t.node(*leaf).leaf_entries();
-            for h in hits {
+            for h in &hits[range.clone()] {
                 assert!(node_entries.iter().any(|e| e.oid == h.oid));
             }
         }
+        assert_eq!(covered, hits.len());
     }
 
     #[test]

@@ -114,11 +114,9 @@ impl ClusterUnit {
     }
 
     /// Absolute pages of one member.
-    fn member_pages(&self, oid: ObjectId) -> Vec<PageId> {
-        self.placement(oid)
-            .page_offsets()
-            .map(|o| PageId::new(self.extent.start.region, self.extent.start.offset + o))
-            .collect()
+    fn member_run(&self, oid: ObjectId) -> PageRun {
+        let placement = self.placement(oid);
+        PageRun::new(self.extent.page(placement.first_page), placement.num_pages)
     }
 
     /// Distinct page offsets of `oid` and of every member the join still
@@ -348,13 +346,15 @@ impl ClusterOrganization {
 
     /// Transfer the qualifying objects of one cluster unit according to
     /// the window-query technique. Returns nothing; all costs are charged
-    /// to the disk through the pool.
+    /// to the disk through the pool. `offsets` is scratch space reused
+    /// from unit to unit.
     fn transfer_for_window(
         &self,
         leaf: NodeId,
         hits: &[LeafEntry],
         window: &Rect,
         technique: WindowTechnique,
+        offsets: &mut Vec<u64>,
     ) {
         let unit = self.unit(leaf);
         let used = unit.used_extent();
@@ -380,14 +380,14 @@ impl ClusterOrganization {
                 self.read_page_by_page(leaf, hits);
             }
             WindowTechnique::Slm => {
-                let offsets = self.hit_offsets(leaf, hits);
+                self.hit_offsets(leaf, hits, offsets);
                 let gap = slm_gap_limit(&self.disk.params());
                 self.pool
-                    .read_extent_slm(used, &offsets, gap, ReadMode::Normal, true);
+                    .read_extent_slm(used, offsets, gap, ReadMode::Normal, true);
             }
             WindowTechnique::Optimum => {
                 // 1 seek + 1 latency per cluster unit + minimal transfers.
-                let offsets = self.hit_offsets(leaf, hits);
+                self.hit_offsets(leaf, hits, offsets);
                 let missing: Vec<u64> = offsets
                     .iter()
                     .copied()
@@ -406,27 +406,27 @@ impl ClusterOrganization {
         }
     }
 
-    /// Distinct page offsets (within the unit) of the hit objects, sorted.
-    fn hit_offsets(&self, leaf: NodeId, hits: &[LeafEntry]) -> Vec<u64> {
+    /// Distinct page offsets (within the unit) of the hit objects,
+    /// sorted, into `offsets` (cleared first).
+    fn hit_offsets(&self, leaf: NodeId, hits: &[LeafEntry], offsets: &mut Vec<u64>) {
         let unit = self.unit(leaf);
-        let mut offsets: Vec<u64> = hits
-            .iter()
-            .flat_map(|e| unit.placement(e.oid).page_offsets())
-            .collect();
+        offsets.clear();
+        offsets.extend(
+            hits.iter()
+                .flat_map(|e| unit.placement(e.oid).page_offsets()),
+        );
         offsets.sort_unstable();
         offsets.dedup();
-        offsets
     }
 
     /// The simplest technique (§5.4): transfer the complete cluster unit
     /// as soon as any qualifying object needs I/O.
     fn read_complete_if_needed(&self, leaf: NodeId, hits: &[LeafEntry]) {
         let unit = self.unit(leaf);
-        let needed: Vec<PageId> = hits.iter().flat_map(|e| unit.member_pages(e.oid)).collect();
-        let all_buffered = needed.iter().all(|p| self.pool.contains_page(p));
-        if all_buffered {
-            for p in &needed {
-                self.pool.touch_page(p);
+        let needed = || hits.iter().flat_map(|e| unit.member_run(e.oid).pages());
+        if needed().all(|p| self.pool.contains_page(&p)) {
+            for p in needed() {
+                self.pool.touch_page(&p);
             }
         } else {
             self.pool.read_full_extent(unit.used_extent());
@@ -438,9 +438,8 @@ impl ClusterOrganization {
     fn read_page_by_page(&self, leaf: NodeId, hits: &[LeafEntry]) {
         let mut seek_pending = true;
         for e in hits {
-            let pages = self.unit(leaf).member_pages(e.oid);
-            let out = self.pool.read_set(
-                &pages,
+            let out = self.pool.read_run(
+                self.unit(leaf).member_run(e.oid),
                 SeekPolicy::WithinCluster {
                     initial_seek: seek_pending,
                 },
@@ -461,10 +460,10 @@ impl ClusterOrganization {
         technique: TransferTechnique,
     ) {
         let unit = self.unit(self.objects[oid].leaf);
-        let my_pages = unit.member_pages(oid);
-        if my_pages.iter().all(|p| self.pool.contains_page(p)) {
-            for p in &my_pages {
-                self.pool.touch_page(p);
+        let mine = unit.member_run(oid);
+        if mine.pages().all(|p| self.pool.contains_page(&p)) {
+            for p in mine.pages() {
+                self.pool.touch_page(&p);
             }
             return;
         }
@@ -624,38 +623,55 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
+        self.window_query_into(window, technique, &mut Vec::new())
+    }
+
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
         let before = self.disk.local_stats();
-        let per_leaf = self.tree.window_leaves(window, &mut self.pool.as_ref());
-        let mut stats = QueryStats::default();
-        for (leaf, hits) in &per_leaf {
-            stats.candidates += hits.len();
-            // The entry's payload is the object's exact size.
-            stats.result_bytes += hits.iter().map(|e| u64::from(e.payload)).sum::<u64>();
-            self.transfer_for_window(*leaf, hits, window, technique);
+        let per_leaf = self
+            .tree
+            .window_leaves_into(window, &mut self.pool.as_ref(), out);
+        let mut offsets = Vec::new();
+        for (leaf, hits) in per_leaf {
+            self.transfer_for_window(leaf, &out[hits], window, technique, &mut offsets);
         }
-        stats.io_ms = self.disk.local_stats().since(&before).io_ms;
-        stats
+        QueryStats {
+            candidates: out.len(),
+            // The entry's payload is the object's exact size.
+            result_bytes: out.iter().map(|e| u64::from(e.payload)).sum(),
+            io_ms: self.disk.local_stats().since(&before).io_ms,
+        }
     }
 
     fn point_query(&self, point: &Point) -> QueryStats {
+        self.point_query_into(point, &mut Vec::new())
+    }
+
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
         let before = self.disk.local_stats();
-        let candidates = self.tree.point_entries(point, &mut self.pool.as_ref());
+        self.tree
+            .point_entries_into(point, &mut self.pool.as_ref(), out);
         // Selective access: read just the objects' pages, not the units
         // (§5.5 — the cluster organization must not penalize selective
         // queries).
-        for e in &candidates {
+        for e in out.iter() {
             self.fetch_object(e.oid);
         }
         QueryStats {
-            candidates: candidates.len(),
-            result_bytes: candidates.iter().map(|e| u64::from(e.payload)).sum(),
+            candidates: out.len(),
+            result_bytes: out.iter().map(|e| u64::from(e.payload)).sum(),
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
 
     fn fetch_object(&self, oid: ObjectId) {
-        let pages = self.unit(self.objects[oid].leaf).member_pages(oid);
-        self.pool.read_set(&pages, SeekPolicy::PerRequest);
+        let run = self.unit(self.objects[oid].leaf).member_run(oid);
+        self.pool.read_run(run, SeekPolicy::PerRequest);
     }
 
     fn fetch_for_join(
@@ -807,16 +823,20 @@ impl SpatialStore for ClusterOrganization {
         // so physical placement is a pure function of the tile
         // sequence (see `placement_determinism.rs`).
         let leaves: Vec<NodeId> = self.tree.leaves().map(|(id, _)| id).collect();
+        let mut slots = Vec::with_capacity(records.len());
         for leaf in leaves {
             let objects = self.page_objects(leaf);
             let unit = self.pack_unit(&objects);
             self.total_member_pages += unit.member_pages_total();
             self.disk.charge(IoKind::Write, unit.used_extent(), false);
-            for (oid, size) in objects {
-                self.objects.insert(oid, ObjectSlot { leaf, size });
-            }
+            slots.extend(
+                objects
+                    .iter()
+                    .map(|&(oid, size)| (oid, ObjectSlot { leaf, size })),
+            );
             self.units.set(leaf.0 as usize, unit);
         }
+        self.objects = ObjectTable::from_records(slots);
         debug_assert_eq!(self.check_consistency(), Ok(()));
     }
 }

@@ -71,28 +71,32 @@ impl SpatialStore for MemoryStore {
         true
     }
 
-    fn window_query(&self, window: &Rect, _technique: WindowTechnique) -> QueryStats {
-        let candidates = self.tree.window_entries(window, &mut NoIo);
+    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
+        self.window_query_into(window, technique, &mut Vec::new())
+    }
+
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        _technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
+        self.tree.window_entries_into(window, &mut NoIo, out);
         QueryStats {
-            candidates: candidates.len(),
-            result_bytes: candidates
-                .iter()
-                .map(|e| u64::from(self.sizes[&e.oid]))
-                .sum(),
+            candidates: out.len(),
+            result_bytes: out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum(),
             io_ms: 0.0,
         }
     }
 
     fn point_query(&self, point: &Point) -> QueryStats {
-        let candidates = self.tree.point_entries(point, &mut NoIo);
-        QueryStats {
-            candidates: candidates.len(),
-            result_bytes: candidates
-                .iter()
-                .map(|e| u64::from(self.sizes[&e.oid]))
-                .sum(),
-            io_ms: 0.0,
-        }
+        self.point_query_into(point, &mut Vec::new())
+    }
+
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        // A point is a degenerate window, to the tree and to the transfer.
+        let window = Rect::new(point.x, point.y, point.x, point.y);
+        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, _oid: ObjectId) {

@@ -12,7 +12,7 @@ use crate::secondary::SecondaryOrganization;
 use crate::store::SpatialStore;
 use spatialdb_disk::{DiskHandle, Routing, ShardedPool};
 use spatialdb_geom::{Point, Rect};
-use spatialdb_rtree::{ObjectId, RStarTree};
+use spatialdb_rtree::{LeafEntry, ObjectId, RStarTree};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -233,6 +233,19 @@ impl SpatialStore for Organization {
 
     fn point_query(&self, point: &Point) -> QueryStats {
         delegate!(self, o => o.point_query(point))
+    }
+
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
+        delegate!(self, o => o.window_query_into(window, technique, out))
+    }
+
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        delegate!(self, o => o.point_query_into(point, out))
     }
 
     // window_candidates / point_candidates use the trait defaults: they

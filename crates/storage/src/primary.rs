@@ -131,8 +131,7 @@ impl PrimaryOrganization {
         for e in candidates {
             let slot = &self.objects[e.oid];
             if let Some(run) = slot.overflow {
-                let pages: Vec<PageId> = run.pages().collect();
-                self.pool.read_set(&pages, SeekPolicy::PerRequest);
+                self.pool.read_run(run, SeekPolicy::PerRequest);
             }
             bytes += u64::from(slot.size);
         }
@@ -165,28 +164,37 @@ impl SpatialStore for PrimaryOrganization {
         self.track_relocations(&outcome.leaf_reinserts, &outcome.leaf_splits);
     }
 
-    fn window_query(&self, window: &Rect, _technique: WindowTechnique) -> QueryStats {
+    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
+        self.window_query_into(window, technique, &mut Vec::new())
+    }
+
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        _technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
         let before = self.disk.local_stats();
         // Reading the qualifying data pages *is* reading the inline
         // objects; the tree charges those page reads.
-        let candidates = self.tree.window_entries(window, &mut self.pool.as_ref());
-        let result_bytes = self.read_overflow_objects(&candidates);
+        self.tree
+            .window_entries_into(window, &mut self.pool.as_ref(), out);
+        let result_bytes = self.read_overflow_objects(out);
         QueryStats {
-            candidates: candidates.len(),
+            candidates: out.len(),
             result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
 
     fn point_query(&self, point: &Point) -> QueryStats {
-        let before = self.disk.local_stats();
-        let candidates = self.tree.point_entries(point, &mut self.pool.as_ref());
-        let result_bytes = self.read_overflow_objects(&candidates);
-        QueryStats {
-            candidates: candidates.len(),
-            result_bytes,
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        self.point_query_into(point, &mut Vec::new())
+    }
+
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        // A point is a degenerate window, to the tree and to the transfer.
+        let window = Rect::new(point.x, point.y, point.x, point.y);
+        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -196,8 +204,7 @@ impl SpatialStore for PrimaryOrganization {
         let page = self.tree.node_page(slot.leaf);
         self.pool.read_page(page);
         if let Some(run) = slot.overflow {
-            let pages: Vec<PageId> = run.pages().collect();
-            self.pool.read_set(&pages, SeekPolicy::PerRequest);
+            self.pool.read_run(run, SeekPolicy::PerRequest);
         }
     }
 
@@ -313,16 +320,13 @@ impl SpatialStore for PrimaryOrganization {
         self.tree = build.tree;
         // Size first; the data page and the overflow position follow in
         // tile order.
-        for rec in records {
-            self.objects.insert(
-                rec.oid,
-                ObjectSlot {
-                    leaf: self.tree.root(),
-                    size: rec.size_bytes,
-                    overflow: None,
-                },
-            );
-        }
+        let slot = |rec: &ObjectRecord| ObjectSlot {
+            leaf: self.tree.root(),
+            size: rec.size_bytes,
+            overflow: None,
+        };
+        self.objects =
+            ObjectTable::from_records(records.iter().map(|r| (r.oid, slot(r))).collect());
         // Overflow objects go to their exclusive pages in tile order —
         // same file layout the insertion path would produce for the
         // same object order.

@@ -79,8 +79,7 @@ impl SecondaryOrganization {
         let mut bytes = 0;
         for e in candidates {
             let slot = &self.objects[e.oid];
-            let pages: Vec<PageId> = slot.run.pages().collect();
-            self.pool.read_set(&pages, SeekPolicy::PerRequest);
+            self.pool.read_run(slot.run, SeekPolicy::PerRequest);
             bytes += u64::from(slot.size);
         }
         bytes
@@ -119,31 +118,40 @@ impl SpatialStore for SecondaryOrganization {
         );
     }
 
-    fn window_query(&self, window: &Rect, _technique: WindowTechnique) -> QueryStats {
+    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
+        self.window_query_into(window, technique, &mut Vec::new())
+    }
+
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        _technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
         let before = self.disk.local_stats();
-        let candidates = self.tree.window_entries(window, &mut self.pool.as_ref());
-        let result_bytes = self.read_objects(&candidates);
+        self.tree
+            .window_entries_into(window, &mut self.pool.as_ref(), out);
+        let result_bytes = self.read_objects(out);
         QueryStats {
-            candidates: candidates.len(),
+            candidates: out.len(),
             result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
     }
 
     fn point_query(&self, point: &Point) -> QueryStats {
-        let before = self.disk.local_stats();
-        let candidates = self.tree.point_entries(point, &mut self.pool.as_ref());
-        let result_bytes = self.read_objects(&candidates);
-        QueryStats {
-            candidates: candidates.len(),
-            result_bytes,
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        self.point_query_into(point, &mut Vec::new())
+    }
+
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        // A point is a degenerate window, to the tree and to the transfer.
+        let window = Rect::new(point.x, point.y, point.x, point.y);
+        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
-        let pages: Vec<PageId> = self.objects[oid].run.pages().collect();
-        self.pool.read_set(&pages, SeekPolicy::PerRequest);
+        self.pool
+            .read_run(self.objects[oid].run, SeekPolicy::PerRequest);
     }
 
     fn occupied_pages(&self) -> u64 {
@@ -209,16 +217,13 @@ impl SpatialStore for SecondaryOrganization {
         }
         // Size and MBR first; the file position follows in tile order.
         let unplaced = PageRun::new(PageId::new(self.file_region, 0), 0);
-        for rec in records {
-            self.objects.insert(
-                rec.oid,
-                ObjectSlot {
-                    run: unplaced,
-                    size: rec.size_bytes,
-                    mbr: rec.mbr,
-                },
-            );
-        }
+        let slot = |rec: &ObjectRecord| ObjectSlot {
+            run: unplaced,
+            size: rec.size_bytes,
+            mbr: rec.mbr,
+        };
+        self.objects =
+            ObjectTable::from_records(records.iter().map(|r| (r.oid, slot(r))).collect());
         // Lay the sequential file out in tile order: one sealed,
         // contiguous byte range per data page of the tree, written as
         // one sequential request. Spatially adjacent objects become

@@ -28,11 +28,14 @@
 //!    disk and returning a per-call [`QueryStats`] delta (measured
 //!    against the calling thread's I/O tally, so deltas stay correct
 //!    under concurrency);
-//!    [`window_candidates`](SpatialStore::window_candidates) /
-//!    [`point_candidates`](SpatialStore::point_candidates) re-read the
-//!    filter result from the (now warm) directory without charging I/O,
-//!    which is what the refinement step iterates over — the `_into`
-//!    variants accept a scratch buffer so the hot path allocates nothing;
+//!    [`window_query_into`](SpatialStore::window_query_into) /
+//!    [`point_query_into`](SpatialStore::point_query_into) are the same
+//!    calls **handing back the candidate entries** the filter step
+//!    collected — what the engine's refinement step iterates over, from
+//!    one tree walk per query. The built-in stores implement the `_into`
+//!    form directly; a foreign backend gets a provided fallback that
+//!    runs the plain query and re-reads the candidates from the (now
+//!    warm) directory without charging I/O;
 //! 3. **Bookkeeping** — occupancy, object sizes, buffer control, and
 //!    access to the disk, pool and R\*-tree the store is built on.
 //!
@@ -118,6 +121,36 @@ pub trait SpatialStore: Send + Sync {
     /// like [`window_query`](SpatialStore::window_query).
     fn point_query(&self, point: &Point) -> QueryStats;
 
+    /// [`window_query`](SpatialStore::window_query) handing back its
+    /// candidates: `out` is cleared and filled with the leaf entries the
+    /// filter step matched, in no particular order. Same transfer, same
+    /// charges, same [`QueryStats`] — **this is the method the engine
+    /// calls**, reusing one buffer across queries.
+    ///
+    /// The provided body serves backends that implement only the plain
+    /// query: run it, then re-read the candidates from the warm
+    /// directory at no charge. A store whose filter step already holds
+    /// the entries overrides this and makes `window_query` the wrapper.
+    fn window_query_into(
+        &self,
+        window: &Rect,
+        technique: WindowTechnique,
+        out: &mut Vec<LeafEntry>,
+    ) -> QueryStats {
+        let stats = self.window_query(window, technique);
+        self.window_candidates_into(window, out);
+        stats
+    }
+
+    /// [`point_query`](SpatialStore::point_query) handing back its
+    /// candidates — see
+    /// [`window_query_into`](SpatialStore::window_query_into).
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        let stats = self.point_query(point);
+        self.point_candidates_into(point, out);
+        stats
+    }
+
     /// The batched read path: run the window query **and capture its
     /// disk requests** as a replayable trace for the overlapped-I/O
     /// subsystem ([`spatialdb_disk::arm`]).
@@ -155,15 +188,12 @@ pub trait SpatialStore: Send + Sync {
     /// directory without charging I/O, appended into a caller-supplied
     /// scratch buffer (cleared first).
     ///
-    /// Meant to be called *after* [`window_query`](SpatialStore::window_query)
-    /// transferred the exact representations: the refinement step
-    /// iterates over these candidates against the exact geometry,
-    /// reusing one buffer across queries instead of allocating per call.
-    ///
-    /// **This is the method the engine calls** (the query cursor and the
-    /// parallel executor). A backend that sources candidates from
-    /// somewhere other than [`tree`](SpatialStore::tree) must override
-    /// the `_into` form; overriding only the allocating
+    /// Diagnostics, and the second half of the
+    /// [`window_query_into`](SpatialStore::window_query_into) fallback:
+    /// a backend that implements only `window_query` and sources its
+    /// candidates from somewhere other than [`tree`](SpatialStore::tree)
+    /// must override this `_into` form (or `window_query_into` itself);
+    /// overriding only the allocating
     /// [`window_candidates`](SpatialStore::window_candidates) wrapper
     /// does not change what queries see.
     fn window_candidates_into(&self, window: &Rect, out: &mut Vec<LeafEntry>) {
@@ -171,10 +201,8 @@ pub trait SpatialStore: Send + Sync {
     }
 
     /// The candidate entries of a point query, read without charging
-    /// I/O, appended into a scratch buffer. Like
-    /// [`window_candidates_into`](SpatialStore::window_candidates_into),
-    /// this `_into` form is the engine's call point — override it, not
-    /// the allocating wrapper.
+    /// I/O, appended into a scratch buffer — see
+    /// [`window_candidates_into`](SpatialStore::window_candidates_into).
     fn point_candidates_into(&self, point: &Point, out: &mut Vec<LeafEntry>) {
         self.tree().point_entries_into(point, &mut NoIo, out)
     }

@@ -27,7 +27,8 @@
 //!   split in two. Growth is therefore one bucket at a time as well —
 //!   there is never a whole-table rehash for a commit to pay for.
 //!   Buckets are not merged back on removal; the directory keeps its
-//!   high-water size.
+//!   high-water size. A bulk load skips the one-at-a-time growth
+//!   ([`from_records`](ObjectTable::from_records)).
 //!
 //! Buckets are addressed by a fixed integer hash of the object id
 //! rather than the standard library's keyed SipHash: ids are dense
@@ -108,10 +109,62 @@ impl<V: Clone> ObjectTable<V> {
         table
     }
 
+    /// The table `records.len()` successive [`insert`](Self::insert)s
+    /// build — same directory, same buckets in the same order — with the
+    /// directory sized up front and every bucket slice allocated once
+    /// instead of once per record: the bulk-load path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id repeats.
+    pub fn from_records(records: Vec<(ObjectId, V)>) -> Self {
+        let buckets = records.len().div_ceil(BUCKET_LOAD).max(1);
+        let level = buckets.ilog2();
+        let mut table = ObjectTable {
+            directory: Vec::with_capacity(buckets.div_ceil(CHUNK)),
+            buckets: 0,
+            level,
+            split: buckets - (1 << level),
+            len: records.len(),
+        };
+        // Stable counting sort of the record indices by bucket: `ends`
+        // holds each bucket's fill position, finally its end.
+        let slots: Vec<usize> = records.iter().map(|r| table.slot(r.0 .0)).collect();
+        let mut ends = vec![0usize; buckets];
+        for &slot in &slots {
+            ends[slot] += 1;
+        }
+        let mut next = 0;
+        for end in &mut ends {
+            next += std::mem::replace(end, next);
+        }
+        let mut order = vec![0usize; records.len()];
+        for (i, &slot) in slots.iter().enumerate() {
+            order[ends[slot]] = i;
+            ends[slot] += 1;
+        }
+        let mut start = 0;
+        for end in ends {
+            let members = order[start..end].iter().map(|&i| &records[i]);
+            let bucket: Bucket<V> = members.map(|(oid, v)| (oid.0, v.clone())).collect();
+            let distinct = (1..bucket.len()).all(|i| position(&bucket[..i], bucket[i].0).is_none());
+            assert!(distinct, "an object id repeats in a bulk-built table");
+            table.push_bucket(bucket);
+            start = end;
+        }
+        table
+    }
+
     /// Number of stored records.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// The ids of all records, in bucket order (sort if order matters).
+    pub fn keys(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        let buckets = self.directory.iter().flat_map(|chunk| chunk.iter());
+        buckets.flat_map(|bucket| bucket.iter().map(|e| ObjectId(e.0)))
     }
 
     /// `true` if no record is stored.
@@ -331,6 +384,46 @@ mod tests {
         for k in 0..2_000u64 {
             assert_eq!(table.contains(ObjectId(k)), model.contains_key(&k));
         }
+    }
+
+    #[test]
+    fn bulk_built_table_equals_the_insert_built_one() {
+        let mut rng = Rng(7);
+        // Sizes around the split thresholds, then several chunks.
+        for n in [0usize, 1, 16, 17, 32, 33, 1_000, 40_000] {
+            let mut model: HashMap<u64, u64> = HashMap::new();
+            while model.len() < n {
+                let key = match rng.next() % 2 {
+                    0 => rng.next() % 100_000,
+                    _ => (rng.next() % 100_000) << 20,
+                };
+                model.insert(key, rng.next());
+            }
+            // lint: order-insensitive — any order must build equal tables.
+            let records: Vec<_> = model.iter().map(|(k, v)| (ObjectId(*k), *v)).collect();
+            let mut inserted: ObjectTable<u64> = ObjectTable::new();
+            for (oid, v) in &records {
+                inserted.insert(*oid, *v);
+            }
+            let built = ObjectTable::from_records(records);
+            assert_eq!(built.len(), n);
+            assert_eq!(built.num_buckets(), inserted.num_buckets(), "{n} records");
+            for slot in 0..built.num_buckets() {
+                assert_eq!(built.bucket(slot)[..], inserted.bucket(slot)[..]);
+            }
+            for (k, v) in &model {
+                assert_eq!(built.get(ObjectId(*k)), Some(v));
+            }
+            assert!(built.keys().all(|oid| model.contains_key(&oid.0)));
+            assert_eq!(built.keys().count(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats")]
+    fn bulk_build_rejects_a_repeated_id() {
+        let records = (0..100u64).map(|k| (ObjectId(k % 99), k)).collect();
+        let _ = ObjectTable::from_records(records);
     }
 
     #[test]
