@@ -30,7 +30,7 @@ pub fn scale_from_args() -> Scale {
 }
 
 /// Value of the `--name <value>` command-line flag, if present (the
-/// microbenchmark binaries' shared flag parser).
+/// report binaries' shared flag parser).
 pub fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()

@@ -159,13 +159,52 @@ pub(crate) fn refine_pair(
     b: ObjectId,
 ) -> bool {
     let (Some(ga), Some(gb)) = (left.get(a), right.get(b)) else {
-        panic!(
-            "join candidate ({}, {}) lacks exact geometry; read stats() \
-             instead of iterating, or insert through SpatialDatabase::insert",
-            a.0, b.0
-        );
+        pair_lacks_geometry(a, b)
     };
     ga.intersects(gb)
+}
+
+#[cold]
+fn pair_lacks_geometry(a: ObjectId, b: ObjectId) -> ! {
+    panic!(
+        "join candidate ({}, {}) lacks exact geometry; read stats() \
+         instead of iterating, or insert through SpatialDatabase::insert",
+        a.0, b.0
+    );
+}
+
+/// [`refine_pair`] over a stretch of the MBR join's output: the answers
+/// among `pairs`, in their order. The MBR join pins its `r` side, so
+/// equal left ids arrive in runs — the left geometry is looked up once
+/// per run, not once per pair.
+///
+/// # Panics
+///
+/// Panics like [`refine_pair`], at the same pair.
+fn refine_pairs(
+    left: &GeometryTable,
+    right: &GeometryTable,
+    pairs: &[(ObjectId, ObjectId)],
+) -> Vec<(u64, u64)> {
+    let mut answers = Vec::with_capacity(pairs.len());
+    let mut pinned = None;
+    for &(a, b) in pairs {
+        let ga = match pinned {
+            Some((id, ga)) if id == a => ga,
+            _ => {
+                let ga = left.get(a);
+                pinned = Some((a, ga));
+                ga
+            }
+        };
+        let (Some(ga), Some(gb)) = (ga, right.get(b)) else {
+            pair_lacks_geometry(a, b)
+        };
+        if ga.intersects(gb) {
+            answers.push((a.0, b.0));
+        }
+    }
+    answers
 }
 
 /// A fluent query under construction. Created by
@@ -432,6 +471,7 @@ impl<'a> JoinQuery<'a> {
             next: 0,
             stats,
             latency: None,
+            refine_threads: 1,
         }
     }
 
@@ -475,12 +515,15 @@ impl<'a> JoinQuery<'a> {
             next: 0,
             stats,
             latency,
+            refine_threads: 1,
         }
     }
 
     /// Run the join with the MBR phase partitioned across `n_threads`
     /// threads (see
-    /// [`SpatialJoin::run_par`](spatialdb_join::SpatialJoin::run_par)).
+    /// [`SpatialJoin::run_par`](spatialdb_join::SpatialJoin::run_par));
+    /// the cursor's [`pairs`](JoinCursor::pairs) then refines on the
+    /// same `n_threads`.
     ///
     /// The candidate pairs — and therefore the refined results — are
     /// identical to [`run`](JoinQuery::run); the MBR-phase I/O cost is
@@ -506,6 +549,7 @@ impl<'a> JoinQuery<'a> {
             next: 0,
             stats,
             latency: None,
+            refine_threads: n_threads.max(1),
         }
     }
 }
@@ -522,6 +566,9 @@ pub struct JoinCursor<'a> {
     next: usize,
     stats: JoinStats,
     latency: Option<LatencyStats>,
+    /// Threads [`pairs`](JoinCursor::pairs) refines on: those the caller
+    /// gave [`JoinQuery::run_par`], one otherwise.
+    refine_threads: usize,
 }
 
 impl<'a> JoinCursor<'a> {
@@ -542,8 +589,33 @@ impl<'a> JoinCursor<'a> {
     }
 
     /// Drain the cursor into the sorted exact result pairs.
+    ///
+    /// A [`JoinQuery::run_par`] cursor tests contiguous chunks of the
+    /// remaining candidates on its threads and merges them in chunk
+    /// order — the same pairs as iterating.
     pub fn pairs(self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self.collect();
+        let (left, right) = (self.left.geoms(), self.right.geoms());
+        let rest = &self.pairs[self.next..];
+        let per = rest.len().div_ceil(self.refine_threads).max(1);
+        let mut out = if rest.len() <= per {
+            refine_pairs(left, right, rest)
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = rest
+                    .chunks(per)
+                    .map(|chunk| scope.spawn(move || refine_pairs(left, right, chunk)))
+                    .collect();
+                let mut merged = Vec::with_capacity(rest.len());
+                for worker in workers {
+                    match worker.join() {
+                        Ok(answers) => merged.extend(answers),
+                        // The caller sees the refinement panic itself.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                }
+                merged
+            })
+        };
         out.sort_unstable();
         out
     }

@@ -8,10 +8,11 @@
 //! the *vector read* (only requested pages are kept).
 
 use crate::disk::DiskHandle;
-use crate::model::{runs_of, PageId, PageRun};
+use crate::model::{mix64, runs_of, PageId, PageRun};
 use crate::schedule::{slm_schedule, ScheduledRun};
 use crate::stats::IoKind;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How transferred pages enter the buffer (Figure 15).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,6 +50,38 @@ impl SeekPolicy {
     }
 }
 
+/// Hasher of the page map, which every pool access of every query
+/// pays: folds a [`PageId`] into `region << 48 ^ offset` (the key the
+/// sharded pool routes by) and finishes with [`mix64`]. Fixed, so the
+/// map iterates in the same order on every run; page ids come from the
+/// engine's own allocators, never from outside the program.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Not what `PageId`'s derived `Hash` calls; any key still hashes.
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, region: u16) {
+        self.0 = self.0.rotate_left(16) ^ u64::from(region);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, offset: u64) {
+        self.0 = self.0.rotate_left(48) ^ offset;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Node {
     page: PageId,
@@ -66,7 +99,7 @@ struct Node {
 #[derive(Debug)]
 pub struct LruBuffer {
     capacity: usize,
-    map: HashMap<PageId, usize>,
+    map: HashMap<PageId, usize, BuildHasherDefault<PageHasher>>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most recently used node.
@@ -83,7 +116,7 @@ impl LruBuffer {
     pub fn new(capacity: usize) -> Self {
         LruBuffer {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: None,

@@ -103,7 +103,7 @@ pub use buddy::{BuddyAllocator, BuddyConfig};
 pub use buffer::{BufferPool, LruBuffer, ReadMode, SeekPolicy};
 pub use disk::{Disk, DiskHandle, ScratchTally};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
-pub use model::{DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};
+pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};
 pub use schedule::{slm_gap_limit, slm_schedule, ScheduledRun};
 pub use shard::{Routing, ShardedPool};
 pub use stats::{IoKind, IoStats};

@@ -24,6 +24,24 @@ pub struct PageId {
     pub offset: u64,
 }
 
+// A page id is two words wherever it is stored — LRU nodes, request
+// traces, every node of every tree.
+const _: () = assert!(std::mem::size_of::<PageId>() == 16);
+
+/// The 64-bit finalizer of MurmurHash3: a fixed bijection every output
+/// bit of which depends on every input bit, so dense and strided keys
+/// both spread evenly over a table. The engine's fixed hash for integer
+/// keys it generates itself (page ids, object ids).
+#[inline]
+pub fn mix64(key: u64) -> u64 {
+    let mut h = key;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
 impl PageId {
     /// Create a page id.
     #[inline]

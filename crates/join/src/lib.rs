@@ -6,12 +6,16 @@
 //!
 //! A complete intersection join runs in three steps (§6.3, \[BKSS94\]):
 //!
-//! 1. **MBR join** ([`mbr_join`]): synchronized traversal of the two
+//! 1. **MBR join** ([`mbr_join()`]): synchronized traversal of the two
 //!    R\*-trees. Pairs of intersecting directory entries are processed in
 //!    ascending order of their smallest x-coordinate, with one subtree
 //!    *pinned* against all its partners before moving on — combined with
 //!    an LRU buffer of reasonable size this reads most tree pages only
-//!    once.
+//!    once. Every node pair is swept in its *restricted search space*:
+//!    only the entries meeting the intersection of the two nodes'
+//!    rectangles are sorted and compared. **Order contract:** the
+//!    candidate pairs, their order and the node reads are a function of
+//!    the two trees only (see [`mbr_join`](mod@mbr_join)).
 //! 2. **Object transfer** ([`transfer`]): the exact representations of
 //!    all candidate objects are fetched from the organization models.
 //!    Unlike a window query, the join *"may read an object in an

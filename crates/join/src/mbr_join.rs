@@ -1,5 +1,27 @@
 //! Step 1: the MBR join on two R\*-trees (\[BKS93b\]), sequential and
 //! partition-parallel.
+//!
+//! # Restricted search space
+//!
+//! Two entries can only intersect inside the intersection of their
+//! nodes' rectangles, so every node pair first drops the entries that
+//! miss that intersection (\[BKS93b\], *restricting the search space*),
+//! sorts the survivors by `xmin` and sweeps them forward: an entry that
+//! ended left of the sweep line is never looked at again. Each node's
+//! rectangle is carried down from its parent entry; the survivors live in
+//! per-level scratch vectors the whole traversal reuses, so a node pair
+//! allocates nothing.
+//!
+//! # Order contract
+//!
+//! The candidate pairs, their order and the sequence of
+//! [`NodeIo::read`] calls are a function of the two trees only — not of
+//! the buffer behind `io`, not of the thread count of
+//! [`mbr_join_par`], and not of how the sweep is implemented: the
+//! restriction drops only entries that are in no pair, and sorting a
+//! subsequence by `(xmin, entry index)` yields the subsequence of the
+//! full sort. The module's tests pin checksums of both sequences that
+//! were recorded before the restriction was introduced.
 
 use spatialdb_disk::{BufferPool, DiskHandle, IoStats, ScratchTally};
 use spatialdb_geom::Rect;
@@ -26,13 +48,119 @@ pub struct MbrJoinResult {
 /// [`ShardedPool`](spatialdb_disk::ShardedPool) via `&mut pool.as_ref()`
 /// — this gives the close-to-optimal page-access behaviour the paper
 /// relies on.
+///
+/// Pairs, their order and the node reads depend on the two trees only
+/// (the module's *order contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
     let mut out = MbrJoinResult::default();
-    if r.is_empty() || s.is_empty() {
-        return out;
+    if !(r.is_empty() || s.is_empty()) {
+        join_roots(r, s, &mut out, io);
     }
-    join_nodes(r, s, r.root(), s.root(), &mut out, io);
     out
+}
+
+/// A node of one tree with the rectangle bounding its entries: the MBR
+/// of its parent's entry for it, its own computed MBR for a root.
+#[derive(Clone, Copy)]
+struct Subtree {
+    id: NodeId,
+    rect: Rect,
+}
+
+impl Subtree {
+    fn root(tree: &RStarTree) -> Self {
+        Subtree {
+            id: tree.root(),
+            rect: tree.mbr(),
+        }
+    }
+
+    fn child(entry: &DirEntry) -> Self {
+        Subtree {
+            id: entry.child,
+            rect: entry.mbr,
+        }
+    }
+}
+
+/// An entry that survived the restriction to the search space: its
+/// rectangle and its index in the node's entry list. What the sweep
+/// reads — five words, so an 89-entry node sweeps within 3.5 KB.
+#[derive(Clone, Copy, Debug)]
+struct SweepEntry {
+    mbr: Rect,
+    idx: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SweepEntry>() == 40);
+
+/// A qualifying pair of children of two directory nodes, with the
+/// \[BKS93b\] sort key it is processed by.
+#[derive(Clone, Copy, Debug)]
+struct ChildPair {
+    /// `xmin` of the `r` child: the pinning groups ascend by it.
+    r_xmin: f64,
+    /// Smallest x-coordinate of the two children's intersection.
+    xlow: f64,
+    /// Entry index of the `r` child.
+    i: u32,
+    /// Entry index of the `s` child.
+    j: u32,
+}
+
+/// Scratch of one level of the synchronized traversal, reused by every
+/// node pair processed at that depth.
+#[derive(Debug, Default)]
+struct Level {
+    r: Vec<SweepEntry>,
+    s: Vec<SweepEntry>,
+    pairs: Vec<ChildPair>,
+}
+
+/// One scratch level per step the traversal can descend: every step
+/// moves the taller side (or both) one level down.
+fn scratch_for(r: &RStarTree, s: &RStarTree) -> Vec<Level> {
+    let depth = r.height().max(s.height());
+    (0..depth).map(|_| Level::default()).collect()
+}
+
+/// Keep the entries whose rectangle meets `clip`, ascending by `xmin`
+/// (ties by entry index — the order a stable sort of the whole node
+/// gives them).
+fn restrict(into: &mut Vec<SweepEntry>, mbrs: impl Iterator<Item = Rect>, clip: &Rect) {
+    into.clear();
+    into.extend(
+        mbrs.enumerate()
+            .filter(|(_, mbr)| mbr.intersects(clip))
+            .map(|(idx, mbr)| SweepEntry {
+                mbr,
+                idx: idx as u32,
+            }),
+    );
+    // The key is total, so the unstable sort (which, unlike the stable
+    // one, never allocates) is deterministic.
+    into.sort_unstable_by(|a, b| a.mbr.xmin.total_cmp(&b.mbr.xmin).then(a.idx.cmp(&b.idx)));
+}
+
+/// Plane sweep over two `xmin`-sorted entry lists: every intersecting
+/// `(r, s)` pair, `r`-major, partners in list order. `lo` only moves
+/// forward — an `s` entry that ends left of the current `r` entry ends
+/// left of all later ones.
+fn sweep(rs: &[SweepEntry], ss: &[SweepEntry], mut emit: impl FnMut(&SweepEntry, &SweepEntry)) {
+    let mut lo = 0;
+    for re in rs {
+        while lo < ss.len() && ss[lo].mbr.xmax < re.mbr.xmin {
+            lo += 1;
+        }
+        for se in &ss[lo..] {
+            if se.mbr.xmin > re.mbr.xmax {
+                break;
+            }
+            if re.mbr.intersects(&se.mbr) {
+                emit(re, se);
+            }
+        }
+    }
 }
 
 fn read_node(tree: &RStarTree, id: NodeId, out: &mut MbrJoinResult, io: &mut impl NodeIo) {
@@ -43,26 +171,43 @@ fn read_node(tree: &RStarTree, id: NodeId, out: &mut MbrJoinResult, io: &mut imp
 /// The \[BKS93b\] processing order of the qualifying child pairs of two
 /// directory nodes: grouped by the `r` child (ascending xmin of its MBR,
 /// then entry index — the *pinning* groups), pairs within one group in
-/// ascending order of the intersection's smallest x-coordinate.
-fn ordered_child_pairs(re: &[DirEntry], se: &[DirEntry]) -> Vec<(usize, usize)> {
-    let mut order: Vec<(f64, usize, usize)> = Vec::new();
-    for (i, rc) in re.iter().enumerate() {
-        for (j, sc) in se.iter().enumerate() {
-            if rc.mbr.intersects(&sc.mbr) {
-                let xlow = rc.mbr.xmin.max(sc.mbr.xmin);
-                order.push((xlow, i, j));
-            }
-        }
-    }
-    order.sort_by(|a, b| {
-        let ra = &re[a.1].mbr;
-        let rb = &re[b.1].mbr;
-        ra.xmin
-            .total_cmp(&rb.xmin)
-            .then(a.1.cmp(&b.1))
-            .then(a.0.total_cmp(&b.0))
+/// ascending order of the intersection's smallest x-coordinate (then
+/// entry index of the `s` child).
+fn ordered_child_pairs<'a>(
+    level: &'a mut Level,
+    re: &[DirEntry],
+    se: &[DirEntry],
+    clip: &Rect,
+) -> &'a [ChildPair] {
+    let Level { r, s, pairs } = level;
+    restrict(r, re.iter().map(|e| e.mbr), clip);
+    restrict(s, se.iter().map(|e| e.mbr), clip);
+    pairs.clear();
+    sweep(r, s, |rc, sc| {
+        pairs.push(ChildPair {
+            r_xmin: rc.mbr.xmin,
+            xlow: rc.mbr.xmin.max(sc.mbr.xmin),
+            i: rc.idx,
+            j: sc.idx,
+        })
     });
-    order.into_iter().map(|(_, i, j)| (i, j)).collect()
+    pairs.sort_unstable_by(|a, b| {
+        a.r_xmin
+            .total_cmp(&b.r_xmin)
+            .then(a.i.cmp(&b.i))
+            .then(a.xlow.total_cmp(&b.xlow))
+            .then(a.j.cmp(&b.j))
+    });
+    pairs
+}
+
+/// One contiguous piece of the synchronized traversal — what one worker
+/// of [`mbr_join_par`] processes.
+enum Partition<'a> {
+    /// The whole join, from the two roots.
+    Roots,
+    /// A chunk of the roots' ordered child pairs.
+    Children(&'a [ChildPair]),
 }
 
 /// Partition-parallel MBR join.
@@ -108,72 +253,47 @@ pub fn mbr_join_par(
     if r.is_empty() || s.is_empty() {
         return (MbrJoinResult::default(), IoStats::new());
     }
-    let rnode = r.node(r.root());
-    let snode = s.node(s.root());
-    let top: Option<Vec<(usize, usize)>> = match (&rnode.kind, &snode.kind) {
-        (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {
-            Some(ordered_child_pairs(re, se))
+    let (rnode, snode) = (r.node(r.root()), s.node(s.root()));
+    let mut top_level = Level::default();
+    let top: &[ChildPair] = match (&rnode.kind, &snode.kind) {
+        (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level && n_threads >= 2 => {
+            let clip = r.mbr().intersection(&s.mbr());
+            ordered_child_pairs(&mut top_level, re, se, &clip)
         }
-        _ => None,
+        _ => &[],
     };
-    let threads = n_threads.max(1);
     // One partition per worker: contiguous chunks of the ordered list.
-    let chunks: Vec<Vec<(NodeId, NodeId)>> = match &top {
-        Some(pairs) if pairs.len() >= 2 && threads >= 2 => {
-            let (re, se) = (rnode.dir_entries(), snode.dir_entries());
-            let per = pairs.len().div_ceil(threads);
-            pairs
-                .chunks(per)
-                .map(|c| c.iter().map(|&(i, j)| (re[i].child, se[j].child)).collect())
-                .collect()
-        }
-        _ => Vec::new(),
+    let partitions: Vec<Partition<'_>> = if top.len() >= 2 {
+        top.chunks(top.len().div_ceil(n_threads))
+            .map(Partition::Children)
+            .collect()
+    } else {
+        vec![Partition::Roots]
     };
-    if chunks.is_empty() {
-        // Sequential shape on a scratch disk: identical pairs, private
-        // accounting. Run it on a worker thread like the partitioned
-        // path, so the scratch charges land on the worker's (dying)
-        // thread tally — charging on the calling thread would make the
-        // caller's `Disk::local_stats` delta count this I/O twice once
-        // the stats are absorbed into the real disk.
-        let joined = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let guard = ScratchTally::new(disk.clone());
-                    let mut pool = BufferPool::new(guard.scratch().clone(), buffer_capacity);
-                    let mut out = MbrJoinResult::default();
-                    join_nodes(r, s, r.root(), s.root(), &mut out, &mut pool);
-                    let stats = guard.finish();
-                    (out, stats)
-                })
-                .join()
-        });
-        // On unwind the worker's guard already absorbed its partial
-        // charges into the real disk.
-        return match joined {
-            Ok(pair) => pair,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-    }
+    // Every partition runs on a worker thread, the single one too: the
+    // scratch charges land on the worker's (dying) thread tally —
+    // charging on the calling thread would make the caller's
+    // `Disk::local_stats` delta count this I/O twice once the stats are
+    // absorbed into the real disk.
     let results: Vec<std::thread::Result<(MbrJoinResult, IoStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+        let handles: Vec<_> = partitions
             .iter()
-            .map(|chunk| {
+            .map(|partition| {
                 scope.spawn(move || {
                     let guard = ScratchTally::new(disk.clone());
                     let mut pool = BufferPool::new(guard.scratch().clone(), buffer_capacity);
                     let mut out = MbrJoinResult::default();
-                    // Mirror the sequential root level: the pinned r
-                    // child is read once per pinning group, the s child
-                    // once per pair.
-                    let mut last_r: Option<NodeId> = None;
-                    for &(rn, sn) in chunk {
-                        if last_r != Some(rn) {
-                            read_node(r, rn, &mut out, &mut pool);
-                            last_r = Some(rn);
-                        }
-                        read_node(s, sn, &mut out, &mut pool);
-                        join_nodes(r, s, rn, sn, &mut out, &mut pool);
+                    match partition {
+                        Partition::Roots => join_roots(r, s, &mut out, &mut pool),
+                        Partition::Children(chunk) => join_children(
+                            r,
+                            s,
+                            (rnode.dir_entries(), snode.dir_entries()),
+                            chunk,
+                            &mut scratch_for(r, s)[1..],
+                            &mut out,
+                            &mut pool,
+                        ),
                     }
                     (out, guard.finish())
                 })
@@ -208,96 +328,101 @@ pub fn mbr_join_par(
     (merged, stats)
 }
 
-/// Recursive synchronized traversal of the subtrees rooted at `rn`/`sn`.
-fn join_nodes(
+/// The whole synchronized traversal, from the two (non-empty) roots.
+fn join_roots(r: &RStarTree, s: &RStarTree, out: &mut MbrJoinResult, io: &mut impl NodeIo) {
+    let mut scratch = scratch_for(r, s);
+    join_nodes(
+        r,
+        s,
+        Subtree::root(r),
+        Subtree::root(s),
+        &mut scratch,
+        out,
+        io,
+    );
+}
+
+/// Process `pairs` — a contiguous piece of the ordered child pairs of
+/// two directory nodes with entries `(re, se)`: the pinned `r` child is
+/// read once per pinning group, the `s` child once per pair.
+fn join_children(
     r: &RStarTree,
     s: &RStarTree,
-    rn: NodeId,
-    sn: NodeId,
+    (re, se): (&[DirEntry], &[DirEntry]),
+    pairs: &[ChildPair],
+    below: &mut [Level],
     out: &mut MbrJoinResult,
     io: &mut impl NodeIo,
 ) {
-    let rnode = r.node(rn);
-    let snode = s.node(sn);
+    let mut pinned = None;
+    for pair in pairs {
+        let (rc, sc) = (&re[pair.i as usize], &se[pair.j as usize]);
+        if pinned != Some(pair.i) {
+            read_node(r, rc.child, out, io);
+            pinned = Some(pair.i);
+        }
+        read_node(s, sc.child, out, io);
+        join_nodes(r, s, Subtree::child(rc), Subtree::child(sc), below, out, io);
+    }
+}
+
+/// Recursive synchronized traversal of the subtrees `rn`/`sn`.
+fn join_nodes(
+    r: &RStarTree,
+    s: &RStarTree,
+    rn: Subtree,
+    sn: Subtree,
+    scratch: &mut [Level],
+    out: &mut MbrJoinResult,
+    io: &mut impl NodeIo,
+) {
+    let rnode = r.node(rn.id);
+    let snode = s.node(sn.id);
+    let (here, below) = scratch
+        .split_first_mut()
+        .expect("one scratch level per step down the taller tree");
     match (&rnode.kind, &snode.kind) {
         (NodeKind::Leaf(re), NodeKind::Leaf(se)) => {
-            // Data page level: report intersecting entry pairs, x-ordered
-            // plane-sweep to avoid the full quadratic scan.
-            let mut ri: Vec<usize> = (0..re.len()).collect();
-            let mut si: Vec<usize> = (0..se.len()).collect();
-            ri.sort_by(|&a, &b| re[a].mbr.xmin.total_cmp(&re[b].mbr.xmin));
-            si.sort_by(|&a, &b| se[a].mbr.xmin.total_cmp(&se[b].mbr.xmin));
-            let mut j0 = 0usize;
-            for &i in &ri {
-                let rm = re[i].mbr;
-                while j0 < si.len() && se[si[j0]].mbr.xmin < rm.xmin {
-                    // Advance past s entries that can no longer start
-                    // after rm.xmin; they are still checked below via the
-                    // backward scan bound.
-                    j0 += 1;
-                }
-                // Backward: s entries starting before rm.xmin that may
-                // still span it.
-                for &j in si[..j0].iter() {
-                    if se[j].mbr.xmax >= rm.xmin && rm.intersects(&se[j].mbr) {
-                        out.pairs.push((re[i].oid, se[j].oid));
-                    }
-                }
-                // Forward: s entries starting within rm's x-range.
-                for &j in si[j0..].iter() {
-                    if se[j].mbr.xmin > rm.xmax {
-                        break;
-                    }
-                    if rm.intersects(&se[j].mbr) {
-                        out.pairs.push((re[i].oid, se[j].oid));
-                    }
-                }
-            }
+            // Data page level: report intersecting entry pairs.
+            let clip = rn.rect.intersection(&sn.rect);
+            restrict(&mut here.r, re.iter().map(|e| e.mbr), &clip);
+            restrict(&mut here.s, se.iter().map(|e| e.mbr), &clip);
+            sweep(&here.r, &here.s, |a, b| {
+                out.pairs
+                    .push((re[a.idx as usize].oid, se[b.idx as usize].oid))
+            });
         }
         (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {
-            let mut read_r = vec![false; re.len()];
-            for (i, j) in ordered_child_pairs(re, se) {
-                if !read_r[i] {
-                    read_node(r, re[i].child, out, io);
-                    read_r[i] = true;
-                }
-                read_node(s, se[j].child, out, io);
-                join_nodes(r, s, re[i].child, se[j].child, out, io);
-            }
+            let clip = rn.rect.intersection(&sn.rect);
+            let pairs = ordered_child_pairs(here, re, se, &clip);
+            join_children(r, s, (re, se), pairs, below, out, io);
         }
         _ => {
-            // Height difference: descend the taller tree.
+            // Height difference: descend the taller tree, into the
+            // children meeting the other node's MBR in ascending xmin.
             if rnode.level > snode.level {
-                let children: Vec<(Rect, NodeId)> = rnode
-                    .dir_entries()
-                    .iter()
-                    .map(|e| (e.mbr, e.child))
-                    .collect();
-                let smbr = snode.mbr();
-                let mut q: Vec<(Rect, NodeId)> = children
-                    .into_iter()
-                    .filter(|(m, _)| m.intersects(&smbr))
-                    .collect();
-                q.sort_by(|a, b| a.0.xmin.total_cmp(&b.0.xmin));
-                for (_, child) in q {
-                    read_node(r, child, out, io);
-                    join_nodes(r, s, child, sn, out, io);
+                let sn = Subtree {
+                    rect: snode.mbr(),
+                    ..sn
+                };
+                let re = rnode.dir_entries();
+                restrict(&mut here.r, re.iter().map(|e| e.mbr), &sn.rect);
+                for e in &here.r {
+                    let child = Subtree::child(&re[e.idx as usize]);
+                    read_node(r, child.id, out, io);
+                    join_nodes(r, s, child, sn, below, out, io);
                 }
             } else {
-                let children: Vec<(Rect, NodeId)> = snode
-                    .dir_entries()
-                    .iter()
-                    .map(|e| (e.mbr, e.child))
-                    .collect();
-                let rmbr = rnode.mbr();
-                let mut q: Vec<(Rect, NodeId)> = children
-                    .into_iter()
-                    .filter(|(m, _)| m.intersects(&rmbr))
-                    .collect();
-                q.sort_by(|a, b| a.0.xmin.total_cmp(&b.0.xmin));
-                for (_, child) in q {
-                    read_node(s, child, out, io);
-                    join_nodes(r, s, rn, child, out, io);
+                let rn = Subtree {
+                    rect: rnode.mbr(),
+                    ..rn
+                };
+                let se = snode.dir_entries();
+                restrict(&mut here.s, se.iter().map(|e| e.mbr), &rn.rect);
+                for e in &here.s {
+                    let child = Subtree::child(&se[e.idx as usize]);
+                    read_node(s, child.id, out, io);
+                    join_nodes(r, s, rn, child, below, out, io);
                 }
             }
         }
@@ -307,25 +432,32 @@ fn join_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spatialdb_disk::Disk;
+    use spatialdb_disk::{Disk, PageId};
     use spatialdb_rtree::{LeafEntry, NoIo, RTreeConfig};
     use std::collections::HashSet;
 
-    fn build(rects: &[Rect]) -> (RStarTree, spatialdb_disk::DiskHandle) {
-        let disk = Disk::with_defaults();
+    /// A tree over `rects` (object ids = positions) in its own region of
+    /// `disk`, so two operands never share a page address.
+    fn build_on(disk: &DiskHandle, name: &str, rects: &[Rect], max_entries: usize) -> RStarTree {
         let mut t = RStarTree::new(
             RTreeConfig {
-                max_entries: 8,
+                max_entries,
                 min_fill_ratio: 0.4,
                 reinsert_fraction: 0.3,
                 leaf_reinsert_enabled: true,
                 leaf_payload_limit: None,
             },
-            disk.create_region("t"),
+            disk.create_region(name),
         );
         for (i, r) in rects.iter().enumerate() {
             t.insert(LeafEntry::new(*r, ObjectId(i as u64), 0), &mut NoIo);
         }
+        t
+    }
+
+    fn build(rects: &[Rect]) -> (RStarTree, DiskHandle) {
+        let disk = Disk::with_defaults();
+        let t = build_on(&disk, "t", rects, 8);
         (t, disk)
     }
 
@@ -337,6 +469,291 @@ mod tests {
                 Rect::new(x, y, x + size, y + size)
             })
             .collect()
+    }
+
+    /// `n` seeded rectangles with sides up to `size`, lower-left corners
+    /// uniform in `[x0, x0 + span) × [0, span)` (xorshift64*).
+    fn scatter(seed: u64, n: usize, x0: f64, span: f64, size: f64) -> Vec<Rect> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| {
+                let (x, y) = (x0 + unit() * span, unit() * span);
+                Rect::new(x, y, x + unit() * size, y + unit() * size)
+            })
+            .collect()
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn checksum(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xCBF2_9CE4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    fn pairs_checksum(pairs: &[(ObjectId, ObjectId)]) -> u64 {
+        checksum(pairs.iter().flat_map(|(a, b)| [a.0, b.0]))
+    }
+
+    /// Records the page-read sequence of a join.
+    #[derive(Default)]
+    struct Recorder(Vec<PageId>);
+
+    impl NodeIo for Recorder {
+        fn read(&mut self, page: PageId) {
+            self.0.push(page);
+        }
+        fn modify(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+        fn fresh(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+        fn release(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+    }
+
+    /// One seeded tree pair of the order contract, with what the join
+    /// did on it before the search space was restricted.
+    struct Case {
+        name: &'static str,
+        max_entries: usize,
+        r: Vec<Rect>,
+        s: Vec<Rect>,
+        /// `(r, s)` tree heights the case is there to cover.
+        heights: (u32, u32),
+        /// Candidate pairs, and the checksum of their sequence.
+        pairs: (usize, u64),
+        /// Node reads, and the checksum of their page sequence.
+        reads: (usize, u64),
+        /// `mbr_join_par` at 1, 2 and 8 threads (256-page scratch pools).
+        par: [IoStats; 3],
+    }
+
+    fn io(read_requests: u64, io_ms: f64) -> IoStats {
+        IoStats {
+            read_requests,
+            pages_read: read_requests,
+            seeks: read_requests,
+            latencies: read_requests,
+            io_ms,
+            ..IoStats::new()
+        }
+    }
+
+    /// The recorded values come from the parent of the commit that
+    /// introduced the restricted search space (unrestricted sort +
+    /// backward/forward scan per leaf pair, `Vec` of all child pairs per
+    /// directory pair).
+    fn cases() -> Vec<Case> {
+        vec![
+            Case {
+                name: "equal heights",
+                max_entries: 8,
+                r: scatter(1, 400, 0.0, 20.0, 1.5),
+                s: scatter(2, 350, 0.5, 20.0, 1.5),
+                heights: (4, 4),
+                pairs: (796, 0xE7B5_BA06_73A4_9211),
+                reads: (412, 0x1C72_FE46_C6B4_F4A0),
+                par: [io(160, 2560.0), io(174, 2784.0), io(191, 3056.0)],
+            },
+            Case {
+                name: "r taller",
+                max_entries: 8,
+                r: scatter(3, 600, 0.0, 20.0, 1.5),
+                s: scatter(4, 40, 5.0, 10.0, 1.5),
+                heights: (4, 2),
+                pairs: (143, 0x3555_D3D0_BD44_D44B),
+                reads: (95, 0x8B17_67CD_9DA3_6502),
+                par: [io(56, 896.0), io(56, 896.0), io(56, 896.0)],
+            },
+            Case {
+                name: "s taller",
+                max_entries: 8,
+                r: scatter(5, 40, 5.0, 10.0, 1.5),
+                s: scatter(6, 600, 0.0, 20.0, 1.5),
+                heights: (2, 4),
+                pairs: (142, 0x6E8E_A670_C29E_F398),
+                reads: (98, 0xAF83_4AE3_A042_0BC2),
+                par: [io(59, 944.0), io(59, 944.0), io(59, 944.0)],
+            },
+            Case {
+                name: "both roots are leaves",
+                max_entries: 8,
+                r: scatter(7, 7, 0.0, 3.0, 1.5),
+                s: scatter(8, 6, 0.5, 3.0, 1.5),
+                heights: (1, 1),
+                pairs: (8, 0xE19B_D4F8_9E0C_E046),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "s root is a leaf",
+                max_entries: 8,
+                r: scatter(9, 300, 0.0, 20.0, 1.5),
+                s: scatter(10, 5, 8.0, 4.0, 2.0),
+                heights: (4, 1),
+                pairs: (22, 0xFE62_0CDB_CB55_BB51),
+                reads: (9, 0x1E5A_7480_9B19_F596),
+                par: [io(9, 144.0), io(9, 144.0), io(9, 144.0)],
+            },
+            Case {
+                name: "disjoint maps",
+                max_entries: 8,
+                r: scatter(11, 120, 0.0, 20.0, 1.5),
+                s: scatter(12, 120, 100.0, 20.0, 1.5),
+                heights: (3, 3),
+                pairs: (0, 0xCBF2_9CE4_8422_2325),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "r empty",
+                max_entries: 8,
+                r: Vec::new(),
+                s: scatter(13, 100, 0.0, 20.0, 1.5),
+                heights: (1, 3),
+                pairs: (0, 0xCBF2_9CE4_8422_2325),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "s empty",
+                max_entries: 8,
+                r: scatter(14, 100, 0.0, 20.0, 1.5),
+                s: Vec::new(),
+                heights: (3, 1),
+                pairs: (0, 0xCBF2_9CE4_8422_2325),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "equal heights",
+                max_entries: 89,
+                r: scatter(15, 3000, 0.0, 60.0, 1.5),
+                s: scatter(16, 2800, 0.5, 60.0, 1.5),
+                heights: (2, 2),
+                pairs: (5122, 0xA624_46A7_9184_DADE),
+                reads: (224, 0x0B1B_1F39_6437_5824),
+                par: [io(93, 1488.0), io(102, 1632.0), io(160, 2560.0)],
+            },
+            Case {
+                name: "r taller",
+                max_entries: 89,
+                r: scatter(17, 7000, 0.0, 60.0, 1.0),
+                s: scatter(18, 400, 10.0, 30.0, 1.0),
+                heights: (3, 2),
+                pairs: (812, 0xCDB7_CB82_1276_549A),
+                reads: (101, 0x4A16_A769_7BCA_92B1),
+                par: [io(46, 736.0), io(46, 736.0), io(46, 736.0)],
+            },
+            Case {
+                name: "s taller",
+                max_entries: 89,
+                r: scatter(19, 400, 10.0, 30.0, 1.0),
+                s: scatter(20, 7000, 0.0, 60.0, 1.0),
+                heights: (2, 3),
+                pairs: (790, 0x1097_AE2A_2C26_D937),
+                reads: (69, 0x0E46_F257_9934_E94F),
+                par: [io(44, 704.0), io(44, 704.0), io(44, 704.0)],
+            },
+            Case {
+                name: "both roots are leaves",
+                max_entries: 89,
+                r: scatter(21, 60, 0.0, 6.0, 1.5),
+                s: scatter(22, 50, 0.5, 6.0, 1.5),
+                heights: (1, 1),
+                pairs: (144, 0x5DE2_A107_0CAA_48EF),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "r root is a leaf",
+                max_entries: 89,
+                r: scatter(23, 70, 20.0, 10.0, 2.0),
+                s: scatter(24, 3000, 0.0, 60.0, 1.5),
+                heights: (1, 2),
+                pairs: (133, 0x49CF_D6F2_819C_5761),
+                reads: (3, 0xAA0D_7B94_0AEB_AE51),
+                par: [io(3, 48.0), io(3, 48.0), io(3, 48.0)],
+            },
+            Case {
+                name: "disjoint maps",
+                max_entries: 89,
+                r: scatter(25, 500, 0.0, 20.0, 1.5),
+                s: scatter(26, 500, 100.0, 20.0, 1.5),
+                heights: (2, 2),
+                pairs: (0, 0xCBF2_9CE4_8422_2325),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+            Case {
+                name: "s empty",
+                max_entries: 89,
+                r: scatter(27, 500, 0.0, 20.0, 1.5),
+                s: Vec::new(),
+                heights: (2, 1),
+                pairs: (0, 0xCBF2_9CE4_8422_2325),
+                reads: (0, 0xCBF2_9CE4_8422_2325),
+                par: [io(0, 0.0), io(0, 0.0), io(0, 0.0)],
+            },
+        ]
+    }
+
+    #[test]
+    fn pairs_order_and_reads_are_a_function_of_the_trees() {
+        for case in cases() {
+            let name = format!("{} (M = {})", case.name, case.max_entries);
+            let disk = Disk::with_defaults();
+            let r = build_on(&disk, "r", &case.r, case.max_entries);
+            let s = build_on(&disk, "s", &case.s, case.max_entries);
+            assert_eq!((r.height(), s.height()), case.heights, "{name}: heights");
+
+            let mut recorder = Recorder::default();
+            let res = mbr_join(&r, &s, &mut recorder);
+            let reads = recorder.0;
+            assert_eq!(res.node_accesses, reads.len() as u64, "{name}");
+            assert_eq!(
+                (res.pairs.len(), pairs_checksum(&res.pairs)),
+                case.pairs,
+                "{name}: pair sequence"
+            );
+            assert_eq!(
+                (
+                    reads.len(),
+                    checksum(reads.iter().flat_map(|p| [u64::from(p.region.0), p.offset]))
+                ),
+                case.reads,
+                "{name}: page-read sequence"
+            );
+
+            // The nested-loop oracle: same set, no duplicates.
+            let got: HashSet<(u64, u64)> = res.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
+            assert_eq!(got.len(), res.pairs.len(), "{name}: duplicate pairs");
+            let mut want = HashSet::new();
+            for (i, x) in case.r.iter().enumerate() {
+                for (j, y) in case.s.iter().enumerate() {
+                    if x.intersects(y) {
+                        want.insert((i as u64, j as u64));
+                    }
+                }
+            }
+            assert_eq!(got, want, "{name}");
+
+            // The partitioned join: the sequential pairs in order, and
+            // the per-partition I/O it has always charged.
+            for (threads, recorded) in [1, 2, 8].into_iter().zip(case.par) {
+                let (par, stats) = mbr_join_par(&r, &s, &disk, 256, threads);
+                assert_eq!(par.pairs, res.pairs, "{name}: {threads} threads");
+                assert_eq!(stats, recorded, "{name}: {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,12 @@ pub struct DirEntry {
     pub child: NodeId,
 }
 
+// What a shadow-paged commit copies per entry of a touched node, and
+// what a traversal pulls through the cache per entry it looks at: an
+// 89-entry leaf is 4,272 bytes in memory, a directory node 3,560.
+const _: () = assert!(std::mem::size_of::<LeafEntry>() == 48);
+const _: () = assert!(std::mem::size_of::<DirEntry>() == 40);
+
 /// Anything that can participate in the R\*-tree split algorithm.
 pub(crate) trait SplitItem {
     fn rect(&self) -> Rect;

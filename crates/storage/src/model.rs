@@ -95,6 +95,17 @@ pub enum TransferTechnique {
     Optimum,
 }
 
+impl TransferTechnique {
+    /// Whether a store's
+    /// [`fetch_for_join`](crate::SpatialStore::fetch_for_join) reads the
+    /// join's candidate set under this technique. *Complete* transfers
+    /// the whole cluster unit whatever else the join needs from it, so
+    /// its caller need not build the set.
+    pub fn reads_candidate_set(self) -> bool {
+        self != TransferTechnique::Complete
+    }
+}
+
 /// Result of one query against an organization model.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct QueryStats {

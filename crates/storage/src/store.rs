@@ -233,7 +233,9 @@ pub trait SpatialStore: Send + Sync {
 
     /// The join's object transfer (§6.2): fetch `oid`, batching the
     /// other join-relevant objects (`needed`) that live nearby according
-    /// to `technique`.
+    /// to `technique`. `needed` is only filled in when
+    /// [`technique.reads_candidate_set()`](TransferTechnique::reads_candidate_set);
+    /// an implementation must not read it otherwise.
     ///
     /// The default ignores the batching hints and fetches the single
     /// object; the cluster organization overrides it to transfer whole

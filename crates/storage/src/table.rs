@@ -38,6 +38,7 @@
 //! commit copies — identical from run to run. Nothing observable
 //! (answers, placement, statistics) depends on bucket order.
 
+use spatialdb_disk::mix64;
 use spatialdb_rtree::ObjectId;
 use std::sync::Arc;
 
@@ -50,19 +51,6 @@ const BUCKET_LOAD: usize = 16;
 /// shared chunk copies, and the factor by which a clone is cheaper than
 /// one refcount bump per bucket.
 const CHUNK: usize = 64;
-
-/// The 64-bit finalizer of MurmurHash3: a fixed bijection whose low
-/// bits — the ones addressing the directory — depend on every bit of
-/// the id, so dense and strided id ranges both spread evenly.
-#[inline]
-fn hash(key: u64) -> u64 {
-    let mut h = key;
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    h ^ (h >> 33)
-}
 
 /// One bucket: its `(id, record)` pairs inline behind a single pointer.
 type Bucket<V> = Arc<[(u64, V)]>;
@@ -176,7 +164,7 @@ impl<V: Clone> ObjectTable<V> {
     /// Directory index of the bucket responsible for `key`.
     #[inline]
     fn slot(&self, key: u64) -> usize {
-        let h = hash(key);
+        let h = mix64(key);
         let low = (h & ((1u64 << self.level) - 1)) as usize;
         if low < self.split {
             (h & ((1u64 << (self.level + 1)) - 1)) as usize
@@ -282,7 +270,7 @@ impl<V: Clone> ObjectTable<V> {
             .bucket(self.split)
             .iter()
             .cloned()
-            .partition(|e| hash(e.0) & bit != 0);
+            .partition(|e| mix64(e.0) & bit != 0);
         *self.bucket_entry(self.split) = kept.into();
         self.push_bucket(moved.into());
         self.split += 1;

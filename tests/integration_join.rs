@@ -184,3 +184,108 @@ fn join_exact_results_match_brute_force() {
     assert_eq!(got, want);
     assert!(stats.mbr_pairs as usize >= got.len());
 }
+
+/// A-1 and A-2 at a scale where a join has a few hundred answers.
+fn small_join_operands(ws: &Workspace) -> (spatialdb::SpatialDatabase, spatialdb::SpatialDatabase) {
+    let load = |map, kind| {
+        let data = SpatialMap::generate(
+            DataSet {
+                series: SeriesId::A,
+                map,
+            },
+            0.02,
+            GeometryMode::Full,
+            3,
+        );
+        let mut db = ws.create_database(DbOptions::new(kind));
+        for o in &data.objects {
+            db.insert(o.id, o.geometry.clone().unwrap());
+        }
+        db.finish_loading();
+        db
+    };
+    (
+        load(MapId::Map1, OrganizationKind::Cluster),
+        load(MapId::Map2, OrganizationKind::Secondary),
+    )
+}
+
+#[test]
+fn pairs_after_take_returns_exactly_the_remaining_answers() {
+    let ws = Workspace::new(512);
+    let (a, b) = small_join_operands(&ws);
+    // Iteration yields the answers in MBR-join order; pairs() sorts.
+    let in_join_order: Vec<(u64, u64)> = a.join(&b).run().collect();
+    assert!(in_join_order.len() > 20, "{} answers", in_join_order.len());
+    let sorted = |pairs: &[(u64, u64)]| {
+        let mut v = pairs.to_vec();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(a.join(&b).run().pairs(), sorted(&in_join_order));
+    for k in [1, 7, in_join_order.len() - 1, in_join_order.len()] {
+        for threads in [None, Some(1), Some(2), Some(8)] {
+            let mut cursor = match threads {
+                None => a.join(&b).run(),
+                Some(n) => a.join(&b).run_par(n),
+            };
+            let taken: Vec<(u64, u64)> = cursor.by_ref().take(k).collect();
+            assert_eq!(taken, in_join_order[..k], "take({k}), {threads:?}");
+            assert_eq!(
+                cursor.pairs(),
+                sorted(&in_join_order[k..]),
+                "after take({k}), {threads:?}"
+            );
+        }
+    }
+}
+
+/// Filter-only records (bulk-loaded into the store, no exact geometry)
+/// cannot be refined: every way of draining a join cursor panics, naming
+/// the first candidate pair.
+#[test]
+fn refining_a_filter_only_join_panics_with_the_same_message_everywhere() {
+    use spatialdb::geom::Rect;
+    use spatialdb::rtree::{NoIo, ObjectId};
+    use spatialdb::storage::ObjectRecord;
+
+    let ws = Workspace::new(256);
+    let filter_only = |dx: f64| {
+        let mut db = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
+        let records: Vec<ObjectRecord> = (0..40u64)
+            .map(|i| {
+                let x = (i % 8) as f64 / 8.0 + dx;
+                let y = (i / 8) as f64 / 8.0;
+                ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
+            })
+            .collect();
+        db.store_mut().bulk_load(&records);
+        db.finish_loading();
+        db
+    };
+    let (a, b) = (filter_only(0.0), filter_only(0.01));
+    let first = spatialdb::join::mbr_join(a.store().tree(), b.store().tree(), &mut NoIo).pairs[0];
+    let message = |drain: &dyn Fn()| -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(drain))
+            .expect_err("refining filter-only records must panic");
+        payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message")
+            .clone()
+    };
+    let expected = format!(
+        "join candidate ({}, {}) lacks exact geometry; read stats() instead of \
+         iterating, or insert through SpatialDatabase::insert",
+        first.0 .0, first.1 .0
+    );
+    assert_eq!(message(&|| drop(a.join(&b).run().pairs())), expected);
+    assert_eq!(
+        message(&|| {
+            let _ = a.join(&b).run().next();
+        }),
+        expected
+    );
+    assert_eq!(message(&|| drop(a.join(&b).run_par(2).pairs())), expected);
+    // The filter-only read-out still works.
+    assert!(a.join(&b).run().stats().mbr_pairs > 0);
+}
