@@ -39,7 +39,7 @@ pub fn arg(name: &str) -> Option<String> {
 }
 
 /// A benchmark grid dimension: the `var` environment variable (a
-/// comma-separated integer list, e.g. `SPATIALDB_BENCH_THREADS=1,4,16`)
+/// comma-separated integer list, e.g. `SPATIALDB_BENCH_DEPTHS=1,4,16`)
 /// overrides `default` — so re-baselining on different hardware (more
 /// cores, deeper queues) needs no code change.
 ///

@@ -534,6 +534,14 @@ impl std::fmt::Debug for StoreRead<'_> {
     }
 }
 
+/// What the storage layer gets to know about `geometry` stored under
+/// `id`: the MBR, the serialized size, and the hint encoded against that
+/// same MBR.
+fn record_of(id: u64, geometry: &Geometry) -> ObjectRecord {
+    let size = geometry.serialized_size() as u32;
+    ObjectRecord::new(ObjectId(id), geometry.mbr(), size).with_hint(geometry.hint())
+}
+
 impl SpatialDatabase {
     /// Assemble a database around a boxed backend (shared constructor of
     /// the `Workspace` factory methods).
@@ -592,12 +600,7 @@ impl SpatialDatabase {
             assert_absent(&*cur.store);
             (cur.store.snapshot(), cur.geoms.clone())
         };
-        let rec = ObjectRecord::new(
-            ObjectId(id),
-            geometry.mbr(),
-            geometry.serialized_size() as u32,
-        );
-        store.insert(&rec);
+        store.insert(&record_of(id, &geometry));
         geoms.insert(ObjectId(id), Arc::new(geometry));
         // One swap publishes the index entry and the geometry it needs.
         self.root.swap(Root { store, geoms }, &self.epochs);
@@ -637,11 +640,7 @@ impl SpatialDatabase {
                     !store.contains(ObjectId(*id)) && seen.insert(*id),
                     "object {id} already stored"
                 );
-                ObjectRecord::new(
-                    ObjectId(*id),
-                    geometry.mbr(),
-                    geometry.serialized_size() as u32,
-                )
+                record_of(*id, geometry)
             })
             .collect()
     }
@@ -1150,11 +1149,7 @@ mod tests {
                     db.insert(i, g);
                 } else {
                     let geometry: Geometry = g.into();
-                    let rec = ObjectRecord::new(
-                        ObjectId(i),
-                        geometry.mbr(),
-                        geometry.serialized_size() as u32,
-                    );
+                    let rec = record_of(i, &geometry);
                     let root = db.root.get_mut();
                     root.store.insert(&rec);
                     root.geoms.insert(ObjectId(i), Arc::new(geometry));

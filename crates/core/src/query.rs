@@ -15,12 +15,27 @@
 //! Refinement touches exact geometry only when it must. The geometry
 //! rides the pinned root the candidates came from, so a lookup is a
 //! plain table probe — no lock, nothing a commit can take away. And a
-//! window candidate whose MBR lies inside the window is an answer by
-//! the MBR alone: iteration skips its exact test, and the id-only paths
-//! ([`ResultCursor::ids`], `run_batch`, `run_stream`) skip the lookup
-//! too — unless the store holds filter-only records (bulk-loaded
-//! through `store_mut()`, no geometry): then every candidate is looked
-//! up, and the first one without geometry panics.
+//! window candidate is decided in one of three ways, the first two from
+//! its leaf entry alone (multi-step query processing, \[BKSS94\]):
+//!
+//! 1. **MBR inside the window** — the conservative approximation: the
+//!    window contains every point of the object.
+//! 2. **Hint cell inside the window** — the progressive approximation
+//!    ([`Hint`](spatialdb_geom::Hint), two points of the object as grid
+//!    cells of its MBR): the window contains one point of the object.
+//! 3. **The exact test**, for what is left ([`ResultCursor::undecided`]
+//!    counts them) — a false MBR hit can only be found here.
+//!
+//! The second step is sound without an epsilon: the encoder keeps a
+//! cell only after checking, with the decode the query runs on the same
+//! MBR bits the entry stores, that the decoded cell contains the point;
+//! the query accepts only a window that contains the whole cell, so a
+//! point of the object lies in the closed window and the exact predicate
+//! is true. For a decided candidate iteration skips the exact test, and
+//! the id-only paths ([`ResultCursor::ids`], `run_batch`, `run_stream`)
+//! skip the lookup too — unless the store holds filter-only records
+//! (bulk-loaded through `store_mut()`, no geometry, no hint): then every
+//! candidate is looked up, and the first one without geometry panics.
 //!
 //! ```
 //! use spatialdb::geom::{Point, Polyline, Rect};
@@ -65,12 +80,14 @@ pub(crate) enum Target {
 }
 
 impl Target {
-    /// `true` if an object with this MBR answers the target whatever
-    /// its exact shape: a window containing the MBR contains every point
-    /// of the object. The one place the containment rule is decided —
-    /// every refinement path reads it off [`Candidate::by_mbr`].
-    fn answered_by_mbr(&self, mbr: &Rect) -> bool {
-        matches!(self, Target::Window(w) if w.contains_rect(mbr))
+    /// `true` if the object behind `entry` answers the target whatever
+    /// its exact shape: the window contains its MBR, hence every point
+    /// of it, or contains a cell of its hint, hence one point of it. The
+    /// one place the two approximations are read — every refinement path
+    /// takes the verdict from [`Candidate::decided`].
+    fn decides(&self, entry: &LeafEntry) -> bool {
+        matches!(self, Target::Window(w)
+            if w.contains_rect(&entry.mbr) || entry.hint.accepts(&entry.mbr, w))
     }
 }
 
@@ -78,10 +95,13 @@ impl Target {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Candidate {
     pub(crate) id: u64,
-    /// The candidate's MBR alone makes it an answer
-    /// ([`Target::answered_by_mbr`]): no exact test needed.
-    pub(crate) by_mbr: bool,
+    /// The candidate's leaf entry alone makes it an answer
+    /// ([`Target::decides`]): no exact test needed.
+    pub(crate) decided: bool,
 }
+
+// A cursor's candidate list is sorted and scanned: four to a cache line.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
 
 /// The refinement step of one query, detached from whatever keeps
 /// `geoms` alive — a cursor's pinned root, a batch's pins, a stream
@@ -91,8 +111,8 @@ pub(crate) struct Candidate {
 pub(crate) struct Refinement<'r> {
     pub(crate) geoms: &'r GeometryTable,
     /// Every stored object has exact geometry
-    /// ([`StoreRead::fully_refinable`]), so a candidate that answers by
-    /// its MBR needs no lookup either.
+    /// ([`StoreRead::fully_refinable`]), so a decided candidate needs no
+    /// lookup either.
     pub(crate) fully_refinable: bool,
     pub(crate) target: Target,
 }
@@ -124,7 +144,7 @@ impl<'r> Refinement<'r> {
                 candidate.id
             );
         };
-        let hit = candidate.by_mbr
+        let hit = candidate.decided
             || match &self.target {
                 Target::Window(w) => geometry.intersects_rect(w),
                 Target::Point(p) => geometry.contains_point(p),
@@ -136,7 +156,7 @@ impl<'r> Refinement<'r> {
     pub(crate) fn ids(&self, candidates: &[Candidate]) -> Vec<u64> {
         let answers = candidates
             .iter()
-            .filter(|c| (c.by_mbr && self.fully_refinable) || self.geometry(**c).is_some());
+            .filter(|c| (c.decided && self.fully_refinable) || self.geometry(**c).is_some());
         // Nearly every candidate is an answer: size for all of them.
         let mut ids = Vec::with_capacity(candidates.len());
         ids.extend(answers.map(|c| c.id));
@@ -291,7 +311,7 @@ impl<'a> Query<'a> {
         let io = disk.local_stats().since(&io_before);
         let candidate = |e: &LeafEntry| Candidate {
             id: e.oid.0,
-            by_mbr: target.answered_by_mbr(&e.mbr),
+            decided: target.decides(e),
         };
         let mut candidates: Vec<Candidate> = scratch.iter().map(candidate).collect();
         candidates.sort_unstable_by_key(|c| c.id);
@@ -327,8 +347,9 @@ impl<'a> Query<'a> {
 /// that survives exact refinement, in ascending id order. The refinement
 /// is performed per [`next`](Iterator::next) call — consuming only the
 /// first few results does only the first few geometry tests — and a
-/// candidate whose MBR lies inside the query window is an answer
-/// without one. The geometry is handed out as a shared
+/// candidate whose leaf entry already decides it (MBR or hint cell
+/// inside the window, see the [module docs](self)) is an answer without
+/// one. The geometry is handed out as a shared
 /// [`Arc`]: it stays valid after the cursor is gone, whatever is
 /// committed meanwhile.
 ///
@@ -372,9 +393,20 @@ impl<'a> ResultCursor<'a> {
         self.stats.candidates
     }
 
+    /// Number of candidates whose leaf entry did not decide them: the
+    /// window contains neither the MBR nor a hint cell (every candidate
+    /// of a point query). Only these need the exact test, and only among
+    /// these can a false hit be; [`num_candidates`] is the denominator. A
+    /// count of this query, the same on every run and machine.
+    ///
+    /// [`num_candidates`]: ResultCursor::num_candidates
+    pub fn undecided(&self) -> usize {
+        self.candidates.iter().filter(|c| !c.decided).count()
+    }
+
     /// Drain the cursor into the sorted ids of all exact answers.
-    /// Cheaper than iterating: a candidate that answers by its MBR is
-    /// not even looked up.
+    /// Cheaper than iterating: a decided candidate is not even looked
+    /// up.
     pub fn ids(self) -> Vec<u64> {
         self.refinement().ids(&self.candidates[self.next..])
     }

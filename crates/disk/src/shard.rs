@@ -331,8 +331,8 @@ impl ShardedPool {
     /// Cumulative shard-lock acquisitions that found the lock already
     /// held by another thread and had to block.
     ///
-    /// The hardware-independent contention measure of the
-    /// `pool_contention` benchmark: more shards spread concurrent
+    /// The hardware-independent contention measure (the benchmark's
+    /// `disk.pool.blocked_acquisitions`): more shards spread concurrent
     /// accesses over more locks, so this count drops as the shard
     /// count grows — even on machines whose core count hides the
     /// effect from wall-clock throughput.

@@ -14,6 +14,7 @@
 //! segment-pair sweep.
 
 use crate::decomposed::DecomposedPolyline;
+use crate::hint::Hint;
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::polyline::{Polyline, BYTES_PER_VERTEX, POLYLINE_HEADER_BYTES};
@@ -74,6 +75,29 @@ impl Geometry {
             (Geometry::Polyline(l), Geometry::Polygon(p))
             | (Geometry::Polygon(p), Geometry::Polyline(l)) => p.intersects_polyline(l.polyline()),
             (Geometry::Polygon(a), Geometry::Polygon(b)) => a.intersects_polygon(b),
+        }
+    }
+
+    /// The object's progressive approximation, relative to its
+    /// [`mbr`](HasMbr::mbr): a polyline's two end vertices, a polygon's
+    /// ring vertices `0` and `n / 2`. A point has none — its MBR is the
+    /// point, and already decides every window.
+    pub fn hint(&self) -> Hint {
+        match self.hinted_points() {
+            Some([a, b]) => Hint::encode(&self.mbr(), a, b),
+            None => Hint::NONE,
+        }
+    }
+
+    /// The two points of the object its [`hint`](Geometry::hint) encodes.
+    pub(crate) fn hinted_points(&self) -> Option<[&Point; 2]> {
+        match self {
+            Geometry::Point(_) => None,
+            Geometry::Polyline(l) => {
+                let v = l.polyline().vertices();
+                Some([&v[0], &v[v.len() - 1]])
+            }
+            Geometry::Polygon(p) => Some([&p.ring()[0], &p.ring()[p.num_vertices() / 2]]),
         }
     }
 

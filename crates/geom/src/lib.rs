@@ -21,6 +21,9 @@
 //! * [`Geometry`] — the closed enum over the exact representations
 //!   (point / polyline / polygon) stored by the database layer, with the
 //!   window-, point- and join-predicates dispatching per variant;
+//! * [`Hint`] — a progressive approximation of an object (two of its
+//!   points, quantised to 32 bits) that lets a window query accept a
+//!   candidate without its exact representation \[BKSS94\];
 //! * [`decomposed`] — a decomposed object representation in the spirit of
 //!   the TR\*-tree \[SK91\], used by the paper for the *exact geometry test*
 //!   of the spatial join's refinement step (§6.3).
@@ -33,6 +36,7 @@
 
 pub mod decomposed;
 pub mod geometry;
+pub mod hint;
 pub mod point;
 pub mod polygon;
 pub mod polyline;
@@ -41,6 +45,7 @@ pub mod segment;
 
 pub use decomposed::DecomposedPolyline;
 pub use geometry::Geometry;
+pub use hint::Hint;
 pub use point::Point;
 pub use polygon::Polygon;
 pub use polyline::Polyline;

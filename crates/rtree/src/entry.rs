@@ -1,7 +1,7 @@
 //! Tree entries: leaf entries (object MBRs) and directory entries.
 
 use crate::node::NodeId;
-use spatialdb_geom::Rect;
+use spatialdb_geom::{Hint, Rect};
 
 /// Identifier of a spatial object stored in an organization model.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -15,7 +15,15 @@ impl std::fmt::Display for ObjectId {
 
 /// An entry of a data page: the object's MBR, its id, and the payload
 /// bytes it contributes towards the leaf payload limit (see
-/// [`crate::RTreeConfig::leaf_payload_limit`]).
+/// [`crate::RTreeConfig::leaf_payload_limit`]) — the modelled 46-byte
+/// entry ([`crate::config::ENTRY_BYTES`]) — plus the object's [`Hint`].
+///
+/// The hint is host memory, like the exact geometry the query layer
+/// keeps beside the store: it sits in the four bytes that would
+/// otherwise pad the struct, is not part of the modelled entry, and
+/// changes no page capacity and no simulated I/O. The tree never reads
+/// it; it travels with the entry through splits, reinserts and bulk
+/// loads, so a query finds it next to the MBR it was encoded against.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct LeafEntry {
     /// Minimum bounding rectangle of the object.
@@ -26,12 +34,26 @@ pub struct LeafEntry {
     /// (object size for the cluster organization, entry + object size for
     /// the primary organization, unused for the secondary organization).
     pub payload: u32,
+    /// The object's progressive approximation relative to `mbr`
+    /// ([`Hint::NONE`] unless set by [`with_hint`](LeafEntry::with_hint)).
+    pub hint: Hint,
 }
 
 impl LeafEntry {
-    /// Create a leaf entry.
+    /// Create a leaf entry without a hint.
     pub fn new(mbr: Rect, oid: ObjectId, payload: u32) -> Self {
-        LeafEntry { mbr, oid, payload }
+        LeafEntry {
+            mbr,
+            oid,
+            payload,
+            hint: Hint::NONE,
+        }
+    }
+
+    /// The entry carrying `hint`, which must have been encoded against
+    /// this entry's `mbr`.
+    pub fn with_hint(self, hint: Hint) -> Self {
+        LeafEntry { hint, ..self }
     }
 }
 
@@ -46,7 +68,8 @@ pub struct DirEntry {
 
 // What a shadow-paged commit copies per entry of a touched node, and
 // what a traversal pulls through the cache per entry it looks at: an
-// 89-entry leaf is 4,272 bytes in memory, a directory node 3,560.
+// 89-entry leaf is 4,272 bytes in memory, a directory node 3,560. The
+// leaf entry's hint is free: 44 bytes of fields rounded up to 48 before it.
 const _: () = assert!(std::mem::size_of::<LeafEntry>() == 48);
 const _: () = assert!(std::mem::size_of::<DirEntry>() == 40);
 

@@ -40,6 +40,10 @@ pub struct Node {
     pub level: u32,
 }
 
+// The header a shadow-paged commit copies per touched node, before the
+// entries (`entry.rs` asserts those): one cache line.
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
+
 impl Node {
     /// Number of entries.
     pub fn len(&self) -> usize {

@@ -147,6 +147,11 @@ struct ObjectSlot {
     size: u32,
 }
 
+// 16 bytes per `(id, record)` pair of an `ObjectTable` bucket, four to a
+// cache line; window queries never probe it (sizes ride the leaf entry).
+const _: () = assert!(std::mem::size_of::<ObjectSlot>() == 8);
+const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 16);
+
 /// The cluster organization.
 ///
 /// [`Clone`] is the store's snapshot and copies no per-object state:
@@ -584,7 +589,7 @@ impl SpatialStore for ClusterOrganization {
         );
         // Steps 1 + 2: determine the data page and insert the MBR entry
         // (the modified R*-tree may already split — step 4).
-        let entry = LeafEntry::new(rec.mbr, rec.oid, rec.size_bytes);
+        let entry = rec.leaf_entry(rec.size_bytes);
         let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
         debug_assert!(outcome.leaf_reinserts.is_empty());
         if outcome.leaf_splits.is_empty() {
@@ -794,7 +799,7 @@ impl SpatialStore for ClusterOrganization {
                      (paper §4.2.2 footnote)",
                     r.oid
                 );
-                LeafEntry::new(r.mbr, r.oid, r.size_bytes)
+                r.leaf_entry(r.size_bytes)
             })
             .collect();
         StrPlan {

@@ -55,7 +55,7 @@ impl SpatialStore for MemoryStore {
     }
 
     fn insert(&mut self, rec: &ObjectRecord) {
-        let entry = LeafEntry::new(rec.mbr, rec.oid, 0);
+        let entry = rec.leaf_entry(0);
         self.tree.insert(entry, &mut NoIo);
         self.sizes.insert(rec.oid, rec.size_bytes);
         self.mbrs.insert(rec.oid, rec.mbr);

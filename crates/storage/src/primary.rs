@@ -34,6 +34,11 @@ struct ObjectSlot {
     overflow: Option<PageRun>,
 }
 
+// 48 bytes per `(id, record)` pair of an `ObjectTable` bucket: a probe —
+// one per window candidate here — scans ≈ 16 pairs, 12 cache lines.
+const _: () = assert!(std::mem::size_of::<ObjectSlot>() == 40);
+const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 48);
+
 /// The primary organization.
 ///
 /// [`Clone`] is the store's snapshot and copies no per-object state
@@ -149,7 +154,7 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn insert(&mut self, rec: &ObjectRecord) {
-        let entry = LeafEntry::new(rec.mbr, rec.oid, Self::entry_payload(rec.size_bytes));
+        let entry = rec.leaf_entry(Self::entry_payload(rec.size_bytes));
         let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
         let overflow =
             (rec.size_bytes > Self::inline_limit()).then(|| self.place_overflow(rec.size_bytes));
@@ -296,7 +301,7 @@ impl SpatialStore for PrimaryOrganization {
     fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
         let entries = records
             .iter()
-            .map(|r| LeafEntry::new(r.mbr, r.oid, Self::entry_payload(r.size_bytes)))
+            .map(|r| r.leaf_entry(Self::entry_payload(r.size_bytes)))
             .collect();
         StrPlan {
             entries,

@@ -349,10 +349,7 @@ pub trait SpatialStore: Send + Sync {
     /// tiles on worker threads.
     fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
         StrPlan {
-            entries: records
-                .iter()
-                .map(|r| LeafEntry::new(r.mbr, r.oid, 0))
-                .collect(),
+            entries: records.iter().map(|r| r.leaf_entry(0)).collect(),
             params: TilingParams::from_config(self.tree().config(), DEFAULT_STR_FILL),
         }
     }
