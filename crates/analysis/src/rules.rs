@@ -25,8 +25,7 @@ pub enum Rule {
     /// acquisition helpers (`lockdep.rs`).
     RawLock,
     /// Nested lock acquisitions whose lexical class order contradicts
-    /// the writer → shard → arm-queue → counters → epoch →
-    /// refine-queue hierarchy.
+    /// the writer → shard → counters → epoch → refine-queue hierarchy.
     LockOrder,
     /// Raw `fetch_add`/`fetch_sub` on an epoch-pin counter outside the
     /// epoch crate — pin accounting must go through the collector's
@@ -467,13 +466,11 @@ const LOCK_CLASSES: &[(&str, u8, &str)] = &[
     ("writer", 0, "DbWriter"),
     ("shard", 1, "Shard"),
     ("pool", 1, "Shard"),
-    ("array", 2, "ArmQueue"),
-    ("arm", 2, "ArmQueue"),
-    ("state", 3, "DiskCounters"),
-    ("counter", 3, "DiskCounters"),
-    ("retired", 4, "Epoch"),
-    ("epoch", 4, "Epoch"),
-    ("queue", 5, "RefineQueue"),
+    ("state", 2, "DiskCounters"),
+    ("counter", 2, "DiskCounters"),
+    ("retired", 3, "Epoch"),
+    ("epoch", 3, "Epoch"),
+    ("queue", 4, "RefineQueue"),
 ];
 
 /// Classify a lock receiver expression (the text before `.lock()`).
@@ -575,8 +572,8 @@ fn check_lock_order(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
                             rule: Rule::LockOrder,
                             message: format!(
                                 "acquires {class} (rank {rank}) after {} (rank {}, line {}) — \
-                                 contradicts the DbWriter → Shard → ArmQueue → DiskCounters \
-                                 → Epoch → RefineQueue hierarchy",
+                                 contradicts the DbWriter → Shard → DiskCounters → Epoch \
+                                 → RefineQueue hierarchy",
                                 prior.class, prior.rank, prior.line
                             ),
                         });

@@ -1,7 +1,6 @@
 //! Fixture: nested acquisition contradicting the DbWriter → Shard →
-//! ArmQueue → DiskCounters → Epoch hierarchy. Lines marked
-//! BAD must be flagged; OK lines must not. Not compiled — cargo only
-//! builds `tests/*.rs` files.
+//! DiskCounters → Epoch hierarchy. Lines marked BAD must be flagged; OK
+//! lines must not. Not compiled — cargo only builds `tests/*.rs` files.
 
 use std::sync::Mutex;
 
@@ -11,7 +10,7 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Counters (rank 3) taken first, then a blocking shard (rank 1)
+    /// Counters (rank 2) taken first, then a blocking shard (rank 1)
     /// acquisition underneath it — the inverted order that deadlocks
     /// against the flush path.
     pub fn drain_backwards(&self) {

@@ -7,7 +7,7 @@
 //! replayed over a depth × policy × arm grid, and a mixed
 //! window/point/join/insert stream per organization — with the
 //! accounting cross-check asserted on every phase. The report is the
-//! scenario-native JSON ([`ScenarioReport::to_json`]), deterministic
+//! scenario-native JSON ([`spatialdb_workload::ScenarioReport::to_json`]), deterministic
 //! at any thread count.
 //!
 //! Flags: `--objects N` (default 4000), `--queries N` (default 96),

@@ -1,34 +1,36 @@
 //! One validated configuration for a [`Workspace`](crate::Workspace).
 //!
-//! Every knob of the simulated machine — buffer capacity, pool
-//! sharding and routing, the disk-arm array, adaptive quotas — is a
-//! field of [`EngineConfig`], a single builder that is validated as a
-//! whole before any resource exists:
+//! Every knob of the simulated machine — disk timing, buffer capacity,
+//! pool sharding and routing, adaptive quotas — is a field of
+//! [`EngineConfig`], a single builder that is validated as a whole
+//! before any resource exists:
 //!
 //! ```
-//! use spatialdb::{EngineConfig, Routing, StripePolicy, Workspace};
+//! use spatialdb::{EngineConfig, Routing, Workspace};
 //!
 //! let ws = Workspace::from_config(
 //!     EngineConfig::default()
 //!         .buffer_pages(1024)
 //!         .shards(8)
-//!         .routing(Routing::ByRegion)
-//!         .arms(4, StripePolicy::RoundRobin),
+//!         .routing(Routing::ByRegion),
 //! );
 //! # let _ = ws;
 //! ```
+//!
+//! How many disk arms a timed replay runs on is not a property of the
+//! machine the queries charge: it belongs to the replay
+//! ([`OverlapConfig`](crate::OverlapConfig)).
 
-use spatialdb_disk::{DiskParams, Routing, StripePolicy};
+use spatialdb_disk::{DiskParams, Routing};
 
 /// Everything that shapes one simulated machine: disk timing, buffer
-/// capacity, pool sharding, and the disk-arm array.
+/// capacity and pool sharding.
 ///
 /// Build with the fluent setters, then hand to
 /// [`Workspace::from_config`](crate::Workspace::from_config) (panics on
 /// an invalid combination) or check explicitly with
 /// [`validate`](EngineConfig::validate). The default is the paper's
-/// deterministic single-shard, single-arm machine with a 512-page
-/// buffer.
+/// deterministic single-shard machine with a 512-page buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Simulated disk timing parameters (§5.1 cost model).
@@ -44,12 +46,6 @@ pub struct EngineConfig {
     /// full page address; [`Routing::ByRegion`] keys whole regions so
     /// each database file gets its own lock domain).
     pub routing: Routing,
-    /// Number of independent disk arms the simulated array declusters
-    /// regions across. One arm (the default) is byte-identical to the
-    /// plain single-arm disk.
-    pub arms: usize,
-    /// How regions map to arms when `arms > 1`.
-    pub stripe: StripePolicy,
     /// Adaptive shard quotas: a full shard may borrow unused headroom
     /// from siblings, one page at a time, without a global lock. Off
     /// (the default) is byte-identical to the static quotas.
@@ -63,8 +59,6 @@ impl Default for EngineConfig {
             buffer_pages: 512,
             shards: 1,
             routing: Routing::ByPage,
-            arms: 1,
-            stripe: StripePolicy::RoundRobin,
             adaptive_shards: false,
         }
     }
@@ -99,17 +93,6 @@ impl EngineConfig {
         self
     }
 
-    /// Decluster regions across `arms` disk arms under `stripe`. With
-    /// multiple pool shards this also aligns shard *i* ↔ arm *i*
-    /// (which requires [`Routing::ByRegion`]; see
-    /// [`validate`](EngineConfig::validate)).
-    #[must_use]
-    pub fn arms(mut self, arms: usize, stripe: StripePolicy) -> Self {
-        self.arms = arms;
-        self.stripe = stripe;
-        self
-    }
-
     /// Enable adaptive shard quotas.
     #[must_use]
     pub fn adaptive_shards(mut self, on: bool) -> Self {
@@ -126,19 +109,10 @@ impl EngineConfig {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.arms == 0 {
-            return Err(ConfigError::ZeroArms);
-        }
         if self.shards > self.buffer_pages {
             return Err(ConfigError::ShardsExceedBuffer {
                 shards: self.shards,
                 buffer_pages: self.buffer_pages,
-            });
-        }
-        if self.arms > 1 && self.shards > 1 && self.routing != Routing::ByRegion {
-            return Err(ConfigError::AffinityNeedsRegionRouting {
-                arms: self.arms,
-                shards: self.shards,
             });
         }
         Ok(())
@@ -152,8 +126,6 @@ pub enum ConfigError {
     ZeroBufferPages,
     /// `shards == 0`: the pool needs at least one lock domain.
     ZeroShards,
-    /// `arms == 0`: the disk array needs at least one arm.
-    ZeroArms,
     /// More shards than buffer pages: each shard keeps a one-page
     /// quota floor, so the capacity budget cannot cover them.
     ShardsExceedBuffer {
@@ -162,15 +134,6 @@ pub enum ConfigError {
         /// Requested pool capacity.
         buffer_pages: usize,
     },
-    /// Multiple arms with multiple shards require
-    /// [`Routing::ByRegion`]: per-arm shard affinity aligns shard *i* ↔
-    /// arm *i* by region, which page-hash routing cannot honor.
-    AffinityNeedsRegionRouting {
-        /// Requested arm count.
-        arms: usize,
-        /// Requested shard count.
-        shards: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -178,7 +141,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroBufferPages => write!(f, "buffer_pages must be nonzero"),
             ConfigError::ZeroShards => write!(f, "shards must be nonzero"),
-            ConfigError::ZeroArms => write!(f, "arms must be nonzero"),
             ConfigError::ShardsExceedBuffer {
                 shards,
                 buffer_pages,
@@ -186,11 +148,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "{shards} shards exceed the {buffer_pages}-page buffer \
                  (each shard keeps a one-page quota floor)"
-            ),
-            ConfigError::AffinityNeedsRegionRouting { arms, shards } => write!(
-                f,
-                "{arms} arms with {shards} shards require Routing::ByRegion \
-                 (per-arm shard affinity is region-keyed)"
             ),
         }
     }
@@ -217,32 +174,6 @@ mod tests {
             EngineConfig::default().shards(0).validate(),
             Err(ConfigError::ZeroShards)
         );
-        assert_eq!(
-            EngineConfig::default()
-                .arms(0, StripePolicy::RoundRobin)
-                .validate(),
-            Err(ConfigError::ZeroArms)
-        );
-    }
-
-    #[test]
-    fn rejects_affinity_without_region_routing() {
-        let conflicted = EngineConfig::default()
-            .shards(4)
-            .arms(2, StripePolicy::RoundRobin);
-        assert!(matches!(
-            conflicted.validate(),
-            Err(ConfigError::AffinityNeedsRegionRouting { arms: 2, shards: 4 })
-        ));
-        assert_eq!(conflicted.routing(Routing::ByRegion).validate(), Ok(()));
-        // Either dimension alone composes with any routing.
-        assert_eq!(
-            EngineConfig::default()
-                .arms(2, StripePolicy::RoundRobin)
-                .validate(),
-            Ok(())
-        );
-        assert_eq!(EngineConfig::default().shards(4).validate(), Ok(()));
     }
 
     #[test]

@@ -62,9 +62,7 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::executor::ExecPlan;
 use crate::query::{JoinQuery, Query};
-use spatialdb_disk::{
-    DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, StripePolicy, PAGE_SIZE,
-};
+use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, PAGE_SIZE};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
@@ -160,18 +158,17 @@ impl Workspace {
     }
 
     /// Build the machine an [`EngineConfig`] describes — the one entry
-    /// point for every configuration knob (buffer capacity, pool
-    /// sharding and routing, disk-arm array, adaptive quotas):
+    /// point for every configuration knob (disk timing, buffer
+    /// capacity, pool sharding and routing, adaptive quotas):
     ///
     /// ```
-    /// use spatialdb::{EngineConfig, Routing, StripePolicy, Workspace};
+    /// use spatialdb::{EngineConfig, Routing, Workspace};
     ///
     /// let ws = Workspace::from_config(
     ///     EngineConfig::default()
     ///         .buffer_pages(1024)
     ///         .shards(8)
-    ///         .routing(Routing::ByRegion)
-    ///         .arms(4, StripePolicy::RoundRobin),
+    ///         .routing(Routing::ByRegion),
     /// );
     /// # let _ = ws;
     /// ```
@@ -202,23 +199,10 @@ impl Workspace {
             config.routing,
         );
         let ws = Workspace { disk, pool };
-        if config.arms > 1 {
-            ws.apply_arms(config.arms, config.stripe);
-        }
         if config.adaptive_shards {
             ws.pool.set_adaptive(true);
         }
         Ok(ws)
-    }
-
-    /// Shape the disk as an `arms`-way array and keep the buffer
-    /// pool's shard routing aligned with the new arm assignment: under
-    /// `Routing::ByRegion` with multiple shards, each shard's miss
-    /// stream then feeds exactly one arm (see
-    /// `ShardedPool::set_arm_affinity`; dormant in other modes).
-    fn apply_arms(&self, arms: usize, stripe: StripePolicy) {
-        self.disk.configure_arms(arms, stripe);
-        self.pool.set_arm_affinity(arms, stripe);
     }
 
     /// The simulated disk.
@@ -368,7 +352,7 @@ impl Workspace {
     /// backend is free to reinvent is the layout of the exact
     /// representations. A backend that wants the shared (`&self`) write
     /// path must also override
-    /// [`SpatialStore::snapshot`](spatialdb_storage::SpatialStore::snapshot)
+    /// [`SpatialStore::snapshot`]
     /// (typically `Box::new(self.clone())` on a `Clone` store, as below);
     /// without it only the exclusive `&mut` entry points work.
     ///
@@ -456,7 +440,7 @@ impl Workspace {
 /// geometry used for query refinement.
 ///
 /// Both live behind one versioned root pointer
-/// ([`Snapshot`](spatialdb_epoch::Snapshot)): reads pin an epoch and
+/// ([`Snapshot`]): reads pin an epoch and
 /// traverse a consistent copy-on-write snapshot, writes serialize on an
 /// internal gate and publish shadow copies — see the [module
 /// docs](crate::db) for the full concurrency story.

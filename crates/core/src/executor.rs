@@ -47,7 +47,7 @@ use spatialdb_storage::QueryStats;
 /// Materialized result of one query executed by the parallel executor.
 ///
 /// Carries exactly what the sequential
-/// [`ResultCursor`](crate::query::ResultCursor) would have produced:
+/// [`ResultCursor`] would have produced:
 /// the refined ids in ascending order and the per-query cost deltas.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
@@ -187,7 +187,7 @@ pub enum Arrival {
     /// next query `think_ms` after its previous one **completes**:
     /// arrivals self-throttle under load, producing the classic
     /// response-time-vs-clients curve
-    /// ([`simulate_queries_closed`](spatialdb_disk::simulate_queries_closed)).
+    /// ([`simulate_queries_closed`]).
     Closed {
         /// Concurrent clients (0 is treated as 1). Client `c` issues
         /// queries `c, c + clients, c + 2·clients, …` of the batch.
@@ -255,7 +255,7 @@ pub struct OverlapConfig {
     /// the stripe policy.
     pub arms: usize,
     /// How regions map to arms (see
-    /// [`StripePolicy`](spatialdb_disk::StripePolicy)).
+    /// [`StripePolicy`]).
     pub stripe: StripePolicy,
     /// Rotational-latency model of the arms' timelines (the charged
     /// accounting always stays on the flat §5.1 average).

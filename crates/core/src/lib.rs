@@ -10,8 +10,8 @@
 //! generator.
 //!
 //! Storage backends are pluggable behind the
-//! [`SpatialStore`](spatialdb_storage::SpatialStore) trait, and queries
-//! stream through the [`Query`](query::Query) builder.
+//! [`SpatialStore`] trait, and queries
+//! stream through the [`Query`] builder.
 //!
 //! ## Quickstart
 //!

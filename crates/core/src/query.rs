@@ -61,7 +61,8 @@
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
 use spatialdb_disk::{
-    simulate_queries, ArmGeometry, ArmPolicy, IoStats, LatencyStats, PageRequest, QueryTrace,
+    simulate_queries_striped, ArmGeometry, ArmPolicy, ArrayConfig, IoStats, LatencyStats,
+    PageRequest, QueryTrace,
 };
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
@@ -529,17 +530,20 @@ impl<'a> JoinQuery<'a> {
         } = self;
         let (left, right) = (left.store(), right.store());
         let (pairs, stats, trace) = SpatialJoin::new(&*left, &*right).run_with_pairs_traced(config);
-        let latency = simulate_queries(
+        let (mut latency, _) = simulate_queries_striped(
             left.disk().params(),
             ArmGeometry::default(),
-            policy,
+            ArrayConfig {
+                policy,
+                ..Default::default()
+            },
             depth,
             &[QueryTrace {
                 arrival_ms: 0.0,
                 requests: trace,
             }],
-        )
-        .pop();
+        );
+        let latency = latency.pop();
         JoinCursor {
             left,
             right,

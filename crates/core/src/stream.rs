@@ -5,7 +5,7 @@
 //! point queries, spatial joins, inserts and deletes, possibly against
 //! several databases of one workspace — and executes it under the
 //! shadow-paging concurrency model of
-//! [`SpatialDatabase`](crate::db::SpatialDatabase):
+//! [`SpatialDatabase`]:
 //!
 //! * **Phase A (stream order, calling thread):** every operation's
 //!   I/O-charging half runs here, in logical commit order. A query op

@@ -21,28 +21,35 @@
 //!   services them under an [`ArmPolicy`]: FCFS (arrival order) or
 //!   **elevator** (SCAN: sweep the cylinders in one direction, servicing
 //!   requests on the way, flip at the last outstanding cylinder).
-//! * [`simulate_queries`] replays per-query request traces through one
-//!   arm under an open-arrival workload with a bounded per-query
+//! * [`simulate_queries_striped`](crate::array::simulate_queries_striped)
+//!   replays per-query request traces ([`QueryTrace`], captured with
+//!   [`Disk::trace_begin`](crate::disk::Disk::trace_begin)) through the
+//!   arms under an open-arrival workload with a bounded per-query
 //!   submission window (queue depth *k*), producing per-query
-//!   [`LatencyStats`].
+//!   [`LatencyStats`] — the one way requests reach an arm.
 //!
 //! ## Two measures, one contract
 //!
 //! The arm computes **simulated time** (queue wait, service, completion
 //! in ms on the arm's clock) with the distance-dependent curve. The
 //! **charged accounting** ([`crate::stats::IoStats`]) stays on the
-//! paper's flat per-request model, and flows through the very same
-//! [`Disk::charge`](crate::disk::Disk::charge) code path — which is what
-//! makes depth-1 submission **byte-identical** to the synchronous charge
-//! path (the mirror test in `disk.rs` pins this). At depth > 1 under the
-//! elevator policy, a request dispatched on the cylinder where the arm
-//! already stands *and* co-scheduled with the previous request (it was
-//! queued before the previous dispatch began) is charged without its
-//! seek — the same-cylinder rule of §5.4.3 extended across queued
-//! requests. Requests whose `skip_seek` flag was already set by the
-//! cost model (SLM follow-up runs inside one cluster unit, §5.4.2/§5.4.3)
-//! keep it: the scheduler never turns a skipped seek back into a charged
-//! one, so elevator-merged adjacent runs cannot double-charge seeks.
+//! paper's flat per-request model:
+//! [`Disk::charge`](crate::disk::Disk::charge) charged every request
+//! when its trace was captured, and a replay moves none of it. What a
+//! [`Completion`] carries besides the timeline is the seek flag a
+//! charge made in service order would use
+//! ([`Completion::effective_skip_seek`]). At depth 1 it always equals
+//! the request's own flag, so charging a depth-1 replay again is
+//! **byte-identical** to the synchronous charge (the mirror test in
+//! `disk.rs` pins this). At depth > 1 under the elevator policy, a
+//! request dispatched on the cylinder where the arm already stands
+//! *and* co-scheduled with the previous request (it was queued before
+//! the previous dispatch began) reports its seek as skipped — the
+//! same-cylinder rule of §5.4.3 extended across queued requests.
+//! Requests whose `skip_seek` flag was already set by the cost model
+//! (SLM follow-up runs inside one cluster unit, §5.4.2/§5.4.3) keep it:
+//! the scheduler never turns a skipped seek back into a charged one, so
+//! elevator-merged adjacent runs cannot double-charge seeks.
 
 use crate::model::{DiskParams, PageId, PageRun};
 use crate::stats::IoKind;
@@ -388,10 +395,9 @@ struct Pending {
 /// simulated clock.
 ///
 /// The arm is a pure scheduler — it computes the timeline and the
-/// effective charge flags, but charges nothing itself. The accounting
-/// front-end is [`Disk::submit`](crate::disk::Disk::submit) /
-/// [`Disk::complete_next`](crate::disk::Disk::complete_next); the
-/// open-arrival multi-query harness is [`simulate_queries`].
+/// effective charge flags, but charges nothing itself. The multi-query
+/// harness that drives it is
+/// [`simulate_queries_striped`](crate::array::simulate_queries_striped).
 #[derive(Clone, Debug)]
 pub struct DiskArm {
     params: DiskParams,
@@ -434,21 +440,6 @@ impl DiskArm {
             busy_ms: 0.0,
             queue_wait_ms: 0.0,
         }
-    }
-
-    /// The scheduling policy.
-    pub fn policy(&self) -> ArmPolicy {
-        self.policy
-    }
-
-    /// Change the policy. Affects only requests not yet serviced.
-    pub fn set_policy(&mut self, policy: ArmPolicy) {
-        self.policy = policy;
-    }
-
-    /// The rotational-latency model of the timeline.
-    pub fn rotation(&self) -> RotationModel {
-        self.rotation
     }
 
     /// Change the rotational model. Affects only future services; the
@@ -663,8 +654,8 @@ impl DiskArm {
         (target - ready_ms.rem_euclid(period)).rem_euclid(period)
     }
 
-    /// Finish time of the completion the next [`service_next`]
-    /// (DiskArm::service_next) call would return, without mutating the
+    /// Finish time of the completion the next
+    /// [`service_next`](DiskArm::service_next) call would return, without mutating the
     /// arm — what the [`DiskArray`](crate::array::DiskArray) compares
     /// across arms to pop the globally-earliest completion.
     pub fn peek_next_finish(&self) -> Option<f64> {
@@ -691,43 +682,27 @@ pub struct QueryTrace {
     pub requests: Vec<PageRequest>,
 }
 
-/// Replay per-query request traces through one arm under an open-arrival
-/// workload, returning one [`LatencyStats`] per query (same order).
-///
-/// Each query keeps at most `depth` requests outstanding: its first
-/// `depth` requests are submitted at arrival, and each completion
-/// releases the next (the submission window of the overlapped executor).
-/// The arm services the union of all queries' outstanding requests under
-/// `policy` — with `depth == 1` and a single query this degenerates to
-/// the synchronous request order.
-///
-/// The simulation is deterministic: no wall-clock time, no randomness.
-pub fn simulate_queries(
-    params: DiskParams,
-    geometry: ArmGeometry,
-    policy: ArmPolicy,
-    depth: usize,
-    queries: &[QueryTrace],
-) -> Vec<LatencyStats> {
-    // The 1-arm special case of the striped harness (every stripe
-    // policy is the identity mapping at one arm).
-    crate::array::simulate_queries_striped(
-        params,
-        geometry,
-        crate::array::ArrayConfig {
-            policy,
-            ..Default::default()
-        },
-        depth,
-        queries,
-    )
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::{simulate_queries_striped, ArrayConfig};
     use crate::model::RegionId;
+
+    /// Open-arrival replay on one arm under `policy`.
+    fn simulate(policy: ArmPolicy, depth: usize, queries: &[QueryTrace]) -> Vec<LatencyStats> {
+        let config = ArrayConfig {
+            policy,
+            ..Default::default()
+        };
+        let (stats, _) = simulate_queries_striped(
+            DiskParams::default(),
+            ArmGeometry::default(),
+            config,
+            depth,
+            queries,
+        );
+        stats
+    }
 
     fn pg(r: u16, o: u64) -> PageId {
         PageId::new(RegionId(r), o)
@@ -1039,13 +1014,7 @@ mod tests {
             q(5.0, &[500, 501]),
             q(10.0, &[]), // no I/O: completes at arrival
         ];
-        let stats = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            2,
-            &queries,
-        );
+        let stats = simulate(ArmPolicy::Elevator, 2, &queries);
         assert_eq!(stats.len(), 3);
         assert_eq!(stats[0].requests, 3);
         assert_eq!(stats[1].requests, 2);
@@ -1067,21 +1036,9 @@ mod tests {
             arrival_ms: 0.0,
             requests: (0..16).map(|i| read1(0, i * 64)).collect(),
         }];
-        let d1 = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            1,
-            &queries,
-        );
+        let d1 = simulate(ArmPolicy::Elevator, 1, &queries);
         assert_eq!(d1[0].queue_ms, 0.0, "depth-1 has no queueing");
-        let d4 = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            4,
-            &queries,
-        );
+        let d4 = simulate(ArmPolicy::Elevator, 4, &queries);
         assert!(d4[0].queue_ms > 0.0, "depth-4 overlaps requests");
         // Elevator reordering can only shorten the busy span.
         assert!(d4[0].completed_ms <= d1[0].completed_ms + 1e-9);
@@ -1098,13 +1055,7 @@ mod tests {
             })
             .collect();
         let mean = |policy| {
-            let stats = simulate_queries(
-                DiskParams::default(),
-                ArmGeometry::default(),
-                policy,
-                4,
-                &queries,
-            );
+            let stats = simulate(policy, 4, &queries);
             stats.iter().map(|s| s.latency_ms()).sum::<f64>() / stats.len() as f64
         };
         let fcfs = mean(ArmPolicy::Fcfs);

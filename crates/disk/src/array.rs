@@ -20,7 +20,7 @@
 //! [`DiskArm`]: every policy degenerates to the identity mapping
 //! `(arm 0, band = region id)` at N = 1.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::arm::{
     ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
@@ -154,46 +154,6 @@ impl DiskArray {
         }
     }
 
-    /// Number of arms.
-    pub fn num_arms(&self) -> usize {
-        self.arms.len()
-    }
-
-    /// The stripe policy.
-    pub fn stripe(&self) -> StripePolicy {
-        self.stripe
-    }
-
-    /// The queue-ordering policy (uniform across arms).
-    pub fn policy(&self) -> ArmPolicy {
-        self.arms[0].policy()
-    }
-
-    /// Change the queue ordering of every arm. Affects only requests
-    /// not yet serviced.
-    pub fn set_policy(&mut self, policy: ArmPolicy) {
-        for arm in &mut self.arms {
-            arm.set_policy(policy);
-        }
-    }
-
-    /// The rotational model (uniform across arms).
-    pub fn rotation(&self) -> RotationModel {
-        self.arms[0].rotation()
-    }
-
-    /// Change the rotational model of every arm's timeline.
-    pub fn set_rotation(&mut self, rotation: RotationModel) {
-        for arm in &mut self.arms {
-            arm.set_rotation(rotation);
-        }
-    }
-
-    /// The cylinder mapping shared by the arms.
-    pub fn geometry(&self) -> ArmGeometry {
-        self.geometry
-    }
-
     /// The arm owning `region` under this array's stripe policy.
     pub fn arm_of(&self, region: RegionId) -> usize {
         self.stripe.arm_of(region, self.arms.len())
@@ -286,12 +246,15 @@ impl DiskArray {
 /// open-arrival workload, returning one [`LatencyStats`] per query
 /// (same order) plus the final per-arm [`ArmStats`].
 ///
-/// The submission-window discipline is the single-arm
-/// [`simulate_queries`](crate::arm::simulate_queries): each query keeps
-/// at most `depth` requests outstanding, and each completion releases
-/// the query's next request — which may land on a different arm, so a
-/// query's own requests overlap across arms even at depth 1's
-/// one-at-a-time issue order. Deterministic: no wall clock, no
+/// Each query arrives at its own `arrival_ms` and keeps at most `depth`
+/// requests outstanding: its first `depth` requests are submitted at
+/// arrival, and each completion releases the query's next request (the
+/// submission window of the overlapped executor) — which may land on a
+/// different arm, so a query's own requests overlap across arms even at
+/// depth 1's one-at-a-time issue order. The arms service the union of
+/// all queries' outstanding requests under `config.policy`; with
+/// `depth == 1` and a single query on one arm this degenerates to the
+/// synchronous request order. Deterministic: no wall clock, no
 /// randomness.
 pub fn simulate_queries_striped(
     params: DiskParams,
@@ -300,35 +263,7 @@ pub fn simulate_queries_striped(
     depth: usize,
     queries: &[QueryTrace],
 ) -> (Vec<LatencyStats>, Vec<ArmStats>) {
-    let depth = depth.max(1);
-    let mut array = DiskArray::new(params, geometry, config);
-    let mut stats: Vec<LatencyStats> = queries
-        .iter()
-        .map(|q| LatencyStats::arriving_at(q.arrival_ms))
-        .collect();
-    // Per-query submission cursor and id → query ownership.
-    let mut next_req: Vec<usize> = vec![0; queries.len()];
-    let mut owner: HashMap<u64, usize> = HashMap::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for _ in 0..depth.min(q.requests.len()) {
-            let r = q.requests[next_req[qi]];
-            next_req[qi] += 1;
-            owner.insert(array.submit_at(r, q.arrival_ms), qi);
-        }
-    }
-    while let Some(c) = array.service_next() {
-        let qi = owner.remove(&c.id).expect("completion for unknown request");
-        stats[qi].absorb(&c);
-        let q = &queries[qi];
-        if next_req[qi] < q.requests.len() {
-            // The query observes the completion and issues its next
-            // request immediately.
-            let r = q.requests[next_req[qi]];
-            next_req[qi] += 1;
-            owner.insert(array.submit_at(r, c.finished_ms), qi);
-        }
-    }
-    (stats, array.arm_stats())
+    replay(params, geometry, config, depth, None, queries)
 }
 
 /// Replay per-query request traces through a [`DiskArray`] under a
@@ -357,33 +292,53 @@ pub fn simulate_queries_closed(
     think_ms: f64,
     queries: &[QueryTrace],
 ) -> (Vec<LatencyStats>, Vec<ArmStats>) {
+    let chain = Some((clients.max(1), think_ms));
+    replay(params, geometry, config, depth, chain, queries)
+}
+
+/// The one replay loop behind both arrival processes. Open
+/// (`chain = None`): every query arrives at its own `arrival_ms` and
+/// nothing chains. Closed (`chain = Some((clients, think_ms))`): the
+/// first `clients` queries arrive at 0, and a query's completion
+/// activates query `q + clients` `think_ms` later.
+fn replay(
+    params: DiskParams,
+    geometry: ArmGeometry,
+    config: ArrayConfig,
+    depth: usize,
+    chain: Option<(usize, f64)>,
+    queries: &[QueryTrace],
+) -> (Vec<LatencyStats>, Vec<ArmStats>) {
     let depth = depth.max(1);
-    let clients = clients.max(1);
     let mut array = DiskArray::new(params, geometry, config);
     let n = queries.len();
-    let mut stats: Vec<LatencyStats> = queries
-        .iter()
-        .map(|_| LatencyStats::arriving_at(0.0))
-        .collect();
+    // Queries whose client just became ready: (query, arrival time).
+    let mut activations: VecDeque<(usize, f64)> = match chain {
+        None => queries.iter().map(|q| q.arrival_ms).enumerate().collect(),
+        Some((clients, _)) => (0..clients.min(n)).map(|q| (q, 0.0)).collect(),
+    };
+    let mut stats: Vec<LatencyStats> = vec![LatencyStats::default(); n];
+    // Per-query submission cursor, in-flight count and id → query
+    // ownership.
     let mut next_req: Vec<usize> = vec![0; n];
     let mut outstanding: Vec<usize> = vec![0; n];
     let mut owner: HashMap<u64, usize> = HashMap::new();
-    // Queries whose client just became ready: (query, arrival time).
-    let mut activations: std::collections::VecDeque<(usize, f64)> =
-        (0..clients.min(n)).map(|q| (q, 0.0)).collect();
+    // The query a completed query's client issues next, and when.
+    let successor = |qi: usize, done_ms: f64| {
+        chain
+            .filter(|&(clients, _)| qi + clients < n)
+            .map(|(clients, think_ms)| (qi + clients, done_ms + think_ms))
+    };
     loop {
         while let Some((qi, at)) = activations.pop_front() {
             stats[qi] = LatencyStats::arriving_at(at);
-            if queries[qi].requests.is_empty() {
-                // Nothing to serve: the query completes at arrival and
-                // its client immediately starts thinking.
-                if qi + clients < n {
-                    activations.push_back((qi + clients, at + think_ms));
-                }
+            let q = &queries[qi];
+            if q.requests.is_empty() {
+                // Nothing to serve: the query completes at arrival.
+                activations.extend(successor(qi, at));
                 continue;
             }
-            for _ in 0..depth.min(queries[qi].requests.len()) {
-                let r = queries[qi].requests[next_req[qi]];
+            for &r in &q.requests[..depth.min(q.requests.len())] {
                 next_req[qi] += 1;
                 outstanding[qi] += 1;
                 owner.insert(array.submit_at(r, at), qi);
@@ -393,14 +348,14 @@ pub fn simulate_queries_closed(
         let qi = owner.remove(&c.id).expect("completion for unknown request");
         stats[qi].absorb(&c);
         outstanding[qi] -= 1;
-        if next_req[qi] < queries[qi].requests.len() {
-            let r = queries[qi].requests[next_req[qi]];
+        if let Some(&r) = queries[qi].requests.get(next_req[qi]) {
+            // The query observes the completion and issues its next
+            // request immediately.
             next_req[qi] += 1;
             outstanding[qi] += 1;
             owner.insert(array.submit_at(r, c.finished_ms), qi);
-        } else if outstanding[qi] == 0 && qi + clients < n {
-            // Query complete: its client thinks, then issues its next.
-            activations.push_back((qi + clients, c.finished_ms + think_ms));
+        } else if outstanding[qi] == 0 {
+            activations.extend(successor(qi, c.finished_ms));
         }
     }
     (stats, array.arm_stats())
@@ -591,10 +546,13 @@ mod tests {
                 requests: vec![read1(2, 0), read1(3, 32 * 2)],
             },
         ];
-        let single = crate::arm::simulate_queries(
+        let (single, _) = simulate_queries_striped(
             DiskParams::default(),
             ArmGeometry::default(),
-            ArmPolicy::Elevator,
+            ArrayConfig {
+                policy: ArmPolicy::Elevator,
+                ..ArrayConfig::default()
+            },
             4,
             &traces,
         );
@@ -619,38 +577,84 @@ mod tests {
 
     #[test]
     fn closed_loop_with_enough_clients_is_the_open_burst() {
-        // With one client per query and zero think time every query
-        // arrives at 0 — exactly the open burst, byte for byte.
-        let traces: Vec<QueryTrace> = (0..6u16)
-            .map(|q| QueryTrace {
-                arrival_ms: 0.0,
-                requests: vec![read1(q % 4, 32 * u64::from(q) * 3), read1(q % 4, 0)],
-            })
-            .collect();
-        let config = ArrayConfig {
-            arms: 2,
-            stripe: StripePolicy::RoundRobin,
-            policy: ArmPolicy::Elevator,
-            rotation: RotationModel::FlatAverage,
+        // With one client per query (or more) and zero think time every
+        // query arrives at 0 — exactly the open burst, byte for byte:
+        // both arrival processes run the same loop, for seeded random
+        // traces (empty ones included) over depth, arm count and policy.
+        let mut rng = crate::test_util::Rng(0xC105_ED00_1994_0020);
+        let mut cases = 0;
+        for trial in 0..32 {
+            let traces: Vec<QueryTrace> = (0..1 + rng.below(10))
+                .map(|_| QueryTrace {
+                    arrival_ms: 0.0,
+                    requests: (0..rng.below(7))
+                        .map(|_| read1(rng.below(6) as u16, rng.below(32 * 40)))
+                        .collect(),
+                })
+                .collect();
+            let clients = traces.len() + trial % 3;
+            for depth in [1, 4] {
+                for arms in [1, 4] {
+                    for policy in [ArmPolicy::Fcfs, ArmPolicy::Elevator] {
+                        let config = ArrayConfig {
+                            arms,
+                            stripe: ALL_POLICIES[trial % 3],
+                            policy,
+                            rotation: RotationModel::FlatAverage,
+                        };
+                        let open = simulate_queries_striped(
+                            DiskParams::default(),
+                            ArmGeometry::default(),
+                            config,
+                            depth,
+                            &traces,
+                        );
+                        let closed = simulate_queries_closed(
+                            DiskParams::default(),
+                            ArmGeometry::default(),
+                            config,
+                            depth,
+                            clients,
+                            0.0,
+                            &traces,
+                        );
+                        assert_eq!(open, closed, "trial {trial}: {config:?}, depth {depth}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 200);
+    }
+
+    #[test]
+    fn empty_trace_in_an_open_batch_completes_at_its_arrival() {
+        // A buffer-hit query between two I/O-bound ones: it completes
+        // where it arrives and the others are served as if it were not
+        // in the batch.
+        let io = |arrival_ms: f64, r: u16| QueryTrace {
+            arrival_ms,
+            requests: vec![read1(r, 32 * 9), read1(r, 0), read1(r, 32 * 4)],
         };
-        let (open, open_arms) = simulate_queries_striped(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            config,
-            3,
-            &traces,
-        );
-        let (closed, closed_arms) = simulate_queries_closed(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            config,
-            3,
-            traces.len(),
-            0.0,
-            &traces,
-        );
-        assert_eq!(open, closed);
-        assert_eq!(open_arms, closed_arms);
+        let hit = QueryTrace {
+            arrival_ms: 7.0,
+            requests: Vec::new(),
+        };
+        let run = |traces: &[QueryTrace]| {
+            simulate_queries_striped(
+                DiskParams::default(),
+                ArmGeometry::default(),
+                ArrayConfig::default(),
+                2,
+                traces,
+            )
+        };
+        let (with, arms_with) = run(&[io(0.0, 0), hit, io(12.0, 1)]);
+        let (without, arms_without) = run(&[io(0.0, 0), io(12.0, 1)]);
+        assert_eq!(with[1], LatencyStats::arriving_at(7.0));
+        assert_eq!(with[1].latency_ms(), 0.0);
+        assert_eq!([with[0], with[2]], [without[0], without[1]]);
+        assert_eq!(arms_with, arms_without);
     }
 
     #[test]

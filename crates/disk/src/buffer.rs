@@ -1,4 +1,5 @@
-//! LRU page buffer and the buffered I/O front-end.
+//! The LRU page buffer and the read/seek modes of the buffered I/O
+//! front-end ([`ShardedPool`](crate::shard::ShardedPool)).
 //!
 //! Every experiment of the paper runs with an LRU buffer in front of the
 //! disk (§6.1 sweeps buffer sizes from 200 to 6,400 pages for the spatial
@@ -7,10 +8,7 @@
 //! allocated in the buffer, including bridged non-requested pages) from
 //! the *vector read* (only requested pages are kept).
 
-use crate::disk::DiskHandle;
-use crate::model::{mix64, runs_of, PageId, PageRun};
-use crate::schedule::{slm_schedule, ScheduledRun};
-use crate::stats::IoKind;
+use crate::model::{mix64, PageId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -93,9 +91,10 @@ struct Node {
 
 /// A page-granular LRU buffer with dirty flags and pinning.
 ///
-/// Pure replacement logic — it never talks to the disk. [`BufferPool`]
-/// pairs it with a [`DiskHandle`] and charges the misses and dirty
-/// evictions.
+/// Pure replacement logic — it never talks to the disk.
+/// [`ShardedPool`](crate::shard::ShardedPool) pairs one per shard with a
+/// [`DiskHandle`](crate::disk::DiskHandle) and charges the misses and
+/// dirty evictions.
 #[derive(Debug)]
 pub struct LruBuffer {
     capacity: usize,
@@ -368,314 +367,280 @@ impl ReadOutcome {
     }
 }
 
-/// LRU buffer bound to a disk: the component every organization model
-/// reads and writes through.
-#[derive(Debug)]
-pub struct BufferPool {
-    disk: DiskHandle,
-    buf: LruBuffer,
-    write_through: bool,
-}
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
+    use crate::disk::DiskHandle;
+    use crate::model::{runs_of, PageId, PageRun};
+    use crate::schedule::{slm_schedule, ScheduledRun};
+    use crate::stats::IoKind;
 
-impl BufferPool {
-    /// Create a pool with `capacity` pages over `disk`.
-    pub fn new(disk: DiskHandle, capacity: usize) -> Self {
-        BufferPool {
-            disk,
-            buf: LruBuffer::new(capacity),
-            write_through: false,
-        }
+    /// One LRU buffer bound to a disk behind `&mut self`: the single-lock
+    /// pool the sharded one replaced, kept as the reference
+    /// `shard::tests::one_shard_mirrors_buffer_pool` compares a 1-shard
+    /// [`ShardedPool`](crate::shard::ShardedPool) against.
+    #[derive(Debug)]
+    pub(crate) struct BufferPool {
+        disk: DiskHandle,
+        buf: LruBuffer,
+        write_through: bool,
     }
 
-    /// Switch between write-back (default) and write-through page
-    /// updates.
-    ///
-    /// In write-through mode every [`BufferPool::write_page`] /
-    /// [`BufferPool::update_page`] charges its write request immediately
-    /// and the buffered copy stays clean — the update discipline of the
-    /// systems the paper measured, and the mode the construction
-    /// experiments (Figure 5) run under. Write-back defers the write to
-    /// eviction or [`BufferPool::flush`].
-    pub fn set_write_through(&mut self, on: bool) {
-        self.write_through = on;
-    }
-
-    /// Whether write-through mode is active.
-    pub fn write_through(&self) -> bool {
-        self.write_through
-    }
-
-    /// The underlying disk handle.
-    #[inline]
-    pub fn disk(&self) -> &DiskHandle {
-        &self.disk
-    }
-
-    /// Direct access to the replacement state (tests, pin management).
-    #[inline]
-    pub fn buffer_mut(&mut self) -> &mut LruBuffer {
-        &mut self.buf
-    }
-
-    /// Immutable access to the replacement state.
-    #[inline]
-    pub fn buffer(&self) -> &LruBuffer {
-        &self.buf
-    }
-
-    fn charge_evictions(&mut self, evicted: Vec<(PageId, bool)>) {
-        for (page, dirty) in evicted {
-            if dirty {
-                self.disk
-                    .charge(IoKind::Write, PageRun::new(page, 1), false);
+    impl BufferPool {
+        /// Create a pool with `capacity` pages over `disk`.
+        pub(crate) fn new(disk: DiskHandle, capacity: usize) -> Self {
+            BufferPool {
+                disk,
+                buf: LruBuffer::new(capacity),
+                write_through: false,
             }
         }
-    }
 
-    /// Read a single page. Returns `true` on a buffer hit.
-    pub fn read_page(&mut self, page: PageId) -> bool {
-        if self.buf.touch(&page) {
-            return true;
+        /// Switch between write-back (default) and write-through page
+        /// updates.
+        ///
+        /// In write-through mode every [`BufferPool::write_page`] /
+        /// [`BufferPool::update_page`] charges its write request immediately
+        /// and the buffered copy stays clean — the update discipline of the
+        /// systems the paper measured, and the mode the construction
+        /// experiments (Figure 5) run under. Write-back defers the write to
+        /// eviction or [`BufferPool::flush`].
+        pub(crate) fn set_write_through(&mut self, on: bool) {
+            self.write_through = on;
         }
-        self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
-        let ev = self.buf.insert(page, false);
-        self.charge_evictions(ev);
-        false
-    }
 
-    /// Blind single-page write: the page is (re)written without being
-    /// read first — e.g. appending records to a fresh page. In
-    /// write-back mode the page is buffered dirty and the physical write
-    /// happens on eviction or flush; in write-through mode the write is
-    /// charged immediately.
-    pub fn write_page(&mut self, page: PageId) {
-        if self.buf.capacity() == 0 || self.write_through {
-            self.disk
-                .charge(IoKind::Write, PageRun::new(page, 1), false);
-            if self.buf.capacity() > 0 {
-                let ev = self.buf.insert(page, false);
-                self.charge_evictions(ev);
+        /// Immutable access to the replacement state.
+        #[inline]
+        pub(crate) fn buffer(&self) -> &LruBuffer {
+            &self.buf
+        }
+
+        fn charge_evictions(&mut self, evicted: Vec<(PageId, bool)>) {
+            for (page, dirty) in evicted {
+                if dirty {
+                    self.disk
+                        .charge(IoKind::Write, PageRun::new(page, 1), false);
+                }
             }
-            return;
         }
-        let ev = self.buf.insert(page, true);
-        self.charge_evictions(ev);
-    }
 
-    /// Read-modify-write of a single page: charged read on miss, then
-    /// marked dirty (write-back) or written immediately (write-through).
-    pub fn update_page(&mut self, page: PageId) -> bool {
-        if self.buf.capacity() == 0 {
-            self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
-            self.disk
-                .charge(IoKind::Write, PageRun::new(page, 1), false);
-            return false;
-        }
-        let hit = self.buf.touch(&page);
-        if !hit {
+        /// Read a single page. Returns `true` on a buffer hit.
+        pub(crate) fn read_page(&mut self, page: PageId) -> bool {
+            if self.buf.touch(&page) {
+                return true;
+            }
             self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
             let ev = self.buf.insert(page, false);
             self.charge_evictions(ev);
+            false
         }
-        if self.write_through {
-            self.disk
-                .charge(IoKind::Write, PageRun::new(page, 1), false);
-        } else {
-            self.buf.mark_dirty(&page);
-        }
-        hit
-    }
 
-    /// Read a set of pages (sorted, deduplicated). Missing pages are
-    /// grouped into maximal consecutive runs, each one request, charged
-    /// according to the [`SeekPolicy`].
-    pub fn read_set(&mut self, pages: &[PageId], seek: SeekPolicy) -> ReadOutcome {
-        debug_assert!(
-            pages.windows(2).all(|w| w[0] < w[1]),
-            "pages must be sorted"
-        );
-        let mut out = ReadOutcome::default();
-        let mut missing = Vec::new();
-        for p in pages {
-            if self.buf.touch(p) {
-                out.buffer_hits += 1;
-            } else {
-                missing.push(*p);
+        /// Blind single-page write: the page is (re)written without being
+        /// read first — e.g. appending records to a fresh page. In
+        /// write-back mode the page is buffered dirty and the physical write
+        /// happens on eviction or flush; in write-through mode the write is
+        /// charged immediately.
+        pub(crate) fn write_page(&mut self, page: PageId) {
+            if self.buf.capacity() == 0 || self.write_through {
+                self.disk
+                    .charge(IoKind::Write, PageRun::new(page, 1), false);
+                if self.buf.capacity() > 0 {
+                    let ev = self.buf.insert(page, false);
+                    self.charge_evictions(ev);
+                }
+                return;
             }
-        }
-        for run in runs_of(&missing) {
-            self.disk
-                .charge(IoKind::Read, run, seek.skip_seek(out.requests));
-            out.requests += 1;
-            out.pages_transferred += run.len;
-        }
-        for p in missing {
-            let ev = self.buf.insert(p, false);
+            let ev = self.buf.insert(page, true);
             self.charge_evictions(ev);
         }
-        out
-    }
 
-    /// Insert pages into the buffer without charging any I/O, pinning
-    /// them against eviction.
-    ///
-    /// Models the standard assumption that the index directory is
-    /// memory-resident during query processing; the experiments warm the
-    /// directory pages this way so that only data-page and object I/O is
-    /// measured, as the paper does.
-    pub fn warm_pinned(&mut self, pages: impl IntoIterator<Item = PageId>) {
-        for p in pages {
-            let ev = self.buf.insert(p, false);
-            self.charge_evictions(ev);
-            self.buf.pin(&p);
-        }
-    }
-
-    /// Drop all buffered pages of the given regions without writing
-    /// anything (per-query cold-start for object pages while the tree
-    /// stays warm). Pinned pages are dropped too.
-    pub fn invalidate_regions(&mut self, regions: &[crate::model::RegionId]) {
-        let victims: Vec<PageId> = self
-            .buf
-            .pages()
-            .filter(|p| regions.contains(&p.region))
-            .collect();
-        for p in victims {
-            self.buf.remove(&p);
-        }
-    }
-
-    /// Read a complete extent (cluster unit) with one request, regardless
-    /// of how many of its pages are already buffered — the *complete*
-    /// technique of §5.4. All pages enter the buffer.
-    ///
-    /// The caller should skip the call entirely when every *needed* page
-    /// is buffered; once any disk access is required, the whole unit is
-    /// transferred in one request.
-    pub fn read_full_extent(&mut self, extent: PageRun) -> ReadOutcome {
-        self.disk.charge(IoKind::Read, extent, false);
-        let mut out = ReadOutcome {
-            requests: 1,
-            pages_transferred: extent.len,
-            buffer_hits: 0,
-        };
-        if self.buf.capacity() == 0 {
-            return out;
-        }
-        for p in extent.pages() {
-            if self.buf.contains(&p) {
-                out.buffer_hits += 1;
-                self.buf.touch(&p);
+        /// Read-modify-write of a single page: charged read on miss, then
+        /// marked dirty (write-back) or written immediately (write-through).
+        pub(crate) fn update_page(&mut self, page: PageId) -> bool {
+            if self.buf.capacity() == 0 {
+                self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
+                self.disk
+                    .charge(IoKind::Write, PageRun::new(page, 1), false);
+                return false;
+            }
+            let hit = self.buf.touch(&page);
+            if !hit {
+                self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
+                let ev = self.buf.insert(page, false);
+                self.charge_evictions(ev);
+            }
+            if self.write_through {
+                self.disk
+                    .charge(IoKind::Write, PageRun::new(page, 1), false);
             } else {
+                self.buf.mark_dirty(&page);
+            }
+            hit
+        }
+
+        /// Read a set of pages (sorted, deduplicated). Missing pages are
+        /// grouped into maximal consecutive runs, each one request, charged
+        /// according to the [`SeekPolicy`].
+        pub(crate) fn read_set(&mut self, pages: &[PageId], seek: SeekPolicy) -> ReadOutcome {
+            debug_assert!(
+                pages.windows(2).all(|w| w[0] < w[1]),
+                "pages must be sorted"
+            );
+            let mut out = ReadOutcome::default();
+            let mut missing = Vec::new();
+            for p in pages {
+                if self.buf.touch(p) {
+                    out.buffer_hits += 1;
+                } else {
+                    missing.push(*p);
+                }
+            }
+            for run in runs_of(&missing) {
+                self.disk
+                    .charge(IoKind::Read, run, seek.skip_seek(out.requests));
+                out.requests += 1;
+                out.pages_transferred += run.len;
+            }
+            for p in missing {
                 let ev = self.buf.insert(p, false);
                 self.charge_evictions(ev);
             }
+            out
         }
-        out
-    }
 
-    /// Read the requested page offsets of `extent` with an SLM schedule
-    /// bridging gaps of up to `max_gap` pages (§5.4.2). Already-buffered
-    /// pages are excluded from the schedule. `mode` decides whether
-    /// bridged pages enter the buffer (Figure 15). The first issued
-    /// request pays the seek iff `initial_seek`.
-    pub fn read_extent_slm(
-        &mut self,
-        extent: PageRun,
-        requested_offsets: &[u64],
-        max_gap: u64,
-        mode: ReadMode,
-        initial_seek: bool,
-    ) -> ReadOutcome {
-        let mut out = ReadOutcome::default();
-        let mut missing = Vec::with_capacity(requested_offsets.len());
-        for &o in requested_offsets {
-            debug_assert!(o < extent.len, "offset {o} outside extent");
-            let p = extent.page(o);
-            if self.buf.touch(&p) {
-                out.buffer_hits += 1;
-            } else {
-                missing.push(o);
-            }
-        }
-        let schedule: Vec<ScheduledRun> = slm_schedule(&missing, max_gap);
-        for (i, run) in schedule.iter().enumerate() {
-            let skip = !(initial_seek && i == 0);
-            let page_run = PageRun::new(extent.page(run.start), run.len);
-            self.disk.charge(IoKind::Read, page_run, skip);
-            out.requests += 1;
-            out.pages_transferred += run.len;
+        /// Read a complete extent (cluster unit) with one request, regardless
+        /// of how many of its pages are already buffered — the *complete*
+        /// technique of §5.4. All pages enter the buffer.
+        ///
+        /// The caller should skip the call entirely when every *needed* page
+        /// is buffered; once any disk access is required, the whole unit is
+        /// transferred in one request.
+        pub(crate) fn read_full_extent(&mut self, extent: PageRun) -> ReadOutcome {
+            self.disk.charge(IoKind::Read, extent, false);
+            let mut out = ReadOutcome {
+                requests: 1,
+                pages_transferred: extent.len,
+                buffer_hits: 0,
+            };
             if self.buf.capacity() == 0 {
-                continue;
+                return out;
             }
-            for off in run.start..run.start + run.len {
-                let requested = missing.binary_search(&off).is_ok();
-                if mode == ReadMode::Vector && !requested {
-                    continue;
-                }
-                let p = extent.page(off);
-                if !self.buf.contains(&p) {
+            for p in extent.pages() {
+                if self.buf.contains(&p) {
+                    out.buffer_hits += 1;
+                    self.buf.touch(&p);
+                } else {
                     let ev = self.buf.insert(p, false);
                     self.charge_evictions(ev);
-                } else {
-                    self.buf.touch(&p);
                 }
             }
+            out
         }
-        out
-    }
 
-    /// Bulk sequential write of a fresh extent (e.g. a cluster split
-    /// writing a new cluster unit): one request, bypassing the buffer.
-    ///
-    /// Buffered copies of the extent's pages are **evicted**: the write
-    /// replaced their contents on disk, so keeping them (even clean)
-    /// would let later reads hit on stale data. Their dirty flags are
-    /// dropped without a writeback — the extent write itself supersedes
-    /// whatever the buffered copy would have written back.
-    pub fn write_extent(&mut self, extent: PageRun) {
-        self.disk.charge(IoKind::Write, extent, false);
-        for p in extent.pages() {
-            self.buf.remove(&p);
+        /// Read the requested page offsets of `extent` with an SLM schedule
+        /// bridging gaps of up to `max_gap` pages (§5.4.2). Already-buffered
+        /// pages are excluded from the schedule. `mode` decides whether
+        /// bridged pages enter the buffer (Figure 15). The first issued
+        /// request pays the seek iff `initial_seek`.
+        pub(crate) fn read_extent_slm(
+            &mut self,
+            extent: PageRun,
+            requested_offsets: &[u64],
+            max_gap: u64,
+            mode: ReadMode,
+            initial_seek: bool,
+        ) -> ReadOutcome {
+            let mut out = ReadOutcome::default();
+            let mut missing = Vec::with_capacity(requested_offsets.len());
+            for &o in requested_offsets {
+                debug_assert!(o < extent.len, "offset {o} outside extent");
+                let p = extent.page(o);
+                if self.buf.touch(&p) {
+                    out.buffer_hits += 1;
+                } else {
+                    missing.push(o);
+                }
+            }
+            let schedule: Vec<ScheduledRun> = slm_schedule(&missing, max_gap);
+            for (i, run) in schedule.iter().enumerate() {
+                let skip = !(initial_seek && i == 0);
+                let page_run = PageRun::new(extent.page(run.start), run.len);
+                self.disk.charge(IoKind::Read, page_run, skip);
+                out.requests += 1;
+                out.pages_transferred += run.len;
+                if self.buf.capacity() == 0 {
+                    continue;
+                }
+                for off in run.start..run.start + run.len {
+                    let requested = missing.binary_search(&off).is_ok();
+                    if mode == ReadMode::Vector && !requested {
+                        continue;
+                    }
+                    let p = extent.page(off);
+                    if !self.buf.contains(&p) {
+                        let ev = self.buf.insert(p, false);
+                        self.charge_evictions(ev);
+                    } else {
+                        self.buf.touch(&p);
+                    }
+                }
+            }
+            out
         }
-    }
 
-    /// Write back all dirty pages, grouped into maximal consecutive runs.
-    pub fn flush(&mut self) {
-        let dirty = self.buf.dirty_pages();
-        for run in runs_of(&dirty) {
-            self.disk.charge(IoKind::Write, run, false);
+        /// Bulk sequential write of a fresh extent (e.g. a cluster split
+        /// writing a new cluster unit): one request, bypassing the buffer.
+        ///
+        /// Buffered copies of the extent's pages are **evicted**: the write
+        /// replaced their contents on disk, so keeping them (even clean)
+        /// would let later reads hit on stale data. Their dirty flags are
+        /// dropped without a writeback — the extent write itself supersedes
+        /// whatever the buffered copy would have written back.
+        pub(crate) fn write_extent(&mut self, extent: PageRun) {
+            self.disk.charge(IoKind::Write, extent, false);
+            for p in extent.pages() {
+                self.buf.remove(&p);
+            }
         }
-        for p in dirty {
-            self.buf.clear_dirty(&p);
+
+        /// Write back all dirty pages, grouped into maximal consecutive runs.
+        pub(crate) fn flush(&mut self) {
+            let dirty = self.buf.dirty_pages();
+            for run in runs_of(&dirty) {
+                self.disk.charge(IoKind::Write, run, false);
+            }
+            for p in dirty {
+                self.buf.clear_dirty(&p);
+            }
         }
-    }
 
-    /// Drop every buffered page (experiment boundary where the buffer
-    /// must start cold), **writing back dirty pages first** — dropping
-    /// them silently would deflate the experiment's write counts by the
-    /// deferred writebacks the workload actually incurred.
-    pub fn invalidate_all(&mut self) {
-        self.flush();
-        let cap = self.buf.capacity();
-        self.buf = LruBuffer::new(cap);
-    }
+        /// Drop every buffered page (experiment boundary where the buffer
+        /// must start cold), **writing back dirty pages first** — dropping
+        /// them silently would deflate the experiment's write counts by the
+        /// deferred writebacks the workload actually incurred.
+        pub(crate) fn invalidate_all(&mut self) {
+            self.flush();
+            let cap = self.buf.capacity();
+            self.buf = LruBuffer::new(cap);
+        }
 
-    /// Replace the buffer with an empty one of `capacity` pages (the
-    /// buffer-size sweeps of Figures 14 and 16 resize between runs).
-    /// Dirty pages are written back first, like
-    /// [`invalidate_all`](BufferPool::invalidate_all).
-    pub fn reset(&mut self, capacity: usize) {
-        self.flush();
-        self.buf = LruBuffer::new(capacity);
+        /// Replace the buffer with an empty one of `capacity` pages (the
+        /// buffer-size sweeps of Figures 14 and 16 resize between runs).
+        /// Dirty pages are written back first, like
+        /// [`invalidate_all`](BufferPool::invalidate_all).
+        pub(crate) fn reset(&mut self, capacity: usize) {
+            self.flush();
+            self.buf = LruBuffer::new(capacity);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::BufferPool;
     use super::*;
-    use crate::disk::Disk;
-    use crate::model::RegionId;
+    use crate::disk::{Disk, DiskHandle};
+    use crate::model::{PageRun, RegionId};
 
     fn pool(cap: usize) -> (DiskHandle, BufferPool, RegionId) {
         let disk = Disk::with_defaults();

@@ -1,7 +1,6 @@
 //! The shared disk accounting object.
 
-use crate::arm::{ArmGeometry, ArmPolicy, ArmStats, Completion, PageRequest, RotationModel};
-use crate::array::{ArrayConfig, DiskArray, StripePolicy};
+use crate::arm::PageRequest;
 use crate::lockdep::{DepMutex, LockClass};
 use crate::model::{DiskParams, PageRun, RegionId};
 use crate::stats::{IoKind, IoStats};
@@ -45,17 +44,10 @@ thread_local! {
 /// charged from any thread. Per-query deltas should be taken against
 /// [`Disk::local_stats`] (the calling thread's tally), not against the
 /// global [`Disk::stats`].
-///
-/// Lock order: the array mutex ([`LockClass::ArmQueue`]) is only ever
-/// taken *before* the state mutex ([`LockClass::DiskCounters`]) —
-/// completions charge the disk while the array is locked — never the
-/// reverse. The order is machine-checked in debug builds by the
-/// [`lockdep`](crate::lockdep) classes on both mutexes.
 #[derive(Debug)]
 pub struct Disk {
     params: DiskParams,
     state: DepMutex<DiskState>,
-    array: DepMutex<DiskArray>,
 }
 
 #[derive(Debug, Default)]
@@ -71,11 +63,6 @@ impl Disk {
         Arc::new(Disk {
             params,
             state: DepMutex::new(LockClass::DiskCounters, DiskState::default()),
-            // A 1-arm array is byte-identical to the single DiskArm.
-            array: DepMutex::new(
-                LockClass::ArmQueue,
-                DiskArray::new(params, ArmGeometry::default(), ArrayConfig::default()),
-            ),
         })
     }
 
@@ -161,109 +148,6 @@ impl Disk {
     /// never started).
     pub fn trace_take(&self) -> Vec<PageRequest> {
         THREAD_TRACE.with(|t| t.borrow_mut().take().unwrap_or_default())
-    }
-
-    /// Set the arm scheduling policy for [`submit`](Disk::submit) /
-    /// [`complete_next`](Disk::complete_next) (uniform across the
-    /// array's arms). Affects only requests not yet serviced.
-    pub fn set_arm_policy(&self, policy: ArmPolicy) {
-        self.array.acquire().set_policy(policy);
-    }
-
-    /// Set the rotational-latency model of every arm's timeline. The
-    /// charged accounting always stays on the flat §5.1 average.
-    pub fn set_rotation_model(&self, rotation: RotationModel) {
-        self.array.acquire().set_rotation(rotation);
-    }
-
-    /// Rebuild the disk's array with `arms` arms under `stripe`,
-    /// keeping the current queue-ordering policy and rotational model.
-    /// Timelines restart from idle (all heads at cylinder 0, clocks 0);
-    /// the charged accounting ([`stats`](Disk::stats)) is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if requests are still outstanding — reconfiguring with a
-    /// non-empty queue would drop their completions.
-    pub fn configure_arms(&self, arms: usize, stripe: StripePolicy) {
-        let mut array = self.array.acquire();
-        assert_eq!(
-            array.pending(),
-            0,
-            "cannot reconfigure the array with requests outstanding"
-        );
-        let config = ArrayConfig {
-            arms,
-            stripe,
-            policy: array.policy(),
-            rotation: array.rotation(),
-        };
-        *array = DiskArray::new(self.params, array.geometry(), config);
-    }
-
-    /// Number of arms in the disk's array.
-    pub fn num_arms(&self) -> usize {
-        self.array.acquire().num_arms()
-    }
-
-    /// The array's stripe policy.
-    pub fn stripe_policy(&self) -> StripePolicy {
-        self.array.acquire().stripe()
-    }
-
-    /// Per-arm cumulative statistics (utilization, queue depth),
-    /// indexed by arm.
-    pub fn arm_stats(&self) -> Vec<ArmStats> {
-        self.array.acquire().arm_stats()
-    }
-
-    /// Submit a request to the owning arm's queue without charging it
-    /// yet; the charge happens when the arm services it
-    /// ([`complete_next`](Disk::complete_next)). Returns the request id,
-    /// or `None` for an empty run (free and not recorded, exactly like
-    /// the synchronous path).
-    pub fn submit(&self, request: PageRequest) -> Option<u64> {
-        if request.run.is_empty() {
-            return None;
-        }
-        Some(self.array.acquire().submit(request))
-    }
-
-    /// Service the globally-earliest outstanding completion across the
-    /// array's arms (deterministic tie-break by arm index), charging it
-    /// through the same code path as the synchronous
-    /// [`charge`](Disk::charge) — with the completion's effective seek
-    /// flag, so depth-1 submission (one request outstanding at a time)
-    /// is **byte-identical** to calling `charge` directly, and
-    /// elevator-merged same-cylinder requests are not double-charged
-    /// (§5.4.3 across queued requests).
-    pub fn complete_next(&self) -> Option<Completion> {
-        let mut array = self.array.acquire();
-        let completion = array.service_next()?;
-        // Charged while the array is locked so the accounting order
-        // equals the timeline order (lock order array → state, see the
-        // type docs).
-        self.charge(
-            completion.request.kind,
-            completion.request.run,
-            completion.effective_skip_seek,
-        );
-        Some(completion)
-    }
-
-    /// Service everything outstanding on the array, charging each
-    /// request in global completion order.
-    pub fn drain_arm(&self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        while let Some(c) = self.complete_next() {
-            out.push(c);
-        }
-        out
-    }
-
-    /// Number of submitted requests the array has not yet serviced.
-    pub fn arm_pending(&self) -> usize {
-        self.array.acquire().pending()
     }
 
     /// Charge an already-computed cost for a request of `pages` pages.
@@ -498,22 +382,34 @@ mod tests {
         assert_eq!(real.stats().pages_written, 2);
     }
 
+    use crate::arm::{ArmGeometry, ArmPolicy};
+    use crate::array::{ArrayConfig, DiskArray};
     use crate::test_util::Rng;
 
-    /// The correctness anchor of the overlapped-I/O subsystem: driving
-    /// the arm at queue depth 1 (submit one request, complete it, submit
-    /// the next) produces **byte-identical** [`IoStats`] to charging the
-    /// same requests synchronously — for both policies, including
+    fn array(policy: ArmPolicy) -> DiskArray {
+        DiskArray::new(
+            DiskParams::default(),
+            ArmGeometry::default(),
+            ArrayConfig {
+                policy,
+                ..ArrayConfig::default()
+            },
+        )
+    }
+
+    /// The correctness anchor of the replay: servicing a trace on the
+    /// arm at queue depth 1 (submit one request, service it, submit the
+    /// next) and charging each completion with its effective seek flag
+    /// produces **byte-identical** [`IoStats`] to charging the same
+    /// requests synchronously — for both policies, including
     /// `skip_seek` requests and same-cylinder adjacency.
     #[test]
     fn depth_one_submission_mirrors_synchronous_charge() {
         for policy in [ArmPolicy::Fcfs, ArmPolicy::Elevator] {
             let sync_disk = Disk::with_defaults();
             let arm_disk = Disk::with_defaults();
-            arm_disk.set_arm_policy(policy);
-            let rs = sync_disk.create_region("mirror");
-            let ra = arm_disk.create_region("mirror");
-            assert_eq!(rs, ra);
+            let mut arm = array(policy);
+            let r = sync_disk.create_region("mirror");
             let mut rng = Rng(0x9E37_79B9_1994_0001);
             for step in 0..2000u32 {
                 let kind = if rng.below(4) == 0 {
@@ -526,17 +422,17 @@ mod tests {
                 let offset = rng.below(96);
                 let len = 1 + rng.below(8);
                 let skip_seek = rng.below(5) == 0;
-                let run = PageRun::new(PageId::new(rs, offset), len);
+                let run = PageRun::new(PageId::new(r, offset), len);
                 sync_disk.charge(kind, run, skip_seek);
-                let req = PageRequest {
+                arm.submit(PageRequest {
                     kind,
                     run,
                     skip_seek,
-                };
-                arm_disk.submit(req).expect("non-empty run submits");
-                let c = arm_disk.complete_next().expect("one pending request");
+                });
+                let c = arm.service_next().expect("one pending request");
                 assert_eq!(c.effective_skip_seek, skip_seek, "step {step}");
-                assert_eq!(arm_disk.arm_pending(), 0);
+                assert_eq!(arm.pending(), 0);
+                arm_disk.charge(c.request.kind, c.request.run, c.effective_skip_seek);
                 assert_eq!(
                     sync_disk.stats(),
                     arm_disk.stats(),
@@ -554,18 +450,18 @@ mod tests {
         // drop their seek charge, everything else is conserved.
         let sync_disk = Disk::with_defaults();
         let arm_disk = Disk::with_defaults();
-        let rs = sync_disk.create_region("x");
-        let ra = arm_disk.create_region("x");
-        assert_eq!(rs, ra);
-        let requests: Vec<PageRequest> = (0..6u64)
-            .map(|o| PageRequest::read(PageRun::new(PageId::new(rs, o), 1)))
-            .collect();
-        for r in &requests {
-            sync_disk.charge(r.kind, r.run, r.skip_seek);
-            arm_disk.submit(*r);
+        let mut arm = array(ArmPolicy::Elevator);
+        let r = sync_disk.create_region("x");
+        for o in 0..6u64 {
+            let req = PageRequest::read(PageRun::new(PageId::new(r, o), 1));
+            sync_disk.charge(req.kind, req.run, req.skip_seek);
+            arm.submit(req);
         }
-        let done = arm_disk.drain_arm();
+        let done = arm.drain();
         assert_eq!(done.len(), 6);
+        for c in &done {
+            arm_disk.charge(c.request.kind, c.request.run, c.effective_skip_seek);
+        }
         let (s, a) = (sync_disk.stats(), arm_disk.stats());
         assert_eq!(s.read_requests, a.read_requests);
         assert_eq!(s.pages_read, a.pages_read);
@@ -574,16 +470,6 @@ mod tests {
         assert_eq!(s.seeks, 6);
         assert_eq!(a.seeks, 1);
         assert!(a.io_ms < s.io_ms);
-    }
-
-    #[test]
-    fn empty_runs_are_not_submitted() {
-        let disk = Disk::with_defaults();
-        let r = disk.create_region("x");
-        let req = PageRequest::read(PageRun::empty(PageId::new(r, 0)));
-        assert_eq!(disk.submit(req), None);
-        assert_eq!(disk.arm_pending(), 0);
-        assert!(disk.complete_next().is_none());
     }
 
     #[test]
@@ -613,9 +499,10 @@ mod tests {
 
     #[test]
     fn traced_replay_at_depth_one_reproduces_costs() {
-        // Capture a trace, replay it through a second disk's arm at
-        // depth 1: identical stats — the end-to-end contract behind the
-        // overlapped executor's equivalence matrix.
+        // Capture a trace, charge it again on a second disk: identical
+        // stats — a trace carries everything the cost model reads, which
+        // is the end-to-end contract behind the overlapped executor's
+        // equivalence matrix.
         let disk = Disk::with_defaults();
         let r = disk.create_region("x");
         disk.trace_begin();
@@ -624,10 +511,8 @@ mod tests {
         disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 44), 2), true);
         let trace = disk.trace_take();
         let replay = Disk::with_defaults();
-        replay.create_region("x");
         for req in trace {
-            replay.submit(req);
-            replay.complete_next();
+            replay.charge(req.kind, req.run, req.skip_seek);
         }
         assert_eq!(replay.stats(), disk.stats());
     }

@@ -20,8 +20,11 @@
 //!   consecutive, modelling separate files on the disk;
 //! * [`buddy`] — the buddy system of §5.3.1, including the *restricted*
 //!   variant with three buddy sizes used in Figure 7;
-//! * [`buffer`] — an LRU page buffer with write-back semantics and the
+//! * [`buffer`] — the LRU page buffer (dirty flags, pinning) and the
 //!   *vector read* / *normal read* distinction of Figure 15;
+//! * [`shard`] — the buffered I/O front-end: the [`shard::ShardedPool`]
+//!   of N page-hash shards, each its own lock and LRU list, under one
+//!   capacity budget, with write-back semantics;
 //! * [`schedule`] — the SLM read schedules of \[SLM93\] (§5.4.2): one read
 //!   request bridges gaps of non-requested pages shorter than
 //!   `l = t_l/t_t − 1/2`;
@@ -29,17 +32,23 @@
 //!   scheduler with FCFS / elevator (SCAN) ordering over cylinder-mapped
 //!   region offsets, a distance-dependent seek curve calibrated so its
 //!   mean equals the paper's average `seek_ms`, and per-query
-//!   [`arm::LatencyStats`]. Requests are submitted via
-//!   [`disk::Disk::submit`] and charged at service time through the same
-//!   `charge` path — depth-1 submission is byte-identical to the
-//!   synchronous model;
-//! * [`array`] — multi-arm declustered storage: a [`array::DiskArray`]
-//!   of N independent arms behind a [`array::StripePolicy`] mapping
-//!   each region to one arm's local cylinder band, with a parallel
-//!   drain popping the globally-earliest completion across arms and
-//!   per-arm [`arm::ArmStats`] (utilization, mean queue depth). A
-//!   1-arm array is byte-identical to the single [`arm::DiskArm`]
-//!   under every stripe policy.
+//!   [`arm::LatencyStats`];
+//! * [`mod@array`] — multi-arm declustered storage: a
+//!   [`array::DiskArray`] of N independent arms behind a
+//!   [`array::StripePolicy`] mapping each region to one arm's local
+//!   cylinder band, with a parallel drain popping the globally-earliest
+//!   completion across arms and per-arm [`arm::ArmStats`] (utilization,
+//!   mean queue depth). A 1-arm array is byte-identical to the single
+//!   [`arm::DiskArm`] under every stripe policy.
+//!
+//! Requests reach the arms one way: every request is charged
+//! synchronously ([`disk::Disk::charge`]), a thread can capture what it
+//! charges as a trace ([`disk::Disk::trace_begin`] /
+//! [`disk::Disk::trace_take`]), and
+//! [`array::simulate_queries_striped`] / [`array::simulate_queries_closed`]
+//! replay such traces on the arms' timelines. The replay never touches
+//! the charged accounting, and at queue depth 1 the seek flags it
+//! reports are the trace's own.
 //!
 //! The simulator is deterministic: identical request sequences produce
 //! identical I/O counts, which is what makes the reproduced figures
@@ -47,11 +56,10 @@
 //! `Send + Sync` — the disk's counters live behind a mutex (with a
 //! thread-local tally for per-query deltas, see
 //! [`disk::Disk::local_stats`]), and the buffer shared between threads
-//! is the [`shard::ShardedPool`] (the storage layer's `SharedPool`):
-//! N page-hash shards, each its own lock and LRU list, under one
-//! capacity budget. With one shard it is byte-identical to the
-//! single-lock [`buffer::BufferPool`], which remains the reference
-//! implementation (and the private scratch pool of the parallel join).
+//! is the [`shard::ShardedPool`] (the storage layer's `SharedPool`).
+//! With one shard — the configuration the paper's figures run under,
+//! and the private scratch pool of the parallel join — its single LRU
+//! is the global one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,14 +101,14 @@ pub mod stats;
 
 pub use alloc::{ExtentAllocator, SequentialAllocator};
 pub use arm::{
-    simulate_queries, ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats,
-    PageRequest, QueryTrace, RotationModel, SeekCurve,
+    ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
+    RotationModel, SeekCurve,
 };
 pub use array::{
     simulate_queries_closed, simulate_queries_striped, ArrayConfig, DiskArray, StripePolicy,
 };
 pub use buddy::{BuddyAllocator, BuddyConfig};
-pub use buffer::{BufferPool, LruBuffer, ReadMode, SeekPolicy};
+pub use buffer::{LruBuffer, ReadMode, SeekPolicy};
 pub use disk::{Disk, DiskHandle, ScratchTally};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
 pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};

@@ -11,13 +11,11 @@
 //! 2. [`LockClass::Shard`]`(i)` — the sharded pool's per-shard buffer
 //!    locks, ordered **ascending by index** within the class (the
 //!    stop-the-world `lock_all` takes them 0, 1, 2, …);
-//! 3. [`LockClass::ArmQueue`] — the disk's array mutex (arm request
-//!    queues and timelines);
-//! 4. [`LockClass::DiskCounters`] — the disk's statistics/region state;
-//! 5. [`LockClass::Epoch`] — the epoch collector's retired-garbage
+//! 3. [`LockClass::DiskCounters`] — the disk's statistics/region state;
+//! 4. [`LockClass::Epoch`] — the epoch collector's retired-garbage
 //!    list (`spatialdb-epoch`; leaf lock: nothing else is acquired
 //!    while it is held);
-//! 6. [`LockClass::RefineQueue`] — the stream executor's refinement
+//! 5. [`LockClass::RefineQueue`] — the stream executor's refinement
 //!    work queue (`spatialdb-core`; leaf lock, the one engine lock
 //!    paired with a [`Condvar`] — see [`DepGuard::wait`]).
 //!
@@ -52,8 +50,6 @@ pub enum LockClass {
     DbWriter,
     /// A sharded-pool buffer shard (intra-class order: ascending index).
     Shard(usize),
-    /// The disk's arm-array mutex (request queues, timelines).
-    ArmQueue,
     /// The disk's counter/region state mutex.
     DiskCounters,
     /// The epoch collector's retired-garbage list (leaf lock).
@@ -68,10 +64,9 @@ impl LockClass {
         match self {
             LockClass::DbWriter => 0,
             LockClass::Shard(_) => 1,
-            LockClass::ArmQueue => 2,
-            LockClass::DiskCounters => 3,
-            LockClass::Epoch => 4,
-            LockClass::RefineQueue => 5,
+            LockClass::DiskCounters => 2,
+            LockClass::Epoch => 3,
+            LockClass::RefineQueue => 4,
         }
     }
 
@@ -92,7 +87,6 @@ impl fmt::Display for LockClass {
         match self {
             LockClass::DbWriter => f.write_str("DbWriter"),
             LockClass::Shard(i) => write!(f, "Shard({i})"),
-            LockClass::ArmQueue => f.write_str("ArmQueue"),
             LockClass::DiskCounters => f.write_str("DiskCounters"),
             LockClass::Epoch => f.write_str("Epoch"),
             LockClass::RefineQueue => f.write_str("RefineQueue"),
@@ -108,7 +102,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 6;
+    const KINDS: usize = 5;
 
     /// One lock the current thread holds.
     struct Held {
@@ -125,7 +119,7 @@ mod checker {
     /// Cross-class *blocking* acquisition graph: `edges[a][b]` records
     /// that some thread blocking-acquired rank-kind `b` while holding
     /// rank-kind `a`, stamped with the source location of the
-    /// acquisition that first created the edge. Six kinds, so the
+    /// acquisition that first created the edge. Five kinds, so the
     /// graph is a tiny adjacency matrix; a cycle in it means the
     /// documented hierarchy itself is inconsistent with the code.
     static GRAPH: Mutex<[[Option<&'static Location<'static>>; KINDS]; KINDS]> =
@@ -136,14 +130,7 @@ mod checker {
     }
 
     fn kind_name(kind: usize) -> &'static str {
-        [
-            "DbWriter",
-            "Shard",
-            "ArmQueue",
-            "DiskCounters",
-            "Epoch",
-            "RefineQueue",
-        ][kind]
+        ["DbWriter", "Shard", "DiskCounters", "Epoch", "RefineQueue"][kind]
     }
 
     /// Render the accumulated wait graph: one `A -> B @ site` line per
@@ -199,7 +186,7 @@ mod checker {
                     panic!(
                         "lock hierarchy violation: blocking acquisition of {class} at {site} \
                          while holding {held} (declared order: DbWriter -> Shard(asc) -> \
-                         ArmQueue -> DiskCounters -> Epoch -> RefineQueue; \
+                         DiskCounters -> Epoch -> RefineQueue; \
                          see crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
                         held = h.class,
                         dump = wait_graph_dump(),
@@ -446,8 +433,8 @@ mod tests {
     fn in_order_acquisitions_pass() {
         let a = DepMutex::new(LockClass::Shard(0), ());
         let b = DepMutex::new(LockClass::Shard(1), ());
-        let c = DepMutex::new(LockClass::ArmQueue, ());
-        let d = DepMutex::new(LockClass::DiskCounters, ());
+        let c = DepMutex::new(LockClass::DiskCounters, ());
+        let d = DepMutex::new(LockClass::Epoch, ());
         let _ga = a.acquire();
         let _gb = b.acquire();
         let _gc = c.acquire();
@@ -457,7 +444,7 @@ mod tests {
     #[test]
     fn guards_may_drop_out_of_order() {
         let a = DepMutex::new(LockClass::Shard(0), ());
-        let b = DepMutex::new(LockClass::ArmQueue, ());
+        let b = DepMutex::new(LockClass::DiskCounters, ());
         let ga = a.acquire();
         let gb = b.acquire();
         drop(ga);
@@ -477,10 +464,10 @@ mod tests {
             let _gs = s.acquire(); // counters -> shard: inversion
         }));
         assert!(panics(|| {
-            let q = DepMutex::new(LockClass::ArmQueue, ());
+            let e = DepMutex::new(LockClass::Epoch, ());
             let s = DepMutex::new(LockClass::Shard(0), ());
-            let _gq = q.acquire();
-            let _gs = s.acquire(); // arm queue -> shard: inversion
+            let _ge = e.acquire();
+            let _gs = s.acquire(); // epoch -> shard: inversion
         }));
     }
 
@@ -526,7 +513,7 @@ mod tests {
 
     #[test]
     fn try_acquire_reports_contention_as_none() {
-        let m = std::sync::Arc::new(DepMutex::new(LockClass::ArmQueue, ()));
+        let m = std::sync::Arc::new(DepMutex::new(LockClass::DiskCounters, ()));
         let g = m.acquire();
         let m2 = std::sync::Arc::clone(&m);
         std::thread::scope(|s| {
@@ -572,13 +559,11 @@ mod tests {
     #[test]
     fn class_display_names() {
         assert_eq!(LockClass::Shard(3).to_string(), "Shard(3)");
-        assert_eq!(LockClass::ArmQueue.to_string(), "ArmQueue");
         assert_eq!(LockClass::DiskCounters.to_string(), "DiskCounters");
         assert_eq!(LockClass::DbWriter.to_string(), "DbWriter");
         assert_eq!(LockClass::Epoch.to_string(), "Epoch");
         assert!(LockClass::DbWriter.rank() < LockClass::Shard(0).rank());
-        assert!(LockClass::Shard(9).rank() < LockClass::ArmQueue.rank());
-        assert!(LockClass::ArmQueue.rank() < LockClass::DiskCounters.rank());
+        assert!(LockClass::Shard(9).rank() < LockClass::DiskCounters.rank());
         assert!(LockClass::DiskCounters.rank() < LockClass::Epoch.rank());
         assert!(LockClass::Epoch.rank() < LockClass::RefineQueue.rank());
     }

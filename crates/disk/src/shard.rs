@@ -1,24 +1,22 @@
 //! The sharded buffer pool: N page-hash shards, each with its own lock
 //! and LRU state, under one global capacity budget.
 //!
-//! [`BufferPool`](crate::buffer::BufferPool) is the reference
-//! single-lock implementation; behind an `Arc<Mutex<…>>` every
-//! concurrent page access serializes on that one lock. [`ShardedPool`]
-//! splits the *replacement state* by page hash so that readers touching
-//! disjoint pages contend only on their shard's lock (cf. the
-//! directory-per-region buffers of classic multi-user grid-file
-//! systems), while the disk accounting stays global.
+//! Behind a single lock every concurrent page access serializes.
+//! [`ShardedPool`] splits the *replacement state* by page hash so that
+//! readers touching disjoint pages contend only on their shard's lock
+//! (cf. the directory-per-region buffers of classic multi-user
+//! grid-file systems), while the disk accounting stays global.
 //!
 //! ## The stats-determinism contract
 //!
 //! * **One shard** (the default of the storage layer): the single
 //!   shard's LRU is the global LRU, and every operation charges the
-//!   disk in exactly the order [`BufferPool`] would — a `ShardedPool`
-//!   with `shards == 1` produces **byte-identical
-//!   [`IoStats`](crate::stats::IoStats)** to the single-lock pool for
-//!   any single-threaded operation sequence (asserted by the mirror
-//!   test below). This is the configuration the paper's figures run
-//!   under.
+//!   disk in exactly the order a single-lock pool would — a
+//!   `ShardedPool` with `shards == 1` produces **byte-identical
+//!   [`IoStats`](crate::stats::IoStats)** to the single-lock reference
+//!   pool the test module keeps, for any single-threaded operation
+//!   sequence (asserted by the mirror test below). This is the
+//!   configuration the paper's figures run under.
 //! * **N shards**: the capacity budget is split into per-shard quotas
 //!   (rebalanced on [`reset`](ShardedPool::reset)), so the total
 //!   buffered pages never exceed the budget, and every page access is
@@ -40,8 +38,6 @@
 //! shard lock held, so they are exempt from the hierarchy as
 //! acquirers).
 
-use crate::arm::PageRequest;
-use crate::array::StripePolicy;
 use crate::buffer::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
 use crate::disk::DiskHandle;
 use crate::lockdep::{DepGuard, DepMutex, LockClass};
@@ -99,10 +95,10 @@ pub enum Routing {
 /// An LRU page buffer sharded by page hash, safe to drive from `&self`
 /// on any number of threads.
 ///
-/// Mirrors the full [`BufferPool`](crate::buffer::BufferPool) front-end
-/// API (reads, writes, extents, SLM schedules, flush/invalidate/reset)
-/// with interior locking. See the [module docs](self) for the
-/// determinism contract.
+/// The buffered I/O front-end every organization model reads and writes
+/// through (reads, writes, extents, SLM schedules,
+/// flush/invalidate/reset), with interior locking. See the
+/// [module docs](self) for the determinism contract.
 #[derive(Debug)]
 pub struct ShardedPool {
     disk: DiskHandle,
@@ -121,10 +117,6 @@ pub struct ShardedPool {
     /// Adaptive quotas: a shard about to evict may steal free headroom
     /// from another shard (see [`ShardedPool::set_adaptive`]).
     adaptive: AtomicBool,
-    /// Per-arm affinity (see [`ShardedPool::set_arm_affinity`]),
-    /// packed into one atomic so [`shard_of`](ShardedPool::shard_of)
-    /// stays lock-free: 0 = off, else `arms << 8 | policy code + 1`.
-    affinity: AtomicU64,
     /// Global eviction counter (pages evicted to make room); the clock
     /// of the adaptive-quota decay. One *eviction cycle* is
     /// `num_shards` ticks — on average every shard evicted once.
@@ -137,27 +129,6 @@ pub struct ShardedPool {
     quota_used: Box<[AtomicU64]>,
 }
 
-/// Pack an arm-affinity configuration for the `affinity` atomic.
-fn pack_affinity(arms: usize, stripe: StripePolicy) -> u64 {
-    let code = match stripe {
-        StripePolicy::RoundRobin => 1u64,
-        StripePolicy::RegionHash => 2,
-        StripePolicy::MbrLocality => 3,
-    };
-    ((arms as u64) << 8) | code
-}
-
-/// Unpack the `affinity` atomic (`None` when off).
-fn unpack_affinity(packed: u64) -> Option<(usize, StripePolicy)> {
-    let stripe = match packed & 0xFF {
-        0 => return None,
-        1 => StripePolicy::RoundRobin,
-        2 => StripePolicy::RegionHash,
-        _ => StripePolicy::MbrLocality,
-    };
-    Some(((packed >> 8) as usize, stripe))
-}
-
 /// Per-shard quota of a `capacity`-page budget split `n` ways: the
 /// first `capacity % n` shards take the remainder pages.
 fn quota(capacity: usize, n: usize, shard: usize) -> usize {
@@ -166,8 +137,8 @@ fn quota(capacity: usize, n: usize, shard: usize) -> usize {
 
 impl ShardedPool {
     /// Create a pool of `capacity` pages over `disk` with a **single
-    /// shard** — the byte-compatible drop-in for the single-lock
-    /// [`BufferPool`](crate::buffer::BufferPool).
+    /// shard**: one global LRU, the configuration the paper's figures
+    /// run under.
     pub fn new(disk: DiskHandle, capacity: usize) -> Self {
         Self::with_shards(disk, capacity, 1)
     }
@@ -200,7 +171,6 @@ impl ShardedPool {
             misses: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             adaptive: AtomicBool::new(false),
-            affinity: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             quota_used: quota_used.into_boxed_slice(),
         }
@@ -242,8 +212,7 @@ impl ShardedPool {
     ///
     /// Borrowed headroom flows back on its own: stolen quota a
     /// borrower leaves unused for a full eviction cycle decays one
-    /// page per cycle to a shard below its static split (see
-    /// [`decay_idle_quota`](Self::decay_idle_quota)), and
+    /// page per cycle to a shard below its static split, and
     /// [`reset`](ShardedPool::reset) /
     /// [`invalidate_all`](ShardedPool::invalidate_all) restore the
     /// static split wholesale. With the feature off (the default) the
@@ -257,45 +226,6 @@ impl ShardedPool {
         self.adaptive.load(Ordering::Acquire)
     }
 
-    /// Align shard routing with the arm assignment of a declustered
-    /// disk array: under [`Routing::ByRegion`] with more than one
-    /// shard, a page of region `r` is buffered in shard
-    /// `stripe.arm_of(r, arms) % num_shards` — so each pool shard's
-    /// miss stream feeds exactly one arm (shard *i* ↔ arm *i* when the
-    /// counts match), instead of every shard scattering misses over
-    /// the whole array.
-    ///
-    /// Dormant (plain region hashing) under [`Routing::ByPage`] or
-    /// with a single shard; `arms <= 1` clears the affinity — every
-    /// region maps to arm 0, and funneling the whole pool through
-    /// shard 0 would abandon the other quotas. The pool is flushed and
-    /// invalidated on every change so no page stays resident in a
-    /// shard the new mapping no longer routes it to. A configuration
-    /// step, not a data-path operation: concurrent accesses during the
-    /// switch may buffer under either mapping until the invalidation.
-    pub fn set_arm_affinity(&self, arms: usize, stripe: StripePolicy) {
-        let packed = if arms <= 1 {
-            0
-        } else {
-            pack_affinity(arms, stripe)
-        };
-        if self.affinity.load(Ordering::Acquire) == packed {
-            return;
-        }
-        // Write back dirty pages while `shard_of` still resolves under
-        // the old mapping (flush clears dirty flags through it), then
-        // switch and drop every resident.
-        self.flush();
-        self.affinity.store(packed, Ordering::Release);
-        self.invalidate_all();
-    }
-
-    /// The arm affinity, if set (see
-    /// [`set_arm_affinity`](ShardedPool::set_arm_affinity)).
-    pub fn arm_affinity(&self) -> Option<(usize, StripePolicy)> {
-        unpack_affinity(self.affinity.load(Ordering::Acquire))
-    }
-
     /// The underlying disk handle.
     #[inline]
     pub fn disk(&self) -> &DiskHandle {
@@ -303,8 +233,15 @@ impl ShardedPool {
     }
 
     /// Switch between write-back (default) and write-through page
-    /// updates (see
-    /// [`BufferPool::set_write_through`](crate::buffer::BufferPool::set_write_through)).
+    /// updates.
+    ///
+    /// In write-through mode every [`write_page`](ShardedPool::write_page) /
+    /// [`update_page`](ShardedPool::update_page) charges its write
+    /// request immediately and the buffered copy stays clean — the
+    /// update discipline of the systems the paper measured, and the
+    /// mode the construction experiments (Figure 5) run under.
+    /// Write-back defers the write to eviction or
+    /// [`flush`](ShardedPool::flush).
     pub fn set_write_through(&self, on: bool) {
         self.write_through.store(on, Ordering::Release);
     }
@@ -356,12 +293,7 @@ impl ShardedPool {
         }
         let key = match self.routing {
             Routing::ByPage => ((page.region.0 as u64) << 48) ^ page.offset,
-            Routing::ByRegion => {
-                if let Some((arms, stripe)) = self.arm_affinity() {
-                    return stripe.arm_of(page.region, arms) % self.shards.len();
-                }
-                page.region.0 as u64
-            }
+            Routing::ByRegion => page.region.0 as u64,
         };
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((mixed >> 32) as usize) % self.shards.len()
@@ -539,8 +471,11 @@ impl ShardedPool {
         false
     }
 
-    /// Blind single-page write (see
-    /// [`BufferPool::write_page`](crate::buffer::BufferPool::write_page)).
+    /// Blind single-page write: the page is (re)written without being
+    /// read first — e.g. appending records to a fresh page. In
+    /// write-back mode the page is buffered dirty and the physical write
+    /// happens on eviction or flush; in write-through mode the write is
+    /// charged immediately.
     pub fn write_page(&self, page: PageId) {
         if self.capacity() == 0 || self.write_through() {
             self.disk
@@ -553,8 +488,9 @@ impl ShardedPool {
         self.insert_charged(page, true);
     }
 
-    /// Read-modify-write of a single page (see
-    /// [`BufferPool::update_page`](crate::buffer::BufferPool::update_page)).
+    /// Read-modify-write of a single page: charged read on miss, then
+    /// marked dirty (write-back) or written immediately (write-through).
+    /// Returns `true` on a buffer hit.
     ///
     /// The whole read-modify-write holds the page's shard lock: were the
     /// dirty flag set under a second acquisition, a concurrent eviction
@@ -590,17 +526,8 @@ impl ShardedPool {
     }
 
     /// Shared body of [`read_set`](ShardedPool::read_set) and
-    /// [`read_set_submitted`](ShardedPool::read_set_submitted):
-    /// classification, counters, run formation and buffer insertion are
-    /// one implementation; `issue` decides what happens to each formed
-    /// read request (synchronous charge vs. arm submission) — the two
-    /// paths cannot drift.
-    fn read_set_with(
-        &self,
-        pages: impl IntoIterator<Item = PageId>,
-        seek: SeekPolicy,
-        mut issue: impl FnMut(PageRequest),
-    ) -> ReadOutcome {
+    /// [`read_run`](ShardedPool::read_run).
+    fn read_pages(&self, pages: impl IntoIterator<Item = PageId>, seek: SeekPolicy) -> ReadOutcome {
         let mut out = ReadOutcome::default();
         let mut missing = MISSING.take();
         for p in pages {
@@ -614,11 +541,8 @@ impl ShardedPool {
         self.misses
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         for run in runs(&missing) {
-            issue(PageRequest {
-                kind: IoKind::Read,
-                run,
-                skip_seek: seek.skip_seek(out.requests),
-            });
+            self.disk
+                .charge(IoKind::Read, run, seek.skip_seek(out.requests));
             out.requests += 1;
             out.pages_transferred += run.len;
         }
@@ -629,75 +553,32 @@ impl ShardedPool {
         out
     }
 
-    /// Read a set of pages (sorted, deduplicated); missing pages are
-    /// grouped into maximal consecutive runs (see
-    /// [`BufferPool::read_set`](crate::buffer::BufferPool::read_set)).
+    /// Read a set of pages (sorted, deduplicated). Missing pages are
+    /// grouped into maximal consecutive runs, each one request, charged
+    /// according to the [`SeekPolicy`].
     pub fn read_set(&self, pages: &[PageId], seek: SeekPolicy) -> ReadOutcome {
-        self.read_set_with(pages.iter().copied(), seek, |req| {
-            self.disk.charge(req.kind, req.run, req.skip_seek);
-        })
+        self.read_pages(pages.iter().copied(), seek)
     }
 
     /// [`read_set`](ShardedPool::read_set) over the pages of one run —
     /// an object's extent — without materializing them.
     pub fn read_run(&self, run: PageRun, seek: SeekPolicy) -> ReadOutcome {
-        self.read_set_with(run.pages(), seek, |req| {
-            self.disk.charge(req.kind, req.run, req.skip_seek);
-        })
+        self.read_pages(run.pages(), seek)
     }
 
-    /// Read a single page, submitting the miss to the disk arm instead
-    /// of charging it synchronously. Returns `None` on a buffer hit,
-    /// `Some(request id)` when a read request was submitted — the caller
-    /// drives [`Disk::complete_next`](crate::disk::Disk::complete_next) /
-    /// [`Disk::drain_arm`](crate::disk::Disk::drain_arm) to service (and
-    /// charge) it. Hit/miss classification is identical to
-    /// [`read_page`](ShardedPool::read_page).
-    pub fn read_page_submitted(&self, page: PageId) -> Option<u64> {
-        if self.shard(&page).touch(&page) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let id = self
-            .disk
-            .submit(PageRequest::read(PageRun::new(page, 1)))
-            .expect("single-page run is never empty");
-        self.insert_charged(page, false);
-        Some(id)
-    }
-
-    /// Read a set of pages with the miss runs **submitted** to the disk
-    /// arm rather than charged at the call site.
+    /// Insert pages without charging I/O, pinned against eviction.
     ///
-    /// Classification, run formation and the returned [`ReadOutcome`]
-    /// are identical to [`read_set`](ShardedPool::read_set); the
-    /// [`SeekPolicy`] flows into the submitted requests' `skip_seek`
-    /// flags, so the arm charges exactly what the synchronous path
-    /// would (under FCFS, byte-identically — the elevator may
-    /// additionally merge co-scheduled same-cylinder seeks, never the
-    /// reverse). Returns the outcome plus the submitted request ids.
-    pub fn read_set_submitted(
-        &self,
-        pages: &[PageId],
-        seek: SeekPolicy,
-    ) -> (ReadOutcome, Vec<u64>) {
-        let mut ids = Vec::new();
-        let out = self.read_set_with(pages.iter().copied(), seek, |req| {
-            ids.push(self.disk.submit(req).expect("miss runs are never empty"));
-        });
-        (out, ids)
-    }
-
-    /// Insert pages without charging I/O, pinned against eviction (see
-    /// [`BufferPool::warm_pinned`](crate::buffer::BufferPool::warm_pinned)).
+    /// Models the standard assumption that the index directory is
+    /// memory-resident during query processing; the experiments warm the
+    /// directory pages this way so that only data-page and object I/O is
+    /// measured, as the paper does.
     ///
     /// A shard never pins past its quota: when every resident page of
     /// the target shard is already pinned, inserting another pinned
     /// page would overflow the global capacity budget for the life of
     /// the warm set, so the page is dropped instead (it will be read on
     /// demand). Unreachable with one shard for warm sets within the
-    /// budget — the single-lock pool's behaviour is unchanged.
+    /// budget.
     pub fn warm_pinned(&self, pages: impl IntoIterator<Item = PageId>) {
         for p in pages {
             let ev = {
@@ -718,8 +599,8 @@ impl ShardedPool {
     }
 
     /// Drop all buffered pages of the given regions without writing
-    /// anything (see
-    /// [`BufferPool::invalidate_regions`](crate::buffer::BufferPool::invalidate_regions)).
+    /// anything (per-query cold-start for object pages while the tree
+    /// stays warm). Pinned pages are dropped too.
     pub fn invalidate_regions(&self, regions: &[RegionId]) {
         for shard in self.shards.iter() {
             let mut buf = shard.acquire();
@@ -733,8 +614,13 @@ impl ShardedPool {
         }
     }
 
-    /// Read a complete extent with one request (see
-    /// [`BufferPool::read_full_extent`](crate::buffer::BufferPool::read_full_extent)).
+    /// Read a complete extent (cluster unit) with one request, regardless
+    /// of how many of its pages are already buffered — the *complete*
+    /// technique of §5.4. All pages enter the buffer.
+    ///
+    /// The caller should skip the call entirely when every *needed* page
+    /// is buffered; once any disk access is required, the whole unit is
+    /// transferred in one request.
     pub fn read_full_extent(&self, extent: PageRun) -> ReadOutcome {
         self.disk.charge(IoKind::Read, extent, false);
         let mut out = ReadOutcome {
@@ -764,8 +650,10 @@ impl ShardedPool {
     }
 
     /// Read the requested page offsets of `extent` with an SLM schedule
-    /// (see
-    /// [`BufferPool::read_extent_slm`](crate::buffer::BufferPool::read_extent_slm)).
+    /// bridging gaps of up to `max_gap` pages (§5.4.2). Already-buffered
+    /// pages are excluded from the schedule. `mode` decides whether
+    /// bridged pages enter the buffer (Figure 15). The first issued
+    /// request pays the seek iff `initial_seek`.
     pub fn read_extent_slm(
         &self,
         extent: PageRun,
@@ -930,7 +818,7 @@ impl ShardedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
+    use crate::buffer::reference::BufferPool;
     use crate::disk::Disk;
 
     fn pg(r: u16, o: u64) -> PageId {
@@ -1359,104 +1247,9 @@ mod tests {
     }
 
     #[test]
-    fn submitted_read_set_mirrors_sync_under_fcfs() {
-        use crate::arm::ArmPolicy;
-        let sync_disk = Disk::with_defaults();
-        let arm_disk = Disk::with_defaults();
-        arm_disk.set_arm_policy(ArmPolicy::Fcfs);
-        sync_disk.create_region("m");
-        arm_disk.create_region("m");
-        let sync_pool = ShardedPool::new(sync_disk.clone(), 16);
-        let arm_pool = ShardedPool::new(arm_disk.clone(), 16);
-        let mut rng = Rng(0x5EED_5EED_5EED_5EED);
-        for step in 0..800u32 {
-            let mut pages: Vec<PageId> = (0..1 + rng.below(6))
-                .map(|_| pg(0, rng.below(64)))
-                .collect();
-            pages.sort_unstable();
-            pages.dedup();
-            let seek = if rng.below(2) == 0 {
-                SeekPolicy::PerRequest
-            } else {
-                SeekPolicy::WithinCluster { initial_seek: true }
-            };
-            let sync_out = sync_pool.read_set(&pages, seek);
-            let (sub_out, ids) = arm_pool.read_set_submitted(&pages, seek);
-            assert_eq!(sync_out, sub_out, "outcome diverged at step {step}");
-            assert_eq!(ids.len() as u64, sub_out.requests);
-            let done = arm_disk.drain_arm();
-            assert_eq!(done.len(), ids.len());
-            assert_eq!(
-                sync_disk.stats(),
-                arm_disk.stats(),
-                "stats diverged at step {step}"
-            );
-            assert_eq!(sync_pool.hits(), arm_pool.hits(), "step {step}");
-            assert_eq!(sync_pool.misses(), arm_pool.misses(), "step {step}");
-        }
-        assert!(sync_disk.stats().read_requests > 200);
-    }
-
-    #[test]
-    fn submitted_single_page_reads_classify_like_sync() {
-        let disk = Disk::with_defaults();
-        let r = disk.create_region("x");
-        let pool = ShardedPool::new(disk.clone(), 8);
-        let id = pool.read_page_submitted(PageId::new(r, 3));
-        assert!(id.is_some(), "cold page is a miss");
-        // Buffered immediately: a second read hits without waiting for
-        // the completion (contents are not modeled, only cost).
-        assert_eq!(pool.read_page_submitted(PageId::new(r, 3)), None);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(disk.stats().requests(), 0, "not charged before service");
-        disk.drain_arm();
-        assert_eq!(disk.stats().read_requests, 1);
-        assert_eq!(disk.stats().pages_read, 1);
-    }
-
-    #[test]
     fn sharded_pool_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShardedPool>();
-    }
-
-    /// With arm affinity on, `ByRegion` routing places a region's pages
-    /// in the shard of its arm; off again, the plain region hash is
-    /// back. `ByPage` pools and 1-arm arrays stay untouched.
-    #[test]
-    fn arm_affinity_aligns_shards_with_arms() {
-        let pool = ShardedPool::with_routing(Disk::with_defaults(), 64, 4, Routing::ByRegion);
-        assert_eq!(pool.arm_affinity(), None);
-        pool.set_arm_affinity(4, StripePolicy::RoundRobin);
-        assert_eq!(pool.arm_affinity(), Some((4, StripePolicy::RoundRobin)));
-        for r in 0..16u16 {
-            let stripe = StripePolicy::RoundRobin;
-            let arm = stripe.arm_of(RegionId(r), 4);
-            assert_eq!(pool.shard_of(&pg(r, 0)), arm % 4, "region {r}");
-            // All pages of a region share the shard, like plain ByRegion.
-            assert_eq!(pool.shard_of(&pg(r, 7)), arm % 4, "region {r}");
-        }
-        // More arms than shards: arms fold onto shards mod N.
-        pool.set_arm_affinity(8, StripePolicy::RegionHash);
-        for r in 0..16u16 {
-            let arm = StripePolicy::RegionHash.arm_of(RegionId(r), 8);
-            assert_eq!(pool.shard_of(&pg(r, 0)), arm % 4, "region {r}");
-        }
-        // A single arm clears the affinity instead of funneling the
-        // whole pool through shard 0.
-        pool.set_arm_affinity(1, StripePolicy::RoundRobin);
-        assert_eq!(pool.arm_affinity(), None);
-        let spread: std::collections::HashSet<usize> =
-            (0..64u16).map(|r| pool.shard_of(&pg(r, 0))).collect();
-        assert!(spread.len() > 1, "region hash spreads shards again");
-
-        // ByPage routing ignores the affinity entirely.
-        let by_page = ShardedPool::with_routing(Disk::with_defaults(), 64, 4, Routing::ByPage);
-        let before: Vec<usize> = (0..32u16).map(|r| by_page.shard_of(&pg(r, 5))).collect();
-        by_page.set_arm_affinity(4, StripePolicy::RoundRobin);
-        let after: Vec<usize> = (0..32u16).map(|r| by_page.shard_of(&pg(r, 5))).collect();
-        assert_eq!(before, after);
     }
 
     /// Adaptive-quota decay: stolen quota left idle for a full
@@ -1497,23 +1290,5 @@ mod tests {
         assert_eq!(pool.shard_capacity(0), 4, "idle quota returned");
         assert_eq!(pool.shard_capacity(1), 4);
         assert_eq!(sum(&pool), 8);
-    }
-
-    /// Switching affinity flushes dirty pages and drops residents, so
-    /// no page stays buffered in a shard the new mapping no longer
-    /// routes it to.
-    #[test]
-    fn arm_affinity_switch_flushes_and_invalidates() {
-        let disk = Disk::with_defaults();
-        let pool = ShardedPool::with_routing(disk.clone(), 64, 4, Routing::ByRegion);
-        pool.write_page(pg(3, 0));
-        assert_eq!(pool.dirty_pages().len(), 1);
-        pool.set_arm_affinity(4, StripePolicy::RoundRobin);
-        assert!(pool.is_empty(), "residents dropped on switch");
-        assert_eq!(disk.stats().pages_written, 1, "dirty page flushed");
-        // Re-setting the same affinity is a no-op: no second flush.
-        pool.read_page(pg(3, 0));
-        pool.set_arm_affinity(4, StripePolicy::RoundRobin);
-        assert!(!pool.is_empty());
     }
 }

@@ -30,7 +30,7 @@
 //! happened before the retire).
 //!
 //! The retired-garbage list lives behind a
-//! [`DepMutex`](spatialdb_disk::DepMutex) of class
+//! [`DepMutex`] of class
 //! [`LockClass::Epoch`](spatialdb_disk::LockClass), the last rank of
 //! the engine's documented lock hierarchy — the collector acquires
 //! nothing while holding it, and lockdep checks that claim in debug

@@ -23,7 +23,7 @@
 //! full sort. The module's tests pin checksums of both sequences that
 //! were recorded before the restriction was introduced.
 
-use spatialdb_disk::{BufferPool, DiskHandle, IoStats, ScratchTally};
+use spatialdb_disk::{DiskHandle, IoStats, ScratchTally, ShardedPool};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{DirEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
 
@@ -44,10 +44,8 @@ pub struct MbrJoinResult {
 /// smallest x-coordinate of their intersection, and one subtree is
 /// processed with **all** of its partners before the next pair is taken
 /// up (*pinning*). Together with the LRU buffer behind `io` — a
-/// [`BufferPool`] scratch or the shared
-/// [`ShardedPool`](spatialdb_disk::ShardedPool) via `&mut pool.as_ref()`
-/// — this gives the close-to-optimal page-access behaviour the paper
-/// relies on.
+/// [`ShardedPool`], scratch or shared, via `&mut &pool` — this gives the
+/// close-to-optimal page-access behaviour the paper relies on.
 ///
 /// Pairs, their order and the node reads depend on the two trees only
 /// (the module's *order contract*).
@@ -281,7 +279,8 @@ pub fn mbr_join_par(
             .map(|partition| {
                 scope.spawn(move || {
                     let guard = ScratchTally::new(disk.clone());
-                    let mut pool = BufferPool::new(guard.scratch().clone(), buffer_capacity);
+                    let pool = ShardedPool::new(guard.scratch().clone(), buffer_capacity);
+                    let mut pool = &pool;
                     let mut out = MbrJoinResult::default();
                     match partition {
                         Partition::Roots => join_roots(r, s, &mut out, &mut pool),
@@ -762,8 +761,8 @@ mod tests {
         let rb = grid(130, 0.3, 0.7);
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
-        let mut pool = BufferPool::new(disk, 256);
-        let res = mbr_join(&ta, &tb, &mut pool);
+        let pool = ShardedPool::new(disk, 256);
+        let res = mbr_join(&ta, &tb, &mut &pool);
         let got: HashSet<(u64, u64)> = res.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         let mut want = HashSet::new();
         for (i, x) in ra.iter().enumerate() {
@@ -783,8 +782,8 @@ mod tests {
         let rb = grid(20, 0.2, 0.6);
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
-        let mut pool = BufferPool::new(disk, 256);
-        let res = mbr_join(&ta, &tb, &mut pool);
+        let pool = ShardedPool::new(disk, 256);
+        let res = mbr_join(&ta, &tb, &mut &pool);
         let brute: usize = ra
             .iter()
             .map(|x| rb.iter().filter(|y| x.intersects(y)).count())
@@ -792,8 +791,8 @@ mod tests {
         assert_eq!(res.pairs.len(), brute);
         // Symmetric case.
         let disk2 = Disk::with_defaults();
-        let mut pool2 = BufferPool::new(disk2, 256);
-        let res2 = mbr_join(&tb, &ta, &mut pool2);
+        let pool2 = ShardedPool::new(disk2, 256);
+        let res2 = mbr_join(&tb, &ta, &mut &pool2);
         assert_eq!(res2.pairs.len(), brute);
     }
 
@@ -801,9 +800,9 @@ mod tests {
     fn empty_trees_join_to_nothing() {
         let (ta, disk) = build(&[]);
         let (tb, _) = build(&grid(10, 0.0, 0.5));
-        let mut pool = BufferPool::new(disk, 64);
-        assert!(mbr_join(&ta, &tb, &mut pool).pairs.is_empty());
-        assert!(mbr_join(&tb, &ta, &mut pool).pairs.is_empty());
+        let pool = ShardedPool::new(disk, 64);
+        assert!(mbr_join(&ta, &tb, &mut &pool).pairs.is_empty());
+        assert!(mbr_join(&tb, &ta, &mut &pool).pairs.is_empty());
     }
 
     #[test]
@@ -815,8 +814,8 @@ mod tests {
             .collect();
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
-        let mut pool = BufferPool::new(disk, 64);
-        assert!(mbr_join(&ta, &tb, &mut pool).pairs.is_empty());
+        let pool = ShardedPool::new(disk, 64);
+        assert!(mbr_join(&ta, &tb, &mut &pool).pairs.is_empty());
     }
 
     #[test]
@@ -825,8 +824,8 @@ mod tests {
         let rb = grid(350, 0.3, 0.7);
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
-        let mut pool = BufferPool::new(disk.clone(), 256);
-        let seq = mbr_join(&ta, &tb, &mut pool);
+        let pool = ShardedPool::new(disk.clone(), 256);
+        let seq = mbr_join(&ta, &tb, &mut &pool);
         for threads in [1, 2, 4, 8] {
             let (par, stats) = mbr_join_par(&ta, &tb, &disk, 256, threads);
             // Byte-identical pairs, in the same order.
@@ -845,8 +844,8 @@ mod tests {
         let rb = grid(4, 0.2, 0.7);
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
-        let mut pool = BufferPool::new(disk.clone(), 256);
-        let seq = mbr_join(&ta, &tb, &mut pool);
+        let pool = ShardedPool::new(disk.clone(), 256);
+        let seq = mbr_join(&ta, &tb, &mut &pool);
         let (par, _) = mbr_join_par(&ta, &tb, &disk, 256, 4);
         assert_eq!(par.pairs, seq.pairs);
         // Empty operand.
@@ -863,15 +862,15 @@ mod tests {
         let (ta, da) = build(&ra);
         let (tb, _) = build(&rb);
         // Big buffer: most pages read once.
-        let mut big = BufferPool::new(da.clone(), 4096);
+        let big = ShardedPool::new(da.clone(), 4096);
         da.reset_stats();
-        let res = mbr_join(&ta, &tb, &mut big);
+        let res = mbr_join(&ta, &tb, &mut &big);
         let big_reads = da.stats().pages_read;
         assert!(!res.pairs.is_empty());
         // Tiny buffer: strictly more page reads.
         da.reset_stats();
-        let mut small = BufferPool::new(da.clone(), 16);
-        mbr_join(&ta, &tb, &mut small);
+        let small = ShardedPool::new(da.clone(), 16);
+        mbr_join(&ta, &tb, &mut &small);
         let small_reads = da.stats().pages_read;
         assert!(small_reads >= big_reads);
         // With a reasonable buffer and x-ordering, close to one read per

@@ -1,11 +1,10 @@
 //! Node I/O hooks.
 //!
 //! The tree reports every node access through a [`NodeIo`] implementation.
-//! Experiments pass a [`spatialdb_disk::BufferPool`] so that node visits
-//! become (buffered) disk requests; unit tests and in-memory use pass
-//! [`NoIo`].
+//! Experiments pass a `&`[`ShardedPool`] so that node visits become
+//! (buffered) disk requests; unit tests and in-memory use pass [`NoIo`].
 
-use spatialdb_disk::{BufferPool, PageId, ShardedPool};
+use spatialdb_disk::{PageId, ShardedPool};
 
 /// Page size used to derive node capacities (the paper's 4 KB).
 pub const PAGE_BYTES: usize = spatialdb_disk::PAGE_SIZE;
@@ -39,24 +38,6 @@ impl NodeIo for NoIo {
     fn release(&mut self, _page: PageId) {}
 }
 
-impl NodeIo for BufferPool {
-    fn read(&mut self, page: PageId) {
-        self.read_page(page);
-    }
-
-    fn modify(&mut self, page: PageId) {
-        self.update_page(page);
-    }
-
-    fn fresh(&mut self, page: PageId) {
-        self.write_page(page);
-    }
-
-    fn release(&mut self, page: PageId) {
-        self.buffer_mut().remove(&page);
-    }
-}
-
 /// The sharded pool locks internally, so the hook works through a
 /// shared reference — pass `&mut pool.as_ref()` from an
 /// `Arc<ShardedPool>`.
@@ -75,58 +56,6 @@ impl NodeIo for &ShardedPool {
 
     fn release(&mut self, page: PageId) {
         self.remove_page(&page);
-    }
-}
-
-/// Node I/O hook that **submits** read misses to the disk arm instead
-/// of charging them at the call site — the tree's batched read path for
-/// the overlapped-I/O subsystem.
-///
-/// Reads go through
-/// [`ShardedPool::read_page_submitted`](spatialdb_disk::ShardedPool::read_page_submitted):
-/// hits touch the buffer as usual, misses enqueue a request on the
-/// pool's disk arm and record its id in [`SubmitIo::submitted`]. The
-/// caller services them via
-/// [`Disk::complete_next`](spatialdb_disk::Disk::complete_next) /
-/// [`Disk::drain_arm`](spatialdb_disk::Disk::drain_arm) — completing
-/// after every submission (queue depth 1) charges byte-identically to
-/// the synchronous hook. Structural writes (`modify`/`fresh`/`release`)
-/// keep the synchronous path: tree updates are serialized by `&mut self`
-/// anyway and are not part of the query-latency story.
-#[derive(Debug)]
-pub struct SubmitIo<'a> {
-    pool: &'a ShardedPool,
-    /// Request ids of the submitted (miss) reads, in issue order.
-    pub submitted: Vec<u64>,
-}
-
-impl<'a> SubmitIo<'a> {
-    /// Create a submitting hook over `pool`.
-    pub fn new(pool: &'a ShardedPool) -> Self {
-        SubmitIo {
-            pool,
-            submitted: Vec::new(),
-        }
-    }
-}
-
-impl NodeIo for SubmitIo<'_> {
-    fn read(&mut self, page: PageId) {
-        if let Some(id) = self.pool.read_page_submitted(page) {
-            self.submitted.push(id);
-        }
-    }
-
-    fn modify(&mut self, page: PageId) {
-        self.pool.update_page(page);
-    }
-
-    fn fresh(&mut self, page: PageId) {
-        self.pool.write_page(page);
-    }
-
-    fn release(&mut self, page: PageId) {
-        self.pool.remove_page(&page);
     }
 }
 
@@ -164,11 +93,7 @@ impl NodeIo for CountingIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RTreeConfig;
-    use crate::entry::{LeafEntry, ObjectId};
-    use crate::tree::RStarTree;
-    use spatialdb_disk::{ArmPolicy, Disk, DiskHandle, RegionId};
-    use spatialdb_geom::Rect;
+    use spatialdb_disk::{Disk, RegionId};
 
     #[test]
     fn counting_io_counts() {
@@ -186,77 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_io_defers_read_charges_to_the_arm() {
-        let disk = Disk::with_defaults();
-        let r = disk.create_region("tree");
-        let pool = ShardedPool::new(disk.clone(), 8);
-        let mut io = SubmitIo::new(&pool);
-        let p = PageId::new(r, 0);
-        NodeIo::read(&mut io, p); // miss → submitted, not yet charged
-        NodeIo::read(&mut io, p); // buffered → hit, nothing submitted
-        assert_eq!(io.submitted.len(), 1);
-        assert_eq!(disk.stats().read_requests, 0);
-        let done = disk.drain_arm();
-        assert_eq!(done.len(), 1);
-        assert_eq!(disk.stats().read_requests, 1);
-        // Structural writes stay synchronous (buffered dirty here).
-        NodeIo::modify(&mut io, p);
-        assert_eq!(disk.stats().write_requests, 0);
-        assert_eq!(disk.arm_pending(), 0);
-    }
-
-    /// The tree's batched read path: a cold window walk through
-    /// `SubmitIo` + FCFS drain charges exactly what the synchronous
-    /// pool hook charges, and finds the same entries.
-    #[test]
-    fn tree_walk_submitted_mirrors_sync_walk() {
-        fn build(disk: &DiskHandle) -> (RStarTree, ShardedPool) {
-            let region = disk.create_region("t");
-            let pool = ShardedPool::new(disk.clone(), 256);
-            let mut t = RStarTree::new(
-                RTreeConfig {
-                    max_entries: 8,
-                    min_fill_ratio: 0.4,
-                    reinsert_fraction: 0.3,
-                    leaf_reinsert_enabled: true,
-                    leaf_payload_limit: None,
-                },
-                region,
-            );
-            for i in 0..400u64 {
-                let x = (i % 20) as f64;
-                let y = (i / 20) as f64;
-                t.insert(
-                    LeafEntry::new(Rect::new(x, y, x + 0.5, y + 0.5), ObjectId(i), 0),
-                    &mut (&pool),
-                );
-            }
-            pool.flush();
-            pool.invalidate_all();
-            disk.reset_stats();
-            (t, pool)
-        }
-        let sync_disk = Disk::with_defaults();
-        let arm_disk = Disk::with_defaults();
-        arm_disk.set_arm_policy(ArmPolicy::Fcfs);
-        let (sync_tree, sync_pool) = build(&sync_disk);
-        let (arm_tree, arm_pool) = build(&arm_disk);
-        let window = Rect::new(3.0, 3.0, 11.0, 11.0);
-        let sync_hits = sync_tree.window_entries(&window, &mut (&sync_pool));
-        let mut io = SubmitIo::new(&arm_pool);
-        let arm_hits = arm_tree.window_entries(&window, &mut io);
-        assert_eq!(sync_hits, arm_hits);
-        assert!(!io.submitted.is_empty(), "cold walk must read nodes");
-        let done = arm_disk.drain_arm();
-        assert_eq!(done.len(), io.submitted.len());
-        assert_eq!(sync_disk.stats(), arm_disk.stats());
-    }
-
-    #[test]
     fn buffer_pool_hook_charges_disk() {
         let disk = Disk::with_defaults();
         let r = disk.create_region("tree");
-        let mut pool = BufferPool::new(disk.clone(), 8);
+        let pool = ShardedPool::new(disk.clone(), 8);
+        let mut pool = &pool;
         let p = PageId::new(r, 0);
         NodeIo::read(&mut pool, p); // miss
         NodeIo::read(&mut pool, p); // hit

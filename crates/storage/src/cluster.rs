@@ -957,13 +957,12 @@ mod tests {
     }
 
     /// The §5.4.3 one-seek-per-cluster rule across queued requests: the
-    /// SLM trace's follow-up runs stay seek-skipped when replayed
-    /// through the arm scheduler, at depth 1 (byte-identical) and when
-    /// queued all at once under the elevator (seeks can only merge
-    /// away, never be re-charged).
+    /// SLM trace's follow-up runs stay seek-skipped when charged again
+    /// (byte-identical) and when queued all at once on an arm under the
+    /// elevator (seeks can only merge away, never be re-charged).
     #[test]
     fn traced_slm_runs_keep_cluster_seek_rule_under_the_scheduler() {
-        use spatialdb_disk::ArmPolicy;
+        use spatialdb_disk::{ArmGeometry, ArrayConfig, DiskArray, DiskParams};
         // 2.5 KB objects (~0.6 page each) in 80-page units: a thin
         // vertical slice hits one object per row, and adjacent rows sit
         // a dozen pages apart in the unit packing — gaps beyond the SLM
@@ -997,26 +996,32 @@ mod tests {
             follow_ups > 0,
             "workload produced no multi-run SLM schedules"
         );
-        // Depth-1 replay: byte-identical to the synchronous charges.
+        // The trace carries the synchronous charges, byte for byte.
         let replay = Disk::with_defaults();
         for req in &trace {
-            replay.submit(*req);
-            replay.complete_next();
+            replay.charge(req.kind, req.run, req.skip_seek);
         }
         assert_eq!(replay.stats(), delta);
         // Queued together under the elevator: skip flags are preserved
         // (never double-charged back), page/latency counts conserved,
         // and seeks only ever merge away.
-        let queued = Disk::with_defaults();
-        queued.set_arm_policy(ArmPolicy::Elevator);
+        let mut arm = DiskArray::new(
+            DiskParams::default(),
+            ArmGeometry::default(),
+            ArrayConfig::default(),
+        );
         for req in &trace {
-            queued.submit(*req);
+            arm.submit(*req);
         }
-        let done = queued.drain_arm();
+        let done = arm.drain();
         assert_eq!(done.len(), trace.len());
         assert!(done
             .iter()
             .all(|c| !c.request.skip_seek || c.effective_skip_seek));
+        let queued = Disk::with_defaults();
+        for c in &done {
+            queued.charge(c.request.kind, c.request.run, c.effective_skip_seek);
+        }
         let q = queued.stats();
         assert_eq!(q.pages_read, delta.pages_read);
         assert_eq!(q.latencies, delta.latencies);

@@ -23,7 +23,7 @@
 //! *geometric threshold* \[BKS93a\], the *SLM* read schedules \[SLM93\],
 //! plain *page-by-page* access, and the *optimum* lower bound.
 //!
-//! All I/O flows through a shared [`spatialdb_disk::BufferPool`]; the
+//! All I/O flows through a shared [`spatialdb_disk::ShardedPool`]; the
 //! construction, storage-utilization and query figures of the paper
 //! (Figures 5–12) are produced by driving these models.
 

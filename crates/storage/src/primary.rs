@@ -480,8 +480,7 @@ mod tests {
         assert_eq!(trace.len() as u64, delta.requests());
         let replay = Disk::with_defaults();
         for req in &trace {
-            replay.submit(*req);
-            replay.complete_next();
+            replay.charge(req.kind, req.run, req.skip_seek);
         }
         assert_eq!(replay.stats(), delta);
     }

@@ -340,11 +340,10 @@ mod tests {
         // Every scattered object access paid its own seek — the traced
         // requests carry that (no skip_seek flags, §3.2.1).
         assert!(trace.iter().all(|r| !r.skip_seek));
-        // Depth-1 replay through a fresh arm: identical charged stats.
+        // Charged again on a fresh disk: identical stats.
         let replay = Disk::with_defaults();
         for req in &trace {
-            replay.submit(*req);
-            replay.complete_next();
+            replay.charge(req.kind, req.run, req.skip_seek);
         }
         assert_eq!(replay.stats(), delta);
     }

@@ -9,7 +9,7 @@
 //! assembly.
 //!
 //! ```no_run
-//! use spatialdb::{Arrival, EngineConfig, Routing, StripePolicy};
+//! use spatialdb::{Arrival, EngineConfig, Routing};
 //! use spatialdb_workload::{Dataset, Mix, Scenario, SchedPolicy};
 //!
 //! let report = Scenario::new("fig-like")
@@ -17,13 +17,13 @@
 //!     .engine(
 //!         EngineConfig::default()
 //!             .shards(8)
-//!             .routing(Routing::ByRegion)
-//!             .arms(4, StripePolicy::RoundRobin),
+//!             .routing(Routing::ByRegion),
 //!     )
 //!     .arrivals(Arrival::open(0.7))
 //!     .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
 //!     .depth(8)
 //!     .policy(SchedPolicy::Elevator)
+//!     .sweep_arms(&[4])
 //!     .run();
 //!
 //! report

@@ -122,8 +122,8 @@ pub struct Scenario {
     arrival: Arrival,
     depths: Vec<usize>,
     policies: Vec<ArmPolicy>,
-    arms_grid: Option<Vec<usize>>,
-    stripes: Option<Vec<StripePolicy>>,
+    arms_grid: Vec<usize>,
+    stripes: Vec<StripePolicy>,
     threads: usize,
     seed: u64,
     mix: Option<Mix>,
@@ -134,7 +134,7 @@ impl Scenario {
     /// Start a scenario. The defaults are a one-database grid dataset
     /// of 2 000 objects, the default engine, all three organizations,
     /// a 64-window sweep, closed (burst) arrivals, and a single
-    /// depth-4 elevator cell per organization.
+    /// depth-4 elevator cell on one arm per organization.
     pub fn new(name: impl Into<String>) -> Self {
         Scenario {
             name: name.into(),
@@ -151,8 +151,8 @@ impl Scenario {
             arrival: Arrival::Burst,
             depths: vec![4],
             policies: vec![ArmPolicy::Elevator],
-            arms_grid: None,
-            stripes: None,
+            arms_grid: vec![1],
+            stripes: vec![StripePolicy::RoundRobin],
             threads: 2,
             seed: 42,
             mix: None,
@@ -244,19 +244,19 @@ impl Scenario {
         self
     }
 
-    /// Sweep several arm counts (default: the engine's arm count).
+    /// Sweep several arm counts (default: one arm).
     #[must_use]
     pub fn sweep_arms(mut self, arms: &[usize]) -> Self {
         assert!(!arms.is_empty() && arms.iter().all(|&a| a > 0));
-        self.arms_grid = Some(arms.to_vec());
+        self.arms_grid = arms.to_vec();
         self
     }
 
-    /// Sweep several stripe policies (default: the engine's stripe).
+    /// Sweep several stripe policies (default: round-robin).
     #[must_use]
     pub fn sweep_stripes(mut self, stripes: &[StripePolicy]) -> Self {
         assert!(!stripes.is_empty());
-        self.stripes = Some(stripes.to_vec());
+        self.stripes = stripes.to_vec();
         self
     }
 
@@ -305,14 +305,6 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("scenario '{}': invalid engine config: {e}", self.name));
         let windows = self.windows.generate();
         let per_db = self.dataset.objects() / self.databases as u64;
-        let arms_grid = self
-            .arms_grid
-            .clone()
-            .unwrap_or_else(|| vec![self.engine.arms]);
-        let stripes = self
-            .stripes
-            .clone()
-            .unwrap_or_else(|| vec![self.engine.stripe]);
 
         let mut report = ScenarioReport {
             name: self.name.clone(),
@@ -341,10 +333,10 @@ impl Scenario {
             // The replay grid. Nesting order (stripes → depths →
             // policies → arms) reproduces both benchmark binaries' row
             // orders once the singleton dimensions collapse.
-            for &stripe in &stripes {
+            for &stripe in &self.stripes {
                 for &depth in &self.depths {
                     for &policy in &self.policies {
-                        for &arms in &arms_grid {
+                        for &arms in &self.arms_grid {
                             let (cell, conservation) = self.run_cell(
                                 &ws, &mut dbs, &windows, kind, depth, policy, arms, stripe,
                             );

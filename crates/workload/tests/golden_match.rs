@@ -51,10 +51,17 @@ fn decluster_scenario() -> Scenario {
 
 #[test]
 fn io_latency_subset_matches_golden() {
-    io_latency_scenario()
+    let report = io_latency_scenario()
         .organizations(&[OrganizationKind::Secondary])
         .sweep_depths(&[16])
-        .run()
+        .run();
+    // No `sweep_arms` / `sweep_stripes`: the replay runs on the one
+    // round-robin arm the golden rows were recorded on.
+    assert!(report
+        .cells()
+        .iter()
+        .all(|c| c.arms == 1 && c.stripe == StripePolicy::RoundRobin));
+    report
         .assert_stats_conserved()
         .assert_matches_golden(IO_LATENCY_GOLDEN, RowFormat::IoLatency);
 }

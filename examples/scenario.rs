@@ -3,14 +3,14 @@
 //!
 //! Run with: `cargo run --release -p spatialdb-workload --example scenario`
 
-use spatialdb::disk::{ArmPolicy, StripePolicy};
+use spatialdb::disk::ArmPolicy;
 use spatialdb::{Arrival, EngineConfig, Routing};
 use spatialdb_workload::{org_label, policy_label, Dataset, Mix, Scenario, WindowSweep};
 
 fn main() {
     // One declaration, end to end: a seeded uniform dataset split over
-    // two databases, a machine with a region-routed 4-shard pool and a
-    // 4-arm disk array, an open-arrival window sweep replayed at two
+    // two databases, a machine with a region-routed 4-shard pool, an
+    // open-arrival window sweep replayed on a 4-arm disk array at two
     // queue depths under both arm schedulers, and a mixed
     // window/point/join/insert stream per storage organization.
     let report = Scenario::new("tour")
@@ -20,8 +20,7 @@ fn main() {
             EngineConfig::default()
                 .buffer_pages(1024)
                 .shards(4)
-                .routing(Routing::ByRegion)
-                .arms(4, StripePolicy::RoundRobin),
+                .routing(Routing::ByRegion),
         )
         .windows(
             WindowSweep::new(48)
@@ -32,6 +31,7 @@ fn main() {
         .arrivals(Arrival::open(0.7))
         .sweep_depths(&[4, 16])
         .sweep_policies(&[ArmPolicy::Fcfs, ArmPolicy::Elevator])
+        .sweep_arms(&[4])
         .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
         .operations(64)
         .seed(7)

@@ -287,10 +287,8 @@ fn declustered_batch_across_databases_shrinks_makespan() {
     );
 }
 
-/// The `EngineConfig` knobs: `arms(..)` shapes the workspace's own
-/// disk (visible via `num_arms`/`stripe_policy`) without touching the
-/// charged path, and `adaptive_shards(true)` toggles the pool's quota
-/// mode — neither changes a synchronous workload's answers or charges.
+/// The `EngineConfig` knob `adaptive_shards(true)` toggles the pool's
+/// quota mode without changing a synchronous workload's answers.
 #[test]
 fn workspace_conveniences_leave_charges_flat() {
     let map = test_map();
@@ -310,15 +308,6 @@ fn workspace_conveniences_leave_charges_flat() {
     };
     let plain = Workspace::new(BUFFER_PAGES);
     let base = run(&plain);
-
-    let striped = Workspace::from_config(
-        EngineConfig::default()
-            .buffer_pages(BUFFER_PAGES)
-            .arms(4, StripePolicy::RegionHash),
-    );
-    assert_eq!(striped.disk().num_arms(), 4);
-    assert_eq!(striped.disk().stripe_policy(), StripePolicy::RegionHash);
-    assert_eq!(run(&striped), base, "arm config leaked into charges");
 
     let adaptive = Workspace::from_config(
         EngineConfig::default()

@@ -4,10 +4,11 @@
 //! determinism of the simulated latency, the elevator-vs-FCFS ordering
 //! at queue depth, and the timed join.
 //!
-//! The request-level anchor — depth-1 `Disk::submit`/`complete_next`
-//! mirroring `Disk::charge` byte for byte — is asserted inside
-//! `spatialdb-disk`; these tests pin the same contract end-to-end
-//! through the storage backends and the executor.
+//! The request-level anchor — a depth-1 pass over the arm reporting
+//! every request's own seek flag, so charging it again mirrors
+//! `Disk::charge` byte for byte — is asserted inside `spatialdb-disk`;
+//! these tests pin the same contract end-to-end through the storage
+//! backends and the executor.
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
