@@ -14,8 +14,8 @@
 //! [`SpatialDatabase::query`] and [`SpatialDatabase::join`]. The store
 //! stack is `Send + Sync` with a `&self` read path, so queries and joins
 //! borrow the database immutably — any number of threads may query one
-//! database concurrently, and the parallel executor
-//! ([`crate::executor`]) fans batches across a scoped thread pool.
+//! database concurrently, and the executor ([`crate::stream`]) fans the
+//! refinement of batches and streams across scoped worker threads.
 //!
 //! ## Concurrent writers: shadow paging + epochs
 //!
@@ -259,20 +259,21 @@ impl Workspace {
     ///
     /// Build the queries with [`SpatialDatabase::query`] (without calling
     /// `run`) and hand them over; they may target different databases of
-    /// **this workspace**. A bare thread count (as below) is the
-    /// serialized deterministic plan: the filter steps are issued in
-    /// submission order against the workspace's single simulated disk —
-    /// see the [`executor`](crate::executor) module docs for why that
-    /// keeps every per-query and aggregate statistic **identical to
-    /// sequential execution**, at any thread count — while the
-    /// exact-geometry refinement runs on the thread pool.
-    /// `ExecPlan::threads(k).overlapped()` fans the filter steps across
-    /// the workers too (built for sharded pools), and
-    /// `ExecPlan::threads(k).timed(OverlapConfig)` replays the filter
-    /// I/O through the disk-arm scheduler, attaching per-query
+    /// **this workspace**. A batch is a
+    /// [`run_stream`](crate::stream::run_stream) without writes: the
+    /// filter steps are issued in submission order against the
+    /// workspace's single simulated disk — see the
+    /// [`stream`](crate::stream) module docs for why that keeps every
+    /// per-query and aggregate statistic **identical to sequential
+    /// execution**, at any thread count — while the exact-geometry
+    /// refinement runs on the plan's worker threads (a bare thread
+    /// count, as below, is a plan). `ExecPlan::threads(k).timed(OverlapConfig)`
+    /// additionally replays the filter I/O through the disk-arm
+    /// scheduler, attaching per-query
     /// [`LatencyStats`](spatialdb_disk::LatencyStats) to the outcomes.
-    /// (For a batch spanning several workspaces, call
-    /// [`executor::run_batch`](crate::executor::run_batch) directly.)
+    /// ([`executor::run_batch`](crate::executor::run_batch) is the same
+    /// call without the membership check; untimed, it also takes queries
+    /// of several workspaces.)
     ///
     /// ```
     /// # use spatialdb::{DbOptions, OrganizationKind, Workspace};
@@ -300,7 +301,9 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics if a query targets a database of another workspace (its
-    /// store is not built on this workspace's disk).
+    /// store is not built on this workspace's disk), and propagates the
+    /// panic of a query that cannot execute (no target set, a
+    /// filter-only record to refine).
     pub fn run_batch(
         &self,
         queries: Vec<Query<'_>>,

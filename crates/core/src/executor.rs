@@ -1,53 +1,46 @@
-//! The parallel query executor.
+//! Batches and single parallel queries: adapters over the one executor.
 //!
-//! The engine splits a query into the paper's two steps, and they
-//! parallelize very differently:
+//! How operations execute — filter steps in submission order on the
+//! calling thread (the simulated disk is one arm behind one LRU buffer,
+//! so their cost model is inherently serial), exact-geometry refinement
+//! on scoped worker threads meanwhile, every per-query and aggregate
+//! [`QueryStats`]/[`IoStats`] **identical to running the same queries
+//! sequentially** at any thread count — is described once, in the
+//! [`stream`] module docs. This module holds no loop of its own:
 //!
-//! * the **filter step** (R\*-tree walk + object transfer) charges the
-//!   simulated disk — a single arm with one LRU buffer. Its cost model
-//!   is inherently serial: which accesses become requests depends on the
-//!   exact order pages enter the shared buffer. The executor therefore
-//!   issues the filter steps of a batch **in submission order** on the
-//!   calling thread by default, which makes the per-query and aggregate
-//!   [`QueryStats`]/[`IoStats`] *identical* to running the same queries
-//!   sequentially — deterministic at every thread count.
-//! * the **refinement step** (exact geometry tests) is pure CPU over
-//!   immutable state, and is fanned across a scoped thread pool.
+//! * [`run_batch`] (usually called as
+//!   [`Workspace::run_batch`](crate::db::Workspace::run_batch)) hands
+//!   its queries to that loop as a stream with no writes. An
+//!   [`ExecPlan`] picks the worker count — a bare thread count
+//!   (`run_batch(queries, 8)`) converts into one — and
+//!   [`ExecPlan::timed`] additionally replays the requests the filter
+//!   steps charged through the disk-arm scheduler, attaching per-query
+//!   [`LatencyStats`] to the outcomes.
+//! * [`Query::run_par`](crate::query::Query::run_par) fans the
+//!   refinement of *one* query across threads, in contiguous chunks of
+//!   its candidate list.
 //!
-//! Since the buffer pool is sharded
-//! ([`ShardedPool`](spatialdb_disk::ShardedPool)), the filter steps *can*
-//! also overlap: [`FilterMode::Overlapped`] fans whole queries
-//! (filter + refinement) across the worker pool. Per-query deltas stay
-//! exact — each worker measures against its own thread-local I/O tally —
-//! and queries whose page sets hash to **disjoint shards** proceed
-//! without ever contending, producing the same hit/miss classification
-//! as the serialized order. Queries that do share pages may interleave
-//! in the shared LRU state, so aggregate `io_ms` is
-//! schedule-dependent; with `n_threads <= 1` the overlapped mode
-//! degenerates to submission order and stays byte-deterministic (the
-//! single-thread path). Use the default [`FilterMode::Serialized`]
-//! whenever reproducing the paper's figures.
-//!
-//! Entry points: [`Query::run_par`](crate::query::Query::run_par) for
-//! one query, and [`Workspace::run_batch`](crate::db::Workspace::run_batch)
-//! for a batch (the queries may target different databases — anything
-//! `Send + Sync`, which every [`SpatialStore`](spatialdb_storage::SpatialStore)
-//! is). An [`ExecPlan`] picks the thread count and [`FilterMode`];
-//! a bare thread count (`run_batch(queries, 8)`) is the serialized
-//! deterministic default.
+//! To overlap the filter steps themselves, call
+//! [`SpatialDatabase::query`](crate::db::SpatialDatabase::query) from
+//! your own threads: the store stack is `Send + Sync`, each thread
+//! measures its queries against its own I/O tally, and answers stay
+//! exact — only the shared LRU state, hence the aggregate `io_ms`,
+//! becomes schedule-dependent.
 
-use crate::query::{Candidate, Query, Refinement, ResultCursor};
+use crate::query::Query;
+use crate::stream::{self, Op, OpOutcome};
 use spatialdb_disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArmPolicy, ArmStats,
     ArrayConfig, IoStats, LatencyStats, QueryTrace, RotationModel, StripePolicy,
 };
-use spatialdb_rtree::LeafEntry;
 use spatialdb_storage::QueryStats;
+use std::sync::Arc;
 
-/// Materialized result of one query executed by the parallel executor.
+/// Materialized result of one query of a batch or of
+/// [`Query::run_par`](crate::query::Query::run_par).
 ///
 /// Carries exactly what the sequential
-/// [`ResultCursor`] would have produced:
+/// [`ResultCursor`](crate::query::ResultCursor) would have produced:
 /// the refined ids in ascending order and the per-query cost deltas.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
@@ -81,9 +74,8 @@ impl QueryOutcome {
     }
 
     /// Simulated latency of this query under the disk-arm scheduler —
-    /// present only for batches run under
-    /// [`FilterMode::OverlappedIo`] (queue wait, service and completion
-    /// time in simulated ms).
+    /// present only for batches run under [`ExecPlan::timed`] (queue
+    /// wait, service and completion time in simulated ms).
     pub fn latency_stats(&self) -> Option<LatencyStats> {
         self.latency
     }
@@ -106,7 +98,7 @@ impl BatchOutcome {
 
     /// Per-arm cumulative statistics of the simulated disk array
     /// (utilization, mean queue depth), indexed by arm — non-empty only
-    /// for batches run under [`FilterMode::OverlappedIo`].
+    /// for batches run under [`ExecPlan::timed`].
     pub fn arm_stats(&self) -> &[ArmStats] {
         &self.arm_stats
     }
@@ -159,16 +151,8 @@ impl IntoIterator for BatchOutcome {
     }
 }
 
-/// Execute the filter steps in submission order on the calling thread,
-/// reusing one candidate scratch buffer across the whole batch.
-fn filter_phase(queries: Vec<Query<'_>>, traced: bool) -> Vec<ResultCursor<'_>> {
-    let mut scratch: Vec<LeafEntry> = Vec::new();
-    let queries = queries.into_iter();
-    queries.map(|q| q.run_with(&mut scratch, traced)).collect()
-}
-
 /// When the queries of a timed batch arrive on the simulated clock
-/// (the arrival process of [`FilterMode::OverlappedIo`]).
+/// (the arrival process of [`ExecPlan::timed`]).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum Arrival {
     /// All queries arrive at time 0 — a closed burst with maximal
@@ -234,10 +218,9 @@ impl Arrival {
     }
 }
 
-/// Configuration of the overlapped-I/O filter mode
-/// ([`FilterMode::OverlappedIo`]): how deep each query's submission
-/// window is, how the arms order outstanding requests, and how fast
-/// queries arrive.
+/// Configuration of a timed batch ([`ExecPlan::timed`]): how deep each
+/// query's submission window is, how the arms order outstanding
+/// requests, and how fast queries arrive.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct OverlapConfig {
     /// Maximum requests one query keeps outstanding on the arm: its
@@ -275,85 +258,48 @@ impl Default for OverlapConfig {
     }
 }
 
-/// How a batch's filter steps are scheduled (the refinement step always
-/// fans across the worker pool).
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub enum FilterMode {
-    /// Issue the filter steps in submission order on the calling
-    /// thread: per-query and aggregate stats are byte-identical to
-    /// sequential execution at every thread count. The default, and
-    /// the mode every paper figure runs under.
-    #[default]
-    Serialized,
-    /// Fan whole queries (filter + refinement) across the worker pool.
-    /// Per-query deltas stay exact (thread-local tallies); queries
-    /// whose page sets hit disjoint shards of the
-    /// [`ShardedPool`](spatialdb_disk::ShardedPool) never contend and
-    /// classify hits/misses as in submission order, while overlapping
-    /// page sets make the aggregate `io_ms` schedule-dependent. With
-    /// `n_threads <= 1` this degenerates to the serialized order
-    /// (deterministic single-thread path).
-    Overlapped,
-    /// The overlapped-I/O mode: filter steps execute in submission
-    /// order through the stores' **batched read path** (answers,
-    /// `QueryStats` and charged `IoStats` byte-identical to
-    /// [`Serialized`](FilterMode::Serialized)), each query's captured
-    /// requests are replayed through the **disk-arm scheduler** with a
-    /// depth-*k* submission window under an open-arrival workload, and
-    /// the per-query [`LatencyStats`] land on the outcomes
-    /// ([`QueryOutcome::latency_stats`]). The refinement CPU runs on
-    /// the worker pool **while** this thread computes the simulated-I/O
-    /// timeline. Deterministic at every thread count.
-    OverlappedIo(OverlapConfig),
-}
-
-/// How a batch executes: worker-thread count plus [`FilterMode`].
+/// How a batch executes: worker-thread count, plus the arm-scheduler
+/// replay of a timed batch.
 ///
 /// The one argument of [`run_batch`] (and of
 /// [`Workspace::run_batch`](crate::db::Workspace::run_batch)). A bare
-/// `usize` converts into the serialized deterministic default, so
-/// `run_batch(queries, 8)` keeps working:
+/// `usize` converts into an untimed plan, so `run_batch(queries, 8)`
+/// keeps working:
 ///
 /// ```
 /// use spatialdb::executor::{ExecPlan, OverlapConfig};
 ///
-/// let deterministic = ExecPlan::threads(8);
-/// let concurrent = ExecPlan::threads(8).overlapped();
+/// let untimed = ExecPlan::threads(8);
 /// let timed = ExecPlan::threads(8).timed(OverlapConfig::default());
-/// # let _ = (deterministic, concurrent, timed);
+/// # let _ = (untimed, timed);
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ExecPlan {
-    /// Worker threads for the refinement fan (and, under
-    /// [`FilterMode::Overlapped`], the filter fan).
+    /// Worker threads for the refinement step.
     pub threads: usize,
-    /// How the filter steps are scheduled.
-    pub mode: FilterMode,
+    /// Replay each query's captured requests through the disk-arm
+    /// scheduler — a depth-*k* submission window under the configured
+    /// arrival process — and attach the per-query [`LatencyStats`] to
+    /// the outcomes ([`QueryOutcome::latency_stats`]). The queries
+    /// execute exactly as in an untimed batch: same answers, same
+    /// `QueryStats`, same charged `IoStats`.
+    pub timed: Option<OverlapConfig>,
 }
 
 impl ExecPlan {
-    /// A serialized (deterministic) plan on `n` worker threads.
+    /// An untimed plan on `n` worker threads.
     pub fn threads(n: usize) -> Self {
         ExecPlan {
             threads: n,
-            mode: FilterMode::Serialized,
+            timed: None,
         }
     }
 
-    /// Fan whole queries (filter + refinement) across the workers
-    /// ([`FilterMode::Overlapped`]).
-    #[must_use]
-    pub fn overlapped(mut self) -> Self {
-        self.mode = FilterMode::Overlapped;
-        self
-    }
-
-    /// Replay the filter steps through the disk-arm scheduler
-    /// ([`FilterMode::OverlappedIo`]), attaching per-query
-    /// [`LatencyStats`] to the outcomes.
+    /// Replay the filter steps through the disk-arm scheduler (see the
+    /// [`timed`](ExecPlan::timed) field).
     #[must_use]
     pub fn timed(mut self, cfg: OverlapConfig) -> Self {
-        self.mode = FilterMode::OverlappedIo(cfg);
+        self.timed = Some(cfg);
         self
     }
 }
@@ -371,231 +317,122 @@ impl From<usize> for ExecPlan {
 }
 
 /// Run a batch under an [`ExecPlan`] (a bare thread count converts to
-/// the serialized deterministic default): filter phase per the plan's
-/// [`FilterMode`], then refinement fanned across the plan's worker
-/// threads (contiguous chunks of the batch, merged back in submission
-/// order).
+/// an untimed one): the queries go through the [`stream`] loop as a
+/// stream with no writes — filter steps in submission order on the
+/// calling thread, refinement on the plan's worker threads — and a timed
+/// plan then replays the captured requests through the disk-arm
+/// scheduler.
+///
+/// # Panics
+///
+/// Panics if the plan is timed and the queries target more than one
+/// workspace: a timed batch simulates one disk array.
 pub fn run_batch(queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> BatchOutcome {
     let plan = plan.into();
-    match plan.mode {
-        // Overlapped scheduling only differs once two workers exist;
-        // at one thread the serialized path *is* the overlap order,
-        // which keeps the single-thread path deterministic.
-        FilterMode::Overlapped if plan.threads > 1 => run_batch_overlapped(queries, plan.threads),
-        FilterMode::OverlappedIo(cfg) => run_batch_overlapped_io(queries, plan.threads, cfg),
-        _ => run_batch_serialized(queries, plan.threads),
-    }
-}
-
-/// The overlapped-I/O batch runner (see [`FilterMode::OverlappedIo`]):
-/// serialized traced filter phase, then the shared tail with the
-/// arm-timeline simulation.
-fn run_batch_overlapped_io(
-    queries: Vec<Query<'_>>,
-    n_threads: usize,
-    cfg: OverlapConfig,
-) -> BatchOutcome {
-    if queries.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
-    }
-    // The timed mode is the one mode with cross-query shared state (one
-    // disk array, one set of DiskParams), so it must hold even when
-    // called directly rather than through `Workspace::run_batch`.
-    let disk = queries[0].db.store().disk();
-    for (i, q) in queries.iter().enumerate() {
-        assert!(
-            std::sync::Arc::ptr_eq(&q.db.store().disk(), &disk),
-            "query {i} targets a database of another workspace; \
-             a timed batch simulates one disk array"
-        );
-    }
-    let params = disk.params();
-    finish_batch(filter_phase(queries, true), n_threads, Some((params, cfg)))
-}
-
-/// The shared tail of the serialized and timed paths: fan refinement
-/// across the worker pool — optionally replaying the captured request
-/// traces through the disk-arm scheduler on the calling thread
-/// *meanwhile* — then zip the outcomes back in submission order.
-fn finish_batch(
-    mut prepared: Vec<ResultCursor<'_>>,
-    n_threads: usize,
-    timing: Option<(spatialdb_disk::DiskParams, OverlapConfig)>,
-) -> BatchOutcome {
-    if prepared.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
-    }
-    // The open-arrival spacing comes from the batch's own traced filter
-    // phase: mean synchronous service time over the load factor,
-    // accumulated in submission order (the same summation order as a
-    // sequential loop, so the figure is bit-reproducible).
-    let spacing = timing.as_ref().map_or(0.0, |(_, cfg)| {
-        let mean = prepared.iter().map(|p| p.stats.io_ms).sum::<f64>() / prepared.len() as f64;
-        cfg.arrival.spacing_ms(mean)
-    });
-    let traces: Vec<QueryTrace> = if timing.is_some() {
-        prepared
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| QueryTrace {
-                arrival_ms: i as f64 * spacing,
-                // The trace is only needed by the simulation — move it
-                // out instead of copying every request.
-                requests: std::mem::take(&mut p.trace),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let threads = n_threads.clamp(1, prepared.len());
-    let per = prepared.len().div_ceil(threads);
-    // The pins stay on this thread; the workers get the refinements
-    // borrowed from them.
-    let jobs: Vec<(Refinement<'_>, &[Candidate])> = prepared
-        .iter()
-        .map(|p| (p.refinement(), &p.candidates[..]))
-        .collect();
-    let (refined, timed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(per)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|(refinement, candidates)| refinement.ids(candidates))
-                        .collect::<Vec<Vec<u64>>>()
-                })
-            })
-            .collect();
-        // Refinement CPU overlaps with the simulated I/O: the workers
-        // grind exact-geometry tests while this thread schedules the
-        // depth-k request windows on the array's arms.
-        let timed = timing.map(|(params, cfg)| {
-            let array = ArrayConfig {
-                arms: cfg.arms,
-                stripe: cfg.stripe,
-                policy: cfg.policy,
-                rotation: cfg.rotation,
-            };
-            match cfg.arrival {
-                Arrival::Closed { clients, think_ms } => simulate_queries_closed(
-                    params,
-                    ArmGeometry::default(),
-                    array,
-                    cfg.depth,
-                    clients,
-                    think_ms,
-                    &traces,
-                ),
-                _ => simulate_queries_striped(
-                    params,
-                    ArmGeometry::default(),
-                    array,
-                    cfg.depth,
-                    &traces,
-                ),
-            }
-        });
-        let refined: Vec<Vec<u64>> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("refinement worker panicked"))
-            .collect();
-        (refined, timed)
-    });
-    let (latency, arm_stats) = match timed {
-        Some((latency, arm_stats)) => (latency.into_iter().map(Some).collect(), arm_stats),
-        None => (vec![None; prepared.len()], Vec::new()),
-    };
-    let outcomes = prepared
-        .into_iter()
-        .zip(refined)
-        .zip(latency)
-        .map(|((p, ids), lat)| QueryOutcome {
-            ids,
-            stats: p.stats,
-            io: p.io,
-            latency: lat,
-        })
-        .collect();
-    BatchOutcome {
-        outcomes,
-        arm_stats,
-        inter_arrival_ms: spacing,
-    }
-}
-
-/// Overlapped scheduling: contiguous chunks of the batch, each worker
-/// running filter + refinement per query against the shared (sharded)
-/// pool, outcomes merged back in submission order. Each worker measures
-/// its queries against its own thread-local I/O tally, so the per-query
-/// deltas are exact even while the workers charge the same disk
-/// concurrently.
-fn run_batch_overlapped(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutcome {
-    if queries.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
-    }
-    let threads = n_threads.clamp(1, queries.len());
-    let per = queries.len().div_ceil(threads);
-    let chunks: Vec<Vec<Query<'_>>> = {
-        let mut chunks = Vec::with_capacity(threads);
-        let mut rest = queries;
-        while !rest.is_empty() {
-            let tail = rest.split_off(per.min(rest.len()));
-            chunks.push(rest);
-            rest = tail;
+    let first_disk = queries.first().map(|q| q.db.store().disk());
+    let timing = plan.timed.zip(first_disk);
+    // Only the replay has cross-query shared state (one disk array, one
+    // set of DiskParams), so it must hold even when called directly
+    // rather than through `Workspace::run_batch`.
+    if let Some((_, disk)) = &timing {
+        for (i, q) in queries.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&q.db.store().disk(), disk),
+                "query {i} targets a database of another workspace; \
+                 a timed batch simulates one disk array"
+            );
         }
-        chunks
-    };
-    let outcomes: Vec<QueryOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    }
+    let ops = queries.into_iter().map(Op::Read).collect();
+    let (outcomes, traces) = stream::execute(ops, plan.threads, timing.is_some());
+    let mut batch = BatchOutcome {
+        outcomes: outcomes
             .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch: Vec<LeafEntry> = Vec::new();
-                    chunk
-                        .into_iter()
-                        .map(|q| {
-                            let p = q.run_with(&mut scratch, false);
-                            let ids = p.refinement().ids(&p.candidates);
-                            QueryOutcome {
-                                ids,
-                                stats: p.stats,
-                                io: p.io,
-                                latency: None,
-                            }
-                        })
-                        .collect::<Vec<QueryOutcome>>()
-                })
+            .map(|outcome| match outcome {
+                OpOutcome::Query { ids, stats, io } => QueryOutcome {
+                    ids,
+                    stats,
+                    io,
+                    latency: None,
+                },
+                _ => unreachable!("a batch holds only reads"),
             })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("overlapped query worker panicked"))
-            .collect()
-    });
-    BatchOutcome {
-        outcomes,
+            .collect(),
         arm_stats: Vec::new(),
         inter_arrival_ms: 0.0,
+    };
+    let Some((cfg, disk)) = timing else {
+        return batch;
+    };
+    // The open-arrival spacing comes from the batch's own filter steps:
+    // mean synchronous service time over the load factor, accumulated in
+    // submission order (the same summation order as a sequential loop,
+    // so the figure is bit-reproducible).
+    let service_ms = batch.outcomes.iter().map(|o| o.stats.io_ms).sum::<f64>();
+    let spacing = cfg.arrival.spacing_ms(service_ms / batch.len() as f64);
+    let traces: Vec<QueryTrace> = traces
+        .into_iter()
+        .enumerate()
+        .map(|(i, requests)| QueryTrace {
+            arrival_ms: i as f64 * spacing,
+            requests,
+        })
+        .collect();
+    let array = ArrayConfig {
+        arms: cfg.arms,
+        stripe: cfg.stripe,
+        policy: cfg.policy,
+        rotation: cfg.rotation,
+    };
+    let geometry = ArmGeometry::default();
+    let (latency, arm_stats) = match cfg.arrival {
+        Arrival::Closed { clients, think_ms } => simulate_queries_closed(
+            disk.params(),
+            geometry,
+            array,
+            cfg.depth,
+            clients,
+            think_ms,
+            &traces,
+        ),
+        _ => simulate_queries_striped(disk.params(), geometry, array, cfg.depth, &traces),
+    };
+    for (outcome, latency) in batch.outcomes.iter_mut().zip(latency) {
+        outcome.latency = Some(latency);
     }
+    batch.arm_stats = arm_stats;
+    batch.inter_arrival_ms = spacing;
+    batch
 }
 
-/// Serialized scheduling: deterministic filter phase on the calling
-/// thread, then the shared refinement tail.
-fn run_batch_serialized(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutcome {
-    finish_batch(filter_phase(queries, false), n_threads, None)
+/// The fan-out *within* one operation: split `items` into at most
+/// `threads` contiguous chunks, map each on its own scoped thread, and
+/// concatenate the results in chunk order. A worker's panic is the
+/// caller's: it resumes here with its own payload.
+pub(crate) fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    map: impl Fn(&[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let per = items.len().div_ceil(threads.max(1)).max(1);
+    if items.len() <= per {
+        return map(items);
+    }
+    std::thread::scope(|scope| {
+        let map = &map;
+        let workers: Vec<_> = items
+            .chunks(per)
+            .map(|chunk| scope.spawn(move || map(chunk)))
+            .collect();
+        let mut merged = Vec::with_capacity(items.len());
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => merged.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        merged
+    })
 }
 
 /// Run one query with its refinement partitioned across `n_threads`
@@ -603,30 +440,9 @@ fn run_batch_serialized(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutco
 /// preserves the ascending id order).
 pub(crate) fn run_one_par(query: Query<'_>, n_threads: usize) -> QueryOutcome {
     let p = query.run();
-    if p.candidates.is_empty() {
-        return QueryOutcome {
-            ids: Vec::new(),
-            stats: p.stats,
-            io: p.io,
-            latency: None,
-        };
-    }
-    let threads = n_threads.clamp(1, p.candidates.len());
-    let per = p.candidates.len().div_ceil(threads);
     let refinement = p.refinement();
-    let ids: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = p
-            .candidates
-            .chunks(per)
-            .map(|chunk| scope.spawn(move || refinement.ids(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("refinement worker panicked"))
-            .collect()
-    });
     QueryOutcome {
-        ids,
+        ids: map_chunks(&p.candidates, n_threads, |chunk| refinement.ids(chunk)),
         stats: p.stats,
         io: p.io,
         latency: None,

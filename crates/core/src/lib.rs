@@ -65,8 +65,8 @@
 //! | [`join`] | the spatial join pipeline |
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
 //! | [`query`] | the streaming `Query` builder and cursors |
-//! | [`executor`] | the parallel query executor (`run_par`, `run_batch`) |
-//! | [`stream`] | the mixed read/write stream executor (`run_stream`) |
+//! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`) |
+//! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`), timed replay |
 //! | [`experiments`] | drivers regenerating every table/figure of the paper |
 
 #![forbid(unsafe_code)]
@@ -84,7 +84,7 @@ pub mod stream;
 pub use bulkload::bulk_load_records_par;
 pub use config::{ConfigError, EngineConfig};
 pub use db::{DbOptions, SpatialDatabase, StoreRead, Workspace};
-pub use executor::{Arrival, BatchOutcome, ExecPlan, FilterMode, OverlapConfig, QueryOutcome};
+pub use executor::{Arrival, BatchOutcome, ExecPlan, OverlapConfig, QueryOutcome};
 pub use query::{JoinCursor, JoinQuery, Query, ResultCursor};
 pub use stream::{run_stream, OpOutcome, StreamOp, StreamOutcome};
 

@@ -60,6 +60,7 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
+use crate::executor::map_chunks;
 use spatialdb_disk::{
     simulate_queries_striped, ArmGeometry, ArmPolicy, ArrayConfig, IoStats, LatencyStats,
     PageRequest, QueryTrace,
@@ -166,8 +167,8 @@ impl<'r> Refinement<'r> {
 }
 
 /// The join refinement predicate: whether the candidate pair `(a, b)`
-/// really intersects on exact geometry. Shared by [`JoinCursor`] and
-/// the mixed-stream executor so the two paths cannot drift.
+/// really intersects on exact geometry — one pair of an iterating
+/// [`JoinCursor`]; whole stretches go through [`refine_pairs`].
 ///
 /// # Panics
 ///
@@ -202,7 +203,7 @@ fn pair_lacks_geometry(a: ObjectId, b: ObjectId) -> ! {
 /// # Panics
 ///
 /// Panics like [`refine_pair`], at the same pair.
-fn refine_pairs(
+pub(crate) fn refine_pairs(
     left: &GeometryTable,
     right: &GeometryTable,
     pairs: &[(ObjectId, ObjectId)],
@@ -365,7 +366,7 @@ pub struct ResultCursor<'a> {
     /// whole lifetime: concurrent writers publish around it, and the
     /// epoch pin keeps the snapshot from being reclaimed.
     pub(crate) root: StoreRead<'a>,
-    target: Target,
+    pub(crate) target: Target,
     /// The filter step's candidates, ascending by id.
     pub(crate) candidates: Vec<Candidate>,
     next: usize,
@@ -631,27 +632,8 @@ impl<'a> JoinCursor<'a> {
     /// order — the same pairs as iterating.
     pub fn pairs(self) -> Vec<(u64, u64)> {
         let (left, right) = (self.left.geoms(), self.right.geoms());
-        let rest = &self.pairs[self.next..];
-        let per = rest.len().div_ceil(self.refine_threads).max(1);
-        let mut out = if rest.len() <= per {
-            refine_pairs(left, right, rest)
-        } else {
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = rest
-                    .chunks(per)
-                    .map(|chunk| scope.spawn(move || refine_pairs(left, right, chunk)))
-                    .collect();
-                let mut merged = Vec::with_capacity(rest.len());
-                for worker in workers {
-                    match worker.join() {
-                        Ok(answers) => merged.extend(answers),
-                        // The caller sees the refinement panic itself.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                merged
-            })
-        };
+        let refine = |chunk: &[_]| refine_pairs(left, right, chunk);
+        let mut out = map_chunks(&self.pairs[self.next..], self.refine_threads, refine);
         out.sort_unstable();
         out
     }

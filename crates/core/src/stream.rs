@@ -1,20 +1,23 @@
-//! The mixed-stream executor mode: one interleaved stream of reads
-//! **and writes**, executed without serial barriers.
+//! The one executor: every sequence of operations — a mixed stream of
+//! reads **and writes** ([`run_stream`]) or a batch of queries
+//! ([`run_batch`](crate::executor::run_batch), a stream with no writes)
+//! — runs through the loop in this module, without serial barriers.
 //!
-//! [`run_stream`] consumes a [`StreamOp`] sequence — window queries,
-//! point queries, spatial joins, inserts and deletes, possibly against
-//! several databases of one workspace — and executes it under the
-//! shadow-paging concurrency model of
-//! [`SpatialDatabase`]:
+//! The operations — window queries, point queries, spatial joins,
+//! inserts and deletes, possibly against several databases of one
+//! workspace — execute under the shadow-paging concurrency model of
+//! [`SpatialDatabase`], split into the paper's two steps:
 //!
-//! * **Phase A (stream order, calling thread):** every operation's
+//! * **Phase A (op order, calling thread):** every operation's
 //!   I/O-charging half runs here, in logical commit order. A query op
 //!   pins a snapshot and runs its filter step, which hands it the
 //!   candidates; a join op pins both operands and runs the MBR join; an
 //!   insert/delete commits through the `&self` shadow-paging write path
-//!   and publishes a new root. Per-op [`IoStats`] deltas are measured
-//!   against the calling thread's local tally, so they are exact and
-//!   independent of the worker count.
+//!   and publishes a new root. The simulated disk is one arm behind one
+//!   LRU buffer — which accesses become requests depends on the exact
+//!   order pages enter the buffer — so this half is inherently serial.
+//!   Per-op [`IoStats`] deltas are measured against the calling thread's
+//!   local tally, so they are exact and independent of the worker count.
 //! * **Refinement (worker pool, concurrent):** the CPU-bound
 //!   exact-geometry tests of each query/join are handed to a shared
 //!   work queue the moment its phase-A half completes, and scoped
@@ -26,18 +29,25 @@
 //!   hold up reclamation of the store snapshot): later deletes edit
 //!   later versions of the table, never this one.
 //!
-//! Results are merged back by stream index, so the full
-//! [`StreamOutcome`] — answers, per-op stats, per-op I/O — is
-//! **byte-identical at any thread count**: determinism comes from
-//! phase A's fixed order, not from barriers.
+//! Results are merged back by op index, so the full outcome — answers,
+//! per-op stats, per-op I/O — is **byte-identical at any thread count**
+//! and identical to a sequential loop over the same operations:
+//! determinism comes from phase A's fixed order, not from barriers.
+//!
+//! A panic propagates to the caller instead of parking the process: one
+//! in phase A (an insert of a stored id, a query without a target)
+//! closes the queue on its way out, so the workers drain and exit; one
+//! in a worker (refining a filter-only record) is re-raised once phase A
+//! is through. Charges made before the panic stay on the disk's
+//! counters.
 
 use spatialdb_disk::{DepGuard, DepMutex, LockClass};
 use std::collections::VecDeque;
 use std::sync::Condvar;
 
 use crate::db::{GeometryTable, SpatialDatabase};
-use crate::query::{refine_pair, Candidate, Refinement, Target};
-use spatialdb_disk::IoStats;
+use crate::query::{refine_pairs, Candidate, Query, Refinement, Target};
+use spatialdb_disk::{IoStats, PageRequest};
 use spatialdb_geom::{Geometry, Point, Rect};
 use spatialdb_join::{JoinConfig, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
@@ -182,6 +192,38 @@ impl StreamOutcome {
     }
 }
 
+/// What the loop executes: a [`StreamOp`], with window and point ops
+/// spelled as the [`Query`] a batch hands over (which may carry its own
+/// technique).
+pub(crate) enum Op<'a> {
+    Read(Query<'a>),
+    Join {
+        left: &'a SpatialDatabase,
+        right: &'a SpatialDatabase,
+    },
+    Insert {
+        db: &'a SpatialDatabase,
+        id: u64,
+        geometry: Geometry,
+    },
+    Delete {
+        db: &'a SpatialDatabase,
+        id: u64,
+    },
+}
+
+impl<'a> From<StreamOp<'a>> for Op<'a> {
+    fn from(op: StreamOp<'a>) -> Self {
+        match op {
+            StreamOp::Window { db, window } => Op::Read(db.query().window(window)),
+            StreamOp::Point { db, point } => Op::Read(db.query().point(point)),
+            StreamOp::Join { left, right } => Op::Join { left, right },
+            StreamOp::Insert { db, id, geometry } => Op::Insert { db, id, geometry },
+            StreamOp::Delete { db, id } => Op::Delete { db, id },
+        }
+    }
+}
+
 /// A refinement unit: the pure-CPU half of a query or join, detached
 /// from phase A the moment its candidates are fixed. It owns the
 /// geometry it refines against — the table(s) of the root(s) the
@@ -202,7 +244,7 @@ enum RefineJob {
     },
 }
 
-/// What a worker hands back for a job, keyed by stream index.
+/// What a worker hands back for a job, keyed by op index.
 enum Refined {
     Ids(Vec<u64>),
     Pairs(u64),
@@ -266,21 +308,50 @@ impl RefineQueue {
     }
 }
 
+/// Closes the queue when phase A ends, whether it returns or unwinds: a
+/// panicking filter step or commit must release the workers parked in
+/// [`RefineQueue::pop`], or the scope joining them never returns.
+struct CloseOnDrop<'q>(&'q RefineQueue);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Execute a mixed read/write stream on `threads` refinement workers.
 ///
 /// See the [module docs](self) for the execution model. The returned
 /// [`StreamOutcome`] is byte-identical at any `threads` value; all
 /// databases referenced by the ops should share one workspace (their
 /// per-op I/O is measured on the calling thread's tally).
+///
+/// # Panics
+///
+/// Propagates the panic of an op that cannot execute — an insert of a
+/// stored id, a query or join that refines a filter-only record.
 pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
-    if ops.is_empty() {
-        return StreamOutcome {
-            outcomes: Vec::new(),
-        };
+    let ops = ops.into_iter().map(Op::from).collect();
+    StreamOutcome {
+        outcomes: execute(ops, threads, false).0,
     }
-    let workers = threads.max(1);
-    let queue = RefineQueue::new();
+}
+
+/// The loop itself (see the [module docs](self)): one outcome per op in
+/// op order and, with `traced`, the disk requests of each read's filter
+/// step in the same order, for replay through the arm scheduler.
+pub(crate) fn execute(
+    ops: Vec<Op<'_>>,
+    threads: usize,
+    traced: bool,
+) -> (Vec<OpOutcome>, Vec<Vec<PageRequest>>) {
     let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
+    let mut traces = Vec::new();
+    if ops.is_empty() {
+        return (outcomes, traces);
+    }
+    let workers = threads.clamp(1, ops.len());
+    let queue = RefineQueue::new();
     let refined: Vec<(usize, Refined)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -308,10 +379,7 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                                 right,
                                 pairs,
                             } => {
-                                let n = pairs
-                                    .iter()
-                                    .filter(|&&(a, b)| refine_pair(&left, &right, a, b))
-                                    .count();
+                                let n = refine_pairs(&left, &right, &pairs).len();
                                 done.push((index, Refined::Pairs(n as u64)));
                             }
                         }
@@ -321,22 +389,37 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
             })
             .collect();
 
-        // Phase A: stream order on this thread. Every disk charge and
-        // every commit happens here, so the per-op deltas cannot depend
-        // on the worker count — and every refinement job is live on the
-        // queue before the next commit runs, never after a barrier.
+        // Phase A: op order on this thread. Every disk charge and every
+        // commit happens here, so the per-op deltas cannot depend on the
+        // worker count — and every refinement job is live on the queue
+        // before the next commit runs, never after a barrier.
+        let phase_a = CloseOnDrop(&queue);
         let mut scratch: Vec<LeafEntry> = Vec::new();
         for (index, op) in ops.into_iter().enumerate() {
             match op {
-                StreamOp::Window { db, window } => {
-                    let o = prepare_query(db, Target::Window(window), index, &mut scratch, &queue);
-                    outcomes.push(o);
+                Op::Read(query) => {
+                    // The pin is dropped before the next commit, so
+                    // reclamation is never held up by an op that already
+                    // detached its refinement.
+                    let cursor = query.run_with(&mut scratch, traced);
+                    queue.push(RefineJob::Query {
+                        index,
+                        geoms: cursor.root.geoms().clone(),
+                        fully_refinable: cursor.root.fully_refinable(),
+                        target: cursor.target,
+                        candidates: cursor.candidates,
+                    });
+                    if traced {
+                        traces.push(cursor.trace);
+                    }
+                    // The ids are filled in at merge time.
+                    outcomes.push(OpOutcome::Query {
+                        ids: Vec::new(),
+                        stats: cursor.stats,
+                        io: cursor.io,
+                    });
                 }
-                StreamOp::Point { db, point } => {
-                    let o = prepare_query(db, Target::Point(point), index, &mut scratch, &queue);
-                    outcomes.push(o);
-                }
-                StreamOp::Join { left, right } => {
+                Op::Join { left, right } => {
                     let (left, right) = (left.store(), right.store());
                     let disk = left.disk();
                     let before = disk.local_stats();
@@ -352,7 +435,7 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                         pairs,
                     });
                 }
-                StreamOp::Insert { db, id, geometry } => {
+                Op::Insert { db, id, geometry } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     db.insert(id, geometry);
@@ -360,7 +443,7 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                         io: disk.local_stats().since(&before),
                     });
                 }
-                StreamOp::Delete { db, id } => {
+                Op::Delete { db, id } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     let existed = db.remove(id);
@@ -371,50 +454,22 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                 }
             }
         }
-        queue.close();
+        drop(phase_a);
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("stream refinement worker panicked"))
+            // The caller sees a refinement panic itself.
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    // Merge the detached refinements back by stream index.
+    // Merge the detached refinements back by op index.
     for (index, result) in refined {
         match (&mut outcomes[index], result) {
             (OpOutcome::Query { ids, .. }, Refined::Ids(v)) => *ids = v,
             (OpOutcome::Join { pairs, .. }, Refined::Pairs(n)) => *pairs = n,
-            _ => unreachable!("refinement result kind mismatches its stream op"),
+            _ => unreachable!("refinement result kind mismatches its op"),
         }
     }
-    StreamOutcome { outcomes }
-}
-
-/// Phase A of one query op: pin a snapshot, run the filter step, and
-/// detach the refinement. Returns the outcome placeholder (ids filled in
-/// at merge time).
-fn prepare_query(
-    db: &SpatialDatabase,
-    target: Target,
-    index: usize,
-    scratch: &mut Vec<LeafEntry>,
-    queue: &RefineQueue,
-) -> OpOutcome {
-    // The pin is dropped before the next commit, so reclamation is never
-    // held up by an op that already detached its refinement.
-    let mut query = db.query();
-    query.target = Some(target);
-    let cursor = query.run_with(scratch, false);
-    queue.push(RefineJob::Query {
-        index,
-        geoms: cursor.root.geoms().clone(),
-        fully_refinable: cursor.root.fully_refinable(),
-        target,
-        candidates: cursor.candidates,
-    });
-    OpOutcome::Query {
-        ids: Vec::new(),
-        stats: cursor.stats,
-        io: cursor.io,
-    }
+    (outcomes, traces)
 }
 
 #[cfg(test)]
@@ -534,5 +589,43 @@ mod tests {
         assert_eq!(attributed.seeks, global.seeks);
         assert_eq!(attributed.latencies, global.latencies);
         assert!((attributed.io_ms - global.io_ms).abs() <= 1e-6 * global.io_ms.abs().max(1.0));
+    }
+
+    /// Run `op` on a helper thread; it must panic, and within 10 s — a
+    /// phase-A panic that leaves the workers parked on the queue never
+    /// comes back at all.
+    fn panics_promptly(what: &str, op: impl FnOnce() + Send + 'static) {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
+            let _ = done.send(result.is_err());
+        });
+        match outcome.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(panicked) => assert!(panicked, "{what} returned instead of panicking"),
+            Err(_) => panic!("{what} hung"),
+        }
+    }
+
+    #[test]
+    fn a_phase_a_panic_reaches_the_caller() {
+        let window = Rect::new(0.0, 0.0, 0.6, 0.6);
+        for threads in [1, 4] {
+            panics_promptly(&format!("run_stream({threads})"), move || {
+                let ws = Workspace::new(256);
+                let db = &loaded_db(&ws, 40);
+                let stored = StreamOp::Insert {
+                    db,
+                    id: 3,
+                    geometry: street(0.5, 0.5),
+                };
+                run_stream(vec![StreamOp::Window { db, window }, stored], threads);
+            });
+            panics_promptly(&format!("run_batch({threads})"), move || {
+                let ws = Workspace::new(256);
+                let db = loaded_db(&ws, 40);
+                let no_target = db.query();
+                ws.run_batch(vec![db.query().window(window), no_target], threads);
+            });
+        }
     }
 }

@@ -460,24 +460,9 @@ impl DiskArm {
         }
     }
 
-    /// The seek-time curve.
-    pub fn curve(&self) -> SeekCurve {
-        self.curve
-    }
-
-    /// The cylinder mapping.
-    pub fn geometry(&self) -> ArmGeometry {
-        self.geometry
-    }
-
     /// Current simulated time in ms.
     pub fn clock_ms(&self) -> f64 {
         self.clock_ms
-    }
-
-    /// Current head cylinder.
-    pub fn head_cylinder(&self) -> u64 {
-        self.head
     }
 
     /// Number of outstanding requests.

@@ -159,11 +159,6 @@ impl DiskArray {
         self.stripe.arm_of(region, self.arms.len())
     }
 
-    /// Read access to the arms (index = arm id).
-    pub fn arms(&self) -> &[DiskArm] {
-        &self.arms
-    }
-
     /// Total outstanding requests across all arms.
     pub fn pending(&self) -> usize {
         self.arms.iter().map(|a| a.pending()).sum()

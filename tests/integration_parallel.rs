@@ -6,7 +6,7 @@
 
 use spatialdb::geom::{Point, Polyline, Rect};
 use spatialdb::storage::{OrganizationKind, QueryStats, WindowTechnique};
-use spatialdb::{DbOptions, IoStats, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, EngineConfig, IoStats, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -153,10 +153,18 @@ fn mixed_batch_matches_sequential() {
 /// Truly concurrent reads: many threads querying one database through
 /// `&SpatialDatabase` (the `Send + Sync` read path) still produce exact
 /// results, and each thread's per-query stats delta stays self-consistent
-/// despite interleaved charges on the shared disk.
+/// despite interleaved charges on the shared disk — on the single-lock
+/// pool and on a 4-shard one, where the filter steps really overlap. This
+/// is how a caller overlaps filter steps: its own threads on `db.query()`.
 #[test]
 fn concurrent_reads_are_exact() {
-    let ws = Workspace::new(512);
+    for shards in [1, 4] {
+        concurrent_reads_are_exact_on(shards);
+    }
+}
+
+fn concurrent_reads_are_exact_on(shards: usize) {
+    let ws = Workspace::from_config(EngineConfig::default().buffer_pages(512).shards(shards));
     let mut db = load(&ws, OrganizationKind::Cluster, 2_000);
     db.store_mut().begin_query();
     let expected: Vec<Vec<u64>> = windows()
@@ -182,7 +190,7 @@ fn concurrent_reads_are_exact() {
                     for (i, w) in windows().into_iter().enumerate() {
                         let cursor = db.query().window(w).run();
                         my_ms += cursor.stats().io_ms;
-                        assert_eq!(cursor.ids(), expected[i]);
+                        assert_eq!(cursor.ids(), expected[i], "{shards} shard(s)");
                     }
                     my_ms
                 })
@@ -193,7 +201,7 @@ fn concurrent_reads_are_exact() {
     let global = db.store().disk().stats().since(&global_before);
     assert!(
         (reported - global.io_ms).abs() < 1e-6,
-        "threads reported {reported} ms but the disk recorded {} ms",
+        "{shards} shard(s): threads reported {reported} ms but the disk recorded {} ms",
         global.io_ms
     );
 }

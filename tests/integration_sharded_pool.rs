@@ -1,8 +1,9 @@
 //! Integration tests of the sharded buffer pool: the shard-equivalence
 //! matrix (1-shard pool ≡ the classic single-lock pool for every
 //! organization × window technique), the conservation invariants of
-//! N > 1 shards, the overlapped batch executor, and the panic-safety of
-//! the I/O tallies.
+//! N > 1 shards, and the panic-safety of the I/O tallies. (Concurrent
+//! filter steps on a 4-shard pool: `integration_parallel.rs`'s
+//! `concurrent_reads_are_exact`.)
 //!
 //! The byte-level anchor — a 1-shard [`ShardedPool`] mirroring
 //! `BufferPool` operation for operation — is asserted by the
@@ -13,7 +14,7 @@ use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::disk::IoStats;
 use spatialdb::storage::{QueryStats, WindowTechnique};
-use spatialdb::{DbOptions, EngineConfig, ExecPlan, OrganizationKind, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, EngineConfig, OrganizationKind, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -201,73 +202,6 @@ fn region_routing_conserves_answers_and_partitions_regions() {
             }
         }
     }
-}
-
-/// The overlapped filter mode returns the same exact answers as the
-/// deterministic serialized batch, and at one worker thread it *is*
-/// the serialized order — byte-identical stats.
-#[test]
-fn overlapped_batch_matches_serialized_answers() {
-    let map = test_map();
-    let queries = WindowQuerySet::generate(&map, 1e-2, 16, 5);
-    let ws = Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES).shards(4));
-    let mut db = load(&ws, OrganizationKind::Cluster, &map);
-
-    db.store_mut().begin_query();
-    let serialized = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect(),
-        4,
-    );
-    db.store_mut().begin_query();
-    let overlapped = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect::<Vec<_>>(),
-        ExecPlan::threads(4).overlapped(),
-    );
-    assert_eq!(serialized.len(), overlapped.len());
-    for (s, o) in serialized.outcomes().iter().zip(overlapped.outcomes()) {
-        assert_eq!(s.ids(), o.ids(), "overlapped filter changed an answer");
-        assert_eq!(s.stats().candidates, o.stats().candidates);
-        assert_eq!(s.stats().result_bytes, o.stats().result_bytes);
-    }
-
-    // Single worker: the overlapped mode degenerates to submission
-    // order — stats byte-identical to the serialized path.
-    db.store_mut().begin_query();
-    let serial_one = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect(),
-        1,
-    );
-    db.store_mut().begin_query();
-    let overlap_one = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect::<Vec<_>>(),
-        ExecPlan::threads(1).overlapped(),
-    );
-    for (s, o) in serial_one.outcomes().iter().zip(overlap_one.outcomes()) {
-        assert_eq!(s.ids(), o.ids());
-        assert_eq!(s.stats(), o.stats());
-        assert_eq!(s.io_stats(), o.io_stats());
-    }
-    assert_eq!(
-        serial_one.aggregate_stats(),
-        overlap_one.aggregate_stats(),
-        "single-thread overlapped batch must stay deterministic"
-    );
 }
 
 /// Panic-safety of the I/O tallies: a refinement worker that panics
