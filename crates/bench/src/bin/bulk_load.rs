@@ -3,9 +3,10 @@
 //! `BENCH_bulk_load.json`.
 //!
 //! For each organization model the §5.2 insertion build runs once (the
-//! Figure 5 baseline), then the sort-tile-recursive bulk load
-//! ([`build_organization_str`]) runs at every thread count in the grid
-//! (`SPATIALDB_BENCH_LOAD_THREADS=1,2,4,8`). Reported per cell:
+//! Figure 5 baseline, [`figures::build`]), then the sort-tile-recursive
+//! bulk load
+//! ([`bulk_load_records_par`]) runs at every thread count in the grid.
+//! Reported per cell:
 //! simulated construction I/O (total ms, pages read/written, requests),
 //! wall-clock build seconds, occupied pages and R\*-tree node count.
 //! The STR build's pages and placement are identical at every thread
@@ -23,34 +24,30 @@
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::DataSet;
-use spatialdb::experiments::{
-    build_organization, build_organization_str, records_of, ClusterSizing, ALL_KINDS,
-};
 use spatialdb::rtree::io::CountingIo;
-use spatialdb::storage::{Organization, OrganizationKind, SpatialStore};
-use spatialdb_bench::{arg, banner, grid_from_env, scale_from_args};
+use spatialdb::storage::OrganizationKind;
+use spatialdb::{bulk_load_records_par, DbOptions, SpatialDatabase, Workspace};
+use spatialdb_bench::parsed;
+use spatialdb_workload::figures::{self, records_of, Scale};
+use spatialdb_workload::org_label;
 use std::time::Instant;
+
+/// The worker-thread counts of the grid.
+const LOAD_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Window area of the equivalence query set (1 % of the data space —
 /// the middle of the paper's Figure 8 grid).
 const QUERY_AREA: f64 = 0.01;
 
-fn org_label(kind: OrganizationKind) -> &'static str {
-    match kind {
-        OrganizationKind::Secondary => "secondary",
-        OrganizationKind::Primary => "primary",
-        OrganizationKind::Cluster => "cluster",
-    }
-}
-
 /// Sorted answer set and total directory-node reads of one query set.
-fn run_queries(org: &mut Organization, queries: &WindowQuerySet) -> (Vec<Vec<u64>>, u64) {
+fn run_queries(db: &SpatialDatabase, queries: &WindowQuerySet) -> (Vec<Vec<u64>>, u64) {
+    let store = db.store();
     let mut answers = Vec::with_capacity(queries.windows.len());
     let mut node_reads = 0u64;
     let mut scratch = Vec::new();
     for w in &queries.windows {
         let mut io = CountingIo::default();
-        org.tree().window_entries_into(w, &mut io, &mut scratch);
+        store.tree().window_entries_into(w, &mut io, &mut scratch);
         node_reads += io.reads;
         let mut ids: Vec<u64> = scratch.iter().map(|e| e.oid.0).collect();
         ids.sort_unstable();
@@ -60,10 +57,9 @@ fn run_queries(org: &mut Organization, queries: &WindowQuerySet) -> (Vec<Vec<u64
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let out_path = arg("--out").unwrap_or_else(|| "BENCH_bulk_load.json".to_string());
-    let thread_grid = grid_from_env("SPATIALDB_BENCH_LOAD_THREADS", &[1, 2, 4, 8]);
-    banner("Bulk load: insertion build vs parallel STR", &scale);
+    let scale = Scale::fraction(parsed("--scale", 1.0));
+    let out_path = parsed("--out", "BENCH_bulk_load.json".to_string());
+    println!("== Bulk load: insertion build vs parallel STR ==\n   ({scale})\n");
 
     let dataset = DataSet::all()[0];
     let spec = dataset.spec();
@@ -71,23 +67,22 @@ fn main() {
     let records = records_of(&map.objects);
     let queries = WindowQuerySet::generate(&map, QUERY_AREA, scale.num_queries, scale.seed);
     println!(
-        "data set {dataset}: {} objects, thread grid {thread_grid:?}, {} queries",
+        "data set {dataset}: {} objects, thread grid {LOAD_THREADS:?}, {} queries",
         records.len(),
         queries.windows.len()
     );
 
     let mut rows = Vec::new();
-    for kind in ALL_KINDS {
+    for kind in [
+        OrganizationKind::Secondary,
+        OrganizationKind::Primary,
+        OrganizationKind::Cluster,
+    ] {
         let label = org_label(kind);
 
         let start = Instant::now();
-        let (mut insert_org, insert_stats) = build_organization(
-            kind,
-            &records,
-            spec.smax_bytes as u64,
-            ClusterSizing::Plain,
-            scale.construction_buffer,
-        );
+        let ws = Workspace::new(scale.construction_buffer);
+        let (insert_db, insert_stats) = figures::build(&ws, kind, spec.smax_bytes, false, &records);
         let insert_secs = start.elapsed().as_secs_f64();
         println!(
             "  {label:9} insert        : {:8.1} io-s  {:7} pages written  {:.2} wall-s",
@@ -104,23 +99,22 @@ fn main() {
             insert_stats.pages_written,
             insert_stats.pages_read,
             insert_stats.write_requests,
-            insert_org.occupied_pages(),
-            insert_org.tree().num_nodes(),
+            insert_db.occupied_pages(),
+            insert_db.store().tree().num_nodes(),
             insert_secs
         ));
 
-        let mut str_org: Option<Organization> = None;
+        let mut str_db: Option<SpatialDatabase> = None;
         let mut str_pages: Option<(u64, u64)> = None;
-        for &threads in &thread_grid {
+        for threads in LOAD_THREADS {
             let start = Instant::now();
-            let (org, stats) = build_organization_str(
-                kind,
-                &records,
-                spec.smax_bytes as u64,
-                ClusterSizing::Plain,
-                scale.construction_buffer,
-                threads,
-            );
+            // A machine of its own: its disk's counters are this build's.
+            let ws = Workspace::new(scale.construction_buffer);
+            let mut db =
+                ws.create_database(DbOptions::new(kind).smax_bytes(spec.smax_bytes as u64));
+            bulk_load_records_par(db.store_mut(), &records, threads);
+            db.store_mut().flush();
+            let stats = ws.disk().stats();
             let secs = start.elapsed().as_secs_f64();
             println!(
                 "  {label:9} str {threads:2} thread(s): {:8.1} io-s  {:7} pages written  \
@@ -156,17 +150,17 @@ fn main() {
                 stats.pages_written,
                 stats.pages_read,
                 stats.write_requests,
-                org.occupied_pages(),
-                org.tree().num_nodes(),
+                db.occupied_pages(),
+                db.store().tree().num_nodes(),
                 secs
             ));
-            str_org = Some(org);
+            str_db = Some(db);
         }
 
         // Query-equivalence check: same answers, fewer node accesses.
-        let mut str_org = str_org.expect("thread grid must not be empty");
-        let (insert_answers, insert_reads) = run_queries(&mut insert_org, &queries);
-        let (str_answers, str_reads) = run_queries(&mut str_org, &queries);
+        let str_db = str_db.expect("thread grid must not be empty");
+        let (insert_answers, insert_reads) = run_queries(&insert_db, &queries);
+        let (str_answers, str_reads) = run_queries(&str_db, &queries);
         assert_eq!(
             insert_answers, str_answers,
             "{label}: STR tree must answer the query set identically"
@@ -192,7 +186,7 @@ fn main() {
         ));
     }
 
-    let threads_json: Vec<String> = thread_grid.iter().map(|t| t.to_string()).collect();
+    let threads_json: Vec<String> = LOAD_THREADS.iter().map(|t| t.to_string()).collect();
     let json = format!(
         "{{\n  \"bench\": \"bulk_load\",\n  \"dataset\": \"{dataset}\",\n  \
          \"objects\": {},\n  \"queries\": {},\n  \"window_area\": {QUERY_AREA},\n  \

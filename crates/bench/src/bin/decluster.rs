@@ -13,12 +13,11 @@
 //!
 //! Flags: `--objects N` (default 6000, split across the databases),
 //! `--queries N` (default 144), `--dbs N` (default 6), `--depth N`
-//! (default 16), `--load F` (default 0.7), `--out PATH`. The arm grid
-//! is env-overridable: `SPATIALDB_BENCH_ARMS=1,2,4,8`.
+//! (default 16), `--load F` (default 0.7), `--out PATH`.
 
 use spatialdb::disk::{ArmPolicy, StripePolicy};
 use spatialdb::{Arrival, EngineConfig};
-use spatialdb_bench::{arg, grid_from_env};
+use spatialdb_bench::parsed;
 use spatialdb_workload::{org_label, policy_label, stripe_label, Dataset, Scenario, WindowSweep};
 
 const ALL_STRIPES: [StripePolicy; 3] = [
@@ -27,22 +26,22 @@ const ALL_STRIPES: [StripePolicy; 3] = [
     StripePolicy::MbrLocality,
 ];
 
+/// The arm counts of the grid.
+const ARMS: [usize; 4] = [1, 2, 4, 8];
+
 fn main() {
-    let n_objects: u64 = arg("--objects")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6000);
-    let n_queries: usize = arg("--queries").and_then(|s| s.parse().ok()).unwrap_or(144);
-    let n_dbs: usize = arg("--dbs").and_then(|s| s.parse().ok()).unwrap_or(6);
-    let depth: usize = arg("--depth").and_then(|s| s.parse().ok()).unwrap_or(16);
-    let load: f64 = arg("--load").and_then(|s| s.parse().ok()).unwrap_or(0.7);
+    let n_objects: u64 = parsed("--objects", 6000);
+    let n_queries: usize = parsed("--queries", 144);
+    let n_dbs: usize = parsed("--dbs", 6);
+    let depth: usize = parsed("--depth", 16);
+    let load: f64 = parsed("--load", 0.7);
     assert!(n_dbs > 0 && depth > 0);
     assert!(load > 0.0, "--load must be positive");
-    let out_path = arg("--out").unwrap_or_else(|| "BENCH_decluster.json".to_string());
-    let arm_grid = grid_from_env("SPATIALDB_BENCH_ARMS", &[1, 2, 4, 8]);
+    let out_path = parsed("--out", "BENCH_decluster.json".to_string());
 
     println!(
         "decluster: {n_objects} objects across {n_dbs} databases, {n_queries} queries, \
-         depth {depth}, arms {arm_grid:?}"
+         depth {depth}, arms {ARMS:?}"
     );
     let report = Scenario::new("decluster")
         .dataset(Dataset::grid(n_objects))
@@ -57,12 +56,12 @@ fn main() {
         .arrivals(Arrival::open(load))
         .depth(depth)
         .sweep_policies(&[ArmPolicy::Fcfs, ArmPolicy::Elevator])
-        .sweep_arms(&arm_grid)
+        .sweep_arms(&ARMS)
         .sweep_stripes(&ALL_STRIPES)
         .run();
     report.assert_stats_conserved();
 
-    for group in report.cells().chunks(arm_grid.len()) {
+    for group in report.cells().chunks(ARMS.len()) {
         let mut line = format!(
             "  {:>9} {:>12}/{:<8}:",
             org_label(group[0].org),
@@ -76,7 +75,7 @@ fn main() {
     }
 
     let rows: Vec<String> = report.cells().iter().map(|c| c.decluster_row()).collect();
-    let arms_json: Vec<String> = arm_grid.iter().map(|a| a.to_string()).collect();
+    let arms_json: Vec<String> = ARMS.iter().map(|a| a.to_string()).collect();
     let json = format!(
         "{{\n  \"bench\": \"decluster\",\n  \"objects\": {n_objects},\n  \
          \"queries\": {n_queries},\n  \"databases\": {n_dbs},\n  \"depth\": {depth},\n  \

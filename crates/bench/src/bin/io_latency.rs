@@ -10,26 +10,25 @@
 //! binary used to carry.
 //!
 //! Flags: `--objects N` (default 6000), `--queries N` (default 160),
-//! `--load F` (default 0.9), `--out PATH`. The depth grid is
-//! env-overridable: `SPATIALDB_BENCH_DEPTHS=1,2,4,8,16`.
+//! `--load F` (default 0.9), `--out PATH`.
 
 use spatialdb::disk::ArmPolicy;
 use spatialdb::{Arrival, EngineConfig};
-use spatialdb_bench::{arg, grid_from_env};
+use spatialdb_bench::parsed;
 use spatialdb_workload::{org_label, Dataset, Scenario, WindowSweep};
 
+/// The queue depths of the grid.
+const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
+
 fn main() {
-    let n_objects: u64 = arg("--objects")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6000);
-    let n_queries: usize = arg("--queries").and_then(|s| s.parse().ok()).unwrap_or(160);
-    let load: f64 = arg("--load").and_then(|s| s.parse().ok()).unwrap_or(0.9);
+    let n_objects: u64 = parsed("--objects", 6000);
+    let n_queries: usize = parsed("--queries", 160);
+    let load: f64 = parsed("--load", 0.9);
     assert!(load > 0.0, "--load must be positive");
-    let out_path = arg("--out").unwrap_or_else(|| "BENCH_io_latency.json".to_string());
-    let depths = grid_from_env("SPATIALDB_BENCH_DEPTHS", &[1, 2, 4, 8, 16]);
+    let out_path = parsed("--out", "BENCH_io_latency.json".to_string());
 
     println!(
-        "io latency: {n_objects} objects, {n_queries} queries, load {load}, depths {depths:?}"
+        "io latency: {n_objects} objects, {n_queries} queries, load {load}, depths {DEPTHS:?}"
     );
     let report = Scenario::new("io_latency")
         .dataset(Dataset::grid(n_objects))
@@ -41,7 +40,7 @@ fn main() {
                 .size_period(7),
         )
         .arrivals(Arrival::open(load))
-        .sweep_depths(&depths)
+        .sweep_depths(&DEPTHS)
         .sweep_policies(&[ArmPolicy::Fcfs, ArmPolicy::Elevator])
         .run();
     report.assert_stats_conserved();
@@ -59,7 +58,7 @@ fn main() {
     }
 
     let rows: Vec<String> = report.cells().iter().map(|c| c.io_latency_row()).collect();
-    let depths_json: Vec<String> = depths.iter().map(|d| d.to_string()).collect();
+    let depths_json: Vec<String> = DEPTHS.iter().map(|d| d.to_string()).collect();
     let json = format!(
         "{{\n  \"bench\": \"io_latency\",\n  \"objects\": {n_objects},\n  \
          \"queries\": {n_queries},\n  \"load\": {load},\n  \"depths\": [{}],\n  \

@@ -15,17 +15,15 @@
 
 use spatialdb::disk::{ArmPolicy, StripePolicy};
 use spatialdb::{Arrival, EngineConfig};
-use spatialdb_bench::arg;
+use spatialdb_bench::parsed;
 use spatialdb_workload::{org_label, Dataset, Mix, Scenario, WindowSweep};
 
 fn main() {
-    let n_objects: u64 = arg("--objects")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let n_queries: usize = arg("--queries").and_then(|s| s.parse().ok()).unwrap_or(96);
-    let n_ops: usize = arg("--ops").and_then(|s| s.parse().ok()).unwrap_or(128);
-    let threads: usize = arg("--threads").and_then(|s| s.parse().ok()).unwrap_or(4);
-    let out_path = arg("--out").unwrap_or_else(|| "BENCH_scenarios.json".to_string());
+    let n_objects: u64 = parsed("--objects", 4000);
+    let n_queries: usize = parsed("--queries", 96);
+    let n_ops: usize = parsed("--ops", 128);
+    let threads: usize = parsed("--threads", 4);
+    let out_path = parsed("--out", "BENCH_scenarios.json".to_string());
 
     println!(
         "scenarios: {n_objects} objects, {n_queries} queries/cell, {n_ops} mixed ops, \

@@ -1,79 +1,76 @@
-//! Experiment harness support for the `spatialdb-bench` binaries.
-//!
-//! Each binary regenerates one table or figure of Brinkhoff & Kriegel,
-//! VLDB 1994. Binaries accept an optional `--scale <fraction>` argument
-//! (default 1.0 = paper scale) so a quick run is possible on small data.
+//! Command-line support shared by the `spatialdb-bench` binaries: the
+//! paper's figures (`figures`) and the latency, declustering, mixed
+//! read-write, scenario and bulk-load reports.
 
-use spatialdb::experiments::Scale;
+use std::str::FromStr;
 
-/// Parse `--scale <f>` from the command line, returning the experiment
-/// scale (paper scale by default).
-pub fn scale_from_args() -> Scale {
+/// `--name <value>` out of `args`, parsed as `T`; `default` when the
+/// flag is absent. A flag that is given must carry a well-formed value:
+/// the error names both.
+fn parse_flag<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let Some(pos) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(pos + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{name}: cannot parse {value:?}"))
+}
+
+/// The value of the `--name <value>` command-line flag, or `default`
+/// when the flag is absent. A malformed or missing value ends the
+/// process with a nonzero status and a message naming flag and value —
+/// it never silently runs the default.
+pub fn parsed<T: FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::paper();
-    if let Some(pos) = args.iter().position(|a| a == "--scale") {
-        let f: f64 = args
-            .get(pos + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("--scale needs a fraction in (0, 1]"));
-        assert!(f > 0.0 && f <= 1.0, "--scale must be in (0, 1]");
-        scale.data_scale = f;
-        if f < 0.5 {
-            // Shrink query counts and join buffers proportionally so
-            // quick runs stay quick and buffers stay meaningful relative
-            // to the data volume.
-            scale.num_queries = ((678.0 * f * 4.0) as usize).clamp(40, 678);
-            scale.join_buffers = vec![160, 320, 640, 1280];
-        }
+    parse_flag(&args, name, default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
-    scale
-}
 
-/// Value of the `--name <value>` command-line flag, if present (the
-/// report binaries' shared flag parser).
-pub fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// A benchmark grid dimension: the `var` environment variable (a
-/// comma-separated integer list, e.g. `SPATIALDB_BENCH_DEPTHS=1,4,16`)
-/// overrides `default` — so re-baselining on different hardware (more
-/// cores, deeper queues) needs no code change.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a comma-separated list of
-/// positive integers.
-pub fn grid_from_env(var: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(var) {
-        Ok(s) => {
-            let grid: Vec<usize> = s
-                .split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("{var} must be a comma-separated integer list"))
-                })
-                .collect();
-            assert!(
-                !grid.is_empty() && grid.iter().all(|&v| v > 0),
-                "{var} must list positive integers"
-            );
-            grid
-        }
-        Err(_) => default.to_vec(),
+    #[test]
+    fn an_absent_flag_takes_the_default() {
+        assert_eq!(
+            parse_flag(&args("bin --queries 160"), "--objects", 6000),
+            Ok(6000)
+        );
     }
-}
 
-/// Standard experiment banner.
-pub fn banner(what: &str, scale: &Scale) {
-    println!("== {what} ==");
-    println!(
-        "   (data scale {:.2}, {} queries per set, seed {})",
-        scale.data_scale, scale.num_queries, scale.seed
-    );
-    println!();
+    #[test]
+    fn a_well_formed_value_is_parsed() {
+        let line = args("bin --objects 800 --load 0.5 --out report.json");
+        assert_eq!(parse_flag(&line, "--objects", 6000), Ok(800));
+        assert_eq!(parse_flag(&line, "--load", 0.9), Ok(0.5));
+        assert_eq!(
+            parse_flag(&line, "--out", String::from("default.json")),
+            Ok(String::from("report.json"))
+        );
+    }
+
+    #[test]
+    fn a_malformed_value_is_an_error_naming_flag_and_value() {
+        assert_eq!(
+            parse_flag(&args("bin --objects 6k"), "--objects", 6000),
+            Err(String::from("--objects: cannot parse \"6k\""))
+        );
+    }
+
+    #[test]
+    fn a_trailing_flag_without_a_value_is_an_error() {
+        assert_eq!(
+            parse_flag(&args("bin --queries 160 --objects"), "--objects", 6000),
+            Err(String::from("--objects needs a value"))
+        );
+    }
 }

@@ -67,7 +67,6 @@
 //! | [`query`] | the streaming `Query` builder and cursors |
 //! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`) |
 //! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`), timed replay |
-//! | [`experiments`] | drivers regenerating every table/figure of the paper |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +75,6 @@ pub mod bulkload;
 pub mod config;
 pub mod db;
 pub mod executor;
-pub mod experiments;
 pub mod query;
 pub mod report;
 pub mod stream;
@@ -104,6 +102,6 @@ pub use spatialdb_geom::Geometry;
 pub use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
 pub use spatialdb_rtree::ObjectId;
 pub use spatialdb_storage::{
-    ClusterConfig, MemoryStore, Organization, OrganizationKind, QueryStats, SpatialStore,
-    TransferTechnique, WindowTechnique,
+    ClusterConfig, MemoryStore, OrganizationKind, QueryStats, SpatialStore, TransferTechnique,
+    WindowTechnique,
 };

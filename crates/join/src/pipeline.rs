@@ -216,31 +216,27 @@ mod tests {
     use spatialdb_geom::Rect;
     use spatialdb_rtree::ObjectId;
     use spatialdb_storage::{
-        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, Organization,
-        SecondaryOrganization, SharedPool,
+        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, SecondaryOrganization,
+        SharedPool,
     };
 
-    fn build_pair(buffer: usize, cluster_r: bool) -> (Organization, Organization, SharedPool) {
+    type Store = Box<dyn SpatialStore>;
+
+    fn build_pair(buffer: usize, cluster: bool) -> (Store, Store, SharedPool) {
         let disk = Disk::with_defaults();
         let pool = new_shared_pool(disk.clone(), buffer);
-        let mut r = if cluster_r {
-            Organization::Cluster(ClusterOrganization::new(
-                disk.clone(),
-                pool.clone(),
-                ClusterConfig::plain(16 * 1024),
-            ))
-        } else {
-            Organization::Secondary(SecondaryOrganization::new(disk.clone(), pool.clone()))
+        let empty = || -> Store {
+            if cluster {
+                Box::new(ClusterOrganization::new(
+                    disk.clone(),
+                    pool.clone(),
+                    ClusterConfig::plain(16 * 1024),
+                ))
+            } else {
+                Box::new(SecondaryOrganization::new(disk.clone(), pool.clone()))
+            }
         };
-        let mut s = if cluster_r {
-            Organization::Cluster(ClusterOrganization::new(
-                disk.clone(),
-                pool.clone(),
-                ClusterConfig::plain(16 * 1024),
-            ))
-        } else {
-            Organization::Secondary(SecondaryOrganization::new(disk.clone(), pool.clone()))
-        };
+        let (mut r, mut s) = (empty(), empty());
         for i in 0..300u64 {
             let x = (i % 20) as f64 / 20.0;
             let y = (i / 20) as f64 / 20.0;
@@ -265,7 +261,7 @@ mod tests {
     #[test]
     fn pipeline_produces_pairs_and_costs() {
         let (r, s, _) = build_pair(512, false);
-        let stats = SpatialJoin::new(&r, &s).run(JoinConfig::default());
+        let stats = SpatialJoin::new(&*r, &*s).run(JoinConfig::default());
         assert!(stats.mbr_pairs > 0);
         assert!(stats.mbr_join_ms > 0.0);
         assert!(stats.transfer_ms > 0.0);
@@ -276,9 +272,9 @@ mod tests {
     #[test]
     fn cluster_join_cheaper_than_secondary() {
         let (rs, ss, _) = build_pair(256, false);
-        let sec = SpatialJoin::new(&rs, &ss).run_io_only(TransferTechnique::Complete);
+        let sec = SpatialJoin::new(&*rs, &*ss).run_io_only(TransferTechnique::Complete);
         let (rc, sc, _) = build_pair(256, true);
-        let clu = SpatialJoin::new(&rc, &sc).run_io_only(TransferTechnique::Complete);
+        let clu = SpatialJoin::new(&*rc, &*sc).run_io_only(TransferTechnique::Complete);
         assert_eq!(sec.mbr_pairs, clu.mbr_pairs, "same candidates");
         assert!(
             clu.transfer_ms < sec.transfer_ms,
@@ -291,9 +287,9 @@ mod tests {
     #[test]
     fn pair_count_independent_of_buffer_size() {
         let (a, b, _) = build_pair(128, true);
-        let small = SpatialJoin::new(&a, &b).run_io_only(TransferTechnique::Complete);
+        let small = SpatialJoin::new(&*a, &*b).run_io_only(TransferTechnique::Complete);
         let (c, d, _) = build_pair(4096, true);
-        let big = SpatialJoin::new(&c, &d).run_io_only(TransferTechnique::Complete);
+        let big = SpatialJoin::new(&*c, &*d).run_io_only(TransferTechnique::Complete);
         assert_eq!(small.mbr_pairs, big.mbr_pairs);
         assert!(big.io_seconds() <= small.io_seconds() + 1e-9);
     }
@@ -301,11 +297,12 @@ mod tests {
     #[test]
     fn parallel_pipeline_matches_sequential_pairs() {
         let (r, s, _) = build_pair(512, true);
-        let (seq_pairs, seq_stats) = SpatialJoin::new(&r, &s).run_with_pairs(JoinConfig::default());
+        let (seq_pairs, seq_stats) =
+            SpatialJoin::new(&*r, &*s).run_with_pairs(JoinConfig::default());
         for threads in [2, 8] {
             let (r2, s2, _) = build_pair(512, true);
             let (par_pairs, par_stats) =
-                SpatialJoin::new(&r2, &s2).run_par_with_pairs(JoinConfig::default(), threads);
+                SpatialJoin::new(&*r2, &*s2).run_par_with_pairs(JoinConfig::default(), threads);
             assert_eq!(par_pairs, seq_pairs, "{threads} threads");
             assert_eq!(par_stats.mbr_pairs, seq_stats.mbr_pairs);
             assert_eq!(par_stats.exact_test_ms, seq_stats.exact_test_ms);
@@ -321,7 +318,7 @@ mod tests {
         let (r, s, _) = build_pair(512, true);
         let disk = r.disk();
         let before = disk.local_stats();
-        let stats = SpatialJoin::new(&r, &s).run_par(JoinConfig::default(), 1);
+        let stats = SpatialJoin::new(&*r, &*s).run_par(JoinConfig::default(), 1);
         let delta = disk.local_stats().since(&before);
         assert!(
             (delta.io_ms - (stats.mbr_join_ms + stats.transfer_ms)).abs() < 1e-9,
@@ -337,7 +334,7 @@ mod tests {
         let (r, s, _) = build_pair(512, true);
         let disk = r.disk();
         let before = disk.stats();
-        let stats = SpatialJoin::new(&r, &s).run_par(JoinConfig::default(), 4);
+        let stats = SpatialJoin::new(&*r, &*s).run_par(JoinConfig::default(), 4);
         let grown = disk.stats().since(&before);
         // The scratch-accounted MBR phase plus the shared-pool transfer
         // both land in the cumulative workspace counters.
@@ -350,8 +347,8 @@ mod tests {
         let disk = Disk::with_defaults();
         let pool_a = new_shared_pool(disk.clone(), 64);
         let pool_b = new_shared_pool(disk.clone(), 64);
-        let a = Organization::Secondary(SecondaryOrganization::new(disk.clone(), pool_a));
-        let b = Organization::Secondary(SecondaryOrganization::new(disk, pool_b));
+        let a = SecondaryOrganization::new(disk.clone(), pool_a);
+        let b = SecondaryOrganization::new(disk, pool_b);
         let _ = SpatialJoin::new(&a, &b);
     }
 }

@@ -41,8 +41,7 @@ mod tests {
     use spatialdb_disk::Disk;
     use spatialdb_geom::Rect;
     use spatialdb_storage::{
-        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, Organization,
-        SecondaryOrganization,
+        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, SecondaryOrganization,
     };
 
     fn records(n: u64, dx: f64) -> Vec<ObjectRecord> {
@@ -55,15 +54,18 @@ mod tests {
             .collect()
     }
 
-    fn setup(buffer_pages: usize) -> (Organization, Organization, Vec<(ObjectId, ObjectId)>) {
+    fn setup(
+        buffer_pages: usize,
+    ) -> (
+        ClusterOrganization,
+        SecondaryOrganization,
+        Vec<(ObjectId, ObjectId)>,
+    ) {
         let disk = Disk::with_defaults();
         let pool = new_shared_pool(disk.clone(), buffer_pages);
-        let mut r = Organization::Cluster(ClusterOrganization::new(
-            disk.clone(),
-            pool.clone(),
-            ClusterConfig::plain(16 * 1024),
-        ));
-        let mut s = Organization::Secondary(SecondaryOrganization::new(disk.clone(), pool));
+        let mut r =
+            ClusterOrganization::new(disk.clone(), pool.clone(), ClusterConfig::plain(16 * 1024));
+        let mut s = SecondaryOrganization::new(disk.clone(), pool);
         for rec in records(200, 0.0) {
             r.insert(&rec);
         }
@@ -130,15 +132,15 @@ mod tests {
     /// makes of the candidate sets shows in the cost.
     fn sparse_cluster_join(
         buffer_pages: usize,
-    ) -> (Organization, Organization, Vec<(ObjectId, ObjectId)>) {
+    ) -> (
+        ClusterOrganization,
+        ClusterOrganization,
+        Vec<(ObjectId, ObjectId)>,
+    ) {
         let disk = Disk::with_defaults();
         let pool = new_shared_pool(disk.clone(), buffer_pages);
         let cluster = || {
-            Organization::Cluster(ClusterOrganization::new(
-                disk.clone(),
-                pool.clone(),
-                ClusterConfig::plain(64 * 1024),
-            ))
+            ClusterOrganization::new(disk.clone(), pool.clone(), ClusterConfig::plain(64 * 1024))
         };
         let (mut r, mut s) = (cluster(), cluster());
         for rec in records(400, 0.0) {

@@ -1,19 +1,13 @@
 //! Shared vocabulary of the storage layer: techniques, per-query
-//! statistics, the shared buffer pool, and the [`Organization`] enum that
-//! picks one of the paper's models at run time.
+//! statistics, the shared buffer pool, and [`OrganizationKind`], which
+//! names one of the paper's models.
 //!
-//! The storage *interface* itself is the [`SpatialStore`] trait in
-//! [`crate::store`].
+//! The storage *interface* itself is the
+//! [`SpatialStore`](crate::SpatialStore) trait in [`crate::store`]; a
+//! model chosen at run time is a `Box<dyn SpatialStore>`.
 
-use crate::cluster::ClusterOrganization;
-use crate::object::ObjectRecord;
-use crate::primary::PrimaryOrganization;
-use crate::secondary::SecondaryOrganization;
-use crate::store::SpatialStore;
 use spatialdb_disk::{DiskHandle, Routing, ShardedPool};
-use spatialdb_geom::{Point, Rect};
-use spatialdb_rtree::{LeafEntry, ObjectId, RStarTree};
-use std::collections::HashSet;
+use spatialdb_rtree::RStarTree;
 use std::sync::Arc;
 
 /// A buffer pool shared between the components of one experiment
@@ -180,167 +174,6 @@ impl std::fmt::Display for OrganizationKind {
     }
 }
 
-/// An organization model chosen at run time (the experiment harness
-/// iterates over all three).
-#[derive(Clone, Debug)]
-pub enum Organization {
-    /// Secondary organization.
-    Secondary(SecondaryOrganization),
-    /// Primary organization.
-    Primary(PrimaryOrganization),
-    /// Cluster organization.
-    Cluster(ClusterOrganization),
-}
-
-macro_rules! delegate {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            Organization::Secondary($inner) => $body,
-            Organization::Primary($inner) => $body,
-            Organization::Cluster($inner) => $body,
-        }
-    };
-}
-
-impl Organization {
-    /// The cluster organization, if that is what this is.
-    pub fn as_cluster(&mut self) -> Option<&mut ClusterOrganization> {
-        match self {
-            Organization::Cluster(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Which kind this is.
-    pub fn kind(&self) -> OrganizationKind {
-        match self {
-            Organization::Secondary(_) => OrganizationKind::Secondary,
-            Organization::Primary(_) => OrganizationKind::Primary,
-            Organization::Cluster(_) => OrganizationKind::Cluster,
-        }
-    }
-}
-
-impl SpatialStore for Organization {
-    fn name(&self) -> &'static str {
-        delegate!(self, o => o.name())
-    }
-
-    fn snapshot(&self) -> Box<dyn SpatialStore> {
-        Box::new(self.clone())
-    }
-
-    fn insert(&mut self, rec: &ObjectRecord) {
-        delegate!(self, o => o.insert(rec))
-    }
-
-    fn bulk_load(&mut self, records: &[ObjectRecord]) {
-        delegate!(self, o => o.bulk_load(records))
-    }
-
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        delegate!(self, o => o.window_query(window, technique))
-    }
-
-    fn point_query(&self, point: &Point) -> QueryStats {
-        delegate!(self, o => o.point_query(point))
-    }
-
-    fn window_query_into(
-        &self,
-        window: &Rect,
-        technique: WindowTechnique,
-        out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
-        delegate!(self, o => o.window_query_into(window, technique, out))
-    }
-
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        delegate!(self, o => o.point_query_into(point, out))
-    }
-
-    // window_candidates / point_candidates use the trait defaults: they
-    // read tree(), which already delegates to the variant.
-
-    fn fetch_object(&self, oid: ObjectId) {
-        delegate!(self, o => o.fetch_object(oid))
-    }
-
-    fn fetch_for_join(
-        &self,
-        oid: ObjectId,
-        needed: &HashSet<ObjectId>,
-        technique: TransferTechnique,
-    ) {
-        delegate!(self, o => o.fetch_for_join(oid, needed, technique))
-    }
-
-    fn occupied_pages(&self) -> u64 {
-        delegate!(self, o => o.occupied_pages())
-    }
-
-    fn num_objects(&self) -> usize {
-        delegate!(self, o => o.num_objects())
-    }
-
-    fn contains(&self, oid: ObjectId) -> bool {
-        delegate!(self, o => o.contains(oid))
-    }
-
-    fn disk(&self) -> DiskHandle {
-        delegate!(self, o => o.disk())
-    }
-
-    fn pool(&self) -> SharedPool {
-        delegate!(self, o => o.pool())
-    }
-
-    fn tree(&self) -> &RStarTree {
-        delegate!(self, o => o.tree())
-    }
-
-    fn flush(&mut self) {
-        delegate!(self, o => o.flush())
-    }
-
-    fn begin_query(&mut self) {
-        delegate!(self, o => o.begin_query())
-    }
-
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        delegate!(self, o => o.object_size(oid))
-    }
-
-    fn delete(&mut self, oid: ObjectId) -> bool {
-        delegate!(self, o => o.delete(oid))
-    }
-
-    fn check_consistency(&self) -> Result<(), String> {
-        delegate!(self, o => SpatialStore::check_consistency(o))
-    }
-
-    fn str_plan(&self, records: &[ObjectRecord]) -> crate::store::StrPlan {
-        delegate!(self, o => o.str_plan(records))
-    }
-
-    fn str_tree_region(&self) -> Option<spatialdb_disk::RegionId> {
-        delegate!(self, o => o.str_tree_region())
-    }
-
-    fn str_install(
-        &mut self,
-        records: &[ObjectRecord],
-        tiles: Vec<spatialdb_rtree::Tile>,
-        params: &spatialdb_rtree::TilingParams,
-    ) {
-        delegate!(self, o => o.str_install(records, tiles, params))
-    }
-
-    fn bulk_load_str(&mut self, records: &[ObjectRecord]) {
-        delegate!(self, o => o.bulk_load_str(records))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,8 +211,8 @@ mod tests {
     fn storage_stack_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedPool>();
-        assert_send_sync::<Organization>();
-        assert_send_sync::<Box<dyn SpatialStore>>();
+        assert_send_sync::<crate::ClusterOrganization>();
+        assert_send_sync::<Box<dyn crate::SpatialStore>>();
         assert_send_sync::<crate::MemoryStore>();
     }
 

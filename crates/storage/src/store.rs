@@ -78,9 +78,8 @@ pub struct StrPlan {
 /// query methods take `&self` and may be called from any thread, update
 /// methods take `&mut self`. The paper's three organization models
 /// ([`crate::SecondaryOrganization`], [`crate::PrimaryOrganization`],
-/// [`crate::ClusterOrganization`]), the run-time-chosen
-/// [`crate::Organization`] enum and the in-memory baseline
-/// [`crate::MemoryStore`] all implement it.
+/// [`crate::ClusterOrganization`]) and the in-memory baseline
+/// [`crate::MemoryStore`] implement it.
 pub trait SpatialStore: Send + Sync {
     /// Short name used in reports ("sec. org." / "prim. org." /
     /// "cluster org." / "memory").

@@ -8,13 +8,13 @@
 //! with each other and with brute force at the MBR level.
 
 use proptest::prelude::*;
-use spatialdb_disk::Disk;
+use spatialdb_disk::{Disk, DiskHandle};
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::validate::check_invariants;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
-    new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, Organization,
-    OrganizationKind, PrimaryOrganization, SecondaryOrganization, SpatialStore, WindowTechnique,
+    new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, PrimaryOrganization,
+    SecondaryOrganization, SharedPool, SpatialStore, WindowTechnique,
 };
 
 const SMAX: u64 = 16 * 1024;
@@ -40,20 +40,27 @@ fn arb_records(n: usize) -> impl Strategy<Value = Vec<ObjectRecord>> {
     (1..n).prop_flat_map(|len| (0..len as u64).map(arb_record).collect::<Vec<_>>())
 }
 
-fn make(kind: OrganizationKind) -> Organization {
+/// A fresh disk and a 256-page pool over it.
+fn machine() -> (DiskHandle, SharedPool) {
     let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 256);
-    match kind {
-        OrganizationKind::Secondary => {
-            Organization::Secondary(SecondaryOrganization::new(disk, pool))
-        }
-        OrganizationKind::Primary => Organization::Primary(PrimaryOrganization::new(disk, pool)),
-        OrganizationKind::Cluster => Organization::Cluster(ClusterOrganization::new(
-            disk,
-            pool,
-            ClusterConfig::restricted_buddy(SMAX),
-        )),
-    }
+    (disk.clone(), new_shared_pool(disk, 256))
+}
+
+/// An empty cluster organization on a machine of its own.
+fn cluster() -> ClusterOrganization {
+    let (disk, pool) = machine();
+    ClusterOrganization::new(disk, pool, ClusterConfig::restricted_buddy(SMAX))
+}
+
+/// One empty store of each organization model, each on a machine of
+/// its own.
+fn all_models() -> [Box<dyn SpatialStore>; 3] {
+    let ((d1, p1), (d2, p2)) = (machine(), machine());
+    [
+        Box::new(SecondaryOrganization::new(d1, p1)),
+        Box::new(PrimaryOrganization::new(d2, p2)),
+        Box::new(cluster()),
+    ]
 }
 
 proptest! {
@@ -66,19 +73,14 @@ proptest! {
     ) {
         let window = Rect::new(wx, wy, wx + ww, wy + ww);
         let brute: usize = records.iter().filter(|r| r.mbr.intersects(&window)).count();
-        for kind in [
-            OrganizationKind::Secondary,
-            OrganizationKind::Primary,
-            OrganizationKind::Cluster,
-        ] {
-            let mut org = make(kind);
+        for mut org in all_models() {
             for r in &records {
                 org.insert(r);
             }
             org.flush();
             org.begin_query();
             let q = org.window_query(&window, WindowTechnique::Complete);
-            prop_assert_eq!(q.candidates, brute, "{:?}", kind);
+            prop_assert_eq!(q.candidates, brute, "{}", org.name());
         }
     }
 
@@ -89,19 +91,14 @@ proptest! {
     ) {
         let p = Point::new(px, py);
         let brute: usize = records.iter().filter(|r| r.mbr.contains_point(&p)).count();
-        for kind in [
-            OrganizationKind::Secondary,
-            OrganizationKind::Primary,
-            OrganizationKind::Cluster,
-        ] {
-            let mut org = make(kind);
+        for mut org in all_models() {
             for r in &records {
                 org.insert(r);
             }
             org.flush();
             org.begin_query();
             let q = org.point_query(&p);
-            prop_assert_eq!(q.candidates, brute, "{:?}", kind);
+            prop_assert_eq!(q.candidates, brute, "{}", org.name());
         }
     }
 
@@ -110,9 +107,7 @@ proptest! {
         records in arb_records(80),
         ops in prop::collection::vec(any::<bool>(), 1..160),
     ) {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 256);
-        let mut org = ClusterOrganization::new(disk, pool, ClusterConfig::restricted_buddy(SMAX));
+        let mut org = cluster();
         let mut pending: Vec<&ObjectRecord> = records.iter().collect();
         let mut live: Vec<ObjectId> = Vec::new();
         for (i, &del) in ops.iter().enumerate() {
@@ -136,7 +131,7 @@ proptest! {
 
     #[test]
     fn occupied_pages_track_contents(records in arb_records(100)) {
-        let mut org = make(OrganizationKind::Cluster);
+        let mut org = cluster();
         let empty = org.occupied_pages();
         for r in &records {
             org.insert(r);
@@ -147,9 +142,7 @@ proptest! {
         for r in &records {
             prop_assert!(org.delete(r.oid));
         }
-        if let Organization::Cluster(c) = &org {
-            c.check_consistency().unwrap();
-        }
+        org.check_consistency().unwrap();
         prop_assert_eq!(org.num_objects(), 0);
     }
 
@@ -167,7 +160,7 @@ proptest! {
             WindowTechnique::PageByPage,
             WindowTechnique::Optimum,
         ] {
-            let mut org = make(OrganizationKind::Cluster);
+            let mut org = cluster();
             for r in &records {
                 org.insert(r);
             }

@@ -36,11 +36,18 @@
 //! and the benchmark-shaped scenarios reproduce the `io_latency` /
 //! `decluster` reports checked in under `tests/golden/` row for row,
 //! byte for byte ([`ScenarioReport::assert_matches_golden`]).
+//!
+//! The paper's own evaluation lives beside it: [`figures`] regenerates
+//! Table 1 and Figures 5 – 17 as [`figures::Figure`]s — one report
+//! shape with the same chainable `assert_*` gates and the same golden
+//! directory (`tests/golden/figures.txt`) — for the `figures` binary
+//! and the shape tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;
+pub mod figures;
 pub mod golden;
 pub mod mix;
 pub mod report;

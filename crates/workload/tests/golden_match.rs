@@ -2,7 +2,7 @@
 //! the rows of the `io_latency` / `decluster` bench bins **byte for
 //! byte**. The fixtures under `tests/golden/` are copies of those bins'
 //! reports at the CI arguments (`--objects 6000 --queries 160`, and
-//! `--objects 6000 --queries 144` with `SPATIALDB_BENCH_ARMS=1,2,4,8`);
+//! `--objects 6000 --queries 144`);
 //! the bins write to the working directory, so re-running a bench can
 //! never rewrite a fixture.
 //!

@@ -1,11 +1,11 @@
-//! Integration tests of the experiment harness itself: determinism,
+//! Integration tests of the figure drivers themselves: seed sensitivity,
 //! cross-driver consistency, and the cluster-size adaptation study.
+//! (That a figure repeats exactly is what the checked-in golden pins.)
 
 use spatialdb::data::{DataSet, MapId, SeriesId};
-use spatialdb::experiments::{
-    cluster_size_adaptation, construction_suite, records_of, window_query_orgs, Scale,
-};
-use spatialdb::storage::WindowTechnique;
+use spatialdb_workload::figures::{figures, records_of, Figure, Scale};
+
+const GOLDEN: &str = include_str!("../crates/workload/tests/golden/figures.txt");
 
 fn tiny() -> Scale {
     Scale {
@@ -23,36 +23,25 @@ fn a1() -> DataSet {
 }
 
 #[test]
-fn experiments_are_deterministic() {
-    let scale = tiny();
-    let r1 = construction_suite(&scale, &[a1()]);
-    let r2 = construction_suite(&scale, &[a1()]);
-    assert_eq!(r1[0].io_seconds, r2[0].io_seconds);
-    assert_eq!(r1[0].occupied_pages, r2[0].occupied_pages);
-    let w1 = window_query_orgs(&scale, &[a1()]);
-    let w2 = window_query_orgs(&scale, &[a1()]);
-    for (x, y) in w1.iter().zip(&w2) {
-        assert_eq!(x.ms_per_4kb, y.ms_per_4kb);
-        assert_eq!(x.avg_candidates, y.avg_candidates);
-    }
-}
-
-#[test]
 fn different_seeds_change_io_but_not_shape() {
     let base = tiny();
     let other = Scale {
         seed: 4242,
         ..tiny()
     };
-    let r1 = window_query_orgs(&base, &[a1()]);
-    let r2 = window_query_orgs(&other, &[a1()]);
+    let r1 = figures(&["8"], &base, &[a1()]).next().unwrap();
+    let r2 = figures(&["8"], &other, &[a1()]).next().unwrap();
     // Different data → different absolute numbers…
-    assert_ne!(r1[0].ms_per_4kb, r2[0].ms_per_4kb);
+    let smallest = |fig: &Figure| {
+        let row = fig.at(&["A - 1", "0.001"]);
+        ["sec. org.", "prim. org.", "cluster org."].map(|org| row.get(org))
+    };
+    assert_ne!(smallest(&r1), smallest(&r2));
     // …but the same qualitative result at the largest window.
-    let l1 = r1.iter().find(|r| r.area == 1e-1).unwrap();
-    let l2 = r2.iter().find(|r| r.area == 1e-1).unwrap();
-    assert!(l1.ms_per_4kb[2] < l1.ms_per_4kb[0]);
-    assert!(l2.ms_per_4kb[2] < l2.ms_per_4kb[0]);
+    for fig in [r1, r2] {
+        fig.at(&["A - 1", "10"])
+            .assert_ordering(&["cluster org.", "sec. org."]);
+    }
 }
 
 #[test]
@@ -72,31 +61,22 @@ fn records_preserve_map_statistics() {
 fn figure11_adaptation_helps_complete_most() {
     // §5.4.4: adapting the cluster size to the query size helps the
     // simple complete technique clearly more than threshold/SLM.
-    let scale = Scale {
-        data_scale: 0.03,
-        num_queries: 40,
-        ..Scale::smoke()
-    };
-    let rows = cluster_size_adaptation(&scale);
-    assert_eq!(rows.len(), 3);
-    let complete = rows
-        .iter()
-        .find(|r| r.technique == WindowTechnique::Complete)
+    let fig = figures(&["11"], &Scale::fraction(0.03), &[])
+        .next()
         .unwrap();
-    let slm = rows
-        .iter()
-        .find(|r| r.technique == WindowTechnique::Slm)
-        .unwrap();
+    fig.assert_matches_golden(GOLDEN);
+    // All three techniques are reported.
+    let [complete, _, slm] = ["Complete", "Threshold", "Slm"].map(|t| fig.at(&[t]));
     // Gains are non-negative and grow with the factor for the complete
     // technique.
-    assert!(complete.gain_factor100_pct >= complete.gain_factor10_pct - 1.0);
-    assert!(complete.gain_factor100_pct > 0.0);
+    assert!(complete.get("factor 100") >= complete.get("factor 10") - 1.0);
+    assert!(complete.get("factor 100") > 0.0);
     // The sophisticated technique depends less on adaptation.
     assert!(
-        slm.gain_factor100_pct <= complete.gain_factor100_pct + 1.0,
+        slm.get("factor 100") <= complete.get("factor 100") + 1.0,
         "slm {} vs complete {}",
-        slm.gain_factor100_pct,
-        complete.gain_factor100_pct
+        slm.get("factor 100"),
+        complete.get("factor 100")
     );
 }
 

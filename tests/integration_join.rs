@@ -1,25 +1,41 @@
 //! Cross-crate integration tests: the spatial-join shapes of Figures 14,
-//! 16 and 17, plus join correctness through the public API.
+//! 16 and 17 as gates on the figures themselves (run once, at the scale
+//! of the checked-in golden, and matched against it), plus join
+//! correctness through the public API.
 
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
-use spatialdb::experiments::{
-    calibrate_versions, join_breakdown, join_orgs, join_techniques, Scale,
-};
 use spatialdb::{DbOptions, JoinConfig, OrganizationKind, Workspace};
+use spatialdb_workload::figures::{calibrate_versions, figures, Figure, Scale, Trend};
+use std::sync::OnceLock;
 
-fn smoke() -> Scale {
-    Scale {
-        data_scale: 0.03,
-        // Buffers sized relative to the shrunken maps, all larger than
-        // one C-series cluster unit (80 pages).
-        join_buffers: vec![160, 320, 640],
-        ..Scale::smoke()
+const GOLDEN: &str = include_str!("../crates/workload/tests/golden/figures.txt");
+
+/// The golden's scale: buffers sized relative to the shrunken maps, all
+/// larger than one C-series cluster unit (80 pages).
+fn scale() -> Scale {
+    Scale::fraction(0.03)
+}
+
+/// Figs. 14, 16 and 17 (C-1 ⋈ C-2) at the golden's scale, computed once
+/// — on one set of operand pairs — for all tests of this file.
+fn fig(id: &str) -> &'static Figure {
+    static FIGS: OnceLock<Vec<Figure>> = OnceLock::new();
+    FIGS.get_or_init(|| figures(&["14", "16", "17"], &scale(), &[]).collect())
+        .iter()
+        .find(|f| f.id() == id)
+        .expect("one of the three")
+}
+
+#[test]
+fn join_figures_match_the_golden() {
+    for id in ["14", "16", "17"] {
+        fig(id).assert_matches_golden(GOLDEN);
     }
 }
 
 #[test]
 fn join_versions_calibrate_to_paper_selectivities() {
-    let (a, b) = calibrate_versions(&smoke(), SeriesId::C);
+    let [a, b] = calibrate_versions(&scale(), SeriesId::C);
     assert!(
         (a.pairs_per_mbr - 0.65).abs() / 0.65 < 0.2,
         "version a: {} pairs/MBR",
@@ -35,24 +51,19 @@ fn join_versions_calibrate_to_paper_selectivities() {
 
 #[test]
 fn figure14_cluster_wins_joins() {
-    let rows = join_orgs(&smoke(), SeriesId::C);
-    for row in &rows {
-        let [sec, _prim, clu] = row.io_seconds;
-        assert!(
-            clu < sec,
-            "v{} buf {}: cluster {clu} !< secondary {sec}",
-            row.version,
-            row.buffer_pages
-        );
+    let fig = fig("14");
+    let buffers = scale().join_buffers;
+    for version in ["a", "b"] {
+        for buffer in &buffers {
+            fig.at(&[version, &buffer.to_string()])
+                .assert_ordering(&["cluster org.", "sec. org."]);
+        }
     }
     // Version b (9 pairs/MBR) profits more than version a (0.65).
+    let largest = buffers.iter().max().unwrap().to_string();
     let speedup = |version: &str| {
-        let r = rows
-            .iter()
-            .filter(|r| r.version == version)
-            .max_by_key(|r| r.buffer_pages)
-            .unwrap();
-        r.io_seconds[0] / r.io_seconds[2]
+        let row = fig.at(&[version, &largest]);
+        row.get("sec. org.") / row.get("cluster org.")
     };
     assert!(
         speedup("b") > speedup("a"),
@@ -60,79 +71,53 @@ fn figure14_cluster_wins_joins() {
         speedup("b"),
         speedup("a")
     );
-    assert!(speedup("a") > 1.5, "version a speedup {:.1}x", speedup("a"));
+    fig.at(&["a", &largest])
+        .assert_factor_at_least("sec. org.", "cluster org.", 1.5);
 }
 
 #[test]
 fn figure14_larger_buffers_never_hurt() {
-    let rows = join_orgs(&smoke(), SeriesId::C);
     for version in ["a", "b"] {
-        let mut per_version: Vec<_> = rows.iter().filter(|r| r.version == version).collect();
-        per_version.sort_by_key(|r| r.buffer_pages);
-        for pair in per_version.windows(2) {
-            for k in 0..3 {
-                assert!(
-                    pair[1].io_seconds[k] <= pair[0].io_seconds[k] + 1e-6,
-                    "v{version} org {k}: {} pages {} > {} pages {}",
-                    pair[1].buffer_pages,
-                    pair[1].io_seconds[k],
-                    pair[0].buffer_pages,
-                    pair[0].io_seconds[k]
-                );
-            }
+        for org in ["sec. org.", "prim. org.", "cluster org."] {
+            fig("14")
+                .down(org, &[version])
+                .assert_monotone(Trend::Falling, 1e-6);
         }
     }
 }
 
 #[test]
 fn figure16_optimum_bounds_and_convergence() {
-    let rows = join_techniques(&smoke(), SeriesId::C);
-    for row in &rows {
-        let [complete, vector, read, opt] = row.io_seconds;
-        assert!(opt <= complete + 1e-9);
-        assert!(opt <= vector + 1e-9);
-        assert!(opt <= read + 1e-9);
+    let fig = fig("16");
+    let buffers = scale().join_buffers;
+    for version in ["a", "b"] {
+        for buffer in &buffers {
+            fig.at(&[version, &buffer.to_string()])
+                .assert_lower_bound("opt.");
+        }
     }
     // At the largest buffer the complete technique is close to optimum
     // ("the maximum transfer rate of the disk is reached", §6.2).
-    let best = rows
-        .iter()
-        .filter(|r| r.version == "a")
-        .max_by_key(|r| r.buffer_pages)
-        .unwrap();
-    assert!(
-        best.io_seconds[0] < best.io_seconds[3] * 2.2,
-        "complete {} far from optimum {}",
-        best.io_seconds[0],
-        best.io_seconds[3]
-    );
+    let largest = buffers.iter().max().unwrap().to_string();
+    fig.at(&["a", &largest])
+        .assert_factor_at_most("complete", "opt.", 2.2);
 }
 
 #[test]
 fn figure17_breakdown_shape() {
-    let rows = join_breakdown(&smoke(), 320);
+    let fig = fig("17");
     for version in ["a", "b"] {
-        let sec = rows
-            .iter()
-            .find(|r| r.version == version && r.organization == "sec. org.")
-            .unwrap();
-        let clu = rows
-            .iter()
-            .find(|r| r.version == version && r.organization == "cluster org.")
-            .unwrap();
         // Same MBR pairs, same exact-test cost, similar MBR-join cost.
-        assert_eq!(sec.mbr_pairs, clu.mbr_pairs);
-        assert_eq!(sec.exact_test_s, clu.exact_test_s);
+        for same in ["MBR pairs", "exact test"] {
+            let bars = fig.down(same, &[version]);
+            assert_eq!(bars.get("sec. org."), bars.get("cluster org."), "{same}");
+        }
         // The transfer step is what collapses.
-        assert!(
-            clu.transfer_s < sec.transfer_s / 2.0,
-            "v{version}: transfer {} !< {}/2",
-            clu.transfer_s,
-            sec.transfer_s
-        );
+        fig.down("obj. transfer", &[version])
+            .assert_factor_at_least("sec. org.", "cluster org.", 2.0);
         // Total speedup in the paper's ballpark (≥ 2x at smoke scale).
-        let speedup = sec.total_s() / clu.total_s();
-        assert!(speedup > 2.0, "v{version}: total speedup {speedup:.1}x");
+        fig.down("total", &[version])
+            .assert_factor_at_least("sec. org.", "cluster org.", 2.0);
     }
 }
 

@@ -1,22 +1,18 @@
 //! Cross-crate integration tests: building the three organization models
-//! from generated data and checking the construction / storage-utilization
-//! shapes of Figures 5–7.
+//! from generated data, and the construction / storage-utilization
+//! shapes of Table 1 and Figures 5–7 as gates on the figures themselves
+//! (run once, at the scale of the checked-in golden, and matched
+//! against it).
 
 use spatialdb::data::{DataSet, MapId, SeriesId};
-use spatialdb::experiments::{
-    build_organization, construction_suite, records_of, table1, ClusterSizing, Scale,
-};
 use spatialdb::rtree::validate::check_invariants;
-use spatialdb::storage::{OrganizationKind, SpatialStore};
+use spatialdb::rtree::ObjectId;
+use spatialdb::storage::{ObjectRecord, OrganizationKind};
+use spatialdb::{DbOptions, Workspace};
+use spatialdb_workload::figures::{figures, Figure, Scale};
+use std::sync::OnceLock;
 
-fn smoke() -> Scale {
-    Scale {
-        data_scale: 0.03,
-        num_queries: 40,
-        construction_buffer: 64,
-        ..Scale::smoke()
-    }
-}
+const GOLDEN: &str = include_str!("../crates/workload/tests/golden/figures.txt");
 
 fn a1() -> DataSet {
     DataSet {
@@ -25,53 +21,70 @@ fn a1() -> DataSet {
     }
 }
 
+/// Table 1 and Figs. 5 – 7 (on A-1 and C-1) at the golden's scale,
+/// computed once for all tests of this file.
+fn fig(id: &str) -> &'static Figure {
+    static FIGS: OnceLock<Vec<Figure>> = OnceLock::new();
+    let c1 = DataSet {
+        series: SeriesId::C,
+        map: MapId::Map1,
+    };
+    FIGS.get_or_init(|| {
+        figures(
+            &["table1", "5", "6", "7"],
+            &Scale::fraction(0.03),
+            &[a1(), c1],
+        )
+        .collect()
+    })
+    .iter()
+    .find(|f| f.id() == id)
+    .expect("one of the four")
+}
+
+#[test]
+fn construction_figures_match_the_golden() {
+    for id in ["table1", "5", "6", "7"] {
+        fig(id).assert_matches_golden(GOLDEN);
+    }
+}
+
 #[test]
 fn table1_matches_paper_statistics() {
-    let rows = table1(&smoke());
-    assert_eq!(rows.len(), 6);
-    for row in rows {
+    for ds in DataSet::all() {
+        let row = fig("table1").at(&[ds.to_string().as_str()]);
         // Average object size within 8% of the paper's value.
-        let rel =
-            (row.avg_object_bytes - row.paper_avg_bytes as f64).abs() / row.paper_avg_bytes as f64;
-        assert!(
-            rel < 0.08,
-            "{}: avg {} vs paper {}",
-            row.dataset,
-            row.avg_object_bytes,
-            row.paper_avg_bytes
-        );
-        // Scaled total volume proportional to the paper's total.
-        let expected_mb = row.paper_total_mb * 0.03;
-        assert!(
-            (row.total_mb - expected_mb).abs() / expected_mb < 0.1,
-            "{}: {} MB vs scaled paper {} MB",
-            row.dataset,
-            row.total_mb,
-            expected_mb
-        );
+        row.assert_within("avg object size", row.get("paper avg"), 0.08)
+            // Scaled total volume proportional to the paper's total.
+            .assert_within("total size", row.get("paper total") * 0.03, 0.1);
     }
 }
 
 #[test]
 fn every_organization_builds_consistently() {
-    let scale = smoke();
-    let map = scale.map(a1());
-    let records = records_of(&map.objects);
+    let map = Scale::fraction(0.03).map(a1());
+    let records: Vec<ObjectRecord> = map
+        .objects
+        .iter()
+        .map(|o| ObjectRecord::new(ObjectId(o.id), o.mbr, o.size_bytes))
+        .collect();
     let smax = a1().spec().smax_bytes as u64;
     for kind in [
         OrganizationKind::Secondary,
         OrganizationKind::Primary,
         OrganizationKind::Cluster,
     ] {
-        let (org, stats) = build_organization(kind, &records, smax, ClusterSizing::Plain, 64);
-        assert_eq!(org.num_objects(), records.len(), "{kind:?}");
-        assert_eq!(org.tree().len(), records.len(), "{kind:?}");
-        check_invariants(org.tree()).unwrap();
-        assert!(stats.io_ms > 0.0);
-        assert!(org.occupied_pages() > 0);
-        if let spatialdb::Organization::Cluster(c) = &org {
-            c.check_consistency().unwrap();
-        }
+        let ws = Workspace::new(64);
+        let mut db = ws.create_database(DbOptions::new(kind).smax_bytes(smax));
+        db.store_mut().bulk_load(&records);
+        db.finish_loading();
+        let store = db.store();
+        assert_eq!(store.num_objects(), records.len(), "{kind:?}");
+        assert_eq!(store.tree().len(), records.len(), "{kind:?}");
+        check_invariants(store.tree()).unwrap();
+        store.check_consistency().unwrap();
+        assert!(ws.disk().stats().io_ms > 0.0);
+        assert!(store.occupied_pages() > 0);
     }
 }
 
@@ -79,42 +92,26 @@ fn every_organization_builds_consistently() {
 fn figure5_construction_shape() {
     // Cluster < secondary < primary, and primary grows with object size
     // while secondary/cluster stay nearly flat.
-    let scale = smoke();
-    let sets = [
-        a1(),
-        DataSet {
-            series: SeriesId::C,
-            map: MapId::Map1,
-        },
-    ];
-    let rows = construction_suite(&scale, &sets);
-    for row in &rows {
-        let [sec, prim, clu] = row.io_seconds;
-        assert!(
-            clu < sec,
-            "{}: cluster {clu} !< secondary {sec}",
-            row.dataset
-        );
-        assert!(
-            sec < prim,
-            "{}: secondary {sec} !< primary {prim}",
-            row.dataset
-        );
+    let fig = fig("5");
+    for series in ["A - 1", "C - 1"] {
+        fig.at(&[series])
+            .assert_ordering(&["cluster org.", "sec. org.", "prim. org."]);
     }
     // Primary grows with object size; secondary and cluster stay within 25%.
-    assert!(rows[1].io_seconds[1] > rows[0].io_seconds[1] * 1.3);
-    assert!(rows[1].io_seconds[0] < rows[0].io_seconds[0] * 1.25);
-    assert!(rows[1].io_seconds[2] < rows[0].io_seconds[2] * 1.25);
+    fig.down("prim. org.", &[])
+        .assert_factor_at_least("C - 1", "A - 1", 1.3);
+    fig.down("sec. org.", &[])
+        .assert_factor_at_most("C - 1", "A - 1", 1.25);
+    fig.down("cluster org.", &[])
+        .assert_factor_at_most("C - 1", "A - 1", 1.25);
 }
 
 #[test]
 fn figure6_storage_utilization_shape() {
     // Secondary best (fewest pages), cluster worst (full-Smax units).
-    let scale = smoke();
-    let rows = construction_suite(&scale, &[a1()]);
-    let [sec, prim, clu] = rows[0].occupied_pages;
-    assert!(sec < prim, "secondary {sec} !< primary {prim}");
-    assert!(prim < clu, "primary {prim} !< cluster {clu}");
+    fig("6")
+        .at(&["A - 1"])
+        .assert_ordering(&["sec. org.", "prim. org.", "cluster org."]);
 }
 
 #[test]
@@ -122,20 +119,12 @@ fn figure7_restricted_buddy_shape() {
     // The restricted buddy system brings the cluster organization's
     // occupied pages to about the primary organization's level, at only
     // slightly higher construction cost.
-    let scale = smoke();
-    let rows = construction_suite(&scale, &[a1()]);
-    let row = &rows[0];
-    assert!(row.buddy_pages < row.occupied_pages[2], "buddy must help");
-    // Within 35% of the primary organization (paper: "about the same").
-    let prim = row.occupied_pages[1] as f64;
-    assert!(
-        (row.buddy_pages as f64 - prim).abs() / prim < 0.35,
-        "buddy {} vs primary {}",
-        row.buddy_pages,
-        prim
-    );
-    // Construction at most 15% more expensive than without the buddy.
-    assert!(row.buddy_io_seconds < row.io_seconds[2] * 1.15);
+    let row = fig("7").at(&["A - 1"]);
+    row.assert_ordering(&["pages cluster (buddy)", "pages cluster (no buddy)"])
+        // Within 35% of the primary organization (paper: "about the same").
+        .assert_within("pages cluster (buddy)", row.get("pages prim. org."), 0.35)
+        // Construction at most 15% more expensive than without the buddy.
+        .assert_factor_at_most("constr. s (buddy)", "constr. s (no buddy)", 1.15);
 }
 
 #[test]

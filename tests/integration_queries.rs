@@ -1,21 +1,16 @@
 //! Cross-crate integration tests: window- and point-query shapes of
-//! Figures 8, 10, 11 and 12, plus exact-answer correctness through the
-//! public database API.
+//! Figures 8, 10 and 12 as gates on the figures themselves (run once, at
+//! the scale of the checked-in golden, and matched against it), plus
+//! exact-answer correctness through the public database API.
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
-use spatialdb::experiments::{point_queries, window_query_orgs, window_query_techniques, Scale};
 use spatialdb::geom::{HasMbr, Rect};
 use spatialdb::{DbOptions, OrganizationKind, Workspace};
+use spatialdb_workload::figures::{figures, Figure, Scale, Trend};
+use std::sync::OnceLock;
 
-fn smoke() -> Scale {
-    Scale {
-        data_scale: 0.03,
-        num_queries: 50,
-        query_buffer: 256,
-        ..Scale::smoke()
-    }
-}
+const GOLDEN: &str = include_str!("../crates/workload/tests/golden/figures.txt");
 
 fn a1() -> DataSet {
     DataSet {
@@ -24,64 +19,71 @@ fn a1() -> DataSet {
     }
 }
 
+/// Figure `id` on A-1 at the golden's scale, computed once per figure
+/// for all tests of this file.
+fn fig(id: &'static str) -> &'static Figure {
+    static FIGS: [OnceLock<Figure>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let slot = ["8", "10", "12"].iter().position(|i| *i == id).unwrap();
+    FIGS[slot].get_or_init(|| {
+        figures(&[id], &Scale::fraction(0.03), &[a1()])
+            .next()
+            .unwrap()
+    })
+}
+
+#[test]
+fn query_figures_match_the_golden() {
+    for id in ["8", "10", "12"] {
+        fig(id).assert_matches_golden(GOLDEN);
+    }
+}
+
 #[test]
 fn figure8_cluster_wins_large_windows() {
-    let rows = window_query_orgs(&smoke(), &[a1()]);
+    let fig = fig("8");
     // Largest window (10% of the data space): cluster must beat the
-    // secondary organization by a large factor.
-    let large = rows.iter().find(|r| r.area == 1e-1).unwrap();
-    let speedup = large.ms_per_4kb[0] / large.ms_per_4kb[2];
-    assert!(speedup > 4.0, "10% window speedup only {speedup:.1}x");
+    // secondary organization by a large factor, and the primary
+    // organization sits between the two.
+    let large = fig.at(&["A - 1", "10"]);
+    large
+        .assert_factor_at_least("sec. org.", "cluster org.", 4.0)
+        .assert_ordering(&["cluster org.", "prim. org.", "sec. org."]);
     // And the advantage must grow with the window size.
-    let small = rows.iter().find(|r| r.area == 1e-4).unwrap();
-    let small_speedup = small.ms_per_4kb[0] / small.ms_per_4kb[2];
+    let small = fig.at(&["A - 1", "0.01"]);
+    let speedup = large.get("sec. org.") / large.get("cluster org.");
+    let small_speedup = small.get("sec. org.") / small.get("cluster org.");
     assert!(
         speedup > small_speedup,
         "speedup must grow: {small_speedup:.1} → {speedup:.1}"
     );
-    // Primary organization sits between the two for large windows.
-    assert!(large.ms_per_4kb[1] < large.ms_per_4kb[0]);
-    assert!(large.ms_per_4kb[1] > large.ms_per_4kb[2]);
 }
 
 #[test]
 fn figure10_technique_ordering() {
-    let rows = window_query_techniques(&smoke(), &[a1()]);
-    for row in &rows {
-        let [complete, threshold, slm, optimum] = row.ms_per_4kb;
-        // Optimum is a lower bound for every technique.
-        assert!(optimum <= complete + 1e-9, "{}: opt > complete", row.area);
-        assert!(optimum <= threshold + 1e-9, "{}: opt > threshold", row.area);
-        assert!(optimum <= slm + 1e-9, "{}: opt > slm", row.area);
-        // Threshold and SLM never lose badly to complete.
-        assert!(
-            threshold <= complete * 1.05,
-            "{}: threshold worse",
-            row.area
-        );
-        assert!(slm <= complete * 1.05, "{}: slm worse", row.area);
+    let fig = fig("10");
+    for area in ["0.001", "0.01", "0.1", "1", "10"] {
+        fig.at(&["A - 1", area])
+            // Optimum is a lower bound for every technique.
+            .assert_lower_bound("opt.")
+            // Threshold and SLM never lose badly to complete.
+            .assert_factor_at_most("threshold", "complete", 1.05)
+            .assert_factor_at_most("SLM", "complete", 1.05);
     }
     // For the most selective windows the sophisticated techniques help;
     // for the largest they all converge (within 10%).
-    let small = rows.iter().find(|r| r.area == 1e-5).unwrap();
-    assert!(small.ms_per_4kb[2] < small.ms_per_4kb[0] * 0.95);
-    let large = rows.iter().find(|r| r.area == 1e-1).unwrap();
-    assert!(large.ms_per_4kb[2] > large.ms_per_4kb[0] * 0.85);
+    fig.at(&["A - 1", "0.001"])
+        .assert_factor_at_most("SLM", "complete", 0.95);
+    fig.at(&["A - 1", "10"])
+        .assert_factor_at_least("SLM", "complete", 0.85);
 }
 
 #[test]
 fn figure12_point_queries_cluster_not_penalized() {
-    let rows = point_queries(&smoke(), &[a1()]);
-    let row = &rows[0];
+    let row = fig("12").at(&["A - 1"]);
     // §5.5: almost no difference between secondary and cluster.
-    let rel = (row.ms_per_4kb[2] - row.ms_per_4kb[0]).abs() / row.ms_per_4kb[0];
-    assert!(
-        rel < 0.15,
-        "cluster deviates {:.0}% from secondary",
-        rel * 100.0
-    );
-    // Primary is best for the smallest objects.
-    assert!(row.ms_per_4kb[1] < row.ms_per_4kb[0]);
+    row.assert_within("cluster org.", row.get("sec. org."), 0.15)
+        // Primary is best for the smallest objects.
+        .assert_ordering(&["prim. org.", "sec. org."]);
 }
 
 #[test]
@@ -157,16 +159,9 @@ fn refinement_filters_false_mbr_hits() {
 
 #[test]
 fn window_answer_counts_scale_with_area() {
-    let scale = smoke();
-    let rows = window_query_orgs(&scale, &[a1()]);
-    let mut last = 0.0;
-    for row in rows {
-        assert!(
-            row.avg_candidates >= last,
-            "answers must grow with window area"
-        );
-        last = row.avg_candidates;
-    }
+    fig("8")
+        .down("avg answers", &["A - 1"])
+        .assert_monotone(Trend::Rising, 0.0);
 }
 
 #[test]
