@@ -70,7 +70,15 @@ use spatialdb_geom::{Point, Rect};
 use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The calling thread's candidate buffer, taken for the duration of
+    /// a [`Query::run`] and put back for the next, so a query does not
+    /// grow a fresh one by doubling. (The executors pass their own.)
+    static SCRATCH: RefCell<Vec<LeafEntry>> = const { RefCell::new(Vec::new()) };
+}
 
 /// What a [`Query`] searches for.
 #[derive(Clone, Copy, Debug)]
@@ -276,7 +284,10 @@ impl<'a> Query<'a> {
     /// Panics if neither [`window`](Query::window) nor
     /// [`point`](Query::point) was set.
     pub fn run(self) -> ResultCursor<'a> {
-        self.run_with(&mut Vec::new(), false)
+        let mut scratch = SCRATCH.take();
+        let cursor = self.run_with(&mut scratch, false);
+        SCRATCH.set(scratch);
+        cursor
     }
 
     /// [`run`](Query::run) for the executors, which reuse one candidate

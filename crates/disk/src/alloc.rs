@@ -15,6 +15,7 @@
 
 use crate::model::{PageId, PageRun, RegionId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Append-only allocator: models a sequential file.
 #[derive(Clone, Debug)]
@@ -61,13 +62,18 @@ impl SequentialAllocator {
 }
 
 /// First-fit extent allocator with free-list coalescing.
+///
+/// [`Clone`] — part of every store snapshot — shares the free list: a
+/// clone costs a refcount bump however fragmented the region is, and
+/// the first `alloc` from a hole or `free` on either side copies the
+/// list once.
 #[derive(Clone, Debug)]
 pub struct ExtentAllocator {
     region: RegionId,
     next: u64,
     /// Free extents keyed by start offset → length. Adjacent extents are
     /// coalesced on free.
-    free: BTreeMap<u64, u64>,
+    free: Arc<BTreeMap<u64, u64>>,
     allocated_pages: u64,
 }
 
@@ -77,7 +83,7 @@ impl ExtentAllocator {
         ExtentAllocator {
             region,
             next: 0,
-            free: BTreeMap::new(),
+            free: Arc::default(),
             allocated_pages: 0,
         }
     }
@@ -99,9 +105,10 @@ impl ExtentAllocator {
             .map(|(&start, &len)| (start, len));
         self.allocated_pages += n;
         if let Some((start, len)) = found {
-            self.free.remove(&start);
+            let free = Arc::make_mut(&mut self.free);
+            free.remove(&start);
             if len > n {
-                self.free.insert(start + n, len - n);
+                free.insert(start + n, len - n);
             }
             PageRun::new(PageId::new(self.region, start), n)
         } else {
@@ -128,28 +135,29 @@ impl ExtentAllocator {
             return;
         }
         assert!(run.end_offset() <= self.next, "extent beyond frontier");
+        let free = Arc::make_mut(&mut self.free);
         let start = run.start.offset;
         let mut new_start = start;
         let mut new_len = run.len;
         // Coalesce with the predecessor.
-        if let Some((&ps, &pl)) = self.free.range(..start).next_back() {
+        if let Some((&ps, &pl)) = free.range(..start).next_back() {
             assert!(ps + pl <= start, "double free (overlaps predecessor)");
             if ps + pl == start {
-                self.free.remove(&ps);
+                free.remove(&ps);
                 new_start = ps;
                 new_len += pl;
             }
         }
         // Coalesce with the successor.
-        if let Some((&ss, &sl)) = self.free.range(start..).next() {
+        if let Some((&ss, &sl)) = free.range(start..).next() {
             assert!(start + run.len <= ss, "double free (overlaps successor)");
             if start + run.len == ss {
-                self.free.remove(&ss);
+                free.remove(&ss);
                 new_len += sl;
             }
         }
         self.allocated_pages -= run.len;
-        self.free.insert(new_start, new_len);
+        free.insert(new_start, new_len);
     }
 
     /// Free a single page.
@@ -254,6 +262,25 @@ mod tests {
         assert_eq!(a.allocated_pages(), 0);
         let q = a.alloc_page();
         assert_eq!(q, p); // hole reused
+    }
+
+    #[test]
+    fn a_clone_shares_the_free_list_until_either_side_changes_it() {
+        let mut a = ExtentAllocator::new(region());
+        let runs: Vec<PageRun> = (0..8).map(|_| a.alloc(2)).collect();
+        for hole in runs.iter().step_by(2) {
+            a.free(*hole);
+        }
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.free, &b.free));
+        // Growing the region reads the list only.
+        assert_eq!(b.alloc(3).start.offset, 16);
+        assert!(Arc::ptr_eq(&a.free, &b.free));
+        // Taking a hole copies it; the original keeps its own.
+        assert_eq!(b.alloc(2).start.offset, 0);
+        assert!(!Arc::ptr_eq(&a.free, &b.free));
+        assert_eq!(a.alloc(2).start.offset, 0);
+        assert_eq!((a.allocated_pages(), b.allocated_pages()), (10, 13));
     }
 
     #[test]

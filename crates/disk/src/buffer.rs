@@ -84,12 +84,22 @@ impl Hasher for PageHasher {
 struct Node {
     page: PageId,
     dirty: bool,
+    /// A pinned node is resident but on no list (`prev` / `next` unset).
     pinned: bool,
     prev: Option<usize>,
     next: Option<usize>,
 }
 
 /// A page-granular LRU buffer with dirty flags and pinning.
+///
+/// The replacement list holds the evictable pages only: [`pin`] takes a
+/// page off it for as long as it stays resident, so the victim — the
+/// LRU-most evictable page — is always the tail, however many pages are
+/// pinned. A pinned page stays pinned until it leaves through
+/// [`remove`] (or with the whole buffer).
+///
+/// [`pin`]: LruBuffer::pin
+/// [`remove`]: LruBuffer::remove
 ///
 /// Pure replacement logic — it never talks to the disk.
 /// [`ShardedPool`](crate::shard::ShardedPool) pairs one per shard with a
@@ -101,10 +111,14 @@ pub struct LruBuffer {
     map: HashMap<PageId, usize, BuildHasherDefault<PageHasher>>,
     nodes: Vec<Node>,
     free: Vec<usize>,
-    /// Most recently used node.
+    /// Most recently used evictable node.
     head: Option<usize>,
-    /// Least recently used node.
+    /// Least recently used evictable node: the next victim.
     tail: Option<usize>,
+    /// Nodes on the replacement list.
+    listed: usize,
+    /// Resident nodes off it.
+    pinned: usize,
 }
 
 impl LruBuffer {
@@ -120,7 +134,15 @@ impl LruBuffer {
             free: Vec::new(),
             head: None,
             tail: None,
+            listed: 0,
+            pinned: 0,
         }
+    }
+
+    /// Every resident page is on the replacement list or pinned.
+    #[inline]
+    fn debug_check(&self) {
+        debug_assert_eq!(self.listed + self.pinned, self.map.len());
     }
 
     /// Buffer capacity in pages.
@@ -144,6 +166,7 @@ impl LruBuffer {
                 None => break, // everything left is pinned
             }
         }
+        self.debug_check();
         evicted
     }
 
@@ -177,6 +200,7 @@ impl LruBuffer {
         }
         self.nodes[idx].prev = None;
         self.nodes[idx].next = None;
+        self.listed -= 1;
     }
 
     fn push_front(&mut self, idx: usize) {
@@ -189,13 +213,22 @@ impl LruBuffer {
         if self.tail.is_none() {
             self.tail = Some(idx);
         }
+        self.listed += 1;
+    }
+
+    /// Make a resident node the most recently used; a pinned one has no
+    /// position to refresh.
+    fn refresh(&mut self, idx: usize) {
+        if !self.nodes[idx].pinned {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
     }
 
     /// Touch `page` (move to MRU). Returns `true` if it was buffered.
     pub fn touch(&mut self, page: &PageId) -> bool {
         if let Some(&idx) = self.map.get(page) {
-            self.unlink(idx);
-            self.push_front(idx);
+            self.refresh(idx);
             true
         } else {
             false
@@ -228,8 +261,7 @@ impl LruBuffer {
             return;
         }
         if let Some(&idx) = self.map.get(&page) {
-            self.unlink(idx);
-            self.push_front(idx);
+            self.refresh(idx);
             self.nodes[idx].dirty |= dirty;
             return;
         }
@@ -263,22 +295,18 @@ impl LruBuffer {
                 None => break, // everything pinned; allow temporary overflow
             }
         }
+        self.debug_check();
     }
 
+    /// Evict the least recently used page that is not pinned; `None`
+    /// when every resident page is.
     fn evict_one(&mut self) -> Option<(PageId, bool)> {
-        let mut cur = self.tail;
-        while let Some(idx) = cur {
-            if self.nodes[idx].pinned {
-                cur = self.nodes[idx].prev;
-                continue;
-            }
-            let node = self.nodes[idx];
-            self.unlink(idx);
-            self.map.remove(&node.page);
-            self.free.push(idx);
-            return Some((node.page, node.dirty));
-        }
-        None
+        let idx = self.tail?;
+        let node = self.nodes[idx];
+        self.unlink(idx);
+        self.map.remove(&node.page);
+        self.free.push(idx);
+        Some((node.page, node.dirty))
     }
 
     /// Mark a buffered page dirty. Returns `true` if the page was present.
@@ -291,33 +319,34 @@ impl LruBuffer {
         }
     }
 
-    /// Pin a buffered page (exempt from eviction). Returns `true` if
-    /// present.
+    /// Pin a buffered page: exempt from eviction, and off the
+    /// replacement list, until it is [removed](LruBuffer::remove).
+    /// Returns `true` if present.
     pub fn pin(&mut self, page: &PageId) -> bool {
-        if let Some(&idx) = self.map.get(page) {
+        let Some(&idx) = self.map.get(page) else {
+            return false;
+        };
+        if !self.nodes[idx].pinned {
+            self.unlink(idx);
             self.nodes[idx].pinned = true;
-            true
-        } else {
-            false
+            self.pinned += 1;
         }
+        self.debug_check();
+        true
     }
 
-    /// Unpin a buffered page. Returns `true` if present.
-    pub fn unpin(&mut self, page: &PageId) -> bool {
-        if let Some(&idx) = self.map.get(page) {
-            self.nodes[idx].pinned = false;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remove a page from the buffer, returning its dirty flag.
+    /// Remove a page from the buffer, pinned or not, returning its dirty
+    /// flag.
     pub fn remove(&mut self, page: &PageId) -> Option<bool> {
         let idx = self.map.remove(page)?;
         let dirty = self.nodes[idx].dirty;
-        self.unlink(idx);
+        if self.nodes[idx].pinned {
+            self.pinned -= 1;
+        } else {
+            self.unlink(idx);
+        }
         self.free.push(idx);
+        self.debug_check();
         Some(dirty)
     }
 
@@ -678,9 +707,153 @@ mod tests {
         // Page 1 is pinned; page 2 is evicted instead.
         assert_eq!(ev, vec![(pg(r, 2), false)]);
         assert!(b.contains(&pg(r, 1)));
-        b.unpin(&pg(r, 1));
-        let ev = b.insert(pg(r, 4), false);
-        assert_eq!(ev, vec![(pg(r, 1), false)]);
+    }
+
+    /// The replacement rule as the buffer had it before pinned pages
+    /// left the list, implemented literally: every resident page in one
+    /// `Vec` ordered MRU → LRU, pinned or not, and the victim is the
+    /// LRU-most evictable element.
+    struct NaiveLru {
+        capacity: usize,
+        /// `(page, dirty, pinned)`, most recently used first.
+        pages: Vec<(PageId, bool, bool)>,
+    }
+
+    impl NaiveLru {
+        fn position(&self, page: &PageId) -> Option<usize> {
+            self.pages.iter().position(|(p, ..)| p == page)
+        }
+
+        fn evict_down_to_capacity(&mut self) -> Vec<(PageId, bool)> {
+            let mut evicted = Vec::new();
+            while self.pages.len() > self.capacity {
+                let Some(victim) = self.pages.iter().rposition(|&(_, _, pinned)| !pinned) else {
+                    break;
+                };
+                let (page, dirty, _) = self.pages.remove(victim);
+                evicted.push((page, dirty));
+            }
+            evicted
+        }
+
+        fn touch(&mut self, page: &PageId) -> bool {
+            let Some(i) = self.position(page) else {
+                return false;
+            };
+            let entry = self.pages.remove(i);
+            self.pages.insert(0, entry);
+            true
+        }
+
+        fn insert(&mut self, page: PageId, dirty: bool) -> Vec<(PageId, bool)> {
+            if self.capacity == 0 {
+                return Vec::new();
+            }
+            if self.touch(&page) {
+                self.pages[0].1 |= dirty;
+                return Vec::new();
+            }
+            self.pages.insert(0, (page, dirty, false));
+            self.evict_down_to_capacity()
+        }
+
+        fn set_capacity(&mut self, capacity: usize) -> Vec<(PageId, bool)> {
+            self.capacity = capacity;
+            self.evict_down_to_capacity()
+        }
+
+        fn set_flags(
+            &mut self,
+            page: &PageId,
+            set: impl FnOnce(&mut (PageId, bool, bool)),
+        ) -> bool {
+            self.position(page)
+                .map(|i| set(&mut self.pages[i]))
+                .is_some()
+        }
+
+        fn remove(&mut self, page: &PageId) -> Option<bool> {
+            self.position(page).map(|i| self.pages.remove(i).1)
+        }
+    }
+
+    /// The buffer's replacement list, MRU → LRU, walked link by link.
+    fn listed_pages(b: &LruBuffer) -> Vec<PageId> {
+        let mut pages = Vec::new();
+        let mut cur = b.head;
+        while let Some(idx) = cur {
+            pages.push(b.nodes[idx].page);
+            cur = b.nodes[idx].next;
+        }
+        pages
+    }
+
+    /// Pinned pages are off the replacement list; the victims, and with
+    /// them every hit / miss and dirty write-back a pool derives from the
+    /// buffer, must be the ones the walk past pinned pages chose.
+    #[test]
+    fn lru_matches_the_naive_reference_with_pins() {
+        let r = RegionId(0);
+        for capacity in [0usize, 1, 16] {
+            let mut buf = LruBuffer::new(capacity);
+            let mut naive = NaiveLru {
+                capacity,
+                pages: Vec::new(),
+            };
+            let mut rng = crate::test_util::Rng(0x1994_0024 + capacity as u64);
+            for step in 0..20_000u32 {
+                let page = pg(r, rng.below(64));
+                let at = format!("capacity {capacity}, step {step}, {page:?}");
+                match rng.below(100) {
+                    0..=24 => {
+                        assert_eq!(buf.insert(page, false), naive.insert(page, false), "{at}")
+                    }
+                    25..=34 => assert_eq!(buf.insert(page, true), naive.insert(page, true), "{at}"),
+                    35..=59 => assert_eq!(buf.touch(&page), naive.touch(&page), "{at}"),
+                    60..=67 => assert_eq!(
+                        buf.pin(&page),
+                        naive.set_flags(&page, |e| e.2 = true),
+                        "{at}"
+                    ),
+                    68..=79 => assert_eq!(buf.remove(&page), naive.remove(&page), "{at}"),
+                    80..=82 => {
+                        let to = [0, 1, 4, 16, 24][rng.below(5) as usize];
+                        assert_eq!(buf.set_capacity(to), naive.set_capacity(to), "{at} -> {to}");
+                    }
+                    83..=91 => assert_eq!(
+                        buf.mark_dirty(&page),
+                        naive.set_flags(&page, |e| e.1 = true),
+                        "{at}"
+                    ),
+                    _ => {
+                        buf.clear_dirty(&page);
+                        naive.set_flags(&page, |e| e.1 = false);
+                    }
+                }
+                assert_eq!(buf.len(), naive.pages.len(), "{at}");
+                for o in 0..64 {
+                    let p = pg(r, o);
+                    assert_eq!(
+                        buf.contains(&p),
+                        naive.position(&p).is_some(),
+                        "{at}: {p:?}"
+                    );
+                }
+                let mut dirty: Vec<PageId> =
+                    naive.pages.iter().filter(|e| e.1).map(|e| e.0).collect();
+                dirty.sort_unstable();
+                assert_eq!(buf.dirty_pages(), dirty, "{at}");
+                // The list is the reference order with the pinned pages
+                // taken out, and the counters describe it.
+                let evictable: Vec<PageId> =
+                    naive.pages.iter().filter(|e| !e.2).map(|e| e.0).collect();
+                assert_eq!(listed_pages(&buf), evictable, "{at}");
+                assert_eq!(
+                    (buf.listed, buf.pinned),
+                    (evictable.len(), buf.len() - evictable.len())
+                );
+            }
+        }
     }
 
     #[test]

@@ -744,11 +744,6 @@ impl ShardedPool {
         self.shard(page).remove(page)
     }
 
-    /// Unpin a buffered page. Returns `true` if present.
-    pub fn unpin_page(&self, page: &PageId) -> bool {
-        self.shard(page).unpin(page)
-    }
-
     /// Number of buffered pages across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.acquire().len()).sum()

@@ -16,14 +16,16 @@ impl std::fmt::Display for ObjectId {
 /// An entry of a data page: the object's MBR, its id, and the payload
 /// bytes it contributes towards the leaf payload limit (see
 /// [`crate::RTreeConfig::leaf_payload_limit`]) — the modelled 46-byte
-/// entry ([`crate::config::ENTRY_BYTES`]) — plus the object's [`Hint`].
+/// entry ([`crate::config::ENTRY_BYTES`]) — plus the object's [`Hint`]
+/// and the organization's `locator`.
 ///
-/// The hint is host memory, like the exact geometry the query layer
-/// keeps beside the store: it sits in the four bytes that would
-/// otherwise pad the struct, is not part of the modelled entry, and
-/// changes no page capacity and no simulated I/O. The tree never reads
-/// it; it travels with the entry through splits, reinserts and bulk
-/// loads, so a query finds it next to the MBR it was encoded against.
+/// Hint and locator are host memory, like the exact geometry the query
+/// layer keeps beside the store: they are not part of the modelled
+/// entry and change no page capacity and no simulated I/O (the modelled
+/// entry already pays for its pointer). The tree never reads them; they
+/// travel with the entry through splits, reinserts and bulk loads, so a
+/// query finds the hint next to the MBR it was encoded against and the
+/// filter step finds where the object is in the entry it just read.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct LeafEntry {
     /// Minimum bounding rectangle of the object.
@@ -32,21 +34,28 @@ pub struct LeafEntry {
     pub oid: ObjectId,
     /// Payload bytes charged against the leaf payload limit
     /// (object size for the cluster organization, entry + object size for
-    /// the primary organization, unused for the secondary organization).
+    /// the primary organization; the secondary organization's trees have
+    /// no limit and it stores the object size here too).
     pub payload: u32,
     /// The object's progressive approximation relative to `mbr`
     /// ([`Hint::NONE`] unless set by [`with_hint`](LeafEntry::with_hint)).
     pub hint: Hint,
+    /// Where the organization keeps the exact representation when that
+    /// is not the data page itself: the object's first page in the
+    /// secondary organization's sequential file; 0 where the
+    /// organization needs no pointer.
+    pub locator: u64,
 }
 
 impl LeafEntry {
-    /// Create a leaf entry without a hint.
+    /// Create a leaf entry without a hint and without a locator.
     pub fn new(mbr: Rect, oid: ObjectId, payload: u32) -> Self {
         LeafEntry {
             mbr,
             oid,
             payload,
             hint: Hint::NONE,
+            locator: 0,
         }
     }
 
@@ -68,9 +77,10 @@ pub struct DirEntry {
 
 // What a shadow-paged commit copies per entry of a touched node, and
 // what a traversal pulls through the cache per entry it looks at: an
-// 89-entry leaf is 4,272 bytes in memory, a directory node 3,560. The
-// leaf entry's hint is free: 44 bytes of fields rounded up to 48 before it.
-const _: () = assert!(std::mem::size_of::<LeafEntry>() == 48);
+// 89-entry leaf is 4,984 bytes in memory, a directory node 3,560. The
+// leaf entry's hint fills what would pad the 44 bytes of modelled fields
+// to 48; the locator is the 8 bytes on top.
+const _: () = assert!(std::mem::size_of::<LeafEntry>() == 56);
 const _: () = assert!(std::mem::size_of::<DirEntry>() == 40);
 
 /// Anything that can participate in the R\*-tree split algorithm.

@@ -123,11 +123,13 @@ impl Node {
 /// pages only for the nodes it actually touches — the mechanism behind
 /// the engine's non-blocking concurrent writers. An unshared store pays
 /// pointer indirections and no copies, so the exclusive (`&mut`) update
-/// path behaves exactly as before.
+/// path behaves exactly as before. The list of freed slots is shared
+/// the same way: a clone bumps a refcount, and only an update that adds
+/// or dissolves a node copies the list.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
     nodes: CowSlab<Node>,
-    free: Vec<u32>,
+    free: Arc<Vec<u32>>,
 }
 
 impl NodeStore {
@@ -138,7 +140,13 @@ impl NodeStore {
 
     /// Insert a node, returning its id.
     pub fn insert(&mut self, node: Node) -> NodeId {
-        let i = self.free.pop().unwrap_or_else(|| self.nodes.slots() as u32);
+        // An empty list is not made unique: growing the slab reads it only.
+        let i = if self.free.is_empty() {
+            self.nodes.slots() as u32
+        } else {
+            let free = Arc::make_mut(&mut self.free);
+            free.pop().expect("checked non-empty")
+        };
         self.nodes.set(i as usize, node);
         NodeId(i)
     }
@@ -150,7 +158,7 @@ impl NodeStore {
             .nodes
             .take(id.0 as usize)
             .expect("node already removed");
-        self.free.push(id.0);
+        Arc::make_mut(&mut self.free).push(id.0);
         Arc::try_unwrap(n).unwrap_or_else(|shared| (*shared).clone())
     }
 

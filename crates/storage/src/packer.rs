@@ -270,6 +270,26 @@ mod tests {
     }
 
     #[test]
+    fn page_count_is_a_function_of_the_size() {
+        // What lets the secondary organization's leaf entry stand for the
+        // whole run with a first page and a size: an object shares the
+        // tail page only if it fits (one page), and otherwise starts on
+        // fresh pages — never a tail fragment plus fresh pages.
+        let mut p = PagePacker::new(4096);
+        for i in 0..5000u64 {
+            let size = 1 + (i * 2_654_435_761) % 13_000;
+            let placed = match i % 11 {
+                0 => p.place_exclusive(size),
+                _ => p.place(size),
+            };
+            assert_eq!(placed.num_pages, size.div_ceil(4096), "size {size}");
+            if i % 17 == 0 {
+                p.seal();
+            }
+        }
+    }
+
+    #[test]
     fn exclusive_always_fresh() {
         let mut p = PagePacker::new(4096);
         p.place(100); // page 0, lots of free space

@@ -34,8 +34,9 @@ struct ObjectSlot {
     overflow: Option<PageRun>,
 }
 
-// 48 bytes per `(id, record)` pair of an `ObjectTable` bucket: a probe —
-// one per window candidate here — scans ≈ 16 pairs, 12 cache lines.
+// 48 bytes per `(id, record)` pair of an `ObjectTable` bucket: a probe
+// scans ≈ 16 pairs, 12 cache lines. Of a window's candidates only the
+// overflow objects pay it; an inline object's size is in its entry.
 const _: () = assert!(std::mem::size_of::<ObjectSlot>() == 40);
 const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 48);
 
@@ -129,16 +130,22 @@ impl PrimaryOrganization {
 
     /// Transfer what the data pages do not already hold: one pointer
     /// chase per overflow object (like the secondary organization's
-    /// object accesses); the buffer absorbs repeats. Returns the bytes
-    /// of all candidates.
+    /// object accesses); the buffer absorbs repeats. An inline object
+    /// came with its entry, whose payload says how large it is
+    /// ([`entry_payload`](Self::entry_payload)); only an overflow
+    /// object's size and pages are looked up. Returns the bytes of all
+    /// candidates.
     fn read_overflow_objects(&self, candidates: &[LeafEntry]) -> u64 {
         let mut bytes = 0;
         for e in candidates {
-            let slot = &self.objects[e.oid];
-            if let Some(run) = slot.overflow {
+            if e.payload > ENTRY_BYTES as u32 {
+                bytes += u64::from(e.payload - ENTRY_BYTES as u32);
+            } else {
+                let slot = &self.objects[e.oid];
+                let run = slot.overflow.expect("entry-only payload, no overflow run");
                 self.pool.read_run(run, SeekPolicy::PerRequest);
+                bytes += u64::from(slot.size);
             }
-            bytes += u64::from(slot.size);
         }
         bytes
     }
@@ -285,7 +292,8 @@ impl SpatialStore for PrimaryOrganization {
         for (id, leaf) in self.tree.leaves() {
             for e in leaf.leaf_entries() {
                 match self.objects.get(e.oid) {
-                    Some(slot) if slot.leaf == id => {}
+                    Some(slot)
+                        if slot.leaf == id && e.payload == Self::entry_payload(slot.size) => {}
                     other => {
                         return Err(format!(
                             "object {} in data page {id} is recorded as {other:?}",

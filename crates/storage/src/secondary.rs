@@ -7,15 +7,26 @@
 //! are scattered over the file, so *"when processing window queries, each
 //! access to an exact object representation needs an additional seek
 //! operation"*.
+//!
+//! The pointer is in the leaf entry, as in the paper: `locator` is the
+//! object's first page in the file, `payload` its size — and the size
+//! fixes the page count, because the file packs with internal clustering
+//! ([`PagePacker`]). A window query therefore reads its candidates'
+//! pages off the entries it has just collected. The file never moves an
+//! object, so the pointer is written once. Operations that start from an
+//! id (deletion, the join's transfer, `object_size`) go through the
+//! per-object [`ObjectTable`], which records the same run.
 
 use crate::model::{QueryStats, SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
-use crate::store::SpatialStore;
+use crate::store::{SpatialStore, StrPlan};
 use crate::table::ObjectTable;
 use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::{Point, Rect};
-use spatialdb_rtree::{bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams};
+use spatialdb_rtree::{
+    bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams, DEFAULT_STR_FILL,
+};
 
 /// What the organization records per object.
 #[derive(Clone, Copy, Debug)]
@@ -29,7 +40,8 @@ struct ObjectSlot {
 
 // An `ObjectTable` bucket is a slice of `(id, record)` pairs scanned
 // linearly: at ≈ 16 pairs of 72 bytes, a probe walks up to 18 cache
-// lines — this organization probes once per window candidate.
+// lines. Only operations that start from an id pay it; a window
+// candidate's run is in its leaf entry.
 const _: () = assert!(std::mem::size_of::<ObjectSlot>() == 64);
 const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 72);
 
@@ -75,18 +87,50 @@ impl SecondaryOrganization {
         self.freed_bytes
     }
 
+    /// Give the object behind `entry` (payload = its size) the next
+    /// position of the sequential file: the pointer goes into the entry,
+    /// the same run into the returned table record.
+    fn place(&mut self, entry: &mut LeafEntry) -> ObjectSlot {
+        let placement = self.packer.place(u64::from(entry.payload));
+        entry.locator = placement.first_page;
+        ObjectSlot {
+            run: PageRun::new(
+                PageId::new(self.file_region, placement.first_page),
+                placement.num_pages,
+            ),
+            size: entry.payload,
+            mbr: entry.mbr,
+        }
+    }
+
+    /// The file pages of the object behind a leaf entry of this store's
+    /// tree: internal clustering makes the page count a function of the
+    /// size.
+    fn run_of(&self, e: &LeafEntry) -> PageRun {
+        PageRun::new(
+            PageId::new(self.file_region, e.locator),
+            u64::from(e.payload).div_ceil(PAGE_SIZE as u64),
+        )
+    }
+
     /// Read the exact representations of `candidates` one object at a
     /// time: §3.2.1 — *"each access to an exact object representation
     /// needs an additional seek operation"*. The buffer absorbs objects
     /// sharing a page; no cross-object request merging happens (the
-    /// system chases one pointer per candidate). Returns the bytes
-    /// transferred to the caller.
+    /// system chases one pointer per candidate, and finds it in the
+    /// candidate's entry). Returns the bytes transferred to the caller.
     fn read_objects(&self, candidates: &[LeafEntry]) -> u64 {
         let mut bytes = 0;
         for e in candidates {
-            let slot = &self.objects[e.oid];
-            self.pool.read_run(slot.run, SeekPolicy::PerRequest);
-            bytes += u64::from(slot.size);
+            let run = self.run_of(e);
+            // The probe exists in debug builds only: keep it inside the macro.
+            debug_assert_eq!(
+                Some(run),
+                self.objects.get(e.oid).map(|slot| slot.run),
+                "stale pointer in {e:?}"
+            );
+            self.pool.read_run(run, SeekPolicy::PerRequest);
+            bytes += u64::from(e.payload);
         }
         bytes
     }
@@ -102,26 +146,16 @@ impl SpatialStore for SecondaryOrganization {
     }
 
     fn insert(&mut self, rec: &ObjectRecord) {
-        // 1. Insert the MBR + pointer into the regular R*-tree.
-        let entry = rec.leaf_entry(0);
+        // 1. Insert the MBR + pointer into the regular R*-tree; the
+        //    pointer is the end of the sequential file.
+        let mut entry = rec.leaf_entry(rec.size_bytes);
+        let slot = self.place(&mut entry);
         self.tree.insert(entry, &mut self.pool.as_ref());
         // 2. Append the exact representation to the sequential file.
         //    The arm has moved (tree I/O in between), so every append is
         //    its own request.
-        let placement = self.packer.place(u64::from(rec.size_bytes));
-        let run = PageRun::new(
-            PageId::new(self.file_region, placement.first_page),
-            placement.num_pages,
-        );
-        self.disk.charge(IoKind::Write, run, false);
-        self.objects.insert(
-            rec.oid,
-            ObjectSlot {
-                run,
-                size: rec.size_bytes,
-                mbr: rec.mbr,
-            },
-        );
+        self.disk.charge(IoKind::Write, slot.run, false);
+        self.objects.insert(rec.oid, slot);
     }
 
     fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
@@ -208,53 +242,78 @@ impl SpatialStore for SecondaryOrganization {
         true
     }
 
+    fn check_consistency(&self) -> Result<(), String> {
+        if self.objects.len() != self.tree.len() {
+            return Err(format!(
+                "{} objects stored but {} indexed",
+                self.objects.len(),
+                self.tree.len()
+            ));
+        }
+        // The pointer is recorded twice — in the entry for the filter
+        // step, in the table for id lookups — and must agree.
+        for (id, leaf) in self.tree.leaves() {
+            for e in leaf.leaf_entries() {
+                let agrees = self.objects.get(e.oid).is_some_and(|slot| {
+                    e.locator == slot.run.start.offset
+                        && e.payload == slot.size
+                        && slot.run.len == u64::from(slot.size).div_ceil(PAGE_SIZE as u64)
+                        && e.mbr == slot.mbr
+                });
+                if !agrees {
+                    return Err(format!(
+                        "entry {e:?} in data page {id} is recorded as {:?}",
+                        self.objects.get(e.oid)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
+        let entries = records.iter().map(|r| r.leaf_entry(r.size_bytes)).collect();
+        StrPlan {
+            entries,
+            params: TilingParams::from_config(self.tree.config(), DEFAULT_STR_FILL),
+        }
+    }
+
     fn str_tree_region(&self) -> Option<RegionId> {
         Some(self.tree_region)
     }
 
-    fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
+    fn str_install(
+        &mut self,
+        _records: &[ObjectRecord],
+        mut tiles: Vec<Tile>,
+        params: &TilingParams,
+    ) {
         assert!(
             self.objects.is_empty(),
             "STR install requires an empty store"
         );
-        let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
-        for run in build.level_runs.iter().skip(1) {
-            self.disk.charge(IoKind::Write, *run, false);
-        }
-        // Size and MBR first; the file position follows in tile order.
-        let unplaced = PageRun::new(PageId::new(self.file_region, 0), 0);
-        let slot = |rec: &ObjectRecord| ObjectSlot {
-            run: unplaced,
-            size: rec.size_bytes,
-            mbr: rec.mbr,
-        };
-        self.objects =
-            ObjectTable::from_records(records.iter().map(|r| (r.oid, slot(r))).collect());
         // Lay the sequential file out in tile order: one sealed,
         // contiguous byte range per data page of the tree, written as
         // one sequential request. Spatially adjacent objects become
-        // file-adjacent — the big STR win for this organization.
-        for (_, leaf) in build.tree.leaves() {
+        // file-adjacent — the big STR win for this organization. The
+        // entries learn their pointers before the tree takes them.
+        let mut slots = Vec::with_capacity(tiles.iter().map(Vec::len).sum());
+        let mut tile_runs = Vec::with_capacity(tiles.len());
+        for tile in &mut tiles {
             let first = self.packer.pages_used();
-            for e in leaf.leaf_entries() {
-                let slot = self
-                    .objects
-                    .get_mut(e.oid)
-                    .expect("tile entry without record");
-                let placement = self.packer.place(u64::from(slot.size));
-                slot.run = PageRun::new(
-                    PageId::new(self.file_region, placement.first_page),
-                    placement.num_pages,
-                );
+            for e in tile {
+                slots.push((e.oid, self.place(e)));
             }
             self.packer.seal();
             let len = self.packer.pages_used() - first;
-            self.disk.charge(
-                IoKind::Write,
-                PageRun::new(PageId::new(self.file_region, first), len),
-                false,
-            );
+            tile_runs.push(PageRun::new(PageId::new(self.file_region, first), len));
         }
+        let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
+        for run in build.level_runs.iter().skip(1).chain(&tile_runs) {
+            self.disk.charge(IoKind::Write, *run, false);
+        }
+        self.objects = ObjectTable::from_records(slots);
         self.tree = build.tree;
     }
 }

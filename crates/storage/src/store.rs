@@ -339,10 +339,11 @@ pub trait SpatialStore: Send + Sync {
     }
 
     /// Plan an STR bulk load: one leaf entry per record, with the
-    /// payload the store accounts per entry (0 for the secondary and
-    /// memory organizations; the inline/overflow byte cost for the
-    /// primary; the exact size for the cluster), plus the tiling
-    /// capacities at [`DEFAULT_STR_FILL`].
+    /// payload the store accounts per entry (0 for the memory store
+    /// and by default; the inline/overflow byte cost for the primary
+    /// organization; the exact size for the cluster and secondary
+    /// organizations), plus the tiling capacities at
+    /// [`DEFAULT_STR_FILL`].
     ///
     /// Takes `&self`: a parallel driver plans once, then sorts and
     /// tiles on worker threads.

@@ -1,0 +1,154 @@
+//! The filter step reads where a candidate is, and how large, off its
+//! leaf entry; operations that start from an id read the same facts
+//! from the per-object table. This is the differential between the two:
+//! `window_query` (the entry path) against a tree walk plus one
+//! `fetch_object` / `object_size` per candidate (the table path), on
+//! insertion-built and STR-built stores that have since seen deletes and
+//! re-inserts. Same requests, same hits and misses, same bytes.
+
+use spatialdb_disk::Disk;
+use spatialdb_geom::Rect;
+use spatialdb_rtree::ObjectId;
+use spatialdb_storage::{
+    new_shared_pool, ObjectRecord, PrimaryOrganization, SecondaryOrganization, SpatialStore,
+    WindowTechnique,
+};
+
+/// xorshift64 — the storage crate has no dependency on the data crate's
+/// generator.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn unit(&mut self) -> f64 {
+        self.below(1 << 20) as f64 / (1 << 20) as f64
+    }
+}
+
+/// 1,500 objects, most of them a few hundred bytes, every 9th one
+/// larger than a page (several file pages in the secondary organization,
+/// an overflow object in the primary).
+fn records() -> Vec<ObjectRecord> {
+    let mut rng = Rng(0x1994_0024);
+    (0..1500u64)
+        .map(|i| {
+            let (x, y) = (rng.unit(), rng.unit());
+            let size = match i % 9 {
+                0 => 4100 + rng.below(9000),
+                _ => 200 + rng.below(1200),
+            };
+            let mbr = Rect::new(x, y, x + 0.02 * rng.unit(), y + 0.02 * rng.unit());
+            ObjectRecord::new(ObjectId(i), mbr, size as u32)
+        })
+        .collect()
+}
+
+/// Load `store` (STR or one insert per record), then delete 200 objects
+/// and insert them again: their entries re-enter the tree, their
+/// representations move to the end of the file.
+fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialStore> {
+    let records = records();
+    if str_built {
+        store.bulk_load_str(&records);
+    } else {
+        store.bulk_load(&records);
+    }
+    let mut rng = Rng(7);
+    let mut moved: Vec<u64> = (0..1500).collect();
+    for i in 0..200 {
+        moved.swap(i, i + rng.below(1500 - i as u64) as usize);
+    }
+    for &i in &moved[..200] {
+        assert!(store.delete(ObjectId(i)));
+    }
+    for &i in &moved[..200] {
+        store.insert(&records[i as usize]);
+    }
+    store.flush();
+    store.check_consistency().unwrap();
+    store.begin_query();
+    store
+}
+
+fn secondary() -> Box<dyn SpatialStore> {
+    let disk = Disk::with_defaults();
+    let pool = new_shared_pool(disk.clone(), 96);
+    Box::new(SecondaryOrganization::new(disk, pool))
+}
+
+fn primary() -> Box<dyn SpatialStore> {
+    let disk = Disk::with_defaults();
+    let pool = new_shared_pool(disk.clone(), 96);
+    Box::new(PrimaryOrganization::new(disk, pool))
+}
+
+fn windows() -> Vec<Rect> {
+    let mut rng = Rng(31);
+    (0..50)
+        .map(|_| {
+            let (x, y, side) = (rng.unit(), rng.unit(), 0.02 + 0.2 * rng.unit());
+            Rect::new(x, y, x + side, y + side)
+        })
+        .collect()
+}
+
+#[test]
+fn secondary_window_query_charges_what_the_table_path_charges() {
+    for str_built in [false, true] {
+        // Twins: every charge below hits two pools in the same state.
+        let by_entry = build(secondary(), str_built);
+        let by_table = build(secondary(), str_built);
+        assert_eq!(by_entry.disk().stats(), by_table.disk().stats());
+        for (k, window) in windows().iter().enumerate() {
+            let before = by_entry.disk().stats();
+            let stats = by_entry.window_query(window, WindowTechnique::Complete);
+            let entry_io = by_entry.disk().stats().since(&before);
+
+            let before = by_table.disk().stats();
+            let pool = by_table.pool();
+            let candidates = by_table.tree().window_entries(window, &mut pool.as_ref());
+            let mut bytes = 0;
+            for e in &candidates {
+                by_table.fetch_object(e.oid);
+                bytes += u64::from(by_table.object_size(e.oid));
+            }
+            let table_io = by_table.disk().stats().since(&before);
+
+            let at = format!("window {k}, STR-built: {str_built}");
+            assert_eq!(stats.candidates, candidates.len(), "{at}");
+            assert_eq!(entry_io, table_io, "{at}");
+            assert_eq!(stats.result_bytes, bytes, "{at}");
+        }
+    }
+}
+
+#[test]
+fn primary_window_query_reports_the_bytes_the_table_records() {
+    // `fetch_object` also touches the data page here, so only the byte
+    // count has a like-for-like table path.
+    for str_built in [false, true] {
+        let store = build(primary(), str_built);
+        let mut overflowing = 0;
+        for (k, window) in windows().iter().enumerate() {
+            let stats = store.window_query(window, WindowTechnique::Complete);
+            let candidates = store.window_candidates(window);
+            let sizes = candidates.iter().map(|e| store.object_size(e.oid));
+            let bytes: u64 = sizes.clone().map(u64::from).sum();
+            overflowing += sizes
+                .filter(|&s| s > PrimaryOrganization::inline_limit())
+                .count();
+            assert_eq!(stats.candidates, candidates.len());
+            assert_eq!(
+                stats.result_bytes, bytes,
+                "window {k}, STR-built: {str_built}"
+            );
+        }
+        assert!(overflowing > 0, "no window met an overflow object");
+    }
+}

@@ -98,7 +98,12 @@ fn map(id: MapId, objects: usize, seed: u64) -> Vec<(u64, Geometry)> {
         .collect()
 }
 
-fn measure(objects: usize) -> Cost {
+/// Load `objects` objects — with `fragmented`, then remove five of every
+/// seven (the victims below excepted), which dissolves data pages and
+/// their cluster units all over both page files (every 7th alone empties
+/// too few to leave holes) — and measure the commits and the snapshot
+/// after that.
+fn measure(objects: usize, fragmented: bool) -> Cost {
     let stored = map(MapId::Map1, objects, 1994);
     let victims: Vec<u64> = stored
         .iter()
@@ -117,8 +122,19 @@ fn measure(objects: usize) -> Cost {
 
     let ws = Workspace::new(1600);
     let mut db: SpatialDatabase = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
+    let holes = stored
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| fragmented && i % 7 < 5);
+    let holes = holes
+        .map(|(_, (id, _))| *id)
+        .filter(|id| !victims.contains(id));
+    let holes: Vec<u64> = holes.collect();
     ws.bulk_load_par(&mut db, stored, 1);
     db.finish_loading();
+    for id in &holes {
+        assert!(db.remove(*id));
+    }
 
     let ((), commit_bytes) = allocated_by(|| {
         for (id, geometry) in fresh {
@@ -128,7 +144,7 @@ fn measure(objects: usize) -> Cost {
             assert!(db.remove(*id));
         }
     });
-    assert_eq!(db.len(), objects);
+    assert_eq!(db.len(), objects - holes.len());
     let (copy, snapshot_bytes) = allocated_by(|| db.store().snapshot());
     drop(copy);
     Cost {
@@ -140,8 +156,8 @@ fn measure(objects: usize) -> Cost {
 // One test: the two sizes are compared with each other.
 #[test]
 fn commit_allocation_is_flat_in_store_size() {
-    let small = measure(10_000);
-    let large = measure(80_000);
+    let small = measure(10_000, false);
+    let large = measure(80_000, false);
     println!(
         "10k objects: {} B per {WRITES}+{WRITES} commits, snapshot {} B\n\
          80k objects: {} B per {WRITES}+{WRITES} commits, snapshot {} B",
@@ -159,5 +175,22 @@ fn commit_allocation_is_flat_in_store_size() {
         "snapshot() at 80k objects allocates {} B; the deep clone it replaced took {} B",
         large.snapshot_bytes,
         DEEP_CLONE_SNAPSHOT_BYTES_80K
+    );
+
+    // Three free lists ride every snapshot — the extent allocators of
+    // the tree's page file and of the buddy system's region, and the node
+    // store's freed slots: shared, they cost a refcount bump however many
+    // holes they list; cloned, this snapshot took 11,532 B.
+    let holes = measure(80_000, true);
+    println!(
+        "80k objects less 5 of every 7: {} B per {WRITES}+{WRITES} commits, snapshot {} B",
+        holes.commit_bytes, holes.snapshot_bytes
+    );
+    assert!(
+        holes.snapshot_bytes <= large.snapshot_bytes,
+        "snapshot() of the fragmented store allocates {} B, the unfragmented one {} B: \
+         something copies per hole again",
+        holes.snapshot_bytes,
+        large.snapshot_bytes
     );
 }
