@@ -1,19 +1,13 @@
 //! One validated configuration for a [`Workspace`](crate::Workspace).
 //!
 //! Every knob of the simulated machine — disk timing, buffer capacity,
-//! pool sharding and routing, adaptive quotas — is a field of
-//! [`EngineConfig`], a single builder that is validated as a whole
-//! before any resource exists:
+//! pool sharding — is a field of [`EngineConfig`], a single builder
+//! that is validated as a whole before any resource exists:
 //!
 //! ```
-//! use spatialdb::{EngineConfig, Routing, Workspace};
+//! use spatialdb::{EngineConfig, Workspace};
 //!
-//! let ws = Workspace::from_config(
-//!     EngineConfig::default()
-//!         .buffer_pages(1024)
-//!         .shards(8)
-//!         .routing(Routing::ByRegion),
-//! );
+//! let ws = Workspace::from_config(EngineConfig::default().buffer_pages(1024).shards(8));
 //! # let _ = ws;
 //! ```
 //!
@@ -21,7 +15,7 @@
 //! machine the queries charge: it belongs to the replay
 //! ([`OverlapConfig`](crate::OverlapConfig)).
 
-use spatialdb_disk::{DiskParams, Routing};
+use spatialdb_disk::DiskParams;
 
 /// Everything that shapes one simulated machine: disk timing, buffer
 /// capacity and pool sharding.
@@ -38,18 +32,10 @@ pub struct EngineConfig {
     /// Buffer pool capacity in pages. Must be nonzero and at least the
     /// shard count (each shard keeps a one-page floor).
     pub buffer_pages: usize,
-    /// Number of buffer-pool shards under the one capacity budget.
-    /// One shard (the default) reproduces the paper's figures
-    /// byte-for-byte.
+    /// Number of buffer-pool shards under the one capacity budget, each
+    /// an LRU of its fixed share, pages assigned by address hash. One
+    /// shard (the default) reproduces the paper's figures byte-for-byte.
     pub shards: usize,
-    /// How pages are routed to shards ([`Routing::ByPage`] hashes the
-    /// full page address; [`Routing::ByRegion`] keys whole regions so
-    /// each database file gets its own lock domain).
-    pub routing: Routing,
-    /// Adaptive shard quotas: a full shard may borrow unused headroom
-    /// from siblings, one page at a time, without a global lock. Off
-    /// (the default) is byte-identical to the static quotas.
-    pub adaptive_shards: bool,
 }
 
 impl Default for EngineConfig {
@@ -58,8 +44,6 @@ impl Default for EngineConfig {
             params: DiskParams::default(),
             buffer_pages: 512,
             shards: 1,
-            routing: Routing::ByPage,
-            adaptive_shards: false,
         }
     }
 }
@@ -83,20 +67,6 @@ impl EngineConfig {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Set the page → shard routing mode.
-    #[must_use]
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Enable adaptive shard quotas.
-    #[must_use]
-    pub fn adaptive_shards(mut self, on: bool) -> Self {
-        self.adaptive_shards = on;
         self
     }
 

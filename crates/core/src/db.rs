@@ -62,14 +62,13 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::executor::ExecPlan;
 use crate::query::{JoinQuery, Query};
-use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, PAGE_SIZE};
+use spatialdb_disk::{DepMutex, Disk, DiskHandle, IoStats, LockClass, ShardedPool, PAGE_SIZE};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
-    new_shared_pool_with_routing, ClusterConfig, ClusterOrganization, ObjectRecord, ObjectTable,
-    OrganizationKind, PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore,
-    WindowTechnique,
+    ClusterConfig, ClusterOrganization, ObjectRecord, ObjectTable, OrganizationKind,
+    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore, WindowTechnique,
 };
 use std::sync::Arc;
 
@@ -147,29 +146,14 @@ impl Workspace {
         Self::from_config(EngineConfig::default().buffer_pages(buffer_pages))
     }
 
-    /// Create a workspace with explicit disk parameters and a
-    /// single-shard pool.
-    pub fn with_params(params: DiskParams, buffer_pages: usize) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .params(params)
-                .buffer_pages(buffer_pages),
-        )
-    }
-
     /// Build the machine an [`EngineConfig`] describes — the one entry
     /// point for every configuration knob (disk timing, buffer
-    /// capacity, pool sharding and routing, adaptive quotas):
+    /// capacity, pool sharding):
     ///
     /// ```
-    /// use spatialdb::{EngineConfig, Routing, Workspace};
+    /// use spatialdb::{EngineConfig, Workspace};
     ///
-    /// let ws = Workspace::from_config(
-    ///     EngineConfig::default()
-    ///         .buffer_pages(1024)
-    ///         .shards(8)
-    ///         .routing(Routing::ByRegion),
-    /// );
+    /// let ws = Workspace::from_config(EngineConfig::default().buffer_pages(1024).shards(8));
     /// # let _ = ws;
     /// ```
     ///
@@ -192,17 +176,12 @@ impl Workspace {
     pub fn try_from_config(config: EngineConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let disk = Disk::new(config.params);
-        let pool = new_shared_pool_with_routing(
+        let pool = Arc::new(ShardedPool::with_shards(
             disk.clone(),
             config.buffer_pages,
             config.shards,
-            config.routing,
-        );
-        let ws = Workspace { disk, pool };
-        if config.adaptive_shards {
-            ws.pool.set_adaptive(true);
-        }
-        Ok(ws)
+        ));
+        Ok(Workspace { disk, pool })
     }
 
     /// The simulated disk.

@@ -31,7 +31,7 @@ use crate::query::Query;
 use crate::stream::{self, Op, OpOutcome};
 use spatialdb_disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArmPolicy, ArmStats,
-    ArrayConfig, IoStats, LatencyStats, QueryTrace, RotationModel, StripePolicy,
+    ArrayConfig, IoStats, LatencyStats, QueryTrace, StripePolicy,
 };
 use spatialdb_storage::QueryStats;
 use std::sync::Arc;
@@ -240,9 +240,6 @@ pub struct OverlapConfig {
     /// How regions map to arms (see
     /// [`StripePolicy`]).
     pub stripe: StripePolicy,
-    /// Rotational-latency model of the arms' timelines (the charged
-    /// accounting always stays on the flat §5.1 average).
-    pub rotation: RotationModel,
 }
 
 impl Default for OverlapConfig {
@@ -253,7 +250,6 @@ impl Default for OverlapConfig {
             arrival: Arrival::Burst,
             arms: 1,
             stripe: StripePolicy::RoundRobin,
-            rotation: RotationModel::FlatAverage,
         }
     }
 }
@@ -382,7 +378,6 @@ pub fn run_batch(queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> BatchOut
         arms: cfg.arms,
         stripe: cfg.stripe,
         policy: cfg.policy,
-        rotation: cfg.rotation,
     };
     let geometry = ArmGeometry::default();
     let (latency, arm_stats) = match cfg.arrival {

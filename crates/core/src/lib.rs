@@ -95,8 +95,7 @@ pub use spatialdb_storage as storage;
 
 pub use spatialdb_data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 pub use spatialdb_disk::{
-    ArmPolicy, ArmStats, Disk, DiskHandle, DiskParams, IoStats, LatencyStats, RotationModel,
-    Routing, StripePolicy,
+    ArmPolicy, ArmStats, Disk, DiskHandle, DiskParams, IoStats, LatencyStats, StripePolicy,
 };
 pub use spatialdb_geom::Geometry;
 pub use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};

@@ -164,40 +164,6 @@ impl ArmGeometry {
         let last = PageId::new(run.start.region, run.end_offset().saturating_sub(1));
         self.cylinder_in_band(band, &last)
     }
-
-    /// Starting angular position of a page's first sector within its
-    /// cylinder, as a fraction of one revolution in `[0, 1)` — the
-    /// target phase of the [`RotationModel::Sectored`] latency model.
-    pub fn sector_phase(&self, page: &PageId) -> f64 {
-        let pages = self.pages_per_cylinder.max(1);
-        (page.offset % pages) as f64 / pages as f64
-    }
-}
-
-/// How the arm's timeline charges rotational latency.
-///
-/// The **charged accounting** always stays on the paper's flat
-/// `t_l = 6 ms` average (§5.1) — the rotation model shapes only the
-/// simulated timeline, exactly like the distance-dependent
-/// [`SeekCurve`] does for seeks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RotationModel {
-    /// Every request waits the average rotational latency
-    /// (`params.latency_ms`). The default; keeps the timeline identical
-    /// to the PR-4 single-arm scheduler.
-    #[default]
-    FlatAverage,
-    /// The platter spins continuously at `period = 2 · latency_ms` per
-    /// revolution (so the *mean* delay over uniformly distributed
-    /// arrival angles is the paper's `latency_ms` — calibration is
-    /// built in). A request's rotational delay is the time until its
-    /// first sector ([`ArmGeometry::sector_phase`]) next passes under
-    /// the head after the seek completes: sequential same-cylinder
-    /// requests that land just behind the head pay almost a full
-    /// revolution, requests that arrive just ahead of their sector pay
-    /// almost nothing — the interaction \[SLM93\] assumes between SLM
-    /// bridging and the elevator.
-    Sectored,
 }
 
 /// Cumulative service statistics of one arm — the utilization /
@@ -414,7 +380,6 @@ pub struct DiskArm {
     /// (the elevator saw both at once), which is what licenses the
     /// same-cylinder charge merge.
     last_dispatch_start_ms: f64,
-    rotation: RotationModel,
     serviced: u64,
     busy_ms: f64,
     queue_wait_ms: f64,
@@ -435,17 +400,10 @@ impl DiskArm {
             pending: Vec::new(),
             next_id: 0,
             last_dispatch_start_ms: f64::NEG_INFINITY,
-            rotation: RotationModel::default(),
             serviced: 0,
             busy_ms: 0.0,
             queue_wait_ms: 0.0,
         }
-    }
-
-    /// Change the rotational model. Affects only future services; the
-    /// charged accounting always stays on the flat §5.1 average.
-    pub fn set_rotation(&mut self, rotation: RotationModel) {
-        self.rotation = rotation;
     }
 
     /// Cumulative service statistics (utilization, mean queue depth).
@@ -596,13 +554,10 @@ impl DiskArm {
         let effective_skip_seek = p.request.skip_seek || merged;
 
         let started_ms = self.clock_ms;
-        let latency_ms = match self.rotation {
-            RotationModel::FlatAverage => self.params.latency_ms,
-            RotationModel::Sectored => {
-                self.rotational_delay(started_ms + seek_ms, &p.request.run.start)
-            }
-        };
-        let service = seek_ms + latency_ms + self.params.transfer_ms * p.request.run.len as f64;
+        // Rotation: the paper's flat average `t_l` (§5.1), like the
+        // charged accounting.
+        let service =
+            seek_ms + self.params.latency_ms + self.params.transfer_ms * p.request.run.len as f64;
         let finished_ms = started_ms + service;
         if p.cylinder > self.head {
             self.sweep_up = true;
@@ -624,19 +579,6 @@ impl DiskArm {
             seek_ms,
             effective_skip_seek,
         })
-    }
-
-    /// Rotational delay of a request whose seek finishes at `ready_ms`:
-    /// the time until the request's first sector next passes under the
-    /// head, on a platter spinning one revolution per
-    /// `2 · latency_ms` (see [`RotationModel::Sectored`]).
-    fn rotational_delay(&self, ready_ms: f64, start: &PageId) -> f64 {
-        let period = 2.0 * self.params.latency_ms;
-        if period <= 0.0 {
-            return 0.0;
-        }
-        let target = self.geometry.sector_phase(start) * period;
-        (target - ready_ms.rem_euclid(period)).rem_euclid(period)
     }
 
     /// Finish time of the completion the next
@@ -886,16 +828,16 @@ mod tests {
 
     #[test]
     fn idle_arm_waits_for_future_arrivals() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Fcfs,
-        );
+        let params = DiskParams::default();
+        let mut arm = DiskArm::new(params, ArmGeometry::default(), ArmPolicy::Fcfs);
         arm.submit_at(read1(0, 0), 100.0);
         let c = arm.service_next().unwrap();
         assert_eq!(c.started_ms, 100.0);
         assert_eq!(c.queue_ms(), 0.0);
         assert!(arm.clock_ms() > 100.0);
+        // No seek from cylinder 0: the service is the flat average
+        // rotation plus one page's transfer, whatever the arrival time.
+        assert_eq!(c.service_ms(), params.latency_ms + params.transfer_ms);
     }
 
     #[test]
@@ -919,73 +861,6 @@ mod tests {
         let empty = LatencyStats::arriving_at(5.0);
         assert_eq!(empty.latency_ms(), 0.0);
         assert_eq!(empty.mean_queue_ms(), 0.0);
-    }
-
-    #[test]
-    fn sectored_rotation_mean_calibrates_to_flat_latency() {
-        // The same sector read at arrival phases sampling one full
-        // revolution (midpoint sampling, so the discrete mean equals
-        // the continuum mean exactly): the delays sweep the revolution
-        // and average to the paper's flat 6 ms — the calibration
-        // contract of the sectored model.
-        let params = DiskParams::default();
-        let geometry = ArmGeometry::default();
-        let period = 2.0 * params.latency_ms;
-        let samples = 32;
-        let mut total = 0.0;
-        for k in 0..samples {
-            let mut arm = DiskArm::new(params, geometry, ArmPolicy::Fcfs);
-            arm.set_rotation(RotationModel::Sectored);
-            let arrival = (k as f64 + 0.5) / samples as f64 * period;
-            arm.submit_at(read1(0, 0), arrival);
-            let c = arm.drain().pop().expect("one completion");
-            // service = seek(0) + rotation + transfer(1 page); the idle
-            // arm starts at the arrival instant, so the head's phase at
-            // readiness is exactly `arrival`.
-            let rotation = c.finished_ms - c.started_ms - params.transfer_ms;
-            assert!(
-                (0.0..period).contains(&rotation),
-                "rotation {rotation} outside one revolution"
-            );
-            total += rotation;
-        }
-        let mean = total / samples as f64;
-        assert!(
-            (mean - params.latency_ms).abs() < 1e-9,
-            "mean rotational delay {mean} != {} (calibration drifted)",
-            params.latency_ms
-        );
-    }
-
-    #[test]
-    fn sectored_rotation_depends_on_arrival_angle() {
-        // The same target sector reached at two different clock phases
-        // pays two different delays — and a request landing exactly on
-        // its sector pays zero.
-        let params = DiskParams::default();
-        let geometry = ArmGeometry::default();
-        let period = 2.0 * params.latency_ms;
-        let mut arm = DiskArm::new(params, geometry, ArmPolicy::Fcfs);
-        arm.set_rotation(RotationModel::Sectored);
-        // Offset 0 → target phase 0; ready at clock 0 → zero delay.
-        arm.submit_at(read1(0, 0), 0.0);
-        let first = arm.service_next().expect("completion");
-        assert_eq!(first.finished_ms - first.started_ms, params.transfer_ms);
-        // Same sector again: the head is mid-revolution now, so the
-        // arm waits for the platter to come around — a positive delay
-        // shorter than one revolution.
-        arm.submit_at(read1(0, 0), first.finished_ms);
-        let second = arm.service_next().expect("completion");
-        let delay = second.finished_ms - second.started_ms - params.transfer_ms;
-        assert!(delay > 0.0 && delay < period, "delay {delay}");
-        // And the flat default stays flat.
-        let mut flat = DiskArm::new(params, geometry, ArmPolicy::Fcfs);
-        flat.submit(read1(0, 0));
-        let c = flat.service_next().expect("completion");
-        assert_eq!(
-            c.finished_ms - c.started_ms,
-            params.latency_ms + params.transfer_ms
-        );
     }
 
     #[test]

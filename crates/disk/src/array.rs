@@ -24,7 +24,6 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::arm::{
     ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
-    RotationModel,
 };
 use crate::model::{DiskParams, RegionId};
 
@@ -93,9 +92,9 @@ impl StripePolicy {
     }
 }
 
-/// Shape of a [`DiskArray`]: arm count, stripe policy, per-arm queue
-/// ordering and rotational model. The default is a single elevator arm
-/// with the flat rotational average — exactly the PR-4 scheduler.
+/// Shape of a [`DiskArray`]: arm count, stripe policy and per-arm queue
+/// ordering. The default is a single elevator arm — exactly the PR-4
+/// scheduler.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ArrayConfig {
     /// Number of independent arms (0 is treated as 1).
@@ -104,8 +103,6 @@ pub struct ArrayConfig {
     pub stripe: StripePolicy,
     /// Queue ordering of every arm.
     pub policy: ArmPolicy,
-    /// Rotational-latency model of every arm's timeline.
-    pub rotation: RotationModel,
 }
 
 impl Default for ArrayConfig {
@@ -114,7 +111,6 @@ impl Default for ArrayConfig {
             arms: 1,
             stripe: StripePolicy::default(),
             policy: ArmPolicy::default(),
-            rotation: RotationModel::default(),
         }
     }
 }
@@ -140,11 +136,7 @@ impl DiskArray {
     /// Create an idle array per `config`, all heads at cylinder 0.
     pub fn new(params: DiskParams, geometry: ArmGeometry, config: ArrayConfig) -> Self {
         let arms = (0..config.arms.max(1))
-            .map(|_| {
-                let mut arm = DiskArm::new(params, geometry, config.policy);
-                arm.set_rotation(config.rotation);
-                arm
-            })
+            .map(|_| DiskArm::new(params, geometry, config.policy))
             .collect();
         DiskArray {
             geometry,
@@ -425,7 +417,6 @@ mod tests {
                     arms: 1,
                     stripe,
                     policy: ArmPolicy::Elevator,
-                    rotation: RotationModel::FlatAverage,
                 },
             );
             let reqs = [
@@ -456,7 +447,6 @@ mod tests {
                 arms: 2,
                 stripe: StripePolicy::RoundRobin,
                 policy: ArmPolicy::Fcfs,
-                rotation: RotationModel::FlatAverage,
             },
         );
         // Region 1 (arm 1): far cylinder → long seek. Region 0 (arm 0):
@@ -484,7 +474,6 @@ mod tests {
                 arms: 2,
                 stripe: StripePolicy::RoundRobin,
                 policy: ArmPolicy::Fcfs,
-                rotation: RotationModel::FlatAverage,
             },
         );
         let a1 = array.submit_at(read1(1, 0), 0.0); // arm 1, submitted first
@@ -504,7 +493,6 @@ mod tests {
                 arms: 4,
                 stripe: StripePolicy::RoundRobin,
                 policy: ArmPolicy::Elevator,
-                rotation: RotationModel::FlatAverage,
             },
         );
         for r in 0..8u16 {
@@ -559,7 +547,6 @@ mod tests {
                     arms: 1,
                     stripe,
                     policy: ArmPolicy::Elevator,
-                    rotation: RotationModel::FlatAverage,
                 },
                 4,
                 &traces,
@@ -595,7 +582,6 @@ mod tests {
                             arms,
                             stripe: ALL_POLICIES[trial % 3],
                             policy,
-                            rotation: RotationModel::FlatAverage,
                         };
                         let open = simulate_queries_striped(
                             DiskParams::default(),
@@ -741,7 +727,6 @@ mod tests {
                     arms,
                     stripe: StripePolicy::RoundRobin,
                     policy: ArmPolicy::Fcfs,
-                    rotation: RotationModel::FlatAverage,
                 },
             );
             for o in 0..6u64 {

@@ -89,12 +89,6 @@ impl BuddyConfig {
         &self.sizes
     }
 
-    /// Maximum unit size (`Smax` in pages).
-    #[inline]
-    pub fn max_size(&self) -> u64 {
-        self.sizes[0]
-    }
-
     /// Smallest allowed size that fits `pages`, or `None` if `pages`
     /// exceeds the maximum unit size.
     pub fn class_for(&self, pages: u64) -> Option<u64> {

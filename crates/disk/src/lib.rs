@@ -102,7 +102,7 @@ pub mod stats;
 pub use alloc::{ExtentAllocator, SequentialAllocator};
 pub use arm::{
     ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
-    RotationModel, SeekCurve,
+    SeekCurve,
 };
 pub use array::{
     simulate_queries_closed, simulate_queries_striped, ArrayConfig, DiskArray, StripePolicy,
@@ -113,5 +113,5 @@ pub use disk::{Disk, DiskHandle, ScratchTally};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
 pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};
 pub use schedule::{slm_gap_limit, slm_schedule, ScheduledRun};
-pub use shard::{Routing, ShardedPool};
+pub use shard::ShardedPool;
 pub use stats::{IoKind, IoStats};

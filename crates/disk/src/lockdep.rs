@@ -23,8 +23,7 @@
 //! below something already held (equal rank is allowed only for a
 //! strictly higher shard index). `try_*` acquisitions are **exempt from
 //! the hierarchy as acquirers** — a try-lock never waits, so it can
-//! never close a deadlock cycle (this is what makes the adaptive-quota
-//! steal/decay probing safe) — but the locks they *hold* still count
+//! never close a deadlock cycle — but the locks they *hold* still count
 //! against later blocking acquisitions on the same thread: blocking on
 //! a lower rank while holding a try-taken higher lock is a real
 //! inversion and is flagged.
@@ -501,9 +500,8 @@ mod tests {
 
     #[test]
     fn try_acquire_is_exempt_as_acquirer() {
-        // The adaptive-quota paths probe *lower-or-equal* classes with
-        // try_lock while holding a shard; a try acquisition never waits,
-        // so this must pass.
+        // A try acquisition of a *lower-or-equal* class while holding a
+        // shard never waits, so this must pass.
         let s5 = DepMutex::new(LockClass::Shard(5), ());
         let s2 = DepMutex::new(LockClass::Shard(2), ());
         let _g5 = s5.acquire();

@@ -3,9 +3,8 @@
 //!
 //! Behind a single lock every concurrent page access serializes.
 //! [`ShardedPool`] splits the *replacement state* by page hash so that
-//! readers touching disjoint pages contend only on their shard's lock
-//! (cf. the directory-per-region buffers of classic multi-user
-//! grid-file systems), while the disk accounting stays global.
+//! readers touching disjoint pages contend only on their shard's lock,
+//! while the disk accounting stays global.
 //!
 //! ## The stats-determinism contract
 //!
@@ -17,13 +16,17 @@
 //!   pool the test module keeps, for any single-threaded operation
 //!   sequence (asserted by the mirror test below). This is the
 //!   configuration the paper's figures run under.
-//! * **N shards**: the capacity budget is split into per-shard quotas
-//!   (rebalanced on [`reset`](ShardedPool::reset)), so the total
+//! * **N shards**: the capacity budget is split into fixed per-shard
+//!   quotas (rebalanced on [`reset`](ShardedPool::reset)), so the total
 //!   buffered pages never exceed the budget, and every page access is
 //!   still classified hit-or-miss exactly once — but *which* accesses
 //!   hit depends on the per-shard LRU horizon, so `io_ms` may differ
-//!   from the 1-shard figure. Use N > 1 for concurrent-throughput
-//!   workloads, 1 shard to reproduce the paper.
+//!   from the 1-shard figure. Each shard behaves exactly like a
+//!   single-lock pool of its quota over the pages that hash to it
+//!   (asserted by the N-shard mirror test below). Every shard keeps at
+//!   least one page, so a nonzero budget smaller than the shard count
+//!   is rejected. Use N > 1 for concurrent-throughput workloads, 1
+//!   shard to reproduce the paper.
 //!
 //! Lock discipline: an operation holds at most one shard lock at a
 //! time, except the stop-the-world operations ([`flush`](ShardedPool::flush),
@@ -33,10 +36,7 @@
 //! counter mutex is only ever taken *under* shard locks, never the
 //! reverse. This ordering is acyclic, so the pool cannot deadlock; it
 //! is machine-checked in debug builds by [`lockdep`](crate::lockdep)
-//! (each shard is [`LockClass::Shard`]`(i)`, and the adaptive-quota
-//! steal/decay probes are `try_acquire`-only — never blocking with a
-//! shard lock held, so they are exempt from the hierarchy as
-//! acquirers).
+//! (each shard is [`LockClass::Shard`]`(i)`).
 
 use crate::buffer::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
 use crate::disk::DiskHandle;
@@ -53,43 +53,17 @@ thread_local! {
     static MISSING: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// What one insert evicted from a shard: how many pages, and which of
-/// them were dirty and await their write-back charge. Clean victims are
-/// only counted, so a read miss on a full pool allocates nothing.
-#[derive(Default)]
-struct Evictions {
-    count: u64,
-    dirty: Vec<PageId>,
-}
-
-impl Evictions {
-    fn of_insert(shard: &mut LruBuffer, page: PageId, dirty: bool) -> Self {
-        let mut evicted = Evictions::default();
-        shard.insert_with(page, dirty, |victim, was_dirty| {
-            evicted.count += 1;
-            if was_dirty {
-                evicted.dirty.push(victim);
-            }
-        });
-        evicted
-    }
-}
-
-/// How pages are routed to shards.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Routing {
-    /// Hash the full page address (region, offset): spreads every
-    /// region's pages across all shards — the finest spreading, the
-    /// default.
-    #[default]
-    ByPage,
-    /// Hash the region only: **all pages of one region share one
-    /// shard**, giving each database file its own lock domain (the
-    /// directory-per-region design of classic multi-user grid-file
-    /// systems). Workloads partitioned by database/file never contend;
-    /// the cost is coarser spreading — a single hot region serializes
-    /// on its one shard lock.
-    ByRegion,
+/// Insert `page` into `shard` (touching it if resident), returning the
+/// dirty victims that await their write-back charge. Clean victims cost
+/// nothing, so a read miss on a full pool allocates nothing.
+fn insert_evicting(shard: &mut LruBuffer, page: PageId, dirty: bool) -> Vec<PageId> {
+    let mut dirty_victims = Vec::new();
+    shard.insert_with(page, dirty, |victim, was_dirty| {
+        if was_dirty {
+            dirty_victims.push(victim);
+        }
+    });
+    dirty_victims
 }
 
 /// An LRU page buffer sharded by page hash, safe to drive from `&self`
@@ -102,7 +76,6 @@ pub enum Routing {
 #[derive(Debug)]
 pub struct ShardedPool {
     disk: DiskHandle,
-    routing: Routing,
     shards: Box<[DepMutex<LruBuffer>]>,
     /// Total capacity budget in pages (sum of the per-shard quotas).
     capacity: AtomicUsize,
@@ -114,25 +87,22 @@ pub struct ShardedPool {
     /// Shard-lock acquisitions that found the lock held by another
     /// thread (the contention the sharding exists to eliminate).
     contended: AtomicU64,
-    /// Adaptive quotas: a shard about to evict may steal free headroom
-    /// from another shard (see [`ShardedPool::set_adaptive`]).
-    adaptive: AtomicBool,
-    /// Global eviction counter (pages evicted to make room); the clock
-    /// of the adaptive-quota decay. One *eviction cycle* is
-    /// `num_shards` ticks — on average every shard evicted once.
-    evictions: AtomicU64,
-    /// Per-shard: eviction-counter reading when the shard last needed
-    /// its entire (possibly borrowed) capacity. A borrower whose stamp
-    /// falls a full cycle behind has idle stolen quota and decays one
-    /// page back to a lender (see
-    /// [`grow_if_adaptive`](ShardedPool::grow_if_adaptive)).
-    quota_used: Box<[AtomicU64]>,
 }
 
 /// Per-shard quota of a `capacity`-page budget split `n` ways: the
 /// first `capacity % n` shards take the remainder pages.
 fn quota(capacity: usize, n: usize, shard: usize) -> usize {
     capacity / n + usize::from(shard < capacity % n)
+}
+
+/// A shard with quota 0 retains nothing, so its dirty inserts would
+/// vanish uncharged: a nonzero budget must give every shard a page.
+/// (A zero budget is the unbuffered pool, which writes through.)
+fn assert_every_shard_gets_a_page(capacity: usize, shards: usize) {
+    assert!(
+        capacity == 0 || capacity >= shards,
+        "a {capacity}-page budget cannot give each of {shards} shards a page"
+    );
 }
 
 impl ShardedPool {
@@ -145,34 +115,24 @@ impl ShardedPool {
 
     /// Create a pool of `capacity` total pages split across `shards`
     /// page-hash shards (at least one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `0 < capacity < shards`: some shard would get no page.
     pub fn with_shards(disk: DiskHandle, capacity: usize, shards: usize) -> Self {
-        Self::with_routing(disk, capacity, shards, Routing::ByPage)
-    }
-
-    /// Create a pool with an explicit shard [`Routing`] mode.
-    pub fn with_routing(
-        disk: DiskHandle,
-        capacity: usize,
-        shards: usize,
-        routing: Routing,
-    ) -> Self {
         let n = shards.max(1);
-        let quota_used: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        assert_every_shard_gets_a_page(capacity, n);
         let shards: Vec<DepMutex<LruBuffer>> = (0..n)
             .map(|i| DepMutex::new(LockClass::Shard(i), LruBuffer::new(quota(capacity, n, i))))
             .collect();
         ShardedPool {
             disk,
-            routing,
             shards: shards.into_boxed_slice(),
             capacity: AtomicUsize::new(capacity),
             write_through: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contended: AtomicU64::new(0),
-            adaptive: AtomicBool::new(false),
-            evictions: AtomicU64::new(0),
-            quota_used: quota_used.into_boxed_slice(),
         }
     }
 
@@ -188,42 +148,11 @@ impl ShardedPool {
         self.capacity.load(Ordering::Acquire)
     }
 
-    /// Current capacity quota of one shard. Equals the static split
-    /// `quota(capacity, n, shard)` unless adaptive quotas have moved
-    /// headroom between shards; the sum over all shards always equals
-    /// [`capacity`](ShardedPool::capacity).
+    /// Capacity quota of one shard: the budget split evenly, the first
+    /// `capacity % n` shards taking one remainder page each. The sum
+    /// over all shards equals [`capacity`](ShardedPool::capacity).
     pub fn shard_capacity(&self, shard: usize) -> usize {
         self.shards[shard].acquire().capacity()
-    }
-
-    /// Enable or disable **adaptive shard quotas** (default: off).
-    ///
-    /// When on, a shard that is full at insert time steals one page of
-    /// *free* headroom (quota not backed by a resident page) from
-    /// another shard instead of evicting — a hot shard grows at the
-    /// expense of cold ones, LRU-horizon-wise approaching the
-    /// single-lock pool while keeping per-shard locking. There is no
-    /// global lock: the stealing shard probes donors with `try_lock`
-    /// one at a time (skipping any it would have to wait for), and
-    /// each transfer is a `-1` on the donor / `+1` on the thief, so
-    /// the per-shard capacities always sum to the global budget (the
-    /// conservation invariant; donors only shrink within their free
-    /// headroom, so a steal never evicts anything).
-    ///
-    /// Borrowed headroom flows back on its own: stolen quota a
-    /// borrower leaves unused for a full eviction cycle decays one
-    /// page per cycle to a shard below its static split, and
-    /// [`reset`](ShardedPool::reset) /
-    /// [`invalidate_all`](ShardedPool::invalidate_all) restore the
-    /// static split wholesale. With the feature off (the default) the
-    /// pool is byte-identical to the fixed-quota pool.
-    pub fn set_adaptive(&self, on: bool) {
-        self.adaptive.store(on, Ordering::Release);
-    }
-
-    /// Whether adaptive shard quotas are active.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive.load(Ordering::Acquire)
     }
 
     /// The underlying disk handle.
@@ -277,148 +206,30 @@ impl ShardedPool {
         self.contended.load(Ordering::Relaxed)
     }
 
-    /// The routing mode (fixed at construction).
-    #[inline]
-    pub fn routing(&self) -> Routing {
-        self.routing
-    }
-
-    /// Shard index of a page (constant 0 for a 1-shard pool, so the
-    /// single shard sees the exact global access order). Public for
-    /// diagnostics and the routing benchmarks.
+    /// Shard index of a page: a hash of the full page address
+    /// (region, offset), so every region's pages spread across all
+    /// shards (constant 0 for a 1-shard pool, so the single shard sees
+    /// the exact global access order). Public for diagnostics.
     #[inline]
     pub fn shard_of(&self, page: &PageId) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
-        let key = match self.routing {
-            Routing::ByPage => ((page.region.0 as u64) << 48) ^ page.offset,
-            Routing::ByRegion => page.region.0 as u64,
-        };
+        let key = ((page.region.0 as u64) << 48) ^ page.offset;
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((mixed >> 32) as usize) % self.shards.len()
     }
 
+    /// Lock the page's shard, counting the acquisition as contended if
+    /// another thread holds it.
     #[inline]
     fn shard(&self, page: &PageId) -> DepGuard<'_, LruBuffer> {
-        self.shard_at(self.shard_of(page))
-    }
-
-    #[inline]
-    fn shard_at(&self, index: usize) -> DepGuard<'_, LruBuffer> {
-        let mutex = &self.shards[index];
+        let mutex = &self.shards[self.shard_of(page)];
         match mutex.try_acquire() {
             Some(guard) => guard,
             None => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
                 mutex.acquire()
-            }
-        }
-    }
-
-    /// Steal one page of free headroom from some other shard for shard
-    /// `thief` (whose lock the caller holds). Donors are probed with
-    /// `try_lock` only — never blocking while a shard lock is held, so
-    /// two concurrent thieves cannot deadlock — and a donor qualifies
-    /// only if its quota exceeds the floor of one page *and* it has a
-    /// free (unoccupied) quota page, so shrinking it evicts nothing.
-    /// Returns `true` if a page of quota was transferred to the caller
-    /// (who must grow its shard by one to conserve the budget).
-    fn steal_quota(&self, thief: usize) -> bool {
-        let n = self.shards.len();
-        for step in 1..n {
-            let candidate = (thief + step) % n;
-            if let Some(mut donor) = self.shards[candidate].try_acquire() {
-                let cap = donor.capacity();
-                if cap > 1 && donor.len() < cap {
-                    let ev = donor.set_capacity(cap - 1);
-                    debug_assert!(ev.is_empty(), "donor shrink within free headroom");
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Grow `shard` (index `index`, lock held by the caller) by stolen
-    /// quota until it can take one more page without evicting, when
-    /// adaptive quotas are on. Falls back to normal eviction when no
-    /// donor has free headroom.
-    ///
-    /// A shard that arrives here full is *using* its whole capacity,
-    /// borrowed headroom included, so its decay clock restarts.
-    fn grow_if_adaptive(&self, index: usize, shard: &mut LruBuffer) {
-        if !self.adaptive.load(Ordering::Acquire) {
-            return;
-        }
-        if shard.len() >= shard.capacity() {
-            self.quota_used[index].store(self.evictions.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        while shard.len() >= shard.capacity() && self.steal_quota(index) {
-            let cap = shard.capacity();
-            shard.set_capacity(cap + 1);
-        }
-    }
-
-    /// **Adaptive-quota decay**: stolen quota that goes unused for a
-    /// full eviction cycle flows back to the lenders.
-    ///
-    /// A borrower (capacity above its static split) whose decay clock
-    /// ([`quota_used`](Self::quota_used)) has fallen at least
-    /// `num_shards` global evictions behind — it never filled up for a
-    /// whole cycle while the rest of the pool was under replacement
-    /// pressure — returns one page of its *free* headroom per cycle to
-    /// a shard below its static quota. Quota is fungible, so the page
-    /// goes to the currently most-shorted lender reachable without
-    /// blocking, not necessarily the original donor.
-    ///
-    /// Locking: the borrower and the lender are both probed with
-    /// `try_lock` (never blocking, so this cannot deadlock with
-    /// thieves or other decayers), and **both guards are held across
-    /// the transfer** — any observer summing
-    /// [`shard_capacity`](ShardedPool::shard_capacity) blocks on one
-    /// of them until the `-1`/`+1` pair lands, so the per-shard
-    /// capacities sum to the global budget at every observable point
-    /// (the conservation invariant). The borrower shrinks within free
-    /// headroom, so the decay never evicts anything.
-    ///
-    /// Called from the insert path with no shard lock held; at most one
-    /// page moves per call.
-    fn decay_idle_quota(&self) {
-        if !self.adaptive.load(Ordering::Acquire) {
-            return;
-        }
-        let n = self.shards.len();
-        let capacity = self.capacity();
-        let now = self.evictions.load(Ordering::Relaxed);
-        let cycle = n as u64;
-        for i in 0..n {
-            // Cheap unsynchronized pre-check before touching any lock.
-            if now.saturating_sub(self.quota_used[i].load(Ordering::Relaxed)) < cycle {
-                continue;
-            }
-            let Some(mut borrower) = self.shards[i].try_acquire() else {
-                continue;
-            };
-            let cap = borrower.capacity();
-            if cap <= quota(capacity, n, i) || borrower.len() >= cap {
-                continue; // not a borrower, or its headroom is in use
-            }
-            for step in 1..n {
-                let j = (i + step) % n;
-                let Some(mut lender) = self.shards[j].try_acquire() else {
-                    continue;
-                };
-                if lender.capacity() >= quota(capacity, n, j) {
-                    continue; // not short of its static split
-                }
-                let grown = lender.capacity() + 1;
-                lender.set_capacity(grown);
-                let ev = borrower.set_capacity(cap - 1);
-                debug_assert!(ev.is_empty(), "borrower shrink within free headroom");
-                // One page per cycle: restart the borrower's clock.
-                self.quota_used[i].store(now, Ordering::Relaxed);
-                return;
             }
         }
     }
@@ -430,33 +241,19 @@ impl ShardedPool {
     }
 
     /// Charge the writebacks of dirty evictions (clean evictions are
-    /// free), exactly like the single-lock pool. Every evicted page
-    /// also ticks the global eviction counter driving the
-    /// adaptive-quota decay clock.
-    fn charge_evictions(&self, evicted: Evictions) {
-        if evicted.count > 0 {
-            self.evictions.fetch_add(evicted.count, Ordering::Relaxed);
-        }
-        for page in evicted.dirty {
+    /// free), exactly like the single-lock pool.
+    fn charge_evictions(&self, dirty_victims: Vec<PageId>) {
+        for page in dirty_victims {
             self.disk
                 .charge(IoKind::Write, PageRun::new(page, 1), false);
         }
     }
 
-    /// Insert into the page's shard, charging dirty evictions. Under
-    /// adaptive quotas a full shard first tries to steal headroom so
-    /// the insert doesn't evict.
+    /// Insert into the page's shard (touching it if resident), charging
+    /// dirty evictions.
     fn insert_charged(&self, page: PageId, dirty: bool) {
-        let index = self.shard_of(&page);
-        let ev = {
-            let mut shard = self.shard_at(index);
-            if !shard.contains(&page) {
-                self.grow_if_adaptive(index, &mut shard);
-            }
-            Evictions::of_insert(&mut shard, page, dirty)
-        };
+        let ev = insert_evicting(&mut self.shard(&page), page, dirty);
         self.charge_evictions(ev);
-        self.decay_idle_quota();
     }
 
     /// Read a single page. Returns `true` on a buffer hit.
@@ -504,16 +301,14 @@ impl ShardedPool {
                 .charge(IoKind::Write, PageRun::new(page, 1), false);
             return false;
         }
-        let index = self.shard_of(&page);
-        let mut shard = self.shard_at(index);
+        let mut shard = self.shard(&page);
         let hit = shard.touch(&page);
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.disk.charge(IoKind::Read, PageRun::new(page, 1), false);
-            self.grow_if_adaptive(index, &mut shard);
-            let ev = Evictions::of_insert(&mut shard, page, false);
+            let ev = insert_evicting(&mut shard, page, false);
             self.charge_evictions(ev);
         }
         if self.write_through() {
@@ -584,7 +379,7 @@ impl ShardedPool {
             let ev = {
                 let mut shard = self.shard(&p);
                 let quota = shard.capacity();
-                let ev = Evictions::of_insert(&mut shard, p, false);
+                let ev = insert_evicting(&mut shard, p, false);
                 if shard.len() > quota {
                     // Eviction failed (everything pinned): revert the
                     // insert rather than exceed the budget.
@@ -633,11 +428,7 @@ impl ShardedPool {
             return out;
         }
         for p in extent.pages() {
-            let already = {
-                let mut shard = self.shard(&p);
-                shard.touch(&p)
-            };
-            if already {
+            if self.shard(&p).touch(&p) {
                 out.buffer_hits += 1;
             } else {
                 self.insert_charged(p, false);
@@ -691,17 +482,7 @@ impl ShardedPool {
                 if mode == ReadMode::Vector && !requested {
                     continue;
                 }
-                let p = extent.page(off);
-                let index = self.shard_of(&p);
-                let mut shard = self.shard_at(index);
-                if !shard.contains(&p) {
-                    self.grow_if_adaptive(index, &mut shard);
-                    let ev = Evictions::of_insert(&mut shard, p, false);
-                    drop(shard);
-                    self.charge_evictions(ev);
-                } else {
-                    shard.touch(&p);
-                }
+                self.insert_charged(extent.page(off), false);
             }
         }
         out
@@ -799,11 +580,17 @@ impl ShardedPool {
     /// rebalancing the per-shard quotas (the buffer-size sweeps of
     /// Figures 14 and 16 resize between runs). Dirty pages are written
     /// back first, like [`invalidate_all`](ShardedPool::invalidate_all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `0 < capacity < num_shards()`: some shard would get no
+    /// page.
     pub fn reset(&self, capacity: usize) {
+        let n = self.shards.len();
+        assert_every_shard_gets_a_page(capacity, n);
         let mut guards = self.lock_all();
         self.flush_locked(&mut guards);
         self.capacity.store(capacity, Ordering::Release);
-        let n = guards.len();
         for (i, g) in guards.iter_mut().enumerate() {
             **g = LruBuffer::new(quota(capacity, n, i));
         }
@@ -828,6 +615,9 @@ mod tests {
             for n in [1usize, 2, 3, 4, 8, 16] {
                 let total: usize = (0..n).map(|i| quota(cap, n, i)).sum();
                 assert_eq!(total, cap, "capacity {cap} over {n} shards");
+                if cap > 0 && cap < n {
+                    continue; // rejected: some shard would get no page
+                }
                 let pool = ShardedPool::with_shards(Disk::with_defaults(), cap, n);
                 let total: usize = (0..n).map(|i| pool.shard_capacity(i)).sum();
                 assert_eq!(total, cap);
@@ -835,97 +625,101 @@ mod tests {
         }
     }
 
-    /// The adaptive-quota conservation invariant: a hot shard borrows
-    /// free headroom from cold shards, and the per-shard capacities
-    /// still sum to the global budget at every rest point.
+    /// A shard with quota 0 retains nothing, so a dirty insert into it
+    /// vanished without its write ever being charged. A nonzero budget
+    /// smaller than the shard count is refused, at construction and on
+    /// reset.
     #[test]
-    fn adaptive_quotas_conserve_capacity() {
-        let pool = ShardedPool::with_routing(Disk::with_defaults(), 64, 8, Routing::ByRegion);
-        pool.set_adaptive(true);
-        let n = pool.num_shards();
-        let static_quota = pool.shard_capacity(0);
-        assert_eq!(static_quota, 8);
-        // Touch every region lightly: each shard holds a couple of cold
-        // pages, far below its quota.
-        for r in 0..8u16 {
-            for o in 0..2u64 {
-                pool.read_page(pg(r, o));
+    fn budget_below_shard_count_is_rejected() {
+        let rejected = |f: fn()| std::thread::spawn(f).join().is_err();
+        assert!(rejected(|| {
+            ShardedPool::with_shards(Disk::with_defaults(), 4, 8);
+        }));
+        assert!(rejected(|| {
+            ShardedPool::with_shards(Disk::with_defaults(), 64, 8).reset(3);
+        }));
+        // The floor itself, and the unbuffered pool, are fine: every
+        // write is charged.
+        for (cap, n) in [(8usize, 8usize), (0, 8)] {
+            let disk = Disk::with_defaults();
+            let r = disk.create_region("data");
+            let pool = ShardedPool::with_shards(disk.clone(), cap, n);
+            for o in 0..64u64 {
+                pool.write_page(PageId::new(r, o));
             }
-        }
-        // Hammer one region: under ByRegion routing all its pages land
-        // on one shard, which must outgrow its static quota by stealing
-        // headroom instead of thrashing its own LRU.
-        let hot = pg(0, 0);
-        let hot_shard = pool.shard_of(&hot);
-        for o in 0..48u64 {
-            pool.read_page(pg(0, o));
-        }
-        let caps: Vec<usize> = (0..n).map(|i| pool.shard_capacity(i)).collect();
-        assert_eq!(
-            caps.iter().sum::<usize>(),
-            pool.capacity(),
-            "capacities must sum to the budget: {caps:?}"
-        );
-        assert!(
-            caps[hot_shard] > static_quota,
-            "hot shard never borrowed: {caps:?}"
-        );
-        assert!(caps.iter().all(|&c| c >= 1), "a donor fell below the floor");
-        assert!(pool.len() <= pool.capacity());
-        // Re-reading the hot region now hits: the borrowed headroom
-        // actually widened the hot shard's LRU horizon.
-        let misses_before = pool.misses();
-        for o in 0..48u64 {
-            pool.read_page(pg(0, o));
-        }
-        assert_eq!(pool.misses(), misses_before, "hot set no longer resident");
-        // Reset restores the static split.
-        pool.reset(64);
-        for i in 0..n {
-            assert_eq!(pool.shard_capacity(i), quota(64, n, i));
+            pool.flush();
+            assert_eq!(disk.stats().pages_written, 64, "{cap} pages, {n} shards");
         }
     }
 
-    /// Concurrent thieves: adaptive borrowing from many threads keeps
-    /// the budget conserved and never overflows total occupancy.
+    /// N shards are N independent single-lock pools sharing one disk:
+    /// shard `i` is a [`BufferPool`] of `quota(cap, n, i)` pages over
+    /// the pages [`shard_of`](ShardedPool::shard_of) sends it. Same
+    /// return values, same disk stats after every operation, same
+    /// occupancy per shard — which pins what each shard evicts.
     #[test]
-    fn adaptive_quotas_survive_concurrent_borrowing() {
-        let pool = std::sync::Arc::new(ShardedPool::with_routing(
-            Disk::with_defaults(),
-            96,
-            8,
-            Routing::ByRegion,
-        ));
-        pool.set_adaptive(true);
-        std::thread::scope(|s| {
-            for t in 0..4u16 {
-                let pool = std::sync::Arc::clone(&pool);
-                s.spawn(move || {
-                    let mut rng = Rng(0xADA7_0000 + t as u64 + 1);
-                    for _ in 0..2000 {
-                        let r = rng.below(8) as u16;
-                        pool.read_page(pg(r, rng.below(40)));
+    fn n_shards_mirror_independent_reference_pools() {
+        for n in [2usize, 4, 8] {
+            for cap in [8usize, 37] {
+                let disk_a = Disk::with_defaults();
+                let disk_b = Disk::with_defaults();
+                let ra = disk_a.create_region("mirror");
+                assert_eq!(ra, disk_b.create_region("mirror"));
+                let mut reference: Vec<BufferPool> = (0..n)
+                    .map(|i| BufferPool::new(disk_a.clone(), quota(cap, n, i)))
+                    .collect();
+                let sharded = ShardedPool::with_shards(disk_b.clone(), cap, n);
+                let mut rng = Rng(0x1994_0025 + (n * 100 + cap) as u64);
+                for step in 0..4000u32 {
+                    let page = pg(0, rng.below(96));
+                    let pool = &mut reference[sharded.shard_of(&page)];
+                    match rng.below(10) {
+                        0..=2 => assert_eq!(
+                            pool.read_page(page),
+                            sharded.read_page(page),
+                            "{n} shards, {cap} pages, step {step}"
+                        ),
+                        3..=4 => {
+                            pool.write_page(page);
+                            sharded.write_page(page);
+                        }
+                        5..=6 => assert_eq!(
+                            pool.update_page(page),
+                            sharded.update_page(page),
+                            "{n} shards, {cap} pages, step {step}"
+                        ),
+                        7..=8 => assert_eq!(
+                            pool.remove_page(&page),
+                            sharded.remove_page(&page),
+                            "{n} shards, {cap} pages, step {step}"
+                        ),
+                        _ => {
+                            let on = rng.below(2) == 0;
+                            for pool in &mut reference {
+                                pool.set_write_through(on);
+                            }
+                            sharded.set_write_through(on);
+                        }
                     }
-                });
+                    assert_eq!(
+                        disk_a.stats(),
+                        disk_b.stats(),
+                        "{n} shards, {cap} pages: stats diverged after step {step}"
+                    );
+                    for (i, pool) in reference.iter().enumerate() {
+                        assert_eq!(
+                            pool.buffer().len(),
+                            sharded.shards[i].acquire().len(),
+                            "{n} shards, {cap} pages, shard {i}, step {step}"
+                        );
+                    }
+                }
+                // The sequence evicted dirty pages, not just read.
+                assert!(
+                    disk_a.stats().pages_written > 100,
+                    "{n} shards, {cap} pages"
+                );
             }
-        });
-        let n = pool.num_shards();
-        let caps: Vec<usize> = (0..n).map(|i| pool.shard_capacity(i)).collect();
-        assert_eq!(caps.iter().sum::<usize>(), pool.capacity(), "{caps:?}");
-        assert!(pool.len() <= pool.capacity());
-        assert_eq!(pool.hits() + pool.misses(), 4 * 2000);
-    }
-
-    /// With the feature off (the default) nothing moves: the quotas
-    /// stay on the static split whatever the workload.
-    #[test]
-    fn adaptive_off_keeps_static_quotas() {
-        let pool = ShardedPool::with_routing(Disk::with_defaults(), 64, 8, Routing::ByRegion);
-        for o in 0..200u64 {
-            pool.read_page(pg(0, o));
-        }
-        for i in 0..pool.num_shards() {
-            assert_eq!(pool.shard_capacity(i), quota(64, 8, i));
         }
     }
 
@@ -1187,103 +981,8 @@ mod tests {
     }
 
     #[test]
-    fn region_routing_gives_each_region_one_shard() {
-        let disk = Disk::with_defaults();
-        for r in 0..8u16 {
-            disk.create_region("r");
-            let _ = r;
-        }
-        let pool = ShardedPool::with_routing(disk.clone(), 64, 8, Routing::ByRegion);
-        assert_eq!(pool.routing(), Routing::ByRegion);
-        let mut used = std::collections::HashSet::new();
-        for r in 0..8u16 {
-            let home = pool.shard_of(&pg(r, 0));
-            for o in 1..200u64 {
-                assert_eq!(
-                    pool.shard_of(&pg(r, o)),
-                    home,
-                    "region {r} split across shards"
-                );
-            }
-            used.insert(home);
-        }
-        // The region hash spreads distinct regions over several shards.
-        assert!(used.len() > 2, "all regions collapsed onto {used:?}");
-        // ByPage spreads one region's pages over many shards.
-        let by_page = ShardedPool::with_shards(disk, 64, 8);
-        assert_eq!(by_page.routing(), Routing::ByPage);
-        let spread: std::collections::HashSet<usize> =
-            (0..200u64).map(|o| by_page.shard_of(&pg(0, o))).collect();
-        assert!(spread.len() > 2);
-    }
-
-    #[test]
-    fn routing_preserves_stats_for_fixed_sequence() {
-        // Same deterministic access sequence under both routings:
-        // hit/miss totals are conserved and, with the working set within
-        // every quota, the charged stats are identical.
-        let run = |routing| {
-            let disk = Disk::with_defaults();
-            let regions: Vec<_> = (0..4).map(|_| disk.create_region("r")).collect();
-            let pool = ShardedPool::with_routing(disk.clone(), 512, 4, routing);
-            for pass in 0..3u64 {
-                for &r in &regions {
-                    for o in 0..32u64 {
-                        pool.read_page(PageId::new(r, (o * 7 + pass) % 40));
-                    }
-                }
-            }
-            (pool.hits() + pool.misses(), disk.stats())
-        };
-        let (total_a, stats_a) = run(Routing::ByPage);
-        let (total_b, stats_b) = run(Routing::ByRegion);
-        assert_eq!(total_a, total_b);
-        assert_eq!(stats_a, stats_b);
-    }
-
-    #[test]
     fn sharded_pool_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShardedPool>();
-    }
-
-    /// Adaptive-quota decay: stolen quota left idle for a full
-    /// eviction cycle flows back to a shard below its static split —
-    /// while quota in active use never decays — and the per-shard
-    /// capacities sum to the budget at every observable point.
-    #[test]
-    fn adaptive_quota_decay_returns_idle_quota() {
-        let pool = ShardedPool::with_routing(Disk::with_defaults(), 8, 2, Routing::ByRegion);
-        pool.set_adaptive(true);
-        let sum = |p: &ShardedPool| (0..2).map(|i| p.shard_capacity(i)).sum::<usize>();
-        // Probe two regions hashing to distinct shards.
-        let a = (0..64u16).find(|r| pool.shard_of(&pg(*r, 0)) == 0).unwrap();
-        let b = (0..64u16).find(|r| pool.shard_of(&pg(*r, 0)) == 1).unwrap();
-        // Shard 0 borrows beyond its static half (4 pages).
-        for o in 0..6 {
-            pool.read_page(pg(a, o));
-            assert_eq!(sum(&pool), 8, "conservation while borrowing");
-        }
-        assert_eq!(pool.shard_capacity(0), 6, "borrowed two pages");
-        assert_eq!(pool.shard_capacity(1), 2);
-        // Shard 1 churns through its shrunken quota: shard 0 is full,
-        // so nothing can be stolen back and every insert evicts — the
-        // decay clock advances well past one cycle, but the borrowed
-        // quota is in active use, so nothing decays.
-        for o in 0..6 {
-            pool.read_page(pg(b, o));
-            assert_eq!(sum(&pool), 8, "conservation under eviction pressure");
-        }
-        assert_eq!(pool.shard_capacity(0), 6, "in-use quota does not decay");
-        // The borrowed headroom falls idle...
-        assert_eq!(pool.remove_page(&pg(a, 0)), Some(false));
-        assert_eq!(pool.remove_page(&pg(a, 1)), Some(false));
-        // ...and the next insert returns it: one page stolen back by
-        // the full shard plus one page decayed to the shorted lender
-        // restore the static split.
-        pool.read_page(pg(b, 6));
-        assert_eq!(pool.shard_capacity(0), 4, "idle quota returned");
-        assert_eq!(pool.shard_capacity(1), 4);
-        assert_eq!(sum(&pool), 8);
     }
 }

@@ -89,7 +89,6 @@ fn elevator_never_charges_more_seek_time_than_fcfs() {
                 arms,
                 stripe,
                 policy,
-                ..ArrayConfig::default()
             };
             drain(config, &requests)
         };

@@ -47,11 +47,6 @@ impl JoinStats {
         self.mbr_join_ms + self.transfer_ms + self.exact_test_ms
     }
 
-    /// Total cost in seconds (the unit of Figures 14, 16, 17).
-    pub fn total_seconds(&self) -> f64 {
-        self.total_ms() / 1000.0
-    }
-
     /// I/O-only cost in seconds (Figures 14 and 16 report I/O cost).
     pub fn io_seconds(&self) -> f64 {
         (self.mbr_join_ms + self.transfer_ms) / 1000.0

@@ -65,15 +65,6 @@ impl ClusterConfig {
             buddy: BuddyConfig::restricted(pages),
         }
     }
-
-    /// Full buddy system with `log2(Smax)` sizes (§5.3.1).
-    pub fn full_buddy(smax_bytes: u64) -> Self {
-        let pages = smax_bytes.div_ceil(PAGE_SIZE as u64);
-        ClusterConfig {
-            smax_bytes,
-            buddy: BuddyConfig::full(pages),
-        }
-    }
 }
 
 /// One cluster unit: the physical extent (its buddy) plus the byte-packed

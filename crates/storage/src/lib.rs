@@ -43,14 +43,12 @@ pub mod table;
 pub use cluster::{ClusterConfig, ClusterOrganization};
 pub use memory::MemoryStore;
 pub use model::{
-    new_shared_pool, new_shared_pool_with_routing, new_shared_pool_with_shards, OrganizationKind,
-    QueryStats, SharedPool, TransferTechnique, WindowTechnique,
+    new_shared_pool, OrganizationKind, QueryStats, SharedPool, TransferTechnique, WindowTechnique,
 };
 pub use object::ObjectRecord;
 pub use packer::{PagePacker, Placement};
 pub use primary::PrimaryOrganization;
 pub use secondary::SecondaryOrganization;
-pub use spatialdb_disk::Routing;
 pub use store::{SpatialStore, StrPlan};
 pub use table::ObjectTable;
 

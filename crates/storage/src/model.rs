@@ -6,7 +6,7 @@
 //! [`SpatialStore`](crate::SpatialStore) trait in [`crate::store`]; a
 //! model chosen at run time is a `Box<dyn SpatialStore>`.
 
-use spatialdb_disk::{DiskHandle, Routing, ShardedPool};
+use spatialdb_disk::{DiskHandle, ShardedPool};
 use spatialdb_rtree::RStarTree;
 use std::sync::Arc;
 
@@ -19,36 +19,15 @@ use std::sync::Arc;
 /// hashes to, so concurrent readers touching disjoint pages no longer
 /// serialize on one pool-wide mutex. [`new_shared_pool`] creates the
 /// deterministic 1-shard configuration (byte-identical stats to the
-/// classic single-lock pool — the paper's figures); use
-/// [`new_shared_pool_with_shards`] for concurrent-throughput workloads.
+/// classic single-lock pool — the paper's figures); a workspace's
+/// `EngineConfig` picks more shards for concurrent-throughput
+/// workloads.
 pub type SharedPool = Arc<ShardedPool>;
 
 /// Create a shared pool of `capacity` pages over `disk` with a single
 /// shard — the deterministic configuration every experiment runs under.
 pub fn new_shared_pool(disk: DiskHandle, capacity: usize) -> SharedPool {
     Arc::new(ShardedPool::new(disk, capacity))
-}
-
-/// Create a shared pool of `capacity` total pages split across
-/// `shards` page-hash shards (at least one). More shards reduce lock
-/// contention between concurrent readers; the per-shard LRU horizons
-/// make `io_ms` differ from the 1-shard figure (hit/miss totals are
-/// conserved for a fixed access sequence).
-pub fn new_shared_pool_with_shards(disk: DiskHandle, capacity: usize, shards: usize) -> SharedPool {
-    Arc::new(ShardedPool::with_shards(disk, capacity, shards))
-}
-
-/// Create a shared pool with an explicit shard [`Routing`] mode:
-/// [`Routing::ByRegion`] keys whole regions to shards, giving each
-/// database file its own lock domain (coarser spreading, zero cross-file
-/// contention); [`Routing::ByPage`] is the default page-hash spreading.
-pub fn new_shared_pool_with_routing(
-    disk: DiskHandle,
-    capacity: usize,
-    shards: usize,
-    routing: Routing,
-) -> SharedPool {
-    Arc::new(ShardedPool::with_routing(disk, capacity, shards, routing))
 }
 
 /// Technique for transferring the objects of a window query from a

@@ -9,20 +9,16 @@
 //! assembly.
 //!
 //! ```no_run
-//! use spatialdb::{Arrival, EngineConfig, Routing};
-//! use spatialdb_workload::{Dataset, Mix, Scenario, SchedPolicy};
+//! use spatialdb::{ArmPolicy, Arrival, EngineConfig};
+//! use spatialdb_workload::{Dataset, Mix, Scenario};
 //!
 //! let report = Scenario::new("fig-like")
 //!     .dataset(Dataset::uniform(10_000).polyline_segments(8))
-//!     .engine(
-//!         EngineConfig::default()
-//!             .shards(8)
-//!             .routing(Routing::ByRegion),
-//!     )
+//!     .engine(EngineConfig::default().shards(8))
 //!     .arrivals(Arrival::open(0.7))
 //!     .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
 //!     .depth(8)
-//!     .policy(SchedPolicy::Elevator)
+//!     .policy(ArmPolicy::Elevator)
 //!     .sweep_arms(&[4])
 //!     .run();
 //!
@@ -58,6 +54,3 @@ pub use golden::RowFormat;
 pub use mix::Mix;
 pub use report::{org_label, policy_label, stripe_label, Cell, MixOutcome, ScenarioReport};
 pub use scenario::{Scenario, WindowSweep};
-
-/// The arm scheduling policy, under the name scenarios speak.
-pub use spatialdb::ArmPolicy as SchedPolicy;

@@ -96,8 +96,8 @@ impl WindowSweep {
 /// A declarative experiment: build it fluently, then [`run`](Scenario::run).
 ///
 /// ```no_run
-/// use spatialdb::{Arrival, EngineConfig};
-/// use spatialdb_workload::{Dataset, Mix, Scenario, SchedPolicy, WindowSweep};
+/// use spatialdb::{ArmPolicy, Arrival, EngineConfig};
+/// use spatialdb_workload::{Dataset, Mix, Scenario, WindowSweep};
 ///
 /// let report = Scenario::new("fig-like")
 ///     .dataset(Dataset::uniform(10_000).polyline_segments(8))
@@ -106,7 +106,7 @@ impl WindowSweep {
 ///     .arrivals(Arrival::open(0.7))
 ///     .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
 ///     .depth(8)
-///     .policy(SchedPolicy::Elevator)
+///     .policy(ArmPolicy::Elevator)
 ///     .run();
 /// report.assert_p99_under_ms(10_000.0).assert_stats_conserved();
 /// ```
@@ -398,7 +398,6 @@ impl Scenario {
                 arrival: self.arrival,
                 arms,
                 stripe,
-                ..OverlapConfig::default()
             }),
         );
 

@@ -4,24 +4,19 @@
 //! Run with: `cargo run --release -p spatialdb-workload --example scenario`
 
 use spatialdb::disk::ArmPolicy;
-use spatialdb::{Arrival, EngineConfig, Routing};
+use spatialdb::{Arrival, EngineConfig};
 use spatialdb_workload::{org_label, policy_label, Dataset, Mix, Scenario, WindowSweep};
 
 fn main() {
     // One declaration, end to end: a seeded uniform dataset split over
-    // two databases, a machine with a region-routed 4-shard pool, an
-    // open-arrival window sweep replayed on a 4-arm disk array at two
-    // queue depths under both arm schedulers, and a mixed
-    // window/point/join/insert stream per storage organization.
+    // two databases, a machine with a 4-shard pool, an open-arrival
+    // window sweep replayed on a 4-arm disk array at two queue depths
+    // under both arm schedulers, and a mixed window/point/join/insert
+    // stream per storage organization.
     let report = Scenario::new("tour")
         .dataset(Dataset::uniform(3_000).polyline_segments(6))
         .databases(2)
-        .engine(
-            EngineConfig::default()
-                .buffer_pages(1024)
-                .shards(4)
-                .routing(Routing::ByRegion),
-        )
+        .engine(EngineConfig::default().buffer_pages(1024).shards(4))
         .windows(
             WindowSweep::new(48)
                 .size_base(0.05)

@@ -14,8 +14,8 @@ use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::storage::WindowTechnique;
 use spatialdb::{
-    ArmPolicy, Arrival, DbOptions, EngineConfig, ExecPlan, OrganizationKind, OverlapConfig,
-    SpatialDatabase, StripePolicy, Workspace,
+    ArmPolicy, Arrival, DbOptions, ExecPlan, OrganizationKind, OverlapConfig, SpatialDatabase,
+    StripePolicy, Workspace,
 };
 
 const ALL_KINDS: [OrganizationKind; 3] = [
@@ -153,7 +153,6 @@ fn multi_arm_replay_preserves_answers_and_charges() {
                 arrival: Arrival::Burst,
                 arms,
                 stripe,
-                ..OverlapConfig::default()
             },
         );
         let disk = ws.disk().stats();
@@ -272,7 +271,6 @@ fn declustered_batch_across_databases_shrinks_makespan() {
                 arrival: Arrival::Burst,
                 arms,
                 stripe: StripePolicy::RoundRobin,
-                ..OverlapConfig::default()
             }),
         );
         let ids: Vec<Vec<u64>> = out.outcomes().iter().map(|o| o.ids().to_vec()).collect();
@@ -285,41 +283,4 @@ fn declustered_batch_across_databases_shrinks_makespan() {
         four_arms < one_arm,
         "declustering did not shrink the makespan: {four_arms} >= {one_arm}"
     );
-}
-
-/// The `EngineConfig` knob `adaptive_shards(true)` toggles the pool's
-/// quota mode without changing a synchronous workload's answers.
-#[test]
-fn workspace_conveniences_leave_charges_flat() {
-    let map = test_map();
-    let queries = WindowQuerySet::generate(&map, 1e-2, 8, 5);
-    let run = |ws: &Workspace| {
-        let mut db = load(ws, OrganizationKind::Cluster, &map);
-        db.store_mut().begin_query();
-        queries
-            .windows
-            .iter()
-            .map(|w| {
-                let mut cursor = db.query().window(*w).technique(WindowTechnique::Slm).run();
-                let ids: Vec<u64> = cursor.by_ref().map(|(id, _)| id).collect();
-                (ids, cursor.stats(), cursor.io_stats())
-            })
-            .collect::<Vec<_>>()
-    };
-    let plain = Workspace::new(BUFFER_PAGES);
-    let base = run(&plain);
-
-    let adaptive = Workspace::from_config(
-        EngineConfig::default()
-            .buffer_pages(BUFFER_PAGES)
-            .shards(4)
-            .routing(spatialdb::Routing::ByRegion)
-            .adaptive_shards(true),
-    );
-    let got = run(&adaptive);
-    for ((ids, stats, _), (base_ids, base_stats, _)) in got.iter().zip(&base) {
-        assert_eq!(ids, base_ids, "adaptive shards changed the answers");
-        assert_eq!(stats.candidates, base_stats.candidates);
-        assert_eq!(stats.result_bytes, base_stats.result_bytes);
-    }
 }

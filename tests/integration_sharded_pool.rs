@@ -155,55 +155,6 @@ fn multi_shard_conserves_answers_budget_and_access_counts() {
     }
 }
 
-/// Region-keyed shard routing (`EngineConfig::routing(ByRegion)`): each
-/// database file becomes one lock domain. Answers and candidate sets
-/// never change versus page-hash routing, the budget is conserved, and
-/// every page of one region really routes to one shard.
-#[test]
-fn region_routing_conserves_answers_and_partitions_regions() {
-    use spatialdb::Routing;
-    let map = test_map();
-    let queries = WindowQuerySet::generate(&map, 1e-2, 10, 5);
-    for kind in ALL_KINDS {
-        let ws_page =
-            Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES).shards(4));
-        let mut db_page = load(&ws_page, kind, &map);
-        let base = run_workload(&mut db_page, &queries, WindowTechnique::Slm);
-
-        let ws_region = Workspace::from_config(
-            EngineConfig::default()
-                .buffer_pages(BUFFER_PAGES)
-                .shards(4)
-                .routing(Routing::ByRegion),
-        );
-        assert_eq!(ws_region.pool().routing(), Routing::ByRegion);
-        let mut db_region = load(&ws_region, kind, &map);
-        let run = run_workload(&mut db_region, &queries, WindowTechnique::Slm);
-
-        for (i, ((ids, stats, _), (base_ids, base_stats, _))) in
-            run.iter().zip(base.iter()).enumerate()
-        {
-            assert_eq!(ids, base_ids, "{kind:?} query {i}: answers changed");
-            assert_eq!(stats.candidates, base_stats.candidates);
-            assert_eq!(stats.result_bytes, base_stats.result_bytes);
-        }
-        assert!(ws_region.pool().len() <= BUFFER_PAGES, "budget conserved");
-        // Every page of a region routes to that region's one shard.
-        let pool = ws_region.pool();
-        for region in (0..4u16).map(spatialdb::disk::RegionId) {
-            let home = pool.shard_of(&spatialdb::disk::PageId::new(region, 0));
-            for offset in 1..100u64 {
-                assert_eq!(
-                    pool.shard_of(&spatialdb::disk::PageId::new(region, offset)),
-                    home,
-                    "{kind:?}: region {} split across shards",
-                    region.0
-                );
-            }
-        }
-    }
-}
-
 /// Panic-safety of the I/O tallies: a refinement worker that panics
 /// (here: refining a filter-only record bulk-loaded without exact
 /// geometry) aborts the batch, but every charge the filter phase made
