@@ -1,195 +1,88 @@
-//! Parallel sort-based (STR) bulk loading.
+//! Sort-tile-recursive (STR) bulk loading, in one function.
 //!
-//! The sequential reference pipeline is
-//! [`SpatialStore::bulk_load_str`]: plan entries, sort, tile, charge
-//! the leaf-level write run, install. This module distributes the sort
-//! and tile stages over scoped worker threads while producing a
-//! **byte-identical store at every thread count**:
+//! [`bulk_load_records_par`] is the pipeline every bulk load runs —
+//! `SpatialDatabase::bulk_load` on one thread,
+//! `Workspace::bulk_load_par` on several:
 //!
-//! 1. **Plan** (`&store`): one leaf entry per record with the store's
-//!    payload accounting, plus the tiling capacities.
-//! 2. **Sort**: the entries are chunk-sorted on `T` threads and merged.
-//!    The STR comparator is a total order (unique object ids), so the
-//!    merged sequence equals the sequential sort.
-//! 3. **Tile**: the slice boundaries are a pure function of the entry
-//!    count ([`spatialdb_rtree::bulk::slice_spans`]), computed once;
-//!    workers tile contiguous groups of slices. Each worker accounts
-//!    its partition's leaf-run write on a private scratch disk guarded
-//!    by a [`ScratchTally`] — if a worker panics (e.g. a non-finite
-//!    MBR trips the tiler's assertion), its partial charges and those
-//!    of the partitions that completed are absorbed into the real disk
-//!    before the panic propagates, exactly like the parallel MBR join.
-//! 4. **Install** (`&mut store`): tiles are concatenated in partition
-//!    order — the same sequence the sequential tiler produces — and
-//!    handed to [`SpatialStore::str_install`], which packs the tree
-//!    bottom-up and places the exact representations.
+//! 1. **Check**: no object id repeats and none is stored yet.
+//! 2. **Plan** (`&store`): [`SpatialStore::str_plan`] — one leaf entry
+//!    per record with the store's payload accounting, plus the tiling
+//!    capacities.
+//! 3. **Sort**: contiguous chunks of the entries are sorted on up to
+//!    `threads` threads and merged. The STR comparator is a total order
+//!    (unique object ids), so the merged sequence equals the sequential
+//!    sort.
+//! 4. **Tile**: the slice boundaries are a pure function of the entry
+//!    count ([`bulk::slice_spans`]); contiguous runs of slices are tiled
+//!    on up to `threads` threads and concatenated in slice order — the
+//!    sequence [`bulk::plan_tiles`] produces.
+//! 5. **Install** (`&mut store`): [`SpatialStore::str_install`] packs
+//!    the tree bottom-up, places the exact representations and charges
+//!    every write of the build, on the calling thread.
 //!
-//! Only the *number of write requests* for the leaf run differs across
-//! thread counts (one per partition instead of one total); pages
-//! written, tree structure, physical placement and every query answer
-//! are identical. With `threads == 1` the accounting too is identical
-//! to [`SpatialStore::bulk_load_str`].
+//! Sorting and tiling are pure CPU work and charge nothing, so the
+//! store — tree, physical placement, every query answer — and the I/O
+//! statistics of the build are **byte-identical at every thread
+//! count**. A worker's panic (a non-finite MBR trips the tiler's
+//! assertion) reaches the caller before anything is charged, and the
+//! store stays empty.
 
-use spatialdb_disk::{IoKind, IoStats, PageId, PageRun, ScratchTally};
-use spatialdb_rtree::bulk;
-use spatialdb_rtree::{LeafEntry, Tile};
+use crate::executor::map_chunks;
+use spatialdb_rtree::{bulk, LeafEntry, Tile};
 use spatialdb_storage::{ObjectRecord, SpatialStore, StrPlan};
-use std::ops::Range;
+use std::collections::HashSet;
 
-/// Split the slice spans into at most `threads` contiguous groups of
-/// roughly equal entry counts (deterministic: depends only on the span
-/// lengths and `threads`).
-fn partition_spans(spans: &[Range<usize>], threads: usize) -> Vec<Vec<Range<usize>>> {
-    let total: usize = spans.iter().map(|s| s.len()).sum();
-    let target = total.div_ceil(threads).max(1);
-    let mut groups: Vec<Vec<Range<usize>>> = Vec::new();
-    let mut cur: Vec<Range<usize>> = Vec::new();
-    let mut cur_len = 0usize;
-    for span in spans {
-        if cur_len >= target && groups.len() + 1 < threads {
-            groups.push(std::mem::take(&mut cur));
-            cur_len = 0;
-        }
-        cur_len += span.len();
-        cur.push(span.clone());
-    }
-    if !cur.is_empty() {
-        groups.push(cur);
-    }
-    groups
-}
-
-/// STR-bulk-load `records` into an empty `store`, fanning the sort and
-/// tile stages across `threads` scoped worker threads.
+/// STR-bulk-load `records` into an empty `store`, sorting and tiling on
+/// `threads` scoped worker threads.
 ///
-/// See the [module docs](self) for the determinism contract. Cumulative
-/// disk accounting is preserved: worker charges are absorbed into the
-/// store's disk (even when a worker panics mid-tile).
+/// See the [module docs](self) for the pipeline and the determinism
+/// contract.
 ///
 /// # Panics
 ///
-/// Panics if the store is non-empty, or on a record with a non-finite
-/// MBR (propagated from a worker after salvaging the completed
-/// partitions' charges).
+/// Panics before anything is charged if an object id repeats or is
+/// already stored, or on a record with a non-finite MBR. Panics if the
+/// store is non-empty.
 pub fn bulk_load_records_par(
     store: &mut dyn SpatialStore,
     records: &[ObjectRecord],
     threads: usize,
 ) {
-    let StrPlan {
-        mut entries,
-        params,
-    } = store.str_plan(records);
-    let threads = threads.max(1);
-
-    // Sort: chunk per worker, merge. Identical to the sequential sort
-    // because the comparator is a total order.
-    if threads == 1 || entries.len() < 2 * threads {
-        bulk::sort_entries(&mut entries);
-    } else {
-        let per = entries.len().div_ceil(threads);
-        let chunks: Vec<Vec<LeafEntry>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = entries
-                .chunks(per)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut v = chunk.to_vec();
-                        bulk::sort_entries(&mut v);
-                        v
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sort workers charge no I/O"))
-                .collect()
-        });
-        entries = bulk::merge_sorted_chunks(chunks);
+    let mut seen = HashSet::with_capacity(records.len());
+    for rec in records {
+        assert!(
+            !store.contains(rec.oid) && seen.insert(rec.oid),
+            "object {} already stored",
+            rec.oid.0
+        );
     }
+    drop(seen);
+    let StrPlan { entries, params } = store.str_plan(records);
 
-    // Tile: contiguous slice groups per worker, leaf-run charges on
-    // scratch disks, merged in partition order.
-    let disk = store.disk();
-    let region = store.str_tree_region();
-    let spans = bulk::slice_spans(entries.len(), &params);
-    let groups = partition_spans(&spans, threads);
-    let entries = &entries;
-    let params_ref = &params;
-    let results: Vec<std::thread::Result<(Vec<Tile>, IoStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .map(|group| {
-                let disk = disk.clone();
-                scope.spawn(move || {
-                    let guard = ScratchTally::new(disk);
-                    let mut tiles: Vec<Tile> = Vec::new();
-                    for span in group {
-                        tiles.extend(bulk::tile_slice(&entries[span.clone()], params_ref));
-                    }
-                    if let Some(region) = region {
-                        if !tiles.is_empty() {
-                            // This partition's stretch of the packed
-                            // leaf level, written sequentially. The
-                            // cost model prices runs by length, not
-                            // position, so each partition charges from
-                            // offset 0 without affecting the totals.
-                            guard.scratch().charge(
-                                IoKind::Write,
-                                PageRun::new(PageId::new(region, 0), tiles.len() as u64),
-                                false,
-                            );
-                        }
-                    }
-                    (tiles, guard.finish())
-                })
+    // One contiguous chunk per thread, sorted on it.
+    let per = entries.len().div_ceil(threads.max(1)).max(1);
+    let chunks: Vec<&[LeafEntry]> = entries.chunks(per).collect();
+    let sorted = map_chunks(&chunks, threads, |mine| {
+        mine.iter()
+            .map(|chunk| {
+                let mut sorted = chunk.to_vec();
+                bulk::sort_entries(&mut sorted);
+                sorted
             })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+            .collect()
     });
-    if results.iter().any(|r| r.is_err()) {
-        // A worker panicked; its guard absorbed its partial charges on
-        // unwind. Absorb the completed partitions too, then propagate.
-        let mut salvaged = IoStats::new();
-        let mut payload = None;
-        for res in results {
-            match res {
-                Ok((_, part_stats)) => salvaged = salvaged.plus(&part_stats),
-                Err(p) => payload = Some(p),
-            }
-        }
-        disk.absorb(&salvaged);
-        std::panic::resume_unwind(payload.expect("at least one worker panicked"));
-    }
-    let mut tiles: Vec<Tile> = Vec::new();
-    let mut stats = IoStats::new();
-    for res in results {
-        let (part_tiles, part_stats) = res.expect("panics handled above");
-        tiles.extend(part_tiles);
-        stats = stats.plus(&part_stats);
-    }
-    disk.absorb(&stats);
+    // The planned list goes before the merge builds the sorted one, and
+    // the sorted one before the install: the load never holds more than
+    // the sorted chunks or tiles next to one full list.
+    drop(entries);
+    let entries = bulk::merge_sorted_chunks(sorted);
+
+    let spans = bulk::slice_spans(entries.len(), &params);
+    let tiles: Vec<Tile> = map_chunks(&spans, threads, |mine| {
+        mine.iter()
+            .flat_map(|span| bulk::tile_slice(&entries[span.clone()], &params))
+            .collect()
+    });
+    drop(entries);
     store.str_install(records, tiles, &params);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partitions_are_contiguous_and_balanced() {
-        let spans: Vec<Range<usize>> = (0..10).map(|i| i * 100..(i + 1) * 100).collect();
-        for threads in [1usize, 2, 3, 8, 16] {
-            let groups = partition_spans(&spans, threads);
-            assert!(groups.len() <= threads);
-            let flat: Vec<Range<usize>> = groups.concat();
-            assert_eq!(flat, spans, "{threads} threads reorder spans");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_spans() {
-        let spans: Vec<Range<usize>> = std::iter::once(0..5).collect();
-        let groups = partition_spans(&spans, 8);
-        assert_eq!(groups, vec![spans.clone()]);
-    }
 }

@@ -292,17 +292,15 @@ impl Workspace {
         crate::executor::run_batch(queries, plan)
     }
 
-    /// STR-bulk-load `objects` into the empty database `db`, fanning
-    /// the sort and tile stages across `threads` scoped worker threads
-    /// (see [`crate::bulkload`]).
+    /// [`SpatialDatabase::bulk_load`] with the sort and tile stages on
+    /// `threads` scoped worker threads (see [`crate::bulkload`]).
     ///
     /// The resulting database — tree structure, physical placement,
-    /// every query answer — is **identical at every thread count**, and
-    /// with `threads == 1` the charged I/O is byte-identical to the
-    /// sequential [`SpatialDatabase::bulk_load`]. Compared to inserting
-    /// the objects one by one, the packed build charges strictly less
-    /// simulated I/O and yields data pages filled at the configured
-    /// fill factor instead of insertion's ~70 %.
+    /// every query answer — and the charged I/O are **byte-identical at
+    /// every thread count**. Compared to inserting the objects one by
+    /// one, the packed build charges strictly less simulated I/O and
+    /// yields data pages filled at the configured fill factor instead of
+    /// insertion's ~70 %.
     ///
     /// # Panics
     ///
@@ -318,9 +316,7 @@ impl Workspace {
             std::sync::Arc::ptr_eq(&db.store().disk(), &self.disk),
             "database belongs to another workspace"
         );
-        let records = db.records_for_bulk(&objects);
-        crate::bulkload::bulk_load_records_par(db.store_mut(), &records, threads);
-        db.install_geometry(objects);
+        db.bulk_load_on(objects, threads);
     }
 
     /// Create a database on a caller-supplied [`SpatialStore`] backend —
@@ -524,13 +520,18 @@ impl SpatialDatabase {
         }
     }
 
-    /// Register the exact geometry of a bulk load into the (empty)
-    /// database: the table is built in one pass, not per object.
-    pub(crate) fn install_geometry(&mut self, objects: Vec<(u64, Geometry)>) {
-        let records = objects
+    /// The body of both bulk-load entry points: STR-load the records of
+    /// `objects` on `threads`, then register their exact geometry — the
+    /// table is built in one pass, not per object.
+    fn bulk_load_on(&mut self, objects: Vec<(u64, Geometry)>, threads: usize) {
+        let records: Vec<ObjectRecord> = objects.iter().map(|(id, g)| record_of(*id, g)).collect();
+        // Exclusive path: `&mut self` proves no pinned reader exists, so
+        // the load mutates the current root in place — no shadow copy.
+        crate::bulkload::bulk_load_records_par(self.store_mut(), &records, threads);
+        let geoms = objects
             .into_iter()
             .map(|(id, g)| (ObjectId(id), Arc::new(g)));
-        self.root.get_mut().geoms = GeometryTable::from_records(records.collect());
+        self.root.get_mut().geoms = GeometryTable::from_records(geoms.collect());
     }
 
     /// Insert an object under `id`. Accepts anything convertible into a
@@ -573,42 +574,20 @@ impl SpatialDatabase {
     }
 
     /// Bulk-load `objects` into this (empty) database with the
-    /// sequential sort-tile-recursive build
-    /// ([`SpatialStore::bulk_load_str`]): the R\*-tree is packed
-    /// bottom-up at the configured fill factor and the exact
-    /// representations are placed in tile order, charging strictly less
-    /// simulated I/O than the same objects inserted one by one. For the
-    /// parallel variant see [`Workspace::bulk_load_par`], which produces
-    /// a byte-identical database.
+    /// sort-tile-recursive build
+    /// ([`bulk_load_records_par`](crate::bulkload::bulk_load_records_par)
+    /// on one thread): the R\*-tree is packed bottom-up at the configured
+    /// fill factor and the exact representations are placed in tile
+    /// order, charging strictly less simulated I/O than the same objects
+    /// inserted one by one. [`Workspace::bulk_load_par`] sorts and tiles
+    /// on several threads and builds a byte-identical database.
     ///
     /// # Panics
     ///
     /// Panics if the database is non-empty or an object id repeats.
     pub fn bulk_load(&mut self, objects: Vec<(u64, impl Into<Geometry>)>) {
-        let objects: Vec<(u64, Geometry)> =
-            objects.into_iter().map(|(id, g)| (id, g.into())).collect();
-        let records = self.records_for_bulk(&objects);
-        // Exclusive path: `&mut self` proves no pinned reader exists, so
-        // the load mutates the current root in place — no shadow copy.
-        self.root.get_mut().store.bulk_load_str(&records);
-        self.install_geometry(objects);
-    }
-
-    /// Shared precondition checks + record conversion for the bulk-load
-    /// entry points.
-    pub(crate) fn records_for_bulk(&self, objects: &[(u64, Geometry)]) -> Vec<ObjectRecord> {
-        let store = self.store();
-        let mut seen = std::collections::HashSet::with_capacity(objects.len());
-        objects
-            .iter()
-            .map(|(id, geometry)| {
-                assert!(
-                    !store.contains(ObjectId(*id)) && seen.insert(*id),
-                    "object {id} already stored"
-                );
-                record_of(*id, geometry)
-            })
-            .collect()
+        let objects = objects.into_iter().map(|(id, g)| (id, g.into())).collect();
+        self.bulk_load_on(objects, 1);
     }
 
     /// Delete an object. Returns `false` when `id` was not stored.
@@ -671,8 +650,8 @@ impl SpatialDatabase {
     /// Start building an intersection join against `other` (same
     /// workspace). Finish with [`run`](crate::query::JoinQuery::run) to
     /// obtain a lazy [`JoinCursor`](crate::query::JoinCursor), or with
-    /// [`run_par`](crate::query::JoinQuery::run_par) to partition the
-    /// MBR phase across threads.
+    /// [`run_par`](crate::query::JoinQuery::run_par) to refine its pairs
+    /// on several threads.
     pub fn join<'a>(&'a self, other: &'a SpatialDatabase) -> JoinQuery<'a> {
         JoinQuery::new(self, other)
     }

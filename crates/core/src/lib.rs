@@ -64,9 +64,10 @@
 //! | [`storage`] | the `SpatialStore` trait, the three organization models & the in-memory baseline |
 //! | [`join`] | the spatial join pipeline |
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
-//! | [`query`] | the streaming `Query` builder and cursors |
+//! | [`query`] | the streaming `Query` and `JoinQuery` builders and their cursors; `run_par` refines on threads, every charge stays on the calling thread |
 //! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`) |
 //! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`), timed replay |
+//! | [`bulkload`] | the one STR bulk load: sort and tile on threads, every charge on the calling thread |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -61,10 +61,7 @@
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
 use crate::executor::map_chunks;
-use spatialdb_disk::{
-    simulate_queries_striped, ArmGeometry, ArmPolicy, ArrayConfig, IoStats, LatencyStats,
-    PageRequest, QueryTrace,
-};
+use spatialdb_disk::{IoStats, PageRequest};
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
 use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
@@ -515,89 +512,25 @@ impl<'a> JoinQuery<'a> {
             pairs,
             next: 0,
             stats,
-            latency: None,
             refine_threads: 1,
         }
     }
 
-    /// Run the join and additionally replay its captured request trace
-    /// through the disk-arm scheduler with a `depth`-deep submission
-    /// window under `policy`, attaching the join's simulated
-    /// [`LatencyStats`] to the cursor
-    /// ([`JoinCursor::latency_stats`]).
+    /// [`run`](JoinQuery::run), with the cursor's
+    /// [`pairs`](JoinCursor::pairs) refining on `n_threads` threads.
     ///
-    /// The join executes synchronously — pairs and [`JoinStats`] are
-    /// identical to [`run`](JoinQuery::run) — so the latency figure is
-    /// the *overlapped* service time of exactly the requests the
-    /// synchronous join charged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two databases do not share one workspace.
-    pub fn run_timed(self, depth: usize, policy: ArmPolicy) -> JoinCursor<'a> {
-        let JoinQuery {
-            left,
-            right,
-            config,
-        } = self;
-        let (left, right) = (left.store(), right.store());
-        let (pairs, stats, trace) = SpatialJoin::new(&*left, &*right).run_with_pairs_traced(config);
-        let (mut latency, _) = simulate_queries_striped(
-            left.disk().params(),
-            ArmGeometry::default(),
-            ArrayConfig {
-                policy,
-                ..Default::default()
-            },
-            depth,
-            &[QueryTrace {
-                arrival_ms: 0.0,
-                requests: trace,
-            }],
-        );
-        let latency = latency.pop();
-        JoinCursor {
-            left,
-            right,
-            pairs,
-            next: 0,
-            stats,
-            latency,
-            refine_threads: 1,
-        }
-    }
-
-    /// Run the join with the MBR phase partitioned across `n_threads`
-    /// threads (see
-    /// [`SpatialJoin::run_par`](spatialdb_join::SpatialJoin::run_par));
-    /// the cursor's [`pairs`](JoinCursor::pairs) then refines on the
-    /// same `n_threads`.
-    ///
-    /// The candidate pairs — and therefore the refined results — are
-    /// identical to [`run`](JoinQuery::run); the MBR-phase I/O cost is
-    /// accounted on per-partition scratch disks and merged
-    /// deterministically.
+    /// The MBR join and the object transfer are `run`'s: they charge the
+    /// workspace disk through its one shared buffer, on the calling
+    /// thread. The candidate pairs, the refined results and the
+    /// [`JoinStats`] are therefore the same at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if the two databases do not share one workspace.
     pub fn run_par(self, n_threads: usize) -> JoinCursor<'a> {
-        let JoinQuery {
-            left,
-            right,
-            config,
-        } = self;
-        let (left, right) = (left.store(), right.store());
-        let (pairs, stats) =
-            SpatialJoin::new(&*left, &*right).run_par_with_pairs(config, n_threads);
         JoinCursor {
-            left,
-            right,
-            pairs,
-            next: 0,
-            stats,
-            latency: None,
             refine_threads: n_threads.max(1),
+            ..self.run()
         }
     }
 }
@@ -613,7 +546,6 @@ pub struct JoinCursor<'a> {
     pairs: Vec<(ObjectId, ObjectId)>,
     next: usize,
     stats: JoinStats,
-    latency: Option<LatencyStats>,
     /// Threads [`pairs`](JoinCursor::pairs) refines on: those the caller
     /// gave [`JoinQuery::run_par`], one otherwise.
     refine_threads: usize,
@@ -623,12 +555,6 @@ impl<'a> JoinCursor<'a> {
     /// Cost breakdown of this join alone (§6.3 / Figure 17).
     pub fn stats(&self) -> JoinStats {
         self.stats
-    }
-
-    /// Simulated latency of the join's I/O under the arm scheduler —
-    /// present only for [`JoinQuery::run_timed`].
-    pub fn latency_stats(&self) -> Option<LatencyStats> {
-        self.latency
     }
 
     /// Number of candidate pairs the MBR join produced.

@@ -138,53 +138,6 @@ pub fn summarize_latencies(values: &mut [f64]) -> LatencySummary {
     }
 }
 
-/// One row of the per-arm report of a timed batch: the utilization /
-/// queue-depth view of a simulated
-/// [`DiskArray`](spatialdb_disk::DiskArray), derived from
-/// [`ArmStats`](spatialdb_disk::ArmStats).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ArmReport {
-    /// Arm index within the array.
-    pub arm: usize,
-    /// Requests the arm serviced.
-    pub serviced: u64,
-    /// Fraction of the arm's timeline spent servicing (0 for idle).
-    pub utilization: f64,
-    /// Time-average queue depth (Little's law).
-    pub mean_queue_depth: f64,
-}
-
-/// Summarize the per-arm statistics of a timed batch
-/// ([`BatchOutcome::arm_stats`](crate::BatchOutcome::arm_stats)) into
-/// report rows, one per arm in arm order.
-pub fn summarize_arms(stats: &[spatialdb_disk::ArmStats]) -> Vec<ArmReport> {
-    stats
-        .iter()
-        .map(|s| ArmReport {
-            arm: s.arm,
-            serviced: s.serviced,
-            utilization: s.utilization(),
-            mean_queue_depth: s.mean_queue_depth(),
-        })
-        .collect()
-}
-
-/// Render per-arm statistics as an aligned [`Table`]
-/// (`arm | serviced | busy_ms | util | qdepth`).
-pub fn arm_table(stats: &[spatialdb_disk::ArmStats]) -> Table {
-    let mut t = Table::new(vec!["arm", "serviced", "busy_ms", "util", "qdepth"]);
-    for s in stats {
-        t.row(vec![
-            s.arm.to_string(),
-            s.serviced.to_string(),
-            f(s.busy_ms, 1),
-            f(s.utilization(), 3),
-            f(s.mean_queue_depth(), 2),
-        ]);
-    }
-    t
-}
-
 /// Format a ratio as `x.x×`.
 pub fn speedup(base: f64, improved: f64) -> String {
     if improved <= 0.0 {
@@ -252,29 +205,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_rejects_empty() {
         quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn arm_report_summarizes_stats() {
-        let stats = vec![
-            spatialdb_disk::ArmStats {
-                arm: 0,
-                serviced: 10,
-                busy_ms: 80.0,
-                queue_wait_ms: 200.0,
-                clock_ms: 100.0,
-                pending: 0,
-            },
-            spatialdb_disk::ArmStats::default(),
-        ];
-        let rows = summarize_arms(&stats);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].serviced, 10);
-        assert!((rows[0].utilization - 0.8).abs() < 1e-12);
-        assert!((rows[0].mean_queue_depth - 2.0).abs() < 1e-12);
-        assert_eq!(rows[1].utilization, 0.0);
-        let table = arm_table(&stats);
-        assert_eq!(table.len(), 2);
-        assert!(table.render().contains("0.800"));
     }
 }

@@ -160,20 +160,6 @@ impl Disk {
         self.record(kind, pages, cost_ms, seeked);
     }
 
-    /// Merge an externally accumulated statistics block into this disk
-    /// (and into the calling thread's tally).
-    ///
-    /// The parallel MBR join accounts each partition on a private scratch
-    /// disk and then absorbs the deterministic sum into the real disk, so
-    /// cumulative workspace accounting still covers the join.
-    pub fn absorb(&self, stats: &IoStats) {
-        {
-            let mut st = self.state.acquire();
-            st.stats = st.stats.plus(stats);
-        }
-        THREAD_TALLY.with(|t| t.set(t.get().plus(stats)));
-    }
-
     /// Snapshot of the accumulated statistics (all threads).
     pub fn stats(&self) -> IoStats {
         self.state.acquire().stats
@@ -194,60 +180,6 @@ impl Disk {
     /// (deltas against them are unaffected by resets).
     pub fn reset_stats(&self) {
         self.state.acquire().stats = IoStats::new();
-    }
-}
-
-/// Panic-safety guard for worker threads that account I/O on a private
-/// *scratch* disk and hand the stats back for deterministic merging
-/// (the parallel MBR join's partitions).
-///
-/// On the normal path the worker calls [`finish`](ScratchTally::finish)
-/// and the caller absorbs the merged per-partition stats once, in
-/// partition order — byte-identical accounting to the pre-guard code.
-/// If the worker **unwinds** before finishing, the guard's `Drop`
-/// absorbs the scratch disk's outstanding tally into the real disk, so
-/// a panicking worker cannot leak its charges out of the workspace's
-/// cumulative counters.
-#[derive(Debug)]
-pub struct ScratchTally {
-    real: DiskHandle,
-    scratch: DiskHandle,
-    armed: bool,
-}
-
-impl ScratchTally {
-    /// Create a scratch disk with `real`'s parameters, guarded so its
-    /// charges reach `real` even on unwind.
-    pub fn new(real: DiskHandle) -> Self {
-        let scratch = Disk::new(real.params());
-        ScratchTally {
-            real,
-            scratch,
-            armed: true,
-        }
-    }
-
-    /// The guarded scratch disk to charge against.
-    pub fn scratch(&self) -> &DiskHandle {
-        &self.scratch
-    }
-
-    /// Disarm the guard and return the scratch stats for deterministic
-    /// merging by the caller (who is then responsible for absorbing
-    /// them into the real disk).
-    pub fn finish(mut self) -> IoStats {
-        self.armed = false;
-        self.scratch.stats()
-    }
-}
-
-impl Drop for ScratchTally {
-    fn drop(&mut self) {
-        if self.armed {
-            // Unwinding (or the caller dropped the guard without
-            // finishing): don't lose the partial charges.
-            self.real.absorb(&self.scratch.stats());
-        }
     }
 }
 
@@ -334,52 +266,6 @@ mod tests {
         let local = disk.local_stats().since(&before);
         assert_eq!(local.pages_read, 2);
         assert_eq!(disk.stats().pages_read, 7);
-    }
-
-    #[test]
-    fn absorb_merges_scratch_stats() {
-        let disk = Disk::with_defaults();
-        let mut scratch = IoStats::new();
-        scratch.record(IoKind::Read, 3, 18.0, true);
-        let before = disk.local_stats();
-        disk.absorb(&scratch);
-        assert_eq!(disk.stats().pages_read, 3);
-        assert_eq!(disk.local_stats().since(&before).io_ms, 18.0);
-    }
-
-    #[test]
-    fn scratch_tally_absorbs_on_unwind() {
-        let real = Disk::with_defaults();
-        let r = real.create_region("x");
-        // A worker that panics mid-partition: its scratch charges must
-        // land in the real disk's cumulative counters anyway.
-        let handle = real.clone();
-        let worker = std::thread::spawn(move || {
-            let guard = ScratchTally::new(handle);
-            guard
-                .scratch()
-                .charge(IoKind::Read, PageRun::new(PageId::new(r, 0), 4), false);
-            panic!("worker dies mid-partition");
-        });
-        assert!(worker.join().is_err());
-        let s = real.stats();
-        assert_eq!(s.pages_read, 4);
-        assert_eq!(s.read_requests, 1);
-    }
-
-    #[test]
-    fn scratch_tally_finish_leaves_absorption_to_caller() {
-        let real = Disk::with_defaults();
-        let r = real.create_region("x");
-        let guard = ScratchTally::new(real.clone());
-        guard
-            .scratch()
-            .charge(IoKind::Write, PageRun::new(PageId::new(r, 0), 2), false);
-        let stats = guard.finish();
-        // Disarmed: nothing reached the real disk yet.
-        assert_eq!(real.stats().requests(), 0);
-        real.absorb(&stats);
-        assert_eq!(real.stats().pages_written, 2);
     }
 
     use crate::arm::{ArmGeometry, ArmPolicy};

@@ -57,9 +57,8 @@
 //! thread-local tally for per-query deltas, see
 //! [`disk::Disk::local_stats`]), and the buffer shared between threads
 //! is the [`shard::ShardedPool`] (the storage layer's `SharedPool`).
-//! With one shard — the configuration the paper's figures run under,
-//! and the private scratch pool of the parallel join — its single LRU
-//! is the global one.
+//! With one shard — the configuration the paper's figures run under —
+//! its single LRU is the global one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,7 +108,7 @@ pub use array::{
 };
 pub use buddy::{BuddyAllocator, BuddyConfig};
 pub use buffer::{LruBuffer, ReadMode, SeekPolicy};
-pub use disk::{Disk, DiskHandle, ScratchTally};
+pub use disk::{Disk, DiskHandle};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
 pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};
 pub use schedule::{slm_gap_limit, slm_schedule, ScheduledRun};

@@ -1,8 +1,8 @@
-//! Step 3 and the complete intersection-join pipeline (§6.3),
-//! sequential ([`SpatialJoin::run`]) and parallel
-//! ([`SpatialJoin::run_par`]).
+//! Step 3 and the complete intersection-join pipeline (§6.3,
+//! [`SpatialJoin::run`]). Every step charges the disk both operands
+//! live on, through the buffer pool they share, on the calling thread.
 
-use crate::mbr_join::{mbr_join, mbr_join_par};
+use crate::mbr_join::mbr_join;
 use crate::transfer::transfer_objects;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
 
@@ -29,7 +29,7 @@ impl Default for JoinConfig {
 
 /// Cost breakdown of a complete intersection join (the bars of
 /// Figure 17).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct JoinStats {
     /// Candidate pairs produced by the MBR join.
     pub mbr_pairs: u64,
@@ -113,74 +113,6 @@ impl<'a> SpatialJoin<'a> {
         let pool = self.r.pool();
         let mbr = mbr_join(self.r.tree(), self.s.tree(), &mut pool.as_ref());
         let mbr_join_ms = disk.local_stats().since(&before).io_ms;
-        self.finish(mbr, mbr_join_ms, config)
-    }
-
-    /// Run the join and additionally capture its disk requests as a
-    /// replayable trace for the arm scheduler
-    /// ([`spatialdb_disk::arm`]) — the join-side batched read path.
-    ///
-    /// The join executes synchronously (pairs and [`JoinStats`] are
-    /// exactly those of [`run_with_pairs`](SpatialJoin::run_with_pairs));
-    /// every request charged on this thread during the MBR phase and the
-    /// object transfer is recorded. Optimum-baseline transfers charge
-    /// analytically and are absent from the trace.
-    pub fn run_with_pairs_traced(
-        &self,
-        config: JoinConfig,
-    ) -> (
-        Vec<(spatialdb_rtree::ObjectId, spatialdb_rtree::ObjectId)>,
-        JoinStats,
-        Vec<spatialdb_disk::PageRequest>,
-    ) {
-        let disk = self.r.disk();
-        disk.trace_begin();
-        let (pairs, stats) = self.run_with_pairs(config);
-        (pairs, stats, disk.trace_take())
-    }
-
-    /// Run the join with the MBR phase partitioned across `n_threads`
-    /// worker threads (see [`mbr_join_par`]), then the sequential object
-    /// transfer and the exact-test cost estimate.
-    ///
-    /// The candidate pairs are **identical to the sequential join's**, in
-    /// the same order. The [`JoinStats`] are deterministic for a given
-    /// `n_threads`, but the MBR-phase I/O differs from the sequential
-    /// figure: partitions traverse on private cold buffers (nodes shared
-    /// between partitions are re-read), and the shared buffer is not
-    /// warmed by the traversal. The merged MBR-phase cost is absorbed
-    /// into the workspace disk so cumulative accounting stays complete.
-    pub fn run_par(&self, config: JoinConfig, n_threads: usize) -> JoinStats {
-        self.run_par_with_pairs(config, n_threads).1
-    }
-
-    /// [`run_par`](SpatialJoin::run_par) also returning the candidate
-    /// pairs.
-    pub fn run_par_with_pairs(
-        &self,
-        config: JoinConfig,
-        n_threads: usize,
-    ) -> (
-        Vec<(spatialdb_rtree::ObjectId, spatialdb_rtree::ObjectId)>,
-        JoinStats,
-    ) {
-        let disk = self.r.disk();
-        let capacity = self.r.pool().capacity();
-        let (mbr, scratch) = mbr_join_par(self.r.tree(), self.s.tree(), &disk, capacity, n_threads);
-        disk.absorb(&scratch);
-        self.finish(mbr, scratch.io_ms, config)
-    }
-
-    /// Steps 2 and 3, shared by the sequential and parallel pipelines.
-    fn finish(
-        &self,
-        mbr: crate::mbr_join::MbrJoinResult,
-        mbr_join_ms: f64,
-        config: JoinConfig,
-    ) -> (
-        Vec<(spatialdb_rtree::ObjectId, spatialdb_rtree::ObjectId)>,
-        JoinStats,
-    ) {
         // Step 2: object transfer.
         let transfer_ms = transfer_objects(self.r, self.s, &mbr.pairs, config.transfer);
         // Step 3: exact geometry test, one per candidate pair.
@@ -287,53 +219,6 @@ mod tests {
         let big = SpatialJoin::new(&*c, &*d).run_io_only(TransferTechnique::Complete);
         assert_eq!(small.mbr_pairs, big.mbr_pairs);
         assert!(big.io_seconds() <= small.io_seconds() + 1e-9);
-    }
-
-    #[test]
-    fn parallel_pipeline_matches_sequential_pairs() {
-        let (r, s, _) = build_pair(512, true);
-        let (seq_pairs, seq_stats) =
-            SpatialJoin::new(&*r, &*s).run_with_pairs(JoinConfig::default());
-        for threads in [2, 8] {
-            let (r2, s2, _) = build_pair(512, true);
-            let (par_pairs, par_stats) =
-                SpatialJoin::new(&*r2, &*s2).run_par_with_pairs(JoinConfig::default(), threads);
-            assert_eq!(par_pairs, seq_pairs, "{threads} threads");
-            assert_eq!(par_stats.mbr_pairs, seq_stats.mbr_pairs);
-            assert_eq!(par_stats.exact_test_ms, seq_stats.exact_test_ms);
-            assert!(par_stats.mbr_join_ms > 0.0);
-        }
-    }
-
-    #[test]
-    fn run_par_fallback_does_not_double_count_local_tally() {
-        // threads == 1 takes the single-partition fallback; its scratch
-        // charges must reach the caller's thread tally exactly once
-        // (via absorb), not twice.
-        let (r, s, _) = build_pair(512, true);
-        let disk = r.disk();
-        let before = disk.local_stats();
-        let stats = SpatialJoin::new(&*r, &*s).run_par(JoinConfig::default(), 1);
-        let delta = disk.local_stats().since(&before);
-        assert!(
-            (delta.io_ms - (stats.mbr_join_ms + stats.transfer_ms)).abs() < 1e-9,
-            "local delta {} vs mbr {} + transfer {}",
-            delta.io_ms,
-            stats.mbr_join_ms,
-            stats.transfer_ms
-        );
-    }
-
-    #[test]
-    fn parallel_mbr_cost_absorbed_into_workspace_disk() {
-        let (r, s, _) = build_pair(512, true);
-        let disk = r.disk();
-        let before = disk.stats();
-        let stats = SpatialJoin::new(&*r, &*s).run_par(JoinConfig::default(), 4);
-        let grown = disk.stats().since(&before);
-        // The scratch-accounted MBR phase plus the shared-pool transfer
-        // both land in the cumulative workspace counters.
-        assert!(grown.io_ms >= stats.mbr_join_ms + stats.transfer_ms - 1e-9);
     }
 
     #[test]

@@ -95,8 +95,12 @@ pub fn sort_entries(entries: &mut [LeafEntry]) {
 /// Merge pre-sorted chunks (each ordered by [`sort_entries`]) into one
 /// globally sorted sequence. Because the comparator is a total order,
 /// the result equals sorting the concatenation directly — this is the
-/// reduction step of a parallel chunk sort.
-pub fn merge_sorted_chunks(chunks: Vec<Vec<LeafEntry>>) -> Vec<LeafEntry> {
+/// reduction step of a parallel chunk sort. A single chunk is returned
+/// as it is.
+pub fn merge_sorted_chunks(mut chunks: Vec<Vec<LeafEntry>>) -> Vec<LeafEntry> {
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
     let total = chunks.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     let mut cursors: Vec<(std::vec::IntoIter<LeafEntry>, Option<LeafEntry>)> = chunks

@@ -799,10 +799,6 @@ impl SpatialStore for ClusterOrganization {
         }
     }
 
-    fn str_tree_region(&self) -> Option<RegionId> {
-        Some(self.tree_region)
-    }
-
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         assert!(
             self.objects.is_empty(),
@@ -810,7 +806,7 @@ impl SpatialStore for ClusterOrganization {
         );
         debug_assert_eq!(records.len(), tiles.iter().map(Vec::len).sum::<usize>());
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
-        for run in build.level_runs.iter().skip(1) {
+        for run in &build.level_runs {
             self.disk.charge(IoKind::Write, *run, false);
         }
         self.tree = build.tree;

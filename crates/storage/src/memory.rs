@@ -139,9 +139,8 @@ impl SpatialStore for MemoryStore {
         self.sizes[&oid]
     }
 
-    // `str_plan`'s default (payload 0) and `str_tree_region`'s default
-    // (`None` — no I/O charged) are already right for a memory store;
-    // only the install needs the bottom-up build.
+    // `str_plan`'s default (payload 0) is already right for a memory
+    // store; the install builds the tree bottom-up and charges nothing.
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         assert!(self.sizes.is_empty(), "STR install requires an empty store");
         let build = bulk::build_tree(

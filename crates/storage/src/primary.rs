@@ -317,17 +317,13 @@ impl SpatialStore for PrimaryOrganization {
         }
     }
 
-    fn str_tree_region(&self) -> Option<RegionId> {
-        Some(self.tree_region)
-    }
-
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         assert!(
             self.objects.is_empty(),
             "STR install requires an empty store"
         );
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
-        for run in build.level_runs.iter().skip(1) {
+        for run in &build.level_runs {
             self.disk.charge(IoKind::Write, *run, false);
         }
         self.tree = build.tree;

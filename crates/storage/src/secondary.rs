@@ -279,10 +279,6 @@ impl SpatialStore for SecondaryOrganization {
         }
     }
 
-    fn str_tree_region(&self) -> Option<RegionId> {
-        Some(self.tree_region)
-    }
-
     fn str_install(
         &mut self,
         _records: &[ObjectRecord],
@@ -310,7 +306,7 @@ impl SpatialStore for SecondaryOrganization {
             tile_runs.push(PageRun::new(PageId::new(self.file_region, first), len));
         }
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
-        for run in build.level_runs.iter().skip(1).chain(&tile_runs) {
+        for run in build.level_runs.iter().chain(&tile_runs) {
             self.disk.charge(IoKind::Write, *run, false);
         }
         self.objects = ObjectTable::from_records(slots);

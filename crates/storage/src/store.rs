@@ -50,7 +50,7 @@
 
 use crate::model::{QueryStats, SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
-use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRequest, PageRun, RegionId};
+use spatialdb_disk::{DiskHandle, PageRequest};
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{LeafEntry, NoIo, ObjectId, RStarTree, Tile, TilingParams, DEFAULT_STR_FILL};
 use std::collections::HashSet;
@@ -354,27 +354,17 @@ pub trait SpatialStore: Send + Sync {
         }
     }
 
-    /// The region the packed tree's data pages are written to, or
-    /// `None` when building the tree charges no I/O (the in-memory
-    /// baseline, or a foreign backend without the bottom-up path).
-    ///
-    /// The **caller** of [`str_install`](SpatialStore::str_install)
-    /// charges one sequential write run of `tiles.len()` pages against
-    /// this region — that split lets a partitioned driver charge each
-    /// partition's leaf run on the worker thread that packed it.
-    fn str_tree_region(&self) -> Option<RegionId> {
-        None
-    }
-
     /// Install pre-tiled leaves: build the packed tree bottom-up and
     /// place the exact representations tile by tile. `tiles` must come
     /// from this store's own [`str_plan`](SpatialStore::str_plan)
     /// (sorted with [`spatialdb_rtree::bulk::sort_entries`] and tiled
-    /// with the plan's params), and the store must be empty.
+    /// with the plan's params, as
+    /// [`spatialdb_rtree::bulk::plan_tiles`] does), and the store must
+    /// be empty.
     ///
-    /// Charges everything **except** the leaf-level write run, which
-    /// the caller already charged per the
-    /// [`str_tree_region`](SpatialStore::str_tree_region) contract.
+    /// Charges every write of the build: each packed level of the tree
+    /// as one sequential run, leaves first, then the exact
+    /// representations.
     ///
     /// The default (for foreign backends without a bottom-up build)
     /// falls back to inserting the records in tile order — same
@@ -388,30 +378,5 @@ pub trait SpatialStore: Send + Sync {
                 self.insert(by_oid[&e.oid]);
             }
         }
-    }
-
-    /// Sequential STR bulk load: plan, sort, tile, charge the leaf-run
-    /// write, install. The parallel driver in `spatialdb-core`
-    /// distributes exactly this pipeline over scoped threads and
-    /// produces a byte-identical store at every thread count.
-    ///
-    /// The store must be empty. Compared to
-    /// [`bulk_load`](SpatialStore::bulk_load) (the insertion loop) the
-    /// resulting tree is packed at the configured fill factor and the
-    /// build charges sequential writes instead of per-insertion
-    /// directory traffic.
-    fn bulk_load_str(&mut self, records: &[ObjectRecord]) {
-        let StrPlan { entries, params } = self.str_plan(records);
-        let tiles = spatialdb_rtree::bulk::plan_tiles(entries, &params);
-        if let Some(region) = self.str_tree_region() {
-            if !tiles.is_empty() {
-                self.disk().charge(
-                    IoKind::Write,
-                    PageRun::new(PageId::new(region, 0), tiles.len() as u64),
-                    false,
-                );
-            }
-        }
-        self.str_install(records, tiles, &params);
     }
 }

@@ -8,10 +8,11 @@
 
 use spatialdb_disk::Disk;
 use spatialdb_geom::Rect;
+use spatialdb_rtree::bulk::plan_tiles;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
     new_shared_pool, ObjectRecord, PrimaryOrganization, SecondaryOrganization, SpatialStore,
-    WindowTechnique,
+    StrPlan, WindowTechnique,
 };
 
 /// xorshift64 — the storage crate has no dependency on the data crate's
@@ -55,7 +56,9 @@ fn records() -> Vec<ObjectRecord> {
 fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialStore> {
     let records = records();
     if str_built {
-        store.bulk_load_str(&records);
+        let StrPlan { entries, params } = store.str_plan(&records);
+        let tiles = plan_tiles(entries, &params);
+        store.str_install(&records, tiles, &params);
     } else {
         store.bulk_load(&records);
     }

@@ -1,19 +1,19 @@
-//! STR bulk-load equivalence matrix: the sequential bulk load and the
-//! parallel driver at 1/2/8 threads must produce identical trees,
-//! identical physical placement and identical answers across all three
-//! organization models × all four window techniques; single-threaded
-//! parallel must be *byte-identical* in I/O accounting to the
-//! sequential path; STR-built trees must beat insertion-built trees on
-//! construction I/O and directory size while answering identically; and
-//! a worker panic mid-tile must salvage the completed partitions'
-//! charges, mirroring the parallel-join contract.
+//! STR bulk-load equivalence matrix: the bulk load at 1, 2, 3 and 8
+//! threads must produce identical trees, identical physical placement,
+//! identical answers and *byte-identical* I/O accounting across all
+//! three organization models × all four window techniques; STR-built
+//! trees must beat insertion-built trees on construction I/O and
+//! directory size while answering identically; and a load that cannot
+//! finish — a repeated id, a non-finite MBR — must panic before it
+//! charges anything.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use spatialdb::bulk_load_records_par;
 use spatialdb::geom::{Geometry, Point, Polyline, Rect};
 use spatialdb::storage::{
-    new_shared_pool, ObjectRecord, OrganizationKind, SecondaryOrganization, WindowTechnique,
+    new_shared_pool, MemoryStore, ObjectRecord, OrganizationKind, SecondaryOrganization,
+    SpatialStore, WindowTechnique,
 };
 use spatialdb::{DbOptions, Disk, ObjectId, SpatialDatabase, Workspace};
 
@@ -102,11 +102,10 @@ fn str_par1_is_byte_identical_to_sequential() {
     }
 }
 
-/// The full matrix: at 2 and 8 threads the parallel bulk load builds
+/// The full matrix: at 2, 3 and 8 threads the parallel bulk load builds
 /// the same tree with the same physical placement — every window query
 /// under every technique answers identically, page run for page run —
-/// and writes the same number of pages (only the leaf-run *request
-/// count* may differ across thread counts).
+/// and charges exactly the sequential build's I/O.
 #[test]
 fn str_par_threads_agree_across_orgs_and_techniques() {
     const N: u64 = 6_000;
@@ -114,12 +113,10 @@ fn str_par_threads_agree_across_orgs_and_techniques() {
         let ws_seq = Workspace::new(256);
         let mut seq = load_str(&ws_seq, kind, N);
         let s = seq.io_stats(); // snapshot before queries pollute the cumulative stats
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             let ws_par = Workspace::new(256);
             let mut par = load_str_par(&ws_par, kind, N, threads);
-            let p = par.io_stats();
-            assert_eq!(s.pages_written, p.pages_written, "{kind:?} t={threads}");
-            assert_eq!(s.pages_read, p.pages_read, "{kind:?} t={threads}");
+            assert_eq!(s, par.io_stats(), "{kind:?} t={threads}");
             assert_eq!(
                 seq.occupied_pages(),
                 par.occupied_pages(),
@@ -270,29 +267,65 @@ fn bulk_load_rejects_duplicate_ids() {
     db.bulk_load(objs);
 }
 
-/// A worker panicking mid-tile (here: a non-finite MBR smuggled past
-/// the planner) must not lose the I/O already charged by the
-/// partitions that completed — the scratch tallies absorb on unwind,
-/// exactly like the parallel MBR join's salvage contract.
-#[test]
-fn worker_panic_salvages_completed_partition_io() {
-    const N: u64 = 4_000;
-    let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 128);
-    let mut org = SecondaryOrganization::new(disk.clone(), pool);
-    let side = (N as f64).sqrt().ceil() as u64;
-    let mut records: Vec<ObjectRecord> = (0..N)
+/// `n` records on a grid of the unit square, 512 bytes each.
+fn records(n: u64) -> Vec<ObjectRecord> {
+    let side = (n as f64).sqrt().ceil() as u64;
+    (0..n)
         .map(|i| {
             let x = (i % side) as f64 / side as f64;
             let y = (i / side) as f64 / side as f64;
             ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.01, y + 0.01), 512)
         })
-        .collect();
+        .collect()
+}
+
+/// A repeated id in a direct load is refused before anything is
+/// planned or charged, whatever the backend: the store stays empty and
+/// consistent, the disk untouched.
+#[test]
+fn repeated_id_charges_nothing() {
+    let mut records = records(500);
+    records.push(records[42]);
+    for threads in [1, 4] {
+        let ws = Workspace::new(64);
+        let memory: Box<dyn SpatialStore> = Box::new(MemoryStore::new(ws.disk(), ws.pool()));
+        let mut dbs: Vec<SpatialDatabase> = ALL_KINDS
+            .into_iter()
+            .map(|kind| ws.create_database(DbOptions::new(kind)))
+            .collect();
+        dbs.push(ws.create_database_with(memory));
+        for mut db in dbs {
+            let before = ws.disk().stats();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                bulk_load_records_par(db.store_mut(), &records, threads);
+            }));
+            let name = db.store_name();
+            let message = result.expect_err(name);
+            assert_eq!(
+                message.downcast_ref::<String>().map(String::as_str),
+                Some("object 42 already stored"),
+                "{name}, {threads} threads"
+            );
+            assert_eq!(ws.disk().stats(), before, "{name}, {threads} threads");
+            assert_eq!(db.store().num_objects(), 0, "{name}, {threads} threads");
+            db.store().check_consistency().unwrap();
+        }
+    }
+}
+
+/// A tiling worker's panic (here: a non-finite MBR smuggled past the
+/// planner) reaches the caller before the install charges anything: the
+/// store stays empty and the disk untouched.
+#[test]
+fn tiling_panic_charges_nothing() {
+    let disk = Disk::with_defaults();
+    let pool = new_shared_pool(disk.clone(), 128);
+    let mut org = SecondaryOrganization::new(disk.clone(), pool);
+    let mut records = records(4_000);
     // NaN sorts last under the STR total order, so the poisoned entry
-    // lands in the final partition; the earlier partitions finish their
-    // tiling (and leaf-run charges) before the panic propagates.
+    // lands in the last worker's slices; the others finish tiling first.
     records.push(ObjectRecord::new(
-        ObjectId(N),
+        ObjectId(4_000),
         Rect {
             xmin: f64::NAN,
             ymin: 0.0,
@@ -301,13 +334,12 @@ fn worker_panic_salvages_completed_partition_io() {
         },
         512,
     ));
+    let before = disk.stats();
     let result = catch_unwind(AssertUnwindSafe(|| {
         bulk_load_records_par(&mut org, &records, 4);
     }));
     assert!(result.is_err(), "non-finite MBR must abort the bulk load");
-    let stats = disk.stats();
-    assert!(
-        stats.pages_written > 0,
-        "completed partitions' leaf-run charges were lost",
-    );
+    assert_eq!(disk.stats(), before);
+    assert_eq!(org.num_objects(), 0);
+    assert!(org.tree().is_empty());
 }

@@ -231,8 +231,6 @@ fn arm_stats_cover_every_timed_request() {
                 assert!(s.utilization() > 0.0 && s.utilization() <= 1.0 + 1e-9);
             }
         }
-        let report = spatialdb::report::summarize_arms(stats);
-        assert_eq!(report.len(), arms);
     }
 }
 

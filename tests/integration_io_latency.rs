@@ -1,8 +1,8 @@
 //! Integration tests of the overlapped-I/O subsystem: the depth-1 FCFS
 //! equivalence matrix (the timed executor is byte-identical to the
 //! synchronous path for every organization × window technique), the
-//! determinism of the simulated latency, the elevator-vs-FCFS ordering
-//! at queue depth, and the timed join.
+//! determinism of the simulated latency, and the elevator-vs-FCFS
+//! ordering at queue depth.
 //!
 //! The request-level anchor — a depth-1 pass over the arm reporting
 //! every request's own seek flag, so charging it again mirrors
@@ -271,33 +271,6 @@ fn depth_controls_per_query_overlap() {
         d8.iter().any(|l| l.queue_ms > 0.0),
         "depth 8 must overlap requests"
     );
-}
-
-/// The timed join: identical pairs to the synchronous join, plus a
-/// latency figure for its captured request trace.
-#[test]
-fn timed_join_matches_sync_join() {
-    let map = test_map();
-    let ws = Workspace::new(512);
-    let mut a = load(&ws, OrganizationKind::Cluster, &map);
-    let mut b_db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
-    for obj in &map.objects {
-        let g = obj.geometry.clone().unwrap();
-        b_db.insert(obj.id, g);
-    }
-    b_db.finish_loading();
-
-    // Cold object buffer before each join so both runs do real I/O.
-    a.store_mut().begin_query();
-    b_db.store_mut().begin_query();
-    let sync_pairs = a.join(&b_db).run().pairs();
-    a.store_mut().begin_query();
-    b_db.store_mut().begin_query();
-    let timed = a.join(&b_db).run_timed(4, ArmPolicy::Elevator);
-    let latency = timed.latency_stats().expect("timed join carries latency");
-    assert!(latency.requests > 0);
-    assert!(latency.latency_ms() > 0.0);
-    assert_eq!(timed.pairs(), sync_pairs);
 }
 
 /// A store that charges no I/O (the in-memory baseline) reports zero
