@@ -77,12 +77,13 @@ fn main() {
     let rows: Vec<String> = report.cells().iter().map(|c| c.decluster_row()).collect();
     let arms_json: Vec<String> = ARMS.iter().map(|a| a.to_string()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"decluster\",\n  \"objects\": {n_objects},\n  \
+        "{{\n  \"bench\": \"decluster\",\n  \"objects\": {},\n  \
          \"queries\": {n_queries},\n  \"databases\": {n_dbs},\n  \"depth\": {depth},\n  \
          \"load\": {load},\n  \
          \"arms\": [{}],\n  \"stripes\": [\"round_robin\", \"region_hash\", \
          \"mbr_locality\"],\n  \"policies\": [\"fcfs\", \"elevator\"],\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        report.objects,
         arms_json.join(", "),
         rows.join(",\n")
     );

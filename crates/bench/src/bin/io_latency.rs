@@ -60,9 +60,10 @@ fn main() {
     let rows: Vec<String> = report.cells().iter().map(|c| c.io_latency_row()).collect();
     let depths_json: Vec<String> = DEPTHS.iter().map(|d| d.to_string()).collect();
     let json = format!(
-        "{{\n  \"bench\": \"io_latency\",\n  \"objects\": {n_objects},\n  \
+        "{{\n  \"bench\": \"io_latency\",\n  \"objects\": {},\n  \
          \"queries\": {n_queries},\n  \"load\": {load},\n  \"depths\": [{}],\n  \
          \"policies\": [\"fcfs\", \"elevator\"],\n  \"rows\": [\n{}\n  ]\n}}\n",
+        report.objects,
         depths_json.join(", "),
         rows.join(",\n")
     );

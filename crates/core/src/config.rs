@@ -11,9 +11,9 @@
 //! # let _ = ws;
 //! ```
 //!
-//! How many disk arms a timed replay runs on is not a property of the
-//! machine the queries charge: it belongs to the replay
-//! ([`OverlapConfig`](crate::OverlapConfig)).
+//! How many disk arms a replay of the charged requests runs on is not a
+//! property of the machine the queries charge: it belongs to the replay
+//! ([`ArrayConfig`](spatialdb_disk::ArrayConfig)).
 
 use spatialdb_disk::DiskParams;
 

@@ -246,13 +246,10 @@ impl Workspace {
     /// per-query and aggregate statistic **identical to sequential
     /// execution**, at any thread count — while the exact-geometry
     /// refinement runs on the plan's worker threads (a bare thread
-    /// count, as below, is a plan). `ExecPlan::threads(k).timed(OverlapConfig)`
-    /// additionally replays the filter I/O through the disk-arm
-    /// scheduler, attaching per-query
-    /// [`LatencyStats`](spatialdb_disk::LatencyStats) to the outcomes.
+    /// count, as below, is a plan).
     /// ([`executor::run_batch`](crate::executor::run_batch) is the same
-    /// call without the membership check; untimed, it also takes queries
-    /// of several workspaces.)
+    /// call without the membership check; it also takes queries of
+    /// several workspaces.)
     ///
     /// ```
     /// # use spatialdb::{DbOptions, OrganizationKind, Workspace};

@@ -66,7 +66,7 @@
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
 //! | [`query`] | the streaming `Query` and `JoinQuery` builders and their cursors; `run_par` refines on threads, every charge stays on the calling thread |
 //! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`) |
-//! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`), timed replay |
+//! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`) |
 //! | [`bulkload`] | the one STR bulk load: sort and tile on threads, every charge on the calling thread |
 
 #![forbid(unsafe_code)]
@@ -83,7 +83,7 @@ pub mod stream;
 pub use bulkload::bulk_load_records_par;
 pub use config::{ConfigError, EngineConfig};
 pub use db::{DbOptions, SpatialDatabase, StoreRead, Workspace};
-pub use executor::{Arrival, BatchOutcome, ExecPlan, OverlapConfig, QueryOutcome};
+pub use executor::{BatchOutcome, ExecPlan, QueryOutcome};
 pub use query::{JoinCursor, JoinQuery, Query, ResultCursor};
 pub use stream::{run_stream, OpOutcome, StreamOp, StreamOutcome};
 
@@ -96,7 +96,7 @@ pub use spatialdb_storage as storage;
 
 pub use spatialdb_data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 pub use spatialdb_disk::{
-    ArmPolicy, ArmStats, Disk, DiskHandle, DiskParams, IoStats, LatencyStats, StripePolicy,
+    ArmPolicy, ArmStats, Arrival, Disk, DiskHandle, DiskParams, IoStats, LatencyStats, StripePolicy,
 };
 pub use spatialdb_geom::Geometry;
 pub use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};

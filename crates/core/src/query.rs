@@ -61,7 +61,7 @@
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
 use crate::executor::map_chunks;
-use spatialdb_disk::{IoStats, PageRequest};
+use spatialdb_disk::IoStats;
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
 use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
@@ -282,18 +282,16 @@ impl<'a> Query<'a> {
     /// [`point`](Query::point) was set.
     pub fn run(self) -> ResultCursor<'a> {
         let mut scratch = SCRATCH.take();
-        let cursor = self.run_with(&mut scratch, false);
+        let cursor = self.run_with(&mut scratch);
         SCRATCH.set(scratch);
         cursor
     }
 
     /// [`run`](Query::run) for the executors, which reuse one candidate
-    /// buffer across queries and, with `traced`, also capture the disk
-    /// requests the filter step charges, for replay through the arm
-    /// scheduler (same synchronous execution, same answers, stats and
-    /// charges). The cursor, the batch executor and the stream executor
-    /// all run their filter step here, so they cannot drift.
-    pub(crate) fn run_with(self, scratch: &mut Vec<LeafEntry>, traced: bool) -> ResultCursor<'a> {
+    /// buffer across queries. The cursor, the batch executor and the
+    /// stream executor all run their filter step here, so they cannot
+    /// drift.
+    pub(crate) fn run_with(self, scratch: &mut Vec<LeafEntry>) -> ResultCursor<'a> {
         let target = self
             .target
             .expect("Query::run() needs .window(..) or .point(..) first");
@@ -306,17 +304,9 @@ impl<'a> Query<'a> {
         // cost alone, even while other threads query concurrently.
         let disk = root.disk();
         let io_before = disk.local_stats();
-        if traced {
-            disk.trace_begin();
-        }
         let stats = match &target {
             Target::Window(w) => root.window_query_into(w, technique, scratch),
             Target::Point(p) => root.point_query_into(p, scratch),
-        };
-        let trace = if traced {
-            disk.trace_take()
-        } else {
-            Vec::new()
         };
         let io = disk.local_stats().since(&io_before);
         let candidate = |e: &LeafEntry| Candidate {
@@ -332,7 +322,6 @@ impl<'a> Query<'a> {
             next: 0,
             stats,
             io,
-            trace,
         }
     }
 
@@ -380,8 +369,6 @@ pub struct ResultCursor<'a> {
     next: usize,
     pub(crate) stats: QueryStats,
     pub(crate) io: IoStats,
-    /// The filter step's disk requests, if the executor asked for them.
-    pub(crate) trace: Vec<PageRequest>,
 }
 
 impl<'a> ResultCursor<'a> {

@@ -47,7 +47,7 @@ use std::sync::Condvar;
 
 use crate::db::{GeometryTable, SpatialDatabase};
 use crate::query::{refine_pairs, Candidate, Query, Refinement, Target};
-use spatialdb_disk::{IoStats, PageRequest};
+use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, Point, Rect};
 use spatialdb_join::{JoinConfig, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
@@ -333,22 +333,16 @@ impl Drop for CloseOnDrop<'_> {
 pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
     let ops = ops.into_iter().map(Op::from).collect();
     StreamOutcome {
-        outcomes: execute(ops, threads, false).0,
+        outcomes: execute(ops, threads),
     }
 }
 
 /// The loop itself (see the [module docs](self)): one outcome per op in
-/// op order and, with `traced`, the disk requests of each read's filter
-/// step in the same order, for replay through the arm scheduler.
-pub(crate) fn execute(
-    ops: Vec<Op<'_>>,
-    threads: usize,
-    traced: bool,
-) -> (Vec<OpOutcome>, Vec<Vec<PageRequest>>) {
+/// op order.
+pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> Vec<OpOutcome> {
     let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
-    let mut traces = Vec::new();
     if ops.is_empty() {
-        return (outcomes, traces);
+        return outcomes;
     }
     let workers = threads.clamp(1, ops.len());
     let queue = RefineQueue::new();
@@ -401,7 +395,7 @@ pub(crate) fn execute(
                     // The pin is dropped before the next commit, so
                     // reclamation is never held up by an op that already
                     // detached its refinement.
-                    let cursor = query.run_with(&mut scratch, traced);
+                    let cursor = query.run_with(&mut scratch);
                     queue.push(RefineJob::Query {
                         index,
                         geoms: cursor.root.geoms().clone(),
@@ -409,9 +403,6 @@ pub(crate) fn execute(
                         target: cursor.target,
                         candidates: cursor.candidates,
                     });
-                    if traced {
-                        traces.push(cursor.trace);
-                    }
                     // The ids are filled in at merge time.
                     outcomes.push(OpOutcome::Query {
                         ids: Vec::new(),
@@ -469,7 +460,7 @@ pub(crate) fn execute(
             _ => unreachable!("refinement result kind mismatches its op"),
         }
     }
-    (outcomes, traces)
+    outcomes
 }
 
 #[cfg(test)]

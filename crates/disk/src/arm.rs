@@ -17,16 +17,18 @@
 //!   `seek_ms`** (9.0 ms by default) — the average-cost model is the
 //!   expectation of this curve, so the two models describe the same
 //!   disk.
-//! * [`DiskArm`] holds a queue of outstanding [`PageRequest`]s and
-//!   services them under an [`ArmPolicy`]: FCFS (arrival order) or
-//!   **elevator** (SCAN: sweep the cylinders in one direction, servicing
-//!   requests on the way, flip at the last outstanding cylinder).
+//! * Each arm of a [`DiskArray`](crate::array::DiskArray) holds a queue
+//!   of outstanding [`PageRequest`]s and services them under an
+//!   [`ArmPolicy`]: FCFS (arrival order) or **elevator** (SCAN: sweep the
+//!   cylinders in one direction, servicing requests on the way, flip at
+//!   the last outstanding cylinder). A single arm is a 1-arm array.
 //! * [`simulate_queries_striped`](crate::array::simulate_queries_striped)
-//!   replays per-query request traces ([`QueryTrace`], captured with
+//!   and [`simulate_queries_closed`](crate::array::simulate_queries_closed)
+//!   replay per-query request traces ([`QueryTrace`], captured with
 //!   [`Disk::trace_begin`](crate::disk::Disk::trace_begin)) through the
-//!   arms under an open-arrival workload with a bounded per-query
-//!   submission window (queue depth *k*), producing per-query
-//!   [`LatencyStats`] — the one way requests reach an arm.
+//!   arms with a bounded per-query submission window (queue depth *k*),
+//!   producing per-query [`LatencyStats`] — the one way requests reach
+//!   an arm.
 //!
 //! ## Two measures, one contract
 //!
@@ -79,15 +81,6 @@ impl PageRequest {
             skip_seek: false,
         }
     }
-
-    /// A write request for `run` paying a full seek.
-    pub fn write(run: PageRun) -> Self {
-        PageRequest {
-            kind: IoKind::Write,
-            run,
-            skip_seek: false,
-        }
-    }
 }
 
 /// How the arm orders outstanding requests.
@@ -111,7 +104,9 @@ pub enum ArmPolicy {
 /// `pages_per_cylinder` to a cylinder; each region starts at its own
 /// `cylinders_per_region` band, so different files live in different
 /// areas of the disk (per [`crate::model`], pages of different regions
-/// are never physically consecutive). A region that outgrows its band
+/// are never physically consecutive). Which band a region gets on which
+/// arm is the [`StripePolicy`](crate::array::StripePolicy)'s choice; on
+/// one arm region `r` occupies band `r`. A region that outgrows its band
 /// stays clamped to the band's last cylinder — the mapping only shapes
 /// seek distances, not capacity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -132,30 +127,17 @@ impl Default for ArmGeometry {
 }
 
 impl ArmGeometry {
-    /// Cylinder of a page. Zero field values are treated as 1 — the
-    /// fields are public, and a degenerate geometry should collapse the
-    /// mapping, not panic or underflow.
-    pub fn cylinder(&self, page: &PageId) -> u64 {
-        self.cylinder_in_band(u64::from(page.region.0), page)
-    }
-
-    /// Cylinder of a page placed in an explicit band instead of the
-    /// region-indexed one — the [`DiskArray`](crate::array::DiskArray)
-    /// places each region in an **arm-local** band so every arm's
-    /// cylinder space stays compact. `cylinder_in_band(region.0, page)`
-    /// is exactly [`cylinder`](ArmGeometry::cylinder), the single-disk
-    /// identity mapping.
+    /// Cylinder of a page whose region sits in cylinder band `band` —
+    /// the [`DiskArray`](crate::array::DiskArray) places each region in
+    /// an **arm-local** band so every arm's cylinder space stays compact.
+    /// Zero field values are treated as 1 — the fields are public, and a
+    /// degenerate geometry should collapse the mapping, not panic or
+    /// underflow.
     pub fn cylinder_in_band(&self, band: u64, page: &PageId) -> u64 {
         let pages = self.pages_per_cylinder.max(1);
         let width = self.cylinders_per_region.max(1);
         let within = (page.offset / pages).min(width - 1);
         band * width + within
-    }
-
-    /// Cylinder of the last page of a run.
-    pub fn end_cylinder(&self, run: &PageRun) -> u64 {
-        let last = PageId::new(run.start.region, run.end_offset().saturating_sub(1));
-        self.cylinder(&last)
     }
 
     /// Cylinder of the last page of a run placed in an explicit band
@@ -171,7 +153,7 @@ impl ArmGeometry {
 /// [`LatencyStats`] (per-query) cannot see.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct ArmStats {
-    /// Index of the arm within its array (0 for a lone arm).
+    /// Index of the arm within its array.
     pub arm: usize,
     /// Requests serviced so far.
     pub serviced: u64,
@@ -194,16 +176,6 @@ impl ArmStats {
     pub fn utilization(&self) -> f64 {
         if self.clock_ms > 0.0 {
             self.busy_ms / self.clock_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-average queue depth over the arm's timeline
-    /// (`queue_wait_ms / clock_ms`, Little's law; 0 for an idle arm).
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.clock_ms > 0.0 {
-            self.queue_wait_ms / self.clock_ms
         } else {
             0.0
         }
@@ -240,12 +212,6 @@ impl SeekCurve {
             max_ms,
             full_stroke: full_stroke.max(1),
         }
-    }
-
-    /// The default calibration: paper parameters over a 4096-cylinder
-    /// stroke (four default region bands).
-    pub fn paper_default() -> Self {
-        Self::calibrated(&DiskParams::default(), 4096)
     }
 
     /// Seek time for a head movement of `distance` cylinders.
@@ -336,267 +302,6 @@ impl LatencyStats {
     pub fn latency_ms(&self) -> f64 {
         self.completed_ms - self.arrival_ms
     }
-
-    /// Mean queue wait per request (0 for a query without I/O).
-    #[must_use = "the mean queue wait is the measurement; dropping it loses it"]
-    pub fn mean_queue_ms(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.queue_ms / self.requests as f64
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    id: u64,
-    request: PageRequest,
-    arrival_ms: f64,
-    cylinder: u64,
-    end_cylinder: u64,
-}
-
-/// One disk arm: a queue of outstanding requests, a head position, and a
-/// simulated clock.
-///
-/// The arm is a pure scheduler — it computes the timeline and the
-/// effective charge flags, but charges nothing itself. The multi-query
-/// harness that drives it is
-/// [`simulate_queries_striped`](crate::array::simulate_queries_striped).
-#[derive(Clone, Debug)]
-pub struct DiskArm {
-    params: DiskParams,
-    geometry: ArmGeometry,
-    curve: SeekCurve,
-    policy: ArmPolicy,
-    clock_ms: f64,
-    head: u64,
-    sweep_up: bool,
-    pending: Vec<Pending>,
-    next_id: u64,
-    /// Start time of the most recent dispatch: a request that arrived
-    /// before this instant was co-scheduled with the previous request
-    /// (the elevator saw both at once), which is what licenses the
-    /// same-cylinder charge merge.
-    last_dispatch_start_ms: f64,
-    serviced: u64,
-    busy_ms: f64,
-    queue_wait_ms: f64,
-}
-
-impl DiskArm {
-    /// Create an idle arm at cylinder 0.
-    pub fn new(params: DiskParams, geometry: ArmGeometry, policy: ArmPolicy) -> Self {
-        let curve = SeekCurve::calibrated(&params, 4 * geometry.cylinders_per_region);
-        DiskArm {
-            params,
-            geometry,
-            curve,
-            policy,
-            clock_ms: 0.0,
-            head: 0,
-            sweep_up: true,
-            pending: Vec::new(),
-            next_id: 0,
-            last_dispatch_start_ms: f64::NEG_INFINITY,
-            serviced: 0,
-            busy_ms: 0.0,
-            queue_wait_ms: 0.0,
-        }
-    }
-
-    /// Cumulative service statistics (utilization, mean queue depth).
-    pub fn stats(&self) -> ArmStats {
-        ArmStats {
-            arm: 0,
-            serviced: self.serviced,
-            busy_ms: self.busy_ms,
-            queue_wait_ms: self.queue_wait_ms,
-            clock_ms: self.clock_ms,
-            pending: self.pending.len(),
-        }
-    }
-
-    /// Current simulated time in ms.
-    pub fn clock_ms(&self) -> f64 {
-        self.clock_ms
-    }
-
-    /// Number of outstanding requests.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submit a request arriving now (at the arm's clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty run — empty runs are free in the synchronous
-    /// model and must not be submitted.
-    pub fn submit(&mut self, request: PageRequest) -> u64 {
-        self.submit_at(request, self.clock_ms)
-    }
-
-    /// Submit a request with an explicit arrival time (which may lie in
-    /// the arm's future; it becomes eligible once the clock reaches it).
-    pub fn submit_at(&mut self, request: PageRequest, arrival_ms: f64) -> u64 {
-        let id = self.next_id;
-        let cylinder = self.geometry.cylinder(&request.run.start);
-        let end_cylinder = self.geometry.end_cylinder(&request.run);
-        self.submit_routed(id, request, arrival_ms, cylinder, end_cylinder);
-        id
-    }
-
-    /// Submit with an externally assigned id and pre-mapped cylinders —
-    /// the [`DiskArray`](crate::array::DiskArray) entry point, which
-    /// keeps one id sequence across arms and maps regions to arm-local
-    /// cylinder bands itself.
-    pub fn submit_routed(
-        &mut self,
-        id: u64,
-        request: PageRequest,
-        arrival_ms: f64,
-        cylinder: u64,
-        end_cylinder: u64,
-    ) {
-        assert!(!request.run.is_empty(), "cannot submit an empty run");
-        self.next_id = self.next_id.max(id + 1);
-        self.pending.push(Pending {
-            id,
-            request,
-            arrival_ms,
-            cylinder,
-            end_cylinder,
-        });
-    }
-
-    /// Pick the index of the next request to service among `eligible`
-    /// indices into `self.pending`.
-    fn pick(&self, eligible: &[usize]) -> usize {
-        match self.policy {
-            ArmPolicy::Fcfs => *eligible
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let (pa, pb) = (&self.pending[a], &self.pending[b]);
-                    pa.arrival_ms
-                        .total_cmp(&pb.arrival_ms)
-                        .then(pa.id.cmp(&pb.id))
-                })
-                .expect("eligible set is non-empty"),
-            ArmPolicy::Elevator => {
-                // SCAN: nearest outstanding cylinder in the sweep
-                // direction; if the direction is exhausted, reverse.
-                let pos = |i: &&usize| self.pending[**i].cylinder;
-                let ahead_up = |i: &&usize| pos(i) >= self.head;
-                let ahead_down = |i: &&usize| pos(i) <= self.head;
-                let key_up = |&&i: &&usize| {
-                    let p = &self.pending[i];
-                    (p.cylinder, p.id)
-                };
-                let key_down = |&&i: &&usize| {
-                    let p = &self.pending[i];
-                    (std::cmp::Reverse(p.cylinder), p.id)
-                };
-                let chosen = if self.sweep_up {
-                    eligible
-                        .iter()
-                        .filter(ahead_up)
-                        .min_by_key(key_up)
-                        .or_else(|| eligible.iter().filter(ahead_down).min_by_key(key_down))
-                } else {
-                    eligible
-                        .iter()
-                        .filter(ahead_down)
-                        .min_by_key(key_down)
-                        .or_else(|| eligible.iter().filter(ahead_up).min_by_key(key_up))
-                };
-                *chosen.expect("eligible set is non-empty")
-            }
-        }
-    }
-
-    /// Service one outstanding request, advancing the clock. Returns
-    /// `None` when the queue is empty. If no queued request has arrived
-    /// yet, the clock jumps to the earliest arrival (idle wait).
-    pub fn service_next(&mut self) -> Option<Completion> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let earliest = self
-            .pending
-            .iter()
-            .map(|p| p.arrival_ms)
-            .fold(f64::INFINITY, f64::min);
-        if earliest > self.clock_ms {
-            self.clock_ms = earliest;
-        }
-        let eligible: Vec<usize> = (0..self.pending.len())
-            .filter(|&i| self.pending[i].arrival_ms <= self.clock_ms)
-            .collect();
-        let p = self.pending.remove(self.pick(&eligible));
-
-        let distance = self.head.abs_diff(p.cylinder);
-        // Timeline: purely physical head movement. A skip_seek request
-        // serviced right after its cluster leader sits on the head's
-        // cylinder, so distance — and seek time — is 0 there naturally;
-        // if the scheduler moved the arm elsewhere in between, the
-        // comeback travel is real and is charged to the timeline (the
-        // *accounting* flag below is a separate, §5.4.3 matter).
-        let seek_ms = self.curve.seek_ms(distance);
-        // Charging: the request's own flag, or the §5.4.3 same-cylinder
-        // rule extended to co-scheduled queued requests. At depth 1 a
-        // request is only ever submitted after the previous one
-        // completed, so no merge fires and the charge equals the
-        // synchronous path's, byte for byte.
-        let co_scheduled = p.arrival_ms <= self.last_dispatch_start_ms;
-        let merged = self.policy == ArmPolicy::Elevator && distance == 0 && co_scheduled;
-        let effective_skip_seek = p.request.skip_seek || merged;
-
-        let started_ms = self.clock_ms;
-        // Rotation: the paper's flat average `t_l` (§5.1), like the
-        // charged accounting.
-        let service =
-            seek_ms + self.params.latency_ms + self.params.transfer_ms * p.request.run.len as f64;
-        let finished_ms = started_ms + service;
-        if p.cylinder > self.head {
-            self.sweep_up = true;
-        } else if p.cylinder < self.head {
-            self.sweep_up = false;
-        }
-        self.head = p.end_cylinder;
-        self.clock_ms = finished_ms;
-        self.last_dispatch_start_ms = started_ms;
-        self.serviced += 1;
-        self.busy_ms += service;
-        self.queue_wait_ms += started_ms - p.arrival_ms;
-        Some(Completion {
-            id: p.id,
-            request: p.request,
-            submitted_ms: p.arrival_ms,
-            started_ms,
-            finished_ms,
-            seek_ms,
-            effective_skip_seek,
-        })
-    }
-
-    /// Finish time of the completion the next
-    /// [`service_next`](DiskArm::service_next) call would return, without mutating the
-    /// arm — what the [`DiskArray`](crate::array::DiskArray) compares
-    /// across arms to pop the globally-earliest completion.
-    pub fn peek_next_finish(&self) -> Option<f64> {
-        self.clone().service_next().map(|c| c.finished_ms)
-    }
-
-    /// Service everything outstanding, in policy order.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        while let Some(c) = self.service_next() {
-            out.push(c);
-        }
-        out
-    }
 }
 
 /// The recorded I/O of one query, to be replayed through an arm.
@@ -612,8 +317,25 @@ pub struct QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{simulate_queries_striped, ArrayConfig};
+    use crate::array::{simulate_queries_striped, ArrayConfig, DiskArray};
     use crate::model::RegionId;
+
+    /// One arm under `policy`: a 1-arm array.
+    fn one_arm(policy: ArmPolicy) -> DiskArray {
+        DiskArray::new(
+            DiskParams::default(),
+            ArmGeometry::default(),
+            ArrayConfig {
+                policy,
+                ..Default::default()
+            },
+        )
+    }
+
+    /// The arm's simulated clock: the end of its last service.
+    fn clock_ms(arm: &DiskArray) -> f64 {
+        arm.arm_stats()[0].clock_ms
+    }
 
     /// Open-arrival replay on one arm under `policy`.
     fn simulate(policy: ArmPolicy, depth: usize, queries: &[QueryTrace]) -> Vec<LatencyStats> {
@@ -639,9 +361,15 @@ mod tests {
         PageRequest::read(PageRun::new(pg(r, o), 1))
     }
 
+    /// The paper's parameters over a 4096-cylinder stroke: the stroke of
+    /// the default geometry's four region bands.
+    fn default_curve() -> SeekCurve {
+        SeekCurve::calibrated(&DiskParams::default(), 4096)
+    }
+
     #[test]
     fn seek_curve_mean_matches_paper_seek() {
-        let curve = SeekCurve::paper_default();
+        let curve = default_curve();
         assert_eq!(curve.seek_ms(0), 0.0);
         assert!((curve.seek_ms(curve.full_stroke) - 12.0).abs() < 1e-9);
         assert!((curve.seek_ms(1) - curve.min_ms).abs() < 0.2);
@@ -656,7 +384,7 @@ mod tests {
 
     #[test]
     fn seek_curve_monotone_and_clamped() {
-        let curve = SeekCurve::paper_default();
+        let curve = default_curve();
         let mut last = 0.0;
         for d in [1, 2, 16, 256, 1024, 4096] {
             let s = curve.seek_ms(d);
@@ -669,23 +397,21 @@ mod tests {
     #[test]
     fn geometry_maps_regions_to_bands() {
         let g = ArmGeometry::default();
-        assert_eq!(g.cylinder(&pg(0, 0)), 0);
-        assert_eq!(g.cylinder(&pg(0, 31)), 0);
-        assert_eq!(g.cylinder(&pg(0, 32)), 1);
-        assert_eq!(g.cylinder(&pg(1, 0)), 1024);
+        // On one arm region r occupies band r.
+        let cylinder = |p: PageId| g.cylinder_in_band(u64::from(p.region.0), &p);
+        assert_eq!(cylinder(pg(0, 0)), 0);
+        assert_eq!(cylinder(pg(0, 31)), 0);
+        assert_eq!(cylinder(pg(0, 32)), 1);
+        assert_eq!(cylinder(pg(1, 0)), 1024);
         // Overflow clamps to the band's last cylinder.
-        assert_eq!(g.cylinder(&pg(0, 32 * 5000)), 1023);
+        assert_eq!(cylinder(pg(0, 32 * 5000)), 1023);
         let run = PageRun::new(pg(1, 30), 4); // crosses a cylinder edge
-        assert_eq!(g.end_cylinder(&run), 1025);
+        assert_eq!(g.end_cylinder_in_band(1, &run), 1025);
     }
 
     #[test]
     fn fcfs_services_in_arrival_order() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Fcfs,
-        );
+        let mut arm = one_arm(ArmPolicy::Fcfs);
         let a = arm.submit(read1(0, 32 * 100));
         let b = arm.submit(read1(0, 0));
         let c = arm.submit(read1(0, 32 * 50));
@@ -695,11 +421,7 @@ mod tests {
 
     #[test]
     fn elevator_sweeps_monotonically() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-        );
+        let mut arm = one_arm(ArmPolicy::Elevator);
         // Scattered cylinders (head starts at 0): one ascending sweep.
         for cyl in [500u64, 20, 900, 5, 300] {
             arm.submit(read1(0, cyl * 32));
@@ -707,18 +429,14 @@ mod tests {
         let cylinders: Vec<u64> = arm
             .drain()
             .iter()
-            .map(|c| ArmGeometry::default().cylinder(&c.request.run.start))
+            .map(|c| ArmGeometry::default().cylinder_in_band(0, &c.request.run.start))
             .collect();
         assert_eq!(cylinders, vec![5, 20, 300, 500, 900]);
     }
 
     #[test]
     fn elevator_reverses_at_sweep_end_and_never_starves() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-        );
+        let mut arm = one_arm(ArmPolicy::Elevator);
         // A far request plus a cluster near the head. The far request is
         // reached on the same sweep; requests behind the head (arriving
         // while the arm sweeps up) are serviced on the way back down.
@@ -743,11 +461,7 @@ mod tests {
         // Submitting one request at a time (wait for each completion)
         // must keep every request's own skip_seek flag — the
         // depth-1-degenerates-to-sync contract.
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-        );
+        let mut arm = one_arm(ArmPolicy::Elevator);
         let mut completions = Vec::new();
         for o in [0u64, 1, 2, 3] {
             arm.submit(read1(0, o)); // same cylinder every time
@@ -761,11 +475,7 @@ mod tests {
 
     #[test]
     fn co_scheduled_same_cylinder_requests_merge_charges_under_elevator() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-        );
+        let mut arm = one_arm(ArmPolicy::Elevator);
         arm.submit(read1(0, 0));
         arm.submit(read1(0, 1)); // same cylinder, queued together
         let first = arm.service_next().unwrap();
@@ -773,11 +483,7 @@ mod tests {
         assert!(!first.effective_skip_seek);
         assert!(second.effective_skip_seek, "co-scheduled merge must fire");
         // FCFS never merges.
-        let mut fcfs = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Fcfs,
-        );
+        let mut fcfs = one_arm(ArmPolicy::Fcfs);
         fcfs.submit(read1(0, 0));
         fcfs.submit(read1(0, 1));
         assert!(fcfs.drain().iter().all(|c| !c.effective_skip_seek));
@@ -786,7 +492,7 @@ mod tests {
     #[test]
     fn skip_seek_requests_stay_skipped_under_any_policy() {
         for policy in [ArmPolicy::Fcfs, ArmPolicy::Elevator] {
-            let mut arm = DiskArm::new(DiskParams::default(), ArmGeometry::default(), policy);
+            let mut arm = one_arm(policy);
             arm.submit(PageRequest {
                 kind: IoKind::Read,
                 run: PageRun::new(pg(0, 0), 2),
@@ -811,12 +517,12 @@ mod tests {
             .map(|&cyl| read1(0, cyl * 32))
             .collect();
         let run = |policy| {
-            let mut arm = DiskArm::new(DiskParams::default(), ArmGeometry::default(), policy);
+            let mut arm = one_arm(policy);
             for r in &requests {
                 arm.submit(*r);
             }
             arm.drain();
-            arm.clock_ms()
+            clock_ms(&arm)
         };
         let fcfs = run(ArmPolicy::Fcfs);
         let elevator = run(ArmPolicy::Elevator);
@@ -829,12 +535,12 @@ mod tests {
     #[test]
     fn idle_arm_waits_for_future_arrivals() {
         let params = DiskParams::default();
-        let mut arm = DiskArm::new(params, ArmGeometry::default(), ArmPolicy::Fcfs);
+        let mut arm = one_arm(ArmPolicy::Fcfs);
         arm.submit_at(read1(0, 0), 100.0);
         let c = arm.service_next().unwrap();
         assert_eq!(c.started_ms, 100.0);
         assert_eq!(c.queue_ms(), 0.0);
-        assert!(arm.clock_ms() > 100.0);
+        assert!(clock_ms(&arm) > 100.0);
         // No seek from cylinder 0: the service is the flat average
         // rotation plus one page's transfer, whatever the arrival time.
         assert_eq!(c.service_ms(), params.latency_ms + params.transfer_ms);
@@ -842,11 +548,7 @@ mod tests {
 
     #[test]
     fn latency_stats_absorb_and_report() {
-        let mut arm = DiskArm::new(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Fcfs,
-        );
+        let mut arm = one_arm(ArmPolicy::Fcfs);
         arm.submit(read1(0, 0));
         arm.submit(read1(0, 32 * 200));
         let mut stats = LatencyStats::arriving_at(0.0);
@@ -856,11 +558,9 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert!(stats.queue_ms > 0.0, "second request waited");
         assert!(stats.service_ms > 0.0);
-        assert!((stats.latency_ms() - arm.clock_ms()).abs() < 1e-9);
-        assert!(stats.mean_queue_ms() > 0.0);
+        assert!((stats.latency_ms() - clock_ms(&arm)).abs() < 1e-9);
         let empty = LatencyStats::arriving_at(5.0);
         assert_eq!(empty.latency_ms(), 0.0);
-        assert_eq!(empty.mean_queue_ms(), 0.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Multi-arm declustered storage: a disk array striping regions across
-//! N independent arms.
+//! N independent arms, and the two replays that run traces through it.
 //!
-//! The paper's cost model (§5.1) — and the PR-4 [`DiskArm`] built on it
-//! — assume a single arm, so every page request funnels through one
-//! queue. The [`DiskArray`] generalizes that to N arms, each with its
-//! own request queue, FCFS/elevator ordering and seek state, behind a
+//! The paper's cost model (§5.1) assumes a single arm, so every page
+//! request funnels through one queue. The [`DiskArray`] generalizes that
+//! to N arms, each with its own request queue, FCFS/elevator ordering
+//! and seek state (the rules are in [`crate::arm`]), behind a
 //! [`StripePolicy`] that maps region ids to `(arm, local cylinder
 //! band)`. Regions stay physically contiguous on exactly one arm (this
 //! is *declustering across regions*, not page-level striping — the
@@ -12,18 +12,22 @@
 //! rule meaningful is preserved per region), and independent regions on
 //! different arms are serviced in parallel.
 //!
-//! The two-views contract of the single arm carries over unchanged:
-//! charged accounting (`IoStats`) is the flat per-request model and is
+//! The two-views contract of the arm carries over unchanged: charged
+//! accounting (`IoStats`) is the flat per-request model and is
 //! **identical for any arm count** under FCFS — striping shapes the
 //! simulated timeline ([`LatencyStats`], [`ArmStats`]), not the charge.
-//! A 1-arm array with any stripe policy is byte-identical to the plain
-//! [`DiskArm`]: every policy degenerates to the identity mapping
-//! `(arm 0, band = region id)` at N = 1.
+//! A single arm is a 1-arm array: every stripe policy degenerates to
+//! the identity mapping `(arm 0, band = region id)` at N = 1, so the
+//! stripe policy cannot move a 1-arm timeline.
+//!
+//! Traces reach the array through [`simulate_queries_striped`] (open
+//! arrivals) or [`simulate_queries_closed`] (a closed client loop); an
+//! [`Arrival`] names which of the two a workload runs.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::arm::{
-    ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
+    ArmGeometry, ArmPolicy, ArmStats, Completion, LatencyStats, PageRequest, QueryTrace, SeekCurve,
 };
 use crate::model::{DiskParams, RegionId};
 
@@ -32,8 +36,7 @@ use crate::model::{DiskParams, RegionId};
 /// Every policy is a *partition*: each region maps to exactly one arm
 /// and one arm-local cylinder band, deterministically (stable across
 /// array rebuilds). With a single arm every policy is the identity
-/// mapping, which is what keeps N = 1 byte-identical to the plain
-/// [`DiskArm`].
+/// mapping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StripePolicy {
     /// Region `r` on arm `r mod N`, band `r / N`. Spreads consecutively
@@ -93,8 +96,7 @@ impl StripePolicy {
 }
 
 /// Shape of a [`DiskArray`]: arm count, stripe policy and per-arm queue
-/// ordering. The default is a single elevator arm — exactly the PR-4
-/// scheduler.
+/// ordering. The default is a single elevator arm.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ArrayConfig {
     /// Number of independent arms (0 is treated as 1).
@@ -115,6 +117,176 @@ impl Default for ArrayConfig {
     }
 }
 
+/// A queued request, with the cylinders its region's band maps it to.
+#[derive(Clone, Copy, Debug)]
+struct Pending {
+    id: u64,
+    request: PageRequest,
+    arrival_ms: f64,
+    cylinder: u64,
+    end_cylinder: u64,
+}
+
+/// One arm of a [`DiskArray`]: a queue of outstanding requests, a head
+/// position and a simulated clock. It computes the timeline and the
+/// effective charge flags, and charges nothing itself.
+#[derive(Clone, Debug)]
+struct Arm {
+    clock_ms: f64,
+    head: u64,
+    sweep_up: bool,
+    pending: Vec<Pending>,
+    /// Start time of the most recent dispatch: a request that arrived
+    /// before this instant was co-scheduled with the previous request
+    /// (the elevator saw both at once), which is what licenses the
+    /// same-cylinder charge merge.
+    last_dispatch_start_ms: f64,
+    serviced: u64,
+    busy_ms: f64,
+    queue_wait_ms: f64,
+}
+
+/// The service an arm would perform next: which queued request, where
+/// it lands on the arm's timeline, and the seek flag its charge would
+/// use.
+#[derive(Clone, Copy, Debug)]
+struct NextService {
+    /// Index into the arm's pending queue.
+    index: usize,
+    seek_ms: f64,
+    started_ms: f64,
+    service_ms: f64,
+    finished_ms: f64,
+    effective_skip_seek: bool,
+}
+
+impl Arm {
+    fn idle() -> Self {
+        Arm {
+            clock_ms: 0.0,
+            head: 0,
+            sweep_up: true,
+            pending: Vec::new(),
+            last_dispatch_start_ms: f64::NEG_INFINITY,
+            serviced: 0,
+            busy_ms: 0.0,
+            queue_wait_ms: 0.0,
+        }
+    }
+
+    /// Pick the next request to service among the queued requests that
+    /// have arrived by `clock_ms`; `None` if none has.
+    fn pick(&self, policy: ArmPolicy, clock_ms: f64) -> Option<usize> {
+        let eligible = (0..self.pending.len()).filter(|&i| self.pending[i].arrival_ms <= clock_ms);
+        match policy {
+            ArmPolicy::Fcfs => eligible.min_by(|&a, &b| {
+                let (pa, pb) = (&self.pending[a], &self.pending[b]);
+                pa.arrival_ms
+                    .total_cmp(&pb.arrival_ms)
+                    .then(pa.id.cmp(&pb.id))
+            }),
+            ArmPolicy::Elevator => {
+                // SCAN: nearest outstanding cylinder in the sweep
+                // direction; if the direction is exhausted, reverse.
+                let ahead_up = |&i: &usize| self.pending[i].cylinder >= self.head;
+                let ahead_down = |&i: &usize| self.pending[i].cylinder <= self.head;
+                let key_up = |&i: &usize| {
+                    let p = &self.pending[i];
+                    (p.cylinder, p.id)
+                };
+                let key_down = |&i: &usize| {
+                    let p = &self.pending[i];
+                    (std::cmp::Reverse(p.cylinder), p.id)
+                };
+                if self.sweep_up {
+                    eligible
+                        .clone()
+                        .filter(ahead_up)
+                        .min_by_key(key_up)
+                        .or_else(|| eligible.filter(ahead_down).min_by_key(key_down))
+                } else {
+                    eligible
+                        .clone()
+                        .filter(ahead_down)
+                        .min_by_key(key_down)
+                        .or_else(|| eligible.filter(ahead_up).min_by_key(key_up))
+                }
+            }
+        }
+    }
+
+    /// The service [`Arm::service`] would perform next, without
+    /// performing it; `None` when the queue is empty. If no queued
+    /// request has arrived yet, the service starts at the earliest
+    /// arrival (idle wait).
+    fn next(&self, array: &DiskArray) -> Option<NextService> {
+        let earliest = self
+            .pending
+            .iter()
+            .map(|p| p.arrival_ms)
+            .fold(f64::INFINITY, f64::min);
+        let started_ms = if earliest > self.clock_ms {
+            earliest
+        } else {
+            self.clock_ms
+        };
+        let index = self.pick(array.policy, started_ms)?;
+        let p = &self.pending[index];
+        let distance = self.head.abs_diff(p.cylinder);
+        // Timeline: purely physical head movement. A skip_seek request
+        // serviced right after its cluster leader sits on the head's
+        // cylinder, so distance — and seek time — is 0 there naturally;
+        // if the scheduler moved the arm elsewhere in between, the
+        // comeback travel is real and is charged to the timeline (the
+        // *accounting* flag below is a separate, §5.4.3 matter).
+        let seek_ms = array.curve.seek_ms(distance);
+        // Rotation: the paper's flat average `t_l` (§5.1), like the
+        // charged accounting.
+        let service_ms =
+            seek_ms + array.params.latency_ms + array.params.transfer_ms * p.request.run.len as f64;
+        // Charging: the request's own flag, or the §5.4.3 same-cylinder
+        // rule extended to co-scheduled queued requests. At depth 1 a
+        // request is only ever submitted after the previous one
+        // completed, so no merge fires and the charge equals the
+        // synchronous path's, byte for byte.
+        let co_scheduled = p.arrival_ms <= self.last_dispatch_start_ms;
+        let merged = array.policy == ArmPolicy::Elevator && distance == 0 && co_scheduled;
+        Some(NextService {
+            index,
+            seek_ms,
+            started_ms,
+            service_ms,
+            finished_ms: started_ms + service_ms,
+            effective_skip_seek: p.request.skip_seek || merged,
+        })
+    }
+
+    /// Perform `next` (this arm's [`Arm::next`]), advancing the clock.
+    fn service(&mut self, next: NextService) -> Completion {
+        let p = self.pending.remove(next.index);
+        if p.cylinder > self.head {
+            self.sweep_up = true;
+        } else if p.cylinder < self.head {
+            self.sweep_up = false;
+        }
+        self.head = p.end_cylinder;
+        self.clock_ms = next.finished_ms;
+        self.last_dispatch_start_ms = next.started_ms;
+        self.serviced += 1;
+        self.busy_ms += next.service_ms;
+        self.queue_wait_ms += next.started_ms - p.arrival_ms;
+        Completion {
+            id: p.id,
+            request: p.request,
+            submitted_ms: p.arrival_ms,
+            started_ms: next.started_ms,
+            finished_ms: next.finished_ms,
+            seek_ms: next.seek_ms,
+            effective_skip_seek: next.effective_skip_seek,
+        }
+    }
+}
+
 /// N independent disk arms with declustered region placement and a
 /// global completion order.
 ///
@@ -122,38 +294,41 @@ impl Default for ArrayConfig {
 /// ([`StripePolicy::arm_of`]) at that region's arm-local cylinder band;
 /// [`DiskArray::service_next`] pops the globally-earliest completion
 /// across arms (deterministic tie-break by arm index). Request ids form
-/// one sequence across the array, so the `Disk` front-end and the
-/// executor cannot tell how many arms serve them.
+/// one sequence across the array, so a replay cannot tell how many arms
+/// serve it.
 #[derive(Clone, Debug)]
 pub struct DiskArray {
+    params: DiskParams,
     geometry: ArmGeometry,
+    curve: SeekCurve,
+    policy: ArmPolicy,
     stripe: StripePolicy,
-    arms: Vec<DiskArm>,
+    arms: Vec<Arm>,
     next_id: u64,
 }
 
 impl DiskArray {
     /// Create an idle array per `config`, all heads at cylinder 0.
     pub fn new(params: DiskParams, geometry: ArmGeometry, config: ArrayConfig) -> Self {
-        let arms = (0..config.arms.max(1))
-            .map(|_| DiskArm::new(params, geometry, config.policy))
-            .collect();
         DiskArray {
+            params,
             geometry,
+            curve: SeekCurve::calibrated(&params, 4 * geometry.cylinders_per_region),
+            policy: config.policy,
             stripe: config.stripe,
-            arms,
+            arms: vec![Arm::idle(); config.arms.max(1)],
             next_id: 0,
         }
     }
 
     /// The arm owning `region` under this array's stripe policy.
-    pub fn arm_of(&self, region: RegionId) -> usize {
+    fn arm_of(&self, region: RegionId) -> usize {
         self.stripe.arm_of(region, self.arms.len())
     }
 
     /// Total outstanding requests across all arms.
     pub fn pending(&self) -> usize {
-        self.arms.iter().map(|a| a.pending()).sum()
+        self.arms.iter().map(|a| a.pending.len()).sum()
     }
 
     /// Per-arm cumulative statistics, indexed by arm.
@@ -161,10 +336,13 @@ impl DiskArray {
         self.arms
             .iter()
             .enumerate()
-            .map(|(i, a)| {
-                let mut s = a.stats();
-                s.arm = i;
-                s
+            .map(|(arm, a)| ArmStats {
+                arm,
+                serviced: a.serviced,
+                busy_ms: a.busy_ms,
+                queue_wait_ms: a.queue_wait_ms,
+                clock_ms: a.clock_ms,
+                pending: a.pending.len(),
             })
             .collect()
     }
@@ -176,47 +354,49 @@ impl DiskArray {
     /// Panics on an empty run — empty runs are free in the synchronous
     /// model and must not be submitted.
     pub fn submit(&mut self, request: PageRequest) -> u64 {
-        let arrival = self.arms[self.arm_of(request.run.start.region)].clock_ms();
+        let arrival = self.arms[self.arm_of(request.run.start.region)].clock_ms;
         self.submit_at(request, arrival)
     }
 
-    /// Submit a request with an explicit arrival time, routed to the
-    /// arm owning its region at the region's arm-local cylinder band.
+    /// Submit a request with an explicit arrival time (which may lie in
+    /// the arm's future; it becomes eligible once the arm's clock reaches
+    /// it), routed to the arm owning its region at the region's
+    /// arm-local cylinder band.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty run, like [`submit`](DiskArray::submit).
     pub fn submit_at(&mut self, request: PageRequest, arrival_ms: f64) -> u64 {
+        assert!(!request.run.is_empty(), "cannot submit an empty run");
         let id = self.next_id;
         self.next_id += 1;
         let region = request.run.start.region;
-        let arm = self.arm_of(region);
         let band = self.stripe.local_band(region, self.arms.len());
-        let cylinder = self.geometry.cylinder_in_band(band, &request.run.start);
-        let end_cylinder = self.geometry.end_cylinder_in_band(band, &request.run);
-        self.arms[arm].submit_routed(id, request, arrival_ms, cylinder, end_cylinder);
+        let arm = self.arm_of(region);
+        self.arms[arm].pending.push(Pending {
+            id,
+            request,
+            arrival_ms,
+            cylinder: self.geometry.cylinder_in_band(band, &request.run.start),
+            end_cylinder: self.geometry.end_cylinder_in_band(band, &request.run),
+        });
         id
     }
 
     /// Service the request that finishes earliest across all arms — the
-    /// parallel drain. Ties break deterministically by arm index.
-    /// Returns `None` when every queue is empty.
+    /// parallel drain. Ties break deterministically toward the lowest
+    /// arm index. Returns `None` when every queue is empty.
     pub fn service_next(&mut self) -> Option<Completion> {
-        if self.arms.len() == 1 {
-            // Fast path; also keeps the 1-arm array trivially identical
-            // to the plain arm.
-            return self.arms[0].service_next();
-        }
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(usize, NextService)> = None;
         for (i, arm) in self.arms.iter().enumerate() {
-            if let Some(finish) = arm.peek_next_finish() {
-                let better = match best {
-                    None => true,
-                    Some((bf, _)) => finish < bf,
-                };
-                if better {
-                    best = Some((finish, i));
+            if let Some(next) = arm.next(self) {
+                if best.is_none_or(|(_, b)| next.finished_ms < b.finished_ms) {
+                    best = Some((i, next));
                 }
             }
         }
-        let (_, i) = best?;
-        self.arms[i].service_next()
+        let (i, next) = best?;
+        Some(self.arms[i].service(next))
     }
 
     /// Service everything outstanding, in global completion order.
@@ -229,20 +409,81 @@ impl DiskArray {
     }
 }
 
+/// When the queries of a replay arrive on the simulated clock — which
+/// replay runs them ([`simulate_queries_striped`] for the open
+/// processes, [`simulate_queries_closed`] for a closed loop) and how
+/// their traces are stamped.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+pub enum Arrival {
+    /// All queries arrive at time 0 — a burst with maximal queueing.
+    /// The default.
+    #[default]
+    Burst,
+    /// Open arrivals at a load factor: the spacing is the batch's own
+    /// mean synchronous service time (`Σ io_ms / n` over the charged
+    /// queries whose traces are replayed) divided by the load
+    /// ([`spacing_ms`](Arrival::spacing_ms)). `Open(1.0)` keeps the arm
+    /// saturated on average; lower loads thin the queue. The factor must
+    /// be positive.
+    Open(f64),
+    /// A closed loop of `clients` concurrent clients, each issuing its
+    /// next query `think_ms` after its previous one **completes**:
+    /// arrivals self-throttle under load, producing the classic
+    /// response-time-vs-clients curve
+    /// ([`simulate_queries_closed`]).
+    Closed {
+        /// Concurrent clients (0 is treated as 1). Client `c` issues
+        /// queries `c, c + clients, c + 2·clients, …` of the batch.
+        clients: usize,
+        /// Think time between a query's completion and the same
+        /// client's next arrival (simulated ms).
+        think_ms: f64,
+    },
+}
+
+impl Arrival {
+    /// Open arrivals at `load` (see [`Arrival::Open`]).
+    pub fn open(load: f64) -> Self {
+        assert!(load > 0.0, "arrival load factor must be positive");
+        Arrival::Open(load)
+    }
+
+    /// A closed loop of `clients` clients with `think_ms` think time
+    /// (see [`Arrival::Closed`]).
+    pub fn closed(clients: usize, think_ms: f64) -> Self {
+        assert!(clients > 0, "a closed loop needs at least one client");
+        assert!(think_ms >= 0.0, "think time must be non-negative");
+        Arrival::Closed { clients, think_ms }
+    }
+
+    /// The spacing between consecutive arrivals in ms, given the
+    /// batch's mean synchronous service time: query *i* arrives at
+    /// `i ·` this. Closed loops have no fixed spacing (arrivals chain off
+    /// completions), so they report 0 like bursts.
+    pub fn spacing_ms(&self, mean_service_ms: f64) -> f64 {
+        match *self {
+            Arrival::Burst | Arrival::Closed { .. } => 0.0,
+            Arrival::Open(load) => {
+                assert!(load > 0.0, "arrival load factor must be positive");
+                mean_service_ms / load
+            }
+        }
+    }
+}
+
 /// Replay per-query request traces through a [`DiskArray`] under an
 /// open-arrival workload, returning one [`LatencyStats`] per query
 /// (same order) plus the final per-arm [`ArmStats`].
 ///
 /// Each query arrives at its own `arrival_ms` and keeps at most `depth`
 /// requests outstanding: its first `depth` requests are submitted at
-/// arrival, and each completion releases the query's next request (the
-/// submission window of the overlapped executor) — which may land on a
-/// different arm, so a query's own requests overlap across arms even at
-/// depth 1's one-at-a-time issue order. The arms service the union of
-/// all queries' outstanding requests under `config.policy`; with
-/// `depth == 1` and a single query on one arm this degenerates to the
-/// synchronous request order. Deterministic: no wall clock, no
-/// randomness.
+/// arrival, and each completion releases the query's next request —
+/// which may land on a different arm, so a query's own requests overlap
+/// across arms even at depth 1's one-at-a-time issue order. The arms
+/// service the union of all queries' outstanding requests under
+/// `config.policy`; with `depth == 1` and a single query on one arm
+/// this degenerates to the synchronous request order. Deterministic: no
+/// wall clock, no randomness.
 pub fn simulate_queries_striped(
     params: DiskParams,
     geometry: ArmGeometry,
@@ -403,40 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn one_arm_array_matches_plain_arm() {
-        // Same submissions through a 1-arm array (each stripe policy)
-        // and a bare DiskArm: identical completions, byte for byte.
-        let params = DiskParams::default();
-        let geometry = ArmGeometry::default();
-        for stripe in ALL_POLICIES {
-            let mut arm = DiskArm::new(params, geometry, ArmPolicy::Elevator);
-            let mut array = DiskArray::new(
-                params,
-                geometry,
-                ArrayConfig {
-                    arms: 1,
-                    stripe,
-                    policy: ArmPolicy::Elevator,
-                },
-            );
-            let reqs = [
-                read1(0, 0),
-                read1(3, 32 * 7),
-                read1(1, 32 * 2),
-                read1(2, 0),
-                read1(0, 32 * 9),
-            ];
-            for r in reqs {
-                arm.submit_at(r, 0.0);
-                array.submit_at(r, 0.0);
-            }
-            let a = arm.drain();
-            let b = array.drain();
-            assert_eq!(a, b, "1-arm array diverged under {stripe:?}");
-        }
-    }
-
-    #[test]
     fn parallel_drain_pops_globally_earliest() {
         // Two arms, one request each: completions come back ordered by
         // finish time regardless of submission order.
@@ -513,47 +720,7 @@ mod tests {
             // Every arm got 2 regions × 5 requests under round-robin.
             assert_eq!(s.serviced, 10);
             assert!(s.utilization() > 0.0 && s.utilization() <= 1.0);
-            assert!(s.mean_queue_depth() > 0.0);
-        }
-    }
-
-    #[test]
-    fn striped_simulation_with_one_arm_matches_single_arm_harness() {
-        let traces = vec![
-            QueryTrace {
-                arrival_ms: 0.0,
-                requests: vec![read1(0, 0), read1(1, 32 * 3), read1(0, 32 * 5)],
-            },
-            QueryTrace {
-                arrival_ms: 4.0,
-                requests: vec![read1(2, 0), read1(3, 32 * 2)],
-            },
-        ];
-        let (single, _) = simulate_queries_striped(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArrayConfig {
-                policy: ArmPolicy::Elevator,
-                ..ArrayConfig::default()
-            },
-            4,
-            &traces,
-        );
-        for stripe in ALL_POLICIES {
-            let (striped, arms) = simulate_queries_striped(
-                DiskParams::default(),
-                ArmGeometry::default(),
-                ArrayConfig {
-                    arms: 1,
-                    stripe,
-                    policy: ArmPolicy::Elevator,
-                },
-                4,
-                &traces,
-            );
-            assert_eq!(single, striped, "1-arm striped sim diverged ({stripe:?})");
-            assert_eq!(arms.len(), 1);
-            assert_eq!(arms[0].serviced, 5);
+            assert!(s.queue_wait_ms > 0.0, "arm {i} never queued");
         }
     }
 

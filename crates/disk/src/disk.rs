@@ -387,8 +387,8 @@ mod tests {
     fn traced_replay_at_depth_one_reproduces_costs() {
         // Capture a trace, charge it again on a second disk: identical
         // stats — a trace carries everything the cost model reads, which
-        // is the end-to-end contract behind the overlapped executor's
-        // equivalence matrix.
+        // is the contract behind the end-to-end depth-1 equivalence
+        // matrix in `tests/integration_io_latency.rs`.
         let disk = Disk::with_defaults();
         let r = disk.create_region("x");
         disk.trace_begin();

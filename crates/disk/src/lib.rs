@@ -38,17 +38,18 @@
 //!   [`array::StripePolicy`] mapping each region to one arm's local
 //!   cylinder band, with a parallel drain popping the globally-earliest
 //!   completion across arms and per-arm [`arm::ArmStats`] (utilization,
-//!   mean queue depth). A 1-arm array is byte-identical to the single
-//!   [`arm::DiskArm`] under every stripe policy.
+//!   queue wait). A single arm is a 1-arm array; with one arm every
+//!   stripe policy is the identity mapping.
 //!
 //! Requests reach the arms one way: every request is charged
 //! synchronously ([`disk::Disk::charge`]), a thread can capture what it
 //! charges as a trace ([`disk::Disk::trace_begin`] /
 //! [`disk::Disk::trace_take`]), and
 //! [`array::simulate_queries_striped`] / [`array::simulate_queries_closed`]
-//! replay such traces on the arms' timelines. The replay never touches
-//! the charged accounting, and at queue depth 1 the seek flags it
-//! reports are the trace's own.
+//! replay such traces on the arms' timelines under an
+//! [`array::Arrival`] process. The replay never touches the charged
+//! accounting, and at queue depth 1 the seek flags it reports are the
+//! trace's own.
 //!
 //! The simulator is deterministic: identical request sequences produce
 //! identical I/O counts, which is what makes the reproduced figures
@@ -100,11 +101,11 @@ pub mod stats;
 
 pub use alloc::{ExtentAllocator, SequentialAllocator};
 pub use arm::{
-    ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
-    SeekCurve,
+    ArmGeometry, ArmPolicy, ArmStats, Completion, LatencyStats, PageRequest, QueryTrace, SeekCurve,
 };
 pub use array::{
-    simulate_queries_closed, simulate_queries_striped, ArrayConfig, DiskArray, StripePolicy,
+    simulate_queries_closed, simulate_queries_striped, ArrayConfig, Arrival, DiskArray,
+    StripePolicy,
 };
 pub use buddy::{BuddyAllocator, BuddyConfig};
 pub use buffer::{LruBuffer, ReadMode, SeekPolicy};

@@ -150,7 +150,7 @@ pub trait SpatialStore: Send + Sync {
         stats
     }
 
-    /// The batched read path: run the window query **and capture its
+    /// The traced read path: run the window query **and capture its
     /// disk requests** as a replayable trace for the overlapped-I/O
     /// subsystem ([`spatialdb_disk::arm`]).
     ///
@@ -158,9 +158,10 @@ pub trait SpatialStore: Send + Sync {
     /// charged [`spatialdb_disk::IoStats`] are exactly those of
     /// [`window_query`](SpatialStore::window_query) — while every
     /// request this thread charges is also recorded as a
-    /// [`PageRequest`] (via [`spatialdb_disk::Disk::trace_begin`]). The
-    /// executor replays the trace through the disk-arm scheduler to
-    /// compute per-query latency. Analytical charges
+    /// [`PageRequest`] (via [`spatialdb_disk::Disk::trace_begin`]).
+    /// Replaying such traces through the disk array
+    /// ([`spatialdb_disk::simulate_queries_striped`]) computes per-query
+    /// latency — the one way requests reach an arm. Analytical charges
     /// ([`spatialdb_disk::Disk::charge_raw`], the *optimum* baselines)
     /// have no physical page runs and are absent from the trace.
     fn window_query_traced(
@@ -174,7 +175,7 @@ pub trait SpatialStore: Send + Sync {
         (stats, disk.trace_take())
     }
 
-    /// The batched read path of a point query — see
+    /// The traced read path of a point query — see
     /// [`window_query_traced`](SpatialStore::window_query_traced).
     fn point_query_traced(&self, point: &Point) -> (QueryStats, Vec<PageRequest>) {
         let disk = self.disk();

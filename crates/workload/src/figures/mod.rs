@@ -22,7 +22,8 @@
 //! size — on databases built through the engine's own
 //! [`Workspace::create_database`]; they share a crate, a golden
 //! directory and a gate vocabulary with [`Scenario`](crate::Scenario),
-//! not its timed-replay loop.
+//! not its trace-and-replay grid: the paper's figures read only the
+//! synchronous charges.
 
 mod figure;
 

@@ -42,7 +42,7 @@ pub fn stripe_label(stripe: StripePolicy) -> &'static str {
 
 /// One cell of a scenario's sweep grid: one `(organization, depth,
 /// policy, arms, stripe)` point, with the latency and throughput
-/// metrics of its timed replay.
+/// metrics of its replay.
 #[derive(Clone, Copy, Debug)]
 pub struct Cell {
     /// Storage organization the databases were built with.

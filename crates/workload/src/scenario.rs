@@ -4,9 +4,16 @@
 //! configuration, window sweep, arrival discipline, replay grid, and
 //! optionally a mixed operation stream — and [`run`](Scenario::run)
 //! executes it: build the workspace from one [`EngineConfig`], bulk
-//! load every database, sweep the grid cell by cell through the
-//! unified [`Workspace::run_batch`] entry point, and fold everything
-//! into a [`ScenarioReport`].
+//! load every database, sweep the grid cell by cell, and fold
+//! everything into a [`ScenarioReport`].
+//!
+//! A cell times its windows the one way requests reach the disk arms:
+//! each window charges the workspace disk synchronously while its store
+//! captures the requests
+//! ([`window_query_traced`](spatialdb::SpatialStore::window_query_traced)),
+//! and the captured traces are replayed through
+//! [`simulate_queries_striped`] or [`simulate_queries_closed`], as the
+//! scenario's [`Arrival`] says. The replay moves no charge.
 //!
 //! The driver reproduces the benchmark binaries exactly: the same
 //! deterministic datasets, the same window sweeps, the same
@@ -17,12 +24,14 @@
 use crate::dataset::Dataset;
 use crate::mix::{run_mix, Mix};
 use crate::report::{Cell, Conservation, ScenarioReport};
+use spatialdb::disk::{
+    simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, QueryTrace,
+};
 use spatialdb::geom::Rect;
 use spatialdb::report::summarize_latencies;
 use spatialdb::storage::{OrganizationKind, WindowTechnique};
 use spatialdb::{
-    ArmPolicy, Arrival, DbOptions, EngineConfig, ExecPlan, OverlapConfig, SpatialDatabase,
-    StripePolicy, Workspace,
+    ArmPolicy, Arrival, DbOptions, EngineConfig, IoStats, SpatialDatabase, StripePolicy, Workspace,
 };
 
 /// The benchmark binaries' deterministic window sweep: `count` windows
@@ -133,7 +142,7 @@ pub struct Scenario {
 impl Scenario {
     /// Start a scenario. The defaults are a one-database grid dataset
     /// of 2 000 objects, the default engine, all three organizations,
-    /// a 64-window sweep, closed (burst) arrivals, and a single
+    /// a 64-window sweep, burst arrivals, and a single
     /// depth-4 elevator cell on one arm per organization.
     pub fn new(name: impl Into<String>) -> Self {
         Scenario {
@@ -160,7 +169,8 @@ impl Scenario {
         }
     }
 
-    /// What to load (total objects, split evenly across the databases).
+    /// What to load (total objects, split evenly across the databases;
+    /// a remainder of the split is not loaded).
     #[must_use]
     pub fn dataset(mut self, dataset: Dataset) -> Self {
         self.dataset = dataset;
@@ -206,7 +216,7 @@ impl Scenario {
         self
     }
 
-    /// Arrival discipline of the timed replay (default: closed burst).
+    /// Arrival discipline of the replay (default: burst).
     #[must_use]
     pub fn arrivals(mut self, arrival: Arrival) -> Self {
         self.arrival = arrival;
@@ -260,8 +270,10 @@ impl Scenario {
         self
     }
 
-    /// Executor threads for the filter/refinement phases. The report
-    /// is byte-identical at any value (the determinism contract).
+    /// Refinement workers of the mixed stream
+    /// ([`mix`](Scenario::mix)); the replay grid runs on the calling
+    /// thread. The report is byte-identical at any value (the
+    /// determinism contract).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
@@ -304,11 +316,11 @@ impl Scenario {
             .validate()
             .unwrap_or_else(|e| panic!("scenario '{}': invalid engine config: {e}", self.name));
         let windows = self.windows.generate();
-        let per_db = self.dataset.objects() / self.databases as u64;
+        let per_db = self.per_db();
 
         let mut report = ScenarioReport {
             name: self.name.clone(),
-            objects: self.dataset.objects(),
+            objects: per_db * self.databases as u64,
             queries: windows.len(),
             databases: self.databases,
             cells: Vec::new(),
@@ -319,16 +331,7 @@ impl Scenario {
 
         for &kind in &self.organizations {
             let ws = Workspace::from_config(self.engine);
-            let load_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-            let mut dbs: Vec<SpatialDatabase> = (0..self.databases)
-                .map(|d| {
-                    let mut db = ws.create_database(DbOptions::new(kind).technique(self.technique));
-                    let objects = self.dataset.materialize(per_db, d as u64, self.seed);
-                    ws.bulk_load_par(&mut db, objects, load_threads);
-                    db.finish_loading();
-                    db
-                })
-                .collect();
+            let mut dbs = self.load(&ws, kind);
 
             // The replay grid. Nesting order (stripes → depths →
             // policies → arms) reproduces both benchmark binaries' row
@@ -365,9 +368,32 @@ impl Scenario {
         report
     }
 
+    /// Objects loaded into each database: the dataset split evenly, the
+    /// remainder dropped.
+    fn per_db(&self) -> u64 {
+        self.dataset.objects() / self.databases as u64
+    }
+
+    /// The scenario's databases of organization `kind` on `ws`, bulk
+    /// loaded with [`per_db`](Scenario::per_db) objects each.
+    fn load(&self, ws: &Workspace, kind: OrganizationKind) -> Vec<SpatialDatabase> {
+        let load_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        (0..self.databases)
+            .map(|d| {
+                let mut db = ws.create_database(DbOptions::new(kind).technique(self.technique));
+                let objects = self.dataset.materialize(self.per_db(), d as u64, self.seed);
+                ws.bulk_load_par(&mut db, objects, load_threads);
+                db.finish_loading();
+                db
+            })
+            .collect()
+    }
+
     /// One grid cell: reset the caches to the same cold state, re-run
-    /// the traced filter pass (trace-identical every time), and replay
-    /// through the arm array.
+    /// the filter pass capturing each window's requests
+    /// ([`window_query_traced`](spatialdb::SpatialStore::window_query_traced),
+    /// trace-identical every time), and replay the traces through the
+    /// arm array.
     #[allow(clippy::too_many_arguments)]
     fn run_cell(
         &self,
@@ -383,41 +409,65 @@ impl Scenario {
         for db in dbs.iter_mut() {
             db.store_mut().begin_query();
         }
-        let global_before = ws.disk().stats();
-        let n_dbs = dbs.len();
-        let batch: Vec<_> = windows
-            .iter()
+        let disk = ws.disk();
+        let global_before = disk.stats();
+        let mut attributed = IoStats::default();
+        let mut service_ms = 0.0;
+        let mut requests = Vec::with_capacity(windows.len());
+        for (i, w) in windows.iter().enumerate() {
+            // Per-window deltas against this thread's tally, in window
+            // order.
+            let before = disk.local_stats();
+            let (stats, trace) = dbs[i % dbs.len()]
+                .store()
+                .window_query_traced(w, self.technique);
+            attributed = attributed.plus(&disk.local_stats().since(&before));
+            service_ms += stats.io_ms;
+            requests.push(trace);
+        }
+        // The open-arrival spacing comes from the cell's own charges:
+        // mean synchronous service time over the load factor.
+        let inter_arrival_ms = self.arrival.spacing_ms(service_ms / windows.len() as f64);
+        let traces: Vec<QueryTrace> = requests
+            .into_iter()
             .enumerate()
-            .map(|(i, w)| dbs[i % n_dbs].query().window(*w).technique(self.technique))
+            .map(|(i, requests)| QueryTrace {
+                arrival_ms: i as f64 * inter_arrival_ms,
+                requests,
+            })
             .collect();
-        let out = ws.run_batch(
-            batch,
-            ExecPlan::threads(self.threads).timed(OverlapConfig {
+        let array = ArrayConfig {
+            arms,
+            stripe,
+            policy,
+        };
+        let geometry = ArmGeometry::default();
+        let (latency, arm_stats) = match self.arrival {
+            Arrival::Closed { clients, think_ms } => simulate_queries_closed(
+                disk.params(),
+                geometry,
+                array,
                 depth,
-                policy,
-                arrival: self.arrival,
-                arms,
-                stripe,
-            }),
-        );
+                clients,
+                think_ms,
+                &traces,
+            ),
+            _ => simulate_queries_striped(disk.params(), geometry, array, depth, &traces),
+        };
 
-        let mut attributed = spatialdb::IoStats::default();
-        let mut latencies = Vec::with_capacity(out.len());
+        let mut latencies = Vec::with_capacity(latency.len());
         let mut makespan = 0.0f64;
         let mut service = 0.0f64;
         let mut requests = 0u64;
-        for q in out.outcomes() {
-            attributed = attributed.plus(&q.io_stats());
-            let lat = q.latency_stats().expect("timed batch attaches latency");
+        for lat in &latency {
             latencies.push(lat.latency_ms());
             makespan = makespan.max(lat.completed_ms);
             service += lat.service_ms;
             requests += lat.requests;
         }
         let summary = summarize_latencies(&mut latencies);
-        let busy_arms = out.arm_stats().iter().filter(|a| a.serviced > 0).count();
-        let max_util = out
-            .arm_stats()
+        let busy_arms = arm_stats.iter().filter(|a| a.serviced > 0).count();
+        let max_util = arm_stats
             .iter()
             .map(|a| a.utilization())
             .fold(0.0, f64::max);
@@ -439,12 +489,33 @@ impl Scenario {
             busy_arms,
             max_util,
             iops,
-            inter_arrival_ms: out.inter_arrival_ms(),
+            inter_arrival_ms,
         };
         let conservation = Conservation {
             attributed,
-            global: ws.disk().stats().since(&global_before),
+            global: disk.stats().since(&global_before),
         };
         (cell, conservation)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reports_the_objects_it_loads() {
+        // 1 000 objects over 3 databases: 333 each, one left out.
+        let scenario = Scenario::new("split")
+            .dataset(Dataset::grid(1000))
+            .databases(3)
+            .organizations(&[OrganizationKind::Cluster])
+            .windows(WindowSweep::new(3));
+        let ws = Workspace::from_config(scenario.engine);
+        let dbs = scenario.load(&ws, OrganizationKind::Cluster);
+        assert!(dbs.iter().all(|db| db.len() == 333));
+        let report = scenario.run();
+        assert_eq!(report.objects, 999);
+        assert!(report.to_json().contains("\"objects\": 999,"));
     }
 }

@@ -1,21 +1,25 @@
-//! Integration tests of the overlapped-I/O subsystem: the depth-1 FCFS
-//! equivalence matrix (the timed executor is byte-identical to the
-//! synchronous path for every organization × window technique), the
-//! determinism of the simulated latency, and the elevator-vs-FCFS
+//! Integration tests of the overlapped-I/O subsystem on traces captured
+//! from real stores: the depth-1 FCFS equivalence matrix (capturing a
+//! trace moves no charge, and replaying it at depth 1 charges exactly
+//! what the store charged, for every organization × window technique),
+//! the determinism of the simulated latency, and the elevator-vs-FCFS
 //! ordering at queue depth.
 //!
 //! The request-level anchor — a depth-1 pass over the arm reporting
 //! every request's own seek flag, so charging it again mirrors
 //! `Disk::charge` byte for byte — is asserted inside `spatialdb-disk`;
 //! these tests pin the same contract end-to-end through the storage
-//! backends and the executor.
+//! backends: `SpatialStore::window_query_traced` captures, and
+//! `simulate_queries_striped` replays.
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
-use spatialdb::disk::IoStats;
+use spatialdb::disk::{
+    simulate_queries_striped, ArmGeometry, ArrayConfig, DiskArray, IoStats, PageRequest, QueryTrace,
+};
 use spatialdb::storage::{MemoryStore, QueryStats, WindowTechnique};
 use spatialdb::{
-    ArmPolicy, Arrival, DbOptions, ExecPlan, OrganizationKind, OverlapConfig, SpatialDatabase,
+    ArmPolicy, DbOptions, Disk, DiskParams, LatencyStats, OrganizationKind, SpatialDatabase,
     Workspace,
 };
 
@@ -54,178 +58,182 @@ fn load(ws: &Workspace, kind: OrganizationKind, map: &SpatialMap) -> SpatialData
     db
 }
 
-/// Run the workload sequentially through the cursor path (one cold
-/// start, then the buffer evolves across the queries — the same
-/// evolution the timed batch sees).
-fn run_sync(
-    db: &mut SpatialDatabase,
-    queries: &WindowQuerySet,
-    technique: WindowTechnique,
-) -> Vec<(Vec<u64>, QueryStats, IoStats)> {
-    db.store_mut().begin_query();
-    queries
-        .windows
-        .iter()
-        .map(|w| {
-            let mut cursor = db.query().window(*w).technique(technique).run();
-            let stats = cursor.stats();
-            let io = cursor.io_stats();
-            let ids: Vec<u64> = cursor.by_ref().map(|(id, _)| id).collect();
-            (ids, stats, io)
-        })
-        .collect()
+/// One query's filter step as the store ran it: its stats, the I/O it
+/// charged, and the requests it captured.
+struct Captured {
+    stats: QueryStats,
+    io: IoStats,
+    requests: Vec<PageRequest>,
 }
 
-/// Run the same workload through the timed executor.
-fn run_timed(
+/// Run the workload through the store's trace capture (one cold start,
+/// then the buffer evolves across the queries — the same evolution the
+/// cursor path sees).
+fn capture(
     ws: &Workspace,
     db: &mut SpatialDatabase,
     queries: &WindowQuerySet,
     technique: WindowTechnique,
-    config: OverlapConfig,
-) -> spatialdb::BatchOutcome {
+) -> Vec<Captured> {
     db.store_mut().begin_query();
-    let batch: Vec<_> = queries
+    let disk = ws.disk();
+    queries
         .windows
         .iter()
-        .map(|w| db.query().window(*w).technique(technique))
-        .collect();
-    ws.run_batch(batch, ExecPlan::threads(2).timed(config))
+        .map(|w| {
+            let before = disk.local_stats();
+            let (stats, requests) = db.store().window_query_traced(w, technique);
+            Captured {
+                stats,
+                io: disk.local_stats().since(&before),
+                requests,
+            }
+        })
+        .collect()
 }
 
-/// The acceptance matrix: at queue depth 1 under FCFS, the timed
-/// executor produces **unchanged answers, `QueryStats` and `IoStats`**
-/// for every organization × window technique — the overlapped subsystem
-/// degenerates to today's synchronous charge path.
+/// The captured requests, query *i* arriving at `i · spacing_ms`.
+fn traces(captured: Vec<Captured>, spacing_ms: f64) -> Vec<QueryTrace> {
+    captured
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| QueryTrace {
+            arrival_ms: i as f64 * spacing_ms,
+            requests: c.requests,
+        })
+        .collect()
+}
+
+/// Open-arrival replay on one arm.
+fn replay(traces: &[QueryTrace], depth: usize, policy: ArmPolicy) -> Vec<LatencyStats> {
+    let config = ArrayConfig {
+        policy,
+        ..ArrayConfig::default()
+    };
+    simulate_queries_striped(
+        DiskParams::default(),
+        ArmGeometry::default(),
+        config,
+        depth,
+        traces,
+    )
+    .0
+}
+
+fn mean_latency(stats: &[LatencyStats]) -> f64 {
+    stats.iter().map(|l| l.latency_ms()).sum::<f64>() / stats.len() as f64
+}
+
+/// The acceptance matrix, for every organization × window technique:
+/// capturing a trace charges exactly what the cursor path charges, and
+/// submitting the captured requests one at a time to a 1-arm FCFS array
+/// and charging each completion with its effective seek flag
+/// reproduces the store's own `IoStats` — the replay degenerates to the
+/// synchronous charge path.
 #[test]
 fn depth_one_fcfs_matrix_matches_sync_path() {
     let map = test_map();
     let queries = WindowQuerySet::generate(&map, 1e-2, 10, 5);
-    let config = OverlapConfig {
-        depth: 1,
-        policy: ArmPolicy::Fcfs,
-        arrival: Arrival::Burst,
-        ..OverlapConfig::default()
-    };
     for kind in ALL_KINDS {
         for technique in ALL_TECHNIQUES {
             let ws_sync = Workspace::new(BUFFER_PAGES);
             let mut db_sync = load(&ws_sync, kind, &map);
-            let sync = run_sync(&mut db_sync, &queries, technique);
+            db_sync.store_mut().begin_query();
+            let sync: Vec<(QueryStats, IoStats)> = queries
+                .windows
+                .iter()
+                .map(|w| {
+                    let cursor = db_sync.query().window(*w).technique(technique).run();
+                    (cursor.stats(), cursor.io_stats())
+                })
+                .collect();
 
-            let ws_timed = Workspace::new(BUFFER_PAGES);
-            let mut db_timed = load(&ws_timed, kind, &map);
-            let timed = run_timed(&ws_timed, &mut db_timed, &queries, technique, config);
+            let ws = Workspace::new(BUFFER_PAGES);
+            let mut db = load(&ws, kind, &map);
+            let captured = capture(&ws, &mut db, &queries, technique);
+            assert!(
+                captured.iter().any(|c| !c.requests.is_empty()),
+                "{kind:?}/{technique:?}: the workload must do I/O"
+            );
 
-            assert_eq!(sync.len(), timed.len());
-            for (i, ((ids, stats, io), outcome)) in
-                sync.iter().zip(timed.outcomes().iter()).enumerate()
-            {
-                assert_eq!(
-                    ids,
-                    outcome.ids(),
-                    "{kind:?}/{technique:?} query {i}: answers changed"
-                );
-                assert_eq!(
-                    *stats,
-                    outcome.stats(),
-                    "{kind:?}/{technique:?} query {i}: QueryStats changed"
-                );
-                assert_eq!(
-                    *io,
-                    outcome.io_stats(),
-                    "{kind:?}/{technique:?} query {i}: IoStats changed"
-                );
-                let latency = outcome
-                    .latency_stats()
-                    .expect("timed batch carries latency");
+            let mut arm = DiskArray::new(
+                ws.disk().params(),
+                ArmGeometry::default(),
+                ArrayConfig {
+                    policy: ArmPolicy::Fcfs,
+                    ..ArrayConfig::default()
+                },
+            );
+            assert_eq!(sync.len(), captured.len());
+            for (i, ((stats, io), c)) in sync.iter().zip(&captured).enumerate() {
+                let tag = format!("{kind:?}/{technique:?} query {i}");
+                assert_eq!(*stats, c.stats, "{tag}: QueryStats changed");
+                assert_eq!(*io, c.io, "{tag}: IoStats changed");
+                let recharged = Disk::new(ws.disk().params());
+                for &request in &c.requests {
+                    arm.submit(request);
+                    let done = arm.service_next().expect("one pending request");
+                    recharged.charge(
+                        done.request.kind,
+                        done.request.run,
+                        done.effective_skip_seek,
+                    );
+                }
                 // Every physically-charged request is on the timeline
                 // (the Optimum baseline charges analytically via
                 // charge_raw, which has no physical run to schedule).
                 if technique == WindowTechnique::Optimum {
-                    assert!(latency.requests <= io.requests());
+                    assert!(c.requests.len() as u64 <= io.requests(), "{tag}");
                 } else {
                     assert_eq!(
-                        latency.requests,
+                        c.requests.len() as u64,
                         io.requests(),
-                        "{kind:?}/{technique:?} query {i}: trace incomplete"
+                        "{tag}: trace incomplete"
+                    );
+                    assert_eq!(
+                        recharged.stats(),
+                        *io,
+                        "{tag}: depth-1 replay charges differently"
                     );
                 }
             }
             // The workspaces' cumulative disk counters agree too.
-            assert_eq!(ws_sync.disk().stats(), ws_timed.disk().stats());
+            assert_eq!(ws_sync.disk().stats(), ws.disk().stats());
         }
     }
 }
 
-/// The simulated latency is deterministic: two identical timed runs
-/// produce identical per-query `LatencyStats`.
+/// The simulated latency is deterministic: two captures from identical
+/// stores replay to identical per-query `LatencyStats`.
 #[test]
 fn timed_latency_is_deterministic() {
     let map = test_map();
     let queries = WindowQuerySet::generate(&map, 1e-2, 10, 5);
-    let config = OverlapConfig {
-        depth: 4,
-        policy: ArmPolicy::Elevator,
-        arrival: Arrival::every_ms(20.0),
-        ..OverlapConfig::default()
-    };
     let run = || {
         let ws = Workspace::new(BUFFER_PAGES);
         let mut db = load(&ws, OrganizationKind::Cluster, &map);
-        run_timed(&ws, &mut db, &queries, WindowTechnique::Slm, config)
-            .outcomes()
-            .iter()
-            .map(|o| o.latency_stats().expect("latency present"))
-            .collect::<Vec<_>>()
+        let captured = capture(&ws, &mut db, &queries, WindowTechnique::Slm);
+        replay(&traces(captured, 20.0), 4, ArmPolicy::Elevator)
     };
     assert_eq!(run(), run());
 }
 
 /// At queue depth ≥ 4 the elevator beats FCFS on mean end-to-end
-/// latency, while answers and charged stats stay identical — the
-/// scheduling policy shapes only the simulated timeline.
+/// latency over the same captured traces — the scheduling policy shapes
+/// only the simulated timeline.
 #[test]
 fn elevator_beats_fcfs_at_depth_four() {
     let map = test_map();
     let queries = WindowQuerySet::generate(&map, 1e-2, 10, 5);
-    let mut means = Vec::new();
-    let mut answers = Vec::new();
-    for policy in [ArmPolicy::Fcfs, ArmPolicy::Elevator] {
-        let ws = Workspace::new(BUFFER_PAGES);
-        let mut db = load(&ws, OrganizationKind::Cluster, &map);
-        let batch = run_timed(
-            &ws,
-            &mut db,
-            &queries,
-            WindowTechnique::Slm,
-            OverlapConfig {
-                depth: 4,
-                policy,
-                arrival: Arrival::Burst, // closed burst: maximal queueing
-                ..OverlapConfig::default()
-            },
-        );
-        let latencies: Vec<f64> = batch
-            .outcomes()
-            .iter()
-            .map(|o| o.latency_stats().expect("latency present").latency_ms())
-            .collect();
-        means.push(latencies.iter().sum::<f64>() / latencies.len() as f64);
-        answers.push(
-            batch
-                .outcomes()
-                .iter()
-                .map(|o| o.ids().to_vec())
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(answers[0], answers[1], "policy changed the answers");
+    let ws = Workspace::new(BUFFER_PAGES);
+    let mut db = load(&ws, OrganizationKind::Cluster, &map);
+    // A burst: every query at 0, maximal queueing.
+    let traces = traces(capture(&ws, &mut db, &queries, WindowTechnique::Slm), 0.0);
+    let fcfs = mean_latency(&replay(&traces, 4, ArmPolicy::Fcfs));
+    let elevator = mean_latency(&replay(&traces, 4, ArmPolicy::Elevator));
     assert!(
-        means[1] < means[0],
-        "elevator mean {} not below fcfs mean {}",
-        means[1],
-        means[0]
+        elevator < fcfs,
+        "elevator mean {elevator} not below fcfs mean {fcfs}"
     );
 }
 
@@ -236,30 +244,13 @@ fn elevator_beats_fcfs_at_depth_four() {
 fn depth_controls_per_query_overlap() {
     let map = test_map();
     let queries = WindowQuerySet::generate(&map, 1e-2, 4, 5);
-    let run = |depth| {
-        let ws = Workspace::new(BUFFER_PAGES);
-        let mut db = load(&ws, OrganizationKind::Secondary, &map);
-        // Arrivals far apart: queries never overlap each other, only
-        // their own requests.
-        run_timed(
-            &ws,
-            &mut db,
-            &queries,
-            WindowTechnique::Slm,
-            OverlapConfig {
-                depth,
-                policy: ArmPolicy::Elevator,
-                arrival: Arrival::every_ms(1e7),
-                ..OverlapConfig::default()
-            },
-        )
-        .outcomes()
-        .iter()
-        .map(|o| o.latency_stats().expect("latency present"))
-        .collect::<Vec<_>>()
-    };
-    let d1 = run(1);
-    let d8 = run(8);
+    let ws = Workspace::new(BUFFER_PAGES);
+    let mut db = load(&ws, OrganizationKind::Secondary, &map);
+    // Arrivals far apart: queries never overlap each other, only their
+    // own requests.
+    let traces = traces(capture(&ws, &mut db, &queries, WindowTechnique::Slm), 1e7);
+    let d1 = replay(&traces, 1, ArmPolicy::Elevator);
+    let d8 = replay(&traces, 8, ArmPolicy::Elevator);
     assert!(d1.iter().all(|l| l.queue_ms == 0.0), "depth 1 never queues");
     for (a, b) in d1.iter().zip(&d8) {
         // Same requests on the timeline at either depth; only their
@@ -273,8 +264,8 @@ fn depth_controls_per_query_overlap() {
     );
 }
 
-/// A store that charges no I/O (the in-memory baseline) reports zero
-/// latency through the timed executor.
+/// A store that charges no I/O (the in-memory baseline) captures empty
+/// traces, which replay to zero latency.
 #[test]
 fn memory_store_has_zero_latency() {
     let map = test_map();
@@ -286,14 +277,8 @@ fn memory_store_has_zero_latency() {
     }
     db.finish_loading();
     let queries = WindowQuerySet::generate(&map, 1e-2, 4, 5);
-    let batch: Vec<_> = queries
-        .windows
-        .iter()
-        .map(|w| db.query().window(*w))
-        .collect();
-    let out = ws.run_batch(batch, ExecPlan::threads(2).timed(OverlapConfig::default()));
-    for o in out.outcomes() {
-        let l = o.latency_stats().expect("latency present");
+    let captured = capture(&ws, &mut db, &queries, WindowTechnique::Slm);
+    for l in replay(&traces(captured, 0.0), 4, ArmPolicy::Elevator) {
         assert_eq!(l.requests, 0);
         assert_eq!(l.latency_ms(), 0.0);
     }
