@@ -4,7 +4,7 @@
 //! `SpatialDatabase::bulk_load` on one thread,
 //! `Workspace::bulk_load_par` on several:
 //!
-//! 1. **Check**: no object id repeats and none is stored yet.
+//! 1. **Check**: the store is empty and no object id repeats.
 //! 2. **Plan** (`&store`): [`SpatialStore::str_plan`] — one leaf entry
 //!    per record with the store's payload accounting, plus the tiling
 //!    capacities.
@@ -27,7 +27,7 @@
 //! assertion) reaches the caller before anything is charged, and the
 //! store stays empty.
 
-use crate::executor::map_chunks;
+use crate::stream::map_chunks;
 use spatialdb_rtree::{bulk, LeafEntry, Tile};
 use spatialdb_storage::{ObjectRecord, SpatialStore, StrPlan};
 use std::collections::HashSet;
@@ -40,21 +40,22 @@ use std::collections::HashSet;
 ///
 /// # Panics
 ///
-/// Panics before anything is charged if an object id repeats or is
-/// already stored, or on a record with a non-finite MBR. Panics if the
-/// store is non-empty.
+/// Panics before anything is charged if the store is non-empty, an
+/// object id repeats, or a record has a non-finite MBR.
 pub fn bulk_load_records_par(
     store: &mut dyn SpatialStore,
     records: &[ObjectRecord],
     threads: usize,
 ) {
+    assert!(
+        store.num_objects() == 0,
+        "cannot bulk-load into the non-empty store {:?} ({} objects)",
+        store.name(),
+        store.num_objects()
+    );
     let mut seen = HashSet::with_capacity(records.len());
     for rec in records {
-        assert!(
-            !store.contains(rec.oid) && seen.insert(rec.oid),
-            "object {} already stored",
-            rec.oid.0
-        );
+        assert!(seen.insert(rec.oid), "object {} already stored", rec.oid.0);
     }
     drop(seen);
     let StrPlan { entries, params } = store.str_plan(records);

@@ -60,8 +60,8 @@
 //! pages of the same shared buffer pool.
 
 use crate::config::{ConfigError, EngineConfig};
-use crate::executor::ExecPlan;
 use crate::query::{JoinQuery, Query};
+use crate::stream::{self, ExecPlan, Op, StreamOutcome};
 use spatialdb_disk::{DepMutex, Disk, DiskHandle, IoStats, LockClass, ShardedPool, PAGE_SIZE};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
@@ -222,7 +222,7 @@ impl Workspace {
         SpatialDatabase::from_parts(store, options.technique)
     }
 
-    /// Every batch entry point shares this membership check: a query's
+    /// [`run_batch`](Workspace::run_batch)'s membership check: a query's
     /// store must be built on this workspace's disk.
     fn assert_same_workspace(&self, queries: &[Query<'_>]) {
         for (i, q) in queries.iter().enumerate() {
@@ -239,20 +239,19 @@ impl Workspace {
     /// Build the queries with [`SpatialDatabase::query`] (without calling
     /// `run`) and hand them over; they may target different databases of
     /// **this workspace**. A batch is a
-    /// [`run_stream`](crate::stream::run_stream) without writes: the
-    /// filter steps are issued in submission order against the
-    /// workspace's single simulated disk — see the
-    /// [`stream`](crate::stream) module docs for why that keeps every
+    /// [`run_stream`](crate::stream::run_stream) without writes, and
+    /// returns its [`StreamOutcome`] — one
+    /// [`OpOutcome::Query`](crate::stream::OpOutcome::Query) per query,
+    /// in submission order. The filter steps are issued in that order
+    /// against the workspace's single simulated disk — see the
+    /// [`stream`] module docs for why that keeps every
     /// per-query and aggregate statistic **identical to sequential
     /// execution**, at any thread count — while the exact-geometry
     /// refinement runs on the plan's worker threads (a bare thread
     /// count, as below, is a plan).
-    /// ([`executor::run_batch`](crate::executor::run_batch) is the same
-    /// call without the membership check; it also takes queries of
-    /// several workspaces.)
     ///
     /// ```
-    /// # use spatialdb::{DbOptions, OrganizationKind, Workspace};
+    /// # use spatialdb::{DbOptions, OpOutcome, OrganizationKind, Workspace};
     /// # use spatialdb::geom::{Point, Polyline, Rect};
     /// # let ws = Workspace::new(256);
     /// # let mut db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
@@ -270,8 +269,12 @@ impl Workspace {
     ///     8,
     /// );
     /// assert_eq!(batch.len(), 3);
-    /// let total = batch.aggregate_stats();
-    /// # let _ = total;
+    /// let OpOutcome::Query { ids, stats, .. } = &batch.outcomes()[0] else {
+    ///     unreachable!("a batch holds only queries")
+    /// };
+    /// assert!(ids.len() <= stats.candidates);
+    /// let total_io = batch.aggregate_io();
+    /// # let _ = total_io;
     /// ```
     ///
     /// # Panics
@@ -280,13 +283,10 @@ impl Workspace {
     /// store is not built on this workspace's disk), and propagates the
     /// panic of a query that cannot execute (no target set, a
     /// filter-only record to refine).
-    pub fn run_batch(
-        &self,
-        queries: Vec<Query<'_>>,
-        plan: impl Into<ExecPlan>,
-    ) -> crate::executor::BatchOutcome {
+    pub fn run_batch(&self, queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> StreamOutcome {
         self.assert_same_workspace(&queries);
-        crate::executor::run_batch(queries, plan)
+        let reads = queries.into_iter().map(Op::Read).collect();
+        stream::execute(reads, plan.into().threads)
     }
 
     /// [`SpatialDatabase::bulk_load`] with the sort and tile stages on
@@ -336,7 +336,7 @@ impl Workspace {
     ///     MemoryStore, ObjectRecord, QueryStats, SharedPool, SpatialStore, WindowTechnique,
     /// };
     /// use spatialdb::geom::{Point, Polyline, Rect};
-    /// use spatialdb::rtree::{ObjectId, RStarTree};
+    /// use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
     /// use spatialdb::disk::DiskHandle;
     /// use spatialdb::Workspace;
     ///
@@ -358,11 +358,15 @@ impl Workspace {
     ///     fn delete(&mut self, oid: ObjectId) -> bool {
     ///         self.0.delete(oid)
     ///     }
-    ///     fn window_query(&self, w: &Rect, t: WindowTechnique) -> QueryStats {
-    ///         self.0.window_query(w, t)
-    ///     }
-    ///     fn point_query(&self, p: &Point) -> QueryStats {
-    ///         self.0.point_query(p)
+    ///     // The one read method: the filter step, handing back its
+    ///     // candidates. Point queries default to a degenerate window.
+    ///     fn window_query_into(
+    ///         &self,
+    ///         w: &Rect,
+    ///         t: WindowTechnique,
+    ///         out: &mut Vec<LeafEntry>,
+    ///     ) -> QueryStats {
+    ///         self.0.window_query_into(w, t, out)
     ///     }
     ///     fn fetch_object(&self, oid: ObjectId) {
     ///         self.0.fetch_object(oid)
@@ -404,6 +408,7 @@ impl Workspace {
     /// db.finish_loading();
     /// let ids = db.query().window(Rect::new(0.0, 0.0, 1.0, 1.0)).run().ids();
     /// assert_eq!(ids, vec![7]);
+    /// assert_eq!(db.query().point(Point::new(0.1, 0.1)).run().ids(), vec![7]);
     /// assert_eq!(db.store_name(), "grid file");
     /// ```
     pub fn create_database_with(&self, store: Box<dyn SpatialStore>) -> SpatialDatabase {

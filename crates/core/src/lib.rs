@@ -65,8 +65,7 @@
 //! | [`join`] | the spatial join pipeline |
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
 //! | [`query`] | the streaming `Query` and `JoinQuery` builders and their cursors; `run_par` refines on threads, every charge stays on the calling thread |
-//! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`) |
-//! | [`executor`] | its adapters for batches and single queries (`run_batch`, `run_par`) |
+//! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`, and `run_batch` as a stream without writes) |
 //! | [`bulkload`] | the one STR bulk load: sort and tile on threads, every charge on the calling thread |
 
 #![forbid(unsafe_code)]
@@ -75,7 +74,6 @@
 pub mod bulkload;
 pub mod config;
 pub mod db;
-pub mod executor;
 pub mod query;
 pub mod report;
 pub mod stream;
@@ -83,9 +81,8 @@ pub mod stream;
 pub use bulkload::bulk_load_records_par;
 pub use config::{ConfigError, EngineConfig};
 pub use db::{DbOptions, SpatialDatabase, StoreRead, Workspace};
-pub use executor::{BatchOutcome, ExecPlan, QueryOutcome};
 pub use query::{JoinCursor, JoinQuery, Query, ResultCursor};
-pub use stream::{run_stream, OpOutcome, StreamOp, StreamOutcome};
+pub use stream::{run_stream, ExecPlan, OpOutcome, StreamOp, StreamOutcome};
 
 pub use spatialdb_data as data;
 pub use spatialdb_disk as disk;

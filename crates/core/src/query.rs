@@ -60,7 +60,7 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
-use crate::executor::map_chunks;
+use crate::stream::map_chunks;
 use spatialdb_disk::IoStats;
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
@@ -322,21 +322,23 @@ impl<'a> Query<'a> {
             next: 0,
             stats,
             io,
+            refine_threads: 1,
         }
     }
 
-    /// Execute the query with the refinement step fanned across
-    /// `n_threads` worker threads.
+    /// [`run`](Query::run), with the cursor's
+    /// [`ids`](ResultCursor::ids) refining on `n_threads` threads.
     ///
-    /// The filter step (the part that charges the simulated disk) runs
-    /// exactly as in [`run`](Query::run) — the disk is one arm, its cost
-    /// model is inherently serial — and the CPU-bound exact-geometry
-    /// tests are partitioned across a scoped thread pool. The returned
-    /// [`QueryOutcome`](crate::executor::QueryOutcome) therefore carries
-    /// the **same result set and the same per-query stats** as the
-    /// sequential cursor, materialized.
-    pub fn run_par(self, n_threads: usize) -> crate::executor::QueryOutcome {
-        crate::executor::run_one_par(self, n_threads)
+    /// The filter step (the part that charges the simulated disk) is
+    /// `run`'s, on the calling thread — the disk is one arm, its cost
+    /// model is inherently serial. The result set and the per-query
+    /// stats are therefore the same at every thread count; iterating the
+    /// cursor stays lazy and refines on the calling thread.
+    pub fn run_par(self, n_threads: usize) -> ResultCursor<'a> {
+        ResultCursor {
+            refine_threads: n_threads.max(1),
+            ..self.run()
+        }
     }
 }
 
@@ -369,6 +371,9 @@ pub struct ResultCursor<'a> {
     next: usize,
     pub(crate) stats: QueryStats,
     pub(crate) io: IoStats,
+    /// Threads [`ids`](ResultCursor::ids) refines on: those the caller
+    /// gave [`Query::run_par`], one otherwise.
+    refine_threads: usize,
 }
 
 impl<'a> ResultCursor<'a> {
@@ -404,8 +409,14 @@ impl<'a> ResultCursor<'a> {
     /// Drain the cursor into the sorted ids of all exact answers.
     /// Cheaper than iterating: a decided candidate is not even looked
     /// up.
+    ///
+    /// A [`Query::run_par`] cursor refines contiguous chunks of the
+    /// remaining candidates on its threads and concatenates them in
+    /// chunk order — the same ids as iterating.
     pub fn ids(self) -> Vec<u64> {
-        self.refinement().ids(&self.candidates[self.next..])
+        let refinement = self.refinement();
+        let refine = |chunk: &[Candidate]| refinement.ids(chunk);
+        map_chunks(&self.candidates[self.next..], self.refine_threads, refine)
     }
 
     /// This query's refinement step. Unlike the pin it borrows from, it

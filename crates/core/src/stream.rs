@@ -1,7 +1,9 @@
 //! The one executor: every sequence of operations — a mixed stream of
 //! reads **and writes** ([`run_stream`]) or a batch of queries
-//! ([`run_batch`](crate::executor::run_batch), a stream with no writes)
-//! — runs through the loop in this module, without serial barriers.
+//! ([`Workspace::run_batch`](crate::db::Workspace::run_batch), a stream
+//! with no writes) — runs through the loop in this module, without
+//! serial barriers. Both return a [`StreamOutcome`]; an [`ExecPlan`]
+//! (or a bare thread count) picks the batch's worker count.
 //!
 //! The operations — window queries, point queries, spatial joins,
 //! inserts and deletes, possibly against several databases of one
@@ -192,6 +194,74 @@ impl StreamOutcome {
     }
 }
 
+/// How a batch executes: its worker-thread count.
+///
+/// The one argument of
+/// [`Workspace::run_batch`](crate::db::Workspace::run_batch) besides the
+/// queries. A bare `usize` converts into a plan, so
+/// `run_batch(queries, 8)` keeps working:
+///
+/// ```
+/// use spatialdb::ExecPlan;
+///
+/// assert_eq!(ExecPlan::threads(8), ExecPlan::from(8));
+/// ```
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ExecPlan {
+    /// Worker threads for the refinement step.
+    pub threads: usize,
+}
+
+impl ExecPlan {
+    /// A plan on `n` worker threads.
+    pub fn threads(n: usize) -> Self {
+        ExecPlan { threads: n }
+    }
+}
+
+impl Default for ExecPlan {
+    fn default() -> Self {
+        ExecPlan::threads(1)
+    }
+}
+
+impl From<usize> for ExecPlan {
+    fn from(n_threads: usize) -> Self {
+        ExecPlan::threads(n_threads)
+    }
+}
+
+/// The fan-out *within* one operation — a cursor's `ids()` or `pairs()`,
+/// a bulk load's sort and tile: split `items` into at most `threads`
+/// contiguous chunks, map each on its own scoped thread, and concatenate
+/// the results in chunk order. One chunk maps on the calling thread. A
+/// worker's panic is the caller's: it resumes here with its own payload.
+pub(crate) fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    map: impl Fn(&[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let per = items.len().div_ceil(threads.max(1)).max(1);
+    if items.len() <= per {
+        return map(items);
+    }
+    std::thread::scope(|scope| {
+        let map = &map;
+        let workers: Vec<_> = items
+            .chunks(per)
+            .map(|chunk| scope.spawn(move || map(chunk)))
+            .collect();
+        let mut merged = Vec::with_capacity(items.len());
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => merged.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        merged
+    })
+}
+
 /// What the loop executes: a [`StreamOp`], with window and point ops
 /// spelled as the [`Query`] a batch hands over (which may carry its own
 /// technique).
@@ -331,18 +401,15 @@ impl Drop for CloseOnDrop<'_> {
 /// Propagates the panic of an op that cannot execute — an insert of a
 /// stored id, a query or join that refines a filter-only record.
 pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
-    let ops = ops.into_iter().map(Op::from).collect();
-    StreamOutcome {
-        outcomes: execute(ops, threads),
-    }
+    execute(ops.into_iter().map(Op::from).collect(), threads)
 }
 
 /// The loop itself (see the [module docs](self)): one outcome per op in
 /// op order.
-pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> Vec<OpOutcome> {
+pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> StreamOutcome {
     let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
     if ops.is_empty() {
-        return outcomes;
+        return StreamOutcome { outcomes };
     }
     let workers = threads.clamp(1, ops.len());
     let queue = RefineQueue::new();
@@ -460,7 +527,7 @@ pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> Vec<OpOutcome> {
             _ => unreachable!("refinement result kind mismatches its op"),
         }
     }
-    outcomes
+    StreamOutcome { outcomes }
 }
 
 #[cfg(test)]

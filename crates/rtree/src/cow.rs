@@ -19,8 +19,9 @@
 //!   exclusive (`&mut`) update paths behave as on a plain `Vec`.
 //!
 //! The R\*-tree's node store keys it by `NodeId`; the storage layer
-//! reuses it for the cluster units (also keyed by `NodeId`) and for the
-//! bucket directory of its per-object table.
+//! reuses it for the cluster units (also keyed by `NodeId`). The
+//! per-object table (`spatialdb_storage::ObjectTable`) chunks its
+//! bucket directory the same way but keeps its own chunk vector.
 
 use std::sync::Arc;
 

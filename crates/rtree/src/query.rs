@@ -113,25 +113,6 @@ impl RStarTree {
         let window = Rect::new(p.x, p.y, p.x, p.y);
         self.window_entries_into(&window, io, out)
     }
-
-    /// Number of node pages a window query would read (filter-step I/O),
-    /// without charging anything.
-    pub fn window_node_count(&self, window: &Rect) -> usize {
-        let mut count = 0usize;
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            count += 1;
-            if let NodeKind::Dir(entries) = &self.node(id).kind {
-                stack.extend(
-                    entries
-                        .iter()
-                        .filter(|e| e.mbr.intersects(window))
-                        .map(|e| e.child),
-                );
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -256,14 +237,5 @@ mod tests {
         // Reuse across calls: the buffer is cleared, not appended to.
         t.point_entries_into(&Point::new(3.25, 4.25), &mut NoIo, &mut scratch);
         assert_eq!(scratch, t.point_entries(&Point::new(3.25, 4.25), &mut NoIo));
-    }
-
-    #[test]
-    fn window_node_count_matches_charged_reads() {
-        let t = build_grid(12);
-        let w = Rect::new(2.0, 3.0, 8.0, 7.0);
-        let mut io = CountingIo::default();
-        t.window_entries(&w, &mut io);
-        assert_eq!(io.reads as usize, t.window_node_count(&w));
     }
 }

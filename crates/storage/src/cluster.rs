@@ -618,10 +618,6 @@ impl SpatialStore for ClusterOrganization {
         }
     }
 
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        self.window_query_into(window, technique, &mut Vec::new())
-    }
-
     fn window_query_into(
         &self,
         window: &Rect,
@@ -642,10 +638,6 @@ impl SpatialStore for ClusterOrganization {
             result_bytes: out.iter().map(|e| u64::from(e.payload)).sum(),
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
-    }
-
-    fn point_query(&self, point: &Point) -> QueryStats {
-        self.point_query_into(point, &mut Vec::new())
     }
 
     fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
@@ -800,10 +792,6 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(
-            self.objects.is_empty(),
-            "STR install requires an empty store"
-        );
         debug_assert_eq!(records.len(), tiles.iter().map(Vec::len).sum::<usize>());
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in &build.level_runs {

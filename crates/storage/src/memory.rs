@@ -11,7 +11,7 @@ use crate::model::{QueryStats, SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::store::SpatialStore;
 use spatialdb_disk::{DiskHandle, PAGE_SIZE};
-use spatialdb_geom::{Point, Rect};
+use spatialdb_geom::Rect;
 use spatialdb_rtree::{
     bulk, LeafEntry, NoIo, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
 };
@@ -71,10 +71,6 @@ impl SpatialStore for MemoryStore {
         true
     }
 
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        self.window_query_into(window, technique, &mut Vec::new())
-    }
-
     fn window_query_into(
         &self,
         window: &Rect,
@@ -87,16 +83,6 @@ impl SpatialStore for MemoryStore {
             result_bytes: out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum(),
             io_ms: 0.0,
         }
-    }
-
-    fn point_query(&self, point: &Point) -> QueryStats {
-        self.point_query_into(point, &mut Vec::new())
-    }
-
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        // A point is a degenerate window, to the tree and to the transfer.
-        let window = Rect::new(point.x, point.y, point.x, point.y);
-        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, _oid: ObjectId) {
@@ -142,7 +128,6 @@ impl SpatialStore for MemoryStore {
     // `str_plan`'s default (payload 0) is already right for a memory
     // store; the install builds the tree bottom-up and charges nothing.
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(self.sizes.is_empty(), "STR install requires an empty store");
         let build = bulk::build_tree(
             self.tree.config().clone(),
             self.tree.region(),
@@ -210,13 +195,13 @@ mod tests {
         assert!(!s.delete(ObjectId(3)));
         assert_eq!(s.num_objects(), 29);
         let all = Rect::new(-1.0, -1.0, 2.0, 2.0);
-        assert_eq!(s.window_candidates(&all).len(), 29);
+        assert_eq!(s.tree().window_entries(&all, &mut NoIo).len(), 29);
         s.insert(&ObjectRecord::new(
             ObjectId(3),
             Rect::new(0.3, 0.0, 0.35, 0.05),
             640,
         ));
-        assert_eq!(s.window_candidates(&all).len(), 30);
+        assert_eq!(s.tree().window_entries(&all, &mut NoIo).len(), 30);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::packer::PagePacker;
 use crate::store::{SpatialStore, StrPlan};
 use crate::table::ObjectTable;
 use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
-use spatialdb_geom::{Point, Rect};
+use spatialdb_geom::Rect;
 use spatialdb_rtree::config::ENTRY_BYTES;
 use spatialdb_rtree::{
     bulk, LeafEntry, LeafSplit, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
@@ -176,10 +176,6 @@ impl SpatialStore for PrimaryOrganization {
         self.track_relocations(&outcome.leaf_reinserts, &outcome.leaf_splits);
     }
 
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        self.window_query_into(window, technique, &mut Vec::new())
-    }
-
     fn window_query_into(
         &self,
         window: &Rect,
@@ -197,16 +193,6 @@ impl SpatialStore for PrimaryOrganization {
             result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
-    }
-
-    fn point_query(&self, point: &Point) -> QueryStats {
-        self.point_query_into(point, &mut Vec::new())
-    }
-
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        // A point is a degenerate window, to the tree and to the transfer.
-        let window = Rect::new(point.x, point.y, point.x, point.y);
-        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -318,10 +304,6 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
-        assert!(
-            self.objects.is_empty(),
-            "STR install requires an empty store"
-        );
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in &build.level_runs {
             self.disk.charge(IoKind::Write, *run, false);
@@ -361,6 +343,7 @@ mod tests {
     use super::*;
     use crate::model::new_shared_pool;
     use spatialdb_disk::Disk;
+    use spatialdb_geom::Point;
     use spatialdb_rtree::validate::check_invariants;
 
     fn org_with_sizes(sizes: &[u32]) -> PrimaryOrganization {

@@ -23,7 +23,7 @@ use crate::packer::PagePacker;
 use crate::store::{SpatialStore, StrPlan};
 use crate::table::ObjectTable;
 use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
-use spatialdb_geom::{Point, Rect};
+use spatialdb_geom::Rect;
 use spatialdb_rtree::{
     bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams, DEFAULT_STR_FILL,
 };
@@ -158,10 +158,6 @@ impl SpatialStore for SecondaryOrganization {
         self.objects.insert(rec.oid, slot);
     }
 
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        self.window_query_into(window, technique, &mut Vec::new())
-    }
-
     fn window_query_into(
         &self,
         window: &Rect,
@@ -177,16 +173,6 @@ impl SpatialStore for SecondaryOrganization {
             result_bytes,
             io_ms: self.disk.local_stats().since(&before).io_ms,
         }
-    }
-
-    fn point_query(&self, point: &Point) -> QueryStats {
-        self.point_query_into(point, &mut Vec::new())
-    }
-
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        // A point is a degenerate window, to the tree and to the transfer.
-        let window = Rect::new(point.x, point.y, point.x, point.y);
-        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -285,10 +271,6 @@ impl SpatialStore for SecondaryOrganization {
         mut tiles: Vec<Tile>,
         params: &TilingParams,
     ) {
-        assert!(
-            self.objects.is_empty(),
-            "STR install requires an empty store"
-        );
         // Lay the sequential file out in tile order: one sealed,
         // contiguous byte range per data page of the tree, written as
         // one sequential request. Spatially adjacent objects become
@@ -319,6 +301,7 @@ mod tests {
     use super::*;
     use crate::model::new_shared_pool;
     use spatialdb_disk::Disk;
+    use spatialdb_geom::Point;
     use spatialdb_rtree::validate::check_invariants;
 
     fn org_with(n: u64) -> SecondaryOrganization {

@@ -22,26 +22,26 @@
 //!    [`bulk_load`](SpatialStore::bulk_load),
 //!    [`delete`](SpatialStore::delete), [`flush`](SpatialStore::flush),
 //!    [`begin_query`](SpatialStore::begin_query);
-//! 2. **Queries** (`&self`) — [`window_query`](SpatialStore::window_query) /
-//!    [`point_query`](SpatialStore::point_query) perform the filter step
-//!    *and* transfer the exact representations, charging the simulated
-//!    disk and returning a per-call [`QueryStats`] delta (measured
-//!    against the calling thread's I/O tally, so deltas stay correct
-//!    under concurrency);
-//!    [`window_query_into`](SpatialStore::window_query_into) /
-//!    [`point_query_into`](SpatialStore::point_query_into) are the same
-//!    calls **handing back the candidate entries** the filter step
+//! 2. **Queries** (`&self`) — one required read method,
+//!    [`window_query_into`](SpatialStore::window_query_into): the filter
+//!    step *and* the transfer of the exact representations, charging
+//!    the simulated disk, **handing back the candidate entries** it
 //!    collected — what the engine's refinement step iterates over, from
-//!    one tree walk per query. The built-in stores implement the `_into`
-//!    form directly; a foreign backend gets a provided fallback that
-//!    runs the plain query and re-reads the candidates from the (now
-//!    warm) directory without charging I/O;
+//!    one tree walk per query — and returning a per-call [`QueryStats`]
+//!    delta (measured against the calling thread's I/O tally, so deltas
+//!    stay correct under concurrency). Everything else on the read side
+//!    is provided: [`point_query_into`](SpatialStore::point_query_into)
+//!    runs a point as a degenerate window (the cluster organization
+//!    overrides it to fetch objects page by page, §5.5),
+//!    [`window_query`](SpatialStore::window_query) /
+//!    [`point_query`](SpatialStore::point_query) drop the candidates,
+//!    and the `_traced` forms capture the disk requests;
 //! 3. **Bookkeeping** — occupancy, object sizes, buffer control, and
 //!    access to the disk, pool and R\*-tree the store is built on.
 //!
 //! One part of the contract is not negotiable: every backend exposes an
 //! R\*-tree over the object MBRs ([`tree`](SpatialStore::tree)). It is
-//! the engine's spatial key index — the default candidate lookups read
+//! the engine's spatial key index — the uncharged candidate lookups read
 //! it, and the spatial join's MBR phase performs a synchronized
 //! traversal of both operands' trees (\[BKS93b\]). A backend is free to
 //! organize the *exact representations* however it likes (that is the
@@ -104,50 +104,45 @@ pub trait SpatialStore: Send + Sync {
     /// reorganization (§4.1).
     fn delete(&mut self, oid: ObjectId) -> bool;
 
-    /// Window query: filter via the R\*-tree, then transfer the exact
-    /// representations of all candidates. `technique` selects the cluster
-    /// organization's transfer strategy; other stores ignore it.
+    /// Window query — **the method the engine calls**: filter via the
+    /// R\*-tree, then transfer the exact representations of all
+    /// candidates. `technique` selects the cluster organization's
+    /// transfer strategy; other stores ignore it. `out` is cleared and
+    /// filled with the leaf entries the filter step matched, in no
+    /// particular order, so one buffer serves many queries.
     ///
     /// Returns the statistics of **this call alone** (not cumulative
     /// counters): every implementation measures the delta against the
     /// calling thread's I/O tally
     /// ([`Disk::local_stats`](spatialdb_disk::Disk::local_stats)), so the
     /// delta is exact even while other threads charge the same disk.
-    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats;
-
-    /// Point query (§5.5): filter via the R\*-tree, then fetch the exact
-    /// representation of each candidate individually. Per-call stats,
-    /// like [`window_query`](SpatialStore::window_query).
-    fn point_query(&self, point: &Point) -> QueryStats;
-
-    /// [`window_query`](SpatialStore::window_query) handing back its
-    /// candidates: `out` is cleared and filled with the leaf entries the
-    /// filter step matched, in no particular order. Same transfer, same
-    /// charges, same [`QueryStats`] — **this is the method the engine
-    /// calls**, reusing one buffer across queries.
-    ///
-    /// The provided body serves backends that implement only the plain
-    /// query: run it, then re-read the candidates from the warm
-    /// directory at no charge. A store whose filter step already holds
-    /// the entries overrides this and makes `window_query` the wrapper.
     fn window_query_into(
         &self,
         window: &Rect,
         technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
-        let stats = self.window_query(window, technique);
-        self.window_candidates_into(window, out);
-        stats
+    ) -> QueryStats;
+
+    /// Point query (§5.5), handing back its candidates like
+    /// [`window_query_into`](SpatialStore::window_query_into). The
+    /// default treats the point as a degenerate window, to the tree and
+    /// to the transfer ([`WindowTechnique::Complete`]); a store that
+    /// fetches a point query's objects differently overrides it.
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+        let window = Rect::new(point.x, point.y, point.x, point.y);
+        self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
-    /// [`point_query`](SpatialStore::point_query) handing back its
-    /// candidates — see
-    /// [`window_query_into`](SpatialStore::window_query_into).
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        let stats = self.point_query(point);
-        self.point_candidates_into(point, out);
-        stats
+    /// [`window_query_into`](SpatialStore::window_query_into) without
+    /// the candidates: same transfer, same charges, same [`QueryStats`].
+    fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
+        self.window_query_into(window, technique, &mut Vec::new())
+    }
+
+    /// [`point_query_into`](SpatialStore::point_query_into) without the
+    /// candidates.
+    fn point_query(&self, point: &Point) -> QueryStats {
+        self.point_query_into(point, &mut Vec::new())
     }
 
     /// The traced read path: run the window query **and capture its
@@ -186,16 +181,9 @@ pub trait SpatialStore: Send + Sync {
 
     /// The candidate entries of a window query, read from the in-memory
     /// directory without charging I/O, appended into a caller-supplied
-    /// scratch buffer (cleared first).
-    ///
-    /// Diagnostics, and the second half of the
-    /// [`window_query_into`](SpatialStore::window_query_into) fallback:
-    /// a backend that implements only `window_query` and sources its
-    /// candidates from somewhere other than [`tree`](SpatialStore::tree)
-    /// must override this `_into` form (or `window_query_into` itself);
-    /// overriding only the allocating
-    /// [`window_candidates`](SpatialStore::window_candidates) wrapper
-    /// does not change what queries see.
+    /// scratch buffer (cleared first). Diagnostics only: the engine's
+    /// queries take their candidates from
+    /// [`window_query_into`](SpatialStore::window_query_into).
     fn window_candidates_into(&self, window: &Rect, out: &mut Vec<LeafEntry>) {
         self.tree().window_entries_into(window, &mut NoIo, out)
     }
@@ -205,26 +193,6 @@ pub trait SpatialStore: Send + Sync {
     /// [`window_candidates_into`](SpatialStore::window_candidates_into).
     fn point_candidates_into(&self, point: &Point, out: &mut Vec<LeafEntry>) {
         self.tree().point_entries_into(point, &mut NoIo, out)
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`window_candidates_into`](SpatialStore::window_candidates_into).
-    /// Not called by the engine; do not override it to change candidate
-    /// sourcing.
-    fn window_candidates(&self, window: &Rect) -> Vec<LeafEntry> {
-        let mut out = Vec::new();
-        self.window_candidates_into(window, &mut out);
-        out
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`point_candidates_into`](SpatialStore::point_candidates_into).
-    /// Not called by the engine; do not override it to change candidate
-    /// sourcing.
-    fn point_candidates(&self, point: &Point) -> Vec<LeafEntry> {
-        let mut out = Vec::new();
-        self.point_candidates_into(point, &mut out);
-        out
     }
 
     /// Fetch one object's exact representation through the buffer (the

@@ -139,8 +139,8 @@ fn primary_window_query_reports_the_bytes_the_table_records() {
         let store = build(primary(), str_built);
         let mut overflowing = 0;
         for (k, window) in windows().iter().enumerate() {
-            let stats = store.window_query(window, WindowTechnique::Complete);
-            let candidates = store.window_candidates(window);
+            let mut candidates = Vec::new();
+            let stats = store.window_query_into(window, WindowTechnique::Complete, &mut candidates);
             let sizes = candidates.iter().map(|e| store.object_size(e.oid));
             let bytes: u64 = sizes.clone().map(u64::from).sum();
             overflowing += sizes

@@ -67,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn all_models_agree_on_window_candidates(
+    fn all_models_agree_on_window_candidate_counts(
         records in arb_records(120),
         wx in 0.0f64..1.0, wy in 0.0f64..1.0, ww in 0.01f64..0.5,
     ) {
@@ -85,7 +85,7 @@ proptest! {
     }
 
     #[test]
-    fn all_models_agree_on_point_candidates(
+    fn all_models_agree_on_point_candidate_counts(
         records in arb_records(100),
         px in 0.0f64..1.0, py in 0.0f64..1.0,
     ) {

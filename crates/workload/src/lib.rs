@@ -54,3 +54,10 @@ pub use golden::RowFormat;
 pub use mix::Mix;
 pub use report::{org_label, policy_label, stripe_label, Cell, MixOutcome, ScenarioReport};
 pub use scenario::{Scenario, WindowSweep};
+
+// The repository README, whose Rust snippets `cargo test` compiles and
+// runs as doctests of this crate (it sees `spatialdb` and
+// `spatialdb_workload` both).
+#[doc = include_str!("../../../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;

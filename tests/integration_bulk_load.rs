@@ -4,13 +4,16 @@
 //! three organization models × all four window techniques; STR-built
 //! trees must beat insertion-built trees on construction I/O and
 //! directory size while answering identically; and a load that cannot
-//! finish — a repeated id, a non-finite MBR — must panic before it
-//! charges anything.
+//! finish — a repeated id, a non-finite MBR, a non-empty database —
+//! must panic before it charges anything.
+
+mod foreign_store;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use foreign_store::HintlessStore;
 use spatialdb::bulk_load_records_par;
-use spatialdb::geom::{Geometry, Point, Polyline, Rect};
+use spatialdb::geom::{Geometry, HasMbr, Point, Polyline, Rect};
 use spatialdb::storage::{
     new_shared_pool, MemoryStore, ObjectRecord, OrganizationKind, SecondaryOrganization,
     SpatialStore, WindowTechnique,
@@ -309,6 +312,53 @@ fn repeated_id_charges_nothing() {
             assert_eq!(ws.disk().stats(), before, "{name}, {threads} threads");
             assert_eq!(db.store().num_objects(), 0, "{name}, {threads} threads");
             db.store().check_consistency().unwrap();
+        }
+    }
+}
+
+/// Bulk-loading a database that already holds an object is refused
+/// before anything is planned or charged, on every backend — a foreign
+/// one whose `str_install` is the trait's insertion fallback included —
+/// and the object keeps its geometry.
+#[test]
+fn bulk_load_into_a_non_empty_database_charges_nothing() {
+    let street = |x: f64| Polyline::new(vec![Point::new(x, 0.5), Point::new(x + 0.1, 0.55)]);
+    let all = Rect::new(0.0, 0.0, 1.0, 1.0);
+    for threads in [1, 4] {
+        let ws = Workspace::new(64);
+        let memory = || MemoryStore::new(ws.disk(), ws.pool());
+        let mut dbs: Vec<SpatialDatabase> = ALL_KINDS
+            .into_iter()
+            .map(|kind| ws.create_database(DbOptions::new(kind)))
+            .collect();
+        dbs.push(ws.create_database_with(Box::new(memory())));
+        dbs.push(ws.create_database_with(Box::new(HintlessStore(memory()))));
+        for mut db in dbs {
+            db.insert(1, street(0.2));
+            let name = db.store_name();
+            let at = format!("{name}, {threads} threads");
+            let before = ws.disk().stats();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let objects = vec![(2, Geometry::from(street(0.6)))];
+                if threads == 1 {
+                    db.bulk_load(objects);
+                } else {
+                    ws.bulk_load_par(&mut db, objects, threads);
+                }
+            }));
+            let payload = result.expect_err(&at);
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                message.contains("non-empty store") && message.contains(name),
+                "{at}: {message}"
+            );
+            assert_eq!(ws.disk().stats(), before, "{at}");
+            assert_eq!(db.len(), 1, "{at}");
+            let kept = db.geometry(1).map(|g| g.mbr());
+            assert_eq!(kept, Some(street(0.2).mbr()), "{at}");
+            assert_eq!(db.query().window(all).run().ids(), vec![1], "{at}");
         }
     }
 }

@@ -125,15 +125,11 @@ impl Observation {
 /// points alternate.
 fn probe(store: &dyn SpatialStore, inputs: &Inputs, step: usize) -> Observation {
     let k = (step / 2) % inputs.windows.len();
-    let (stats, candidates) = if step.is_multiple_of(2) {
-        let w = &inputs.windows[k];
-        (
-            store.window_query(w, WindowTechnique::Slm),
-            store.window_candidates(w),
-        )
+    let mut candidates = Vec::new();
+    let stats = if step.is_multiple_of(2) {
+        store.window_query_into(&inputs.windows[k], WindowTechnique::Slm, &mut candidates)
     } else {
-        let p = &inputs.points[k];
-        (store.point_query(p), store.point_candidates(p))
+        store.point_query_into(&inputs.points[k], &mut candidates)
     };
     let mut ids: Vec<u64> = candidates.iter().map(|e| e.oid.0).collect();
     ids.sort_unstable();

@@ -1,12 +1,21 @@
-//! Parallel-executor equivalence: `run_par(k)` / `run_batch(.., k)` must
-//! return byte-identical result sets and identical per-query and
-//! aggregate statistics to sequential execution — for every organization
-//! model and every window technique — and the parallel join must produce
-//! exactly the sequential join's pairs and statistics.
+//! Parallel-executor equivalence: `run_par(k)`'s cursor and
+//! `run_batch(.., k)` must return byte-identical result sets and
+//! identical per-query and aggregate statistics to sequential execution
+//! — for every organization model and every window technique — and the
+//! parallel join must produce exactly the sequential join's pairs and
+//! statistics.
 
 use spatialdb::geom::{Point, Polyline, Rect};
 use spatialdb::storage::{OrganizationKind, QueryStats, WindowTechnique};
-use spatialdb::{DbOptions, EngineConfig, IoStats, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, EngineConfig, IoStats, OpOutcome, SpatialDatabase, Workspace};
+
+/// The ids and stats of a batch outcome, which holds only queries.
+fn query_outcome(outcome: &OpOutcome) -> (&[u64], QueryStats) {
+    match outcome {
+        OpOutcome::Query { ids, stats, .. } => (ids, *stats),
+        other => panic!("a batch produced {other:?}"),
+    }
+}
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -86,29 +95,32 @@ fn run_par_matches_sequential_all_orgs_and_techniques() {
                 8,
             );
             assert_eq!(batch.len(), seq_ids.len());
+            let mut batch_agg = QueryStats::default();
             for (i, outcome) in batch.outcomes().iter().enumerate() {
-                assert_eq!(outcome.ids(), &seq_ids[i][..], "{kind:?}/{technique:?}/{i}");
-                assert_eq!(outcome.stats(), seq_stats[i], "{kind:?}/{technique:?}/{i}");
+                let (ids, stats) = query_outcome(outcome);
+                assert_eq!(ids, &seq_ids[i][..], "{kind:?}/{technique:?}/{i}");
+                assert_eq!(stats, seq_stats[i], "{kind:?}/{technique:?}/{i}");
+                batch_agg.accumulate(&stats);
             }
-            assert_eq!(batch.aggregate_stats(), seq_agg, "{kind:?}/{technique:?}");
+            assert_eq!(batch_agg, seq_agg, "{kind:?}/{technique:?}");
             assert_eq!(batch.aggregate_io(), seq_io, "{kind:?}/{technique:?}");
             // Single-query run_par(8): same result set and stats as the
-            // sequential cursor, for each window in isolation.
+            // sequential cursor, for each window in isolation — drained
+            // whole, and after the first 3 answers were iterated.
             for (i, w) in windows().into_iter().enumerate() {
-                db.store_mut().begin_query();
-                let outcome = db.query().window(w).technique(technique).run_par(8);
+                let at = format!("{kind:?}/{technique:?}/{i}");
                 db.store_mut().begin_query();
                 let cursor = db.query().window(w).technique(technique).run();
-                assert_eq!(
-                    outcome.stats(),
-                    cursor.stats(),
-                    "{kind:?}/{technique:?}/{i}"
-                );
-                assert_eq!(
-                    outcome.into_ids(),
-                    cursor.ids(),
-                    "{kind:?}/{technique:?}/{i}"
-                );
+                let (stats, io) = (cursor.stats(), cursor.io_stats());
+                let all = cursor.ids();
+                db.store_mut().begin_query();
+                let par = db.query().window(w).technique(technique).run_par(8);
+                assert_eq!((par.stats(), par.io_stats()), (stats, io), "{at}");
+                assert_eq!(par.ids(), all, "{at}");
+                let mut par = db.query().window(w).technique(technique).run_par(8);
+                let head: Vec<u64> = par.by_ref().take(3).map(|(id, _)| id).collect();
+                assert_eq!(head, all[..all.len().min(3)], "{at}");
+                assert_eq!(par.ids(), all[head.len()..], "{at}");
             }
         }
     }
@@ -145,8 +157,7 @@ fn mixed_batch_matches_sequential() {
     let batch = ws.run_batch(queries, 8);
     assert_eq!(batch.len(), seq.len());
     for (outcome, (ids, stats)) in batch.outcomes().iter().zip(&seq) {
-        assert_eq!(outcome.ids(), &ids[..]);
-        assert_eq!(outcome.stats(), *stats);
+        assert_eq!(query_outcome(outcome), (&ids[..], *stats));
     }
 }
 
@@ -271,5 +282,6 @@ fn batch_spans_multiple_databases() {
     let w = Rect::new(0.1, 0.1, 0.6, 0.6);
     let batch = ws.run_batch(vec![streets.query().window(w), rivers.query().window(w)], 2);
     assert_eq!(batch.len(), 2);
-    assert_eq!(batch.outcomes()[0].ids(), batch.outcomes()[1].ids());
+    let ids = |i: usize| query_outcome(&batch.outcomes()[i]).0;
+    assert_eq!(ids(0), ids(1));
 }

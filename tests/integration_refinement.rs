@@ -27,17 +27,19 @@
 //!   object with its geometry, and the geometry is freed by ordinary
 //!   epoch reclamation once that cursor is gone — through `&self` alone.
 //! * **A foreign backend** that implements only the required trait
-//!   methods answers through the provided `window_query_into` fallback.
+//!   methods answers window queries through its `window_query_into` and
+//!   point queries through the provided `point_query_into`.
 
+mod foreign_store;
+
+use foreign_store::HintlessStore;
 use spatialdb::data::rng::SmallRng;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap, WindowQuerySet};
-use spatialdb::disk::DiskHandle;
 use spatialdb::geom::{HasMbr, Point, Polygon, Polyline, Rect};
-use spatialdb::rtree::RStarTree;
-use spatialdb::storage::{MemoryStore, ObjectRecord, SharedPool, WindowTechnique};
+use spatialdb::storage::{MemoryStore, ObjectRecord};
 use spatialdb::{
-    run_stream, DbOptions, Geometry, ObjectId, OpOutcome, OrganizationKind, QueryStats,
-    SpatialDatabase, SpatialStore, StreamOp, Workspace,
+    run_stream, DbOptions, Geometry, ObjectId, OpOutcome, OrganizationKind, SpatialDatabase,
+    StreamOp, StreamOutcome, Workspace,
 };
 use std::sync::Arc;
 
@@ -125,16 +127,20 @@ fn load(ws: &Workspace, kind: OrganizationKind, objects: &[(u64, Geometry)]) -> 
     db
 }
 
+/// The answers of a stream of queries — `run_stream`'s or `run_batch`'s.
+fn query_ids(out: &StreamOutcome) -> Vec<Vec<u64>> {
+    let ids = out.outcomes().iter().map(|o| match o {
+        OpOutcome::Query { ids, .. } => ids.clone(),
+        other => panic!("query op produced {other:?}"),
+    });
+    ids.collect()
+}
+
 fn stream_ids(db: &SpatialDatabase, windows: &[Rect], threads: usize) -> Vec<Vec<u64>> {
     let ops = windows
         .iter()
         .map(|&window| StreamOp::Window { db, window });
-    let out = run_stream(ops.collect(), threads);
-    let ids = out.outcomes().iter().map(|o| match o {
-        OpOutcome::Query { ids, .. } => ids.clone(),
-        other => panic!("window op produced {other:?}"),
-    });
-    ids.collect()
+    query_ids(&run_stream(ops.collect(), threads))
 }
 
 /// Every read path of `db` — iteration, `ids()`, a partial iteration
@@ -174,8 +180,7 @@ fn assert_every_path_answers(
     for threads in [1, 4] {
         let queries = windows.iter().map(|w| db.query().window(*w)).collect();
         let batch = ws.run_batch(queries, threads);
-        let ids: Vec<Vec<u64>> = batch.into_iter().map(|o| o.into_ids()).collect();
-        assert_eq!(ids, expected, "{what} run_batch({threads})");
+        assert_eq!(query_ids(&batch), expected, "{what} run_batch({threads})");
         assert_eq!(
             stream_ids(db, windows, threads),
             expected,
@@ -183,7 +188,7 @@ fn assert_every_path_answers(
         );
     }
     for (w, expected) in windows.iter().zip(expected).step_by(7) {
-        let par = db.query().window(*w).run_par(4).into_ids();
+        let par = db.query().window(*w).run_par(4).ids();
         assert_eq!(&par, expected, "{what} run_par, window {w:?}");
     }
 }
@@ -519,7 +524,7 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
     assert!(panics(&|| drop(db.query().window(all).run().ids())));
     assert!(panics(&|| drop(db.query().window(all).run().next())));
-    assert!(panics(&|| drop(db.query().window(all).run_par(2))));
+    assert!(panics(&|| drop(db.query().window(all).run_par(2).ids())));
     assert!(panics(&|| drop(stream_ids(&db, &[all], 2))));
     // Mixed: one properly inserted object — its hint cell inside the
     // window, its MBR not — does not make the rest refinable, on any
@@ -538,7 +543,7 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     for message in [
         refusal(&|| drop(db.query().window(mixed).run().ids())),
         refusal(&|| drop(db.query().window(mixed).run().next())),
-        refusal(&|| drop(db.query().window(mixed).run_par(2))),
+        refusal(&|| drop(db.query().window(mixed).run_par(2).ids())),
         refusal(&|| drop(stream_ids(&db, &[mixed], 2))),
     ] {
         assert!(
@@ -617,84 +622,6 @@ fn churn_through_the_shared_path_leaks_neither_geometry_nor_snapshots() {
     assert_eq!(db.query().window(all).run().ids().len(), base);
 }
 
-/// A foreign backend implementing only the required methods (everything
-/// else comes from the trait's provided bodies) over an inner
-/// `MemoryStore`, which is handed `$stored` for every inserted record.
-macro_rules! foreign_store {
-    ($(#[$doc:meta])* $name:ident, $label:literal, |$rec:ident| $stored:expr) => {
-        $(#[$doc])*
-        #[derive(Clone)]
-        struct $name(MemoryStore);
-
-        impl SpatialStore for $name {
-            fn name(&self) -> &'static str {
-                $label
-            }
-            fn snapshot(&self) -> Box<dyn SpatialStore> {
-                Box::new(self.clone())
-            }
-            fn insert(&mut self, $rec: &ObjectRecord) {
-                self.0.insert(&$stored)
-            }
-            fn delete(&mut self, oid: ObjectId) -> bool {
-                self.0.delete(oid)
-            }
-            fn window_query(&self, w: &Rect, t: WindowTechnique) -> QueryStats {
-                self.0.window_query(w, t)
-            }
-            fn point_query(&self, p: &Point) -> QueryStats {
-                self.0.point_query(p)
-            }
-            fn fetch_object(&self, oid: ObjectId) {
-                self.0.fetch_object(oid)
-            }
-            fn occupied_pages(&self) -> u64 {
-                self.0.occupied_pages()
-            }
-            fn num_objects(&self) -> usize {
-                self.0.num_objects()
-            }
-            fn contains(&self, oid: ObjectId) -> bool {
-                self.0.contains(oid)
-            }
-            fn disk(&self) -> DiskHandle {
-                self.0.disk()
-            }
-            fn pool(&self) -> SharedPool {
-                self.0.pool()
-            }
-            fn tree(&self) -> &RStarTree {
-                self.0.tree()
-            }
-            fn flush(&mut self) {
-                self.0.flush()
-            }
-            fn begin_query(&mut self) {
-                self.0.begin_query()
-            }
-            fn object_size(&self, oid: ObjectId) -> u32 {
-                self.0.object_size(oid)
-            }
-        }
-    };
-}
-
-foreign_store!(
-    /// A backend from before `window_query_into` existed.
-    PlainStore,
-    "plain",
-    |rec| *rec
-);
-
-foreign_store!(
-    /// A backend from before the hint existed: what it keeps of a record
-    /// is what `ObjectRecord::new` and `LeafEntry::new(mbr, oid, 0)`
-    /// always took, so its leaf entries carry no hint.
-    HintlessStore,
-    "hintless",
-    |rec| ObjectRecord::new(rec.oid, rec.mbr, rec.size_bytes)
-);
-
 #[test]
 fn a_backend_whose_entries_carry_no_hint_answers_by_mbr_and_exact_test() {
     let objects = streets(600, 1994);
@@ -718,29 +645,14 @@ fn a_backend_whose_entries_carry_no_hint_answers_by_mbr_and_exact_test() {
             "window {w:?}"
         );
     }
-}
-
-#[test]
-fn a_backend_without_the_into_methods_answers_through_the_fallback() {
-    let objects = lattice_objects();
-    let windows = lattice_windows(&objects);
-    let ws = Workspace::new(64);
-    let store = PlainStore(MemoryStore::new(ws.disk(), ws.pool()));
-    let mut db = ws.create_database_with(Box::new(store));
-    for (id, g) in &objects {
-        db.insert(*id, g.clone());
+    // Point queries take the trait's provided `point_query_into`: on a
+    // street's first vertex, the answer is every object through it.
+    for (_, g) in objects.iter().step_by(60) {
+        let Geometry::Polyline(l) = g else { continue };
+        let on_line = l.polyline().vertices()[0];
+        let through = db.query().point(on_line).run().ids();
+        let expected = objects.iter().filter(|(_, g)| g.contains_point(&on_line));
+        assert_eq!(through, expected.map(|(id, _)| *id).collect::<Vec<u64>>());
+        assert!(!through.is_empty());
     }
-    db.finish_loading();
-    for w in &windows {
-        let cursor = db.query().window(*w).run();
-        let mbr_hits = objects.iter().filter(|(_, g)| g.mbr().intersects(w));
-        assert_eq!(cursor.stats().candidates, mbr_hits.count());
-        assert_eq!(cursor.ids(), oracle(&objects, w), "window {w:?}");
-    }
-    // On the horizontal segment from (2, 10) to (6, 10).
-    let on_line = Point::new(at(3), at(10));
-    let through = db.query().point(on_line).run().ids();
-    let expected = objects.iter().filter(|(_, g)| g.contains_point(&on_line));
-    assert_eq!(through, expected.map(|(id, _)| *id).collect::<Vec<u64>>());
-    assert!(!through.is_empty());
 }
