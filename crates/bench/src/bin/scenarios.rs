@@ -1,67 +1,20 @@
-//! A figure-like mixed workload through the declarative scenario
-//! harness, emitted as `BENCH_scenarios.json`.
+//! The scenario reports checked in at the repository root:
+//! `BENCH_io_latency.json`, `BENCH_decluster.json`,
+//! `BENCH_scenarios.json` and `BENCH_mixed_rw.json`, each regenerated
+//! in the working directory from its one declaration in
+//! [`spatialdb_workload::reports`].
 //!
-//! Unlike `io_latency` / `decluster` (which reproduce fixed benchmark
-//! grids), this binary exercises the harness end to end the way a
-//! user would: a seeded uniform dataset, an open-arrival window sweep
-//! replayed over a depth × policy × arm grid, and a mixed
-//! window/point/join/insert stream per organization — with the
-//! accounting cross-check asserted on every phase. The report is the
-//! scenario-native JSON ([`spatialdb_workload::ScenarioReport::to_json`]), deterministic
-//! at any thread count.
+//! `cargo run --release -p spatialdb-bench --bin scenarios`
 //!
-//! Flags: `--objects N` (default 4000), `--queries N` (default 96),
-//! `--ops N` (default 128), `--threads N` (default 4), `--out PATH`.
+//! Takes no flags. Every report is simulated time only, so the files
+//! come out byte-identical on any machine and at any thread count; a
+//! `git diff` after the run shows which cell a change moved.
 
-use spatialdb::disk::{ArmPolicy, StripePolicy};
-use spatialdb::{Arrival, EngineConfig};
-use spatialdb_bench::parsed;
-use spatialdb_workload::{org_label, Dataset, Mix, Scenario, WindowSweep};
+use spatialdb_workload::reports::{render, FILES};
 
 fn main() {
-    let n_objects: u64 = parsed("--objects", 4000);
-    let n_queries: usize = parsed("--queries", 96);
-    let n_ops: usize = parsed("--ops", 128);
-    let threads: usize = parsed("--threads", 4);
-    let out_path = parsed("--out", "BENCH_scenarios.json".to_string());
-
-    println!(
-        "scenarios: {n_objects} objects, {n_queries} queries/cell, {n_ops} mixed ops, \
-         {threads} threads"
-    );
-    let report = Scenario::new("fig-like")
-        .dataset(Dataset::uniform(n_objects).polyline_segments(6))
-        .databases(2)
-        .engine(EngineConfig::default().buffer_pages(1024))
-        .windows(
-            WindowSweep::new(n_queries)
-                .size_base(0.04)
-                .size_amp(0.18)
-                .size_period(6),
-        )
-        .arrivals(Arrival::open(0.7))
-        .sweep_depths(&[4, 16])
-        .sweep_policies(&[ArmPolicy::Fcfs, ArmPolicy::Elevator])
-        .sweep_arms(&[1, 4])
-        .sweep_stripes(&[StripePolicy::RoundRobin])
-        .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
-        .operations(n_ops)
-        .threads(threads)
-        .seed(1994)
-        .run();
-    report.assert_stats_conserved();
-
-    for m in &report.mixes {
-        println!(
-            "  mix {}: {} windows, {} points, {} joins, {} inserts, {} results",
-            m.org.map_or("?", org_label),
-            m.windows,
-            m.points,
-            m.joins,
-            m.inserts,
-            m.results
-        );
+    for file in FILES {
+        std::fs::write(file, render(file)).expect("write scenario report");
+        println!("wrote {file}");
     }
-    std::fs::write(&out_path, report.to_json()).expect("write bench report");
-    println!("wrote {out_path}");
 }

@@ -1,6 +1,6 @@
-//! Command-line support shared by the `spatialdb-bench` binaries: the
-//! paper's figures (`figures`) and the latency, declustering, mixed
-//! read-write, scenario and bulk-load reports.
+//! Command-line support for the `spatialdb-bench` binaries that take
+//! flags: the paper's figures (`figures`) and the bulk-load report
+//! (`bulk_load`). The third binary, `scenarios`, takes none.
 
 use std::str::FromStr;
 
@@ -41,17 +41,17 @@ mod tests {
 
     #[test]
     fn an_absent_flag_takes_the_default() {
-        assert_eq!(
-            parse_flag(&args("bin --queries 160"), "--objects", 6000),
-            Ok(6000)
-        );
+        assert_eq!(parse_flag(&args("bin --fig 8"), "--scale", 1.0), Ok(1.0));
     }
 
     #[test]
     fn a_well_formed_value_is_parsed() {
-        let line = args("bin --objects 800 --load 0.5 --out report.json");
-        assert_eq!(parse_flag(&line, "--objects", 6000), Ok(800));
-        assert_eq!(parse_flag(&line, "--load", 0.9), Ok(0.5));
+        let line = args("bin --scale 0.5 --fig 8 --out report.json");
+        assert_eq!(parse_flag(&line, "--scale", 1.0), Ok(0.5));
+        assert_eq!(
+            parse_flag(&line, "--fig", String::new()),
+            Ok(String::from("8"))
+        );
         assert_eq!(
             parse_flag(&line, "--out", String::from("default.json")),
             Ok(String::from("report.json"))
@@ -61,16 +61,16 @@ mod tests {
     #[test]
     fn a_malformed_value_is_an_error_naming_flag_and_value() {
         assert_eq!(
-            parse_flag(&args("bin --objects 6k"), "--objects", 6000),
-            Err(String::from("--objects: cannot parse \"6k\""))
+            parse_flag(&args("bin --scale 3%"), "--scale", 1.0),
+            Err(String::from("--scale: cannot parse \"3%\""))
         );
     }
 
     #[test]
     fn a_trailing_flag_without_a_value_is_an_error() {
         assert_eq!(
-            parse_flag(&args("bin --queries 160 --objects"), "--objects", 6000),
-            Err(String::from("--objects needs a value"))
+            parse_flag(&args("bin --fig 8 --scale"), "--scale", 1.0),
+            Err(String::from("--scale needs a value"))
         );
     }
 }

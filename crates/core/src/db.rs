@@ -895,11 +895,11 @@ mod tests {
     fn duplicate_id_via_bulk_load_rejected() {
         let ws = Workspace::new(64);
         let mut db = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
-        db.store_mut().bulk_load(&[ObjectRecord::new(
+        db.store_mut().insert(&ObjectRecord::new(
             ObjectId(5),
             Rect::new(0.1, 0.1, 0.2, 0.2),
             640,
-        )]);
+        ));
         db.insert(5, street(0.1, 0.1));
     }
 

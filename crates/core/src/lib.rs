@@ -75,7 +75,6 @@ pub mod bulkload;
 pub mod config;
 pub mod db;
 pub mod query;
-pub mod report;
 pub mod stream;
 
 pub use bulkload::bulk_load_records_par;

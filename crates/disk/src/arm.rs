@@ -25,7 +25,7 @@
 //! * [`simulate_queries_striped`](crate::array::simulate_queries_striped)
 //!   and [`simulate_queries_closed`](crate::array::simulate_queries_closed)
 //!   replay per-query request traces ([`QueryTrace`], captured with
-//!   [`Disk::trace_begin`](crate::disk::Disk::trace_begin)) through the
+//!   [`Disk::traced`](crate::disk::Disk::traced)) through the
 //!   arms with a bounded per-query submission window (queue depth *k*),
 //!   producing per-query [`LatencyStats`] — the one way requests reach
 //!   an arm.
@@ -310,7 +310,7 @@ pub struct QueryTrace {
     /// When the query arrives (simulated ms).
     pub arrival_ms: f64,
     /// Its disk requests, in issue order (as captured by
-    /// [`Disk::trace_begin`](crate::disk::Disk::trace_begin)).
+    /// [`Disk::traced`](crate::disk::Disk::traced)).
     pub requests: Vec<PageRequest>,
 }
 

@@ -24,9 +24,9 @@ thread_local! {
     /// (a global-counter delta would attribute their requests to us).
     static THREAD_TALLY: Cell<IoStats> = Cell::new(IoStats::new());
 
-    /// Per-thread request trace: while armed (between [`Disk::trace_begin`]
-    /// and [`Disk::trace_take`]), every `charge` on this thread is also
-    /// recorded as a [`PageRequest`]. Like the tally, the trace is
+    /// Per-thread request trace: while armed (inside [`Disk::traced`]),
+    /// every `charge` on this thread is also recorded as a
+    /// [`PageRequest`]. Like the tally, the trace is
     /// thread-local — it captures exactly the requests the current
     /// thread issues, which is what turns any synchronous filter step
     /// into a replayable trace for the arm scheduler.
@@ -129,25 +129,38 @@ impl Disk {
         cost
     }
 
-    /// Start capturing this thread's requests: until
-    /// [`trace_take`](Disk::trace_take), every non-empty [`charge`](Disk::charge)
-    /// on the calling thread is also recorded as a [`PageRequest`]
-    /// (whichever disk it hits, like the thread tally). Any trace already
-    /// being captured on this thread is discarded.
+    /// Run `f` and capture this thread's requests meanwhile: every
+    /// non-empty [`charge`](Disk::charge) on the calling thread while `f`
+    /// runs is also recorded as a [`PageRequest`] (whichever disk it
+    /// hits, like the thread tally) and returned beside `f`'s result.
+    /// The capture ends with `f`, also when `f` unwinds.
     ///
     /// [`charge_raw`](Disk::charge_raw) is *not* traced: the optimum
     /// baselines it serves charge analytical lower-bound costs that do
     /// not correspond to physical page runs, so they cannot be scheduled
     /// on an arm.
-    pub fn trace_begin(&self) {
-        THREAD_TRACE.with(|t| *t.borrow_mut() = Some(Vec::new()));
-    }
-
-    /// Stop capturing and return the requests charged on this thread
-    /// since [`trace_begin`](Disk::trace_begin) (empty if tracing was
-    /// never started).
-    pub fn trace_take(&self) -> Vec<PageRequest> {
-        THREAD_TRACE.with(|t| t.borrow_mut().take().unwrap_or_default())
+    ///
+    /// # Panics
+    ///
+    /// Panics when called inside `f` of another capture on the same
+    /// thread: captures do not nest.
+    pub fn traced<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<PageRequest>) {
+        /// Disarms the thread's trace when the capture ends, however it
+        /// ends.
+        struct Disarm;
+        impl Drop for Disarm {
+            fn drop(&mut self) {
+                THREAD_TRACE.with(|t| *t.borrow_mut() = None);
+            }
+        }
+        THREAD_TRACE.with(|t| {
+            let armed = t.borrow_mut().replace(Vec::new());
+            assert!(armed.is_none(), "Disk::traced: captures do not nest");
+        });
+        let _disarm = Disarm;
+        let result = f();
+        let trace = THREAD_TRACE.with(|t| t.borrow_mut().take().unwrap_or_default());
+        (result, trace)
     }
 
     /// Charge an already-computed cost for a request of `pages` pages.
@@ -362,25 +375,27 @@ mod tests {
     fn trace_captures_this_threads_charges() {
         let disk = Disk::with_defaults();
         let r = disk.create_region("x");
-        disk.trace_begin();
-        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 3), 2), false);
-        disk.charge(IoKind::Write, PageRun::new(PageId::new(r, 9), 1), true);
-        disk.charge(IoKind::Read, PageRun::empty(PageId::new(r, 0)), false); // free, untraced
-        disk.charge_raw(IoKind::Read, 5, 20.0, true); // analytical, untraced
-                                                      // Another thread's charges never enter this thread's trace.
-        let d2 = disk.clone();
-        std::thread::spawn(move || {
-            d2.charge(IoKind::Read, PageRun::new(PageId::new(r, 50), 1), false);
-        })
-        .join()
-        .unwrap();
-        let trace = disk.trace_take();
+        let ((), trace) = disk.traced(|| {
+            disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 3), 2), false);
+            disk.charge(IoKind::Write, PageRun::new(PageId::new(r, 9), 1), true);
+            disk.charge(IoKind::Read, PageRun::empty(PageId::new(r, 0)), false); // free, untraced
+            disk.charge_raw(IoKind::Read, 5, 20.0, true); // analytical, untraced
+
+            // Another thread's charges never enter this thread's trace.
+            let d2 = disk.clone();
+            std::thread::spawn(move || {
+                d2.charge(IoKind::Read, PageRun::new(PageId::new(r, 50), 1), false);
+            })
+            .join()
+            .unwrap();
+        });
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].run.len, 2);
         assert_eq!(trace[0].kind, IoKind::Read);
         assert!(trace[1].skip_seek);
-        // Taking again without beginning yields nothing.
-        assert!(disk.trace_take().is_empty());
+        // Charges after the capture enter no trace.
+        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 60), 1), false);
+        assert!(disk.traced(|| ()).1.is_empty());
     }
 
     #[test]
@@ -391,11 +406,11 @@ mod tests {
         // matrix in `tests/integration_io_latency.rs`.
         let disk = Disk::with_defaults();
         let r = disk.create_region("x");
-        disk.trace_begin();
-        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 0), 3), false);
-        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 40), 1), false);
-        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 44), 2), true);
-        let trace = disk.trace_take();
+        let ((), trace) = disk.traced(|| {
+            disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 0), 3), false);
+            disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 40), 1), false);
+            disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 44), 2), true);
+        });
         let replay = Disk::with_defaults();
         for req in trace {
             replay.charge(req.kind, req.run, req.skip_seek);

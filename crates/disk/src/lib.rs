@@ -43,8 +43,7 @@
 //!
 //! Requests reach the arms one way: every request is charged
 //! synchronously ([`disk::Disk::charge`]), a thread can capture what it
-//! charges as a trace ([`disk::Disk::trace_begin`] /
-//! [`disk::Disk::trace_take`]), and
+//! charges as a trace ([`disk::Disk::traced`]), and
 //! [`array::simulate_queries_striped`] / [`array::simulate_queries_closed`]
 //! replay such traces on the arms' timelines under an
 //! [`array::Arrival`] process. The replay never touches the charged

@@ -19,7 +19,6 @@
 //! ownership rules. The groups:
 //!
 //! 1. **Updates** (`&mut self`) — [`insert`](SpatialStore::insert),
-//!    [`bulk_load`](SpatialStore::bulk_load),
 //!    [`delete`](SpatialStore::delete), [`flush`](SpatialStore::flush),
 //!    [`begin_query`](SpatialStore::begin_query);
 //! 2. **Queries** (`&self`) — one required read method,
@@ -88,17 +87,6 @@ pub trait SpatialStore: Send + Sync {
     /// Insert a new object (§4.2.2 for the cluster organization).
     fn insert(&mut self, rec: &ObjectRecord);
 
-    /// Insert a batch of objects in order (unsorted input, §5.2).
-    ///
-    /// The default loops over [`insert`](SpatialStore::insert); stores
-    /// with a cheaper bulk path (sort-based packing, bottom-up build)
-    /// can override it.
-    fn bulk_load(&mut self, records: &[ObjectRecord]) {
-        for rec in records {
-            self.insert(rec);
-        }
-    }
-
     /// Delete an object. Returns `false` if it was not stored. Inserts
     /// and deletions can be intermixed with queries without any global
     /// reorganization (§4.1).
@@ -153,7 +141,7 @@ pub trait SpatialStore: Send + Sync {
     /// charged [`spatialdb_disk::IoStats`] are exactly those of
     /// [`window_query`](SpatialStore::window_query) — while every
     /// request this thread charges is also recorded as a
-    /// [`PageRequest`] (via [`spatialdb_disk::Disk::trace_begin`]).
+    /// [`PageRequest`] (via [`spatialdb_disk::Disk::traced`]).
     /// Replaying such traces through the disk array
     /// ([`spatialdb_disk::simulate_queries_striped`]) computes per-query
     /// latency — the one way requests reach an arm. Analytical charges
@@ -164,19 +152,13 @@ pub trait SpatialStore: Send + Sync {
         window: &Rect,
         technique: WindowTechnique,
     ) -> (QueryStats, Vec<PageRequest>) {
-        let disk = self.disk();
-        disk.trace_begin();
-        let stats = self.window_query(window, technique);
-        (stats, disk.trace_take())
+        self.disk().traced(|| self.window_query(window, technique))
     }
 
     /// The traced read path of a point query — see
     /// [`window_query_traced`](SpatialStore::window_query_traced).
     fn point_query_traced(&self, point: &Point) -> (QueryStats, Vec<PageRequest>) {
-        let disk = self.disk();
-        disk.trace_begin();
-        let stats = self.point_query(point);
-        (stats, disk.trace_take())
+        self.disk().traced(|| self.point_query(point))
     }
 
     /// The candidate entries of a window query, read from the in-memory
@@ -347,5 +329,96 @@ pub trait SpatialStore: Send + Sync {
                 self.insert(by_oid[&e.oid]);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::memory::MemoryStore;
+    use crate::model::new_shared_pool;
+    use spatialdb_disk::{Disk, IoKind, PageId, PageRun};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A foreign backend whose filter step charges one page and panics.
+    struct Panicking(MemoryStore);
+
+    impl SpatialStore for Panicking {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+        fn insert(&mut self, rec: &ObjectRecord) {
+            self.0.insert(rec)
+        }
+        fn delete(&mut self, oid: ObjectId) -> bool {
+            self.0.delete(oid)
+        }
+        fn window_query_into(
+            &self,
+            _window: &Rect,
+            _technique: WindowTechnique,
+            _out: &mut Vec<LeafEntry>,
+        ) -> QueryStats {
+            let disk = self.disk();
+            let region = disk.create_region("panicking");
+            disk.charge(IoKind::Read, PageRun::new(PageId::new(region, 0), 1), false);
+            panic!("the filter step failed");
+        }
+        fn fetch_object(&self, oid: ObjectId) {
+            self.0.fetch_object(oid)
+        }
+        fn occupied_pages(&self) -> u64 {
+            self.0.occupied_pages()
+        }
+        fn num_objects(&self) -> usize {
+            self.0.num_objects()
+        }
+        fn contains(&self, oid: ObjectId) -> bool {
+            self.0.contains(oid)
+        }
+        fn disk(&self) -> DiskHandle {
+            self.0.disk()
+        }
+        fn pool(&self) -> SharedPool {
+            self.0.pool()
+        }
+        fn tree(&self) -> &RStarTree {
+            self.0.tree()
+        }
+        fn flush(&mut self) {
+            self.0.flush()
+        }
+        fn begin_query(&mut self) {
+            self.0.begin_query()
+        }
+        fn object_size(&self, oid: ObjectId) -> u32 {
+            self.0.object_size(oid)
+        }
+    }
+
+    #[test]
+    fn a_traced_query_that_unwinds_stops_tracing_its_thread() {
+        let disk = Disk::with_defaults();
+        let store = Panicking(MemoryStore::new(
+            disk.clone(),
+            new_shared_pool(disk.clone(), 8),
+        ));
+        let window = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            store.window_query_traced(&window, WindowTechnique::Complete)
+        }));
+        assert!(unwound.is_err());
+        // Later charges on this thread belong to no capture…
+        let region = disk.create_region("after");
+        for page in 0..3 {
+            disk.charge(
+                IoKind::Read,
+                PageRun::new(PageId::new(region, page), 1),
+                false,
+            );
+        }
+        // …so a fresh capture starts on a disarmed thread and sees none.
+        let ((), trace) = disk.traced(|| ());
+        assert!(trace.is_empty());
     }
 }

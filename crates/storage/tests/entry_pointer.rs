@@ -60,7 +60,9 @@ fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialSt
         let tiles = plan_tiles(entries, &params);
         store.str_install(&records, tiles, &params);
     } else {
-        store.bulk_load(&records);
+        for rec in &records {
+            store.insert(rec);
+        }
     }
     let mut rng = Rng(7);
     let mut moved: Vec<u64> = (0..1500).collect();

@@ -4,10 +4,9 @@
 //! many databases to split it across and materializes each database's
 //! share deterministically. The two families:
 //!
-//! - [`Dataset::grid`] — the benchmark binaries' deterministic polyline
-//!   lattice (a `√n × √n` grid of short three-point streets). Database
-//!   *d* of a multi-database scenario is phase-shifted by a per-database
-//!   salt, exactly as the `decluster` benchmark builds its files.
+//! - [`Dataset::grid`] — a deterministic polyline lattice (a `√n × √n`
+//!   grid of short three-point streets). Database *d* of a
+//!   multi-database scenario is phase-shifted by a per-database salt.
 //! - [`Dataset::uniform`] — seeded-RNG polylines scattered uniformly
 //!   over the unit square, with a configurable segment count.
 
@@ -30,8 +29,8 @@ enum DatasetKind {
 }
 
 impl Dataset {
-    /// The deterministic polyline lattice of the benchmark binaries:
-    /// `objects` three-point streets on a `√n × √n` grid.
+    /// The deterministic polyline lattice: `objects` three-point streets
+    /// on a `√n × √n` grid.
     pub fn grid(objects: u64) -> Self {
         Dataset {
             kind: DatasetKind::Grid,
@@ -75,8 +74,7 @@ impl Dataset {
     }
 }
 
-/// The benchmark binaries' lattice, byte-identical to their `load_db`
-/// helpers: object `i` starts at `(((i + 17·salt) mod side)/side,
+/// The lattice: object `i` starts at `(((i + 17·salt) mod side)/side,
 /// (i div side)/side)` and runs two short segments east.
 fn grid_objects(n: u64, salt: u64) -> Vec<(u64, Geometry)> {
     let side = (n as f64).sqrt().ceil() as u64;

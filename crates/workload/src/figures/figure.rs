@@ -3,7 +3,7 @@
 //!
 //! A figure is a keyed table of numbers: key cells name a row ("A - 1",
 //! "10"), value columns carry a name, a unit and a print precision. It
-//! renders itself through [`spatialdb::report::Table`], so `figures
+//! renders itself through [`crate::report::Table`], so `figures
 //! --fig 8` prints what the tests gate and what the golden file pins.
 //!
 //! Gates work on a [`Series`] — named numbers cut out of the figure
@@ -22,7 +22,7 @@
 //!     .assert_factor_at_least("sec. org.", "cluster org.", 4.0);
 //! ```
 
-use spatialdb::report::{f, speedup, Table};
+use crate::report::{f, speedup, Table};
 
 /// One value column: `name (unit)` in the header, `digits` decimals in
 /// the cells. Gates address it by `name`.
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "Fig. 8: no row [\"B - 1\", \"10\"]")]
-    fn an_unknown_row_key_is_not_an_empty_series() {
+    fn an_unknown_row_is_not_an_empty_series() {
         fig().at(&["B - 1", "10"]);
     }
 

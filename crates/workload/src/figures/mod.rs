@@ -29,13 +29,13 @@ mod figure;
 
 pub use figure::{Figure, Series, Trend};
 
+use crate::report::speedup;
 use spatialdb::data::workload::{
     calibrate_inflation, inflate_mbrs, pairs_per_mbr, WindowQuerySet, PAPER_WINDOW_AREAS,
 };
 use spatialdb::data::{DataSet, GeometryMode, MapId, MapObject, SeriesId, SpatialMap};
 use spatialdb::disk::{IoStats, PAGE_SIZE};
 use spatialdb::join::{JoinConfig, SpatialJoin};
-use spatialdb::report::speedup;
 use spatialdb::storage::{
     ObjectRecord, OrganizationKind, QueryStats, TransferTechnique, WindowTechnique,
 };
@@ -160,8 +160,11 @@ pub fn build(
     let mut db = ws.create_database(options);
     let before = ws.disk().stats();
     ws.pool().set_write_through(true);
-    db.store_mut().bulk_load(records);
-    db.store_mut().flush();
+    let store = db.store_mut();
+    for rec in records {
+        store.insert(rec);
+    }
+    store.flush();
     ws.pool().set_write_through(false);
     (db, ws.disk().stats().since(&before))
 }

@@ -17,8 +17,8 @@
 //!     .engine(EngineConfig::default().shards(8))
 //!     .arrivals(Arrival::open(0.7))
 //!     .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
-//!     .depth(8)
-//!     .policy(ArmPolicy::Elevator)
+//!     .sweep_depths(&[8])
+//!     .sweep_policies(&[ArmPolicy::Elevator])
 //!     .sweep_arms(&[4])
 //!     .run();
 //!
@@ -28,31 +28,32 @@
 //! ```
 //!
 //! The harness is exact where it matters: the same scenario and seed
-//! produce a byte-identical [`ScenarioReport`] at any thread count,
-//! and the benchmark-shaped scenarios reproduce the `io_latency` /
-//! `decluster` reports checked in under `tests/golden/` row for row,
-//! byte for byte ([`ScenarioReport::assert_matches_golden`]).
+//! produce a byte-identical [`ScenarioReport`] at any thread count.
+//! The four scenario reports checked in at the repository root
+//! (`BENCH_*.json`) are declared once, in [`reports`], and are each
+//! scenario's own [`ScenarioReport::to_json`]; a scenario sweeping part
+//! of one of their grids reproduces its rows byte for byte
+//! ([`ScenarioReport::assert_matches_golden`]).
 //!
 //! The paper's own evaluation lives beside it: [`figures`] regenerates
 //! Table 1 and Figures 5 – 17 as [`figures::Figure`]s — one report
-//! shape with the same chainable `assert_*` gates and the same golden
-//! directory (`tests/golden/figures.txt`) — for the `figures` binary
-//! and the shape tests.
+//! shape with the same chainable `assert_*` gates and its own golden
+//! (`tests/golden/figures.txt`) — for the `figures` binary and the shape
+//! tests. Both render through [`report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;
 pub mod figures;
-pub mod golden;
 pub mod mix;
 pub mod report;
+pub mod reports;
 pub mod scenario;
 
 pub use dataset::Dataset;
-pub use golden::RowFormat;
 pub use mix::Mix;
-pub use report::{org_label, policy_label, stripe_label, Cell, MixOutcome, ScenarioReport};
+pub use report::{org_label, policy_label, Cell, MixOutcome, ScenarioReport};
 pub use scenario::{Scenario, WindowSweep};
 
 // The repository README, whose Rust snippets `cargo test` compiles and

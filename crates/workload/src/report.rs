@@ -1,17 +1,18 @@
-//! The result of a scenario run: per-cell metrics, conservation
-//! records, and chainable assertions.
+//! What the harness reports: a scenario run's per-cell metrics,
+//! conservation records and chainable assertions ([`ScenarioReport`]),
+//! and the aligned text [`Table`] the paper's figures render through.
 //!
 //! A [`ScenarioReport`] is pure data — every field is derived from the
 //! simulated clock and the deterministic filter pass, so the same
 //! scenario at any thread count renders the same report byte for byte
-//! ([`ScenarioReport::to_json`] is the determinism contract's witness).
+//! ([`ScenarioReport::to_json`] is the determinism contract's witness,
+//! and the one format every checked-in scenario report is written in).
 
-use crate::golden::{self, RowFormat};
 use spatialdb::disk::IoStats;
-use spatialdb::report::LatencySummary;
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{ArmPolicy, StripePolicy};
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Human label of an organization, as used in the benchmark JSON.
 pub fn org_label(kind: OrganizationKind) -> &'static str {
@@ -32,7 +33,7 @@ pub fn policy_label(policy: ArmPolicy) -> &'static str {
 }
 
 /// Human label of a stripe policy, as used in the benchmark JSON.
-pub fn stripe_label(stripe: StripePolicy) -> &'static str {
+fn stripe_label(stripe: StripePolicy) -> &'static str {
     match stripe {
         StripePolicy::RoundRobin => "round_robin",
         StripePolicy::RegionHash => "region_hash",
@@ -73,64 +74,39 @@ pub struct Cell {
     pub inter_arrival_ms: f64,
 }
 
-impl Cell {
-    /// This cell as a row of `BENCH_io_latency.json`, byte-identical to
-    /// the `io_latency` binary's formatting.
-    pub fn io_latency_row(&self) -> String {
-        format!(
-            "    {{\"org\": \"{}\", \"policy\": \"{}\", \"depth\": {}, \
-             \"inter_arrival_ms\": {:.4}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \
-             \"makespan_ms\": {:.3}, \"service_ms\": {:.3}, \
-             \"requests\": {}}}",
-            org_label(self.org),
-            policy_label(self.policy),
-            self.depth,
-            self.inter_arrival_ms,
-            self.latency.p50,
-            self.latency.p95,
-            self.latency.p99,
-            self.latency.mean,
-            self.makespan_ms,
-            self.service_ms,
-            self.requests,
-        )
-    }
+/// The grid point a cell's row leads with — its key.
+fn cell_key(c: &Cell) -> String {
+    format!(
+        "    {{\"org\": \"{}\", \"stripe\": \"{}\", \"policy\": \"{}\", \"depth\": {}, \
+         \"arms\": {}, ",
+        org_label(c.org),
+        stripe_label(c.stripe),
+        policy_label(c.policy),
+        c.depth,
+        c.arms,
+    )
+}
 
-    /// This cell as a row of `BENCH_decluster.json`, byte-identical to
-    /// the `decluster` binary's formatting.
-    pub fn decluster_row(&self) -> String {
-        format!(
-            "    {{\"org\": \"{}\", \"stripe\": \"{}\", \"policy\": \"{}\", \
-             \"arms\": {}, \"busy_arms\": {}, \"requests\": {}, \
-             \"inter_arrival_ms\": {:.4}, \
-             \"makespan_ms\": {:.3}, \"iops\": {:.2}, \
-             \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"max_util\": {:.3}}}",
-            org_label(self.org),
-            stripe_label(self.stripe),
-            policy_label(self.policy),
-            self.arms,
-            self.busy_arms,
-            self.requests,
-            self.inter_arrival_ms,
-            self.makespan_ms,
-            self.iops,
-            self.latency.mean,
-            self.latency.p50,
-            self.latency.p95,
-            self.latency.p99,
-            self.max_util,
-        )
-    }
-
-    /// Format this cell in either benchmark row shape.
-    pub fn row(&self, format: RowFormat) -> String {
-        match format {
-            RowFormat::IoLatency => self.io_latency_row(),
-            RowFormat::Decluster => self.decluster_row(),
-        }
-    }
+/// A cell's row of [`ScenarioReport::to_json`]: its key, then its
+/// metrics at fixed precision.
+fn cell_row(c: &Cell) -> String {
+    format!(
+        "{}\"inter_arrival_ms\": {:.4}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
+         \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"makespan_ms\": {:.3}, \"service_ms\": {:.3}, \
+         \"iops\": {:.2}, \"busy_arms\": {}, \"max_util\": {:.3}, \"requests\": {}}}",
+        cell_key(c),
+        c.inter_arrival_ms,
+        c.latency.p50,
+        c.latency.p95,
+        c.latency.p99,
+        c.latency.mean,
+        c.makespan_ms,
+        c.service_ms,
+        c.iops,
+        c.busy_arms,
+        c.max_util,
+        c.requests,
+    )
 }
 
 /// An accounting cross-check recorded around one phase of the run:
@@ -215,27 +191,10 @@ impl ScenarioReport {
         &self.cells
     }
 
-    /// The cell at one grid point, if the sweep visited it.
-    pub fn cell(
-        &self,
-        org: OrganizationKind,
-        depth: usize,
-        policy: ArmPolicy,
-        arms: usize,
-        stripe: StripePolicy,
-    ) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            c.org == org
-                && c.depth == depth
-                && c.policy == policy
-                && c.arms == arms
-                && c.stripe == stripe
-        })
-    }
-
     /// Deterministic JSON rendering: fixed field order, fixed float
     /// precision, no timestamps — the same scenario and seed yield the
-    /// same string at any thread count.
+    /// same string at any thread count. One cell per line, each led by
+    /// its grid point (`org`, `stripe`, `policy`, `depth`, `arms`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -244,36 +203,7 @@ impl ScenarioReport {
              \"databases\": {},\n  \"cells\": [\n",
             self.name, self.objects, self.queries, self.databases
         );
-        let rows: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"org\": \"{}\", \"stripe\": \"{}\", \"policy\": \"{}\", \
-                     \"depth\": {}, \"arms\": {}, \"inter_arrival_ms\": {:.4}, \
-                     \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \
-                     \"mean_ms\": {:.3}, \"makespan_ms\": {:.3}, \"service_ms\": {:.3}, \
-                     \"iops\": {:.2}, \"busy_arms\": {}, \"max_util\": {:.3}, \
-                     \"requests\": {}}}",
-                    org_label(c.org),
-                    stripe_label(c.stripe),
-                    policy_label(c.policy),
-                    c.depth,
-                    c.arms,
-                    c.inter_arrival_ms,
-                    c.latency.p50,
-                    c.latency.p95,
-                    c.latency.p99,
-                    c.latency.mean,
-                    c.makespan_ms,
-                    c.service_ms,
-                    c.iops,
-                    c.busy_arms,
-                    c.max_util,
-                    c.requests,
-                )
-            })
-            .collect();
+        let rows: Vec<String> = self.cells.iter().map(cell_row).collect();
         out.push_str(&rows.join(",\n"));
         out.push_str("\n  ]");
         if !self.mixes.is_empty() {
@@ -361,46 +291,305 @@ impl ScenarioReport {
     }
 
     /// Assert every cell of this report reproduces its row in a
-    /// checked-in benchmark golden file **byte for byte**. Cells are
-    /// matched by key (`org`/`policy`/`depth` for
-    /// [`RowFormat::IoLatency`]; `org`/`stripe`/`policy`/`arms` for
-    /// [`RowFormat::Decluster`]), so a scenario sweeping a subset of
-    /// the golden grid still verifies exactly. Chainable.
+    /// checked-in report **byte for byte**: each row
+    /// [`to_json`](ScenarioReport::to_json) renders must be a line of
+    /// the file (trailing comma stripped). A scenario sweeping a subset
+    /// of the file's grid therefore still verifies exactly. Chainable.
     ///
     /// # Panics
     ///
-    /// Panics when the golden file is missing, a cell has no matching
-    /// golden row, or a matched row differs.
-    pub fn assert_matches_golden(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        format: RowFormat,
-    ) -> &Self {
+    /// Panics when the file is missing, names the grid point of a cell
+    /// no line of the file starts with, and shows both rows of a cell
+    /// whose metrics differ.
+    pub fn assert_matches_golden(&self, path: impl AsRef<Path>) -> &Self {
         let path = path.as_ref();
-        let golden_rows =
-            golden::load_rows(path).unwrap_or_else(|e| panic!("golden {}: {e}", path.display()));
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("golden {}: {e}", path.display()));
+        let lines: Vec<&str> = text
+            .lines()
+            .map(|line| line.strip_suffix(',').unwrap_or(line))
+            .collect();
         for cell in &self.cells {
-            let row = cell.row(format);
-            let key = golden::row_key(&row, format)
-                .unwrap_or_else(|| panic!("unkeyable generated row: {row}"));
-            let matched = golden_rows
+            let row = cell_row(cell);
+            if lines.contains(&row.as_str()) {
+                continue;
+            }
+            let key = cell_key(cell);
+            let golden = lines
                 .iter()
-                .find(|g| golden::row_key(g, format).as_ref() == Some(&key))
+                .find(|line| line.starts_with(&key))
                 .unwrap_or_else(|| {
                     panic!(
-                        "golden {}: no row for cell {key:?} (scenario '{}')",
+                        "golden {}: no row for cell {} (scenario '{}')",
                         path.display(),
+                        key.trim(),
                         self.name
                     )
                 });
-            assert!(
-                *matched == row,
-                "scenario '{}' diverges from golden {} at {key:?}:\n  golden: {matched}\n  \
-                 harness: {row}",
+            panic!(
+                "scenario '{}' diverges from golden {}:\n  golden:  {}\n  harness: {}",
                 self.name,
                 path.display(),
+                golden.trim_start(),
+                row.trim_start(),
             );
         }
         self
+    }
+}
+
+/// A simple text table with right-aligned numeric columns.
+#[derive(Clone, Debug)]
+pub struct Table {
+    headers: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Create a table with the given column headers.
+    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
+        Table {
+            headers: headers.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Append a row (must match the header count).
+    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
+        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
+        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
+        self.rows.push(cells);
+        self
+    }
+
+    /// Number of data rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` if no rows were added.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Render the table.
+    pub fn render(&self) -> String {
+        let cols = self.headers.len();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+        let mut out = String::new();
+        let sep: String = widths
+            .iter()
+            .map(|w| "-".repeat(w + 2))
+            .collect::<Vec<_>>()
+            .join("+");
+        let fmt_row = |cells: &[String]| -> String {
+            let mut line = String::new();
+            for i in 0..cols {
+                let cell = &cells[i];
+                // First column left-aligned (labels), others right-aligned.
+                if i == 0 {
+                    let _ = write!(line, " {cell:<width$} ", width = widths[i]);
+                } else {
+                    let _ = write!(line, " {cell:>width$} ", width = widths[i]);
+                }
+                if i + 1 < cols {
+                    line.push('|');
+                }
+            }
+            line
+        };
+        out.push_str(&fmt_row(&self.headers));
+        out.push('\n');
+        out.push_str(&sep);
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&fmt_row(row));
+            out.push('\n');
+        }
+        out
+    }
+}
+
+impl std::fmt::Display for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render())
+    }
+}
+
+/// Format a float with `digits` decimal places.
+pub fn f(value: f64, digits: usize) -> String {
+    format!("{value:.digits$}")
+}
+
+/// Summary of a latency distribution (simulated ms) — the latency
+/// columns of a [`Cell`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LatencySummary {
+    /// Number of samples.
+    pub count: usize,
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Maximum.
+    pub max: f64,
+}
+
+/// Nearest-rank quantile of an **ascending-sorted** slice
+/// (`q` in `[0, 1]`).
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of an empty distribution");
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
+
+/// Summarize a latency distribution. Sorts in place.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn summarize_latencies(values: &mut [f64]) -> LatencySummary {
+    assert!(!values.is_empty(), "no latency samples");
+    values.sort_by(f64::total_cmp);
+    LatencySummary {
+        count: values.len(),
+        p50: quantile(values, 0.50),
+        p95: quantile(values, 0.95),
+        p99: quantile(values, 0.99),
+        mean: values.iter().sum::<f64>() / values.len() as f64,
+        max: *values.last().expect("non-empty"),
+    }
+}
+
+/// Format a ratio as `x.x×`.
+pub fn speedup(base: f64, improved: f64) -> String {
+    if improved <= 0.0 {
+        "—".to_string()
+    } else {
+        format!("{:.1}x", base / improved)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_renders_aligned() {
+        let mut t = Table::new(vec!["name", "value"]);
+        t.row(vec!["alpha", "1.0"]);
+        t.row(vec!["b", "123.45"]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("name"));
+        assert!(lines[2].contains("alpha"));
+        // All lines equal length.
+        assert_eq!(lines[0].len(), lines[2].len());
+        assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    #[should_panic(expected = "column count mismatch")]
+    fn row_width_checked() {
+        let mut t = Table::new(vec!["a", "b"]);
+        t.row(vec!["only one"]);
+    }
+
+    #[test]
+    fn helpers() {
+        assert_eq!(f(1.23456, 2), "1.23");
+        assert_eq!(speedup(10.0, 2.0), "5.0x");
+        assert_eq!(speedup(10.0, 0.0), "—");
+    }
+
+    #[test]
+    fn quantile_nearest_rank() {
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 0.5), 5.0);
+        assert_eq!(quantile(&v, 0.95), 10.0);
+        assert_eq!(quantile(&v, 1.0), 10.0);
+        assert_eq!(quantile(&[42.0], 0.99), 42.0);
+    }
+
+    #[test]
+    fn summarize_sorts_and_aggregates() {
+        let mut v = vec![30.0, 10.0, 20.0, 40.0];
+        let s = summarize_latencies(&mut v);
+        assert_eq!(s.count, 4);
+        assert_eq!(s.p50, 20.0);
+        assert_eq!(s.max, 40.0);
+        assert_eq!(s.mean, 25.0);
+        assert_eq!(v, vec![10.0, 20.0, 30.0, 40.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn quantile_rejects_empty() {
+        quantile(&[], 0.5);
+    }
+
+    const IO_LATENCY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_io_latency.json");
+
+    /// A one-cell report at `depth` on the io_latency grid's first
+    /// point, every metric zero.
+    fn zero_cell_at_depth(depth: usize) -> ScenarioReport {
+        let cell = Cell {
+            org: OrganizationKind::Secondary,
+            depth,
+            policy: ArmPolicy::Fcfs,
+            arms: 1,
+            stripe: StripePolicy::RoundRobin,
+            latency: summarize_latencies(&mut [0.0]),
+            makespan_ms: 0.0,
+            service_ms: 0.0,
+            requests: 0,
+            busy_arms: 0,
+            max_util: 0.0,
+            iops: 0.0,
+            inter_arrival_ms: 0.0,
+        };
+        ScenarioReport {
+            name: "zero".into(),
+            objects: 0,
+            queries: 1,
+            databases: 1,
+            cells: vec![cell],
+            conservation: Vec::new(),
+            mixes: Vec::new(),
+            mix_conservation: Vec::new(),
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "golden:  {\"org\": \"secondary\", \"stripe\": \"round_robin\", \
+                               \"policy\": \"fcfs\", \"depth\": 1, \"arms\": 1, \
+                               \"inter_arrival_ms\": 24.8889, "
+    )]
+    fn a_moved_metric_shows_the_golden_row_with_its_key() {
+        zero_cell_at_depth(1).assert_matches_golden(IO_LATENCY);
+    }
+
+    #[test]
+    #[should_panic(expected = "no row for cell {\"org\": \"secondary\", \
+                               \"stripe\": \"round_robin\", \"policy\": \"fcfs\", \"depth\": 3, \
+                               \"arms\": 1,")]
+    fn a_cell_off_the_golden_grid_names_its_key() {
+        zero_cell_at_depth(3).assert_matches_golden(IO_LATENCY);
     }
 }

@@ -15,28 +15,29 @@
 //! [`simulate_queries_striped`] or [`simulate_queries_closed`], as the
 //! scenario's [`Arrival`] says. The replay moves no charge.
 //!
-//! The driver reproduces the benchmark binaries exactly: the same
-//! deterministic datasets, the same window sweeps, the same
-//! open-arrival spacing derived from the same traced filter pass — so
-//! a scenario's cells match the checked-in `BENCH_*.json` rows byte
-//! for byte ([`ScenarioReport::assert_matches_golden`]).
+//! Every input is deterministic — the datasets, the window sweeps, the
+//! open-arrival spacing derived from the traced filter pass — so a
+//! scenario reproduces its report byte for byte. The checked-in
+//! `BENCH_*.json` reports are four declared scenarios
+//! ([`crate::reports`]) rendered with [`ScenarioReport::to_json`]; a
+//! scenario sweeping part of one of their grids matches its rows
+//! ([`ScenarioReport::assert_matches_golden`]).
 
 use crate::dataset::Dataset;
 use crate::mix::{run_mix, Mix};
-use crate::report::{Cell, Conservation, ScenarioReport};
+use crate::report::{summarize_latencies, Cell, Conservation, ScenarioReport};
 use spatialdb::disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, QueryTrace,
 };
 use spatialdb::geom::Rect;
-use spatialdb::report::summarize_latencies;
 use spatialdb::storage::{OrganizationKind, WindowTechnique};
 use spatialdb::{
     ArmPolicy, Arrival, DbOptions, EngineConfig, IoStats, SpatialDatabase, StripePolicy, Workspace,
 };
 
-/// The benchmark binaries' deterministic window sweep: `count` windows
-/// whose sizes cycle with period `size_period` between `size_base` and
-/// `size_base + size_amp`, positions raking across the unit square.
+/// A deterministic window sweep: `count` windows whose sizes cycle with
+/// period `size_period` between `size_base` and `size_base + size_amp`,
+/// positions raking across the unit square.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowSweep {
     count: usize,
@@ -46,8 +47,8 @@ pub struct WindowSweep {
 }
 
 impl WindowSweep {
-    /// A sweep of `count` windows with the `io_latency` benchmark's
-    /// size cycle (0.04 … 0.26, period 7).
+    /// A sweep of `count` windows with the `io_latency` report's size
+    /// cycle (0.04 … 0.26, period 7).
     pub fn new(count: usize) -> Self {
         WindowSweep {
             count,
@@ -84,8 +85,7 @@ impl WindowSweep {
         self.count
     }
 
-    /// Materialize the sweep, byte-identical to the binaries'
-    /// `workload` helpers.
+    /// Materialize the sweep.
     pub fn generate(&self) -> Vec<Rect> {
         let n = self.count;
         let period = self.size_period as f64;
@@ -114,8 +114,8 @@ impl WindowSweep {
 ///     .windows(WindowSweep::new(96))
 ///     .arrivals(Arrival::open(0.7))
 ///     .mix(Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1))
-///     .depth(8)
-///     .policy(ArmPolicy::Elevator)
+///     .sweep_depths(&[8])
+///     .sweep_policies(&[ArmPolicy::Elevator])
 ///     .run();
 /// report.assert_p99_under_ms(10_000.0).assert_stats_conserved();
 /// ```
@@ -223,26 +223,11 @@ impl Scenario {
         self
     }
 
-    /// Replay with a single outstanding-request depth.
-    #[must_use]
-    pub fn depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "depth must be nonzero");
-        self.depths = vec![depth];
-        self
-    }
-
     /// Sweep several outstanding-request depths.
     #[must_use]
     pub fn sweep_depths(mut self, depths: &[usize]) -> Self {
         assert!(!depths.is_empty() && depths.iter().all(|&d| d > 0));
         self.depths = depths.to_vec();
-        self
-    }
-
-    /// Replay under a single arm scheduling policy.
-    #[must_use]
-    pub fn policy(mut self, policy: ArmPolicy) -> Self {
-        self.policies = vec![policy];
         self
     }
 
@@ -333,9 +318,8 @@ impl Scenario {
             let ws = Workspace::from_config(self.engine);
             let mut dbs = self.load(&ws, kind);
 
-            // The replay grid. Nesting order (stripes → depths →
-            // policies → arms) reproduces both benchmark binaries' row
-            // orders once the singleton dimensions collapse.
+            // The replay grid, in the order `to_json` lists it: stripes →
+            // depths → policies → arms.
             for &stripe in &self.stripes {
                 for &depth in &self.depths {
                     for &policy in &self.policies {

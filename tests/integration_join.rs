@@ -244,7 +244,9 @@ fn refining_a_filter_only_join_panics_with_the_same_message_everywhere() {
                 ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
             })
             .collect();
-        db.store_mut().bulk_load(&records);
+        for rec in &records {
+            db.store_mut().insert(rec);
+        }
         db.finish_loading();
         db
     };

@@ -76,7 +76,9 @@ fn every_organization_builds_consistently() {
     ] {
         let ws = Workspace::new(64);
         let mut db = ws.create_database(DbOptions::new(kind).smax_bytes(smax));
-        db.store_mut().bulk_load(&records);
+        for rec in &records {
+            db.store_mut().insert(rec);
+        }
         db.finish_loading();
         let store = db.store();
         assert_eq!(store.num_objects(), records.len(), "{kind:?}");

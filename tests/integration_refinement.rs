@@ -515,7 +515,9 @@ fn filter_only_records_refuse_refinement_on_every_path() {
             ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
         })
         .collect();
-    db.store_mut().bulk_load(&records);
+    for rec in &records {
+        db.store_mut().insert(rec);
+    }
     db.finish_loading();
     // The window contains every MBR: by the containment rule alone all
     // 40 would be "answers" nobody can hand a geometry out for.

@@ -175,7 +175,9 @@ fn panicking_batch_worker_leaks_no_charges() {
             ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
         })
         .collect();
-    db.store_mut().bulk_load(&records);
+    for rec in &records {
+        db.store_mut().insert(rec);
+    }
     db.finish_loading();
 
     let before = db.io_stats();

@@ -88,7 +88,7 @@ fn techniques_change_cost_but_not_candidates() {
     let ws = Workspace::new(256);
     let mut db =
         ws.create_database(DbOptions::new(OrganizationKind::Cluster).smax_bytes(40 * 1024));
-    // MBR-only loading straight into the store: exercises bulk_load and
+    // MBR-only loading straight into the store: exercises insert and
     // the filter-only (candidate) path of the cursor.
     let records: Vec<_> = map
         .objects
@@ -97,7 +97,9 @@ fn techniques_change_cost_but_not_candidates() {
             spatialdb::storage::ObjectRecord::new(spatialdb::ObjectId(o.id), o.mbr, o.size_bytes)
         })
         .collect();
-    db.store_mut().bulk_load(&records);
+    for rec in &records {
+        db.store_mut().insert(rec);
+    }
     db.finish_loading();
     assert_eq!(db.len(), map.len());
     let w = Rect::new(0.2, 0.2, 0.5, 0.5);
