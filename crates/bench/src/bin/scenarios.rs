@@ -1,8 +1,8 @@
-//! The scenario reports checked in at the repository root:
+//! The reports checked in at the repository root:
 //! `BENCH_io_latency.json`, `BENCH_decluster.json`,
-//! `BENCH_scenarios.json` and `BENCH_mixed_rw.json`, each regenerated
-//! in the working directory from its one declaration in
-//! [`spatialdb_workload::reports`].
+//! `BENCH_scenarios.json`, `BENCH_mixed_rw.json` and
+//! `BENCH_bulk_load.json`, each regenerated in the working directory
+//! from its one declaration in [`spatialdb_workload::reports`].
 //!
 //! `cargo run --release -p spatialdb-bench --bin scenarios`
 //!

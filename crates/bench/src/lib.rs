@@ -1,6 +1,6 @@
-//! Command-line support for the `spatialdb-bench` binaries that take
-//! flags: the paper's figures (`figures`) and the bulk-load report
-//! (`bulk_load`). The third binary, `scenarios`, takes none.
+//! Command-line support for the `spatialdb-bench` binary that takes
+//! flags: the paper's figures (`figures`). The other binary,
+//! `scenarios`, takes none.
 
 use std::str::FromStr;
 

@@ -31,10 +31,12 @@
 #![warn(missing_docs)]
 
 pub mod maps;
-pub mod rng;
 pub mod series;
 pub mod tiger;
 pub mod workload;
+
+/// The seeded generator every map and workload draws from.
+pub use spatialdb_geom::rng;
 
 pub use maps::{GeometryMode, MapObject, SpatialMap};
 pub use series::{DataSet, MapId, SeriesId, SeriesSpec};

@@ -1,65 +1,15 @@
-//! Page allocators.
+//! The page allocator.
 //!
-//! Two flavours are needed by the organization models:
-//!
-//! * [`SequentialAllocator`] — an append-only bump allocator modelling a
-//!   sequential file. The secondary organization stores exact object
-//!   representations this way (§3.2.1: *"the objects themselves were
-//!   stored in a sequential file according to the order of insertion"*).
-//! * [`ExtentAllocator`] — alloc/free of arbitrary extents with a
-//!   coalescing first-fit free list. The R\*-tree page files and the
-//!   primary organization's overflow file use single-page or multi-page
-//!   extents from it. In a dynamic environment this is exactly why pages
-//!   that are spatially adjacent end up physically scattered — freed
-//!   extents are reused in address order, not in spatial order.
+//! [`ExtentAllocator`] allocates and frees arbitrary extents with a
+//! coalescing first-fit free list. The R\*-tree page files and the
+//! primary organization's overflow file use single-page or multi-page
+//! extents from it. In a dynamic environment this is exactly why pages
+//! that are spatially adjacent end up physically scattered — freed
+//! extents are reused in address order, not in spatial order.
 
 use crate::model::{PageId, PageRun, RegionId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Append-only allocator: models a sequential file.
-#[derive(Clone, Debug)]
-pub struct SequentialAllocator {
-    region: RegionId,
-    next: u64,
-}
-
-impl SequentialAllocator {
-    /// Create an allocator over a fresh region.
-    pub fn new(region: RegionId) -> Self {
-        SequentialAllocator { region, next: 0 }
-    }
-
-    /// The region this allocator owns.
-    #[inline]
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-
-    /// Append `n` pages, returning the run.
-    pub fn append(&mut self, n: u64) -> PageRun {
-        let run = PageRun::new(PageId::new(self.region, self.next), n);
-        self.next += n;
-        run
-    }
-
-    /// Number of pages allocated so far.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.next
-    }
-
-    /// `true` if nothing was allocated yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.next == 0
-    }
-
-    /// The last allocated page, if any (the file's tail page).
-    pub fn tail(&self) -> Option<PageId> {
-        (self.next > 0).then(|| PageId::new(self.region, self.next - 1))
-    }
-}
 
 /// First-fit extent allocator with free-list coalescing.
 ///
@@ -185,24 +135,6 @@ mod tests {
 
     fn region() -> RegionId {
         Disk::with_defaults().create_region("t")
-    }
-
-    #[test]
-    fn sequential_appends_are_consecutive() {
-        let mut f = SequentialAllocator::new(region());
-        let a = f.append(3);
-        let b = f.append(2);
-        assert_eq!(a.start.offset, 0);
-        assert_eq!(b.start.offset, 3);
-        assert_eq!(f.len(), 5);
-        assert_eq!(f.tail().unwrap().offset, 4);
-    }
-
-    #[test]
-    fn sequential_empty() {
-        let f = SequentialAllocator::new(region());
-        assert!(f.is_empty());
-        assert!(f.tail().is_none());
     }
 
     #[test]

@@ -594,6 +594,7 @@ mod tests {
     use super::*;
     use crate::arm::PageRequest;
     use crate::model::{PageId, PageRun};
+    use spatialdb_geom::rng::SmallRng;
 
     fn pg(r: u16, o: u64) -> PageId {
         PageId::new(RegionId(r), o)
@@ -730,14 +731,14 @@ mod tests {
         // query arrives at 0 — exactly the open burst, byte for byte:
         // both arrival processes run the same loop, for seeded random
         // traces (empty ones included) over depth, arm count and policy.
-        let mut rng = crate::test_util::Rng(0xC105_ED00_1994_0020);
+        let mut rng = SmallRng::seed_from_u64(0xC105_ED00_1994_0020);
         let mut cases = 0;
         for trial in 0..32 {
-            let traces: Vec<QueryTrace> = (0..1 + rng.below(10))
+            let traces: Vec<QueryTrace> = (0..1 + rng.gen_range(0..10u64))
                 .map(|_| QueryTrace {
                     arrival_ms: 0.0,
-                    requests: (0..rng.below(7))
-                        .map(|_| read1(rng.below(6) as u16, rng.below(32 * 40)))
+                    requests: (0..rng.gen_range(0..7u64))
+                        .map(|_| read1(rng.gen_range(0..6u64) as u16, rng.gen_range(0..32 * 40u64)))
                         .collect(),
                 })
                 .collect();

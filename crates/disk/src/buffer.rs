@@ -600,21 +600,6 @@ pub(crate) mod reference {
             out
         }
 
-        /// Bulk sequential write of a fresh extent (e.g. a cluster split
-        /// writing a new cluster unit): one request, bypassing the buffer.
-        ///
-        /// Buffered copies of the extent's pages are **evicted**: the write
-        /// replaced their contents on disk, so keeping them (even clean)
-        /// would let later reads hit on stale data. Their dirty flags are
-        /// dropped without a writeback — the extent write itself supersedes
-        /// whatever the buffered copy would have written back.
-        pub(crate) fn write_extent(&mut self, extent: PageRun) {
-            self.disk.charge(IoKind::Write, extent, false);
-            for p in extent.pages() {
-                self.buf.remove(&p);
-            }
-        }
-
         /// Remove a page from the buffer without any accounting,
         /// returning its dirty flag.
         pub(crate) fn remove_page(&mut self, page: &PageId) -> Option<bool> {
@@ -659,6 +644,7 @@ mod tests {
     use super::*;
     use crate::disk::{Disk, DiskHandle};
     use crate::model::{PageRun, RegionId};
+    use spatialdb_geom::rng::SmallRng;
 
     fn pool(cap: usize) -> (DiskHandle, BufferPool, RegionId) {
         let disk = Disk::with_defaults();
@@ -784,11 +770,11 @@ mod tests {
                 capacity,
                 pages: Vec::new(),
             };
-            let mut rng = crate::test_util::Rng(0x1994_0024 + capacity as u64);
+            let mut rng = SmallRng::seed_from_u64(0x1994_0024 + capacity as u64);
             for step in 0..20_000u32 {
-                let page = pg(r, rng.below(64));
+                let page = pg(r, rng.gen_range(0..64u64));
                 let at = format!("capacity {capacity}, step {step}, {page:?}");
-                match rng.below(100) {
+                match rng.gen_range(0..100u64) {
                     0..=26 => {
                         assert_eq!(buf.insert(page, false), naive.insert(page, false), "{at}")
                     }
@@ -957,36 +943,6 @@ mod tests {
         disk.reset_stats();
         pool.flush();
         assert_eq!(disk.stats().requests(), 0);
-    }
-
-    #[test]
-    fn write_extent_bypasses_buffer() {
-        let (disk, mut pool, r) = pool(4);
-        let extent = PageRun::new(pg(r, 0), 10);
-        pool.write_extent(extent);
-        let s = disk.stats();
-        assert_eq!(s.write_requests, 1);
-        assert_eq!(s.pages_written, 10);
-        assert_eq!(s.io_ms, 25.0); // 9 + 6 + 10
-        assert_eq!(pool.buffer().len(), 0);
-    }
-
-    #[test]
-    fn write_extent_evicts_stale_buffered_copies() {
-        let (disk, mut pool, r) = pool(8);
-        pool.read_page(pg(r, 2));
-        pool.update_page(pg(r, 3)); // buffered dirty
-        disk.reset_stats();
-        pool.write_extent(PageRun::new(pg(r, 0), 6));
-        // The replaced copies are gone: a subsequent read is a miss on
-        // the rewritten data, not a hit on the stale copy.
-        assert!(!pool.buffer().contains(&pg(r, 2)));
-        assert!(!pool.buffer().contains(&pg(r, 3)));
-        assert!(!pool.read_page(pg(r, 2)), "stale page must not hit");
-        // The dirty flag was superseded by the extent write: exactly one
-        // write request (the extent), no writeback of page 3.
-        assert_eq!(disk.stats().write_requests, 1);
-        assert_eq!(disk.stats().pages_written, 6);
     }
 
     #[test]

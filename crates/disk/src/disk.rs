@@ -283,7 +283,7 @@ mod tests {
 
     use crate::arm::{ArmGeometry, ArmPolicy};
     use crate::array::{ArrayConfig, DiskArray};
-    use crate::test_util::Rng;
+    use spatialdb_geom::rng::SmallRng;
 
     fn array(policy: ArmPolicy) -> DiskArray {
         DiskArray::new(
@@ -309,18 +309,18 @@ mod tests {
             let arm_disk = Disk::with_defaults();
             let mut arm = array(policy);
             let r = sync_disk.create_region("mirror");
-            let mut rng = Rng(0x9E37_79B9_1994_0001);
+            let mut rng = SmallRng::seed_from_u64(0x9E37_79B9_1994_0001);
             for step in 0..2000u32 {
-                let kind = if rng.below(4) == 0 {
+                let kind = if rng.gen_bool(0.25) {
                     IoKind::Write
                 } else {
                     IoKind::Read
                 };
                 // Offsets cluster heavily so same-cylinder adjacency and
                 // repeated pages occur constantly.
-                let offset = rng.below(96);
-                let len = 1 + rng.below(8);
-                let skip_seek = rng.below(5) == 0;
+                let offset = rng.gen_range(0..96u64);
+                let len = 1 + rng.gen_range(0..8u64);
+                let skip_seek = rng.gen_bool(0.2);
                 let run = PageRun::new(PageId::new(r, offset), len);
                 sync_disk.charge(kind, run, skip_seek);
                 arm.submit(PageRequest {

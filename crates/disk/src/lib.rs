@@ -15,9 +15,9 @@
 //!   cost constants;
 //! * [`disk::Disk`] — the shared accounting object every request is
 //!   charged against, with per-category [`stats::IoStats`];
-//! * [`alloc`] — sequential (append-only) and extent (free-list) page
-//!   allocators; pages of different *regions* are never physically
-//!   consecutive, modelling separate files on the disk;
+//! * [`alloc`] — the extent (free-list) page allocator; pages of
+//!   different *regions* are never physically consecutive, modelling
+//!   separate files on the disk;
 //! * [`buddy`] — the buddy system of §5.3.1, including the *restricted*
 //!   variant with three buddy sizes used in Figure 7;
 //! * [`buffer`] — the LRU page buffer (dirty flags, pinning) and the
@@ -63,29 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(test)]
-pub(crate) mod test_util {
-    /// Tiny deterministic xorshift for the randomized mirror tests (no
-    /// external rand dependency) — one definition shared by the disk
-    /// and shard test modules.
-    pub(crate) struct Rng(pub u64);
-
-    impl Rng {
-        pub(crate) fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        pub(crate) fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-}
-
 pub mod alloc;
 pub mod arm;
 pub mod array;
@@ -98,7 +75,7 @@ pub mod schedule;
 pub mod shard;
 pub mod stats;
 
-pub use alloc::{ExtentAllocator, SequentialAllocator};
+pub use alloc::ExtentAllocator;
 pub use arm::{
     ArmGeometry, ArmPolicy, ArmStats, Completion, LatencyStats, PageRequest, QueryTrace, SeekCurve,
 };

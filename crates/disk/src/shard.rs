@@ -488,18 +488,6 @@ impl ShardedPool {
         out
     }
 
-    /// Bulk sequential write of a fresh extent, bypassing the buffer.
-    /// Buffered copies of the extent's pages are evicted — the write
-    /// replaced their contents, so keeping them would let later reads
-    /// hit on stale data (their dirty flags are superseded by this
-    /// write, not written back).
-    pub fn write_extent(&self, extent: PageRun) {
-        self.disk.charge(IoKind::Write, extent, false);
-        for p in extent.pages() {
-            self.shard(&p).remove(&p);
-        }
-    }
-
     /// Insert a page as clean without charging a read (the *optimum*
     /// baselines account their transfers via
     /// [`Disk::charge_raw`](crate::disk::Disk::charge_raw)); dirty
@@ -607,7 +595,7 @@ mod tests {
         PageId::new(RegionId(r), o)
     }
 
-    use crate::test_util::Rng;
+    use spatialdb_geom::rng::SmallRng;
 
     #[test]
     fn quotas_conserve_capacity() {
@@ -669,11 +657,11 @@ mod tests {
                     .map(|i| BufferPool::new(disk_a.clone(), quota(cap, n, i)))
                     .collect();
                 let sharded = ShardedPool::with_shards(disk_b.clone(), cap, n);
-                let mut rng = Rng(0x1994_0025 + (n * 100 + cap) as u64);
+                let mut rng = SmallRng::seed_from_u64(0x1994_0025 + (n * 100 + cap) as u64);
                 for step in 0..4000u32 {
-                    let page = pg(0, rng.below(96));
+                    let page = pg(0, rng.gen_range(0..96u64));
                     let pool = &mut reference[sharded.shard_of(&page)];
-                    match rng.below(10) {
+                    match rng.gen_range(0..10u64) {
                         0..=2 => assert_eq!(
                             pool.read_page(page),
                             sharded.read_page(page),
@@ -694,7 +682,7 @@ mod tests {
                             "{n} shards, {cap} pages, step {step}"
                         ),
                         _ => {
-                            let on = rng.below(2) == 0;
+                            let on = rng.gen_bool(0.5);
                             for pool in &mut reference {
                                 pool.set_write_through(on);
                             }
@@ -735,10 +723,10 @@ mod tests {
         assert_eq!(ra, rb);
         let mut reference = BufferPool::new(disk_a.clone(), 16);
         let sharded = ShardedPool::new(disk_b.clone(), 16);
-        let mut rng = Rng(0x1994_1994_1994_1994);
+        let mut rng = SmallRng::seed_from_u64(0x1994_1994_1994_1994);
         for step in 0..4000u32 {
-            let page = pg(0, rng.below(64));
-            match rng.below(10) {
+            let page = pg(0, rng.gen_range(0..64u64));
+            match rng.gen_range(0..9u64) {
                 0..=2 => {
                     assert_eq!(
                         reference.read_page(page),
@@ -758,11 +746,12 @@ mod tests {
                     );
                 }
                 5 => {
-                    let mut pages: Vec<PageId> =
-                        (0..rng.below(6)).map(|_| pg(0, rng.below(64))).collect();
+                    let mut pages: Vec<PageId> = (0..rng.gen_range(0..6u64))
+                        .map(|_| pg(0, rng.gen_range(0..64u64)))
+                        .collect();
                     pages.sort_unstable();
                     pages.dedup();
-                    let seek = if rng.below(2) == 0 {
+                    let seek = if rng.gen_bool(0.5) {
                         SeekPolicy::PerRequest
                     } else {
                         SeekPolicy::WithinCluster { initial_seek: true }
@@ -774,7 +763,8 @@ mod tests {
                     );
                 }
                 6 => {
-                    let extent = PageRun::new(pg(0, rng.below(48)), 1 + rng.below(12));
+                    let extent =
+                        PageRun::new(pg(0, rng.gen_range(0..48u64)), 1 + rng.gen_range(0..12u64));
                     assert_eq!(
                         reference.read_full_extent(extent),
                         sharded.read_full_extent(extent),
@@ -782,13 +772,13 @@ mod tests {
                     );
                 }
                 7 => {
-                    let extent = PageRun::new(pg(0, rng.below(40)), 16);
-                    let mut offsets: Vec<u64> = (0..1 + rng.below(5))
-                        .map(|_| rng.below(extent.len))
+                    let extent = PageRun::new(pg(0, rng.gen_range(0..40u64)), 16);
+                    let mut offsets: Vec<u64> = (0..1 + rng.gen_range(0..5u64))
+                        .map(|_| rng.gen_range(0..extent.len))
                         .collect();
                     offsets.sort_unstable();
                     offsets.dedup();
-                    let mode = if rng.below(2) == 0 {
+                    let mode = if rng.gen_bool(0.5) {
                         ReadMode::Normal
                     } else {
                         ReadMode::Vector
@@ -799,12 +789,7 @@ mod tests {
                         "step {step}"
                     );
                 }
-                8 => {
-                    let extent = PageRun::new(pg(0, rng.below(56)), 1 + rng.below(8));
-                    reference.write_extent(extent);
-                    sharded.write_extent(extent);
-                }
-                _ => match rng.below(4) {
+                _ => match rng.gen_range(0..4u64) {
                     0 => {
                         reference.flush();
                         sharded.flush();
@@ -814,12 +799,12 @@ mod tests {
                         sharded.invalidate_all();
                     }
                     2 => {
-                        let cap = rng.below(24) as usize;
+                        let cap = rng.gen_range(0..24u64) as usize;
                         reference.reset(cap);
                         sharded.reset(cap);
                     }
                     _ => {
-                        let on = rng.below(2) == 0;
+                        let on = rng.gen_bool(0.5);
                         reference.set_write_through(on);
                         sharded.set_write_through(on);
                     }

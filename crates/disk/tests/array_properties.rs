@@ -1,6 +1,6 @@
-//! Randomized property tests of the disk array (plain deterministic
-//! xorshift, no external dependency — see `proptests.rs` for why the
-//! `proptest` suite is feature-gated off):
+//! Randomized property tests of the disk array, on seeded
+//! `SmallRng` streams (the disk's scalar properties are in
+//! `properties.rs`):
 //!
 //! * **Elevator never increases charged seek time**: for the same
 //!   request set on the same array shape, draining under the elevator
@@ -16,25 +16,7 @@ use spatialdb_disk::{
     ArmGeometry, ArrayConfig, Completion, DiskArray, DiskParams, IoKind, PageId, PageRequest,
     PageRun, RegionId, StripePolicy,
 };
-
-/// Tiny deterministic xorshift (the crate-internal test RNG is not
-/// visible to integration tests).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use spatialdb_geom::rng::SmallRng;
 
 const ALL_POLICIES: [StripePolicy; 3] = [
     StripePolicy::RoundRobin,
@@ -51,16 +33,16 @@ fn drain(config: ArrayConfig, requests: &[PageRequest]) -> Vec<Completion> {
     array.drain()
 }
 
-fn random_requests(rng: &mut Rng, regions: u16, count: usize) -> Vec<PageRequest> {
+fn random_requests(rng: &mut SmallRng, regions: u16, count: usize) -> Vec<PageRequest> {
     (0..count)
         .map(|_| {
-            let region = RegionId(rng.below(regions as u64) as u16);
+            let region = RegionId(rng.gen_range(0..regions as u64) as u16);
             // Offsets cluster so same-cylinder adjacency occurs often —
             // that's where the elevator's merge (and the property's
             // interesting case) lives.
-            let offset = rng.below(96);
-            let len = 1 + rng.below(4);
-            let kind = if rng.below(4) == 0 {
+            let offset = rng.gen_range(0..96u64);
+            let len = 1 + rng.gen_range(0..4u64);
+            let kind = if rng.gen_bool(0.25) {
                 IoKind::Write
             } else {
                 IoKind::Read
@@ -68,7 +50,7 @@ fn random_requests(rng: &mut Rng, regions: u16, count: usize) -> Vec<PageRequest
             PageRequest {
                 kind,
                 run: PageRun::new(PageId::new(region, offset), len),
-                skip_seek: rng.below(5) == 0,
+                skip_seek: rng.gen_bool(0.2),
             }
         })
         .collect()
@@ -77,7 +59,7 @@ fn random_requests(rng: &mut Rng, regions: u16, count: usize) -> Vec<PageRequest
 #[test]
 fn elevator_never_charges_more_seek_time_than_fcfs() {
     use spatialdb_disk::ArmPolicy;
-    let mut rng = Rng(0xA11E_7A70_1994_0001);
+    let mut rng = SmallRng::seed_from_u64(0xA11E_7A70_1994_0001);
     for trial in 0..40 {
         let arms = [1usize, 2, 3, 4, 8][(trial % 5) as usize];
         let stripe = ALL_POLICIES[(trial % 3) as usize];
@@ -144,7 +126,7 @@ fn striping_is_a_partition_of_regions() {
 fn rebuilt_arrays_route_identically() {
     // The partition is stable across rebuilds: two arrays configured the
     // same way service the same submissions with identical completions.
-    let mut rng = Rng(0x5EED_5EED_0000_0007);
+    let mut rng = SmallRng::seed_from_u64(0x5EED_5EED_0000_0007);
     for stripe in ALL_POLICIES {
         let requests = random_requests(&mut rng, 6, 40);
         let config = ArrayConfig {

@@ -128,55 +128,28 @@ fn index(min: f64, max: f64, v: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
     use crate::{Geometry, HasMbr, Polygon, Polyline};
-
-    /// SplitMix64: the crate has no dependencies, and the cases must be
-    /// the same on every run.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        /// Uniform in `[lo, hi)`.
-        fn between(&mut self, lo: f64, hi: f64) -> f64 {
-            lo + (hi - lo) * self.unit()
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next_u64() % n as u64) as usize
-        }
-    }
 
     /// A random object somewhere in a data space of magnitude
     /// 1e-9 … 1e9: the extent and the offset of the vertices are drawn
     /// independently, so MBRs both far from and at the origin, and both
     /// wide and a few ulps thin relative to their coordinates, occur.
-    fn random_object(rng: &mut Rng) -> Geometry {
-        let magnitude = |rng: &mut Rng| 10f64.powi(rng.below(19) as i32 - 9);
-        let (extent, offset) = (magnitude(rng), magnitude(rng) * rng.between(-1.0, 1.0));
-        let n = 2 + rng.below(11);
+    fn random_object(rng: &mut SmallRng) -> Geometry {
+        let magnitude = |rng: &mut SmallRng| 10f64.powi(rng.gen_range(0..19u64) as i32 - 9);
+        let (extent, offset) = (magnitude(rng), magnitude(rng) * rng.gen_range(-1.0..=1.0));
+        let n = 2 + rng.gen_range(0..11usize);
         // Half the objects snap to a coarse lattice: coincident
         // coordinates, vertices on MBR edges and corners, flat MBRs.
-        let snap = rng.below(2) == 0;
-        let coord = |rng: &mut Rng| {
-            let t = rng.unit();
+        let snap = rng.gen_bool(0.5);
+        let coord = |rng: &mut SmallRng| {
+            let t = rng.next_f64();
             offset + extent * if snap { (t * 4.0).floor() / 4.0 } else { t }
         };
         let vertices: Vec<Point> = (0..n.max(3))
             .map(|_| Point::new(coord(rng), coord(rng)))
             .collect();
-        if rng.below(3) == 0 {
+        if rng.gen_range(0..3u64) == 0 {
             Polygon::new(vertices).into()
         } else {
             Polyline::new(vertices[..n].to_vec()).into()
@@ -191,7 +164,7 @@ mod tests {
     /// itself, one ulp inside it on every side, an edge through the
     /// hinted vertex from either side, and seeded windows of every size
     /// around the MBR.
-    fn windows_for(rng: &mut Rng, g: &Geometry, out: &mut Vec<Rect>) {
+    fn windows_for(rng: &mut SmallRng, g: &Geometry, out: &mut Vec<Rect>) {
         out.clear();
         let mbr = g.mbr();
         for c in g.hint().cells(&mbr).into_iter().flatten() {
@@ -225,16 +198,16 @@ mod tests {
             push(p.x - reach, p.y - reach, p.x + reach, p.y.next_down());
         }
         for _ in 0..6 {
-            let size = reach * 4f64.powi(-(rng.below(8) as i32)) * 2.0;
-            let x = rng.between(mbr.xmin - size, mbr.xmax);
-            let y = rng.between(mbr.ymin - size, mbr.ymax);
-            push(x, y, x + size * rng.unit(), y + size * rng.unit());
+            let size = reach * 4f64.powi(-(rng.gen_range(0..8u64) as i32)) * 2.0;
+            let x = rng.gen_range(mbr.xmin - size..=mbr.xmax);
+            let y = rng.gen_range(mbr.ymin - size..=mbr.ymax);
+            push(x, y, x + size * rng.next_f64(), y + size * rng.next_f64());
         }
     }
 
     #[test]
     fn an_accepted_window_always_meets_the_object() {
-        let mut rng = Rng(1994);
+        let mut rng = SmallRng::seed_from_u64(1994);
         let mut windows = Vec::new();
         let (mut cases, mut accepted, mut hinted) = (0usize, 0usize, 0usize);
         for _ in 0..20_000 {
@@ -265,7 +238,7 @@ mod tests {
 
     #[test]
     fn every_encoded_cell_contains_its_point() {
-        let mut rng = Rng(2718);
+        let mut rng = SmallRng::seed_from_u64(2718);
         for _ in 0..100_000 {
             let g = random_object(&mut rng);
             let (mbr, hint, [a, b]) = (g.mbr(), g.hint(), hinted_points(&g));

@@ -26,7 +26,9 @@
 //!   candidate without its exact representation \[BKSS94\];
 //! * [`decomposed`] — a decomposed object representation in the spirit of
 //!   the TR\*-tree \[SK91\], used by the paper for the *exact geometry test*
-//!   of the spatial join's refinement step (§6.3).
+//!   of the spatial join's refinement step (§6.3);
+//! * [`rng`] — the workspace's one seeded generator ([`rng::SmallRng`]),
+//!   here because this crate depends on nothing.
 //!
 //! All coordinates are `f64` in an abstract data space; the paper's
 //! experiments normalise the data space to the unit square, and so do we.
@@ -41,6 +43,7 @@ pub mod point;
 pub mod polygon;
 pub mod polyline;
 pub mod rect;
+pub mod rng;
 pub mod segment;
 
 pub use decomposed::DecomposedPolyline;

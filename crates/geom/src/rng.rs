@@ -1,4 +1,5 @@
-//! Minimal deterministic PRNG used by the data and workload generators.
+//! The workspace's one deterministic PRNG: the data and workload
+//! generators draw from it, and so does every seeded test.
 //!
 //! The generators only need `seed_from_u64`, `gen_range` and `gen_bool`,
 //! so instead of depending on the external `rand` crate (unavailable in
@@ -6,7 +7,9 @@
 //! splitmix64 seeding routine — the same construction `rand`'s `SmallRng`
 //! uses on 64-bit platforms. Determinism is what matters here: identical
 //! seeds must yield identical maps and workloads across runs and
-//! platforms.
+//! platforms. It lives in the geometry crate, which depends on nothing,
+//! so every crate of the workspace reaches it;
+//! `spatialdb_data::rng` re-exports it.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -33,6 +36,10 @@ impl SmallRng {
     }
 
     /// The next raw 64-bit output.
+    ///
+    /// `#[inline]` here and on the samplers: the map and workload
+    /// generators that draw millions of values live in other crates.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -49,16 +56,19 @@ impl SmallRng {
     }
 
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform sample from `range` (see [`SampleRange`]).
+    #[inline]
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
 
     /// `true` with probability `p`.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
@@ -74,6 +84,7 @@ pub trait SampleRange {
 
 impl SampleRange for Range<f64> {
     type Output = f64;
+    #[inline]
     fn sample(self, rng: &mut SmallRng) -> f64 {
         assert!(self.start < self.end, "empty range");
         self.start + rng.next_f64() * (self.end - self.start)
@@ -82,6 +93,7 @@ impl SampleRange for Range<f64> {
 
 impl SampleRange for RangeInclusive<f64> {
     type Output = f64;
+    #[inline]
     fn sample(self, rng: &mut SmallRng) -> f64 {
         let (lo, hi) = (*self.start(), *self.end());
         assert!(lo <= hi, "empty range");
@@ -91,6 +103,7 @@ impl SampleRange for RangeInclusive<f64> {
 
 impl SampleRange for Range<usize> {
     type Output = usize;
+    #[inline]
     fn sample(self, rng: &mut SmallRng) -> usize {
         assert!(self.start < self.end, "empty range");
         let span = (self.end - self.start) as u64;
@@ -98,8 +111,18 @@ impl SampleRange for Range<usize> {
     }
 }
 
+impl SampleRange for Range<u64> {
+    type Output = u64;
+    #[inline]
+    fn sample(self, rng: &mut SmallRng) -> u64 {
+        assert!(self.start < self.end, "empty range");
+        self.start + rng.next_u64() % (self.end - self.start)
+    }
+}
+
 impl SampleRange for Range<u8> {
     type Output = u8;
+    #[inline]
     fn sample(self, rng: &mut SmallRng) -> u8 {
         assert!(self.start < self.end, "empty range");
         let span = u64::from(self.end - self.start);
@@ -153,6 +176,8 @@ mod tests {
             assert!((-1.0..=1.0).contains(&y));
             let i = rng.gen_range(3..9usize);
             assert!((3..9).contains(&i));
+            let w = rng.gen_range(3..9u64);
+            assert!((3..9).contains(&w));
             let b = rng.gen_range(0..3u8);
             assert!(b < 3);
         }

@@ -372,9 +372,6 @@ impl ClusterOrganization {
                     self.read_page_by_page(leaf, hits);
                 }
             }
-            WindowTechnique::PageByPage => {
-                self.read_page_by_page(leaf, hits);
-            }
             WindowTechnique::Slm => {
                 self.hit_offsets(leaf, hits, offsets);
                 let gap = slm_gap_limit(&self.disk.params());
@@ -429,8 +426,9 @@ impl ClusterOrganization {
         }
     }
 
-    /// Page-by-page: one request per qualifying object, one seek per
-    /// cluster unit (§5.4.1's `t_page` access pattern).
+    /// Page-by-page, the threshold technique's below-threshold branch:
+    /// one request per qualifying object, one seek per cluster unit
+    /// (§5.4.1's `t_page` access pattern).
     fn read_page_by_page(&self, leaf: NodeId, hits: &[LeafEntry]) {
         let mut seek_pending = true;
         for e in hits {
@@ -921,7 +919,6 @@ mod tests {
             WindowTechnique::Complete,
             WindowTechnique::Threshold,
             WindowTechnique::Slm,
-            WindowTechnique::PageByPage,
             WindowTechnique::Optimum,
         ] {
             let mut org = org_with(400, ClusterConfig::plain(SMAX));

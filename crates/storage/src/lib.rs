@@ -20,8 +20,9 @@
 //!
 //! Window queries on the cluster organization support the techniques of
 //! §5.4 via [`WindowTechnique`]: *complete* cluster transfer, the
-//! *geometric threshold* \[BKS93a\], the *SLM* read schedules \[SLM93\],
-//! plain *page-by-page* access, and the *optimum* lower bound.
+//! *geometric threshold* \[BKS93a\] (page-by-page access below the
+//! threshold), the *SLM* read schedules \[SLM93\], and the *optimum*
+//! lower bound.
 //!
 //! All I/O flows through a shared [`spatialdb_disk::ShardedPool`]; the
 //! construction, storage-utilization and query figures of the paper
@@ -51,7 +52,3 @@ pub use primary::PrimaryOrganization;
 pub use secondary::SecondaryOrganization;
 pub use store::{SpatialStore, StrPlan};
 pub use table::ObjectTable;
-
-/// Legacy name of [`SpatialStore`], kept so pre-redesign imports keep
-/// compiling. Prefer `SpatialStore`.
-pub use store::SpatialStore as OrganizationModel;

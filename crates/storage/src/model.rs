@@ -45,8 +45,6 @@ pub enum WindowTechnique {
     /// SLM read schedules (§5.4.2): one request bridges gaps of
     /// non-requested pages shorter than `t_l/t_t − 1/2`.
     Slm,
-    /// Always page-by-page: one request per qualifying object.
-    PageByPage,
     /// The optimum baseline of Figure 10: one seek + one rotational delay
     /// per cluster unit plus the minimum number of page transfers.
     Optimum,

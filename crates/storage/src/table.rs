@@ -320,35 +320,23 @@ impl<V: Clone> std::ops::Index<ObjectId> for ObjectTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatialdb_geom::rng::SmallRng;
     use std::collections::HashMap;
-
-    /// xorshift64* — a local seeded stream; the storage crate has no
-    /// dependency on the data crate's generator.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-    }
 
     #[test]
     fn random_stream_mirrors_std_hashmap() {
-        let mut rng = Rng(1994);
+        let mut rng = SmallRng::seed_from_u64(1994);
         let mut table: ObjectTable<u64> = ObjectTable::new();
         let mut model: HashMap<u64, u64> = HashMap::new();
         for step in 0..40_000u64 {
             // Skewed key universe: dense small ids plus strided large
             // ones (every low bit zero), to exercise the hash fold.
-            let key = match rng.next() % 3 {
-                0 => rng.next() % 2_000,
-                1 => (rng.next() % 2_000) << 20,
-                _ => rng.next() % 50,
+            let key = match rng.gen_range(0..3u64) {
+                0 => rng.gen_range(0..2_000u64),
+                1 => rng.gen_range(0..2_000u64) << 20,
+                _ => rng.gen_range(0..50u64),
             };
-            match rng.next() % 4 {
+            match rng.gen_range(0..4u64) {
                 0 | 1 => {
                     assert_eq!(table.insert(ObjectId(key), step), model.insert(key, step));
                 }
@@ -376,16 +364,16 @@ mod tests {
 
     #[test]
     fn bulk_built_table_equals_the_insert_built_one() {
-        let mut rng = Rng(7);
+        let mut rng = SmallRng::seed_from_u64(7);
         // Sizes around the split thresholds, then several chunks.
         for n in [0usize, 1, 16, 17, 32, 33, 1_000, 40_000] {
             let mut model: HashMap<u64, u64> = HashMap::new();
             while model.len() < n {
-                let key = match rng.next() % 2 {
-                    0 => rng.next() % 100_000,
-                    _ => (rng.next() % 100_000) << 20,
+                let key = match rng.gen_range(0..2u64) {
+                    0 => rng.gen_range(0..100_000u64),
+                    _ => rng.gen_range(0..100_000u64) << 20,
                 };
-                model.insert(key, rng.next());
+                model.insert(key, rng.next_u64());
             }
             // lint: order-insensitive — any order must build equal tables.
             let records: Vec<_> = model.iter().map(|(k, v)| (ObjectId(*k), *v)).collect();

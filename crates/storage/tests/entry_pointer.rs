@@ -7,6 +7,7 @@
 //! re-inserts. Same requests, same hits and misses, same bytes.
 
 use spatialdb_disk::Disk;
+use spatialdb_geom::rng::SmallRng;
 use spatialdb_geom::Rect;
 use spatialdb_rtree::bulk::plan_tiles;
 use spatialdb_rtree::ObjectId;
@@ -15,36 +16,19 @@ use spatialdb_storage::{
     StrPlan, WindowTechnique,
 };
 
-/// xorshift64 — the storage crate has no dependency on the data crate's
-/// generator.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0 % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        self.below(1 << 20) as f64 / (1 << 20) as f64
-    }
-}
-
 /// 1,500 objects, most of them a few hundred bytes, every 9th one
 /// larger than a page (several file pages in the secondary organization,
 /// an overflow object in the primary).
 fn records() -> Vec<ObjectRecord> {
-    let mut rng = Rng(0x1994_0024);
+    let mut rng = SmallRng::seed_from_u64(0x1994_0024);
     (0..1500u64)
         .map(|i| {
-            let (x, y) = (rng.unit(), rng.unit());
+            let (x, y) = (rng.next_f64(), rng.next_f64());
             let size = match i % 9 {
-                0 => 4100 + rng.below(9000),
-                _ => 200 + rng.below(1200),
+                0 => 4100 + rng.gen_range(0..9000u64),
+                _ => 200 + rng.gen_range(0..1200u64),
             };
-            let mbr = Rect::new(x, y, x + 0.02 * rng.unit(), y + 0.02 * rng.unit());
+            let mbr = Rect::new(x, y, x + 0.02 * rng.next_f64(), y + 0.02 * rng.next_f64());
             ObjectRecord::new(ObjectId(i), mbr, size as u32)
         })
         .collect()
@@ -64,10 +48,10 @@ fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialSt
             store.insert(rec);
         }
     }
-    let mut rng = Rng(7);
+    let mut rng = SmallRng::seed_from_u64(7);
     let mut moved: Vec<u64> = (0..1500).collect();
     for i in 0..200 {
-        moved.swap(i, i + rng.below(1500 - i as u64) as usize);
+        moved.swap(i, rng.gen_range(i..1500));
     }
     for &i in &moved[..200] {
         assert!(store.delete(ObjectId(i)));
@@ -94,10 +78,10 @@ fn primary() -> Box<dyn SpatialStore> {
 }
 
 fn windows() -> Vec<Rect> {
-    let mut rng = Rng(31);
+    let mut rng = SmallRng::seed_from_u64(31);
     (0..50)
         .map(|_| {
-            let (x, y, side) = (rng.unit(), rng.unit(), 0.02 + 0.2 * rng.unit());
+            let (x, y, side) = (rng.next_f64(), rng.next_f64(), 0.02 + 0.2 * rng.next_f64());
             Rect::new(x, y, x + side, y + side)
         })
         .collect()

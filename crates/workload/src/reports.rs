@@ -1,28 +1,39 @@
-//! The scenario reports checked in at the repository root, each
-//! declared once. The `scenarios` binary writes all four with
-//! [`render`]; the golden tests run parts of their grids and match the
-//! rows against the tracked files.
+//! The reports checked in at the repository root, each declared once.
+//! The `scenarios` binary writes all five with [`render`]; the golden
+//! tests run parts of their grids and match the rows against the
+//! tracked files.
 //!
-//! | file | scenario | grid |
+//! | file | source | grid |
 //! |---|---|---|
 //! | `BENCH_io_latency.json` | [`io_latency`] | organizations × queue depth × arm policy, open arrivals on one arm |
 //! | `BENCH_decluster.json` | [`decluster`] | organizations × stripe policy × arm policy × arm count, six databases |
 //! | `BENCH_scenarios.json` | [`fig_like`] | depth × arm policy × arm count, then a window/point/join/insert stream |
 //! | `BENCH_mixed_rw.json` | [`mixed_rw`] at 1, 2, 4 and 8 clients | closed-loop readers, then a stream that deletes too |
+//! | `BENCH_bulk_load.json` | insertion build vs STR bulk load of A-1 at a tenth of Table 1 | organizations × load threads, then a query-equivalence check |
 //!
-//! Each file is its scenario's
+//! The four scenario files are each their scenario's
 //! [`ScenarioReport::to_json`](crate::ScenarioReport::to_json); the mixed
-//! read/write file wraps one report per client count.
+//! read/write file wraps one report per client count. Every report is
+//! simulated time only, so it comes out byte-identical on any machine.
 
-use crate::{Dataset, Mix, Scenario, WindowSweep};
-use spatialdb::{ArmPolicy, Arrival, EngineConfig, StripePolicy};
+use crate::figures::{self, records_of, Scale};
+use crate::{org_label, Dataset, Mix, Scenario, WindowSweep};
+use spatialdb::data::workload::WindowQuerySet;
+use spatialdb::data::DataSet;
+use spatialdb::rtree::io::CountingIo;
+use spatialdb::storage::OrganizationKind;
+use spatialdb::{
+    bulk_load_records_par, ArmPolicy, Arrival, DbOptions, EngineConfig, SpatialDatabase,
+    StripePolicy, Workspace,
+};
 
 /// The file names [`render`] accepts.
-pub const FILES: [&str; 4] = [
+pub const FILES: [&str; 5] = [
     "BENCH_io_latency.json",
     "BENCH_decluster.json",
     "BENCH_scenarios.json",
     "BENCH_mixed_rw.json",
+    "BENCH_bulk_load.json",
 ];
 
 /// The client populations of `BENCH_mixed_rw.json`.
@@ -126,13 +137,17 @@ pub fn mixed_rw(clients: usize) -> Scenario {
 }
 
 /// The text of the checked-in report `file`, one of [`FILES`]: its
-/// scenario run, its I/O books checked, its report rendered.
+/// scenario run, its I/O books checked, its report rendered (or, for
+/// `BENCH_bulk_load.json`, both builds run and compared).
 ///
 /// # Panics
 ///
-/// Panics on a name not in [`FILES`], and when a run's I/O accounting
+/// Panics on a name not in [`FILES`], when a run's I/O accounting
 /// does not balance
-/// ([`ScenarioReport::assert_stats_conserved`](crate::ScenarioReport::assert_stats_conserved)).
+/// ([`ScenarioReport::assert_stats_conserved`](crate::ScenarioReport::assert_stats_conserved)),
+/// and when the STR bulk load charges as much as the insertion build,
+/// depends on its thread count, answers differently or reads as many
+/// nodes.
 pub fn render(file: &str) -> String {
     let json = |scenario: Scenario| scenario.run().assert_stats_conserved().to_json();
     match file {
@@ -155,8 +170,156 @@ pub fn render(file: &str) -> String {
                 sweeps.join(",\n")
             )
         }
+        "BENCH_bulk_load.json" => bulk_load(),
         _ => panic!("unknown report {file:?} (valid: {})", FILES.join(" ")),
     }
+}
+
+/// The load-thread counts of `BENCH_bulk_load.json`.
+const LOAD_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Window area of the bulk-load report's equivalence query set (1 % of
+/// the data space — the middle of the paper's Figure 8 grid).
+const QUERY_AREA: f64 = 0.01;
+
+/// Sorted answer set and total directory-node reads of one query set.
+fn run_queries(db: &SpatialDatabase, queries: &WindowQuerySet) -> (Vec<Vec<u64>>, u64) {
+    let store = db.store();
+    let mut answers = Vec::with_capacity(queries.windows.len());
+    let mut node_reads = 0u64;
+    let mut scratch = Vec::new();
+    for w in &queries.windows {
+        let mut io = CountingIo::default();
+        store.tree().window_entries_into(w, &mut io, &mut scratch);
+        node_reads += io.reads;
+        let mut ids: Vec<u64> = scratch.iter().map(|e| e.oid.0).collect();
+        ids.sort_unstable();
+        answers.push(ids);
+    }
+    (answers, node_reads)
+}
+
+/// `BENCH_bulk_load.json`: per organization, the §5.2 insertion build
+/// (the Figure 5 baseline, [`figures::build`]) against the
+/// sort-tile-recursive bulk load ([`bulk_load_records_par`]) at every
+/// load-thread count, on data set A-1 at a tenth of Table 1. A row
+/// holds the simulated construction I/O, the occupied pages and the
+/// R\*-tree's node count.
+///
+/// Threads only sort and tile; every charge is made on the calling
+/// thread. So each STR row equals its organization's 1-thread row, and
+/// it charges **strictly less** simulated I/O than the insertion build.
+/// A query-equivalence check follows per organization: a 1 %-area
+/// window set answers identically on the insertion-built and the
+/// STR-built tree, and the packed tree reads fewer directory nodes.
+///
+/// # Panics
+///
+/// Panics when any of these four facts fails.
+fn bulk_load() -> String {
+    let scale = Scale::fraction(0.1);
+    let dataset = DataSet::all()[0];
+    let spec = dataset.spec();
+    let map = scale.map(dataset);
+    let records = records_of(&map.objects);
+    let queries = WindowQuerySet::generate(&map, QUERY_AREA, scale.num_queries, scale.seed);
+
+    let mut rows = Vec::new();
+    for kind in [
+        OrganizationKind::Secondary,
+        OrganizationKind::Primary,
+        OrganizationKind::Cluster,
+    ] {
+        let label = org_label(kind);
+        let ws = Workspace::new(scale.construction_buffer);
+        let (insert_db, insert_stats) = figures::build(&ws, kind, spec.smax_bytes, false, &records);
+        rows.push(format!(
+            "    {{\"org\": \"{label}\", \"method\": \"insert\", \"threads\": 1, \
+             \"io_ms\": {:.3}, \"pages_written\": {}, \"pages_read\": {}, \
+             \"write_requests\": {}, \"occupied_pages\": {}, \"tree_nodes\": {}}}",
+            insert_stats.io_ms,
+            insert_stats.pages_written,
+            insert_stats.pages_read,
+            insert_stats.write_requests,
+            insert_db.occupied_pages(),
+            insert_db.store().tree().num_nodes(),
+        ));
+
+        let mut str_db: Option<SpatialDatabase> = None;
+        let mut one_thread = None;
+        for threads in LOAD_THREADS {
+            // A machine of its own: its disk's counters are this build's.
+            let ws = Workspace::new(scale.construction_buffer);
+            let mut db =
+                ws.create_database(DbOptions::new(kind).smax_bytes(spec.smax_bytes as u64));
+            bulk_load_records_par(db.store_mut(), &records, threads);
+            db.store_mut().flush();
+            let stats = ws.disk().stats();
+            assert!(
+                stats.io_ms < insert_stats.io_ms,
+                "{label}: STR at {threads} thread(s) must charge less I/O than insertion \
+                 ({} vs {} ms)",
+                stats.io_ms,
+                insert_stats.io_ms
+            );
+            // Every column of the row: a thread-dependent charge fails
+            // here, naming the row.
+            let row = (stats, db.occupied_pages(), db.store().tree().num_nodes());
+            match &one_thread {
+                None => one_thread = Some(row),
+                Some(one) => assert_eq!(
+                    *one, row,
+                    "{label} str at {threads} threads: the columns differ from the \
+                     1-thread row"
+                ),
+            }
+            rows.push(format!(
+                "    {{\"org\": \"{label}\", \"method\": \"str\", \"threads\": {threads}, \
+                 \"io_ms\": {:.3}, \"pages_written\": {}, \"pages_read\": {}, \
+                 \"write_requests\": {}, \"occupied_pages\": {}, \"tree_nodes\": {}}}",
+                stats.io_ms,
+                stats.pages_written,
+                stats.pages_read,
+                stats.write_requests,
+                db.occupied_pages(),
+                db.store().tree().num_nodes(),
+            ));
+            str_db = Some(db);
+        }
+
+        // Query-equivalence check: same answers, fewer node accesses.
+        let str_db = str_db.expect("thread grid must not be empty");
+        let (insert_answers, insert_reads) = run_queries(&insert_db, &queries);
+        let (str_answers, str_reads) = run_queries(&str_db, &queries);
+        assert_eq!(
+            insert_answers, str_answers,
+            "{label}: STR tree must answer the query set identically"
+        );
+        assert!(
+            str_reads < insert_reads,
+            "{label}: packed tree must touch fewer nodes ({str_reads} vs {insert_reads})"
+        );
+        let n = queries.windows.len() as f64;
+        rows.push(format!(
+            "    {{\"org\": \"{label}\", \"method\": \"query_check\", \"queries\": {}, \
+             \"answers_identical\": true, \"node_reads_per_query_str\": {:.3}, \
+             \"node_reads_per_query_insert\": {:.3}}}",
+            queries.windows.len(),
+            str_reads as f64 / n,
+            insert_reads as f64 / n
+        ));
+    }
+
+    let threads: Vec<String> = LOAD_THREADS.iter().map(|t| t.to_string()).collect();
+    format!(
+        "{{\n  \"bench\": \"bulk_load\",\n  \"dataset\": \"{dataset}\",\n  \
+         \"objects\": {},\n  \"queries\": {},\n  \"window_area\": {QUERY_AREA},\n  \
+         \"threads\": [{}],\n  \"rows\": [\n{}\n  ]\n}}\n",
+        records.len(),
+        queries.windows.len(),
+        threads.join(", "),
+        rows.join(",\n")
+    )
 }
 
 #[cfg(test)]
@@ -164,10 +327,11 @@ mod tests {
     use super::render;
 
     #[test]
-    #[should_panic(expected = "unknown report \"BENCH_bulk_load.json\" (valid: \
+    #[should_panic(expected = "unknown report \"BENCH_figures.json\" (valid: \
                                BENCH_io_latency.json BENCH_decluster.json \
-                               BENCH_scenarios.json BENCH_mixed_rw.json)")]
+                               BENCH_scenarios.json BENCH_mixed_rw.json \
+                               BENCH_bulk_load.json)")]
     fn an_unknown_report_is_refused() {
-        render("BENCH_bulk_load.json");
+        render("BENCH_figures.json");
     }
 }

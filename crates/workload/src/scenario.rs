@@ -85,6 +85,12 @@ impl WindowSweep {
         self.count
     }
 
+    /// The smallest and the largest window side of the cycle.
+    fn sides(&self) -> (f64, f64) {
+        let last = (self.size_period - 1) as f64 / self.size_period as f64;
+        (self.size_base, self.size_base + self.size_amp * last)
+    }
+
     /// Materialize the sweep.
     pub fn generate(&self) -> Vec<Rect> {
         let n = self.count;
@@ -208,10 +214,17 @@ impl Scenario {
         self
     }
 
-    /// The window sweep each cell replays.
+    /// The window sweep each cell replays. Every window must fit in the
+    /// unit square with room to move: sides in `[0, 1)`.
     #[must_use]
     pub fn windows(mut self, sweep: WindowSweep) -> Self {
         assert!(sweep.count() > 0, "a sweep needs at least one window");
+        let (smallest, largest) = sweep.sides();
+        assert!(
+            smallest >= 0.0 && largest < 1.0,
+            "window sides must lie in [0, 1): the sweep's smallest side is {smallest}, \
+             its largest {largest}"
+        );
         self.windows = sweep;
         self
     }
@@ -501,5 +514,15 @@ mod tests {
         let report = scenario.run();
         assert_eq!(report.objects, 999);
         assert!(report.to_json().contains("\"objects\": 999,"));
+    }
+
+    /// A side of 1 left `generate` no room to place the window: its
+    /// position was `% 0.0`, a NaN window the store never checked.
+    #[test]
+    #[should_panic(expected = "window sides must lie in [0, 1): the sweep's smallest \
+                               side is 1, its largest 1")]
+    fn a_sweep_of_whole_space_windows_is_refused() {
+        let _ =
+            Scenario::new("whole-space").windows(WindowSweep::new(3).size_base(1.0).size_amp(0.0));
     }
 }

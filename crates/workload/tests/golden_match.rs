@@ -1,8 +1,9 @@
-//! Golden-file regression: the scenario reports checked in at the
-//! repository root (`BENCH_io_latency.json`, `BENCH_decluster.json`),
-//! re-derived from their declarations in `spatialdb_workload::reports`,
-//! must reproduce the tracked files **byte for byte**. The `scenarios`
-//! binary writes the same text; CI runs it and `git diff`s the result.
+//! Golden-file regression: the reports checked in at the repository
+//! root (`BENCH_io_latency.json`, `BENCH_decluster.json`,
+//! `BENCH_bulk_load.json`), re-derived from their declarations in
+//! `spatialdb_workload::reports`, must reproduce the tracked files
+//! **byte for byte**. The `scenarios` binary writes the same text; CI
+//! runs it and `git diff`s the result.
 //!
 //! The fast tests sweep a subset of each grid (every generated row must
 //! be a line of the file, so a subset still verifies exactly); the
@@ -71,4 +72,10 @@ fn io_latency_full_grid_matches_golden() {
 #[ignore = "full report grid; run in release (cargo test --release -- --ignored)"]
 fn decluster_full_grid_matches_golden() {
     assert_renders_tracked("BENCH_decluster.json");
+}
+
+#[test]
+#[ignore = "full report grid; run in release (cargo test --release -- --ignored)"]
+fn bulk_load_report_matches_golden() {
+    assert_renders_tracked("BENCH_bulk_load.json");
 }

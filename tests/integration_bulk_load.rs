@@ -26,11 +26,10 @@ const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Cluster,
 ];
 
-const ALL_TECHNIQUES: [WindowTechnique; 4] = [
+const ALL_TECHNIQUES: [WindowTechnique; 3] = [
     WindowTechnique::Complete,
     WindowTechnique::Threshold,
     WindowTechnique::Slm,
-    WindowTechnique::PageByPage,
 ];
 
 /// A deterministic street-like map of `n` polylines on the unit square.

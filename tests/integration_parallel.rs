@@ -23,11 +23,10 @@ const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Cluster,
 ];
 
-const ALL_TECHNIQUES: [WindowTechnique; 4] = [
+const ALL_TECHNIQUES: [WindowTechnique; 3] = [
     WindowTechnique::Complete,
     WindowTechnique::Threshold,
     WindowTechnique::Slm,
-    WindowTechnique::PageByPage,
 ];
 
 /// A 10k-object street-like map on the unit square, deterministic.
