@@ -4,7 +4,9 @@
 //! A figure is a keyed table of numbers: key cells name a row ("A - 1",
 //! "10"), value columns carry a name, a unit and a print precision. It
 //! renders itself through [`crate::report::Table`], so `figures
-//! --fig 8` prints what the tests gate and what the golden file pins.
+//! --fig 8` prints what the tests gate and what the golden file pins,
+//! and each row as one line of JSON ([`Figure::json_rows`]), so a
+//! scenario report's cells and mix rows are figures too.
 //!
 //! Gates work on a [`Series`] — named numbers cut out of the figure
 //! either across one row ([`Figure::at`]) or down one column
@@ -23,6 +25,7 @@
 //! ```
 
 use crate::report::{f, speedup, Table};
+use std::fmt::Write as _;
 
 /// One value column: `name (unit)` in the header, `digits` decimals in
 /// the cells. Gates address it by `name`.
@@ -46,7 +49,7 @@ impl Column {
 /// A table or figure of the paper's evaluation, as measured.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Figure {
-    id: &'static str,
+    id: String,
     title: String,
     keys: Vec<&'static str>,
     columns: Vec<Column>,
@@ -66,11 +69,12 @@ pub enum Trend {
 }
 
 impl Figure {
-    /// An empty figure: `id` as `figures --fig` takes it, the paper's
-    /// caption, and the headers of the key cells that name a row.
-    pub fn new(id: &'static str, title: impl Into<String>, keys: &[&'static str]) -> Self {
+    /// An empty figure: `id` as `figures --fig` takes it (a scenario's
+    /// name for its report), the caption, and the headers of the key
+    /// cells that name a row.
+    pub fn new(id: impl Into<String>, title: impl Into<String>, keys: &[&'static str]) -> Self {
         Figure {
-            id,
+            id: id.into(),
             title: title.into(),
             keys: keys.to_vec(),
             columns: Vec::new(),
@@ -105,7 +109,7 @@ impl Figure {
     }
 
     /// [`row`](Self::row) in place, for the drivers' loops.
-    pub(super) fn push(&mut self, key: Vec<String>, values: Vec<f64>) {
+    pub(crate) fn push(&mut self, key: Vec<String>, values: Vec<f64>) {
         assert_eq!(key.len(), self.keys.len(), "Fig. {}: key cells", self.id);
         assert_eq!(values.len(), self.columns.len(), "Fig. {}: values", self.id);
         self.rows.push((key, values));
@@ -118,8 +122,38 @@ impl Figure {
     }
 
     /// The id `figures --fig` selects this figure by.
-    pub fn id(&self) -> &'static str {
-        self.id
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// The key cells of each row, in row order.
+    pub fn row_keys(&self) -> impl Iterator<Item = Vec<&str>> {
+        self.rows
+            .iter()
+            .map(|(key, _)| key.iter().map(String::as_str).collect())
+    }
+
+    /// Each row as one line of JSON, in row order: `{"key": cell, …,
+    /// "column": value, …}`, named by the key headers and column names.
+    /// A key cell is quoted unless it is an integer; a value is printed
+    /// at its column's precision; every string is escaped.
+    pub fn json_rows(&self) -> impl Iterator<Item = String> + '_ {
+        self.rows.iter().map(|(key, values)| {
+            let mut fields = Vec::with_capacity(key.len() + values.len());
+            for (name, cell) in self.keys.iter().zip(key) {
+                // Only an integer's own spelling is a JSON number: not
+                // "+5", not "007".
+                let cell = match cell.parse::<i64>() {
+                    Ok(n) if n.to_string() == *cell => cell.clone(),
+                    _ => json_string(cell),
+                };
+                fields.push(format!("{}: {cell}", json_string(name)));
+            }
+            for (c, v) in self.columns.iter().zip(values) {
+                fields.push(format!("{}: {}", json_string(&c.name), f(*v, c.digits)));
+            }
+            format!("{{{}}}", fields.join(", "))
+        })
     }
 
     fn headers(&self) -> Vec<String> {
@@ -169,7 +203,7 @@ impl Figure {
             panic!("Fig. {}: no row {key:?} (rows: {known:?})", self.id)
         };
         Series {
-            fig: self.id,
+            fig: self.id.clone(),
             cut: key.join(" / "),
             items: self
                 .columns
@@ -205,7 +239,7 @@ impl Figure {
             cut = format!("{} / {cut}", prefix.join(" / "));
         }
         Series {
-            fig: self.id,
+            fig: self.id.clone(),
             cut,
             items,
         }
@@ -222,7 +256,7 @@ impl Figure {
     /// Panics naming figure, row and both renderings on the first
     /// difference, on a missing block or row, and on an empty figure.
     pub fn assert_matches_golden(&self, golden: &str) -> &Self {
-        let id = self.id;
+        let id = &self.id;
         assert!(!self.rows.is_empty(), "Fig. {id}: nothing to match");
         let banner = format!("== {} ==", self.title);
         let split =
@@ -270,7 +304,7 @@ impl std::fmt::Display for Figure {
 /// values it compared, and returns the series for the next gate.
 #[derive(Clone, Debug)]
 pub struct Series {
-    fig: &'static str,
+    fig: String,
     cut: String,
     items: Vec<(String, f64)>,
 }
@@ -351,6 +385,23 @@ impl Series {
     }
 }
 
+/// `s` as a JSON string: quoted, with `"`, `\` and control characters
+/// escaped.
+pub(crate) fn json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 impl std::fmt::Display for Series {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(out, "Fig. {} [{}]", self.fig, self.cut)
@@ -397,6 +448,23 @@ mod tests {
             t.row(fig().cells(row));
         }
         assert!(want.contains(&t.render()));
+    }
+
+    #[test]
+    fn json_rows_quote_keys_but_integers_and_escape_every_string() {
+        let fig = Figure::new("t", "JSON", &["name", "n", "x"])
+            .column("v \"ms\"", "", 2)
+            .column("count", "", 0)
+            .row(&["a \"q\" \\", "3", "+5"], &[1.5, 7.0])
+            .row(&["b", "007", "-2"], &[0.25, 0.0]);
+        let rows: Vec<String> = fig.json_rows().collect();
+        assert_eq!(
+            rows,
+            [
+                r#"{"name": "a \"q\" \\", "n": 3, "x": "+5", "v \"ms\"": 1.50, "count": 7}"#,
+                r#"{"name": "b", "n": "007", "x": -2, "v \"ms\"": 0.25, "count": 0}"#,
+            ]
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 mod figure;
 
+pub(crate) use figure::json_string;
 pub use figure::{Figure, Series, Trend};
 
 use crate::report::speedup;

@@ -25,6 +25,8 @@
 //! report
 //!     .assert_p99_under_ms(50_000.0)
 //!     .assert_stats_conserved();
+//! // The replay cells are a `Figure`: cut the cluster organization's p99s.
+//! let p99s = report.cells.down("p99_ms", &["cluster", "round_robin"]);
 //! ```
 //!
 //! The harness is exact where it matters: the same scenario and seed
@@ -35,11 +37,13 @@
 //! of one of their grids reproduces its rows byte for byte
 //! ([`ScenarioReport::assert_matches_golden`]).
 //!
-//! The paper's own evaluation lives beside it: [`figures`] regenerates
-//! Table 1 and Figures 5 – 17 as [`figures::Figure`]s — one report
-//! shape with the same chainable `assert_*` gates and its own golden
-//! (`tests/golden/figures.txt`) — for the `figures` binary and the shape
-//! tests. Both render through [`report`].
+//! One report shape serves both the harness and the paper's own
+//! evaluation: [`figures::Figure`]. A scenario report's replay cells and
+//! mix rows are two figures, written one JSON line per row; [`figures`]
+//! regenerates Table 1 and Figures 5 – 17 as figures with their own
+//! golden (`tests/golden/figures.txt`) for the `figures` binary and the
+//! shape tests. Both are gated by the same [`figures::Series`] cuts and
+//! render through [`report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +57,7 @@ pub mod scenario;
 
 pub use dataset::Dataset;
 pub use mix::Mix;
-pub use report::{org_label, policy_label, Cell, MixOutcome, ScenarioReport};
+pub use report::{org_label, policy_label, ScenarioReport};
 pub use scenario::{Scenario, WindowSweep};
 
 // The repository README, whose Rust snippets `cargo test` compiles and

@@ -17,7 +17,8 @@
 //! inserts and deletes) — deterministic, and never dependent on
 //! execution timing.
 
-use crate::report::{Conservation, MixOutcome};
+use crate::report::Conservation;
+use crate::scenario::Metrics;
 use spatialdb::geom::{Point, Polyline, Rect};
 use spatialdb::stream::{run_stream, StreamOp};
 use spatialdb::{SpatialDatabase, Workspace};
@@ -157,7 +158,8 @@ fn generate(mix: &Mix, operations: usize, databases: usize, seed: u64) -> Vec<Op
 }
 
 /// Execute a mixed stream against one organization's databases,
-/// returning the outcome and the accounting cross-check.
+/// returning its metrics (operations of each kind, deletes counting
+/// deliberate misses; exact answers; reads) and the accounting check.
 pub(crate) fn run_mix(
     ws: &Workspace,
     dbs: &mut [SpatialDatabase],
@@ -166,11 +168,13 @@ pub(crate) fn run_mix(
     threads: usize,
     seed: u64,
     mut next_id: u64,
-) -> (MixOutcome, Conservation) {
+) -> (Metrics, Conservation) {
     let ops = generate(mix, operations, dbs.len(), seed);
     let disk = ws.disk();
     let global_before = disk.stats();
-    let mut outcome = MixOutcome::default();
+    // The operations of each kind, in `kinds` order.
+    let kinds = ["windows", "points", "joins", "inserts", "deletes"];
+    let mut counts = [0u64; 5];
 
     // The live-id model each delete draw resolves against: seeded from
     // the databases, maintained in stream order alongside the plan.
@@ -180,28 +184,28 @@ pub(crate) fn run_mix(
         .into_iter()
         .map(|op| match op {
             Op::Window(d, w) => {
-                outcome.windows += 1;
+                counts[0] += 1;
                 StreamOp::Window {
                     db: &dbs[d],
                     window: w,
                 }
             }
             Op::Point(d, p) => {
-                outcome.points += 1;
+                counts[1] += 1;
                 StreamOp::Point {
                     db: &dbs[d],
                     point: p,
                 }
             }
             Op::Join(a, b) => {
-                outcome.joins += 1;
+                counts[2] += 1;
                 StreamOp::Join {
                     left: &dbs[a],
                     right: &dbs[b],
                 }
             }
             Op::Insert(d, line) => {
-                outcome.inserts += 1;
+                counts[3] += 1;
                 let id = next_id;
                 next_id += 1;
                 live[d].push(id);
@@ -212,7 +216,7 @@ pub(crate) fn run_mix(
                 }
             }
             Op::Delete(d, draw) => {
-                outcome.deletes += 1;
+                counts[4] += 1;
                 let id = if live[d].is_empty() {
                     // Nothing left to delete: a deliberate miss (the
                     // engine records `existed: false`).
@@ -227,14 +231,23 @@ pub(crate) fn run_mix(
         .collect();
 
     let out = run_stream(stream, threads);
-    outcome.results = out.results();
-    outcome.io = out.aggregate_io();
-
+    let io = out.aggregate_io();
+    let totals = [
+        ("results", out.results()),
+        ("read_requests", io.read_requests),
+        ("pages_read", io.pages_read),
+    ];
+    let row = kinds
+        .into_iter()
+        .zip(counts)
+        .chain(totals)
+        .map(|(column, n)| (column, 0, n as f64))
+        .collect();
     let conservation = Conservation {
-        attributed: outcome.io,
+        attributed: io,
         global: disk.stats().since(&global_before),
     };
-    (outcome, conservation)
+    (row, conservation)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! What the harness reports: a scenario run's per-cell metrics,
-//! conservation records and chainable assertions ([`ScenarioReport`]),
-//! and the aligned text [`Table`] the paper's figures render through.
+//! What the harness reports: a scenario run's replay cells and mix rows
+//! (two [`Figure`]s), conservation records and chainable assertions
+//! ([`ScenarioReport`]), and the aligned text [`Table`] every figure
+//! renders through.
 //!
 //! A [`ScenarioReport`] is pure data — every field is derived from the
 //! simulated clock and the deterministic filter pass, so the same
@@ -8,6 +9,7 @@
 //! ([`ScenarioReport::to_json`] is the determinism contract's witness,
 //! and the one format every checked-in scenario report is written in).
 
+use crate::figures::{json_string, Figure};
 use spatialdb::disk::IoStats;
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{ArmPolicy, StripePolicy};
@@ -33,80 +35,12 @@ pub fn policy_label(policy: ArmPolicy) -> &'static str {
 }
 
 /// Human label of a stripe policy, as used in the benchmark JSON.
-fn stripe_label(stripe: StripePolicy) -> &'static str {
+pub(crate) fn stripe_label(stripe: StripePolicy) -> &'static str {
     match stripe {
         StripePolicy::RoundRobin => "round_robin",
         StripePolicy::RegionHash => "region_hash",
         StripePolicy::MbrLocality => "mbr_locality",
     }
-}
-
-/// One cell of a scenario's sweep grid: one `(organization, depth,
-/// policy, arms, stripe)` point, with the latency and throughput
-/// metrics of its replay.
-#[derive(Clone, Copy, Debug)]
-pub struct Cell {
-    /// Storage organization the databases were built with.
-    pub org: OrganizationKind,
-    /// Outstanding-request window of the replay.
-    pub depth: usize,
-    /// Arm scheduling policy.
-    pub policy: ArmPolicy,
-    /// Number of disk arms the replay declustered across.
-    pub arms: usize,
-    /// Region → arm stripe policy.
-    pub stripe: StripePolicy,
-    /// End-to-end per-query latency distribution.
-    pub latency: LatencySummary,
-    /// Completion time of the last query (simulated ms).
-    pub makespan_ms: f64,
-    /// Total arm service time across all queries (simulated ms).
-    pub service_ms: f64,
-    /// Total disk requests replayed.
-    pub requests: u64,
-    /// Arms that serviced at least one request.
-    pub busy_arms: usize,
-    /// Highest per-arm utilization.
-    pub max_util: f64,
-    /// Aggregate throughput: requests / makespan, per second.
-    pub iops: f64,
-    /// Open-arrival spacing the replay used (0 for closed bursts).
-    pub inter_arrival_ms: f64,
-}
-
-/// The grid point a cell's row leads with — its key.
-fn cell_key(c: &Cell) -> String {
-    format!(
-        "    {{\"org\": \"{}\", \"stripe\": \"{}\", \"policy\": \"{}\", \"depth\": {}, \
-         \"arms\": {}, ",
-        org_label(c.org),
-        stripe_label(c.stripe),
-        policy_label(c.policy),
-        c.depth,
-        c.arms,
-    )
-}
-
-/// A cell's row of [`ScenarioReport::to_json`]: its key, then its
-/// metrics at fixed precision.
-fn cell_row(c: &Cell) -> String {
-    format!(
-        "{}\"inter_arrival_ms\": {:.4}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-         \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"makespan_ms\": {:.3}, \"service_ms\": {:.3}, \
-         \"iops\": {:.2}, \"busy_arms\": {}, \"max_util\": {:.3}, \"requests\": {}}}",
-        cell_key(c),
-        c.inter_arrival_ms,
-        c.latency.p50,
-        c.latency.p95,
-        c.latency.p99,
-        c.latency.mean,
-        c.makespan_ms,
-        c.service_ms,
-        c.iops,
-        c.busy_arms,
-        c.max_util,
-        c.requests,
-    )
 }
 
 /// An accounting cross-check recorded around one phase of the run:
@@ -136,31 +70,9 @@ impl Conservation {
     }
 }
 
-/// Outcome of one organization's mixed-operation stream.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MixOutcome {
-    /// Storage organization the stream ran against.
-    pub org: Option<OrganizationKind>,
-    /// Window queries executed.
-    pub windows: usize,
-    /// Point queries executed.
-    pub points: usize,
-    /// Spatial joins executed.
-    pub joins: usize,
-    /// Inserts executed.
-    pub inserts: usize,
-    /// Deletes executed (including deliberate misses on an empty
-    /// live-id set).
-    pub deletes: usize,
-    /// Total exact answers across all queries of the stream.
-    pub results: u64,
-    /// Sum of the per-operation I/O deltas.
-    pub io: IoStats,
-}
-
 /// Everything a scenario run produced. Render with
-/// [`to_json`](ScenarioReport::to_json), interrogate with
-/// [`cells`](ScenarioReport::cells), or gate with the chainable
+/// [`to_json`](ScenarioReport::to_json), cut and gate its figures
+/// ([`Figure::at`], [`Figure::down`]), or gate it with the chainable
 /// `assert_*` methods.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
@@ -172,25 +84,21 @@ pub struct ScenarioReport {
     pub queries: usize,
     /// Databases sharing the workspace.
     pub databases: usize,
-    /// Sweep cells in grid order.
-    pub cells: Vec<Cell>,
-    /// Per-cell accounting cross-checks, parallel to `cells`.
-    pub conservation: Vec<Conservation>,
-    /// Mixed-stream outcomes, one per organization (empty when the
-    /// scenario declared no mix).
-    pub mixes: Vec<MixOutcome>,
-    /// Accounting cross-checks of the mixed streams, parallel to
-    /// `mixes`.
-    pub mix_conservation: Vec<Conservation>,
+    /// The replay grid, one row per cell in grid order (organizations
+    /// outermost, then stripes, depths, policies, arms innermost), keyed
+    /// by `org`, `stripe`, `policy`, `depth` and `arms`. Open arrivals
+    /// add `inter_arrival_ms`, closed and burst ones `makespan_ms` and
+    /// `iops`.
+    pub cells: Figure,
+    /// Mixed-stream outcomes, one row per organization keyed by `org`
+    /// (no rows when the scenario declared no mix).
+    pub mix: Figure,
+    /// The accounting cross-check of each phase, named: every cell, then
+    /// every mixed stream.
+    pub conservation: Vec<(String, Conservation)>,
 }
 
 impl ScenarioReport {
-    /// Sweep cells in grid order (organizations outermost, then
-    /// stripes, depths, policies, arms innermost).
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-
     /// Deterministic JSON rendering: fixed field order, fixed float
     /// precision, no timestamps — the same scenario and seed yield the
     /// same string at any thread count. One cell per line, each led by
@@ -199,37 +107,20 @@ impl ScenarioReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\n  \"scenario\": \"{}\",\n  \"objects\": {},\n  \"queries\": {},\n  \
-             \"databases\": {},\n  \"cells\": [\n",
-            self.name, self.objects, self.queries, self.databases
+            "{{\n  \"scenario\": {},\n  \"objects\": {},\n  \"queries\": {},\n  \
+             \"databases\": {},\n  \"cells\": [\n    ",
+            json_string(&self.name),
+            self.objects,
+            self.queries,
+            self.databases
         );
-        let rows: Vec<String> = self.cells.iter().map(cell_row).collect();
-        out.push_str(&rows.join(",\n"));
+        let cells: Vec<String> = self.cells.json_rows().collect();
+        out.push_str(&cells.join(",\n    "));
         out.push_str("\n  ]");
-        if !self.mixes.is_empty() {
-            out.push_str(",\n  \"mix\": [\n");
-            let rows: Vec<String> = self
-                .mixes
-                .iter()
-                .map(|m| {
-                    format!(
-                        "    {{\"org\": \"{}\", \"windows\": {}, \"points\": {}, \
-                         \"joins\": {}, \"inserts\": {}, \"deletes\": {}, \
-                         \"results\": {}, \
-                         \"read_requests\": {}, \"pages_read\": {}}}",
-                        m.org.map_or("?", org_label),
-                        m.windows,
-                        m.points,
-                        m.joins,
-                        m.inserts,
-                        m.deletes,
-                        m.results,
-                        m.io.read_requests,
-                        m.io.pages_read,
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(",\n"));
+        let mix: Vec<String> = self.mix.json_rows().collect();
+        if !mix.is_empty() {
+            out.push_str(",\n  \"mix\": [\n    ");
+            out.push_str(&mix.join(",\n    "));
             out.push_str("\n  ]");
         }
         out.push_str("\n}\n");
@@ -240,20 +131,13 @@ impl ScenarioReport {
     ///
     /// # Panics
     ///
-    /// Panics naming the first offending cell.
+    /// Panics naming the scenario and the first offending cell.
     pub fn assert_p99_under_ms(&self, ms: f64) -> &Self {
-        for c in &self.cells {
-            assert!(
-                c.latency.p99 < ms,
-                "scenario '{}': cell {}/{}/{} depth {} arms {} has p99 {:.3} ms >= {ms} ms",
-                self.name,
-                org_label(c.org),
-                stripe_label(c.stripe),
-                policy_label(c.policy),
-                c.depth,
-                c.arms,
-                c.latency.p99,
-            );
+        let p99 = self.cells.down("p99_ms", &[]);
+        for key in self.cells.row_keys() {
+            let cell = key.join(" / ");
+            let v = p99.get(&cell);
+            assert!(v < ms, "{p99}: {cell} {v} !< {ms} ms");
         }
         self
     }
@@ -267,20 +151,10 @@ impl ScenarioReport {
     ///
     /// Panics naming the first phase whose books don't balance.
     pub fn assert_stats_conserved(&self) -> &Self {
-        for (i, c) in self.conservation.iter().enumerate() {
+        for (phase, c) in &self.conservation {
             assert!(
                 c.holds(),
-                "scenario '{}': cell {i} leaks I/O accounting \
-                 (attributed {:?} vs global {:?})",
-                self.name,
-                c.attributed,
-                c.global,
-            );
-        }
-        for (i, c) in self.mix_conservation.iter().enumerate() {
-            assert!(
-                c.holds(),
-                "scenario '{}': mix stream {i} leaks I/O accounting \
+                "scenario '{}': {phase} leaks I/O accounting \
                  (attributed {:?} vs global {:?})",
                 self.name,
                 c.attributed,
@@ -291,10 +165,11 @@ impl ScenarioReport {
     }
 
     /// Assert every cell of this report reproduces its row in a
-    /// checked-in report **byte for byte**: each row
-    /// [`to_json`](ScenarioReport::to_json) renders must be a line of
-    /// the file (trailing comma stripped). A scenario sweeping a subset
-    /// of the file's grid therefore still verifies exactly. Chainable.
+    /// checked-in report **byte for byte**: each row of
+    /// [`cells`](ScenarioReport::cells) rendered as JSON must be a line
+    /// of the file (indentation and trailing comma stripped). A scenario
+    /// sweeping a subset of the file's grid therefore still verifies
+    /// exactly. Chainable.
     ///
     /// # Panics
     ///
@@ -307,31 +182,30 @@ impl ScenarioReport {
             .unwrap_or_else(|e| panic!("golden {}: {e}", path.display()));
         let lines: Vec<&str> = text
             .lines()
-            .map(|line| line.strip_suffix(',').unwrap_or(line))
+            .map(|line| line.trim().trim_end_matches(','))
             .collect();
-        for cell in &self.cells {
-            let row = cell_row(cell);
+        for (key, row) in self.cells.row_keys().zip(self.cells.json_rows()) {
             if lines.contains(&row.as_str()) {
                 continue;
             }
-            let key = cell_key(cell);
+            // The row's leading fields, through the last key cell's comma
+            // (no key cell of a grid point holds ", ").
+            let prefix: String = row.split_inclusive(", ").take(key.len()).collect();
+            let prefix = prefix.trim_end();
             let golden = lines
                 .iter()
-                .find(|line| line.starts_with(&key))
+                .find(|line| line.starts_with(prefix))
                 .unwrap_or_else(|| {
                     panic!(
-                        "golden {}: no row for cell {} (scenario '{}')",
+                        "golden {}: no row for cell {prefix} (scenario '{}')",
                         path.display(),
-                        key.trim(),
                         self.name
                     )
                 });
             panic!(
-                "scenario '{}' diverges from golden {}:\n  golden:  {}\n  harness: {}",
+                "scenario '{}' diverges from golden {}:\n  golden:  {golden}\n  harness: {row}",
                 self.name,
                 path.display(),
-                golden.trim_start(),
-                row.trim_start(),
             );
         }
         self
@@ -360,16 +234,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render the table.
@@ -426,24 +290,6 @@ pub fn f(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
-/// Summary of a latency distribution (simulated ms) — the latency
-/// columns of a [`Cell`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
 /// Nearest-rank quantile of an **ascending-sorted** slice
 /// (`q` in `[0, 1]`).
 ///
@@ -454,24 +300,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of an empty distribution");
     let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Summarize a latency distribution. Sorts in place.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn summarize_latencies(values: &mut [f64]) -> LatencySummary {
-    assert!(!values.is_empty(), "no latency samples");
-    values.sort_by(f64::total_cmp);
-    LatencySummary {
-        count: values.len(),
-        p50: quantile(values, 0.50),
-        p95: quantile(values, 0.95),
-        p99: quantile(values, 0.99),
-        mean: values.iter().sum::<f64>() / values.len() as f64,
-        max: *values.last().expect("non-empty"),
-    }
 }
 
 /// Format a ratio as `x.x×`.
@@ -527,17 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn summarize_sorts_and_aggregates() {
-        let mut v = vec![30.0, 10.0, 20.0, 40.0];
-        let s = summarize_latencies(&mut v);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.p50, 20.0);
-        assert_eq!(s.max, 40.0);
-        assert_eq!(s.mean, 25.0);
-        assert_eq!(v, vec![10.0, 20.0, 30.0, 40.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn quantile_rejects_empty() {
         quantile(&[], 0.5);
@@ -546,33 +363,35 @@ mod tests {
     const IO_LATENCY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_io_latency.json");
 
     /// A one-cell report at `depth` on the io_latency grid's first
-    /// point, every metric zero.
+    /// point, its p50 zero.
     fn zero_cell_at_depth(depth: usize) -> ScenarioReport {
-        let cell = Cell {
-            org: OrganizationKind::Secondary,
-            depth,
-            policy: ArmPolicy::Fcfs,
-            arms: 1,
-            stripe: StripePolicy::RoundRobin,
-            latency: summarize_latencies(&mut [0.0]),
-            makespan_ms: 0.0,
-            service_ms: 0.0,
-            requests: 0,
-            busy_arms: 0,
-            max_util: 0.0,
-            iops: 0.0,
-            inter_arrival_ms: 0.0,
-        };
+        let keys = ["org", "stripe", "policy", "depth", "arms"];
+        let cells = Figure::new("zero", "zero", &keys)
+            .column("p50_ms", "", 3)
+            .row(
+                &["secondary", "round_robin", "fcfs", &depth.to_string(), "1"],
+                &[0.0],
+            );
         ScenarioReport {
             name: "zero".into(),
             objects: 0,
             queries: 1,
             databases: 1,
-            cells: vec![cell],
+            cells,
+            mix: Figure::new("zero", "zero", &["org"]),
             conservation: Vec::new(),
-            mixes: Vec::new(),
-            mix_conservation: Vec::new(),
         }
+    }
+
+    #[test]
+    fn a_quoted_name_renders_escaped() {
+        let report = ScenarioReport {
+            name: "a \"b\" \\ \n".into(),
+            ..zero_cell_at_depth(1)
+        };
+        let json = report.to_json();
+        let line = json.lines().nth(1).expect("the name's line");
+        assert_eq!(line, r#"  "scenario": "a \"b\" \\ \u000a","#);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! read/write file wraps one report per client count. Every report is
 //! simulated time only, so it comes out byte-identical on any machine.
 
-use crate::figures::{self, records_of, Scale};
+use crate::figures::{self, records_of, Figure, Scale, Trend};
 use crate::{org_label, Dataset, Mix, Scenario, WindowSweep};
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::DataSet;
@@ -57,8 +57,9 @@ pub fn io_latency() -> Scenario {
 
 /// Declustered storage: six databases share one workspace, queries
 /// round-robin over them, and every stripe policy spreads their regions
-/// over 1 – 8 arms. IOPS shows the throughput scaling, p95/p99 how
-/// declustering trims the queueing tail.
+/// over 1 – 8 arms. p95/p99 show how declustering trims the queueing
+/// tail: the p99 never rises as arms are added. The open arrivals fix
+/// the makespan, so the report carries no throughput column.
 pub fn decluster() -> Scenario {
     Scenario::new("decluster")
         .dataset(Dataset::grid(6000))
@@ -136,29 +137,75 @@ pub fn mixed_rw(clients: usize) -> Scenario {
         .seed(1994)
 }
 
+/// The claim of `BENCH_io_latency.json`, on the rows `cells` has: on one
+/// arm at queue depths 4, 8 and 16 the elevator's mean latency is below
+/// FCFS's. (On more arms it can read a fraction of a percent higher.)
+///
+/// # Panics
+///
+/// Panics naming the scenario, the cut and both means.
+pub fn assert_elevator_beats_fcfs(cells: &Figure) {
+    for key in cells.row_keys() {
+        let [org, stripe, "elevator", depth @ ("4" | "8" | "16"), "1"] = key[..] else {
+            continue;
+        };
+        let pair = [
+            format!("elevator / {depth} / 1"),
+            format!("fcfs / {depth} / 1"),
+        ];
+        cells
+            .down("mean_ms", &[org, stripe])
+            .assert_ordering(&[&pair[0], &pair[1]]);
+    }
+}
+
+/// The claim of the multi-arm grids: `p99_ms` is non-increasing in
+/// `arms` at every organization, stripe, policy and depth, up to float
+/// rounding (1e-9 ms: decluster has p99s equal to the 12th decimal).
+/// Rows of a grid point sit together, arms innermost.
+///
+/// # Panics
+///
+/// Panics naming the scenario, the grid point and both p99s.
+pub fn assert_p99_falls_with_arms(cells: &Figure) {
+    let mut points: Vec<Vec<&str>> = cells.row_keys().map(|key| key[..4].to_vec()).collect();
+    points.dedup();
+    for point in &points {
+        cells
+            .down("p99_ms", point)
+            .assert_monotone(Trend::Falling, 1e-9);
+    }
+}
+
 /// The text of the checked-in report `file`, one of [`FILES`]: its
-/// scenario run, its I/O books checked, its report rendered (or, for
-/// `BENCH_bulk_load.json`, both builds run and compared).
+/// scenario run, its I/O books and its claim checked, its report
+/// rendered (or, for `BENCH_bulk_load.json`, both builds run and
+/// compared).
 ///
 /// # Panics
 ///
 /// Panics on a name not in [`FILES`], when a run's I/O accounting
 /// does not balance
 /// ([`ScenarioReport::assert_stats_conserved`](crate::ScenarioReport::assert_stats_conserved)),
-/// and when the STR bulk load charges as much as the insertion build,
-/// depends on its thread count, answers differently or reads as many
-/// nodes.
+/// when a scenario breaks its claim ([`assert_elevator_beats_fcfs`],
+/// [`assert_p99_falls_with_arms`]), and when the STR bulk load charges
+/// as much as the insertion build, depends on its thread count, answers
+/// differently or reads as many nodes.
 pub fn render(file: &str) -> String {
-    let json = |scenario: Scenario| scenario.run().assert_stats_conserved().to_json();
+    let json = |scenario: Scenario, claim: fn(&Figure)| {
+        let report = scenario.run();
+        claim(&report.assert_stats_conserved().cells);
+        report.to_json()
+    };
     match file {
-        "BENCH_io_latency.json" => json(io_latency()),
-        "BENCH_decluster.json" => json(decluster()),
-        "BENCH_scenarios.json" => json(fig_like()),
+        "BENCH_io_latency.json" => json(io_latency(), assert_elevator_beats_fcfs),
+        "BENCH_decluster.json" => json(decluster(), assert_p99_falls_with_arms),
+        "BENCH_scenarios.json" => json(fig_like(), assert_p99_falls_with_arms),
         "BENCH_mixed_rw.json" => {
             let sweeps: Vec<String> = CLIENTS
                 .iter()
                 .map(|&clients| {
-                    let report = json(mixed_rw(clients));
+                    let report = json(mixed_rw(clients), assert_p99_falls_with_arms);
                     format!(
                         "  {{\"clients\": {clients}, \"report\": {}}}",
                         report.trim_end()
@@ -324,7 +371,54 @@ fn bulk_load() -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::render;
+    use super::*;
+
+    /// A figure keyed like a scenario's replay cells, with one metric.
+    fn cells(metric: &str, rows: &[([&str; 5], f64)]) -> Figure {
+        let mut fig = Figure::new(
+            "io_latency",
+            "doctored",
+            &["org", "stripe", "policy", "depth", "arms"],
+        )
+        .column(metric, "", 3);
+        for (key, v) in rows {
+            fig = fig.row(key, &[*v]);
+        }
+        fig
+    }
+
+    #[test]
+    #[should_panic(expected = "Fig. io_latency [cluster / round_robin / mean_ms]: \
+                               elevator / 8 / 1 151 !< fcfs / 8 / 1 150")]
+    fn an_elevator_slower_than_fcfs_is_refused() {
+        assert_elevator_beats_fcfs(&cells(
+            "mean_ms",
+            &[
+                (["cluster", "round_robin", "fcfs", "2", "1"], 100.0),
+                (["cluster", "round_robin", "elevator", "2", "1"], 120.0),
+                (["cluster", "round_robin", "fcfs", "8", "1"], 150.0),
+                (["cluster", "round_robin", "elevator", "8", "1"], 151.0),
+            ],
+        ));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Fig. io_latency [primary / mbr_locality / fcfs / 16 / p99_ms]: \
+                               not Falling from 2 80 to 4 80.5"
+    )]
+    fn a_tail_that_rises_with_arms_is_refused() {
+        assert_p99_falls_with_arms(&cells(
+            "p99_ms",
+            &[
+                (["primary", "mbr_locality", "elevator", "16", "1"], 90.0),
+                (["primary", "mbr_locality", "elevator", "16", "4"], 90.0),
+                (["primary", "mbr_locality", "fcfs", "16", "1"], 100.0),
+                (["primary", "mbr_locality", "fcfs", "16", "2"], 80.0),
+                (["primary", "mbr_locality", "fcfs", "16", "4"], 80.5),
+            ],
+        ));
+    }
 
     #[test]
     #[should_panic(expected = "unknown report \"BENCH_figures.json\" (valid: \

@@ -24,8 +24,11 @@
 //! ([`ScenarioReport::assert_matches_golden`]).
 
 use crate::dataset::Dataset;
+use crate::figures::Figure;
 use crate::mix::{run_mix, Mix};
-use crate::report::{summarize_latencies, Cell, Conservation, ScenarioReport};
+use crate::report::{
+    org_label, policy_label, quantile, stripe_label, Conservation, ScenarioReport,
+};
 use spatialdb::disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, QueryTrace,
 };
@@ -106,6 +109,40 @@ impl WindowSweep {
             })
             .collect()
     }
+}
+
+/// Whether a replay under `arrival` measures `column`. An open
+/// arrival's makespan is its last arrival time in every tracked grid,
+/// so it and the IOPS derived from it restate the schedule; a closed or
+/// burst replay has no spacing.
+fn measures(arrival: Arrival, column: &str) -> bool {
+    let open = matches!(arrival, Arrival::Open(_));
+    match column {
+        "inter_arrival_ms" => open,
+        "makespan_ms" | "iops" => !open,
+        _ => true,
+    }
+}
+
+/// What a phase measured: each metric's column name, print precision
+/// and value.
+pub(crate) type Metrics = Vec<(&'static str, usize, f64)>;
+
+/// A row of a scenario's figure: its key cells and what it measured.
+type Row = (Vec<String>, Metrics);
+
+/// Scenario `name`'s figure `what`, keyed by `keys`: every row measures
+/// the same metrics, so the first declares the columns.
+fn figure(name: &str, what: &str, keys: &[&'static str], rows: Vec<Row>) -> Figure {
+    let columns = rows.first().map_or(&[][..], |(_, metrics)| &metrics[..]);
+    let mut fig = columns.iter().fold(
+        Figure::new(name, format!("{name}: {what}"), keys),
+        |fig, &(column, digits, _)| fig.column(column, "", digits),
+    );
+    for (key, metrics) in rows {
+        fig.push(key, metrics.into_iter().map(|(.., v)| v).collect());
+    }
+    fig
 }
 
 /// A declarative experiment: build it fluently, then [`run`](Scenario::run).
@@ -229,10 +266,16 @@ impl Scenario {
         self
     }
 
-    /// Arrival discipline of the replay (default: burst).
+    /// Arrival discipline of the replay (default: burst), checked as
+    /// [`Arrival::open`] and [`Arrival::closed`] check it: a positive
+    /// load, at least one client, a non-negative think time.
     #[must_use]
     pub fn arrivals(mut self, arrival: Arrival) -> Self {
-        self.arrival = arrival;
+        self.arrival = match arrival {
+            Arrival::Open(load) => Arrival::open(load),
+            Arrival::Closed { clients, think_ms } => Arrival::closed(clients, think_ms),
+            Arrival::Burst => Arrival::Burst,
+        };
         self
     }
 
@@ -315,17 +358,9 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("scenario '{}': invalid engine config: {e}", self.name));
         let windows = self.windows.generate();
         let per_db = self.per_db();
-
-        let mut report = ScenarioReport {
-            name: self.name.clone(),
-            objects: per_db * self.databases as u64,
-            queries: windows.len(),
-            databases: self.databases,
-            cells: Vec::new(),
-            conservation: Vec::new(),
-            mixes: Vec::new(),
-            mix_conservation: Vec::new(),
-        };
+        let mut cells = Vec::new();
+        let mut mixes = Vec::new();
+        let mut conservation = Vec::new();
 
         for &kind in &self.organizations {
             let ws = Workspace::from_config(self.engine);
@@ -337,18 +372,24 @@ impl Scenario {
                 for &depth in &self.depths {
                     for &policy in &self.policies {
                         for &arms in &self.arms_grid {
-                            let (cell, conservation) = self.run_cell(
-                                &ws, &mut dbs, &windows, kind, depth, policy, arms, stripe,
-                            );
-                            report.cells.push(cell);
-                            report.conservation.push(conservation);
+                            let (metrics, books) =
+                                self.run_cell(&ws, &mut dbs, &windows, depth, policy, arms, stripe);
+                            let key = [
+                                org_label(kind),
+                                stripe_label(stripe),
+                                policy_label(policy),
+                                &depth.to_string(),
+                                &arms.to_string(),
+                            ];
+                            conservation.push((format!("cell {}", key.join(" / ")), books));
+                            cells.push((key.map(String::from).to_vec(), metrics));
                         }
                     }
                 }
             }
 
             if let Some(mix) = &self.mix {
-                let (mut outcome, conservation) = run_mix(
+                let (row, books) = run_mix(
                     &ws,
                     &mut dbs,
                     mix,
@@ -357,12 +398,21 @@ impl Scenario {
                     self.seed,
                     per_db,
                 );
-                outcome.org = Some(kind);
-                report.mixes.push(outcome);
-                report.mix_conservation.push(conservation);
+                let org = org_label(kind);
+                mixes.push((vec![org.to_string()], row));
+                conservation.push((format!("mix stream on {org}"), books));
             }
         }
-        report
+        let keys = ["org", "stripe", "policy", "depth", "arms"];
+        ScenarioReport {
+            cells: figure(&self.name, "replay cells", &keys, cells),
+            mix: figure(&self.name, "mixed streams", &["org"], mixes),
+            name: self.name,
+            objects: per_db * self.databases as u64,
+            queries: windows.len(),
+            databases: self.databases,
+            conservation,
+        }
     }
 
     /// Objects loaded into each database: the dataset split evenly, the
@@ -390,19 +440,19 @@ impl Scenario {
     /// the filter pass capturing each window's requests
     /// ([`window_query_traced`](spatialdb::SpatialStore::window_query_traced),
     /// trace-identical every time), and replay the traces through the
-    /// arm array.
+    /// arm array. Returns the metrics the arrival decides
+    /// ([`measures`]), each with its print precision.
     #[allow(clippy::too_many_arguments)]
     fn run_cell(
         &self,
         ws: &Workspace,
         dbs: &mut [SpatialDatabase],
         windows: &[Rect],
-        kind: OrganizationKind,
         depth: usize,
         policy: ArmPolicy,
         arms: usize,
         stripe: StripePolicy,
-    ) -> (Cell, Conservation) {
+    ) -> (Metrics, Conservation) {
         for db in dbs.iter_mut() {
             db.store_mut().begin_query();
         }
@@ -462,7 +512,8 @@ impl Scenario {
             service += lat.service_ms;
             requests += lat.requests;
         }
-        let summary = summarize_latencies(&mut latencies);
+        latencies.sort_by(f64::total_cmp);
+        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
         let busy_arms = arm_stats.iter().filter(|a| a.serviced > 0).count();
         let max_util = arm_stats
             .iter()
@@ -473,26 +524,28 @@ impl Scenario {
         } else {
             0.0
         };
-        let cell = Cell {
-            org: kind,
-            depth,
-            policy,
-            arms,
-            stripe,
-            latency: summary,
-            makespan_ms: makespan,
-            service_ms: service,
-            requests,
-            busy_arms,
-            max_util,
-            iops,
-            inter_arrival_ms,
-        };
+        let metrics = [
+            ("inter_arrival_ms", 4, inter_arrival_ms),
+            ("p50_ms", 3, quantile(&latencies, 0.50)),
+            ("p95_ms", 3, quantile(&latencies, 0.95)),
+            ("p99_ms", 3, quantile(&latencies, 0.99)),
+            ("mean_ms", 3, mean),
+            ("makespan_ms", 3, makespan),
+            ("service_ms", 3, service),
+            ("iops", 2, iops),
+            ("busy_arms", 0, busy_arms as f64),
+            ("max_util", 3, max_util),
+            ("requests", 0, requests as f64),
+        ];
+        let measured = metrics
+            .into_iter()
+            .filter(|(column, ..)| measures(self.arrival, column))
+            .collect();
         let conservation = Conservation {
             attributed,
             global: disk.stats().since(&global_before),
         };
-        (cell, conservation)
+        (measured, conservation)
     }
 }
 
@@ -514,6 +567,25 @@ mod tests {
         let report = scenario.run();
         assert_eq!(report.objects, 999);
         assert!(report.to_json().contains("\"objects\": 999,"));
+    }
+
+    /// A load built from the public variant used to pass unchecked and
+    /// panic only inside the first cell, after the bulk load.
+    #[test]
+    #[should_panic(expected = "arrival load factor must be positive")]
+    fn an_open_arrival_at_zero_load_is_refused() {
+        let _ = Scenario::new("zero-load").arrivals(Arrival::Open(0.0));
+    }
+
+    /// A negative think time replayed each client's next query before
+    /// its previous one completed.
+    #[test]
+    #[should_panic(expected = "think time must be non-negative")]
+    fn a_closed_loop_with_negative_think_time_is_refused() {
+        let _ = Scenario::new("negative-think").arrivals(Arrival::Closed {
+            clients: 2,
+            think_ms: -5.0,
+        });
     }
 
     /// A side of 1 left `generate` no room to place the window: its

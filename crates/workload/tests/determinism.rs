@@ -45,14 +45,18 @@ fn report_is_byte_identical_across_thread_counts() {
     assert_eq!(serial.to_json(), parallel.to_json());
     // Sanity: the sweep actually covered the grid (3 orgs × 1 stripe ×
     // 2 depths × 2 policies × 2 arms) and ran the mixed streams.
-    assert_eq!(serial.cells().len(), 24);
-    assert_eq!(serial.mixes.len(), 3);
-    assert!(serial
-        .mixes
-        .iter()
-        .all(|m| { m.windows + m.points + m.joins + m.inserts + m.deletes == 32 }));
-    // The full op algebra is exercised: deletes actually ran.
-    assert!(serial.mixes.iter().all(|m| m.deletes > 0));
+    assert_eq!(serial.cells.row_keys().count(), 24);
+    assert_eq!(serial.mix.row_keys().count(), 3);
+    for org in ["secondary", "primary", "cluster"] {
+        let m = serial.mix.at(&[org]);
+        let ops: f64 = ["windows", "points", "joins", "inserts", "deletes"]
+            .iter()
+            .map(|kind| m.get(kind))
+            .sum();
+        assert_eq!(ops, 32.0, "{m}");
+        // The full op algebra is exercised: deletes actually ran.
+        assert!(m.get("deletes") > 0.0, "{m}");
+    }
 }
 
 #[test]

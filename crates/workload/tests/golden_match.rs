@@ -1,18 +1,20 @@
-//! Golden-file regression: the reports checked in at the repository
-//! root (`BENCH_io_latency.json`, `BENCH_decluster.json`,
-//! `BENCH_bulk_load.json`), re-derived from their declarations in
+//! Golden-file regression: the five reports checked in at the
+//! repository root, re-derived from their declarations in
 //! `spatialdb_workload::reports`, must reproduce the tracked files
 //! **byte for byte**. The `scenarios` binary writes the same text; CI
 //! runs it and `git diff`s the result.
 //!
-//! The fast tests sweep a subset of each grid (every generated row must
-//! be a line of the file, so a subset still verifies exactly); the
+//! The fast tests sweep a subset of the io_latency and decluster grids
+//! (every generated row must be a line of the file, so a subset still
+//! verifies exactly) and gate the subset with its report's claim; the
 //! `#[ignore]` tests render the full reports and compare the whole text,
 //! in release CI.
 
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{ArmPolicy, StripePolicy};
-use spatialdb_workload::reports::{decluster, io_latency, render};
+use spatialdb_workload::reports::{
+    assert_elevator_beats_fcfs, assert_p99_falls_with_arms, decluster, io_latency, render,
+};
 use std::path::PathBuf;
 
 /// A report tracked at the repository root.
@@ -42,24 +44,31 @@ fn io_latency_subset_matches_golden() {
     // No `sweep_arms` / `sweep_stripes`: the replay runs on the one
     // round-robin arm the golden rows were recorded on.
     assert!(report
-        .cells()
-        .iter()
-        .all(|c| c.arms == 1 && c.stripe == StripePolicy::RoundRobin));
-    report
-        .assert_stats_conserved()
-        .assert_matches_golden(tracked("BENCH_io_latency.json"));
+        .cells
+        .row_keys()
+        .all(|key| key[1] == "round_robin" && key[4] == "1"));
+    assert_elevator_beats_fcfs(
+        &report
+            .assert_stats_conserved()
+            .assert_matches_golden(tracked("BENCH_io_latency.json"))
+            .cells,
+    );
 }
 
 #[test]
 fn decluster_subset_matches_golden() {
-    decluster()
+    let report = decluster()
         .organizations(&[OrganizationKind::Secondary])
         .sweep_policies(&[ArmPolicy::Elevator])
         .sweep_arms(&[1, 4])
         .sweep_stripes(&[StripePolicy::RoundRobin])
-        .run()
-        .assert_stats_conserved()
-        .assert_matches_golden(tracked("BENCH_decluster.json"));
+        .run();
+    assert_p99_falls_with_arms(
+        &report
+            .assert_stats_conserved()
+            .assert_matches_golden(tracked("BENCH_decluster.json"))
+            .cells,
+    );
 }
 
 #[test]
@@ -72,6 +81,18 @@ fn io_latency_full_grid_matches_golden() {
 #[ignore = "full report grid; run in release (cargo test --release -- --ignored)"]
 fn decluster_full_grid_matches_golden() {
     assert_renders_tracked("BENCH_decluster.json");
+}
+
+#[test]
+#[ignore = "full report grid; run in release (cargo test --release -- --ignored)"]
+fn scenarios_full_grid_matches_golden() {
+    assert_renders_tracked("BENCH_scenarios.json");
+}
+
+#[test]
+#[ignore = "full report grid; run in release (cargo test --release -- --ignored)"]
+fn mixed_rw_full_grid_matches_golden() {
+    assert_renders_tracked("BENCH_mixed_rw.json");
 }
 
 #[test]

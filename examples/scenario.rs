@@ -5,7 +5,7 @@
 
 use spatialdb::disk::ArmPolicy;
 use spatialdb::{Arrival, EngineConfig};
-use spatialdb_workload::{org_label, policy_label, Dataset, Mix, Scenario, WindowSweep};
+use spatialdb_workload::{Dataset, Mix, Scenario, WindowSweep};
 
 fn main() {
     // One declaration, end to end: a seeded uniform dataset split over
@@ -38,29 +38,17 @@ fn main() {
         .assert_stats_conserved()
         .assert_p99_under_ms(1_000_000.0);
 
-    println!("cells (org × depth × policy, 4 arms each):");
-    for cell in report.cells() {
-        println!(
-            "  {:>9} depth {:2} {:>8}: p50 {:8.1} ms, p99 {:9.1} ms, {:6.1} iops",
-            org_label(cell.org),
-            cell.depth,
-            policy_label(cell.policy),
-            cell.latency.p50,
-            cell.latency.p99,
-            cell.iops
-        );
-    }
-    for m in &report.mixes {
-        println!(
-            "mix on {:>9}: {} windows, {} points, {} joins, {} inserts -> {} results",
-            m.org.map_or("?", org_label),
-            m.windows,
-            m.points,
-            m.joins,
-            m.inserts,
-            m.results
-        );
-    }
+    // The replay cells and the mix rows are two figures: print them as
+    // tables, or cut a row (`at`) or a column (`down`) to read or gate.
+    println!("{}\n{}", report.cells, report.mix);
+    let cell = report
+        .cells
+        .at(&["cluster", "round_robin", "elevator", "16", "4"]);
+    println!(
+        "{cell}: p99 {:.1} ms over {} requests",
+        cell.get("p99_ms"),
+        cell.get("requests")
+    );
 
     // The same scenario and seed render this report byte-identically
     // at any thread count; `to_json()` is the contract's witness.
