@@ -6,21 +6,42 @@
 //! join). The buffer determines which page accesses become disk requests;
 //! Figure 15 distinguishes the *read* operation (all transferred pages are
 //! allocated in the buffer, including bridged non-requested pages) from
-//! the *vector read* (only requested pages are kept).
+//! the *vector read* (only requested pages are kept) —
+//! [`TransferTechnique::Read`] and [`TransferTechnique::VectorRead`].
 
 use crate::model::{mix64, PageId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// How transferred pages enter the buffer (Figure 15).
+/// How one cluster unit is read (§6.2, Figures 15–16): the technique of
+/// [`ShardedPool::read_extent`](crate::shard::ShardedPool::read_extent).
+///
+/// Window queries (§5.4) read units with the same family: §5.4's
+/// *complete* is [`Complete`](TransferTechnique::Complete), its SLM
+/// schedule is [`Read`](TransferTechnique::Read), its optimum is
+/// [`Optimum`](TransferTechnique::Optimum).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReadMode {
-    /// Normal read: every transferred page — requested or bridged — is
-    /// allocated in the buffer.
-    Normal,
-    /// Vector read: only requested pages are stored; bridged pages are
-    /// transferred but dropped.
-    Vector,
+pub enum TransferTechnique {
+    /// Always read the complete cluster unit.
+    Complete,
+    /// SLM schedule over the wanted pages; only requested pages are kept
+    /// in the buffer (Figure 15 bottom).
+    VectorRead,
+    /// SLM schedule; all transferred pages are kept (Figure 15 top).
+    Read,
+    /// Optimum baseline of Figures 10 and 16: one seek + one latency per
+    /// cluster unit visit, transferring only the wanted pages.
+    Optimum,
+}
+
+impl TransferTechnique {
+    /// Whether the join's object transfer (a store's `fetch_for_join`)
+    /// reads the join's candidate set under this technique. *Complete*
+    /// transfers the whole cluster unit whatever else the join needs
+    /// from it, so its caller need not build the set.
+    pub fn reads_candidate_set(self) -> bool {
+        self != TransferTechnique::Complete
+    }
 }
 
 /// Seek accounting for multi-request reads.
@@ -378,11 +399,26 @@ impl ReadOutcome {
 }
 
 #[cfg(test)]
+impl LruBuffer {
+    /// The replacement list, MRU → LRU, walked link by link (the pinned
+    /// pages are off it).
+    pub(crate) fn listed(&self) -> Vec<PageId> {
+        let mut pages = Vec::new();
+        let mut cur = self.head;
+        while let Some(idx) = cur {
+            pages.push(self.nodes[idx].page);
+            cur = self.nodes[idx].next;
+        }
+        pages
+    }
+}
+
+#[cfg(test)]
 pub(crate) mod reference {
-    use super::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
+    use super::{LruBuffer, ReadOutcome, SeekPolicy, TransferTechnique};
     use crate::disk::DiskHandle;
     use crate::model::{runs_of, PageId, PageRun};
-    use crate::schedule::{slm_schedule, ScheduledRun};
+    use crate::schedule::{slm_gap_limit, slm_schedule, ScheduledRun};
     use crate::stats::IoKind;
 
     /// One LRU buffer bound to a disk behind `&mut self`: the single-lock
@@ -552,14 +588,15 @@ pub(crate) mod reference {
         /// Read the requested page offsets of `extent` with an SLM schedule
         /// bridging gaps of up to `max_gap` pages (§5.4.2). Already-buffered
         /// pages are excluded from the schedule. `mode` decides whether
-        /// bridged pages enter the buffer (Figure 15). The first issued
-        /// request pays the seek iff `initial_seek`.
+        /// bridged pages enter the buffer (Figure 15: *vector read* drops
+        /// them). The first issued request pays the seek iff
+        /// `initial_seek`.
         pub(crate) fn read_extent_slm(
             &mut self,
             extent: PageRun,
             requested_offsets: &[u64],
             max_gap: u64,
-            mode: ReadMode,
+            mode: TransferTechnique,
             initial_seek: bool,
         ) -> ReadOutcome {
             let mut out = ReadOutcome::default();
@@ -585,7 +622,7 @@ pub(crate) mod reference {
                 }
                 for off in run.start..run.start + run.len {
                     let requested = missing.binary_search(&off).is_ok();
-                    if mode == ReadMode::Vector && !requested {
+                    if mode == TransferTechnique::VectorRead && !requested {
                         continue;
                     }
                     let p = extent.page(off);
@@ -598,6 +635,58 @@ pub(crate) mod reference {
                 }
             }
             out
+        }
+
+        /// The unit read of [`ShardedPool::read_extent`] as the pool and
+        /// the cluster organization did it before that call existed, one
+        /// body per technique: *complete* is the resident check (touch
+        /// the wanted pages when all are buffered) in front of
+        /// [`read_full_extent`](BufferPool::read_full_extent); *read* and
+        /// *vector read* are [`read_extent_slm`](BufferPool::read_extent_slm)
+        /// with the disk's gap limit and a seek on the first request;
+        /// *optimum* probes without touching, charges one analytical
+        /// request for the missing pages and inserts them clean.
+        ///
+        /// [`ShardedPool::read_extent`]: crate::shard::ShardedPool::read_extent
+        pub(crate) fn read_extent(
+            &mut self,
+            extent: PageRun,
+            wanted: &[u64],
+            technique: TransferTechnique,
+        ) {
+            match technique {
+                TransferTechnique::Complete => {
+                    if wanted.iter().all(|&o| self.buf.contains(&extent.page(o))) {
+                        for &o in wanted {
+                            self.buf.touch(&extent.page(o));
+                        }
+                    } else {
+                        self.read_full_extent(extent);
+                    }
+                }
+                TransferTechnique::Read | TransferTechnique::VectorRead => {
+                    let gap = slm_gap_limit(&self.disk.params());
+                    self.read_extent_slm(extent, wanted, gap, technique, true);
+                }
+                TransferTechnique::Optimum => {
+                    let missing: Vec<u64> = wanted
+                        .iter()
+                        .copied()
+                        .filter(|&o| !self.buf.contains(&extent.page(o)))
+                        .collect();
+                    if !missing.is_empty() {
+                        let params = self.disk.params();
+                        let k = missing.len() as u64;
+                        let cost =
+                            params.seek_ms + params.latency_ms + params.transfer_ms * k as f64;
+                        self.disk.charge_raw(IoKind::Read, k, cost, true);
+                        for o in missing {
+                            let ev = self.buf.insert(extent.page(o), false);
+                            self.charge_evictions(ev);
+                        }
+                    }
+                }
+            }
         }
 
         /// Remove a page from the buffer without any accounting,
@@ -747,17 +836,6 @@ mod tests {
         }
     }
 
-    /// The buffer's replacement list, MRU → LRU, walked link by link.
-    fn listed_pages(b: &LruBuffer) -> Vec<PageId> {
-        let mut pages = Vec::new();
-        let mut cur = b.head;
-        while let Some(idx) = cur {
-            pages.push(b.nodes[idx].page);
-            cur = b.nodes[idx].next;
-        }
-        pages
-    }
-
     /// Pinned pages are off the replacement list; the victims, and with
     /// them every hit / miss and dirty write-back a pool derives from the
     /// buffer, must be the ones the walk past pinned pages chose.
@@ -813,7 +891,7 @@ mod tests {
                 // taken out, and the counters describe it.
                 let evictable: Vec<PageId> =
                     naive.pages.iter().filter(|e| !e.2).map(|e| e.0).collect();
-                assert_eq!(listed_pages(&buf), evictable, "{at}");
+                assert_eq!(buf.listed(), evictable, "{at}");
                 assert_eq!(
                     (buf.listed, buf.pinned),
                     (evictable.len(), buf.len() - evictable.len())
@@ -904,13 +982,13 @@ mod tests {
         let (disk, mut pool, r) = pool(64);
         let extent = PageRun::new(pg(r, 0), 12);
         // Requested offsets 0, 2, 3 with gap 1 bridged.
-        let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, ReadMode::Normal, true);
+        let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, TransferTechnique::Read, true);
         assert_eq!(out.requests, 1);
         assert_eq!(out.pages_transferred, 4);
         assert!(pool.buffer().contains(&pg(r, 1))); // bridged page kept
         pool.invalidate_all();
         disk.reset_stats();
-        let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, ReadMode::Vector, true);
+        let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, TransferTechnique::VectorRead, true);
         assert_eq!(out.pages_transferred, 4);
         assert!(!pool.buffer().contains(&pg(r, 1))); // bridged page dropped
         assert!(pool.buffer().contains(&pg(r, 3)));
@@ -922,7 +1000,7 @@ mod tests {
         let extent = PageRun::new(pg(r, 0), 12);
         pool.read_page(pg(r, 2));
         disk.reset_stats();
-        let out = pool.read_extent_slm(extent, &[0, 2, 4], 1, ReadMode::Normal, true);
+        let out = pool.read_extent_slm(extent, &[0, 2, 4], 1, TransferTechnique::Read, true);
         assert_eq!(out.buffer_hits, 1);
         // Missing offsets 0 and 4: gap of 3 > 1 → two requests.
         assert_eq!(out.requests, 2);

@@ -165,10 +165,12 @@ impl Disk {
 
     /// Charge an already-computed cost for a request of `pages` pages.
     ///
-    /// Used by the *optimum* baselines of Figures 10 and 16, which charge
-    /// exactly one seek and one latency per cluster unit plus the minimum
-    /// number of transfers — a cost that does not correspond to a real
-    /// run of consecutive pages.
+    /// Its one caller is the *optimum* technique of
+    /// [`ShardedPool::read_extent`](crate::shard::ShardedPool::read_extent)
+    /// — the baseline of Figures 10 and 16, which charges exactly one
+    /// seek and one latency per cluster unit plus the minimum number of
+    /// transfers, a cost that does not correspond to a real run of
+    /// consecutive pages.
     pub fn charge_raw(&self, kind: IoKind, pages: u64, cost_ms: f64, seeked: bool) {
         self.record(kind, pages, cost_ms, seeked);
     }

@@ -21,10 +21,13 @@
 //! * [`buddy`] — the buddy system of §5.3.1, including the *restricted*
 //!   variant with three buddy sizes used in Figure 7;
 //! * [`buffer`] — the LRU page buffer (dirty flags, pinning) and the
-//!   *vector read* / *normal read* distinction of Figure 15;
+//!   [`buffer::TransferTechnique`] a cluster unit is read with (§6.2):
+//!   *complete*, *read*, *vector read* — Figure 15's distinction, read
+//!   keeps bridged pages and vector read drops them — or *optimum*;
 //! * [`shard`] — the buffered I/O front-end: the [`shard::ShardedPool`]
 //!   of N page-hash shards, each its own lock and LRU list, under one
-//!   capacity budget, with write-back semantics;
+//!   capacity budget, with write-back semantics and one unit read
+//!   ([`shard::ShardedPool::read_extent`]) for all four techniques;
 //! * [`schedule`] — the SLM read schedules of \[SLM93\] (§5.4.2): one read
 //!   request bridges gaps of non-requested pages shorter than
 //!   `l = t_l/t_t − 1/2`;
@@ -84,7 +87,7 @@ pub use array::{
     StripePolicy,
 };
 pub use buddy::{BuddyAllocator, BuddyConfig};
-pub use buffer::{LruBuffer, ReadMode, SeekPolicy};
+pub use buffer::{LruBuffer, SeekPolicy, TransferTechnique};
 pub use disk::{Disk, DiskHandle};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
 pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};

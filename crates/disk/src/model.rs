@@ -113,7 +113,7 @@ impl PageRun {
     }
 
     /// Iterate over the pages of the run.
-    pub fn pages(&self) -> impl Iterator<Item = PageId> {
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + Clone {
         let region = self.start.region;
         (self.start.offset..self.end_offset()).map(move |o| PageId::new(region, o))
     }

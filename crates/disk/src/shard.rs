@@ -38,11 +38,11 @@
 //! is machine-checked in debug builds by [`lockdep`](crate::lockdep)
 //! (each shard is [`LockClass::Shard`]`(i)`).
 
-use crate::buffer::{LruBuffer, ReadMode, ReadOutcome, SeekPolicy};
+use crate::buffer::{LruBuffer, ReadOutcome, SeekPolicy, TransferTechnique};
 use crate::disk::DiskHandle;
 use crate::lockdep::{DepGuard, DepMutex, LockClass};
 use crate::model::{runs, runs_of, PageId, PageRun, RegionId};
-use crate::schedule::{slm_schedule, ScheduledRun};
+use crate::schedule::{slm_gap_limit, slm_schedule};
 use crate::stats::IoKind;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -256,6 +256,13 @@ impl ShardedPool {
         self.charge_evictions(ev);
     }
 
+    /// Add one classification of `accesses` requested pages, `hits` of
+    /// them served from the buffer.
+    fn count(&self, hits: u64, accesses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(accesses - hits, Ordering::Relaxed);
+    }
+
     /// Read a single page. Returns `true` on a buffer hit.
     pub fn read_page(&self, page: PageId) -> bool {
         if self.shard(&page).touch(&page) {
@@ -409,102 +416,137 @@ impl ShardedPool {
         }
     }
 
-    /// Read a complete extent (cluster unit) with one request, regardless
-    /// of how many of its pages are already buffered — the *complete*
-    /// technique of §5.4. All pages enter the buffer.
+    /// Touch `pages` in order and count each as a hit if **every** one
+    /// is buffered; otherwise do nothing. Returns whether they all were.
     ///
-    /// The caller should skip the call entirely when every *needed* page
-    /// is buffered; once any disk access is required, the whole unit is
-    /// transferred in one request.
-    pub fn read_full_extent(&self, extent: PageRun) -> ReadOutcome {
-        self.disk.charge(IoKind::Read, extent, false);
-        let mut out = ReadOutcome {
-            requests: 1,
-            pages_transferred: extent.len,
-            buffer_hits: 0,
-        };
-        if self.capacity() == 0 {
-            self.misses.fetch_add(extent.len, Ordering::Relaxed);
-            return out;
+    /// The all-or-nothing probe of the *complete* technique (see
+    /// [`read_extent`](ShardedPool::read_extent)), and the join's
+    /// "object already buffered" shortcut in front of a unit read.
+    pub fn touch_if_resident<I>(&self, pages: I) -> bool
+    where
+        I: IntoIterator<Item = PageId>,
+        I::IntoIter: Clone,
+    {
+        let pages = pages.into_iter();
+        if !pages.clone().all(|p| self.shard(&p).contains(&p)) {
+            return false;
         }
-        for p in extent.pages() {
-            if self.shard(&p).touch(&p) {
-                out.buffer_hits += 1;
-            } else {
-                self.insert_charged(p, false);
-            }
+        let mut touched = 0;
+        for p in pages {
+            self.shard(&p).touch(&p);
+            touched += 1;
         }
-        self.hits.fetch_add(out.buffer_hits, Ordering::Relaxed);
-        self.misses
-            .fetch_add(extent.len - out.buffer_hits, Ordering::Relaxed);
-        out
+        self.count(touched, touched);
+        true
     }
 
-    /// Read the requested page offsets of `extent` with an SLM schedule
-    /// bridging gaps of up to `max_gap` pages (§5.4.2). Already-buffered
-    /// pages are excluded from the schedule. `mode` decides whether
-    /// bridged pages enter the buffer (Figure 15). The first issued
-    /// request pays the seek iff `initial_seek`.
-    pub fn read_extent_slm(
+    /// Read the `wanted` page offsets of `extent` — one cluster unit;
+    /// the offsets sorted and deduplicated — with one of §6.2's transfer
+    /// techniques. The one place a unit read is planned, charged and
+    /// counted, for window queries (§5.4) and the join's object
+    /// transfer alike:
+    ///
+    /// * [`Complete`](TransferTechnique::Complete): when every wanted
+    ///   page is buffered, touch them in ascending order
+    ///   ([`touch_if_resident`](ShardedPool::touch_if_resident));
+    ///   otherwise transfer the whole extent with one request, and all
+    ///   of its pages enter the buffer. The decision is all-or-nothing,
+    ///   so the pages are probed before any is touched.
+    /// * [`Read`](TransferTechnique::Read) /
+    ///   [`VectorRead`](TransferTechnique::VectorRead): touch the wanted
+    ///   pages while classifying them, then read the missing ones with
+    ///   an \[SLM93\] schedule bridging gaps of up to
+    ///   [`slm_gap_limit`] pages of the disk's parameters (§5.4.2). The
+    ///   first request pays the seek, the later ones stay on the
+    ///   unit's cylinder (§5.4.3). *Read* keeps every transferred page
+    ///   in the buffer, *vector read* only the wanted ones (Figure 15).
+    /// * [`Optimum`](TransferTechnique::Optimum): probe without
+    ///   touching; one seek, one latency and one transfer per missing
+    ///   wanted page, charged analytically
+    ///   ([`Disk::charge_raw`](crate::disk::Disk::charge_raw), which no
+    ///   trace captures), and the missing pages enter the buffer.
+    ///
+    /// Dirty evictions are charged as they happen. Each wanted page is
+    /// classified hit or miss exactly once; a bridged page or a page of
+    /// the unit nobody wanted is never counted.
+    pub fn read_extent(
         &self,
         extent: PageRun,
-        requested_offsets: &[u64],
-        max_gap: u64,
-        mode: ReadMode,
-        initial_seek: bool,
+        wanted: &[u64],
+        technique: TransferTechnique,
     ) -> ReadOutcome {
+        debug_assert!(
+            wanted.windows(2).all(|w| w[0] < w[1]),
+            "wanted offsets must be sorted and distinct"
+        );
         let mut out = ReadOutcome::default();
-        let mut missing = Vec::with_capacity(requested_offsets.len());
-        for &o in requested_offsets {
-            debug_assert!(o < extent.len, "offset {o} outside extent");
+        if technique == TransferTechnique::Complete {
+            if self.touch_if_resident(wanted.iter().map(|&o| extent.page(o))) {
+                out.buffer_hits = wanted.len() as u64;
+                return out;
+            }
+            self.disk.charge(IoKind::Read, extent, false);
+            out.requests = 1;
+            out.pages_transferred = extent.len;
+            let mut wanted_left = wanted.iter().copied().peekable();
+            for (o, p) in (0..).zip(extent.pages()) {
+                let hit = self.shard(&p).touch(&p);
+                if !hit {
+                    self.insert_charged(p, false);
+                }
+                if wanted_left.next_if_eq(&o).is_some() && hit {
+                    out.buffer_hits += 1;
+                }
+            }
+            self.count(out.buffer_hits, wanted.len() as u64);
+            return out;
+        }
+        let mut missing = Vec::with_capacity(wanted.len());
+        for &o in wanted {
             let p = extent.page(o);
-            if self.shard(&p).touch(&p) {
+            let mut shard = self.shard(&p);
+            let resident = if technique == TransferTechnique::Optimum {
+                shard.contains(&p)
+            } else {
+                shard.touch(&p)
+            };
+            if resident {
                 out.buffer_hits += 1;
             } else {
                 missing.push(o);
             }
         }
-        self.hits.fetch_add(out.buffer_hits, Ordering::Relaxed);
-        self.misses
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        let schedule: Vec<ScheduledRun> = slm_schedule(&missing, max_gap);
-        for (i, run) in schedule.iter().enumerate() {
-            let skip = !(initial_seek && i == 0);
+        self.count(out.buffer_hits, wanted.len() as u64);
+        if technique == TransferTechnique::Optimum {
+            if !missing.is_empty() {
+                let params = self.disk.params();
+                let k = missing.len() as u64;
+                let cost = params.seek_ms + params.latency_ms + params.transfer_ms * k as f64;
+                self.disk.charge_raw(IoKind::Read, k, cost, true);
+                out.requests = 1;
+                out.pages_transferred = k;
+                for o in missing {
+                    self.insert_charged(extent.page(o), false);
+                }
+            }
+            return out;
+        }
+        let gap = slm_gap_limit(&self.disk.params());
+        for run in slm_schedule(&missing, gap) {
             let page_run = PageRun::new(extent.page(run.start), run.len);
-            self.disk.charge(IoKind::Read, page_run, skip);
+            self.disk.charge(IoKind::Read, page_run, out.requests > 0);
             out.requests += 1;
             out.pages_transferred += run.len;
-            if self.capacity() == 0 {
-                continue;
-            }
             for off in run.start..run.start + run.len {
-                let requested = missing.binary_search(&off).is_ok();
-                if mode == ReadMode::Vector && !requested {
+                if technique == TransferTechnique::VectorRead
+                    && missing.binary_search(&off).is_err()
+                {
                     continue;
                 }
                 self.insert_charged(extent.page(off), false);
             }
         }
         out
-    }
-
-    /// Insert a page as clean without charging a read (the *optimum*
-    /// baselines account their transfers via
-    /// [`Disk::charge_raw`](crate::disk::Disk::charge_raw)); dirty
-    /// evictions are still charged.
-    pub fn insert_clean(&self, page: PageId) {
-        self.insert_charged(page, false);
-    }
-
-    /// Touch a page (move to MRU) without any accounting. Returns
-    /// `true` if it was buffered.
-    pub fn touch_page(&self, page: &PageId) -> bool {
-        self.shard(page).touch(page)
-    }
-
-    /// `true` if the page is currently buffered.
-    pub fn contains_page(&self, page: &PageId) -> bool {
-        self.shard(page).contains(page)
     }
 
     /// Remove a page from the buffer without any accounting (node
@@ -724,6 +766,7 @@ mod tests {
         let mut reference = BufferPool::new(disk_a.clone(), 16);
         let sharded = ShardedPool::new(disk_b.clone(), 16);
         let mut rng = SmallRng::seed_from_u64(0x1994_1994_1994_1994);
+        let (mut unit_reads, mut all_resident) = ([0u32; 4], 0u32);
         for step in 0..4000u32 {
             let page = pg(0, rng.gen_range(0..64u64));
             match rng.gen_range(0..9u64) {
@@ -762,32 +805,17 @@ mod tests {
                         "step {step}"
                     );
                 }
-                6 => {
+                6..=7 => {
                     let extent =
-                        PageRun::new(pg(0, rng.gen_range(0..48u64)), 1 + rng.gen_range(0..12u64));
-                    assert_eq!(
-                        reference.read_full_extent(extent),
-                        sharded.read_full_extent(extent),
-                        "step {step}"
-                    );
-                }
-                7 => {
-                    let extent = PageRun::new(pg(0, rng.gen_range(0..40u64)), 16);
-                    let mut offsets: Vec<u64> = (0..1 + rng.gen_range(0..5u64))
-                        .map(|_| rng.gen_range(0..extent.len))
-                        .collect();
-                    offsets.sort_unstable();
-                    offsets.dedup();
-                    let mode = if rng.gen_bool(0.5) {
-                        ReadMode::Normal
-                    } else {
-                        ReadMode::Vector
-                    };
-                    assert_eq!(
-                        reference.read_extent_slm(extent, &offsets, 2, mode, true),
-                        sharded.read_extent_slm(extent, &offsets, 2, mode, true),
-                        "step {step}"
-                    );
+                        PageRun::new(pg(0, rng.gen_range(0..48u64)), 1 + rng.gen_range(0..16u64));
+                    let wanted = random_offsets(&mut rng, extent.len);
+                    let technique = TECHNIQUES[rng.gen_range(0..4u64) as usize];
+                    reference.read_extent(extent, &wanted, technique);
+                    let out = sharded.read_extent(extent, &wanted, technique);
+                    unit_reads[technique as usize] += 1;
+                    if technique == TransferTechnique::Complete && !out.issued_io() {
+                        all_resident += 1;
+                    }
                 }
                 _ => match rng.gen_range(0..4u64) {
                     0 => {
@@ -815,10 +843,76 @@ mod tests {
                 disk_b.stats(),
                 "stats diverged after step {step}"
             );
-            assert_eq!(reference.buffer().len(), sharded.len(), "step {step}");
+            let shard = sharded.shards[0].acquire();
+            assert_eq!(reference.buffer().listed(), shard.listed(), "step {step}");
+            assert_eq!(
+                reference.buffer().dirty_pages(),
+                shard.dirty_pages(),
+                "step {step}"
+            );
         }
-        // The sequence exercised real I/O, not a no-op loop.
+        // The sequence exercised real I/O, not a no-op loop, and every
+        // technique of the unit read, the all-resident *complete* path
+        // included.
         assert!(disk_a.stats().requests() > 1000);
+        assert!(unit_reads.iter().all(|&n| n > 50), "{unit_reads:?}");
+        assert!(all_resident > 0);
+    }
+
+    const TECHNIQUES: [TransferTechnique; 4] = [
+        TransferTechnique::Complete,
+        TransferTechnique::VectorRead,
+        TransferTechnique::Read,
+        TransferTechnique::Optimum,
+    ];
+
+    /// One to five distinct offsets below `len`, sorted.
+    fn random_offsets(rng: &mut SmallRng, len: u64) -> Vec<u64> {
+        let mut offsets: Vec<u64> = (0..1 + rng.gen_range(0..5u64))
+            .map(|_| rng.gen_range(0..len))
+            .collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        offsets
+    }
+
+    /// The counter contract of the unit read: one `read_extent` call
+    /// adds exactly `wanted.len()` to `hits() + misses()` — whatever
+    /// the technique, the residency, the budget and the shard count.
+    /// Neither a bridged page nor the rest of a completely transferred
+    /// unit is counted, and the buffer hits the call reports are the
+    /// hits it counted.
+    #[test]
+    fn read_extent_classifies_each_wanted_page_once() {
+        for shards in [1usize, 4] {
+            for cap in [0usize, 24] {
+                let disk = Disk::with_defaults();
+                let r = disk.create_region("units");
+                let pool = ShardedPool::with_shards(disk, cap, shards);
+                let mut rng = SmallRng::seed_from_u64(0x1994_0035 + (shards * 100 + cap) as u64);
+                for step in 0..3000u32 {
+                    let at = format!("{shards} shards, {cap} pages, step {step}");
+                    if rng.gen_bool(0.3) {
+                        pool.read_page(PageId::new(r, rng.gen_range(0..64u64)));
+                        continue;
+                    }
+                    let extent = PageRun::new(
+                        PageId::new(r, rng.gen_range(0..48u64)),
+                        1 + rng.gen_range(0..16u64),
+                    );
+                    let wanted = random_offsets(&mut rng, extent.len);
+                    let technique = TECHNIQUES[rng.gen_range(0..4u64) as usize];
+                    let (hits, misses) = (pool.hits(), pool.misses());
+                    let out = pool.read_extent(extent, &wanted, technique);
+                    assert_eq!(
+                        pool.hits() + pool.misses() - hits - misses,
+                        wanted.len() as u64,
+                        "{at}: {technique:?}"
+                    );
+                    assert_eq!(pool.hits() - hits, out.buffer_hits, "{at}: {technique:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -900,9 +994,7 @@ mod tests {
         let pool1 = ShardedPool::new(disk.clone(), 16);
         pool1.warm_pinned((0..8).map(|o| PageId::new(r, o)));
         assert_eq!(pool1.len(), 8);
-        for o in 0..8 {
-            assert!(pool1.contains_page(&PageId::new(r, o)));
-        }
+        assert!(pool1.touch_if_resident((0..8).map(|o| PageId::new(r, o))));
     }
 
     /// Concurrency invariant behind the single-lock-hold `update_page`:

@@ -23,7 +23,8 @@
 //!    decided by the shared LRU buffer, which is why Figures 14 and 16
 //!    sweep the buffer size. The cluster organization supports the
 //!    transfer techniques *complete*, *vector read*, *read* and
-//!    *optimum*.
+//!    *optimum* — the techniques of the pool's one unit read,
+//!    `ShardedPool::read_extent`, which window queries use too.
 //! 3. **Exact geometry test**: each candidate pair is tested on the
 //!    decomposed representations; the paper charges ≈ 0.75 msec of CPU
 //!    time per test, which [`pipeline`] reproduces.

@@ -9,9 +9,11 @@ use std::collections::HashSet;
 ///
 /// Each store decides how to honour the transfer `technique` via
 /// [`SpatialStore::fetch_for_join`]: the cluster organization batches
-/// whole cluster units or SLM schedules (§6.2); the secondary and
-/// primary organizations have a single natural access path and ignore
-/// it. Returns the I/O time in milliseconds.
+/// whole cluster units or SLM schedules (§6.2), one call of the pool's
+/// unit read ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
+/// per object it does not find buffered; the secondary and primary
+/// organizations have a single natural access path and ignore it.
+/// Returns the I/O time in milliseconds.
 pub fn transfer_objects(
     r_org: &dyn SpatialStore,
     s_org: &dyn SpatialStore,
@@ -20,9 +22,11 @@ pub fn transfer_objects(
 ) -> f64 {
     let disk = r_org.disk();
     let before = disk.local_stats();
-    // The join knows up front which objects it will need (the candidate
-    // set of the MBR join); cluster-unit transfers batch accordingly —
-    // unless the technique reads whole units whatever is needed.
+    // The join knows up front which objects it will need: the candidate
+    // set of the MBR join, built once and never pruned, so it still
+    // names candidates whose pairs were already processed. Cluster-unit
+    // transfers batch accordingly — unless the technique reads whole
+    // units whatever is needed.
     let (mut needed_r, mut needed_s) = (HashSet::new(), HashSet::new());
     if technique.reads_candidate_set() {
         needed_r = pairs.iter().map(|(a, _)| *a).collect();

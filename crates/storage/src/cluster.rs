@@ -26,15 +26,24 @@ use crate::packer::{BytePacker, Placement};
 use crate::store::{SpatialStore, StrPlan};
 use crate::table::ObjectTable;
 use spatialdb_disk::{
-    slm_gap_limit, BuddyAllocator, BuddyConfig, DiskHandle, IoKind, PageId, PageRun, ReadMode,
-    RegionId, SeekPolicy, PAGE_SIZE,
+    BuddyAllocator, BuddyConfig, DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy,
+    PAGE_SIZE,
 };
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{
     bulk, CowSlab, LeafEntry, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
     DEFAULT_STR_FILL,
 };
+use std::cell::RefCell;
 use std::collections::HashSet;
+
+thread_local! {
+    /// The calling thread's wanted offsets, taken for one
+    /// [`SpatialStore::fetch_for_join`] call and put back for the next:
+    /// the join fetches object after object, so its unit reads reuse one
+    /// buffer instead of allocating one per object.
+    static JOIN_WANTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Configuration of a [`ClusterOrganization`].
 #[derive(Clone, Debug)]
@@ -110,24 +119,19 @@ impl ClusterUnit {
         PageRun::new(self.extent.page(placement.first_page), placement.num_pages)
     }
 
-    /// Distinct page offsets of `oid` and of every member the join still
-    /// needs, sorted.
-    fn join_offsets(&self, oid: ObjectId, needed: &HashSet<ObjectId>) -> Vec<u64> {
-        let mut offsets: Vec<u64> = self
-            .members
-            .iter()
-            .filter(|(o, _)| *o == oid || needed.contains(o))
-            .flat_map(|(_, p)| p.page_offsets())
-            .collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        offsets
-    }
-
     /// Sum of pages over all members (for the `nop∅` average).
     fn member_pages_total(&self) -> u64 {
         self.members.iter().map(|(_, p)| p.num_pages).sum()
     }
+}
+
+/// The distinct page offsets (within their unit) of `placements`,
+/// sorted, into `offsets` (cleared first): the pages a unit read wants.
+fn wanted_offsets(placements: impl Iterator<Item = Placement>, offsets: &mut Vec<u64>) {
+    offsets.clear();
+    offsets.extend(placements.flat_map(|p| p.page_offsets()));
+    offsets.sort_unstable();
+    offsets.dedup();
 }
 
 /// What the organization records per object.
@@ -341,9 +345,12 @@ impl ClusterOrganization {
     }
 
     /// Transfer the qualifying objects of one cluster unit according to
-    /// the window-query technique. Returns nothing; all costs are charged
-    /// to the disk through the pool. `offsets` is scratch space reused
-    /// from unit to unit.
+    /// the window-query technique: §5.4's *complete*, SLM and optimum
+    /// are the pool's unit read under §6.2's *complete*, *read* and
+    /// *optimum*; the threshold picks *complete* at or above `T(c)` and
+    /// reads page by page below it. All costs are charged to the disk
+    /// through the pool. `offsets` is scratch space reused from unit to
+    /// unit.
     fn transfer_for_window(
         &self,
         leaf: NodeId,
@@ -354,10 +361,10 @@ impl ClusterOrganization {
     ) {
         let unit = self.unit(leaf);
         let used = unit.used_extent();
-        match technique {
-            WindowTechnique::Complete => {
-                self.read_complete_if_needed(leaf, hits);
-            }
+        let technique = match technique {
+            WindowTechnique::Complete => TransferTechnique::Complete,
+            WindowTechnique::Slm => TransferTechnique::Read,
+            WindowTechnique::Optimum => TransferTechnique::Optimum,
             WindowTechnique::Threshold => {
                 let region = self.tree.node(leaf).mbr();
                 let overlap = region.overlap_fraction(window);
@@ -367,73 +374,25 @@ impl ClusterOrganization {
                     self.avg_pages_per_object(),
                 );
                 if overlap >= t {
-                    self.read_complete_if_needed(leaf, hits);
+                    TransferTechnique::Complete
                 } else {
-                    self.read_page_by_page(leaf, hits);
+                    self.read_page_by_page(unit, hits);
+                    return;
                 }
             }
-            WindowTechnique::Slm => {
-                self.hit_offsets(leaf, hits, offsets);
-                let gap = slm_gap_limit(&self.disk.params());
-                self.pool
-                    .read_extent_slm(used, offsets, gap, ReadMode::Normal, true);
-            }
-            WindowTechnique::Optimum => {
-                // 1 seek + 1 latency per cluster unit + minimal transfers.
-                self.hit_offsets(leaf, hits, offsets);
-                let missing: Vec<u64> = offsets
-                    .iter()
-                    .copied()
-                    .filter(|&o| !self.pool.contains_page(&used.page(o)))
-                    .collect();
-                if !missing.is_empty() {
-                    let params = self.disk.params();
-                    let k = missing.len() as u64;
-                    let cost = params.seek_ms + params.latency_ms + params.transfer_ms * k as f64;
-                    self.disk.charge_raw(IoKind::Read, k, cost, true);
-                    for o in missing {
-                        self.pool.insert_clean(used.page(o));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Distinct page offsets (within the unit) of the hit objects,
-    /// sorted, into `offsets` (cleared first).
-    fn hit_offsets(&self, leaf: NodeId, hits: &[LeafEntry], offsets: &mut Vec<u64>) {
-        let unit = self.unit(leaf);
-        offsets.clear();
-        offsets.extend(
-            hits.iter()
-                .flat_map(|e| unit.placement(e.oid).page_offsets()),
-        );
-        offsets.sort_unstable();
-        offsets.dedup();
-    }
-
-    /// The simplest technique (§5.4): transfer the complete cluster unit
-    /// as soon as any qualifying object needs I/O.
-    fn read_complete_if_needed(&self, leaf: NodeId, hits: &[LeafEntry]) {
-        let unit = self.unit(leaf);
-        let needed = || hits.iter().flat_map(|e| unit.member_run(e.oid).pages());
-        if needed().all(|p| self.pool.contains_page(&p)) {
-            for p in needed() {
-                self.pool.touch_page(&p);
-            }
-        } else {
-            self.pool.read_full_extent(unit.used_extent());
-        }
+        };
+        wanted_offsets(hits.iter().map(|e| unit.placement(e.oid)), offsets);
+        self.pool.read_extent(used, offsets, technique);
     }
 
     /// Page-by-page, the threshold technique's below-threshold branch:
     /// one request per qualifying object, one seek per cluster unit
     /// (§5.4.1's `t_page` access pattern).
-    fn read_page_by_page(&self, leaf: NodeId, hits: &[LeafEntry]) {
+    fn read_page_by_page(&self, unit: &ClusterUnit, hits: &[LeafEntry]) {
         let mut seek_pending = true;
         for e in hits {
             let out = self.pool.read_run(
-                self.unit(leaf).member_run(e.oid),
+                unit.member_run(e.oid),
                 SeekPolicy::WithinCluster {
                     initial_seek: seek_pending,
                 },
@@ -442,121 +401,6 @@ impl ClusterOrganization {
                 seek_pending = false;
             }
         }
-    }
-
-    /// The join's object transfer (§6.2): fetch `oid`, batching the other
-    /// join-relevant objects of the same cluster unit according to the
-    /// technique. `needed` is the set of objects the join still requires.
-    pub fn fetch_for_join(
-        &self,
-        oid: ObjectId,
-        needed: &HashSet<ObjectId>,
-        technique: TransferTechnique,
-    ) {
-        let unit = self.unit(self.objects[oid].leaf);
-        let mine = unit.member_run(oid);
-        if mine.pages().all(|p| self.pool.contains_page(&p)) {
-            for p in mine.pages() {
-                self.pool.touch_page(&p);
-            }
-            return;
-        }
-        let used = unit.used_extent();
-        match technique {
-            TransferTechnique::Complete => {
-                self.pool.read_full_extent(used);
-            }
-            TransferTechnique::Read | TransferTechnique::VectorRead => {
-                let mode = if technique == TransferTechnique::Read {
-                    ReadMode::Normal
-                } else {
-                    ReadMode::Vector
-                };
-                let offsets = unit.join_offsets(oid, needed);
-                let gap = slm_gap_limit(&self.disk.params());
-                self.pool.read_extent_slm(used, &offsets, gap, mode, true);
-            }
-            TransferTechnique::Optimum => {
-                let offsets = unit.join_offsets(oid, needed);
-                let missing: Vec<u64> = offsets
-                    .into_iter()
-                    .filter(|&o| !self.pool.contains_page(&used.page(o)))
-                    .collect();
-                if !missing.is_empty() {
-                    let params = self.disk.params();
-                    let k = missing.len() as u64;
-                    let cost = params.seek_ms + params.latency_ms + params.transfer_ms * k as f64;
-                    self.disk.charge_raw(IoKind::Read, k, cost, true);
-                    for o in missing {
-                        self.pool.insert_clean(used.page(o));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Structural self-check: every object is in exactly one unit, units
-    /// correspond 1:1 to data pages, placements are within extents, and
-    /// unit payloads respect `Smax`.
-    pub fn check_consistency(&self) -> Result<(), String> {
-        let mut seen = HashSet::new();
-        for (leaf, unit) in self.units.iter() {
-            let leaf = NodeId(leaf as u32);
-            if !self.tree.contains_node(leaf) {
-                return Err(format!("unit {leaf} outlived its data page"));
-            }
-            let node = self.tree.node(leaf);
-            if !node.is_leaf() {
-                return Err(format!("unit attached to non-leaf {leaf}"));
-            }
-            let entries = node.leaf_entries();
-            if entries.len() != unit.members.len() {
-                return Err(format!(
-                    "data page {leaf} has {} entries but unit has {} members",
-                    entries.len(),
-                    unit.members.len()
-                ));
-            }
-            for e in entries {
-                if unit.members.binary_search_by_key(&e.oid, |m| m.0).is_err() {
-                    return Err(format!("entry {} missing from unit {leaf}", e.oid));
-                }
-                match self.objects.get(e.oid) {
-                    Some(slot) if slot.leaf == leaf && slot.size == e.payload => {}
-                    other => {
-                        return Err(format!(
-                            "object {} in unit {leaf} is recorded as {other:?}",
-                            e.oid
-                        ))
-                    }
-                }
-                if !seen.insert(e.oid) {
-                    return Err(format!("object {} in two units", e.oid));
-                }
-            }
-            if unit.used_pages() > unit.extent.len {
-                return Err(format!(
-                    "unit {leaf} uses {} pages but its buddy has {}",
-                    unit.used_pages(),
-                    unit.extent.len
-                ));
-            }
-            if unit.members.len() > 1 && unit.packer.used_bytes() > self.config.smax_bytes {
-                return Err(format!(
-                    "unit {leaf} holds {} bytes > Smax {}",
-                    unit.packer.used_bytes(),
-                    self.config.smax_bytes
-                ));
-            }
-        }
-        if seen.len() != self.objects.len() {
-            return Err(format!(
-                "{} objects stored but {} in units",
-                self.objects.len(),
-                seen.len()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -660,19 +504,99 @@ impl SpatialStore for ClusterOrganization {
         self.pool.read_run(run, SeekPolicy::PerRequest);
     }
 
+    /// The join's object transfer (§6.2): fetch `oid`, batching the
+    /// other candidates of its cluster unit according to the technique.
+    /// `needed` is the join's whole candidate set for this operand,
+    /// built once from the MBR join and never pruned, so *read*, *vector
+    /// read* and *optimum* also want the pages of candidates the join
+    /// has already processed; *complete* does not read it. An object
+    /// that is already buffered is only touched.
     fn fetch_for_join(
         &self,
         oid: ObjectId,
         needed: &HashSet<ObjectId>,
         technique: TransferTechnique,
     ) {
-        // The inherent method of the same name (cluster-unit batching).
-        ClusterOrganization::fetch_for_join(self, oid, needed, technique);
+        let unit = self.unit(self.objects[oid].leaf);
+        if self.pool.touch_if_resident(unit.member_run(oid).pages()) {
+            return;
+        }
+        let batch = technique.reads_candidate_set();
+        let mut wanted = JOIN_WANTED.take();
+        wanted_offsets(
+            unit.members
+                .iter()
+                .filter(|(o, _)| *o == oid || (batch && needed.contains(o)))
+                .map(|&(_, p)| p),
+            &mut wanted,
+        );
+        self.pool
+            .read_extent(unit.used_extent(), &wanted, technique);
+        JOIN_WANTED.set(wanted);
     }
 
+    /// Structural self-check: every object is in exactly one unit, units
+    /// correspond 1:1 to data pages, placements are within extents, and
+    /// unit payloads respect `Smax`.
     fn check_consistency(&self) -> Result<(), String> {
-        // The inherent method of the same name.
-        ClusterOrganization::check_consistency(self)
+        let mut seen = HashSet::new();
+        for (leaf, unit) in self.units.iter() {
+            let leaf = NodeId(leaf as u32);
+            if !self.tree.contains_node(leaf) {
+                return Err(format!("unit {leaf} outlived its data page"));
+            }
+            let node = self.tree.node(leaf);
+            if !node.is_leaf() {
+                return Err(format!("unit attached to non-leaf {leaf}"));
+            }
+            let entries = node.leaf_entries();
+            if entries.len() != unit.members.len() {
+                return Err(format!(
+                    "data page {leaf} has {} entries but unit has {} members",
+                    entries.len(),
+                    unit.members.len()
+                ));
+            }
+            for e in entries {
+                if unit.members.binary_search_by_key(&e.oid, |m| m.0).is_err() {
+                    return Err(format!("entry {} missing from unit {leaf}", e.oid));
+                }
+                match self.objects.get(e.oid) {
+                    Some(slot) if slot.leaf == leaf && slot.size == e.payload => {}
+                    other => {
+                        return Err(format!(
+                            "object {} in unit {leaf} is recorded as {other:?}",
+                            e.oid
+                        ))
+                    }
+                }
+                if !seen.insert(e.oid) {
+                    return Err(format!("object {} in two units", e.oid));
+                }
+            }
+            if unit.used_pages() > unit.extent.len {
+                return Err(format!(
+                    "unit {leaf} uses {} pages but its buddy has {}",
+                    unit.used_pages(),
+                    unit.extent.len
+                ));
+            }
+            if unit.members.len() > 1 && unit.packer.used_bytes() > self.config.smax_bytes {
+                return Err(format!(
+                    "unit {leaf} holds {} bytes > Smax {}",
+                    unit.packer.used_bytes(),
+                    self.config.smax_bytes
+                ));
+            }
+        }
+        if seen.len() != self.objects.len() {
+            return Err(format!(
+                "{} objects stored but {} in units",
+                self.objects.len(),
+                seen.len()
+            ));
+        }
+        Ok(())
     }
 
     fn occupied_pages(&self) -> u64 {

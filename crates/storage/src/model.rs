@@ -10,6 +10,11 @@ use spatialdb_disk::{DiskHandle, ShardedPool};
 use spatialdb_rtree::RStarTree;
 use std::sync::Arc;
 
+// The join's transfer technique (§6.2) is how the cluster organization
+// reads a unit, so it lives beside the one unit read,
+// `ShardedPool::read_extent`.
+pub use spatialdb_disk::TransferTechnique;
+
 /// A buffer pool shared between the components of one experiment
 /// (both maps of a join share one pool, as in §6.1).
 ///
@@ -48,33 +53,6 @@ pub enum WindowTechnique {
     /// The optimum baseline of Figure 10: one seek + one rotational delay
     /// per cluster unit plus the minimum number of page transfers.
     Optimum,
-}
-
-/// Technique for transferring objects during spatial-join processing
-/// (§6.2, Figures 15–16).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransferTechnique {
-    /// Always read the complete cluster unit.
-    Complete,
-    /// SLM schedule over the join-relevant objects; only requested pages
-    /// are kept in the buffer (Figure 15 bottom).
-    VectorRead,
-    /// SLM schedule; all transferred pages are kept (Figure 15 top).
-    Read,
-    /// Optimum baseline of Figure 16: one seek + one latency per cluster
-    /// unit visit, transferring only pages with queried data.
-    Optimum,
-}
-
-impl TransferTechnique {
-    /// Whether a store's
-    /// [`fetch_for_join`](crate::SpatialStore::fetch_for_join) reads the
-    /// join's candidate set under this technique. *Complete* transfers
-    /// the whole cluster unit whatever else the join needs from it, so
-    /// its caller need not build the set.
-    pub fn reads_candidate_set(self) -> bool {
-        self != TransferTechnique::Complete
-    }
 }
 
 /// Result of one query against an organization model.

@@ -144,9 +144,11 @@ pub trait SpatialStore: Send + Sync {
     /// [`PageRequest`] (via [`spatialdb_disk::Disk::traced`]).
     /// Replaying such traces through the disk array
     /// ([`spatialdb_disk::simulate_queries_striped`]) computes per-query
-    /// latency — the one way requests reach an arm. Analytical charges
-    /// ([`spatialdb_disk::Disk::charge_raw`], the *optimum* baselines)
-    /// have no physical page runs and are absent from the trace.
+    /// latency — the one way requests reach an arm. The *optimum*
+    /// technique of the pool's unit read
+    /// ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
+    /// charges an analytical cost with no physical page run, so it is
+    /// absent from the trace.
     fn window_query_traced(
         &self,
         window: &Rect,
@@ -181,9 +183,12 @@ pub trait SpatialStore: Send + Sync {
     /// join's object-transfer step for non-clustered stores).
     fn fetch_object(&self, oid: ObjectId);
 
-    /// The join's object transfer (§6.2): fetch `oid`, batching the
-    /// other join-relevant objects (`needed`) that live nearby according
-    /// to `technique`. `needed` is only filled in when
+    /// The join's object transfer (§6.2): fetch `oid`, batching other
+    /// candidates of the join (`needed`) that live nearby according to
+    /// `technique`. `needed` is the operand's whole candidate set, built
+    /// once from the MBR join's pairs and never pruned as objects are
+    /// fetched: it also names candidates the join has already
+    /// processed. It is only filled in when
     /// [`technique.reads_candidate_set()`](TransferTechnique::reads_candidate_set);
     /// an implementation must not read it otherwise.
     ///

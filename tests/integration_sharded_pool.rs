@@ -1,7 +1,8 @@
 //! Integration tests of the sharded buffer pool: the shard-equivalence
 //! matrix (1-shard pool ≡ the classic single-lock pool for every
 //! organization × window technique), the conservation invariants of
-//! N > 1 shards, and the panic-safety of the I/O tallies. (Concurrent
+//! N > 1 shards (for window queries and the join), and the panic-safety
+//! of the I/O tallies. (Concurrent
 //! filter steps on a 4-shard pool: `integration_parallel.rs`'s
 //! `concurrent_reads_are_exact`.)
 //!
@@ -14,6 +15,7 @@ use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::disk::IoStats;
 use spatialdb::storage::{QueryStats, WindowTechnique};
+use spatialdb::TransferTechnique;
 use spatialdb::{DbOptions, EngineConfig, OrganizationKind, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
@@ -102,57 +104,111 @@ fn one_shard_matrix_byte_identical_stats() {
 }
 
 /// N > 1 shards: exact answers and candidate sets never change, the
-/// capacity budget is conserved, and for backends whose page-access
-/// sequence does not depend on buffer contents (secondary and primary:
-/// plain `read_set`/`read_page` paths) the hit + miss classification
-/// count is conserved too — every requested-page access is classified
-/// exactly once, whatever the shard count.
+/// capacity budget is conserved, and so is the hit + miss count, for
+/// every organization × window technique: every requested-page access
+/// is classified exactly once, whatever the shard count. Which pages a
+/// query requests does not depend on the buffer — the cluster
+/// organization's unit read (`ShardedPool::read_extent`) counts the
+/// pages a technique wants, never the bridged pages or the rest of a
+/// completely read unit, and counts them on its all-resident path too.
 #[test]
 fn multi_shard_conserves_answers_budget_and_access_counts() {
     let map = test_map();
     let queries = WindowQuerySet::generate(&map, 1e-2, 10, 5);
     for kind in ALL_KINDS {
-        let ws_one = Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES));
-        let mut db_one = load(&ws_one, kind, &map);
-        let base = run_workload(&mut db_one, &queries, WindowTechnique::Slm);
-        let base_accesses = ws_one.pool().hits() + ws_one.pool().misses();
+        for technique in ALL_TECHNIQUES {
+            let ws_one = Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES));
+            let mut db_one = load(&ws_one, kind, &map);
+            let base = run_workload(&mut db_one, &queries, technique);
+            let base_accesses = ws_one.pool().hits() + ws_one.pool().misses();
 
-        for shards in [2usize, 4] {
-            let ws = Workspace::from_config(
-                EngineConfig::default()
-                    .buffer_pages(BUFFER_PAGES)
-                    .shards(shards),
-            );
-            assert_eq!(ws.pool().num_shards(), shards);
-            let quota_total: usize = (0..shards).map(|i| ws.pool().shard_capacity(i)).sum();
-            assert_eq!(quota_total, BUFFER_PAGES, "budget conserved across quotas");
-
-            let mut db = load(&ws, kind, &map);
-            let run = run_workload(&mut db, &queries, WindowTechnique::Slm);
-            for (i, ((ids, stats, _), (base_ids, base_stats, _))) in
-                run.iter().zip(base.iter()).enumerate()
-            {
-                assert_eq!(ids, base_ids, "{kind:?} query {i}: answers changed");
-                assert_eq!(
-                    stats.candidates, base_stats.candidates,
-                    "{kind:?} query {i}: candidate set changed"
+            for shards in [2usize, 4] {
+                let at = format!("{kind:?}/{technique:?}/{shards} shards");
+                let ws = Workspace::from_config(
+                    EngineConfig::default()
+                        .buffer_pages(BUFFER_PAGES)
+                        .shards(shards),
                 );
-                assert_eq!(stats.result_bytes, base_stats.result_bytes);
-            }
-            // The pool never holds more pages than its budget.
-            assert!(ws.pool().len() <= BUFFER_PAGES);
-            if matches!(
-                kind,
-                OrganizationKind::Secondary | OrganizationKind::Primary
-            ) {
+                assert_eq!(ws.pool().num_shards(), shards);
+                let quota_total: usize = (0..shards).map(|i| ws.pool().shard_capacity(i)).sum();
+                assert_eq!(
+                    quota_total, BUFFER_PAGES,
+                    "{at}: budget conserved across quotas"
+                );
+
+                let mut db = load(&ws, kind, &map);
+                let run = run_workload(&mut db, &queries, technique);
+                for (i, ((ids, stats, _), (base_ids, base_stats, _))) in
+                    run.iter().zip(base.iter()).enumerate()
+                {
+                    assert_eq!(ids, base_ids, "{at} query {i}: answers changed");
+                    assert_eq!(
+                        stats.candidates, base_stats.candidates,
+                        "{at} query {i}: candidate set changed"
+                    );
+                    assert_eq!(stats.result_bytes, base_stats.result_bytes);
+                }
+                // The pool never holds more pages than its budget.
+                assert!(ws.pool().len() <= BUFFER_PAGES);
                 let accesses = ws.pool().hits() + ws.pool().misses();
                 assert_eq!(
                     accesses, base_accesses,
-                    "{kind:?}/{shards} shards: hit+miss count not conserved"
+                    "{at}: hit+miss count not conserved"
                 );
             }
         }
     }
+}
+
+/// The join's object transfer under the *complete* technique (the
+/// join's default) on cluster-organized A-1 ⋈ A-2, with a buffer small
+/// enough that the join evicts: the hit + miss count of the join is the
+/// same on 1, 2 and 4 shards. An object already buffered is counted as
+/// hits, and a unit read counts the object's pages, not the unit's.
+#[test]
+fn join_access_count_is_the_same_at_every_shard_count() {
+    const JOIN_BUFFER_PAGES: usize = 64;
+    let a2 = DataSet {
+        series: SeriesId::A,
+        map: MapId::Map2,
+    };
+    let left_map = SpatialMap::generate(a1(), 0.02, GeometryMode::Full, 42);
+    let right_map = SpatialMap::generate(a2, 0.02, GeometryMode::Full, 43);
+    let counts: Vec<(u64, u64)> = [1usize, 2, 4]
+        .into_iter()
+        .map(|shards| {
+            let ws = Workspace::from_config(
+                EngineConfig::default()
+                    .buffer_pages(JOIN_BUFFER_PAGES)
+                    .shards(shards),
+            );
+            let mut left = load(&ws, OrganizationKind::Cluster, &left_map);
+            let mut right = load(&ws, OrganizationKind::Cluster, &right_map);
+            left.store_mut().begin_query();
+            right.store_mut().begin_query();
+            let (hits, misses) = (ws.pool().hits(), ws.pool().misses());
+            let before = left.io_stats();
+            let cursor = left
+                .join(&right)
+                .transfer(TransferTechnique::Complete)
+                .run();
+            assert!(cursor.num_candidates() > 0, "{shards} shards: empty join");
+            drop(cursor);
+            let pages_read = left.io_stats().since(&before).pages_read;
+            assert!(
+                pages_read > 4 * JOIN_BUFFER_PAGES as u64,
+                "{shards} shards: the join must evict, but it read only {pages_read} pages \
+                 into a {JOIN_BUFFER_PAGES}-page buffer"
+            );
+            (ws.pool().hits() - hits, ws.pool().misses() - misses)
+        })
+        .collect();
+    eprintln!("join hits, misses on 1, 2, 4 shards: {counts:?}");
+    let accesses: Vec<u64> = counts.iter().map(|(h, m)| h + m).collect();
+    assert!(
+        accesses.iter().all(|&a| a == accesses[0]),
+        "hits + misses of the join on 1, 2, 4 shards: {counts:?}"
+    );
 }
 
 /// Panic-safety of the I/O tallies: a refinement worker that panics
