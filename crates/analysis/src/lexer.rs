@@ -11,8 +11,6 @@
 /// One source line, split into its analyzable channels.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
-    /// The original line, verbatim (allowlist substring matching).
-    pub raw: String,
     /// Code with comments removed and literal contents blanked (the
     /// delimiting quotes remain so tokens do not merge).
     pub code: String,
@@ -36,10 +34,7 @@ pub fn split_lines(source: &str) -> Vec<Line> {
     let mut out: Vec<Line> = Vec::new();
     let mut state = State::Normal;
     for raw in source.lines() {
-        let mut line = Line {
-            raw: raw.to_string(),
-            ..Line::default()
-        };
+        let mut line = Line::default();
         let b: Vec<char> = raw.chars().collect();
         let mut i = 0usize;
         while i < b.len() {

@@ -7,12 +7,12 @@
 //! HashSet-order placement flap, the flush-under-old-mapping double
 //! charge), so this crate machine-checks them: a hand-rolled lexer
 //! (no external dependencies — the workspace builds offline) feeds
-//! six line-level rules over every `crates/*/src` file.
+//! seven line-level rules over every `crates/*/src` file.
 //!
 //! Run it as `cargo run -p spatialdb-analysis --release -- crates/`;
 //! it exits nonzero with `file:line: [rule] message` diagnostics.
-//! Audited sites are silenced either in-source (`// lint: <waiver> —
-//! why`) or via an allowlist file (see [`Allowlist`]).
+//! Audited sites are silenced in-source, with a `// lint: <waiver> —
+//! why` comment on or above the flagged line.
 
 pub mod lexer;
 pub mod rules;
@@ -71,80 +71,6 @@ pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
-}
-
-/// An allowlist of audited sites, loaded from a text file.
-///
-/// Each non-comment line is `rule path-suffix substring…`: a finding is
-/// suppressed when its rule name matches, its file path ends with the
-/// suffix, and the *raw* flagged line contains the substring (so the
-/// entry pins to real code and goes stale loudly if the site changes).
-///
-/// ```text
-/// # rule      path-suffix                  line-substring
-/// hash-iter   storage/src/cluster.rs       self.members.values()
-/// ```
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, String, String)>,
-}
-
-impl Allowlist {
-    /// Parse an allowlist from file contents.
-    pub fn parse(text: &str) -> Allowlist {
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(3, char::is_whitespace);
-            let (Some(rule), Some(suffix), Some(substr)) =
-                (parts.next(), parts.next(), parts.next())
-            else {
-                continue;
-            };
-            entries.push((
-                rule.to_string(),
-                suffix.to_string(),
-                substr.trim().to_string(),
-            ));
-        }
-        Allowlist { entries }
-    }
-
-    /// Load from a path; a missing file is an empty allowlist.
-    pub fn load(path: &Path) -> Allowlist {
-        match fs::read_to_string(path) {
-            Ok(text) => Allowlist::parse(&text),
-            Err(_) => Allowlist::default(),
-        }
-    }
-
-    /// Whether `finding` (whose flagged raw line is `raw_line`) is an
-    /// audited site this allowlist suppresses.
-    pub fn allows(&self, finding: &Finding, raw_line: &str) -> bool {
-        let norm = finding.file.replace('\\', "/");
-        self.entries.iter().any(|(rule, suffix, substr)| {
-            rule == finding.rule.name() && norm.ends_with(suffix) && raw_line.contains(substr)
-        })
-    }
-}
-
-/// Analyze a tree and drop allowlisted findings. Returns the surviving
-/// findings, sorted.
-pub fn analyze_tree_with_allowlist(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>> {
-    let mut out = Vec::new();
-    for finding in analyze_tree(root)? {
-        let raw_line = fs::read_to_string(&finding.file)
-            .ok()
-            .and_then(|src| src.lines().nth(finding.line - 1).map(str::to_string))
-            .unwrap_or_default();
-        if !allow.allows(&finding, &raw_line) {
-            out.push(finding);
-        }
-    }
-    Ok(out)
 }
 
 /// Filter a `git diff --name-only` listing down to the analyzer's
@@ -231,28 +157,8 @@ mod tests {
         assert!(p.lock_helper_module);
         let p = Profile::for_path("crates/geom/src/rect.rs");
         assert!(!p.placement_critical);
-    }
-
-    #[test]
-    fn allowlist_matching() {
-        let allow = Allowlist::parse(
-            "# comment\n\nhash-iter storage/src/cluster.rs self.members.values()\n",
-        );
-        let f = Finding {
-            file: "crates/storage/src/cluster.rs".to_string(),
-            line: 108,
-            rule: Rule::HashIter,
-            message: String::new(),
-        };
-        assert!(allow.allows(
-            &f,
-            "        self.members.values().map(|p| p.num_pages).sum()"
-        ));
-        assert!(!allow.allows(&f, "        self.units.keys()"));
-        let g = Finding {
-            rule: Rule::WallClock,
-            ..f
-        };
-        assert!(!allow.allows(&g, "self.members.values()"));
+        assert!(Profile::for_path("crates/join/src/transfer.rs").read_path_guarded);
+        assert!(!Profile::for_path("crates/disk/src/shard.rs").read_path_guarded);
+        assert!(!Profile::for_path("crates/storage/tests/properties.rs").read_path_guarded);
     }
 }

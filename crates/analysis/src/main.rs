@@ -2,38 +2,29 @@
 //!
 //! ```text
 //! cargo run -p spatialdb-analysis --release -- crates/
-//! cargo run -p spatialdb-analysis --release -- --allowlist audit.txt crates/
 //! cargo run -p spatialdb-analysis --release -- --changed-since HEAD crates/
 //! ```
 //!
 //! `--changed-since REV` analyzes only the `.rs` files `git diff
 //! --name-only REV` reports under the given roots — the pre-commit /
 //! pull-request mode: seconds instead of a full-tree sweep, same
-//! rules, same allowlist.
+//! rules.
 //!
-//! Exits 0 when every analyzed file is clean (after allowlisting),
-//! 1 when any finding survives, 2 on usage or I/O errors.
+//! Exits 0 when every analyzed file is clean, 1 when any finding
+//! survives its waivers, 2 on usage or I/O errors.
 
-use spatialdb_analysis::{analyze_tree_with_allowlist, changed_sources, Allowlist};
+use spatialdb_analysis::{analyze_tree, changed_sources};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: spatialdb-analysis [--allowlist FILE] [--changed-since REV] PATH...";
+const USAGE: &str = "usage: spatialdb-analysis [--changed-since REV] PATH...";
 
 fn main() -> ExitCode {
     let mut roots: Vec<PathBuf> = Vec::new();
-    let mut allowlist_path: Option<PathBuf> = None;
     let mut changed_since: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--allowlist" => {
-                let Some(p) = args.next() else {
-                    eprintln!("error: --allowlist requires a path");
-                    return ExitCode::from(2);
-                };
-                allowlist_path = Some(PathBuf::from(p));
-            }
             "--changed-since" => {
                 let Some(rev) = args.next() else {
                     eprintln!("error: --changed-since requires a git revision");
@@ -52,26 +43,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-
-    // Default allowlist: `analysis-allowlist.txt` next to the first
-    // root, so `spatialdb-analysis crates/` picks up the repo's audited
-    // sites without extra flags.
-    let allow = match &allowlist_path {
-        Some(p) => {
-            if !p.is_file() {
-                eprintln!("error: allowlist {} not found", p.display());
-                return ExitCode::from(2);
-            }
-            Allowlist::load(p)
-        }
-        None => {
-            let default = roots[0]
-                .parent()
-                .unwrap_or(&roots[0])
-                .join("analysis-allowlist.txt");
-            Allowlist::load(&default)
-        }
-    };
 
     // In changed-since mode the roots become a scope filter and the
     // actual analysis units are the changed files themselves.
@@ -94,7 +65,7 @@ fn main() -> ExitCode {
 
     let mut total = 0usize;
     for root in &targets {
-        match analyze_tree_with_allowlist(root, &allow) {
+        match analyze_tree(root) {
             Ok(findings) => {
                 for f in &findings {
                     println!("{f}");
@@ -109,8 +80,8 @@ fn main() -> ExitCode {
     }
     if total > 0 {
         eprintln!(
-            "spatialdb-analysis: {total} finding(s); audited sites go in the \
-             allowlist or get a `// lint: <waiver>` comment"
+            "spatialdb-analysis: {total} finding(s); an audited site gets a \
+             `// lint: <waiver>` comment"
         );
         ExitCode::FAILURE
     } else {

@@ -1,4 +1,4 @@
-//! The six repo-specific invariant rules.
+//! The seven repo-specific invariant rules.
 //!
 //! Each rule is a line-level pattern over the lexer's code channel; the
 //! rules are deliberately lexical (no type information), so each one is
@@ -32,10 +32,15 @@ pub enum Rule {
     /// guard types, or an unpaired update leaks (blocking reclamation)
     /// or frees under a live reader.
     EpochPin,
+    /// `charge_raw` / `contains_page` in the storage, join or core
+    /// sources: a cluster unit is read, charged and counted in one
+    /// place, `ShardedPool::read_extent`, and a store that charges an
+    /// analytical cost or decides residency itself forks that read.
+    ReadPath,
 }
 
 impl Rule {
-    /// Stable rule name, used in diagnostics, waivers, and the allowlist.
+    /// Stable rule name, used in diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Rule::HashIter => "hash-iter",
@@ -44,6 +49,7 @@ impl Rule {
             Rule::RawLock => "raw-lock",
             Rule::LockOrder => "lock-order",
             Rule::EpochPin => "epoch-pin",
+            Rule::ReadPath => "read-path",
         }
     }
 
@@ -58,6 +64,7 @@ impl Rule {
             Rule::RawLock => "raw-lock-audited",
             Rule::LockOrder => "lock-order-audited",
             Rule::EpochPin => "epoch-pin-audited",
+            Rule::ReadPath => "read-path-audited",
         }
     }
 }
@@ -103,6 +110,9 @@ pub struct Profile {
     /// This file belongs to the epoch-reclamation crate, whose whole
     /// job is the raw pin accounting everyone else must not touch.
     pub epoch_manager_module: bool,
+    /// This file is a source of the storage, join or core crate, which
+    /// read cluster units only through the pool's one unit read.
+    pub read_path_guarded: bool,
 }
 
 impl Profile {
@@ -122,11 +132,13 @@ impl Profile {
             .map(|w| w[1].to_string())
             .unwrap_or_default();
         let file_name = norm.rsplit('/').next().unwrap_or(&norm);
+        let in_src = norm.contains(&format!("crates/{crate_name}/src/"));
         Profile {
             placement_critical: matches!(crate_name.as_str(), "disk" | "storage" | "rtree"),
             wall_clock_allowed: crate_name == "bench",
             lock_helper_module: file_name == "lockdep.rs",
             epoch_manager_module: crate_name == "epoch",
+            read_path_guarded: in_src && matches!(crate_name.as_str(), "storage" | "join" | "core"),
         }
     }
 
@@ -138,6 +150,7 @@ impl Profile {
             wall_clock_allowed: false,
             lock_helper_module: false,
             epoch_manager_module: false,
+            read_path_guarded: true,
         }
     }
 }
@@ -167,6 +180,9 @@ pub fn analyze_source(file: &str, source: &str, profile: Profile) -> Vec<Finding
     check_lock_order(file, &lines, &in_test, &mut findings);
     if !profile.epoch_manager_module {
         check_epoch_pin(file, &lines, &in_test, &mut findings);
+    }
+    if profile.read_path_guarded {
+        check_read_path(file, &lines, &mut findings);
     }
 
     findings
@@ -624,5 +640,36 @@ fn check_epoch_pin(file: &str, lines: &[Line], in_test: &[bool], findings: &mut 
                 ),
             });
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule 7: read-path
+// ---------------------------------------------------------------------
+
+/// Pool and disk entry points only the pool's unit read may call.
+const READ_PATH_FORKS: &[&str] = &["charge_raw", "contains_page"];
+
+fn check_read_path(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
+    for (i, line) in lines.iter().enumerate() {
+        let Some(what) = READ_PATH_FORKS
+            .iter()
+            .find(|name| line.code.contains(*name))
+        else {
+            continue;
+        };
+        if waived(lines, i, Rule::ReadPath) {
+            continue;
+        }
+        findings.push(Finding {
+            file: file.to_string(),
+            line: i + 1,
+            rule: Rule::ReadPath,
+            message: format!(
+                "`{what}` outside the pool — a cluster unit is read, charged and \
+                 counted in one place, `ShardedPool::read_extent`; a store that \
+                 charges an analytical cost or probes residency itself forks it"
+            ),
+        });
     }
 }

@@ -1,13 +1,13 @@
 //! Fixture suite: each deliberately-bad snippet under `tests/fixtures/`
 //! must trip exactly the rule it was written for, at the marked lines —
-//! and the real workspace (plus its allowlist) must come back clean.
+//! and the real workspace must come back clean.
 //!
 //! Markers inside a fixture: `// BAD` lines must be flagged by the
 //! fixture's rule, `// OK` lines must not. Other rules may fire
 //! elsewhere in a fixture (e.g. raw-lock inside the lock-order
 //! snippet); only the fixture's own rule is asserted line-by-line.
 
-use spatialdb_analysis::{analyze_source, analyze_tree_with_allowlist, Allowlist, Profile, Rule};
+use spatialdb_analysis::{analyze_source, analyze_tree, Profile, Rule};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -87,6 +87,11 @@ fn epoch_pin_fixture() {
     assert_rule_fires("epoch_pin.rs", Rule::EpochPin);
 }
 
+#[test]
+fn read_path_fixture() {
+    assert_rule_fires("read_path.rs", Rule::ReadPath);
+}
+
 /// The CLI must exit 1 (findings) on the fixture tree and name every
 /// rule in its diagnostics.
 #[test]
@@ -104,6 +109,7 @@ fn cli_exits_nonzero_on_fixtures() {
         "raw-lock",
         "lock-order",
         "epoch-pin",
+        "read-path",
     ] {
         assert!(
             stdout.contains(&format!("[{rule}]")),
@@ -122,6 +128,7 @@ fn cli_exits_nonzero_on_each_fixture() {
         "raw_lock.rs",
         "lock_order.rs",
         "epoch_pin.rs",
+        "read_path.rs",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_spatialdb-analysis"))
             .arg(fixture_path(name))
@@ -144,8 +151,7 @@ fn workspace_is_clean() {
         .nth(2)
         .unwrap()
         .to_path_buf();
-    let allow = Allowlist::load(&repo.join("analysis-allowlist.txt"));
-    let findings = analyze_tree_with_allowlist(&repo.join("crates"), &allow).unwrap();
+    let findings = analyze_tree(&repo.join("crates")).unwrap();
     assert!(
         findings.is_empty(),
         "workspace has unaudited findings:\n{}",

@@ -5,9 +5,11 @@
 //! `Workspace::bulk_load_par` on several:
 //!
 //! 1. **Check**: the store is empty and no object id repeats.
-//! 2. **Plan** (`&store`): [`SpatialStore::str_plan`] — one leaf entry
-//!    per record with the store's payload accounting, plus the tiling
-//!    capacities.
+//! 2. **Plan** (`&store`): one leaf entry per record, from the store's
+//!    [`SpatialStore::leaf_entry`] — the entry its `insert` would build,
+//!    payload accounting and refusals included — and the tiling
+//!    capacities of the store's tree configuration at
+//!    [`DEFAULT_STR_FILL`].
 //! 3. **Sort**: contiguous chunks of the entries are sorted on up to
 //!    `threads` threads and merged. The STR comparator is a total order
 //!    (unique object ids), so the merged sequence equals the sequential
@@ -28,8 +30,8 @@
 //! store stays empty.
 
 use crate::stream::map_chunks;
-use spatialdb_rtree::{bulk, LeafEntry, Tile};
-use spatialdb_storage::{ObjectRecord, SpatialStore, StrPlan};
+use spatialdb_rtree::{bulk, LeafEntry, Tile, TilingParams, DEFAULT_STR_FILL};
+use spatialdb_storage::{ObjectRecord, SpatialStore};
 use std::collections::HashSet;
 
 /// STR-bulk-load `records` into an empty `store`, sorting and tiling on
@@ -41,7 +43,9 @@ use std::collections::HashSet;
 /// # Panics
 ///
 /// Panics before anything is charged if the store is non-empty, an
-/// object id repeats, or a record has a non-finite MBR.
+/// object id repeats, the store refuses a record in
+/// [`SpatialStore::leaf_entry`] (the cluster organization's objects
+/// larger than `Smax`), or a record has a non-finite MBR.
 pub fn bulk_load_records_par(
     store: &mut dyn SpatialStore,
     records: &[ObjectRecord],
@@ -58,7 +62,8 @@ pub fn bulk_load_records_par(
         assert!(seen.insert(rec.oid), "object {} already stored", rec.oid.0);
     }
     drop(seen);
-    let StrPlan { entries, params } = store.str_plan(records);
+    let entries: Vec<LeafEntry> = records.iter().map(|r| store.leaf_entry(r)).collect();
+    let params = TilingParams::from_config(store.tree().config(), DEFAULT_STR_FILL);
 
     // One contiguous chunk per thread, sorted on it.
     let per = entries.len().div_ceil(threads.max(1)).max(1);

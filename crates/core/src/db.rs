@@ -130,10 +130,9 @@ impl DbOptions {
     }
 }
 
-/// One simulated machine: a disk and a shared buffer pool.
+/// One simulated machine: a disk and a shared buffer pool over it.
 #[derive(Debug)]
 pub struct Workspace {
-    disk: DiskHandle,
     pool: SharedPool,
 }
 
@@ -175,18 +174,17 @@ impl Workspace {
     /// panicking.
     pub fn try_from_config(config: EngineConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let disk = Disk::new(config.params);
         let pool = Arc::new(ShardedPool::with_shards(
-            disk.clone(),
+            Disk::new(config.params),
             config.buffer_pages,
             config.shards,
         ));
-        Ok(Workspace { disk, pool })
+        Ok(Workspace { pool })
     }
 
-    /// The simulated disk.
+    /// The simulated disk: the one under the [`pool`](Workspace::pool).
     pub fn disk(&self) -> DiskHandle {
-        self.disk.clone()
+        self.pool.disk().clone()
     }
 
     /// The shared buffer pool.
@@ -198,39 +196,18 @@ impl Workspace {
     /// models.
     pub fn create_database(&self, options: DbOptions) -> SpatialDatabase {
         let store: Box<dyn SpatialStore> = match options.organization {
-            OrganizationKind::Secondary => Box::new(SecondaryOrganization::new(
-                self.disk.clone(),
-                self.pool.clone(),
-            )),
-            OrganizationKind::Primary => Box::new(PrimaryOrganization::new(
-                self.disk.clone(),
-                self.pool.clone(),
-            )),
+            OrganizationKind::Secondary => Box::new(SecondaryOrganization::new(self.pool())),
+            OrganizationKind::Primary => Box::new(PrimaryOrganization::new(self.pool())),
             OrganizationKind::Cluster => {
                 let config = if options.restricted_buddy {
                     ClusterConfig::restricted_buddy(options.smax_bytes)
                 } else {
                     ClusterConfig::plain(options.smax_bytes)
                 };
-                Box::new(ClusterOrganization::new(
-                    self.disk.clone(),
-                    self.pool.clone(),
-                    config,
-                ))
+                Box::new(ClusterOrganization::new(self.pool(), config))
             }
         };
         SpatialDatabase::from_parts(store, options.technique)
-    }
-
-    /// [`run_batch`](Workspace::run_batch)'s membership check: a query's
-    /// store must be built on this workspace's disk.
-    fn assert_same_workspace(&self, queries: &[Query<'_>]) {
-        for (i, q) in queries.iter().enumerate() {
-            assert!(
-                std::sync::Arc::ptr_eq(&q.db.store().disk(), &self.disk),
-                "query {i} targets a database of another workspace"
-            );
-        }
     }
 
     /// Execute a batch of independent window/point queries under an
@@ -280,11 +257,16 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics if a query targets a database of another workspace (its
-    /// store is not built on this workspace's disk), and propagates the
+    /// store is not built on this workspace's pool), and propagates the
     /// panic of a query that cannot execute (no target set, a
     /// filter-only record to refine).
     pub fn run_batch(&self, queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> StreamOutcome {
-        self.assert_same_workspace(&queries);
+        for (i, q) in queries.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&q.db.store().pool(), &self.pool),
+                "query {i} targets a database of another workspace"
+            );
+        }
         let reads = queries.into_iter().map(Op::Read).collect();
         stream::execute(reads, plan.into().threads)
     }
@@ -310,7 +292,7 @@ impl Workspace {
         threads: usize,
     ) {
         assert!(
-            std::sync::Arc::ptr_eq(&db.store().disk(), &self.disk),
+            Arc::ptr_eq(&db.store().pool(), &self.pool),
             "database belongs to another workspace"
         );
         db.bulk_load_on(objects, threads);
@@ -319,9 +301,11 @@ impl Workspace {
     /// Create a database on a caller-supplied [`SpatialStore`] backend —
     /// the extension point for organizations beyond the paper's three.
     ///
-    /// The store should be built on this workspace's
-    /// [`disk`](Workspace::disk) and [`pool`](Workspace::pool) so it can
-    /// take part in joins. Note the trait's one structural requirement:
+    /// The store must be built on this workspace's
+    /// [`pool`](Workspace::pool) (and so charge its
+    /// [`disk`](Workspace::disk)): its queries are then measured on this
+    /// machine, and it can take part in joins, batches and parallel bulk
+    /// loads. Note the trait's one structural requirement:
     /// every backend embeds an R\*-tree over the object MBRs as its
     /// filter index (see the `spatialdb_storage::store` docs) — what a
     /// backend is free to reinvent is the layout of the exact
@@ -333,11 +317,10 @@ impl Workspace {
     ///
     /// ```
     /// use spatialdb::storage::{
-    ///     MemoryStore, ObjectRecord, QueryStats, SharedPool, SpatialStore, WindowTechnique,
+    ///     MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique,
     /// };
     /// use spatialdb::geom::{Point, Polyline, Rect};
     /// use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
-    /// use spatialdb::disk::DiskHandle;
     /// use spatialdb::Workspace;
     ///
     /// /// A custom backend: here it simply wraps the in-memory baseline,
@@ -359,13 +342,14 @@ impl Workspace {
     ///         self.0.delete(oid)
     ///     }
     ///     // The one read method: the filter step, handing back its
-    ///     // candidates. Point queries default to a degenerate window.
+    ///     // candidates and returning their bytes (the caller measures
+    ///     // the I/O). Point queries default to a degenerate window.
     ///     fn window_query_into(
     ///         &self,
     ///         w: &Rect,
     ///         t: WindowTechnique,
     ///         out: &mut Vec<LeafEntry>,
-    ///     ) -> QueryStats {
+    ///     ) -> u64 {
     ///         self.0.window_query_into(w, t, out)
     ///     }
     ///     fn fetch_object(&self, oid: ObjectId) {
@@ -380,9 +364,6 @@ impl Workspace {
     ///     fn contains(&self, oid: ObjectId) -> bool {
     ///         self.0.contains(oid)
     ///     }
-    ///     fn disk(&self) -> DiskHandle {
-    ///         self.0.disk()
-    ///     }
     ///     fn pool(&self) -> SharedPool {
     ///         self.0.pool()
     ///     }
@@ -395,14 +376,11 @@ impl Workspace {
     ///     fn begin_query(&mut self) {
     ///         self.0.begin_query()
     ///     }
-    ///     fn object_size(&self, oid: ObjectId) -> u32 {
-    ///         self.0.object_size(oid)
-    ///     }
     /// }
     ///
     /// // Register the custom store and use it like any other database.
     /// let ws = Workspace::new(128);
-    /// let store = GridFileStore(MemoryStore::new(ws.disk(), ws.pool()));
+    /// let store = GridFileStore(MemoryStore::new(ws.pool()));
     /// let mut db = ws.create_database_with(Box::new(store));
     /// db.insert(7, Polyline::new(vec![Point::new(0.1, 0.1), Point::new(0.2, 0.2)]));
     /// db.finish_loading();
@@ -411,7 +389,17 @@ impl Workspace {
     /// assert_eq!(db.query().point(Point::new(0.1, 0.1)).run().ids(), vec![7]);
     /// assert_eq!(db.store_name(), "grid file");
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is built on another pool than this
+    /// workspace's: its queries would charge another machine's disk.
     pub fn create_database_with(&self, store: Box<dyn SpatialStore>) -> SpatialDatabase {
+        assert!(
+            Arc::ptr_eq(&store.pool(), &self.pool),
+            "store {:?} is built on another workspace's pool",
+            store.name()
+        );
         SpatialDatabase::from_parts(store, WindowTechnique::Slm)
     }
 }
@@ -1161,7 +1149,7 @@ mod tests {
     #[test]
     fn custom_store_backs_a_database() {
         let ws = Workspace::new(64);
-        let store = MemoryStore::new(ws.disk(), ws.pool());
+        let store = MemoryStore::new(ws.pool());
         let mut db = ws.create_database_with(Box::new(store));
         assert_eq!(db.store_name(), "memory");
         for i in 0..20u64 {
@@ -1171,5 +1159,15 @@ mod tests {
         let hits = db.query().window(Rect::new(0.0, 0.0, 1.0, 1.0)).run();
         assert_eq!(hits.stats().io_ms, 0.0, "memory store charges no I/O");
         assert_eq!(hits.ids().len(), 20);
+    }
+
+    /// A store on another workspace's pool would charge that machine's
+    /// disk, out of this workspace's sight: refused at entry, not at its
+    /// first batch, bulk load or join.
+    #[test]
+    #[should_panic(expected = "built on another workspace's pool")]
+    fn a_store_on_another_workspace_pool_is_refused() {
+        let (ws, other) = (Workspace::new(64), Workspace::new(64));
+        let _ = ws.create_database_with(Box::new(MemoryStore::new(other.pool())));
     }
 }

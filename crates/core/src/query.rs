@@ -301,14 +301,21 @@ impl<'a> Query<'a> {
         // — even if writers publish in between.
         let root = self.db.store();
         // Deltas against the calling thread's I/O tally: this query's
-        // cost alone, even while other threads query concurrently.
+        // cost alone, even while other threads query concurrently. The
+        // store measures nothing; this one delta is both the cursor's
+        // `io_stats()` and its `stats().io_ms`.
         let disk = root.disk();
         let io_before = disk.local_stats();
-        let stats = match &target {
+        let result_bytes = match &target {
             Target::Window(w) => root.window_query_into(w, technique, scratch),
             Target::Point(p) => root.point_query_into(p, scratch),
         };
         let io = disk.local_stats().since(&io_before);
+        let stats = QueryStats {
+            candidates: scratch.len(),
+            result_bytes,
+            io_ms: io.io_ms,
+        };
         let candidate = |e: &LeafEntry| Candidate {
             id: e.oid.0,
             decided: target.decides(e),

@@ -53,8 +53,8 @@ impl JoinStats {
     }
 }
 
-/// A spatial join between two [`SpatialStore`] backends sharing one disk
-/// and one buffer pool.
+/// A spatial join between two [`SpatialStore`] backends sharing one
+/// buffer pool (and with it the disk under the pool).
 ///
 /// Joins are pure reads: the operands are borrowed immutably, all I/O
 /// state lives behind the shared pool/disk locks.
@@ -74,21 +74,17 @@ impl std::fmt::Debug for SpatialJoin<'_> {
 }
 
 impl<'a> SpatialJoin<'a> {
-    /// Prepare a join. Both stores must live on the same disk and share
-    /// the same buffer pool (the paper's joins run on one machine with
-    /// one buffer).
+    /// Prepare a join. Both stores must share the same buffer pool (the
+    /// paper's joins run on one machine with one buffer); a store is
+    /// built on one pool, so they then charge one disk.
     ///
     /// # Panics
     ///
-    /// Panics if the stores do not share disk and pool.
+    /// Panics if the stores do not share one pool.
     pub fn new(r: &'a dyn SpatialStore, s: &'a dyn SpatialStore) -> Self {
         assert!(
             std::sync::Arc::ptr_eq(&r.pool(), &s.pool()),
             "join operands must share one buffer pool"
-        );
-        assert!(
-            std::sync::Arc::ptr_eq(&r.disk(), &s.disk()),
-            "join operands must share one disk"
         );
         SpatialJoin { r, s }
     }
@@ -150,17 +146,15 @@ mod tests {
     type Store = Box<dyn SpatialStore>;
 
     fn build_pair(buffer: usize, cluster: bool) -> (Store, Store, SharedPool) {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), buffer);
+        let pool = new_shared_pool(Disk::with_defaults(), buffer);
         let empty = || -> Store {
             if cluster {
                 Box::new(ClusterOrganization::new(
-                    disk.clone(),
                     pool.clone(),
                     ClusterConfig::plain(16 * 1024),
                 ))
             } else {
-                Box::new(SecondaryOrganization::new(disk.clone(), pool.clone()))
+                Box::new(SecondaryOrganization::new(pool.clone()))
             }
         };
         let (mut r, mut s) = (empty(), empty());
@@ -225,10 +219,8 @@ mod tests {
     #[should_panic(expected = "share one buffer pool")]
     fn rejects_distinct_pools() {
         let disk = Disk::with_defaults();
-        let pool_a = new_shared_pool(disk.clone(), 64);
-        let pool_b = new_shared_pool(disk.clone(), 64);
-        let a = SecondaryOrganization::new(disk.clone(), pool_a);
-        let b = SecondaryOrganization::new(disk, pool_b);
+        let a = SecondaryOrganization::new(new_shared_pool(disk.clone(), 64));
+        let b = SecondaryOrganization::new(new_shared_pool(disk, 64));
         let _ = SpatialJoin::new(&a, &b);
     }
 }

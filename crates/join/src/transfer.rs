@@ -65,11 +65,9 @@ mod tests {
         SecondaryOrganization,
         Vec<(ObjectId, ObjectId)>,
     ) {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), buffer_pages);
-        let mut r =
-            ClusterOrganization::new(disk.clone(), pool.clone(), ClusterConfig::plain(16 * 1024));
-        let mut s = SecondaryOrganization::new(disk.clone(), pool);
+        let pool = new_shared_pool(Disk::with_defaults(), buffer_pages);
+        let mut r = ClusterOrganization::new(pool.clone(), ClusterConfig::plain(16 * 1024));
+        let mut s = SecondaryOrganization::new(pool);
         for rec in records(200, 0.0) {
             r.insert(&rec);
         }
@@ -141,11 +139,8 @@ mod tests {
         ClusterOrganization,
         Vec<(ObjectId, ObjectId)>,
     ) {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), buffer_pages);
-        let cluster = || {
-            ClusterOrganization::new(disk.clone(), pool.clone(), ClusterConfig::plain(64 * 1024))
-        };
+        let pool = new_shared_pool(Disk::with_defaults(), buffer_pages);
+        let cluster = || ClusterOrganization::new(pool.clone(), ClusterConfig::plain(64 * 1024));
         let (mut r, mut s) = (cluster(), cluster());
         for rec in records(400, 0.0) {
             r.insert(&rec);

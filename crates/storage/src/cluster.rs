@@ -20,19 +20,17 @@
 //! `Smax`, reproducing the storage utilization of Figure 6, while the
 //! restricted buddy system of Figure 7 adapts the physical unit size.
 
-use crate::model::{QueryStats, SharedPool, TransferTechnique, WindowTechnique};
+use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::{BytePacker, Placement};
-use crate::store::{SpatialStore, StrPlan};
+use crate::store::SpatialStore;
 use crate::table::ObjectTable;
 use spatialdb_disk::{
-    BuddyAllocator, BuddyConfig, DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy,
-    PAGE_SIZE,
+    BuddyAllocator, BuddyConfig, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE,
 };
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{
     bulk, CowSlab, LeafEntry, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
-    DEFAULT_STR_FILL,
 };
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -154,7 +152,6 @@ const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 16);
 /// pointer tables over shared, copy-on-write pieces.
 #[derive(Clone, Debug)]
 pub struct ClusterOrganization {
-    disk: DiskHandle,
     pool: SharedPool,
     config: ClusterConfig,
     tree: RStarTree,
@@ -171,18 +168,17 @@ pub struct ClusterOrganization {
 }
 
 impl ClusterOrganization {
-    /// Create an empty cluster organization on `disk`, buffered by
-    /// `pool`.
-    pub fn new(disk: DiskHandle, pool: SharedPool, config: ClusterConfig) -> Self {
-        let tree_region = disk.create_region("clu:tree");
-        let unit_region = disk.create_region("clu:units");
+    /// Create an empty cluster organization buffered by `pool`, on the
+    /// pool's disk.
+    pub fn new(pool: SharedPool, config: ClusterConfig) -> Self {
+        let tree_region = pool.disk().create_region("clu:tree");
+        let unit_region = pool.disk().create_region("clu:units");
         let tree = RStarTree::new(
             RTreeConfig::cluster(PAGE_SIZE, config.smax_bytes),
             tree_region,
         );
         let buddy = BuddyAllocator::new(unit_region, config.buddy.clone());
         ClusterOrganization {
-            disk,
             pool,
             config,
             tree,
@@ -291,7 +287,7 @@ impl ClusterOrganization {
                     ),
                     placement.num_pages,
                 );
-                self.disk.charge(IoKind::Write, run, false);
+                self.pool.disk().charge(IoKind::Write, run, false);
             } else {
                 // Move the unit into a larger buddy: read the old unit,
                 // write the unit including the new object sequentially.
@@ -301,8 +297,8 @@ impl ClusterOrganization {
                     .alloc_for(needed)
                     .expect("unit grew beyond Smax without a cluster split");
                 let new_used = unit.used_extent();
-                self.disk.charge(IoKind::Read, old_used, false);
-                self.disk.charge(IoKind::Write, new_used, false);
+                self.pool.disk().charge(IoKind::Read, old_used, false);
+                self.pool.disk().charge(IoKind::Write, new_used, false);
                 self.buddy.free(old_extent);
                 self.drop_from_buffer(old_extent);
             }
@@ -310,7 +306,9 @@ impl ClusterOrganization {
             // First object of a fresh data page: new unit.
             let unit = self.pack_unit(&[(rec.oid, rec.size_bytes)]);
             self.total_member_pages += unit.member_pages_total();
-            self.disk.charge(IoKind::Write, unit.used_extent(), false);
+            self.pool
+                .disk()
+                .charge(IoKind::Write, unit.used_extent(), false);
             self.units.set(leaf.0 as usize, unit);
         }
     }
@@ -324,14 +322,18 @@ impl ClusterOrganization {
         }
         let old = self.units.take(leaf.0 as usize);
         if let Some(u) = &old {
-            self.disk.charge(IoKind::Read, u.used_extent(), false);
+            self.pool
+                .disk()
+                .charge(IoKind::Read, u.used_extent(), false);
             self.total_member_pages -= u.member_pages_total();
         }
         let objects = self.page_objects(leaf);
         if !objects.is_empty() {
             let unit = self.pack_unit(&objects);
             self.total_member_pages += unit.member_pages_total();
-            self.disk.charge(IoKind::Write, unit.used_extent(), false);
+            self.pool
+                .disk()
+                .charge(IoKind::Write, unit.used_extent(), false);
             for (oid, _) in objects {
                 self.objects
                     .update(oid, |slot| ObjectSlot { leaf, ..*slot });
@@ -368,7 +370,7 @@ impl ClusterOrganization {
             WindowTechnique::Threshold => {
                 let region = self.tree.node(leaf).mbr();
                 let overlap = region.overlap_fraction(window);
-                let t = self.disk.params().geometric_threshold(
+                let t = self.pool.disk().params().geometric_threshold(
                     used.len,
                     self.avg_entries_per_page(),
                     self.avg_pages_per_object(),
@@ -413,16 +415,27 @@ impl SpatialStore for ClusterOrganization {
         Box::new(self.clone())
     }
 
-    fn insert(&mut self, rec: &ObjectRecord) {
+    /// The entry's payload is the object's exact size: the tree's
+    /// payload limit (`Smax` via its config) is the cluster-split bound,
+    /// so an STR tile maps to one legal cluster unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object is larger than `Smax`.
+    fn leaf_entry(&self, rec: &ObjectRecord) -> LeafEntry {
         assert!(
             u64::from(rec.size_bytes) <= self.config.smax_bytes,
             "object {} larger than Smax; store it in a separate storage unit \
              (paper §4.2.2 footnote)",
             rec.oid
         );
+        rec.leaf_entry(rec.size_bytes)
+    }
+
+    fn insert(&mut self, rec: &ObjectRecord) {
         // Steps 1 + 2: determine the data page and insert the MBR entry
         // (the modified R*-tree may already split — step 4).
-        let entry = rec.leaf_entry(rec.size_bytes);
+        let entry = self.leaf_entry(rec);
         let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
         debug_assert!(outcome.leaf_reinserts.is_empty());
         if outcome.leaf_splits.is_empty() {
@@ -465,8 +478,7 @@ impl SpatialStore for ClusterOrganization {
         window: &Rect,
         technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
-        let before = self.disk.local_stats();
+    ) -> u64 {
         let per_leaf = self
             .tree
             .window_leaves_into(window, &mut self.pool.as_ref(), out);
@@ -474,16 +486,11 @@ impl SpatialStore for ClusterOrganization {
         for (leaf, hits) in per_leaf {
             self.transfer_for_window(leaf, &out[hits], window, technique, &mut offsets);
         }
-        QueryStats {
-            candidates: out.len(),
-            // The entry's payload is the object's exact size.
-            result_bytes: out.iter().map(|e| u64::from(e.payload)).sum(),
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        // The entry's payload is the object's exact size.
+        out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
-        let before = self.disk.local_stats();
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> u64 {
         self.tree
             .point_entries_into(point, &mut self.pool.as_ref(), out);
         // Selective access: read just the objects' pages, not the units
@@ -492,11 +499,7 @@ impl SpatialStore for ClusterOrganization {
         for e in out.iter() {
             self.fetch_object(e.oid);
         }
-        QueryStats {
-            candidates: out.len(),
-            result_bytes: out.iter().map(|e| u64::from(e.payload)).sum(),
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -611,10 +614,6 @@ impl SpatialStore for ClusterOrganization {
         self.objects.contains(oid)
     }
 
-    fn disk(&self) -> DiskHandle {
-        self.disk.clone()
-    }
-
     fn pool(&self) -> SharedPool {
         self.pool.clone()
     }
@@ -631,10 +630,6 @@ impl SpatialStore for ClusterOrganization {
         self.pool
             .invalidate_regions(&[self.tree_region, self.buddy.region()]);
         crate::model::warm_directory(&self.pool, &self.tree);
-    }
-
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
@@ -691,33 +686,11 @@ impl SpatialStore for ClusterOrganization {
         true
     }
 
-    fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
-        // Cluster entries carry the exact size — the tiler's payload
-        // limit (Smax via the tree config) is the cluster-split bound,
-        // so every tile maps to one legal cluster unit.
-        let entries = records
-            .iter()
-            .map(|r| {
-                assert!(
-                    u64::from(r.size_bytes) <= self.config.smax_bytes,
-                    "object {} larger than Smax; store it in a separate storage unit \
-                     (paper §4.2.2 footnote)",
-                    r.oid
-                );
-                r.leaf_entry(r.size_bytes)
-            })
-            .collect();
-        StrPlan {
-            entries,
-            params: TilingParams::from_config(self.tree.config(), DEFAULT_STR_FILL),
-        }
-    }
-
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         debug_assert_eq!(records.len(), tiles.iter().map(Vec::len).sum::<usize>());
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in &build.level_runs {
-            self.disk.charge(IoKind::Write, *run, false);
+            self.pool.disk().charge(IoKind::Write, *run, false);
         }
         self.tree = build.tree;
         // Pack one cluster unit per data page, in node-id order — the
@@ -730,7 +703,9 @@ impl SpatialStore for ClusterOrganization {
             let objects = self.page_objects(leaf);
             let unit = self.pack_unit(&objects);
             self.total_member_pages += unit.member_pages_total();
-            self.disk.charge(IoKind::Write, unit.used_extent(), false);
+            self.pool
+                .disk()
+                .charge(IoKind::Write, unit.used_extent(), false);
             slots.extend(
                 objects
                     .iter()
@@ -753,9 +728,7 @@ mod tests {
     const SMAX: u64 = 16 * 1024; // 4 pages — small for testing
 
     fn org_with(n: u64, config: ClusterConfig) -> ClusterOrganization {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 512);
-        let mut org = ClusterOrganization::new(disk, pool, config);
+        let mut org = ClusterOrganization::new(new_shared_pool(Disk::with_defaults(), 512), config);
         for i in 0..n {
             let x = (i % 40) as f64 / 40.0;
             let y = (i / 40) as f64 / 40.0;
@@ -863,9 +836,8 @@ mod tests {
         // vertical slice hits one object per row, and adjacent rows sit
         // a dozen pages apart in the unit packing — gaps beyond the SLM
         // limit, so the schedule splits into several runs.
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 512);
-        let mut org = ClusterOrganization::new(disk, pool, ClusterConfig::plain(320 * 1024));
+        let pool = new_shared_pool(Disk::with_defaults(), 512);
+        let mut org = ClusterOrganization::new(pool, ClusterConfig::plain(320 * 1024));
         for i in 0..400u64 {
             let x = (i % 40) as f64 / 40.0;
             let y = (i / 40) as f64 / 40.0;
@@ -1001,9 +973,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "larger than Smax")]
     fn oversized_object_rejected() {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 64);
-        let mut org = ClusterOrganization::new(disk, pool, ClusterConfig::plain(SMAX));
+        let pool = new_shared_pool(Disk::with_defaults(), 64);
+        let mut org = ClusterOrganization::new(pool, ClusterConfig::plain(SMAX));
         org.insert(&ObjectRecord::new(
             ObjectId(0),
             Rect::new(0.0, 0.0, 1.0, 1.0),

@@ -50,5 +50,5 @@ pub use object::ObjectRecord;
 pub use packer::{PagePacker, Placement};
 pub use primary::PrimaryOrganization;
 pub use secondary::SecondaryOrganization;
-pub use store::{SpatialStore, StrPlan};
+pub use store::SpatialStore;
 pub use table::ObjectTable;

@@ -7,10 +7,10 @@
 //! [`SpatialStore`] backend plugs into the engine in one file — no other
 //! crate needs to change.
 
-use crate::model::{QueryStats, SharedPool, WindowTechnique};
+use crate::model::{SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::store::SpatialStore;
-use spatialdb_disk::{DiskHandle, PAGE_SIZE};
+use spatialdb_disk::PAGE_SIZE;
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{
     bulk, LeafEntry, NoIo, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
@@ -20,7 +20,6 @@ use std::collections::HashMap;
 /// A purely in-memory spatial store (no simulated I/O).
 #[derive(Clone, Debug)]
 pub struct MemoryStore {
-    disk: DiskHandle,
     pool: SharedPool,
     tree: RStarTree,
     sizes: HashMap<ObjectId, u32>,
@@ -30,13 +29,12 @@ pub struct MemoryStore {
 impl MemoryStore {
     /// Create an empty in-memory store.
     ///
-    /// `disk` and `pool` are only carried along so the store can take
-    /// part in joins (which require both operands to share one machine);
-    /// the store itself never charges I/O to them.
-    pub fn new(disk: DiskHandle, pool: SharedPool) -> Self {
-        let region = disk.create_region("mem:tree");
+    /// `pool` is only carried along so the store can take part in joins
+    /// (which require both operands to share one machine); the store
+    /// itself never charges I/O to it or the disk under it.
+    pub fn new(pool: SharedPool) -> Self {
+        let region = pool.disk().create_region("mem:tree");
         MemoryStore {
-            disk,
             pool,
             tree: RStarTree::new(RTreeConfig::paper_default(PAGE_SIZE), region),
             sizes: HashMap::new(),
@@ -55,7 +53,7 @@ impl SpatialStore for MemoryStore {
     }
 
     fn insert(&mut self, rec: &ObjectRecord) {
-        let entry = rec.leaf_entry(0);
+        let entry = self.leaf_entry(rec);
         self.tree.insert(entry, &mut NoIo);
         self.sizes.insert(rec.oid, rec.size_bytes);
         self.mbrs.insert(rec.oid, rec.mbr);
@@ -76,13 +74,9 @@ impl SpatialStore for MemoryStore {
         window: &Rect,
         _technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
+    ) -> u64 {
         self.tree.window_entries_into(window, &mut NoIo, out);
-        QueryStats {
-            candidates: out.len(),
-            result_bytes: out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum(),
-            io_ms: 0.0,
-        }
+        out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum()
     }
 
     fn fetch_object(&self, _oid: ObjectId) {
@@ -101,10 +95,6 @@ impl SpatialStore for MemoryStore {
         self.sizes.contains_key(&oid)
     }
 
-    fn disk(&self) -> DiskHandle {
-        self.disk.clone()
-    }
-
     fn pool(&self) -> SharedPool {
         self.pool.clone()
     }
@@ -121,11 +111,7 @@ impl SpatialStore for MemoryStore {
         // Always "cold" and always free.
     }
 
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        self.sizes[&oid]
-    }
-
-    // `str_plan`'s default (payload 0) is already right for a memory
+    // `leaf_entry`'s default (payload 0) is already right for a memory
     // store; the install builds the tree bottom-up and charges nothing.
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         let build = bulk::build_tree(
@@ -151,8 +137,7 @@ mod tests {
 
     fn store_with(n: u64) -> MemoryStore {
         let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 64);
-        let mut s = MemoryStore::new(disk, pool);
+        let mut s = MemoryStore::new(new_shared_pool(disk, 64));
         for i in 0..n {
             let x = (i % 10) as f64 / 10.0;
             let y = (i / 10) as f64 / 10.0;

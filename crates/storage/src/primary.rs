@@ -9,17 +9,16 @@
 //! maintained. Such objects occupied their individual pages exclusively"*
 //! (§5.2).
 
-use crate::model::{QueryStats, SharedPool, WindowTechnique};
+use crate::model::{SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
-use crate::store::{SpatialStore, StrPlan};
+use crate::store::SpatialStore;
 use crate::table::ObjectTable;
-use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
+use spatialdb_disk::{IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::config::ENTRY_BYTES;
 use spatialdb_rtree::{
     bulk, LeafEntry, LeafSplit, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
-    DEFAULT_STR_FILL,
 };
 
 /// What the organization records per object.
@@ -46,7 +45,6 @@ const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 48);
 /// (see [`ObjectTable`]).
 #[derive(Clone, Debug)]
 pub struct PrimaryOrganization {
-    disk: DiskHandle,
     pool: SharedPool,
     tree: RStarTree,
     tree_region: RegionId,
@@ -64,14 +62,13 @@ impl PrimaryOrganization {
         (PAGE_SIZE - ENTRY_BYTES) as u32
     }
 
-    /// Create an empty primary organization on `disk`, buffered by
-    /// `pool`.
-    pub fn new(disk: DiskHandle, pool: SharedPool) -> Self {
-        let tree_region = disk.create_region("prim:tree");
-        let overflow_region = disk.create_region("prim:overflow");
+    /// Create an empty primary organization buffered by `pool`, on the
+    /// pool's disk.
+    pub fn new(pool: SharedPool) -> Self {
+        let tree_region = pool.disk().create_region("prim:tree");
+        let overflow_region = pool.disk().create_region("prim:overflow");
         let tree = RStarTree::new(RTreeConfig::primary(PAGE_SIZE), tree_region);
         PrimaryOrganization {
-            disk,
             pool,
             tree,
             tree_region,
@@ -110,7 +107,7 @@ impl PrimaryOrganization {
             PageId::new(self.overflow_region, placement.first_page),
             placement.num_pages,
         );
-        self.disk.charge(IoKind::Write, run, false);
+        self.pool.disk().charge(IoKind::Write, run, false);
         run
     }
 
@@ -160,8 +157,14 @@ impl SpatialStore for PrimaryOrganization {
         Box::new(self.clone())
     }
 
+    /// The entry's payload is what the object costs inside its data
+    /// page (`entry_payload`).
+    fn leaf_entry(&self, rec: &ObjectRecord) -> LeafEntry {
+        rec.leaf_entry(Self::entry_payload(rec.size_bytes))
+    }
+
     fn insert(&mut self, rec: &ObjectRecord) {
-        let entry = rec.leaf_entry(Self::entry_payload(rec.size_bytes));
+        let entry = self.leaf_entry(rec);
         let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
         let overflow =
             (rec.size_bytes > Self::inline_limit()).then(|| self.place_overflow(rec.size_bytes));
@@ -181,18 +184,12 @@ impl SpatialStore for PrimaryOrganization {
         window: &Rect,
         _technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
-        let before = self.disk.local_stats();
+    ) -> u64 {
         // Reading the qualifying data pages *is* reading the inline
         // objects; the tree charges those page reads.
         self.tree
             .window_entries_into(window, &mut self.pool.as_ref(), out);
-        let result_bytes = self.read_overflow_objects(out);
-        QueryStats {
-            candidates: out.len(),
-            result_bytes,
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        self.read_overflow_objects(out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -218,10 +215,6 @@ impl SpatialStore for PrimaryOrganization {
         self.objects.contains(oid)
     }
 
-    fn disk(&self) -> DiskHandle {
-        self.disk.clone()
-    }
-
     fn pool(&self) -> SharedPool {
         self.pool.clone()
     }
@@ -238,10 +231,6 @@ impl SpatialStore for PrimaryOrganization {
         self.pool
             .invalidate_regions(&[self.tree_region, self.overflow_region]);
         crate::model::warm_directory(&self.pool, &self.tree);
-    }
-
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
@@ -292,21 +281,10 @@ impl SpatialStore for PrimaryOrganization {
         Ok(())
     }
 
-    fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
-        let entries = records
-            .iter()
-            .map(|r| r.leaf_entry(Self::entry_payload(r.size_bytes)))
-            .collect();
-        StrPlan {
-            entries,
-            params: TilingParams::from_config(self.tree.config(), DEFAULT_STR_FILL),
-        }
-    }
-
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in &build.level_runs {
-            self.disk.charge(IoKind::Write, *run, false);
+            self.pool.disk().charge(IoKind::Write, *run, false);
         }
         self.tree = build.tree;
         // Size first; the data page and the overflow position follow in
@@ -347,9 +325,7 @@ mod tests {
     use spatialdb_rtree::validate::check_invariants;
 
     fn org_with_sizes(sizes: &[u32]) -> PrimaryOrganization {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 512);
-        let mut org = PrimaryOrganization::new(disk, pool);
+        let mut org = PrimaryOrganization::new(new_shared_pool(Disk::with_defaults(), 512));
         for (i, &s) in sizes.iter().enumerate() {
             let x = (i % 40) as f64 / 40.0;
             let y = (i / 40) as f64 / 40.0;

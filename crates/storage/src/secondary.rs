@@ -14,19 +14,17 @@
 //! ([`PagePacker`]). A window query therefore reads its candidates'
 //! pages off the entries it has just collected. The file never moves an
 //! object, so the pointer is written once. Operations that start from an
-//! id (deletion, the join's transfer, `object_size`) go through the
-//! per-object [`ObjectTable`], which records the same run.
+//! id (deletion, the join's transfer) go through the per-object
+//! [`ObjectTable`], which records the same run.
 
-use crate::model::{QueryStats, SharedPool, WindowTechnique};
+use crate::model::{SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
-use crate::store::{SpatialStore, StrPlan};
+use crate::store::SpatialStore;
 use crate::table::ObjectTable;
-use spatialdb_disk::{DiskHandle, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
+use spatialdb_disk::{IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
-use spatialdb_rtree::{
-    bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams, DEFAULT_STR_FILL,
-};
+use spatialdb_rtree::{bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams};
 
 /// What the organization records per object.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +49,6 @@ const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 72);
 /// (see [`ObjectTable`]).
 #[derive(Clone, Debug)]
 pub struct SecondaryOrganization {
-    disk: DiskHandle,
     pool: SharedPool,
     tree: RStarTree,
     tree_region: RegionId,
@@ -64,14 +61,13 @@ pub struct SecondaryOrganization {
 }
 
 impl SecondaryOrganization {
-    /// Create an empty secondary organization on `disk`, buffered by
-    /// `pool`.
-    pub fn new(disk: DiskHandle, pool: SharedPool) -> Self {
-        let tree_region = disk.create_region("sec:tree");
-        let file_region = disk.create_region("sec:objects");
+    /// Create an empty secondary organization buffered by `pool`, on
+    /// the pool's disk.
+    pub fn new(pool: SharedPool) -> Self {
+        let tree_region = pool.disk().create_region("sec:tree");
+        let file_region = pool.disk().create_region("sec:objects");
         let tree = RStarTree::new(RTreeConfig::paper_default(PAGE_SIZE), tree_region);
         SecondaryOrganization {
-            disk,
             pool,
             tree,
             tree_region,
@@ -145,16 +141,21 @@ impl SpatialStore for SecondaryOrganization {
         Box::new(self.clone())
     }
 
+    /// The entry's payload is the object's size.
+    fn leaf_entry(&self, rec: &ObjectRecord) -> LeafEntry {
+        rec.leaf_entry(rec.size_bytes)
+    }
+
     fn insert(&mut self, rec: &ObjectRecord) {
         // 1. Insert the MBR + pointer into the regular R*-tree; the
         //    pointer is the end of the sequential file.
-        let mut entry = rec.leaf_entry(rec.size_bytes);
+        let mut entry = self.leaf_entry(rec);
         let slot = self.place(&mut entry);
         self.tree.insert(entry, &mut self.pool.as_ref());
         // 2. Append the exact representation to the sequential file.
         //    The arm has moved (tree I/O in between), so every append is
         //    its own request.
-        self.disk.charge(IoKind::Write, slot.run, false);
+        self.pool.disk().charge(IoKind::Write, slot.run, false);
         self.objects.insert(rec.oid, slot);
     }
 
@@ -163,16 +164,10 @@ impl SpatialStore for SecondaryOrganization {
         window: &Rect,
         _technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
-        let before = self.disk.local_stats();
+    ) -> u64 {
         self.tree
             .window_entries_into(window, &mut self.pool.as_ref(), out);
-        let result_bytes = self.read_objects(out);
-        QueryStats {
-            candidates: out.len(),
-            result_bytes,
-            io_ms: self.disk.local_stats().since(&before).io_ms,
-        }
+        self.read_objects(out)
     }
 
     fn fetch_object(&self, oid: ObjectId) {
@@ -192,10 +187,6 @@ impl SpatialStore for SecondaryOrganization {
         self.objects.contains(oid)
     }
 
-    fn disk(&self) -> DiskHandle {
-        self.disk.clone()
-    }
-
     fn pool(&self) -> SharedPool {
         self.pool.clone()
     }
@@ -212,10 +203,6 @@ impl SpatialStore for SecondaryOrganization {
         self.pool
             .invalidate_regions(&[self.tree_region, self.file_region]);
         crate::model::warm_directory(&self.pool, &self.tree);
-    }
-
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        self.objects[oid].size
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
@@ -257,14 +244,6 @@ impl SpatialStore for SecondaryOrganization {
         Ok(())
     }
 
-    fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
-        let entries = records.iter().map(|r| r.leaf_entry(r.size_bytes)).collect();
-        StrPlan {
-            entries,
-            params: TilingParams::from_config(self.tree.config(), DEFAULT_STR_FILL),
-        }
-    }
-
     fn str_install(
         &mut self,
         _records: &[ObjectRecord],
@@ -289,7 +268,7 @@ impl SpatialStore for SecondaryOrganization {
         }
         let build = bulk::build_tree(self.tree.config().clone(), self.tree_region, tiles, params);
         for run in build.level_runs.iter().chain(&tile_runs) {
-            self.disk.charge(IoKind::Write, *run, false);
+            self.pool.disk().charge(IoKind::Write, *run, false);
         }
         self.objects = ObjectTable::from_records(slots);
         self.tree = build.tree;
@@ -305,9 +284,7 @@ mod tests {
     use spatialdb_rtree::validate::check_invariants;
 
     fn org_with(n: u64) -> SecondaryOrganization {
-        let disk = Disk::with_defaults();
-        let pool = new_shared_pool(disk.clone(), 512);
-        let mut org = SecondaryOrganization::new(disk, pool);
+        let mut org = SecondaryOrganization::new(new_shared_pool(Disk::with_defaults(), 512));
         for i in 0..n {
             let x = (i % 40) as f64 / 40.0;
             let y = (i / 40) as f64 / 40.0;

@@ -20,23 +20,33 @@
 //!
 //! 1. **Updates** (`&mut self`) — [`insert`](SpatialStore::insert),
 //!    [`delete`](SpatialStore::delete), [`flush`](SpatialStore::flush),
-//!    [`begin_query`](SpatialStore::begin_query);
+//!    [`begin_query`](SpatialStore::begin_query), and the STR install
+//!    ([`str_install`](SpatialStore::str_install)). Both builds take an
+//!    object's R\*-tree entry from one place,
+//!    [`leaf_entry`](SpatialStore::leaf_entry), where the store states
+//!    what the entry's payload accounts;
 //! 2. **Queries** (`&self`) — one required read method,
 //!    [`window_query_into`](SpatialStore::window_query_into): the filter
 //!    step *and* the transfer of the exact representations, charging
 //!    the simulated disk, **handing back the candidate entries** it
 //!    collected — what the engine's refinement step iterates over, from
-//!    one tree walk per query — and returning a per-call [`QueryStats`]
-//!    delta (measured against the calling thread's I/O tally, so deltas
-//!    stay correct under concurrency). Everything else on the read side
-//!    is provided: [`point_query_into`](SpatialStore::point_query_into)
-//!    runs a point as a degenerate window (the cluster organization
-//!    overrides it to fetch objects page by page, §5.5),
+//!    one tree walk per query — and returning the candidates'
+//!    exact-representation bytes. A store does not measure its queries:
+//!    the caller does, as a delta of the calling thread's I/O tally
+//!    around the call ([`Disk::local_stats`](spatialdb_disk::Disk::local_stats)),
+//!    so the delta stays exact under concurrency and each query is
+//!    measured once. Everything else on the read side is provided:
+//!    [`point_query_into`](SpatialStore::point_query_into) runs a point
+//!    as a degenerate window (the cluster organization overrides it to
+//!    fetch objects page by page, §5.5),
 //!    [`window_query`](SpatialStore::window_query) /
-//!    [`point_query`](SpatialStore::point_query) drop the candidates,
-//!    and the `_traced` forms capture the disk requests;
-//! 3. **Bookkeeping** — occupancy, object sizes, buffer control, and
-//!    access to the disk, pool and R\*-tree the store is built on.
+//!    [`point_query`](SpatialStore::point_query) drop the candidates and
+//!    measure the call into a [`QueryStats`], and the `_traced` forms
+//!    capture the disk requests;
+//! 3. **Bookkeeping** — occupancy, buffer control, and access to the
+//!    R\*-tree and to the **one pool** the store is built on (its
+//!    constructor takes nothing else of the machine;
+//!    [`disk`](SpatialStore::disk) is the disk under the pool).
 //!
 //! One part of the contract is not negotiable: every backend exposes an
 //! R\*-tree over the object MBRs ([`tree`](SpatialStore::tree)). It is
@@ -49,26 +59,24 @@
 
 use crate::model::{QueryStats, SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
-use spatialdb_disk::{DiskHandle, PageRequest};
+use spatialdb_disk::{Disk, DiskHandle, PageRequest};
 use spatialdb_geom::{Point, Rect};
-use spatialdb_rtree::{LeafEntry, NoIo, ObjectId, RStarTree, Tile, TilingParams, DEFAULT_STR_FILL};
+use spatialdb_rtree::{LeafEntry, NoIo, ObjectId, RStarTree, Tile, TilingParams};
 use std::collections::HashSet;
 
-/// The sort-tile-recursive half of a bulk load, produced by
-/// [`SpatialStore::str_plan`]: the leaf entries to pack (payloads
-/// already set to the store's accounting unit) and the tiling
-/// capacities.
-///
-/// Planning takes `&self` and tiling is a pure function (see
-/// [`spatialdb_rtree::bulk`]), so a driver may sort and tile the plan on
-/// worker threads before handing the tiles back to `&mut self` via
-/// [`SpatialStore::str_install`].
-#[derive(Clone, Debug)]
-pub struct StrPlan {
-    /// One leaf entry per record, in record order (unsorted).
-    pub entries: Vec<LeafEntry>,
-    /// Packing capacities derived from the store's tree configuration.
-    pub params: TilingParams,
+/// Run one read on the calling thread and measure it: the candidates
+/// `read` collects, the bytes it returns and the simulated I/O it
+/// charged, as a delta of this thread's tally (exact while other
+/// threads charge the same disk).
+fn measured(disk: &Disk, read: impl FnOnce(&mut Vec<LeafEntry>) -> u64) -> QueryStats {
+    let mut candidates = Vec::new();
+    let before = disk.local_stats();
+    let result_bytes = read(&mut candidates);
+    QueryStats {
+        candidates: candidates.len(),
+        result_bytes,
+        io_ms: disk.local_stats().since(&before).io_ms,
+    }
 }
 
 /// A pluggable storage backend for spatial objects.
@@ -83,6 +91,17 @@ pub trait SpatialStore: Send + Sync {
     /// Short name used in reports ("sec. org." / "prim. org." /
     /// "cluster org." / "memory").
     fn name(&self) -> &'static str;
+
+    /// The R\*-tree entry of `rec` with the payload this store accounts
+    /// per entry: 0 by default, the inline/overflow byte cost for the
+    /// primary organization, the exact size for the cluster and
+    /// secondary organizations. [`insert`](SpatialStore::insert) and the
+    /// STR bulk load both build their entries here. Charges nothing, so
+    /// a bulk load meets every refusal (the cluster organization's
+    /// objects larger than `Smax`) before anything is charged.
+    fn leaf_entry(&self, rec: &ObjectRecord) -> LeafEntry {
+        rec.leaf_entry(0)
+    }
 
     /// Insert a new object (§4.2.2 for the cluster organization).
     fn insert(&mut self, rec: &ObjectRecord);
@@ -99,38 +118,42 @@ pub trait SpatialStore: Send + Sync {
     /// filled with the leaf entries the filter step matched, in no
     /// particular order, so one buffer serves many queries.
     ///
-    /// Returns the statistics of **this call alone** (not cumulative
-    /// counters): every implementation measures the delta against the
-    /// calling thread's I/O tally
-    /// ([`Disk::local_stats`](spatialdb_disk::Disk::local_stats)), so the
-    /// delta is exact even while other threads charge the same disk.
+    /// Returns the total exact-representation bytes of the candidates —
+    /// the "amount of data queried" the paper normalizes by. The call's
+    /// I/O cost is the caller's to measure (see the [module
+    /// documentation](self)); a store reads no counters.
     fn window_query_into(
         &self,
         window: &Rect,
         technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
-    ) -> QueryStats;
+    ) -> u64;
 
-    /// Point query (§5.5), handing back its candidates like
+    /// Point query (§5.5), handing back its candidates and returning
+    /// their bytes like
     /// [`window_query_into`](SpatialStore::window_query_into). The
     /// default treats the point as a degenerate window, to the tree and
     /// to the transfer ([`WindowTechnique::Complete`]); a store that
     /// fetches a point query's objects differently overrides it.
-    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> QueryStats {
+    fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> u64 {
         let window = Rect::new(point.x, point.y, point.x, point.y);
         self.window_query_into(&window, WindowTechnique::Complete, out)
     }
 
     /// [`window_query_into`](SpatialStore::window_query_into) without
-    /// the candidates: same transfer, same charges, same [`QueryStats`].
+    /// the candidates, measured: same transfer, same charges, and the
+    /// [`QueryStats`] of this call alone.
     fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
-        self.window_query_into(window, technique, &mut Vec::new())
+        measured(&self.disk(), |out| {
+            self.window_query_into(window, technique, out)
+        })
     }
 
     /// [`point_query_into`](SpatialStore::point_query_into) without the
-    /// candidates.
+    /// candidates, measured like
+    /// [`window_query`](SpatialStore::window_query).
     fn point_query(&self, point: &Point) -> QueryStats {
-        self.point_query_into(point, &mut Vec::new())
+        measured(&self.disk(), |out| self.point_query_into(point, out))
     }
 
     /// The traced read path: run the window query **and capture its
@@ -255,11 +278,13 @@ pub trait SpatialStore: Send + Sync {
     /// `true` if `oid` is currently stored.
     fn contains(&self, oid: ObjectId) -> bool;
 
-    /// The simulated disk.
-    fn disk(&self) -> DiskHandle;
-
-    /// The shared buffer pool.
+    /// The shared buffer pool the store is built on.
     fn pool(&self) -> SharedPool;
+
+    /// The simulated disk: the one under [`pool`](SpatialStore::pool).
+    fn disk(&self) -> DiskHandle {
+        self.pool().disk().clone()
+    }
 
     /// The R\*-tree (for the join's MBR phase and diagnostics).
     fn tree(&self) -> &RStarTree;
@@ -271,9 +296,6 @@ pub trait SpatialStore: Send + Sync {
     /// (re-)pin the directory pages, which are assumed memory-resident
     /// during query processing.
     fn begin_query(&mut self);
-
-    /// Size in bytes of a stored object.
-    fn object_size(&self, oid: ObjectId) -> u32;
 
     /// Structural self-check of the store's bookkeeping against its
     /// R\*-tree (diagnostics and tests; charges no I/O). The default
@@ -294,28 +316,14 @@ pub trait SpatialStore: Send + Sync {
         }
     }
 
-    /// Plan an STR bulk load: one leaf entry per record, with the
-    /// payload the store accounts per entry (0 for the memory store
-    /// and by default; the inline/overflow byte cost for the primary
-    /// organization; the exact size for the cluster and secondary
-    /// organizations), plus the tiling capacities at
-    /// [`DEFAULT_STR_FILL`].
-    ///
-    /// Takes `&self`: a parallel driver plans once, then sorts and
-    /// tiles on worker threads.
-    fn str_plan(&self, records: &[ObjectRecord]) -> StrPlan {
-        StrPlan {
-            entries: records.iter().map(|r| r.leaf_entry(0)).collect(),
-            params: TilingParams::from_config(self.tree().config(), DEFAULT_STR_FILL),
-        }
-    }
-
     /// Install pre-tiled leaves: build the packed tree bottom-up and
-    /// place the exact representations tile by tile. `tiles` must come
-    /// from this store's own [`str_plan`](SpatialStore::str_plan)
-    /// (sorted with [`spatialdb_rtree::bulk::sort_entries`] and tiled
-    /// with the plan's params, as
-    /// [`spatialdb_rtree::bulk::plan_tiles`] does), and the store must
+    /// place the exact representations tile by tile. `tiles` must hold
+    /// this store's own [`leaf_entry`](SpatialStore::leaf_entry) of
+    /// every record, sorted with [`spatialdb_rtree::bulk::sort_entries`]
+    /// and tiled with `params` — the tree configuration's
+    /// [`TilingParams::from_config`] at
+    /// [`DEFAULT_STR_FILL`](spatialdb_rtree::DEFAULT_STR_FILL), as
+    /// [`spatialdb_rtree::bulk::plan_tiles`] does — and the store must
     /// be empty.
     ///
     /// Charges every write of the build: each packed level of the tree
@@ -363,7 +371,7 @@ mod tests {
             _window: &Rect,
             _technique: WindowTechnique,
             _out: &mut Vec<LeafEntry>,
-        ) -> QueryStats {
+        ) -> u64 {
             let disk = self.disk();
             let region = disk.create_region("panicking");
             disk.charge(IoKind::Read, PageRun::new(PageId::new(region, 0), 1), false);
@@ -381,9 +389,6 @@ mod tests {
         fn contains(&self, oid: ObjectId) -> bool {
             self.0.contains(oid)
         }
-        fn disk(&self) -> DiskHandle {
-            self.0.disk()
-        }
         fn pool(&self) -> SharedPool {
             self.0.pool()
         }
@@ -396,18 +401,12 @@ mod tests {
         fn begin_query(&mut self) {
             self.0.begin_query()
         }
-        fn object_size(&self, oid: ObjectId) -> u32 {
-            self.0.object_size(oid)
-        }
     }
 
     #[test]
     fn a_traced_query_that_unwinds_stops_tracing_its_thread() {
         let disk = Disk::with_defaults();
-        let store = Panicking(MemoryStore::new(
-            disk.clone(),
-            new_shared_pool(disk.clone(), 8),
-        ));
+        let store = Panicking(MemoryStore::new(new_shared_pool(disk.clone(), 8)));
         let window = Rect::new(0.0, 0.0, 1.0, 1.0);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             store.window_query_traced(&window, WindowTechnique::Complete)

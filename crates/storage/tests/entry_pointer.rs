@@ -2,18 +2,19 @@
 //! leaf entry; operations that start from an id read the same facts
 //! from the per-object table. This is the differential between the two:
 //! `window_query` (the entry path) against a tree walk plus one
-//! `fetch_object` / `object_size` per candidate (the table path), on
-//! insertion-built and STR-built stores that have since seen deletes and
-//! re-inserts. Same requests, same hits and misses, same bytes.
+//! `fetch_object` per candidate (the table path), on insertion-built and
+//! STR-built stores that have since seen deletes and re-inserts. Same
+//! requests, same hits and misses — and the bytes of the records that
+//! went in.
 
 use spatialdb_disk::Disk;
 use spatialdb_geom::rng::SmallRng;
 use spatialdb_geom::Rect;
 use spatialdb_rtree::bulk::plan_tiles;
-use spatialdb_rtree::ObjectId;
+use spatialdb_rtree::{ObjectId, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{
     new_shared_pool, ObjectRecord, PrimaryOrganization, SecondaryOrganization, SpatialStore,
-    StrPlan, WindowTechnique,
+    WindowTechnique,
 };
 
 /// 1,500 objects, most of them a few hundred bytes, every 9th one
@@ -40,7 +41,8 @@ fn records() -> Vec<ObjectRecord> {
 fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialStore> {
     let records = records();
     if str_built {
-        let StrPlan { entries, params } = store.str_plan(&records);
+        let entries = records.iter().map(|r| store.leaf_entry(r)).collect();
+        let params = TilingParams::from_config(store.tree().config(), DEFAULT_STR_FILL);
         let tiles = plan_tiles(entries, &params);
         store.str_install(&records, tiles, &params);
     } else {
@@ -66,15 +68,17 @@ fn build(mut store: Box<dyn SpatialStore>, str_built: bool) -> Box<dyn SpatialSt
 }
 
 fn secondary() -> Box<dyn SpatialStore> {
-    let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 96);
-    Box::new(SecondaryOrganization::new(disk, pool))
+    Box::new(SecondaryOrganization::new(new_shared_pool(
+        Disk::with_defaults(),
+        96,
+    )))
 }
 
 fn primary() -> Box<dyn SpatialStore> {
-    let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 96);
-    Box::new(PrimaryOrganization::new(disk, pool))
+    Box::new(PrimaryOrganization::new(new_shared_pool(
+        Disk::with_defaults(),
+        96,
+    )))
 }
 
 fn windows() -> Vec<Rect> {
@@ -89,6 +93,7 @@ fn windows() -> Vec<Rect> {
 
 #[test]
 fn secondary_window_query_charges_what_the_table_path_charges() {
+    let records = records();
     for str_built in [false, true] {
         // Twins: every charge below hits two pools in the same state.
         let by_entry = build(secondary(), str_built);
@@ -105,7 +110,7 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
             let mut bytes = 0;
             for e in &candidates {
                 by_table.fetch_object(e.oid);
-                bytes += u64::from(by_table.object_size(e.oid));
+                bytes += u64::from(records[e.oid.0 as usize].size_bytes);
             }
             let table_io = by_table.disk().stats().since(&before);
 
@@ -120,23 +125,23 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
 #[test]
 fn primary_window_query_reports_the_bytes_the_table_records() {
     // `fetch_object` also touches the data page here, so only the byte
-    // count has a like-for-like table path.
+    // count has a like-for-like path: the sizes of the records.
+    let records = records();
     for str_built in [false, true] {
         let store = build(primary(), str_built);
         let mut overflowing = 0;
         for (k, window) in windows().iter().enumerate() {
             let mut candidates = Vec::new();
-            let stats = store.window_query_into(window, WindowTechnique::Complete, &mut candidates);
-            let sizes = candidates.iter().map(|e| store.object_size(e.oid));
+            let result_bytes =
+                store.window_query_into(window, WindowTechnique::Complete, &mut candidates);
+            let sizes = candidates
+                .iter()
+                .map(|e| records[e.oid.0 as usize].size_bytes);
             let bytes: u64 = sizes.clone().map(u64::from).sum();
             overflowing += sizes
                 .filter(|&s| s > PrimaryOrganization::inline_limit())
                 .count();
-            assert_eq!(stats.candidates, candidates.len());
-            assert_eq!(
-                stats.result_bytes, bytes,
-                "window {k}, STR-built: {str_built}"
-            );
+            assert_eq!(result_bytes, bytes, "window {k}, STR-built: {str_built}");
         }
         assert!(overflowing > 0, "no window met an overflow object");
     }

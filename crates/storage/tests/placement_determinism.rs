@@ -16,9 +16,8 @@ use spatialdb_storage::{
 };
 
 fn build() -> ClusterOrganization {
-    let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 192);
-    let mut org = ClusterOrganization::new(disk, pool, ClusterConfig::plain(40 * 1024));
+    let pool = new_shared_pool(Disk::with_defaults(), 192);
+    let mut org = ClusterOrganization::new(pool, ClusterConfig::plain(40 * 1024));
     for i in 0..400u64 {
         let x = (i % 40) as f64 / 40.0;
         let y = (i / 40) as f64 / 40.0;

@@ -5,15 +5,15 @@
 //! from its own `SmallRng::seed_from_u64(seed)`, and every assertion
 //! names the seed.
 
-use spatialdb_disk::{Disk, DiskHandle};
+use spatialdb_disk::Disk;
 use spatialdb_geom::rng::SmallRng;
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::bulk::plan_tiles;
 use spatialdb_rtree::validate::check_invariants;
-use spatialdb_rtree::{LeafEntry, ObjectId};
+use spatialdb_rtree::{LeafEntry, ObjectId, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{
     new_shared_pool, ClusterConfig, ClusterOrganization, MemoryStore, ObjectRecord,
-    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore, StrPlan, WindowTechnique,
+    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore, WindowTechnique,
 };
 
 /// Cases per property.
@@ -43,27 +43,24 @@ fn records(rng: &mut SmallRng, max: usize) -> Vec<ObjectRecord> {
         .collect()
 }
 
-/// A fresh disk and a 256-page pool over it.
-fn machine() -> (DiskHandle, SharedPool) {
-    let disk = Disk::with_defaults();
-    (disk.clone(), new_shared_pool(disk, 256))
+/// A 256-page pool over a fresh disk: a machine of its own.
+fn machine() -> SharedPool {
+    new_shared_pool(Disk::with_defaults(), 256)
 }
 
 /// An empty cluster organization on a machine of its own.
 fn cluster() -> ClusterOrganization {
-    let (disk, pool) = machine();
-    ClusterOrganization::new(disk, pool, ClusterConfig::restricted_buddy(SMAX))
+    ClusterOrganization::new(machine(), ClusterConfig::restricted_buddy(SMAX))
 }
 
 /// One empty store of each organization model, and the engine's
 /// in-memory oracle, each on a machine of its own.
 fn all_models() -> [Box<dyn SpatialStore>; 4] {
-    let ((d1, p1), (d2, p2), (d3, p3)) = (machine(), machine(), machine());
     [
-        Box::new(SecondaryOrganization::new(d1, p1)),
-        Box::new(PrimaryOrganization::new(d2, p2)),
+        Box::new(SecondaryOrganization::new(machine())),
+        Box::new(PrimaryOrganization::new(machine())),
         Box::new(cluster()),
-        Box::new(MemoryStore::new(d3, p3)),
+        Box::new(MemoryStore::new(machine())),
     ]
 }
 
@@ -75,7 +72,8 @@ fn loaded_models(records: &[ObjectRecord]) -> Vec<(String, Box<dyn SpatialStore>
     for str_built in [false, true] {
         for mut store in all_models() {
             if str_built {
-                let StrPlan { entries, params } = store.str_plan(records);
+                let entries = records.iter().map(|r| store.leaf_entry(r)).collect();
+                let params = TilingParams::from_config(store.tree().config(), DEFAULT_STR_FILL);
                 let tiles = plan_tiles(entries, &params);
                 store.str_install(records, tiles, &params);
             } else {
@@ -103,13 +101,12 @@ fn ids(entries: &[LeafEntry]) -> Vec<u64> {
     ids
 }
 
-/// Ids of the records whose MBR `keep` selects, ascending.
-fn brute_force(records: &[ObjectRecord], keep: impl Fn(&Rect) -> bool) -> Vec<u64> {
-    records
-        .iter()
-        .filter(|r| keep(&r.mbr))
-        .map(|r| r.oid.0)
-        .collect()
+/// Ids of the records whose MBR `keep` selects, ascending, and the sum
+/// of their sizes.
+fn brute_force(records: &[ObjectRecord], keep: impl Fn(&Rect) -> bool) -> (Vec<u64>, u64) {
+    let kept = records.iter().filter(|r| keep(&r.mbr));
+    let bytes = kept.clone().map(|r| u64::from(r.size_bytes)).sum();
+    (kept.map(|r| r.oid.0).collect(), bytes)
 }
 
 #[test]
@@ -119,12 +116,12 @@ fn all_models_agree_on_window_candidates() {
         let (wx, wy) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
         let ww = rng.gen_range(0.01..0.5);
         let window = Rect::new(wx, wy, wx + ww, wy + ww);
-        let brute = brute_force(&records, |mbr| mbr.intersects(&window));
+        let (brute, brute_bytes) = brute_force(&records, |mbr| mbr.intersects(&window));
         let mut out = Vec::new();
         for (store, org) in loaded_models(&records) {
-            let q = org.window_query_into(&window, WindowTechnique::Complete, &mut out);
+            let bytes = org.window_query_into(&window, WindowTechnique::Complete, &mut out);
             assert_eq!(ids(&out), brute, "seed {seed}: {store}");
-            assert_eq!(q.candidates, brute.len(), "seed {seed}: {store}");
+            assert_eq!(bytes, brute_bytes, "seed {seed}: {store}");
         }
     });
 }
@@ -134,12 +131,12 @@ fn all_models_agree_on_point_candidates() {
     check(|seed, rng| {
         let records = records(rng, 100);
         let p = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-        let brute = brute_force(&records, |mbr| mbr.contains_point(&p));
+        let (brute, brute_bytes) = brute_force(&records, |mbr| mbr.contains_point(&p));
         let mut out = Vec::new();
         for (store, org) in loaded_models(&records) {
-            let q = org.point_query_into(&p, &mut out);
+            let bytes = org.point_query_into(&p, &mut out);
             assert_eq!(ids(&out), brute, "seed {seed}: {store}");
-            assert_eq!(q.candidates, brute.len(), "seed {seed}: {store}");
+            assert_eq!(bytes, brute_bytes, "seed {seed}: {store}");
         }
     });
 }
@@ -217,8 +214,7 @@ fn window_techniques_same_candidates_different_cost() {
             }
             org.flush();
             org.begin_query();
-            let q = org.window_query_into(&window, tech, &mut out);
-            let got = (q.candidates, ids(&out));
+            let got = (org.window_query_into(&window, tech, &mut out), ids(&out));
             match &candidates {
                 None => candidates = Some(got),
                 Some(c) => assert_eq!(&got, c, "seed {seed}: {tech:?}"),

@@ -3,12 +3,9 @@
 //! `MemoryStore` — everything else (point queries, the STR install, …)
 //! comes from the trait's provided bodies.
 
-use spatialdb::disk::DiskHandle;
 use spatialdb::geom::Rect;
 use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
-use spatialdb::storage::{
-    MemoryStore, ObjectRecord, QueryStats, SharedPool, SpatialStore, WindowTechnique,
-};
+use spatialdb::storage::{MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique};
 
 /// A backend from before the hint existed: what it keeps of a record is
 /// what `ObjectRecord::new` and `LeafEntry::new(mbr, oid, 0)` always
@@ -30,12 +27,7 @@ impl SpatialStore for HintlessStore {
     fn delete(&mut self, oid: ObjectId) -> bool {
         self.0.delete(oid)
     }
-    fn window_query_into(
-        &self,
-        w: &Rect,
-        t: WindowTechnique,
-        out: &mut Vec<LeafEntry>,
-    ) -> QueryStats {
+    fn window_query_into(&self, w: &Rect, t: WindowTechnique, out: &mut Vec<LeafEntry>) -> u64 {
         self.0.window_query_into(w, t, out)
     }
     fn fetch_object(&self, oid: ObjectId) {
@@ -50,9 +42,6 @@ impl SpatialStore for HintlessStore {
     fn contains(&self, oid: ObjectId) -> bool {
         self.0.contains(oid)
     }
-    fn disk(&self) -> DiskHandle {
-        self.0.disk()
-    }
     fn pool(&self) -> SharedPool {
         self.0.pool()
     }
@@ -64,8 +53,5 @@ impl SpatialStore for HintlessStore {
     }
     fn begin_query(&mut self) {
         self.0.begin_query()
-    }
-    fn object_size(&self, oid: ObjectId) -> u32 {
-        self.0.object_size(oid)
     }
 }

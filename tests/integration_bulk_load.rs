@@ -241,10 +241,10 @@ fn memory_store_bulk_load_matches_insertion() {
     use spatialdb::storage::MemoryStore;
     const N: u64 = 2_000;
     let ws_a = Workspace::new(64);
-    let mut a = ws_a.create_database_with(Box::new(MemoryStore::new(ws_a.disk(), ws_a.pool())));
+    let mut a = ws_a.create_database_with(Box::new(MemoryStore::new(ws_a.pool())));
     ws_a.bulk_load_par(&mut a, objects(N), 4);
     let ws_b = Workspace::new(64);
-    let b = ws_b.create_database_with(Box::new(MemoryStore::new(ws_b.disk(), ws_b.pool())));
+    let b = ws_b.create_database_with(Box::new(MemoryStore::new(ws_b.pool())));
     for (id, g) in objects(N) {
         b.insert(id, g);
     }
@@ -290,7 +290,7 @@ fn repeated_id_charges_nothing() {
     records.push(records[42]);
     for threads in [1, 4] {
         let ws = Workspace::new(64);
-        let memory: Box<dyn SpatialStore> = Box::new(MemoryStore::new(ws.disk(), ws.pool()));
+        let memory: Box<dyn SpatialStore> = Box::new(MemoryStore::new(ws.pool()));
         let mut dbs: Vec<SpatialDatabase> = ALL_KINDS
             .into_iter()
             .map(|kind| ws.create_database(DbOptions::new(kind)))
@@ -325,7 +325,7 @@ fn bulk_load_into_a_non_empty_database_charges_nothing() {
     let all = Rect::new(0.0, 0.0, 1.0, 1.0);
     for threads in [1, 4] {
         let ws = Workspace::new(64);
-        let memory = || MemoryStore::new(ws.disk(), ws.pool());
+        let memory = || MemoryStore::new(ws.pool());
         let mut dbs: Vec<SpatialDatabase> = ALL_KINDS
             .into_iter()
             .map(|kind| ws.create_database(DbOptions::new(kind)))
@@ -368,8 +368,7 @@ fn bulk_load_into_a_non_empty_database_charges_nothing() {
 #[test]
 fn tiling_panic_charges_nothing() {
     let disk = Disk::with_defaults();
-    let pool = new_shared_pool(disk.clone(), 128);
-    let mut org = SecondaryOrganization::new(disk.clone(), pool);
+    let mut org = SecondaryOrganization::new(new_shared_pool(disk.clone(), 128));
     let mut records = records(4_000);
     // NaN sorts last under the STR total order, so the poisoned entry
     // lands in the last worker's slices; the others finish tiling first.

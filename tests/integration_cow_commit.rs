@@ -11,8 +11,8 @@
 //!   after every commit;
 //! * every published root is structurally sound (`check_invariants`,
 //!   `check_consistency`);
-//! * the whole transcript — filter answers, `QueryStats`, final
-//!   `IoStats` — is identical to the same stream applied through the
+//! * the whole transcript — filter answers, queried bytes, per-probe
+//!   and final `IoStats` — is identical to the same stream applied through the
 //!   exclusive `store_mut()` path (which mutates in place beside a held
 //!   snapshot), and its answers identical to `MemoryStore`'s;
 //! * nothing is leaked: the retire list drains at the next quiescent
@@ -25,8 +25,8 @@ use spatialdb::geom::{HasMbr, Point, Rect};
 use spatialdb::rtree::validate::check_invariants;
 use spatialdb::storage::{MemoryStore, ObjectRecord, WindowTechnique};
 use spatialdb::{
-    DbOptions, Geometry, IoStats, ObjectId, OrganizationKind, QueryStats, SpatialDatabase,
-    SpatialStore, Workspace,
+    DbOptions, Geometry, IoStats, ObjectId, OrganizationKind, SpatialDatabase, SpatialStore,
+    Workspace,
 };
 use std::collections::HashMap;
 
@@ -106,18 +106,19 @@ impl Inputs {
     }
 }
 
-/// What one probe of a store observed: the filter step's answer and its
-/// per-call statistics.
+/// What one probe of a store observed: the filter step's answer, the
+/// candidates' bytes and the I/O the call charged.
 #[derive(Clone, Debug, PartialEq)]
 struct Observation {
     ids: Vec<u64>,
-    stats: QueryStats,
+    result_bytes: u64,
+    io: IoStats,
 }
 
 impl Observation {
     /// The part that does not depend on buffer state or organization.
-    fn answer(&self) -> (&[u64], usize, u64) {
-        (&self.ids, self.stats.candidates, self.stats.result_bytes)
+    fn answer(&self) -> (&[u64], u64) {
+        (&self.ids, self.result_bytes)
     }
 }
 
@@ -126,14 +127,21 @@ impl Observation {
 fn probe(store: &dyn SpatialStore, inputs: &Inputs, step: usize) -> Observation {
     let k = (step / 2) % inputs.windows.len();
     let mut candidates = Vec::new();
-    let stats = if step.is_multiple_of(2) {
+    let disk = store.disk();
+    let before = disk.local_stats();
+    let result_bytes = if step.is_multiple_of(2) {
         store.window_query_into(&inputs.windows[k], WindowTechnique::Slm, &mut candidates)
     } else {
         store.point_query_into(&inputs.points[k], &mut candidates)
     };
+    let io = disk.local_stats().since(&before);
     let mut ids: Vec<u64> = candidates.iter().map(|e| e.oid.0).collect();
     ids.sort_unstable();
-    Observation { ids, stats }
+    Observation {
+        ids,
+        result_bytes,
+        io,
+    }
 }
 
 /// Everything a run observed, in order.
@@ -248,7 +256,7 @@ fn shared_and_exclusive_commits_agree_beside_a_pinned_view() {
     let inputs = Inputs::generate(1994);
     let memory = {
         let ws = Workspace::new(256);
-        let store = MemoryStore::new(ws.disk(), ws.pool());
+        let store = MemoryStore::new(ws.pool());
         run_shared(ws.create_database_with(Box::new(store)), &inputs)
     };
     assert!(
@@ -272,8 +280,7 @@ fn shared_and_exclusive_commits_agree_beside_a_pinned_view() {
         // The organization only changes what an answer costs.
         let answers = |t: &Transcript| -> Vec<_> {
             let all = t.baseline.iter().chain(&t.live);
-            all.map(|o| (o.ids.clone(), o.stats.candidates, o.stats.result_bytes))
-                .collect()
+            all.map(|o| (o.ids.clone(), o.result_bytes)).collect()
         };
         assert_eq!(answers(&shared), answers(&memory), "{kind:?} vs memory");
     }

@@ -270,7 +270,7 @@ fn depth_controls_per_query_overlap() {
 fn memory_store_has_zero_latency() {
     let map = test_map();
     let ws = Workspace::new(64);
-    let store = MemoryStore::new(ws.disk(), ws.pool());
+    let store = MemoryStore::new(ws.pool());
     let mut db = ws.create_database_with(Box::new(store));
     for obj in &map.objects {
         db.insert(obj.id, obj.geometry.clone().unwrap());

@@ -319,7 +319,7 @@ fn backends(ws: &Workspace) -> Vec<(String, SpatialDatabase)> {
             (format!("{kind:?}"), ws.create_database(options))
         })
         .collect();
-    let memory = MemoryStore::new(ws.disk(), ws.pool());
+    let memory = MemoryStore::new(ws.pool());
     dbs.push((
         "MemoryStore".into(),
         ws.create_database_with(Box::new(memory)),
@@ -629,7 +629,7 @@ fn a_backend_whose_entries_carry_no_hint_answers_by_mbr_and_exact_test() {
     let objects = streets(600, 1994);
     let windows = hint_windows(&objects, 12, 7);
     let ws = Workspace::new(64);
-    let store = HintlessStore(MemoryStore::new(ws.disk(), ws.pool()));
+    let store = HintlessStore(MemoryStore::new(ws.pool()));
     let mut db = ws.create_database_with(Box::new(store));
     for (id, g) in &objects {
         db.insert(*id, g.clone());

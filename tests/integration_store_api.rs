@@ -4,13 +4,22 @@
 //! The core matrix runs one window workload through every organization
 //! model × every window technique and asserts that the *exact result
 //! sets* are identical everywhere — the organization and the transfer
-//! technique may only change the I/O cost, never the answer.
+//! technique may only change the I/O cost, never the answer. And every
+//! read path reports one cost: the caller measures a query once, so the
+//! cursor, the batch, the stream and the store's own measured query
+//! forms agree bit for bit.
 
+mod foreign_store;
+
+use foreign_store::HintlessStore;
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::geom::{HasMbr, Point, Rect};
-use spatialdb::storage::{MemoryStore, WindowTechnique};
-use spatialdb::{DbOptions, OrganizationKind, SpatialDatabase, Workspace};
+use spatialdb::storage::{MemoryStore, QueryStats, WindowTechnique};
+use spatialdb::{
+    run_stream, DbOptions, IoStats, OpOutcome, OrganizationKind, Query, SpatialDatabase, StreamOp,
+    StreamOutcome, Workspace,
+};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -70,7 +79,7 @@ fn result_sets_identical_across_stores_and_techniques() {
     }
     // The in-memory baseline answers identically, for free.
     let ws = Workspace::new(256);
-    let mut db = ws.create_database_with(Box::new(MemoryStore::new(ws.disk(), ws.pool())));
+    let mut db = ws.create_database_with(Box::new(MemoryStore::new(ws.pool())));
     for obj in &map.objects {
         db.insert(obj.id, obj.geometry.clone().unwrap());
     }
@@ -187,4 +196,127 @@ fn point_queries_agree_across_stores() {
     }
     assert_eq!(per_kind[0], per_kind[1]);
     assert_eq!(per_kind[1], per_kind[2]);
+}
+
+/// A backend of [`every_read_path_reports_one_cost`]: a paper
+/// organization, or the in-memory baseline — bare or behind a foreign
+/// store that implements only the required methods.
+#[derive(Clone, Copy, Debug)]
+enum Backend {
+    Paper(OrganizationKind),
+    Memory,
+    Hintless,
+}
+
+impl Backend {
+    /// A database of this backend on a workspace of its own, loaded with
+    /// `map`, whose windows default to `technique` (a store built
+    /// outside the engine takes the default; it ignores techniques).
+    fn load(self, map: &SpatialMap, technique: WindowTechnique) -> (Workspace, SpatialDatabase) {
+        let ws = Workspace::new(128);
+        let memory = || MemoryStore::new(ws.pool());
+        let mut db = match self {
+            Backend::Paper(kind) => {
+                let options = DbOptions::new(kind).smax_bytes(40 * 1024);
+                ws.create_database(options.technique(technique))
+            }
+            Backend::Memory => ws.create_database_with(Box::new(memory())),
+            Backend::Hintless => ws.create_database_with(Box::new(HintlessStore(memory()))),
+        };
+        for obj in &map.objects {
+            db.insert(obj.id, obj.geometry.clone().unwrap());
+        }
+        db.finish_loading();
+        (ws, db)
+    }
+}
+
+/// One query of [`every_read_path_reports_one_cost`].
+#[derive(Clone, Copy, Debug)]
+enum Probe {
+    Window(Rect),
+    Point(Point),
+}
+
+impl Probe {
+    fn query(self, db: &SpatialDatabase, technique: WindowTechnique) -> Query<'_> {
+        match self {
+            Probe::Window(w) => db.query().window(w).technique(technique),
+            Probe::Point(p) => db.query().point(p),
+        }
+    }
+}
+
+/// The stats and I/O of the one query a batch or stream ran, the
+/// simulated milliseconds as bits.
+fn only_query(outcome: &StreamOutcome) -> ((usize, u64, u64), IoStats) {
+    match outcome.outcomes() {
+        [OpOutcome::Query { stats, io, .. }] => (bits(*stats), *io),
+        other => panic!("expected one query outcome, got {other:?}"),
+    }
+}
+
+fn bits(stats: QueryStats) -> (usize, u64, u64) {
+    (stats.candidates, stats.result_bytes, stats.io_ms.to_bits())
+}
+
+/// The caller measures a query once, so every read path reports the
+/// same cost: the cursor's `stats()` and `io_stats()`, a batch's and a
+/// stream's outcome, and a twin store's own `window_query` /
+/// `point_query` — on every store, under every technique.
+#[test]
+fn every_read_path_reports_one_cost() {
+    let map = SpatialMap::generate(a1(), 0.003, GeometryMode::Full, 36);
+    let windows = WindowQuerySet::generate(&map, 1e-2, 3, 9).windows;
+    let points = map.objects.iter().step_by(97);
+    let points = points.map(|o| Probe::Point(o.geometry.as_ref().unwrap().vertices()[0]));
+    let probes: Vec<Probe> = windows
+        .into_iter()
+        .map(Probe::Window)
+        .chain(points)
+        .collect();
+    let paper = ALL_KINDS.map(Backend::Paper);
+    for backend in paper
+        .into_iter()
+        .chain([Backend::Memory, Backend::Hintless])
+    {
+        let mut charged = false;
+        for technique in ALL_TECHNIQUES {
+            // One database per workspace: a cold start (`begin_query`)
+            // puts the pool in the same state before every path.
+            let ((ws, mut db), (_twin_ws, mut twin)) =
+                (backend.load(&map, technique), backend.load(&map, technique));
+            for probe in probes.iter().copied() {
+                let at = format!("{backend:?} / {technique:?} / {probe:?}");
+                db.store_mut().begin_query();
+                let cursor = probe.query(&db, technique).run();
+                let (stats, io) = (cursor.stats(), cursor.io_stats());
+                assert_eq!(stats.io_ms.to_bits(), io.io_ms.to_bits(), "{at}");
+                assert_eq!(stats.candidates, cursor.num_candidates(), "{at}");
+                drop(cursor);
+                charged |= io.requests() > 0;
+
+                db.store_mut().begin_query();
+                let batch = only_query(&ws.run_batch(vec![probe.query(&db, technique)], 2));
+                db.store_mut().begin_query();
+                let op = match probe {
+                    Probe::Window(window) => StreamOp::Window { db: &db, window },
+                    Probe::Point(point) => StreamOp::Point { db: &db, point },
+                };
+                let stream = only_query(&run_stream(vec![op], 2));
+                assert_eq!(batch, (bits(stats), io), "{at}: run_batch");
+                assert_eq!(stream, (bits(stats), io), "{at}: run_stream");
+
+                twin.store_mut().begin_query();
+                let store = twin.store();
+                let twin_stats = match probe {
+                    Probe::Window(w) => store.window_query(&w, technique),
+                    Probe::Point(p) => store.point_query(&p),
+                };
+                assert_eq!(bits(twin_stats), bits(stats), "{at}: twin store");
+            }
+        }
+        // The disk-resident stores charge, the memory stores never do.
+        assert_eq!(charged, matches!(backend, Backend::Paper(_)), "{backend:?}");
+    }
 }
