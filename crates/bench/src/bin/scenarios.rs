@@ -6,13 +6,16 @@
 //!
 //! `cargo run --release -p spatialdb-bench --bin scenarios`
 //!
-//! Takes no flags. Every report is simulated time only, so the files
+//! Takes no arguments: any argument exits with status 2 and a message
+//! naming it, before a report is written. Every report is simulated time only, so the files
 //! come out byte-identical on any machine and at any thread count; a
 //! `git diff` after the run shows which cell a change moved.
 
+use spatialdb_bench::CommandLine;
 use spatialdb_workload::reports::{render, FILES};
 
 fn main() {
+    CommandLine::checked(&[]);
     for file in FILES {
         std::fs::write(file, render(file)).expect("write scenario report");
         println!("wrote {file}");

@@ -95,7 +95,7 @@ pub use spatialdb_disk::{
     ArmPolicy, ArmStats, Arrival, Disk, DiskHandle, DiskParams, IoStats, LatencyStats, StripePolicy,
 };
 pub use spatialdb_geom::Geometry;
-pub use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
+pub use spatialdb_join::JoinStats;
 pub use spatialdb_rtree::ObjectId;
 pub use spatialdb_storage::{
     ClusterConfig, MemoryStore, OrganizationKind, QueryStats, SpatialStore, TransferTechnique,

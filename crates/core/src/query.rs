@@ -64,7 +64,7 @@ use crate::stream::map_chunks;
 use spatialdb_disk::IoStats;
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
-use spatialdb_join::{JoinConfig, JoinStats, SpatialJoin};
+use spatialdb_join::{JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
 use std::cell::RefCell;
@@ -459,13 +459,15 @@ impl<'a> Iterator for ResultCursor<'a> {
 }
 
 /// A spatial join under construction. Created by
-/// [`SpatialDatabase::join`]; consumed by [`JoinQuery::run`].
+/// [`SpatialDatabase::join`]; consumed by [`JoinQuery::run`], the one
+/// way a join runs (the stream executor's join op is a `JoinQuery`
+/// too).
 #[must_use = "a JoinQuery does nothing until .run()"]
 #[derive(Debug)]
 pub struct JoinQuery<'a> {
     left: &'a SpatialDatabase,
     right: &'a SpatialDatabase,
-    config: JoinConfig,
+    transfer: TransferTechnique,
 }
 
 impl<'a> JoinQuery<'a> {
@@ -473,26 +475,14 @@ impl<'a> JoinQuery<'a> {
         JoinQuery {
             left,
             right,
-            config: JoinConfig::default(),
+            transfer: TransferTechnique::Complete,
         }
     }
 
-    /// Object-transfer technique (only meaningful for cluster-organized
-    /// operands).
+    /// Object-transfer technique (default *complete*; only the cluster
+    /// organization distinguishes them).
     pub fn transfer(mut self, technique: TransferTechnique) -> Self {
-        self.config.transfer = technique;
-        self
-    }
-
-    /// CPU cost charged per exact geometry test (paper: 0.75 ms).
-    pub fn exact_test_ms(mut self, ms: f64) -> Self {
-        self.config.exact_test_ms = ms;
-        self
-    }
-
-    /// Replace the whole join configuration.
-    pub fn config(mut self, config: JoinConfig) -> Self {
-        self.config = config;
+        self.transfer = technique;
         self
     }
 
@@ -504,19 +494,15 @@ impl<'a> JoinQuery<'a> {
     /// Panics if the two databases do not share one workspace (disk +
     /// buffer pool).
     pub fn run(self) -> JoinCursor<'a> {
-        let JoinQuery {
-            left,
-            right,
-            config,
-        } = self;
-        let (left, right) = (left.store(), right.store());
-        let (pairs, stats) = SpatialJoin::new(&*left, &*right).run_with_pairs(config);
+        let (left, right) = (self.left.store(), self.right.store());
+        let (pairs, stats, io) = SpatialJoin::new(&*left, &*right).run(self.transfer);
         JoinCursor {
             left,
             right,
             pairs,
             next: 0,
             stats,
+            io,
             refine_threads: 1,
         }
     }
@@ -526,8 +512,9 @@ impl<'a> JoinQuery<'a> {
     ///
     /// The MBR join and the object transfer are `run`'s: they charge the
     /// workspace disk through its one shared buffer, on the calling
-    /// thread. The candidate pairs, the refined results and the
-    /// [`JoinStats`] are therefore the same at every thread count.
+    /// thread. The candidate pairs, the refined results, the
+    /// [`JoinStats`] and the I/O are therefore the same at every thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -546,11 +533,13 @@ impl<'a> JoinQuery<'a> {
 pub struct JoinCursor<'a> {
     /// The operands' pinned roots: the pairs came from their stores,
     /// the exact geometries come from their tables.
-    left: StoreRead<'a>,
-    right: StoreRead<'a>,
-    pairs: Vec<(ObjectId, ObjectId)>,
+    pub(crate) left: StoreRead<'a>,
+    pub(crate) right: StoreRead<'a>,
+    pub(crate) pairs: Vec<(ObjectId, ObjectId)>,
     next: usize,
     stats: JoinStats,
+    /// The MBR join's and the object transfer's I/O deltas, summed.
+    pub(crate) io: IoStats,
     /// Threads [`pairs`](JoinCursor::pairs) refines on: those the caller
     /// gave [`JoinQuery::run_par`], one otherwise.
     refine_threads: usize,
@@ -560,6 +549,12 @@ impl<'a> JoinCursor<'a> {
     /// Cost breakdown of this join alone (§6.3 / Figure 17).
     pub fn stats(&self) -> JoinStats {
         self.stats
+    }
+
+    /// Detailed I/O counters of this join alone: the MBR join's and the
+    /// object transfer's, each measured once around its call.
+    pub fn io_stats(&self) -> IoStats {
+        self.io
     }
 
     /// Number of candidate pairs the MBR join produced.

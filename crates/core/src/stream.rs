@@ -13,7 +13,8 @@
 //! * **Phase A (op order, calling thread):** every operation's
 //!   I/O-charging half runs here, in logical commit order. A query op
 //!   pins a snapshot and runs its filter step, which hands it the
-//!   candidates; a join op pins both operands and runs the MBR join; an
+//!   candidates; a join op runs its `JoinQuery` (MBR join and object
+//!   transfer), which hands it the candidate pairs; an
 //!   insert/delete commits through the `&self` shadow-paging write path
 //!   and publishes a new root. The simulated disk is one arm behind one
 //!   LRU buffer — which accesses become requests depends on the exact
@@ -48,10 +49,9 @@ use std::collections::VecDeque;
 use std::sync::Condvar;
 
 use crate::db::{GeometryTable, SpatialDatabase};
-use crate::query::{refine_pairs, Candidate, Query, Refinement, Target};
+use crate::query::{refine_pairs, Candidate, JoinQuery, Query, Refinement, Target};
 use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, Point, Rect};
-use spatialdb_join::{JoinConfig, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::QueryStats;
 
@@ -72,8 +72,8 @@ pub enum StreamOp<'a> {
         /// The query point.
         point: Point,
     },
-    /// A spatial join between two databases of one workspace (the
-    /// default [`JoinConfig`]).
+    /// A spatial join between two databases of one workspace: a
+    /// [`JoinQuery`] with nothing set (complete transfer).
     Join {
         /// Left operand.
         left: &'a SpatialDatabase,
@@ -264,13 +264,10 @@ pub(crate) fn map_chunks<T: Sync, R: Send>(
 
 /// What the loop executes: a [`StreamOp`], with window and point ops
 /// spelled as the [`Query`] a batch hands over (which may carry its own
-/// technique).
+/// technique) and a join as its [`JoinQuery`].
 pub(crate) enum Op<'a> {
     Read(Query<'a>),
-    Join {
-        left: &'a SpatialDatabase,
-        right: &'a SpatialDatabase,
-    },
+    Join(JoinQuery<'a>),
     Insert {
         db: &'a SpatialDatabase,
         id: u64,
@@ -287,7 +284,7 @@ impl<'a> From<StreamOp<'a>> for Op<'a> {
         match op {
             StreamOp::Window { db, window } => Op::Read(db.query().window(window)),
             StreamOp::Point { db, point } => Op::Read(db.query().point(point)),
-            StreamOp::Join { left, right } => Op::Join { left, right },
+            StreamOp::Join { left, right } => Op::Join(left.join(right)),
             StreamOp::Insert { db, id, geometry } => Op::Insert { db, id, geometry },
             StreamOp::Delete { db, id } => Op::Delete { db, id },
         }
@@ -477,20 +474,19 @@ pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> StreamOutcome {
                         io: cursor.io,
                     });
                 }
-                Op::Join { left, right } => {
-                    let (left, right) = (left.store(), right.store());
-                    let disk = left.disk();
-                    let before = disk.local_stats();
-                    let pairs = SpatialJoin::new(&*left, &*right)
-                        .run_with_pairs(JoinConfig::default())
-                        .0;
-                    let io = disk.local_stats().since(&before);
-                    outcomes.push(OpOutcome::Join { pairs: 0, io });
+                Op::Join(join) => {
+                    // As for a read: the cursor's pins go before the
+                    // next commit, its I/O is the outcome's.
+                    let cursor = join.run();
+                    outcomes.push(OpOutcome::Join {
+                        pairs: 0,
+                        io: cursor.io,
+                    });
                     queue.push(RefineJob::Join {
                         index,
-                        left: left.geoms().clone(),
-                        right: right.geoms().clone(),
-                        pairs,
+                        left: cursor.left.geoms().clone(),
+                        right: cursor.right.geoms().clone(),
+                        pairs: cursor.pairs,
                     });
                 }
                 Op::Insert { db, id, geometry } => {

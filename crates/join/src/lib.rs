@@ -27,7 +27,12 @@
 //!    `ShardedPool::read_extent`, which window queries use too.
 //! 3. **Exact geometry test**: each candidate pair is tested on the
 //!    decomposed representations; the paper charges ≈ 0.75 msec of CPU
-//!    time per test, which [`pipeline`] reproduces.
+//!    time per test ([`EXACT_TEST_MS`], charged by
+//!    [`JoinStats::exact_test_ms`]).
+//!
+//! [`SpatialJoin::run`] runs steps 1 and 2 and measures each at its call
+//! site, the two bars of Figure 17 that cost I/O; the engine's
+//! `JoinQuery` is its one caller and runs step 3 on the pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +42,5 @@ pub mod pipeline;
 pub mod transfer;
 
 pub use mbr_join::{mbr_join, MbrJoinResult};
-pub use pipeline::{JoinConfig, JoinStats, SpatialJoin};
+pub use pipeline::{JoinStats, SpatialJoin, EXACT_TEST_MS};
 pub use transfer::transfer_objects;

@@ -13,15 +13,13 @@ use std::collections::HashSet;
 /// unit read ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
 /// per object it does not find buffered; the secondary and primary
 /// organizations have a single natural access path and ignore it.
-/// Returns the I/O time in milliseconds.
+/// Measures nothing: the caller takes the I/O delta around the call.
 pub fn transfer_objects(
     r_org: &dyn SpatialStore,
     s_org: &dyn SpatialStore,
     pairs: &[(ObjectId, ObjectId)],
     technique: TransferTechnique,
-) -> f64 {
-    let disk = r_org.disk();
-    let before = disk.local_stats();
+) {
     // The join knows up front which objects it will need: the candidate
     // set of the MBR join, built once and never pruned, so it still
     // names candidates whose pairs were already processed. Cluster-unit
@@ -36,7 +34,6 @@ pub fn transfer_objects(
         r_org.fetch_for_join(*a, &needed_r, technique);
         s_org.fetch_for_join(*b, &needed_s, technique);
     }
-    disk.local_stats().since(&before).io_ms
 }
 
 #[cfg(test)]
@@ -88,11 +85,25 @@ mod tests {
         (r, s, pairs)
     }
 
+    /// The I/O milliseconds [`transfer_objects`] charges the calling
+    /// thread.
+    fn transfer_ms(
+        r: &dyn SpatialStore,
+        s: &dyn SpatialStore,
+        pairs: &[(ObjectId, ObjectId)],
+        technique: TransferTechnique,
+    ) -> f64 {
+        let disk = r.disk();
+        let before = disk.local_stats();
+        transfer_objects(r, s, pairs, technique);
+        disk.local_stats().since(&before).io_ms
+    }
+
     #[test]
     fn transfer_charges_io() {
         let (mut r, s, pairs) = setup(512);
         r.begin_query();
-        let ms = transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
+        let ms = transfer_ms(&r, &s, &pairs, TransferTechnique::Complete);
         assert!(ms > 0.0);
     }
 
@@ -102,7 +113,7 @@ mod tests {
         for pages in [32, 128, 1024] {
             let (mut r, s, pairs) = setup(pages);
             r.begin_query();
-            let ms = transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
+            let ms = transfer_ms(&r, &s, &pairs, TransferTechnique::Complete);
             costs.push(ms);
         }
         assert!(costs[0] >= costs[1] - 1e-9);
@@ -113,10 +124,10 @@ mod tests {
     fn optimum_not_more_expensive_than_complete() {
         let (mut r1, s1, pairs) = setup(256);
         r1.begin_query();
-        let complete = transfer_objects(&r1, &s1, &pairs, TransferTechnique::Complete);
+        let complete = transfer_ms(&r1, &s1, &pairs, TransferTechnique::Complete);
         let (mut r2, s2, pairs2) = setup(256);
         r2.begin_query();
-        let opt = transfer_objects(&r2, &s2, &pairs2, TransferTechnique::Optimum);
+        let opt = transfer_ms(&r2, &s2, &pairs2, TransferTechnique::Optimum);
         assert!(opt <= complete + 1e-9, "opt {opt} vs complete {complete}");
     }
 
@@ -125,7 +136,7 @@ mod tests {
         let (mut r, s, pairs) = setup(8192);
         r.begin_query();
         transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
-        let again = transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
+        let again = transfer_ms(&r, &s, &pairs, TransferTechnique::Complete);
         assert_eq!(again, 0.0);
     }
 
@@ -171,7 +182,7 @@ mod tests {
         ] {
             let (r, s, pairs) = sparse_cluster_join(64);
             assert_eq!(
-                transfer_objects(&r, &s, &pairs, technique),
+                transfer_ms(&r, &s, &pairs, technique),
                 io_ms,
                 "{technique:?}"
             );

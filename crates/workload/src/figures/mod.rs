@@ -36,7 +36,6 @@ use spatialdb::data::workload::{
 };
 use spatialdb::data::{DataSet, GeometryMode, MapId, MapObject, SeriesId, SpatialMap};
 use spatialdb::disk::{IoStats, PAGE_SIZE};
-use spatialdb::join::{JoinConfig, SpatialJoin};
 use spatialdb::storage::{
     ObjectRecord, OrganizationKind, QueryStats, TransferTechnique, WindowTechnique,
 };
@@ -95,12 +94,17 @@ impl Scale {
     ///
     /// # Panics
     ///
-    /// Panics unless `fraction` is in (0, 1].
+    /// Panics unless `fraction` is in (0, 1], with [`Scale::try_fraction`]'s message.
     pub fn fraction(fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "--scale must be in (0, 1]"
-        );
+        Scale::try_fraction(fraction).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`fraction`](Scale::fraction), or a message naming `--scale`
+    /// unless `fraction` is in (0, 1].
+    pub fn try_fraction(fraction: f64) -> Result<Self, String> {
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(format!("--scale must be in (0, 1], got {fraction}"));
+        }
         let mut scale = Scale {
             data_scale: fraction,
             ..Scale::paper()
@@ -109,7 +113,7 @@ impl Scale {
             scale.num_queries = ((678.0 * fraction * 4.0) as usize).clamp(40, 678);
             scale.join_buffers = vec![160, 320, 640, 1280];
         }
-        scale
+        Ok(scale)
     }
 
     /// Generate a map at this scale (MBR-only geometry: the experiments
@@ -741,13 +745,10 @@ fn join_sweep(spec: &Sweep<TransferTechnique>, pairs: &mut JoinPairs) -> Figure 
             let mut mbr_pairs = 0;
             let values = spec.columns.iter().map(|(_, kind, technique)| {
                 let (ws, [r, s]) = pairs.pair(&version, *kind);
-                // Bin boundary: `reset` writes back any dirty pages
-                // *before* the counters are zeroed, so boundary
-                // writebacks are charged to the boundary (not silently
-                // dropped) and the measured bin stays join-only.
+                // Bin boundary: a cold pool of `buffer` pages. Its dirty
+                // pages are written back here, outside the join's phases.
                 ws.pool().reset(buffer);
-                ws.disk().reset_stats();
-                let stats = SpatialJoin::new(&*r.store(), &*s.store()).run_io_only(*technique);
+                let stats = r.join(s).transfer(*technique).run().stats();
                 mbr_pairs = stats.mbr_pairs;
                 stats.io_seconds()
             });
@@ -783,13 +784,10 @@ fn join_breakdown(pairs: &mut JoinPairs) -> Figure {
         for (total, kind) in totals.iter_mut().zip([Secondary, Cluster]) {
             let (ws, [r, s]) = pairs.pair(&version, kind);
             ws.pool().reset(buffer);
-            ws.disk().reset_stats();
-            let stats = SpatialJoin::new(&*r.store(), &*s.store()).run(JoinConfig {
-                transfer: TransferTechnique::Complete,
-                exact_test_ms: 0.75,
-            });
-            let seconds =
-                [stats.mbr_join_ms, stats.transfer_ms, stats.exact_test_ms].map(|ms| ms / 1000.0);
+            let join = r.join(s).transfer(TransferTechnique::Complete);
+            let stats = join.run().stats();
+            let seconds = [stats.mbr_join_ms, stats.transfer_ms, stats.exact_test_ms()];
+            let seconds = seconds.map(|ms| ms / 1000.0);
             *total = seconds.iter().sum();
             let mut values = vec![stats.mbr_pairs as f64];
             values.extend(seconds);

@@ -84,6 +84,6 @@ fn main() {
     println!(
         "\nsimulated cost: {:.1} s I/O + {:.1} s exact tests",
         (stats.mbr_join_ms + stats.transfer_ms) / 1000.0,
-        stats.exact_test_ms / 1000.0
+        stats.exact_test_ms() / 1000.0
     );
 }

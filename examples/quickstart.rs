@@ -85,7 +85,10 @@ fn main() {
     println!("street x river crossings: {pairs:?}");
     println!(
         "join cost: {} candidate pairs, {:.1} ms MBR join, {:.1} ms transfer, {:.1} ms exact tests",
-        stats.mbr_pairs, stats.mbr_join_ms, stats.transfer_ms, stats.exact_test_ms
+        stats.mbr_pairs,
+        stats.mbr_join_ms,
+        stats.transfer_ms,
+        stats.exact_test_ms()
     );
 
     // All simulated I/O is accounted.

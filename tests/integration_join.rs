@@ -4,7 +4,7 @@
 //! correctness through the public API.
 
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
-use spatialdb::{DbOptions, JoinConfig, OrganizationKind, Workspace};
+use spatialdb::{DbOptions, OrganizationKind, Workspace};
 use spatialdb_workload::figures::{calibrate_versions, figures, Figure, Scale, Trend};
 use std::sync::OnceLock;
 
@@ -152,7 +152,7 @@ fn join_exact_results_match_brute_force() {
     }
     a.finish_loading();
     b.finish_loading();
-    let cursor = a.join(&b).config(JoinConfig::default()).run();
+    let cursor = a.join(&b).run();
     let stats = cursor.stats();
     let got = cursor.pairs();
     let mut want = Vec::new();

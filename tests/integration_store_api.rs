@@ -7,7 +7,8 @@
 //! technique may only change the I/O cost, never the answer. And every
 //! read path reports one cost: the caller measures a query once, so the
 //! cursor, the batch, the stream and the store's own measured query
-//! forms agree bit for bit.
+//! forms agree bit for bit. So does every join path: a join measures
+//! its MBR join and its object transfer once each.
 
 mod foreign_store;
 
@@ -15,7 +16,7 @@ use foreign_store::HintlessStore;
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::geom::{HasMbr, Point, Rect};
-use spatialdb::storage::{MemoryStore, QueryStats, WindowTechnique};
+use spatialdb::storage::{MemoryStore, QueryStats, TransferTechnique, WindowTechnique};
 use spatialdb::{
     run_stream, DbOptions, IoStats, OpOutcome, OrganizationKind, Query, SpatialDatabase, StreamOp,
     StreamOutcome, Workspace,
@@ -25,6 +26,13 @@ const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
     OrganizationKind::Primary,
     OrganizationKind::Cluster,
+];
+
+const ALL_TRANSFERS: [TransferTechnique; 4] = [
+    TransferTechnique::Complete,
+    TransferTechnique::VectorRead,
+    TransferTechnique::Read,
+    TransferTechnique::Optimum,
 ];
 
 const ALL_TECHNIQUES: [WindowTechnique; 4] = [
@@ -214,6 +222,17 @@ impl Backend {
     /// outside the engine takes the default; it ignores techniques).
     fn load(self, map: &SpatialMap, technique: WindowTechnique) -> (Workspace, SpatialDatabase) {
         let ws = Workspace::new(128);
+        let db = self.load_on(&ws, map, technique);
+        (ws, db)
+    }
+
+    /// [`load`](Backend::load) onto `ws`, beside its other databases.
+    fn load_on(
+        self,
+        ws: &Workspace,
+        map: &SpatialMap,
+        technique: WindowTechnique,
+    ) -> SpatialDatabase {
         let memory = || MemoryStore::new(ws.pool());
         let mut db = match self {
             Backend::Paper(kind) => {
@@ -227,7 +246,7 @@ impl Backend {
             db.insert(obj.id, obj.geometry.clone().unwrap());
         }
         db.finish_loading();
-        (ws, db)
+        db
     }
 }
 
@@ -318,5 +337,88 @@ fn every_read_path_reports_one_cost() {
         }
         // The disk-resident stores charge, the memory stores never do.
         assert_eq!(charged, matches!(backend, Backend::Paper(_)), "{backend:?}");
+    }
+}
+
+/// Every counter of `io`, the simulated milliseconds as bits.
+fn io_bits(io: IoStats) -> [u64; 7] {
+    [
+        io.read_requests,
+        io.pages_read,
+        io.write_requests,
+        io.pages_written,
+        io.seeks,
+        io.latencies,
+        io.io_ms.to_bits(),
+    ]
+}
+
+/// A join measures each of its two disk-based steps once, where it runs
+/// them, so every join path reports one cost: `run()` and `run_par(3)`,
+/// the cursor's `io_stats()` and a twin workspace's global counters, and
+/// a stream's join outcome at any thread count — on every store, under
+/// every transfer technique.
+#[test]
+fn every_join_path_reports_one_cost() {
+    let maps = [MapId::Map1, MapId::Map2].map(|map| {
+        let dataset = DataSet {
+            series: SeriesId::A,
+            map,
+        };
+        SpatialMap::generate(dataset, 0.006, GeometryMode::Full, 36)
+    });
+    let paper = ALL_KINDS.map(Backend::Paper);
+    for backend in paper.into_iter().chain([Backend::Memory]) {
+        // Both operands on one workspace of their own, loaded alike: a
+        // twin starts every path from the same pool and disk state.
+        let load = || {
+            let ws = Workspace::new(128);
+            let dbs = maps
+                .each_ref()
+                .map(|map| backend.load_on(&ws, map, WindowTechnique::Complete));
+            (ws, dbs)
+        };
+        let mut transferred = false;
+        for technique in ALL_TRANSFERS {
+            let at = format!("{backend:?} / {technique:?}");
+            let (_ws, [r, s]) = load();
+            let cursor = r.join(&s).transfer(technique).run();
+            let (stats, io) = (cursor.stats(), cursor.io_stats());
+            let phases = stats.mbr_join_ms + stats.transfer_ms;
+            assert_eq!(io.io_ms.to_bits(), phases.to_bits(), "{at}");
+            assert_eq!(stats.mbr_pairs, cursor.num_candidates() as u64, "{at}");
+            drop(cursor);
+            transferred |= stats.transfer_ms > 0.0;
+
+            let (twin_ws, [twin_r, twin_s]) = load();
+            let before = twin_ws.disk().stats();
+            let twin = twin_r.join(&twin_s).transfer(technique).run_par(3);
+            let global = twin_ws.disk().stats().since(&before);
+            assert_eq!(twin.stats(), stats, "{at}: run_par(3)");
+            assert_eq!(io_bits(twin.io_stats()), io_bits(io), "{at}: run_par(3)");
+            assert_eq!(io_bits(global), io_bits(io), "{at}: twin's global delta");
+            let answers = twin.pairs().len() as u64;
+
+            if technique == TransferTechnique::Complete {
+                for threads in [1, 4] {
+                    let (_ws, [left, right]) = load();
+                    let join = StreamOp::Join {
+                        left: &left,
+                        right: &right,
+                    };
+                    match run_stream(vec![join], threads).outcomes() {
+                        [OpOutcome::Join { pairs, io: op_io }] => {
+                            assert_eq!(io_bits(*op_io), io_bits(io), "{at}: {threads} threads");
+                            assert_eq!(*pairs, answers, "{at}: {threads} threads");
+                        }
+                        other => panic!("expected one join outcome, got {other:?}"),
+                    }
+                }
+            }
+        }
+        // The disk-resident stores charge the transfer, the memory store
+        // never does (the MBR join reads its tree through the pool).
+        let paper = matches!(backend, Backend::Paper(_));
+        assert_eq!(transferred, paper, "{backend:?}");
     }
 }
