@@ -7,7 +7,7 @@
 //! HashSet-order placement flap, the flush-under-old-mapping double
 //! charge), so this crate machine-checks them: a hand-rolled lexer
 //! (no external dependencies — the workspace builds offline) feeds
-//! seven line-level rules over every `crates/*/src` file.
+//! eight line-level rules over every `crates/*/src` file.
 //!
 //! Run it as `cargo run -p spatialdb-analysis --release -- crates/`;
 //! it exits nonzero with `file:line: [rule] message` diagnostics.
@@ -160,5 +160,9 @@ mod tests {
         assert!(Profile::for_path("crates/join/src/transfer.rs").read_path_guarded);
         assert!(!Profile::for_path("crates/disk/src/shard.rs").read_path_guarded);
         assert!(!Profile::for_path("crates/storage/tests/properties.rs").read_path_guarded);
+        assert!(Profile::for_path("crates/workload/src/scenario.rs").harness_source);
+        assert!(Profile::for_path("crates/bench/src/bin/figures.rs").harness_source);
+        assert!(!Profile::for_path("crates/core/src/query.rs").harness_source);
+        assert!(!Profile::for_path("crates/workload/tests/golden_match.rs").harness_source);
     }
 }

@@ -1,4 +1,4 @@
-//! The seven repo-specific invariant rules.
+//! The eight repo-specific invariant rules.
 //!
 //! Each rule is a line-level pattern over the lexer's code channel; the
 //! rules are deliberately lexical (no type information), so each one is
@@ -37,6 +37,12 @@ pub enum Rule {
     /// place, `ShardedPool::read_extent`, and a store that charges an
     /// analytical cost or decides residency itself forks that read.
     ReadPath,
+    /// `local_stats(` or a call of the store's measured wrappers
+    /// (`.window_query(`, `.point_query(` and their `_traced` forms) in
+    /// the workload or bench sources: the experiment drivers read
+    /// through the engine's cursors, so a query is measured once, at
+    /// `Query::run`, where the engine measures it.
+    MeasureSite,
 }
 
 impl Rule {
@@ -50,6 +56,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::EpochPin => "epoch-pin",
             Rule::ReadPath => "read-path",
+            Rule::MeasureSite => "measure-site",
         }
     }
 
@@ -65,6 +72,7 @@ impl Rule {
             Rule::LockOrder => "lock-order-audited",
             Rule::EpochPin => "epoch-pin-audited",
             Rule::ReadPath => "read-path-audited",
+            Rule::MeasureSite => "measure-site-audited",
         }
     }
 }
@@ -113,6 +121,10 @@ pub struct Profile {
     /// This file is a source of the storage, join or core crate, which
     /// read cluster units only through the pool's one unit read.
     pub read_path_guarded: bool,
+    /// This file is a source of the workload or bench crate, which
+    /// query through the engine's cursors and measure nothing
+    /// themselves.
+    pub harness_source: bool,
 }
 
 impl Profile {
@@ -139,6 +151,7 @@ impl Profile {
             lock_helper_module: file_name == "lockdep.rs",
             epoch_manager_module: crate_name == "epoch",
             read_path_guarded: in_src && matches!(crate_name.as_str(), "storage" | "join" | "core"),
+            harness_source: in_src && matches!(crate_name.as_str(), "workload" | "bench"),
         }
     }
 
@@ -151,6 +164,7 @@ impl Profile {
             lock_helper_module: false,
             epoch_manager_module: false,
             read_path_guarded: true,
+            harness_source: true,
         }
     }
 }
@@ -183,6 +197,9 @@ pub fn analyze_source(file: &str, source: &str, profile: Profile) -> Vec<Finding
     }
     if profile.read_path_guarded {
         check_read_path(file, &lines, &mut findings);
+    }
+    if profile.harness_source {
+        check_measure_site(file, &lines, &mut findings);
     }
 
     findings
@@ -669,6 +686,42 @@ fn check_read_path(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
                 "`{what}` outside the pool — a cluster unit is read, charged and \
                  counted in one place, `ShardedPool::read_extent`; a store that \
                  charges an analytical cost or probes residency itself forks it"
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule 8: measure-site
+// ---------------------------------------------------------------------
+
+/// Calls that measure a query outside the engine's cursors: a tally
+/// delta, or the store's measured wrappers.
+const MEASURE_SITES: &[&str] = &[
+    "local_stats(",
+    ".window_query(",
+    ".point_query(",
+    ".window_query_traced(",
+    ".point_query_traced(",
+];
+
+fn check_measure_site(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
+    for (i, line) in lines.iter().enumerate() {
+        let Some(what) = MEASURE_SITES.iter().find(|call| line.code.contains(*call)) else {
+            continue;
+        };
+        if waived(lines, i, Rule::MeasureSite) {
+            continue;
+        }
+        findings.push(Finding {
+            file: file.to_string(),
+            line: i + 1,
+            rule: Rule::MeasureSite,
+            message: format!(
+                "`{}` in an experiment driver — the harness reads through the \
+                 engine's cursors (`db.query()…run()`, `db.join(..)…run()`), so a \
+                 query is measured once, at `Query::run`",
+                what.trim_end_matches('(')
             ),
         });
     }

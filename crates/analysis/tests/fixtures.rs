@@ -92,6 +92,11 @@ fn read_path_fixture() {
     assert_rule_fires("read_path.rs", Rule::ReadPath);
 }
 
+#[test]
+fn measure_site_fixture() {
+    assert_rule_fires("measure_site.rs", Rule::MeasureSite);
+}
+
 /// The CLI must exit 1 (findings) on the fixture tree and name every
 /// rule in its diagnostics.
 #[test]
@@ -110,6 +115,7 @@ fn cli_exits_nonzero_on_fixtures() {
         "lock-order",
         "epoch-pin",
         "read-path",
+        "measure-site",
     ] {
         assert!(
             stdout.contains(&format!("[{rule}]")),
@@ -129,6 +135,7 @@ fn cli_exits_nonzero_on_each_fixture() {
         "lock_order.rs",
         "epoch_pin.rs",
         "read_path.rs",
+        "measure_site.rs",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_spatialdb-analysis"))
             .arg(fixture_path(name))

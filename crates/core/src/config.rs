@@ -1,8 +1,8 @@
 //! One validated configuration for a [`Workspace`](crate::Workspace).
 //!
-//! Every knob of the simulated machine — disk timing, buffer capacity,
-//! pool sharding — is a field of [`EngineConfig`], a single builder
-//! that is validated as a whole before any resource exists:
+//! Every knob of the simulated machine — buffer capacity and pool
+//! sharding — is a field of [`EngineConfig`], a single builder that is
+//! validated as a whole before any resource exists:
 //!
 //! ```
 //! use spatialdb::{EngineConfig, Workspace};
@@ -11,14 +11,15 @@
 //! # let _ = ws;
 //! ```
 //!
-//! How many disk arms a replay of the charged requests runs on is not a
-//! property of the machine the queries charge: it belongs to the replay
+//! The disk always times requests with §5.1's parameters
+//! ([`DiskParams::default`](spatialdb_disk::DiskParams::default): 9 ms
+//! seek, 6 ms latency, 1 ms transfer per page). How many disk arms a
+//! replay of the charged requests runs on is not a property of the
+//! machine the queries charge: it belongs to the replay
 //! ([`ArrayConfig`](spatialdb_disk::ArrayConfig)).
 
-use spatialdb_disk::DiskParams;
-
-/// Everything that shapes one simulated machine: disk timing, buffer
-/// capacity and pool sharding.
+/// Everything that shapes one simulated machine: buffer capacity and
+/// pool sharding.
 ///
 /// Build with the fluent setters, then hand to
 /// [`Workspace::from_config`](crate::Workspace::from_config) (panics on
@@ -27,8 +28,6 @@ use spatialdb_disk::DiskParams;
 /// deterministic single-shard machine with a 512-page buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
-    /// Simulated disk timing parameters (§5.1 cost model).
-    pub params: DiskParams,
     /// Buffer pool capacity in pages. Must be nonzero and at least the
     /// shard count (each shard keeps a one-page floor).
     pub buffer_pages: usize,
@@ -41,7 +40,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            params: DiskParams::default(),
             buffer_pages: 512,
             shards: 1,
         }
@@ -49,13 +47,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Set the simulated disk timing parameters.
-    #[must_use]
-    pub fn params(mut self, params: DiskParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Set the buffer pool capacity in pages.
     #[must_use]
     pub fn buffer_pages(mut self, pages: usize) -> Self {

@@ -62,7 +62,9 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
 use crate::stream::{self, ExecPlan, Op, StreamOutcome};
-use spatialdb_disk::{DepMutex, Disk, DiskHandle, IoStats, LockClass, ShardedPool, PAGE_SIZE};
+use spatialdb_disk::{
+    DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool, PAGE_SIZE,
+};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
@@ -146,8 +148,8 @@ impl Workspace {
     }
 
     /// Build the machine an [`EngineConfig`] describes — the one entry
-    /// point for every configuration knob (disk timing, buffer
-    /// capacity, pool sharding):
+    /// point for every configuration knob (buffer capacity, pool
+    /// sharding) — on the paper's disk parameters:
     ///
     /// ```
     /// use spatialdb::{EngineConfig, Workspace};
@@ -175,7 +177,7 @@ impl Workspace {
     pub fn try_from_config(config: EngineConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let pool = Arc::new(ShardedPool::with_shards(
-            Disk::new(config.params),
+            Disk::new(DiskParams::default()),
             config.buffer_pages,
             config.shards,
         ));

@@ -23,11 +23,6 @@ pub(crate) struct Distribution {
     pub second: Vec<usize>,
 }
 
-fn group_rect<T: SplitItem>(items: &[T], idx: &[usize]) -> Rect {
-    idx.iter()
-        .fold(Rect::empty(), |acc, &i| acc.union(&items[i].rect()))
-}
-
 /// One axis-sorted candidate order (indices sorted by a key).
 fn sorted_indices<T: SplitItem, F: Fn(&Rect) -> (f64, f64)>(items: &[T], key: F) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..items.len()).collect();
@@ -130,15 +125,19 @@ pub(crate) fn rstar_split<T: SplitItem>(items: &[T], min_entries: usize) -> Dist
     }
 }
 
-/// Convenience: the MBRs of the two groups of a distribution.
-pub(crate) fn distribution_rects<T: SplitItem>(items: &[T], d: &Distribution) -> (Rect, Rect) {
-    (group_rect(items, &d.first), group_rect(items, &d.second))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::{LeafEntry, ObjectId};
+
+    /// The MBRs of the two groups of a distribution.
+    fn distribution_rects<T: SplitItem>(items: &[T], d: &Distribution) -> (Rect, Rect) {
+        let group = |idx: &[usize]| {
+            idx.iter()
+                .fold(Rect::empty(), |acc, &i| acc.union(&items[i].rect()))
+        };
+        (group(&d.first), group(&d.second))
+    }
 
     fn e(xmin: f64, ymin: f64, xmax: f64, ymax: f64, id: u64) -> LeafEntry {
         LeafEntry::new(Rect::new(xmin, ymin, xmax, ymax), ObjectId(id), 0)

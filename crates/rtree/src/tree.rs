@@ -5,7 +5,7 @@ use crate::config::RTreeConfig;
 use crate::entry::{DirEntry, LeafEntry, ObjectId};
 use crate::io::NodeIo;
 use crate::node::{Node, NodeId, NodeKind, NodeStore};
-use crate::split::{distribution_rects, rstar_split};
+use crate::split::rstar_split;
 use spatialdb_disk::{ExtentAllocator, PageId, RegionId};
 use spatialdb_geom::Rect;
 
@@ -511,7 +511,6 @@ impl RStarTree {
             NodeKind::Dir(entries) => {
                 let m = self.config.min_entries_for(entries.len());
                 let d = rstar_split(entries, m);
-                let (_r1, _r2) = distribution_rects(entries, &d);
                 let first: Vec<DirEntry> = d.first.iter().map(|&i| entries[i]).collect();
                 let second: Vec<DirEntry> = d.second.iter().map(|&i| entries[i]).collect();
                 self.store.get_mut(node_id).kind = NodeKind::Dir(first);
@@ -694,11 +693,7 @@ impl RStarTree {
         // Reinsert orphans, deepest (leaf) entries first.
         orphans.sort_by_key(|(_, level)| *level);
         for (item, level) in orphans {
-            if let AnyEntry::Leaf(_) = item {
-                self.insert_at_level(item, 0, ctx, io);
-            } else {
-                self.insert_at_level(item, level, ctx, io);
-            }
+            self.insert_at_level(item, level, ctx, io);
         }
         // Shrink the root while it is a directory node with one child.
         while !self.store.get(self.root).is_leaf() && self.store.get(self.root).len() == 1 {

@@ -42,7 +42,10 @@
 //!    [`window_query`](SpatialStore::window_query) /
 //!    [`point_query`](SpatialStore::point_query) drop the candidates and
 //!    measure the call into a [`QueryStats`], and the `_traced` forms
-//!    capture the disk requests;
+//!    capture the disk requests. Those four wrappers serve store-level
+//!    tests and probes: the engine and both experiment drivers (the
+//!    paper's figures and the scenario harness) measure every
+//!    production read once, at `Query::run` in `spatialdb-core`;
 //! 3. **Bookkeeping** — occupancy, buffer control, and access to the
 //!    R\*-tree and to the **one pool** the store is built on (its
 //!    constructor takes nothing else of the machine;
@@ -142,7 +145,9 @@ pub trait SpatialStore: Send + Sync {
 
     /// [`window_query_into`](SpatialStore::window_query_into) without
     /// the candidates, measured: same transfer, same charges, and the
-    /// [`QueryStats`] of this call alone.
+    /// [`QueryStats`] of this call alone. For store-level tests and
+    /// probes: the engine and both experiment drivers measure at
+    /// `Query::run` instead.
     fn window_query(&self, window: &Rect, technique: WindowTechnique) -> QueryStats {
         measured(&self.disk(), |out| {
             self.window_query_into(window, technique, out)
@@ -151,7 +156,8 @@ pub trait SpatialStore: Send + Sync {
 
     /// [`point_query_into`](SpatialStore::point_query_into) without the
     /// candidates, measured like
-    /// [`window_query`](SpatialStore::window_query).
+    /// [`window_query`](SpatialStore::window_query) (and, like it, not
+    /// on the engine's or the drivers' read path).
     fn point_query(&self, point: &Point) -> QueryStats {
         measured(&self.disk(), |out| self.point_query_into(point, out))
     }
@@ -167,7 +173,11 @@ pub trait SpatialStore: Send + Sync {
     /// [`PageRequest`] (via [`spatialdb_disk::Disk::traced`]).
     /// Replaying such traces through the disk array
     /// ([`spatialdb_disk::simulate_queries_striped`]) computes per-query
-    /// latency — the one way requests reach an arm. The *optimum*
+    /// latency — the one way requests reach an arm. The scenario
+    /// harness captures the same way without this wrapper: it runs
+    /// `Query::run` inside [`Disk::traced`](spatialdb_disk::Disk::traced),
+    /// so each window is measured once, where the engine measures it;
+    /// this form serves store-level tests and probes. The *optimum*
     /// technique of the pool's unit read
     /// ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
     /// charges an analytical cost with no physical page run, so it is
@@ -181,7 +191,9 @@ pub trait SpatialStore: Send + Sync {
     }
 
     /// The traced read path of a point query — see
-    /// [`window_query_traced`](SpatialStore::window_query_traced).
+    /// [`window_query_traced`](SpatialStore::window_query_traced)
+    /// (store-level tests and probes; the harness captures around
+    /// `Query::run`).
     fn point_query_traced(&self, point: &Point) -> (QueryStats, Vec<PageRequest>) {
         self.disk().traced(|| self.point_query(point))
     }

@@ -20,10 +20,12 @@
 //! The drivers measure what the paper measures — construction I/O,
 //! occupied pages, cold-per-query msec / 4 KB, join I/O per buffer
 //! size — on databases built through the engine's own
-//! [`Workspace::create_database`]; they share a crate, a golden
-//! directory and a gate vocabulary with [`Scenario`](crate::Scenario),
-//! not its trace-and-replay grid: the paper's figures read only the
-//! synchronous charges.
+//! [`Workspace::create_database`] and queried through the engine's
+//! cursors ([`Query::run`], [`SpatialDatabase::join`]), each query
+//! measured once, where the engine measures it. They share a crate, a
+//! golden directory and a gate vocabulary with
+//! [`Scenario`](crate::Scenario), not its trace-and-replay grid: the
+//! paper's figures read only the synchronous charges.
 
 mod figure;
 
@@ -39,7 +41,7 @@ use spatialdb::disk::{IoStats, PAGE_SIZE};
 use spatialdb::storage::{
     ObjectRecord, OrganizationKind, QueryStats, TransferTechnique, WindowTechnique,
 };
-use spatialdb::{DbOptions, ObjectId, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, ObjectId, Query, SpatialDatabase, Workspace};
 
 use OrganizationKind::{Cluster, Primary, Secondary};
 
@@ -361,18 +363,18 @@ fn construction_view(id: &str, built: &[Built]) -> Figure {
     fig
 }
 
-/// Run one query set against a database, cold per query, and return the
-/// aggregated stats.
-fn run_window_set(
+/// Run `aim`'s query at each target against `db`, cold per query, and
+/// sum the cursors' filter-step stats. The cursors are dropped unread:
+/// the filter-only records are never refined.
+fn cold_set<T>(
     db: &mut SpatialDatabase,
-    queries: &WindowQuerySet,
-    technique: WindowTechnique,
+    targets: &[T],
+    aim: impl for<'d> Fn(Query<'d>, &T) -> Query<'d>,
 ) -> QueryStats {
-    let store = db.store_mut();
     let mut total = QueryStats::default();
-    for w in &queries.windows {
-        store.begin_query();
-        total.accumulate(&store.window_query(w, technique));
+    for target in targets {
+        db.store_mut().begin_query();
+        total.accumulate(&aim(db.query(), target).run().stats());
     }
     total
 }
@@ -484,7 +486,9 @@ fn window_sweep(spec: &Sweep<WindowTechnique>, scale: &Scale, datasets: &[DataSe
                     let ws = Workspace::new(scale.query_buffer);
                     build(&ws, *kind, ds.spec().smax_bytes, false, &records).0
                 });
-                let total = run_window_set(db, &queries, *technique);
+                let total = cold_set(db, &queries.windows, |q, w| {
+                    q.window(*w).technique(*technique)
+                });
                 candidates = total.candidates;
                 total.ms_per_4kb().unwrap_or(0.0)
             });
@@ -525,7 +529,9 @@ fn cluster_size_adaptation(scale: &Scale) -> Figure {
         for (ai, &area) in areas.iter().enumerate() {
             let queries = WindowQuerySet::generate(&map, area, scale.num_queries, scale.seed);
             for (ti, tech) in techniques.iter().enumerate() {
-                let total = run_window_set(&mut db, &queries, *tech);
+                let total = cold_set(&mut db, &queries.windows, |q, w| {
+                    q.window(*w).technique(*tech)
+                });
                 cost[ti][ai][si] = total.ms_per_4kb().unwrap_or(f64::INFINITY);
             }
         }
@@ -610,12 +616,7 @@ fn point_queries(scale: &Scale, datasets: &[DataSet]) -> Figure {
         for kind in [Secondary, Primary, Cluster] {
             let ws = Workspace::new(scale.query_buffer);
             let (mut db, _) = build(&ws, kind, ds.spec().smax_bytes, false, &records);
-            let store = db.store_mut();
-            let mut total = QueryStats::default();
-            for p in &points.points {
-                store.begin_query();
-                total.accumulate(&store.point_query(p));
-            }
+            let total = cold_set(&mut db, &points.points, |q, p| q.point(*p));
             values.push(total.ms_per_4kb().unwrap_or(0.0));
             values[0] = total.candidates as f64 / points.points.len() as f64;
         }

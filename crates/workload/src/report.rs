@@ -93,8 +93,9 @@ pub struct ScenarioReport {
     /// Mixed-stream outcomes, one row per organization keyed by `org`
     /// (no rows when the scenario declared no mix).
     pub mix: Figure,
-    /// The accounting cross-check of each phase, named: every cell, then
-    /// every mixed stream.
+    /// The accounting cross-check of each phase, named: per
+    /// organization, its window capture (the replay cells charge
+    /// nothing), then its mixed stream.
     pub conservation: Vec<(String, Conservation)>,
 }
 

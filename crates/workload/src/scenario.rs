@@ -3,20 +3,23 @@
 //! A [`Scenario`] declares a complete experiment — dataset, engine
 //! configuration, window sweep, arrival discipline, replay grid, and
 //! optionally a mixed operation stream — and [`run`](Scenario::run)
-//! executes it: build the workspace from one [`EngineConfig`], bulk
-//! load every database, sweep the grid cell by cell, and fold
-//! everything into a [`ScenarioReport`].
+//! executes it: per organization, build the workspace from one
+//! [`EngineConfig`], bulk load every database, capture the window pass
+//! once, replay it in every grid cell, and fold everything into a
+//! [`ScenarioReport`].
 //!
-//! A cell times its windows the one way requests reach the disk arms:
-//! each window charges the workspace disk synchronously while its store
-//! captures the requests
-//! ([`window_query_traced`](spatialdb::SpatialStore::window_query_traced)),
-//! and the captured traces are replayed through
-//! [`simulate_queries_striped`] or [`simulate_queries_closed`], as the
-//! scenario's [`Arrival`] says. The replay moves no charge.
+//! Requests reach the disk arms one way. The capture cold-starts every
+//! database and runs each window through the engine
+//! ([`Query::run`](spatialdb::Query::run), where every production read
+//! is measured) inside
+//! [`Disk::traced`](spatialdb::disk::Disk::traced): the window charges
+//! the workspace disk synchronously, its one I/O delta is its service
+//! time, and its requests are recorded. Every cell replays those traces
+//! through [`simulate_queries_striped`] or [`simulate_queries_closed`],
+//! as the scenario's [`Arrival`] says, and charges nothing.
 //!
 //! Every input is deterministic — the datasets, the window sweeps, the
-//! open-arrival spacing derived from the traced filter pass — so a
+//! open-arrival spacing derived from the captured filter pass — so a
 //! scenario reproduces its report byte for byte. The checked-in
 //! `BENCH_*.json` reports are four declared scenarios
 //! ([`crate::reports`]) rendered with [`ScenarioReport::to_json`]; a
@@ -30,10 +33,11 @@ use crate::report::{
     org_label, policy_label, quantile, stripe_label, Conservation, ScenarioReport,
 };
 use spatialdb::disk::{
-    simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, QueryTrace,
+    simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, DiskParams,
+    QueryTrace,
 };
 use spatialdb::geom::Rect;
-use spatialdb::storage::{OrganizationKind, WindowTechnique};
+use spatialdb::storage::OrganizationKind;
 use spatialdb::{
     ArmPolicy, Arrival, DbOptions, EngineConfig, IoStats, SpatialDatabase, StripePolicy, Workspace,
 };
@@ -169,7 +173,6 @@ pub struct Scenario {
     databases: usize,
     engine: EngineConfig,
     organizations: Vec<OrganizationKind>,
-    technique: WindowTechnique,
     windows: WindowSweep,
     arrival: Arrival,
     depths: Vec<usize>,
@@ -198,7 +201,6 @@ impl Scenario {
                 OrganizationKind::Primary,
                 OrganizationKind::Cluster,
             ],
-            technique: WindowTechnique::Slm,
             windows: WindowSweep::new(64),
             arrival: Arrival::Burst,
             depths: vec![4],
@@ -241,13 +243,6 @@ impl Scenario {
     pub fn organizations(mut self, kinds: &[OrganizationKind]) -> Self {
         assert!(!kinds.is_empty(), "need at least one organization");
         self.organizations = kinds.to_vec();
-        self
-    }
-
-    /// Window-query technique (default: SLM).
-    #[must_use]
-    pub fn technique(mut self, technique: WindowTechnique) -> Self {
-        self.technique = technique;
         self
     }
 
@@ -365,6 +360,10 @@ impl Scenario {
         for &kind in &self.organizations {
             let ws = Workspace::from_config(self.engine);
             let mut dbs = self.load(&ws, kind);
+            let org = org_label(kind);
+            let capture = self.capture(&ws, &mut dbs, &windows);
+            conservation.push((format!("capture on {org}"), capture.books));
+            let params = ws.disk().params();
 
             // The replay grid, in the order `to_json` lists it: stripes →
             // depths → policies → arms.
@@ -372,16 +371,19 @@ impl Scenario {
                 for &depth in &self.depths {
                     for &policy in &self.policies {
                         for &arms in &self.arms_grid {
-                            let (metrics, books) =
-                                self.run_cell(&ws, &mut dbs, &windows, depth, policy, arms, stripe);
+                            let array = ArrayConfig {
+                                arms,
+                                stripe,
+                                policy,
+                            };
+                            let metrics = self.replay_cell(params, &capture, array, depth);
                             let key = [
-                                org_label(kind),
+                                org,
                                 stripe_label(stripe),
                                 policy_label(policy),
                                 &depth.to_string(),
                                 &arms.to_string(),
                             ];
-                            conservation.push((format!("cell {}", key.join(" / ")), books));
                             cells.push((key.map(String::from).to_vec(), metrics));
                         }
                     }
@@ -398,7 +400,6 @@ impl Scenario {
                     self.seed,
                     per_db,
                 );
-                let org = org_label(kind);
                 mixes.push((vec![org.to_string()], row));
                 conservation.push((format!("mix stream on {org}"), books));
             }
@@ -427,7 +428,7 @@ impl Scenario {
         let load_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
         (0..self.databases)
             .map(|d| {
-                let mut db = ws.create_database(DbOptions::new(kind).technique(self.technique));
+                let mut db = ws.create_database(DbOptions::new(kind));
                 let objects = self.dataset.materialize(self.per_db(), d as u64, self.seed);
                 ws.bulk_load_par(&mut db, objects, load_threads);
                 db.finish_loading();
@@ -436,46 +437,32 @@ impl Scenario {
             .collect()
     }
 
-    /// One grid cell: reset the caches to the same cold state, re-run
-    /// the filter pass capturing each window's requests
-    /// ([`window_query_traced`](spatialdb::SpatialStore::window_query_traced),
-    /// trace-identical every time), and replay the traces through the
-    /// arm array. Returns the metrics the arrival decides
-    /// ([`measures`]), each with its print precision.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell(
-        &self,
-        ws: &Workspace,
-        dbs: &mut [SpatialDatabase],
-        windows: &[Rect],
-        depth: usize,
-        policy: ArmPolicy,
-        arms: usize,
-        stripe: StripePolicy,
-    ) -> (Metrics, Conservation) {
+    /// The filter pass every replay cell of this organization
+    /// schedules: cold-start every database once, then run each window
+    /// through the engine ([`Query::run`](spatialdb::Query::run)) while
+    /// the disk records its requests
+    /// ([`Disk::traced`](spatialdb::disk::Disk::traced)). The window's
+    /// one I/O delta is both its service time — the open arrivals'
+    /// spacing is the mean service time over the load factor — and its
+    /// share of the capture's books.
+    fn capture(&self, ws: &Workspace, dbs: &mut [SpatialDatabase], windows: &[Rect]) -> Capture {
         for db in dbs.iter_mut() {
             db.store_mut().begin_query();
         }
         let disk = ws.disk();
         let global_before = disk.stats();
         let mut attributed = IoStats::default();
-        let mut service_ms = 0.0;
         let mut requests = Vec::with_capacity(windows.len());
         for (i, w) in windows.iter().enumerate() {
-            // Per-window deltas against this thread's tally, in window
-            // order.
-            let before = disk.local_stats();
-            let (stats, trace) = dbs[i % dbs.len()]
-                .store()
-                .window_query_traced(w, self.technique);
-            attributed = attributed.plus(&disk.local_stats().since(&before));
-            service_ms += stats.io_ms;
+            let db = &dbs[i % dbs.len()];
+            let (io, trace) = disk.traced(|| db.query().window(*w).run().io_stats());
+            attributed = attributed.plus(&io);
             requests.push(trace);
         }
-        // The open-arrival spacing comes from the cell's own charges:
-        // mean synchronous service time over the load factor.
-        let inter_arrival_ms = self.arrival.spacing_ms(service_ms / windows.len() as f64);
-        let traces: Vec<QueryTrace> = requests
+        let inter_arrival_ms = self
+            .arrival
+            .spacing_ms(attributed.io_ms / windows.len() as f64);
+        let traces = requests
             .into_iter()
             .enumerate()
             .map(|(i, requests)| QueryTrace {
@@ -483,23 +470,33 @@ impl Scenario {
                 requests,
             })
             .collect();
-        let array = ArrayConfig {
-            arms,
-            stripe,
-            policy,
-        };
+        let global = disk.stats().since(&global_before);
+        Capture {
+            traces,
+            inter_arrival_ms,
+            books: Conservation { attributed, global },
+        }
+    }
+
+    /// One grid cell: replay the capture's stamped traces through an
+    /// arm array of `array`'s shape at `depth` outstanding requests, as
+    /// the scenario's [`Arrival`] says. Charges nothing. Returns the
+    /// metrics the arrival decides ([`measures`]), each with its print
+    /// precision.
+    fn replay_cell(
+        &self,
+        params: DiskParams,
+        capture: &Capture,
+        array: ArrayConfig,
+        depth: usize,
+    ) -> Metrics {
         let geometry = ArmGeometry::default();
+        let traces = &capture.traces;
         let (latency, arm_stats) = match self.arrival {
-            Arrival::Closed { clients, think_ms } => simulate_queries_closed(
-                disk.params(),
-                geometry,
-                array,
-                depth,
-                clients,
-                think_ms,
-                &traces,
-            ),
-            _ => simulate_queries_striped(disk.params(), geometry, array, depth, &traces),
+            Arrival::Closed { clients, think_ms } => {
+                simulate_queries_closed(params, geometry, array, depth, clients, think_ms, traces)
+            }
+            _ => simulate_queries_striped(params, geometry, array, depth, traces),
         };
 
         let mut latencies = Vec::with_capacity(latency.len());
@@ -525,7 +522,7 @@ impl Scenario {
             0.0
         };
         let metrics = [
-            ("inter_arrival_ms", 4, inter_arrival_ms),
+            ("inter_arrival_ms", 4, capture.inter_arrival_ms),
             ("p50_ms", 3, quantile(&latencies, 0.50)),
             ("p95_ms", 3, quantile(&latencies, 0.95)),
             ("p99_ms", 3, quantile(&latencies, 0.99)),
@@ -537,16 +534,21 @@ impl Scenario {
             ("max_util", 3, max_util),
             ("requests", 0, requests as f64),
         ];
-        let measured = metrics
+        metrics
             .into_iter()
             .filter(|(column, ..)| measures(self.arrival, column))
-            .collect();
-        let conservation = Conservation {
-            attributed,
-            global: disk.stats().since(&global_before),
-        };
-        (measured, conservation)
+            .collect()
     }
+}
+
+/// An organization's window pass, captured once for all its replay
+/// cells: each window's requests, stamped with its arrival.
+struct Capture {
+    traces: Vec<QueryTrace>,
+    /// The open arrivals' spacing (0 under closed and burst arrivals).
+    inter_arrival_ms: f64,
+    /// What the pass charged: the organization's one books record.
+    books: Conservation,
 }
 
 #[cfg(test)]
@@ -567,6 +569,58 @@ mod tests {
         let report = scenario.run();
         assert_eq!(report.objects, 999);
         assert!(report.to_json().contains("\"objects\": 999,"));
+    }
+
+    /// A scenario captures each organization's window pass once: a grid
+    /// of eight replay cells charges exactly what a single cell does,
+    /// and every cell replays every captured request.
+    #[test]
+    fn the_replay_grid_charges_nothing() {
+        let scenario = Scenario::new("replay-grid")
+            .dataset(Dataset::grid(300))
+            .organizations(&[OrganizationKind::Cluster])
+            .windows(WindowSweep::new(8));
+        let one = scenario.clone().run();
+        let grid = scenario
+            .sweep_depths(&[1, 4])
+            .sweep_arms(&[1, 2])
+            .sweep_policies(&[ArmPolicy::Fcfs, ArmPolicy::Elevator])
+            .run();
+        assert_eq!(grid.cells.row_keys().count(), 8);
+        let charged = |report: &ScenarioReport| {
+            report.assert_stats_conserved();
+            assert_eq!(report.conservation.len(), 1, "one record per organization");
+            report
+                .conservation
+                .iter()
+                .fold(IoStats::default(), |sum, (_, books)| {
+                    sum.plus(&books.global)
+                })
+        };
+        let (a, b) = (charged(&one), charged(&grid));
+        assert!(a.read_requests > 0, "the capture charged nothing: {a:?}");
+        assert_eq!(
+            (
+                a.read_requests,
+                a.pages_read,
+                a.write_requests,
+                a.pages_written
+            ),
+            (
+                b.read_requests,
+                b.pages_read,
+                b.write_requests,
+                b.pages_written
+            )
+        );
+        assert_eq!((a.seeks, a.latencies), (b.seeks, b.latencies));
+        assert_eq!(a.io_ms.to_bits(), b.io_ms.to_bits());
+        let captured = (b.read_requests + b.write_requests) as f64;
+        let requests = grid.cells.down("requests", &[]);
+        for key in grid.cells.row_keys() {
+            let cell = key.join(" / ");
+            assert_eq!(requests.get(&cell), captured, "{cell}");
+        }
     }
 
     /// A load built from the public variant used to pass unchecked and
