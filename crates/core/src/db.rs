@@ -61,7 +61,7 @@
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
-use crate::stream::{self, ExecPlan, Op, StreamOutcome};
+use crate::stream::{self, map_chunks, ExecPlan, Op, StreamOutcome};
 use spatialdb_disk::{
     DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool, PAGE_SIZE,
 };
@@ -516,7 +516,11 @@ impl SpatialDatabase {
     /// `objects` on `threads`, then register their exact geometry — the
     /// table is built in one pass, not per object.
     fn bulk_load_on(&mut self, objects: Vec<(u64, Geometry)>, threads: usize) {
-        let records: Vec<ObjectRecord> = objects.iter().map(|(id, g)| record_of(*id, g)).collect();
+        // On the load's threads: a polyline's hint encodes its cell
+        // masks on first use.
+        let records = map_chunks(&objects, threads, |chunk| {
+            chunk.iter().map(|(id, g)| record_of(*id, g)).collect()
+        });
         // Exclusive path: `&mut self` proves no pinned reader exists, so
         // the load mutates the current root in place — no shadow copy.
         crate::bulkload::bulk_load_records_par(self.store_mut(), &records, threads);

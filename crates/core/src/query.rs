@@ -14,28 +14,31 @@
 //!
 //! Refinement touches exact geometry only when it must. The geometry
 //! rides the pinned root the candidates came from, so a lookup is a
-//! plain table probe — no lock, nothing a commit can take away. And a
-//! window candidate is decided in one of three ways, the first two from
-//! its leaf entry alone (multi-step query processing, \[BKSS94\]):
+//! plain table probe — no lock, nothing a commit can take away. And the
+//! candidate's leaf entry gives it one verdict first (multi-step query
+//! processing, \[BKSS94\]; [`Hint::verdict`], a point query's window
+//! being the point):
 //!
-//! 1. **MBR inside the window** — the conservative approximation: the
-//!    window contains every point of the object.
-//! 2. **Hint cell inside the window** — the progressive approximation
-//!    ([`Hint`](spatialdb_geom::Hint), two points of the object as grid
-//!    cells of its MBR): the window contains one point of the object.
+//! 1. **Answer** — the window contains the MBR (every point of the
+//!    object), or one of the hint's two point cells, or a `holds` cell
+//!    of its 8 × 8 mask (one point of the object each).
+//! 2. **False hit** — the window meets no `touched` cell of the mask: no
+//!    segment's box, so no point of the object. The candidate is dropped
+//!    without its geometry.
 //! 3. **The exact test**, for what is left ([`ResultCursor::undecided`]
-//!    counts them) — a false MBR hit can only be found here.
+//!    counts them).
 //!
-//! The second step is sound without an epsilon: the encoder keeps a
-//! cell only after checking, with the decode the query runs on the same
-//! MBR bits the entry stores, that the decoded cell contains the point;
-//! the query accepts only a window that contains the whole cell, so a
-//! point of the object lies in the closed window and the exact predicate
-//! is true. For a decided candidate iteration skips the exact test, and
-//! the id-only paths ([`ResultCursor::ids`], `run_batch`, `run_stream`)
-//! skip the lookup too — unless the store holds filter-only records
-//! (bulk-loaded through `store_mut()`, no geometry, no hint): then every
-//! candidate is looked up, and the first one without geometry panics.
+//! The verdicts are sound without an epsilon: the hint's cells and masks
+//! were computed with comparisons against the very edges the query
+//! decodes from the MBR bits the entry stores (see [`Hint`]). For a
+//! decided candidate iteration skips the exact test, and the id-only
+//! paths ([`ResultCursor::ids`], `run_batch`, `run_stream`) skip the
+//! lookup too — unless the store holds filter-only records (bulk-loaded
+//! through `store_mut()`, no geometry, no hint): then every candidate is
+//! looked up, and the first one without geometry panics.
+//!
+//! [`Hint`]: spatialdb_geom::Hint
+//! [`Hint::verdict`]: spatialdb_geom::Hint::verdict
 //!
 //! ```
 //! use spatialdb::geom::{Point, Polyline, Rect};
@@ -62,8 +65,7 @@
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
 use crate::stream::map_chunks;
 use spatialdb_disk::IoStats;
-use spatialdb_geom::Geometry;
-use spatialdb_geom::{Point, Rect};
+use spatialdb_geom::{Geometry, HasMbr, Point, Rect, Verdict};
 use spatialdb_join::{JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
@@ -87,14 +89,17 @@ pub(crate) enum Target {
 }
 
 impl Target {
-    /// `true` if the object behind `entry` answers the target whatever
-    /// its exact shape: the window contains its MBR, hence every point
-    /// of it, or contains a cell of its hint, hence one point of it. The
-    /// one place the two approximations are read — every refinement path
-    /// takes the verdict from [`Candidate::decided`].
-    fn decides(&self, entry: &LeafEntry) -> bool {
-        matches!(self, Target::Window(w)
-            if w.contains_rect(&entry.mbr) || entry.hint.accepts(&entry.mbr, w))
+    /// What the leaf entry alone says about the object behind it
+    /// ([`Hint::verdict`](spatialdb_geom::Hint::verdict) on the window,
+    /// or on the point as a window). The one place the second filter
+    /// step is read — every refinement path takes its candidates from
+    /// [`Query::run_with`].
+    fn verdict(&self, entry: &LeafEntry) -> Verdict {
+        let window = match self {
+            Target::Window(w) => *w,
+            Target::Point(p) => p.mbr(),
+        };
+        entry.hint.verdict(&entry.mbr, &window)
     }
 }
 
@@ -103,7 +108,7 @@ impl Target {
 pub(crate) struct Candidate {
     pub(crate) id: u64,
     /// The candidate's leaf entry alone makes it an answer
-    /// ([`Target::decides`]): no exact test needed.
+    /// ([`Verdict::Answer`]): no exact test needed.
     pub(crate) decided: bool,
 }
 
@@ -200,10 +205,10 @@ fn pair_lacks_geometry(a: ObjectId, b: ObjectId) -> ! {
     );
 }
 
-/// [`refine_pair`] over a stretch of the MBR join's output: the answers
-/// among `pairs`, in their order. The MBR join pins its `r` side, so
-/// equal left ids arrive in runs — the left geometry is looked up once
-/// per run, not once per pair.
+/// [`refine_pair`] over a stretch of the candidate pairs the leaf
+/// entries left open: the answers among `pairs`, in their order. The MBR
+/// join pins its `r` side, so equal left ids arrive in runs — the left
+/// geometry is looked up once per run, not once per pair.
 ///
 /// # Panics
 ///
@@ -316,11 +321,19 @@ impl<'a> Query<'a> {
             result_bytes,
             io_ms: io.io_ms,
         };
-        let candidate = |e: &LeafEntry| Candidate {
-            id: e.oid.0,
-            decided: target.decides(e),
-        };
-        let mut candidates: Vec<Candidate> = scratch.iter().map(candidate).collect();
+        // A false hit never reaches the cursor; one allocation for the
+        // rest.
+        let mut candidates = Vec::with_capacity(scratch.len());
+        for e in scratch.iter() {
+            let decided = match target.verdict(e) {
+                Verdict::FalseHit => continue,
+                verdict => verdict == Verdict::Answer,
+            };
+            candidates.push(Candidate {
+                id: e.oid.0,
+                decided,
+            });
+        }
         candidates.sort_unstable_by_key(|c| c.id);
         ResultCursor {
             root,
@@ -355,8 +368,8 @@ impl<'a> Query<'a> {
 /// that survives exact refinement, in ascending id order. The refinement
 /// is performed per [`next`](Iterator::next) call — consuming only the
 /// first few results does only the first few geometry tests — and a
-/// candidate whose leaf entry already decides it (MBR or hint cell
-/// inside the window, see the [module docs](self)) is an answer without
+/// candidate whose leaf entry already decides it (see the
+/// [module docs](self)) is an answer, or a dropped false hit, without
 /// one. The geometry is handed out as a shared
 /// [`Arc`]: it stays valid after the cursor is gone, whatever is
 /// committed meanwhile.
@@ -373,7 +386,8 @@ pub struct ResultCursor<'a> {
     /// epoch pin keeps the snapshot from being reclaimed.
     pub(crate) root: StoreRead<'a>,
     pub(crate) target: Target,
-    /// The filter step's candidates, ascending by id.
+    /// The filter step's candidates the leaf entries did not rule out,
+    /// ascending by id.
     pub(crate) candidates: Vec<Candidate>,
     next: usize,
     pub(crate) stats: QueryStats,
@@ -403,10 +417,11 @@ impl<'a> ResultCursor<'a> {
     }
 
     /// Number of candidates whose leaf entry did not decide them: the
-    /// window contains neither the MBR nor a hint cell (every candidate
-    /// of a point query). Only these need the exact test, and only among
-    /// these can a false hit be; [`num_candidates`] is the denominator. A
-    /// count of this query, the same on every run and machine.
+    /// window contains no MBR, point cell or `holds` cell of theirs, yet
+    /// meets a `touched` cell. Only these need the exact test;
+    /// [`num_candidates`] is the denominator, and what lies between the
+    /// two was decided by the entries — answers, and false hits dropped
+    /// unread. A count of this query, the same on every run and machine.
     ///
     /// [`num_candidates`]: ResultCursor::num_candidates
     pub fn undecided(&self) -> usize {
@@ -528,13 +543,17 @@ impl<'a> JoinQuery<'a> {
 }
 
 /// A lazy stream of join results: candidate pairs in MBR-join processing
-/// order, each tested on the exact geometries as the caller iterates.
+/// order, each tested on the exact geometries as the caller iterates —
+/// except the pairs a leaf entry already ruled out
+/// ([`undecided`](JoinCursor::undecided) counts the rest).
 #[derive(Debug)]
 pub struct JoinCursor<'a> {
     /// The operands' pinned roots: the pairs came from their stores,
     /// the exact geometries come from their tables.
     pub(crate) left: StoreRead<'a>,
     pub(crate) right: StoreRead<'a>,
+    /// The candidate pairs the leaf entries did not rule out, in MBR-join
+    /// processing order.
     pub(crate) pairs: Vec<(ObjectId, ObjectId)>,
     next: usize,
     stats: JoinStats,
@@ -557,8 +576,20 @@ impl<'a> JoinCursor<'a> {
         self.io
     }
 
-    /// Number of candidate pairs the MBR join produced.
+    /// Number of candidate pairs the MBR join produced — every one is
+    /// transferred and charged its exact test ([`JoinStats::mbr_pairs`]).
     pub fn num_candidates(&self) -> usize {
+        self.stats.mbr_pairs as usize
+    }
+
+    /// Number of candidate pairs left to the exact test: those where
+    /// neither leaf entry's `touched` mask misses the intersection of the
+    /// two MBRs. The rest are disjoint and dropped unread;
+    /// [`num_candidates`] is the denominator. A count of this join, the
+    /// same on every run and machine.
+    ///
+    /// [`num_candidates`]: JoinCursor::num_candidates
+    pub fn undecided(&self) -> usize {
         self.pairs.len()
     }
 

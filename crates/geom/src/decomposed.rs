@@ -15,10 +15,13 @@
 //! `spatialdb-join::pipeline`), so this module only affects wall-clock
 //! time, not the reproduced figures.
 
+use crate::hint::CellMasks;
+use crate::point::Point;
 use crate::polyline::Polyline;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::HasMbr;
+use std::sync::{Arc, OnceLock};
 
 /// Number of segments grouped into one decomposition component.
 ///
@@ -38,15 +41,22 @@ pub struct Component {
     pub num_segments: usize,
 }
 
-/// A polyline together with its decomposition into segment runs.
+/// A polyline together with its decomposition into segment runs and its
+/// cell masks.
 ///
 /// The decomposition is immutable and computed once when the object is
 /// first needed for refinement — mirroring the paper's assumption that the
-/// decomposed representation is stored with the object.
+/// decomposed representation is stored with the object. So are the
+/// masks the object's [`Hint`](crate::Hint) carries.
 #[derive(Clone, Debug)]
 pub struct DecomposedPolyline {
     line: Polyline,
     components: Vec<Component>,
+    /// Computed on first use and shared by every clone: a polyline that
+    /// never enters a store never pays for them (a workload's spare
+    /// objects), one loaded into several stores pays once, and none is
+    /// encoded per load.
+    masks: Arc<OnceLock<CellMasks>>,
 }
 
 impl DecomposedPolyline {
@@ -70,7 +80,11 @@ impl DecomposedPolyline {
             });
             start += len;
         }
-        DecomposedPolyline { line, components }
+        DecomposedPolyline {
+            line,
+            components,
+            masks: Arc::default(),
+        }
     }
 
     /// The underlying polyline.
@@ -83,6 +97,14 @@ impl DecomposedPolyline {
     #[inline]
     pub fn components(&self) -> &[Component] {
         &self.components
+    }
+
+    /// The 8 × 8 cell masks over the polyline's MBR.
+    pub(crate) fn masks(&self) -> CellMasks {
+        let line = &self.line;
+        *self
+            .masks
+            .get_or_init(|| CellMasks::of_line(&line.mbr(), line.vertices()))
     }
 
     fn component_segments(&self, c: &Component) -> impl Iterator<Item = Segment> + '_ {
@@ -139,6 +161,16 @@ impl DecomposedPolyline {
         }
         false
     }
+
+    /// `true` if `p` lies on the polyline, testing only the segments of
+    /// the components whose box contains it; the result is identical to
+    /// [`Polyline::contains_point`].
+    pub fn contains_point(&self, p: &Point) -> bool {
+        self.line.mbr().contains_point(p)
+            && self.components.iter().any(|c| {
+                c.bbox.contains_point(p) && self.component_segments(c).any(|s| s.contains_point(p))
+            })
+    }
 }
 
 impl HasMbr for DecomposedPolyline {
@@ -151,7 +183,6 @@ impl HasMbr for DecomposedPolyline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::Point;
 
     fn long_zigzag(n: usize) -> Polyline {
         let mut v = Vec::with_capacity(n);
@@ -201,6 +232,22 @@ mod tests {
         let miss = Rect::new(10.4, 1.2, 10.6, 1.4);
         assert_eq!(da.intersects_rect(&hit), a.intersects_rect(&hit));
         assert_eq!(da.intersects_rect(&miss), a.intersects_rect(&miss));
+    }
+
+    #[test]
+    fn agrees_with_naive_point_containment() {
+        let a = long_zigzag(40);
+        let da = DecomposedPolyline::new(a.clone());
+        for p in [
+            Point::new(10.5, 0.5),
+            Point::new(10.0, 0.0),
+            Point::new(39.0, 1.0),
+            Point::new(10.5, 0.6),
+            Point::new(-1.0, 0.0),
+        ] {
+            assert_eq!(da.contains_point(&p), a.contains_point(&p), "{p:?}");
+        }
+        assert!(da.contains_point(&Point::new(10.5, 0.5)));
     }
 
     #[test]

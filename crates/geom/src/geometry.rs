@@ -14,7 +14,7 @@
 //! segment-pair sweep.
 
 use crate::decomposed::DecomposedPolyline;
-use crate::hint::Hint;
+use crate::hint::{CellMasks, Hint};
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::polyline::{Polyline, BYTES_PER_VERTEX, POLYLINE_HEADER_BYTES};
@@ -59,7 +59,7 @@ impl Geometry {
     pub fn contains_point(&self, p: &Point) -> bool {
         match self {
             Geometry::Point(q) => q == p,
-            Geometry::Polyline(l) => l.polyline().contains_point(p),
+            Geometry::Polyline(l) => l.contains_point(p),
             Geometry::Polygon(poly) => poly.contains_point(p),
         }
     }
@@ -78,13 +78,20 @@ impl Geometry {
         }
     }
 
-    /// The object's progressive approximation, relative to its
-    /// [`mbr`](HasMbr::mbr): a polyline's two end vertices, a polygon's
-    /// ring vertices `0` and `n / 2`. A point has none — its MBR is the
-    /// point, and already decides every window.
+    /// The object's second-filter-step approximations, relative to its
+    /// [`mbr`](HasMbr::mbr): two points — a polyline's end vertices, a
+    /// polygon's ring vertices `0` and `n / 2` — and the object's cell
+    /// masks (a polyline's computed once and shared by its clones, a
+    /// polygon's here). A point has none — its MBR is the point, and
+    /// already decides every window.
     pub fn hint(&self) -> Hint {
+        let masks = match self {
+            Geometry::Point(_) => return Hint::NONE,
+            Geometry::Polyline(l) => l.masks(),
+            Geometry::Polygon(p) => CellMasks::of_ring(&p.mbr(), p.ring()),
+        };
         match self.hinted_points() {
-            Some([a, b]) => Hint::encode(&self.mbr(), a, b),
+            Some([a, b]) => Hint::encode(&self.mbr(), a, b).with_masks(masks),
             None => Hint::NONE,
         }
     }

@@ -21,9 +21,10 @@
 //! * [`Geometry`] — the closed enum over the exact representations
 //!   (point / polyline / polygon) stored by the database layer, with the
 //!   window-, point- and join-predicates dispatching per variant;
-//! * [`Hint`] — a progressive approximation of an object (two of its
-//!   points, quantised to 32 bits) that lets a window query accept a
-//!   candidate without its exact representation \[BKSS94\];
+//! * [`Hint`] — the second filter step's approximations of an object
+//!   (two of its points in 32 bits, and two 8 × 8 cell masks over its
+//!   MBR) that give a window, point or join candidate a [`Verdict`]
+//!   without its exact representation \[BKSS94\];
 //! * [`decomposed`] — a decomposed object representation in the spirit of
 //!   the TR\*-tree \[SK91\], used by the paper for the *exact geometry test*
 //!   of the spatial join's refinement step (§6.3);
@@ -48,7 +49,7 @@ pub mod segment;
 
 pub use decomposed::DecomposedPolyline;
 pub use geometry::Geometry;
-pub use hint::Hint;
+pub use hint::{Hint, Verdict};
 pub use point::Point;
 pub use polygon::Polygon;
 pub use polyline::Polyline;

@@ -15,7 +15,10 @@
 //!    only the entries meeting the intersection of the two nodes'
 //!    rectangles are sorted and compared. **Order contract:** the
 //!    candidate pairs, their order and the node reads are a function of
-//!    the two trees only (see [`mbr_join`](mod@mbr_join)).
+//!    the two trees only (see [`mbr_join`](mod@mbr_join)). Emitting a
+//!    pair, the join also records whether either leaf entry's cell mask
+//!    rules it out ([`MbrJoinResult::ruled_out`], \[BKSS94\]'s second
+//!    filter step).
 //! 2. **Object transfer** ([`transfer`]): the exact representations of
 //!    all candidate objects are fetched from the organization models.
 //!    Unlike a window query, the join *"may read an object in an
@@ -25,10 +28,10 @@
 //!    transfer techniques *complete*, *vector read*, *read* and
 //!    *optimum* — the techniques of the pool's one unit read,
 //!    `ShardedPool::read_extent`, which window queries use too.
-//! 3. **Exact geometry test**: each candidate pair is tested on the
-//!    decomposed representations; the paper charges ≈ 0.75 msec of CPU
-//!    time per test ([`EXACT_TEST_MS`], charged by
-//!    [`JoinStats::exact_test_ms`]).
+//! 3. **Exact geometry test**: each candidate pair not ruled out is
+//!    tested on the decomposed representations; the paper charges
+//!    ≈ 0.75 msec of CPU time per candidate pair ([`EXACT_TEST_MS`],
+//!    charged by [`JoinStats::exact_test_ms`] for every MBR pair).
 //!
 //! [`SpatialJoin::run`] runs steps 1 and 2 and measures each at its call
 //! site, the two bars of Figure 17 that cost I/O; the engine's

@@ -22,7 +22,8 @@
 //! were recorded before the restriction was introduced.
 
 use spatialdb_geom::Rect;
-use spatialdb_rtree::{DirEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
+use spatialdb_rtree::{DirEntry, LeafEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
+use std::cell::Cell;
 
 /// Result of the MBR join.
 #[derive(Clone, Debug, Default)]
@@ -30,6 +31,24 @@ pub struct MbrJoinResult {
     /// Candidate pairs `(r-object, s-object)` whose MBRs intersect, in
     /// processing order (ascending x, pinned groups).
     pub pairs: Vec<(ObjectId, ObjectId)>,
+    /// `ruled_out[i]`: one of the two leaf entries of `pairs[i]` says its
+    /// object has no point where the two MBRs meet
+    /// ([`Hint::misses`](spatialdb_geom::Hint::misses)), so the objects
+    /// are disjoint. Read while the join holds both entries; the pair
+    /// stays a candidate — it is transferred and charged like any other —
+    /// but needs no exact test.
+    pub ruled_out: Vec<bool>,
+}
+
+impl MbrJoinResult {
+    /// Record the pair of leaf entries `a` (of `r`) and `b` (of `s`).
+    #[inline]
+    fn push(&mut self, a: &LeafEntry, b: &LeafEntry) {
+        let meet = a.mbr.intersection(&b.mbr);
+        self.pairs.push((a.oid, b.oid));
+        self.ruled_out
+            .push(a.hint.misses(&a.mbr, &meet) || b.hint.misses(&b.mbr, &meet));
+    }
 }
 
 /// Compute all pairs of entries of `r` and `s` whose MBRs intersect.
@@ -46,7 +65,10 @@ pub struct MbrJoinResult {
 /// Pairs, their order and the node reads depend on the two trees only
 /// (the module's *order contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
-    let mut out = MbrJoinResult::default();
+    let mut out = MbrJoinResult {
+        pairs: Vec::new(),
+        ruled_out: RULED_OUT.take(),
+    };
     if !(r.is_empty() || s.is_empty()) {
         // One scratch level per step the traversal can descend: every
         // step moves the taller side (or both) one level down.
@@ -59,11 +81,26 @@ pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinRe
             Subtree::root(r),
             Subtree::root(s),
             &mut scratch,
-            &mut out.pairs,
+            &mut out,
             io,
         );
     }
     out
+}
+
+thread_local! {
+    /// The calling thread's last `ruled_out` buffer, handed back by
+    /// [`SpatialJoin::run`](crate::SpatialJoin::run) once it has read it,
+    /// so a join does not grow a fresh one by doubling (as a query reuses
+    /// its candidate buffer).
+    static RULED_OUT: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
+}
+
+/// Hand a read `ruled_out` buffer back for the calling thread's next
+/// [`mbr_join`].
+pub(crate) fn recycle(mut ruled_out: Vec<bool>) {
+    ruled_out.clear();
+    RULED_OUT.set(ruled_out);
 }
 
 /// A node of one tree with the rectangle bounding its entries: the MBR
@@ -203,7 +240,7 @@ fn join_nodes(
     rn: Subtree,
     sn: Subtree,
     scratch: &mut [Level],
-    out: &mut Vec<(ObjectId, ObjectId)>,
+    out: &mut MbrJoinResult,
     io: &mut impl NodeIo,
 ) {
     let rnode = r.node(rn.id);
@@ -218,7 +255,7 @@ fn join_nodes(
             restrict(&mut here.r, re.iter().map(|e| e.mbr), &clip);
             restrict(&mut here.s, se.iter().map(|e| e.mbr), &clip);
             sweep(&here.r, &here.s, |a, b| {
-                out.push((re[a.idx as usize].oid, se[b.idx as usize].oid))
+                out.push(&re[a.idx as usize], &se[b.idx as usize])
             });
         }
         (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {

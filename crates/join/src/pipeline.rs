@@ -4,7 +4,7 @@
 //! [`SpatialJoin::run`] takes each disk-based phase's I/O delta at its
 //! one call site.
 
-use crate::mbr_join::mbr_join;
+use crate::mbr_join::{mbr_join, recycle, MbrJoinResult};
 use crate::transfer::transfer_objects;
 use spatialdb_disk::IoStats;
 use spatialdb_rtree::ObjectId;
@@ -19,7 +19,8 @@ pub const EXACT_TEST_MS: f64 = 0.75;
 /// Figure 17).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct JoinStats {
-    /// Candidate pairs produced by the MBR join.
+    /// Candidate pairs produced by the MBR join — all of them, those a
+    /// leaf entry ruled out included.
     pub mbr_pairs: u64,
     /// I/O time of the MBR join in milliseconds.
     pub mbr_join_ms: f64,
@@ -82,27 +83,41 @@ impl<'a> SpatialJoin<'a> {
     }
 
     /// Run the MBR join and the object transfer under `technique` — the
-    /// two disk-based steps — and return the candidate pairs in
-    /// processing order, the cost breakdown, and the I/O of both steps
-    /// together. Each step's delta against the calling thread's tally is
-    /// taken here, around its one call; the exact test (step 3) is the
-    /// caller's, its CPU cost [`JoinStats::exact_test_ms`].
+    /// two disk-based steps — and return the candidate pairs the exact
+    /// test must decide, in processing order, the cost breakdown, and
+    /// the I/O of both steps together. Each step's delta against the
+    /// calling thread's tally is taken here, around its one call; the
+    /// exact test (step 3) is the caller's, its CPU cost
+    /// [`JoinStats::exact_test_ms`].
+    ///
+    /// Every MBR pair counts, as in the paper: [`JoinStats::mbr_pairs`]
+    /// and the transfer see all of them. Only the pairs a leaf entry
+    /// ruled out ([`MbrJoinResult::ruled_out`]) are not returned.
+    ///
+    /// [`MbrJoinResult::ruled_out`]: crate::MbrJoinResult::ruled_out
     pub fn run(
         &self,
         technique: TransferTechnique,
     ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
         let before = disk.local_stats();
-        let pairs = mbr_join(self.r.tree(), self.s.tree(), &mut pool.as_ref()).pairs;
+        let candidates = mbr_join(self.r.tree(), self.s.tree(), &mut pool.as_ref());
         let mbr_join_io = disk.local_stats().since(&before);
         let before = disk.local_stats();
-        transfer_objects(self.r, self.s, &pairs, technique);
+        transfer_objects(self.r, self.s, &candidates.pairs, technique);
         let transfer_io = disk.local_stats().since(&before);
         let stats = JoinStats {
-            mbr_pairs: pairs.len() as u64,
+            mbr_pairs: candidates.pairs.len() as u64,
             mbr_join_ms: mbr_join_io.io_ms,
             transfer_ms: transfer_io.io_ms,
         };
+        let MbrJoinResult {
+            mut pairs,
+            ruled_out,
+        } = candidates;
+        let mut flags = ruled_out.iter();
+        pairs.retain(|_| flags.next() == Some(&false));
+        recycle(ruled_out);
         (pairs, stats, mbr_join_io.plus(&transfer_io))
     }
 

@@ -37,7 +37,7 @@ pub struct LeafEntry {
     /// the primary organization; the secondary organization's trees have
     /// no limit and it stores the object size here too).
     pub payload: u32,
-    /// The object's progressive approximation relative to `mbr`
+    /// The object's second-filter-step approximations relative to `mbr`
     /// ([`Hint::NONE`] unless set by [`with_hint`](LeafEntry::with_hint)).
     pub hint: Hint,
     /// Where the organization keeps the exact representation when that
@@ -77,10 +77,11 @@ pub struct DirEntry {
 
 // What a shadow-paged commit copies per entry of a touched node, and
 // what a traversal pulls through the cache per entry it looks at: an
-// 89-entry leaf is 4,984 bytes in memory, a directory node 3,560. The
-// leaf entry's hint fills what would pad the 44 bytes of modelled fields
-// to 48; the locator is the 8 bytes on top.
-const _: () = assert!(std::mem::size_of::<LeafEntry>() == 56);
+// 89-entry leaf is 6,408 bytes in memory, a directory node 3,560. The
+// 44 bytes of modelled fields and the 8-byte locator are joined by the
+// 20-byte hint (two points in 4 bytes, two 8 × 8 cell masks in 16),
+// whose 4-byte alignment leaves no padding.
+const _: () = assert!(std::mem::size_of::<LeafEntry>() == 72);
 const _: () = assert!(std::mem::size_of::<DirEntry>() == 40);
 
 /// Anything that can participate in the R\*-tree split algorithm.

@@ -9,8 +9,8 @@ use spatialdb_rtree::{LeafEntry, ObjectId};
 /// The exact geometry itself never enters the storage layer — the
 /// simulation is driven by I/O cost, and the refinement step's CPU cost
 /// is charged separately (§6.3 of the paper charges 0.75 msec per exact
-/// geometry test). The [`Hint`] is an approximation of the object like
-/// the MBR, only a progressive one; the organizations never interpret
+/// geometry test). The [`Hint`] approximates the object like the MBR,
+/// only finer — points and cells of it; the organizations never interpret
 /// it, they hand it to the R\*-tree entry ([`leaf_entry`]) for the query
 /// layer to read back.
 ///
@@ -23,13 +23,14 @@ pub struct ObjectRecord {
     pub mbr: Rect,
     /// Size of the exact representation in bytes.
     pub size_bytes: u32,
-    /// Progressive approximation relative to `mbr` ([`Hint::NONE`]
-    /// unless set by [`with_hint`](ObjectRecord::with_hint)).
+    /// Second-filter-step approximations relative to `mbr`
+    /// ([`Hint::NONE`] unless set by [`with_hint`](ObjectRecord::with_hint)).
     pub hint: Hint,
 }
 
-// The hint took the record's padding, as it does in `LeafEntry`.
-const _: () = assert!(std::mem::size_of::<ObjectRecord>() == 48);
+// 44 bytes of id, MBR and size, and the 20-byte hint without padding,
+// as in `LeafEntry`.
+const _: () = assert!(std::mem::size_of::<ObjectRecord>() == 64);
 
 impl ObjectRecord {
     /// Create a record without a hint.
