@@ -7,7 +7,7 @@
 //! HashSet-order placement flap, the flush-under-old-mapping double
 //! charge), so this crate machine-checks them: a hand-rolled lexer
 //! (no external dependencies — the workspace builds offline) feeds
-//! eight line-level rules over every `crates/*/src` file.
+//! nine line-level rules over every `crates/*/src` file.
 //!
 //! Run it as `cargo run -p spatialdb-analysis --release -- crates/`;
 //! it exits nonzero with `file:line: [rule] message` diagnostics.
@@ -164,5 +164,9 @@ mod tests {
         assert!(Profile::for_path("crates/bench/src/bin/figures.rs").harness_source);
         assert!(!Profile::for_path("crates/core/src/query.rs").harness_source);
         assert!(!Profile::for_path("crates/workload/tests/golden_match.rs").harness_source);
+        assert!(Profile::for_path("crates/storage/src/cluster.rs").pool_session_guarded);
+        assert!(Profile::for_path("crates/join/src/transfer.rs").pool_session_guarded);
+        assert!(!Profile::for_path("crates/core/src/query.rs").pool_session_guarded);
+        assert!(!Profile::for_path("crates/rtree/src/io.rs").pool_session_guarded);
     }
 }

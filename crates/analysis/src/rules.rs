@@ -1,4 +1,4 @@
-//! The eight repo-specific invariant rules.
+//! The nine repo-specific invariant rules.
 //!
 //! Each rule is a line-level pattern over the lexer's code channel; the
 //! rules are deliberately lexical (no type information), so each one is
@@ -34,7 +34,7 @@ pub enum Rule {
     EpochPin,
     /// `charge_raw` / `contains_page` in the storage, join or core
     /// sources: a cluster unit is read, charged and counted in one
-    /// place, `ShardedPool::read_extent`, and a store that charges an
+    /// place, `PoolSession::read_extent`, and a store that charges an
     /// analytical cost or decides residency itself forks that read.
     ReadPath,
     /// `local_stats(` or a call of the store's measured wrappers
@@ -43,6 +43,14 @@ pub enum Rule {
     /// through the engine's cursors, so a query is measured once, at
     /// `Query::run`, where the engine measures it.
     MeasureSite,
+    /// A page access on the pool itself (`pool.read_run(`,
+    /// `pool.touch_if_resident(`, `pool.update_page(`, …) or the pool
+    /// passed to the R\*-tree as its `NodeIo` (`pool.as_ref()`) in the
+    /// storage or join sources: a query, a join phase or a tree update
+    /// reads through one `PoolSession`, which locks the pool and charges
+    /// the disk once — a one-shot call pays both per page, and inside an
+    /// open session it waits on the session's own lock.
+    PoolSession,
 }
 
 impl Rule {
@@ -57,6 +65,7 @@ impl Rule {
             Rule::EpochPin => "epoch-pin",
             Rule::ReadPath => "read-path",
             Rule::MeasureSite => "measure-site",
+            Rule::PoolSession => "pool-session",
         }
     }
 
@@ -73,6 +82,7 @@ impl Rule {
             Rule::EpochPin => "epoch-pin-audited",
             Rule::ReadPath => "read-path-audited",
             Rule::MeasureSite => "measure-site-audited",
+            Rule::PoolSession => "pool-session-audited",
         }
     }
 }
@@ -125,6 +135,9 @@ pub struct Profile {
     /// query through the engine's cursors and measure nothing
     /// themselves.
     pub harness_source: bool,
+    /// This file is a source of the storage or join crate, whose page
+    /// accesses go through a pool session.
+    pub pool_session_guarded: bool,
 }
 
 impl Profile {
@@ -152,6 +165,7 @@ impl Profile {
             epoch_manager_module: crate_name == "epoch",
             read_path_guarded: in_src && matches!(crate_name.as_str(), "storage" | "join" | "core"),
             harness_source: in_src && matches!(crate_name.as_str(), "workload" | "bench"),
+            pool_session_guarded: in_src && matches!(crate_name.as_str(), "storage" | "join"),
         }
     }
 
@@ -165,6 +179,7 @@ impl Profile {
             epoch_manager_module: false,
             read_path_guarded: true,
             harness_source: true,
+            pool_session_guarded: true,
         }
     }
 }
@@ -200,6 +215,9 @@ pub fn analyze_source(file: &str, source: &str, profile: Profile) -> Vec<Finding
     }
     if profile.harness_source {
         check_measure_site(file, &lines, &mut findings);
+    }
+    if profile.pool_session_guarded {
+        check_pool_session(file, &lines, &in_test, &mut findings);
     }
 
     findings
@@ -684,7 +702,7 @@ fn check_read_path(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
             rule: Rule::ReadPath,
             message: format!(
                 "`{what}` outside the pool — a cluster unit is read, charged and \
-                 counted in one place, `ShardedPool::read_extent`; a store that \
+                 counted in one place, `PoolSession::read_extent`; a store that \
                  charges an analytical cost or probes residency itself forks it"
             ),
         });
@@ -722,6 +740,86 @@ fn check_measure_site(file: &str, lines: &[Line], findings: &mut Vec<Finding>) {
                  engine's cursors (`db.query()…run()`, `db.join(..)…run()`), so a \
                  query is measured once, at `Query::run`",
                 what.trim_end_matches('(')
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule 9: pool-session
+// ---------------------------------------------------------------------
+
+/// The page accesses of a `PoolSession`, and `as_ref` (the pool handed
+/// to the tree as its `NodeIo`); on the pool they bypass the session.
+const SESSION_ACCESSES: &[&str] = &[
+    "read_page",
+    "read_run",
+    "read_runs",
+    "read_extent",
+    "touch_if_resident",
+    "update_page",
+    "write_page",
+    "remove_page",
+    "as_ref",
+];
+
+/// The receiver of the method call whose `.` is at byte `dot`: the path,
+/// call and index expression ending there, or — when the line starts
+/// with the `.` of a wrapped chain — the previous code line.
+fn call_receiver(lines: &[Line], idx: usize, dot: usize) -> String {
+    let code = lines[idx].code.as_str();
+    let bytes = code.as_bytes();
+    let mut start = dot;
+    while start > 0 {
+        let c = bytes[start - 1] as char;
+        if c.is_alphanumeric() || matches!(c, '_' | '.' | '(' | ')' | '[' | ']' | '*' | '&') {
+            start -= 1;
+        } else {
+            break;
+        }
+    }
+    if !code[..dot].trim().is_empty() {
+        return code[start..dot].to_string();
+    }
+    lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.code.trim())
+        .find(|c| !c.is_empty())
+        .unwrap_or_default()
+        .to_string()
+}
+
+fn check_pool_session(file: &str, lines: &[Line], in_test: &[bool], findings: &mut Vec<Finding>) {
+    for (i, line) in lines.iter().enumerate() {
+        if in_test[i] {
+            continue;
+        }
+        let code = line.code.as_str();
+        let hit = SESSION_ACCESSES.iter().find(|name| {
+            code.match_indices(&format!(".{name}(")).any(|(dot, _)| {
+                let receiver = call_receiver(lines, i, dot).to_lowercase();
+                receiver.contains("pool") && !receiver.contains("session")
+            })
+        });
+        let Some(name) = hit else { continue };
+        if waived(lines, i, Rule::PoolSession) {
+            continue;
+        }
+        let what = if *name == "as_ref" {
+            "the pool as the tree's `NodeIo`".to_string()
+        } else {
+            format!("`{name}` on the pool")
+        };
+        findings.push(Finding {
+            file: file.to_string(),
+            line: i + 1,
+            rule: Rule::PoolSession,
+            message: format!(
+                "{what} — a query, join phase or tree update accesses pages through \
+                 one `PoolSession` (`pool.session()`), which locks the pool and charges \
+                 the disk once; a one-shot access pays both per page and waits on \
+                 its own lock inside an open session"
             ),
         });
     }

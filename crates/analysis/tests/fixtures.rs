@@ -97,6 +97,11 @@ fn measure_site_fixture() {
     assert_rule_fires("measure_site.rs", Rule::MeasureSite);
 }
 
+#[test]
+fn pool_session_fixture() {
+    assert_rule_fires("pool_session.rs", Rule::PoolSession);
+}
+
 /// The CLI must exit 1 (findings) on the fixture tree and name every
 /// rule in its diagnostics.
 #[test]
@@ -116,6 +121,7 @@ fn cli_exits_nonzero_on_fixtures() {
         "epoch-pin",
         "read-path",
         "measure-site",
+        "pool-session",
     ] {
         assert!(
             stdout.contains(&format!("[{rule}]")),
@@ -136,6 +142,7 @@ fn cli_exits_nonzero_on_each_fixture() {
         "epoch_pin.rs",
         "read_path.rs",
         "measure_site.rs",
+        "pool_session.rs",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_spatialdb-analysis"))
             .arg(fixture_path(name))

@@ -14,7 +14,8 @@ impl Store {
 
     pub fn through_the_pool(&self, unit: PageRun, wanted: &[u64]) {
         // The pool decides; charge_raw and contains_page stay inside it.
-        self.pool.read_extent(unit, wanted, TransferTechnique::Optimum); // OK: the one unit read
+        let mut session = self.pool.session();
+        session.read_extent(unit, wanted, TransferTechnique::Optimum); // OK: the one unit read
         let label = "charge_raw / contains_page"; // OK: a string
     }
 

@@ -321,6 +321,7 @@ impl Workspace {
     /// use spatialdb::storage::{
     ///     MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique,
     /// };
+    /// use spatialdb::disk::PoolSession;
     /// use spatialdb::geom::{Point, Polyline, Rect};
     /// use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
     /// use spatialdb::Workspace;
@@ -354,8 +355,8 @@ impl Workspace {
     ///     ) -> u64 {
     ///         self.0.window_query_into(w, t, out)
     ///     }
-    ///     fn fetch_object(&self, oid: ObjectId) {
-    ///         self.0.fetch_object(oid)
+    ///     fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+    ///         self.0.fetch_object(oid, session)
     ///     }
     ///     fn occupied_pages(&self) -> u64 {
     ///         self.0.occupied_pages()

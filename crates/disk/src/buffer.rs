@@ -10,11 +10,12 @@
 //! [`TransferTechnique::Read`] and [`TransferTechnique::VectorRead`].
 
 use crate::model::{mix64, PageId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// How one cluster unit is read (§6.2, Figures 15–16): the technique of
-/// [`ShardedPool::read_extent`](crate::shard::ShardedPool::read_extent).
+/// [`PoolSession::read_extent`](crate::shard::PoolSession::read_extent).
 ///
 /// Window queries (§5.4) read units with the same family: §5.4's
 /// *complete* is [`Complete`](TransferTechnique::Complete), its SLM
@@ -262,34 +263,33 @@ impl LruBuffer {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(&page) {
-            self.refresh(idx);
-            self.nodes[idx].dirty |= dirty;
-            return;
-        }
+        let slot = match self.map.entry(page) {
+            Entry::Occupied(resident) => {
+                let idx = *resident.get();
+                self.refresh(idx);
+                self.nodes[idx].dirty |= dirty;
+                return;
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let node = Node {
+            page,
+            dirty,
+            pinned: false,
+            prev: None,
+            next: None,
+        };
         let idx = match self.free.pop() {
             Some(i) => {
-                self.nodes[i] = Node {
-                    page,
-                    dirty,
-                    pinned: false,
-                    prev: None,
-                    next: None,
-                };
+                self.nodes[i] = node;
                 i
             }
             None => {
-                self.nodes.push(Node {
-                    page,
-                    dirty,
-                    pinned: false,
-                    prev: None,
-                    next: None,
-                });
+                self.nodes.push(node);
                 self.nodes.len() - 1
             }
         };
-        self.map.insert(page, idx);
+        slot.insert(idx);
         self.push_front(idx);
         while self.map.len() > self.capacity {
             match self.evict_one() {
@@ -637,7 +637,7 @@ pub(crate) mod reference {
             out
         }
 
-        /// The unit read of [`ShardedPool::read_extent`] as the pool and
+        /// The unit read of [`PoolSession::read_extent`] as the pool and
         /// the cluster organization did it before that call existed, one
         /// body per technique: *complete* is the resident check (touch
         /// the wanted pages when all are buffered) in front of
@@ -647,7 +647,7 @@ pub(crate) mod reference {
         /// *optimum* probes without touching, charges one analytical
         /// request for the missing pages and inserts them clean.
         ///
-        /// [`ShardedPool::read_extent`]: crate::shard::ShardedPool::read_extent
+        /// [`PoolSession::read_extent`]: crate::shard::PoolSession::read_extent
         pub(crate) fn read_extent(
             &mut self,
             extent: PageRun,

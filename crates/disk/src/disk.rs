@@ -95,45 +95,63 @@ impl Disk {
         self.state.acquire().region_names[region.0 as usize].clone()
     }
 
-    fn record(&self, kind: IoKind, pages: u64, cost_ms: f64, seeked: bool) {
-        self.state
-            .acquire()
-            .stats
-            .record(kind, pages, cost_ms, seeked);
-        THREAD_TALLY.with(|t| {
-            let mut local = t.get();
-            local.record(kind, pages, cost_ms, seeked);
-            t.set(local);
-        });
-    }
-
     /// Charge one request transferring the `run`, paying seek + latency +
     /// per-page transfer; `skip_seek` drops the seek component (subsequent
     /// requests within one cluster unit, §5.4.3). Returns the cost in
     /// milliseconds. Empty runs are free and not recorded.
+    ///
+    /// The one-request form of [`charge_all`](Disk::charge_all): a pool
+    /// session queues its requests and charges them when it ends; a
+    /// store's direct writes charge here.
     pub fn charge(&self, kind: IoKind, run: PageRun, skip_seek: bool) -> f64 {
         if run.is_empty() {
             return 0.0;
         }
-        let cost = self.params.request_ms(run.len, skip_seek);
-        self.record(kind, run.len, cost, !skip_seek);
+        self.charge_all(&[PageRequest {
+            kind,
+            run,
+            skip_seek,
+        }]);
+        self.params.request_ms(run.len, skip_seek)
+    }
+
+    /// Charge `requests` one by one, in order: into the global counters
+    /// under **one** acquisition of their lock, into the calling
+    /// thread's tally, and into the thread's [`traced`](Disk::traced)
+    /// capture if one is armed. Each sink adds the requests in the
+    /// order given, so every `io_ms` sum is bit-identical to charging
+    /// them one [`charge`](Disk::charge) at a time. Empty runs are free
+    /// and not recorded.
+    ///
+    /// A [`PoolSession`](crate::shard::PoolSession) calls this once,
+    /// when it ends, after releasing its shard lock.
+    pub fn charge_all(&self, requests: &[PageRequest]) {
+        let charged = || requests.iter().filter(|r| !r.run.is_empty());
+        let mut tally = THREAD_TALLY.with(Cell::get);
+        {
+            let mut state = self.state.acquire();
+            let mut stats = state.stats;
+            for r in charged() {
+                let cost = self.params.request_ms(r.run.len, r.skip_seek);
+                stats.record(r.kind, r.run.len, cost, !r.skip_seek);
+                tally.record(r.kind, r.run.len, cost, !r.skip_seek);
+            }
+            state.stats = stats;
+        }
+        THREAD_TALLY.with(|t| t.set(tally));
         THREAD_TRACE.with(|t| {
             if let Some(trace) = t.borrow_mut().as_mut() {
-                trace.push(PageRequest {
-                    kind,
-                    run,
-                    skip_seek,
-                });
+                trace.extend(charged().copied());
             }
         });
-        cost
     }
 
     /// Run `f` and capture this thread's requests meanwhile: every
-    /// non-empty [`charge`](Disk::charge) on the calling thread while `f`
-    /// runs is also recorded as a [`PageRequest`] (whichever disk it
-    /// hits, like the thread tally) and returned beside `f`'s result.
-    /// The capture ends with `f`, also when `f` unwinds.
+    /// non-empty request [`charge`](Disk::charge) or
+    /// [`charge_all`](Disk::charge_all) records on the calling thread
+    /// while `f` runs is also recorded as a [`PageRequest`] (whichever
+    /// disk it hits, like the thread tally) and returned beside `f`'s
+    /// result. The capture ends with `f`, also when `f` unwinds.
     ///
     /// [`charge_raw`](Disk::charge_raw) is *not* traced: the optimum
     /// baselines it serves charge analytical lower-bound costs that do
@@ -166,13 +184,22 @@ impl Disk {
     /// Charge an already-computed cost for a request of `pages` pages.
     ///
     /// Its one caller is the *optimum* technique of
-    /// [`ShardedPool::read_extent`](crate::shard::ShardedPool::read_extent)
+    /// [`PoolSession::read_extent`](crate::shard::PoolSession::read_extent)
     /// — the baseline of Figures 10 and 16, which charges exactly one
     /// seek and one latency per cluster unit plus the minimum number of
     /// transfers, a cost that does not correspond to a real run of
-    /// consecutive pages.
+    /// consecutive pages. The session charges the requests it has
+    /// queued first, so the order of the charges holds.
     pub fn charge_raw(&self, kind: IoKind, pages: u64, cost_ms: f64, seeked: bool) {
-        self.record(kind, pages, cost_ms, seeked);
+        self.state
+            .acquire()
+            .stats
+            .record(kind, pages, cost_ms, seeked);
+        THREAD_TALLY.with(|t| {
+            let mut local = t.get();
+            local.record(kind, pages, cost_ms, seeked);
+            t.set(local);
+        });
     }
 
     /// Snapshot of the accumulated statistics (all threads).

@@ -26,8 +26,11 @@
 //!   keeps bridged pages and vector read drops them — or *optimum*;
 //! * [`shard`] — the buffered I/O front-end: the [`shard::ShardedPool`]
 //!   of N page-hash shards, each its own lock and LRU list, under one
-//!   capacity budget, with write-back semantics and one unit read
-//!   ([`shard::ShardedPool::read_extent`]) for all four techniques;
+//!   capacity budget, with write-back semantics. Pages are accessed
+//!   through a [`shard::PoolSession`] — one caller's phase, one lock
+//!   acquisition per shard it stays on, one disk charge at its end —
+//!   which has the one unit read
+//!   ([`shard::PoolSession::read_extent`]) for all four techniques;
 //! * [`schedule`] — the SLM read schedules of \[SLM93\] (§5.4.2): one read
 //!   request bridges gaps of non-requested pages shorter than
 //!   `l = t_l/t_t − 1/2`;
@@ -44,9 +47,10 @@
 //!   queue wait). A single arm is a 1-arm array; with one arm every
 //!   stripe policy is the identity mapping.
 //!
-//! Requests reach the arms one way: every request is charged
-//! synchronously ([`disk::Disk::charge`]), a thread can capture what it
-//! charges as a trace ([`disk::Disk::traced`]), and
+//! Requests reach the arms one way: every request is charged on the
+//! thread that issues it ([`disk::Disk::charge`], or
+//! [`disk::Disk::charge_all`] when a pool session ends), a thread can
+//! capture what it charges as a trace ([`disk::Disk::traced`]), and
 //! [`array::simulate_queries_striped`] / [`array::simulate_queries_closed`]
 //! replay such traces on the arms' timelines under an
 //! [`array::Arrival`] process. The replay never touches the charged
@@ -92,5 +96,5 @@ pub use disk::{Disk, DiskHandle};
 pub use lockdep::{wait_graph, DepGuard, DepMutex, LockClass};
 pub use model::{mix64, DiskParams, PageId, PageRun, RegionId, PAGE_SIZE};
 pub use schedule::{slm_gap_limit, slm_schedule, ScheduledRun};
-pub use shard::ShardedPool;
+pub use shard::{PoolSession, ShardedPool};
 pub use stats::{IoKind, IoStats};

@@ -305,8 +305,10 @@ impl<T> DepMutex<T> {
     /// [`acquire`](DepMutex::acquire) that ignores poisoning. Only for
     /// a lock whose data is valid at every step of every critical
     /// section — the database's writer gate guards `()`, and a writer
-    /// that panics drops its unpublished shadow copy on unwind — so a
-    /// caught panic in one holder must not fail every later one.
+    /// that panics drops its unpublished shadow copy on unwind; a pool
+    /// shard's LRU state is whole between any two accesses of the
+    /// session holding it — so a caught panic in one holder must not
+    /// fail every later one.
     #[track_caller]
     pub fn acquire_unpoisoned(&self) -> DepGuard<'_, T> {
         self.acquire_or(PoisonError::into_inner)
@@ -341,15 +343,31 @@ impl<T> DepMutex<T> {
     /// deadlock) but the held lock still counts against later blocking
     /// acquisitions on this thread.
     pub fn try_acquire(&self) -> Option<DepGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(DepGuard {
-                guard,
-                #[cfg(debug_assertions)]
-                token: checker::acquire_try(self.class),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-            Err(TryLockError::Poisoned(_)) => panic!("lock poisoned: {}", self.class),
-        }
+        let class = self.class;
+        self.try_acquire_or(|_| panic!("lock poisoned: {class}"))
+    }
+
+    /// [`try_acquire`](DepMutex::try_acquire) that ignores poisoning,
+    /// under the same terms as
+    /// [`acquire_unpoisoned`](DepMutex::acquire_unpoisoned).
+    pub fn try_acquire_unpoisoned(&self) -> Option<DepGuard<'_, T>> {
+        self.try_acquire_or(PoisonError::into_inner)
+    }
+
+    fn try_acquire_or<'a>(
+        &'a self,
+        on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
+    ) -> Option<DepGuard<'a, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => return None,
+            Err(TryLockError::Poisoned(poisoned)) => on_poison(poisoned),
+        };
+        Some(DepGuard {
+            guard,
+            #[cfg(debug_assertions)]
+            token: checker::acquire_try(self.class),
+        })
     }
 }
 

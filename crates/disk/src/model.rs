@@ -230,12 +230,6 @@ impl DiskParams {
 /// This is the basic request-forming operation: the cost of accessing the
 /// set is the sum of the per-run request costs.
 pub fn runs_of(pages: &[PageId]) -> Vec<PageRun> {
-    runs(pages).collect()
-}
-
-/// [`runs_of`] as an iterator: the runs are formed as they are consumed,
-/// so a per-access caller (the pool's read path) allocates nothing.
-pub fn runs(pages: &[PageId]) -> impl Iterator<Item = PageRun> + '_ {
     let mut rest = pages;
     std::iter::from_fn(move || {
         let first = *rest.first()?;
@@ -247,6 +241,7 @@ pub fn runs(pages: &[PageId]) -> impl Iterator<Item = PageRun> + '_ {
         rest = &rest[len..];
         Some(PageRun::new(first, len as u64))
     })
+    .collect()
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //!    sweep the buffer size. The cluster organization supports the
 //!    transfer techniques *complete*, *vector read*, *read* and
 //!    *optimum* — the techniques of the pool's one unit read,
-//!    `ShardedPool::read_extent`, which window queries use too.
+//!    `PoolSession::read_extent`, which window queries use too.
 //! 3. **Exact geometry test**: each candidate pair not ruled out is
 //!    tested on the decomposed representations; the paper charges
 //!    ≈ 0.75 msec of CPU time per candidate pair ([`EXACT_TEST_MS`],

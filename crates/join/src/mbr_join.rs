@@ -58,9 +58,9 @@ impl MbrJoinResult {
 /// smallest x-coordinate of their intersection, and one subtree is
 /// processed with **all** of its partners before the next pair is taken
 /// up (*pinning*). Together with the LRU buffer behind `io` — the
-/// workspace's [`ShardedPool`](spatialdb_disk::ShardedPool), via
-/// `&mut &pool` — this gives the close-to-optimal page-access behaviour
-/// the paper relies on.
+/// workspace's [`ShardedPool`](spatialdb_disk::ShardedPool), through one
+/// session for the whole join (`&mut pool.session()`) — this gives the
+/// close-to-optimal page-access behaviour the paper relies on.
 ///
 /// Pairs, their order and the node reads depend on the two trees only
 /// (the module's *order contract*).
@@ -602,7 +602,7 @@ mod tests {
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
         let pool = ShardedPool::new(disk, 256);
-        let res = mbr_join(&ta, &tb, &mut &pool);
+        let res = mbr_join(&ta, &tb, &mut pool.session());
         let got: HashSet<(u64, u64)> = res.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
         let mut want = HashSet::new();
         for (i, x) in ra.iter().enumerate() {
@@ -623,7 +623,7 @@ mod tests {
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
         let pool = ShardedPool::new(disk, 256);
-        let res = mbr_join(&ta, &tb, &mut &pool);
+        let res = mbr_join(&ta, &tb, &mut pool.session());
         let brute: usize = ra
             .iter()
             .map(|x| rb.iter().filter(|y| x.intersects(y)).count())
@@ -632,7 +632,7 @@ mod tests {
         // Symmetric case.
         let disk2 = Disk::with_defaults();
         let pool2 = ShardedPool::new(disk2, 256);
-        let res2 = mbr_join(&tb, &ta, &mut &pool2);
+        let res2 = mbr_join(&tb, &ta, &mut pool2.session());
         assert_eq!(res2.pairs.len(), brute);
     }
 
@@ -641,8 +641,8 @@ mod tests {
         let (ta, disk) = build(&[]);
         let (tb, _) = build(&grid(10, 0.0, 0.5));
         let pool = ShardedPool::new(disk, 64);
-        assert!(mbr_join(&ta, &tb, &mut &pool).pairs.is_empty());
-        assert!(mbr_join(&tb, &ta, &mut &pool).pairs.is_empty());
+        assert!(mbr_join(&ta, &tb, &mut pool.session()).pairs.is_empty());
+        assert!(mbr_join(&tb, &ta, &mut pool.session()).pairs.is_empty());
     }
 
     #[test]
@@ -655,7 +655,7 @@ mod tests {
         let (ta, disk) = build(&ra);
         let (tb, _) = build(&rb);
         let pool = ShardedPool::new(disk, 64);
-        assert!(mbr_join(&ta, &tb, &mut &pool).pairs.is_empty());
+        assert!(mbr_join(&ta, &tb, &mut pool.session()).pairs.is_empty());
     }
 
     #[test]
@@ -667,13 +667,13 @@ mod tests {
         // Big buffer: most pages read once.
         let big = ShardedPool::new(da.clone(), 4096);
         da.reset_stats();
-        let res = mbr_join(&ta, &tb, &mut &big);
+        let res = mbr_join(&ta, &tb, &mut big.session());
         let big_reads = da.stats().pages_read;
         assert!(!res.pairs.is_empty());
         // Tiny buffer: strictly more page reads.
         da.reset_stats();
         let small = ShardedPool::new(da.clone(), 16);
-        mbr_join(&ta, &tb, &mut &small);
+        mbr_join(&ta, &tb, &mut small.session());
         let small_reads = da.stats().pages_read;
         assert!(small_reads >= big_reads);
         // With a reasonable buffer and x-ordering, close to one read per

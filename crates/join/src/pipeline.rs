@@ -101,7 +101,7 @@ impl<'a> SpatialJoin<'a> {
     ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
         let before = disk.local_stats();
-        let candidates = mbr_join(self.r.tree(), self.s.tree(), &mut pool.as_ref());
+        let candidates = mbr_join(self.r.tree(), self.s.tree(), &mut pool.session());
         let mbr_join_io = disk.local_stats().since(&before);
         let before = disk.local_stats();
         transfer_objects(self.r, self.s, &candidates.pairs, technique);

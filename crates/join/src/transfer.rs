@@ -5,15 +5,18 @@ use spatialdb_storage::{SpatialStore, TransferTechnique};
 use std::collections::HashSet;
 
 /// Fetch the exact representations of all candidate pairs, in processing
-/// order, through the shared buffer.
+/// order, through the shared buffer — one pool session for the whole
+/// phase, handed to both operands, so the transfer locks the pool and
+/// charges the disk once.
 ///
 /// Each store decides how to honour the transfer `technique` via
 /// [`SpatialStore::fetch_for_join`]: the cluster organization batches
-/// whole cluster units or SLM schedules (§6.2), one call of the pool's
-/// unit read ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
+/// whole cluster units or SLM schedules (§6.2), one unit read
+/// ([`PoolSession::read_extent`](spatialdb_disk::PoolSession::read_extent))
 /// per object it does not find buffered; the secondary and primary
 /// organizations have a single natural access path and ignore it.
-/// Measures nothing: the caller takes the I/O delta around the call.
+/// Measures nothing: the caller takes the I/O delta after the call,
+/// when the session has ended.
 pub fn transfer_objects(
     r_org: &dyn SpatialStore,
     s_org: &dyn SpatialStore,
@@ -30,9 +33,11 @@ pub fn transfer_objects(
         needed_r = pairs.iter().map(|(a, _)| *a).collect();
         needed_s = pairs.iter().map(|(_, b)| *b).collect();
     }
+    let pool = r_org.pool();
+    let mut session = pool.session();
     for (a, b) in pairs {
-        r_org.fetch_for_join(*a, &needed_r, technique);
-        s_org.fetch_for_join(*b, &needed_s, technique);
+        r_org.fetch_for_join(*a, &needed_r, technique, &mut session);
+        s_org.fetch_for_join(*b, &needed_s, technique, &mut session);
     }
 }
 

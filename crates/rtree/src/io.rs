@@ -1,10 +1,11 @@
 //! Node I/O hooks.
 //!
 //! The tree reports every node access through a [`NodeIo`] implementation.
-//! Experiments pass a `&`[`ShardedPool`] so that node visits become
-//! (buffered) disk requests; unit tests and in-memory use pass [`NoIo`].
+//! Experiments pass a [`PoolSession`] (`&mut pool.session()`) so that
+//! node visits become (buffered) disk requests; unit tests and in-memory
+//! use pass [`NoIo`].
 
-use spatialdb_disk::{PageId, ShardedPool};
+use spatialdb_disk::{PageId, PoolSession, ShardedPool};
 
 /// Page size used to derive node capacities (the paper's 4 KB).
 pub const PAGE_BYTES: usize = spatialdb_disk::PAGE_SIZE;
@@ -38,10 +39,10 @@ impl NodeIo for NoIo {
     fn release(&mut self, _page: PageId) {}
 }
 
-/// The sharded pool locks internally, so the hook works through a
-/// shared reference — pass `&mut pool.as_ref()` from an
-/// `Arc<ShardedPool>`.
-impl NodeIo for &ShardedPool {
+/// The tree's accesses to the pool: one session for a whole walk or
+/// update, so it locks and charges once.
+impl NodeIo for PoolSession<'_> {
+    #[inline]
     fn read(&mut self, page: PageId) {
         self.read_page(page);
     }
@@ -56,6 +57,27 @@ impl NodeIo for &ShardedPool {
 
     fn release(&mut self, page: PageId) {
         self.remove_page(&page);
+    }
+}
+
+/// One session per node access. Kept only because the repo benchmark's
+/// layer probes pass `&mut pool.as_ref()` to the MBR join; the engine
+/// passes a [`PoolSession`].
+impl NodeIo for &ShardedPool {
+    fn read(&mut self, page: PageId) {
+        self.session().read(page);
+    }
+
+    fn modify(&mut self, page: PageId) {
+        self.session().modify(page);
+    }
+
+    fn fresh(&mut self, page: PageId) {
+        self.session().fresh(page);
+    }
+
+    fn release(&mut self, page: PageId) {
+        self.session().release(page);
     }
 }
 
@@ -115,13 +137,17 @@ mod tests {
         let disk = Disk::with_defaults();
         let r = disk.create_region("tree");
         let pool = ShardedPool::new(disk.clone(), 8);
-        let mut pool = &pool;
         let p = PageId::new(r, 0);
-        NodeIo::read(&mut pool, p); // miss
-        NodeIo::read(&mut pool, p); // hit
-        NodeIo::modify(&mut pool, p); // buffered → dirty only
+        {
+            let mut session = pool.session();
+            session.read(p); // miss
+            session.read(p); // hit
+            session.modify(p); // buffered → dirty only
+            session.fresh(PageId::new(r, 1));
+            // Charged when the session ends.
+            assert_eq!(disk.stats().read_requests, 0);
+        }
         assert_eq!(disk.stats().read_requests, 1);
-        NodeIo::fresh(&mut pool, PageId::new(r, 1));
         assert_eq!(disk.stats().write_requests, 0); // deferred until flush
         pool.flush();
         assert_eq!(disk.stats().write_requests, 1); // pages 0,1 consecutive

@@ -26,7 +26,8 @@ use crate::packer::{BytePacker, Placement};
 use crate::store::SpatialStore;
 use crate::table::ObjectTable;
 use spatialdb_disk::{
-    BuddyAllocator, BuddyConfig, IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE,
+    BuddyAllocator, BuddyConfig, IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy,
+    PAGE_SIZE,
 };
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{
@@ -222,8 +223,9 @@ impl ClusterOrganization {
     /// Drop an extent's pages from the buffer (the extent is being freed
     /// or rewritten; stale copies must not produce buffer hits).
     fn drop_from_buffer(&self, extent: PageRun) {
+        let mut session = self.pool.session();
         for p in extent.pages() {
-            self.pool.remove_page(&p);
+            session.remove_page(&p);
         }
     }
 
@@ -351,8 +353,8 @@ impl ClusterOrganization {
     /// are the pool's unit read under §6.2's *complete*, *read* and
     /// *optimum*; the threshold picks *complete* at or above `T(c)` and
     /// reads page by page below it. All costs are charged to the disk
-    /// through the pool. `offsets` is scratch space reused from unit to
-    /// unit.
+    /// through the query's `session`. `offsets` is scratch space reused
+    /// from unit to unit.
     fn transfer_for_window(
         &self,
         leaf: NodeId,
@@ -360,6 +362,7 @@ impl ClusterOrganization {
         window: &Rect,
         technique: WindowTechnique,
         offsets: &mut Vec<u64>,
+        session: &mut PoolSession<'_>,
     ) {
         let unit = self.unit(leaf);
         let used = unit.used_extent();
@@ -378,30 +381,30 @@ impl ClusterOrganization {
                 if overlap >= t {
                     TransferTechnique::Complete
                 } else {
-                    self.read_page_by_page(unit, hits);
+                    read_page_by_page(unit, hits, session);
                     return;
                 }
             }
         };
         wanted_offsets(hits.iter().map(|e| unit.placement(e.oid)), offsets);
-        self.pool.read_extent(used, offsets, technique);
+        session.read_extent(used, offsets, technique);
     }
+}
 
-    /// Page-by-page, the threshold technique's below-threshold branch:
-    /// one request per qualifying object, one seek per cluster unit
-    /// (§5.4.1's `t_page` access pattern).
-    fn read_page_by_page(&self, unit: &ClusterUnit, hits: &[LeafEntry]) {
-        let mut seek_pending = true;
-        for e in hits {
-            let out = self.pool.read_run(
-                unit.member_run(e.oid),
-                SeekPolicy::WithinCluster {
-                    initial_seek: seek_pending,
-                },
-            );
-            if out.issued_io() {
-                seek_pending = false;
-            }
+/// Page-by-page, the threshold technique's below-threshold branch: one
+/// request per qualifying object, one seek per cluster unit (§5.4.1's
+/// `t_page` access pattern).
+fn read_page_by_page(unit: &ClusterUnit, hits: &[LeafEntry], session: &mut PoolSession<'_>) {
+    let mut seek_pending = true;
+    for e in hits {
+        let out = session.read_run(
+            unit.member_run(e.oid),
+            SeekPolicy::WithinCluster {
+                initial_seek: seek_pending,
+            },
+        );
+        if out.issued_io() {
+            seek_pending = false;
         }
     }
 }
@@ -436,7 +439,7 @@ impl SpatialStore for ClusterOrganization {
         // Steps 1 + 2: determine the data page and insert the MBR entry
         // (the modified R*-tree may already split — step 4).
         let entry = self.leaf_entry(rec);
-        let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
+        let outcome = self.tree.insert(entry, &mut self.pool.session());
         debug_assert!(outcome.leaf_reinserts.is_empty());
         if outcome.leaf_splits.is_empty() {
             // Step 3: append the object to the cluster unit.
@@ -479,32 +482,38 @@ impl SpatialStore for ClusterOrganization {
         technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
     ) -> u64 {
-        let per_leaf = self
-            .tree
-            .window_leaves_into(window, &mut self.pool.as_ref(), out);
+        let mut session = self.pool.session();
+        let per_leaf = self.tree.window_leaves_into(window, &mut session, out);
         let mut offsets = Vec::new();
         for (leaf, hits) in per_leaf {
-            self.transfer_for_window(leaf, &out[hits], window, technique, &mut offsets);
+            self.transfer_for_window(
+                leaf,
+                &out[hits],
+                window,
+                technique,
+                &mut offsets,
+                &mut session,
+            );
         }
         // The entry's payload is the object's exact size.
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
     fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> u64 {
-        self.tree
-            .point_entries_into(point, &mut self.pool.as_ref(), out);
+        let mut session = self.pool.session();
+        self.tree.point_entries_into(point, &mut session, out);
         // Selective access: read just the objects' pages, not the units
         // (§5.5 — the cluster organization must not penalize selective
         // queries).
         for e in out.iter() {
-            self.fetch_object(e.oid);
+            self.fetch_object(e.oid, &mut session);
         }
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
-    fn fetch_object(&self, oid: ObjectId) {
+    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
         let run = self.unit(self.objects[oid].leaf).member_run(oid);
-        self.pool.read_run(run, SeekPolicy::PerRequest);
+        session.read_run(run, SeekPolicy::PerRequest);
     }
 
     /// The join's object transfer (§6.2): fetch `oid`, batching the
@@ -519,9 +528,10 @@ impl SpatialStore for ClusterOrganization {
         oid: ObjectId,
         needed: &HashSet<ObjectId>,
         technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
     ) {
         let unit = self.unit(self.objects[oid].leaf);
-        if self.pool.touch_if_resident(unit.member_run(oid).pages()) {
+        if session.touch_if_resident(unit.member_run(oid).pages()) {
             return;
         }
         let batch = technique.reads_candidate_set();
@@ -533,8 +543,7 @@ impl SpatialStore for ClusterOrganization {
                 .map(|&(_, p)| p),
             &mut wanted,
         );
-        self.pool
-            .read_extent(unit.used_extent(), &wanted, technique);
+        session.read_extent(unit.used_extent(), &wanted, technique);
         JOIN_WANTED.set(wanted);
     }
 
@@ -644,7 +653,7 @@ impl SpatialStore for ClusterOrganization {
             .find(|e| e.oid == oid)
             .map(|e| e.mbr)
             .expect("cluster location out of sync");
-        let outcome = self.tree.delete(oid, &mbr, &mut self.pool.as_ref());
+        let outcome = self.tree.delete(oid, &mbr, &mut self.pool.session());
         debug_assert!(outcome.removed);
         self.objects.remove(oid);
         // Tree condensation may have removed data pages and relocated
@@ -948,10 +957,21 @@ mod tests {
             .find(|o| *o != oid)
             .expect("unit with 2+ members");
         let needed: HashSet<ObjectId> = [oid, sibling].into_iter().collect();
-        org.fetch_for_join(oid, &needed, TransferTechnique::Complete);
+        let pool = org.pool();
+        org.fetch_for_join(
+            oid,
+            &needed,
+            TransferTechnique::Complete,
+            &mut pool.session(),
+        );
         let before = org.disk().stats();
         // The sibling is now buffered: no further I/O.
-        org.fetch_for_join(sibling, &needed, TransferTechnique::Complete);
+        org.fetch_for_join(
+            sibling,
+            &needed,
+            TransferTechnique::Complete,
+            &mut pool.session(),
+        );
         assert_eq!(org.disk().stats().since(&before).requests(), 0);
     }
 
@@ -963,8 +983,18 @@ mod tests {
         b.begin_query();
         let oid = ObjectId(0);
         let needed: HashSet<ObjectId> = [oid].into_iter().collect();
-        a.fetch_for_join(oid, &needed, TransferTechnique::Read);
-        b.fetch_for_join(oid, &needed, TransferTechnique::VectorRead);
+        a.fetch_for_join(
+            oid,
+            &needed,
+            TransferTechnique::Read,
+            &mut a.pool().session(),
+        );
+        b.fetch_for_join(
+            oid,
+            &needed,
+            TransferTechnique::VectorRead,
+            &mut b.pool().session(),
+        );
         let kept_a = a.pool().len();
         let kept_b = b.pool().len();
         assert!(kept_a >= kept_b);

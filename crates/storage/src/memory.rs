@@ -10,7 +10,7 @@
 use crate::model::{SharedPool, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::store::SpatialStore;
-use spatialdb_disk::PAGE_SIZE;
+use spatialdb_disk::{PoolSession, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{
     bulk, LeafEntry, NoIo, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
@@ -79,7 +79,7 @@ impl SpatialStore for MemoryStore {
         out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum()
     }
 
-    fn fetch_object(&self, _oid: ObjectId) {
+    fn fetch_object(&self, _oid: ObjectId, _session: &mut PoolSession<'_>) {
         // Already resident.
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 // The join's transfer technique (§6.2) is how the cluster organization
 // reads a unit, so it lives beside the one unit read,
-// `ShardedPool::read_extent`.
+// `PoolSession::read_extent`.
 pub use spatialdb_disk::TransferTechnique;
 
 /// A buffer pool shared between the components of one experiment
@@ -26,7 +26,9 @@ pub use spatialdb_disk::TransferTechnique;
 /// deterministic 1-shard configuration (byte-identical stats to the
 /// classic single-lock pool — the paper's figures); a workspace's
 /// `EngineConfig` picks more shards for concurrent-throughput
-/// workloads.
+/// workloads. A store reads and writes its pages through one
+/// [`PoolSession`](spatialdb_disk::PoolSession) per query or update
+/// (`pool.session()`), which locks the pool and charges the disk once.
 pub type SharedPool = Arc<ShardedPool>;
 
 /// Create a shared pool of `capacity` pages over `disk` with a single

@@ -14,7 +14,7 @@ use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::SpatialStore;
 use crate::table::ObjectTable;
-use spatialdb_disk::{IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
+use spatialdb_disk::{IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::config::ENTRY_BYTES;
 use spatialdb_rtree::{
@@ -132,7 +132,11 @@ impl PrimaryOrganization {
     /// ([`entry_payload`](Self::entry_payload)); only an overflow
     /// object's size and pages are looked up. Returns the bytes of all
     /// candidates.
-    fn read_overflow_objects(&self, candidates: &[LeafEntry]) -> u64 {
+    fn read_overflow_objects(
+        &self,
+        candidates: &[LeafEntry],
+        session: &mut PoolSession<'_>,
+    ) -> u64 {
         let mut bytes = 0;
         for e in candidates {
             if e.payload > ENTRY_BYTES as u32 {
@@ -140,7 +144,7 @@ impl PrimaryOrganization {
             } else {
                 let slot = &self.objects[e.oid];
                 let run = slot.overflow.expect("entry-only payload, no overflow run");
-                self.pool.read_run(run, SeekPolicy::PerRequest);
+                session.read_run(run, SeekPolicy::PerRequest);
                 bytes += u64::from(slot.size);
             }
         }
@@ -165,7 +169,7 @@ impl SpatialStore for PrimaryOrganization {
 
     fn insert(&mut self, rec: &ObjectRecord) {
         let entry = self.leaf_entry(rec);
-        let outcome = self.tree.insert(entry, &mut self.pool.as_ref());
+        let outcome = self.tree.insert(entry, &mut self.pool.session());
         let overflow =
             (rec.size_bytes > Self::inline_limit()).then(|| self.place_overflow(rec.size_bytes));
         self.objects.insert(
@@ -187,19 +191,19 @@ impl SpatialStore for PrimaryOrganization {
     ) -> u64 {
         // Reading the qualifying data pages *is* reading the inline
         // objects; the tree charges those page reads.
-        self.tree
-            .window_entries_into(window, &mut self.pool.as_ref(), out);
-        self.read_overflow_objects(out)
+        let mut session = self.pool.session();
+        self.tree.window_entries_into(window, &mut session, out);
+        self.read_overflow_objects(out, &mut session)
     }
 
-    fn fetch_object(&self, oid: ObjectId) {
+    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
         // The data page holds the entry and (for inline objects) the
         // representation itself.
         let slot = &self.objects[oid];
         let page = self.tree.node_page(slot.leaf);
-        self.pool.read_page(page);
+        session.read_page(page);
         if let Some(run) = slot.overflow {
-            self.pool.read_run(run, SeekPolicy::PerRequest);
+            session.read_run(run, SeekPolicy::PerRequest);
         }
     }
 
@@ -245,7 +249,7 @@ impl SpatialStore for PrimaryOrganization {
             .find(|e| e.oid == oid)
             .map(|e| e.mbr)
             .expect("leaf tracking out of sync");
-        let outcome = self.tree.delete(oid, &mbr, &mut self.pool.as_ref());
+        let outcome = self.tree.delete(oid, &mbr, &mut self.pool.session());
         debug_assert!(outcome.removed);
         if let Some(run) = slot.overflow {
             self.freed_overflow_pages += run.len;
@@ -404,7 +408,7 @@ mod tests {
         let mut org = org_with_sizes(&[600, 9000]);
         org.begin_query();
         let before = org.disk().stats();
-        org.fetch_object(ObjectId(1));
+        org.fetch_object(ObjectId(1), &mut org.pool().session());
         let d = org.disk().stats().since(&before);
         // Leaf page + 3 consecutive overflow pages = 2 requests.
         assert_eq!(d.read_requests, 2);

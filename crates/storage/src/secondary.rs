@@ -22,7 +22,7 @@ use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::SpatialStore;
 use crate::table::ObjectTable;
-use spatialdb_disk::{IoKind, PageId, PageRun, RegionId, SeekPolicy, PAGE_SIZE};
+use spatialdb_disk::{IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams};
 
@@ -115,9 +115,8 @@ impl SecondaryOrganization {
     /// sharing a page; no cross-object request merging happens (the
     /// system chases one pointer per candidate, and finds it in the
     /// candidate's entry). Returns the bytes transferred to the caller.
-    fn read_objects(&self, candidates: &[LeafEntry]) -> u64 {
-        let mut bytes = 0;
-        for e in candidates {
+    fn read_objects(&self, candidates: &[LeafEntry], session: &mut PoolSession<'_>) -> u64 {
+        let runs = candidates.iter().map(|e| {
             let run = self.run_of(e);
             // The probe exists in debug builds only: keep it inside the macro.
             debug_assert_eq!(
@@ -125,10 +124,10 @@ impl SecondaryOrganization {
                 self.objects.get(e.oid).map(|slot| slot.run),
                 "stale pointer in {e:?}"
             );
-            self.pool.read_run(run, SeekPolicy::PerRequest);
-            bytes += u64::from(e.payload);
-        }
-        bytes
+            run
+        });
+        session.read_runs(runs, SeekPolicy::PerRequest);
+        candidates.iter().map(|e| u64::from(e.payload)).sum()
     }
 }
 
@@ -151,7 +150,7 @@ impl SpatialStore for SecondaryOrganization {
         //    pointer is the end of the sequential file.
         let mut entry = self.leaf_entry(rec);
         let slot = self.place(&mut entry);
-        self.tree.insert(entry, &mut self.pool.as_ref());
+        self.tree.insert(entry, &mut self.pool.session());
         // 2. Append the exact representation to the sequential file.
         //    The arm has moved (tree I/O in between), so every append is
         //    its own request.
@@ -165,14 +164,13 @@ impl SpatialStore for SecondaryOrganization {
         _technique: WindowTechnique,
         out: &mut Vec<LeafEntry>,
     ) -> u64 {
-        self.tree
-            .window_entries_into(window, &mut self.pool.as_ref(), out);
-        self.read_objects(out)
+        let mut session = self.pool.session();
+        self.tree.window_entries_into(window, &mut session, out);
+        self.read_objects(out, &mut session)
     }
 
-    fn fetch_object(&self, oid: ObjectId) {
-        self.pool
-            .read_run(self.objects[oid].run, SeekPolicy::PerRequest);
+    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+        session.read_run(self.objects[oid].run, SeekPolicy::PerRequest);
     }
 
     fn occupied_pages(&self) -> u64 {
@@ -209,7 +207,7 @@ impl SpatialStore for SecondaryOrganization {
         let Some(slot) = self.objects.remove(oid) else {
             return false;
         };
-        let outcome = self.tree.delete(oid, &slot.mbr, &mut self.pool.as_ref());
+        let outcome = self.tree.delete(oid, &slot.mbr, &mut self.pool.session());
         debug_assert!(outcome.removed, "index out of sync for {oid}");
         self.freed_bytes += u64::from(slot.size);
         true

@@ -62,7 +62,7 @@
 
 use crate::model::{QueryStats, SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
-use spatialdb_disk::{Disk, DiskHandle, PageRequest};
+use spatialdb_disk::{Disk, DiskHandle, PageRequest, PoolSession};
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{LeafEntry, NoIo, ObjectId, RStarTree, Tile, TilingParams};
 use std::collections::HashSet;
@@ -124,7 +124,10 @@ pub trait SpatialStore: Send + Sync {
     /// Returns the total exact-representation bytes of the candidates —
     /// the "amount of data queried" the paper normalizes by. The call's
     /// I/O cost is the caller's to measure (see the [module
-    /// documentation](self)); a store reads no counters.
+    /// documentation](self)); a store reads no counters. A disk-based
+    /// store reads its tree and objects through one pool session
+    /// (`self.pool().session()`) and ends it before returning, so the
+    /// caller's delta sees every charge.
     fn window_query_into(
         &self,
         window: &Rect,
@@ -179,7 +182,7 @@ pub trait SpatialStore: Send + Sync {
     /// so each window is measured once, where the engine measures it;
     /// this form serves store-level tests and probes. The *optimum*
     /// technique of the pool's unit read
-    /// ([`ShardedPool::read_extent`](spatialdb_disk::ShardedPool::read_extent))
+    /// ([`PoolSession::read_extent`](spatialdb_disk::PoolSession::read_extent))
     /// charges an analytical cost with no physical page run, so it is
     /// absent from the trace.
     fn window_query_traced(
@@ -214,9 +217,10 @@ pub trait SpatialStore: Send + Sync {
         self.tree().point_entries_into(point, &mut NoIo, out)
     }
 
-    /// Fetch one object's exact representation through the buffer (the
-    /// join's object-transfer step for non-clustered stores).
-    fn fetch_object(&self, oid: ObjectId);
+    /// Fetch one object's exact representation through `session`, a
+    /// session on this store's [`pool`](SpatialStore::pool) (the join's
+    /// object-transfer step for non-clustered stores).
+    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>);
 
     /// The join's object transfer (§6.2): fetch `oid`, batching other
     /// candidates of the join (`needed`) that live nearby according to
@@ -229,15 +233,17 @@ pub trait SpatialStore: Send + Sync {
     ///
     /// The default ignores the batching hints and fetches the single
     /// object; the cluster organization overrides it to transfer whole
-    /// cluster units / SLM schedules.
+    /// cluster units / SLM schedules. Reads through `session`, the one
+    /// session the join's transfer holds on the operands' shared pool.
     fn fetch_for_join(
         &self,
         oid: ObjectId,
         needed: &HashSet<ObjectId>,
         technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
     ) {
         let _ = (needed, technique);
-        self.fetch_object(oid);
+        self.fetch_object(oid, session);
     }
 
     /// A shadow copy of this store for the copy-on-write write path:
@@ -362,10 +368,11 @@ mod tests {
     use super::*;
     use crate::memory::MemoryStore;
     use crate::model::new_shared_pool;
-    use spatialdb_disk::{Disk, IoKind, PageId, PageRun};
+    use spatialdb_disk::{Disk, IoKind, PageId, PageRun, RegionId};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// A foreign backend whose filter step charges one page and panics.
+    /// A foreign backend whose filter step reads one page through a pool
+    /// session and panics with the session open.
     struct Panicking(MemoryStore);
 
     impl SpatialStore for Panicking {
@@ -384,13 +391,14 @@ mod tests {
             _technique: WindowTechnique,
             _out: &mut Vec<LeafEntry>,
         ) -> u64 {
-            let disk = self.disk();
-            let region = disk.create_region("panicking");
-            disk.charge(IoKind::Read, PageRun::new(PageId::new(region, 0), 1), false);
+            let pool = self.pool();
+            let region = pool.disk().create_region("panicking");
+            let mut session = pool.session();
+            session.read_page(PageId::new(region, 0));
             panic!("the filter step failed");
         }
-        fn fetch_object(&self, oid: ObjectId) {
-            self.0.fetch_object(oid)
+        fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+            self.0.fetch_object(oid, session)
         }
         fn occupied_pages(&self) -> u64 {
             self.0.occupied_pages()
@@ -436,5 +444,31 @@ mod tests {
         // …so a fresh capture starts on a disarmed thread and sees none.
         let ((), trace) = disk.traced(|| ());
         assert!(trace.is_empty());
+    }
+
+    /// A filter step that panics with its pool session open keeps the
+    /// session's charges — on the disk's counters, the thread's tally
+    /// and the pool's counters — and leaves the pool usable on this
+    /// thread.
+    #[test]
+    fn a_filter_step_that_unwinds_keeps_its_session_charges() {
+        let disk = Disk::with_defaults();
+        let store = Panicking(MemoryStore::new(new_shared_pool(disk.clone(), 8)));
+        let window = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let before = disk.local_stats();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            store.window_query_into(&window, WindowTechnique::Complete, &mut Vec::new())
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(disk.stats().read_requests, 1);
+        assert_eq!(disk.local_stats().since(&before).read_requests, 1);
+        let pool = store.pool();
+        assert_eq!(pool.misses(), 1);
+        // Region 0 is the memory store's tree, region 1 the page read.
+        let page = PageId::new(RegionId(1), 0);
+        assert!(
+            pool.read_page(page),
+            "the page was read and the lock released"
+        );
     }
 }

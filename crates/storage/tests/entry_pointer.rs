@@ -106,12 +106,14 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
 
             let before = by_table.disk().stats();
             let pool = by_table.pool();
-            let candidates = by_table.tree().window_entries(window, &mut pool.as_ref());
+            let mut session = pool.session();
+            let candidates = by_table.tree().window_entries(window, &mut session);
             let mut bytes = 0;
             for e in &candidates {
-                by_table.fetch_object(e.oid);
+                by_table.fetch_object(e.oid, &mut session);
                 bytes += u64::from(records[e.oid.0 as usize].size_bytes);
             }
+            drop(session);
             let table_io = by_table.disk().stats().since(&before);
 
             let at = format!("window {k}, STR-built: {str_built}");

@@ -3,6 +3,7 @@
 //! `MemoryStore` — everything else (point queries, the STR install, …)
 //! comes from the trait's provided bodies.
 
+use spatialdb::disk::PoolSession;
 use spatialdb::geom::Rect;
 use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
 use spatialdb::storage::{MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique};
@@ -30,8 +31,8 @@ impl SpatialStore for HintlessStore {
     fn window_query_into(&self, w: &Rect, t: WindowTechnique, out: &mut Vec<LeafEntry>) -> u64 {
         self.0.window_query_into(w, t, out)
     }
-    fn fetch_object(&self, oid: ObjectId) {
-        self.0.fetch_object(oid)
+    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+        self.0.fetch_object(oid, session)
     }
     fn occupied_pages(&self) -> u64 {
         self.0.occupied_pages()

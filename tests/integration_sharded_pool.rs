@@ -1,8 +1,9 @@
 //! Integration tests of the sharded buffer pool: the shard-equivalence
 //! matrix (1-shard pool ≡ the classic single-lock pool for every
 //! organization × window technique), the conservation invariants of
-//! N > 1 shards (for window queries and the join), and the panic-safety
-//! of the I/O tallies. (Concurrent
+//! N > 1 shards (for window queries and the join), the panic-safety
+//! of the I/O tallies, and the one shard-lock acquisition a query's
+//! pool session takes. (Concurrent
 //! filter steps on a 4-shard pool: `integration_parallel.rs`'s
 //! `concurrent_reads_are_exact`.)
 //!
@@ -108,7 +109,7 @@ fn one_shard_matrix_byte_identical_stats() {
 /// every organization × window technique: every requested-page access
 /// is classified exactly once, whatever the shard count. Which pages a
 /// query requests does not depend on the buffer — the cluster
-/// organization's unit read (`ShardedPool::read_extent`) counts the
+/// organization's unit read (`PoolSession::read_extent`) counts the
 /// pages a technique wants, never the bridged pages or the rest of a
 /// completely read unit, and counts them on its all-resident path too.
 #[test]
@@ -247,4 +248,47 @@ fn panicking_batch_worker_leaks_no_charges() {
         grown.read_requests > 0,
         "filter-phase charges leaked out of the cumulative stats"
     );
+}
+
+/// The hardware-independent evidence of pool sessions: on a 1-shard
+/// pool a window query takes the shard lock once on every organization
+/// — its tree walk and its transfer share one session — and a join
+/// twice, once for the MBR join and once for the object transfer. A
+/// memory store's query never touches the pool.
+#[test]
+fn a_query_takes_the_pool_lock_once() {
+    use spatialdb::storage::MemoryStore;
+
+    let map = test_map();
+    let window = WindowQuerySet::generate(&map, 1e-2, 1, 5).windows[0];
+    let ws = Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES));
+    let acquisitions = || ws.pool().lock_acquisitions();
+    let mut dbs = Vec::new();
+    for kind in ALL_KINDS {
+        let mut db = load(&ws, kind, &map);
+        db.store_mut().begin_query();
+        let before = acquisitions();
+        let cursor = db.query().window(window).run();
+        assert!(cursor.num_candidates() > 0, "{kind:?}: empty window");
+        drop(cursor);
+        assert_eq!(acquisitions() - before, 1, "{kind:?}: one window query");
+        dbs.push(db);
+    }
+
+    let (left, right) = (&dbs[2], &dbs[0]);
+    let before = acquisitions();
+    let cursor = left.join(right).transfer(TransferTechnique::Complete).run();
+    assert!(cursor.num_candidates() > 0, "empty join");
+    drop(cursor);
+    assert_eq!(acquisitions() - before, 2, "one join: MBR join + transfer");
+
+    let memory = ws.create_database_with(Box::new(MemoryStore::new(ws.pool())));
+    for obj in &map.objects {
+        memory.insert(obj.id, obj.geometry.clone().unwrap());
+    }
+    let before = acquisitions();
+    let cursor = memory.query().window(window).run();
+    assert!(cursor.num_candidates() > 0, "memory store: empty window");
+    drop(cursor);
+    assert_eq!(acquisitions(), before, "a memory store's query");
 }
