@@ -37,6 +37,18 @@
 //! through `store_mut()`, no geometry, no hint): then every candidate is
 //! looked up, and the first one without geometry panics.
 //!
+//! The order is the cursor's, not the store's. The filter step hands
+//! over its candidates in tree-walk order, which is no use to a
+//! comparison sort (on A-1's 0.1 % windows, half the neighbouring ids
+//! ascend); [`Query::run`] sorts those the verdicts leave by id, and
+//! every read path hands its answers out in that order — the cursor,
+//! `ids()`, `run_par`, `run_batch`, `run_stream`, and the callers that
+//! compare them with a sorted list. A list of 512 candidates or more is
+//! ordered by a least-significant-digit radix sort on the id, two
+//! linear passes for every id below 2²²; a shorter one by a comparison
+//! sort, which is faster there. Ids are unique, so both give the one
+//! permutation ascending order allows.
+//!
 //! [`Hint`]: spatialdb_geom::Hint
 //! [`Hint::verdict`]: spatialdb_geom::Hint::verdict
 //!
@@ -77,6 +89,10 @@ thread_local! {
     /// a [`Query::run`] and put back for the next, so a query does not
     /// grow a fresh one by doubling. (The executors pass their own.)
     static SCRATCH: RefCell<Vec<LeafEntry>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's radix buffer: the other side of every
+    /// counting scatter of [`sort_by_id`]. It keeps the length of the
+    /// longest list the thread has sorted, so only a longer one grows it.
+    static RADIX: RefCell<Vec<Candidate>> = const { RefCell::new(Vec::new()) };
 }
 
 /// What a [`Query`] searches for.
@@ -103,7 +119,9 @@ impl Target {
     }
 }
 
-/// One candidate of a filter step, as refinement sees it.
+/// One candidate of a filter step, as refinement sees it. A cursor
+/// holds them ascending by id ([`sort_by_id`]: the contract every read
+/// path returns answers in, see the [module docs](self)).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Candidate {
     pub(crate) id: u64,
@@ -114,6 +132,81 @@ pub(crate) struct Candidate {
 
 // A cursor's candidate list is sorted and scanned: four to a cache line.
 const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
+
+/// Candidate lists at least this long are ordered by
+/// [`radix_sort_by_id`], shorter ones by a comparison sort. Measured hot
+/// on 16-byte candidates, µs per sort, comparison vs radix: 2.6 vs 3.4
+/// at 209 candidates, 6.2 vs 4.9 at 512, 26.0 vs 14.7 at 1,690.
+const RADIX_CUTOFF: usize = 512;
+
+/// Bits of the id one radix pass orders by: a 2,048-bucket count stays
+/// in L1, and two passes cover every id below 2²².
+const DIGIT_BITS: u32 = 11;
+
+/// Put `candidates` in ascending id order — the order every read path
+/// hands answers out in. Ids are unique within a store, so the result
+/// is the one permutation that order allows, whichever sort made it.
+fn sort_by_id(candidates: &mut [Candidate]) {
+    if candidates.len() < RADIX_CUTOFF {
+        candidates.sort_unstable_by_key(|c| c.id);
+        return;
+    }
+    let mut buffer = RADIX.take();
+    radix_sort_by_id(candidates, &mut buffer);
+    RADIX.set(buffer);
+}
+
+/// Least-significant-digit radix sort of `candidates` by id, stable:
+/// one counting scatter per [`DIGIT_BITS`]-bit digit, between
+/// `candidates` and `buffer` (whose contents it overwrites). It runs the
+/// passes the largest id needs — none for an all-zero list, six at
+/// `u64::MAX` — and skips a pass whose digit every id shares.
+fn radix_sort_by_id(candidates: &mut [Candidate], buffer: &mut Vec<Candidate>) {
+    let n = candidates.len();
+    // The OR of the ids is as long as their maximum.
+    let bits = candidates.iter().fold(0, |acc, c| acc | c.id);
+    let passes = (u64::BITS - bits.leading_zeros()).div_ceil(DIGIT_BITS);
+    buffer.resize(
+        n,
+        Candidate {
+            id: 0,
+            decided: false,
+        },
+    );
+    let mut sorted_in_buffer = false;
+    for pass in 0..passes {
+        let shift = pass * DIGIT_BITS;
+        let digit = |c: &Candidate| (c.id >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        let (from, to) = if sorted_in_buffer {
+            (&buffer[..], &mut candidates[..])
+        } else {
+            (&candidates[..], &mut buffer[..])
+        };
+        // Each digit's count, then the slot its next candidate goes to.
+        let mut offsets = [0usize; 1 << DIGIT_BITS];
+        for c in from {
+            offsets[digit(c)] += 1;
+        }
+        if offsets[digit(&from[0])] == n {
+            continue; // every id shares this digit: the pass moves nothing
+        }
+        let mut start = 0;
+        for slot in &mut offsets {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for c in from {
+            let slot = &mut offsets[digit(c)];
+            to[*slot] = *c;
+            *slot += 1;
+        }
+        sorted_in_buffer = !sorted_in_buffer;
+    }
+    if sorted_in_buffer {
+        candidates.copy_from_slice(buffer);
+    }
+}
 
 /// The refinement step of one query, detached from whatever keeps
 /// `geoms` alive — a cursor's pinned root, a batch's pins, a stream
@@ -334,7 +427,7 @@ impl<'a> Query<'a> {
                 decided,
             });
         }
-        candidates.sort_unstable_by_key(|c| c.id);
+        sort_by_id(&mut candidates);
         ResultCursor {
             root,
             target,
@@ -623,5 +716,147 @@ impl<'a> Iterator for JoinCursor<'a> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, Some(self.pairs.len() - self.next))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spatialdb_geom::rng::SmallRng;
+
+    /// Shuffle `list` in place (Fisher–Yates).
+    fn shuffle<T>(rng: &mut SmallRng, list: &mut [T]) {
+        for i in (1..list.len()).rev() {
+            list.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    /// `n` candidates with distinct ids, shuffled, and the same list in
+    /// ascending id order. Each id is `high` with its low `bits` bits
+    /// replaced by a random value; the largest sets the top one of them,
+    /// so the list's maximum needs `⌈bits / 11⌉` digits below `high`.
+    /// With `all_ones` the largest is `high | mask` (`u64::MAX` when
+    /// `high` is). Every decided flag is drawn.
+    fn case(
+        rng: &mut SmallRng,
+        n: usize,
+        bits: u32,
+        high: u64,
+        all_ones: bool,
+    ) -> (Vec<Candidate>, Vec<Candidate>) {
+        let mask = u64::MAX >> (u64::BITS - bits);
+        let mut lows: Vec<u64> = if u128::from(mask) < 4 * n as u128 {
+            let mut all: Vec<u64> = (0..=mask).collect();
+            shuffle(rng, &mut all);
+            all.truncate(n);
+            all.sort_unstable();
+            all
+        } else {
+            let mut lows = Vec::with_capacity(n);
+            while lows.len() < n {
+                lows.extend((lows.len()..n).map(|_| rng.next_u64() & mask));
+                lows.sort_unstable();
+                lows.dedup();
+            }
+            lows
+        };
+        if let Some(max) = lows.last_mut() {
+            // Every other low is below `max`, so both stay distinct.
+            *max |= 1 << (bits - 1);
+            if all_ones {
+                *max = mask;
+            }
+        }
+        let sorted: Vec<Candidate> = lows
+            .into_iter()
+            .map(|low| Candidate {
+                id: (high & !mask) | low,
+                decided: rng.gen_bool(0.5),
+            })
+            .collect();
+        let mut shuffled = sorted.clone();
+        shuffle(rng, &mut shuffled);
+        (shuffled, sorted)
+    }
+
+    /// [`radix_sort_by_id`], [`sort_by_id`] and the comparison sort
+    /// all turn `input` into `expected`, every decided flag on its id.
+    fn assert_sorts(input: &[Candidate], expected: &[Candidate], buffer: &mut Vec<Candidate>) {
+        let pairs = |list: &[Candidate]| -> Vec<(u64, bool)> {
+            list.iter().map(|c| (c.id, c.decided)).collect()
+        };
+        let what = format!(
+            "{} ids, largest {:#x}",
+            input.len(),
+            expected.last().map_or(0, |c| c.id)
+        );
+        let mut reference = input.to_vec();
+        reference.sort_unstable_by_key(|c| c.id);
+        assert_eq!(pairs(&reference), pairs(expected), "{what}: reference");
+        let mut by_radix = input.to_vec();
+        radix_sort_by_id(&mut by_radix, buffer);
+        assert_eq!(pairs(&by_radix), pairs(expected), "{what}: radix");
+        let mut sorted = input.to_vec();
+        sort_by_id(&mut sorted);
+        assert_eq!(pairs(&sorted), pairs(expected), "{what}: sort_by_id");
+    }
+
+    /// Id widths on both sides of every digit boundary: maxima that need
+    /// one to six passes.
+    const BITS: [u32; 19] = [
+        1, 2, 10, 11, 12, 21, 22, 23, 32, 33, 34, 43, 44, 45, 54, 55, 56, 63, 64,
+    ];
+
+    #[test]
+    fn radix_sort_orders_like_the_comparison_sort() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        // One buffer throughout: it comes to each case longer or shorter
+        // than the list, holding the previous case's candidates.
+        let mut buffer = Vec::new();
+        let lengths = [
+            10_000,
+            0,
+            1,
+            2,
+            RADIX_CUTOFF - 1,
+            RADIX_CUTOFF,
+            RADIX_CUTOFF + 1,
+        ];
+        for n in lengths {
+            for bits in BITS {
+                if n as u128 > 1u128 << bits {
+                    continue;
+                }
+                // Low ids; ids ≥ 2⁶³ sharing every digit above `bits`;
+                // random high digits, all equal; and a list up to u64::MAX.
+                let highs = [
+                    (0, false),
+                    (1 << 63, false),
+                    (rng.next_u64(), false),
+                    (u64::MAX, true),
+                ];
+                for (high, all_ones) in highs {
+                    let (input, expected) = case(&mut rng, n, bits, high, all_ones);
+                    assert_sorts(&input, &expected, &mut buffer);
+                }
+            }
+        }
+    }
+
+    /// `cargo test --release -p spatialdb-core -- --include-ignored radix`.
+    #[test]
+    #[ignore = "a release-profile sweep; run with --include-ignored"]
+    fn radix_sort_sweep() {
+        let mut rng = SmallRng::seed_from_u64(1994);
+        let mut buffer = Vec::new();
+        for _ in 0..100_000 {
+            let bits = BITS[rng.gen_range(0..BITS.len())];
+            // No more ids than `bits` can tell apart.
+            let n = rng.gen_range(0..4 * RADIX_CUTOFF).min(1 << bits.min(16));
+            let high = [0, rng.next_u64(), u64::MAX][rng.gen_range(0..3usize)];
+            let all_ones = rng.gen_bool(0.1);
+            let (input, expected) = case(&mut rng, n, bits, high, all_ones);
+            assert_sorts(&input, &expected, &mut buffer);
+        }
     }
 }

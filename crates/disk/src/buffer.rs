@@ -610,7 +610,7 @@ pub(crate) mod reference {
                     missing.push(o);
                 }
             }
-            let schedule: Vec<ScheduledRun> = slm_schedule(&missing, max_gap);
+            let schedule: Vec<ScheduledRun> = slm_schedule(&missing, max_gap).collect();
             for (i, run) in schedule.iter().enumerate() {
                 let skip = !(initial_seek && i == 0);
                 let page_run = PageRun::new(extent.page(run.start), run.len);

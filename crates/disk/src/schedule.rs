@@ -47,42 +47,29 @@ pub fn slm_gap_limit(params: &DiskParams) -> u64 {
     }
 }
 
-/// Compute the SLM read schedule for the sorted, deduplicated `offsets`
-/// of requested pages, bridging gaps of at most `max_gap` pages.
-///
-/// Returns one [`ScheduledRun`] per resulting read request, in order.
-pub fn slm_schedule(offsets: &[u64], max_gap: u64) -> Vec<ScheduledRun> {
-    let mut runs = Vec::new();
-    let mut it = offsets.iter().copied();
-    let Some(first) = it.next() else {
-        return runs;
-    };
-    let mut run_start = first;
-    let mut run_end = first; // inclusive, last requested page so far
-    let mut requested = 1u64;
-    for o in it {
-        debug_assert!(o > run_end, "offsets must be sorted and deduplicated");
-        let gap = o - run_end - 1;
-        if gap <= max_gap {
-            run_end = o;
+/// The SLM read schedule for the sorted, deduplicated `offsets` of
+/// requested pages, bridging gaps of at most `max_gap` pages: one
+/// [`ScheduledRun`] per resulting read request, in order, computed as
+/// the caller takes them.
+pub fn slm_schedule(offsets: &[u64], max_gap: u64) -> impl Iterator<Item = ScheduledRun> + '_ {
+    let mut offsets = offsets.iter().copied().peekable();
+    std::iter::from_fn(move || {
+        let start = offsets.next()?;
+        let mut end = start; // inclusive, last requested page so far
+        let mut requested = 1u64;
+        while let Some(o) = offsets.next_if(|&o| {
+            debug_assert!(o > end, "offsets must be sorted and deduplicated");
+            o - end - 1 <= max_gap
+        }) {
+            end = o;
             requested += 1;
-        } else {
-            runs.push(ScheduledRun {
-                start: run_start,
-                len: run_end - run_start + 1,
-                requested,
-            });
-            run_start = o;
-            run_end = o;
-            requested = 1;
         }
-    }
-    runs.push(ScheduledRun {
-        start: run_start,
-        len: run_end - run_start + 1,
-        requested,
-    });
-    runs
+        Some(ScheduledRun {
+            start,
+            len: end - start + 1,
+            requested,
+        })
+    })
 }
 
 /// Cost in milliseconds of executing a schedule inside one cluster unit:
@@ -117,7 +104,7 @@ mod tests {
 
     #[test]
     fn single_offset_single_run() {
-        let runs = slm_schedule(&[7], 5);
+        let runs: Vec<_> = slm_schedule(&[7], 5).collect();
         assert_eq!(
             runs,
             vec![ScheduledRun {
@@ -132,7 +119,7 @@ mod tests {
     fn small_gaps_bridged() {
         // Paper's Figure 9 example: requested pattern y n y y n n n y y n y y
         // (offsets 0,2,3,7,8,10,11), l = 3 → the 3-page gap (4,5,6) splits.
-        let runs = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 2);
+        let runs: Vec<_> = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 2).collect();
         assert_eq!(runs.len(), 2);
         assert_eq!(
             runs[0],
@@ -158,14 +145,14 @@ mod tests {
         // Paper: 4 tl + 7 tt = 31 ms page-runs vs 2 tl + 9 tt = 21 ms SLM
         // (costs without the initial seek, which both variants share).
         let p = DiskParams::default();
-        let naive = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 0);
+        let naive: Vec<_> = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 0).collect();
         assert_eq!(naive.len(), 4);
         let naive_cost: f64 = naive
             .iter()
             .map(|r| p.latency_ms + r.len as f64 * p.transfer_ms)
             .sum();
         assert_eq!(naive_cost, 4.0 * 6.0 + 7.0);
-        let slm = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 2);
+        let slm: Vec<_> = slm_schedule(&[0, 2, 3, 7, 8, 10, 11], 2).collect();
         let slm_cost: f64 = slm
             .iter()
             .map(|r| p.latency_ms + r.len as f64 * p.transfer_ms)
@@ -176,7 +163,7 @@ mod tests {
 
     #[test]
     fn all_pages_requested_one_run() {
-        let runs = slm_schedule(&[0, 1, 2, 3], 5);
+        let runs: Vec<_> = slm_schedule(&[0, 1, 2, 3], 5).collect();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].requested, 4);
         assert_eq!(runs[0].bridged(), 0);
@@ -184,19 +171,19 @@ mod tests {
 
     #[test]
     fn zero_gap_limit_splits_everything() {
-        let runs = slm_schedule(&[0, 2, 4], 0);
+        let runs: Vec<_> = slm_schedule(&[0, 2, 4], 0).collect();
         assert_eq!(runs.len(), 3);
         assert!(runs.iter().all(|r| r.len == 1 && r.requested == 1));
     }
 
     #[test]
     fn empty_offsets() {
-        assert!(slm_schedule(&[], 5).is_empty());
+        assert_eq!(slm_schedule(&[], 5).count(), 0);
     }
 
     #[test]
     fn bridged_counts() {
-        let runs = slm_schedule(&[0, 3], 3);
+        let runs: Vec<_> = slm_schedule(&[0, 3], 3).collect();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].len, 4);
         assert_eq!(runs[0].bridged(), 2);
@@ -205,7 +192,7 @@ mod tests {
     #[test]
     fn schedule_cost_skips_seek_after_first() {
         let p = DiskParams::default();
-        let runs = slm_schedule(&[0, 10], 5);
+        let runs: Vec<_> = slm_schedule(&[0, 10], 5).collect();
         assert_eq!(runs.len(), 2);
         // First: 9 + 6 + 1; second: 6 + 1.
         assert_eq!(schedule_cost_ms(&p, &runs), 16.0 + 7.0);

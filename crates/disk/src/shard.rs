@@ -78,6 +78,10 @@ thread_local! {
     /// queues its first request and put back empty when it ends, so
     /// sessions reuse one buffer instead of allocating one each.
     static QUEUE: Cell<Vec<PageRequest>> = const { Cell::new(Vec::new()) };
+    /// The calling thread's list of a unit read's missing offsets,
+    /// recycled like [`QUEUE`]: taken by a session at its first
+    /// [`PoolSession::read_extent`] and put back when it ends.
+    static MISSING: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Insert `page` into `shard` (touching it if resident), returning the
@@ -179,6 +183,7 @@ impl ShardedPool {
             hits: 0,
             misses: 0,
             queue: Vec::new(),
+            missing: Vec::new(),
         }
     }
 
@@ -441,6 +446,9 @@ pub struct PoolSession<'a> {
     misses: u64,
     /// The disk requests not charged yet, in order.
     queue: Vec<PageRequest>,
+    /// [`read_extent`](Self::read_extent)'s list of missing offsets,
+    /// empty between calls.
+    missing: Vec<u64>,
 }
 
 impl<'a> PoolSession<'a> {
@@ -684,7 +692,10 @@ impl<'a> PoolSession<'a> {
             self.count(out.buffer_hits, wanted.len() as u64);
             return out;
         }
-        let mut missing = Vec::with_capacity(wanted.len());
+        let mut missing = std::mem::take(&mut self.missing);
+        if missing.capacity() == 0 {
+            missing = MISSING.take();
+        }
         for &o in wanted {
             let p = extent.page(o);
             let shard = self.buffer(&p);
@@ -700,6 +711,22 @@ impl<'a> PoolSession<'a> {
             }
         }
         self.count(out.buffer_hits, wanted.len() as u64);
+        self.read_missing(extent, &missing, technique, &mut out);
+        missing.clear();
+        self.missing = missing;
+        out
+    }
+
+    /// The transfer half of [`read_extent`](Self::read_extent) under
+    /// every technique but *complete*: read the `missing` offsets of
+    /// `extent`, which were classified into `out` already.
+    fn read_missing(
+        &mut self,
+        extent: PageRun,
+        missing: &[u64],
+        technique: TransferTechnique,
+        out: &mut ReadOutcome,
+    ) {
         let params = self.pool.disk.params();
         if technique == TransferTechnique::Optimum {
             if !missing.is_empty() {
@@ -709,13 +736,13 @@ impl<'a> PoolSession<'a> {
                 self.pool.disk.charge_raw(IoKind::Read, k, cost, true);
                 out.requests = 1;
                 out.pages_transferred = k;
-                for o in missing {
+                for &o in missing {
                     self.insert(extent.page(o), false);
                 }
             }
-            return out;
+            return;
         }
-        for run in slm_schedule(&missing, slm_gap_limit(&params)) {
+        for run in slm_schedule(missing, slm_gap_limit(&params)) {
             let page_run = PageRun::new(extent.page(run.start), run.len);
             self.charge(IoKind::Read, page_run, out.requests > 0);
             out.requests += 1;
@@ -729,7 +756,6 @@ impl<'a> PoolSession<'a> {
                 self.insert(extent.page(off), false);
             }
         }
-        out
     }
 
     /// Remove a page from the buffer without any accounting (node
@@ -771,6 +797,9 @@ impl Drop for PoolSession<'_> {
         self.charge_queued();
         if self.queue.capacity() > 0 {
             QUEUE.set(std::mem::take(&mut self.queue));
+        }
+        if self.missing.capacity() > 0 {
+            MISSING.set(std::mem::take(&mut self.missing));
         }
     }
 }

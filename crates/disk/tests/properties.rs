@@ -53,7 +53,7 @@ fn slm_schedule_covers_requested() {
     check(|seed, rng| {
         let offsets = sorted_unique(offsets(rng, 400, 0..50));
         let max_gap = rng.gen_range(0..10u64);
-        let runs = slm_schedule(&offsets, max_gap);
+        let runs: Vec<_> = slm_schedule(&offsets, max_gap).collect();
         // Every requested offset is inside exactly one run.
         for &o in &offsets {
             let n = runs
@@ -87,7 +87,7 @@ fn slm_larger_gap_never_more_requests() {
         let offsets = sorted_unique(offsets(rng, 400, 1..50));
         let mut prev = u64::MAX;
         for gap in 0..8u64 {
-            let n = slm_schedule(&offsets, gap).len() as u64;
+            let n = slm_schedule(&offsets, gap).count() as u64;
             assert!(n <= prev, "seed {seed}: gap {gap}");
             prev = n;
         }

@@ -23,6 +23,9 @@
 //!   masks' grid, and a join of two street maps, answer what an
 //!   exhaustive exact test answers on every path, on every backend — the
 //!   hintless one included.
+//! * **Past the radix cutoff.** Windows of thousands of candidates,
+//!   whose lists the cursor orders by a radix sort, answer in strictly
+//!   ascending id order on every path — ids up to `u64::MAX` included.
 //! * **Undecided share on A-1.** How many MBR-straddling candidates the
 //!   second filter step leaves to the exact test, as counts, pinned.
 //! * **Filter-only records** (bulk-loaded through `store_mut()`, no
@@ -437,6 +440,60 @@ fn hint_rule_matches_the_exhaustive_exact_test_however_the_entries_got_there() {
                 .map(|w| db.query().window(*w).run().undecided())
                 .sum();
             assert_eq!(undecided, by_exact_test + false_hits, "{what}");
+        }
+    }
+}
+
+/// Windows past the cursor's radix cutoff: a candidate list of 512 or
+/// more is ordered by a radix sort on the id, a shorter one by a
+/// comparison sort. Nearly every window above stays below it — of the
+/// ≈ 156,000 lists this file's other tests sort, 117 reach it — so here
+/// each of two windows holds thousands of candidates, with ids below 2²²
+/// (two digit passes, like every map in the repo) and ids spread over
+/// all 64 bits up to `u64::MAX` (six), on each organization and
+/// `MemoryStore`. Every path returns the brute-force answers, strictly
+/// ascending.
+#[test]
+fn windows_past_the_radix_cutoff_answer_ascending_on_every_path() {
+    let narrow = streets(3500, 41);
+    // An odd multiplier permutes the u64s: the ids stay distinct.
+    let spread = |id: u64| id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut wide: Vec<(u64, Geometry)> = narrow
+        .iter()
+        .map(|(id, g)| (spread(*id), g.clone()))
+        .collect();
+    wide[0].0 = u64::MAX;
+    wide.sort_unstable_by_key(|(id, _)| *id);
+    assert!(wide.windows(2).all(|p| p[0].0 < p[1].0));
+    let windows = [
+        Rect::new(-1.0, -1.0, 2.0, 2.0),
+        Rect::new(0.05, 0.05, 0.95, 0.95),
+    ];
+    for (ids, objects) in [("ids below 2²²", &narrow), ("ids up to u64::MAX", &wide)] {
+        let expected = oracles(objects, &windows);
+        let ws = Workspace::new(256);
+        for (name, mut db) in backends(&ws) {
+            db.bulk_load(objects.clone());
+            db.finish_loading();
+            let what = format!("{name}, {ids}");
+            for (w, expected) in windows.iter().zip(&expected) {
+                assert!(expected.len() >= 2000, "{what}: {} answers", expected.len());
+                let answers = db.query().window(*w).run().ids();
+                let ascending = answers.windows(2).all(|p| p[0] < p[1]);
+                assert!(ascending, "{what}, {w:?}: ids() not strictly ascending");
+                assert_eq!(&answers, expected, "{what}, {w:?}: ids()");
+                let iterated: Vec<u64> = db.query().window(*w).run().map(|(id, _)| id).collect();
+                assert_eq!(&iterated, expected, "{what}, {w:?}: iteration");
+                let par = db.query().window(*w).run_par(4).ids();
+                assert_eq!(&par, expected, "{what}, {w:?}: run_par(4)");
+            }
+            for threads in [1, 4] {
+                let queries = windows.iter().map(|w| db.query().window(*w)).collect();
+                let batch = ws.run_batch(queries, threads);
+                assert_eq!(query_ids(&batch), expected, "{what}: run_batch({threads})");
+                let streamed = stream_ids(&db, &windows, threads);
+                assert_eq!(streamed, expected, "{what}: run_stream({threads})");
+            }
         }
     }
 }
