@@ -65,6 +65,11 @@ impl RStarTree {
     /// [`window_entries_into`](RStarTree::window_entries_into) would
     /// collect, grouped by leaf).
     ///
+    /// Each leaf's hits are appended in entry order: a leaf's range is a
+    /// subsequence of [`leaf_entries`](crate::node::Node::leaf_entries), which
+    /// lets the cluster organization place them in one pass over the
+    /// page.
+    ///
     /// This is the access pattern of the cluster organization (§4.2.2):
     /// each qualifying data page maps to one cluster unit that the query
     /// techniques then decide how to transfer.
@@ -214,6 +219,53 @@ mod tests {
             }
         }
         assert_eq!(covered, hits.len());
+    }
+
+    /// Each leaf's range of hits is an in-order subsequence of the
+    /// leaf's entries.
+    fn assert_hits_in_entry_order(t: &RStarTree, windows: &[Rect]) {
+        let mut hits = Vec::new();
+        for w in windows {
+            for (leaf, range) in t.window_leaves_into(w, &mut NoIo, &mut hits) {
+                let mut entries = t.node(leaf).leaf_entries().iter();
+                for h in &hits[range] {
+                    assert!(entries.any(|e| e == h), "{} out of order in {leaf}", h.oid);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_leaves_append_hits_in_entry_order() {
+        let cell = |i: u64| {
+            let (x, y) = ((i % 12) as f64, (i / 12) as f64);
+            Rect::new(x, y, x + 0.5, y + 0.5)
+        };
+        let windows = [
+            Rect::new(1.0, 1.0, 6.3, 5.1),
+            Rect::new(3.2, -1.0, 3.4, 13.0),
+            Rect::new(-1.0, -1.0, 100.0, 100.0),
+        ];
+        let mut t = build_grid(12);
+        assert_hits_in_entry_order(&t, &windows);
+        // Deletes close gaps inside leaves and condense underfull ones,
+        // reinserting their entries elsewhere.
+        for i in (0..144).step_by(3) {
+            assert!(t.delete(ObjectId(i), &cell(i), &mut NoIo).removed);
+        }
+        assert_hits_in_entry_order(&t, &windows);
+        // A copy-on-write snapshot keeps its order while the tree it was
+        // taken from changes under it.
+        let snapshot = t.clone();
+        for i in (1..144).step_by(3) {
+            assert!(t.delete(ObjectId(i), &cell(i), &mut NoIo).removed);
+        }
+        for i in 144..200 {
+            t.insert(LeafEntry::new(cell(i), ObjectId(i), 0), &mut NoIo);
+        }
+        assert_hits_in_entry_order(&snapshot, &windows);
+        assert_hits_in_entry_order(&t, &windows);
+        assert_eq!(snapshot.window_entries(&windows[2], &mut NoIo).len(), 96);
     }
 
     #[test]

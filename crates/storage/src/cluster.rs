@@ -15,6 +15,12 @@
 //! two new units sequentially* — this is why construction stays cheap
 //! (§5.2): the copies already profit from global clustering.
 //!
+//! A unit holds its data page's objects byte-contiguous in entry order
+//! (a split or deletion repacks it from the entries; an append follows
+//! the entry the tree pushed last), so the entries' payloads — the
+//! objects' sizes — fix every member's pages: the unit keeps no
+//! per-object state (`entry_placements`).
+//!
 //! Cluster units live in buddies ([`spatialdb_disk::BuddyAllocator`]);
 //! with the single-size configuration every unit occupies the full
 //! `Smax`, reproducing the storage utilization of Figure 6, while the
@@ -26,8 +32,7 @@ use crate::packer::{BytePacker, Placement};
 use crate::store::SpatialStore;
 use crate::table::ObjectTable;
 use spatialdb_disk::{
-    BuddyAllocator, BuddyConfig, IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy,
-    PAGE_SIZE,
+    BuddyAllocator, BuddyConfig, IoKind, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE,
 };
 use spatialdb_geom::{Point, Rect};
 use spatialdb_rtree::{
@@ -37,11 +42,11 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 
 thread_local! {
-    /// The calling thread's wanted offsets, taken for one
-    /// [`SpatialStore::fetch_for_join`] call and put back for the next:
-    /// the join fetches object after object, so its unit reads reuse one
-    /// buffer instead of allocating one per object.
-    static JOIN_WANTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's wanted offsets, taken for one window query
+    /// or [`SpatialStore::fetch_for_join`] call and put back for the
+    /// next, so unit reads reuse one buffer instead of allocating one
+    /// per query or object.
+    static WANTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Configuration of a [`ClusterOrganization`].
@@ -75,32 +80,38 @@ impl ClusterConfig {
     }
 }
 
-/// One cluster unit: the physical extent (its buddy) plus the byte-packed
-/// object placements.
+/// One cluster unit: the physical extent (its buddy) and the bytes
+/// packed into it, its data page's objects in entry order.
 #[derive(Clone, Debug)]
 struct ClusterUnit {
     /// The buddy currently backing the unit.
     extent: PageRun,
     packer: BytePacker,
-    /// Object → placement (page offsets relative to `extent.start`),
-    /// sorted by object id: a unit holds at most a few hundred objects,
-    /// so a binary search beats hashing and a unit's shadow copy is one
-    /// `memcpy`.
-    members: Vec<(ObjectId, Placement)>,
+    /// Σ placement pages over the members: the unit's share of the
+    /// `nop∅` total, kept because a unit is freed or repacked after its
+    /// data page's entries have changed.
+    member_pages: u64,
 }
 
 impl ClusterUnit {
-    fn placement(&self, oid: ObjectId) -> Placement {
-        let i = self
-            .members
-            .binary_search_by_key(&oid, |m| m.0)
-            .unwrap_or_else(|_| panic!("object {oid} missing from its cluster unit"));
-        self.members[i].1
-    }
-
-    fn add_member(&mut self, oid: ObjectId, placement: Placement) {
-        let at = self.members.partition_point(|m| m.0 < oid);
-        self.members.insert(at, (oid, placement));
+    /// Pack `entries` — a data page's, in entry order — into the
+    /// smallest fitting buddy of `buddy` (no I/O charged here).
+    fn pack(entries: &[LeafEntry], buddy: &mut BuddyAllocator) -> ClusterUnit {
+        let mut packer = BytePacker::new();
+        let mut member_pages = 0;
+        for e in entries {
+            member_pages += packer
+                .place(u64::from(e.payload), PAGE_SIZE as u64)
+                .num_pages;
+        }
+        let extent = buddy
+            .alloc_for(packer.pages_used(PAGE_SIZE as u64).max(1))
+            .expect("cluster split produced a unit beyond Smax");
+        ClusterUnit {
+            extent,
+            packer,
+            member_pages,
+        }
     }
 
     fn used_pages(&self) -> u64 {
@@ -112,39 +123,41 @@ impl ClusterUnit {
         PageRun::new(self.extent.start, self.used_pages())
     }
 
-    /// Absolute pages of one member.
-    fn member_run(&self, oid: ObjectId) -> PageRun {
-        let placement = self.placement(oid);
+    /// Absolute pages of the member placed at `placement`.
+    fn run(&self, placement: Placement) -> PageRun {
         PageRun::new(self.extent.page(placement.first_page), placement.num_pages)
     }
+}
 
-    /// Sum of pages over all members (for the `nop∅` average).
-    fn member_pages_total(&self) -> u64 {
-        self.members.iter().map(|(_, p)| p.num_pages).sum()
+/// Every entry of a data page with its object's placement in the page's
+/// cluster unit (page offsets relative to the unit's start): the unit
+/// holds the objects in entry order, byte-contiguous, so the payloads
+/// before an entry fix its pages. The one way to find a member's pages.
+fn entry_placements(entries: &[LeafEntry]) -> impl Iterator<Item = (&LeafEntry, Placement)> + '_ {
+    let mut packer = BytePacker::new();
+    entries
+        .iter()
+        .map(move |e| (e, packer.place(u64::from(e.payload), PAGE_SIZE as u64)))
+}
+
+/// The distinct page offsets of `placements` into `offsets` (cleared
+/// first): the pages a unit read wants. Placements taken in entry order
+/// ascend, and neighbours share at most a boundary page, so skipping
+/// the offsets already taken leaves `offsets` sorted and distinct
+/// without a sort.
+fn wanted_offsets(placements: impl Iterator<Item = Placement>, offsets: &mut Vec<u64>) {
+    offsets.clear();
+    for p in placements {
+        let from = offsets
+            .last()
+            .map_or(p.first_page, |&last| p.first_page.max(last + 1));
+        offsets.extend(from..p.first_page + p.num_pages);
     }
 }
 
-/// The distinct page offsets (within their unit) of `placements`,
-/// sorted, into `offsets` (cleared first): the pages a unit read wants.
-fn wanted_offsets(placements: impl Iterator<Item = Placement>, offsets: &mut Vec<u64>) {
-    offsets.clear();
-    offsets.extend(placements.flat_map(|p| p.page_offsets()));
-    offsets.sort_unstable();
-    offsets.dedup();
-}
-
-/// What the organization records per object.
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct ObjectSlot {
-    /// Data page (and thereby cluster unit) the object belongs to.
-    leaf: NodeId,
-    size: u32,
-}
-
-// 16 bytes per `(id, record)` pair of an `ObjectTable` bucket, four to a
-// cache line; window queries never probe it (sizes ride the leaf entry).
-const _: () = assert!(std::mem::size_of::<ObjectSlot>() == 8);
-const _: () = assert!(std::mem::size_of::<(u64, ObjectSlot)>() == 16);
+// 16 bytes per `(id, data page)` pair of an `ObjectTable` bucket, four
+// to a cache line; window queries never probe it.
+const _: () = assert!(std::mem::size_of::<(u64, NodeId)>() == 16);
 
 /// The cluster organization.
 ///
@@ -162,7 +175,8 @@ pub struct ClusterOrganization {
     /// — the same copy-on-write slab as the R\*-tree's node store, so
     /// appending to or rebuilding a unit shadow-copies that unit alone.
     units: CowSlab<ClusterUnit>,
-    objects: ObjectTable<ObjectSlot>,
+    /// Object → its data page (and thereby cluster unit).
+    objects: ObjectTable<NodeId>,
     /// Σ placement pages over all units (maintained incrementally for the
     /// threshold formula's `nop∅`).
     total_member_pages: u64,
@@ -234,62 +248,29 @@ impl ClusterOrganization {
         self.tree.contains_node(id) && self.tree.node(id).is_leaf()
     }
 
-    /// The `(object, size)` pairs of a data page, in entry order
-    /// (cluster entries carry the exact object size as their payload).
-    fn page_objects(&self, leaf: NodeId) -> Vec<(ObjectId, u32)> {
-        let entries = self.tree.node(leaf).leaf_entries();
-        entries.iter().map(|e| (e.oid, e.payload)).collect()
-    }
-
-    /// Pack a unit from `(object, size)` pairs in the given order,
-    /// allocating the smallest possible buddy. Returns the unit (no I/O
-    /// charged here).
-    fn pack_unit(&mut self, objects: &[(ObjectId, u32)]) -> ClusterUnit {
-        let mut packer = BytePacker::new();
-        let mut members: Vec<(ObjectId, Placement)> = objects
-            .iter()
-            .map(|&(oid, size)| (oid, packer.place(u64::from(size), PAGE_SIZE as u64)))
-            .collect();
-        members.sort_unstable_by_key(|m| m.0);
-        let pages = packer.pages_used(PAGE_SIZE as u64).max(1);
-        let extent = self
-            .buddy
-            .alloc_for(pages)
-            .expect("cluster split produced a unit beyond Smax");
-        ClusterUnit {
-            extent,
-            packer,
-            members,
-        }
-    }
-
-    /// §4.2.2 step 3: append the object to the unit of its data page,
-    /// moving the unit to a larger buddy when needed.
+    /// §4.2.2 step 3: append the object the tree just pushed as the last
+    /// entry of `leaf` to the page's unit, moving the unit to a larger
+    /// buddy when needed.
     fn append_object(&mut self, leaf: NodeId, rec: &ObjectRecord) {
-        self.objects.insert(
-            rec.oid,
-            ObjectSlot {
-                leaf,
-                size: rec.size_bytes,
-            },
+        self.objects.insert(rec.oid, leaf);
+        debug_assert_eq!(
+            self.tree.node(leaf).leaf_entries().last().map(|e| e.oid),
+            Some(rec.oid),
+            "the appended object must be its data page's last entry"
         );
-        let size = u64::from(rec.size_bytes);
         if let Some(unit) = self.units.get_mut(leaf.0 as usize) {
             let old_used = unit.used_extent();
-            let placement = unit.packer.place(size, PAGE_SIZE as u64);
-            unit.add_member(rec.oid, placement);
+            let placement = unit
+                .packer
+                .place(u64::from(rec.size_bytes), PAGE_SIZE as u64);
+            unit.member_pages += placement.num_pages;
             self.total_member_pages += placement.num_pages;
             let needed = unit.used_pages();
             if needed <= unit.extent.len {
                 // Fits: write the object's pages (one request).
-                let run = PageRun::new(
-                    PageId::new(
-                        unit.extent.start.region,
-                        unit.extent.start.offset + placement.first_page,
-                    ),
-                    placement.num_pages,
-                );
-                self.pool.disk().charge(IoKind::Write, run, false);
+                self.pool
+                    .disk()
+                    .charge(IoKind::Write, unit.run(placement), false);
             } else {
                 // Move the unit into a larger buddy: read the old unit,
                 // write the unit including the new object sequentially.
@@ -306,8 +287,8 @@ impl ClusterOrganization {
             }
         } else {
             // First object of a fresh data page: new unit.
-            let unit = self.pack_unit(&[(rec.oid, rec.size_bytes)]);
-            self.total_member_pages += unit.member_pages_total();
+            let unit = ClusterUnit::pack(self.tree.node(leaf).leaf_entries(), &mut self.buddy);
+            self.total_member_pages += unit.member_pages;
             self.pool
                 .disk()
                 .charge(IoKind::Write, unit.used_extent(), false);
@@ -316,8 +297,9 @@ impl ClusterOrganization {
     }
 
     /// Rebuild one data page's cluster unit from the tree's current
-    /// entry list (deletion path): read the old unit if it existed, pack
-    /// the current members, write the new unit, free the old buddy.
+    /// entry list (split and deletion paths): read the old unit if it
+    /// existed, pack the current entries, write the new unit, free the
+    /// old buddy.
     fn rebuild_unit(&mut self, leaf: NodeId) {
         if !self.is_data_page(leaf) {
             return;
@@ -327,18 +309,17 @@ impl ClusterOrganization {
             self.pool
                 .disk()
                 .charge(IoKind::Read, u.used_extent(), false);
-            self.total_member_pages -= u.member_pages_total();
+            self.total_member_pages -= u.member_pages;
         }
-        let objects = self.page_objects(leaf);
-        if !objects.is_empty() {
-            let unit = self.pack_unit(&objects);
-            self.total_member_pages += unit.member_pages_total();
+        let entries = self.tree.node(leaf).leaf_entries();
+        if !entries.is_empty() {
+            let unit = ClusterUnit::pack(entries, &mut self.buddy);
+            self.total_member_pages += unit.member_pages;
             self.pool
                 .disk()
                 .charge(IoKind::Write, unit.used_extent(), false);
-            for (oid, _) in objects {
-                self.objects
-                    .update(oid, |slot| ObjectSlot { leaf, ..*slot });
+            for e in entries {
+                self.objects.update(e.oid, |_| leaf);
             }
             self.units.set(leaf.0 as usize, unit);
         }
@@ -352,9 +333,11 @@ impl ClusterOrganization {
     /// the window-query technique: §5.4's *complete*, SLM and optimum
     /// are the pool's unit read under §6.2's *complete*, *read* and
     /// *optimum*; the threshold picks *complete* at or above `T(c)` and
-    /// reads page by page below it. All costs are charged to the disk
-    /// through the query's `session`. `offsets` is scratch space reused
-    /// from unit to unit.
+    /// reads page by page below it. One pass over the data page, up to
+    /// the last hit, places the hits: they must be its entries in entry
+    /// order, as [`RStarTree::window_leaves_into`] appends them. All
+    /// costs are charged to the disk through the query's `session`.
+    /// `offsets` is scratch space reused from unit to unit.
     fn transfer_for_window(
         &self,
         leaf: NodeId,
@@ -365,14 +348,21 @@ impl ClusterOrganization {
         session: &mut PoolSession<'_>,
     ) {
         let unit = self.unit(leaf);
+        let node = self.tree.node(leaf);
+        let mut placed = entry_placements(node.leaf_entries());
+        let placements = hits.iter().map(|h| {
+            placed
+                .find(|(e, _)| e.oid == h.oid)
+                .unwrap_or_else(|| panic!("hit {} is not an entry of {leaf} in order", h.oid))
+                .1
+        });
         let used = unit.used_extent();
         let technique = match technique {
             WindowTechnique::Complete => TransferTechnique::Complete,
             WindowTechnique::Slm => TransferTechnique::Read,
             WindowTechnique::Optimum => TransferTechnique::Optimum,
             WindowTechnique::Threshold => {
-                let region = self.tree.node(leaf).mbr();
-                let overlap = region.overlap_fraction(window);
+                let overlap = node.mbr().overlap_fraction(window);
                 let t = self.pool.disk().params().geometric_threshold(
                     used.len,
                     self.avg_entries_per_page(),
@@ -381,31 +371,19 @@ impl ClusterOrganization {
                 if overlap >= t {
                     TransferTechnique::Complete
                 } else {
-                    read_page_by_page(unit, hits, session);
+                    // Page by page (§5.4.1's `t_page`): one request per
+                    // object, one seek per cluster unit.
+                    let mut initial_seek = true;
+                    for p in placements {
+                        let seek = SeekPolicy::WithinCluster { initial_seek };
+                        initial_seek &= !session.read_run(unit.run(p), seek).issued_io();
+                    }
                     return;
                 }
             }
         };
-        wanted_offsets(hits.iter().map(|e| unit.placement(e.oid)), offsets);
+        wanted_offsets(placements, offsets);
         session.read_extent(used, offsets, technique);
-    }
-}
-
-/// Page-by-page, the threshold technique's below-threshold branch: one
-/// request per qualifying object, one seek per cluster unit (§5.4.1's
-/// `t_page` access pattern).
-fn read_page_by_page(unit: &ClusterUnit, hits: &[LeafEntry], session: &mut PoolSession<'_>) {
-    let mut seek_pending = true;
-    for e in hits {
-        let out = session.read_run(
-            unit.member_run(e.oid),
-            SeekPolicy::WithinCluster {
-                initial_seek: seek_pending,
-            },
-        );
-        if out.issued_io() {
-            seek_pending = false;
-        }
     }
 }
 
@@ -450,13 +428,8 @@ impl SpatialStore for ClusterOrganization {
             // half still exceeded Smax). Rebuild every involved unit
             // from the tree's final entry lists: the overflowing unit is
             // read once and the successors are written sequentially.
-            self.objects.insert(
-                rec.oid,
-                ObjectSlot {
-                    leaf: outcome.leaf.expect("insert without target leaf"),
-                    size: rec.size_bytes,
-                },
-            );
+            self.objects
+                .insert(rec.oid, outcome.leaf.expect("insert without target leaf"));
             let mut involved: Vec<NodeId> = outcome
                 .leaf_splits
                 .iter()
@@ -484,7 +457,7 @@ impl SpatialStore for ClusterOrganization {
     ) -> u64 {
         let mut session = self.pool.session();
         let per_leaf = self.tree.window_leaves_into(window, &mut session, out);
-        let mut offsets = Vec::new();
+        let mut offsets = WANTED.take();
         for (leaf, hits) in per_leaf {
             self.transfer_for_window(
                 leaf,
@@ -495,6 +468,7 @@ impl SpatialStore for ClusterOrganization {
                 &mut session,
             );
         }
+        WANTED.set(offsets);
         // The entry's payload is the object's exact size.
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
@@ -512,8 +486,11 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-        let run = self.unit(self.objects[oid].leaf).member_run(oid);
-        session.read_run(run, SeekPolicy::PerRequest);
+        let leaf = self.objects[oid];
+        let (_, placement) = entry_placements(self.tree.node(leaf).leaf_entries())
+            .find(|(e, _)| e.oid == oid)
+            .unwrap_or_else(|| panic!("object {oid} missing from data page {leaf}"));
+        session.read_run(self.unit(leaf).run(placement), SeekPolicy::PerRequest);
     }
 
     /// The join's object transfer (§6.2): fetch `oid`, batching the
@@ -522,7 +499,11 @@ impl SpatialStore for ClusterOrganization {
     /// built once from the MBR join and never pruned, so *read*, *vector
     /// read* and *optimum* also want the pages of candidates the join
     /// has already processed; *complete* does not read it. An object
-    /// that is already buffered is only touched.
+    /// that is already buffered is only touched. One object-table probe
+    /// finds the data page, and a pass over its entries up to the object
+    /// places it; a unit read under *read*, *vector read* or *optimum*
+    /// passes over the whole page once more for the candidates beside
+    /// it.
     fn fetch_for_join(
         &self,
         oid: ObjectId,
@@ -530,28 +511,39 @@ impl SpatialStore for ClusterOrganization {
         technique: TransferTechnique,
         session: &mut PoolSession<'_>,
     ) {
-        let unit = self.unit(self.objects[oid].leaf);
-        if session.touch_if_resident(unit.member_run(oid).pages()) {
+        let leaf = self.objects[oid];
+        let unit = self.unit(leaf);
+        let entries = self.tree.node(leaf).leaf_entries();
+        let (_, own) = entry_placements(entries)
+            .find(|(e, _)| e.oid == oid)
+            .unwrap_or_else(|| panic!("object {oid} missing from data page {leaf}"));
+        // *Complete*'s unit read probes the object's pages itself.
+        let batch = technique.reads_candidate_set();
+        if batch && session.touch_if_resident(unit.run(own).pages()) {
             return;
         }
-        let batch = technique.reads_candidate_set();
-        let mut wanted = JOIN_WANTED.take();
-        wanted_offsets(
-            unit.members
-                .iter()
-                .filter(|(o, _)| *o == oid || (batch && needed.contains(o)))
-                .map(|&(_, p)| p),
-            &mut wanted,
-        );
+        let mut wanted = WANTED.take();
+        if batch {
+            // Only a unit read looks up the candidates beside the
+            // object: most fetches find their object buffered.
+            let candidates = entry_placements(entries)
+                .filter(|(e, _)| e.oid == oid || needed.contains(&e.oid))
+                .map(|(_, p)| p);
+            wanted_offsets(candidates, &mut wanted);
+        } else {
+            wanted_offsets(std::iter::once(own), &mut wanted);
+        }
         session.read_extent(unit.used_extent(), &wanted, technique);
-        JOIN_WANTED.set(wanted);
+        WANTED.set(wanted);
     }
 
     /// Structural self-check: every object is in exactly one unit, units
-    /// correspond 1:1 to data pages, placements are within extents, and
-    /// unit payloads respect `Smax`.
+    /// correspond 1:1 to data pages, each unit holds exactly its data
+    /// page's payload bytes and placement pages, placements are within
+    /// extents, and unit payloads respect `Smax`.
     fn check_consistency(&self) -> Result<(), String> {
         let mut seen = HashSet::new();
+        let mut member_pages = 0;
         for (leaf, unit) in self.units.iter() {
             let leaf = NodeId(leaf as u32);
             if !self.tree.contains_node(leaf) {
@@ -562,22 +554,23 @@ impl SpatialStore for ClusterOrganization {
                 return Err(format!("unit attached to non-leaf {leaf}"));
             }
             let entries = node.leaf_entries();
-            if entries.len() != unit.members.len() {
+            let bytes: u64 = entries.iter().map(|e| u64::from(e.payload)).sum();
+            let pages: u64 = entry_placements(entries).map(|(_, p)| p.num_pages).sum();
+            if (unit.packer.used_bytes(), unit.member_pages) != (bytes, pages) {
                 return Err(format!(
-                    "data page {leaf} has {} entries but unit has {} members",
-                    entries.len(),
-                    unit.members.len()
+                    "unit {leaf} holds {} bytes on {} member pages but its data page \
+                     packs to {bytes} bytes on {pages}",
+                    unit.packer.used_bytes(),
+                    unit.member_pages
                 ));
             }
+            member_pages += pages;
             for e in entries {
-                if unit.members.binary_search_by_key(&e.oid, |m| m.0).is_err() {
-                    return Err(format!("entry {} missing from unit {leaf}", e.oid));
-                }
                 match self.objects.get(e.oid) {
-                    Some(slot) if slot.leaf == leaf && slot.size == e.payload => {}
+                    Some(&at) if at == leaf => {}
                     other => {
                         return Err(format!(
-                            "object {} in unit {leaf} is recorded as {other:?}",
+                            "object {} in unit {leaf} is recorded at {other:?}",
                             e.oid
                         ))
                     }
@@ -593,7 +586,7 @@ impl SpatialStore for ClusterOrganization {
                     unit.extent.len
                 ));
             }
-            if unit.members.len() > 1 && unit.packer.used_bytes() > self.config.smax_bytes {
+            if entries.len() > 1 && unit.packer.used_bytes() > self.config.smax_bytes {
                 return Err(format!(
                     "unit {leaf} holds {} bytes > Smax {}",
                     unit.packer.used_bytes(),
@@ -606,6 +599,12 @@ impl SpatialStore for ClusterOrganization {
                 "{} objects stored but {} in units",
                 self.objects.len(),
                 seen.len()
+            ));
+        }
+        if member_pages != self.total_member_pages {
+            return Err(format!(
+                "units hold {member_pages} member pages but the total says {}",
+                self.total_member_pages
             ));
         }
         Ok(())
@@ -642,7 +641,7 @@ impl SpatialStore for ClusterOrganization {
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
-        let Some(leaf0) = self.objects.get(oid).map(|slot| slot.leaf) else {
+        let Some(&leaf0) = self.objects.get(oid) else {
             return false;
         };
         let mbr = self
@@ -687,7 +686,7 @@ impl SpatialStore for ClusterOrganization {
                 continue;
             }
             if let Some(unit) = self.units.take(id.0 as usize) {
-                self.total_member_pages -= unit.member_pages_total();
+                self.total_member_pages -= unit.member_pages;
                 self.buddy.free(unit.extent);
                 self.drop_from_buffer(unit.extent);
             }
@@ -709,17 +708,13 @@ impl SpatialStore for ClusterOrganization {
         let leaves: Vec<NodeId> = self.tree.leaves().map(|(id, _)| id).collect();
         let mut slots = Vec::with_capacity(records.len());
         for leaf in leaves {
-            let objects = self.page_objects(leaf);
-            let unit = self.pack_unit(&objects);
-            self.total_member_pages += unit.member_pages_total();
+            let entries = self.tree.node(leaf).leaf_entries();
+            let unit = ClusterUnit::pack(entries, &mut self.buddy);
+            self.total_member_pages += unit.member_pages;
             self.pool
                 .disk()
                 .charge(IoKind::Write, unit.used_extent(), false);
-            slots.extend(
-                objects
-                    .iter()
-                    .map(|&(oid, size)| (oid, ObjectSlot { leaf, size })),
-            );
+            slots.extend(entries.iter().map(|e| (e.oid, leaf)));
             self.units.set(leaf.0 as usize, unit);
         }
         self.objects = ObjectTable::from_records(slots);
@@ -732,7 +727,9 @@ mod tests {
     use super::*;
     use crate::model::new_shared_pool;
     use spatialdb_disk::Disk;
+    use spatialdb_geom::rng::SmallRng;
     use spatialdb_rtree::validate::check_invariants;
+    use std::collections::BTreeMap;
 
     const SMAX: u64 = 16 * 1024; // 4 pages — small for testing
 
@@ -950,10 +947,11 @@ mod tests {
         org.begin_query();
         let oid = ObjectId(0);
         let sibling = org
-            .unit(org.objects[oid].leaf)
-            .members
+            .tree()
+            .node(org.objects[oid])
+            .leaf_entries()
             .iter()
-            .map(|m| m.0)
+            .map(|e| e.oid)
             .find(|o| *o != oid)
             .expect("unit with 2+ members");
         let needed: HashSet<ObjectId> = [oid, sibling].into_iter().collect();
@@ -1047,5 +1045,135 @@ mod tests {
         assert!(noe > 2.0 && noe < 89.0, "noe {noe}");
         let nop = org.avg_pages_per_object();
         assert!((1.0..2.0).contains(&nop), "nop {nop}");
+    }
+
+    /// Every unit's placements tile its packed bytes contiguously in
+    /// entry order, and every member run lies inside the used extent.
+    fn assert_units_packed_in_entry_order(org: &ClusterOrganization) {
+        let page = PAGE_SIZE as u64;
+        for (leaf, unit) in org.units.iter() {
+            let entries = org.tree.node(NodeId(leaf as u32)).leaf_entries();
+            let used = unit.used_extent();
+            let mut start = 0;
+            for (e, p) in entry_placements(entries) {
+                let end = start + u64::from(e.payload);
+                let pages = (p.first_page, p.first_page + p.num_pages);
+                assert_eq!(pages, (start / page, end.div_ceil(page)), "{}", e.oid);
+                let run = unit.run(p);
+                assert_eq!(run.start.region, used.start.region);
+                assert!(run.start.offset >= used.start.offset);
+                assert!(run.start.offset + run.len <= used.start.offset + used.len);
+                start = end;
+            }
+            assert_eq!(start, unit.packer.used_bytes(), "unit {leaf}");
+        }
+    }
+
+    /// `org` answers a window and a point query like a brute-force scan
+    /// of `live` (id → MBR).
+    fn assert_answers(
+        org: &ClusterOrganization,
+        live: &BTreeMap<u64, Rect>,
+        rng: &mut SmallRng,
+        technique: WindowTechnique,
+    ) {
+        let (x, y) = (rng.next_f64(), rng.next_f64());
+        let side = rng.gen_range(0.0..0.4);
+        let window = Rect::new(x, y, x + side, y + side);
+        let point = Point::new(x, y);
+        let expect = |q: &Rect| -> Vec<u64> {
+            let hits = live.iter().filter(|(_, mbr)| mbr.intersects(q));
+            hits.map(|(oid, _)| *oid).collect()
+        };
+        let sorted = |out: &[LeafEntry]| -> Vec<u64> {
+            let mut ids: Vec<u64> = out.iter().map(|e| e.oid.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut out = Vec::new();
+        org.window_query_into(&window, technique, &mut out);
+        assert_eq!(sorted(&out), expect(&window), "{technique:?} {window:?}");
+        org.point_query_into(&point, &mut out);
+        assert_eq!(sorted(&out), expect(&Rect::new(x, y, x, y)), "{point:?}");
+    }
+
+    /// A seeded insert/delete stream on a small-`Smax` organization
+    /// (≈ 2 KB objects in 16 KB units): cluster splits, condensation
+    /// reinserts (a data page of fewer than 35 entries condenses on
+    /// every delete) and, under the restricted buddy system, unit moves.
+    /// After every operation the units must still be packed in entry
+    /// order, and a snapshot taken along the way must keep answering
+    /// while the organization changes under it.
+    fn churn(seed: u64, ops: usize, config: ClusterConfig) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pool = new_shared_pool(Disk::with_defaults(), 64);
+        let mut org = ClusterOrganization::new(pool, config);
+        let mut live: BTreeMap<u64, Rect> = BTreeMap::new();
+        let mut frozen: Option<(ClusterOrganization, BTreeMap<u64, Rect>)> = None;
+        let techniques = [
+            WindowTechnique::Complete,
+            WindowTechnique::Threshold,
+            WindowTechnique::Slm,
+            WindowTechnique::Optimum,
+        ];
+        let (mut next_id, mut splits, mut condensed, mut moves) = (0, 0, 0, 0);
+        for op in 0..ops {
+            let (units, occupied) = (org.num_units(), org.buddy.occupied_pages());
+            if live.len() < 40 || (live.len() < 400 && rng.gen_bool(0.6)) {
+                let (x, y) = (rng.next_f64(), rng.next_f64());
+                let (w, h) = (rng.gen_range(0.0..0.05), rng.gen_range(0.0..0.05));
+                let mbr = Rect::new(x, y, x + w, y + h);
+                let size = rng.gen_range(1..4_000u64) as u32;
+                org.insert(&ObjectRecord::new(ObjectId(next_id), mbr, size));
+                live.insert(next_id, mbr);
+                next_id += 1;
+                splits += usize::from(org.num_units() > units);
+                moves +=
+                    usize::from(org.num_units() == units && org.buddy.occupied_pages() > occupied);
+            } else {
+                let victim = *live.keys().nth(rng.gen_range(0..live.len())).unwrap();
+                assert!(org.delete(ObjectId(victim)));
+                live.remove(&victim);
+                condensed += usize::from(org.num_units() < units);
+            }
+            org.check_consistency()
+                .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
+            assert_units_packed_in_entry_order(&org);
+            assert_answers(&org, &live, &mut rng, techniques[op % 4]);
+            if op % 97 == 0 {
+                if let Some((snap, snap_live)) = &frozen {
+                    snap.check_consistency().unwrap();
+                    assert_units_packed_in_entry_order(snap);
+                    assert_answers(snap, snap_live, &mut rng, techniques[op % 4]);
+                }
+                frozen = Some((org.clone(), live.clone()));
+            }
+        }
+        check_invariants(org.tree()).unwrap();
+        assert!(splits > 10, "seed {seed}: only {splits} cluster splits");
+        assert!(
+            condensed > 10,
+            "seed {seed}: only {condensed} condensations"
+        );
+        if org.config.buddy != BuddyConfig::fixed(4) {
+            assert!(moves > 10, "seed {seed}: only {moves} unit moves");
+        }
+    }
+
+    #[test]
+    fn churn_keeps_units_packed_in_entry_order() {
+        for seed in 0..3 {
+            churn(seed, 600, ClusterConfig::plain(SMAX));
+            churn(seed, 600, ClusterConfig::restricted_buddy(SMAX));
+        }
+    }
+
+    #[test]
+    #[ignore = "long sweep (≈ 35 s in release)"]
+    fn churn_sweep() {
+        for seed in 100..160 {
+            churn(seed, 3_000, ClusterConfig::plain(SMAX));
+            churn(seed, 3_000, ClusterConfig::restricted_buddy(SMAX));
+        }
     }
 }

@@ -19,13 +19,6 @@ pub struct Placement {
     pub num_pages: u64,
 }
 
-impl Placement {
-    /// Relative page offsets covered by this placement.
-    pub fn page_offsets(&self) -> impl Iterator<Item = u64> {
-        self.first_page..self.first_page + self.num_pages
-    }
-}
-
 /// Sequential page packer with internal clustering.
 #[derive(Clone, Debug)]
 pub struct PagePacker {
@@ -312,16 +305,6 @@ mod tests {
         // free space, so the next object starts page 2.
         let b = p.place(100);
         assert_eq!(b.first_page, 2);
-    }
-
-    #[test]
-    fn page_offsets_iterate() {
-        let pl = Placement {
-            first_page: 4,
-            num_pages: 3,
-        };
-        let v: Vec<u64> = pl.page_offsets().collect();
-        assert_eq!(v, vec![4, 5, 6]);
     }
 
     #[test]
