@@ -25,8 +25,21 @@
 //!   single-lock pool of its quota over the pages that hash to it
 //!   (asserted by the N-shard mirror test below). Every shard keeps at
 //!   least one page, so a nonzero budget smaller than the shard count
-//!   is rejected. Use N > 1 for concurrent-throughput workloads, 1
-//!   shard to reproduce the paper.
+//!   is rejected.
+//!
+//! ## When N shards pay off
+//!
+//! A [`PoolSession`] keeps one shard lock while its pages stay on that
+//! shard, so one shard locks once per query, and N shards lock each time
+//! consecutive pages change shard (A-1 at scale 0.25: ≈ 7 – 9 times per
+//! selective query, ≈ 106 – 188 times per 0.1 % window). Measured with
+//! independent readers on 2 vCPUs, N shards win in one regime only:
+//! **two or more readers on a pool that holds their working set** (hit
+//! ratio ≈ 0.94), where 8 shards give ×1.4 – 1.6 the queries/s of one
+//! and a second reader on one shard *lowers* throughput. With one
+//! reader, or on a pool far smaller than the data, one shard ties or
+//! wins. Use one shard everywhere else, and to reproduce the paper.
+//! Scaling beyond 2 cores is unmeasured.
 //!
 //! ## Sessions
 //!

@@ -10,78 +10,44 @@
 //! candidate entries / data pages based on MBRs. The *refinement* step
 //! (exact geometry test) is the organization models' job, because it is
 //! what requires fetching the exact object representations from disk.
+//!
+//! Every query is one descent (`RStarTree::descend`): depth first, each
+//! visited node charged to the caller's [`NodeIo`], each leaf's hits
+//! appended in **entry order** — an in-order subsequence of its
+//! [`leaf_entries`](crate::node::Node::leaf_entries), which the cluster
+//! organization places in one pass over the page. Its stack is a
+//! thread-local buffer and its outputs are the caller's, so a warm
+//! thread's walk allocates nothing.
 
 use crate::entry::LeafEntry;
 use crate::io::NodeIo;
 use crate::node::{NodeId, NodeKind};
 use crate::tree::RStarTree;
 use spatialdb_geom::{Point, Rect};
+use std::cell::RefCell;
 use std::ops::Range;
 
-impl RStarTree {
-    /// Window query, filter step: all leaf entries whose MBR intersects
-    /// `window`. Visited node pages are charged to `io`.
-    pub fn window_entries(&self, window: &Rect, io: &mut impl NodeIo) -> Vec<LeafEntry> {
-        let mut out = Vec::new();
-        self.window_entries_into(window, io, &mut out);
-        out
-    }
+thread_local! {
+    /// The calling thread's descent stack, taken for one walk and put
+    /// back for the next.
+    static STACK: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// [`window_entries`](RStarTree::window_entries) appending into a
-    /// caller-supplied scratch buffer instead of allocating a fresh `Vec`
-    /// per call — the form the refinement hot path iterates with. `out`
-    /// is cleared first.
-    pub fn window_entries_into(
+impl RStarTree {
+    /// The one descent: reads every node whose rectangle intersects
+    /// `window` through `io` and appends the leaf entries that intersect
+    /// it to `out` (cleared first), telling `leaf` each leaf with hits
+    /// and their range of `out`.
+    fn descend(
         &self,
         window: &Rect,
         io: &mut impl NodeIo,
         out: &mut Vec<LeafEntry>,
+        mut leaf: impl FnMut(NodeId, Range<usize>),
     ) {
         out.clear();
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            io.read(node.page);
-            match &node.kind {
-                NodeKind::Leaf(entries) => {
-                    out.extend(entries.iter().filter(|e| e.mbr.intersects(window)).copied());
-                }
-                NodeKind::Dir(entries) => {
-                    stack.extend(
-                        entries
-                            .iter()
-                            .filter(|e| e.mbr.intersects(window))
-                            .map(|e| e.child),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Window query over data pages: every leaf that contains at least
-    /// one entry whose MBR intersects `window`, paired with the range of
-    /// `out` its matching entries were appended to (`out` is cleared
-    /// first, and ends up holding exactly what
-    /// [`window_entries_into`](RStarTree::window_entries_into) would
-    /// collect, grouped by leaf).
-    ///
-    /// Each leaf's hits are appended in entry order: a leaf's range is a
-    /// subsequence of [`leaf_entries`](crate::node::Node::leaf_entries), which
-    /// lets the cluster organization place them in one pass over the
-    /// page.
-    ///
-    /// This is the access pattern of the cluster organization (§4.2.2):
-    /// each qualifying data page maps to one cluster unit that the query
-    /// techniques then decide how to transfer.
-    pub fn window_leaves_into(
-        &self,
-        window: &Rect,
-        io: &mut impl NodeIo,
-        out: &mut Vec<LeafEntry>,
-    ) -> Vec<(NodeId, Range<usize>)> {
-        out.clear();
-        let mut leaves = Vec::new();
-        let mut stack = vec![self.root()];
+        let mut stack = STACK.take();
+        stack.push(self.root());
         while let Some(id) = stack.pop() {
             let node = self.node(id);
             io.read(node.page);
@@ -90,7 +56,7 @@ impl RStarTree {
                     let start = out.len();
                     out.extend(entries.iter().filter(|e| e.mbr.intersects(window)).copied());
                     if out.len() > start {
-                        leaves.push((id, start..out.len()));
+                        leaf(id, start..out.len());
                     }
                 }
                 NodeKind::Dir(entries) => {
@@ -103,20 +69,41 @@ impl RStarTree {
                 }
             }
         }
-        leaves
+        STACK.set(stack);
     }
 
-    /// Point query, filter step: all leaf entries whose MBR contains `p`.
-    pub fn point_entries(&self, p: &Point, io: &mut impl NodeIo) -> Vec<LeafEntry> {
-        let window = Rect::new(p.x, p.y, p.x, p.y);
-        self.window_entries(&window, io)
+    /// Window query, filter step: all leaf entries whose MBR intersects
+    /// `window`, into `out` (cleared first). Visited node pages are
+    /// charged to `io`.
+    pub fn window_entries_into(
+        &self,
+        window: &Rect,
+        io: &mut impl NodeIo,
+        out: &mut Vec<LeafEntry>,
+    ) {
+        self.descend(window, io, out, |_, _| {});
     }
 
-    /// [`point_entries`](RStarTree::point_entries) appending into a
-    /// caller-supplied scratch buffer (cleared first).
+    /// [`window_entries_into`](RStarTree::window_entries_into), and in
+    /// `leaves` (cleared first) every leaf with hits and the range of
+    /// `out` they occupy, in entry order: the cluster organization's
+    /// access pattern (§4.2.2), where each qualifying data page maps to
+    /// one cluster unit to transfer.
+    pub fn window_leaves_into(
+        &self,
+        window: &Rect,
+        io: &mut impl NodeIo,
+        out: &mut Vec<LeafEntry>,
+        leaves: &mut Vec<(NodeId, Range<usize>)>,
+    ) {
+        leaves.clear();
+        self.descend(window, io, out, |id, hits| leaves.push((id, hits)));
+    }
+
+    /// Point query, filter step: all leaf entries whose MBR contains `p`,
+    /// into `out` (cleared first).
     pub fn point_entries_into(&self, p: &Point, io: &mut impl NodeIo, out: &mut Vec<LeafEntry>) {
-        let window = Rect::new(p.x, p.y, p.x, p.y);
-        self.window_entries_into(&window, io, out)
+        self.descend(&Rect::new(p.x, p.y, p.x, p.y), io, out, |_, _| {});
     }
 }
 
@@ -127,6 +114,20 @@ mod tests {
     use crate::entry::ObjectId;
     use crate::io::{CountingIo, NoIo};
     use spatialdb_disk::Disk;
+
+    /// A window query's entries, in a fresh buffer.
+    fn entries(t: &RStarTree, w: &Rect, io: &mut impl NodeIo) -> Vec<LeafEntry> {
+        let mut out = Vec::new();
+        t.window_entries_into(w, io, &mut out);
+        out
+    }
+
+    /// A point query's entries, in a fresh buffer.
+    fn point_entries(t: &RStarTree, p: &Point) -> Vec<LeafEntry> {
+        let mut out = Vec::new();
+        t.point_entries_into(p, &mut NoIo, &mut out);
+        out
+    }
 
     fn build_grid(n: u64) -> RStarTree {
         let disk = Disk::with_defaults();
@@ -155,11 +156,7 @@ mod tests {
     fn window_query_finds_exactly_the_overlapping_entries() {
         let t = build_grid(10);
         let w = Rect::new(2.0, 2.0, 4.2, 3.2);
-        let mut found: Vec<u64> = t
-            .window_entries(&w, &mut NoIo)
-            .iter()
-            .map(|e| e.oid.0)
-            .collect();
+        let mut found: Vec<u64> = entries(&t, &w, &mut NoIo).iter().map(|e| e.oid.0).collect();
         found.sort_unstable();
         // Brute force reference.
         let mut expected = Vec::new();
@@ -177,25 +174,25 @@ mod tests {
     fn point_query_contains_semantics() {
         let t = build_grid(10);
         // Point inside cell (3,4).
-        let hits = t.point_entries(&Point::new(3.25, 4.25), &mut NoIo);
+        let hits = point_entries(&t, &Point::new(3.25, 4.25));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].oid, ObjectId(43));
         // Point in the gap between cells: no hit.
-        let miss = t.point_entries(&Point::new(3.75, 4.25), &mut NoIo);
+        let miss = point_entries(&t, &Point::new(3.75, 4.25));
         assert!(miss.is_empty());
     }
 
     #[test]
     fn empty_window_query() {
         let t = build_grid(5);
-        let out = t.window_entries(&Rect::new(100.0, 100.0, 101.0, 101.0), &mut NoIo);
+        let out = entries(&t, &Rect::new(100.0, 100.0, 101.0, 101.0), &mut NoIo);
         assert!(out.is_empty());
     }
 
     #[test]
     fn whole_space_window_returns_everything() {
         let t = build_grid(7);
-        let out = t.window_entries(&Rect::new(-1.0, -1.0, 100.0, 100.0), &mut NoIo);
+        let out = entries(&t, &Rect::new(-1.0, -1.0, 100.0, 100.0), &mut NoIo);
         assert_eq!(out.len(), 49);
     }
 
@@ -204,8 +201,9 @@ mod tests {
         let t = build_grid(10);
         let w = Rect::new(1.0, 1.0, 6.3, 5.1);
         let mut hits = vec![LeafEntry::new(w, ObjectId(0), 0)]; // cleared
-        let per_leaf = t.window_leaves_into(&w, &mut NoIo, &mut hits);
-        assert_eq!(hits, t.window_entries(&w, &mut NoIo));
+        let mut per_leaf = vec![(NodeId(0), 0..0)]; // cleared
+        t.window_leaves_into(&w, &mut NoIo, &mut hits, &mut per_leaf);
+        assert_eq!(hits, entries(&t, &w, &mut NoIo));
         // The ranges tile the buffer, and every reported leaf really
         // holds its reported entries.
         let mut covered = 0;
@@ -224,9 +222,10 @@ mod tests {
     /// Each leaf's range of hits is an in-order subsequence of the
     /// leaf's entries.
     fn assert_hits_in_entry_order(t: &RStarTree, windows: &[Rect]) {
-        let mut hits = Vec::new();
+        let (mut hits, mut leaves) = (Vec::new(), Vec::new());
         for w in windows {
-            for (leaf, range) in t.window_leaves_into(w, &mut NoIo, &mut hits) {
+            t.window_leaves_into(w, &mut NoIo, &mut hits, &mut leaves);
+            for (leaf, range) in leaves.drain(..) {
                 let mut entries = t.node(leaf).leaf_entries().iter();
                 for h in &hits[range] {
                     assert!(entries.any(|e| e == h), "{} out of order in {leaf}", h.oid);
@@ -265,16 +264,16 @@ mod tests {
         }
         assert_hits_in_entry_order(&snapshot, &windows);
         assert_hits_in_entry_order(&t, &windows);
-        assert_eq!(snapshot.window_entries(&windows[2], &mut NoIo).len(), 96);
+        assert_eq!(entries(&snapshot, &windows[2], &mut NoIo).len(), 96);
     }
 
     #[test]
     fn selective_query_reads_fewer_nodes() {
         let t = build_grid(20);
         let mut io_small = CountingIo::default();
-        t.window_entries(&Rect::new(5.0, 5.0, 5.4, 5.4), &mut io_small);
+        entries(&t, &Rect::new(5.0, 5.0, 5.4, 5.4), &mut io_small);
         let mut io_big = CountingIo::default();
-        t.window_entries(&Rect::new(0.0, 0.0, 20.0, 20.0), &mut io_big);
+        entries(&t, &Rect::new(0.0, 0.0, 20.0, 20.0), &mut io_big);
         assert!(io_small.reads < io_big.reads);
         assert_eq!(io_big.reads as usize, t.num_nodes());
     }
@@ -285,9 +284,9 @@ mod tests {
         let w = Rect::new(2.0, 2.0, 4.2, 3.2);
         let mut scratch = Vec::new();
         t.window_entries_into(&w, &mut NoIo, &mut scratch);
-        assert_eq!(scratch, t.window_entries(&w, &mut NoIo));
+        assert_eq!(scratch, entries(&t, &w, &mut NoIo));
         // Reuse across calls: the buffer is cleared, not appended to.
         t.point_entries_into(&Point::new(3.25, 4.25), &mut NoIo, &mut scratch);
-        assert_eq!(scratch, t.point_entries(&Point::new(3.25, 4.25), &mut NoIo));
+        assert_eq!(scratch, point_entries(&t, &Point::new(3.25, 4.25)));
     }
 }

@@ -19,7 +19,9 @@
 //! (a split or deletion repacks it from the entries; an append follows
 //! the entry the tree pushed last), so the entries' payloads — the
 //! objects' sizes — fix every member's pages: the unit keeps no
-//! per-object state (`entry_placements`).
+//! per-object state. Every read places its members in one pass over the
+//! data page's entries (`ClusterOrganization::placements`): queries
+//! start from the descent's hits, the join from an object-table probe.
 //!
 //! Cluster units live in buddies ([`spatialdb_disk::BuddyAllocator`]);
 //! with the single-size configuration every unit occupies the full
@@ -40,12 +42,12 @@ use spatialdb_rtree::{
 };
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::ops::Range;
 
 thread_local! {
-    /// The calling thread's wanted offsets, taken for one window query
-    /// or [`SpatialStore::fetch_for_join`] call and put back for the
-    /// next, so unit reads reuse one buffer instead of allocating one
-    /// per query or object.
+    /// The calling thread's read buffers (a query's matched leaves, a
+    /// unit read's wanted offsets), taken for one read and put back.
+    static LEAVES: RefCell<Vec<(NodeId, Range<usize>)>> = const { RefCell::new(Vec::new()) };
     static WANTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -234,6 +236,24 @@ impl ClusterOrganization {
             .unwrap_or_else(|| panic!("data page {leaf} has no cluster unit"))
     }
 
+    /// The placements of `hits` — entries of data page `leaf` in entry
+    /// order, as [`RStarTree::window_leaves_into`] appends them — from
+    /// one pass over the page's entries up to the last hit. Panics, in
+    /// release builds too, on a hit out of order or not on the page.
+    fn placements<'a>(
+        &'a self,
+        leaf: NodeId,
+        hits: impl IntoIterator<Item = ObjectId> + 'a,
+    ) -> impl Iterator<Item = Placement> + 'a {
+        let mut placed = entry_placements(self.tree.node(leaf).leaf_entries());
+        hits.into_iter().map(move |oid| {
+            placed
+                .find(|(e, _)| e.oid == oid)
+                .unwrap_or_else(|| panic!("hit {oid} is not an entry of {leaf} in order"))
+                .1
+        })
+    }
+
     /// Drop an extent's pages from the buffer (the extent is being freed
     /// or rewritten; stale copies must not produce buffer hits).
     fn drop_from_buffer(&self, extent: PageRun) {
@@ -333,11 +353,9 @@ impl ClusterOrganization {
     /// the window-query technique: §5.4's *complete*, SLM and optimum
     /// are the pool's unit read under §6.2's *complete*, *read* and
     /// *optimum*; the threshold picks *complete* at or above `T(c)` and
-    /// reads page by page below it. One pass over the data page, up to
-    /// the last hit, places the hits: they must be its entries in entry
-    /// order, as [`RStarTree::window_leaves_into`] appends them. All
-    /// costs are charged to the disk through the query's `session`.
-    /// `offsets` is scratch space reused from unit to unit.
+    /// reads page by page below it. All costs are charged to the disk
+    /// through the query's `session`. `offsets` is scratch space reused
+    /// from unit to unit.
     fn transfer_for_window(
         &self,
         leaf: NodeId,
@@ -349,13 +367,7 @@ impl ClusterOrganization {
     ) {
         let unit = self.unit(leaf);
         let node = self.tree.node(leaf);
-        let mut placed = entry_placements(node.leaf_entries());
-        let placements = hits.iter().map(|h| {
-            placed
-                .find(|(e, _)| e.oid == h.oid)
-                .unwrap_or_else(|| panic!("hit {} is not an entry of {leaf} in order", h.oid))
-                .1
-        });
+        let placements = self.placements(leaf, hits.iter().map(|h| h.oid));
         let used = unit.used_extent();
         let technique = match technique {
             WindowTechnique::Complete => TransferTechnique::Complete,
@@ -456,41 +468,47 @@ impl SpatialStore for ClusterOrganization {
         out: &mut Vec<LeafEntry>,
     ) -> u64 {
         let mut session = self.pool.session();
-        let per_leaf = self.tree.window_leaves_into(window, &mut session, out);
-        let mut offsets = WANTED.take();
-        for (leaf, hits) in per_leaf {
+        let (mut leaves, mut offsets) = (LEAVES.take(), WANTED.take());
+        self.tree
+            .window_leaves_into(window, &mut session, out, &mut leaves);
+        for (leaf, hits) in &leaves {
             self.transfer_for_window(
-                leaf,
-                &out[hits],
+                *leaf,
+                &out[hits.clone()],
                 window,
                 technique,
                 &mut offsets,
                 &mut session,
             );
         }
+        LEAVES.set(leaves);
         WANTED.set(offsets);
         // The entry's payload is the object's exact size.
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
+    /// Selective access (§5.5): each hit's own pages, one request each,
+    /// in descent order; no unit is read whole.
     fn point_query_into(&self, point: &Point, out: &mut Vec<LeafEntry>) -> u64 {
         let mut session = self.pool.session();
-        self.tree.point_entries_into(point, &mut session, out);
-        // Selective access: read just the objects' pages, not the units
-        // (§5.5 — the cluster organization must not penalize selective
-        // queries).
-        for e in out.iter() {
-            self.fetch_object(e.oid, &mut session);
+        let mut leaves = LEAVES.take();
+        let at = Rect::new(point.x, point.y, point.x, point.y);
+        self.tree
+            .window_leaves_into(&at, &mut session, out, &mut leaves);
+        for (leaf, hits) in &leaves {
+            let unit = self.unit(*leaf);
+            for p in self.placements(*leaf, out[hits.clone()].iter().map(|e| e.oid)) {
+                session.read_run(unit.run(p), SeekPolicy::PerRequest);
+            }
         }
+        LEAVES.set(leaves);
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
     fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
         let leaf = self.objects[oid];
-        let (_, placement) = entry_placements(self.tree.node(leaf).leaf_entries())
-            .find(|(e, _)| e.oid == oid)
-            .unwrap_or_else(|| panic!("object {oid} missing from data page {leaf}"));
-        session.read_run(self.unit(leaf).run(placement), SeekPolicy::PerRequest);
+        let own = self.placements(leaf, [oid]).next().expect("one hit");
+        session.read_run(self.unit(leaf).run(own), SeekPolicy::PerRequest);
     }
 
     /// The join's object transfer (§6.2): fetch `oid`, batching the
@@ -499,11 +517,9 @@ impl SpatialStore for ClusterOrganization {
     /// built once from the MBR join and never pruned, so *read*, *vector
     /// read* and *optimum* also want the pages of candidates the join
     /// has already processed; *complete* does not read it. An object
-    /// that is already buffered is only touched. One object-table probe
-    /// finds the data page, and a pass over its entries up to the object
-    /// places it; a unit read under *read*, *vector read* or *optimum*
-    /// passes over the whole page once more for the candidates beside
-    /// it.
+    /// that is already buffered is only touched; only a unit read under
+    /// *read*, *vector read* or *optimum* places the page's candidates
+    /// beside it.
     fn fetch_for_join(
         &self,
         oid: ObjectId,
@@ -513,10 +529,7 @@ impl SpatialStore for ClusterOrganization {
     ) {
         let leaf = self.objects[oid];
         let unit = self.unit(leaf);
-        let entries = self.tree.node(leaf).leaf_entries();
-        let (_, own) = entry_placements(entries)
-            .find(|(e, _)| e.oid == oid)
-            .unwrap_or_else(|| panic!("object {oid} missing from data page {leaf}"));
+        let own = self.placements(leaf, [oid]).next().expect("one hit");
         // *Complete*'s unit read probes the object's pages itself.
         let batch = technique.reads_candidate_set();
         if batch && session.touch_if_resident(unit.run(own).pages()) {
@@ -526,10 +539,11 @@ impl SpatialStore for ClusterOrganization {
         if batch {
             // Only a unit read looks up the candidates beside the
             // object: most fetches find their object buffered.
-            let candidates = entry_placements(entries)
-                .filter(|(e, _)| e.oid == oid || needed.contains(&e.oid))
-                .map(|(_, p)| p);
-            wanted_offsets(candidates, &mut wanted);
+            let entries = self.tree.node(leaf).leaf_entries().iter();
+            let candidates = entries
+                .filter(|e| e.oid == oid || needed.contains(&e.oid))
+                .map(|e| e.oid);
+            wanted_offsets(self.placements(leaf, candidates), &mut wanted);
         } else {
             wanted_offsets(std::iter::once(own), &mut wanted);
         }
@@ -726,9 +740,10 @@ impl SpatialStore for ClusterOrganization {
 mod tests {
     use super::*;
     use crate::model::new_shared_pool;
-    use spatialdb_disk::Disk;
+    use spatialdb_disk::{Disk, PageRequest};
     use spatialdb_geom::rng::SmallRng;
     use spatialdb_rtree::validate::check_invariants;
+    use spatialdb_rtree::NoIo;
     use std::collections::BTreeMap;
 
     const SMAX: u64 = 16 * 1024; // 4 pages — small for testing
@@ -1070,13 +1085,13 @@ mod tests {
     }
 
     /// `org` answers a window and a point query like a brute-force scan
-    /// of `live` (id → MBR).
+    /// of `live` (id → MBR); returns the point.
     fn assert_answers(
         org: &ClusterOrganization,
         live: &BTreeMap<u64, Rect>,
         rng: &mut SmallRng,
         technique: WindowTechnique,
-    ) {
+    ) -> Point {
         let (x, y) = (rng.next_f64(), rng.next_f64());
         let side = rng.gen_range(0.0..0.4);
         let window = Rect::new(x, y, x + side, y + side);
@@ -1095,6 +1110,54 @@ mod tests {
         assert_eq!(sorted(&out), expect(&window), "{technique:?} {window:?}");
         org.point_query_into(&point, &mut out);
         assert_eq!(sorted(&out), expect(&Rect::new(x, y, x, y)), "{point:?}");
+        point
+    }
+
+    /// The unit reads of a point query on a cold unit region, against
+    /// an oracle built from the tree: each hit's own run, in descent
+    /// order, one request with its own seek (`SeekPolicy::PerRequest`).
+    /// The hit's pages follow from the payloads before it in its data
+    /// page (the unit packs them byte-contiguous in entry order); a page
+    /// an earlier hit of the query already read is a buffer hit. Returns
+    /// the number of requests compared.
+    fn assert_point_reads(org: &mut ClusterOrganization, point: Point) -> usize {
+        org.begin_query();
+        let at = Rect::new(point.x, point.y, point.x, point.y);
+        let (mut hits, mut leaves) = (Vec::new(), Vec::new());
+        org.tree
+            .window_leaves_into(&at, &mut NoIo, &mut hits, &mut leaves);
+        let page = PAGE_SIZE as u64;
+        let mut read = HashSet::new();
+        let mut oracle = Vec::new();
+        for (leaf, range) in &leaves {
+            let entries = org.tree.node(*leaf).leaf_entries();
+            let extent = org.unit(*leaf).extent;
+            for h in &hits[range.clone()] {
+                let i = entries.iter().position(|e| e.oid == h.oid).unwrap();
+                let start: u64 = entries[..i].iter().map(|e| u64::from(e.payload)).sum();
+                let end = start + u64::from(h.payload);
+                let fresh: Vec<u64> = (start / page..end.div_ceil(page))
+                    .filter(|&p| read.insert(p + extent.start.offset))
+                    .collect();
+                if let Some(&first) = fresh.first() {
+                    oracle.push(PageRequest {
+                        kind: IoKind::Read,
+                        run: PageRun::new(extent.page(first), fresh.len() as u64),
+                        skip_seek: false,
+                    });
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let (_, trace) = org.disk().traced(|| org.point_query_into(&point, &mut out));
+        let units = org.buddy.region();
+        let reads: Vec<PageRequest> = trace
+            .into_iter()
+            .filter(|r| r.run.start.region == units)
+            .collect();
+        assert_eq!(out, hits, "{point:?}");
+        assert_eq!(reads, oracle, "{point:?}");
+        reads.len()
     }
 
     /// A seeded insert/delete stream on a small-`Smax` organization
@@ -1102,7 +1165,8 @@ mod tests {
     /// reinserts (a data page of fewer than 35 entries condenses on
     /// every delete) and, under the restricted buddy system, unit moves.
     /// After every operation the units must still be packed in entry
-    /// order, and a snapshot taken along the way must keep answering
+    /// order, a point query must read what the tree says its hits
+    /// occupy, and a snapshot taken along the way must keep answering
     /// while the organization changes under it.
     fn churn(seed: u64, ops: usize, config: ClusterConfig) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -1117,6 +1181,7 @@ mod tests {
             WindowTechnique::Optimum,
         ];
         let (mut next_id, mut splits, mut condensed, mut moves) = (0, 0, 0, 0);
+        let mut point_reads = 0;
         for op in 0..ops {
             let (units, occupied) = (org.num_units(), org.buddy.occupied_pages());
             if live.len() < 40 || (live.len() < 400 && rng.gen_bool(0.6)) {
@@ -1139,12 +1204,17 @@ mod tests {
             org.check_consistency()
                 .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
             assert_units_packed_in_entry_order(&org);
-            assert_answers(&org, &live, &mut rng, techniques[op % 4]);
+            let point = assert_answers(&org, &live, &mut rng, techniques[op % 4]);
+            point_reads += assert_point_reads(&mut org, point);
+            // And at a live object's centre, which hits at least it.
+            let centre = live.values().nth(op % live.len()).unwrap().center();
+            point_reads += assert_point_reads(&mut org, centre);
             if op % 97 == 0 {
-                if let Some((snap, snap_live)) = &frozen {
+                if let Some((snap, snap_live)) = &mut frozen {
                     snap.check_consistency().unwrap();
                     assert_units_packed_in_entry_order(snap);
-                    assert_answers(snap, snap_live, &mut rng, techniques[op % 4]);
+                    let point = assert_answers(snap, snap_live, &mut rng, techniques[op % 4]);
+                    assert_point_reads(snap, point);
                 }
                 frozen = Some((org.clone(), live.clone()));
             }
@@ -1158,6 +1228,37 @@ mod tests {
         if org.config.buddy != BuddyConfig::fixed(4) {
             assert!(moves > 10, "seed {seed}: only {moves} unit moves");
         }
+        assert!(
+            point_reads > ops,
+            "seed {seed}: only {point_reads} point reads"
+        );
+    }
+
+    #[test]
+    fn point_reads_follow_the_descent_across_data_pages() {
+        // Squares around the centre, each holding it: a point query
+        // there hits objects on many data pages.
+        let pool = new_shared_pool(Disk::with_defaults(), 64);
+        let mut org = ClusterOrganization::new(pool, ClusterConfig::plain(SMAX));
+        let mut rng = SmallRng::seed_from_u64(12);
+        for i in 0..300u64 {
+            let r = rng.gen_range(0.02..0.5);
+            let (x, y) = (rng.gen_range(0.49..0.51), rng.gen_range(0.49..0.51));
+            let mbr = Rect::new(x - r, y - r, x + r, y + r);
+            let size = rng.gen_range(1..4_000u64) as u32;
+            org.insert(&ObjectRecord::new(ObjectId(i), mbr, size));
+        }
+        let centre = Point::new(0.5, 0.5);
+        let (mut hits, mut leaves) = (Vec::new(), Vec::new());
+        let at = Rect::new(0.5, 0.5, 0.5, 0.5);
+        org.tree
+            .window_leaves_into(&at, &mut NoIo, &mut hits, &mut leaves);
+        assert!(leaves.len() > 10, "{} data pages", leaves.len());
+        assert!(assert_point_reads(&mut org, centre) > 100);
+        for i in (0..300).step_by(4) {
+            assert!(org.delete(ObjectId(i)));
+        }
+        assert!(assert_point_reads(&mut org, centre) > 50);
     }
 
     #[test]

@@ -179,14 +179,16 @@ mod tests {
         assert!(s.delete(ObjectId(3)));
         assert!(!s.delete(ObjectId(3)));
         assert_eq!(s.num_objects(), 29);
-        let all = Rect::new(-1.0, -1.0, 2.0, 2.0);
-        assert_eq!(s.tree().window_entries(&all, &mut NoIo).len(), 29);
+        let (all, mut out) = (Rect::new(-1.0, -1.0, 2.0, 2.0), Vec::new());
+        s.window_candidates_into(&all, &mut out);
+        assert_eq!(out.len(), 29);
         s.insert(&ObjectRecord::new(
             ObjectId(3),
             Rect::new(0.3, 0.0, 0.35, 0.05),
             640,
         ));
-        assert_eq!(s.tree().window_entries(&all, &mut NoIo).len(), 30);
+        s.window_candidates_into(&all, &mut out);
+        assert_eq!(out.len(), 30);
     }
 
     #[test]

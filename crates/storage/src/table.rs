@@ -17,9 +17,8 @@
 //! * [`insert`](ObjectTable::insert) and [`remove`](ObjectTable::remove)
 //!   write a new version of the one bucket they change and repoint the
 //!   directory (shadow-copying that chunk's pointers if a clone still
-//!   shares them); [`get_mut`](ObjectTable::get_mut) and
-//!   [`update`](ObjectTable::update) edit a bucket in place unless a
-//!   clone shares it. Everything else stays shared.
+//!   shares them); [`update`](ObjectTable::update) edits a bucket in
+//!   place unless a clone shares it. Everything else stays shared.
 //! * A lookup is the directory entry (two small, hot arrays) and one
 //!   pointer to the bucket, whose pairs sit inline behind it.
 //! * The table grows by *linear hashing*: when the average load exceeds
@@ -206,14 +205,6 @@ impl<V: Clone> ObjectTable<V> {
         position(self.bucket(self.slot(oid.0)), oid.0).is_some()
     }
 
-    /// Mutable access to the record of `oid`, shadow-copying its bucket
-    /// first if a snapshot still shares it. A missing id copies nothing.
-    pub fn get_mut(&mut self, oid: ObjectId) -> Option<&mut V> {
-        let slot = self.slot(oid.0);
-        let i = position(self.bucket(slot), oid.0)?;
-        Some(&mut Arc::make_mut(self.bucket_entry(slot))[i].1)
-    }
-
     /// Replace the record of `oid` by `f(record)`. The bucket is
     /// shadow-copied only if the record actually changes, so a caller
     /// re-asserting what is already recorded dirties nothing.
@@ -228,16 +219,19 @@ impl<V: Clone> ObjectTable<V> {
         let old = &self[oid];
         let new = f(old);
         if new != *old {
-            *self.get_mut(oid).expect("record read above") = new;
+            let slot = self.slot(oid.0);
+            let i = position(self.bucket(slot), oid.0).expect("record read above");
+            Arc::make_mut(self.bucket_entry(slot))[i].1 = new;
         }
     }
 
     /// Store `value` under `oid`, returning the record it replaces.
     pub fn insert(&mut self, oid: ObjectId, value: V) -> Option<V> {
-        if let Some(record) = self.get_mut(oid) {
+        let slot = self.slot(oid.0);
+        if let Some(i) = position(self.bucket(slot), oid.0) {
+            let record = &mut Arc::make_mut(self.bucket_entry(slot))[i].1;
             return Some(std::mem::replace(record, value));
         }
-        let slot = self.slot(oid.0);
         let grown = self.bucket(slot).iter().cloned();
         let grown = grown.chain(std::iter::once((oid.0, value))).collect();
         *self.bucket_entry(slot) = grown;
@@ -342,11 +336,9 @@ mod tests {
                 }
                 2 => assert_eq!(table.remove(ObjectId(key)), model.remove(&key)),
                 _ => {
-                    if let Some(v) = table.get_mut(ObjectId(key)) {
-                        *v += 1;
-                    }
                     if let Some(v) = model.get_mut(&key) {
                         *v += 1;
+                        table.update(ObjectId(key), |v| v + 1);
                     }
                 }
             }
@@ -433,7 +425,7 @@ mod tests {
         for k in 5_000..6_000u64 {
             table.insert(ObjectId(k), k);
         }
-        *table.get_mut(ObjectId(1)).unwrap() = 99;
+        table.update(ObjectId(1), |_| 99);
         assert_eq!(snapshot.len(), 5_000);
         for k in 0..5_000u64 {
             assert_eq!(snapshot.get(ObjectId(k)), Some(&k), "snapshot lost {k}");
@@ -453,7 +445,7 @@ mod tests {
         let buckets = table.num_buckets();
 
         let snapshot = table.clone();
-        *table.get_mut(ObjectId(17)).unwrap() += 1;
+        table.update(ObjectId(17), |v| v + 1);
         assert_eq!(table.shared_buckets(), buckets - 1);
 
         let snapshot2 = table.clone();
@@ -468,7 +460,6 @@ mod tests {
 
         // Misses and no-op updates copy nothing.
         let snapshot4 = table.clone();
-        assert!(table.get_mut(ObjectId(77_777)).is_none());
         assert!(table.remove(ObjectId(77_777)).is_none());
         table.update(ObjectId(20), |v| *v);
         assert_eq!(table.shared_buckets(), buckets);

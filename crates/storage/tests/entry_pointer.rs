@@ -107,7 +107,10 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
             let before = by_table.disk().stats();
             let pool = by_table.pool();
             let mut session = pool.session();
-            let candidates = by_table.tree().window_entries(window, &mut session);
+            let mut candidates = Vec::new();
+            by_table
+                .tree()
+                .window_entries_into(window, &mut session, &mut candidates);
             let mut bytes = 0;
             for e in &candidates {
                 by_table.fetch_object(e.oid, &mut session);
