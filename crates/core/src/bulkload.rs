@@ -29,13 +29,13 @@
 //! assertion) reaches the caller before anything is charged, and the
 //! store stays empty.
 
-use crate::stream::map_chunks;
+use spatialdb_geom::par::map_chunks;
 use spatialdb_rtree::{bulk, LeafEntry, Tile, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{ObjectRecord, SpatialStore};
 use std::collections::HashSet;
 
 /// STR-bulk-load `records` into an empty `store`, sorting and tiling on
-/// `threads` scoped worker threads.
+/// `threads` threads (the calling one and `threads - 1` scoped workers).
 ///
 /// See the [module docs](self) for the pipeline and the determinism
 /// contract.

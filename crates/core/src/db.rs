@@ -61,11 +61,12 @@
 
 use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
-use crate::stream::{self, map_chunks, ExecPlan, Op, StreamOutcome};
+use crate::stream::{self, ExecPlan, Op, StreamOutcome};
 use spatialdb_disk::{
     DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool, PAGE_SIZE,
 };
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
+use spatialdb_geom::par::map_chunks;
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
@@ -274,7 +275,8 @@ impl Workspace {
     }
 
     /// [`SpatialDatabase::bulk_load`] with the sort and tile stages on
-    /// `threads` scoped worker threads (see [`crate::bulkload`]).
+    /// `threads` threads, the calling one among them (see
+    /// [`crate::bulkload`]).
     ///
     /// The resulting database — tree structure, physical placement,
     /// every query answer — and the charged I/O are **byte-identical at
@@ -520,7 +522,10 @@ impl SpatialDatabase {
         // On the load's threads: a polyline's hint encodes its cell
         // masks on first use.
         let records = map_chunks(&objects, threads, |chunk| {
-            chunk.iter().map(|(id, g)| record_of(*id, g)).collect()
+            chunk
+                .iter()
+                .map(|(id, g)| record_of(*id, g))
+                .collect::<Vec<_>>()
         });
         // Exclusive path: `&mut self` proves no pinned reader exists, so
         // the load mutates the current root in place — no shadow copy.

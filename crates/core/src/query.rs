@@ -49,6 +49,16 @@
 //! sort, which is faster there. Ids are unique, so both give the one
 //! permutation ascending order allows.
 //!
+//! A join runs the paper's three steps (§6.3): [`JoinQuery::run`] runs
+//! the MBR join and the object transfer, and the cursor the exact tests.
+//! It uses the machine's cores for what reads no page — the MBR join's
+//! leaf-pair sweeps and the exact tests, each in contiguous chunks
+//! merged in chunk order ([`map_chunks`]) — and keeps every page access
+//! on the calling thread, in one thread's order: the directory
+//! traversal and its node reads, and the whole transfer. So the pairs,
+//! the [`JoinStats`] and every request the simulated disk sees are the
+//! same at every core count, and [`JoinQuery::run_par`] forces a count.
+//!
 //! [`Hint`]: spatialdb_geom::Hint
 //! [`Hint::verdict`]: spatialdb_geom::Hint::verdict
 //!
@@ -75,8 +85,8 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
-use crate::stream::map_chunks;
 use spatialdb_disk::IoStats;
+use spatialdb_geom::par::{map_chunks, Threads};
 use spatialdb_geom::{Geometry, HasMbr, Point, Rect, Verdict};
 use spatialdb_join::{JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
@@ -597,13 +607,45 @@ impl<'a> JoinQuery<'a> {
     /// Run the MBR join and object transfer (charging the simulated
     /// disk) and return a lazy cursor over the exactly-refined pairs.
     ///
+    /// The join uses the machine's cores
+    /// ([`available_parallelism`](std::thread::available_parallelism)):
+    /// the MBR join sweeps its leaf pairs on them, and the cursor's
+    /// [`pairs`](JoinCursor::pairs) runs its exact tests on them. Every
+    /// page access — the MBR join's directory traversal and node reads,
+    /// the whole object transfer — stays on the calling thread, in the
+    /// order one thread makes them, so the simulated disk and the buffer
+    /// see the same requests at every core count. A join with too few
+    /// leaf pairs or undecided pairs to pay for a thread keeps that step
+    /// on the calling thread, and on a one-core machine nothing spawns.
+    ///
     /// # Panics
     ///
     /// Panics if the two databases do not share one workspace (disk +
     /// buffer pool).
     pub fn run(self) -> JoinCursor<'a> {
+        self.run_on(Threads::Machine)
+    }
+
+    /// [`run`](JoinQuery::run) on exactly `n_threads` threads (one when
+    /// 0), however small the join: the MBR join's leaf-pair sweeps and
+    /// the cursor's [`pairs`](JoinCursor::pairs) each split their work
+    /// into `n_threads` contiguous chunks (fewer only when there are
+    /// fewer items), the first on the calling thread.
+    ///
+    /// As in `run`, every page access is the calling thread's. The
+    /// candidate pairs, the refined results, the [`JoinStats`] and the
+    /// I/O are therefore the same at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two databases do not share one workspace.
+    pub fn run_par(self, n_threads: usize) -> JoinCursor<'a> {
+        self.run_on(Threads::Exactly(n_threads))
+    }
+
+    fn run_on(self, threads: Threads) -> JoinCursor<'a> {
         let (left, right) = (self.left.store(), self.right.store());
-        let (pairs, stats, io) = SpatialJoin::new(&*left, &*right).run(self.transfer);
+        let (pairs, stats, io) = SpatialJoin::new(&*left, &*right).run(self.transfer, threads);
         JoinCursor {
             left,
             right,
@@ -611,34 +653,25 @@ impl<'a> JoinQuery<'a> {
             next: 0,
             stats,
             io,
-            refine_threads: 1,
-        }
-    }
-
-    /// [`run`](JoinQuery::run), with the cursor's
-    /// [`pairs`](JoinCursor::pairs) refining on `n_threads` threads.
-    ///
-    /// The MBR join and the object transfer are `run`'s: they charge the
-    /// workspace disk through its one shared buffer, on the calling
-    /// thread. The candidate pairs, the refined results, the
-    /// [`JoinStats`] and the I/O are therefore the same at every thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two databases do not share one workspace.
-    pub fn run_par(self, n_threads: usize) -> JoinCursor<'a> {
-        JoinCursor {
-            refine_threads: n_threads.max(1),
-            ..self.run()
+            threads,
         }
     }
 }
 
+/// Undecided pairs an exact-test thread must have to pay for itself:
+/// with fewer than twice this many, [`JoinCursor::pairs`] of a
+/// [`JoinQuery::run`] cursor tests on the calling thread. Measured on
+/// A-1 ⋈ A-2 at scale 0.25 on a 2-vCPU host: one exact test takes
+/// ≈ 1.1 – 1.4 µs, spawning and joining a scoped thread ≈ 45 µs, so at
+/// 128 pairs a second thread saves ≈ 30 µs.
+const MIN_PAIRS_PER_THREAD: usize = 64;
+
 /// A lazy stream of join results: candidate pairs in MBR-join processing
 /// order, each tested on the exact geometries as the caller iterates —
 /// except the pairs a leaf entry already ruled out
-/// ([`undecided`](JoinCursor::undecided) counts the rest).
+/// ([`undecided`](JoinCursor::undecided) counts the rest). Iterating
+/// tests on the calling thread; [`pairs`](JoinCursor::pairs) tests on
+/// the join's threads (the machine's cores, or `run_par`'s count).
 #[derive(Debug)]
 pub struct JoinCursor<'a> {
     /// The operands' pinned roots: the pairs came from their stores,
@@ -653,8 +686,8 @@ pub struct JoinCursor<'a> {
     /// The MBR join's and the object transfer's I/O deltas, summed.
     pub(crate) io: IoStats,
     /// Threads [`pairs`](JoinCursor::pairs) refines on: those the caller
-    /// gave [`JoinQuery::run_par`], one otherwise.
-    refine_threads: usize,
+    /// gave [`JoinQuery::run_par`], the machine's otherwise.
+    threads: Threads,
 }
 
 impl<'a> JoinCursor<'a> {
@@ -688,13 +721,17 @@ impl<'a> JoinCursor<'a> {
 
     /// Drain the cursor into the sorted exact result pairs.
     ///
-    /// A [`JoinQuery::run_par`] cursor tests contiguous chunks of the
-    /// remaining candidates on its threads and merges them in chunk
-    /// order — the same pairs as iterating.
+    /// The exact tests of the remaining candidates run in contiguous
+    /// chunks on the join's threads — the machine's cores, or those
+    /// given to [`JoinQuery::run_par`] — and are merged in chunk order:
+    /// the same pairs as iterating. They read only the pinned geometry
+    /// tables, never a page.
     pub fn pairs(self) -> Vec<(u64, u64)> {
         let (left, right) = (self.left.geoms(), self.right.geoms());
         let refine = |chunk: &[_]| refine_pairs(left, right, chunk);
-        let mut out = map_chunks(&self.pairs[self.next..], self.refine_threads, refine);
+        let pairs = &self.pairs[self.next..];
+        let threads = self.threads.for_items(pairs.len(), MIN_PAIRS_PER_THREAD);
+        let mut out = map_chunks(pairs, threads, refine);
         out.sort_unstable();
         out
     }

@@ -21,6 +21,13 @@
 //!   order pages enter the buffer — so this half is inherently serial.
 //!   Per-op [`IoStats`] deltas are measured against the calling thread's
 //!   local tally, so they are exact and independent of the worker count.
+//!   A join in phase A does not fan out: it runs as
+//!   [`JoinQuery::run_par`]`(1)`, its leaf-pair sweeps on the calling
+//!   thread too. The stream's parallelism is its refinement workers,
+//!   which already run beside phase A — a join fanning out there would
+//!   compete with them for the same cores, and a stream would no longer
+//!   run on its `threads` workers plus the calling thread. A join's
+//!   exact tests are one job of the queue, like a query's.
 //! * **Refinement (worker pool, concurrent):** the CPU-bound
 //!   exact-geometry tests of each query/join are handed to a shared
 //!   work queue the moment its phase-A half completes, and scoped
@@ -229,37 +236,6 @@ impl From<usize> for ExecPlan {
     fn from(n_threads: usize) -> Self {
         ExecPlan::threads(n_threads)
     }
-}
-
-/// The fan-out *within* one operation — a cursor's `ids()` or `pairs()`,
-/// a bulk load's sort and tile: split `items` into at most `threads`
-/// contiguous chunks, map each on its own scoped thread, and concatenate
-/// the results in chunk order. One chunk maps on the calling thread. A
-/// worker's panic is the caller's: it resumes here with its own payload.
-pub(crate) fn map_chunks<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    map: impl Fn(&[T]) -> Vec<R> + Sync,
-) -> Vec<R> {
-    let per = items.len().div_ceil(threads.max(1)).max(1);
-    if items.len() <= per {
-        return map(items);
-    }
-    std::thread::scope(|scope| {
-        let map = &map;
-        let workers: Vec<_> = items
-            .chunks(per)
-            .map(|chunk| scope.spawn(move || map(chunk)))
-            .collect();
-        let mut merged = Vec::with_capacity(items.len());
-        for worker in workers {
-            match worker.join() {
-                Ok(part) => merged.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        merged
-    })
 }
 
 /// What the loop executes: a [`StreamOp`], with window and point ops
@@ -476,8 +452,9 @@ pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> StreamOutcome {
                 }
                 Op::Join(join) => {
                     // As for a read: the cursor's pins go before the
-                    // next commit, its I/O is the outcome's.
-                    let cursor = join.run();
+                    // next commit, its I/O is the outcome's. The MBR
+                    // join sweeps on this thread alone (module docs).
+                    let cursor = join.run_par(1);
                     outcomes.push(OpOutcome::Join {
                         pairs: 0,
                         io: cursor.io,

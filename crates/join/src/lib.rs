@@ -13,9 +13,12 @@
 //!    an LRU buffer of reasonable size this reads most tree pages only
 //!    once. Every node pair is swept in its *restricted search space*:
 //!    only the entries meeting the intersection of the two nodes'
-//!    rectangles are sorted and compared. **Order contract:** the
-//!    candidate pairs, their order and the node reads are a function of
-//!    the two trees only (see [`mbr_join`](mod@mbr_join)). Emitting a
+//!    rectangles are sorted and compared. The traversal and its node
+//!    reads run on the calling thread; the leaf pairs it reaches are
+//!    swept afterwards, in contiguous chunks on the machine's cores.
+//!    **Order contract:** the candidate pairs, their order and the node
+//!    reads are a function of the two trees only, whatever the thread
+//!    count (see [`mbr_join`](mod@mbr_join)). Emitting a
 //!    pair, the join also records whether either leaf entry's cell mask
 //!    rules it out ([`MbrJoinResult::ruled_out`], \[BKSS94\]'s second
 //!    filter step).

@@ -8,19 +8,35 @@
 //! sorts the survivors by `xmin` and sweeps them forward: an entry that
 //! ended left of the sweep line is never looked at again. Each node's
 //! rectangle is carried down from its parent entry; the survivors live in
-//! per-level scratch vectors the whole traversal reuses, so a node pair
-//! allocates nothing.
+//! per-level scratch vectors the whole traversal reuses, so a directory
+//! node pair allocates nothing.
+//!
+//! # Two passes: the traversal, then the leaf sweeps
+//!
+//! The synchronized traversal of the directories — its order, its
+//! pinning and every [`NodeIo::read`] — runs on the calling thread. At a
+//! pair of leaves it reads nothing and sweeps nothing: it records the two
+//! leaves and the rectangle their entries are restricted to. The
+//! recorded leaf pairs are then swept in contiguous chunks, one per
+//! thread ([`map_chunks`]), and the chunks' pairs and `ruled_out` flags
+//! concatenated in chunk order — the order the traversal recorded them
+//! in. The trees are immutable while the join holds them, so a sweep
+//! reads nothing the traversal could change, and the buffer behind `io`
+//! sees exactly the reads of a join that swept each leaf pair the moment
+//! it reached it.
 //!
 //! # Order contract
 //!
-//! The candidate pairs, their order and the sequence of
+//! The candidate pairs, their order, `ruled_out` and the sequence of
 //! [`NodeIo::read`] calls are a function of the two trees only — not of
-//! the buffer behind `io`, and not of how the sweep is implemented: the
-//! restriction drops only entries that are in no pair, and sorting a
-//! subsequence by `(xmin, entry index)` yields the subsequence of the
-//! full sort. The module's tests pin checksums of both sequences that
-//! were recorded before the restriction was introduced.
+//! the buffer behind `io`, not of the thread count, and not of how the
+//! sweep is implemented: the restriction drops only entries that are in
+//! no pair, and sorting a subsequence by `(xmin, entry index)` yields the
+//! subsequence of the full sort. The module's tests pin checksums of
+//! both sequences that were recorded before the restriction was
+//! introduced, at 1, 2, 3 and 8 threads.
 
+use spatialdb_geom::par::{map_chunks, Concat, Threads};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{DirEntry, LeafEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
 use std::cell::Cell;
@@ -51,6 +67,13 @@ impl MbrJoinResult {
     }
 }
 
+impl Concat for MbrJoinResult {
+    fn concat(&mut self, later: Self) {
+        self.pairs.concat(later.pairs);
+        self.ruled_out.concat(later.ruled_out);
+    }
+}
+
 /// Compute all pairs of entries of `r` and `s` whose MBRs intersect.
 ///
 /// Implements the \[BKS93b\] ordering: at every directory level the
@@ -62,13 +85,32 @@ impl MbrJoinResult {
 /// session for the whole join (`&mut pool.session()`) — this gives the
 /// close-to-optimal page-access behaviour the paper relies on.
 ///
-/// Pairs, their order and the node reads depend on the two trees only
-/// (the module's *order contract*).
+/// The leaf pairs are swept on the machine's cores ([`Threads::Machine`]);
+/// every read of `io` is the calling thread's. Pairs, their order and the
+/// node reads depend on the two trees only (the module's *order
+/// contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
-    let mut out = MbrJoinResult {
-        pairs: Vec::new(),
-        ruled_out: RULED_OUT.take(),
-    };
+    mbr_join_on(r, s, io, Threads::Machine)
+}
+
+/// Leaf pairs a sweep thread must have to pay for itself: with fewer
+/// than twice this many a [`Threads::Machine`] join sweeps on the calling
+/// thread. Measured on A-1 ⋈ A-2 at scale 0.25 on a 2-vCPU host:
+/// spawning and joining a scoped thread costs ≈ 45 µs; a leaf pair
+/// sweeps in ≈ 5.9 µs between 89-entry leaves and ≈ 0.26 µs between the
+/// primary organization's small ones. At 256 leaf pairs a second thread
+/// saves ≈ 0.7 ms of the former and about breaks even on the latter.
+const MIN_LEAF_PAIRS_PER_THREAD: usize = 128;
+
+/// [`mbr_join`] with its leaf-pair sweeps on `threads` (the traversal and
+/// every read of `io` stay on the calling thread).
+pub(crate) fn mbr_join_on(
+    r: &RStarTree,
+    s: &RStarTree,
+    io: &mut impl NodeIo,
+    threads: Threads,
+) -> MbrJoinResult {
+    let mut leaf_pairs = LEAF_PAIRS.take();
     if !(r.is_empty() || s.is_empty()) {
         // One scratch level per step the traversal can descend: every
         // step moves the taller side (or both) one level down.
@@ -81,10 +123,14 @@ pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinRe
             Subtree::root(r),
             Subtree::root(s),
             &mut scratch,
-            &mut out,
+            &mut leaf_pairs,
             io,
         );
     }
+    let threads = threads.for_items(leaf_pairs.len(), MIN_LEAF_PAIRS_PER_THREAD);
+    let out = map_chunks(&leaf_pairs, threads, |chunk| sweep_leaf_pairs(r, s, chunk));
+    leaf_pairs.clear();
+    LEAF_PAIRS.set(leaf_pairs);
     out
 }
 
@@ -92,8 +138,11 @@ thread_local! {
     /// The calling thread's last `ruled_out` buffer, handed back by
     /// [`SpatialJoin::run`](crate::SpatialJoin::run) once it has read it,
     /// so a join does not grow a fresh one by doubling (as a query reuses
-    /// its candidate buffer).
+    /// its candidate buffer). The first chunk of leaf pairs, the calling
+    /// thread's, sweeps into it.
     static RULED_OUT: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
+    /// The calling thread's leaf-pair list, kept for its next join.
+    static LEAF_PAIRS: Cell<Vec<LeafPair>> = const { Cell::new(Vec::new()) };
 }
 
 /// Hand a read `ruled_out` buffer back for the calling thread's next
@@ -101,6 +150,36 @@ thread_local! {
 pub(crate) fn recycle(mut ruled_out: Vec<bool>) {
     ruled_out.clear();
     RULED_OUT.set(ruled_out);
+}
+
+/// A pair of leaves the traversal reached, to be swept: the `r` leaf, the
+/// `s` leaf, and the intersection of their rectangles, which restricts
+/// both entry lists.
+#[derive(Clone, Copy, Debug)]
+struct LeafPair {
+    r: NodeId,
+    s: NodeId,
+    clip: Rect,
+}
+
+/// Sweep a stretch of the recorded leaf pairs, in their order: every
+/// intersecting pair of leaf entries, with its `ruled_out` flag.
+fn sweep_leaf_pairs(r: &RStarTree, s: &RStarTree, leaf_pairs: &[LeafPair]) -> MbrJoinResult {
+    let mut out = MbrJoinResult {
+        pairs: Vec::new(),
+        ruled_out: RULED_OUT.take(),
+    };
+    let (mut rs, mut ss) = (Vec::new(), Vec::new());
+    for pair in leaf_pairs {
+        let re = r.node(pair.r).leaf_entries();
+        let se = s.node(pair.s).leaf_entries();
+        restrict(&mut rs, re.iter().map(|e| e.mbr), &pair.clip);
+        restrict(&mut ss, se.iter().map(|e| e.mbr), &pair.clip);
+        sweep(&rs, &ss, |a, b| {
+            out.push(&re[a.idx as usize], &se[b.idx as usize])
+        });
+    }
+    out
 }
 
 /// A node of one tree with the rectangle bounding its entries: the MBR
@@ -233,14 +312,16 @@ fn ordered_child_pairs<'a>(
     pairs
 }
 
-/// Recursive synchronized traversal of the subtrees `rn`/`sn`.
+/// Recursive synchronized traversal of the subtrees `rn`/`sn`: reads
+/// the directory pages in \[BKS93b\] order and records the leaf pairs it
+/// reaches in `leaf_pairs`.
 fn join_nodes(
     r: &RStarTree,
     s: &RStarTree,
     rn: Subtree,
     sn: Subtree,
     scratch: &mut [Level],
-    out: &mut MbrJoinResult,
+    leaf_pairs: &mut Vec<LeafPair>,
     io: &mut impl NodeIo,
 ) {
     let rnode = r.node(rn.id);
@@ -249,13 +330,12 @@ fn join_nodes(
         .split_first_mut()
         .expect("one scratch level per step down the taller tree");
     match (&rnode.kind, &snode.kind) {
-        (NodeKind::Leaf(re), NodeKind::Leaf(se)) => {
-            // Data page level: report intersecting entry pairs.
-            let clip = rn.rect.intersection(&sn.rect);
-            restrict(&mut here.r, re.iter().map(|e| e.mbr), &clip);
-            restrict(&mut here.s, se.iter().map(|e| e.mbr), &clip);
-            sweep(&here.r, &here.s, |a, b| {
-                out.push(&re[a.idx as usize], &se[b.idx as usize])
+        (NodeKind::Leaf(_), NodeKind::Leaf(_)) => {
+            // Data page level: the sweep comes later, off this thread.
+            leaf_pairs.push(LeafPair {
+                r: rn.id,
+                s: sn.id,
+                clip: rn.rect.intersection(&sn.rect),
             });
         }
         (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {
@@ -270,7 +350,15 @@ fn join_nodes(
                     pinned = Some(pair.i);
                 }
                 io.read(s.node_page(sc.child));
-                join_nodes(r, s, Subtree::child(rc), Subtree::child(sc), below, out, io);
+                join_nodes(
+                    r,
+                    s,
+                    Subtree::child(rc),
+                    Subtree::child(sc),
+                    below,
+                    leaf_pairs,
+                    io,
+                );
             }
         }
         _ => {
@@ -286,7 +374,7 @@ fn join_nodes(
                 for e in &here.r {
                     let child = Subtree::child(&re[e.idx as usize]);
                     io.read(r.node_page(child.id));
-                    join_nodes(r, s, child, sn, below, out, io);
+                    join_nodes(r, s, child, sn, below, leaf_pairs, io);
                 }
             } else {
                 let rn = Subtree {
@@ -298,7 +386,7 @@ fn join_nodes(
                 for e in &here.s {
                     let child = Subtree::child(&se[e.idx as usize]);
                     io.read(s.node_page(child.id));
-                    join_nodes(r, s, rn, child, below, out, io);
+                    join_nodes(r, s, rn, child, below, leaf_pairs, io);
                 }
             }
         }
@@ -554,44 +642,61 @@ mod tests {
         ]
     }
 
+    /// Thread counts the order contract is pinned at. The test host may
+    /// have one core, so they are forced ([`Threads::Exactly`]).
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
     #[test]
     fn pairs_order_and_reads_are_a_function_of_the_trees() {
         for case in cases() {
-            let name = format!("{} (M = {})", case.name, case.max_entries);
             let disk = Disk::with_defaults();
             let r = build_on(&disk, "r", &case.r, case.max_entries);
             let s = build_on(&disk, "s", &case.s, case.max_entries);
-            assert_eq!((r.height(), s.height()), case.heights, "{name}: heights");
+            let mut one_thread = None;
+            for threads in THREADS {
+                let name = format!(
+                    "{} (M = {}, {threads} threads)",
+                    case.name, case.max_entries
+                );
+                assert_eq!((r.height(), s.height()), case.heights, "{name}: heights");
 
-            let mut recorder = Recorder::default();
-            let res = mbr_join(&r, &s, &mut recorder);
-            let reads = recorder.0;
-            assert_eq!(
-                (res.pairs.len(), pairs_checksum(&res.pairs)),
-                case.pairs,
-                "{name}: pair sequence"
-            );
-            assert_eq!(
-                (
-                    reads.len(),
-                    checksum(reads.iter().flat_map(|p| [u64::from(p.region.0), p.offset]))
-                ),
-                case.reads,
-                "{name}: page-read sequence"
-            );
+                let mut recorder = Recorder::default();
+                let res = mbr_join_on(&r, &s, &mut recorder, Threads::Exactly(threads));
+                let reads = recorder.0;
+                assert_eq!(
+                    (res.pairs.len(), pairs_checksum(&res.pairs)),
+                    case.pairs,
+                    "{name}: pair sequence"
+                );
+                assert_eq!(
+                    (
+                        reads.len(),
+                        checksum(reads.iter().flat_map(|p| [u64::from(p.region.0), p.offset]))
+                    ),
+                    case.reads,
+                    "{name}: page-read sequence"
+                );
+                assert_eq!(
+                    res.ruled_out.len(),
+                    res.pairs.len(),
+                    "{name}: one flag a pair"
+                );
+                let flags = one_thread.get_or_insert_with(|| res.ruled_out.clone());
+                assert_eq!(&res.ruled_out, flags, "{name}: ruled_out");
 
-            // The nested-loop oracle: same set, no duplicates.
-            let got: HashSet<(u64, u64)> = res.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
-            assert_eq!(got.len(), res.pairs.len(), "{name}: duplicate pairs");
-            let mut want = HashSet::new();
-            for (i, x) in case.r.iter().enumerate() {
-                for (j, y) in case.s.iter().enumerate() {
-                    if x.intersects(y) {
-                        want.insert((i as u64, j as u64));
+                // The nested-loop oracle: same set, no duplicates.
+                let got: HashSet<(u64, u64)> = res.pairs.iter().map(|(a, b)| (a.0, b.0)).collect();
+                assert_eq!(got.len(), res.pairs.len(), "{name}: duplicate pairs");
+                let mut want = HashSet::new();
+                for (i, x) in case.r.iter().enumerate() {
+                    for (j, y) in case.s.iter().enumerate() {
+                        if x.intersects(y) {
+                            want.insert((i as u64, j as u64));
+                        }
                     }
                 }
+                assert_eq!(got, want, "{name}");
             }
-            assert_eq!(got, want, "{name}");
         }
     }
 

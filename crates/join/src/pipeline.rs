@@ -2,11 +2,13 @@
 //! [`SpatialJoin::run`]). Every step charges the disk both operands
 //! live on, through the buffer pool they share, on the calling thread;
 //! [`SpatialJoin::run`] takes each disk-based phase's I/O delta at its
-//! one call site.
+//! one call site. Only the MBR join's leaf-pair sweeps, which read no
+//! page, run on other threads.
 
-use crate::mbr_join::{mbr_join, recycle, MbrJoinResult};
+use crate::mbr_join::{mbr_join_on, recycle, MbrJoinResult};
 use crate::transfer::transfer_objects;
 use spatialdb_disk::IoStats;
+use spatialdb_geom::par::Threads;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
 
@@ -94,14 +96,20 @@ impl<'a> SpatialJoin<'a> {
     /// and the transfer see all of them. Only the pairs a leaf entry
     /// ruled out ([`MbrJoinResult::ruled_out`]) are not returned.
     ///
+    /// The MBR join sweeps its leaf pairs on `threads`; its directory
+    /// traversal, every page it reads and the whole transfer are the
+    /// calling thread's, so the result, the stats and the I/O are the
+    /// same at every thread count.
+    ///
     /// [`MbrJoinResult::ruled_out`]: crate::MbrJoinResult::ruled_out
     pub fn run(
         &self,
         technique: TransferTechnique,
+        threads: Threads,
     ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
         let before = disk.local_stats();
-        let candidates = mbr_join(self.r.tree(), self.s.tree(), &mut pool.session());
+        let candidates = mbr_join_on(self.r.tree(), self.s.tree(), &mut pool.session(), threads);
         let mbr_join_io = disk.local_stats().since(&before);
         let before = disk.local_stats();
         transfer_objects(self.r, self.s, &candidates.pairs, technique);
@@ -125,7 +133,7 @@ impl<'a> SpatialJoin<'a> {
     /// because the repo benchmark's layer probes call it; the change to
     /// the benchmark's contract deletes it.
     pub fn run_io_only(&self, technique: TransferTechnique) -> JoinStats {
-        self.run(technique).1
+        self.run(technique, Threads::Machine).1
     }
 }
 
@@ -179,13 +187,16 @@ mod tests {
     /// The cost breakdown of joining `r` and `s` under complete
     /// transfer.
     fn complete(r: &dyn SpatialStore, s: &dyn SpatialStore) -> JoinStats {
-        SpatialJoin::new(r, s).run(TransferTechnique::Complete).1
+        SpatialJoin::new(r, s)
+            .run(TransferTechnique::Complete, Threads::Machine)
+            .1
     }
 
     #[test]
     fn pipeline_produces_pairs_and_costs() {
         let (r, s, _) = build_pair(512, false);
-        let (pairs, stats, io) = SpatialJoin::new(&*r, &*s).run(TransferTechnique::Complete);
+        let (pairs, stats, io) =
+            SpatialJoin::new(&*r, &*s).run(TransferTechnique::Complete, Threads::Machine);
         assert_eq!(stats.mbr_pairs, pairs.len() as u64);
         assert!(stats.mbr_pairs > 0);
         assert!(stats.mbr_join_ms > 0.0);

@@ -9,6 +9,11 @@ use crate::split::rstar_split;
 use spatialdb_disk::{ExtentAllocator, PageId, RegionId};
 use spatialdb_geom::Rect;
 
+/// Candidates the leaf-level ChooseSubtree evaluates by overlap
+/// enlargement: the entries of least area enlargement (\[BKSS90\]'s
+/// prefilter for large nodes).
+const PREFILTER: usize = 32;
+
 /// A data-page split, reported to the storage layer.
 ///
 /// The cluster organization reacts to this event by splitting the
@@ -261,7 +266,7 @@ impl RStarTree {
             let entries = node.dir_entries();
             let children_are_targets = node.level == target_level + 1;
             let idx = if children_are_targets && target_level == 0 {
-                self.choose_least_overlap(entries, rect)
+                Self::choose_least_overlap(entries, rect)
             } else {
                 Self::choose_least_enlargement(entries, rect)
             };
@@ -291,35 +296,60 @@ impl RStarTree {
     /// Least overlap enlargement (leaf-level ChooseSubtree), with the
     /// \[BKSS90\] top-32 area-enlargement prefilter; ties by least area
     /// enlargement, then least area.
-    fn choose_least_overlap(&self, entries: &[DirEntry], rect: &Rect) -> usize {
-        const PREFILTER: usize = 32;
-        let mut candidates: Vec<usize> = (0..entries.len()).collect();
-        if entries.len() > PREFILTER {
-            candidates.sort_by(|&a, &b| {
-                entries[a]
-                    .mbr
-                    .enlargement(rect)
-                    .total_cmp(&entries[b].mbr.enlargement(rect))
-            });
-            candidates.truncate(PREFILTER);
+    ///
+    /// The candidates are the [`PREFILTER`] entries of least enlargement
+    /// (ties by entry index, the order of a stable sort), or every entry
+    /// in index order when there are no more; the first of least
+    /// `(overlap delta, enlargement, area)` wins. Each enlargement is
+    /// computed once, into a fixed array.
+    ///
+    /// A candidate that contains `rect` has the key `(0, 0, area)`
+    /// exactly: its union with `rect` is its own rectangle (min and max
+    /// are exact), so every overlap term and the enlargement cancel. Every
+    /// other candidate's overlap delta and enlargement are ≥ 0 — the union
+    /// contains the entry's rectangle, and rounding is monotone — so with
+    /// a containing candidate present, one of enlargement > 0 cannot have
+    /// the least key, and its loop over the other entries is skipped. One
+    /// of zero enlargement that does not contain `rect` (a degenerate
+    /// rectangle) is still evaluated.
+    fn choose_least_overlap(entries: &[DirEntry], rect: &Rect) -> usize {
+        // `(enlargement, entry index)`, ascending by both when pruned.
+        let mut kept = [(0.0_f64, 0_usize); PREFILTER];
+        let mut len = 0;
+        for (i, entry) in entries.iter().enumerate() {
+            let enlargement = entry.mbr.enlargement(rect);
+            let at = if entries.len() <= PREFILTER {
+                len
+            } else {
+                kept[..len].partition_point(|(e, _)| e.total_cmp(&enlargement).is_le())
+            };
+            if at < PREFILTER {
+                let end = len.min(PREFILTER - 1);
+                kept.copy_within(at..end, at + 1);
+                kept[at] = (enlargement, i);
+                len = end + 1;
+            }
         }
-        let mut best = candidates[0];
+        let candidates = &kept[..len];
+        let contained = candidates
+            .iter()
+            .any(|&(_, i)| entries[i].mbr.contains_rect(rect));
+        let mut best = candidates[0].1;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for &i in &candidates {
-            let enlarged = entries[i].mbr.union(rect);
+        for &(enlargement, i) in candidates {
+            if contained && enlargement > 0.0 {
+                continue;
+            }
+            let mbr = &entries[i].mbr;
+            let enlarged = mbr.union(rect);
             let mut overlap_delta = 0.0;
             for (j, other) in entries.iter().enumerate() {
                 if j == i {
                     continue;
                 }
-                overlap_delta +=
-                    enlarged.overlap_area(&other.mbr) - entries[i].mbr.overlap_area(&other.mbr);
+                overlap_delta += enlarged.overlap_area(&other.mbr) - mbr.overlap_area(&other.mbr);
             }
-            let key = (
-                overlap_delta,
-                entries[i].mbr.enlargement(rect),
-                entries[i].mbr.area(),
-            );
+            let key = (overlap_delta, enlargement, mbr.area());
             if key < best_key {
                 best = i;
                 best_key = key;
@@ -720,6 +750,7 @@ mod tests {
     use crate::io::{CountingIo, NoIo};
     use crate::validate::check_invariants;
     use spatialdb_disk::Disk;
+    use spatialdb_geom::rng::SmallRng;
 
     fn small_config() -> RTreeConfig {
         RTreeConfig {
@@ -740,6 +771,127 @@ mod tests {
         let x = (i % n) as f64;
         let y = (i / n) as f64;
         LeafEntry::new(Rect::new(x, y, x + 0.5, y + 0.5), ObjectId(i), 0)
+    }
+
+    /// The leaf-level ChooseSubtree as it was before the prefilter kept
+    /// a fixed array and skipped candidates a containing one beats:
+    /// enlargement recomputed in a sort comparator, every candidate
+    /// evaluated.
+    fn reference_least_overlap(entries: &[DirEntry], rect: &Rect) -> usize {
+        let mut candidates: Vec<usize> = (0..entries.len()).collect();
+        if entries.len() > PREFILTER {
+            candidates.sort_by(|&a, &b| {
+                entries[a]
+                    .mbr
+                    .enlargement(rect)
+                    .total_cmp(&entries[b].mbr.enlargement(rect))
+            });
+            candidates.truncate(PREFILTER);
+        }
+        let mut best = candidates[0];
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for &i in &candidates {
+            let enlarged = entries[i].mbr.union(rect);
+            let mut overlap_delta = 0.0;
+            for (j, other) in entries.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                overlap_delta +=
+                    enlarged.overlap_area(&other.mbr) - entries[i].mbr.overlap_area(&other.mbr);
+            }
+            let key = (
+                overlap_delta,
+                entries[i].mbr.enlargement(rect),
+                entries[i].mbr.area(),
+            );
+            if key < best_key {
+                best = i;
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    /// A rectangle on a grid of `1 / 8` (so areas, enlargements and
+    /// overlaps tie), a third of them degenerate in one or both axes.
+    fn grid_rect(rng: &mut SmallRng, span: usize, max_side: usize) -> Rect {
+        let (flat_x, flat_y) = match rng.gen_range(0..6usize) {
+            0 => (true, false),
+            1 => (false, true),
+            2 => (true, true),
+            _ => (false, false),
+        };
+        let mut side = |flat: bool| {
+            if flat {
+                0
+            } else {
+                rng.gen_range(1..max_side + 1)
+            }
+        };
+        let (w, h) = (side(flat_x), side(flat_y));
+        let (x, y) = (rng.gen_range(0..span), rng.gen_range(0..span));
+        let at = |v: usize| v as f64 / 8.0;
+        Rect::new(at(x), at(y), at(x + w), at(y + h))
+    }
+
+    /// One seeded directory and rectangle: up to 96 entries (either side
+    /// of the prefilter's 32), on a fine or a coarse grid, and in one case
+    /// in four a rectangle that most of the entries contain.
+    fn choose_subtree_case(seed: u64) -> (Vec<DirEntry>, Rect) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..97usize);
+        let (span, max_side) = if rng.gen_bool(0.5) { (64, 24) } else { (8, 4) };
+        let mut entries: Vec<DirEntry> = (0..n)
+            .map(|i| DirEntry {
+                mbr: grid_rect(&mut rng, span, max_side),
+                child: NodeId(i as u32),
+            })
+            .collect();
+        let rect = if rng.gen_bool(0.25) {
+            // Many containing entries: more than 32 once n is large.
+            let rect = grid_rect(&mut rng, 8, 2);
+            for entry in &mut entries {
+                if rng.gen_bool(0.8) {
+                    entry.mbr = entry.mbr.union(&rect);
+                }
+            }
+            rect
+        } else {
+            grid_rect(&mut rng, span, max_side)
+        };
+        (entries, rect)
+    }
+
+    fn assert_chooses_like_the_reference(seeds: std::ops::Range<u64>) {
+        let mut containing_over_prefilter = 0;
+        for seed in seeds {
+            let (entries, rect) = choose_subtree_case(seed);
+            let containing = entries
+                .iter()
+                .filter(|e| e.mbr.contains_rect(&rect))
+                .count();
+            containing_over_prefilter += usize::from(containing > PREFILTER);
+            assert_eq!(
+                RStarTree::choose_least_overlap(&entries, &rect),
+                reference_least_overlap(&entries, &rect),
+                "seed {seed}: {} entries, {containing} contain {rect:?}",
+                entries.len()
+            );
+        }
+        assert!(containing_over_prefilter > 0, "no case past the prefilter");
+    }
+
+    #[test]
+    fn choose_subtree_picks_the_reference_entry() {
+        assert_chooses_like_the_reference(0..3_000);
+    }
+
+    /// `cargo test --release -p spatialdb-rtree -- --include-ignored choose_subtree`.
+    #[test]
+    #[ignore = "a release-profile sweep; run with --include-ignored"]
+    fn choose_subtree_sweep() {
+        assert_chooses_like_the_reference(3_000..300_000);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use spatialdb::disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, DiskParams,
     QueryTrace,
 };
+use spatialdb::geom::par::available_threads;
 use spatialdb::geom::Rect;
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{
@@ -425,7 +426,7 @@ impl Scenario {
     /// The scenario's databases of organization `kind` on `ws`, bulk
     /// loaded with [`per_db`](Scenario::per_db) objects each.
     fn load(&self, ws: &Workspace, kind: OrganizationKind) -> Vec<SpatialDatabase> {
-        let load_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let load_threads = available_threads();
         (0..self.databases)
             .map(|d| {
                 let mut db = ws.create_database(DbOptions::new(kind));

@@ -227,10 +227,10 @@ fn run_batch_rejects_foreign_workspace_queries() {
     let _ = ws_a.run_batch(vec![db_b.query().window(Rect::new(0.0, 0.0, 1.0, 1.0))], 2);
 }
 
-/// The parallel join is the sequential join with its refinement on
-/// threads: the same refined pairs and the same `JoinStats` — candidate
-/// count, MBR-join and transfer I/O, exact-test cost — at every thread
-/// count.
+/// The parallel join is the one-thread join with its leaf-pair sweeps
+/// and its refinement on threads: the same refined pairs and the same
+/// `JoinStats` — candidate count, MBR-join and transfer I/O, exact-test
+/// cost — at every thread count, and as `run()` on the machine's cores.
 #[test]
 fn parallel_join_matches_sequential() {
     fn build_pair(ws: &Workspace) -> (SpatialDatabase, SpatialDatabase) {
@@ -257,11 +257,16 @@ fn parallel_join_matches_sequential() {
     }
     let ws = Workspace::new(1024);
     let (a, b) = build_pair(&ws);
-    let seq_cursor = a.join(&b).run();
+    let seq_cursor = a.join(&b).run_par(1);
     let seq_stats = seq_cursor.stats();
     let seq_pairs = seq_cursor.pairs();
     assert!(!seq_pairs.is_empty());
-    for threads in [1, 2, 8] {
+    let ws_machine = Workspace::new(1024);
+    let (a_machine, b_machine) = build_pair(&ws_machine);
+    let machine = a_machine.join(&b_machine).run();
+    assert_eq!(machine.stats(), seq_stats, "the machine's cores");
+    assert_eq!(machine.pairs(), seq_pairs, "the machine's cores");
+    for threads in [2, 3, 8] {
         // Fresh identical workspace so buffer state cannot leak between
         // the runs being compared.
         let ws2 = Workspace::new(1024);

@@ -340,6 +340,11 @@ fn every_read_path_reports_one_cost() {
     }
 }
 
+/// The pool's `(hits, misses)` between two readings.
+fn sub(after: (u64, u64), before: (u64, u64)) -> (u64, u64) {
+    (after.0 - before.0, after.1 - before.1)
+}
+
 /// Every counter of `io`, the simulated milliseconds as bits.
 fn io_bits(io: IoStats) -> [u64; 7] {
     [
@@ -354,10 +359,17 @@ fn io_bits(io: IoStats) -> [u64; 7] {
 }
 
 /// A join measures each of its two disk-based steps once, where it runs
-/// them, so every join path reports one cost: `run()` and `run_par(3)`,
+/// them, so every join path reports one cost: `run()` and `run_par(k)`,
 /// the cursor's `io_stats()` and a twin workspace's global counters, and
 /// a stream's join outcome at any thread count — on every store, under
 /// every transfer technique.
+///
+/// `run_par(k)` fans the MBR join's leaf-pair sweeps and the exact tests
+/// out over `k` threads; every page access stays on the calling thread.
+/// So at every forced count — the test host may have one core — the
+/// join hands the disk the same requests in the same order (the
+/// `Disk::traced` capture), the pool counts the same hits and misses,
+/// and the pairs, the undecided count and the stats are `run()`'s.
 #[test]
 fn every_join_path_reports_one_cost() {
     let maps = [MapId::Map1, MapId::Map2].map(|map| {
@@ -381,23 +393,41 @@ fn every_join_path_reports_one_cost() {
         let mut transferred = false;
         for technique in ALL_TRANSFERS {
             let at = format!("{backend:?} / {technique:?}");
-            let (_ws, [r, s]) = load();
-            let cursor = r.join(&s).transfer(technique).run();
+            let (ws, [r, s]) = load();
+            let counters = |ws: &Workspace| (ws.pool().hits(), ws.pool().misses());
+            let before = counters(&ws);
+            let (cursor, trace) = ws.disk().traced(|| r.join(&s).transfer(technique).run());
+            let hits_misses = sub(counters(&ws), before);
             let (stats, io) = (cursor.stats(), cursor.io_stats());
             let phases = stats.mbr_join_ms + stats.transfer_ms;
             assert_eq!(io.io_ms.to_bits(), phases.to_bits(), "{at}");
             assert_eq!(stats.mbr_pairs, cursor.num_candidates() as u64, "{at}");
-            drop(cursor);
+            let undecided = cursor.undecided();
+            // Iterating refines one pair at a time, in MBR-join order.
+            let mut answers: Vec<(u64, u64)> = cursor.collect();
+            answers.sort_unstable();
             transferred |= stats.transfer_ms > 0.0;
 
-            let (twin_ws, [twin_r, twin_s]) = load();
-            let before = twin_ws.disk().stats();
-            let twin = twin_r.join(&twin_s).transfer(technique).run_par(3);
-            let global = twin_ws.disk().stats().since(&before);
-            assert_eq!(twin.stats(), stats, "{at}: run_par(3)");
-            assert_eq!(io_bits(twin.io_stats()), io_bits(io), "{at}: run_par(3)");
-            assert_eq!(io_bits(global), io_bits(io), "{at}: twin's global delta");
-            let answers = twin.pairs().len() as u64;
+            for threads in [1, 2, 3, 8] {
+                let at = format!("{at}: run_par({threads})");
+                let (twin_ws, [twin_r, twin_s]) = load();
+                let (before, before_hm) = (twin_ws.disk().stats(), counters(&twin_ws));
+                let (twin, twin_trace) = twin_ws
+                    .disk()
+                    .traced(|| twin_r.join(&twin_s).transfer(technique).run_par(threads));
+                let global = twin_ws.disk().stats().since(&before);
+                assert_eq!(twin.stats(), stats, "{at}");
+                assert_eq!(io_bits(twin.io_stats()), io_bits(io), "{at}");
+                assert_eq!(io_bits(global), io_bits(io), "{at}: twin's global delta");
+                assert!(twin_trace == trace, "{at}: request sequence");
+                assert_eq!(
+                    sub(counters(&twin_ws), before_hm),
+                    hits_misses,
+                    "{at}: pool"
+                );
+                assert_eq!(twin.undecided(), undecided, "{at}: undecided pairs");
+                assert_eq!(twin.pairs(), answers, "{at}: answers");
+            }
 
             if technique == TransferTechnique::Complete {
                 for threads in [1, 4] {
@@ -409,7 +439,7 @@ fn every_join_path_reports_one_cost() {
                     match run_stream(vec![join], threads).outcomes() {
                         [OpOutcome::Join { pairs, io: op_io }] => {
                             assert_eq!(io_bits(*op_io), io_bits(io), "{at}: {threads} threads");
-                            assert_eq!(*pairs, answers, "{at}: {threads} threads");
+                            assert_eq!(*pairs, answers.len() as u64, "{at}: {threads} threads");
                         }
                         other => panic!("expected one join outcome, got {other:?}"),
                     }
