@@ -52,10 +52,12 @@
 //! A join runs the paper's three steps (§6.3): [`JoinQuery::run`] runs
 //! the MBR join and the object transfer, and the cursor the exact tests.
 //! It uses the machine's cores for what reads no page — the MBR join's
-//! leaf-pair sweeps and the exact tests, each in contiguous chunks
-//! merged in chunk order ([`map_chunks`]) — and keeps every page access
-//! on the calling thread, in one thread's order: the directory
-//! traversal and its node reads, and the whole transfer. So the pairs,
+//! leaf-pair sweeps, in blocks swept beside the traversal and the
+//! transfer and appended in block order, and the exact tests, in
+//! contiguous chunks merged in chunk order ([`map_chunks`]) — and keeps
+//! every page access on the calling thread, in one thread's order: the
+//! directory traversal and its node reads, and the whole transfer. So
+//! the pairs,
 //! the [`JoinStats`] and every request the simulated disk sees are the
 //! same at every core count, and [`JoinQuery::run_par`] forces a count.
 //!
@@ -608,15 +610,19 @@ impl<'a> JoinQuery<'a> {
     /// disk) and return a lazy cursor over the exactly-refined pairs.
     ///
     /// The join uses the machine's cores
-    /// ([`available_parallelism`](std::thread::available_parallelism)):
-    /// the MBR join sweeps its leaf pairs on them, and the cursor's
-    /// [`pairs`](JoinCursor::pairs) runs its exact tests on them. Every
-    /// page access — the MBR join's directory traversal and node reads,
-    /// the whole object transfer — stays on the calling thread, in the
-    /// order one thread makes them, so the simulated disk and the buffer
-    /// see the same requests at every core count. A join with too few
-    /// leaf pairs or undecided pairs to pay for a thread keeps that step
-    /// on the calling thread, and on a one-core machine nothing spawns.
+    /// ([`available_parallelism`](std::thread::available_parallelism)).
+    /// Every page access — the MBR join's directory traversal and node
+    /// reads, the whole object transfer — stays on the calling thread,
+    /// in the order one thread makes them, so the simulated disk and the
+    /// buffer see the same requests at every core count. The traversal
+    /// publishes the leaf pairs it reaches in blocks, which worker
+    /// threads sweep while it goes on; the transfer then fetches each
+    /// block's pairs in block order, the calling thread sweeping a block
+    /// itself when the next one is not ready. The cursor's
+    /// [`pairs`](JoinCursor::pairs) runs its exact tests on the cores
+    /// too. A join whose leaf pairs fit in one block, or with too few
+    /// undecided pairs to pay for a thread, keeps that step on the
+    /// calling thread, and on a one-core machine nothing spawns.
     ///
     /// # Panics
     ///
@@ -627,10 +633,12 @@ impl<'a> JoinQuery<'a> {
     }
 
     /// [`run`](JoinQuery::run) on exactly `n_threads` threads (one when
-    /// 0), however small the join: the MBR join's leaf-pair sweeps and
-    /// the cursor's [`pairs`](JoinCursor::pairs) each split their work
-    /// into `n_threads` contiguous chunks (fewer only when there are
-    /// fewer items), the first on the calling thread.
+    /// 0): the MBR join's leaf-pair blocks are swept by the calling
+    /// thread and up to `n_threads − 1` workers, and the cursor's
+    /// [`pairs`](JoinCursor::pairs) splits its exact tests into
+    /// `n_threads` contiguous chunks (fewer only when there are fewer
+    /// pairs), the first on the calling thread. `run_par(1)` — a
+    /// stream's join op — spawns nothing.
     ///
     /// As in `run`, every page access is the calling thread's. The
     /// candidate pairs, the refined results, the [`JoinStats`] and the
@@ -669,9 +677,12 @@ const MIN_PAIRS_PER_THREAD: usize = 64;
 /// A lazy stream of join results: candidate pairs in MBR-join processing
 /// order, each tested on the exact geometries as the caller iterates —
 /// except the pairs a leaf entry already ruled out
-/// ([`undecided`](JoinCursor::undecided) counts the rest). Iterating
-/// tests on the calling thread; [`pairs`](JoinCursor::pairs) tests on
-/// the join's threads (the machine's cores, or `run_par`'s count).
+/// ([`undecided`](JoinCursor::undecided) counts the rest). The MBR join
+/// and the transfer are done when the cursor exists; its pairs are the
+/// swept blocks' pairs in block order, the same at every thread count.
+/// Iterating tests on the calling thread; [`pairs`](JoinCursor::pairs)
+/// tests on the join's threads (the machine's cores, or `run_par`'s
+/// count).
 #[derive(Debug)]
 pub struct JoinCursor<'a> {
     /// The operands' pinned roots: the pairs came from their stores,

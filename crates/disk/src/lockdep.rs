@@ -16,8 +16,12 @@
 //!    list (`spatialdb-epoch`; leaf lock: nothing else is acquired
 //!    while it is held);
 //! 5. [`LockClass::RefineQueue`] — the stream executor's refinement
-//!    work queue (`spatialdb-core`; leaf lock, the one engine lock
-//!    paired with a [`Condvar`] — see [`DepGuard::wait`]).
+//!    work queue (`spatialdb-core`; leaf lock, paired with a
+//!    [`Condvar`] — see [`DepGuard::wait`]);
+//! 6. [`LockClass::JoinBlocks`] — the MBR join's block queue
+//!    (`spatialdb-join`; leaf lock, paired with two [`Condvar`]s). The
+//!    joining thread waits on it while its pool session holds a shard
+//!    lock, so it ranks after [`LockClass::Shard`].
 //!
 //! A *blocking* acquisition must never take a class that ranks at or
 //! below something already held (equal rank is allowed only for a
@@ -55,6 +59,8 @@ pub enum LockClass {
     Epoch,
     /// The stream executor's refinement work queue (leaf lock).
     RefineQueue,
+    /// The MBR join's block queue (leaf lock).
+    JoinBlocks,
 }
 
 impl LockClass {
@@ -66,6 +72,7 @@ impl LockClass {
             LockClass::DiskCounters => 2,
             LockClass::Epoch => 3,
             LockClass::RefineQueue => 4,
+            LockClass::JoinBlocks => 5,
         }
     }
 
@@ -89,6 +96,7 @@ impl fmt::Display for LockClass {
             LockClass::DiskCounters => f.write_str("DiskCounters"),
             LockClass::Epoch => f.write_str("Epoch"),
             LockClass::RefineQueue => f.write_str("RefineQueue"),
+            LockClass::JoinBlocks => f.write_str("JoinBlocks"),
         }
     }
 }
@@ -101,7 +109,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 5;
+    const KINDS: usize = 6;
 
     /// One lock the current thread holds.
     struct Held {
@@ -118,7 +126,7 @@ mod checker {
     /// Cross-class *blocking* acquisition graph: `edges[a][b]` records
     /// that some thread blocking-acquired rank-kind `b` while holding
     /// rank-kind `a`, stamped with the source location of the
-    /// acquisition that first created the edge. Five kinds, so the
+    /// acquisition that first created the edge. Six kinds, so the
     /// graph is a tiny adjacency matrix; a cycle in it means the
     /// documented hierarchy itself is inconsistent with the code.
     static GRAPH: Mutex<[[Option<&'static Location<'static>>; KINDS]; KINDS]> =
@@ -129,7 +137,14 @@ mod checker {
     }
 
     fn kind_name(kind: usize) -> &'static str {
-        ["DbWriter", "Shard", "DiskCounters", "Epoch", "RefineQueue"][kind]
+        [
+            "DbWriter",
+            "Shard",
+            "DiskCounters",
+            "Epoch",
+            "RefineQueue",
+            "JoinBlocks",
+        ][kind]
     }
 
     /// Render the accumulated wait graph: one `A -> B @ site` line per
@@ -185,7 +200,7 @@ mod checker {
                     panic!(
                         "lock hierarchy violation: blocking acquisition of {class} at {site} \
                          while holding {held} (declared order: DbWriter -> Shard(asc) -> \
-                         DiskCounters -> Epoch -> RefineQueue; \
+                         DiskCounters -> Epoch -> RefineQueue -> JoinBlocks; \
                          see crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
                         held = h.class,
                         dump = wait_graph_dump(),
@@ -582,6 +597,8 @@ mod tests {
         assert!(LockClass::Shard(9).rank() < LockClass::DiskCounters.rank());
         assert!(LockClass::DiskCounters.rank() < LockClass::Epoch.rank());
         assert!(LockClass::Epoch.rank() < LockClass::RefineQueue.rank());
+        assert!(LockClass::RefineQueue.rank() < LockClass::JoinBlocks.rank());
+        assert_eq!(LockClass::JoinBlocks.to_string(), "JoinBlocks");
     }
 
     #[test]

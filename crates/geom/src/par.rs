@@ -1,5 +1,5 @@
-//! The fan-out *within* one operation — a join's leaf-pair sweeps and
-//! exact tests, a cursor's `ids()`, a bulk load's sort and tile: split a
+//! The fan-out *within* one operation — a join's exact tests, a
+//! cursor's `ids()`, a bulk load's sort and tile: split a
 //! slice into contiguous chunks, map each on its own thread, and
 //! concatenate the results in chunk order ([`map_chunks`]). Each thread
 //! returns its own chunk's results, so nothing is shared and nothing is
@@ -42,6 +42,12 @@ impl Threads {
     /// on a one-core machine, whatever the item count.
     pub fn for_items(self, items: usize, min_per_thread: usize) -> usize {
         self.on(available_threads(), items, min_per_thread)
+    }
+
+    /// The most threads an operation may take, however much work it
+    /// has: the machine's cores, or the forced count (one when 0).
+    pub fn limit(self) -> usize {
+        self.for_items(usize::MAX, 1)
     }
 
     /// [`for_items`](Threads::for_items) on a machine of `cores` cores.
@@ -152,6 +158,9 @@ mod tests {
         assert_eq!(Threads::Machine.on(8, 300, 64), 4);
         assert_eq!(Threads::Exactly(3).for_items(0, 64), 3);
         assert_eq!(Threads::Exactly(0).for_items(100, 1), 1);
+        assert_eq!(Threads::Machine.limit(), cores);
+        assert_eq!(Threads::Exactly(3).limit(), 3);
+        assert_eq!(Threads::Exactly(0).limit(), 1);
     }
 
     /// On a one-core machine nothing fans out, however much work there

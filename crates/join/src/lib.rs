@@ -15,7 +15,7 @@
 //!    only the entries meeting the intersection of the two nodes'
 //!    rectangles are sorted and compared. The traversal and its node
 //!    reads run on the calling thread; the leaf pairs it reaches are
-//!    swept afterwards, in contiguous chunks on the machine's cores.
+//!    published in blocks, which worker threads sweep while it goes on.
 //!    **Order contract:** the candidate pairs, their order and the node
 //!    reads are a function of the two trees only, whatever the thread
 //!    count (see [`mbr_join`](mod@mbr_join)). Emitting a
@@ -37,15 +37,20 @@
 //!    charged by [`JoinStats::exact_test_ms`] for every MBR pair).
 //!
 //! [`SpatialJoin::run`] runs steps 1 and 2 and measures each at its call
-//! site, the two bars of Figure 17 that cost I/O; the engine's
-//! `JoinQuery` is its one caller and runs step 3 on the pairs.
+//! site, the two bars of Figure 17 that cost I/O; the transfer fetches
+//! each block of the MBR join's pairs as soon as it is swept. The
+//! engine's `JoinQuery` is its one caller and runs step 3 on the pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocks;
 pub mod mbr_join;
 pub mod pipeline;
 pub mod transfer;
+
+#[cfg(test)]
+mod test_data;
 
 pub use mbr_join::{mbr_join, MbrJoinResult};
 pub use pipeline::{JoinStats, SpatialJoin, EXACT_TEST_MS};

@@ -11,32 +11,50 @@
 //! per-level scratch vectors the whole traversal reuses, so a directory
 //! node pair allocates nothing.
 //!
-//! # Two passes: the traversal, then the leaf sweeps
+//! # One pipeline: the traversal publishes, workers sweep, the caller consumes
 //!
 //! The synchronized traversal of the directories — its order, its
 //! pinning and every [`NodeIo::read`] — runs on the calling thread. At a
-//! pair of leaves it reads nothing and sweeps nothing: it records the two
-//! leaves and the rectangle their entries are restricted to. The
-//! recorded leaf pairs are then swept in contiguous chunks, one per
-//! thread ([`map_chunks`]), and the chunks' pairs and `ruled_out` flags
-//! concatenated in chunk order — the order the traversal recorded them
-//! in. The trees are immutable while the join holds them, so a sweep
-//! reads nothing the traversal could change, and the buffer behind `io`
-//! sees exactly the reads of a join that swept each leaf pair the moment
-//! it reached it.
+//! pair of leaves it reads nothing and sweeps nothing: it appends the
+//! pair (the two leaves and the rectangle their entries are restricted
+//! to) to the current *block*. Once a block holds 4,096 leaf entries
+//! (`BLOCK_ENTRIES`, counted over both leaves of each pair), the next
+//! leaf pair publishes it to the join's block queue. Up to `k − 1` worker
+//! threads, spawned as the first blocks are published, sweep published
+//! blocks, oldest first, while the traversal goes on. Once the traversal
+//! has ended, and with it its pool session, the calling thread
+//! *consumes* the swept blocks strictly in the order they were
+//! published, appending each one's pairs and `ruled_out` flags to the
+//! result. [`mbr_join`]'s consumer only appends; the join's object
+//! transfer ([`SpatialJoin::run`](crate::SpatialJoin::run)) fetches each
+//! block's pairs as it appends them. When the next block is not swept
+//! yet, the calling thread sweeps an unclaimed one itself rather than
+//! wait. So one thread (`k` = 1), or a join whose leaf pairs fit in one
+//! block, spawns nothing and sweeps every block on the calling thread.
+//! The trees are immutable while the join holds them, so a sweep reads
+//! nothing the traversal could change, and the buffer behind `io` sees
+//! exactly the reads of a join that swept each leaf pair the moment it
+//! reached it. A panic — of a sweep, on any thread, or of the traversal
+//! or the consumer — ends the join on the calling thread with its own
+//! payload, and no thread is left waiting for a block.
 //!
 //! # Order contract
 //!
 //! The candidate pairs, their order, `ruled_out` and the sequence of
 //! [`NodeIo::read`] calls are a function of the two trees only — not of
-//! the buffer behind `io`, not of the thread count, and not of how the
-//! sweep is implemented: the restriction drops only entries that are in
-//! no pair, and sorting a subsequence by `(xmin, entry index)` yields the
-//! subsequence of the full sort. The module's tests pin checksums of
-//! both sequences that were recorded before the restriction was
-//! introduced, at 1, 2, 3 and 8 threads.
+//! the buffer behind `io`, not of the thread count, not of which thread
+//! swept which block, and not of how the sweep is implemented: blocks
+//! are appended in the order the traversal published them, the
+//! restriction drops only entries that are in no pair, and sorting a
+//! subsequence by `(xmin, entry index)` yields the subsequence of the
+//! full sort. The module's tests pin checksums of both sequences at 1,
+//! 2, 3 and 8 threads: those of single-block joins were recorded before
+//! the restriction was introduced, those of joins spanning many blocks
+//! with the two-pass join (record every leaf pair, then sweep them in
+//! chunks) the pipeline replaced.
 
-use spatialdb_geom::par::{map_chunks, Concat, Threads};
+use crate::blocks::{self, Blocks, Spares, Sweep, Swept};
+use spatialdb_geom::par::Threads;
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{DirEntry, LeafEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
 use std::cell::Cell;
@@ -67,10 +85,10 @@ impl MbrJoinResult {
     }
 }
 
-impl Concat for MbrJoinResult {
-    fn concat(&mut self, later: Self) {
-        self.pairs.concat(later.pairs);
-        self.ruled_out.concat(later.ruled_out);
+impl Swept for MbrJoinResult {
+    fn append(&mut self, later: &mut Self) {
+        self.pairs.append(&mut later.pairs);
+        self.ruled_out.append(&mut later.ruled_out);
     }
 }
 
@@ -85,64 +103,104 @@ impl Concat for MbrJoinResult {
 /// session for the whole join (`&mut pool.session()`) — this gives the
 /// close-to-optimal page-access behaviour the paper relies on.
 ///
-/// The leaf pairs are swept on the machine's cores ([`Threads::Machine`]);
-/// every read of `io` is the calling thread's. Pairs, their order and the
-/// node reads depend on the two trees only (the module's *order
-/// contract*).
+/// The leaf pairs are swept in blocks on the machine's cores
+/// ([`Threads::Machine`]) while the traversal goes on; every read of `io`
+/// is the calling thread's. Pairs, their order and the node reads depend
+/// on the two trees only (the module's *order contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
     mbr_join_on(r, s, io, Threads::Machine)
 }
 
-/// Leaf pairs a sweep thread must have to pay for itself: with fewer
-/// than twice this many a [`Threads::Machine`] join sweeps on the calling
-/// thread. Measured on A-1 ⋈ A-2 at scale 0.25 on a 2-vCPU host:
-/// spawning and joining a scoped thread costs ≈ 45 µs; a leaf pair
-/// sweeps in ≈ 5.9 µs between 89-entry leaves and ≈ 0.26 µs between the
-/// primary organization's small ones. At 256 leaf pairs a second thread
-/// saves ≈ 0.7 ms of the former and about breaks even on the latter.
-const MIN_LEAF_PAIRS_PER_THREAD: usize = 128;
-
-/// [`mbr_join`] with its leaf-pair sweeps on `threads` (the traversal and
-/// every read of `io` stay on the calling thread).
+/// [`mbr_join`] on `threads`: the pipeline with a consumer that only
+/// appends the swept blocks.
 pub(crate) fn mbr_join_on(
     r: &RStarTree,
     s: &RStarTree,
     io: &mut impl NodeIo,
     threads: Threads,
 ) -> MbrJoinResult {
-    let mut leaf_pairs = LEAF_PAIRS.take();
-    if !(r.is_empty() || s.is_empty()) {
-        // One scratch level per step the traversal can descend: every
-        // step moves the taller side (or both) one level down.
-        let mut scratch: Vec<Level> = (0..r.height().max(s.height()))
-            .map(|_| Level::default())
-            .collect();
-        join_nodes(
-            r,
-            s,
-            Subtree::root(r),
-            Subtree::root(s),
-            &mut scratch,
-            &mut leaf_pairs,
-            io,
-        );
-    }
-    let threads = threads.for_items(leaf_pairs.len(), MIN_LEAF_PAIRS_PER_THREAD);
-    let out = map_chunks(&leaf_pairs, threads, |chunk| sweep_leaf_pairs(r, s, chunk));
-    leaf_pairs.clear();
-    LEAF_PAIRS.set(leaf_pairs);
-    out
+    mbr_join_then(r, s, io, threads, |_| ()).0
+}
+
+/// Leaf entries a block of leaf pairs holds before it is published: the
+/// sum, over its leaf pairs, of both leaves' entry counts. Counted in
+/// entries, not pairs, because a pair's sweep costs about what its
+/// entries do — ≈ 5.9 µs between 89-entry leaves, ≈ 0.26 µs between the
+/// primary organization's small ones (A-1 ⋈ A-2 at scale 0.25, 2 vCPUs)
+/// — while handing a block over costs the same whatever it holds. At
+/// 4,096 entries a block of large leaves sweeps in ≈ 0.15 ms.
+pub(crate) const BLOCK_ENTRIES: usize = 4096;
+
+/// The calling thread's end of the MBR join's block pipeline.
+pub(crate) type LeafBlocks<'scope, 'env> =
+    Blocks<'scope, 'env, LeafPair, MbrJoinResult, SweepScratch>;
+
+/// The MBR join on `threads` (`k`): the traversal reads through `io` on
+/// the calling thread, publishing its leaf pairs in blocks that up to
+/// `k − 1` workers sweep meanwhile, and ends `io` (drops it) when it is
+/// done. Then `consume` takes the swept blocks in order
+/// ([`Blocks::next`]). Returns the whole result, every block appended
+/// in order, and what `consume` returned.
+pub(crate) fn mbr_join_then<O>(
+    r: &RStarTree,
+    s: &RStarTree,
+    io: impl NodeIo,
+    threads: Threads,
+    consume: impl FnOnce(&mut LeafBlocks<'_, '_>) -> O,
+) -> (MbrJoinResult, O) {
+    pipelined(r, s, io, threads, &LeafSweep { r, s }, consume)
+}
+
+/// [`mbr_join_then`] with the sweep given, so that tests can see which
+/// thread swept which block.
+fn pipelined<O>(
+    r: &RStarTree,
+    s: &RStarTree,
+    mut io: impl NodeIo,
+    threads: Threads,
+    sweep: &dyn Sweep<LeafPair, MbrJoinResult, Scratch = SweepScratch>,
+    consume: impl FnOnce(&mut LeafBlocks<'_, '_>) -> O,
+) -> (MbrJoinResult, O) {
+    let mut spares = SPARES.take();
+    let out = MbrJoinResult {
+        pairs: Vec::new(),
+        ruled_out: RULED_OUT.take(),
+    };
+    let produce = |blocks: &mut LeafBlocks<'_, '_>| {
+        if !(r.is_empty() || s.is_empty()) {
+            // One scratch level per step the traversal can descend: every
+            // step moves the taller side (or both) one level down.
+            let mut scratch: Vec<Level> = (0..r.height().max(s.height()))
+                .map(|_| Level::default())
+                .collect();
+            let (rn, sn) = (Subtree::root(r), Subtree::root(s));
+            join_nodes(r, s, rn, sn, &mut scratch, blocks, &mut io);
+        }
+        // The traversal's session ends before the consumer runs.
+        drop(io);
+    };
+    let done = blocks::run(
+        threads.limit(),
+        BLOCK_ENTRIES,
+        &mut spares,
+        out,
+        sweep,
+        produce,
+        consume,
+    );
+    SPARES.set(spares);
+    done
 }
 
 thread_local! {
     /// The calling thread's last `ruled_out` buffer, handed back by
     /// [`SpatialJoin::run`](crate::SpatialJoin::run) once it has read it,
     /// so a join does not grow a fresh one by doubling (as a query reuses
-    /// its candidate buffer). The first chunk of leaf pairs, the calling
-    /// thread's, sweeps into it.
+    /// its candidate buffer).
     static RULED_OUT: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
-    /// The calling thread's leaf-pair list, kept for its next join.
-    static LEAF_PAIRS: Cell<Vec<LeafPair>> = const { Cell::new(Vec::new()) };
+    /// The block buffers the calling thread's last join emptied, for its
+    /// next one.
+    static SPARES: Cell<Spares<LeafPair, MbrJoinResult>> = Cell::new(Spares::default());
 }
 
 /// Hand a read `ruled_out` buffer back for the calling thread's next
@@ -156,30 +214,50 @@ pub(crate) fn recycle(mut ruled_out: Vec<bool>) {
 /// `s` leaf, and the intersection of their rectangles, which restricts
 /// both entry lists.
 #[derive(Clone, Copy, Debug)]
-struct LeafPair {
+pub(crate) struct LeafPair {
     r: NodeId,
     s: NodeId,
     clip: Rect,
 }
 
-/// Sweep a stretch of the recorded leaf pairs, in their order: every
-/// intersecting pair of leaf entries, with its `ruled_out` flag.
-fn sweep_leaf_pairs(r: &RStarTree, s: &RStarTree, leaf_pairs: &[LeafPair]) -> MbrJoinResult {
-    let mut out = MbrJoinResult {
-        pairs: Vec::new(),
-        ruled_out: RULED_OUT.take(),
-    };
-    let (mut rs, mut ss) = (Vec::new(), Vec::new());
-    for pair in leaf_pairs {
-        let re = r.node(pair.r).leaf_entries();
-        let se = s.node(pair.s).leaf_entries();
-        restrict(&mut rs, re.iter().map(|e| e.mbr), &pair.clip);
-        restrict(&mut ss, se.iter().map(|e| e.mbr), &pair.clip);
-        sweep(&rs, &ss, |a, b| {
-            out.push(&re[a.idx as usize], &se[b.idx as usize])
-        });
+/// A sweeping thread's restriction scratch: the entries of a leaf pair's
+/// two leaves that meet its rectangle, each sized for a full leaf of its
+/// tree, so a sweep never grows it.
+pub(crate) struct SweepScratch {
+    r: Vec<SweepEntry>,
+    s: Vec<SweepEntry>,
+}
+
+/// The sweep of a block of leaf pairs of `r` and `s`.
+struct LeafSweep<'a> {
+    r: &'a RStarTree,
+    s: &'a RStarTree,
+}
+
+impl Sweep<LeafPair, MbrJoinResult> for LeafSweep<'_> {
+    type Scratch = SweepScratch;
+
+    fn scratch(&self) -> SweepScratch {
+        SweepScratch {
+            r: Vec::with_capacity(self.r.config().max_entries),
+            s: Vec::with_capacity(self.s.config().max_entries),
+        }
     }
-    out
+
+    /// Every intersecting pair of leaf entries of the block's leaf
+    /// pairs, in their order, with its `ruled_out` flag.
+    fn sweep(&self, leaf_pairs: &[LeafPair], out: &mut MbrJoinResult, scratch: &mut SweepScratch) {
+        let SweepScratch { r: rs, s: ss } = scratch;
+        for pair in leaf_pairs {
+            let re = self.r.node(pair.r).leaf_entries();
+            let se = self.s.node(pair.s).leaf_entries();
+            restrict(rs, re.iter().map(|e| e.mbr), &pair.clip);
+            restrict(ss, se.iter().map(|e| e.mbr), &pair.clip);
+            sweep(rs, ss, |a, b| {
+                out.push(&re[a.idx as usize], &se[b.idx as usize])
+            });
+        }
+    }
 }
 
 /// A node of one tree with the rectangle bounding its entries: the MBR
@@ -313,15 +391,15 @@ fn ordered_child_pairs<'a>(
 }
 
 /// Recursive synchronized traversal of the subtrees `rn`/`sn`: reads
-/// the directory pages in \[BKS93b\] order and records the leaf pairs it
-/// reaches in `leaf_pairs`.
+/// the directory pages in \[BKS93b\] order and publishes the leaf pairs
+/// it reaches to `blocks`.
 fn join_nodes(
     r: &RStarTree,
     s: &RStarTree,
     rn: Subtree,
     sn: Subtree,
     scratch: &mut [Level],
-    leaf_pairs: &mut Vec<LeafPair>,
+    blocks: &mut LeafBlocks<'_, '_>,
     io: &mut impl NodeIo,
 ) {
     let rnode = r.node(rn.id);
@@ -330,13 +408,15 @@ fn join_nodes(
         .split_first_mut()
         .expect("one scratch level per step down the taller tree");
     match (&rnode.kind, &snode.kind) {
-        (NodeKind::Leaf(_), NodeKind::Leaf(_)) => {
-            // Data page level: the sweep comes later, off this thread.
-            leaf_pairs.push(LeafPair {
+        (NodeKind::Leaf(re), NodeKind::Leaf(se)) => {
+            // Data page level: the sweep comes later, maybe off this
+            // thread.
+            let pair = LeafPair {
                 r: rn.id,
                 s: sn.id,
                 clip: rn.rect.intersection(&sn.rect),
-            });
+            };
+            blocks.push(pair, re.len() + se.len());
         }
         (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {
             // The pinned `r` child is read once per pinning group, the
@@ -356,7 +436,7 @@ fn join_nodes(
                     Subtree::child(rc),
                     Subtree::child(sc),
                     below,
-                    leaf_pairs,
+                    blocks,
                     io,
                 );
             }
@@ -374,7 +454,7 @@ fn join_nodes(
                 for e in &here.r {
                     let child = Subtree::child(&re[e.idx as usize]);
                     io.read(r.node_page(child.id));
-                    join_nodes(r, s, child, sn, below, leaf_pairs, io);
+                    join_nodes(r, s, child, sn, below, blocks, io);
                 }
             } else {
                 let rn = Subtree {
@@ -386,7 +466,7 @@ fn join_nodes(
                 for e in &here.s {
                     let child = Subtree::child(&se[e.idx as usize]);
                     io.read(s.node_page(child.id));
-                    join_nodes(r, s, rn, child, below, leaf_pairs, io);
+                    join_nodes(r, s, rn, child, below, blocks, io);
                 }
             }
         }
@@ -396,9 +476,13 @@ fn join_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::{diagonal, primary_pair, scatter};
     use spatialdb_disk::{Disk, DiskHandle, PageId, ShardedPool};
     use spatialdb_rtree::{LeafEntry, NoIo, RTreeConfig};
+    use spatialdb_storage::SpatialStore;
     use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     /// A tree over `rects` (object ids = positions) in its own region of
     /// `disk`, so two operands never share a page address.
@@ -431,24 +515,6 @@ mod tests {
                 let x = (i % 17) as f64 + dx;
                 let y = (i / 17) as f64;
                 Rect::new(x, y, x + size, y + size)
-            })
-            .collect()
-    }
-
-    /// `n` seeded rectangles with sides up to `size`, lower-left corners
-    /// uniform in `[x0, x0 + span) × [0, span)` (xorshift64*).
-    fn scatter(seed: u64, n: usize, x0: f64, span: f64, size: f64) -> Vec<Rect> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut unit = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..n)
-            .map(|_| {
-                let (x, y) = (x0 + unit() * span, unit() * span);
-                Rect::new(x, y, x + unit() * size, y + unit() * size)
             })
             .collect()
     }
@@ -696,6 +762,238 @@ mod tests {
                     }
                 }
                 assert_eq!(got, want, "{name}");
+            }
+        }
+    }
+
+    /// [`LeafSweep`], recording the thread that swept each block.
+    struct Recording<'a> {
+        sweep: LeafSweep<'a>,
+        threads: Mutex<Vec<ThreadId>>,
+    }
+
+    impl Sweep<LeafPair, MbrJoinResult> for Recording<'_> {
+        type Scratch = SweepScratch;
+
+        fn scratch(&self) -> SweepScratch {
+            self.sweep.scratch()
+        }
+
+        fn sweep(&self, pairs: &[LeafPair], out: &mut MbrJoinResult, scratch: &mut SweepScratch) {
+            let here = std::thread::current().id();
+            self.threads.lock().unwrap().push(here);
+            self.sweep.sweep(pairs, out, scratch);
+        }
+    }
+
+    /// The MBR join of `r` and `s` on `threads`: its result, its page
+    /// reads, and the thread that swept each block, in the order the
+    /// sweeps began.
+    fn recorded(
+        r: &RStarTree,
+        s: &RStarTree,
+        threads: Threads,
+    ) -> (MbrJoinResult, Vec<PageId>, Vec<ThreadId>) {
+        let sweep = Recording {
+            sweep: LeafSweep { r, s },
+            threads: Mutex::default(),
+        };
+        let mut recorder = Recorder::default();
+        let (res, ()) = pipelined(r, s, &mut recorder, threads, &sweep, |_| ());
+        (res, recorder.0, sweep.threads.into_inner().unwrap())
+    }
+
+    fn reads_checksum(reads: &[PageId]) -> u64 {
+        checksum(reads.iter().flat_map(|p| [u64::from(p.region.0), p.offset]))
+    }
+
+    /// [`build_on`] with each entry's hint a [`diagonal`].
+    fn build_hinted(disk: &DiskHandle, name: &str, rects: &[Rect]) -> RStarTree {
+        let mut t = build_on(disk, name, &[], 8);
+        for (i, r) in rects.iter().enumerate() {
+            let entry = LeafEntry {
+                hint: diagonal(i, r),
+                ..LeafEntry::new(*r, ObjectId(i as u64), 0)
+            };
+            t.insert(entry, &mut NoIo);
+        }
+        t
+    }
+
+    /// A join that spans many blocks, with what the two-pass join — every
+    /// leaf pair recorded, then swept in contiguous chunks — did on it.
+    struct ManyBlocks {
+        name: &'static str,
+        r: RStarTree,
+        s: RStarTree,
+        /// Blocks the traversal publishes.
+        blocks: usize,
+        /// Candidate pairs, and the checksum of their sequence.
+        pairs: (usize, u64),
+        /// Pairs a leaf entry ruled out, and the checksum of the flags.
+        ruled_out: (usize, u64),
+        /// Node reads, and the checksum of their page sequence.
+        reads: (usize, u64),
+    }
+
+    /// M = 8 trees over 3,000 seeded rectangles each, and the two
+    /// primary organizations of [`primary_pair`] (five objects to a data
+    /// page, so a leaf pair holds about ten entries).
+    fn many_block_cases() -> Vec<ManyBlocks> {
+        let disk = Disk::with_defaults();
+        let (primary_r, primary_s, _) = primary_pair(256);
+        vec![
+            ManyBlocks {
+                name: "M = 8",
+                r: build_hinted(&disk, "r", &scatter(31, 3000, 0.0, 15.0, 1.5)),
+                s: build_hinted(&disk, "s", &scatter(32, 3000, 0.5, 15.0, 1.5)),
+                blocks: 26,
+                pairs: (83589, 0x4E4D_7BC1_5A30_13C4),
+                ruled_out: (16873, 0xAB2A_BBB2_08EB_A7CE),
+                reads: (13746, 0x2469_58BD_7F35_BDDE),
+            },
+            ManyBlocks {
+                name: "primary organization",
+                r: primary_r.tree().clone(),
+                s: primary_s.tree().clone(),
+                blocks: 30,
+                pairs: (83620, 0xC66D_4E05_A240_17EF),
+                ruled_out: (16968, 0x439D_0EFF_25AA_125F),
+                reads: (19659, 0x426A_42C1_EFAD_1083),
+            },
+        ]
+    }
+
+    /// Join `case` at 1, 2, 3 and 8 threads, `rounds` times: the block
+    /// count, the pairs, `ruled_out` and the node reads of every join
+    /// are those of the one-thread join, whose pair and read sequences
+    /// are the two-pass join's.
+    fn check_many_blocks(case: &ManyBlocks, rounds: usize) {
+        let name = case.name;
+        let (one, one_reads, swept_on) = recorded(&case.r, &case.s, Threads::Exactly(1));
+        assert!(case.blocks >= 16, "{name}: spans many blocks");
+        assert_eq!(swept_on.len(), case.blocks, "{name}: blocks");
+        let pairs = (one.pairs.len(), pairs_checksum(&one.pairs));
+        assert_eq!(pairs, case.pairs, "{name}: pair sequence");
+        let flags = one.ruled_out.iter().map(|&flag| u64::from(flag));
+        let ruled_out = (
+            one.ruled_out.iter().filter(|&&flag| flag).count(),
+            checksum(flags),
+        );
+        assert_eq!(ruled_out, case.ruled_out, "{name}: ruled_out");
+        let reads = (one_reads.len(), reads_checksum(&one_reads));
+        assert_eq!(reads, case.reads, "{name}: page-read sequence");
+        for _ in 0..rounds {
+            for threads in THREADS {
+                let at = format!("{name}, {threads} threads");
+                let (res, reads, swept_on) = recorded(&case.r, &case.s, Threads::Exactly(threads));
+                assert_eq!(swept_on.len(), case.blocks, "{at}: blocks");
+                assert!(res.pairs == one.pairs, "{at}: pair sequence");
+                assert!(res.ruled_out == one.ruled_out, "{at}: ruled_out");
+                assert!(reads == one_reads, "{at}: page-read sequence");
+            }
+        }
+    }
+
+    #[test]
+    fn joins_over_many_blocks_match_the_one_thread_join() {
+        for case in many_block_cases() {
+            check_many_blocks(&case, 1);
+        }
+    }
+
+    /// The block hand-off under repetition: a race that one run would
+    /// miss shows as a pair, flag or read out of place. Release CI runs
+    /// it.
+    #[test]
+    #[ignore = "≈ 1,600 joins; run in release"]
+    fn joins_over_many_blocks_match_the_one_thread_join_repeatedly() {
+        for case in many_block_cases() {
+            check_many_blocks(&case, 200);
+        }
+    }
+
+    /// A join whose leaf-pair work fits in one block sweeps it on the
+    /// calling thread at every thread count, and a one-thread join — a
+    /// stream's join op runs `run_par(1)` — sweeps every block there.
+    #[test]
+    fn small_and_one_thread_joins_sweep_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut single = 0;
+        for case in cases() {
+            let disk = Disk::with_defaults();
+            let r = build_on(&disk, "r", &case.r, case.max_entries);
+            let s = build_on(&disk, "s", &case.s, case.max_entries);
+            if recorded(&r, &s, Threads::Exactly(1)).2.len() > 1 {
+                continue;
+            }
+            single += 1;
+            for threads in THREADS
+                .map(Threads::Exactly)
+                .into_iter()
+                .chain([Threads::Machine])
+            {
+                let swept_on = recorded(&r, &s, threads).2;
+                assert!(
+                    swept_on.iter().all(|t| *t == caller),
+                    "{}: {threads:?}",
+                    case.name
+                );
+            }
+        }
+        assert!(single >= 10, "{single} single-block cases");
+        for case in many_block_cases() {
+            let swept_on = recorded(&case.r, &case.s, Threads::Exactly(1)).2;
+            assert_eq!(swept_on.len(), case.blocks);
+            assert!(swept_on.iter().all(|t| *t == caller), "{}", case.name);
+        }
+    }
+
+    /// A [`NodeIo`] that panics with `at` on its read number `at`
+    /// (counted from 0).
+    struct PanicAt {
+        reads: u64,
+        at: u64,
+    }
+
+    impl NodeIo for PanicAt {
+        fn read(&mut self, _: PageId) {
+            if self.reads == self.at {
+                std::panic::panic_any(self.at);
+            }
+            self.reads += 1;
+        }
+        fn modify(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+        fn fresh(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+        fn release(&mut self, _: PageId) {
+            unreachable!("the join only reads")
+        }
+    }
+
+    /// A traversal that panics — its first, a middle or its last node
+    /// read, so while the first, a middle or the last block fills — ends
+    /// the join with the panic's payload at every thread count, with
+    /// workers already sweeping earlier blocks.
+    #[test]
+    fn a_panicking_traversal_ends_the_join_with_its_payload() {
+        let case = &many_block_cases()[0];
+        let reads = case.reads.0 as u64;
+        for threads in THREADS {
+            for at in [0, reads / 2, reads - 1] {
+                let caught = std::panic::catch_unwind(|| {
+                    let mut io = PanicAt { reads: 0, at };
+                    mbr_join_on(&case.r, &case.s, &mut io, Threads::Exactly(threads))
+                });
+                let payload = caught.expect_err("the traversal panics");
+                assert_eq!(
+                    payload.downcast_ref::<u64>(),
+                    Some(&at),
+                    "{threads} threads"
+                );
             }
         }
     }

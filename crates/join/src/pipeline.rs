@@ -3,10 +3,10 @@
 //! live on, through the buffer pool they share, on the calling thread;
 //! [`SpatialJoin::run`] takes each disk-based phase's I/O delta at its
 //! one call site. Only the MBR join's leaf-pair sweeps, which read no
-//! page, run on other threads.
+//! page, run on other threads — beside the traversal and the transfer.
 
-use crate::mbr_join::{mbr_join_on, recycle, MbrJoinResult};
-use crate::transfer::transfer_objects;
+use crate::mbr_join::{mbr_join_then, recycle, MbrJoinResult};
+use crate::transfer::transfer_blocks;
 use spatialdb_disk::IoStats;
 use spatialdb_geom::par::Threads;
 use spatialdb_rtree::ObjectId;
@@ -96,10 +96,17 @@ impl<'a> SpatialJoin<'a> {
     /// and the transfer see all of them. Only the pairs a leaf entry
     /// ruled out ([`MbrJoinResult::ruled_out`]) are not returned.
     ///
-    /// The MBR join sweeps its leaf pairs on `threads`; its directory
-    /// traversal, every page it reads and the whole transfer are the
-    /// calling thread's, so the result, the stats and the I/O are the
-    /// same at every thread count.
+    /// The two steps run as one pipeline on `threads` (`k`; see
+    /// [`mbr_join`](mod@crate::mbr_join)): the traversal publishes its
+    /// leaf pairs in blocks, which up to `k − 1` workers sweep while it
+    /// goes on. Once the traversal's session has ended, the transfer's
+    /// one session takes the swept blocks in order and fetches each
+    /// block's pairs, sweeping a block itself when the next one is not
+    /// ready (the techniques that read the candidate set wait for the
+    /// last one). The traversal, every page it reads and the whole
+    /// transfer are the calling thread's, in the order one thread makes
+    /// them, so the result, the stats and the I/O are the same at every
+    /// thread count.
     ///
     /// [`MbrJoinResult::ruled_out`]: crate::MbrJoinResult::ruled_out
     pub fn run(
@@ -109,11 +116,15 @@ impl<'a> SpatialJoin<'a> {
     ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
         let before = disk.local_stats();
-        let candidates = mbr_join_on(self.r.tree(), self.s.tree(), &mut pool.session(), threads);
-        let mbr_join_io = disk.local_stats().since(&before);
-        let before = disk.local_stats();
-        transfer_objects(self.r, self.s, &candidates.pairs, technique);
-        let transfer_io = disk.local_stats().since(&before);
+        let (r, s) = (self.r.tree(), self.s.tree());
+        let (candidates, (mbr_join_io, transfer_io)) =
+            mbr_join_then(r, s, pool.session(), threads, |blocks| {
+                // The traversal and its session have ended.
+                let mbr_join_io = disk.local_stats().since(&before);
+                let before = disk.local_stats();
+                transfer_blocks(self.r, self.s, blocks, technique);
+                (mbr_join_io, disk.local_stats().since(&before))
+            });
         let stats = JoinStats {
             mbr_pairs: candidates.pairs.len() as u64,
             mbr_join_ms: mbr_join_io.io_ms,
@@ -140,13 +151,18 @@ impl<'a> SpatialJoin<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_data::primary_pair;
     use spatialdb_disk::Disk;
+    use spatialdb_disk::PoolSession;
     use spatialdb_geom::Rect;
     use spatialdb_rtree::ObjectId;
     use spatialdb_storage::{
-        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, SecondaryOrganization,
-        SharedPool,
+        new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, PrimaryOrganization,
+        SecondaryOrganization, SharedPool,
     };
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     type Store = Box<dyn SpatialStore>;
 
@@ -229,6 +245,139 @@ mod tests {
         let big = complete(&*c, &*d);
         assert_eq!(small.mbr_pairs, big.mbr_pairs);
         assert!(big.io_seconds() <= small.io_seconds() + 1e-9);
+    }
+
+    /// A join of many blocks ([`primary_pair`]) hands the disk the same
+    /// requests at every thread count: pairs, stats, I/O, the pool's hits
+    /// and misses and the `Disk::traced` request sequence are the
+    /// one-thread join's, and its stats the two-pass join's.
+    #[test]
+    fn a_primary_join_over_many_blocks_charges_the_same_at_every_thread_count() {
+        let join = |threads: usize| {
+            let (r, s, pool) = primary_pair(400);
+            let ((pairs, stats, io), trace) = pool.disk().traced(|| {
+                SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(threads))
+            });
+            (pairs, stats, io, trace, (pool.hits(), pool.misses()))
+        };
+        let one = join(1);
+        let stats = (one.1.mbr_pairs, one.1.mbr_join_ms, one.1.transfer_ms);
+        assert_eq!(
+            stats,
+            (83620, 35968.0, 35744.0),
+            "the two-pass join's stats"
+        );
+        assert_eq!(one.3.len(), 4482, "the two-pass join's requests");
+        assert_eq!(
+            one.4,
+            (242_333, 5451),
+            "the two-pass join's hits and misses"
+        );
+        for threads in [2, 3, 8] {
+            let got = join(threads);
+            assert!(got.0 == one.0, "{threads} threads: pairs");
+            assert_eq!(got.1, one.1, "{threads} threads: stats");
+            assert_eq!(got.2, one.2, "{threads} threads: I/O");
+            assert!(got.3 == one.3, "{threads} threads: request sequence");
+            assert_eq!(got.4, one.4, "{threads} threads: pool hits and misses");
+        }
+    }
+
+    /// A foreign store whose `fetch_for_join` panics with its count on
+    /// its `at`-th call.
+    struct PanicsInTransfer {
+        store: PrimaryOrganization,
+        at: usize,
+        fetches: AtomicUsize,
+    }
+
+    impl SpatialStore for PanicsInTransfer {
+        fn name(&self) -> &'static str {
+            "panics in transfer"
+        }
+        fn insert(&mut self, rec: &ObjectRecord) {
+            self.store.insert(rec)
+        }
+        fn delete(&mut self, oid: ObjectId) -> bool {
+            self.store.delete(oid)
+        }
+        fn window_query_into(
+            &self,
+            window: &Rect,
+            technique: spatialdb_storage::WindowTechnique,
+            out: &mut Vec<spatialdb_rtree::LeafEntry>,
+        ) -> u64 {
+            self.store.window_query_into(window, technique, out)
+        }
+        fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+            self.store.fetch_object(oid, session)
+        }
+        fn fetch_for_join(
+            &self,
+            oid: ObjectId,
+            needed: &HashSet<ObjectId>,
+            technique: TransferTechnique,
+            session: &mut PoolSession<'_>,
+        ) {
+            if self.fetches.fetch_add(1, Ordering::Relaxed) == self.at {
+                std::panic::panic_any(self.at);
+            }
+            self.store.fetch_for_join(oid, needed, technique, session)
+        }
+        fn occupied_pages(&self) -> u64 {
+            self.store.occupied_pages()
+        }
+        fn num_objects(&self) -> usize {
+            self.store.num_objects()
+        }
+        fn contains(&self, oid: ObjectId) -> bool {
+            self.store.contains(oid)
+        }
+        fn pool(&self) -> SharedPool {
+            self.store.pool()
+        }
+        fn tree(&self) -> &spatialdb_rtree::RStarTree {
+            self.store.tree()
+        }
+        fn flush(&mut self) {
+            self.store.flush()
+        }
+        fn begin_query(&mut self) {
+            self.store.begin_query()
+        }
+    }
+
+    /// A transfer that panics — fetching the first pair, a middle one
+    /// or the last, so in the first, a middle or the last block — ends
+    /// the join with the panic's payload at every thread count, whatever
+    /// the workers are sweeping meanwhile.
+    #[test]
+    fn a_panicking_transfer_ends_the_join_with_its_payload() {
+        let (r, s, _) = primary_pair(400);
+        let (pairs, ..) =
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1));
+        let candidates = complete(&r, &s).mbr_pairs as usize;
+        assert!(pairs.len() < candidates);
+        let mut store = PanicsInTransfer {
+            store: s,
+            at: 0,
+            fetches: AtomicUsize::new(0),
+        };
+        for threads in [1, 2, 3, 8] {
+            for at in [0, candidates / 2, candidates - 1] {
+                (store.at, store.fetches) = (at, AtomicUsize::new(0));
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    SpatialJoin::new(&r, &store)
+                        .run(TransferTechnique::Complete, Threads::Exactly(threads))
+                }));
+                let payload = caught.expect_err("the transfer panics");
+                assert_eq!(
+                    payload.downcast_ref::<usize>(),
+                    Some(&at),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

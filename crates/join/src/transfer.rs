@@ -1,5 +1,7 @@
 //! Step 2: transferring the exact representations of the candidate pairs.
 
+use crate::mbr_join::LeafBlocks;
+use spatialdb_disk::PoolSession;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
 use std::collections::HashSet;
@@ -35,9 +37,48 @@ pub fn transfer_objects(
     }
     let pool = r_org.pool();
     let mut session = pool.session();
+    let needed = (&needed_r, &needed_s);
+    fetch_pairs(r_org, s_org, pairs, needed, technique, &mut session);
+}
+
+/// The transfer of a pipelined MBR join: the same requests as
+/// [`transfer_objects`] over the whole result, made as its blocks are
+/// swept. A technique that reads the candidate set needs every pair
+/// before its first fetch, so it waits for the last block; the others
+/// fetch each block's pairs once it is appended, in one session.
+pub(crate) fn transfer_blocks(
+    r_org: &dyn SpatialStore,
+    s_org: &dyn SpatialStore,
+    blocks: &mut LeafBlocks<'_, '_>,
+    technique: TransferTechnique,
+) {
+    if technique.reads_candidate_set() {
+        while blocks.next() {}
+        return transfer_objects(r_org, s_org, &blocks.out().pairs, technique);
+    }
+    let none = HashSet::new();
+    let pool = r_org.pool();
+    let mut session = pool.session();
+    let mut fetched = 0;
+    while blocks.next() {
+        let pairs = &blocks.out().pairs[fetched..];
+        fetch_pairs(r_org, s_org, pairs, (&none, &none), technique, &mut session);
+        fetched += pairs.len();
+    }
+}
+
+/// Fetch each pair's two objects, in order, through `session`.
+fn fetch_pairs(
+    r_org: &dyn SpatialStore,
+    s_org: &dyn SpatialStore,
+    pairs: &[(ObjectId, ObjectId)],
+    (needed_r, needed_s): (&HashSet<ObjectId>, &HashSet<ObjectId>),
+    technique: TransferTechnique,
+    session: &mut PoolSession<'_>,
+) {
     for (a, b) in pairs {
-        r_org.fetch_for_join(*a, &needed_r, technique, &mut session);
-        s_org.fetch_for_join(*b, &needed_s, technique, &mut session);
+        r_org.fetch_for_join(*a, needed_r, technique, session);
+        s_org.fetch_for_join(*b, needed_s, technique, session);
     }
 }
 

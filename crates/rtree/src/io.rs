@@ -39,6 +39,27 @@ impl NodeIo for NoIo {
     fn release(&mut self, _page: PageId) {}
 }
 
+/// A borrowed hook, so a walk that owns its hook (and ends it when it is
+/// done, as the MBR join ends its pool session) can run on a caller's.
+impl<T: NodeIo + ?Sized> NodeIo for &mut T {
+    #[inline]
+    fn read(&mut self, page: PageId) {
+        (**self).read(page);
+    }
+
+    fn modify(&mut self, page: PageId) {
+        (**self).modify(page);
+    }
+
+    fn fresh(&mut self, page: PageId) {
+        (**self).fresh(page);
+    }
+
+    fn release(&mut self, page: PageId) {
+        (**self).release(page);
+    }
+}
+
 /// The tree's accesses to the pool: one session for a whole walk or
 /// update, so it locks and charges once.
 impl NodeIo for PoolSession<'_> {
