@@ -25,8 +25,7 @@ pub enum Rule {
     /// acquisition helpers (`lockdep.rs`).
     RawLock,
     /// Nested lock acquisitions whose lexical class order contradicts
-    /// the writer → shard → counters → epoch → refine-queue → join-blocks
-    /// hierarchy.
+    /// the writer → shard → counters → epoch → blocks hierarchy.
     LockOrder,
     /// Raw `fetch_add`/`fetch_sub` on an epoch-pin counter outside the
     /// epoch crate — pin accounting must go through the collector's
@@ -522,8 +521,7 @@ const LOCK_CLASSES: &[(&str, u8, &str)] = &[
     ("counter", 2, "DiskCounters"),
     ("retired", 3, "Epoch"),
     ("epoch", 3, "Epoch"),
-    ("queue", 4, "RefineQueue"),
-    ("blocks", 5, "JoinBlocks"),
+    ("blocks", 4, "Blocks"),
 ];
 
 /// Classify a lock receiver expression (the text before `.lock()`).
@@ -626,7 +624,7 @@ fn check_lock_order(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
                             message: format!(
                                 "acquires {class} (rank {rank}) after {} (rank {}, line {}) — \
                                  contradicts the DbWriter → Shard → DiskCounters → Epoch \
-                                 → RefineQueue → JoinBlocks hierarchy",
+                                 → Blocks hierarchy",
                                 prior.class, prior.rank, prior.line
                             ),
                         });

@@ -25,17 +25,18 @@
 //! Sorting and tiling are pure CPU work and charge nothing, so the
 //! store — tree, physical placement, every query answer — and the I/O
 //! statistics of the build are **byte-identical at every thread
-//! count**. A worker's panic (a non-finite MBR trips the tiler's
-//! assertion) reaches the caller before anything is charged, and the
-//! store stays empty.
+//! count**. A chunk's panic (a non-finite MBR trips the tiler's
+//! assertion), on whichever thread, reaches the caller before anything
+//! is charged, and the store stays empty.
 
-use spatialdb_geom::par::map_chunks;
+use spatialdb_disk::blocks::map_chunks;
 use spatialdb_rtree::{bulk, LeafEntry, Tile, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{ObjectRecord, SpatialStore};
 use std::collections::HashSet;
 
 /// STR-bulk-load `records` into an empty `store`, sorting and tiling on
-/// `threads` threads (the calling one and `threads - 1` scoped workers).
+/// `threads` threads (the calling one and up to `threads - 1` workers of
+/// the engine's work queue).
 ///
 /// See the [module docs](self) for the pipeline and the determinism
 /// contract.

@@ -62,11 +62,11 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
 use crate::stream::{self, ExecPlan, Op, StreamOutcome};
+use spatialdb_disk::blocks::map_chunks;
 use spatialdb_disk::{
     DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool, PAGE_SIZE,
 };
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
-use spatialdb_geom::par::map_chunks;
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{

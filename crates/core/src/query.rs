@@ -54,7 +54,8 @@
 //! It uses the machine's cores for what reads no page — the MBR join's
 //! leaf-pair sweeps, in blocks swept beside the traversal and the
 //! transfer and appended in block order, and the exact tests, in
-//! contiguous chunks merged in chunk order ([`map_chunks`]) — and keeps
+//! contiguous chunks merged in chunk order ([`map_chunks`]), both on the
+//! engine's one ordered work queue ([`spatialdb_disk::blocks`]) — and keeps
 //! every page access on the calling thread, in one thread's order: the
 //! directory traversal and its node reads, and the whole transfer. So
 //! the pairs,
@@ -87,8 +88,8 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
+use spatialdb_disk::blocks::{map_chunks, Threads};
 use spatialdb_disk::IoStats;
-use spatialdb_geom::par::{map_chunks, Threads};
 use spatialdb_geom::{Geometry, HasMbr, Point, Rect, Verdict};
 use spatialdb_join::{JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
@@ -637,8 +638,8 @@ impl<'a> JoinQuery<'a> {
     /// thread and up to `n_threads − 1` workers, and the cursor's
     /// [`pairs`](JoinCursor::pairs) splits its exact tests into
     /// `n_threads` contiguous chunks (fewer only when there are fewer
-    /// pairs), the first on the calling thread. `run_par(1)` — a
-    /// stream's join op — spawns nothing.
+    /// pairs), swept the same way. `run_par(1)` — a stream's join op —
+    /// spawns nothing.
     ///
     /// As in `run`, every page access is the calling thread's. The
     /// candidate pairs, the refined results, the [`JoinStats`] and the

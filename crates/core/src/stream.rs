@@ -28,35 +28,47 @@
 //!   compete with them for the same cores, and a stream would no longer
 //!   run on its `threads` workers plus the calling thread. A join's
 //!   exact tests are one job of the queue, like a query's.
-//! * **Refinement (worker pool, concurrent):** the CPU-bound
-//!   exact-geometry tests of each query/join are handed to a shared
-//!   work queue the moment its phase-A half completes, and scoped
-//!   workers drain the queue **while phase A keeps committing** — a
+//! * **Refinement (the work queue, concurrent):** every operation
+//!   becomes one job on the engine's ordered work queue
+//!   ([`spatialdb_disk::blocks`]) the moment its phase-A half completes:
+//!   a query's or join's CPU-bound exact-geometry tests, or a write's
+//!   finished outcome. `threads` workers sweep the jobs **while phase A
+//!   keeps committing**, so the queue runs on `threads + 1` threads — a
 //!   writer never waits for a reader's refinement, and a reader's
 //!   candidates stay refinable because the job carries a structurally
 //!   shared clone of the geometry table of the root they were fixed
 //!   under (a refcount bump per 64 buckets, and unlike a pin it cannot
 //!   hold up reclamation of the store snapshot): later deletes edit
-//!   later versions of the table, never this one.
+//!   later versions of the table, never this one. A read's or join's
+//!   job is a block of its own; a write's rides in the block of the
+//!   next read or join. A block is published when the next job is
+//!   pushed or phase A ends, so a read's refinement can start one
+//!   operation after its filter step — once the following write has
+//!   committed or the following read has run its filter step — where a
+//!   queue that took each job at once would have it before the next
+//!   commit.
 //!
-//! Results are merged back by op index, so the full outcome — answers,
-//! per-op stats, per-op I/O — is **byte-identical at any thread count**
-//! and identical to a sequential loop over the same operations:
-//! determinism comes from phase A's fixed order, not from barriers.
+//! Once phase A is through, the calling thread appends the jobs'
+//! outcomes in job order, refining itself any job no worker has taken
+//! up. So the full outcome — answers, per-op stats, per-op I/O — is
+//! **byte-identical at any thread count** and identical to a sequential
+//! loop over the same operations: determinism comes from phase A's
+//! fixed order, not from barriers.
 //!
-//! A panic propagates to the caller instead of parking the process: one
+//! A panic propagates to the caller instead of parking the process. One
 //! in phase A (an insert of a stored id, a query without a target)
-//! closes the queue on its way out, so the workers drain and exit; one
-//! in a worker (refining a filter-only record) is re-raised once phase A
-//! is through. Charges made before the panic stay on the disk's
-//! counters.
-
-use spatialdb_disk::{DepGuard, DepMutex, LockClass};
-use std::collections::VecDeque;
-use std::sync::Condvar;
+//! halts the queue on its way out, so the workers finish their job and
+//! exit. A refinement's panic (refining a filter-only record), on
+//! whichever thread, does not stop phase A: every operation still runs
+//! its phase-A half — every write commits — and the panic is raised
+//! when the calling thread reaches its job. So a stream ends with the
+//! panic of its first job that panicked, and charges and commits the
+//! same at every thread count. Charges made before a panic stay on the
+//! disk's counters.
 
 use crate::db::{GeometryTable, SpatialDatabase};
 use crate::query::{refine_pairs, Candidate, JoinQuery, Query, Refinement, Target};
+use spatialdb_disk::blocks::{self, Blocks, Spares, Sweep};
 use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, Point, Rect};
 use spatialdb_rtree::{LeafEntry, ObjectId};
@@ -267,98 +279,77 @@ impl<'a> From<StreamOp<'a>> for Op<'a> {
     }
 }
 
-/// A refinement unit: the pure-CPU half of a query or join, detached
-/// from phase A the moment its candidates are fixed. It owns the
-/// geometry it refines against — the table(s) of the root(s) the
-/// candidates came from.
-enum RefineJob {
+/// One operation as phase A leaves it: a write's outcome, or the
+/// pure-CPU half of a query or join, detached the moment its candidates
+/// are fixed. A refinement owns the geometry it refines against — the
+/// table(s) of the root(s) the candidates came from.
+enum Job {
+    Write(OpOutcome),
     Query {
-        index: usize,
         geoms: GeometryTable,
         fully_refinable: bool,
         target: Target,
         candidates: Vec<Candidate>,
+        stats: QueryStats,
+        io: IoStats,
     },
     Join {
-        index: usize,
         left: GeometryTable,
         right: GeometryTable,
         pairs: Vec<(ObjectId, ObjectId)>,
+        io: IoStats,
     },
 }
 
-/// What a worker hands back for a job, keyed by op index.
-enum Refined {
-    Ids(Vec<u64>),
-    Pairs(u64),
-}
-
-/// The shared refinement queue: phase A pushes, workers pop; closing
-/// wakes everyone to drain and exit.
-struct RefineQueue {
-    queue: DepMutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<RefineJob>,
-    closed: bool,
-}
-
-impl RefineQueue {
-    fn new() -> Self {
-        RefineQueue {
-            queue: DepMutex::new(
-                LockClass::RefineQueue,
-                QueueState {
-                    jobs: VecDeque::new(),
-                    closed: false,
-                },
-            ),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// The queue is strictly leaf-level (last rank of the hierarchy):
-    /// no other lock is taken while pushing, popping, or waiting here
-    /// (phase A pushes only after its commit/pin released everything).
-    fn locked(&self) -> DepGuard<'_, QueueState> {
-        self.queue.acquire()
-    }
-
-    fn push(&self, job: RefineJob) {
-        self.locked().jobs.push_back(job);
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.locked().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocking pop; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<RefineJob> {
-        let mut state = self.locked();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
+impl Job {
+    /// The operation's outcome: a write's as phase A left it, a query's
+    /// or join's refined.
+    fn outcome(&self) -> OpOutcome {
+        match self {
+            Job::Write(outcome) => outcome.clone(),
+            Job::Query {
+                geoms,
+                fully_refinable,
+                target,
+                candidates,
+                stats,
+                io,
+            } => {
+                let refinement = Refinement {
+                    geoms,
+                    fully_refinable: *fully_refinable,
+                    target: *target,
+                };
+                OpOutcome::Query {
+                    ids: refinement.ids(candidates),
+                    stats: *stats,
+                    io: *io,
+                }
             }
-            if state.closed {
-                return None;
-            }
-            state = state.wait(&self.ready);
+            Job::Join {
+                left,
+                right,
+                pairs,
+                io,
+            } => OpOutcome::Join {
+                pairs: refine_pairs(left, right, pairs).len() as u64,
+                io: *io,
+            },
         }
     }
 }
 
-/// Closes the queue when phase A ends, whether it returns or unwinds: a
-/// panicking filter step or commit must release the workers parked in
-/// [`RefineQueue::pop`], or the scope joining them never returns.
-struct CloseOnDrop<'q>(&'q RefineQueue);
+/// The refinement step as the queue's sweep: each job of a block to
+/// its outcome, in job order.
+struct Refine;
 
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
+impl Sweep<Job, Vec<OpOutcome>> for Refine {
+    type Scratch = ();
+
+    fn scratch(&self) {}
+
+    fn sweep(&self, jobs: &[Job], out: &mut Vec<OpOutcome>, _: &mut ()) {
+        out.extend(jobs.iter().map(Job::outcome));
     }
 }
 
@@ -380,126 +371,68 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
 /// The loop itself (see the [module docs](self)): one outcome per op in
 /// op order.
 pub(crate) fn execute(ops: Vec<Op<'_>>, threads: usize) -> StreamOutcome {
-    let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
-    if ops.is_empty() {
-        return StreamOutcome { outcomes };
-    }
-    let workers = threads.clamp(1, ops.len());
-    let queue = RefineQueue::new();
-    let refined: Vec<(usize, Refined)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    while let Some(job) = queue.pop() {
-                        match job {
-                            RefineJob::Query {
-                                index,
-                                geoms,
-                                fully_refinable,
-                                target,
-                                candidates,
-                            } => {
-                                let refinement = Refinement {
-                                    geoms: &geoms,
-                                    fully_refinable,
-                                    target,
-                                };
-                                done.push((index, Refined::Ids(refinement.ids(&candidates))));
-                            }
-                            RefineJob::Join {
-                                index,
-                                left,
-                                right,
-                                pairs,
-                            } => {
-                                let n = refine_pairs(&left, &right, &pairs).len();
-                                done.push((index, Refined::Pairs(n as u64)));
-                            }
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-
-        // Phase A: op order on this thread. Every disk charge and every
-        // commit happens here, so the per-op deltas cannot depend on the
-        // worker count — and every refinement job is live on the queue
-        // before the next commit runs, never after a barrier.
-        let phase_a = CloseOnDrop(&queue);
+    // Phase A: op order on this thread. Every disk charge and every
+    // commit happens here, so the per-op deltas cannot depend on the
+    // worker count. A write weighs nothing: it joins the block of the
+    // next read or join, which publishes the one before it.
+    let phase_a = |jobs: &mut Blocks<'_, '_, Job, Vec<OpOutcome>, ()>| {
         let mut scratch: Vec<LeafEntry> = Vec::new();
-        for (index, op) in ops.into_iter().enumerate() {
+        for op in ops {
             match op {
                 Op::Read(query) => {
                     // The pin is dropped before the next commit, so
                     // reclamation is never held up by an op that already
                     // detached its refinement.
                     let cursor = query.run_with(&mut scratch);
-                    queue.push(RefineJob::Query {
-                        index,
+                    let job = Job::Query {
                         geoms: cursor.root.geoms().clone(),
                         fully_refinable: cursor.root.fully_refinable(),
                         target: cursor.target,
                         candidates: cursor.candidates,
-                    });
-                    // The ids are filled in at merge time.
-                    outcomes.push(OpOutcome::Query {
-                        ids: Vec::new(),
                         stats: cursor.stats,
                         io: cursor.io,
-                    });
+                    };
+                    jobs.push(job, 1);
                 }
                 Op::Join(join) => {
                     // As for a read: the cursor's pins go before the
                     // next commit, its I/O is the outcome's. The MBR
                     // join sweeps on this thread alone (module docs).
                     let cursor = join.run_par(1);
-                    outcomes.push(OpOutcome::Join {
-                        pairs: 0,
-                        io: cursor.io,
-                    });
-                    queue.push(RefineJob::Join {
-                        index,
+                    let job = Job::Join {
                         left: cursor.left.geoms().clone(),
                         right: cursor.right.geoms().clone(),
                         pairs: cursor.pairs,
-                    });
+                        io: cursor.io,
+                    };
+                    jobs.push(job, 1);
                 }
                 Op::Insert { db, id, geometry } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     db.insert(id, geometry);
-                    outcomes.push(OpOutcome::Insert {
-                        io: disk.local_stats().since(&before),
-                    });
+                    let io = disk.local_stats().since(&before);
+                    jobs.push(Job::Write(OpOutcome::Insert { io }), 0);
                 }
                 Op::Delete { db, id } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     let existed = db.remove(id);
-                    outcomes.push(OpOutcome::Delete {
-                        existed,
-                        io: disk.local_stats().since(&before),
-                    });
+                    let io = disk.local_stats().since(&before);
+                    jobs.push(Job::Write(OpOutcome::Delete { existed, io }), 0);
                 }
             }
         }
-        drop(phase_a);
-        handles
-            .into_iter()
-            // The caller sees a refinement panic itself.
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    // Merge the detached refinements back by op index.
-    for (index, result) in refined {
-        match (&mut outcomes[index], result) {
-            (OpOutcome::Query { ids, .. }, Refined::Ids(v)) => *ids = v,
-            (OpOutcome::Join { pairs, .. }, Refined::Pairs(n)) => *pairs = n,
-            _ => unreachable!("refinement result kind mismatches its op"),
-        }
-    }
+    };
+    let (outcomes, ()) = blocks::run(
+        threads.max(1).saturating_add(1),
+        1,
+        &mut Spares::default(),
+        Vec::new(),
+        &Refine,
+        phase_a,
+        |_| (),
+    );
     StreamOutcome { outcomes }
 }
 
@@ -658,5 +591,63 @@ mod tests {
                 ws.run_batch(vec![db.query().window(window), no_target], threads);
             });
         }
+    }
+
+    /// Two reads of filter-only records — refining either panics, the
+    /// first at candidate 24, the second at candidate 0 — then an
+    /// insert. At every thread count the stream ends with the first
+    /// read's panic, after the insert committed, and the disk saw the
+    /// same charges.
+    #[test]
+    fn a_refinement_panic_ends_the_stream_after_phase_a() {
+        use spatialdb_rtree::ObjectId;
+        use spatialdb_storage::ObjectRecord;
+
+        let mut charged = Vec::new();
+        for threads in [1, 2, 8] {
+            let ws = Workspace::new(256);
+            let mut db = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
+            for i in 0..40u64 {
+                let (x, y) = ((i % 8) as f64 / 8.0, (i / 8) as f64 / 8.0);
+                let mbr = Rect::new(x, y, x + 0.05, y + 0.05);
+                db.store_mut()
+                    .insert(&ObjectRecord::new(ObjectId(i), mbr, 700));
+            }
+            db.finish_loading();
+            let db = &db;
+            let ops = vec![
+                // Rows 3 and 4: ids 24 – 39.
+                StreamOp::Window {
+                    db,
+                    window: Rect::new(0.0, 0.32, 1.0, 0.6),
+                },
+                // Rows 0 and 1: ids 0 – 15.
+                StreamOp::Window {
+                    db,
+                    window: Rect::new(0.0, 0.0, 1.0, 0.2),
+                },
+                StreamOp::Insert {
+                    db,
+                    id: 100,
+                    geometry: street(0.5, 0.5),
+                },
+            ];
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_stream(ops, threads)))
+                    .expect_err("refining filter-only records must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                message.starts_with("candidate 24 has no exact geometry"),
+                "{threads} threads: {message}"
+            );
+            assert!(db.geometry(100).is_some(), "{threads} threads: committed");
+            charged.push(ws.disk().stats());
+        }
+        assert!(
+            charged.iter().all(|stats| *stats == charged[0]),
+            "{charged:?}"
+        );
     }
 }

@@ -45,7 +45,12 @@
 //!   cylinder band, with a parallel drain popping the globally-earliest
 //!   completion across arms and per-arm [`arm::ArmStats`] (utilization,
 //!   queue wait). A single arm is a 1-arm array; with one arm every
-//!   stripe policy is the identity mapping.
+//!   stripe policy is the identity mapping;
+//! * [`blocks`] — the engine's one ordered work queue, here beside the
+//!   [`DepMutex`] it locks: a producer publishes blocks, workers sweep
+//!   them, and the caller appends the results in block order. The MBR
+//!   join's leaf pairs, the stream executor's refinement and every
+//!   [`blocks::map_chunks`] fan-out run on it.
 //!
 //! Requests reach the arms one way: every request is charged on the
 //! thread that issues it ([`disk::Disk::charge`], or
@@ -73,6 +78,7 @@
 pub mod alloc;
 pub mod arm;
 pub mod array;
+pub mod blocks;
 pub mod buddy;
 pub mod buffer;
 pub mod disk;

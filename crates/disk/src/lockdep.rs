@@ -15,11 +15,10 @@
 //! 4. [`LockClass::Epoch`] — the epoch collector's retired-garbage
 //!    list (`spatialdb-epoch`; leaf lock: nothing else is acquired
 //!    while it is held);
-//! 5. [`LockClass::RefineQueue`] — the stream executor's refinement
-//!    work queue (`spatialdb-core`; leaf lock, paired with a
-//!    [`Condvar`] — see [`DepGuard::wait`]);
-//! 6. [`LockClass::JoinBlocks`] — the MBR join's block queue
-//!    (`spatialdb-join`; leaf lock, paired with two [`Condvar`]s). The
+//! 5. [`LockClass::Blocks`] — the one ordered work queue
+//!    ([`crate::blocks`]: the MBR join's leaf-pair sweeps, the stream
+//!    executor's refinement, every `map_chunks` fan-out; leaf lock,
+//!    paired with two [`Condvar`]s — see [`DepGuard::wait`]). The
 //!    joining thread waits on it while its pool session holds a shard
 //!    lock, so it ranks after [`LockClass::Shard`].
 //!
@@ -57,10 +56,8 @@ pub enum LockClass {
     DiskCounters,
     /// The epoch collector's retired-garbage list (leaf lock).
     Epoch,
-    /// The stream executor's refinement work queue (leaf lock).
-    RefineQueue,
-    /// The MBR join's block queue (leaf lock).
-    JoinBlocks,
+    /// The one ordered work queue, [`crate::blocks`] (leaf lock).
+    Blocks,
 }
 
 impl LockClass {
@@ -71,8 +68,7 @@ impl LockClass {
             LockClass::Shard(_) => 1,
             LockClass::DiskCounters => 2,
             LockClass::Epoch => 3,
-            LockClass::RefineQueue => 4,
-            LockClass::JoinBlocks => 5,
+            LockClass::Blocks => 4,
         }
     }
 
@@ -95,8 +91,7 @@ impl fmt::Display for LockClass {
             LockClass::Shard(i) => write!(f, "Shard({i})"),
             LockClass::DiskCounters => f.write_str("DiskCounters"),
             LockClass::Epoch => f.write_str("Epoch"),
-            LockClass::RefineQueue => f.write_str("RefineQueue"),
-            LockClass::JoinBlocks => f.write_str("JoinBlocks"),
+            LockClass::Blocks => f.write_str("Blocks"),
         }
     }
 }
@@ -109,7 +104,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 6;
+    const KINDS: usize = 5;
 
     /// One lock the current thread holds.
     struct Held {
@@ -126,7 +121,7 @@ mod checker {
     /// Cross-class *blocking* acquisition graph: `edges[a][b]` records
     /// that some thread blocking-acquired rank-kind `b` while holding
     /// rank-kind `a`, stamped with the source location of the
-    /// acquisition that first created the edge. Six kinds, so the
+    /// acquisition that first created the edge. Five kinds, so the
     /// graph is a tiny adjacency matrix; a cycle in it means the
     /// documented hierarchy itself is inconsistent with the code.
     static GRAPH: Mutex<[[Option<&'static Location<'static>>; KINDS]; KINDS]> =
@@ -137,14 +132,7 @@ mod checker {
     }
 
     fn kind_name(kind: usize) -> &'static str {
-        [
-            "DbWriter",
-            "Shard",
-            "DiskCounters",
-            "Epoch",
-            "RefineQueue",
-            "JoinBlocks",
-        ][kind]
+        ["DbWriter", "Shard", "DiskCounters", "Epoch", "Blocks"][kind]
     }
 
     /// Render the accumulated wait graph: one `A -> B @ site` line per
@@ -200,7 +188,7 @@ mod checker {
                     panic!(
                         "lock hierarchy violation: blocking acquisition of {class} at {site} \
                          while holding {held} (declared order: DbWriter -> Shard(asc) -> \
-                         DiskCounters -> Epoch -> RefineQueue -> JoinBlocks; \
+                         DiskCounters -> Epoch -> Blocks; \
                          see crates/disk/src/lockdep.rs)\nwait graph so far:\n{dump}",
                         held = h.class,
                         dump = wait_graph_dump(),
@@ -596,9 +584,8 @@ mod tests {
         assert!(LockClass::DbWriter.rank() < LockClass::Shard(0).rank());
         assert!(LockClass::Shard(9).rank() < LockClass::DiskCounters.rank());
         assert!(LockClass::DiskCounters.rank() < LockClass::Epoch.rank());
-        assert!(LockClass::Epoch.rank() < LockClass::RefineQueue.rank());
-        assert!(LockClass::RefineQueue.rank() < LockClass::JoinBlocks.rank());
-        assert_eq!(LockClass::JoinBlocks.to_string(), "JoinBlocks");
+        assert!(LockClass::Epoch.rank() < LockClass::Blocks.rank());
+        assert_eq!(LockClass::Blocks.to_string(), "Blocks");
     }
 
     #[test]

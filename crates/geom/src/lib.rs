@@ -28,9 +28,7 @@
 //! * [`decomposed`] — a decomposed object representation in the spirit of
 //!   the TR\*-tree \[SK91\], used by the paper for the *exact geometry test*
 //!   of the spatial join's refinement step (§6.3);
-//! * [`rng`] — the workspace's one seeded generator ([`rng::SmallRng`]),
-//!   and [`par`] — its one fan-out within an operation
-//!   ([`par::map_chunks`]), here because this crate depends on nothing.
+//! * [`rng`] — the workspace's one seeded generator ([`rng::SmallRng`]).
 //!
 //! All coordinates are `f64` in an abstract data space; the paper's
 //! experiments normalise the data space to the unit square, and so do we.
@@ -41,7 +39,6 @@
 pub mod decomposed;
 pub mod geometry;
 pub mod hint;
-pub mod par;
 pub mod point;
 pub mod polygon;
 pub mod polyline;

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod blocks;
 pub mod mbr_join;
 pub mod pipeline;
 pub mod transfer;

@@ -34,9 +34,13 @@
 //! The trees are immutable while the join holds them, so a sweep reads
 //! nothing the traversal could change, and the buffer behind `io` sees
 //! exactly the reads of a join that swept each leaf pair the moment it
-//! reached it. A panic — of a sweep, on any thread, or of the traversal
-//! or the consumer — ends the join on the calling thread with its own
-//! payload, and no thread is left waiting for a block.
+//! reached it. The pipeline is the engine's one ordered work queue,
+//! [`spatialdb_disk::blocks`]. A panic of the traversal or the consumer
+//! ends the join on the calling thread with its own payload. A sweep's
+//! panic, on any thread, does not stop the traversal: it is raised when
+//! the consumer reaches its block, so the join ends with the payload of
+//! the lowest block that panicked. No thread is left waiting for a
+//! block.
 //!
 //! # Order contract
 //!
@@ -53,8 +57,7 @@
 //! with the two-pass join (record every leaf pair, then sweep them in
 //! chunks) the pipeline replaced.
 
-use crate::blocks::{self, Blocks, Spares, Sweep, Swept};
-use spatialdb_geom::par::Threads;
+use spatialdb_disk::blocks::{self, Blocks, Spares, Sweep, Swept, Threads};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{DirEntry, LeafEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
 use std::cell::Cell;
@@ -139,7 +142,7 @@ pub(crate) type LeafBlocks<'scope, 'env> =
 /// the calling thread, publishing its leaf pairs in blocks that up to
 /// `k − 1` workers sweep meanwhile, and ends `io` (drops it) when it is
 /// done. Then `consume` takes the swept blocks in order
-/// ([`Blocks::next`]). Returns the whole result, every block appended
+/// ([`Blocks::next_block`]). Returns the whole result, every block appended
 /// in order, and what `consume` returned.
 pub(crate) fn mbr_join_then<O>(
     r: &RStarTree,

@@ -7,8 +7,8 @@
 
 use crate::mbr_join::{mbr_join_then, recycle, MbrJoinResult};
 use crate::transfer::transfer_blocks;
+use spatialdb_disk::blocks::Threads;
 use spatialdb_disk::IoStats;
-use spatialdb_geom::par::Threads;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
 

@@ -53,14 +53,14 @@ pub(crate) fn transfer_blocks(
     technique: TransferTechnique,
 ) {
     if technique.reads_candidate_set() {
-        while blocks.next() {}
+        while blocks.next_block() {}
         return transfer_objects(r_org, s_org, &blocks.out().pairs, technique);
     }
     let none = HashSet::new();
     let pool = r_org.pool();
     let mut session = pool.session();
     let mut fetched = 0;
-    while blocks.next() {
+    while blocks.next_block() {
         let pairs = &blocks.out().pairs[fetched..];
         fetch_pairs(r_org, s_org, pairs, (&none, &none), technique, &mut session);
         fetched += pairs.len();

@@ -32,11 +32,11 @@ use crate::mix::{run_mix, Mix};
 use crate::report::{
     org_label, policy_label, quantile, stripe_label, Conservation, ScenarioReport,
 };
+use spatialdb::disk::blocks::available_threads;
 use spatialdb::disk::{
     simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArrayConfig, DiskParams,
     QueryTrace,
 };
-use spatialdb::geom::par::available_threads;
 use spatialdb::geom::Rect;
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{
