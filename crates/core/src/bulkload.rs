@@ -1,8 +1,7 @@
 //! Sort-tile-recursive (STR) bulk loading, in one function.
 //!
 //! [`bulk_load_records_par`] is the pipeline every bulk load runs —
-//! `SpatialDatabase::bulk_load` on one thread,
-//! `Workspace::bulk_load_par` on several:
+//! `Workspace::bulk_load_par` on one thread or several:
 //!
 //! 1. **Check**: the store is empty and no object id repeats.
 //! 2. **Plan** (`&store`): one leaf entry per record, from the store's
@@ -29,7 +28,7 @@
 //! assertion), on whichever thread, reaches the caller before anything
 //! is charged, and the store stays empty.
 
-use spatialdb_disk::blocks::map_chunks;
+use spatialdb_disk::blocks::{map_chunks, Spares};
 use spatialdb_rtree::{bulk, LeafEntry, Tile, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{ObjectRecord, SpatialStore};
 use std::collections::HashSet;
@@ -69,7 +68,7 @@ pub fn bulk_load_records_par(
     // One contiguous chunk per thread, sorted on it.
     let per = entries.len().div_ceil(threads.max(1)).max(1);
     let chunks: Vec<&[LeafEntry]> = entries.chunks(per).collect();
-    let sorted = map_chunks(&chunks, threads, |mine| {
+    let sorted = map_chunks(&chunks, threads, &mut Spares::default(), |mine| {
         mine.iter()
             .map(|chunk| {
                 let mut sorted = chunk.to_vec();
@@ -85,7 +84,7 @@ pub fn bulk_load_records_par(
     let entries = bulk::merge_sorted_chunks(sorted);
 
     let spans = bulk::slice_spans(entries.len(), &params);
-    let tiles: Vec<Tile> = map_chunks(&spans, threads, |mine| {
+    let tiles: Vec<Tile> = map_chunks(&spans, threads, &mut Spares::default(), |mine| {
         mine.iter()
             .flat_map(|span| bulk::tile_slice(&entries[span.clone()], &params))
             .collect()

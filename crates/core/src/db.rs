@@ -48,7 +48,7 @@
 //! poison flag a panicking holder leaves behind.
 //!
 //! The exclusive entry points that remain `&mut self`
-//! ([`bulk_load`](SpatialDatabase::bulk_load),
+//! ([`Workspace::bulk_load_par`],
 //! [`finish_loading`](SpatialDatabase::finish_loading),
 //! [`store_mut`](SpatialDatabase::store_mut)) bypass versioning
 //! entirely — `&mut` proves no reader exists, so they mutate the
@@ -62,10 +62,8 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
 use crate::stream::{self, ExecPlan, Op, StreamOutcome};
-use spatialdb_disk::blocks::map_chunks;
-use spatialdb_disk::{
-    DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool, PAGE_SIZE,
-};
+use spatialdb_disk::blocks::{map_chunks, Spares};
+use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
@@ -274,9 +272,14 @@ impl Workspace {
         stream::execute(reads, plan.into().threads)
     }
 
-    /// [`SpatialDatabase::bulk_load`] with the sort and tile stages on
-    /// `threads` threads, the calling one among them (see
-    /// [`crate::bulkload`]).
+    /// Bulk-load `objects` into the (empty) database `db` with the
+    /// sort-tile-recursive build
+    /// ([`bulk_load_records_par`](crate::bulkload::bulk_load_records_par)),
+    /// its records, sort and tile stages on `threads` threads, the
+    /// calling one among them (see [`crate::bulkload`]); then register
+    /// their exact geometry in one pass. The R\*-tree is packed
+    /// bottom-up at the configured fill factor and the exact
+    /// representations are placed in tile order.
     ///
     /// The resulting database — tree structure, physical placement,
     /// every query answer — and the charged I/O are **byte-identical at
@@ -299,7 +302,21 @@ impl Workspace {
             Arc::ptr_eq(&db.store().pool(), &self.pool),
             "database belongs to another workspace"
         );
-        db.bulk_load_on(objects, threads);
+        // On the load's threads: a polyline's hint encodes its cell
+        // masks on first use.
+        let records = map_chunks(&objects, threads, &mut Spares::default(), |chunk| {
+            chunk
+                .iter()
+                .map(|(id, g)| record_of(*id, g))
+                .collect::<Vec<_>>()
+        });
+        // Exclusive path: `&mut` proves no pinned reader exists, so the
+        // load mutates the current root in place — no shadow copy.
+        crate::bulkload::bulk_load_records_par(db.store_mut(), &records, threads);
+        let geoms = objects
+            .into_iter()
+            .map(|(id, g)| (ObjectId(id), Arc::new(g)));
+        db.root.get_mut().geoms = GeometryTable::from_records(geoms.collect());
     }
 
     /// Create a database on a caller-supplied [`SpatialStore`] backend —
@@ -321,12 +338,14 @@ impl Workspace {
     ///
     /// ```
     /// use spatialdb::storage::{
-    ///     MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique,
+    ///     MemoryStore, ObjectRecord, SharedPool, SpatialStore, TransferTechnique,
+    ///     WindowTechnique,
     /// };
     /// use spatialdb::disk::PoolSession;
     /// use spatialdb::geom::{Point, Polyline, Rect};
     /// use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
     /// use spatialdb::Workspace;
+    /// use std::collections::HashSet;
     ///
     /// /// A custom backend: here it simply wraps the in-memory baseline,
     /// /// but any from-scratch organization implements the same trait.
@@ -357,8 +376,14 @@ impl Workspace {
     ///     ) -> u64 {
     ///         self.0.window_query_into(w, t, out)
     ///     }
-    ///     fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-    ///         self.0.fetch_object(oid, session)
+    ///     fn fetch_for_join(
+    ///         &self,
+    ///         oid: ObjectId,
+    ///         needed: &HashSet<ObjectId>,
+    ///         technique: TransferTechnique,
+    ///         session: &mut PoolSession<'_>,
+    ///     ) {
+    ///         self.0.fetch_for_join(oid, needed, technique, session)
     ///     }
     ///     fn occupied_pages(&self) -> u64 {
     ///         self.0.occupied_pages()
@@ -392,7 +417,7 @@ impl Workspace {
     /// let ids = db.query().window(Rect::new(0.0, 0.0, 1.0, 1.0)).run().ids();
     /// assert_eq!(ids, vec![7]);
     /// assert_eq!(db.query().point(Point::new(0.1, 0.1)).run().ids(), vec![7]);
-    /// assert_eq!(db.store_name(), "grid file");
+    /// assert_eq!(db.store().name(), "grid file");
     /// ```
     ///
     /// # Panics
@@ -515,27 +540,6 @@ impl SpatialDatabase {
         }
     }
 
-    /// The body of both bulk-load entry points: STR-load the records of
-    /// `objects` on `threads`, then register their exact geometry — the
-    /// table is built in one pass, not per object.
-    fn bulk_load_on(&mut self, objects: Vec<(u64, Geometry)>, threads: usize) {
-        // On the load's threads: a polyline's hint encodes its cell
-        // masks on first use.
-        let records = map_chunks(&objects, threads, |chunk| {
-            chunk
-                .iter()
-                .map(|(id, g)| record_of(*id, g))
-                .collect::<Vec<_>>()
-        });
-        // Exclusive path: `&mut self` proves no pinned reader exists, so
-        // the load mutates the current root in place — no shadow copy.
-        crate::bulkload::bulk_load_records_par(self.store_mut(), &records, threads);
-        let geoms = objects
-            .into_iter()
-            .map(|(id, g)| (ObjectId(id), Arc::new(g)));
-        self.root.get_mut().geoms = GeometryTable::from_records(geoms.collect());
-    }
-
     /// Insert an object under `id`. Accepts anything convertible into a
     /// [`Geometry`]: a `Point`, a `Polyline` (stored decomposed), or a
     /// `Polygon`.
@@ -573,23 +577,6 @@ impl SpatialDatabase {
         geoms.insert(ObjectId(id), Arc::new(geometry));
         // One swap publishes the index entry and the geometry it needs.
         self.root.swap(Root { store, geoms }, &self.epochs);
-    }
-
-    /// Bulk-load `objects` into this (empty) database with the
-    /// sort-tile-recursive build
-    /// ([`bulk_load_records_par`](crate::bulkload::bulk_load_records_par)
-    /// on one thread): the R\*-tree is packed bottom-up at the configured
-    /// fill factor and the exact representations are placed in tile
-    /// order, charging strictly less simulated I/O than the same objects
-    /// inserted one by one. [`Workspace::bulk_load_par`] sorts and tiles
-    /// on several threads and builds a byte-identical database.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the database is non-empty or an object id repeats.
-    pub fn bulk_load(&mut self, objects: Vec<(u64, impl Into<Geometry>)>) {
-        let objects = objects.into_iter().map(|(id, g)| (id, g.into())).collect();
-        self.bulk_load_on(objects, 1);
     }
 
     /// Delete an object. Returns `false` when `id` was not stored.
@@ -671,11 +658,6 @@ impl SpatialDatabase {
         self.store().occupied_pages()
     }
 
-    /// Occupied storage in megabytes.
-    pub fn occupied_mb(&self) -> f64 {
-        (self.occupied_pages() * PAGE_SIZE as u64) as f64 / (1024.0 * 1024.0)
-    }
-
     /// Write back dirty pages and prepare for cold queries. Also a
     /// quiescent point: `&mut self` proves no reader is pinned, so every
     /// superseded snapshot is freed.
@@ -703,11 +685,6 @@ impl SpatialDatabase {
     /// path, bypassing versioning (no shadow copy, nothing retired).
     pub fn store_mut(&mut self) -> &mut dyn SpatialStore {
         self.root.get_mut().store.as_mut()
-    }
-
-    /// Short name of the storage backend ("cluster org.", "memory", …).
-    pub fn store_name(&self) -> &'static str {
-        self.store().name()
     }
 
     /// Number of readers currently pinned to a snapshot of this
@@ -991,7 +968,6 @@ mod tests {
         let s = db.io_stats();
         assert!(s.write_requests > 0);
         assert!(db.occupied_pages() > 0);
-        assert!(db.occupied_mb() > 0.0);
     }
 
     #[test]
@@ -1163,7 +1139,7 @@ mod tests {
         let ws = Workspace::new(64);
         let store = MemoryStore::new(ws.pool());
         let mut db = ws.create_database_with(Box::new(store));
-        assert_eq!(db.store_name(), "memory");
+        assert_eq!(db.store().name(), "memory");
         for i in 0..20u64 {
             db.insert(i, street((i % 5) as f64 / 5.0, (i / 5) as f64 / 5.0));
         }

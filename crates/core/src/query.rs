@@ -42,12 +42,16 @@
 //! comparison sort (on A-1's 0.1 % windows, half the neighbouring ids
 //! ascend); [`Query::run`] sorts those the verdicts leave by id, and
 //! every read path hands its answers out in that order — the cursor,
-//! `ids()`, `run_par`, `run_batch`, `run_stream`, and the callers that
+//! `ids()`, `run_batch`, `run_stream`, and the callers that
 //! compare them with a sorted list. A list of 512 candidates or more is
 //! ordered by a least-significant-digit radix sort on the id, two
 //! linear passes for every id below 2²²; a shorter one by a comparison
 //! sort, which is faster there. Ids are unique, so both give the one
 //! permutation ascending order allows.
+//!
+//! A query cursor refines on the calling thread, iterating or in
+//! [`ResultCursor::ids`]; `run_batch` and `run_stream` are the read
+//! paths that refine on several threads.
 //!
 //! A join runs the paper's three steps (§6.3): [`JoinQuery::run`] runs
 //! the MBR join and the object transfer, and the cursor the exact tests.
@@ -88,13 +92,14 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
-use spatialdb_disk::blocks::{map_chunks, Threads};
+use spatialdb_disk::blocks::{map_chunks, Spares, Threads};
 use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, HasMbr, Point, Rect, Verdict};
 use spatialdb_join::{JoinStats, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 thread_local! {
@@ -106,7 +111,14 @@ thread_local! {
     /// counting scatter of [`sort_by_id`]. It keeps the length of the
     /// longest list the thread has sorted, so only a longer one grows it.
     static RADIX: RefCell<Vec<Candidate>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's block buffers of [`JoinCursor::pairs`]'
+    /// chunks, kept between joins as the MBR join keeps its blocks'.
+    static PAIR_CHUNKS: RefCell<PairChunks> = RefCell::new(Spares::default());
 }
+
+/// The block buffers of [`JoinCursor::pairs`]' chunks: a chunk's range
+/// of the candidate pairs, and its refined pairs.
+type PairChunks = Spares<Range<usize>, Vec<(u64, u64)>>;
 
 /// What a [`Query`] searches for.
 #[derive(Clone, Copy, Debug)]
@@ -448,22 +460,6 @@ impl<'a> Query<'a> {
             next: 0,
             stats,
             io,
-            refine_threads: 1,
-        }
-    }
-
-    /// [`run`](Query::run), with the cursor's
-    /// [`ids`](ResultCursor::ids) refining on `n_threads` threads.
-    ///
-    /// The filter step (the part that charges the simulated disk) is
-    /// `run`'s, on the calling thread — the disk is one arm, its cost
-    /// model is inherently serial. The result set and the per-query
-    /// stats are therefore the same at every thread count; iterating the
-    /// cursor stays lazy and refines on the calling thread.
-    pub fn run_par(self, n_threads: usize) -> ResultCursor<'a> {
-        ResultCursor {
-            refine_threads: n_threads.max(1),
-            ..self.run()
         }
     }
 }
@@ -498,9 +494,6 @@ pub struct ResultCursor<'a> {
     next: usize,
     pub(crate) stats: QueryStats,
     pub(crate) io: IoStats,
-    /// Threads [`ids`](ResultCursor::ids) refines on: those the caller
-    /// gave [`Query::run_par`], one otherwise.
-    refine_threads: usize,
 }
 
 impl<'a> ResultCursor<'a> {
@@ -534,23 +527,12 @@ impl<'a> ResultCursor<'a> {
         self.candidates.iter().filter(|c| !c.decided).count()
     }
 
-    /// Drain the cursor into the sorted ids of all exact answers.
-    /// Cheaper than iterating: a decided candidate is not even looked
-    /// up.
-    ///
-    /// A [`Query::run_par`] cursor refines contiguous chunks of the
-    /// remaining candidates on its threads and concatenates them in
-    /// chunk order — the same ids as iterating.
+    /// Drain the cursor into the sorted ids of all exact answers, on the
+    /// calling thread — the same ids as iterating, and cheaper: a
+    /// decided candidate is not even looked up. (`run_batch` and
+    /// `run_stream` refine many queries' candidates on several threads.)
     pub fn ids(self) -> Vec<u64> {
-        let refinement = self.refinement();
-        let refine = |chunk: &[Candidate]| refinement.ids(chunk);
-        map_chunks(&self.candidates[self.next..], self.refine_threads, refine)
-    }
-
-    /// This query's refinement step. Unlike the pin it borrows from, it
-    /// can be handed to a worker thread.
-    pub(crate) fn refinement(&self) -> Refinement<'_> {
-        Refinement::of(&self.root, self.target)
+        Refinement::of(&self.root, self.target).ids(&self.candidates[self.next..])
     }
 
     /// The epoch this cursor's snapshot is pinned at (diagnostics and
@@ -743,7 +725,9 @@ impl<'a> JoinCursor<'a> {
         let refine = |chunk: &[_]| refine_pairs(left, right, chunk);
         let pairs = &self.pairs[self.next..];
         let threads = self.threads.for_items(pairs.len(), MIN_PAIRS_PER_THREAD);
-        let mut out = map_chunks(pairs, threads, refine);
+        let mut spares = PAIR_CHUNKS.take();
+        let mut out = map_chunks(pairs, threads, &mut spares, refine);
+        PAIR_CHUNKS.set(spares);
         out.sort_unstable();
         out
     }

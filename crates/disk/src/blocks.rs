@@ -1,7 +1,8 @@
 //! The one ordered work queue every fan-out of the engine runs on
 //! ([`run`]): the MBR join's leaf-pair sweeps, the stream executor's
 //! refinement jobs, and the contiguous chunks of [`map_chunks`] — a
-//! cursor's `ids()` and `pairs()`, a bulk load's records, sort and tile.
+//! join cursor's `pairs()`, a bulk load's records, sort and tile. (A
+//! query cursor's `ids()` refines on the calling thread.)
 //!
 //! The calling thread *produces* items — the MBR join's traversal, the
 //! leaf pairs it reaches — into blocks of a given weight. Up to `k − 1`
@@ -51,6 +52,7 @@ use crate::{DepGuard, DepMutex, LockClass};
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Condvar;
 use std::thread::Scope;
@@ -384,23 +386,27 @@ pub fn run<T: Send, R: Swept, S, O>(
     done
 }
 
-/// The sweep of [`map_chunks`]: each block is one chunk, mapped.
-struct MapChunks<F>(F);
+/// The sweep of [`map_chunks`]: each block is the range of one chunk
+/// of `items`, mapped.
+struct MapChunks<'a, T, F> {
+    items: &'a [T],
+    map: F,
+}
 
-impl<T: Sync, R: Swept, F: Fn(&[T]) -> R + Sync> Sweep<&[T], R> for MapChunks<F> {
+impl<T: Sync, R: Swept, F: Fn(&[T]) -> R + Sync> Sweep<Range<usize>, R> for MapChunks<'_, T, F> {
     type Scratch = ();
 
     fn scratch(&self) {}
 
-    fn sweep(&self, chunks: &[&[T]], out: &mut R, _: &mut ()) {
+    fn sweep(&self, chunks: &[Range<usize>], out: &mut R, _: &mut ()) {
         // `out` arrives empty: the first chunk's result replaces it
         // rather than being copied in.
-        let mut chunks = chunks.iter();
+        let mut chunks = chunks.iter().map(|range| &self.items[range.clone()]);
         if let Some(first) = chunks.next() {
-            *out = (self.0)(first);
+            *out = (self.map)(first);
         }
         for chunk in chunks {
-            out.append(&mut (self.0)(chunk));
+            out.append(&mut (self.map)(chunk));
         }
     }
 }
@@ -412,32 +418,34 @@ impl<T: Sync, R: Swept, F: Fn(&[T]) -> R + Sync> Sweep<&[T], R> for MapChunks<F>
 /// one thread, or a single item — is mapped on the calling thread,
 /// which spawns and allocates nothing for it. A panicking map ends the
 /// call with the payload of the lowest chunk that panicked.
-pub fn map_chunks<'a, T: Sync, R: Swept>(
-    items: &'a [T],
+///
+/// The blocks hold chunk ranges, not slices, so a caller can keep
+/// `spares`, the queue's block buffers, between calls — in a
+/// thread-local, as the MBR join keeps its own — and a warm call makes
+/// no block buffer.
+pub fn map_chunks<T: Sync, R: Swept>(
+    items: &[T],
     threads: usize,
+    spares: &mut Spares<Range<usize>, R>,
     map: impl Fn(&[T]) -> R + Sync,
 ) -> R {
     let per = items.len().div_ceil(threads.max(1)).max(1);
     if items.len() <= per {
         return map(items);
     }
-    let produce = |blocks: &mut Blocks<'_, '_, &'a [T], R, ()>| {
-        for chunk in items.chunks(per) {
-            blocks.push(chunk, 1);
+    let produce = |blocks: &mut Blocks<'_, '_, Range<usize>, R, ()>| {
+        for start in (0..items.len()).step_by(per) {
+            blocks.push(start..items.len().min(start + per), 1);
         }
     };
-    let mut spares = Spares::default();
-    let sweep = MapChunks(map);
-    run(
-        threads,
-        1,
-        &mut spares,
-        R::default(),
-        &sweep,
-        produce,
-        |_| (),
-    )
-    .0
+    let sweep = MapChunks { items, map };
+    let out = run(threads, 1, spares, R::default(), &sweep, produce, |_| ()).0;
+    // A map makes each chunk's result afresh, so a result buffer left in
+    // a slot would only be held until the next call dropped it.
+    for slot in &mut spares.0 {
+        slot.result = R::default();
+    }
+    out
 }
 
 /// How many threads an operation's fan-out runs on.
@@ -755,13 +763,18 @@ mod tests {
     fn chunks_concatenate_in_order_at_any_thread_count() {
         let items: Vec<u32> = (0..1000).collect();
         let want: Vec<u32> = items.iter().map(|x| x * 3).collect();
-        for threads in [0, 1, 2, 3, 7, 8, 999, 1000, 1001, 5000] {
-            let got = map_chunks(&items, threads, |chunk| {
+        // One spare list for every call: a call reuses the block buffers
+        // the last one left, however many chunks each had.
+        let mut spares = Spares::default();
+        for threads in [0, 1, 2, 3, 7, 8, 999, 1000, 1001, 5000, 3] {
+            let got = map_chunks(&items, threads, &mut spares, |chunk| {
                 chunk.iter().map(|x| x * 3).collect::<Vec<_>>()
             });
             assert_eq!(got, want, "{threads} threads");
         }
-        let none: Vec<u32> = map_chunks(&[], 4, |chunk: &[u32]| chunk.to_vec());
+        let none: Vec<u32> = map_chunks(&[], 4, &mut Spares::default(), |chunk: &[u32]| {
+            chunk.to_vec()
+        });
         assert!(none.is_empty());
     }
 
@@ -770,12 +783,16 @@ mod tests {
         let caller = std::thread::current().id();
         for (items, threads) in [(10, 1), (10, 0), (1, 8), (0, 8)] {
             let list = vec![0u8; items];
-            let ran_on = map_chunks(&list, threads, |_| vec![std::thread::current().id()]);
+            let ran_on = map_chunks(&list, threads, &mut Spares::default(), |_| {
+                vec![std::thread::current().id()]
+            });
             assert_eq!(ran_on, [caller], "{items} items, {threads} threads");
         }
         // More chunks: one a block, on the caller and at most two
         // workers.
-        let ran_on = map_chunks(&[0u8; 9], 3, |_| vec![std::thread::current().id()]);
+        let ran_on = map_chunks(&[0u8; 9], 3, &mut Spares::default(), |_| {
+            vec![std::thread::current().id()]
+        });
         assert_eq!(ran_on.len(), 3);
         let threads: std::collections::HashSet<_> = ran_on.iter().collect();
         assert!(threads.len() <= 3, "{threads:?}");
@@ -785,7 +802,7 @@ mod tests {
     fn a_worker_panic_reaches_the_caller_with_its_payload() {
         let items: Vec<u32> = (0..10).collect();
         let caught = panic::catch_unwind(|| {
-            map_chunks(&items, 2, |chunk| {
+            map_chunks(&items, 2, &mut Spares::default(), |chunk| {
                 if chunk.contains(&7) {
                     panic::panic_any(7u32);
                 }

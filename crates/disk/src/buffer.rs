@@ -706,20 +706,10 @@ pub(crate) mod reference {
             }
         }
 
-        /// Drop every buffered page (experiment boundary where the buffer
-        /// must start cold), **writing back dirty pages first** — dropping
-        /// them silently would deflate the experiment's write counts by the
-        /// deferred writebacks the workload actually incurred.
-        pub(crate) fn invalidate_all(&mut self) {
-            self.flush();
-            let cap = self.buf.capacity();
-            self.buf = LruBuffer::new(cap);
-        }
-
         /// Replace the buffer with an empty one of `capacity` pages (the
-        /// buffer-size sweeps of Figures 14 and 16 resize between runs).
-        /// Dirty pages are written back first, like
-        /// [`invalidate_all`](BufferPool::invalidate_all).
+        /// buffer-size sweeps of Figures 14 and 16 resize between runs; a
+        /// cold experiment boundary resets to the same capacity). Dirty
+        /// pages are written back first.
         pub(crate) fn reset(&mut self, capacity: usize) {
             self.flush();
             self.buf = LruBuffer::new(capacity);
@@ -954,9 +944,8 @@ mod tests {
 
     #[test]
     fn read_set_hits_reduce_transfers() {
-        let (disk, mut pool, r) = pool(16);
+        let (_, mut pool, r) = pool(16);
         pool.read_page(pg(r, 1));
-        disk.reset_stats();
         let out = pool.read_set(
             &[pg(r, 0), pg(r, 1), pg(r, 2)],
             SeekPolicy::WithinCluster { initial_seek: true },
@@ -979,15 +968,14 @@ mod tests {
 
     #[test]
     fn slm_read_bridges_gaps_and_modes_differ() {
-        let (disk, mut pool, r) = pool(64);
+        let (_, mut pool, r) = pool(64);
         let extent = PageRun::new(pg(r, 0), 12);
         // Requested offsets 0, 2, 3 with gap 1 bridged.
         let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, TransferTechnique::Read, true);
         assert_eq!(out.requests, 1);
         assert_eq!(out.pages_transferred, 4);
         assert!(pool.buffer().contains(&pg(r, 1))); // bridged page kept
-        pool.invalidate_all();
-        disk.reset_stats();
+        pool.reset(64);
         let out = pool.read_extent_slm(extent, &[0, 2, 3], 1, TransferTechnique::VectorRead, true);
         assert_eq!(out.pages_transferred, 4);
         assert!(!pool.buffer().contains(&pg(r, 1))); // bridged page dropped
@@ -996,10 +984,9 @@ mod tests {
 
     #[test]
     fn slm_read_excludes_buffered_pages() {
-        let (disk, mut pool, r) = pool(64);
+        let (_, mut pool, r) = pool(64);
         let extent = PageRun::new(pg(r, 0), 12);
         pool.read_page(pg(r, 2));
-        disk.reset_stats();
         let out = pool.read_extent_slm(extent, &[0, 2, 4], 1, TransferTechnique::Read, true);
         assert_eq!(out.buffer_hits, 1);
         // Missing offsets 0 and 4: gap of 3 > 1 → two requests.
@@ -1018,9 +1005,9 @@ mod tests {
         assert_eq!(s.write_requests, 2); // runs [0,1] and [5]
         assert_eq!(s.pages_written, 3);
         // Second flush writes nothing.
-        disk.reset_stats();
+        let before = disk.stats();
         pool.flush();
-        assert_eq!(disk.stats().requests(), 0);
+        assert_eq!(disk.stats().since(&before).requests(), 0);
     }
 
     #[test]
@@ -1029,11 +1016,11 @@ mod tests {
         pool.write_page(pg(r, 0));
         pool.write_page(pg(r, 1));
         pool.read_page(pg(r, 5));
-        disk.reset_stats();
-        pool.invalidate_all();
+        let before = disk.stats();
+        pool.reset(8);
         // Experiment boundary: the deferred writebacks are charged (one
         // run for the consecutive dirty pages), clean pages just drop.
-        let s = disk.stats();
+        let s = disk.stats().since(&before);
         assert_eq!(s.write_requests, 1);
         assert_eq!(s.pages_written, 2);
         assert_eq!(pool.buffer().len(), 0);
@@ -1043,16 +1030,17 @@ mod tests {
     fn reset_writes_back_dirty_pages_before_resizing() {
         let (disk, mut pool, r) = pool(8);
         pool.write_page(pg(r, 4));
-        disk.reset_stats();
+        let before = disk.stats();
         pool.reset(16);
-        assert_eq!(disk.stats().write_requests, 1);
-        assert_eq!(disk.stats().pages_written, 1);
+        let s = disk.stats().since(&before);
+        assert_eq!(s.write_requests, 1);
+        assert_eq!(s.pages_written, 1);
         assert_eq!(pool.buffer().capacity(), 16);
         assert_eq!(pool.buffer().len(), 0);
         // A clean pool resets for free.
-        disk.reset_stats();
+        let before = disk.stats();
         pool.reset(8);
-        assert_eq!(disk.stats().requests(), 0);
+        assert_eq!(disk.stats().since(&before).requests(), 0);
     }
 
     #[test]

@@ -215,14 +215,6 @@ impl Disk {
     pub fn local_stats(&self) -> IoStats {
         THREAD_TALLY.with(|t| t.get())
     }
-
-    /// Reset the statistics to zero (region allocations are kept).
-    ///
-    /// Only the global counters are reset; thread tallies are monotone
-    /// (deltas against them are unaffected by resets).
-    pub fn reset_stats(&self) {
-        self.state.acquire().stats = IoStats::new();
-    }
 }
 
 #[cfg(test)]
@@ -271,15 +263,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(disk.region_name(a), "tree");
         assert_eq!(disk.region_name(b), "objects");
-    }
-
-    #[test]
-    fn reset_clears_stats() {
-        let disk = Disk::with_defaults();
-        let r = disk.create_region("x");
-        disk.charge(IoKind::Read, PageRun::new(PageId::new(r, 0), 1), false);
-        disk.reset_stats();
-        assert_eq!(disk.stats(), IoStats::new());
     }
 
     #[test]

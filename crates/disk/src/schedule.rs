@@ -72,16 +72,6 @@ pub fn slm_schedule(offsets: &[u64], max_gap: u64) -> impl Iterator<Item = Sched
     })
 }
 
-/// Cost in milliseconds of executing a schedule inside one cluster unit:
-/// the first request pays seek + latency + transfers, subsequent requests
-/// pay latency + transfers (§5.4.3's one-seek-per-cluster assumption).
-pub fn schedule_cost_ms(params: &DiskParams, runs: &[ScheduledRun]) -> f64 {
-    runs.iter()
-        .enumerate()
-        .map(|(i, r)| params.request_ms(r.len, i > 0))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +184,13 @@ mod tests {
         let p = DiskParams::default();
         let runs: Vec<_> = slm_schedule(&[0, 10], 5).collect();
         assert_eq!(runs.len(), 2);
-        // First: 9 + 6 + 1; second: 6 + 1.
-        assert_eq!(schedule_cost_ms(&p, &runs), 16.0 + 7.0);
+        // One seek per cluster unit (§5.4.3): first 9 + 6 + 1, second
+        // 6 + 1.
+        let cost: f64 = runs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| p.request_ms(r.len, i > 0))
+            .sum();
+        assert_eq!(cost, 16.0 + 7.0);
     }
 }

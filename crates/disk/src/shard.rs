@@ -63,7 +63,6 @@
 //! *optimum* unit read, which charges the queue before its analytical
 //! request, under the shard lock — the order the hierarchy allows).
 //! The stop-the-world operations ([`flush`](ShardedPool::flush),
-//! [`invalidate_all`](ShardedPool::invalidate_all),
 //! [`reset`](ShardedPool::reset), [`dirty_pages`](ShardedPool::dirty_pages))
 //! acquire all shard locks in ascending index order and charge under
 //! them. This ordering is acyclic, so the pool cannot deadlock; it is
@@ -398,24 +397,13 @@ impl ShardedPool {
         }
     }
 
-    /// Drop every buffered page (experiment boundary where the buffer
-    /// must start cold), **writing back dirty pages first** — dropping
-    /// them silently would deflate the experiment's write counts by the
-    /// deferred writebacks the workload actually incurred.
-    pub fn invalidate_all(&self) {
-        let cap = self.capacity();
-        let mut guards = self.lock_all();
-        self.flush_locked(&mut guards);
-        let n = guards.len();
-        for (i, g) in guards.iter_mut().enumerate() {
-            **g = LruBuffer::new(quota(cap, n, i));
-        }
-    }
-
     /// Replace the buffer with an empty one of `capacity` total pages,
     /// rebalancing the per-shard quotas (the buffer-size sweeps of
-    /// Figures 14 and 16 resize between runs). Dirty pages are written
-    /// back first, like [`invalidate_all`](ShardedPool::invalidate_all).
+    /// Figures 14 and 16 resize between runs; `reset(pool.capacity())`
+    /// empties it at an experiment boundary where the buffer must start
+    /// cold). Dirty pages are written back first — dropping them silently
+    /// would deflate the experiment's write counts by the deferred
+    /// writebacks the workload actually incurred.
     ///
     /// # Panics
     ///
@@ -1011,8 +999,8 @@ mod tests {
                         sharded.flush();
                     }
                     1 => {
-                        reference.invalidate_all();
-                        sharded.invalidate_all();
+                        reference.reset(reference.buffer().capacity());
+                        sharded.reset(sharded.capacity());
                     }
                     2 => {
                         let cap = rng.gen_range(0..24u64) as usize;
@@ -1141,9 +1129,9 @@ mod tests {
         let s = disk.stats();
         assert_eq!(s.write_requests, 2); // runs [0..4] and [10..12]
         assert_eq!(s.pages_written, 6);
-        disk.reset_stats();
+        let before = disk.stats();
         pool.flush();
-        assert_eq!(disk.stats().requests(), 0);
+        assert_eq!(disk.stats().since(&before).requests(), 0);
     }
 
     #[test]
@@ -1153,14 +1141,14 @@ mod tests {
         let pool = ShardedPool::with_shards(disk.clone(), 64, 4);
         pool.session().write_page(PageId::new(r, 0));
         pool.session().write_page(PageId::new(r, 7));
-        disk.reset_stats();
-        pool.invalidate_all();
-        assert_eq!(disk.stats().pages_written, 2);
+        let before = disk.stats();
+        pool.reset(pool.capacity());
+        assert_eq!(disk.stats().since(&before).pages_written, 2);
         assert_eq!(pool.len(), 0);
         pool.session().write_page(PageId::new(r, 3));
-        disk.reset_stats();
+        let before = disk.stats();
         pool.reset(32);
-        assert_eq!(disk.stats().pages_written, 1);
+        assert_eq!(disk.stats().since(&before).pages_written, 1);
         assert_eq!(pool.capacity(), 32);
     }
 

@@ -1,7 +1,8 @@
 //! `map_chunks` over a single chunk maps it on the calling thread and
 //! allocates nothing of its own: with a map that does not allocate, a
-//! warm thread makes no heap allocation at all. That is the path of
-//! every `run()` window or point query's `ids()`, which refine on one
+//! warm thread makes no heap allocation at all. That is the path of a
+//! one-thread bulk load's records, sort and tile, and of a join
+//! cursor's `pairs()` when its undecided pairs do not pay for a second
 //! thread. A counting global allocator counts per thread, so the test
 //! harness's own threads do not interfere.
 //!
@@ -9,7 +10,7 @@
 //! this in release too: `cargo test --release -p spatialdb-disk --test
 //! one_chunk_allocations`.
 
-use spatialdb_disk::blocks::{map_chunks, Swept};
+use spatialdb_disk::blocks::{map_chunks, Spares, Swept};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -83,12 +84,14 @@ fn one_chunk_allocates_nothing_on_a_warm_thread() {
         (&items[..1], 1),
         (&[], 8),
     ];
-    let warm: u64 = calls.iter().map(|&(c, t)| map_chunks(c, t, sum).0).sum();
+    let mut spares = Spares::default();
+    let mut map = |chunk, threads| map_chunks(chunk, threads, &mut spares, sum).0;
+    let warm: u64 = calls.iter().map(|&(c, t)| map(c, t)).sum();
     let mut total = 0;
     let n = allocations(|| {
         for _ in 0..100 {
             for &(chunk, threads) in &calls {
-                total += map_chunks(chunk, threads, sum).0;
+                total += map(chunk, threads);
             }
         }
     });

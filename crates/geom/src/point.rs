@@ -40,18 +40,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
-    /// Component-wise translation.
-    #[inline]
-    pub fn translate(&self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
     /// `true` if both coordinates are finite (neither NaN nor infinite).
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -89,19 +77,6 @@ mod tests {
         let a = Point::new(1.5, -2.0);
         let b = Point::new(-0.5, 7.25);
         assert_eq!(a.distance(&b), b.distance(&a));
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 6.0);
-        assert_eq!(a.midpoint(&b), Point::new(1.0, 3.0));
-    }
-
-    #[test]
-    fn translate_moves_point() {
-        let p = Point::new(1.0, 1.0).translate(-0.5, 2.0);
-        assert_eq!(p, Point::new(0.5, 3.0));
     }
 
     #[test]

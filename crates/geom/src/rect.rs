@@ -229,22 +229,6 @@ impl Rect {
         self.union(other).area() - self.area()
     }
 
-    /// Rectangle grown by `dx`/`dy` on each side (negative values shrink;
-    /// the result is clamped to remain valid).
-    #[inline]
-    pub fn inflate(&self, dx: f64, dy: f64) -> Rect {
-        let xmin = self.xmin - dx;
-        let xmax = self.xmax + dx;
-        let ymin = self.ymin - dy;
-        let ymax = self.ymax + dy;
-        if xmin > xmax || ymin > ymax {
-            let c = self.center();
-            Rect::new(c.x, c.y, c.x, c.y)
-        } else {
-            Rect::new(xmin, ymin, xmax, ymax)
-        }
-    }
-
     /// Rectangle scaled around its centre by `factor` (in each dimension).
     #[inline]
     pub fn scale(&self, factor: f64) -> Rect {
@@ -264,14 +248,6 @@ impl Rect {
             && self.ymin.is_finite()
             && self.xmax.is_finite()
             && self.ymax.is_finite()
-    }
-
-    /// Minimum distance from `p` to the rectangle (0 when inside).
-    #[inline]
-    pub fn distance_to_point(&self, p: &Point) -> f64 {
-        let dx = (self.xmin - p.x).max(0.0).max(p.x - self.xmax);
-        let dy = (self.ymin - p.y).max(0.0).max(p.y - self.ymax);
-        (dx * dx + dy * dy).sqrt()
     }
 }
 
@@ -395,23 +371,6 @@ mod tests {
         assert_eq!(y.center(), c);
         assert_eq!(y.width(), 1.0);
         assert_eq!(y.height(), 2.0);
-    }
-
-    #[test]
-    fn inflate_clamps() {
-        let x = r(0.0, 0.0, 1.0, 1.0);
-        let shrunk = x.inflate(-2.0, -2.0);
-        assert!(shrunk.area() == 0.0);
-        let grown = x.inflate(1.0, 2.0);
-        assert_eq!(grown, r(-1.0, -2.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn distance_to_point() {
-        let x = r(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(x.distance_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(x.distance_to_point(&Point::new(2.0, 0.5)), 1.0);
-        assert!((x.distance_to_point(&Point::new(4.0, 5.0)) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -111,18 +111,7 @@ impl Swept for MbrJoinResult {
 /// is the calling thread's. Pairs, their order and the node reads depend
 /// on the two trees only (the module's *order contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
-    mbr_join_on(r, s, io, Threads::Machine)
-}
-
-/// [`mbr_join`] on `threads`: the pipeline with a consumer that only
-/// appends the swept blocks.
-pub(crate) fn mbr_join_on(
-    r: &RStarTree,
-    s: &RStarTree,
-    io: &mut impl NodeIo,
-    threads: Threads,
-) -> MbrJoinResult {
-    mbr_join_then(r, s, io, threads, |_| ()).0
+    mbr_join_then(r, s, io, Threads::Machine, |_| ()).0
 }
 
 /// Leaf entries a block of leaf pairs holds before it is published: the
@@ -493,8 +482,6 @@ mod tests {
         let mut t = RStarTree::new(
             RTreeConfig {
                 max_entries,
-                min_fill_ratio: 0.4,
-                reinsert_fraction: 0.3,
                 leaf_reinsert_enabled: true,
                 leaf_payload_limit: None,
             },
@@ -730,7 +717,8 @@ mod tests {
                 assert_eq!((r.height(), s.height()), case.heights, "{name}: heights");
 
                 let mut recorder = Recorder::default();
-                let res = mbr_join_on(&r, &s, &mut recorder, Threads::Exactly(threads));
+                let threads = Threads::Exactly(threads);
+                let res = mbr_join_then(&r, &s, &mut recorder, threads, |_| ()).0;
                 let reads = recorder.0;
                 assert_eq!(
                     (res.pairs.len(), pairs_checksum(&res.pairs)),
@@ -989,7 +977,7 @@ mod tests {
             for at in [0, reads / 2, reads - 1] {
                 let caught = std::panic::catch_unwind(|| {
                     let mut io = PanicAt { reads: 0, at };
-                    mbr_join_on(&case.r, &case.s, &mut io, Threads::Exactly(threads))
+                    mbr_join_then(&case.r, &case.s, &mut io, Threads::Exactly(threads), |_| ())
                 });
                 let payload = caught.expect_err("the traversal panics");
                 assert_eq!(
@@ -1072,15 +1060,15 @@ mod tests {
         let (tb, _) = build(&rb);
         // Big buffer: most pages read once.
         let big = ShardedPool::new(da.clone(), 4096);
-        da.reset_stats();
+        let before = da.stats();
         let res = mbr_join(&ta, &tb, &mut big.session());
-        let big_reads = da.stats().pages_read;
+        let big_reads = da.stats().since(&before).pages_read;
         assert!(!res.pairs.is_empty());
         // Tiny buffer: strictly more page reads.
-        da.reset_stats();
+        let before = da.stats();
         let small = ShardedPool::new(da.clone(), 16);
         mbr_join(&ta, &tb, &mut small.session());
-        let small_reads = da.stats().pages_read;
+        let small_reads = da.stats().since(&before).pages_read;
         assert!(small_reads >= big_reads);
         // With a reasonable buffer and x-ordering, close to one read per
         // node ("most pages transferred into main memory only once").

@@ -309,9 +309,6 @@ mod tests {
         ) -> u64 {
             self.store.window_query_into(window, technique, out)
         }
-        fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-            self.store.fetch_object(oid, session)
-        }
         fn fetch_for_join(
             &self,
             oid: ObjectId,

@@ -5,18 +5,22 @@
 /// representation of an object entry in a data page, 46 Bytes are used"*).
 pub const ENTRY_BYTES: usize = 46;
 
-/// Configuration of an [`crate::RStarTree`].
+/// Minimum fill ratio `m / M` used by splits and deletions. \[BKSS90\]
+/// found 40 % to perform best.
+pub const MIN_FILL_RATIO: f64 = 0.4;
+
+/// Fraction of entries removed by a forced reinsert. \[BKSS90\]: 30 %.
+pub const REINSERT_FRACTION: f64 = 0.3;
+
+/// Configuration of an [`crate::RStarTree`]. The ratios the paper's
+/// R\*-tree fixes are constants: [`MIN_FILL_RATIO`] and
+/// [`REINSERT_FRACTION`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RTreeConfig {
     /// Maximum number of entries per node, `M`.
     ///
     /// With 4 KB pages and 46-byte entries: `M = ⌊4096 / 46⌋ = 89`.
     pub max_entries: usize,
-    /// Minimum fill ratio `m / M` used by splits and deletions. \[BKSS90\]
-    /// found 40 % to perform best.
-    pub min_fill_ratio: f64,
-    /// Fraction of entries removed by a forced reinsert. \[BKSS90\]: 30 %.
-    pub reinsert_fraction: f64,
     /// Whether forced reinsert is performed at the leaf (data page)
     /// level. The cluster organization disables it (§4.2.1): a leaf-level
     /// reinsert would transfer complete spatial objects from one cluster
@@ -41,8 +45,6 @@ impl RTreeConfig {
     pub fn paper_default(page_bytes: usize) -> Self {
         RTreeConfig {
             max_entries: page_bytes / ENTRY_BYTES,
-            min_fill_ratio: 0.4,
-            reinsert_fraction: 0.3,
             leaf_reinsert_enabled: true,
             leaf_payload_limit: None,
         }
@@ -71,28 +73,20 @@ impl RTreeConfig {
     /// `count` entries when splitting (`max(1, ⌊ratio · count⌋)`, capped
     /// so that both split halves are non-empty).
     pub fn min_entries_for(&self, count: usize) -> usize {
-        let m = (self.min_fill_ratio * count as f64).floor() as usize;
+        let m = (MIN_FILL_RATIO * count as f64).floor() as usize;
         m.clamp(1, count / 2)
     }
 
     /// Number of entries removed by a forced reinsert of a node with
     /// `count` entries (at least 1, at most `count - 1`).
     pub fn reinsert_count(&self, count: usize) -> usize {
-        let p = (self.reinsert_fraction * count as f64).round() as usize;
+        let p = (REINSERT_FRACTION * count as f64).round() as usize;
         p.clamp(1, count.saturating_sub(1).max(1))
     }
 
     /// Validate the configuration, panicking on nonsense values.
     pub fn validate(&self) {
         assert!(self.max_entries >= 4, "M must be at least 4");
-        assert!(
-            (0.0..=0.5).contains(&self.min_fill_ratio),
-            "min fill ratio must be in (0, 0.5]"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.reinsert_fraction),
-            "reinsert fraction must be in [0, 1)"
-        );
     }
 }
 

@@ -134,8 +134,6 @@ mod tests {
         let mut t = RStarTree::new(
             RTreeConfig {
                 max_entries: 8,
-                min_fill_ratio: 0.4,
-                reinsert_fraction: 0.3,
                 leaf_reinsert_enabled: true,
                 leaf_payload_limit: None,
             },

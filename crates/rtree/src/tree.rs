@@ -1,13 +1,13 @@
 //! The R\*-tree proper: structure, insertion with forced reinsert,
 //! splitting, and deletion.
 
-use crate::config::RTreeConfig;
-use crate::entry::{DirEntry, LeafEntry, ObjectId};
+use crate::config::{RTreeConfig, MIN_FILL_RATIO};
+use crate::entry::{DirEntry, LeafEntry, ObjectId, SplitItem};
 use crate::io::NodeIo;
 use crate::node::{Node, NodeId, NodeKind, NodeStore};
 use crate::split::rstar_split;
 use spatialdb_disk::{ExtentAllocator, PageId, RegionId};
-use spatialdb_geom::Rect;
+use spatialdb_geom::{Point, Rect};
 
 /// Candidates the leaf-level ChooseSubtree evaluates by overlap
 /// enlargement: the entries of least area enlargement (\[BKSS90\]'s
@@ -95,6 +95,26 @@ impl AnyEntry {
             AnyEntry::Dir(e) => e.mbr,
         }
     }
+}
+
+/// Remove from `entries` the `p` whose centres lie farthest from
+/// `center`, by descending index (each `swap_remove` moves only an entry
+/// that stays), and return them wrapped by `wrap`.
+fn remove_farthest<T: SplitItem>(
+    entries: &mut Vec<T>,
+    p: usize,
+    center: &Point,
+    wrap: impl Fn(T) -> AnyEntry,
+) -> Vec<AnyEntry> {
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by(|&a, &b| {
+        let da = entries[a].rect().center().distance_sq(center);
+        let db = entries[b].rect().center().distance_sq(center);
+        db.total_cmp(&da)
+    });
+    let mut far: Vec<usize> = order[..p].to_vec();
+    far.sort_unstable_by(|a, b| b.cmp(a));
+    far.iter().map(|&i| wrap(entries.swap_remove(i))).collect()
 }
 
 /// The R\*-tree. See the crate documentation for the algorithmic
@@ -436,37 +456,9 @@ impl RStarTree {
             (node.level, node.page, node.mbr().center())
         };
         let p = self.config.reinsert_count(self.store.get(node_id).len());
-        // Collect (distance, index) and take the p farthest.
-        let removed: Vec<AnyEntry> = {
-            let node = self.store.get_mut(node_id);
-            match &mut node.kind {
-                NodeKind::Leaf(entries) => {
-                    let mut order: Vec<usize> = (0..entries.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        let da = entries[a].mbr.center().distance_sq(&center);
-                        let db = entries[b].mbr.center().distance_sq(&center);
-                        db.total_cmp(&da)
-                    });
-                    let mut far: Vec<usize> = order[..p].to_vec();
-                    far.sort_unstable_by(|a, b| b.cmp(a)); // remove from the back
-                    far.iter()
-                        .map(|&i| AnyEntry::Leaf(entries.swap_remove(i)))
-                        .collect()
-                }
-                NodeKind::Dir(entries) => {
-                    let mut order: Vec<usize> = (0..entries.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        let da = entries[a].mbr.center().distance_sq(&center);
-                        let db = entries[b].mbr.center().distance_sq(&center);
-                        db.total_cmp(&da)
-                    });
-                    let mut far: Vec<usize> = order[..p].to_vec();
-                    far.sort_unstable_by(|a, b| b.cmp(a));
-                    far.iter()
-                        .map(|&i| AnyEntry::Dir(entries.swap_remove(i)))
-                        .collect()
-                }
-            }
+        let removed = match &mut self.store.get_mut(node_id).kind {
+            NodeKind::Leaf(entries) => remove_farthest(entries, p, &center, AnyEntry::Leaf),
+            NodeKind::Dir(entries) => remove_farthest(entries, p, &center, AnyEntry::Dir),
         };
         io.modify(page);
         self.update_path_mbrs(node_id, io);
@@ -689,8 +681,7 @@ impl RStarTree {
         ctx: &mut InsertCtx,
         io: &mut impl NodeIo,
     ) -> Vec<NodeId> {
-        let min_fill =
-            (self.config.min_fill_ratio * self.config.max_entries as f64).floor() as usize;
+        let min_fill = (MIN_FILL_RATIO * self.config.max_entries as f64).floor() as usize;
         let mut orphans: Vec<(AnyEntry, u32)> = Vec::new();
         let mut removed_leaves = Vec::new();
         let mut cur = leaf;
@@ -755,8 +746,6 @@ mod tests {
     fn small_config() -> RTreeConfig {
         RTreeConfig {
             max_entries: 8,
-            min_fill_ratio: 0.4,
-            reinsert_fraction: 0.3,
             leaf_reinsert_enabled: true,
             leaf_payload_limit: None,
         }

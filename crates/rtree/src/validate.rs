@@ -131,8 +131,6 @@ mod tests {
         let mut t = RStarTree::new(
             RTreeConfig {
                 max_entries: 6,
-                min_fill_ratio: 0.4,
-                reinsert_fraction: 0.3,
                 leaf_reinsert_enabled: true,
                 leaf_payload_limit: None,
             },

@@ -64,8 +64,6 @@ fn tree() -> RStarTree {
     let disk = Disk::with_defaults();
     let config = RTreeConfig {
         max_entries: 8,
-        min_fill_ratio: 0.4,
-        reinsert_fraction: 0.3,
         leaf_reinsert_enabled: true,
         leaf_payload_limit: None,
     };

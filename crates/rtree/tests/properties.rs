@@ -35,8 +35,6 @@ fn rects(rng: &mut SmallRng, len: Range<usize>) -> Vec<Rect> {
 fn config(m: usize, leaf_reinsert: bool, payload_limit: Option<u64>) -> RTreeConfig {
     RTreeConfig {
         max_entries: m,
-        min_fill_ratio: 0.4,
-        reinsert_fraction: 0.3,
         leaf_reinsert_enabled: leaf_reinsert,
         leaf_payload_limit: payload_limit,
     }

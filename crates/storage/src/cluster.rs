@@ -505,12 +505,6 @@ impl SpatialStore for ClusterOrganization {
         out.iter().map(|e| u64::from(e.payload)).sum()
     }
 
-    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-        let leaf = self.objects[oid];
-        let own = self.placements(leaf, [oid]).next().expect("one hit");
-        session.read_run(self.unit(leaf).run(own), SeekPolicy::PerRequest);
-    }
-
     /// The join's object transfer (§6.2): fetch `oid`, batching the
     /// other candidates of its cluster unit according to the technique.
     /// `needed` is the join's whole candidate set for this operand,

@@ -7,7 +7,7 @@
 //! [`SpatialStore`] backend plugs into the engine in one file — no other
 //! crate needs to change.
 
-use crate::model::{SharedPool, WindowTechnique};
+use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::store::SpatialStore;
 use spatialdb_disk::{PoolSession, PAGE_SIZE};
@@ -15,7 +15,7 @@ use spatialdb_geom::Rect;
 use spatialdb_rtree::{
     bulk, LeafEntry, NoIo, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A purely in-memory spatial store (no simulated I/O).
 #[derive(Clone, Debug)]
@@ -79,7 +79,13 @@ impl SpatialStore for MemoryStore {
         out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum()
     }
 
-    fn fetch_object(&self, _oid: ObjectId, _session: &mut PoolSession<'_>) {
+    fn fetch_for_join(
+        &self,
+        _oid: ObjectId,
+        _needed: &HashSet<ObjectId>,
+        _technique: TransferTechnique,
+        _session: &mut PoolSession<'_>,
+    ) {
         // Already resident.
     }
 

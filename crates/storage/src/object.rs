@@ -55,24 +55,11 @@ impl ObjectRecord {
     pub fn leaf_entry(&self, payload: u32) -> LeafEntry {
         LeafEntry::new(self.mbr, self.oid, payload).with_hint(self.hint)
     }
-
-    /// Number of pages the object minimally occupies.
-    pub fn min_pages(&self, page_bytes: u64) -> u64 {
-        u64::from(self.size_bytes).div_ceil(page_bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn min_pages() {
-        let r = ObjectRecord::new(ObjectId(1), Rect::new(0.0, 0.0, 1.0, 1.0), 625);
-        assert_eq!(r.min_pages(4096), 1);
-        let big = ObjectRecord::new(ObjectId(2), Rect::new(0.0, 0.0, 1.0, 1.0), 9000);
-        assert_eq!(big.min_pages(4096), 3);
-    }
 
     #[test]
     fn a_hint_is_carried_only_when_given() {

@@ -9,7 +9,7 @@
 //! maintained. Such objects occupied their individual pages exclusively"*
 //! (§5.2).
 
-use crate::model::{SharedPool, WindowTechnique};
+use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::SpatialStore;
@@ -20,6 +20,7 @@ use spatialdb_rtree::config::ENTRY_BYTES;
 use spatialdb_rtree::{
     bulk, LeafEntry, LeafSplit, NodeId, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams,
 };
+use std::collections::HashSet;
 
 /// What the organization records per object.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -196,7 +197,13 @@ impl SpatialStore for PrimaryOrganization {
         self.read_overflow_objects(out, &mut session)
     }
 
-    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+    fn fetch_for_join(
+        &self,
+        oid: ObjectId,
+        _needed: &HashSet<ObjectId>,
+        _technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
+    ) {
         // The data page holds the entry and (for inline objects) the
         // representation itself.
         let slot = &self.objects[oid];
@@ -408,7 +415,9 @@ mod tests {
         let mut org = org_with_sizes(&[600, 9000]);
         org.begin_query();
         let before = org.disk().stats();
-        org.fetch_object(ObjectId(1), &mut org.pool().session());
+        let none = HashSet::new();
+        let complete = TransferTechnique::Complete;
+        org.fetch_for_join(ObjectId(1), &none, complete, &mut org.pool().session());
         let d = org.disk().stats().since(&before);
         // Leaf page + 3 consecutive overflow pages = 2 requests.
         assert_eq!(d.read_requests, 2);

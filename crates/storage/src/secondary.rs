@@ -17,7 +17,7 @@
 //! id (deletion, the join's transfer) go through the per-object
 //! [`ObjectTable`], which records the same run.
 
-use crate::model::{SharedPool, WindowTechnique};
+use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
 use crate::store::SpatialStore;
@@ -25,6 +25,7 @@ use crate::table::ObjectTable;
 use spatialdb_disk::{IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{bulk, LeafEntry, ObjectId, RStarTree, RTreeConfig, Tile, TilingParams};
+use std::collections::HashSet;
 
 /// What the organization records per object.
 #[derive(Clone, Copy, Debug)]
@@ -55,9 +56,6 @@ pub struct SecondaryOrganization {
     file_region: RegionId,
     packer: PagePacker,
     objects: ObjectTable<ObjectSlot>,
-    /// Bytes freed by deletions; the sequential file never reclaims them
-    /// (holes stay, as an insertion-ordered file implies).
-    freed_bytes: u64,
 }
 
 impl SecondaryOrganization {
@@ -74,13 +72,7 @@ impl SecondaryOrganization {
             file_region,
             packer: PagePacker::new(PAGE_SIZE as u64),
             objects: ObjectTable::new(),
-            freed_bytes: 0,
         }
-    }
-
-    /// Bytes occupied by deleted objects (holes in the sequential file).
-    pub fn dead_bytes(&self) -> u64 {
-        self.freed_bytes
     }
 
     /// Give the object behind `entry` (payload = its size) the next
@@ -169,7 +161,13 @@ impl SpatialStore for SecondaryOrganization {
         self.read_objects(out, &mut session)
     }
 
-    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
+    fn fetch_for_join(
+        &self,
+        oid: ObjectId,
+        _needed: &HashSet<ObjectId>,
+        _technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
+    ) {
         session.read_run(self.objects[oid].run, SeekPolicy::PerRequest);
     }
 
@@ -209,7 +207,6 @@ impl SpatialStore for SecondaryOrganization {
         };
         let outcome = self.tree.delete(oid, &slot.mbr, &mut self.pool.session());
         debug_assert!(outcome.removed, "index out of sync for {oid}");
-        self.freed_bytes += u64::from(slot.size);
         true
     }
 
@@ -383,7 +380,6 @@ mod tests {
         assert!(org.delete(ObjectId(7)));
         assert!(!org.delete(ObjectId(7)));
         assert_eq!(org.num_objects(), 199);
-        assert_eq!(org.dead_bytes(), 607); // 600 + 7 % 100
         check_invariants(org.tree()).unwrap();
         org.begin_query();
         let q = org.window_query(&Rect::new(0.0, 0.0, 1.0, 1.0), WindowTechnique::Complete);

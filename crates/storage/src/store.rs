@@ -35,7 +35,11 @@
 //!    the caller does, as a delta of the calling thread's I/O tally
 //!    around the call ([`Disk::local_stats`](spatialdb_disk::Disk::local_stats)),
 //!    so the delta stays exact under concurrency and each query is
-//!    measured once. Everything else on the read side is provided:
+//!    measured once. The join's object transfer has one required read
+//!    too, [`fetch_for_join`](SpatialStore::fetch_for_join): the
+//!    store's one way to read an object by id, which may batch the
+//!    object's neighbours among the join's candidates (the cluster
+//!    organization does). Everything else on the read side is provided:
 //!    [`point_query_into`](SpatialStore::point_query_into) runs a point
 //!    as a degenerate window (the cluster organization overrides it to
 //!    fetch objects page by page, §5.5),
@@ -217,34 +221,28 @@ pub trait SpatialStore: Send + Sync {
         self.tree().point_entries_into(point, &mut NoIo, out)
     }
 
-    /// Fetch one object's exact representation through `session`, a
-    /// session on this store's [`pool`](SpatialStore::pool) (the join's
-    /// object-transfer step for non-clustered stores).
-    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>);
-
-    /// The join's object transfer (§6.2): fetch `oid`, batching other
-    /// candidates of the join (`needed`) that live nearby according to
-    /// `technique`. `needed` is the operand's whole candidate set, built
-    /// once from the MBR join's pairs and never pruned as objects are
-    /// fetched: it also names candidates the join has already
-    /// processed. It is only filled in when
+    /// The store's one object read, the join's object transfer (§6.2):
+    /// fetch `oid`'s exact representation through `session`, a session
+    /// on this store's [`pool`](SpatialStore::pool) — the one session
+    /// the join's transfer holds on the operands' shared pool.
+    ///
+    /// A store may batch other candidates of the join (`needed`) that
+    /// live nearby according to `technique`, as the cluster organization
+    /// transfers whole cluster units or SLM schedules; the other
+    /// organizations ignore both and fetch the single object. `needed`
+    /// is the operand's whole candidate set, built once from the MBR
+    /// join's pairs and never pruned as objects are fetched: it also
+    /// names candidates the join has already processed. It is only
+    /// filled in when
     /// [`technique.reads_candidate_set()`](TransferTechnique::reads_candidate_set);
     /// an implementation must not read it otherwise.
-    ///
-    /// The default ignores the batching hints and fetches the single
-    /// object; the cluster organization overrides it to transfer whole
-    /// cluster units / SLM schedules. Reads through `session`, the one
-    /// session the join's transfer holds on the operands' shared pool.
     fn fetch_for_join(
         &self,
         oid: ObjectId,
         needed: &HashSet<ObjectId>,
         technique: TransferTechnique,
         session: &mut PoolSession<'_>,
-    ) {
-        let _ = (needed, technique);
-        self.fetch_object(oid, session);
-    }
+    );
 
     /// A shadow copy of this store for the copy-on-write write path:
     /// an independent `SpatialStore` observing the same simulated disk
@@ -397,8 +395,14 @@ mod tests {
             session.read_page(PageId::new(region, 0));
             panic!("the filter step failed");
         }
-        fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-            self.0.fetch_object(oid, session)
+        fn fetch_for_join(
+            &self,
+            oid: ObjectId,
+            needed: &HashSet<ObjectId>,
+            technique: TransferTechnique,
+            session: &mut PoolSession<'_>,
+        ) {
+            self.0.fetch_for_join(oid, needed, technique, session)
         }
         fn occupied_pages(&self) -> u64 {
             self.0.occupied_pages()

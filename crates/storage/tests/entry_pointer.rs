@@ -2,7 +2,7 @@
 //! leaf entry; operations that start from an id read the same facts
 //! from the per-object table. This is the differential between the two:
 //! `window_query` (the entry path) against a tree walk plus one
-//! `fetch_object` per candidate (the table path), on insertion-built and
+//! `fetch_for_join` per candidate (the table path), on insertion-built and
 //! STR-built stores that have since seen deletes and re-inserts. Same
 //! requests, same hits and misses — and the bytes of the records that
 //! went in.
@@ -14,8 +14,9 @@ use spatialdb_rtree::bulk::plan_tiles;
 use spatialdb_rtree::{ObjectId, TilingParams, DEFAULT_STR_FILL};
 use spatialdb_storage::{
     new_shared_pool, ObjectRecord, PrimaryOrganization, SecondaryOrganization, SpatialStore,
-    WindowTechnique,
+    TransferTechnique, WindowTechnique,
 };
+use std::collections::HashSet;
 
 /// 1,500 objects, most of them a few hundred bytes, every 9th one
 /// larger than a page (several file pages in the secondary organization,
@@ -111,9 +112,10 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
             by_table
                 .tree()
                 .window_entries_into(window, &mut session, &mut candidates);
-            let mut bytes = 0;
+            let (mut bytes, none) = (0, HashSet::new());
             for e in &candidates {
-                by_table.fetch_object(e.oid, &mut session);
+                let complete = TransferTechnique::Complete;
+                by_table.fetch_for_join(e.oid, &none, complete, &mut session);
                 bytes += u64::from(records[e.oid.0 as usize].size_bytes);
             }
             drop(session);
@@ -129,7 +131,7 @@ fn secondary_window_query_charges_what_the_table_path_charges() {
 
 #[test]
 fn primary_window_query_reports_the_bytes_the_table_records() {
-    // `fetch_object` also touches the data page here, so only the byte
+    // `fetch_for_join` also touches the data page here, so only the byte
     // count has a like-for-like path: the sizes of the records.
     let records = records();
     for str_built in [false, true] {

@@ -6,7 +6,10 @@
 use spatialdb::disk::PoolSession;
 use spatialdb::geom::Rect;
 use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
-use spatialdb::storage::{MemoryStore, ObjectRecord, SharedPool, SpatialStore, WindowTechnique};
+use spatialdb::storage::{
+    MemoryStore, ObjectRecord, SharedPool, SpatialStore, TransferTechnique, WindowTechnique,
+};
+use std::collections::HashSet;
 
 /// A backend from before the hint existed: what it keeps of a record is
 /// what `ObjectRecord::new` and `LeafEntry::new(mbr, oid, 0)` always
@@ -31,8 +34,14 @@ impl SpatialStore for HintlessStore {
     fn window_query_into(&self, w: &Rect, t: WindowTechnique, out: &mut Vec<LeafEntry>) -> u64 {
         self.0.window_query_into(w, t, out)
     }
-    fn fetch_object(&self, oid: ObjectId, session: &mut PoolSession<'_>) {
-        self.0.fetch_object(oid, session)
+    fn fetch_for_join(
+        &self,
+        oid: ObjectId,
+        needed: &HashSet<ObjectId>,
+        technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
+    ) {
+        self.0.fetch_for_join(oid, needed, technique, session)
     }
     fn occupied_pages(&self) -> u64 {
         self.0.occupied_pages()

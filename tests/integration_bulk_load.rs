@@ -63,7 +63,7 @@ fn windows() -> Vec<Rect> {
 /// Build a database with the sequential STR bulk load.
 fn load_str(ws: &Workspace, kind: OrganizationKind, n: u64) -> SpatialDatabase {
     let mut db = ws.create_database(DbOptions::new(kind));
-    db.bulk_load(objects(n));
+    ws.bulk_load_par(&mut db, objects(n), 1);
     db.finish_loading();
     db
 }
@@ -266,7 +266,7 @@ fn bulk_load_rejects_duplicate_ids() {
     let mut db = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
     let mut objs = objects(100);
     objs.push((42, objs[42].1.clone()));
-    db.bulk_load(objs);
+    ws.bulk_load_par(&mut db, objs, 1);
 }
 
 /// `n` records on a grid of the unit square, 512 bytes each.
@@ -301,7 +301,7 @@ fn repeated_id_charges_nothing() {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 bulk_load_records_par(db.store_mut(), &records, threads);
             }));
-            let name = db.store_name();
+            let name = db.store().name();
             let message = result.expect_err(name);
             assert_eq!(
                 message.downcast_ref::<String>().map(String::as_str),
@@ -334,16 +334,12 @@ fn bulk_load_into_a_non_empty_database_charges_nothing() {
         dbs.push(ws.create_database_with(Box::new(HintlessStore(memory()))));
         for mut db in dbs {
             db.insert(1, street(0.2));
-            let name = db.store_name();
+            let name = db.store().name();
             let at = format!("{name}, {threads} threads");
             let before = ws.disk().stats();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let objects = vec![(2, Geometry::from(street(0.6)))];
-                if threads == 1 {
-                    db.bulk_load(objects);
-                } else {
-                    ws.bulk_load_par(&mut db, objects, threads);
-                }
+                ws.bulk_load_par(&mut db, objects, threads);
             }));
             let payload = result.expect_err(&at);
             let message = payload

@@ -95,13 +95,13 @@ impl Inputs {
         ObjectRecord::new(ObjectId(id), g.mbr(), g.serialized_size() as u32)
     }
 
-    fn load(&self, db: &mut SpatialDatabase) {
+    fn load(&self, ws: &Workspace, db: &mut SpatialDatabase) {
         let objects: Vec<(u64, Geometry)> = self
             .loaded
             .iter()
             .map(|id| (*id, self.geometry[id].clone()))
             .collect();
-        db.bulk_load(objects);
+        ws.bulk_load_par(db, objects, 1);
         db.finish_loading();
     }
 }
@@ -186,8 +186,8 @@ fn baseline(store: &dyn SpatialStore, inputs: &Inputs) -> Vec<Observation> {
 
 /// The stream through the shadow-paged `&self` write path, beside a
 /// pinned `db.store()` view.
-fn run_shared(mut db: SpatialDatabase, inputs: &Inputs) -> Transcript {
-    inputs.load(&mut db);
+fn run_shared(ws: &Workspace, mut db: SpatialDatabase, inputs: &Inputs) -> Transcript {
+    inputs.load(ws, &mut db);
     let pinned = db.store();
     let mut transcript = Transcript {
         baseline: baseline(&*pinned, inputs),
@@ -231,8 +231,8 @@ fn run_shared(mut db: SpatialDatabase, inputs: &Inputs) -> Transcript {
 /// The same stream through the exclusive `store_mut()` path, beside a
 /// held snapshot of the pre-stream state: in-place updates must
 /// copy-on-write around the snapshot exactly like a commit does.
-fn run_exclusive(mut db: SpatialDatabase, inputs: &Inputs) -> Transcript {
-    inputs.load(&mut db);
+fn run_exclusive(ws: &Workspace, mut db: SpatialDatabase, inputs: &Inputs) -> Transcript {
+    inputs.load(ws, &mut db);
     let pinned = db.store().snapshot();
     let mut transcript = Transcript {
         baseline: baseline(&*pinned, inputs),
@@ -257,7 +257,7 @@ fn shared_and_exclusive_commits_agree_beside_a_pinned_view() {
     let memory = {
         let ws = Workspace::new(256);
         let store = MemoryStore::new(ws.pool());
-        run_shared(ws.create_database_with(Box::new(store)), &inputs)
+        run_shared(&ws, ws.create_database_with(Box::new(store)), &inputs)
     };
     assert!(
         memory.live.iter().any(|o| !o.ids.is_empty()),
@@ -272,9 +272,9 @@ fn shared_and_exclusive_commits_agree_beside_a_pinned_view() {
         // moves, not just appends.
         let options = DbOptions::new(kind).smax_bytes(16 * 1024);
         let ws = Workspace::new(256);
-        let shared = run_shared(ws.create_database(options.clone()), &inputs);
+        let shared = run_shared(&ws, ws.create_database(options.clone()), &inputs);
         let ws = Workspace::new(256);
-        let exclusive = run_exclusive(ws.create_database(options), &inputs);
+        let exclusive = run_exclusive(&ws, ws.create_database(options), &inputs);
         assert_eq!(shared, exclusive, "{kind:?}: write paths diverge");
         assert!(shared.io.io_ms > 0.0);
         // The organization only changes what an answer costs.
@@ -295,8 +295,8 @@ fn restricted_buddy_units_move_copy_on_write() {
         .smax_bytes(16 * 1024)
         .restricted_buddy(true);
     let ws = Workspace::new(256);
-    let shared = run_shared(ws.create_database(options.clone()), &inputs);
+    let shared = run_shared(&ws, ws.create_database(options.clone()), &inputs);
     let ws = Workspace::new(256);
-    let exclusive = run_exclusive(ws.create_database(options), &inputs);
+    let exclusive = run_exclusive(&ws, ws.create_database(options), &inputs);
     assert_eq!(shared, exclusive);
 }

@@ -1,5 +1,5 @@
-//! Parallel-executor equivalence: `run_par(k)`'s cursor and
-//! `run_batch(.., k)` must return byte-identical result sets and
+//! Parallel-executor equivalence: `run_batch(.., k)` must return
+//! byte-identical result sets and
 //! identical per-query and aggregate statistics to sequential execution
 //! — for every organization model and every window technique — and the
 //! parallel join must produce exactly the sequential join's pairs and
@@ -61,8 +61,9 @@ fn windows() -> Vec<Rect> {
 }
 
 /// The acceptance matrix: 3 organizations × 4 window techniques on a
-/// 10k-object database; `run_par(8)` and `run_batch(.., 8)` must match
-/// sequential execution exactly (ids, per-query stats, aggregates).
+/// 10k-object database; `run_batch(.., 8)` must match sequential
+/// execution exactly (ids, per-query stats, aggregates), and a cursor's
+/// `ids()` must drain what iterating left.
 #[test]
 fn run_par_matches_sequential_all_orgs_and_techniques() {
     const N: u64 = 10_000;
@@ -103,23 +104,15 @@ fn run_par_matches_sequential_all_orgs_and_techniques() {
             }
             assert_eq!(batch_agg, seq_agg, "{kind:?}/{technique:?}");
             assert_eq!(batch.aggregate_io(), seq_io, "{kind:?}/{technique:?}");
-            // Single-query run_par(8): same result set and stats as the
-            // sequential cursor, for each window in isolation — drained
-            // whole, and after the first 3 answers were iterated.
+            // A single cursor, for each window in isolation: after the
+            // first 3 answers were iterated, `ids()` drains the rest.
             for (i, w) in windows().into_iter().enumerate() {
                 let at = format!("{kind:?}/{technique:?}/{i}");
-                db.store_mut().begin_query();
-                let cursor = db.query().window(w).technique(technique).run();
-                let (stats, io) = (cursor.stats(), cursor.io_stats());
-                let all = cursor.ids();
-                db.store_mut().begin_query();
-                let par = db.query().window(w).technique(technique).run_par(8);
-                assert_eq!((par.stats(), par.io_stats()), (stats, io), "{at}");
-                assert_eq!(par.ids(), all, "{at}");
-                let mut par = db.query().window(w).technique(technique).run_par(8);
-                let head: Vec<u64> = par.by_ref().take(3).map(|(id, _)| id).collect();
+                let all = &seq_ids[i];
+                let mut cursor = db.query().window(w).technique(technique).run();
+                let head: Vec<u64> = cursor.by_ref().take(3).map(|(id, _)| id).collect();
                 assert_eq!(head, all[..all.len().min(3)], "{at}");
-                assert_eq!(par.ids(), all[head.len()..], "{at}");
+                assert_eq!(cursor.ids(), all[head.len()..], "{at}");
             }
         }
     }

@@ -190,8 +190,8 @@ fn stream_ids<A: Copy + Into<Aim>>(
 }
 
 /// Every read path of `db` — iteration, `ids()`, a partial iteration
-/// drained by `ids()`, `run_batch` and `run_stream` at 1 and 4 threads,
-/// `run_par` — returns `expected` for the windows or points `aims`, and
+/// drained by `ids()`, `run_batch` and `run_stream` at 1 and 4 threads —
+/// returns `expected` for the windows or points `aims`, and
 /// hands out the geometry `objects` (ascending by id) holds.
 fn assert_every_path_answers<A: Copy + Into<Aim>>(
     ws: &Workspace,
@@ -233,11 +233,6 @@ fn assert_every_path_answers<A: Copy + Into<Aim>>(
             expected,
             "{what} run_stream({threads})"
         );
-    }
-    for (&aim, expected) in aims.iter().zip(expected).step_by(7) {
-        let aim: Aim = aim.into();
-        let par = aim.query(db).run_par(4).ids();
-        assert_eq!(&par, expected, "{what} run_par, {aim:?}");
     }
 }
 
@@ -427,7 +422,7 @@ fn hint_rule_matches_the_exhaustive_exact_test_however_the_entries_got_there() {
                 // 1,200 single inserts: leaf and directory splits on
                 // every backend, forced reinserts on the plain R*-trees.
                 "insert" => objects.iter().for_each(|(id, g)| db.insert(*id, g.clone())),
-                "bulk_load" => db.bulk_load(objects.clone()),
+                "bulk_load" => ws.bulk_load_par(&mut db, objects.clone(), 1),
                 _ => ws.bulk_load_par(&mut db, objects.clone(), 3),
             }
             db.finish_loading();
@@ -473,7 +468,7 @@ fn windows_past_the_radix_cutoff_answer_ascending_on_every_path() {
         let expected = oracles(objects, &windows);
         let ws = Workspace::new(256);
         for (name, mut db) in backends(&ws) {
-            db.bulk_load(objects.clone());
+            ws.bulk_load_par(&mut db, objects.clone(), 1);
             db.finish_loading();
             let what = format!("{name}, {ids}");
             for (w, expected) in windows.iter().zip(&expected) {
@@ -484,8 +479,6 @@ fn windows_past_the_radix_cutoff_answer_ascending_on_every_path() {
                 assert_eq!(&answers, expected, "{what}, {w:?}: ids()");
                 let iterated: Vec<u64> = db.query().window(*w).run().map(|(id, _)| id).collect();
                 assert_eq!(&iterated, expected, "{what}, {w:?}: iteration");
-                let par = db.query().window(*w).run_par(4).ids();
-                assert_eq!(&par, expected, "{what}, {w:?}: run_par(4)");
             }
             for threads in [1, 4] {
                 let queries = windows.iter().map(|w| db.query().window(*w)).collect();
@@ -571,7 +564,7 @@ fn point_queries_match_the_exhaustive_exact_test_on_every_path() {
 
     let ws = Workspace::new(256);
     for (name, mut db) in every_backend(&ws) {
-        db.bulk_load(objects.clone());
+        ws.bulk_load_par(&mut db, objects.clone(), 1);
         db.finish_loading();
         assert_every_path_answers(&ws, &db, &objects, &points, &expected, &name);
         let (candidates, undecided) = points.iter().fold((0, 0), |(c, u), p| {
@@ -661,8 +654,8 @@ fn joins_match_the_exhaustive_exact_test_on_every_path() {
     let lefts = every_backend(&ws);
     let rights = every_backend(&ws);
     for ((name, mut left), (_, mut right)) in lefts.into_iter().zip(rights) {
-        left.bulk_load(r.clone());
-        right.bulk_load(s.clone());
+        ws.bulk_load_par(&mut left, r.clone(), 1);
+        ws.bulk_load_par(&mut right, s.clone(), 1);
         left.finish_loading();
         right.finish_loading();
         assert_every_join_path_answers(&left, &right, &expected, &name);
@@ -779,7 +772,7 @@ fn the_hint_leaves_few_straddling_candidates_undecided_on_a1() {
         .collect();
     let ws = Workspace::new(1600);
     let mut db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
-    db.bulk_load(objects.clone());
+    ws.bulk_load_par(&mut db, objects.clone(), 1);
     db.finish_loading();
     for (area, most) in BOUNDS {
         let windows = WindowQuerySet::generate(&map, area, 200, 1994).windows;
@@ -835,7 +828,6 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
     assert!(panics(&|| drop(db.query().window(all).run().ids())));
     assert!(panics(&|| drop(db.query().window(all).run().next())));
-    assert!(panics(&|| drop(db.query().window(all).run_par(2).ids())));
     assert!(panics(&|| drop(stream_ids(&db, &[all], 2))));
     // Mixed: one properly inserted object — its hint cell inside the
     // window, its MBR not — does not make the rest refinable, on any
@@ -854,7 +846,6 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     for message in [
         refusal(&|| drop(db.query().window(mixed).run().ids())),
         refusal(&|| drop(db.query().window(mixed).run().next())),
-        refusal(&|| drop(db.query().window(mixed).run_par(2).ids())),
         refusal(&|| drop(stream_ids(&db, &[mixed], 2))),
     ] {
         assert!(
