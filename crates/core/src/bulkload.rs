@@ -52,10 +52,10 @@ pub fn bulk_load_records_par(
     threads: usize,
 ) {
     assert!(
-        store.num_objects() == 0,
+        store.tree().is_empty(),
         "cannot bulk-load into the non-empty store {:?} ({} objects)",
         store.name(),
-        store.num_objects()
+        store.tree().len()
     );
     let mut seen = HashSet::with_capacity(records.len());
     for rec in records {

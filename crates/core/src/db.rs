@@ -63,13 +63,13 @@ use crate::config::{ConfigError, EngineConfig};
 use crate::query::{JoinQuery, Query};
 use crate::stream::{self, ExecPlan, Op, StreamOutcome};
 use spatialdb_disk::blocks::{map_chunks, Spares};
-use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, ShardedPool};
+use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, LockClass, ShardedPool};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{
     ClusterConfig, ClusterOrganization, ObjectRecord, ObjectTable, OrganizationKind,
-    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore, WindowTechnique,
+    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore,
 };
 use std::sync::Arc;
 
@@ -97,8 +97,6 @@ pub struct DbOptions {
     /// Use the restricted buddy system (§5.3.1) instead of full-`Smax`
     /// units (cluster organization only).
     pub restricted_buddy: bool,
-    /// Window-query technique (cluster organization only).
-    pub technique: WindowTechnique,
 }
 
 impl DbOptions {
@@ -108,7 +106,6 @@ impl DbOptions {
             organization,
             smax_bytes: 80 * 1024,
             restricted_buddy: false,
-            technique: WindowTechnique::Slm,
         }
     }
 
@@ -121,12 +118,6 @@ impl DbOptions {
     /// Enable the restricted buddy system.
     pub fn restricted_buddy(mut self, on: bool) -> Self {
         self.restricted_buddy = on;
-        self
-    }
-
-    /// Set the window-query technique.
-    pub fn technique(mut self, t: WindowTechnique) -> Self {
-        self.technique = t;
         self
     }
 }
@@ -208,7 +199,7 @@ impl Workspace {
                 Box::new(ClusterOrganization::new(self.pool(), config))
             }
         };
-        SpatialDatabase::from_parts(store, options.technique)
+        SpatialDatabase::from_parts(store)
     }
 
     /// Execute a batch of independent window/point queries under an
@@ -388,9 +379,6 @@ impl Workspace {
     ///     fn occupied_pages(&self) -> u64 {
     ///         self.0.occupied_pages()
     ///     }
-    ///     fn num_objects(&self) -> usize {
-    ///         self.0.num_objects()
-    ///     }
     ///     fn contains(&self, oid: ObjectId) -> bool {
     ///         self.0.contains(oid)
     ///     }
@@ -405,6 +393,9 @@ impl Workspace {
     ///     }
     ///     fn begin_query(&mut self) {
     ///         self.0.begin_query()
+    ///     }
+    ///     fn check_consistency(&self) -> Result<(), String> {
+    ///         self.0.check_consistency()
     ///     }
     /// }
     ///
@@ -430,7 +421,7 @@ impl Workspace {
             "store {:?} is built on another workspace's pool",
             store.name()
         );
-        SpatialDatabase::from_parts(store, WindowTechnique::Slm)
+        SpatialDatabase::from_parts(store)
     }
 }
 
@@ -453,7 +444,6 @@ pub struct SpatialDatabase {
     /// at a time. First rank of the lock hierarchy; readers never touch
     /// it.
     pub(crate) writer: DepMutex<()>,
-    pub(crate) technique: WindowTechnique,
 }
 
 impl std::fmt::Debug for SpatialDatabase {
@@ -461,8 +451,7 @@ impl std::fmt::Debug for SpatialDatabase {
         // The store is a trait object; identify it by its backend name.
         f.debug_struct("SpatialDatabase")
             .field("store", &self.store().name())
-            .field("technique", &self.technique)
-            .field("objects", &self.store().geoms().len())
+            .field("objects", &self.len())
             .finish()
     }
 }
@@ -470,8 +459,8 @@ impl std::fmt::Debug for SpatialDatabase {
 /// A pinned, read-only view of a database's store: the loaded root
 /// snapshot (store and geometry) plus the epoch pin that keeps it alive. Obtained from
 /// [`SpatialDatabase::store`]; dereferences to
-/// [`dyn SpatialStore`](SpatialStore), so `db.store().window_query(..)`
-/// reads exactly like the pre-versioning accessor. While the guard
+/// [`dyn SpatialStore`](SpatialStore), so every store method reads
+/// through it, as in `db.store().occupied_pages()`. While the guard
 /// lives, concurrent writers publish *around* it — the view never
 /// changes and is never freed under it.
 pub struct StoreRead<'a> {
@@ -493,10 +482,11 @@ impl StoreRead<'_> {
     /// `true` if every stored object has exact geometry, so a candidate
     /// need not be looked up to know it *can* be refined. Records
     /// bulk-loaded through `store_mut()` are filter-only and make the
-    /// two counts differ; the refinement step then looks every
-    /// candidate up (and panics on the first one without geometry).
+    /// geometry table shorter than the tree; the refinement step then
+    /// looks every candidate up (and panics on the first one without
+    /// geometry).
     pub(crate) fn fully_refinable(&self) -> bool {
-        self.guard.geoms.len() == self.guard.store.num_objects()
+        self.guard.geoms.len() == self.guard.store.tree().len()
     }
 }
 
@@ -527,16 +517,12 @@ fn record_of(id: u64, geometry: &Geometry) -> ObjectRecord {
 impl SpatialDatabase {
     /// Assemble a database around a boxed backend (shared constructor of
     /// the `Workspace` factory methods).
-    pub(crate) fn from_parts(
-        store: Box<dyn SpatialStore>,
-        technique: WindowTechnique,
-    ) -> SpatialDatabase {
+    pub(crate) fn from_parts(store: Box<dyn SpatialStore>) -> SpatialDatabase {
         let geoms = GeometryTable::new();
         SpatialDatabase {
             root: Snapshot::new(Root { store, geoms }),
             epochs: Collector::new(),
             writer: DepMutex::new(LockClass::DbWriter, ()),
-            technique,
         }
     }
 
@@ -603,9 +589,10 @@ impl SpatialDatabase {
         true
     }
 
-    /// Number of stored objects.
+    /// Number of stored objects: the entries of the store's R\*-tree,
+    /// filter-only records included.
     pub fn len(&self) -> usize {
-        self.store().num_objects()
+        self.store().tree().len()
     }
 
     /// `true` if the database is empty.
@@ -638,24 +625,12 @@ impl SpatialDatabase {
 
     /// Start building an intersection join against `other` (same
     /// workspace). Finish with [`run`](crate::query::JoinQuery::run) to
-    /// obtain a lazy [`JoinCursor`](crate::query::JoinCursor), or with
-    /// [`run_par`](crate::query::JoinQuery::run_par) to refine its pairs
-    /// on several threads.
+    /// obtain a lazy [`JoinCursor`](crate::query::JoinCursor) — its MBR
+    /// join and its `pairs()` run on the machine's cores — or with
+    /// [`run_par`](crate::query::JoinQuery::run_par) to fix the thread
+    /// count.
     pub fn join<'a>(&'a self, other: &'a SpatialDatabase) -> JoinQuery<'a> {
         JoinQuery::new(self, other)
-    }
-
-    /// Accumulated I/O statistics of the workspace disk — cumulative
-    /// over everything that ran on this machine. The cost of a single
-    /// query is on its cursor
-    /// ([`ResultCursor::io_stats`](crate::query::ResultCursor::io_stats)).
-    pub fn io_stats(&self) -> IoStats {
-        self.store().disk().stats()
-    }
-
-    /// Total pages occupied on the simulated disk.
-    pub fn occupied_pages(&self) -> u64 {
-        self.store().occupied_pages()
     }
 
     /// Write back dirty pages and prepare for cold queries. Also a
@@ -702,8 +677,18 @@ impl SpatialDatabase {
     /// The ids of all live objects with exact geometry, sorted
     /// ascending. The id universe mixed-workload drivers draw delete
     /// targets from.
+    ///
+    /// Like [`geometry`](SpatialDatabase::geometry), asks the store, so
+    /// an object deleted through [`store_mut`](SpatialDatabase::store_mut)
+    /// is not listed.
     pub fn object_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.store().geoms().keys().map(|oid| oid.0).collect();
+        let root = self.store();
+        let mut ids: Vec<u64> = root
+            .geoms()
+            .keys()
+            .filter(|&oid| root.contains(oid))
+            .map(|oid| oid.0)
+            .collect();
         ids.sort_unstable();
         ids
     }
@@ -855,7 +840,7 @@ mod tests {
         assert_eq!(first.1.read_requests, second.1.read_requests);
         assert_eq!(first.1.io_ms, second.1.io_ms);
         // Cumulative disk stats kept growing past the per-query delta.
-        assert!(db.io_stats().read_requests > second.1.read_requests);
+        assert!(ws.disk().stats().read_requests > second.1.read_requests);
     }
 
     #[test]
@@ -965,9 +950,8 @@ mod tests {
             db.insert(i, street((i % 5) as f64 / 5.0, (i / 5) as f64 / 5.0));
         }
         db.finish_loading();
-        let s = db.io_stats();
-        assert!(s.write_requests > 0);
-        assert!(db.occupied_pages() > 0);
+        assert!(ws.disk().stats().write_requests > 0);
+        assert!(db.store().occupied_pages() > 0);
     }
 
     #[test]
@@ -1088,7 +1072,7 @@ mod tests {
             db.finish_loading();
             let w = Rect::new(0.1, 0.1, 0.7, 0.7);
             let cursor = db.query().window(w).run();
-            (db.io_stats(), cursor.stats(), cursor.ids())
+            (ws.disk().stats(), cursor.stats(), cursor.ids())
         };
         let (io_shadow, stats_shadow, ids_shadow) = load(true);
         let (io_excl, stats_excl, ids_excl) = load(false);

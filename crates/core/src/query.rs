@@ -388,9 +388,8 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Override the window transfer technique for this query (defaults
-    /// to the database's configured technique; only the cluster
-    /// organization distinguishes them).
+    /// Set the window transfer technique of this query (SLM when unset;
+    /// only the cluster organization distinguishes them).
     pub fn technique(mut self, technique: WindowTechnique) -> Self {
         self.technique = Some(technique);
         self
@@ -418,7 +417,7 @@ impl<'a> Query<'a> {
         let target = self
             .target
             .expect("Query::run() needs .window(..) or .point(..) first");
-        let technique = self.technique.unwrap_or(self.db.technique);
+        let technique = self.technique.unwrap_or(WindowTechnique::Slm);
         // One pinned snapshot for the whole cursor: the filter step and
         // the lazy refinement see the same version — store and geometry
         // — even if writers publish in between.

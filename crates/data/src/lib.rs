@@ -32,7 +32,6 @@
 
 pub mod maps;
 pub mod series;
-pub mod tiger;
 pub mod workload;
 
 /// The seeded generator every map and workload draws from.
@@ -40,5 +39,4 @@ pub use spatialdb_geom::rng;
 
 pub use maps::{GeometryMode, MapObject, SpatialMap};
 pub use series::{DataSet, MapId, SeriesId, SeriesSpec};
-pub use tiger::{FeatureClass, TigerRecord};
 pub use workload::{inflate_mbrs, pairs_per_mbr, PointQuerySet, WindowQuerySet};

@@ -18,7 +18,6 @@
 
 use crate::rng::SmallRng;
 use crate::series::{DataSet, MapId};
-use crate::tiger::FeatureClass;
 use spatialdb_geom::{Point, Polyline, Rect};
 
 /// Whether to retain full vertex geometry or only MBRs.
@@ -45,8 +44,6 @@ pub struct MapObject {
     pub mbr: Rect,
     /// Size of the exact representation in bytes.
     pub size_bytes: u32,
-    /// Feature classification (TIGER CFCC-like).
-    pub class: FeatureClass,
     /// Exact geometry, present in [`GeometryMode::Full`].
     pub geometry: Option<Polyline>,
 }
@@ -175,12 +172,7 @@ impl SpatialMap {
 
 /// Generate the vertex walk of one object, returning its MBR, exact size
 /// and (optionally) the polyline.
-fn walk_to_object(
-    id: u64,
-    class: FeatureClass,
-    vertices: Vec<Point>,
-    mode: GeometryMode,
-) -> MapObject {
+fn walk_to_object(id: u64, vertices: Vec<Point>, mode: GeometryMode) -> MapObject {
     debug_assert!(vertices.len() >= 2);
     let mut mbr = Rect::empty();
     for v in &vertices {
@@ -196,7 +188,6 @@ fn walk_to_object(
         id,
         mbr,
         size_bytes,
-        class,
         geometry,
     }
 }
@@ -231,7 +222,7 @@ fn gen_street(
             clamp01(cy + dy * t + dx * j),
         ));
     }
-    walk_to_object(id, FeatureClass::Street, vertices, mode)
+    walk_to_object(id, vertices, mode)
 }
 
 /// Map 2: a river / boundary / railway track — a longer meandering walk
@@ -243,11 +234,10 @@ fn gen_linear_feature(
     id: u64,
     mode: GeometryMode,
 ) -> MapObject {
-    let class = match rng.gen_range(0..3u8) {
-        0 => FeatureClass::River,
-        1 => FeatureClass::AdminBoundary,
-        _ => FeatureClass::RailwayTrack,
-    };
+    // The feature's class (river, boundary or railway track): nothing
+    // reads it, but every later draw of the map follows this one, so
+    // dropping it would change every map 2.
+    let _class = rng.gen_range(0..3u8);
     let mut x = clamp01(county.center.x + gauss(rng) * county.sigma * 1.5);
     let mut y = clamp01(county.center.y + gauss(rng) * county.sigma * 1.5);
     let mut heading: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -261,7 +251,7 @@ fn gen_linear_feature(
         y = clamp01(y + heading.sin() * step);
         vertices.push(Point::new(x, y));
     }
-    walk_to_object(id, class, vertices, mode)
+    walk_to_object(id, vertices, mode)
 }
 
 #[cfg(test)]
@@ -401,11 +391,32 @@ mod tests {
         assert!(avg_margin(&m2) > avg_margin(&m1));
     }
 
+    /// FNV-1a over every object's id, MBR bits, size and vertex bits.
+    fn checksum(map: &SpatialMap) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        for o in &map.objects {
+            eat(o.id);
+            for side in [o.mbr.xmin, o.mbr.ymin, o.mbr.xmax, o.mbr.ymax] {
+                eat(side.to_bits());
+            }
+            eat(u64::from(o.size_bytes));
+            for v in o.geometry.as_ref().expect("full geometry").vertices() {
+                eat(v.x.to_bits());
+                eat(v.y.to_bits());
+            }
+        }
+        h
+    }
+
+    /// A lost, added or reordered draw anywhere in the generator changes
+    /// these sums.
     #[test]
-    fn classes_match_map() {
-        let m1 = SpatialMap::generate(a1(), 0.002, GeometryMode::MbrOnly, 19);
-        assert!(m1.objects.iter().all(|o| o.class == FeatureClass::Street));
-        let m2 = SpatialMap::generate(a2(), 0.002, GeometryMode::MbrOnly, 19);
-        assert!(m2.objects.iter().all(|o| o.class != FeatureClass::Street));
+    fn generated_maps_are_pinned() {
+        let a1 = SpatialMap::generate(a1(), 0.01, GeometryMode::Full, 1994);
+        let a2 = SpatialMap::generate(a2(), 0.01, GeometryMode::Full, 1994);
+        assert_eq!((a1.len(), a2.len()), (1315, 1290));
+        assert_eq!(checksum(&a1), 2_808_691_933_303_095_266);
+        assert_eq!(checksum(&a2), 2_360_033_476_708_139_495);
     }
 }

@@ -272,12 +272,11 @@ impl<T: Send + 'static> Snapshot<T> {
         unsafe { &mut *self.ptr.load(Ordering::SeqCst) }
     }
 
-    /// Read access without pinning, under shared borrow of a cell the
-    /// caller knows is quiescent (no concurrent writer). Used by the
-    /// accessors that existed before versioning; the borrow is tied to
-    /// `&self`, and a concurrent `swap` would retire (not free) the
-    /// value, so even a racing writer cannot invalidate it before a
-    /// quiescent point.
+    /// Read access without pinning, under shared borrow of the cell.
+    /// Its one caller is the `Debug` impl, which prints the value
+    /// without an epoch pin: the borrow is tied to `&self`, and a
+    /// concurrent `swap` would retire (not free) the value, so even a
+    /// racing writer cannot invalidate it before a quiescent point.
     fn current(&self) -> *mut T {
         self.ptr.load(Ordering::SeqCst)
     }

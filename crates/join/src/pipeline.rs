@@ -324,9 +324,6 @@ mod tests {
         fn occupied_pages(&self) -> u64 {
             self.store.occupied_pages()
         }
-        fn num_objects(&self) -> usize {
-            self.store.num_objects()
-        }
         fn contains(&self, oid: ObjectId) -> bool {
             self.store.contains(oid)
         }
@@ -341,6 +338,9 @@ mod tests {
         }
         fn begin_query(&mut self) {
             self.store.begin_query()
+        }
+        fn check_consistency(&self) -> Result<(), String> {
+            self.store.check_consistency()
         }
     }
 

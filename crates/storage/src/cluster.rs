@@ -622,10 +622,6 @@ impl SpatialStore for ClusterOrganization {
         self.tree.allocated_pages() + self.buddy.occupied_pages()
     }
 
-    fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     fn contains(&self, oid: ObjectId) -> bool {
         self.objects.contains(oid)
     }
@@ -760,7 +756,7 @@ mod tests {
     #[test]
     fn build_consistent() {
         let org = org_with(400, ClusterConfig::plain(SMAX));
-        assert_eq!(org.num_objects(), 400);
+        assert_eq!(org.tree().len(), 400);
         check_invariants(org.tree()).unwrap();
         org.check_consistency().unwrap();
         // One unit per data page.
@@ -868,8 +864,10 @@ mod tests {
         let mut trace = Vec::new();
         for i in 0..8u64 {
             let x = i as f64 * 0.11 + 0.005;
-            let (_, t) =
-                org.window_query_traced(&Rect::new(x, 0.0, x + 0.004, 1.0), WindowTechnique::Slm);
+            let window = Rect::new(x, 0.0, x + 0.004, 1.0);
+            let (_, t) = org
+                .disk()
+                .traced(|| org.window_query(&window, WindowTechnique::Slm));
             trace.extend(t);
         }
         let delta = org.disk().stats().since(&before);
@@ -1027,7 +1025,7 @@ mod tests {
             org.check_consistency().unwrap();
             check_invariants(org.tree()).unwrap();
         }
-        assert_eq!(org.num_objects(), 200);
+        assert_eq!(org.tree().len(), 200);
         assert!(!org.delete(ObjectId(0)), "double delete");
         // Remaining objects still findable and fetchable.
         org.begin_query();
@@ -1041,7 +1039,8 @@ mod tests {
         for i in 0..120 {
             assert!(org.delete(ObjectId(i)));
         }
-        assert_eq!(org.num_objects(), 0);
+        assert_eq!(org.tree().len(), 0);
+        org.check_consistency().unwrap();
         assert_eq!(org.buddy.occupied_pages(), 0);
         assert_eq!(org.num_units(), 0);
         check_invariants(org.tree()).unwrap();

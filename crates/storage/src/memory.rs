@@ -9,7 +9,7 @@
 
 use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
-use crate::store::SpatialStore;
+use crate::store::{count_agrees, SpatialStore};
 use spatialdb_disk::{PoolSession, PAGE_SIZE};
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{
@@ -22,8 +22,9 @@ use std::collections::{HashMap, HashSet};
 pub struct MemoryStore {
     pool: SharedPool,
     tree: RStarTree,
-    sizes: HashMap<ObjectId, u32>,
-    mbrs: HashMap<ObjectId, Rect>,
+    /// Each stored object's MBR (to find its entry on delete) and exact
+    /// size (a query's bytes).
+    objects: HashMap<ObjectId, (Rect, u32)>,
 }
 
 impl MemoryStore {
@@ -37,8 +38,7 @@ impl MemoryStore {
         MemoryStore {
             pool,
             tree: RStarTree::new(RTreeConfig::paper_default(PAGE_SIZE), region),
-            sizes: HashMap::new(),
-            mbrs: HashMap::new(),
+            objects: HashMap::new(),
         }
     }
 }
@@ -55,17 +55,15 @@ impl SpatialStore for MemoryStore {
     fn insert(&mut self, rec: &ObjectRecord) {
         let entry = self.leaf_entry(rec);
         self.tree.insert(entry, &mut NoIo);
-        self.sizes.insert(rec.oid, rec.size_bytes);
-        self.mbrs.insert(rec.oid, rec.mbr);
+        self.objects.insert(rec.oid, (rec.mbr, rec.size_bytes));
     }
 
     fn delete(&mut self, oid: ObjectId) -> bool {
-        let Some(mbr) = self.mbrs.remove(&oid) else {
+        let Some((mbr, _)) = self.objects.remove(&oid) else {
             return false;
         };
         let outcome = self.tree.delete(oid, &mbr, &mut NoIo);
         debug_assert!(outcome.removed, "index out of sync for {oid}");
-        self.sizes.remove(&oid);
         true
     }
 
@@ -76,7 +74,7 @@ impl SpatialStore for MemoryStore {
         out: &mut Vec<LeafEntry>,
     ) -> u64 {
         self.tree.window_entries_into(window, &mut NoIo, out);
-        out.iter().map(|e| u64::from(self.sizes[&e.oid])).sum()
+        out.iter().map(|e| u64::from(self.objects[&e.oid].1)).sum()
     }
 
     fn fetch_for_join(
@@ -93,12 +91,8 @@ impl SpatialStore for MemoryStore {
         0
     }
 
-    fn num_objects(&self) -> usize {
-        self.sizes.len()
-    }
-
     fn contains(&self, oid: ObjectId) -> bool {
-        self.sizes.contains_key(&oid)
+        self.objects.contains_key(&oid)
     }
 
     fn pool(&self) -> SharedPool {
@@ -117,6 +111,10 @@ impl SpatialStore for MemoryStore {
         // Always "cold" and always free.
     }
 
+    fn check_consistency(&self) -> Result<(), String> {
+        count_agrees(self.objects.len(), &self.tree)
+    }
+
     // `leaf_entry`'s default (payload 0) is already right for a memory
     // store; the install builds the tree bottom-up and charges nothing.
     fn str_install(&mut self, records: &[ObjectRecord], tiles: Vec<Tile>, params: &TilingParams) {
@@ -127,10 +125,8 @@ impl SpatialStore for MemoryStore {
             params,
         );
         self.tree = build.tree;
-        for rec in records {
-            self.sizes.insert(rec.oid, rec.size_bytes);
-            self.mbrs.insert(rec.oid, rec.mbr);
-        }
+        self.objects
+            .extend(records.iter().map(|r| (r.oid, (r.mbr, r.size_bytes))));
     }
 }
 
@@ -171,11 +167,14 @@ mod tests {
     #[test]
     fn traced_queries_produce_empty_traces() {
         let s = store_with(60);
-        let (q, trace) =
-            s.window_query_traced(&Rect::new(0.0, 0.0, 0.5, 0.5), WindowTechnique::Complete);
+        let window = Rect::new(0.0, 0.0, 0.5, 0.5);
+        let (q, trace) = s
+            .disk()
+            .traced(|| s.window_query(&window, WindowTechnique::Complete));
         assert!(q.candidates > 0);
         assert!(trace.is_empty(), "memory store charges no I/O");
-        let (_, ptrace) = s.point_query_traced(&spatialdb_geom::Point::new(0.02, 0.02));
+        let point = spatialdb_geom::Point::new(0.02, 0.02);
+        let (_, ptrace) = s.disk().traced(|| s.point_query(&point));
         assert!(ptrace.is_empty());
     }
 
@@ -184,7 +183,8 @@ mod tests {
         let mut s = store_with(30);
         assert!(s.delete(ObjectId(3)));
         assert!(!s.delete(ObjectId(3)));
-        assert_eq!(s.num_objects(), 29);
+        assert_eq!(s.tree().len(), 29);
+        s.check_consistency().unwrap();
         let (all, mut out) = (Rect::new(-1.0, -1.0, 2.0, 2.0), Vec::new());
         s.window_candidates_into(&all, &mut out);
         assert_eq!(out.len(), 29);

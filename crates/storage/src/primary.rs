@@ -12,7 +12,7 @@
 use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
-use crate::store::SpatialStore;
+use crate::store::{count_agrees, SpatialStore};
 use crate::table::ObjectTable;
 use spatialdb_disk::{IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
@@ -218,10 +218,6 @@ impl SpatialStore for PrimaryOrganization {
         self.tree.allocated_pages() + self.overflow_packer.pages_used() - self.freed_overflow_pages
     }
 
-    fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     fn contains(&self, oid: ObjectId) -> bool {
         self.objects.contains(oid)
     }
@@ -268,13 +264,7 @@ impl SpatialStore for PrimaryOrganization {
     }
 
     fn check_consistency(&self) -> Result<(), String> {
-        if self.objects.len() != self.tree.len() {
-            return Err(format!(
-                "{} objects stored but {} indexed",
-                self.objects.len(),
-                self.tree.len()
-            ));
-        }
+        count_agrees(self.objects.len(), &self.tree)?;
         for (id, leaf) in self.tree.leaves() {
             for e in leaf.leaf_entries() {
                 match self.objects.get(e.oid) {
@@ -353,7 +343,8 @@ mod tests {
     #[test]
     fn small_objects_inline() {
         let org = org_with_sizes(&vec![600; 100]);
-        assert_eq!(org.num_objects(), 100);
+        assert_eq!(org.tree().len(), 100);
+        org.check_consistency().unwrap();
         assert!((0..100).all(|i| !org.is_overflow(ObjectId(i))));
         check_invariants(org.tree()).unwrap();
         // Data pages hold few objects: payload-limited to ~6 per page.
@@ -430,7 +421,8 @@ mod tests {
         assert!(org.delete(ObjectId(1))); // overflow (3 pages)
         assert!(org.delete(ObjectId(0))); // inline
         assert!(!org.delete(ObjectId(0)));
-        assert_eq!(org.num_objects(), 8);
+        assert_eq!(org.tree().len(), 8);
+        org.check_consistency().unwrap();
         assert_eq!(org.freed_overflow_pages, 3);
         check_invariants(org.tree()).unwrap();
         // Leaf tracking still correct for the survivors.
@@ -450,7 +442,8 @@ mod tests {
         let mut org = org_with_sizes(&vec![600; 200]);
         org.begin_query();
         let before = org.disk().stats();
-        let (stats, trace) = org.point_query_traced(&Point::new(0.105, 0.005));
+        let point = Point::new(0.105, 0.005);
+        let (stats, trace) = org.disk().traced(|| org.point_query(&point));
         let delta = org.disk().stats().since(&before);
         assert!(stats.candidates >= 1);
         assert_eq!(trace.len() as u64, delta.requests());

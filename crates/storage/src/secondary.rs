@@ -20,7 +20,7 @@
 use crate::model::{SharedPool, TransferTechnique, WindowTechnique};
 use crate::object::ObjectRecord;
 use crate::packer::PagePacker;
-use crate::store::SpatialStore;
+use crate::store::{count_agrees, SpatialStore};
 use crate::table::ObjectTable;
 use spatialdb_disk::{IoKind, PageId, PageRun, PoolSession, RegionId, SeekPolicy, PAGE_SIZE};
 use spatialdb_geom::Rect;
@@ -175,10 +175,6 @@ impl SpatialStore for SecondaryOrganization {
         self.tree.allocated_pages() + self.packer.pages_used()
     }
 
-    fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     fn contains(&self, oid: ObjectId) -> bool {
         self.objects.contains(oid)
     }
@@ -211,13 +207,7 @@ impl SpatialStore for SecondaryOrganization {
     }
 
     fn check_consistency(&self) -> Result<(), String> {
-        if self.objects.len() != self.tree.len() {
-            return Err(format!(
-                "{} objects stored but {} indexed",
-                self.objects.len(),
-                self.tree.len()
-            ));
-        }
+        count_agrees(self.objects.len(), &self.tree)?;
         // The pointer is recorded twice — in the entry for the filter
         // step, in the table for id lookups — and must agree.
         for (id, leaf) in self.tree.leaves() {
@@ -296,8 +286,8 @@ mod tests {
     #[test]
     fn insert_stores_and_indexes() {
         let org = org_with(200);
-        assert_eq!(org.num_objects(), 200);
         assert_eq!(org.tree().len(), 200);
+        org.check_consistency().unwrap();
         check_invariants(org.tree()).unwrap();
     }
 
@@ -342,8 +332,10 @@ mod tests {
         let mut org = org_with(400);
         org.begin_query();
         let before = org.disk().stats();
-        let (stats, trace) =
-            org.window_query_traced(&Rect::new(0.0, 0.0, 0.5, 0.5), WindowTechnique::Complete);
+        let window = Rect::new(0.0, 0.0, 0.5, 0.5);
+        let (stats, trace) = org
+            .disk()
+            .traced(|| org.window_query(&window, WindowTechnique::Complete));
         let delta = org.disk().stats().since(&before);
         assert!(stats.candidates > 0);
         assert_eq!(trace.len() as u64, delta.requests());
@@ -379,7 +371,8 @@ mod tests {
         let mut org = org_with(200);
         assert!(org.delete(ObjectId(7)));
         assert!(!org.delete(ObjectId(7)));
-        assert_eq!(org.num_objects(), 199);
+        assert_eq!(org.tree().len(), 199);
+        org.check_consistency().unwrap();
         check_invariants(org.tree()).unwrap();
         org.begin_query();
         let q = org.window_query(&Rect::new(0.0, 0.0, 1.0, 1.0), WindowTechnique::Complete);

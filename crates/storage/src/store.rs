@@ -50,10 +50,17 @@
 //!    tests and probes: the engine and both experiment drivers (the
 //!    paper's figures and the scenario harness) measure every
 //!    production read once, at `Query::run` in `spatialdb-core`;
-//! 3. **Bookkeeping** — occupancy, buffer control, and access to the
-//!    R\*-tree and to the **one pool** the store is built on (its
-//!    constructor takes nothing else of the machine;
-//!    [`disk`](SpatialStore::disk) is the disk under the pool).
+//! 3. **Bookkeeping** — occupancy, membership
+//!    ([`contains`](SpatialStore::contains)), buffer control, and
+//!    access to the R\*-tree and to the **one pool** the store is built
+//!    on (its constructor takes nothing else of the machine;
+//!    [`disk`](SpatialStore::disk) is the disk under the pool). The
+//!    tree owns the object count: a store states no count of its own,
+//!    and the engine reads `tree().len()`.
+//!
+//! Of the trait's 23 methods, 11 are required: `name`, `insert`,
+//! `delete`, `window_query_into`, `fetch_for_join`, `occupied_pages`,
+//! `contains`, `pool`, `tree`, `flush` and `begin_query`.
 //!
 //! One part of the contract is not negotiable: every backend exposes an
 //! R\*-tree over the object MBRs ([`tree`](SpatialStore::tree)). It is
@@ -83,6 +90,20 @@ fn measured(disk: &Disk, read: impl FnOnce(&mut Vec<LeafEntry>) -> u64) -> Query
         candidates: candidates.len(),
         result_bytes,
         io_ms: disk.local_stats().since(&before).io_ms,
+    }
+}
+
+/// The first half of a [`SpatialStore::check_consistency`] for a store
+/// that keeps a per-object table beside its R\*-tree: the table holds
+/// as many objects as the tree, which owns the count.
+pub(crate) fn count_agrees(stored: usize, tree: &RStarTree) -> Result<(), String> {
+    if stored == tree.len() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{stored} objects stored but {} indexed",
+            tree.len()
+        ))
     }
 }
 
@@ -288,9 +309,6 @@ pub trait SpatialStore: Send + Sync {
     /// Total pages occupied (Figure 6's storage-utilization measure).
     fn occupied_pages(&self) -> u64;
 
-    /// Number of stored objects.
-    fn num_objects(&self) -> usize;
-
     /// `true` if `oid` is currently stored.
     fn contains(&self, oid: ObjectId) -> bool;
 
@@ -314,22 +332,17 @@ pub trait SpatialStore: Send + Sync {
     fn begin_query(&mut self);
 
     /// Structural self-check of the store's bookkeeping against its
-    /// R\*-tree (diagnostics and tests; charges no I/O). The default
-    /// compares the object count with the tree's entry count; backends
-    /// with more state to keep in step — the cluster organization's
-    /// units, the primary organization's data-page tracking — check
-    /// that too. The tree's own invariants are
+    /// R\*-tree (diagnostics and tests; charges no I/O). The tree owns
+    /// the object count ([`RStarTree::len`]); a store that keeps a
+    /// per-object table beside it compares the two, and checks whatever
+    /// else it must keep in step — the cluster organization's units, the
+    /// primary organization's data-page tracking. The default, for a
+    /// store with no state beside its tree, finds nothing to check, so a
+    /// store that wraps another must forward this to it. The tree's own
+    /// invariants are
     /// [`spatialdb_rtree::validate::check_invariants`]' job.
     fn check_consistency(&self) -> Result<(), String> {
-        if self.num_objects() == self.tree().len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} objects stored but {} indexed",
-                self.num_objects(),
-                self.tree().len()
-            ))
-        }
+        Ok(())
     }
 
     /// Install pre-tiled leaves: build the packed tree bottom-up and
@@ -407,9 +420,6 @@ mod tests {
         fn occupied_pages(&self) -> u64 {
             self.0.occupied_pages()
         }
-        fn num_objects(&self) -> usize {
-            self.0.num_objects()
-        }
         fn contains(&self, oid: ObjectId) -> bool {
             self.0.contains(oid)
         }
@@ -424,6 +434,9 @@ mod tests {
         }
         fn begin_query(&mut self) {
             self.0.begin_query()
+        }
+        fn check_consistency(&self) -> Result<(), String> {
+            self.0.check_consistency()
         }
     }
 

@@ -43,8 +43,8 @@ fn identical_builds_place_units_identically() {
     let a = build();
     let b = build();
     let w = Rect::new(0.1, 0.1, 0.4, 0.4);
-    let (_, ta) = a.window_query_traced(&w, WindowTechnique::Slm);
-    let (_, tb) = b.window_query_traced(&w, WindowTechnique::Slm);
+    let (_, ta) = a.disk().traced(|| a.window_query(&w, WindowTechnique::Slm));
+    let (_, tb) = b.disk().traced(|| b.window_query(&w, WindowTechnique::Slm));
     for (i, (x, y)) in ta.iter().zip(tb.iter()).enumerate() {
         if x != y {
             panic!("diverged at request {i}: {x:?} vs {y:?}");

@@ -160,7 +160,7 @@ fn cluster_consistent_under_insert_delete_interleavings() {
             org.check_consistency()
                 .unwrap_or_else(|e| panic!("seed {seed}, op {i}: {e}"));
             check_invariants(org.tree()).unwrap_or_else(|v| panic!("seed {seed}, op {i}: {v:?}"));
-            assert_eq!(org.num_objects(), live.len(), "seed {seed}, op {i}");
+            assert_eq!(org.tree().len(), live.len(), "seed {seed}, op {i}");
         }
         // Everything still live is findable.
         org.flush();
@@ -190,7 +190,7 @@ fn occupied_pages_track_contents() {
         }
         org.check_consistency()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(org.num_objects(), 0, "seed {seed}");
+        assert_eq!(org.tree().len(), 0, "seed {seed}");
     });
 }
 

@@ -285,7 +285,8 @@ fn construct(scale: &Scale, datasets: &[DataSet]) -> Vec<Built> {
             let built = variants.map(|(kind, buddy)| {
                 let ws = Workspace::new(scale.construction_buffer);
                 let (db, stats) = build(&ws, kind, smax, buddy, &records);
-                (stats.io_seconds(), db.occupied_pages() as f64)
+                let pages = db.store().occupied_pages() as f64;
+                (stats.io_seconds(), pages)
             });
             Built {
                 dataset,

@@ -11,8 +11,8 @@
 //! at 8.
 //!
 //! Delete targets are drawn from the live id universe: the generator
-//! emits a raw draw, and `run_mix` resolves it against a running
-//! model of each database's live ids (initialized from
+//! resolves each delete's raw draw against a running model of each
+//! database's live ids (initialized from
 //! [`SpatialDatabase::object_ids`], updated by the stream's own
 //! inserts and deletes) — deterministic, and never dependent on
 //! execution timing.
@@ -92,24 +92,23 @@ impl Mix {
     }
 }
 
-/// One generated operation of the stream. `Delete` carries a raw draw,
-/// resolved against the live-id model at execution-plan time.
-#[derive(Clone, Debug)]
-enum Op {
-    Window(usize, Rect),
-    Point(usize, Point),
-    Join(usize, usize),
-    Insert(usize, Polyline),
-    Delete(usize, u64),
-}
-
-/// Generate the deterministic operation stream.
+/// Generate the deterministic operation stream against `dbs`.
 ///
 /// The branch chain draws kinds in window → point → join → insert →
 /// delete order, so any mix with a zero delete weight consumes the RNG
 /// exactly as the four-kind generator always did — old seeds replay
-/// byte-identically.
-fn generate(mix: &Mix, operations: usize, databases: usize, seed: u64) -> Vec<Op> {
+/// byte-identically. A delete's raw draw is resolved at once against
+/// `live`, the model of each database's live ids, which the stream's
+/// own inserts (numbered from `next_id`) and deletes keep current; a
+/// resolution draws nothing.
+fn generate<'a>(
+    mix: &Mix,
+    operations: usize,
+    dbs: &'a [SpatialDatabase],
+    live: &mut [Vec<u64>],
+    mut next_id: u64,
+    seed: u64,
+) -> Vec<StreamOp<'a>> {
     let total = mix.total();
     assert!(
         total > 0.0
@@ -120,38 +119,52 @@ fn generate(mix: &Mix, operations: usize, databases: usize, seed: u64) -> Vec<Op
             && mix.delete >= 0.0,
         "a Mix needs at least one positive weight"
     );
+    let databases = dbs.len();
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x006d_6978);
     (0..operations)
         .map(|_| {
             let u = rng.next_f64() * total;
-            let db = (rng.next_u64() % databases as u64) as usize;
+            let d = (rng.next_u64() % databases as u64) as usize;
+            let db = &dbs[d];
             if u < mix.window {
                 let size = 0.02 + 0.08 * rng.next_f64();
                 let x = rng.next_f64() * (1.0 - size);
                 let y = rng.next_f64() * (1.0 - size);
-                Op::Window(db, Rect::new(x, y, x + size, y + size))
+                let window = Rect::new(x, y, x + size, y + size);
+                StreamOp::Window { db, window }
             } else if u < mix.window + mix.point {
-                Op::Point(db, Point::new(rng.next_f64(), rng.next_f64()))
+                let point = Point::new(rng.next_f64(), rng.next_f64());
+                StreamOp::Point { db, point }
             } else if u < mix.window + mix.point + mix.join {
-                let other = if databases > 1 {
-                    (db + 1) % databases
-                } else {
-                    db
-                };
-                Op::Join(db, other)
+                let right = &dbs[(d + 1) % databases];
+                StreamOp::Join { left: db, right }
             } else if u < mix.window + mix.point + mix.join + mix.insert {
                 let x = rng.next_f64() * 0.99;
                 let y = rng.next_f64() * 0.99;
-                Op::Insert(
+                let line = Polyline::new(vec![
+                    Point::new(x, y),
+                    Point::new((x + 0.005).min(1.0), (y + 0.003).min(1.0)),
+                    Point::new((x + 0.01).min(1.0), y),
+                ]);
+                let id = next_id;
+                next_id += 1;
+                live[d].push(id);
+                StreamOp::Insert {
                     db,
-                    Polyline::new(vec![
-                        Point::new(x, y),
-                        Point::new((x + 0.005).min(1.0), (y + 0.003).min(1.0)),
-                        Point::new((x + 0.01).min(1.0), y),
-                    ]),
-                )
+                    id,
+                    geometry: line.into(),
+                }
             } else {
-                Op::Delete(db, rng.next_u64())
+                let draw = rng.next_u64();
+                let id = if live[d].is_empty() {
+                    // Nothing left to delete: a deliberate miss (the
+                    // engine records `existed: false`).
+                    u64::MAX
+                } else {
+                    let i = (draw % live[d].len() as u64) as usize;
+                    live[d].swap_remove(i)
+                };
+                StreamOp::Delete { db, id }
             }
         })
         .collect()
@@ -167,68 +180,27 @@ pub(crate) fn run_mix(
     operations: usize,
     threads: usize,
     seed: u64,
-    mut next_id: u64,
+    next_id: u64,
 ) -> (Metrics, Conservation) {
-    let ops = generate(mix, operations, dbs.len(), seed);
     let disk = ws.disk();
     let global_before = disk.stats();
+    // The live-id model each delete draw resolves against, seeded from
+    // the databases.
+    let mut live: Vec<Vec<u64>> = dbs.iter().map(|db| db.object_ids()).collect();
+    let dbs: &[SpatialDatabase] = dbs;
+    let stream = generate(mix, operations, dbs, &mut live, next_id, seed);
     // The operations of each kind, in `kinds` order.
     let kinds = ["windows", "points", "joins", "inserts", "deletes"];
     let mut counts = [0u64; 5];
-
-    // The live-id model each delete draw resolves against: seeded from
-    // the databases, maintained in stream order alongside the plan.
-    let mut live: Vec<Vec<u64>> = dbs.iter().map(|db| db.object_ids()).collect();
-    let dbs: &[SpatialDatabase] = dbs;
-    let stream: Vec<StreamOp<'_>> = ops
-        .into_iter()
-        .map(|op| match op {
-            Op::Window(d, w) => {
-                counts[0] += 1;
-                StreamOp::Window {
-                    db: &dbs[d],
-                    window: w,
-                }
-            }
-            Op::Point(d, p) => {
-                counts[1] += 1;
-                StreamOp::Point {
-                    db: &dbs[d],
-                    point: p,
-                }
-            }
-            Op::Join(a, b) => {
-                counts[2] += 1;
-                StreamOp::Join {
-                    left: &dbs[a],
-                    right: &dbs[b],
-                }
-            }
-            Op::Insert(d, line) => {
-                counts[3] += 1;
-                let id = next_id;
-                next_id += 1;
-                live[d].push(id);
-                StreamOp::Insert {
-                    db: &dbs[d],
-                    id,
-                    geometry: line.into(),
-                }
-            }
-            Op::Delete(d, draw) => {
-                counts[4] += 1;
-                let id = if live[d].is_empty() {
-                    // Nothing left to delete: a deliberate miss (the
-                    // engine records `existed: false`).
-                    u64::MAX
-                } else {
-                    let i = (draw % live[d].len() as u64) as usize;
-                    live[d].swap_remove(i)
-                };
-                StreamOp::Delete { db: &dbs[d], id }
-            }
-        })
-        .collect();
+    for op in &stream {
+        counts[match op {
+            StreamOp::Window { .. } => 0,
+            StreamOp::Point { .. } => 1,
+            StreamOp::Join { .. } => 2,
+            StreamOp::Insert { .. } => 3,
+            StreamOp::Delete { .. } => 4,
+        }] += 1;
+    }
 
     let out = run_stream(stream, threads);
     let io = out.aggregate_io();
@@ -254,6 +226,19 @@ pub(crate) fn run_mix(
 mod tests {
     use super::*;
 
+    /// `n` empty databases on one workspace.
+    fn databases(ws: &Workspace, n: usize) -> Vec<SpatialDatabase> {
+        let options = spatialdb::DbOptions::new(spatialdb::OrganizationKind::Cluster);
+        (0..n)
+            .map(|_| ws.create_database(options.clone()))
+            .collect()
+    }
+
+    fn stream(mix: &Mix, operations: usize, dbs: &[SpatialDatabase], seed: u64) -> String {
+        let mut live = vec![Vec::new(); dbs.len()];
+        format!("{:?}", generate(mix, operations, dbs, &mut live, 0, seed))
+    }
+
     #[test]
     fn stream_is_seed_deterministic() {
         let mix = Mix::new()
@@ -262,16 +247,15 @@ mod tests {
             .join(0.1)
             .insert(0.1)
             .delete(0.1);
-        let a = generate(&mix, 96, 3, 7);
-        let b = generate(&mix, 96, 3, 7);
-        assert_eq!(a.len(), 96);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(format!("{x:?}"), format!("{y:?}"));
-        }
+        let ws = Workspace::new(16);
+        let dbs = databases(&ws, 3);
+        let mut live = vec![Vec::new(); 3];
+        assert_eq!(generate(&mix, 96, &dbs, &mut live, 0, 7).len(), 96);
+        let a = stream(&mix, 96, &dbs, 7);
+        assert_eq!(a, stream(&mix, 96, &dbs, 7));
         // All five kinds appear under these weights at this length.
-        let debug = format!("{a:?}");
         for kind in ["Window", "Point", "Join", "Insert", "Delete"] {
-            assert!(debug.contains(kind), "{kind} missing from stream");
+            assert!(a.contains(kind), "{kind} missing from stream");
         }
     }
 
@@ -281,13 +265,14 @@ mod tests {
         // deletes draws the RNG exactly as the old generator, so
         // existing seeds reproduce their streams byte for byte.
         let four = Mix::new().window(0.6).point(0.2).join(0.1).insert(0.1);
-        let ops = generate(&four, 64, 3, 7);
-        assert!(!format!("{ops:?}").contains("Delete"));
+        let ws = Workspace::new(16);
+        assert!(!stream(&four, 64, &databases(&ws, 3), 7).contains("Delete"));
     }
 
     #[test]
     #[should_panic(expected = "positive weight")]
     fn empty_mix_rejected() {
-        generate(&Mix::new(), 8, 1, 0);
+        let ws = Workspace::new(16);
+        generate(&Mix::new(), 8, &databases(&ws, 1), &mut [Vec::new()], 0, 0);
     }
 }

@@ -288,7 +288,7 @@ fn bulk_load() -> String {
             insert_stats.pages_written,
             insert_stats.pages_read,
             insert_stats.write_requests,
-            insert_db.occupied_pages(),
+            insert_db.store().occupied_pages(),
             insert_db.store().tree().num_nodes(),
         ));
 
@@ -311,7 +311,11 @@ fn bulk_load() -> String {
             );
             // Every column of the row: a thread-dependent charge fails
             // here, naming the row.
-            let row = (stats, db.occupied_pages(), db.store().tree().num_nodes());
+            let row = (
+                stats,
+                db.store().occupied_pages(),
+                db.store().tree().num_nodes(),
+            );
             match &one_thread {
                 None => one_thread = Some(row),
                 Some(one) => assert_eq!(
@@ -328,7 +332,7 @@ fn bulk_load() -> String {
                 stats.pages_written,
                 stats.pages_read,
                 stats.write_requests,
-                db.occupied_pages(),
+                db.store().occupied_pages(),
                 db.store().tree().num_nodes(),
             ));
             str_db = Some(db);

@@ -4,11 +4,11 @@
 //!
 //! This exercises the end-to-end path a GIS application would use:
 //! generation → loading → join with exact refinement → per-feature
-//! reporting with TIGER-style classification.
+//! reporting.
 //!
 //! Run with: `cargo run --release -p spatialdb-core --example map_overlay`
 
-use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap, TigerRecord};
+use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::{DbOptions, OrganizationKind, Workspace};
 
 fn main() {
@@ -63,22 +63,14 @@ fn main() {
         crossings.len()
     );
 
-    // Report the first few crossings TIGER-style.
+    // Report the first few crossings.
     for (street_id, feature_id) in crossings.iter().take(8) {
         let street = &streets_map.objects[*street_id as usize];
         let feature = &rivers_map.objects[*feature_id as usize];
-        let srec = TigerRecord::from_object(street);
-        let frec = TigerRecord::from_object(feature);
+        let near = street.mbr.intersection(&feature.mbr).center();
         println!(
-            "TLID {} ({} {}) crosses TLID {} ({} {}) near ({:.3}, {:.3})",
-            srec.tlid,
-            srec.cfcc,
-            srec.class,
-            frec.tlid,
-            frec.cfcc,
-            frec.class,
-            street.mbr.intersection(&feature.mbr).center().x,
-            street.mbr.intersection(&feature.mbr).center().y,
+            "street {} ({} B) crosses feature {} ({} B) near ({:.3}, {:.3})",
+            street.id, street.size_bytes, feature.id, feature.size_bytes, near.x, near.y,
         );
     }
     println!(

@@ -92,5 +92,5 @@ fn main() {
     );
 
     // All simulated I/O is accounted.
-    println!("total simulated I/O: {}", streets.io_stats());
+    println!("total simulated I/O: {}", ws.disk().stats());
 }

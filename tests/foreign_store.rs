@@ -46,9 +46,6 @@ impl SpatialStore for HintlessStore {
     fn occupied_pages(&self) -> u64 {
         self.0.occupied_pages()
     }
-    fn num_objects(&self) -> usize {
-        self.0.num_objects()
-    }
     fn contains(&self, oid: ObjectId) -> bool {
         self.0.contains(oid)
     }
@@ -63,5 +60,8 @@ impl SpatialStore for HintlessStore {
     }
     fn begin_query(&mut self) {
         self.0.begin_query()
+    }
+    fn check_consistency(&self) -> Result<(), String> {
+        self.0.check_consistency()
     }
 }

@@ -13,12 +13,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use foreign_store::HintlessStore;
 use spatialdb::bulk_load_records_par;
+use spatialdb::disk::PageRequest;
 use spatialdb::geom::{Geometry, HasMbr, Point, Polyline, Rect};
 use spatialdb::storage::{
     new_shared_pool, MemoryStore, ObjectRecord, OrganizationKind, SecondaryOrganization,
     SpatialStore, WindowTechnique,
 };
-use spatialdb::{DbOptions, Disk, ObjectId, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, Disk, ObjectId, QueryStats, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -97,8 +98,10 @@ fn str_par1_is_byte_identical_to_sequential() {
         let ws_par = Workspace::new(256);
         let mut seq = load_str(&ws_seq, kind, N);
         let mut par = load_str_par(&ws_par, kind, N, 1);
-        assert_eq!(seq.io_stats(), par.io_stats(), "{kind:?} build stats");
-        assert_eq!(seq.occupied_pages(), par.occupied_pages(), "{kind:?}");
+        let (seq_io, par_io) = (ws_seq.disk().stats(), ws_par.disk().stats());
+        assert_eq!(seq_io, par_io, "{kind:?} build stats");
+        let pages = |db: &SpatialDatabase| db.store().occupied_pages();
+        assert_eq!(pages(&seq), pages(&par), "{kind:?}");
         assert_eq!(seq.len(), par.len(), "{kind:?}");
         assert_tree_placement_identical(&mut seq, &mut par, kind);
     }
@@ -114,19 +117,31 @@ fn str_par_threads_agree_across_orgs_and_techniques() {
     for kind in ALL_KINDS {
         let ws_seq = Workspace::new(256);
         let mut seq = load_str(&ws_seq, kind, N);
-        let s = seq.io_stats(); // snapshot before queries pollute the cumulative stats
+        let s = ws_seq.disk().stats(); // snapshot before queries pollute the cumulative stats
         for threads in [2usize, 3, 8] {
             let ws_par = Workspace::new(256);
             let mut par = load_str_par(&ws_par, kind, N, threads);
-            assert_eq!(s, par.io_stats(), "{kind:?} t={threads}");
+            assert_eq!(s, ws_par.disk().stats(), "{kind:?} t={threads}");
             assert_eq!(
-                seq.occupied_pages(),
-                par.occupied_pages(),
+                seq.store().occupied_pages(),
+                par.store().occupied_pages(),
                 "{kind:?} t={threads}"
             );
             assert_tree_placement_identical(&mut seq, &mut par, kind);
         }
     }
+}
+
+/// One window query's stats and the disk requests it made, captured
+/// with `Disk::traced` around `Query::run`, as the scenario harness
+/// captures.
+fn traced_window(
+    db: &SpatialDatabase,
+    window: Rect,
+    technique: WindowTechnique,
+) -> (QueryStats, Vec<PageRequest>) {
+    let disk = db.store().disk();
+    disk.traced(|| db.query().window(window).technique(technique).run().stats())
 }
 
 /// Assert two databases have structurally identical trees and answer
@@ -158,8 +173,8 @@ fn assert_tree_placement_identical(
             // queries cannot skew the comparison.
             a.store_mut().begin_query();
             b.store_mut().begin_query();
-            let (stats_a, trace_a) = a.store().window_query_traced(&w, technique);
-            let (stats_b, trace_b) = b.store().window_query_traced(&w, technique);
+            let (stats_a, trace_a) = traced_window(a, w, technique);
+            let (stats_b, trace_b) = traced_window(b, w, technique);
             assert_eq!(stats_a, stats_b, "{kind:?}/{technique:?}/{i} stats");
             assert_eq!(trace_a, trace_b, "{kind:?}/{technique:?}/{i} requests");
         }
@@ -177,11 +192,10 @@ fn str_beats_insertion_and_answers_identically() {
         let ws_str = Workspace::new(256);
         let ins = load_insert(&ws_ins, kind, N);
         let str_db = load_str(&ws_str, kind, N);
+        let (str_ms, ins_ms) = (ws_str.disk().stats().io_ms, ws_ins.disk().stats().io_ms);
         assert!(
-            str_db.io_stats().io_ms < ins.io_stats().io_ms,
-            "{kind:?}: STR build {} ms not below insertion build {} ms",
-            str_db.io_stats().io_ms,
-            ins.io_stats().io_ms,
+            str_ms < ins_ms,
+            "{kind:?}: STR build {str_ms} ms not below insertion build {ins_ms} ms",
         );
         assert!(
             str_db.store().tree().num_nodes() < ins.store().tree().num_nodes(),
@@ -309,7 +323,7 @@ fn repeated_id_charges_nothing() {
                 "{name}, {threads} threads"
             );
             assert_eq!(ws.disk().stats(), before, "{name}, {threads} threads");
-            assert_eq!(db.store().num_objects(), 0, "{name}, {threads} threads");
+            assert_eq!(db.store().tree().len(), 0, "{name}, {threads} threads");
             db.store().check_consistency().unwrap();
         }
     }
@@ -384,6 +398,6 @@ fn tiling_panic_charges_nothing() {
     }));
     assert!(result.is_err(), "non-finite MBR must abort the bulk load");
     assert_eq!(disk.stats(), before);
-    assert_eq!(org.num_objects(), 0);
     assert!(org.tree().is_empty());
+    org.check_consistency().unwrap();
 }

@@ -207,17 +207,18 @@ fn run_shared(ws: &Workspace, mut db: SpatialDatabase, inputs: &Inputs) -> Trans
             }
         }
         let current = db.store();
-        assert_eq!(current.num_objects(), expected_len);
+        assert_eq!(current.tree().len(), expected_len);
         assert!(current.pinned_epoch() >= pinned.pinned_epoch());
         observe(&*pinned, &*current, inputs, step, &mut transcript);
     }
-    assert_eq!(pinned.num_objects(), inputs.loaded.len());
+    assert_eq!(pinned.tree().len(), inputs.loaded.len());
+    pinned.check_consistency().unwrap();
     assert!(
         db.retired_snapshots() > 0,
         "the pin must have held superseded roots back"
     );
     drop(pinned);
-    transcript.io = db.io_stats();
+    transcript.io = ws.disk().stats();
     db.finish_loading();
     assert_eq!(
         db.retired_snapshots(),
@@ -246,8 +247,9 @@ fn run_exclusive(ws: &Workspace, mut db: SpatialDatabase, inputs: &Inputs) -> Tr
         }
         observe(&*pinned, &*db.store(), inputs, step, &mut transcript);
     }
-    assert_eq!(pinned.num_objects(), inputs.loaded.len());
-    transcript.io = db.io_stats();
+    assert_eq!(pinned.tree().len(), inputs.loaded.len());
+    pinned.check_consistency().unwrap();
+    transcript.io = ws.disk().stats();
     transcript
 }
 

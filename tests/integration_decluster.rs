@@ -7,7 +7,7 @@
 //!
 //! The array-level anchors (partition properties, parallel drain order)
 //! are asserted inside `spatialdb-disk`; these tests pin the same
-//! contract on the requests `SpatialStore::window_query_traced` captures.
+//! contract on the requests `Disk::traced` captures around `Query::run`.
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
@@ -73,10 +73,11 @@ fn capture(
         .enumerate()
         .map(|(i, w)| QueryTrace {
             arrival_ms: i as f64 * spacing_ms,
-            requests: dbs[i % dbs.len()]
-                .store()
-                .window_query_traced(w, technique)
-                .1,
+            requests: {
+                let db = &dbs[i % dbs.len()];
+                let query = db.query().window(*w).technique(technique);
+                db.store().disk().traced(|| query.run().stats()).1
+            },
         })
         .collect()
 }

@@ -9,7 +9,7 @@
 //! every request's own seek flag, so charging it again mirrors
 //! `Disk::charge` byte for byte — is asserted inside `spatialdb-disk`;
 //! these tests pin the same contract end-to-end through the storage
-//! backends: `SpatialStore::window_query_traced` captures, and
+//! backends: `Disk::traced` around `Query::run` captures, and
 //! `simulate_queries_striped` replays.
 
 use spatialdb::data::workload::WindowQuerySet;
@@ -66,9 +66,9 @@ struct Captured {
     requests: Vec<PageRequest>,
 }
 
-/// Run the workload through the store's trace capture (one cold start,
-/// then the buffer evolves across the queries — the same evolution the
-/// cursor path sees).
+/// Run the workload through `Query::run` inside `Disk::traced` (one
+/// cold start, then the buffer evolves across the queries — the same
+/// evolution the untraced cursor path sees).
 fn capture(
     ws: &Workspace,
     db: &mut SpatialDatabase,
@@ -82,7 +82,8 @@ fn capture(
         .iter()
         .map(|w| {
             let before = disk.local_stats();
-            let (stats, requests) = db.store().window_query_traced(w, technique);
+            let query = db.query().window(*w).technique(technique);
+            let (stats, requests) = disk.traced(|| query.run().stats());
             Captured {
                 stats,
                 io: disk.local_stats().since(&before),

@@ -28,9 +28,11 @@
 //!   ascending id order on every path — ids up to `u64::MAX` included.
 //! * **Undecided share on A-1.** How many MBR-straddling candidates the
 //!   second filter step leaves to the exact test, as counts, pinned.
-//! * **Filter-only records** (bulk-loaded through `store_mut()`, no
-//!   geometry) must still refuse refinement on every path, even when the
-//!   window contains every MBR.
+//! * **Filter-only records** (inserted or bulk-loaded through
+//!   `store_mut()`, no geometry) must still refuse refinement on every
+//!   path, even when the window contains every MBR; `len()`,
+//!   `object_ids()` and `geometry()` agree on what is stored, after an
+//!   exclusive delete too.
 //! * **Snapshot isolation without tombstones.** Geometry rides the
 //!   versioned root: a cursor pinned before a remove still yields the
 //!   object with its geometry, and the geometry is freed by ordinary
@@ -47,8 +49,8 @@ use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap, Window
 use spatialdb::geom::{HasMbr, Point, Polygon, Polyline, Rect, Verdict};
 use spatialdb::storage::{MemoryStore, ObjectRecord};
 use spatialdb::{
-    run_stream, DbOptions, Geometry, ObjectId, OpOutcome, OrganizationKind, Query, SpatialDatabase,
-    StreamOp, StreamOutcome, Workspace,
+    bulk_load_records_par, run_stream, DbOptions, Geometry, ObjectId, OpOutcome, OrganizationKind,
+    Query, SpatialDatabase, StreamOp, StreamOutcome, Workspace,
 };
 use std::sync::Arc;
 
@@ -807,20 +809,43 @@ fn the_hint_leaves_few_straddling_candidates_undecided_on_a1() {
     }
 }
 
+/// `len()` counts every stored object, `object_ids()` lists exactly
+/// the stored ones with exact geometry, and `geometry()` finds each of
+/// those and nothing else.
+fn assert_views_agree(db: &SpatialDatabase, len: usize, ids: &[u64]) {
+    assert_eq!(db.len(), len);
+    assert_eq!(db.object_ids(), ids);
+    for id in (0..40).chain([100]) {
+        assert_eq!(db.geometry(id).is_some(), ids.contains(&id), "object {id}");
+    }
+}
+
 #[test]
 fn filter_only_records_refuse_refinement_on_every_path() {
-    let ws = Workspace::new(64);
-    let mut db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
     let records: Vec<ObjectRecord> = (0..40u64)
         .map(|i| {
             let (x, y) = ((i % 8) as f64 / 8.0, (i / 8) as f64 / 8.0);
             ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
         })
         .collect();
-    for rec in &records {
-        db.store_mut().insert(rec);
+    // Filter-only records, inserted one by one and bulk-loaded.
+    for bulk in [false, true] {
+        let ws = Workspace::new(64);
+        let mut db = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
+        if bulk {
+            bulk_load_records_par(db.store_mut(), &records, 1);
+        } else {
+            for rec in &records {
+                db.store_mut().insert(rec);
+            }
+        }
+        db.finish_loading();
+        assert_views_agree(&db, 40, &[]);
+        refuse_filter_only_records(&mut db);
     }
-    db.finish_loading();
+}
+
+fn refuse_filter_only_records(db: &mut SpatialDatabase) {
     // The window contains every MBR: by the containment rule alone all
     // 40 would be "answers" nobody can hand a geometry out for.
     let all = Rect::new(0.0, 0.0, 1.0, 1.0);
@@ -828,12 +853,13 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
     assert!(panics(&|| drop(db.query().window(all).run().ids())));
     assert!(panics(&|| drop(db.query().window(all).run().next())));
-    assert!(panics(&|| drop(stream_ids(&db, &[all], 2))));
+    assert!(panics(&|| drop(stream_ids(db, &[all], 2))));
     // Mixed: one properly inserted object — its hint cell inside the
     // window, its MBR not — does not make the rest refinable, on any
     // path, and the message still says what to do about it.
     let street = Polyline::new(vec![Point::new(0.32, 0.32), Point::new(0.33, 0.35)]);
     db.insert(100, street);
+    assert_views_agree(db, 41, &[100]);
     let mixed = Rect::new(0.2, 0.2, 0.325, 0.325);
     let refusal = |f: &dyn Fn()| -> String {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
@@ -846,7 +872,7 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     for message in [
         refusal(&|| drop(db.query().window(mixed).run().ids())),
         refusal(&|| drop(db.query().window(mixed).run().next())),
-        refusal(&|| drop(stream_ids(&db, &[mixed], 2))),
+        refusal(&|| drop(stream_ids(db, &[mixed], 2))),
     ] {
         assert!(
             message.contains("has no exact geometry") && message.contains("filter-only"),
@@ -858,6 +884,10 @@ fn filter_only_records_refuse_refinement_on_every_path() {
     let cursor = db.query().window(own).run();
     assert_eq!((cursor.num_candidates(), cursor.undecided()), (1, 0));
     assert_eq!(cursor.ids(), vec![100]);
+    // Deleted through the exclusive path, past the geometry table: no
+    // view lists it any more.
+    assert!(db.store_mut().delete(ObjectId(100)));
+    assert_views_agree(db, 40, &[]);
 }
 
 #[test]

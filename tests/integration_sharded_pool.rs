@@ -188,14 +188,14 @@ fn join_access_count_is_the_same_at_every_shard_count() {
             left.store_mut().begin_query();
             right.store_mut().begin_query();
             let (hits, misses) = (ws.pool().hits(), ws.pool().misses());
-            let before = left.io_stats();
+            let before = ws.disk().stats();
             let cursor = left
                 .join(&right)
                 .transfer(TransferTechnique::Complete)
                 .run();
             assert!(cursor.num_candidates() > 0, "{shards} shards: empty join");
             drop(cursor);
-            let pages_read = left.io_stats().since(&before).pages_read;
+            let pages_read = ws.disk().stats().since(&before).pages_read;
             assert!(
                 pages_read > 4 * JOIN_BUFFER_PAGES as u64,
                 "{shards} shards: the join must evict, but it read only {pages_read} pages \
@@ -237,12 +237,12 @@ fn panicking_batch_worker_leaks_no_charges() {
     }
     db.finish_loading();
 
-    let before = db.io_stats();
+    let before = ws.disk().stats();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         ws.run_batch(vec![db.query().window(Rect::new(0.0, 0.0, 1.0, 1.0))], 4)
     }));
     assert!(outcome.is_err(), "refining filter-only records must panic");
-    let grown = db.io_stats().since(&before);
+    let grown = ws.disk().stats().since(&before);
     // The filter step's page reads all survived the unwind.
     assert!(
         grown.read_requests > 0,

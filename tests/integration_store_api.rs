@@ -158,7 +158,7 @@ fn per_query_io_isolated_between_databases_of_one_workspace() {
     assert!(cost_a.read_requests > 0);
     assert!(cost_b.read_requests > 0);
     // The workspace disk accumulated both, each cursor saw only its own.
-    let total = a.io_stats();
+    let total = ws.disk().stats();
     assert!(total.read_requests >= cost_a.read_requests + cost_b.read_requests);
 }
 
@@ -218,27 +218,18 @@ enum Backend {
 
 impl Backend {
     /// A database of this backend on a workspace of its own, loaded with
-    /// `map`, whose windows default to `technique` (a store built
-    /// outside the engine takes the default; it ignores techniques).
-    fn load(self, map: &SpatialMap, technique: WindowTechnique) -> (Workspace, SpatialDatabase) {
+    /// `map`.
+    fn load(self, map: &SpatialMap) -> (Workspace, SpatialDatabase) {
         let ws = Workspace::new(128);
-        let db = self.load_on(&ws, map, technique);
+        let db = self.load_on(&ws, map);
         (ws, db)
     }
 
     /// [`load`](Backend::load) onto `ws`, beside its other databases.
-    fn load_on(
-        self,
-        ws: &Workspace,
-        map: &SpatialMap,
-        technique: WindowTechnique,
-    ) -> SpatialDatabase {
+    fn load_on(self, ws: &Workspace, map: &SpatialMap) -> SpatialDatabase {
         let memory = || MemoryStore::new(ws.pool());
         let mut db = match self {
-            Backend::Paper(kind) => {
-                let options = DbOptions::new(kind).smax_bytes(40 * 1024);
-                ws.create_database(options.technique(technique))
-            }
+            Backend::Paper(kind) => ws.create_database(DbOptions::new(kind).smax_bytes(40 * 1024)),
             Backend::Memory => ws.create_database_with(Box::new(memory())),
             Backend::Hintless => ws.create_database_with(Box::new(HintlessStore(memory()))),
         };
@@ -282,7 +273,9 @@ fn bits(stats: QueryStats) -> (usize, u64, u64) {
 /// The caller measures a query once, so every read path reports the
 /// same cost: the cursor's `stats()` and `io_stats()`, a batch's and a
 /// stream's outcome, and a twin store's own `window_query` /
-/// `point_query` — on every store, under every technique.
+/// `point_query` — on every store, under every technique. A stream's
+/// window carries no technique, so its leg runs the windows under the
+/// default (SLM) only, and the points under every technique.
 #[test]
 fn every_read_path_reports_one_cost() {
     let map = SpatialMap::generate(a1(), 0.003, GeometryMode::Full, 36);
@@ -303,8 +296,7 @@ fn every_read_path_reports_one_cost() {
         for technique in ALL_TECHNIQUES {
             // One database per workspace: a cold start (`begin_query`)
             // puts the pool in the same state before every path.
-            let ((ws, mut db), (_twin_ws, mut twin)) =
-                (backend.load(&map, technique), backend.load(&map, technique));
+            let ((ws, mut db), (_twin_ws, mut twin)) = (backend.load(&map), backend.load(&map));
             for probe in probes.iter().copied() {
                 let at = format!("{backend:?} / {technique:?} / {probe:?}");
                 db.store_mut().begin_query();
@@ -317,14 +309,16 @@ fn every_read_path_reports_one_cost() {
 
                 db.store_mut().begin_query();
                 let batch = only_query(&ws.run_batch(vec![probe.query(&db, technique)], 2));
-                db.store_mut().begin_query();
-                let op = match probe {
-                    Probe::Window(window) => StreamOp::Window { db: &db, window },
-                    Probe::Point(point) => StreamOp::Point { db: &db, point },
-                };
-                let stream = only_query(&run_stream(vec![op], 2));
                 assert_eq!(batch, (bits(stats), io), "{at}: run_batch");
-                assert_eq!(stream, (bits(stats), io), "{at}: run_stream");
+                if technique == WindowTechnique::Slm || matches!(probe, Probe::Point(_)) {
+                    db.store_mut().begin_query();
+                    let op = match probe {
+                        Probe::Window(window) => StreamOp::Window { db: &db, window },
+                        Probe::Point(point) => StreamOp::Point { db: &db, point },
+                    };
+                    let stream = only_query(&run_stream(vec![op], 2));
+                    assert_eq!(stream, (bits(stats), io), "{at}: run_stream");
+                }
 
                 twin.store_mut().begin_query();
                 let store = twin.store();
@@ -338,6 +332,39 @@ fn every_read_path_reports_one_cost() {
         // The disk-resident stores charge, the memory stores never do.
         assert_eq!(charged, matches!(backend, Backend::Paper(_)), "{backend:?}");
     }
+}
+
+/// A window without `.technique(..)` is an SLM window on every read
+/// path: on a cold cluster database it charges exactly what
+/// `.technique(WindowTechnique::Slm)` charges — through the cursor,
+/// `run_batch` and `run_stream` — on windows where SLM and *complete*
+/// charge differently.
+#[test]
+fn an_unset_technique_is_slm_on_every_read_path() {
+    let map = SpatialMap::generate(a1(), 0.003, GeometryMode::Full, 36);
+    let windows = WindowQuerySet::generate(&map, 1e-2, 3, 9).windows;
+    let (ws, mut db) = Backend::Paper(OrganizationKind::Cluster).load(&map);
+    let cold = |db: &mut SpatialDatabase, window: Rect, technique: WindowTechnique| {
+        db.store_mut().begin_query();
+        let query = db.query().window(window).technique(technique);
+        io_bits(query.run().io_stats())
+    };
+    let mut differ = false;
+    for window in windows {
+        let slm = cold(&mut db, window, WindowTechnique::Slm);
+        differ |= cold(&mut db, window, WindowTechnique::Complete) != slm;
+        db.store_mut().begin_query();
+        let cursor = db.query().window(window).run().io_stats();
+        assert_eq!(io_bits(cursor), slm, "{window:?}: cursor");
+        db.store_mut().begin_query();
+        let (_, batch) = only_query(&ws.run_batch(vec![db.query().window(window)], 2));
+        assert_eq!(io_bits(batch), slm, "{window:?}: run_batch");
+        db.store_mut().begin_query();
+        let op = StreamOp::Window { db: &db, window };
+        let (_, stream) = only_query(&run_stream(vec![op], 2));
+        assert_eq!(io_bits(stream), slm, "{window:?}: run_stream");
+    }
+    assert!(differ, "no window tells SLM from complete");
 }
 
 /// The pool's `(hits, misses)` between two readings.
@@ -385,9 +412,7 @@ fn every_join_path_reports_one_cost() {
         // twin starts every path from the same pool and disk state.
         let load = || {
             let ws = Workspace::new(128);
-            let dbs = maps
-                .each_ref()
-                .map(|map| backend.load_on(&ws, map, WindowTechnique::Complete));
+            let dbs = maps.each_ref().map(|map| backend.load_on(&ws, map));
             (ws, dbs)
         };
         let mut transferred = false;
