@@ -597,14 +597,15 @@ impl<'a> JoinQuery<'a> {
     /// reads, the whole object transfer — stays on the calling thread,
     /// in the order one thread makes them, so the simulated disk and the
     /// buffer see the same requests at every core count. The traversal
-    /// publishes the leaf pairs it reaches in blocks, which worker
-    /// threads sweep while it goes on; the transfer then fetches each
-    /// block's pairs in block order, the calling thread sweeping a block
-    /// itself when the next one is not ready. The cursor's
-    /// [`pairs`](JoinCursor::pairs) runs its exact tests on the cores
-    /// too. A join whose leaf pairs fit in one block, or with too few
-    /// undecided pairs to pay for a thread, keeps that step on the
-    /// calling thread, and on a one-core machine nothing spawns.
+    /// publishes its node reads and the leaf pairs it reaches in blocks,
+    /// which worker threads sweep while it goes on; one pool session
+    /// then replays them in block order, fetching each leaf pair's
+    /// objects right after the reads of its two leaves, the calling
+    /// thread sweeping a block itself when the next one is not ready.
+    /// The cursor's [`pairs`](JoinCursor::pairs) runs its exact tests on
+    /// the cores too. A join whose leaf pairs fit in one block, or with
+    /// too few undecided pairs to pay for a thread, keeps that step on
+    /// the calling thread, and on a one-core machine nothing spawns.
     ///
     /// # Panics
     ///
@@ -690,7 +691,7 @@ impl<'a> JoinCursor<'a> {
     }
 
     /// Detailed I/O counters of this join alone: the MBR join's and the
-    /// object transfer's, each measured once around its call.
+    /// object transfer's, each summed over its calls.
     pub fn io_stats(&self) -> IoStats {
         self.io
     }

@@ -14,7 +14,7 @@
 //!   and maximum cluster sizes `Smax` of 80/160/320 KB (Table 1).
 //!
 //! The original TIGER extracts are not available, so this crate generates
-//! a *statistically equivalent* stand-in (see DESIGN.md §2): the same
+//! a *statistically equivalent* stand-in (its model: [`maps`]): the same
 //! object counts, the same size distributions relative to the 4 KB page,
 //! a strongly clustered spatial distribution (county-like blobs with
 //! road-grid streak patterns), and polyline geometry whose serialized

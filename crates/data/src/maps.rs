@@ -1,7 +1,7 @@
 //! Generation of the two synthetic maps.
 //!
 //! The generator reproduces the statistical properties the experiments
-//! depend on (see DESIGN.md §2):
+//! depend on:
 //!
 //! * **spatial clustering** — objects concentrate in county-like blobs of
 //!   varying density, as census geography does; the data space is the
@@ -14,7 +14,34 @@
 //!   the larger series exceed a 4 KB page (exercising the primary
 //!   organization's overflow path and internal clustering).
 //!
-//! Everything is a pure function of `(dataset, scale, seed)`.
+//! # The model
+//!
+//! A map draws everything from one [`SmallRng`] seeded with
+//! `seed ^ (the map's Table 1 object count)`, in this order:
+//!
+//! 1. **24 county blobs**: each has a centre uniform in
+//!    `[0.08, 0.92)²`, a spread σ uniform in `[0.015, 0.07)`, a weight
+//!    drawn from Exp(1) (then normalised over the 24) and a road-grid
+//!    angle uniform in `[0, π/2)`.
+//! 2. **Per object**, in id order: a county, picked with probability
+//!    its weight; a size factor, log-normal with σ 0.45, scaled to mean
+//!    ≈ 1 and clamped to `[0.25, 4]`, which times the series' average
+//!    object size gives the target bytes and so the vertex count; then
+//!    the object's walk.
+//!    * **Map 1, streets**: a start normally distributed around the
+//!      county centre (σ the county's), a direction along one of the
+//!      county's two grid axes (its grid angle, or that plus π/2, with
+//!      probability ½ each), a length uniform in `[0.0005, 0.004)`, and
+//!      the vertices evenly along it with a normal perpendicular jitter
+//!      of 6 % of the length.
+//!    * **Map 2, meandering walks**: a class draw in `0..3` nothing reads
+//!      but every map keeps (dropping it would move every later draw), a
+//!      start around the county centre with 1.5 × its σ, a heading
+//!      uniform in `[0, 2π)`, a length uniform in `[0.002, 0.015)`, and
+//!      equal steps whose heading drifts by a normal 0.25 rad each.
+//!
+//! Every coordinate is clamped to the unit square. Everything is a pure
+//! function of `(dataset, scale, seed)`.
 
 use crate::rng::SmallRng;
 use crate::series::{DataSet, MapId};

@@ -436,7 +436,8 @@ impl ShardedPool {
 ///
 /// So a caller that measures the I/O of a phase as a delta of the
 /// thread's tally ([`Disk::local_stats`](crate::disk::Disk::local_stats))
-/// ends the phase's session first. A session that touches no page
+/// ends the phase's session first, or charges its queue
+/// ([`charge_queued`](Self::charge_queued)). A session that touches no page
 /// touches no lock, no atomic and no thread-local.
 #[derive(Debug)]
 pub struct PoolSession<'a> {
@@ -480,8 +481,12 @@ impl<'a> PoolSession<'a> {
         });
     }
 
-    /// Charge the queued requests now.
-    fn charge_queued(&mut self) {
+    /// Charge the queued requests now, in order, so that the calling
+    /// thread's tally includes them. A caller that interleaves two
+    /// phases in one session — the spatial join's node reads and object
+    /// fetches — calls it after each call it measures. Under the shard
+    /// lock the session holds, which ranks before the disk's counters.
+    pub fn charge_queued(&mut self) {
         if !self.queue.is_empty() {
             self.pool.disk.charge_all(&self.queue);
             self.queue.clear();

@@ -13,9 +13,10 @@
 //!    an LRU buffer of reasonable size this reads most tree pages only
 //!    once. Every node pair is swept in its *restricted search space*:
 //!    only the entries meeting the intersection of the two nodes'
-//!    rectangles are sorted and compared. The traversal and its node
-//!    reads run on the calling thread; the leaf pairs it reaches are
-//!    published in blocks, which worker threads sweep while it goes on.
+//!    rectangles are sorted and compared. The traversal runs on the
+//!    calling thread and publishes its node reads and the leaf pairs it
+//!    reaches in blocks, which worker threads sweep while it goes on;
+//!    the calling thread then replays them in the traversal's order.
 //!    **Order contract:** the candidate pairs, their order and the node
 //!    reads are a function of the two trees only, whatever the thread
 //!    count (see [`mbr_join`](mod@mbr_join)). Emitting a
@@ -36,10 +37,12 @@
 //!    ≈ 0.75 msec of CPU time per candidate pair ([`EXACT_TEST_MS`],
 //!    charged by [`JoinStats::exact_test_ms`] for every MBR pair).
 //!
-//! [`SpatialJoin::run`] runs steps 1 and 2 and measures each at its call
-//! site, the two bars of Figure 17 that cost I/O; the transfer fetches
-//! each block of the MBR join's pairs as soon as it is swept. The
-//! engine's `JoinQuery` is its one caller and runs step 3 on the pairs.
+//! [`SpatialJoin::run`] runs steps 1 and 2 through one pool session and
+//! measures each at its calls, the two bars of Figure 17 that cost I/O:
+//! the transfer fetches each leaf pair's objects right after the
+//! traversal's reads of its two leaves, while they are still buffered.
+//! The engine's `JoinQuery` is its one caller and runs step 3 on the
+//! pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,53 +11,64 @@
 //! per-level scratch vectors the whole traversal reuses, so a directory
 //! node pair allocates nothing.
 //!
-//! # One pipeline: the traversal publishes, workers sweep, the caller consumes
+//! # One pipeline: the traversal publishes, workers sweep, the caller replays
 //!
-//! The synchronized traversal of the directories — its order, its
-//! pinning and every [`NodeIo::read`] — runs on the calling thread. At a
-//! pair of leaves it reads nothing and sweeps nothing: it appends the
-//! pair (the two leaves and the rectangle their entries are restricted
-//! to) to the current *block*. Once a block holds 4,096 leaf entries
-//! (`BLOCK_ENTRIES`, counted over both leaves of each pair), the next
-//! leaf pair publishes it to the join's block queue. Up to `k − 1` worker
-//! threads, spawned as the first blocks are published, sweep published
-//! blocks, oldest first, while the traversal goes on. Once the traversal
-//! has ended, and with it its pool session, the calling thread
-//! *consumes* the swept blocks strictly in the order they were
-//! published, appending each one's pairs and `ruled_out` flags to the
-//! result. [`mbr_join`]'s consumer only appends; the join's object
-//! transfer ([`SpatialJoin::run`](crate::SpatialJoin::run)) fetches each
-//! block's pairs as it appends them. When the next block is not swept
-//! yet, the calling thread sweeps an unclaimed one itself rather than
-//! wait. So one thread (`k` = 1), or a join whose leaf pairs fit in one
-//! block, spawns nothing and sweeps every block on the calling thread.
-//! The trees are immutable while the join holds them, so a sweep reads
-//! nothing the traversal could change, and the buffer behind `io` sees
-//! exactly the reads of a join that swept each leaf pair the moment it
-//! reached it. The pipeline is the engine's one ordered work queue,
-//! [`spatialdb_disk::blocks`]. A panic of the traversal or the consumer
-//! ends the join on the calling thread with its own payload. A sweep's
-//! panic, on any thread, does not stop the traversal: it is raised when
-//! the consumer reaches its block, so the join ends with the payload of
-//! the lowest block that panicked. No thread is left waiting for a
-//! block.
+//! The synchronized traversal of the directories — its order and its
+//! pinning — runs on the calling thread, and reads no page: it pushes
+//! each node read, in its order, into the current *block* of the join's
+//! block stream, and at a pair of leaves it sweeps nothing either: it
+//! pushes the pair (the two leaves and the rectangle their entries are
+//! restricted to) beside the reads. Once a block holds 4,096 leaf
+//! entries (`BLOCK_ENTRIES`, counted over both leaves of each pair; a
+//! read weighs nothing), the next push publishes it to the join's block
+//! queue. Up to `k − 1` worker threads, spawned as the first blocks are
+//! published, sweep published blocks, oldest first, while the traversal
+//! goes on: a sweep passes the reads through and records how many
+//! candidate pairs each leaf pair produced. Once the traversal has
+//! ended, the calling thread takes the swept blocks strictly in the
+//! order they were published, appending each one's pairs and
+//! `ruled_out` flags to the result, and *replays* it (`replay`): each
+//! node read, and after the reads of a leaf pair's two leaves the
+//! candidate pairs that leaf pair produced. [`mbr_join`] replays the
+//! reads into its `io`; the join
+//! ([`SpatialJoin::run`](crate::SpatialJoin::run)) replays them and
+//! fetches each leaf pair's objects through one pool session. A block's
+//! steps are dropped once they are replayed. When
+//! the next block is not swept yet, the calling thread sweeps an
+//! unclaimed one itself rather than wait. So one thread (`k` = 1), or a
+//! join whose leaf pairs fit in one block, spawns nothing and sweeps
+//! every block on the calling thread. The trees are immutable while the
+//! join holds them, so a sweep reads nothing the traversal could
+//! change, and the buffer behind the replay sees exactly the requests
+//! of a join that read each node and swept and transferred each leaf
+//! pair the moment the traversal reached it. The pipeline is the
+//! engine's one ordered work queue, [`spatialdb_disk::blocks`]. A panic
+//! of the traversal or of the replay ends the join on the calling
+//! thread with its own payload. A sweep's panic, on any thread, does not
+//! stop the traversal: it is raised when the replay reaches its block,
+//! so the join ends with the payload of the lowest block that panicked.
+//! No thread is left waiting for a block.
 //!
 //! # Order contract
 //!
 //! The candidate pairs, their order, `ruled_out` and the sequence of
-//! [`NodeIo::read`] calls are a function of the two trees only — not of
-//! the buffer behind `io`, not of the thread count, not of which thread
-//! swept which block, and not of how the sweep is implemented: blocks
-//! are appended in the order the traversal published them, the
-//! restriction drops only entries that are in no pair, and sorting a
-//! subsequence by `(xmin, entry index)` yields the subsequence of the
-//! full sort. The module's tests pin checksums of both sequences at 1,
-//! 2, 3 and 8 threads: those of single-block joins were recorded before
-//! the restriction was introduced, those of joins spanning many blocks
-//! with the two-pass join (record every leaf pair, then sweep them in
-//! chunks) the pipeline replaced.
+//! node reads replayed (into [`NodeIo::read`] or a pool session) are a
+//! function of the two trees only — not of the buffer behind them, not
+//! of the thread count, not of which thread swept which block, and not
+//! of how the sweep is implemented: blocks are replayed in the order
+//! the traversal published them, the restriction drops only entries
+//! that are in no pair, and sorting a subsequence by `(xmin, entry
+//! index)` yields the subsequence of the full sort. Each leaf pair's
+//! candidate pairs are replayed right after the reads of its two leaves
+//! and before the traversal's next read. The module's tests pin
+//! checksums of the pair and read sequences at 1, 2, 3 and 8 threads:
+//! those of single-block joins were recorded before the restriction was
+//! introduced, those of joins spanning many blocks with the two-pass
+//! join (record every leaf pair, then sweep them in chunks) the
+//! pipeline replaced.
 
 use spatialdb_disk::blocks::{self, Blocks, Spares, Sweep, Swept, Threads};
+use spatialdb_disk::PageId;
 use spatialdb_geom::Rect;
 use spatialdb_rtree::{DirEntry, LeafEntry, NodeId, NodeIo, NodeKind, ObjectId, RStarTree};
 use std::cell::Cell;
@@ -88,13 +99,6 @@ impl MbrJoinResult {
     }
 }
 
-impl Swept for MbrJoinResult {
-    fn append(&mut self, later: &mut Self) {
-        self.pairs.append(&mut later.pairs);
-        self.ruled_out.append(&mut later.ruled_out);
-    }
-}
-
 /// Compute all pairs of entries of `r` and `s` whose MBRs intersect.
 ///
 /// Implements the \[BKS93b\] ordering: at every directory level the
@@ -107,11 +111,21 @@ impl Swept for MbrJoinResult {
 /// close-to-optimal page-access behaviour the paper relies on.
 ///
 /// The leaf pairs are swept in blocks on the machine's cores
-/// ([`Threads::Machine`]) while the traversal goes on; every read of `io`
-/// is the calling thread's. Pairs, their order and the node reads depend
-/// on the two trees only (the module's *order contract*).
+/// ([`Threads::Machine`]) while the traversal goes on; the traversal's
+/// node reads are then replayed into `io` on the calling thread, in its
+/// order. Pairs, their order and the node reads depend on the two trees
+/// only (the module's *order contract*).
 pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinResult {
-    mbr_join_then(r, s, io, Threads::Machine, |_| ()).0
+    mbr_join_then(r, s, Threads::Machine, |blocks| read_into(blocks, io)).0
+}
+
+/// Replay only the node reads of the join's page stream into `io`.
+fn read_into(blocks: &mut LeafBlocks<'_, '_>, io: &mut impl NodeIo) {
+    replay(blocks, |access| {
+        if let Access::Read(page) = access {
+            io.read(page);
+        }
+    });
 }
 
 /// Leaf entries a block of leaf pairs holds before it is published: the
@@ -120,27 +134,25 @@ pub fn mbr_join(r: &RStarTree, s: &RStarTree, io: &mut impl NodeIo) -> MbrJoinRe
 /// entries do — ≈ 5.9 µs between 89-entry leaves, ≈ 0.26 µs between the
 /// primary organization's small ones (A-1 ⋈ A-2 at scale 0.25, 2 vCPUs)
 /// — while handing a block over costs the same whatever it holds. At
-/// 4,096 entries a block of large leaves sweeps in ≈ 0.15 ms.
+/// 4,096 entries a block of large leaves sweeps in ≈ 0.15 ms. A node
+/// read weighs nothing: passing it through costs no sweep.
 pub(crate) const BLOCK_ENTRIES: usize = 4096;
 
 /// The calling thread's end of the MBR join's block pipeline.
-pub(crate) type LeafBlocks<'scope, 'env> =
-    Blocks<'scope, 'env, LeafPair, MbrJoinResult, SweepScratch>;
+pub(crate) type LeafBlocks<'scope, 'env> = Blocks<'scope, 'env, Visit, SweptBlock, SweepScratch>;
 
-/// The MBR join on `threads` (`k`): the traversal reads through `io` on
-/// the calling thread, publishing its leaf pairs in blocks that up to
-/// `k − 1` workers sweep meanwhile, and ends `io` (drops it) when it is
-/// done. Then `consume` takes the swept blocks in order
-/// ([`Blocks::next_block`]). Returns the whole result, every block appended
-/// in order, and what `consume` returned.
+/// The MBR join on `threads` (`k`): the traversal pushes its node reads
+/// and its leaf pairs, in its order, into blocks that up to `k − 1`
+/// workers sweep meanwhile. Then `consume` takes the swept blocks in
+/// order ([`replay`]). Returns the whole result, every block appended in
+/// order, and what `consume` returned.
 pub(crate) fn mbr_join_then<O>(
     r: &RStarTree,
     s: &RStarTree,
-    io: impl NodeIo,
     threads: Threads,
     consume: impl FnOnce(&mut LeafBlocks<'_, '_>) -> O,
 ) -> (MbrJoinResult, O) {
-    pipelined(r, s, io, threads, &LeafSweep { r, s }, consume)
+    pipelined(r, s, threads, &LeafSweep { r, s }, consume)
 }
 
 /// [`mbr_join_then`] with the sweep given, so that tests can see which
@@ -148,15 +160,17 @@ pub(crate) fn mbr_join_then<O>(
 fn pipelined<O>(
     r: &RStarTree,
     s: &RStarTree,
-    mut io: impl NodeIo,
     threads: Threads,
-    sweep: &dyn Sweep<LeafPair, MbrJoinResult, Scratch = SweepScratch>,
+    sweep: &dyn Sweep<Visit, SweptBlock, Scratch = SweepScratch>,
     consume: impl FnOnce(&mut LeafBlocks<'_, '_>) -> O,
 ) -> (MbrJoinResult, O) {
     let mut spares = SPARES.take();
-    let out = MbrJoinResult {
-        pairs: Vec::new(),
-        ruled_out: RULED_OUT.take(),
+    let out = SweptBlock {
+        result: MbrJoinResult {
+            pairs: Vec::new(),
+            ruled_out: RULED_OUT.take(),
+        },
+        steps: STEPS.take(),
     };
     let produce = |blocks: &mut LeafBlocks<'_, '_>| {
         if !(r.is_empty() || s.is_empty()) {
@@ -166,12 +180,10 @@ fn pipelined<O>(
                 .map(|_| Level::default())
                 .collect();
             let (rn, sn) = (Subtree::root(r), Subtree::root(s));
-            join_nodes(r, s, rn, sn, &mut scratch, blocks, &mut io);
+            join_nodes(r, s, rn, sn, &mut scratch, blocks);
         }
-        // The traversal's session ends before the consumer runs.
-        drop(io);
     };
-    let done = blocks::run(
+    let (SweptBlock { result, mut steps }, consumed) = blocks::run(
         threads.limit(),
         BLOCK_ENTRIES,
         &mut spares,
@@ -181,7 +193,9 @@ fn pipelined<O>(
         consume,
     );
     SPARES.set(spares);
-    done
+    steps.clear();
+    STEPS.set(steps);
+    (result, consumed)
 }
 
 thread_local! {
@@ -190,9 +204,12 @@ thread_local! {
     /// so a join does not grow a fresh one by doubling (as a query reuses
     /// its candidate buffer).
     static RULED_OUT: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
+    /// The replay buffer of the calling thread's last join, for its next
+    /// one.
+    static STEPS: Cell<Vec<Step>> = const { Cell::new(Vec::new()) };
     /// The block buffers the calling thread's last join emptied, for its
     /// next one.
-    static SPARES: Cell<Spares<LeafPair, MbrJoinResult>> = Cell::new(Spares::default());
+    static SPARES: Cell<Spares<Visit, SweptBlock>> = Cell::new(Spares::default());
 }
 
 /// Hand a read `ruled_out` buffer back for the calling thread's next
@@ -200,6 +217,15 @@ thread_local! {
 pub(crate) fn recycle(mut ruled_out: Vec<bool>) {
     ruled_out.clear();
     RULED_OUT.set(ruled_out);
+}
+
+/// What the traversal pushes into the block stream, in its order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Visit {
+    /// A node page the traversal read; its sweep passes it through.
+    Read(PageId),
+    /// A pair of leaves, to be swept.
+    Leaves(LeafPair),
 }
 
 /// A pair of leaves the traversal reached, to be swept: the `r` leaf, the
@@ -210,6 +236,66 @@ pub(crate) struct LeafPair {
     r: NodeId,
     s: NodeId,
     clip: Rect,
+}
+
+/// One step of a swept block's replay, in the traversal's order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Step {
+    /// The traversal read this node page.
+    Read(PageId),
+    /// The candidate pairs one leaf pair's sweep produced: the next this
+    /// many of the result. A leaf pair that produced none has no step.
+    Pairs(usize),
+}
+
+/// A swept block: the pairs and flags of its leaf pairs, and the steps
+/// that replay it.
+#[derive(Debug, Default)]
+pub(crate) struct SweptBlock {
+    pub(crate) result: MbrJoinResult,
+    steps: Vec<Step>,
+}
+
+impl Swept for SweptBlock {
+    /// `later`'s pairs and flags go to the end of the result; its steps
+    /// *replace* the earlier blocks': [`replay`] replays each block's
+    /// steps before it appends the next, so a join holds the steps of one
+    /// block at a time, whatever its size.
+    fn append(&mut self, later: &mut Self) {
+        let (result, more) = (&mut self.result, &mut later.result);
+        result.pairs.append(&mut more.pairs);
+        result.ruled_out.append(&mut more.ruled_out);
+        self.steps.clear();
+        self.steps.append(&mut later.steps);
+    }
+}
+
+/// One access of the join's page stream, as [`replay`] hands it over.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Access<'a> {
+    /// The traversal read this node page.
+    Read(PageId),
+    /// The candidate pairs one leaf pair produced, in order.
+    Pairs(&'a [(ObjectId, ObjectId)]),
+}
+
+/// Take the swept blocks in order and hand `each` the traversal's node
+/// reads and its leaf pairs' candidate pairs, in the traversal's order:
+/// a leaf pair's pairs come right after the reads of its two leaves.
+pub(crate) fn replay(blocks: &mut LeafBlocks<'_, '_>, mut each: impl FnMut(Access<'_>)) {
+    let mut done = 0;
+    while blocks.next_block() {
+        let SweptBlock { result, steps } = blocks.out();
+        for step in steps {
+            match *step {
+                Step::Read(page) => each(Access::Read(page)),
+                Step::Pairs(n) => {
+                    each(Access::Pairs(&result.pairs[done..done + n]));
+                    done += n;
+                }
+            }
+        }
+    }
 }
 
 /// A sweeping thread's restriction scratch: the entries of a leaf pair's
@@ -226,7 +312,7 @@ struct LeafSweep<'a> {
     s: &'a RStarTree,
 }
 
-impl Sweep<LeafPair, MbrJoinResult> for LeafSweep<'_> {
+impl Sweep<Visit, SweptBlock> for LeafSweep<'_> {
     type Scratch = SweepScratch;
 
     fn scratch(&self) -> SweepScratch {
@@ -237,17 +323,32 @@ impl Sweep<LeafPair, MbrJoinResult> for LeafSweep<'_> {
     }
 
     /// Every intersecting pair of leaf entries of the block's leaf
-    /// pairs, in their order, with its `ruled_out` flag.
-    fn sweep(&self, leaf_pairs: &[LeafPair], out: &mut MbrJoinResult, scratch: &mut SweepScratch) {
+    /// pairs, in their order, with its `ruled_out` flag; the node reads
+    /// passed through, and after each leaf pair that produced pairs
+    /// their number.
+    fn sweep(&self, visits: &[Visit], out: &mut SweptBlock, scratch: &mut SweepScratch) {
         let SweepScratch { r: rs, s: ss } = scratch;
-        for pair in leaf_pairs {
+        let SweptBlock { result, steps } = out;
+        for visit in visits {
+            let pair = match visit {
+                Visit::Read(page) => {
+                    steps.push(Step::Read(*page));
+                    continue;
+                }
+                Visit::Leaves(pair) => pair,
+            };
+            let before = result.pairs.len();
             let re = self.r.node(pair.r).leaf_entries();
             let se = self.s.node(pair.s).leaf_entries();
             restrict(rs, re.iter().map(|e| e.mbr), &pair.clip);
             restrict(ss, se.iter().map(|e| e.mbr), &pair.clip);
             sweep(rs, ss, |a, b| {
-                out.push(&re[a.idx as usize], &se[b.idx as usize])
+                result.push(&re[a.idx as usize], &se[b.idx as usize])
             });
+            let produced = result.pairs.len() - before;
+            if produced > 0 {
+                steps.push(Step::Pairs(produced));
+            }
         }
     }
 }
@@ -382,9 +483,9 @@ fn ordered_child_pairs<'a>(
     pairs
 }
 
-/// Recursive synchronized traversal of the subtrees `rn`/`sn`: reads
-/// the directory pages in \[BKS93b\] order and publishes the leaf pairs
-/// it reaches to `blocks`.
+/// Recursive synchronized traversal of the subtrees `rn`/`sn`: pushes
+/// its node reads in \[BKS93b\] order to `blocks`, and the leaf pairs
+/// it reaches between them.
 fn join_nodes(
     r: &RStarTree,
     s: &RStarTree,
@@ -392,7 +493,6 @@ fn join_nodes(
     sn: Subtree,
     scratch: &mut [Level],
     blocks: &mut LeafBlocks<'_, '_>,
-    io: &mut impl NodeIo,
 ) {
     let rnode = r.node(rn.id);
     let snode = s.node(sn.id);
@@ -408,7 +508,7 @@ fn join_nodes(
                 s: sn.id,
                 clip: rn.rect.intersection(&sn.rect),
             };
-            blocks.push(pair, re.len() + se.len());
+            blocks.push(Visit::Leaves(pair), re.len() + se.len());
         }
         (NodeKind::Dir(re), NodeKind::Dir(se)) if rnode.level == snode.level => {
             // The pinned `r` child is read once per pinning group, the
@@ -418,19 +518,11 @@ fn join_nodes(
             for pair in ordered_child_pairs(here, re, se, &clip) {
                 let (rc, sc) = (&re[pair.i as usize], &se[pair.j as usize]);
                 if pinned != Some(pair.i) {
-                    io.read(r.node_page(rc.child));
+                    blocks.push(Visit::Read(r.node_page(rc.child)), 0);
                     pinned = Some(pair.i);
                 }
-                io.read(s.node_page(sc.child));
-                join_nodes(
-                    r,
-                    s,
-                    Subtree::child(rc),
-                    Subtree::child(sc),
-                    below,
-                    blocks,
-                    io,
-                );
+                blocks.push(Visit::Read(s.node_page(sc.child)), 0);
+                join_nodes(r, s, Subtree::child(rc), Subtree::child(sc), below, blocks);
             }
         }
         _ => {
@@ -445,8 +537,8 @@ fn join_nodes(
                 restrict(&mut here.r, re.iter().map(|e| e.mbr), &sn.rect);
                 for e in &here.r {
                     let child = Subtree::child(&re[e.idx as usize]);
-                    io.read(r.node_page(child.id));
-                    join_nodes(r, s, child, sn, below, blocks, io);
+                    blocks.push(Visit::Read(r.node_page(child.id)), 0);
+                    join_nodes(r, s, child, sn, below, blocks);
                 }
             } else {
                 let rn = Subtree {
@@ -457,8 +549,8 @@ fn join_nodes(
                 restrict(&mut here.s, se.iter().map(|e| e.mbr), &rn.rect);
                 for e in &here.s {
                     let child = Subtree::child(&se[e.idx as usize]);
-                    io.read(s.node_page(child.id));
-                    join_nodes(r, s, rn, child, below, blocks, io);
+                    blocks.push(Visit::Read(s.node_page(child.id)), 0);
+                    join_nodes(r, s, rn, child, below, blocks);
                 }
             }
         }
@@ -718,7 +810,8 @@ mod tests {
 
                 let mut recorder = Recorder::default();
                 let threads = Threads::Exactly(threads);
-                let res = mbr_join_then(&r, &s, &mut recorder, threads, |_| ()).0;
+                let read = |blocks: &mut LeafBlocks| read_into(blocks, &mut recorder);
+                let res = mbr_join_then(&r, &s, threads, read).0;
                 let reads = recorder.0;
                 assert_eq!(
                     (res.pairs.len(), pairs_checksum(&res.pairs)),
@@ -763,17 +856,17 @@ mod tests {
         threads: Mutex<Vec<ThreadId>>,
     }
 
-    impl Sweep<LeafPair, MbrJoinResult> for Recording<'_> {
+    impl Sweep<Visit, SweptBlock> for Recording<'_> {
         type Scratch = SweepScratch;
 
         fn scratch(&self) -> SweepScratch {
             self.sweep.scratch()
         }
 
-        fn sweep(&self, pairs: &[LeafPair], out: &mut MbrJoinResult, scratch: &mut SweepScratch) {
+        fn sweep(&self, visits: &[Visit], out: &mut SweptBlock, scratch: &mut SweepScratch) {
             let here = std::thread::current().id();
             self.threads.lock().unwrap().push(here);
-            self.sweep.sweep(pairs, out, scratch);
+            self.sweep.sweep(visits, out, scratch);
         }
     }
 
@@ -790,7 +883,8 @@ mod tests {
             threads: Mutex::default(),
         };
         let mut recorder = Recorder::default();
-        let (res, ()) = pipelined(r, s, &mut recorder, threads, &sweep, |_| ());
+        let read = |blocks: &mut LeafBlocks| read_into(blocks, &mut recorder);
+        let (res, ()) = pipelined(r, s, threads, &sweep, read);
         (res, recorder.0, sweep.threads.into_inner().unwrap())
     }
 
@@ -977,7 +1071,8 @@ mod tests {
             for at in [0, reads / 2, reads - 1] {
                 let caught = std::panic::catch_unwind(|| {
                     let mut io = PanicAt { reads: 0, at };
-                    mbr_join_then(&case.r, &case.s, &mut io, Threads::Exactly(threads), |_| ())
+                    let read = |blocks: &mut LeafBlocks| read_into(blocks, &mut io);
+                    mbr_join_then(&case.r, &case.s, Threads::Exactly(threads), read)
                 });
                 let payload = caught.expect_err("the traversal panics");
                 assert_eq!(

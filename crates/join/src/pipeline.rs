@@ -1,16 +1,19 @@
 //! Step 3 and the complete intersection-join pipeline (§6.3,
-//! [`SpatialJoin::run`]). Every step charges the disk both operands
-//! live on, through the buffer pool they share, on the calling thread;
-//! [`SpatialJoin::run`] takes each disk-based phase's I/O delta at its
-//! one call site. Only the MBR join's leaf-pair sweeps, which read no
-//! page, run on other threads — beside the traversal and the transfer.
+//! [`SpatialJoin::run`]). Every page access charges the disk both
+//! operands live on, through the buffer pool they share, on the calling
+//! thread and in one pool session: the MBR join's node reads and the
+//! object transfer's fetches, replayed in the traversal's order.
+//! [`SpatialJoin::run`] adds the charges of each call to the bar of the
+//! step that made it (Figure 17). Only the MBR join's leaf-pair sweeps,
+//! which read no page, run on other threads — beside the traversal.
 
-use crate::mbr_join::{mbr_join_then, recycle, MbrJoinResult};
-use crate::transfer::transfer_blocks;
+use crate::mbr_join::{mbr_join_then, recycle, replay, Access, MbrJoinResult};
+use crate::transfer::{candidate_sets, fetch_pairs};
 use spatialdb_disk::blocks::Threads;
-use spatialdb_disk::IoStats;
+use spatialdb_disk::{IoStats, PoolSession};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
+use std::collections::HashSet;
 
 /// CPU cost of one exact geometry test in milliseconds. §6.3: with the
 /// decomposed representation \[SK91\] *"one test needs roughly
@@ -87,24 +90,27 @@ impl<'a> SpatialJoin<'a> {
     /// Run the MBR join and the object transfer under `technique` — the
     /// two disk-based steps — and return the candidate pairs the exact
     /// test must decide, in processing order, the cost breakdown, and
-    /// the I/O of both steps together. Each step's delta against the
-    /// calling thread's tally is taken here, around its one call; the
-    /// exact test (step 3) is the caller's, its CPU cost
-    /// [`JoinStats::exact_test_ms`].
+    /// the I/O of both steps together. The exact test (step 3) is the
+    /// caller's, its CPU cost [`JoinStats::exact_test_ms`].
     ///
     /// Every MBR pair counts, as in the paper: [`JoinStats::mbr_pairs`]
     /// and the transfer see all of them. Only the pairs a leaf entry
     /// ruled out ([`MbrJoinResult::ruled_out`]) are not returned.
     ///
     /// The two steps run as one pipeline on `threads` (`k`; see
-    /// [`mbr_join`](mod@crate::mbr_join)): the traversal publishes its
-    /// leaf pairs in blocks, which up to `k − 1` workers sweep while it
-    /// goes on. Once the traversal's session has ended, the transfer's
-    /// one session takes the swept blocks in order and fetches each
-    /// block's pairs, sweeping a block itself when the next one is not
-    /// ready (the techniques that read the candidate set wait for the
-    /// last one). The traversal, every page it reads and the whole
-    /// transfer are the calling thread's, in the order one thread makes
+    /// [`mbr_join`](mod@crate::mbr_join)): the traversal pushes its node
+    /// reads and the leaf pairs it reaches into blocks, which up to
+    /// `k − 1` workers sweep while it goes on. Then **one** pool session
+    /// replays the swept blocks in order, sweeping a block itself when
+    /// the next one is not ready: a node read is a page read, and a leaf
+    /// pair the fetches of its candidate pairs, made while the pages the
+    /// traversal has just read are still buffered — a primary
+    /// organization's object is in its leaf's data page (§3.2.2). The
+    /// techniques that read the candidate set replay every read first
+    /// and fetch once the last block is in. Each call's charges go to
+    /// the bar of the step that made it ([`JoinStats::mbr_join_ms`],
+    /// [`JoinStats::transfer_ms`]), taken here at the call. Every page
+    /// access is the calling thread's, in the order one thread makes
     /// them, so the result, the stats and the I/O are the same at every
     /// thread count.
     ///
@@ -115,16 +121,46 @@ impl<'a> SpatialJoin<'a> {
         threads: Threads,
     ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
-        let before = disk.local_stats();
+        let mut session = pool.session();
+        // The thread's tally after the last measured call.
+        let mut tally = disk.local_stats();
+        let mut charged = |session: &mut PoolSession<'_>, step: &mut IoStats| {
+            session.charge_queued();
+            let now = disk.local_stats();
+            *step = step.plus(&now.since(&tally));
+            tally = now;
+        };
+        let (mut mbr_join_io, mut transfer_io) = (IoStats::new(), IoStats::new());
+        // A technique that reads the candidate set needs every pair
+        // before its first fetch.
+        let waits = technique.reads_candidate_set();
+        let none = HashSet::new();
         let (r, s) = (self.r.tree(), self.s.tree());
-        let (candidates, (mbr_join_io, transfer_io)) =
-            mbr_join_then(r, s, pool.session(), threads, |blocks| {
-                // The traversal and its session have ended.
-                let mbr_join_io = disk.local_stats().since(&before);
-                let before = disk.local_stats();
-                transfer_blocks(self.r, self.s, blocks, technique);
-                (mbr_join_io, disk.local_stats().since(&before))
+        let (candidates, ()) = mbr_join_then(r, s, threads, |blocks| {
+            replay(blocks, |access| match access {
+                Access::Read(page) => {
+                    // A hit charges nothing.
+                    if !session.read_page(page) {
+                        charged(&mut session, &mut mbr_join_io);
+                    }
+                }
+                Access::Pairs(pairs) if !waits => {
+                    let needed = (&none, &none);
+                    fetch_pairs(self.r, self.s, pairs, needed, technique, &mut session);
+                    charged(&mut session, &mut transfer_io);
+                }
+                Access::Pairs(_) => {}
             });
+            if waits {
+                let pairs = &blocks.out().result.pairs;
+                let (needed_r, needed_s) = candidate_sets(pairs, technique);
+                let needed = (&needed_r, &needed_s);
+                fetch_pairs(self.r, self.s, pairs, needed, technique, &mut session);
+                charged(&mut session, &mut transfer_io);
+            }
+        });
+        // Release the shard lock and count the hits and misses.
+        drop(session);
         let stats = JoinStats {
             mbr_pairs: candidates.pairs.len() as u64,
             mbr_join_ms: mbr_join_io.io_ms,
@@ -155,6 +191,7 @@ mod tests {
     use spatialdb_disk::Disk;
     use spatialdb_disk::PoolSession;
     use spatialdb_geom::Rect;
+    use spatialdb_rtree::NoIo;
     use spatialdb_rtree::ObjectId;
     use spatialdb_storage::{
         new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, PrimaryOrganization,
@@ -162,7 +199,7 @@ mod tests {
     };
     use std::collections::HashSet;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     type Store = Box<dyn SpatialStore>;
 
@@ -250,7 +287,16 @@ mod tests {
     /// A join of many blocks ([`primary_pair`]) hands the disk the same
     /// requests at every thread count: pairs, stats, I/O, the pool's hits
     /// and misses and the `Disk::traced` request sequence are the
-    /// one-thread join's, and its stats the two-pass join's.
+    /// one-thread join's.
+    ///
+    /// Its numbers follow from those of the join that transferred the
+    /// objects after its whole traversal: (83,620, 35,968.0, 35,744.0),
+    /// 4,482 requests, 242,333 hits and 5,451 misses. Every fetch hits a
+    /// data page the traversal has just read
+    /// ([`a_primary_transfer_hits_the_pages_just_read`]), so the MBR-join
+    /// bar keeps its 35,968 ms, the transfer's 2,234 one-page requests
+    /// (35,744 ms at 16 ms each) are gone, and the same 247,784 page
+    /// accesses count 2,234 misses fewer.
     #[test]
     fn a_primary_join_over_many_blocks_charges_the_same_at_every_thread_count() {
         let join = |threads: usize| {
@@ -262,17 +308,9 @@ mod tests {
         };
         let one = join(1);
         let stats = (one.1.mbr_pairs, one.1.mbr_join_ms, one.1.transfer_ms);
-        assert_eq!(
-            stats,
-            (83620, 35968.0, 35744.0),
-            "the two-pass join's stats"
-        );
-        assert_eq!(one.3.len(), 4482, "the two-pass join's requests");
-        assert_eq!(
-            one.4,
-            (242_333, 5451),
-            "the two-pass join's hits and misses"
-        );
+        assert_eq!(stats, (83620, 35968.0, 0.0), "stats");
+        assert_eq!(one.3.len(), 2248, "requests: the node reads' misses");
+        assert_eq!(one.4, (244_567, 3217), "hits and misses");
         for threads in [2, 3, 8] {
             let got = join(threads);
             assert!(got.0 == one.0, "{threads} threads: pairs");
@@ -283,17 +321,48 @@ mod tests {
         }
     }
 
-    /// A foreign store whose `fetch_for_join` panics with its count on
-    /// its `at`-th call.
-    struct PanicsInTransfer {
-        store: PrimaryOrganization,
-        at: usize,
-        fetches: AtomicUsize,
+    /// The oracle of the transfer's timing: a primary-organization
+    /// object lives in its leaf's data page (§3.2.2) — [`primary_pair`]'s
+    /// 700-byte objects five to a page, with no overflow run — and each
+    /// leaf pair's objects are fetched right after the traversal read
+    /// its two leaves, so every fetch hits, even in a buffer of 64
+    /// pages.
+    #[test]
+    fn a_primary_transfer_hits_the_pages_just_read() {
+        for buffer in [64, 128, 400] {
+            let (r, s, _) = primary_pair(buffer);
+            let stats = complete(&r, &s);
+            assert!(stats.mbr_join_ms > 0.0, "{buffer} pages");
+            assert_eq!(stats.transfer_ms, 0.0, "{buffer} pages");
+        }
     }
 
-    impl SpatialStore for PanicsInTransfer {
+    /// A foreign store that logs the id of every `fetch_for_join` call,
+    /// and panics with its number on call `panic_at` (counted from 0).
+    struct Watched {
+        store: PrimaryOrganization,
+        panic_at: Option<usize>,
+        fetched: Mutex<Vec<ObjectId>>,
+    }
+
+    impl Watched {
+        fn new(store: PrimaryOrganization) -> Self {
+            Watched {
+                store,
+                panic_at: None,
+                fetched: Mutex::default(),
+            }
+        }
+
+        /// The ids fetched since the last call, in order.
+        fn take_log(&self) -> Vec<ObjectId> {
+            std::mem::take(&mut self.fetched.lock().unwrap())
+        }
+    }
+
+    impl SpatialStore for Watched {
         fn name(&self) -> &'static str {
-            "panics in transfer"
+            "watched"
         }
         fn insert(&mut self, rec: &ObjectRecord) {
             self.store.insert(rec)
@@ -316,8 +385,13 @@ mod tests {
             technique: TransferTechnique,
             session: &mut PoolSession<'_>,
         ) {
-            if self.fetches.fetch_add(1, Ordering::Relaxed) == self.at {
-                std::panic::panic_any(self.at);
+            let call = {
+                let mut log = self.fetched.lock().unwrap();
+                log.push(oid);
+                log.len() - 1
+            };
+            if self.panic_at == Some(call) {
+                std::panic::panic_any(call);
             }
             self.store.fetch_for_join(oid, needed, technique, session)
         }
@@ -344,6 +418,25 @@ mod tests {
         }
     }
 
+    /// Fetching each leaf pair's objects as the traversal reaches it
+    /// moves when the fetches happen, not their order: at every thread
+    /// count, both operands see the ids [`transfer_objects`] fetches
+    /// over the MBR join's pairs, in the same order.
+    #[test]
+    fn the_join_fetches_in_the_order_of_its_pairs() {
+        let (r, s, _) = primary_pair(64);
+        let (r, s) = (Watched::new(r), Watched::new(s));
+        let pairs = crate::mbr_join(r.tree(), s.tree(), &mut NoIo).pairs;
+        crate::transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
+        let want = (r.take_log(), s.take_log());
+        assert_eq!(want.0.len(), pairs.len());
+        for threads in [1, 2, 3, 8] {
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(threads));
+            let got = (r.take_log(), s.take_log());
+            assert!(got == want, "{threads} threads: fetch order");
+        }
+    }
+
     /// A transfer that panics — fetching the first pair, a middle one
     /// or the last, so in the first, a middle or the last block — ends
     /// the join with the panic's payload at every thread count, whatever
@@ -355,14 +448,11 @@ mod tests {
             SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1));
         let candidates = complete(&r, &s).mbr_pairs as usize;
         assert!(pairs.len() < candidates);
-        let mut store = PanicsInTransfer {
-            store: s,
-            at: 0,
-            fetches: AtomicUsize::new(0),
-        };
+        let mut store = Watched::new(s);
         for threads in [1, 2, 3, 8] {
             for at in [0, candidates / 2, candidates - 1] {
-                (store.at, store.fetches) = (at, AtomicUsize::new(0));
+                store.panic_at = Some(at);
+                store.take_log();
                 let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     SpatialJoin::new(&r, &store)
                         .run(TransferTechnique::Complete, Threads::Exactly(threads))

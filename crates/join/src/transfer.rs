@@ -1,6 +1,13 @@
 //! Step 2: transferring the exact representations of the candidate pairs.
+//!
+//! A join fetches each leaf pair's objects in the traversal's order,
+//! right after the reads of the pair's two leaves, in the one pool
+//! session its node reads go through too
+//! ([`SpatialJoin::run`](crate::SpatialJoin::run)); the techniques that
+//! read the candidate set wait until every pair is known.
+//! [`transfer_objects`] makes the same fetches over a finished pair
+//! list in a session of its own.
 
-use crate::mbr_join::LeafBlocks;
 use spatialdb_disk::PoolSession;
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
@@ -25,50 +32,32 @@ pub fn transfer_objects(
     pairs: &[(ObjectId, ObjectId)],
     technique: TransferTechnique,
 ) {
-    // The join knows up front which objects it will need: the candidate
-    // set of the MBR join, built once and never pruned, so it still
-    // names candidates whose pairs were already processed. Cluster-unit
-    // transfers batch accordingly — unless the technique reads whole
-    // units whatever is needed.
-    let (mut needed_r, mut needed_s) = (HashSet::new(), HashSet::new());
-    if technique.reads_candidate_set() {
-        needed_r = pairs.iter().map(|(a, _)| *a).collect();
-        needed_s = pairs.iter().map(|(_, b)| *b).collect();
-    }
+    let (needed_r, needed_s) = candidate_sets(pairs, technique);
     let pool = r_org.pool();
-    let mut session = pool.session();
     let needed = (&needed_r, &needed_s);
-    fetch_pairs(r_org, s_org, pairs, needed, technique, &mut session);
+    fetch_pairs(r_org, s_org, pairs, needed, technique, &mut pool.session());
 }
 
-/// The transfer of a pipelined MBR join: the same requests as
-/// [`transfer_objects`] over the whole result, made as its blocks are
-/// swept. A technique that reads the candidate set needs every pair
-/// before its first fetch, so it waits for the last block; the others
-/// fetch each block's pairs once it is appended, in one session.
-pub(crate) fn transfer_blocks(
-    r_org: &dyn SpatialStore,
-    s_org: &dyn SpatialStore,
-    blocks: &mut LeafBlocks<'_, '_>,
+/// The candidate sets a technique that reads them batches its unit
+/// reads by: each operand's objects in `pairs`, the join's whole
+/// candidate set, built once and never pruned, so they still name
+/// candidates whose pairs were already processed. Empty for the
+/// techniques that read whole units whatever is needed.
+pub(crate) fn candidate_sets(
+    pairs: &[(ObjectId, ObjectId)],
     technique: TransferTechnique,
-) {
-    if technique.reads_candidate_set() {
-        while blocks.next_block() {}
-        return transfer_objects(r_org, s_org, &blocks.out().pairs, technique);
+) -> (HashSet<ObjectId>, HashSet<ObjectId>) {
+    if !technique.reads_candidate_set() {
+        return (HashSet::new(), HashSet::new());
     }
-    let none = HashSet::new();
-    let pool = r_org.pool();
-    let mut session = pool.session();
-    let mut fetched = 0;
-    while blocks.next_block() {
-        let pairs = &blocks.out().pairs[fetched..];
-        fetch_pairs(r_org, s_org, pairs, (&none, &none), technique, &mut session);
-        fetched += pairs.len();
-    }
+    (
+        pairs.iter().map(|(a, _)| *a).collect(),
+        pairs.iter().map(|(_, b)| *b).collect(),
+    )
 }
 
 /// Fetch each pair's two objects, in order, through `session`.
-fn fetch_pairs(
+pub(crate) fn fetch_pairs(
     r_org: &dyn SpatialStore,
     s_org: &dyn SpatialStore,
     pairs: &[(ObjectId, ObjectId)],

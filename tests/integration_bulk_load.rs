@@ -61,15 +61,8 @@ fn windows() -> Vec<Rect> {
     ]
 }
 
-/// Build a database with the sequential STR bulk load.
-fn load_str(ws: &Workspace, kind: OrganizationKind, n: u64) -> SpatialDatabase {
-    let mut db = ws.create_database(DbOptions::new(kind));
-    ws.bulk_load_par(&mut db, objects(n), 1);
-    db.finish_loading();
-    db
-}
-
-/// Build a database with the parallel STR bulk load on `threads`.
+/// Build a database with the STR bulk load on `threads` (1: the
+/// sequential load).
 fn load_str_par(ws: &Workspace, kind: OrganizationKind, n: u64, threads: usize) -> SpatialDatabase {
     let mut db = ws.create_database(DbOptions::new(kind));
     ws.bulk_load_par(&mut db, objects(n), threads);
@@ -87,23 +80,25 @@ fn load_insert(ws: &Workspace, kind: OrganizationKind, n: u64) -> SpatialDatabas
     db
 }
 
-/// `bulk_load_par(.., 1)` is byte-identical to the sequential
-/// `SpatialDatabase::bulk_load` — same I/O statistics to the last
-/// fraction of a millisecond, same tree, same placement.
+/// A one-thread STR bulk load repeated on a fresh workspace is
+/// byte-identical to the first — same I/O statistics to the last
+/// fraction of a millisecond, same tree, same placement: the load
+/// depends on its objects only. (The parallel loads are pinned against
+/// it by `str_par_threads_agree_across_orgs_and_techniques`.)
 #[test]
-fn str_par1_is_byte_identical_to_sequential() {
+fn a_repeated_str_load_is_byte_identical() {
     const N: u64 = 6_000;
     for kind in ALL_KINDS {
-        let ws_seq = Workspace::new(256);
-        let ws_par = Workspace::new(256);
-        let mut seq = load_str(&ws_seq, kind, N);
-        let mut par = load_str_par(&ws_par, kind, N, 1);
-        let (seq_io, par_io) = (ws_seq.disk().stats(), ws_par.disk().stats());
-        assert_eq!(seq_io, par_io, "{kind:?} build stats");
+        let ws_first = Workspace::new(256);
+        let ws_again = Workspace::new(256);
+        let mut first = load_str_par(&ws_first, kind, N, 1);
+        let mut again = load_str_par(&ws_again, kind, N, 1);
+        let (first_io, again_io) = (ws_first.disk().stats(), ws_again.disk().stats());
+        assert_eq!(first_io, again_io, "{kind:?} build stats");
         let pages = |db: &SpatialDatabase| db.store().occupied_pages();
-        assert_eq!(pages(&seq), pages(&par), "{kind:?}");
-        assert_eq!(seq.len(), par.len(), "{kind:?}");
-        assert_tree_placement_identical(&mut seq, &mut par, kind);
+        assert_eq!(pages(&first), pages(&again), "{kind:?}");
+        assert_eq!(first.len(), again.len(), "{kind:?}");
+        assert_tree_placement_identical(&mut first, &mut again, kind);
     }
 }
 
@@ -116,7 +111,7 @@ fn str_par_threads_agree_across_orgs_and_techniques() {
     const N: u64 = 6_000;
     for kind in ALL_KINDS {
         let ws_seq = Workspace::new(256);
-        let mut seq = load_str(&ws_seq, kind, N);
+        let mut seq = load_str_par(&ws_seq, kind, N, 1);
         let s = ws_seq.disk().stats(); // snapshot before queries pollute the cumulative stats
         for threads in [2usize, 3, 8] {
             let ws_par = Workspace::new(256);
@@ -191,7 +186,7 @@ fn str_beats_insertion_and_answers_identically() {
         let ws_ins = Workspace::new(256);
         let ws_str = Workspace::new(256);
         let ins = load_insert(&ws_ins, kind, N);
-        let str_db = load_str(&ws_str, kind, N);
+        let str_db = load_str_par(&ws_str, kind, N, 1);
         let (str_ms, ins_ms) = (ws_str.disk().stats().io_ms, ws_ins.disk().stats().io_ms);
         assert!(
             str_ms < ins_ms,
@@ -233,7 +228,7 @@ fn str_beats_insertion_and_answers_identically() {
 fn str_leaf_level_is_packed() {
     const N: u64 = 10_000;
     let ws = Workspace::new(256);
-    let db = load_str(&ws, OrganizationKind::Secondary, N);
+    let db = load_str_par(&ws, OrganizationKind::Secondary, N, 1);
     let store = db.store();
     let tree = store.tree();
     let leaf_cap = (tree.config().max_entries as f64 * 0.9).floor() as usize;

@@ -86,6 +86,24 @@ fn figure14_larger_buffers_never_hurt() {
     }
 }
 
+/// A primary-organization object lives in the data page the MBR join
+/// has just read (§3.2.2), and the transfer fetches each leaf pair's
+/// objects while the traversal's pages are still buffered: so the
+/// primary organization reads its data pages once and costs about what
+/// the secondary does, at every buffer size and in both versions. A
+/// transfer that started only after the whole traversal read every data
+/// page twice (1.7 – 2.0 × the secondary at this scale).
+#[test]
+fn figure14_primary_reads_its_data_pages_once() {
+    for version in ["a", "b"] {
+        for buffer in &scale().join_buffers {
+            fig("14")
+                .at(&[version, &buffer.to_string()])
+                .assert_factor_at_most("prim. org.", "sec. org.", 1.25);
+        }
+    }
+}
+
 #[test]
 fn figure16_optimum_bounds_and_convergence() {
     let fig = fig("16");

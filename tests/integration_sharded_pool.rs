@@ -252,9 +252,10 @@ fn panicking_batch_worker_leaks_no_charges() {
 
 /// The hardware-independent evidence of pool sessions: on a 1-shard
 /// pool a window query takes the shard lock once on every organization
-/// — its tree walk and its transfer share one session — and a join
-/// twice, once for the MBR join and once for the object transfer. A
-/// memory store's query never touches the pool.
+/// — its tree walk and its transfer share one session — and so does a
+/// join: one session replays the MBR join's node reads and the object
+/// transfer's fetches in the traversal's order. A memory store's query
+/// never touches the pool.
 #[test]
 fn a_query_takes_the_pool_lock_once() {
     use spatialdb::storage::MemoryStore;
@@ -280,7 +281,7 @@ fn a_query_takes_the_pool_lock_once() {
     let cursor = left.join(right).transfer(TransferTechnique::Complete).run();
     assert!(cursor.num_candidates() > 0, "empty join");
     drop(cursor);
-    assert_eq!(acquisitions() - before, 2, "one join: MBR join + transfer");
+    assert_eq!(acquisitions() - before, 1, "one join: one session");
 
     let memory = ws.create_database_with(Box::new(MemoryStore::new(ws.pool())));
     for obj in &map.objects {
