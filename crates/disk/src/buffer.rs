@@ -1011,24 +1011,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_writes_back_dirty_pages() {
+    fn reset_writes_back_dirty_pages_before_resizing() {
+        // At the same capacity — an experiment boundary: the deferred
+        // writebacks are charged (one run for the consecutive dirty
+        // pages), clean pages just drop.
         let (disk, mut pool, r) = pool(8);
         pool.write_page(pg(r, 0));
         pool.write_page(pg(r, 1));
         pool.read_page(pg(r, 5));
         let before = disk.stats();
         pool.reset(8);
-        // Experiment boundary: the deferred writebacks are charged (one
-        // run for the consecutive dirty pages), clean pages just drop.
         let s = disk.stats().since(&before);
         assert_eq!(s.write_requests, 1);
         assert_eq!(s.pages_written, 2);
         assert_eq!(pool.buffer().len(), 0);
-    }
-
-    #[test]
-    fn reset_writes_back_dirty_pages_before_resizing() {
-        let (disk, mut pool, r) = pool(8);
+        // At another capacity.
         pool.write_page(pg(r, 4));
         let before = disk.stats();
         pool.reset(16);

@@ -1140,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_invalidate_and_reset_charge_dirty_writebacks() {
+    fn sharded_reset_charges_dirty_writebacks() {
         let disk = Disk::with_defaults();
         let r = disk.create_region("data");
         let pool = ShardedPool::with_shards(disk.clone(), 64, 4);

@@ -402,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_object_reads_leaf_and_overflow() {
+    fn fetch_for_join_reads_leaf_and_overflow() {
         let mut org = org_with_sizes(&[600, 9000]);
         org.begin_query();
         let before = org.disk().stats();

@@ -1,19 +1,20 @@
-//! Seeded property tests: the organization models and the in-memory
-//! oracle stay consistent under arbitrary insert/delete interleavings,
-//! and, insertion-built or STR-built, return exactly the brute-force
-//! MBR candidates. Every property runs on [`CASES`] cases, each drawn
-//! from its own `SmallRng::seed_from_u64(seed)`, and every assertion
-//! names the seed.
+//! Seeded property tests: the cluster organization stays consistent
+//! under arbitrary insert/delete interleavings, its occupied pages track
+//! its contents, and its window techniques find the same candidates.
+//! (That every organization, insertion-built or STR-built, finds exactly
+//! the brute-force candidates and bytes is the differential matrix's, in
+//! the workspace's `tests/differential.rs`.) Every property runs on
+//! [`CASES`] cases, each drawn from its own
+//! `SmallRng::seed_from_u64(seed)`, and every assertion names the seed.
 
 use spatialdb_disk::Disk;
 use spatialdb_geom::rng::SmallRng;
-use spatialdb_geom::{Point, Rect};
-use spatialdb_rtree::bulk::plan_tiles;
+use spatialdb_geom::Rect;
 use spatialdb_rtree::validate::check_invariants;
-use spatialdb_rtree::{LeafEntry, ObjectId, TilingParams, DEFAULT_STR_FILL};
+use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{
-    new_shared_pool, ClusterConfig, ClusterOrganization, MemoryStore, ObjectRecord,
-    PrimaryOrganization, SecondaryOrganization, SharedPool, SpatialStore, WindowTechnique,
+    new_shared_pool, ClusterConfig, ClusterOrganization, ObjectRecord, SharedPool, SpatialStore,
+    WindowTechnique,
 };
 
 /// Cases per property.
@@ -53,92 +54,11 @@ fn cluster() -> ClusterOrganization {
     ClusterOrganization::new(machine(), ClusterConfig::restricted_buddy(SMAX))
 }
 
-/// One empty store of each organization model, and the engine's
-/// in-memory oracle, each on a machine of its own.
-fn all_models() -> [Box<dyn SpatialStore>; 4] {
-    [
-        Box::new(SecondaryOrganization::new(machine())),
-        Box::new(PrimaryOrganization::new(machine())),
-        Box::new(cluster()),
-        Box::new(MemoryStore::new(machine())),
-    ]
-}
-
-/// Every store of [`all_models`] loaded with `records` twice — one
-/// insert per record, and an STR bulk load — flushed and cold, each
-/// with a label naming store and build.
-fn loaded_models(records: &[ObjectRecord]) -> Vec<(String, Box<dyn SpatialStore>)> {
-    let mut loaded = Vec::new();
-    for str_built in [false, true] {
-        for mut store in all_models() {
-            if str_built {
-                let entries = records.iter().map(|r| store.leaf_entry(r)).collect();
-                let params = TilingParams::from_config(store.tree().config(), DEFAULT_STR_FILL);
-                let tiles = plan_tiles(entries, &params);
-                store.str_install(records, tiles, &params);
-            } else {
-                for r in records {
-                    store.insert(r);
-                }
-            }
-            store.flush();
-            store.begin_query();
-            let build = if str_built {
-                "STR-built"
-            } else {
-                "insert-built"
-            };
-            loaded.push((format!("{} ({build})", store.name()), store));
-        }
-    }
-    loaded
-}
-
 /// Sorted ids of `entries`.
 fn ids(entries: &[LeafEntry]) -> Vec<u64> {
     let mut ids: Vec<u64> = entries.iter().map(|e| e.oid.0).collect();
     ids.sort_unstable();
     ids
-}
-
-/// Ids of the records whose MBR `keep` selects, ascending, and the sum
-/// of their sizes.
-fn brute_force(records: &[ObjectRecord], keep: impl Fn(&Rect) -> bool) -> (Vec<u64>, u64) {
-    let kept = records.iter().filter(|r| keep(&r.mbr));
-    let bytes = kept.clone().map(|r| u64::from(r.size_bytes)).sum();
-    (kept.map(|r| r.oid.0).collect(), bytes)
-}
-
-#[test]
-fn all_models_agree_on_window_candidates() {
-    check(|seed, rng| {
-        let records = records(rng, 120);
-        let (wx, wy) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-        let ww = rng.gen_range(0.01..0.5);
-        let window = Rect::new(wx, wy, wx + ww, wy + ww);
-        let (brute, brute_bytes) = brute_force(&records, |mbr| mbr.intersects(&window));
-        let mut out = Vec::new();
-        for (store, org) in loaded_models(&records) {
-            let bytes = org.window_query_into(&window, WindowTechnique::Complete, &mut out);
-            assert_eq!(ids(&out), brute, "seed {seed}: {store}");
-            assert_eq!(bytes, brute_bytes, "seed {seed}: {store}");
-        }
-    });
-}
-
-#[test]
-fn all_models_agree_on_point_candidates() {
-    check(|seed, rng| {
-        let records = records(rng, 100);
-        let p = Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
-        let (brute, brute_bytes) = brute_force(&records, |mbr| mbr.contains_point(&p));
-        let mut out = Vec::new();
-        for (store, org) in loaded_models(&records) {
-            let bytes = org.point_query_into(&p, &mut out);
-            assert_eq!(ids(&out), brute, "seed {seed}: {store}");
-            assert_eq!(bytes, brute_bytes, "seed {seed}: {store}");
-        }
-    });
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! STR bulk-load equivalence matrix: the bulk load at 1, 2, 3 and 8
-//! threads must produce identical trees, identical physical placement,
-//! identical answers and *byte-identical* I/O accounting across all
-//! three organization models × all four window techniques; STR-built
-//! trees must beat insertion-built trees on construction I/O and
-//! directory size while answering identically; and a load that cannot
-//! finish — a repeated id, a non-finite MBR, a non-empty database —
-//! must panic before it charges anything.
+//! The STR bulk load. That a load on 1 and on 8 threads builds the same
+//! tree on the same pages for the same I/O, after which every read makes
+//! the same requests — on every backend, the trait's insertion fallback
+//! included — is the differential matrix's build axis
+//! (`tests/differential.rs`). Here: STR-built trees beat
+//! insertion-built trees on construction I/O and directory size while
+//! answering identically, the leaf level is packed, and a load that
+//! cannot finish — a repeated id, a non-finite MBR, a non-empty
+//! database — panics before it charges anything.
 
 mod foreign_store;
 
@@ -13,13 +14,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use foreign_store::HintlessStore;
 use spatialdb::bulk_load_records_par;
-use spatialdb::disk::PageRequest;
 use spatialdb::geom::{Geometry, HasMbr, Point, Polyline, Rect};
 use spatialdb::storage::{
     new_shared_pool, MemoryStore, ObjectRecord, OrganizationKind, SecondaryOrganization,
     SpatialStore, WindowTechnique,
 };
-use spatialdb::{DbOptions, Disk, ObjectId, QueryStats, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, Disk, ObjectId, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -78,102 +78,6 @@ fn load_insert(ws: &Workspace, kind: OrganizationKind, n: u64) -> SpatialDatabas
     }
     db.finish_loading();
     db
-}
-
-/// A one-thread STR bulk load repeated on a fresh workspace is
-/// byte-identical to the first — same I/O statistics to the last
-/// fraction of a millisecond, same tree, same placement: the load
-/// depends on its objects only. (The parallel loads are pinned against
-/// it by `str_par_threads_agree_across_orgs_and_techniques`.)
-#[test]
-fn a_repeated_str_load_is_byte_identical() {
-    const N: u64 = 6_000;
-    for kind in ALL_KINDS {
-        let ws_first = Workspace::new(256);
-        let ws_again = Workspace::new(256);
-        let mut first = load_str_par(&ws_first, kind, N, 1);
-        let mut again = load_str_par(&ws_again, kind, N, 1);
-        let (first_io, again_io) = (ws_first.disk().stats(), ws_again.disk().stats());
-        assert_eq!(first_io, again_io, "{kind:?} build stats");
-        let pages = |db: &SpatialDatabase| db.store().occupied_pages();
-        assert_eq!(pages(&first), pages(&again), "{kind:?}");
-        assert_eq!(first.len(), again.len(), "{kind:?}");
-        assert_tree_placement_identical(&mut first, &mut again, kind);
-    }
-}
-
-/// The full matrix: at 2, 3 and 8 threads the parallel bulk load builds
-/// the same tree with the same physical placement — every window query
-/// under every technique answers identically, page run for page run —
-/// and charges exactly the sequential build's I/O.
-#[test]
-fn str_par_threads_agree_across_orgs_and_techniques() {
-    const N: u64 = 6_000;
-    for kind in ALL_KINDS {
-        let ws_seq = Workspace::new(256);
-        let mut seq = load_str_par(&ws_seq, kind, N, 1);
-        let s = ws_seq.disk().stats(); // snapshot before queries pollute the cumulative stats
-        for threads in [2usize, 3, 8] {
-            let ws_par = Workspace::new(256);
-            let mut par = load_str_par(&ws_par, kind, N, threads);
-            assert_eq!(s, ws_par.disk().stats(), "{kind:?} t={threads}");
-            assert_eq!(
-                seq.store().occupied_pages(),
-                par.store().occupied_pages(),
-                "{kind:?} t={threads}"
-            );
-            assert_tree_placement_identical(&mut seq, &mut par, kind);
-        }
-    }
-}
-
-/// One window query's stats and the disk requests it made, captured
-/// with `Disk::traced` around `Query::run`, as the scenario harness
-/// captures.
-fn traced_window(
-    db: &SpatialDatabase,
-    window: Rect,
-    technique: WindowTechnique,
-) -> (QueryStats, Vec<PageRequest>) {
-    let disk = db.store().disk();
-    disk.traced(|| db.query().window(window).technique(technique).run().stats())
-}
-
-/// Assert two databases have structurally identical trees and answer
-/// every window × technique with identical stats, ids and physical
-/// page requests (placement equivalence).
-fn assert_tree_placement_identical(
-    a: &mut SpatialDatabase,
-    b: &mut SpatialDatabase,
-    kind: OrganizationKind,
-) {
-    assert_eq!(
-        a.store().tree().height(),
-        b.store().tree().height(),
-        "{kind:?}"
-    );
-    assert_eq!(
-        a.store().tree().num_nodes(),
-        b.store().tree().num_nodes(),
-        "{kind:?}"
-    );
-    assert_eq!(
-        a.store().tree().num_leaves(),
-        b.store().tree().num_leaves(),
-        "{kind:?}"
-    );
-    for technique in ALL_TECHNIQUES {
-        for (i, w) in windows().into_iter().enumerate() {
-            // Cold-start both stores so buffer state from earlier
-            // queries cannot skew the comparison.
-            a.store_mut().begin_query();
-            b.store_mut().begin_query();
-            let (stats_a, trace_a) = traced_window(a, w, technique);
-            let (stats_b, trace_b) = traced_window(b, w, technique);
-            assert_eq!(stats_a, stats_b, "{kind:?}/{technique:?}/{i} stats");
-            assert_eq!(trace_a, trace_b, "{kind:?}/{technique:?}/{i} requests");
-        }
-    }
 }
 
 /// STR construction charges strictly less simulated I/O than the

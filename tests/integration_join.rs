@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the spatial-join shapes of Figures 14,
 //! 16 and 17 as gates on the figures themselves (run once, at the scale
-//! of the checked-in golden, and matched against it), plus join
-//! correctness through the public API.
+//! of the checked-in golden, and matched against it), plus the join
+//! cursor's draining through the public API. (Exact pairs on every
+//! organization are the differential matrix's, `tests/differential.rs`.)
 
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::{DbOptions, OrganizationKind, Workspace};
@@ -137,55 +138,6 @@ fn figure17_breakdown_shape() {
         fig.down("total", &[version])
             .assert_factor_at_least("sec. org.", "cluster org.", 2.0);
     }
-}
-
-#[test]
-fn join_exact_results_match_brute_force() {
-    let m1 = SpatialMap::generate(
-        DataSet {
-            series: SeriesId::A,
-            map: MapId::Map1,
-        },
-        0.002,
-        GeometryMode::Full,
-        3,
-    );
-    let m2 = SpatialMap::generate(
-        DataSet {
-            series: SeriesId::A,
-            map: MapId::Map2,
-        },
-        0.002,
-        GeometryMode::Full,
-        3,
-    );
-    let ws = Workspace::new(512);
-    let mut a = ws.create_database(DbOptions::new(OrganizationKind::Cluster));
-    let mut b = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
-    for o in &m1.objects {
-        a.insert(o.id, o.geometry.clone().unwrap());
-    }
-    for o in &m2.objects {
-        b.insert(o.id, o.geometry.clone().unwrap());
-    }
-    a.finish_loading();
-    b.finish_loading();
-    let cursor = a.join(&b).run();
-    let stats = cursor.stats();
-    let got = cursor.pairs();
-    let mut want = Vec::new();
-    for x in &m1.objects {
-        for y in &m2.objects {
-            let gx = x.geometry.as_ref().unwrap();
-            let gy = y.geometry.as_ref().unwrap();
-            if gx.intersects_polyline(gy) {
-                want.push((x.id, y.id));
-            }
-        }
-    }
-    want.sort_unstable();
-    assert_eq!(got, want);
-    assert!(stats.mbr_pairs as usize >= got.len());
 }
 
 /// A-1 and A-2 at a scale where a join has a few hundred answers.

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: window- and point-query shapes of
 //! Figures 8, 10 and 12 as gates on the figures themselves (run once, at
 //! the scale of the checked-in golden, and matched against it), plus
-//! exact-answer correctness through the public database API.
+//! refinement through the public database API. (Exact answers on every
+//! organization are the differential matrix's, `tests/differential.rs`.)
 
 use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
@@ -84,41 +85,6 @@ fn figure12_point_queries_cluster_not_penalized() {
     row.assert_within("cluster org.", row.get("sec. org."), 0.15)
         // Primary is best for the smallest objects.
         .assert_ordering(&["prim. org.", "sec. org."]);
-}
-
-#[test]
-fn window_queries_return_exact_answers() {
-    // End-to-end through the public API with full geometry: the database
-    // must agree with brute force over the polylines.
-    let map = SpatialMap::generate(a1(), 0.002, GeometryMode::Full, 7);
-    for kind in [
-        OrganizationKind::Secondary,
-        OrganizationKind::Primary,
-        OrganizationKind::Cluster,
-    ] {
-        let ws = Workspace::new(256);
-        let mut db = ws.create_database(DbOptions::new(kind).smax_bytes(40 * 1024));
-        for obj in &map.objects {
-            db.insert(obj.id, obj.geometry.clone().unwrap());
-        }
-        db.finish_loading();
-        let queries = WindowQuerySet::generate(&map, 1e-2, 20, 3);
-        for w in &queries.windows {
-            let got = db.query().window(*w).run().ids();
-            let want: Vec<u64> = map
-                .objects
-                .iter()
-                .filter(|o| {
-                    o.geometry
-                        .as_ref()
-                        .map(|g| g.intersects_rect(w))
-                        .unwrap_or(false)
-                })
-                .map(|o| o.id)
-                .collect();
-            assert_eq!(got, want, "{kind:?} window {w}");
-        }
-    }
 }
 
 #[test]
