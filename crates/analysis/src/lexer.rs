@@ -3,7 +3,7 @@
 //! removed) and *comment text* (for waiver detection).
 //!
 //! The analyzer's rules are line-level pattern matches; the lexer's only
-//! job is to make those matches sound — a `.lock()` inside a string
+//! job is to make those matches sound — a `.partial_cmp(` inside a string
 //! literal or a doc comment must not fire a diagnostic, and a waiver
 //! inside a string must not suppress one. No external dependencies: the
 //! workspace builds offline.

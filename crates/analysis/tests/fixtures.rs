@@ -4,8 +4,8 @@
 //!
 //! Markers inside a fixture: `// BAD` lines must be flagged by the
 //! fixture's rule, `// OK` lines must not. Other rules may fire
-//! elsewhere in a fixture (e.g. raw-lock inside the lock-order
-//! snippet); only the fixture's own rule is asserted line-by-line.
+//! elsewhere in a fixture; only the fixture's own rule is asserted
+//! line-by-line.
 
 use spatialdb_analysis::{analyze_source, analyze_tree, Profile, Rule};
 use std::path::{Path, PathBuf};
@@ -58,38 +58,8 @@ fn assert_rule_fires(name: &str, rule: Rule) {
 }
 
 #[test]
-fn hash_iter_fixture() {
-    assert_rule_fires("hash_iter.rs", Rule::HashIter);
-}
-
-#[test]
-fn wall_clock_fixture() {
-    assert_rule_fires("wall_clock.rs", Rule::WallClock);
-}
-
-#[test]
 fn float_sort_fixture() {
     assert_rule_fires("float_sort.rs", Rule::FloatSort);
-}
-
-#[test]
-fn raw_lock_fixture() {
-    assert_rule_fires("raw_lock.rs", Rule::RawLock);
-}
-
-#[test]
-fn lock_order_fixture() {
-    assert_rule_fires("lock_order.rs", Rule::LockOrder);
-}
-
-#[test]
-fn epoch_pin_fixture() {
-    assert_rule_fires("epoch_pin.rs", Rule::EpochPin);
-}
-
-#[test]
-fn read_path_fixture() {
-    assert_rule_fires("read_path.rs", Rule::ReadPath);
 }
 
 #[test]
@@ -112,17 +82,7 @@ fn cli_exits_nonzero_on_fixtures() {
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
-    for rule in [
-        "hash-iter",
-        "wall-clock",
-        "float-sort",
-        "raw-lock",
-        "lock-order",
-        "epoch-pin",
-        "read-path",
-        "measure-site",
-        "pool-session",
-    ] {
+    for rule in ["float-sort", "measure-site", "pool-session"] {
         assert!(
             stdout.contains(&format!("[{rule}]")),
             "missing [{rule}] in CLI output: {stdout}"
@@ -133,17 +93,7 @@ fn cli_exits_nonzero_on_fixtures() {
 /// Each fixture on its own is enough to fail the run.
 #[test]
 fn cli_exits_nonzero_on_each_fixture() {
-    for name in [
-        "hash_iter.rs",
-        "wall_clock.rs",
-        "float_sort.rs",
-        "raw_lock.rs",
-        "lock_order.rs",
-        "epoch_pin.rs",
-        "read_path.rs",
-        "measure_site.rs",
-        "pool_session.rs",
-    ] {
+    for name in ["float_sort.rs", "measure_site.rs", "pool_session.rs"] {
         let out = Command::new(env!("CARGO_BIN_EXE_spatialdb-analysis"))
             .arg(fixture_path(name))
             .output()

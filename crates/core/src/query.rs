@@ -581,8 +581,14 @@ impl<'a> JoinQuery<'a> {
         }
     }
 
-    /// Object-transfer technique (default *complete*; only the cluster
-    /// organization distinguishes them).
+    /// Object-transfer technique (default *complete*). It sets when the
+    /// objects are fetched as well as how: *complete* fetches each leaf
+    /// pair's objects as the traversal reaches it; *read*, *vector read*
+    /// and *optimum* need the candidate set, so they fetch after the
+    /// whole traversal. Only the cluster organization reads its units
+    /// differently under each. The primary organization's objects sit in
+    /// the data pages of its leaves: under the last three it reads again
+    /// the pages the traversal read and the buffer has since evicted.
     pub fn transfer(mut self, technique: TransferTechnique) -> Self {
         self.transfer = technique;
         self
@@ -704,7 +710,8 @@ impl<'a> JoinCursor<'a> {
 
     /// Number of candidate pairs left to the exact test: those where
     /// neither leaf entry's `touched` mask misses the intersection of the
-    /// two MBRs. The rest are disjoint and dropped unread;
+    /// two MBRs. The rest are disjoint and skip the exact test, though
+    /// the transfer still read their objects (it reads every MBR pair's);
     /// [`num_candidates`] is the denominator. A count of this join, the
     /// same on every run and machine.
     ///

@@ -495,7 +495,7 @@ pub fn available_threads() -> usize {
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use std::sync::{mpsc, Mutex};
+    use std::sync::{mpsc, OnceLock};
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -732,14 +732,14 @@ mod tests {
     #[test]
     fn workers_sweep_while_the_producer_runs() {
         let caller = std::thread::current().id();
-        let seen: Mutex<Option<ThreadId>> = Mutex::new(None);
-        struct Signal<'a>(&'a Mutex<Option<ThreadId>>);
+        let seen: OnceLock<ThreadId> = OnceLock::new();
+        struct Signal<'a>(&'a OnceLock<ThreadId>);
         impl Sweep<u32, Vec<(u32, ThreadId)>> for Signal<'_> {
             type Scratch = ();
             fn scratch(&self) {}
             fn sweep(&self, items: &[u32], out: &mut Vec<(u32, ThreadId)>, _: &mut ()) {
                 let here = std::thread::current().id();
-                self.0.lock().unwrap().get_or_insert(here);
+                let _ = self.0.set(here);
                 out.extend(items.iter().map(|&i| (i, here)));
             }
         }
@@ -749,7 +749,7 @@ mod tests {
                 blocks.push(item, 1);
             }
             // Block 0 is published and a worker spawned; wait for it.
-            while seen.lock().unwrap().is_none() {
+            while seen.get().is_none() {
                 std::thread::yield_now();
             }
         };

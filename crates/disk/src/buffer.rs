@@ -353,19 +353,22 @@ impl LruBuffer {
     }
 
     /// Iterate over all buffered pages (arbitrary order).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "callers filter, then remove per page or sort: no order reaches any stats"
+    )]
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        // lint: order-insensitive — callers filter/collect and sort (or
-        // remove per page); the arbitrary order never reaches any stats.
         self.map.keys().copied()
     }
 
     /// All dirty pages, sorted by address (ready for run formation).
+    /// A slot is resident while the map points at it; a freed one keeps
+    /// its last page until reused.
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut v: Vec<_> = self
-            .map
-            .iter()
-            .filter(|(_, &i)| self.nodes[i].dirty)
-            .map(|(p, _)| *p)
+        let mut v: Vec<_> = (0..)
+            .zip(&self.nodes)
+            .filter(|&(i, n)| n.dirty && self.map.get(&n.page) == Some(&i))
+            .map(|(_, n)| n.page)
             .collect();
         v.sort_unstable();
         v

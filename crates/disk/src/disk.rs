@@ -44,6 +44,27 @@ thread_local! {
 /// charged from any thread. Per-query deltas should be taken against
 /// [`Disk::local_stats`] (the calling thread's tally), not against the
 /// global [`Disk::stats`].
+///
+/// Every charge outside this crate is a run of consecutive pages, which
+/// a trace can capture and an arm can replay:
+///
+/// ```
+/// use spatialdb_disk::{Disk, IoKind, PageId, PageRun};
+/// let disk = Disk::with_defaults();
+/// let region = disk.create_region("data");
+/// disk.charge(IoKind::Read, PageRun::new(PageId::new(region, 0), 4), false);
+/// assert_eq!(disk.stats().pages_read, 4);
+/// ```
+///
+/// An analytical cost with no run behind it (the *optimum* baselines)
+/// is charged only inside this crate, by the pool's one unit read,
+/// `PoolSession::read_extent`; a store cannot fork that read:
+///
+/// ```compile_fail,E0624
+/// use spatialdb_disk::{Disk, IoKind};
+/// let disk = Disk::with_defaults();
+/// disk.charge_raw(IoKind::Read, 4, 22.0, true);
+/// ```
 #[derive(Debug)]
 pub struct Disk {
     params: DiskParams,
@@ -153,7 +174,7 @@ impl Disk {
     /// disk it hits, like the thread tally) and returned beside `f`'s
     /// result. The capture ends with `f`, also when `f` unwinds.
     ///
-    /// [`charge_raw`](Disk::charge_raw) is *not* traced: the optimum
+    /// `charge_raw` is *not* traced: the optimum
     /// baselines it serves charge analytical lower-bound costs that do
     /// not correspond to physical page runs, so they cannot be scheduled
     /// on an arm.
@@ -190,7 +211,7 @@ impl Disk {
     /// transfers, a cost that does not correspond to a real run of
     /// consecutive pages. The session charges the requests it has
     /// queued first, so the order of the charges holds.
-    pub fn charge_raw(&self, kind: IoKind, pages: u64, cost_ms: f64, seeked: bool) {
+    pub(crate) fn charge_raw(&self, kind: IoKind, pages: u64, cost_ms: f64, seeked: bool) {
         self.state
             .acquire()
             .stats

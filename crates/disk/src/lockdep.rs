@@ -139,6 +139,10 @@ mod checker {
     /// recorded edge, in rank order. Empty when no cross-class nesting
     /// happened yet.
     pub(super) fn wait_graph_dump() -> String {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the checker's own graph: held for no other lock's acquisition"
+        )]
         let graph = GRAPH.lock().expect("lockdep graph poisoned");
         let mut out = String::new();
         for (a, row) in graph.iter().enumerate() {
@@ -195,6 +199,10 @@ mod checker {
                     );
                 }
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the checker's own graph: held for no other lock's acquisition"
+            )]
             let mut graph = GRAPH.lock().expect("lockdep graph poisoned");
             for h in held.iter() {
                 let (a, b) = (kind(h.class), kind(class));
@@ -318,6 +326,10 @@ impl<T> DepMutex<T> {
     }
 
     #[track_caller]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one blocking acquisition: the hierarchy check runs first"
+    )]
     fn acquire_or<'a>(
         &'a self,
         on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
@@ -361,6 +373,10 @@ impl<T> DepMutex<T> {
         &'a self,
         on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
     ) -> Option<DepGuard<'a, T>> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one non-blocking acquisition: tracked on the held-stack below"
+        )]
         let guard = match self.inner.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => return None,
@@ -375,6 +391,10 @@ impl<T> DepMutex<T> {
 }
 
 impl<T: fmt::Debug> fmt::Debug for DepMutex<T> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a probe that never waits and holds nothing past the print"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("DepMutex");
         s.field("class", &self.class);

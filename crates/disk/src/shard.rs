@@ -659,7 +659,7 @@ impl<'a> PoolSession<'a> {
     /// * [`Optimum`](TransferTechnique::Optimum): probe without
     ///   touching; one seek, one latency and one transfer per missing
     ///   wanted page, charged analytically
-    ///   ([`Disk::charge_raw`](crate::disk::Disk::charge_raw), which no
+    ///   (`Disk::charge_raw`, which no
     ///   trace captures, after the session's queued requests), and the
     ///   missing pages enter the buffer.
     ///

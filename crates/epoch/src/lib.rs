@@ -64,7 +64,6 @@ const SLOTS: usize = 4;
 /// it was retired in.
 struct Retired {
     epoch: u64,
-    // lint: raw-lock — Box<dyn Any> is the garbage payload, not a lock.
     // Never read: held solely so its `Drop` runs when the collector
     // decides the value is unreachable.
     _value: Box<dyn Any + Send>,
@@ -81,6 +80,28 @@ impl std::fmt::Debug for Retired {
 /// The epoch manager: a global epoch, per-epoch pin counts, and the
 /// retired-garbage list. One collector guards one versioned root (the
 /// engine embeds one per database).
+///
+/// A pin count moves only through the guards: [`pin`](Collector::pin)
+/// raises it and dropping the [`Pin`] lowers it, so no update goes
+/// unpaired.
+///
+/// ```
+/// let collector = spatialdb_epoch::Collector::new();
+/// let pin = collector.pin();
+/// assert_eq!(collector.pinned_readers(), 1);
+/// drop(pin);
+/// assert_eq!(collector.pinned_readers(), 0);
+/// ```
+///
+/// The counters themselves are private: a caller outside this crate
+/// cannot raise one without its release (a leaked pin stalls
+/// reclamation) or lower one under a live reader (a snapshot frees
+/// under it).
+///
+/// ```compile_fail,E0616
+/// let collector = spatialdb_epoch::Collector::new();
+/// collector.pins[0].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+/// ```
 #[derive(Debug)]
 pub struct Collector {
     /// The global epoch. Monotonically increasing; advanced only by

@@ -565,7 +565,7 @@ mod tests {
     use spatialdb_rtree::{LeafEntry, NoIo, RTreeConfig};
     use spatialdb_storage::SpatialStore;
     use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::sync::mpsc;
     use std::thread::ThreadId;
 
     /// A tree over `rects` (object ids = positions) in its own region of
@@ -853,7 +853,7 @@ mod tests {
     /// [`LeafSweep`], recording the thread that swept each block.
     struct Recording<'a> {
         sweep: LeafSweep<'a>,
-        threads: Mutex<Vec<ThreadId>>,
+        threads: mpsc::Sender<ThreadId>,
     }
 
     impl Sweep<Visit, SweptBlock> for Recording<'_> {
@@ -865,7 +865,9 @@ mod tests {
 
         fn sweep(&self, visits: &[Visit], out: &mut SweptBlock, scratch: &mut SweepScratch) {
             let here = std::thread::current().id();
-            self.threads.lock().unwrap().push(here);
+            self.threads
+                .send(here)
+                .expect("the recorder outlives the join");
             self.sweep.sweep(visits, out, scratch);
         }
     }
@@ -878,14 +880,15 @@ mod tests {
         s: &RStarTree,
         threads: Threads,
     ) -> (MbrJoinResult, Vec<PageId>, Vec<ThreadId>) {
+        let (sent, swept_on) = mpsc::channel();
         let sweep = Recording {
             sweep: LeafSweep { r, s },
-            threads: Mutex::default(),
+            threads: sent,
         };
         let mut recorder = Recorder::default();
         let read = |blocks: &mut LeafBlocks| read_into(blocks, &mut recorder);
         let (res, ()) = pipelined(r, s, threads, &sweep, read);
-        (res, recorder.0, sweep.threads.into_inner().unwrap())
+        (res, recorder.0, swept_on.try_iter().collect())
     }
 
     fn reads_checksum(reads: &[PageId]) -> u64 {

@@ -199,7 +199,8 @@ mod tests {
     };
     use std::collections::HashSet;
     use std::panic::AssertUnwindSafe;
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     type Store = Box<dyn SpatialStore>;
 
@@ -337,27 +338,39 @@ mod tests {
         }
     }
 
-    /// A foreign store that logs the id of every `fetch_for_join` call,
-    /// and panics with its number on call `panic_at` (counted from 0).
+    /// A foreign store that sends the id of every `fetch_for_join` call
+    /// to its log, and panics with the call's number on call `panic_at`
+    /// (counted from 0, or from the last [`Watched::restart`]).
     struct Watched {
         store: PrimaryOrganization,
         panic_at: Option<usize>,
-        fetched: Mutex<Vec<ObjectId>>,
+        calls: AtomicUsize,
+        fetched: mpsc::Sender<ObjectId>,
     }
 
     impl Watched {
-        fn new(store: PrimaryOrganization) -> Self {
-            Watched {
+        /// The store and the receiving end of its log.
+        fn new(store: PrimaryOrganization) -> (Self, mpsc::Receiver<ObjectId>) {
+            let (fetched, log) = mpsc::channel();
+            let watched = Watched {
                 store,
                 panic_at: None,
-                fetched: Mutex::default(),
-            }
+                calls: AtomicUsize::new(0),
+                fetched,
+            };
+            (watched, log)
         }
 
-        /// The ids fetched since the last call, in order.
-        fn take_log(&self) -> Vec<ObjectId> {
-            std::mem::take(&mut self.fetched.lock().unwrap())
+        /// Count calls from 0 again, panicking on call `panic_at`.
+        fn restart(&mut self, panic_at: usize) {
+            self.panic_at = Some(panic_at);
+            *self.calls.get_mut() = 0;
         }
+    }
+
+    /// The ids logged since the last call, in order.
+    fn take_log(log: &mpsc::Receiver<ObjectId>) -> Vec<ObjectId> {
+        log.try_iter().collect()
     }
 
     impl SpatialStore for Watched {
@@ -385,11 +398,8 @@ mod tests {
             technique: TransferTechnique,
             session: &mut PoolSession<'_>,
         ) {
-            let call = {
-                let mut log = self.fetched.lock().unwrap();
-                log.push(oid);
-                log.len() - 1
-            };
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            self.fetched.send(oid).expect("the log outlives the store");
             if self.panic_at == Some(call) {
                 std::panic::panic_any(call);
             }
@@ -425,14 +435,14 @@ mod tests {
     #[test]
     fn the_join_fetches_in_the_order_of_its_pairs() {
         let (r, s, _) = primary_pair(64);
-        let (r, s) = (Watched::new(r), Watched::new(s));
+        let ((r, r_log), (s, s_log)) = (Watched::new(r), Watched::new(s));
         let pairs = crate::mbr_join(r.tree(), s.tree(), &mut NoIo).pairs;
         crate::transfer_objects(&r, &s, &pairs, TransferTechnique::Complete);
-        let want = (r.take_log(), s.take_log());
+        let want = (take_log(&r_log), take_log(&s_log));
         assert_eq!(want.0.len(), pairs.len());
         for threads in [1, 2, 3, 8] {
             SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(threads));
-            let got = (r.take_log(), s.take_log());
+            let got = (take_log(&r_log), take_log(&s_log));
             assert!(got == want, "{threads} threads: fetch order");
         }
     }
@@ -448,11 +458,10 @@ mod tests {
             SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1));
         let candidates = complete(&r, &s).mbr_pairs as usize;
         assert!(pairs.len() < candidates);
-        let mut store = Watched::new(s);
+        let (mut store, _log) = Watched::new(s);
         for threads in [1, 2, 3, 8] {
             for at in [0, candidates / 2, candidates - 1] {
-                store.panic_at = Some(at);
-                store.take_log();
+                store.restart(at);
                 let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     SpatialJoin::new(&r, &store)
                         .run(TransferTechnique::Complete, Threads::Exactly(threads))

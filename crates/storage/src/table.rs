@@ -315,13 +315,13 @@ impl<V: Clone> std::ops::Index<ObjectId> for ObjectTable<V> {
 mod tests {
     use super::*;
     use spatialdb_geom::rng::SmallRng;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn random_stream_mirrors_std_hashmap() {
         let mut rng = SmallRng::seed_from_u64(1994);
         let mut table: ObjectTable<u64> = ObjectTable::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for step in 0..40_000u64 {
             // Skewed key universe: dense small ids plus strided large
             // ones (every low bit zero), to exercise the hash fold.
@@ -359,7 +359,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         // Sizes around the split thresholds, then several chunks.
         for n in [0usize, 1, 16, 17, 32, 33, 1_000, 40_000] {
-            let mut model: HashMap<u64, u64> = HashMap::new();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             while model.len() < n {
                 let key = match rng.gen_range(0..2u64) {
                     0 => rng.gen_range(0..100_000u64),
@@ -367,8 +367,11 @@ mod tests {
                 };
                 model.insert(key, rng.next_u64());
             }
-            // lint: order-insensitive — any order must build equal tables.
-            let records: Vec<_> = model.iter().map(|(k, v)| (ObjectId(*k), *v)).collect();
+            // Any order must build equal tables: shuffle the sorted ids.
+            let mut records: Vec<_> = model.iter().map(|(k, v)| (ObjectId(*k), *v)).collect();
+            for i in (1..records.len()).rev() {
+                records.swap(i, rng.gen_range(0..i as u64 + 1) as usize);
+            }
             let mut inserted: ObjectTable<u64> = ObjectTable::new();
             for (oid, v) in &records {
                 inserted.insert(*oid, *v);
