@@ -625,8 +625,9 @@ impl SpatialDatabase {
 
     /// Start building an intersection join against `other` (same
     /// workspace). Finish with [`run`](crate::query::JoinQuery::run) to
-    /// obtain a lazy [`JoinCursor`](crate::query::JoinCursor) — its MBR
-    /// join and its `pairs()` run on the machine's cores — or with
+    /// obtain a [`JoinCursor`](crate::query::JoinCursor) — its MBR join,
+    /// and the exact tests of operands with full geometry, run on the
+    /// machine's cores — or with
     /// [`run_par`](crate::query::JoinQuery::run_par) to fix the thread
     /// count.
     pub fn join<'a>(&'a self, other: &'a SpatialDatabase) -> JoinQuery<'a> {

@@ -64,7 +64,7 @@
 //! | [`storage`] | the `SpatialStore` trait, the three organization models & the in-memory baseline |
 //! | [`join`] | the spatial join pipeline |
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
-//! | [`query`] | the streaming `Query` and `JoinQuery` builders and their cursors; a join sweeps its leaf pairs in blocks beside its traversal and transfer, and runs its exact tests, on the machine's cores (`run_par(k)`: exactly `k`); a query cursor refines on the calling thread; every page access stays on the calling thread |
+//! | [`query`] | the streaming `Query` and `JoinQuery` builders and their cursors; a join sweeps its leaf pairs in blocks beside its traversal, and runs the exact tests of operands with full geometry beside its transfer, on the machine's cores (`run_par(k)`: exactly `k`; one thread or filter-only records: a lazy cursor); a query cursor refines on the calling thread; every page access stays on the calling thread |
 //! | [`stream`] | the one executor: filter steps and commits in op order, refinement on worker threads (`run_stream`, and `run_batch` as a stream without writes) |
 //! | [`bulkload`] | the one STR bulk load: sort and tile on threads, every charge on the calling thread |
 

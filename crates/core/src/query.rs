@@ -54,17 +54,18 @@
 //! paths that refine on several threads.
 //!
 //! A join runs the paper's three steps (§6.3): [`JoinQuery::run`] runs
-//! the MBR join and the object transfer, and the cursor the exact tests.
-//! It uses the machine's cores for what reads no page — the MBR join's
-//! leaf-pair sweeps, in blocks swept beside the traversal and the
-//! transfer and appended in block order, and the exact tests, in
-//! contiguous chunks merged in chunk order ([`map_chunks`]), both on the
-//! engine's one ordered work queue ([`spatialdb_disk::blocks`]) — and keeps
-//! every page access on the calling thread, in one thread's order: the
-//! directory traversal and its node reads, and the whole transfer. So
-//! the pairs,
-//! the [`JoinStats`] and every request the simulated disk sees are the
-//! same at every core count, and [`JoinQuery::run_par`] forces a count.
+//! the MBR join and the object transfer, and — when both operands hold
+//! every object's geometry and the join has more than one thread — the
+//! exact tests beside the transfer; otherwise the cursor tests as it is
+//! drained. It uses the machine's cores for what reads no page — the MBR
+//! join's leaf-pair sweeps, in blocks swept beside the traversal and
+//! appended in block order, and the exact tests, in blocks of undecided
+//! pairs tested beside the transfer, both on the engine's one ordered
+//! work queue ([`spatialdb_disk::blocks`]) — and keeps every page access
+//! on the calling thread, in one thread's order: the directory traversal
+//! and its node reads, and the whole transfer. So the pairs, the
+//! [`JoinStats`] and every request the simulated disk sees are the same
+//! at every core count, and [`JoinQuery::run_par`] forces a count.
 //!
 //! [`Hint`]: spatialdb_geom::Hint
 //! [`Hint::verdict`]: spatialdb_geom::Hint::verdict
@@ -92,14 +93,13 @@
 //! ```
 
 use crate::db::{GeometryTable, SpatialDatabase, StoreRead};
-use spatialdb_disk::blocks::{map_chunks, Spares, Threads};
+use spatialdb_disk::blocks::Threads;
 use spatialdb_disk::IoStats;
 use spatialdb_geom::{Geometry, HasMbr, Point, Rect, Verdict};
-use spatialdb_join::{JoinStats, SpatialJoin};
+use spatialdb_join::{ExactTest, JoinStats, Joined, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
 use spatialdb_storage::{QueryStats, TransferTechnique, WindowTechnique};
 use std::cell::RefCell;
-use std::ops::Range;
 use std::sync::Arc;
 
 thread_local! {
@@ -111,14 +111,7 @@ thread_local! {
     /// counting scatter of [`sort_by_id`]. It keeps the length of the
     /// longest list the thread has sorted, so only a longer one grows it.
     static RADIX: RefCell<Vec<Candidate>> = const { RefCell::new(Vec::new()) };
-    /// The calling thread's block buffers of [`JoinCursor::pairs`]'
-    /// chunks, kept between joins as the MBR join keeps its blocks'.
-    static PAIR_CHUNKS: RefCell<PairChunks> = RefCell::new(Spares::default());
 }
-
-/// The block buffers of [`JoinCursor::pairs`]' chunks: a chunk's range
-/// of the candidate pairs, and its refined pairs.
-type PairChunks = Spares<Range<usize>, Vec<(u64, u64)>>;
 
 /// What a [`Query`] searches for.
 #[derive(Clone, Copy, Debug)]
@@ -323,10 +316,19 @@ fn pair_lacks_geometry(a: ObjectId, b: ObjectId) -> ! {
     );
 }
 
+/// Pairs whose geometry [`refine_pairs`] looks up before it tests any
+/// of them.
+const GATHER: usize = 8;
+
 /// [`refine_pair`] over a stretch of the candidate pairs the leaf
-/// entries left open: the answers among `pairs`, in their order. The MBR
-/// join pins its `r` side, so equal left ids arrive in runs — the left
-/// geometry is looked up once per run, not once per pair.
+/// entries left open: `each` gets every pair of `pairs` with its
+/// verdict, in their order. The MBR join pins its `r` side, so equal
+/// left ids arrive in runs — the left geometry is looked up once per
+/// run, not once per pair. The geometry of [`GATHER`] pairs is looked
+/// up, and each object's first component and vertex read, before the
+/// first of them is tested, so that their cache misses overlap instead
+/// of each stalling its own test: on A-1 ⋈ A-2 at scale 0.25 a test
+/// from a cold cache took ≈ 890 ns, from a hot one ≈ 288 ns.
 ///
 /// # Panics
 ///
@@ -335,26 +337,47 @@ pub(crate) fn refine_pairs(
     left: &GeometryTable,
     right: &GeometryTable,
     pairs: &[(ObjectId, ObjectId)],
-) -> Vec<(u64, u64)> {
-    let mut answers = Vec::with_capacity(pairs.len());
+    mut each: impl FnMut((ObjectId, ObjectId), bool),
+) {
     let mut pinned = None;
-    for &(a, b) in pairs {
-        let ga = match pinned {
-            Some((id, ga)) if id == a => ga,
-            _ => {
-                let ga = left.get(a);
-                pinned = Some((a, ga));
-                ga
+    for group in pairs.chunks(GATHER) {
+        let mut gathered: [Option<(&Geometry, &Geometry)>; GATHER] = [None; GATHER];
+        for (slot, &(a, b)) in gathered.iter_mut().zip(group) {
+            let ga = match pinned {
+                Some((id, ga)) if id == a => ga,
+                _ => {
+                    let ga = left.get(a);
+                    pinned = Some((a, ga));
+                    ga
+                }
+            };
+            let (Some(ga), Some(gb)) = (ga, right.get(b)) else {
+                pair_lacks_geometry(a, b)
+            };
+            touch(ga);
+            touch(gb);
+            *slot = Some((ga, gb));
+        }
+        for (&pair, slot) in group.iter().zip(&gathered) {
+            if let Some((ga, gb)) = slot {
+                each(pair, ga.intersects(gb));
             }
-        };
-        let (Some(ga), Some(gb)) = (ga, right.get(b)) else {
-            pair_lacks_geometry(a, b)
-        };
-        if ga.intersects(gb) {
-            answers.push((a.0, b.0));
         }
     }
-    answers
+}
+
+/// Read the first component's box and the first vertex of `geometry`,
+/// where its exact test starts.
+#[inline]
+fn touch(geometry: &Geometry) {
+    match geometry {
+        Geometry::Point(p) => std::hint::black_box(p.x),
+        Geometry::Polyline(l) => {
+            let first = l.components().first().map_or(0.0, |c| c.bbox.xmin);
+            std::hint::black_box(first + l.polyline().vertices()[0].x)
+        }
+        Geometry::Polygon(p) => std::hint::black_box(p.ring()[0].x),
+    };
 }
 
 /// A fluent query under construction. Created by
@@ -595,7 +618,7 @@ impl<'a> JoinQuery<'a> {
     }
 
     /// Run the MBR join and object transfer (charging the simulated
-    /// disk) and return a lazy cursor over the exactly-refined pairs.
+    /// disk) and return a cursor over the exactly-refined pairs.
     ///
     /// The join uses the machine's cores
     /// ([`available_parallelism`](std::thread::available_parallelism)).
@@ -608,10 +631,19 @@ impl<'a> JoinQuery<'a> {
     /// then replays them in block order, fetching each leaf pair's
     /// objects right after the reads of its two leaves, the calling
     /// thread sweeping a block itself when the next one is not ready.
-    /// The cursor's [`pairs`](JoinCursor::pairs) runs its exact tests on
-    /// the cores too. A join whose leaf pairs fit in one block, or with
-    /// too few undecided pairs to pay for a thread, keeps that step on
-    /// the calling thread, and on a one-core machine nothing spawns.
+    ///
+    /// When both databases hold the geometry of every object they
+    /// store, the replay hands each block's undecided pairs to worker
+    /// threads, which run their exact tests while it goes on; the
+    /// cursor then carries the verdicts, and iterating or
+    /// [`pairs`](JoinCursor::pairs) reads them. So a caller that reads
+    /// only the [`stats`](JoinCursor::stats) pays for the exact tests
+    /// inside `run()`. A join of filter-only records (bulk-loaded
+    /// through `store_mut()`) and a one-thread join — on a one-core
+    /// machine, or [`run_par`](JoinQuery::run_par)`(1)` — keep a lazy
+    /// cursor, which tests on the calling thread as it is drained. A
+    /// join whose leaf pairs fit in one block, or whose undecided pairs
+    /// fit in one block of tests, keeps that step on the calling thread.
     ///
     /// # Panics
     ///
@@ -623,11 +655,11 @@ impl<'a> JoinQuery<'a> {
 
     /// [`run`](JoinQuery::run) on exactly `n_threads` threads (one when
     /// 0): the MBR join's leaf-pair blocks are swept by the calling
-    /// thread and up to `n_threads − 1` workers, and the cursor's
-    /// [`pairs`](JoinCursor::pairs) splits its exact tests into
-    /// `n_threads` contiguous chunks (fewer only when there are fewer
-    /// pairs), swept the same way. `run_par(1)` — a stream's join op —
-    /// spawns nothing.
+    /// thread and up to `n_threads − 1` workers, and — for operands with
+    /// every object's geometry, from two threads on — the exact tests of
+    /// the undecided pairs are run beside the transfer by the calling
+    /// thread and up to `n_threads − 1` more. `run_par(1)` — a stream's
+    /// join op — spawns nothing and returns a lazy cursor.
     ///
     /// As in `run`, every page access is the calling thread's. The
     /// candidate pairs, the refined results, the [`JoinStats`] and the
@@ -642,36 +674,47 @@ impl<'a> JoinQuery<'a> {
 
     fn run_on(self, threads: Threads) -> JoinCursor<'a> {
         let (left, right) = (self.left.store(), self.right.store());
-        let (pairs, stats, io) = SpatialJoin::new(&*left, &*right).run(self.transfer, threads);
+        // Only a join that can refine every pair, on more than one
+        // thread, tests beside its transfer: a filter-only join's caller
+        // may want its stats alone.
+        let tested = threads.limit() > 1 && left.fully_refinable() && right.fully_refinable();
+        let joined = {
+            let (l, r) = (left.geoms(), right.geoms());
+            let test = |pairs: &[(ObjectId, ObjectId)], verdicts: &mut Vec<bool>| {
+                refine_pairs(l, r, pairs, |_, hit| verdicts.push(hit));
+            };
+            let test = tested.then_some(&test as &ExactTest<'_>);
+            SpatialJoin::new(&*left, &*right).run(self.transfer, threads, test)
+        };
+        let Joined {
+            pairs,
+            verdicts,
+            stats,
+            io,
+        } = joined;
         JoinCursor {
             left,
             right,
             pairs,
+            verdicts,
             next: 0,
             stats,
             io,
-            threads,
         }
     }
 }
 
-/// Undecided pairs an exact-test thread must have to pay for itself:
-/// with fewer than twice this many, [`JoinCursor::pairs`] of a
-/// [`JoinQuery::run`] cursor tests on the calling thread. Measured on
-/// A-1 ⋈ A-2 at scale 0.25 on a 2-vCPU host: one exact test takes
-/// ≈ 1.1 – 1.4 µs, spawning and joining a scoped thread ≈ 45 µs, so at
-/// 128 pairs a second thread saves ≈ 30 µs.
-const MIN_PAIRS_PER_THREAD: usize = 64;
-
-/// A lazy stream of join results: candidate pairs in MBR-join processing
-/// order, each tested on the exact geometries as the caller iterates —
-/// except the pairs a leaf entry already ruled out
-/// ([`undecided`](JoinCursor::undecided) counts the rest). The MBR join
-/// and the transfer are done when the cursor exists; its pairs are the
-/// swept blocks' pairs in block order, the same at every thread count.
-/// Iterating tests on the calling thread; [`pairs`](JoinCursor::pairs)
-/// tests on the join's threads (the machine's cores, or `run_par`'s
-/// count).
+/// A stream of join results: candidate pairs in MBR-join processing
+/// order, each decided on the exact geometries — except the pairs a leaf
+/// entry already ruled out ([`undecided`](JoinCursor::undecided) counts
+/// the rest). The MBR join and the transfer are done when the cursor
+/// exists; its pairs are the swept blocks' pairs in block order, the
+/// same at every thread count. A join of operands with every object's
+/// geometry, on more than one thread, ran the exact tests beside its
+/// transfer, and the cursor reads their verdicts. The cursor of a
+/// filter-only or one-thread join is lazy: it tests each pair on the
+/// calling thread as the caller iterates or drains it. Either way it
+/// yields the same pairs.
 #[derive(Debug)]
 pub struct JoinCursor<'a> {
     /// The operands' pinned roots: the pairs came from their stores,
@@ -681,13 +724,13 @@ pub struct JoinCursor<'a> {
     /// The candidate pairs the leaf entries did not rule out, in MBR-join
     /// processing order.
     pub(crate) pairs: Vec<(ObjectId, ObjectId)>,
+    /// The exact tests' verdicts on `pairs`, when the join ran them
+    /// beside its transfer; `None` for a lazy cursor.
+    verdicts: Option<Vec<bool>>,
     next: usize,
     stats: JoinStats,
     /// The MBR join's and the object transfer's I/O deltas, summed.
     pub(crate) io: IoStats,
-    /// Threads [`pairs`](JoinCursor::pairs) refines on: those the caller
-    /// gave [`JoinQuery::run_par`], the machine's otherwise.
-    threads: Threads,
 }
 
 impl<'a> JoinCursor<'a> {
@@ -720,21 +763,26 @@ impl<'a> JoinCursor<'a> {
         self.pairs.len()
     }
 
-    /// Drain the cursor into the sorted exact result pairs.
-    ///
-    /// The exact tests of the remaining candidates run in contiguous
-    /// chunks on the join's threads — the machine's cores, or those
-    /// given to [`JoinQuery::run_par`] — and are merged in chunk order:
-    /// the same pairs as iterating. They read only the pinned geometry
-    /// tables, never a page.
+    /// Drain the cursor into the sorted exact result pairs: the same
+    /// pairs as iterating. A lazy cursor tests the remaining candidates
+    /// on the calling thread; the exact tests read only the pinned
+    /// geometry tables, never a page.
     pub fn pairs(self) -> Vec<(u64, u64)> {
-        let (left, right) = (self.left.geoms(), self.right.geoms());
-        let refine = |chunk: &[_]| refine_pairs(left, right, chunk);
         let pairs = &self.pairs[self.next..];
-        let threads = self.threads.for_items(pairs.len(), MIN_PAIRS_PER_THREAD);
-        let mut spares = PAIR_CHUNKS.take();
-        let mut out = map_chunks(pairs, threads, &mut spares, refine);
-        PAIR_CHUNKS.set(spares);
+        let mut out = Vec::with_capacity(pairs.len());
+        let mut each = |(a, b): (ObjectId, ObjectId), hit: bool| {
+            if hit {
+                out.push((a.0, b.0));
+            }
+        };
+        match &self.verdicts {
+            Some(verdicts) => {
+                for (&pair, &hit) in pairs.iter().zip(&verdicts[self.next..]) {
+                    each(pair, hit);
+                }
+            }
+            None => refine_pairs(self.left.geoms(), self.right.geoms(), pairs, each),
+        }
         out.sort_unstable();
         out
     }
@@ -746,8 +794,12 @@ impl<'a> Iterator for JoinCursor<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         while self.next < self.pairs.len() {
             let (a, b) = self.pairs[self.next];
+            let hit = match &self.verdicts {
+                Some(verdicts) => verdicts[self.next],
+                None => refine_pair(self.left.geoms(), self.right.geoms(), a, b),
+            };
             self.next += 1;
-            if refine_pair(self.left.geoms(), self.right.geoms(), a, b) {
+            if hit {
                 return Some((a.0, b.0));
             }
         }
@@ -762,7 +814,41 @@ impl<'a> Iterator for JoinCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DbOptions, OrganizationKind, Workspace};
     use spatialdb_geom::rng::SmallRng;
+    use spatialdb_geom::Polyline;
+    use spatialdb_storage::ObjectRecord;
+
+    /// A join tests beside its transfer — its cursor carries verdicts —
+    /// only when both operands hold every object's geometry and it has
+    /// more than one thread; a one-thread join, and one with a single
+    /// filter-only record, keep a lazy cursor.
+    #[test]
+    fn only_a_fully_refinable_join_on_threads_tests_beside_its_transfer() {
+        let ws = Workspace::new(64);
+        let street = |i: u64, dx: f64| {
+            let (x, y) = ((i % 10) as f64 / 10.0 + dx, (i / 10) as f64 / 10.0);
+            Polyline::new(vec![Point::new(x, y), Point::new(x + 0.15, y + 0.05)])
+        };
+        let kind = OrganizationKind::Secondary;
+        let (a, mut b) = (
+            ws.create_database(DbOptions::new(kind)),
+            ws.create_database(DbOptions::new(kind)),
+        );
+        for i in 0..100 {
+            a.insert(i, street(i, 0.0));
+            b.insert(i, street(i, 0.05));
+        }
+        let tested = |cursor: JoinCursor<'_>| cursor.verdicts.is_some();
+        assert!(tested(a.join(&b).run_par(2)));
+        assert!(tested(a.join(&b).run_par(8)));
+        assert!(!tested(a.join(&b).run_par(1)));
+        assert_eq!(tested(a.join(&b).run()), Threads::Machine.limit() > 1);
+        let record = ObjectRecord::new(ObjectId(100), Rect::new(0.5, 0.5, 0.6, 0.6), 100);
+        b.store_mut().insert(&record);
+        assert!(!tested(a.join(&b).run_par(2)), "a filter-only record");
+        assert!(!tested(b.join(&a).run_par(2)), "a filter-only record");
+    }
 
     /// Shuffle `list` in place (Fisher–Yates).
     fn shuffle<T>(rng: &mut SmallRng, list: &mut [T]) {

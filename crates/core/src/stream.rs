@@ -26,8 +26,9 @@
 //!   thread too. The stream's parallelism is its refinement workers,
 //!   which already run beside phase A — a join fanning out there would
 //!   compete with them for the same cores, and a stream would no longer
-//!   run on its `threads` workers plus the calling thread. A join's
-//!   exact tests are one job of the queue, like a query's.
+//!   run on its `threads` workers plus the calling thread. So its
+//!   cursor is lazy, and a join's exact tests are one job of the queue,
+//!   like a query's.
 //! * **Refinement (the work queue, concurrent):** every operation
 //!   becomes one job on the engine's ordered work queue
 //!   ([`spatialdb_disk::blocks`]) the moment its phase-A half completes:
@@ -331,10 +332,14 @@ impl Job {
                 right,
                 pairs,
                 io,
-            } => OpOutcome::Join {
-                pairs: refine_pairs(left, right, pairs).len() as u64,
-                io: *io,
-            },
+            } => {
+                let mut answers = 0;
+                refine_pairs(left, right, pairs, |_, hit| answers += u64::from(hit));
+                OpOutcome::Join {
+                    pairs: answers,
+                    io: *io,
+                }
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The one ordered work queue every fan-out of the engine runs on
-//! ([`run`]): the MBR join's leaf-pair sweeps, the stream executor's
+//! ([`run`]): the MBR join's leaf-pair sweeps, the join's exact tests
+//! (whose producer is the MBR join's replay), the stream executor's
 //! refinement jobs, and the contiguous chunks of [`map_chunks`] — a
-//! join cursor's `pairs()`, a bulk load's records, sort and tile. (A
-//! query cursor's `ids()` refines on the calling thread.)
+//! bulk load's records, sort and tile. (A query cursor's `ids()`, and a
+//! lazy join cursor, refine on the calling thread.)
 //!
 //! The calling thread *produces* items — the MBR join's traversal, the
 //! leaf pairs it reaches — into blocks of a given weight. Up to `k − 1`
@@ -293,6 +294,12 @@ impl<'scope, 'env, T: Send, R: Swept, S> Blocks<'scope, 'env, T, R, S> {
     pub fn out(&self) -> &R {
         &self.out
     }
+
+    /// The output, for a consumer that sizes it before the blocks are
+    /// appended.
+    pub fn out_mut(&mut self) -> &mut R {
+        &mut self.out
+    }
 }
 
 impl<T, R, S> Drop for Blocks<'_, '_, T, R, S> {
@@ -448,37 +455,29 @@ pub fn map_chunks<T: Sync, R: Swept>(
     out
 }
 
-/// How many threads an operation's fan-out runs on.
+/// How many threads an operation's fan-out runs on. Either way a run
+/// spawns a worker only as a full block is published with more work
+/// behind it, so a small operation stays on the calling thread.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Threads {
-    /// The machine's cores (`available_parallelism`), but no more than
-    /// the work pays for: a thread only for every `min_per_thread` items
-    /// (see [`Threads::for_items`]), so a small operation stays on the
-    /// calling thread.
+    /// The machine's cores (`available_parallelism`).
     Machine,
-    /// Exactly this many (one when 0), fewer only when there are fewer
-    /// items — the count a caller forces, as `run_par(k)` does.
+    /// Exactly this many (one when 0) — the count a caller forces, as
+    /// `run_par(k)` does.
     Exactly(usize),
 }
 
 impl Threads {
-    /// The threads to map `items` items on. [`Threads::Machine`] gives
-    /// every thread at least `min_per_thread` items, and is one thread
-    /// on a one-core machine, whatever the item count.
-    pub fn for_items(self, items: usize, min_per_thread: usize) -> usize {
-        self.on(available_threads(), items, min_per_thread)
-    }
-
-    /// The most threads an operation may take, however much work it
-    /// has: the machine's cores, or the forced count (one when 0).
+    /// The most threads an operation may take: the machine's cores, or
+    /// the forced count (one when 0).
     pub fn limit(self) -> usize {
-        self.for_items(usize::MAX, 1)
+        self.on(available_threads())
     }
 
-    /// [`for_items`](Threads::for_items) on a machine of `cores` cores.
-    fn on(self, cores: usize, items: usize, min_per_thread: usize) -> usize {
+    /// [`limit`](Threads::limit) on a machine of `cores` cores.
+    fn on(self, cores: usize) -> usize {
         match self {
-            Threads::Machine => cores.min(items / min_per_thread.max(1)),
+            Threads::Machine => cores,
             Threads::Exactly(threads) => threads,
         }
         .max(1)
@@ -814,30 +813,19 @@ mod tests {
     }
 
     #[test]
-    fn the_machine_gives_every_thread_its_minimum() {
-        let cores = available_threads();
-        assert_eq!(Threads::Machine.for_items(0, 64), 1);
-        assert_eq!(Threads::Machine.for_items(127, 64), 1);
-        assert_eq!(Threads::Machine.for_items(128, 64), cores.min(2));
-        assert_eq!(Threads::Machine.for_items(usize::MAX, 64), cores);
-        assert_eq!(Threads::Machine.for_items(10, 0), cores.min(10));
-        assert_eq!(Threads::Machine.on(8, 1000, 64), 8);
-        assert_eq!(Threads::Machine.on(8, 300, 64), 4);
-        assert_eq!(Threads::Exactly(3).for_items(0, 64), 3);
-        assert_eq!(Threads::Exactly(0).for_items(100, 1), 1);
-        assert_eq!(Threads::Machine.limit(), cores);
+    fn the_machine_offers_its_cores_and_a_forced_count_is_exact() {
+        assert_eq!(Threads::Machine.limit(), available_threads());
+        assert_eq!(Threads::Machine.on(8), 8);
+        assert_eq!(Threads::Exactly(3).on(8), 3);
         assert_eq!(Threads::Exactly(3).limit(), 3);
         assert_eq!(Threads::Exactly(0).limit(), 1);
     }
 
-    /// On a one-core machine nothing fans out, however much work there
-    /// is: one thread, which [`map_chunks`] runs on the caller.
+    /// On a one-core machine nothing fans out: one thread, which
+    /// [`map_chunks`] runs on the caller.
     #[test]
     fn one_core_is_one_thread() {
-        for items in [0, 1, 1000, usize::MAX] {
-            for min_per_thread in [0, 1, 64] {
-                assert_eq!(Threads::Machine.on(1, items, min_per_thread), 1);
-            }
-        }
+        assert_eq!(Threads::Machine.on(1), 1);
+        assert_eq!(Threads::Machine.on(0), 1);
     }
 }

@@ -49,8 +49,8 @@
 //! * [`blocks`] — the engine's one ordered work queue, here beside the
 //!   [`DepMutex`] it locks: a producer publishes blocks, workers sweep
 //!   them, and the caller appends the results in block order. The MBR
-//!   join's leaf pairs, the stream executor's refinement and every
-//!   [`blocks::map_chunks`] fan-out run on it.
+//!   join's leaf pairs, the join's exact tests, the stream executor's
+//!   refinement and every [`blocks::map_chunks`] fan-out run on it.
 //!
 //! Requests reach the arms one way: every request is charged on the
 //! thread that issues it ([`disk::Disk::charge`], or

@@ -16,8 +16,9 @@
 //!    list (`spatialdb-epoch`; leaf lock: nothing else is acquired
 //!    while it is held);
 //! 5. [`LockClass::Blocks`] — the one ordered work queue
-//!    ([`crate::blocks`]: the MBR join's leaf-pair sweeps, the stream
-//!    executor's refinement, every `map_chunks` fan-out; leaf lock,
+//!    ([`crate::blocks`]: the MBR join's leaf-pair sweeps and exact
+//!    tests, the stream executor's refinement, every `map_chunks`
+//!    fan-out; leaf lock,
 //!    paired with two [`Condvar`]s — see [`DepGuard::wait`]). The
 //!    joining thread waits on it while its pool session holds a shard
 //!    lock, so it ranks after [`LockClass::Shard`].
@@ -29,7 +30,10 @@
 //! never close a deadlock cycle — but the locks they *hold* still count
 //! against later blocking acquisitions on the same thread: blocking on
 //! a lower rank while holding a try-taken higher lock is a real
-//! inversion and is flagged.
+//! inversion and is flagged. An acquisition that tries first and blocks
+//! when the try fails ([`DepMutex::acquire_noting_contention`], a pool
+//! session's shard) is a blocking one: it is checked before the try,
+//! whether or not the lock turns out to be free.
 //!
 //! In debug builds every [`DepMutex::acquire`] checks the calling
 //! thread's held-stack against the hierarchy and records the cross-class
@@ -266,6 +270,14 @@ mod checker {
     }
 }
 
+#[cfg(debug_assertions)]
+use checker::HeldToken;
+
+/// A guard's entry on the thread's held-stack: nothing in release
+/// builds, where nothing is tracked.
+#[cfg(not(debug_assertions))]
+struct HeldToken;
+
 /// The accumulated cross-class wait graph as text: one
 /// `Holder -> Acquired @ file:line` line per blocking-acquisition edge
 /// recorded so far, in rank order. Debug builds only — in release the
@@ -310,7 +322,9 @@ impl<T> DepMutex<T> {
     #[track_caller]
     pub fn acquire(&self) -> DepGuard<'_, T> {
         let class = self.class;
-        self.acquire_or(|_| panic!("lock poisoned: {class}"))
+        let token = self.check();
+        let guard = self.lock(|_| panic!("lock poisoned: {class}"));
+        DepGuard::new(guard, token)
     }
 
     /// [`acquire`](DepMutex::acquire) that ignores poisoning. Only for
@@ -322,24 +336,62 @@ impl<T> DepMutex<T> {
     /// fail every later one.
     #[track_caller]
     pub fn acquire_unpoisoned(&self) -> DepGuard<'_, T> {
-        self.acquire_or(PoisonError::into_inner)
+        let token = self.check();
+        DepGuard::new(self.lock(PoisonError::into_inner), token)
     }
 
+    /// A blocking acquisition that tries first: checked against the
+    /// hierarchy and recorded in the wait graph before the try, as
+    /// [`acquire`](DepMutex::acquire) is — a try that would have had to
+    /// block is the same nesting — and `true` beside the guard when the
+    /// lock was held elsewhere, so that it blocked. Ignores poisoning,
+    /// under the terms of
+    /// [`acquire_unpoisoned`](DepMutex::acquire_unpoisoned).
     #[track_caller]
+    pub fn acquire_noting_contention(&self) -> (DepGuard<'_, T>, bool) {
+        let token = self.check();
+        let (guard, contended) = match self.try_lock(PoisonError::into_inner) {
+            Some(guard) => (guard, false),
+            None => (self.lock(PoisonError::into_inner), true),
+        };
+        (DepGuard::new(guard, token), contended)
+    }
+
+    /// Check a blocking acquisition against the hierarchy and push it
+    /// onto the thread's held-stack (debug builds; nothing in release).
+    #[track_caller]
+    fn check(&self) -> HeldToken {
+        #[cfg(debug_assertions)]
+        {
+            checker::acquire_blocking(self.class, std::panic::Location::caller())
+        }
+        #[cfg(not(debug_assertions))]
+        HeldToken
+    }
+
     #[expect(
         clippy::disallowed_methods,
         reason = "the one blocking acquisition: the hierarchy check runs first"
     )]
-    fn acquire_or<'a>(
+    fn lock<'a>(
         &'a self,
         on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
-    ) -> DepGuard<'a, T> {
-        #[cfg(debug_assertions)]
-        let token = checker::acquire_blocking(self.class, std::panic::Location::caller());
-        DepGuard {
-            guard: self.inner.lock().unwrap_or_else(on_poison),
-            #[cfg(debug_assertions)]
-            token,
+    ) -> MutexGuard<'a, T> {
+        self.inner.lock().unwrap_or_else(on_poison)
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one non-blocking acquisition: its caller tracks it on the held-stack"
+    )]
+    fn try_lock<'a>(
+        &'a self,
+        on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
+    ) -> Option<MutexGuard<'a, T>> {
+        match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(poisoned)) => Some(on_poison(poisoned)),
         }
     }
 
@@ -359,34 +411,12 @@ impl<T> DepMutex<T> {
     /// acquisitions on this thread.
     pub fn try_acquire(&self) -> Option<DepGuard<'_, T>> {
         let class = self.class;
-        self.try_acquire_or(|_| panic!("lock poisoned: {class}"))
-    }
-
-    /// [`try_acquire`](DepMutex::try_acquire) that ignores poisoning,
-    /// under the same terms as
-    /// [`acquire_unpoisoned`](DepMutex::acquire_unpoisoned).
-    pub fn try_acquire_unpoisoned(&self) -> Option<DepGuard<'_, T>> {
-        self.try_acquire_or(PoisonError::into_inner)
-    }
-
-    fn try_acquire_or<'a>(
-        &'a self,
-        on_poison: impl FnOnce(PoisonError<MutexGuard<'a, T>>) -> MutexGuard<'a, T>,
-    ) -> Option<DepGuard<'a, T>> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the one non-blocking acquisition: tracked on the held-stack below"
-        )]
-        let guard = match self.inner.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => return None,
-            Err(TryLockError::Poisoned(poisoned)) => on_poison(poisoned),
-        };
-        Some(DepGuard {
-            guard,
-            #[cfg(debug_assertions)]
-            token: checker::acquire_try(self.class),
-        })
+        let guard = self.try_lock(|_| panic!("lock poisoned: {class}"))?;
+        #[cfg(debug_assertions)]
+        let token = checker::acquire_try(self.class);
+        #[cfg(not(debug_assertions))]
+        let token = HeldToken;
+        Some(DepGuard::new(guard, token))
     }
 }
 
@@ -408,12 +438,15 @@ impl<T: fmt::Debug> fmt::Debug for DepMutex<T> {
 /// Guard returned by [`DepMutex::acquire`]/[`DepMutex::try_acquire`];
 /// releases the hierarchy tracking (debug builds) on drop.
 pub struct DepGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    token: checker::HeldToken,
+    token: HeldToken,
     guard: MutexGuard<'a, T>,
 }
 
 impl<'a, T> DepGuard<'a, T> {
+    fn new(guard: MutexGuard<'a, T>, token: HeldToken) -> Self {
+        DepGuard { token, guard }
+    }
+
     /// Block on `condvar` until notified, releasing the mutex while
     /// waiting ([`Condvar::wait`]). The lock stays on the thread's
     /// held-stack throughout: a waiting thread acquires nothing else,
@@ -424,7 +457,6 @@ impl<'a, T> DepGuard<'a, T> {
             guard: condvar
                 .wait(self.guard)
                 .unwrap_or_else(|_| panic!("lock poisoned while waiting on a condvar")),
-            #[cfg(debug_assertions)]
             token: self.token,
         }
     }
@@ -548,6 +580,37 @@ mod tests {
         let _g5 = s5.acquire();
         let g2 = s2.try_acquire();
         assert!(g2.is_some());
+    }
+
+    /// A try-first acquisition is checked as a blocking one, even when
+    /// the lock is free, and says whether it had to block.
+    #[test]
+    fn a_try_first_acquisition_is_checked_and_notes_contention() {
+        #[cfg(debug_assertions)]
+        assert!(panics(|| {
+            let d = DepMutex::new(LockClass::DiskCounters, ());
+            let s = DepMutex::new(LockClass::Shard(0), ());
+            let _gd = d.acquire();
+            let _gs = s.acquire_noting_contention(); // free, but below DiskCounters
+        }));
+        let m = DepMutex::new(LockClass::Shard(0), ());
+        assert!(!m.acquire_noting_contention().1, "a free lock");
+        // A helper holds the lock for 20 ms from before this thread's
+        // try: a try that fails blocks and notes it. (Retried, in case
+        // this thread reaches its try only after the helper let go.)
+        let blocked = (0..50).any(|_| {
+            let (held, wait) = std::sync::mpsc::channel();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _guard = m.acquire();
+                    held.send(()).expect("the main thread waits");
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                });
+                wait.recv().expect("the helper holds the lock");
+                m.acquire_noting_contention().1
+            })
+        });
+        assert!(blocked, "never blocked behind a held lock");
     }
 
     #[test]

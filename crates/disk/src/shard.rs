@@ -296,17 +296,15 @@ impl ShardedPool {
     }
 
     /// Lock shard `index` for a session, counting the acquisition, and
-    /// as contended if another thread holds the lock.
+    /// as contended if another thread holds the lock. Checked against
+    /// the lock hierarchy whether or not it has to wait.
     fn shard(&self, index: usize) -> DepGuard<'_, LruBuffer> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let mutex = &self.shards[index];
-        match mutex.try_acquire_unpoisoned() {
-            Some(guard) => guard,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                mutex.acquire_unpoisoned()
-            }
+        let (guard, contended) = self.shards[index].acquire_noting_contention();
+        if contended {
+            self.contended.fetch_add(1, Ordering::Relaxed);
         }
+        guard
     }
 
     /// Lock every shard in ascending index order (stop-the-world ops;

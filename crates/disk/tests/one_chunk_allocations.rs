@@ -1,10 +1,9 @@
 //! `map_chunks` over a single chunk maps it on the calling thread and
 //! allocates nothing of its own: with a map that does not allocate, a
 //! warm thread makes no heap allocation at all. That is the path of a
-//! one-thread bulk load's records, sort and tile, and of a join
-//! cursor's `pairs()` when its undecided pairs do not pay for a second
-//! thread. A counting global allocator counts per thread, so the test
-//! harness's own threads do not interfere.
+//! one-thread bulk load's records, sort and tile. A counting global
+//! allocator counts per thread, so the test harness's own threads do not
+//! interfere.
 //!
 //! The engine's benchmark counts allocations on a release build, so run
 //! this in release too: `cargo test --release -p spatialdb-disk --test

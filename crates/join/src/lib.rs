@@ -41,8 +41,13 @@
 //! measures each at its calls, the two bars of Figure 17 that cost I/O:
 //! the transfer fetches each leaf pair's objects right after the
 //! traversal's reads of its two leaves, while they are still buffered.
-//! The engine's `JoinQuery` is its one caller and runs step 3 on the
-//! pairs.
+//! Given an [`ExactTest`], it runs step 3 too, beside the transfer: the
+//! replay hands each block's undecided pairs to a second queue, whose
+//! workers test them while it goes on, and the caller collects the
+//! verdicts in block order. The engine's `JoinQuery` is its one caller:
+//! it passes the test when both operands hold every object's geometry
+//! and the join has more than one thread, and otherwise runs step 3
+//! itself, as its cursor is drained.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,5 +60,5 @@ pub mod transfer;
 mod test_data;
 
 pub use mbr_join::{mbr_join, MbrJoinResult};
-pub use pipeline::{JoinStats, SpatialJoin, EXACT_TEST_MS};
+pub use pipeline::{ExactTest, JoinStats, Joined, SpatialJoin, EXACT_TEST_MS};
 pub use transfer::transfer_objects;

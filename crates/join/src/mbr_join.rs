@@ -277,15 +277,20 @@ pub(crate) enum Access<'a> {
     Read(PageId),
     /// The candidate pairs one leaf pair produced, in order.
     Pairs(&'a [(ObjectId, ObjectId)]),
+    /// Every step of a block is replayed: these are its candidate pairs
+    /// and their `ruled_out` flags, in order.
+    Block(&'a [(ObjectId, ObjectId)], &'a [bool]),
 }
 
 /// Take the swept blocks in order and hand `each` the traversal's node
 /// reads and its leaf pairs' candidate pairs, in the traversal's order:
-/// a leaf pair's pairs come right after the reads of its two leaves.
+/// a leaf pair's pairs come right after the reads of its two leaves, and
+/// a block's pairs and flags after its last step.
 pub(crate) fn replay(blocks: &mut LeafBlocks<'_, '_>, mut each: impl FnMut(Access<'_>)) {
     let mut done = 0;
     while blocks.next_block() {
         let SweptBlock { result, steps } = blocks.out();
+        let first = done;
         for step in steps {
             match *step {
                 Step::Read(page) => each(Access::Read(page)),
@@ -295,6 +300,10 @@ pub(crate) fn replay(blocks: &mut LeafBlocks<'_, '_>, mut each: impl FnMut(Acces
                 }
             }
         }
+        each(Access::Block(
+            &result.pairs[first..],
+            &result.ruled_out[first..],
+        ));
     }
 }
 

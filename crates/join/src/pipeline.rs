@@ -4,15 +4,23 @@
 //! thread and in one pool session: the MBR join's node reads and the
 //! object transfer's fetches, replayed in the traversal's order.
 //! [`SpatialJoin::run`] adds the charges of each call to the bar of the
-//! step that made it (Figure 17). Only the MBR join's leaf-pair sweeps,
-//! which read no page, run on other threads — beside the traversal.
+//! step that made it (Figure 17). Only what reads no page runs on other
+//! threads: the MBR join's leaf-pair sweeps, beside the traversal, and,
+//! given an [`ExactTest`], the exact tests of the undecided pairs,
+//! beside the replay. The replay is the producer of the tests' queue:
+//! after each block's steps it copies the block's undecided pairs into
+//! it, and once the replay ends the calling thread tests what no worker
+//! has taken up and collects the verdicts in block order — the queue's
+//! own rules, so the verdicts, like the pairs, do not depend on the
+//! thread count.
 
 use crate::mbr_join::{mbr_join_then, recycle, replay, Access, MbrJoinResult};
 use crate::transfer::{candidate_sets, fetch_pairs};
-use spatialdb_disk::blocks::Threads;
+use spatialdb_disk::blocks::{self, Blocks, Spares, Sweep, Threads};
 use spatialdb_disk::{IoStats, PoolSession};
 use spatialdb_rtree::ObjectId;
 use spatialdb_storage::{SpatialStore, TransferTechnique};
+use std::cell::Cell;
 use std::collections::HashSet;
 
 /// CPU cost of one exact geometry test in milliseconds. §6.3: with the
@@ -88,10 +96,11 @@ impl<'a> SpatialJoin<'a> {
     }
 
     /// Run the MBR join and the object transfer under `technique` — the
-    /// two disk-based steps — and return the candidate pairs the exact
-    /// test must decide, in processing order, the cost breakdown, and
-    /// the I/O of both steps together. The exact test (step 3) is the
-    /// caller's, its CPU cost [`JoinStats::exact_test_ms`].
+    /// two disk-based steps — and hand back the candidate pairs the exact
+    /// test must decide, in processing order, the cost breakdown, the
+    /// I/O of both steps together and, given a `test`, its verdicts on
+    /// the pairs. Without one, the exact test (step 3) is the caller's;
+    /// its CPU cost is [`JoinStats::exact_test_ms`] either way.
     ///
     /// Every MBR pair counts, as in the paper: [`JoinStats::mbr_pairs`]
     /// and the transfer see all of them. Only the pairs a leaf entry
@@ -111,15 +120,63 @@ impl<'a> SpatialJoin<'a> {
     /// the bar of the step that made it ([`JoinStats::mbr_join_ms`],
     /// [`JoinStats::transfer_ms`]), taken here at the call. Every page
     /// access is the calling thread's, in the order one thread makes
-    /// them, so the result, the stats and the I/O are the same at every
-    /// thread count.
+    /// them, so the pairs, the stats and the I/O are the same at every
+    /// thread count, with a `test` or without.
+    ///
+    /// Given a `test`, the replay also produces a second queue: once it
+    /// has replayed a block, it copies the block's undecided pairs into
+    /// blocks of [`TEST_BLOCK_PAIRS`], which up to `k − 1` more workers
+    /// test while the replay goes on. When it ends, the calling thread
+    /// tests what nobody has taken up and collects the verdicts in
+    /// block order. A panicking test ends the join with the payload of
+    /// the lowest block whose test panicked, once the replay is done; a
+    /// panicking transfer ends it with its own, and stops the tests.
     ///
     /// [`MbrJoinResult::ruled_out`]: crate::MbrJoinResult::ruled_out
     pub fn run(
         &self,
         technique: TransferTechnique,
         threads: Threads,
-    ) -> (Vec<(ObjectId, ObjectId)>, JoinStats, IoStats) {
+        test: Option<&ExactTest<'_>>,
+    ) -> Joined {
+        let Some(test) = test else {
+            let (candidates, io) = self.transfer(technique, threads, None);
+            return Joined::new(candidates, None, io);
+        };
+        let mut spares = TEST_SPARES.take();
+        let (mut transferred, undecided) = (None, Cell::new(0));
+        let produce = |tests: &mut TestBlocks<'_, '_>| {
+            let (candidates, io) = self.transfer(technique, threads, Some(tests));
+            undecided.set(candidates.ruled_out.iter().filter(|out| !**out).count());
+            transferred = Some((candidates, io));
+        };
+        // One verdict list of the right size, not one grown by doubling.
+        let consume =
+            |tests: &mut TestBlocks<'_, '_>| tests.out_mut().reserve_exact(undecided.get());
+        let (verdicts, ()) = blocks::run(
+            threads.limit(),
+            TEST_BLOCK_PAIRS,
+            &mut spares,
+            Vec::new(),
+            &Tests(test),
+            produce,
+            consume,
+        );
+        TEST_SPARES.set(spares);
+        let (candidates, io) = transferred.expect("the transfer returned");
+        Joined::new(candidates, Some(verdicts), io)
+    }
+
+    /// The MBR join and the transfer through one pool session, each
+    /// call's charges added to its step's I/O: the MBR join's candidates
+    /// and the two steps' I/O. With `tests`, each replayed block's
+    /// undecided pairs are pushed there.
+    fn transfer(
+        &self,
+        technique: TransferTechnique,
+        threads: Threads,
+        mut tests: Option<&mut TestBlocks<'_, '_>>,
+    ) -> (MbrJoinResult, [IoStats; 2]) {
         let (disk, pool) = (self.r.disk(), self.r.pool());
         let mut session = pool.session();
         // The thread's tally after the last measured call.
@@ -150,6 +207,13 @@ impl<'a> SpatialJoin<'a> {
                     charged(&mut session, &mut transfer_io);
                 }
                 Access::Pairs(_) => {}
+                Access::Block(pairs, ruled_out) => {
+                    if let Some(tests) = tests.as_deref_mut() {
+                        for (&pair, _) in pairs.iter().zip(ruled_out).filter(|(_, out)| !**out) {
+                            tests.push(pair, 1);
+                        }
+                    }
+                }
             });
             if waits {
                 let pairs = &blocks.out().result.pairs;
@@ -161,6 +225,38 @@ impl<'a> SpatialJoin<'a> {
         });
         // Release the shard lock and count the hits and misses.
         drop(session);
+        (candidates, [mbr_join_io, transfer_io])
+    }
+
+    /// [`run`](SpatialJoin::run)'s cost breakdown alone. Kept only
+    /// because the repo benchmark's layer probes call it; the change to
+    /// the benchmark's contract deletes it.
+    pub fn run_io_only(&self, technique: TransferTechnique) -> JoinStats {
+        self.run(technique, Threads::Machine, None).stats
+    }
+}
+
+/// What a [`SpatialJoin::run`] hands back.
+#[derive(Debug)]
+pub struct Joined {
+    /// The candidate pairs the leaf entries did not rule out, in
+    /// processing order.
+    pub pairs: Vec<(ObjectId, ObjectId)>,
+    /// The exact test's verdicts on `pairs`, one each in their order —
+    /// `true` where the objects intersect — when the join ran one.
+    pub verdicts: Option<Vec<bool>>,
+    /// The cost breakdown.
+    pub stats: JoinStats,
+    /// The MBR join's and the transfer's I/O, summed.
+    pub io: IoStats,
+}
+
+impl Joined {
+    fn new(
+        candidates: MbrJoinResult,
+        verdicts: Option<Vec<bool>>,
+        [mbr_join_io, transfer_io]: [IoStats; 2],
+    ) -> Self {
         let stats = JoinStats {
             mbr_pairs: candidates.pairs.len() as u64,
             mbr_join_ms: mbr_join_io.io_ms,
@@ -173,14 +269,47 @@ impl<'a> SpatialJoin<'a> {
         let mut flags = ruled_out.iter();
         pairs.retain(|_| flags.next() == Some(&false));
         recycle(ruled_out);
-        (pairs, stats, mbr_join_io.plus(&transfer_io))
+        Joined {
+            pairs,
+            verdicts,
+            stats,
+            io: mbr_join_io.plus(&transfer_io),
+        }
     }
+}
 
-    /// [`run`](SpatialJoin::run)'s cost breakdown alone. Kept only
-    /// because the repo benchmark's layer probes call it; the change to
-    /// the benchmark's contract deletes it.
-    pub fn run_io_only(&self, technique: TransferTechnique) -> JoinStats {
-        self.run(technique, Threads::Machine).1
+/// The exact geometry test as [`SpatialJoin::run`] runs it beside the
+/// transfer: test a stretch of candidate pairs, pushing one verdict per
+/// pair onto the list, in order — `true` where the objects intersect.
+pub type ExactTest<'a> = dyn Fn(&[(ObjectId, ObjectId)], &mut Vec<bool>) + Sync + 'a;
+
+/// Undecided pairs a block of the exact tests holds before it is
+/// published. Measured on the `join` workload (A-1 ⋈ A-2 at scale 0.25,
+/// 2 vCPUs), where an exact test takes ≈ 0.3 – 1.4 µs: a block of 256
+/// tests in ≈ 0.1 – 0.35 ms, long beside handing it over.
+pub const TEST_BLOCK_PAIRS: usize = 256;
+
+/// The calling thread's end of the exact tests' queue.
+type TestBlocks<'scope, 'env> = Blocks<'scope, 'env, (ObjectId, ObjectId), Vec<bool>, ()>;
+
+thread_local! {
+    /// The block buffers of the calling thread's last tested join, for
+    /// its next one.
+    static TEST_SPARES: Cell<Spares<(ObjectId, ObjectId), Vec<bool>>> =
+        Cell::new(Spares::default());
+}
+
+/// The sweep of the exact tests' queue: a block's pairs to their
+/// verdicts.
+struct Tests<'t>(&'t ExactTest<'t>);
+
+impl Sweep<(ObjectId, ObjectId), Vec<bool>> for Tests<'_> {
+    type Scratch = ();
+
+    fn scratch(&self) {}
+
+    fn sweep(&self, pairs: &[(ObjectId, ObjectId)], verdicts: &mut Vec<bool>, _: &mut ()) {
+        (self.0)(pairs, verdicts);
     }
 }
 
@@ -242,15 +371,26 @@ mod tests {
     /// transfer.
     fn complete(r: &dyn SpatialStore, s: &dyn SpatialStore) -> JoinStats {
         SpatialJoin::new(r, s)
-            .run(TransferTechnique::Complete, Threads::Machine)
-            .1
+            .run(TransferTechnique::Complete, Threads::Machine, None)
+            .stats
+    }
+
+    /// A stand-in for the exact test: a verdict that depends on the pair
+    /// alone.
+    fn parity(pairs: &[(ObjectId, ObjectId)], verdicts: &mut Vec<bool>) {
+        verdicts.extend(pairs.iter().map(|(a, b)| (a.0 ^ b.0) % 3 == 0));
     }
 
     #[test]
     fn pipeline_produces_pairs_and_costs() {
         let (r, s, _) = build_pair(512, false);
-        let (pairs, stats, io) =
-            SpatialJoin::new(&*r, &*s).run(TransferTechnique::Complete, Threads::Machine);
+        let Joined {
+            pairs,
+            verdicts,
+            stats,
+            io,
+        } = SpatialJoin::new(&*r, &*s).run(TransferTechnique::Complete, Threads::Machine, None);
+        assert_eq!(verdicts, None);
         assert_eq!(stats.mbr_pairs, pairs.len() as u64);
         assert!(stats.mbr_pairs > 0);
         assert!(stats.mbr_join_ms > 0.0);
@@ -286,9 +426,10 @@ mod tests {
     }
 
     /// A join of many blocks ([`primary_pair`]) hands the disk the same
-    /// requests at every thread count: pairs, stats, I/O, the pool's hits
-    /// and misses and the `Disk::traced` request sequence are the
-    /// one-thread join's.
+    /// requests at every thread count, with an exact test beside its
+    /// transfer or without: pairs, stats, I/O, the pool's hits and misses
+    /// and the `Disk::traced` request sequence are the one-thread join's,
+    /// and the verdicts are the test's on the pairs.
     ///
     /// Its numbers follow from those of the join that transferred the
     /// objects after its whole traversal: (83,620, 35,968.0, 35,744.0),
@@ -300,25 +441,87 @@ mod tests {
     /// accesses count 2,234 misses fewer.
     #[test]
     fn a_primary_join_over_many_blocks_charges_the_same_at_every_thread_count() {
-        let join = |threads: usize| {
+        let join = |threads: usize, test: Option<&ExactTest<'_>>| {
             let (r, s, pool) = primary_pair(400);
-            let ((pairs, stats, io), trace) = pool.disk().traced(|| {
-                SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(threads))
+            let (joined, trace) = pool.disk().traced(|| {
+                let threads = Threads::Exactly(threads);
+                SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, threads, test)
             });
-            (pairs, stats, io, trace, (pool.hits(), pool.misses()))
+            (joined, trace, (pool.hits(), pool.misses()))
         };
-        let one = join(1);
-        let stats = (one.1.mbr_pairs, one.1.mbr_join_ms, one.1.transfer_ms);
+        let (one, trace, counts) = join(1, None);
+        let stats = (
+            one.stats.mbr_pairs,
+            one.stats.mbr_join_ms,
+            one.stats.transfer_ms,
+        );
         assert_eq!(stats, (83620, 35968.0, 0.0), "stats");
-        assert_eq!(one.3.len(), 2248, "requests: the node reads' misses");
-        assert_eq!(one.4, (244_567, 3217), "hits and misses");
-        for threads in [2, 3, 8] {
-            let got = join(threads);
-            assert!(got.0 == one.0, "{threads} threads: pairs");
-            assert_eq!(got.1, one.1, "{threads} threads: stats");
-            assert_eq!(got.2, one.2, "{threads} threads: I/O");
-            assert!(got.3 == one.3, "{threads} threads: request sequence");
-            assert_eq!(got.4, one.4, "{threads} threads: pool hits and misses");
+        assert_eq!(trace.len(), 2248, "requests: the node reads' misses");
+        assert_eq!(counts, (244_567, 3217), "hits and misses");
+        let mut verdicts = Vec::new();
+        parity(&one.pairs, &mut verdicts);
+        assert!(
+            one.pairs.len() > 8 * TEST_BLOCK_PAIRS,
+            "many blocks of tests"
+        );
+        for threads in [1, 2, 3, 8] {
+            for test in [None, Some(&parity as &ExactTest<'_>)] {
+                if threads == 1 && test.is_none() {
+                    continue;
+                }
+                let at = format!("{threads} threads, tested: {}", test.is_some());
+                let (got, got_trace, got_counts) = join(threads, test);
+                assert!(got.pairs == one.pairs, "{at}: pairs");
+                let want = test.map(|_| verdicts.clone());
+                assert!(got.verdicts == want, "{at}: verdicts");
+                assert_eq!(got.stats, one.stats, "{at}: stats");
+                assert_eq!(got.io, one.io, "{at}: I/O");
+                assert!(got_trace == trace, "{at}: request sequence");
+                assert_eq!(got_counts, counts, "{at}: pool hits and misses");
+            }
+        }
+    }
+
+    /// An exact test that panics — on the first undecided pair, a middle
+    /// one or the last, so in the first, a middle or the last block of
+    /// tests — ends the join with the payload of the lowest block whose
+    /// test panicked, at every thread count; the transfer runs to its
+    /// end first, charging what it charges without a test.
+    #[test]
+    fn a_panicking_exact_test_ends_the_join_with_its_payload() {
+        let (r, s, pool) = primary_pair(400);
+        let one =
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1), None);
+        let n = one.pairs.len();
+        for threads in [1, 2, 3, 8] {
+            for at in [0, n / 2, n - 1] {
+                let (panic_at, also) = (one.pairs[at], one.pairs[n - 1]);
+                let test = |pairs: &[(ObjectId, ObjectId)], verdicts: &mut Vec<bool>| {
+                    for &pair in pairs {
+                        if pair == panic_at || pair == also {
+                            std::panic::panic_any(pair.0 .0);
+                        }
+                        verdicts.push(true);
+                    }
+                };
+                let before = pool.disk().stats();
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let threads = Threads::Exactly(threads);
+                    SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, threads, Some(&test))
+                }));
+                let payload = caught.expect_err("the test panics");
+                let want = panic_at.0 .0;
+                assert_eq!(
+                    payload.downcast_ref::<u64>(),
+                    Some(&want),
+                    "{threads} threads, pair {at}"
+                );
+                let charged = pool.disk().stats().since(&before);
+                assert_eq!(
+                    charged.io_ms, one.io.io_ms,
+                    "{threads} threads: the whole transfer"
+                );
+            }
         }
     }
 
@@ -441,7 +644,8 @@ mod tests {
         let want = (take_log(&r_log), take_log(&s_log));
         assert_eq!(want.0.len(), pairs.len());
         for threads in [1, 2, 3, 8] {
-            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(threads));
+            let exactly = Threads::Exactly(threads);
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, exactly, Some(&parity));
             let got = (take_log(&r_log), take_log(&s_log));
             assert!(got == want, "{threads} threads: fetch order");
         }
@@ -450,28 +654,27 @@ mod tests {
     /// A transfer that panics — fetching the first pair, a middle one
     /// or the last, so in the first, a middle or the last block — ends
     /// the join with the panic's payload at every thread count, whatever
-    /// the workers are sweeping meanwhile.
+    /// the workers are sweeping or testing meanwhile.
     #[test]
     fn a_panicking_transfer_ends_the_join_with_its_payload() {
         let (r, s, _) = primary_pair(400);
-        let (pairs, ..) =
-            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1));
+        let one =
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1), None);
         let candidates = complete(&r, &s).mbr_pairs as usize;
-        assert!(pairs.len() < candidates);
+        assert!(one.pairs.len() < candidates);
         let (mut store, _log) = Watched::new(s);
         for threads in [1, 2, 3, 8] {
-            for at in [0, candidates / 2, candidates - 1] {
-                store.restart(at);
-                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    SpatialJoin::new(&r, &store)
-                        .run(TransferTechnique::Complete, Threads::Exactly(threads))
-                }));
-                let payload = caught.expect_err("the transfer panics");
-                assert_eq!(
-                    payload.downcast_ref::<usize>(),
-                    Some(&at),
-                    "{threads} threads"
-                );
+            for test in [None, Some(&parity as &ExactTest<'_>)] {
+                for at in [0, candidates / 2, candidates - 1] {
+                    store.restart(at);
+                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let threads = Threads::Exactly(threads);
+                        SpatialJoin::new(&r, &store).run(TransferTechnique::Complete, threads, test)
+                    }));
+                    let payload = caught.expect_err("the transfer panics");
+                    let at_ = format!("{threads} threads, tested: {}", test.is_some());
+                    assert_eq!(payload.downcast_ref::<usize>(), Some(&at), "{at_}");
+                }
             }
         }
     }

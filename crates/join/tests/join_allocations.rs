@@ -72,10 +72,10 @@ const TRANSFER_AFTER_TRAVERSAL: u64 = 47;
 fn a_warm_join_allocates_no_more_than_a_transfer_after_the_traversal() {
     let (r, s, _pool) = test_data::primary_pair(400);
     let join = || {
-        let (pairs, stats, _) =
-            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1));
-        assert_eq!(stats.mbr_pairs, 83_620);
-        pairs
+        let joined =
+            SpatialJoin::new(&r, &s).run(TransferTechnique::Complete, Threads::Exactly(1), None);
+        assert_eq!(joined.stats.mbr_pairs, 83_620);
+        joined.pairs
     };
     drop(join());
     let n = allocations(|| drop(std::hint::black_box(join())));

@@ -771,7 +771,9 @@ impl Walk {
 
     /// `db ⋈ partner` under every transfer technique by `run()`; on a
     /// full walk also on every other path, under every technique on the
-    /// cluster organization and under *complete* and *optimum* elsewhere.
+    /// cluster organization and under *complete* and *optimum* elsewhere;
+    /// on a bulk-loaded walk also by `run_par(1)` and `run_par(8)`, drained
+    /// and iterated, under *complete* and *optimum*.
     fn join(
         &mut self,
         db: &mut SpatialDatabase,
@@ -802,6 +804,15 @@ impl Walk {
                 TransferTechnique::Complete | TransferTechnique::Optimum
             );
             let every_path = self.full && (one_of_each || self.is(Cluster));
+            // Every load reaches both ways of refining: at one thread
+            // the cursor tests as it is iterated or drained, at more
+            // (every load has full geometry) the join tests beside its
+            // transfer.
+            let thread_counts = match (every_path, one_of_each) {
+                (true, _) => &[1, 2, 3, 8][..],
+                (false, true) => &[1, 8][..],
+                (false, false) => &[][..],
+            };
             // Another path from a cold buffer: the cursor's I/O and the
             // disk's delta, the requests and the pool's counts are run()'s.
             let same = |at: &str, own: IoStats, (global, counts, requests)| {
@@ -809,7 +820,7 @@ impl Walk {
                 assert!(requests == trace, "{at}: request sequence");
                 assert_eq!(counts, pool, "{at}: pool hits and misses");
             };
-            for threads in [1, 2, 3, 8].into_iter().filter(|_| every_path) {
+            for &threads in thread_counts {
                 let at = format!("{at}: run_par({threads})");
                 self.cold([db, partner]);
                 let run = || db.join(partner).transfer(technique).run_par(threads);
@@ -818,9 +829,13 @@ impl Walk {
                 assert_eq!((par.stats(), par.undecided()), (stats, undecided), "{at}");
                 assert_eq!(par.pairs(), want.pairs, "{at}: pairs()");
             }
-            if every_path {
+            // Iterating, then draining: a lazy cursor (one thread) tests
+            // as it goes, one of eight threads reads the verdicts of the
+            // tests its join ran beside the transfer.
+            for &threads in thread_counts.iter().filter(|&&t| t == 1 || t == 8) {
+                let at = format!("{at}: run_par({threads})");
                 self.cold([db, partner]);
-                let mut cursor = db.join(partner).transfer(technique).run();
+                let mut cursor = db.join(partner).transfer(technique).run_par(threads);
                 let taken: Vec<(u64, u64)> = cursor.by_ref().take(k).collect();
                 assert_eq!(taken, order[..taken.len()], "{at}: take({k})");
                 let mut rest = order[taken.len()..].to_vec();

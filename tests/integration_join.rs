@@ -1,13 +1,26 @@
 //! Cross-crate integration tests: the spatial-join shapes of Figures 14,
 //! 16 and 17 as gates on the figures themselves (run once, at the scale
 //! of the checked-in golden, and matched against it), plus the join
-//! cursor's draining through the public API. (Exact pairs on every
-//! organization are the differential matrix's, `tests/differential.rs`.)
+//! cursor's draining through the public API: a join that runs its exact
+//! tests beside its transfer answers, counts and charges what the
+//! one-thread lazy join does. (Exact pairs on every organization are
+//! the differential matrix's, `tests/differential.rs`.)
 
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
-use spatialdb::{DbOptions, OrganizationKind, Workspace};
+use spatialdb::disk::{IoStats, PageRequest, PoolSession};
+use spatialdb::geom::Rect;
+use spatialdb::join::pipeline::TEST_BLOCK_PAIRS;
+use spatialdb::rtree::{LeafEntry, ObjectId, RStarTree};
+use spatialdb::storage::{
+    MemoryStore, ObjectRecord, SharedPool, SpatialStore, TransferTechnique, WindowTechnique,
+};
+use spatialdb::{DbOptions, JoinStats, OrganizationKind, SpatialDatabase, Workspace};
 use spatialdb_workload::figures::{calibrate_versions, figures, Figure, Scale, Trend};
-use std::sync::OnceLock;
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::time::Duration;
 
 const GOLDEN: &str = include_str!("../crates/workload/tests/golden/figures.txt");
 
@@ -245,4 +258,224 @@ fn refining_a_filter_only_join_panics_with_the_same_message_everywhere() {
     assert_eq!(message(&|| drop(a.join(&b).run_par(2).pairs())), expected);
     // The filter-only read-out still works.
     assert!(a.join(&b).run().stats().mbr_pairs > 0);
+}
+
+/// A-1 and A-2 at `scale`, with their geometry, bulk-loaded into `kind`
+/// on `ws`.
+fn full_geometry_operands(
+    ws: &Workspace,
+    scale: f64,
+    kind: OrganizationKind,
+) -> (SpatialDatabase, SpatialDatabase) {
+    let load = |map| {
+        let series = SeriesId::A;
+        let data = SpatialMap::generate(DataSet { series, map }, scale, GeometryMode::Full, 7);
+        let objects = data.objects.iter();
+        let objects = objects.map(|o| (o.id, o.geometry.clone().unwrap().into()));
+        let objects = objects.collect();
+        let mut db = ws.create_database(DbOptions::new(kind));
+        ws.bulk_load_par(&mut db, objects, 1);
+        db
+    };
+    (load(MapId::Map1), load(MapId::Map2))
+}
+
+/// What a join cursor shows from outside, from a cold buffer: the first
+/// `k` answers iterated, then `pairs()`, its counts and costs, the
+/// pool's hits and misses and the disk requests.
+#[derive(PartialEq)]
+struct Seen {
+    taken: Vec<(u64, u64)>,
+    rest: Vec<(u64, u64)>,
+    undecided: usize,
+    stats: JoinStats,
+    io: IoStats,
+    counts: [u64; 2],
+    trace: Vec<PageRequest>,
+}
+
+/// `a ⋈ b` on `threads` from a cold buffer, `k` pairs taken before
+/// `pairs()`.
+fn seen(ws: &Workspace, dbs: [&mut SpatialDatabase; 2], threads: usize, k: usize) -> Seen {
+    let (pool, disk) = (ws.pool(), ws.disk());
+    pool.reset(pool.capacity());
+    let [a, b] = dbs;
+    a.store_mut().begin_query();
+    b.store_mut().begin_query();
+    let (hits, misses) = (pool.hits(), pool.misses());
+    let ((mut cursor, io), trace) = disk.traced(|| {
+        let cursor = a.join(b).run_par(threads);
+        let io = cursor.io_stats();
+        (cursor, io)
+    });
+    let taken = cursor.by_ref().take(k).collect();
+    let (undecided, stats) = (cursor.undecided(), cursor.stats());
+    Seen {
+        taken,
+        rest: cursor.pairs(),
+        undecided,
+        stats,
+        io,
+        counts: [pool.hits() - hits, pool.misses() - misses],
+        trace,
+    }
+}
+
+/// A join that runs its exact tests beside its transfer — full
+/// geometry, more than one thread — answers, counts and charges what
+/// the one-thread lazy join does, on every organization: the answers
+/// of `pairs()`, alone and after `take(k)` for k = 0, 7 and n − 1,
+/// `undecided()`, `stats()`, `io_stats()`, the pool's hits and misses
+/// and the disk's request sequence. Once on a join whose undecided
+/// pairs fit in one block of exact tests (nothing spawns for them) and
+/// once on one of many blocks.
+#[test]
+fn a_join_tested_beside_its_transfer_matches_the_one_thread_join() {
+    use OrganizationKind::{Cluster, Primary, Secondary};
+    for kind in [Secondary, Primary, Cluster] {
+        for (scale, blocks) in [(0.01, 1), (0.05, 4)] {
+            let ws = Workspace::new(256);
+            let (mut a, mut b) = full_geometry_operands(&ws, scale, kind);
+            let at = format!("{kind:?}, scale {scale}");
+            let mut seen = |threads, k| seen(&ws, [&mut a, &mut b], threads, k);
+            let one = seen(1, 0);
+            let n = one.rest.len();
+            let undecided = one.undecided;
+            assert!(n > 8, "{at}: {n} answers");
+            match blocks {
+                1 => assert!(undecided <= TEST_BLOCK_PAIRS, "{at}: {undecided} undecided"),
+                _ => assert!(undecided > blocks * TEST_BLOCK_PAIRS, "{at}: {undecided}"),
+            }
+            for k in [0, 7, n - 1] {
+                let one = seen(1, k);
+                assert_eq!(one.taken.len(), k, "{at}");
+                for threads in [2, 3, 8] {
+                    let at = format!("{at}, take({k}), run_par({threads})");
+                    let got = seen(threads, k);
+                    assert_eq!(got.taken, one.taken, "{at}: taken");
+                    assert_eq!(got.rest, one.rest, "{at}: pairs()");
+                    assert_eq!(got.undecided, one.undecided, "{at}: undecided()");
+                    assert_eq!(got.stats, one.stats, "{at}: stats()");
+                    assert_eq!(got.io, one.io, "{at}: io_stats()");
+                    assert_eq!(got.counts, one.counts, "{at}: pool hits and misses");
+                    assert!(got.trace == one.trace, "{at}: request sequence");
+                }
+            }
+        }
+    }
+}
+
+/// A foreign store whose `fetch_for_join` panics with the call's
+/// number on call `panic_at` (counted from 0 since the last reset).
+#[derive(Clone)]
+struct PanicsOnFetch {
+    store: MemoryStore,
+    panic_at: Arc<AtomicUsize>,
+    calls: Arc<AtomicUsize>,
+}
+
+impl SpatialStore for PanicsOnFetch {
+    fn name(&self) -> &'static str {
+        "panics on fetch"
+    }
+    fn snapshot(&self) -> Box<dyn SpatialStore> {
+        Box::new(self.clone())
+    }
+    fn insert(&mut self, rec: &ObjectRecord) {
+        self.store.insert(rec)
+    }
+    fn delete(&mut self, oid: ObjectId) -> bool {
+        self.store.delete(oid)
+    }
+    fn window_query_into(&self, w: &Rect, t: WindowTechnique, out: &mut Vec<LeafEntry>) -> u64 {
+        self.store.window_query_into(w, t, out)
+    }
+    fn fetch_for_join(
+        &self,
+        oid: ObjectId,
+        needed: &HashSet<ObjectId>,
+        technique: TransferTechnique,
+        session: &mut PoolSession<'_>,
+    ) {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        if call == self.panic_at.load(Ordering::Relaxed) {
+            std::panic::panic_any(call);
+        }
+        self.store.fetch_for_join(oid, needed, technique, session)
+    }
+    fn occupied_pages(&self) -> u64 {
+        self.store.occupied_pages()
+    }
+    fn contains(&self, oid: ObjectId) -> bool {
+        self.store.contains(oid)
+    }
+    fn pool(&self) -> SharedPool {
+        self.store.pool()
+    }
+    fn tree(&self) -> &RStarTree {
+        self.store.tree()
+    }
+    fn flush(&mut self) {
+        self.store.flush()
+    }
+    fn begin_query(&mut self) {
+        self.store.begin_query()
+    }
+    fn check_consistency(&self) -> Result<(), String> {
+        self.store.check_consistency()
+    }
+}
+
+/// A transfer that panics — fetching the first candidate pair, a middle
+/// one or the last — ends a join that tests beside its transfer with
+/// the transfer's own payload at 2, 3 and 8 threads, and no thread is
+/// left waiting: every join returns within its time limit.
+#[test]
+fn a_panicking_transfer_ends_a_tested_join_with_its_payload() {
+    let (done, ended) = mpsc::channel();
+    std::thread::spawn(move || {
+        let ws = Workspace::new(256);
+        let (panic_at, calls) = (Arc::new(AtomicUsize::new(usize::MAX)), Arc::default());
+        let store = PanicsOnFetch {
+            store: MemoryStore::new(ws.pool()),
+            panic_at: Arc::clone(&panic_at),
+            calls: Arc::clone(&calls),
+        };
+        let right = ws.create_database_with(Box::new(store));
+        let left = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
+        let series = SeriesId::A;
+        for (map, db) in [(MapId::Map1, &left), (MapId::Map2, &right)] {
+            let data = SpatialMap::generate(DataSet { series, map }, 0.04, GeometryMode::Full, 7);
+            for o in &data.objects {
+                db.insert(o.id, o.geometry.clone().unwrap());
+            }
+        }
+        let candidates = left.join(&right).run_par(1).num_candidates();
+        let undecided = left.join(&right).run_par(1).undecided();
+        assert!(undecided > 2 * TEST_BLOCK_PAIRS, "{undecided} undecided");
+        for threads in [2, 3, 8] {
+            for at in [0, candidates / 2, candidates - 1] {
+                panic_at.store(at, Ordering::Relaxed);
+                calls.store(0, Ordering::Relaxed);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    left.join(&right).run_par(threads).pairs()
+                }));
+                let payload = caught
+                    .err()
+                    .and_then(|p| p.downcast_ref::<usize>().copied());
+                done.send((threads, at, payload)).expect("the test waits");
+            }
+        }
+    });
+    for threads in [2, 3, 8] {
+        for _ in 0..3 {
+            match ended.recv_timeout(Duration::from_secs(60)) {
+                Ok((ran, at, payload)) => {
+                    assert_eq!(ran, threads);
+                    assert_eq!(payload, Some(at), "{threads} threads, call {at}");
+                }
+                Err(_) => panic!("a join at {threads} threads hung or its test failed"),
+            }
+        }
+    }
 }

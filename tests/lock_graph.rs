@@ -8,11 +8,10 @@
 //! test pins which nestings the engine makes. In release builds the
 //! checker is compiled out and the graph stays empty.
 
-use spatialdb::disk::{wait_graph, PageId};
+use spatialdb::disk::wait_graph;
 use spatialdb::geom::{Point, Polyline, Rect};
 use spatialdb::storage::OrganizationKind;
 use spatialdb::{run_stream, DbOptions, EngineConfig, Geometry, StreamOp, Workspace};
-use std::sync::mpsc;
 
 /// A short street at grid cell `i` of a `side` × `side` lattice.
 fn street(i: u64, side: u64) -> Geometry {
@@ -50,34 +49,6 @@ fn assert_edges(after: &str, want: &[&str]) {
     assert_eq!(edges(), want, "after {after}");
 }
 
-/// Hold the pool's one shard on another thread until a write on this
-/// thread has found it held: a session takes its shard with a try
-/// first, which lockdep exempts, and blocks — a checked acquisition —
-/// only when another thread holds it.
-fn write_behind_a_held_shard(ws: &Workspace, write: impl FnOnce()) {
-    let pool = ws.pool();
-    let page = PageId::new(ws.disk().create_region("held"), 0);
-    let (held, wait) = mpsc::channel();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut session = pool.session();
-            let before = pool.lock_contentions();
-            session.read_page(page);
-            held.send(()).expect("the writer waits");
-            // At most ten seconds: a write that never waits leaves the
-            // edge out, and the assertion after it names what is missing.
-            for _ in 0..10_000 {
-                if pool.lock_contentions() > before {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        });
-        wait.recv().expect("the shard is held");
-        write();
-    });
-}
-
 #[test]
 fn the_engine_nests_exactly_these_lock_classes() {
     // One shard, and a pool small enough that queries evict.
@@ -87,25 +58,20 @@ fn the_engine_nests_exactly_these_lock_classes() {
     assert_edges("creating the databases", &[]);
 
     // A write: the writer gate is held across the commit's tree update
-    // (a pool session), its charges and the retire of the old root. The
-    // session's uncontended try records no edge; a blocked one does.
+    // (a pool session, whose shard is checked as a blocking acquisition
+    // even when its try finds it free), its charges and the retire of
+    // the old root.
     for i in 0..200 {
         left.insert(i, street(i, 15));
         right.insert(i, street(i, 14));
     }
     assert!(left.remove(7));
     let write = [
-        "DbWriter -> DiskCounters @ crates/disk/src/disk.rs",
-        "DbWriter -> Epoch @ crates/epoch/src/lib.rs",
-    ];
-    assert_edges("a write", &write);
-    write_behind_a_held_shard(&ws, || left.insert(200, street(3, 7)));
-    let write = [
         "DbWriter -> Shard @ crates/disk/src/shard.rs",
         "DbWriter -> DiskCounters @ crates/disk/src/disk.rs",
         "DbWriter -> Epoch @ crates/epoch/src/lib.rs",
     ];
-    assert_edges("a write behind a held shard", &write);
+    assert_edges("a write", &write);
 
     // A stream: reads, writes and a join on two workers. Phase A runs
     // the writes and every page access on this thread.
